@@ -23,7 +23,6 @@ import (
 	"repro/internal/formats"
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/precision"
 	"repro/internal/sched"
 	"repro/internal/selector"
 )
@@ -277,47 +276,6 @@ func BenchmarkMergePathSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = sched.MergePathSearch(total/2, m.RowPtr, m.Rows)
 	}
-}
-
-// Extension: the precision study the paper defers to future work. The
-// single-precision kernel should approach the 1.5x traffic bound over
-// double precision on this bandwidth-bound workload.
-func BenchmarkExtensionPrecision(b *testing.B) {
-	m := kernelMatrix(b)
-	m32 := precision.FromCSR(m)
-	x64 := matrix.RandomVector(m.Cols, 7)
-	x32 := make([]float32, m.Cols)
-	for i, v := range x64 {
-		x32[i] = float32(v)
-	}
-	b.Run("fp64", func(b *testing.B) {
-		y := make([]float64, m.Rows)
-		b.SetBytes(m.FootprintBytes())
-		for i := 0; i < b.N; i++ {
-			m.SpMV(x64, y)
-		}
-	})
-	b.Run("fp32", func(b *testing.B) {
-		y := make([]float32, m.Rows)
-		b.SetBytes(m32.Bytes())
-		for i := 0; i < b.N; i++ {
-			m32.SpMV32(x32, y)
-		}
-	})
-	b.Run("mixed", func(b *testing.B) {
-		y := make([]float64, m.Rows)
-		b.SetBytes(m32.Bytes())
-		for i := 0; i < b.N; i++ {
-			m32.SpMVMixed(x32, y)
-		}
-	})
-	b.Run("fp32-parallel", func(b *testing.B) {
-		y := make([]float32, m.Rows)
-		workers := runtime.GOMAXPROCS(0)
-		for i := 0; i < b.N; i++ {
-			m32.SpMV32Parallel(x32, y, workers)
-		}
-	})
 }
 
 // Extension: format-selector quality and cost against exhaustive search.

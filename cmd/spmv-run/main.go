@@ -86,7 +86,7 @@ func main() {
 	}
 	fmt.Printf("matrix: %s\n", m)
 	if fs := simd.Features(); len(fs) > 0 {
-		fmt.Printf("simd: %s dispatch, %d float64 lanes (detected: %s; SPMV_NOSIMD=1 forces scalar)\n",
+		fmt.Printf("simd: %s dispatch, %d float64 lanes (detected: %s; SPMV_SIMD_LEVEL=scalar forces scalar)\n",
 			simd.Level(), simd.Width(), strings.Join(fs, " "))
 	} else {
 		fmt.Println("simd: scalar dispatch (no accelerated kernels for this CPU)")

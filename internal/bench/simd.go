@@ -40,12 +40,8 @@ func RunSIMD(o Options) []*Report {
 		r.AddNote("acceptance gate avx512/avx2 (medium-600k + large-2M): SKIP (no accelerated kernels)")
 		return []*Report{r}
 	}
-	prevOn := simd.SetEnabled(true)
 	prevCap := simd.SetLevel("auto")
-	defer func() {
-		simd.SetLevel(prevCap)
-		simd.SetEnabled(prevOn)
-	}()
+	defer simd.SetLevel(prevCap)
 	has512 := simd.DetectedLevel() == "avx512"
 	workers := exec.MaxWorkers()
 	exec.Prestart()
@@ -188,7 +184,7 @@ func DispatchReport() *Report {
 	}
 	r.AddNote("dispatch %s: active level=%s detected=%s width=%d lanes; detected features=[%s]",
 		state, simd.Level(), simd.DetectedLevel(), simd.Width(), strings.Join(simd.Features(), " "))
-	r.AddNote("set %s=1 (or spmv.SetSIMD(false)) to force the scalar path; %s=scalar|avx2|avx512 caps the tier", simd.EnvNoSIMD, simd.EnvLevel)
+	r.AddNote("%s=scalar|avx2|avx512 (or spmv.SetSIMDLevel) caps the tier; scalar forces the portable path", simd.EnvLevel)
 	return r
 }
 

@@ -175,8 +175,8 @@ func HostFingerprint() string {
 }
 
 // EffectiveLevel is the dispatch level measurements in this process are
-// evidence for: "scalar" when acceleration is off (SPMV_NOSIMD or a
-// scalar cap), otherwise the dispatched tier. Probe outcomes measured
+// evidence for: "scalar" when acceleration is off (a scalar cap),
+// otherwise the dispatched tier. Probe outcomes measured
 // with AVX2 kernels are not evidence for a scalar-forced process, whose
 // format ranking can differ — so records from other levels are skipped on
 // load (but survive compaction for the run that can use them).

@@ -103,7 +103,7 @@ func HostSpec() Spec {
 	memBW := math.Min(20, 12*float64(units))
 	llcBW := math.Min(200, 50*float64(units))
 	// The modeled SIMD width is whatever the dispatch layer actually
-	// detected and enabled — a scalar-forced host (SPMV_NOSIMD) is modeled
+	// detected and enabled — a scalar-forced host (SPMV_SIMD_LEVEL=scalar) is modeled
 	// at one lane, not at a peak its kernels cannot reach.
 	lanes := simd.Width()
 	if lanes < 1 {

@@ -22,6 +22,12 @@ type PlanKey struct {
 	Domains int
 	// Workers is the worker count the partition splits across.
 	Workers int
+	// Multi separates the plans an instance builds for k > 1 dispatches
+	// from its single-vector plans: a format may partition the two regimes
+	// differently under one placement (Merge-CSR cuts the merge path at
+	// k = 1 and whole rows at k > 1). Grant.Key leaves it false; the
+	// formats driver sets it.
+	Multi bool
 }
 
 // Plan is the cached output of a format's inspector step for one placement:

@@ -292,8 +292,23 @@ func (g *Grant) RunPlanCtx(pl *Plan, f func(w int)) error {
 // the Ctl so sibling lanes stop at their next chunk boundary), and a
 // cancelled call reports the context's own error (context.Canceled or
 // DeadlineExceeded).
-func (g *Grant) runCtx(n int, off []int, f func(w int)) error {
+func (g *Grant) runCtx(n int, off []int, f func(w int)) (err error) {
 	ctl := g.ctl
+	if ctl == nil {
+		// Uncancellable dispatch: nothing to gate or poison, so the lanes
+		// run unwrapped (no per-call allocation). Worker-lane panics are
+		// already contained by the pools; only the caller's own lanes need
+		// the trap.
+		defer func() {
+			if r := recover(); r != nil {
+				err = &PanicError{Value: r, Stack: debug.Stack()}
+			}
+		}()
+		if pe := g.runE(n, off, f); pe != nil {
+			return pe
+		}
+		return nil
+	}
 	var ps panicSlot
 	wf := func(w int) {
 		defer func() {

@@ -26,7 +26,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/failpoint"
-	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/update"
 )
@@ -177,10 +176,7 @@ func chaosRound(t *testing.T, seed int64) {
 				if r == 0 {
 					tolerateInjected(t, func() { u.SpMVParallel(x, y, 4) })
 				} else {
-					s := u.Base()
-					if cf, ok := s.(formats.ContextFormat); ok {
-						requireCleanOrInjected(t, "SpMVCtx", cf.SpMVCtx(context.Background(), x, y, 4))
-					}
+					requireCleanOrInjected(t, "Apply", u.Base().Apply(context.Background(), y, x, 1, 4))
 				}
 			}
 		}(r)

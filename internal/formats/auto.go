@@ -1,8 +1,10 @@
 package formats
 
-// fusedMulti names the formats whose MultiplyMany is a fused register-tiled
-// kernel (every loaded nonzero feeds k FMAs); the rest run the by-column
-// fallback, one single-vector kernel call per right-hand side.
+// fusedMulti names the formats whose kernel is bound as fused — a
+// register-tiled k > 1 loop where every loaded nonzero feeds k FMAs; the
+// rest run the driver's by-column fallback, one single-vector dispatch per
+// right-hand side. The device model reads this table before any instance
+// exists; TestFusedMultiTableMatchesKernels keeps it equal to the bindings.
 var fusedMulti = map[string]bool{
 	"Naive-CSR": true, "Vec-CSR": true, "Bal-CSR": true, "MKL-IE": true,
 	"Merge-CSR": true, "ELL": true, "HYB": true, "SELL-C-s": true,
@@ -29,11 +31,12 @@ type AutoChoice struct {
 	Cached    bool               // decision came from the decision cache
 	Learned   bool               // the experience base steered the shortlist
 	ProbeNs   map[string]float64 // measured ns/op per probed candidate
-	// Tuned records the autotuned structural parameters applied to the
-	// built instance (e.g. "bcsr.block" -> "4x4", "spmm.tile" -> "8").
+	// Tuned records the autotuned structural parameters the instance was
+	// built with (e.g. "bcsr.block" -> "4x4", "spmm.tile" -> "8").
 	Tuned map[string]string
-	// VecWideRowMin is the wide-row cutoff the row-length inspector set on
-	// the instance (0: inspector not applicable / not run).
+	// VecWideRowMin is the wide-row cutoff the row-length inspector derived
+	// and the instance was built with (0: inspector not applicable / not
+	// run).
 	VecWideRowMin int
 }
 

@@ -15,6 +15,7 @@ import (
 // store no per-element indices, trading zero fill for metadata compression
 // and unrollable inner loops.
 type BCSR struct {
+	driver
 	rows, cols int
 	br, bc     int
 	nnz        int64
@@ -22,13 +23,8 @@ type BCSR struct {
 	rowPtr     []int32   // per block row, into blkCol
 	blkCol     []int32   // block-column index per block
 	val        []float64 // br*bc per block
-	plans      exec.PlanCache
-	// noWideTiles disables the 8-vector SpMM register tile (see CSR).
-	noWideTiles bool
+	tune       Tuning
 }
-
-// SetWideTiles toggles the 8-vector SpMM register tile (WideTiler).
-func (f *BCSR) SetWideTiles(on bool) { f.noWideTiles = !on }
 
 // MaxBCSRFillRatio bounds the zero fill: construction fails when the blocked
 // image exceeds this multiple of the nonzero count.
@@ -36,13 +32,23 @@ const MaxBCSRFillRatio = 8.0
 
 // NewBCSR builds blocked CSR with br x bc blocks aligned to the block grid.
 func NewBCSR(m *matrix.CSR, br, bc int) (*BCSR, error) {
+	return newBCSR(m, Tuning{BlockR: br, BlockC: bc})
+}
+
+// newBCSR builds blocked CSR with the tuning's block geometry (2x2 when
+// unset).
+func newBCSR(m *matrix.CSR, t Tuning) (*BCSR, error) {
+	br, bc := t.BlockR, t.BlockC
+	if br == 0 && bc == 0 {
+		br, bc = 2, 2
+	}
 	if br < 1 || bc < 1 {
 		return nil, fmt.Errorf("%w BCSR: block %dx%d", ErrBuild, br, bc)
 	}
 	blockRows := (m.Rows + br - 1) / br
 	f := &BCSR{
 		rows: m.Rows, cols: m.Cols, br: br, bc: bc, nnz: int64(m.NNZ()), blockRows: blockRows,
-		plans: exec.NewPlanCache(),
+		tune: t,
 	}
 	f.rowPtr = make([]int32, blockRows+1)
 
@@ -98,6 +104,7 @@ func NewBCSR(m *matrix.CSR, br, bc int) (*BCSR, error) {
 		lo, hi := f.rowPtr[bi], f.rowPtr[bi+1]
 		sortBlocks(f.blkCol[lo:hi], f.val[int(lo)*br*bc:int(hi)*br*bc], br*bc)
 	}
+	f.bind(f, true)
 	return f, nil
 }
 
@@ -265,7 +272,7 @@ func (f *BCSR) blockRowRangeMulti2x2(x, y []float64, k, lo, hi int) {
 	rowPtr, blkCol, val := f.rowPtr, f.blkCol, f.val
 	cols := f.cols
 	useSIMD := simd.Enabled()
-	wide := !f.noWideTiles && useSIMD && simd.Width() >= 8
+	wide := !f.tune.NarrowTiles && useSIMD && simd.Width() >= 8
 	for bi := lo; bi < hi; bi++ {
 		row := bi * 2
 		bLo, bEnd := int(rowPtr[bi]), int(rowPtr[bi+1])
@@ -434,53 +441,21 @@ func (f *BCSR) blockRowRangeMulti(x, y []float64, k, lo, hi int) {
 	}
 }
 
-// SpMV implements Format.
-func (f *BCSR) SpMV(x, y []float64) {
-	checkShape("BCSR", f.rows, f.cols, x, y)
-	f.blockRowRange(x, y, 0, f.blockRows)
+// units: lanes take whole block rows.
+func (f *BCSR) units() int { return f.blockRows }
+
+// cum: stored block values plus a block-row visit each.
+func (f *BCSR) cum(i int) int64 { return int64(f.rowPtr[i])*int64(f.br*f.bc) + int64(i) }
+
+// plan balances blocks over whole block rows.
+func (f *BCSR) plan(key exec.PlanKey, _ int) *exec.Plan {
+	return rowPlan(f.rowPtr, key, sched.NNZBalanced)
 }
 
-// blockRowPlan builds (or fetches) the nnz-balanced block-row partition
-// for the grant's placement, shared by the single- and multi-vector
-// dispatches. Ranges partition block-row indices.
-func (f *BCSR) blockRowPlan(g *exec.Grant) *exec.Plan {
-	return f.plans.Get(g.Key(), func(k exec.PlanKey) *exec.Plan {
-		ranges, off := sched.DomainSplitOff(f.rowPtr, k.Domains, k.Workers, sched.NNZBalanced)
-		return &exec.Plan{Ranges: ranges, DomainOff: off}
-	})
-}
-
-// SpMVParallel implements Format over nnz-balanced block rows.
-func (f *BCSR) SpMVParallel(x, y []float64, workers int) {
-	checkShape("BCSR", f.rows, f.cols, x, y)
-	workers = exec.Workers(f.nnz+int64(f.blockRows), workers)
-	if workers <= 1 {
-		f.blockRowRange(x, y, 0, f.blockRows)
+func (f *BCSR) apply(y, x []float64, k, lo, hi int) {
+	if k == 1 {
+		f.blockRowRange(x, y, lo, hi)
 		return
 	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.blockRowPlan(&g)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		f.blockRowRange(x, y, ranges[w].RowLo, ranges[w].RowHi)
-	})
-}
-
-// MultiplyMany implements Format with the fused block kernel over the same
-// block-row partition SpMVParallel uses.
-func (f *BCSR) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti("BCSR", f.rows, f.cols, y, x, k)
-	workers := exec.Workers((f.nnz+int64(f.blockRows))*int64(k), exec.MaxWorkers())
-	if workers <= 1 {
-		f.blockRowRangeMulti(x, y, k, 0, f.blockRows)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.blockRowPlan(&g)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		f.blockRowRangeMulti(x, y, k, ranges[w].RowLo, ranges[w].RowHi)
-	})
+	f.blockRowRangeMulti(x, y, k, lo, hi)
 }

@@ -3,35 +3,35 @@ package formats
 import (
 	"repro/internal/exec"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 )
 
 // COO stores the matrix as row-sorted coordinate triplets. It balances
 // nonzeros perfectly across workers but pays 8 bytes of metadata per entry.
 type COO struct {
+	driver
 	rows, cols int
 	rowIdx     []int32
 	colIdx     []int32
 	val        []float64
-	plans      exec.PlanCache // SpMVParallel carry slots
-	addPlans   exec.PlanCache // spmvAddParallel carry lists (HYB spill)
-	mplans     exec.PlanCache // MultiplyMany k-wide carry slots
-	maddPlans  exec.PlanCache // multiplyManyAdd k-wide carry lists (HYB spill)
+	// add makes the kernels accumulate onto y instead of overwriting it:
+	// the HYB spill and the update layer's delta overlay run on top of
+	// another part's product.
+	add bool
 }
 
-// newCOOFromParts wraps pre-built triplet arrays (used by NewCOO and the
-// HYB spill part).
-func newCOOFromParts(rows, cols int, rowIdx, colIdx []int32, val []float64) *COO {
-	return &COO{
-		rows: rows, cols: cols, rowIdx: rowIdx, colIdx: colIdx, val: val,
-		plans: exec.NewPlanCache(), addPlans: exec.NewPlanCache(),
-		mplans: exec.NewPlanCache(), maddPlans: exec.NewPlanCache(),
-	}
+// newCOOFromParts wraps pre-built triplet arrays (used by NewCOO, the HYB
+// spill part and the delta overlay).
+func newCOOFromParts(rows, cols int, rowIdx, colIdx []int32, val []float64, add bool) *COO {
+	f := &COO{rows: rows, cols: cols, rowIdx: rowIdx, colIdx: colIdx, val: val, add: add}
+	f.bind(f, true)
+	return f
 }
 
 // NewCOO builds the coordinate format from a CSR matrix.
 func NewCOO(m *matrix.CSR) *COO {
 	o := m.ToCOO()
-	return newCOOFromParts(m.Rows, m.Cols, o.RowIdx, o.ColIdx, o.Val)
+	return newCOOFromParts(m.Rows, m.Cols, o.RowIdx, o.ColIdx, o.Val, false)
 }
 
 // Name implements Format.
@@ -54,114 +54,24 @@ func (f *COO) Traits() Traits {
 	return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: 8}
 }
 
-// SpMV implements Format. Entries are row-sorted, so each row's sum builds
-// in a register and hits y once, instead of a load-add-store per entry.
-func (f *COO) SpMV(x, y []float64) {
-	checkShape("COO", f.rows, f.cols, x, y)
-	zero(y)
-	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
-	n := len(val)
-	k := 0
-	for k < n {
-		row := rowIdx[k]
-		sum := 0.0
-		for k < n && rowIdx[k] == row {
-			sum += val[k] * x[colIdx[k]]
-			k++
-		}
-		y[row] = sum
+// units: lanes take contiguous chunks of the row-sorted entry stream.
+func (f *COO) units() int { return len(f.val) }
+
+// cum counts entries, plus — when y is overwritten, so every row is
+// visited — the row visits spread evenly over them.
+func (f *COO) cum(i int) int64 {
+	if f.add || i == 0 {
+		return int64(i)
 	}
+	return int64(i) + int64(f.rows)*int64(i)/int64(len(f.val))
 }
 
-// cooScratch is the plan-cached boundary-carry state: per worker, the first
-// and last row its chunk touches (-1: none) and their partial sums.
-type cooScratch struct {
-	firstRow, lastRow []int32
-	firstSum, lastSum []float64
-}
-
-// SpMVParallel implements Format. Entries are row-sorted, so each worker
-// takes a contiguous chunk; sums for rows straddling a chunk boundary are
-// collected in per-worker carry slots and merged serially afterwards.
-func (f *COO) SpMVParallel(x, y []float64, workers int) {
-	checkShape("COO", f.rows, f.cols, x, y)
-	n := len(f.val)
-	workers = exec.Workers(int64(n)+int64(f.rows), workers)
-	if workers <= 1 || n < 2*workers {
-		f.SpMV(x, y)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.plans.Get(g.Key(), func(k exec.PlanKey) *exec.Plan {
-		return &exec.Plan{Scratch: &cooScratch{
-			firstRow: make([]int32, k.Workers), lastRow: make([]int32, k.Workers),
-			firstSum: make([]float64, k.Workers), lastSum: make([]float64, k.Workers),
-		}}
-	})
-	sc := pl.Scratch.(*cooScratch)
-	if pl.TryLock() {
-		defer pl.Unlock()
-	} else {
-		// Another call on this plan is mid-flight: private carry slots keep
-		// concurrent invocations fully parallel.
-		sc = &cooScratch{
-			firstRow: make([]int32, workers), lastRow: make([]int32, workers),
-			firstSum: make([]float64, workers), lastSum: make([]float64, workers),
-		}
-	}
-	zero(y)
-	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
-	// Entry chunks are contiguous and ordered, so consecutive worker ids —
-	// which a ganged dispatch groups by shard — walk adjacent slabs.
-	g.Run(workers, func(w int) {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		sc.firstRow[w], sc.lastRow[w] = -1, -1
-		sc.firstSum[w], sc.lastSum[w] = 0, 0
-		if lo >= hi {
-			return
-		}
-		first := rowIdx[lo]
-		last := rowIdx[hi-1]
-		if first == last {
-			// The whole chunk is one row fragment; carry everything.
-			sum := 0.0
-			for k := lo; k < hi; k++ {
-				sum += val[k] * x[colIdx[k]]
-			}
-			sc.firstRow[w], sc.firstSum[w] = first, sum
-			return
-		}
-		k := lo
-		sum := 0.0
-		for ; rowIdx[k] == first; k++ {
-			sum += val[k] * x[colIdx[k]]
-		}
-		sc.firstRow[w], sc.firstSum[w] = first, sum
-		for k < hi && rowIdx[k] != last {
-			row := rowIdx[k]
-			sum = 0
-			for k < hi && rowIdx[k] == row {
-				sum += val[k] * x[colIdx[k]]
-				k++
-			}
-			y[row] = sum // interior rows are fully owned by this worker
-		}
-		sum = 0
-		for ; k < hi; k++ {
-			sum += val[k] * x[colIdx[k]]
-		}
-		sc.lastRow[w], sc.lastSum[w] = last, sum
-	})
-	for w := 0; w < workers; w++ {
-		if r := sc.firstRow[w]; r >= 0 {
-			y[r] += sc.firstSum[w]
-		}
-		if r := sc.lastRow[w]; r >= 0 {
-			y[r] += sc.lastSum[w]
-		}
-	}
+// addWorkers sizes an accumulate-mode dispatch by entry count alone,
+// whatever k: each vector of a fused spill add then sees exactly the lanes
+// k single-vector adds would, so its accumulation order — and rounding —
+// matches theirs bit for bit.
+func (f *COO) addWorkers(workers int) int {
+	return exec.Workers(int64(len(f.val)), workers)
 }
 
 // cooRunInto accumulates entries [lo, hi) — all belonging to one row —
@@ -193,17 +103,31 @@ func cooRunInto(colIdx []int32, val, x, dst []float64, k, lo, hi int) {
 	}
 }
 
-// multiplyManySerial is the fused serial kernel: per row run, per tile,
-// the run streams once with the tile's sums in registers.
-func (f *COO) multiplyManySerial(x, y []float64, k int) {
-	zero(y)
+// apply is the serial kernel over the whole entry stream (carriers are
+// never sub-ranged). Entries are row-sorted, so each row run's sums build
+// in registers and hit y once: at k = 1 in the same pass that finds the
+// run's end, at k > 1 once per register tile.
+func (f *COO) apply(y, x []float64, k, lo, hi int) {
+	if !f.add {
+		zero(y)
+	}
 	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
-	n := len(val)
-	e := 0
-	for e < n {
+	if k == 1 {
+		for e := lo; e < hi; {
+			row := rowIdx[e]
+			sum := 0.0
+			for e < hi && rowIdx[e] == row {
+				sum += val[e] * x[colIdx[e]]
+				e++
+			}
+			y[row] += sum
+		}
+		return
+	}
+	for e := lo; e < hi; {
 		row := int(rowIdx[e])
 		re := e + 1
-		for re < n && int(rowIdx[re]) == row {
+		for re < hi && int(rowIdx[re]) == row {
 			re++
 		}
 		cooRunInto(colIdx, val, x, y[row*k:row*k+k], k, e, re)
@@ -211,103 +135,119 @@ func (f *COO) multiplyManySerial(x, y []float64, k int) {
 	}
 }
 
-// cooMultiScratch is the plan-cached carry state of MultiplyMany: per
-// worker, the first and last row its entry chunk touches (-1: none) and
-// their k-wide partial sums. The sum buffers are sized workers*k for the
-// largest k this plan has served and grow under the plan lock.
-type cooMultiScratch struct {
-	firstRow, lastRow []int32
-	firstSum, lastSum []float64
+// cooCarry is one deferred k-wide row contribution.
+type cooCarry struct {
+	row  int32
+	sums []float64 // k partial sums, backed by the scratch arena
 }
 
-// MultiplyMany implements Format with the fused run kernel: contiguous
-// entry chunks per worker like SpMVParallel, with k-wide carry slots for
-// the rows straddling chunk boundaries.
-func (f *COO) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti("COO", f.rows, f.cols, y, x, k)
-	n := len(f.val)
-	workers := exec.Workers((int64(n)+int64(f.rows))*int64(k), exec.MaxWorkers())
-	if workers <= 1 || n < 2*workers {
-		f.multiplyManySerial(x, y, k)
+// cooScratch is the plan-cached carry state: per lane, the (at most two)
+// boundary rows of its entry chunk with their k-wide partial sums. The
+// arena is sized lanes*2*k for the largest k this plan has served and
+// grows under the plan lock.
+type cooScratch struct {
+	carries [][]cooCarry
+	arena   []float64
+}
+
+// carries implements carrier: entry chunks cut rows at every k.
+func (f *COO) carries(int) bool { return true }
+
+// plan gives each lane a contiguous, equal share of the entry stream.
+// Chunks are ordered, so consecutive lane ids — which a ganged dispatch
+// groups by shard — walk adjacent slabs. Streams too short to give every
+// lane two entries run as one lane.
+func (f *COO) plan(key exec.PlanKey, _ int) *exec.Plan {
+	n, lanes := len(f.val), key.Workers
+	if n < 2*lanes {
+		lanes = 1
+	}
+	ranges := make([]sched.Range, lanes)
+	for w := range ranges {
+		ranges[w] = sched.Range{RowLo: n * w / lanes, RowHi: n * (w + 1) / lanes}
+	}
+	return &exec.Plan{Ranges: ranges, Scratch: &cooScratch{carries: make([][]cooCarry, lanes)}}
+}
+
+// begin implements carrier.
+func (f *COO) begin(pl *exec.Plan, y []float64, k int, private bool) any {
+	if !f.add {
+		zero(y)
+	}
+	lanes := len(pl.Ranges)
+	if private {
+		return &cooScratch{carries: make([][]cooCarry, lanes), arena: make([]float64, lanes*2*k)}
+	}
+	sc := pl.Scratch.(*cooScratch)
+	if len(sc.arena) < lanes*2*k {
+		sc.arena = make([]float64, lanes*2*k)
+	}
+	return sc
+}
+
+// lane implements carrier: rows wholly inside the chunk accumulate straight
+// into y; a row that may be shared with a neighbouring chunk goes to a
+// carry slot instead. As in apply, k = 1 sums a run in the pass that finds
+// its end.
+func (f *COO) lane(c any, pl *exec.Plan, w int, y, x []float64, k int) {
+	sc := c.(*cooScratch)
+	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
+	lo, hi := pl.Ranges[w].RowLo, pl.Ranges[w].RowHi
+	// The only rows a neighbour can share: the one ending the previous
+	// chunk and the one starting the next.
+	leftRow, rightRow := int32(-1), int32(-1)
+	if lo > 0 {
+		leftRow = rowIdx[lo-1]
+	}
+	if hi < len(val) {
+		rightRow = rowIdx[hi]
+	}
+	local := sc.carries[w][:0]
+	arena := sc.arena[w*2*k : (w+1)*2*k]
+	if k == 1 {
+		for e := lo; e < hi; {
+			row := rowIdx[e]
+			sum := 0.0
+			for e < hi && rowIdx[e] == row {
+				sum += val[e] * x[colIdx[e]]
+				e++
+			}
+			if row == leftRow || (e == hi && row == rightRow) {
+				slot := arena[len(local) : len(local)+1]
+				slot[0] = sum
+				local = append(local, cooCarry{row, slot})
+			} else {
+				y[row] += sum
+			}
+		}
+		sc.carries[w] = local
 		return
 	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.mplans.Get(g.Key(), func(kk exec.PlanKey) *exec.Plan {
-		return &exec.Plan{Scratch: &cooMultiScratch{
-			firstRow: make([]int32, kk.Workers), lastRow: make([]int32, kk.Workers),
-		}}
-	})
-	sc := pl.Scratch.(*cooMultiScratch)
-	if pl.TryLock() {
-		defer pl.Unlock()
-		if len(sc.firstSum) < workers*k {
-			sc.firstSum = make([]float64, workers*k)
-			sc.lastSum = make([]float64, workers*k)
+	for e := lo; e < hi; {
+		row := rowIdx[e]
+		re := e + 1
+		for re < hi && rowIdx[re] == row {
+			re++
 		}
-	} else {
-		// Another call on this plan is mid-flight: private carry slots keep
-		// concurrent invocations fully parallel.
-		sc = &cooMultiScratch{
-			firstRow: make([]int32, workers), lastRow: make([]int32, workers),
-			firstSum: make([]float64, workers*k), lastSum: make([]float64, workers*k),
+		dst := y[int(row)*k : int(row)*k+k]
+		if row == leftRow || (re == hi && row == rightRow) {
+			dst = arena[len(local)*k : len(local)*k+k]
+			zero(dst)
+			local = append(local, cooCarry{row, dst})
 		}
+		cooRunInto(colIdx, val, x, dst, k, e, re)
+		e = re
 	}
-	zero(y)
-	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
-	// Entry chunks are contiguous and ordered, so consecutive worker ids —
-	// which a ganged dispatch groups by shard — walk adjacent slabs.
-	g.Run(workers, func(w int) {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		sc.firstRow[w], sc.lastRow[w] = -1, -1
-		if lo >= hi {
-			return
-		}
-		fs := sc.firstSum[w*k : w*k+k]
-		ls := sc.lastSum[w*k : w*k+k]
-		zero(fs)
-		zero(ls)
-		first := rowIdx[lo]
-		last := rowIdx[hi-1]
-		// Leading fragment: the first row may be shared with the previous
-		// chunk, so its sums go to the carry slots (when the whole chunk is
-		// one row this consumes everything).
-		e := lo
-		for e < hi && rowIdx[e] == first {
-			e++
-		}
-		cooRunInto(colIdx, val, x, fs, k, lo, e)
-		sc.firstRow[w] = first
-		// Interior rows are fully owned by this worker.
-		for e < hi && rowIdx[e] != last {
-			row := int(rowIdx[e])
-			re := e + 1
-			for re < hi && int(rowIdx[re]) == row {
-				re++
-			}
-			cooRunInto(colIdx, val, x, y[row*k:row*k+k], k, e, re)
-			e = re
-		}
-		// Trailing fragment of the row cut by the chunk end.
-		if e < hi {
-			cooRunInto(colIdx, val, x, ls, k, e, hi)
-			sc.lastRow[w] = last
-		}
-	})
-	for w := 0; w < workers; w++ {
-		if r := int(sc.firstRow[w]); r >= 0 {
-			yb := y[r*k : r*k+k]
-			fs := sc.firstSum[w*k : w*k+k]
-			for t := range yb {
-				yb[t] += fs[t]
-			}
-		}
-		if r := int(sc.lastRow[w]); r >= 0 {
-			yb := y[r*k : r*k+k]
-			ls := sc.lastSum[w*k : w*k+k]
-			for t := range yb {
-				yb[t] += ls[t]
+	sc.carries[w] = local
+}
+
+// finish implements carrier, merging the carries in lane order.
+func (f *COO) finish(c any, y []float64, k int) {
+	for _, local := range c.(*cooScratch).carries {
+		for _, cr := range local {
+			yb := y[int(cr.row)*k : int(cr.row)*k+k]
+			for t, s := range cr.sums {
+				yb[t] += s
 			}
 		}
 	}

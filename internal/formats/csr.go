@@ -1,10 +1,6 @@
 package formats
 
 import (
-	"os"
-	"strconv"
-	"sync/atomic"
-
 	"repro/internal/exec"
 	"repro/internal/matrix"
 	"repro/internal/sched"
@@ -12,44 +8,33 @@ import (
 )
 
 // CSR is the naive compressed-sparse-row format with row-block parallelism,
-// the baseline every platform in the paper provides.
+// the baseline every platform in the paper provides. Its variants embed it
+// and differ in the single-vector row kernel and the partition policy.
 type CSR struct {
+	driver
 	rows, cols int
 	rowPtr     []int32
 	colIdx     []int32
 	val        []float64
-	plans      exec.PlanCache
-	// noWideTiles disables the 8-vector SpMM register tile for this
-	// instance (the autotuner sets it when the 4-wide tile measures faster
-	// on the matrix). Zero value: wide tiles allowed whenever the
-	// dispatched SIMD width is 8.
-	noWideTiles bool
-	// wideRowMin overrides the vectorized-CSR wide-path cutoff for this
-	// instance (see VecWideRowMin); 0 falls through to the process-wide
-	// setting. Set by the auto selector's row-length inspector.
-	wideRowMin int
+	policy     sched.Partitioner
+	tune       Tuning
 }
 
-// SetWideTiles toggles the 8-vector SpMM register tile (WideTiler).
-func (f *CSR) SetWideTiles(on bool) { f.noWideTiles = !on }
-
-// SetWideRowMin sets this instance's vectorized wide-path cutoff; n <= 0
-// restores the process-wide setting. Only the vectorized row kernels
-// (Vec-CSR, MKL-IE with vectorization) consult it.
-func (f *CSR) SetWideRowMin(n int) {
-	if n < 0 {
-		n = 0
-	}
-	f.wideRowMin = n
+// csrOf wraps a CSR matrix (sharing its storage; the matrix must not be
+// mutated while the format is in use) under the given partition policy.
+// The caller binds the driver once the outermost format is assembled.
+func csrOf(m *matrix.CSR, policy sched.Partitioner, t Tuning) CSR {
+	return CSR{rows: m.Rows, cols: m.Cols, rowPtr: m.RowPtr, colIdx: m.ColIdx, val: m.Val,
+		policy: policy, tune: t}
 }
 
-// NewCSR wraps a CSR matrix (sharing its storage; the matrix must not be
-// mutated while the format is in use).
-func NewCSR(m *matrix.CSR) *CSR {
-	return &CSR{
-		rows: m.Rows, cols: m.Cols, rowPtr: m.RowPtr, colIdx: m.ColIdx, val: m.Val,
-		plans: exec.NewPlanCache(),
-	}
+// NewCSR builds the naive CSR format over equal-count row blocks.
+func NewCSR(m *matrix.CSR) *CSR { return newCSR(m, Tuning{}) }
+
+func newCSR(m *matrix.CSR, t Tuning) *CSR {
+	c := csrOf(m, sched.RowBlocks, t)
+	c.bind(&c, true)
+	return &c
 }
 
 // Name implements Format.
@@ -67,8 +52,14 @@ func (f *CSR) NNZ() int64 { return int64(len(f.val)) }
 // Bytes implements Format.
 func (f *CSR) Bytes() int64 { return int64(len(f.val))*12 + int64(f.rows+1)*4 }
 
-// work is the engine's serial-cutoff measure: nonzeros plus a row visit each.
-func (f *CSR) work() int64 { return int64(len(f.val)) + int64(f.rows) }
+func (f *CSR) units() int { return f.rows }
+
+// cum is the CSR cumulative work measure: nonzeros plus a row visit each.
+func (f *CSR) cum(i int) int64 { return int64(f.rowPtr[i]) + int64(i) }
+
+// plan splits rows under the format's policy (per domain slice when the
+// dispatch gangs across shards).
+func (f *CSR) plan(key exec.PlanKey, _ int) *exec.Plan { return rowPlan(f.rowPtr, key, f.policy) }
 
 // Traits implements Format.
 func (f *CSR) Traits() Traits {
@@ -101,66 +92,16 @@ func csrRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi int) {
 	}
 }
 
-// SpMV implements Format.
-func (f *CSR) SpMV(x, y []float64) {
-	checkShape(f.Name(), f.rows, f.cols, x, y)
-	csrRowRange(f.rowPtr, f.colIdx, f.val, x, y, 0, f.rows)
-}
-
-// rangePlan builds (or fetches) the cached row partition for the grant's
-// placement under the given policy, with the per-domain offset table that
-// keeps ganged dispatches aligned when ranges collapse. Every CSR-array
-// method — single- and multi-vector — shares this cache, so an instance
-// computes each placement's partition exactly once.
-func (f *CSR) rangePlan(g *exec.Grant, policy sched.Partitioner) *exec.Plan {
-	return f.plans.Get(g.Key(), func(k exec.PlanKey) *exec.Plan {
-		ranges, off := sched.DomainSplitOff(f.rowPtr, k.Domains, k.Workers, policy)
-		return &exec.Plan{Ranges: ranges, DomainOff: off}
-	})
-}
-
-// SpMVParallel implements Format, splitting rows into equal-count blocks
-// (per domain slice when the dispatch gangs across shards).
-func (f *CSR) SpMVParallel(x, y []float64, workers int) {
-	checkShape(f.Name(), f.rows, f.cols, x, y)
-	workers = exec.Workers(f.work(), workers)
-	if workers <= 1 {
-		csrRowRange(f.rowPtr, f.colIdx, f.val, x, y, 0, f.rows)
+// apply is the scalar row kernel at k = 1 and the fused register-tiled
+// kernel at k > 1. Vec-CSR and MKL-IE replace only the k = 1 loop: the
+// multi-vector tile already provides the register-level parallelism their
+// single-vector kernels unroll for.
+func (f *CSR) apply(y, x []float64, k, lo, hi int) {
+	if k == 1 {
+		csrRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi)
 		return
 	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.rangePlan(&g, sched.RowBlocks)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		csrRowRange(f.rowPtr, f.colIdx, f.val, x, y, ranges[w].RowLo, ranges[w].RowHi)
-	})
-}
-
-// MultiplyMany implements Format with the fused row kernel over the same
-// row partition SpMVParallel uses. Vec-CSR inherits it: the multi-vector
-// tile already provides the register-level parallelism its single-vector
-// kernel unrolls for.
-func (f *CSR) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti(f.Name(), f.rows, f.cols, y, x, k)
-	f.multiplyMany(y, x, k, sched.RowBlocks)
-}
-
-// multiplyMany dispatches the fused CSR kernel under the given partition
-// policy; Bal-CSR and MKL-IE reuse it with nonzero-balanced splits.
-func (f *CSR) multiplyMany(y, x []float64, k int, policy sched.Partitioner) {
-	workers := exec.Workers(f.work()*int64(k), exec.MaxWorkers())
-	if workers <= 1 {
-		csrRowRangeMulti(f.rowPtr, f.colIdx, f.val, x, y, k, 0, f.rows, !f.noWideTiles)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.rangePlan(&g, policy)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		csrRowRangeMulti(f.rowPtr, f.colIdx, f.val, x, y, k, ranges[w].RowLo, ranges[w].RowHi, !f.noWideTiles)
-	})
+	csrRowRangeMulti(f.rowPtr, f.colIdx, f.val, x, y, k, lo, hi, !f.tune.NarrowTiles)
 }
 
 // VecCSR is CSR with an 8-way unrolled inner loop, standing in for the
@@ -170,7 +111,13 @@ type VecCSR struct {
 }
 
 // NewVecCSR builds the vectorized-CSR format.
-func NewVecCSR(m *matrix.CSR) *VecCSR { return &VecCSR{*NewCSR(m)} }
+func NewVecCSR(m *matrix.CSR) *VecCSR { return newVecCSR(m, Tuning{}) }
+
+func newVecCSR(m *matrix.CSR, t Tuning) *VecCSR {
+	f := &VecCSR{csrOf(m, sched.RowBlocks, t)}
+	f.bind(f, true)
+	return f
+}
 
 // Name implements Format.
 func (f *VecCSR) Name() string { return "Vec-CSR" }
@@ -182,77 +129,24 @@ func (f *VecCSR) Traits() Traits {
 	return t
 }
 
-// defaultVecWideRowMin gates the widened 8-accumulator inner loop.
-// Widening was evaluated for the usual latency-hiding rationale, but on
-// gather-bound x86 parts the x-vector loads saturate the load ports long
-// before the FP-add chain limits throughput, and the measured effect of
-// the wide path was negative at every tested row length (avg 10, 20, 64
-// and 256 nnz/row; 4-way + bounds-check elimination won throughout). The
-// wide path therefore only engages for very long rows, where its reduction
-// overhead is fully amortized.
-//
-// The cutoff is x86 tuning. Hosts with more load ports or cheaper gathers
-// (wide-SVE ARM, POWER) may profit from the 8-accumulator path on much
-// shorter rows: override without rebuilding via the SPMV_VEC_ROWMIN
-// environment variable, or at runtime with SetVecWideRowMin. Re-tune by
-// sweeping the cutoff over matrices with the row lengths above and keeping
-// the fastest (see docs/BENCHMARKS.md for the measurement recipe).
+// defaultVecWideRowMin gates the widened 8-accumulator inner loop of the
+// scalar vectorized-CSR kernel. Widening was evaluated for the usual
+// latency-hiding rationale, but on gather-bound x86 parts the x-vector
+// loads saturate the load ports long before the FP-add chain limits
+// throughput, and the measured effect of the wide path was negative at
+// every tested row length (avg 10, 20, 64 and 256 nnz/row; 4-way +
+// bounds-check elimination won throughout). The wide path therefore only
+// engages for very long rows, where its reduction overhead is fully
+// amortized. The selector's row-length inspector lowers the cutoff per
+// matrix through Tuning.WideRowMin; the dispatched SIMD path never reads
+// it.
 const defaultVecWideRowMin = 512
-
-// vecWideRowMin is the active cutoff; read once per kernel invocation.
-var vecWideRowMin atomic.Int64
-
-func init() {
-	if n := envVecRowMin(); n > 0 {
-		vecWideRowMin.Store(int64(n))
-	}
-}
-
-// envVecRowMin parses the SPMV_VEC_ROWMIN override; 0 means unset or
-// invalid. Both process startup and SetVecWideRowMin's restore path go
-// through here, so the env rule cannot diverge between them.
-func envVecRowMin() int {
-	s := os.Getenv("SPMV_VEC_ROWMIN")
-	if s == "" {
-		return 0
-	}
-	if n, err := strconv.Atoi(s); err == nil && n > 0 {
-		return n
-	}
-	return 0
-}
-
-// VecWideRowMin returns the row length at and above which the vectorized
-// CSR kernels switch to the 8-accumulator wide path.
-func VecWideRowMin() int {
-	if n := vecWideRowMin.Load(); n > 0 {
-		return int(n)
-	}
-	return defaultVecWideRowMin
-}
-
-// SetVecWideRowMin overrides the wide-path cutoff; n <= 0 restores the
-// default (or the SPMV_VEC_ROWMIN environment override, re-read). It
-// returns the previous override (0 if none) so tests and tuners can
-// restore it.
-func SetVecWideRowMin(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	prev := int(vecWideRowMin.Swap(int64(n)))
-	if n == 0 {
-		if env := envVecRowMin(); env > 0 {
-			vecWideRowMin.Store(int64(env))
-		}
-	}
-	return prev
-}
 
 // vecCSRRowRange is the unrolled CSR kernel: four independent accumulators
 // (eight for very long rows) hide the FP-add latency chain, short rows skip
 // the unroll entirely, and capped sub-slices drop the val/colIdx bounds
-// checks like the scalar kernel. wideMin is the per-instance wide-path
-// cutoff; 0 falls through to the process-wide VecWideRowMin.
+// checks like the scalar kernel. wideMin is the instance's wide-path
+// cutoff (Tuning.WideRowMin); 0 means defaultVecWideRowMin.
 func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi, wideMin int) {
 	if simd.Enabled() {
 		// Dispatched path: the gather+FMA row dot-product. Like the wide
@@ -279,7 +173,7 @@ func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi, wideMin
 		return
 	}
 	if wideMin <= 0 {
-		wideMin = VecWideRowMin()
+		wideMin = defaultVecWideRowMin
 	}
 	end := int(rowPtr[lo])
 	for i := lo; i < hi; i++ {
@@ -319,27 +213,12 @@ func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi, wideMin
 	}
 }
 
-// SpMV implements Format.
-func (f *VecCSR) SpMV(x, y []float64) {
-	checkShape(f.Name(), f.rows, f.cols, x, y)
-	vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, 0, f.rows, f.wideRowMin)
-}
-
-// SpMVParallel implements Format.
-func (f *VecCSR) SpMVParallel(x, y []float64, workers int) {
-	checkShape(f.Name(), f.rows, f.cols, x, y)
-	workers = exec.Workers(f.work(), workers)
-	if workers <= 1 {
-		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, 0, f.rows, f.wideRowMin)
+func (f *VecCSR) apply(y, x []float64, k, lo, hi int) {
+	if k == 1 {
+		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi, f.tune.WideRowMin)
 		return
 	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.rangePlan(&g, sched.RowBlocks)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, ranges[w].RowLo, ranges[w].RowHi, f.wideRowMin)
-	})
+	f.CSR.apply(y, x, k, lo, hi)
 }
 
 // BalCSR is CSR with nonzero-balanced row partitioning (the paper's
@@ -349,7 +228,13 @@ type BalCSR struct {
 }
 
 // NewBalCSR builds the balanced-CSR format.
-func NewBalCSR(m *matrix.CSR) *BalCSR { return &BalCSR{*NewCSR(m)} }
+func NewBalCSR(m *matrix.CSR) *BalCSR { return newBalCSR(m, Tuning{}) }
+
+func newBalCSR(m *matrix.CSR, t Tuning) *BalCSR {
+	f := &BalCSR{csrOf(m, sched.NNZBalanced, t)}
+	f.bind(f, true)
+	return f
+}
 
 // Name implements Format.
 func (f *BalCSR) Name() string { return "Bal-CSR" }
@@ -359,31 +244,6 @@ func (f *BalCSR) Traits() Traits {
 	t := f.CSR.Traits()
 	t.Balancing = NNZGranular
 	return t
-}
-
-// SpMVParallel implements Format, splitting rows into blocks of near-equal
-// nonzero count.
-func (f *BalCSR) SpMVParallel(x, y []float64, workers int) {
-	checkShape(f.Name(), f.rows, f.cols, x, y)
-	workers = exec.Workers(f.work(), workers)
-	if workers <= 1 {
-		csrRowRange(f.rowPtr, f.colIdx, f.val, x, y, 0, f.rows)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.rangePlan(&g, sched.NNZBalanced)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		csrRowRange(f.rowPtr, f.colIdx, f.val, x, y, ranges[w].RowLo, ranges[w].RowHi)
-	})
-}
-
-// MultiplyMany implements Format with the fused kernel over nonzero-
-// balanced row blocks, this format's partition discipline.
-func (f *BalCSR) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti(f.Name(), f.rows, f.cols, y, x, k)
-	f.multiplyMany(y, x, k, sched.NNZBalanced)
 }
 
 // InspectorCSR models the vendor inspector-executor CSR (Intel MKL-IE,
@@ -404,14 +264,20 @@ const (
 )
 
 // NewInspectorCSR builds the inspector-executor CSR, analyzing the matrix.
-func NewInspectorCSR(m *matrix.CSR) *InspectorCSR {
-	f := &InspectorCSR{CSR: *NewCSR(m)}
+func NewInspectorCSR(m *matrix.CSR) *InspectorCSR { return newInspectorCSR(m, Tuning{}) }
+
+func newInspectorCSR(m *matrix.CSR, t Tuning) *InspectorCSR {
+	f := &InspectorCSR{CSR: csrOf(m, sched.RowBlocks, t)}
 	avg := m.AvgRowNNZ()
 	f.vectorize = avg >= vecMinRow
 	if avg > 0 {
 		skew := (float64(m.MaxRowNNZ()) - avg) / avg
 		f.balance = skew > balMinSkew
 	}
+	if f.balance {
+		f.policy = sched.NNZBalanced
+	}
+	f.bind(f, true)
 	return f
 }
 
@@ -429,50 +295,13 @@ func (f *InspectorCSR) Traits() Traits {
 	return t
 }
 
-func (f *InspectorCSR) rowRange(x, y []float64, lo, hi int) {
-	if f.vectorize {
-		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi, f.wideRowMin)
-	} else {
-		csrRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi)
-	}
-}
-
-// SpMV implements Format.
-func (f *InspectorCSR) SpMV(x, y []float64) {
-	checkShape(f.Name(), f.rows, f.cols, x, y)
-	f.rowRange(x, y, 0, f.rows)
-}
-
-// SpMVParallel implements Format.
-func (f *InspectorCSR) SpMVParallel(x, y []float64, workers int) {
-	checkShape(f.Name(), f.rows, f.cols, x, y)
-	workers = exec.Workers(f.work(), workers)
-	if workers <= 1 {
-		f.rowRange(x, y, 0, f.rows)
+// apply runs the inspected single-vector strategy; at k > 1 the fused tile
+// supersedes the vectorize choice (register-level parallelism comes from
+// the tile regardless of row length).
+func (f *InspectorCSR) apply(y, x []float64, k, lo, hi int) {
+	if k == 1 && f.vectorize {
+		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi, f.tune.WideRowMin)
 		return
 	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.rangePlan(&g, f.policy())
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		f.rowRange(x, y, ranges[w].RowLo, ranges[w].RowHi)
-	})
-}
-
-// policy returns the partition discipline the inspection committed to.
-func (f *InspectorCSR) policy() sched.Partitioner {
-	if f.balance {
-		return sched.NNZBalanced
-	}
-	return sched.RowBlocks
-}
-
-// MultiplyMany implements Format with the fused kernel under the inspected
-// partition policy. The fused tile supersedes the single-vector
-// vectorize choice: register-level parallelism comes from the 4-vector
-// tile regardless of row length.
-func (f *InspectorCSR) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti(f.Name(), f.rows, f.cols, y, x, k)
-	f.multiplyMany(y, x, k, f.policy())
+	f.CSR.apply(y, x, k, lo, hi)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 )
 
 // CSR5 implements the tile-based format of Liu & Vinter (ICS 2015). The
@@ -16,6 +17,7 @@ import (
 // at the cost of extra descriptor metadata — exactly the trade-off the paper
 // describes for CSR5.
 type CSR5 struct {
+	driver
 	rows, cols int
 	nnz        int64
 
@@ -29,7 +31,6 @@ type CSR5 struct {
 	laneSegBase []int32  // per tile per lane: segment index before the lane's first entry
 	colIdx      []int32  // transposed within each tile
 	val         []float64
-	plans       exec.PlanCache
 }
 
 // CSR5 tile geometry. Omega mirrors a 256-bit SIMD unit (4 doubles); Sigma
@@ -46,7 +47,7 @@ const flagWordsPerTile = (tileN + 63) / 64
 // NewCSR5 builds the CSR5 format.
 func NewCSR5(m *matrix.CSR) (*CSR5, error) {
 	nnz := int64(m.NNZ())
-	f := &CSR5{rows: m.Rows, cols: m.Cols, nnz: nnz, plans: exec.NewPlanCache()}
+	f := &CSR5{rows: m.Rows, cols: m.Cols, nnz: nnz}
 
 	// Enumerate non-empty rows as segments.
 	for i := 0; i < m.Rows; i++ {
@@ -56,6 +57,7 @@ func NewCSR5(m *matrix.CSR) (*CSR5, error) {
 		}
 	}
 	if nnz == 0 {
+		f.bind(f, false)
 		return f, nil
 	}
 
@@ -107,6 +109,7 @@ func NewCSR5(m *matrix.CSR) (*CSR5, error) {
 		f.colIdx[at] = m.ColIdx[g]
 		f.val[at] = m.Val[g]
 	}
+	f.bind(f, false)
 	return f, nil
 }
 
@@ -205,85 +208,88 @@ func (f *CSR5) processTiles(x, y []float64, tLo, tHi int, carryRow int32, minSeg
 	return carry
 }
 
-// SpMV implements Format.
-func (f *CSR5) SpMV(x, y []float64) {
-	checkShape("CSR5", f.rows, f.cols, x, y)
-	zero(y)
-	f.processTiles(x, y, 0, f.tiles, -1, 0)
+// units: lanes take contiguous tile ranges — perfectly nonzero-balanced.
+func (f *CSR5) units() int { return f.tiles }
+
+// cum: every tile holds tileN entries, the last one possibly fewer.
+func (f *CSR5) cum(i int) int64 {
+	if c := int64(i) * tileN; c < f.nnz {
+		return c
+	}
+	return f.nnz
 }
 
-// csr5Scratch is the plan-cached executor state: per-worker tile bounds,
-// the boundary segment each worker must not touch directly, and the carry
-// accumulator slots.
+// apply is the serial segmented sum over all tiles (carriers are never
+// sub-ranged). Single-vector only: the segmented-sum descriptors would
+// need k-wide lane carries and flush slots, heavy machinery for a format
+// the multi-vector workloads do not favor, so CSR5 multiplies blocks one
+// column at a time.
+func (f *CSR5) apply(y, x []float64, _, lo, hi int) {
+	zero(y)
+	f.processTiles(x, y, lo, hi, -1, 0)
+}
+
+// csr5Scratch is the plan-cached executor state: the boundary segment
+// each lane must not touch directly (read-only after the plan is built)
+// and the carry accumulator slots.
 type csr5Scratch struct {
-	tLo, tHi []int
 	carryRow []int32
 	minSeg   []int32
 	carry    []float64
 }
 
-// SpMVParallel implements Format: contiguous tile ranges per worker, with
-// the first row of each range carried past the boundary. The tile split and
-// boundary-segment searches run once per worker count and are cached.
-func (f *CSR5) SpMVParallel(x, y []float64, workers int) {
-	checkShape("CSR5", f.rows, f.cols, x, y)
-	workers = exec.Workers(f.nnz, workers)
-	if workers > f.tiles {
-		workers = f.tiles
+// carries implements carrier.
+func (f *CSR5) carries(int) bool { return true }
+
+// plan splits tiles evenly, with the first row of each range carried past
+// the boundary. The even split is already domain-contiguous: consecutive
+// lane ids — grouped by shard under a ganged dispatch — own adjacent tile
+// slabs, so no domain-aware re-split is needed. The boundary-segment
+// searches run once per placement.
+func (f *CSR5) plan(key exec.PlanKey, _ int) *exec.Plan {
+	p := key.Workers
+	if p > f.tiles {
+		p = f.tiles
 	}
-	if workers <= 1 {
-		f.SpMV(x, y)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.plans.Get(g.Key(), func(k exec.PlanKey) *exec.Plan {
-		// The even tile split is already domain-contiguous: consecutive
-		// worker ids — grouped by shard under a ganged dispatch — own
-		// adjacent tile slabs, so no domain-aware re-split is needed.
-		p := k.Workers
-		sc := &csr5Scratch{
-			tLo: make([]int, p), tHi: make([]int, p),
-			carryRow: make([]int32, p), minSeg: make([]int32, p),
-			carry: make([]float64, p),
-		}
-		for w := 0; w < p; w++ {
-			sc.tLo[w] = f.tiles * w / p
-			sc.tHi[w] = f.tiles * (w + 1) / p
-			sc.carryRow[w] = -1
-			if w > 0 && sc.tLo[w] < f.tiles {
-				// The row containing the first entry of this range may have
-				// started in the previous range.
-				sc.minSeg[w] = int32(f.segOfEntry(int64(sc.tLo[w]) * tileN))
-				sc.carryRow[w] = f.segRow[sc.minSeg[w]]
-			}
-		}
-		return &exec.Plan{Scratch: sc}
-	})
-	sc := pl.Scratch.(*csr5Scratch)
-	carry := sc.carry // tile bounds and boundary segments are read-only;
-	if pl.TryLock() { // only the carry accumulators need exclusivity
-		defer pl.Unlock()
-	} else {
-		carry = make([]float64, workers)
-	}
-	zero(y)
-	g.Run(workers, func(w int) {
-		carry[w] = f.processTiles(x, y, sc.tLo[w], sc.tHi[w], sc.carryRow[w], sc.minSeg[w])
-	})
-	for w := 0; w < workers; w++ {
-		if sc.carryRow[w] >= 0 {
-			y[sc.carryRow[w]] += carry[w]
+	ranges := make([]sched.Range, p)
+	sc := &csr5Scratch{carryRow: make([]int32, p), minSeg: make([]int32, p), carry: make([]float64, p)}
+	for w := range ranges {
+		ranges[w] = sched.Range{RowLo: f.tiles * w / p, RowHi: f.tiles * (w + 1) / p}
+		sc.carryRow[w] = -1
+		if w > 0 && ranges[w].RowLo < f.tiles {
+			// The row containing the first entry of this range may have
+			// started in the previous range.
+			sc.minSeg[w] = int32(f.segOfEntry(int64(ranges[w].RowLo) * tileN))
+			sc.carryRow[w] = f.segRow[sc.minSeg[w]]
 		}
 	}
+	return &exec.Plan{Ranges: ranges, Scratch: sc}
 }
 
-// MultiplyMany implements Format one vector at a time: the segmented-sum
-// descriptors would need k-wide lane carries and flush slots, heavy
-// machinery for a format the multi-vector workloads do not favor.
-func (f *CSR5) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti("CSR5", f.rows, f.cols, y, x, k)
-	multiplyManyByColumn(f, y, x, k)
+// begin implements carrier: only the carry accumulators need exclusivity.
+func (f *CSR5) begin(pl *exec.Plan, y []float64, _ int, private bool) any {
+	zero(y)
+	sc := pl.Scratch.(*csr5Scratch)
+	if private {
+		return &csr5Scratch{carryRow: sc.carryRow, minSeg: sc.minSeg, carry: make([]float64, len(sc.carry))}
+	}
+	return sc
+}
+
+// lane implements carrier.
+func (f *CSR5) lane(c any, pl *exec.Plan, w int, y, x []float64, _ int) {
+	sc := c.(*csr5Scratch)
+	sc.carry[w] = f.processTiles(x, y, pl.Ranges[w].RowLo, pl.Ranges[w].RowHi, sc.carryRow[w], sc.minSeg[w])
+}
+
+// finish implements carrier.
+func (f *CSR5) finish(c any, y []float64, _ int) {
+	sc := c.(*csr5Scratch)
+	for w, row := range sc.carryRow {
+		if row >= 0 {
+			y[row] += sc.carry[w]
+		}
+	}
 }
 
 // segOfEntry returns the segment containing nonzero g (by binary search).

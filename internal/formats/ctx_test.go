@@ -7,24 +7,48 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/failpoint"
 	"repro/internal/matrix"
 	"repro/internal/testutil"
 )
 
-// ctxFormats are the formats implementing ContextFormat: the CSR family,
-// ELL and SELL-C-s poll cancellation at chunk granularity; Merge-CSR
-// satisfies the interface with an explicit run-to-completion fallback
-// (its plan cache cannot share the inherited chunked sweep). The rest go
-// through the package-helper fallback.
-var ctxFormats = map[string]bool{
-	"Naive-CSR": true, "Vec-CSR": true, "Bal-CSR": true, "MKL-IE": true,
-	"Merge-CSR": true, "ELL": true, "SELL-C-s": true,
+// Cancellation and panic containment are properties of the driver, not of
+// individual formats, so these tables run every registry format — bare and
+// behind the Auto wrapper — at k = 1, a tail-only k and a full-tile k
+// through the one entry point. (The Updatable wrapper lives above this
+// package; internal/update runs the same table over it.)
+var ctxKs = []int{1, 3, 8}
+
+// ctxSubjects builds every registry format that accepts m, bare and wrapped
+// in Auto.
+func ctxSubjects(t *testing.T, label string, m *matrix.CSR) []Format {
+	t.Helper()
+	var out []Format
+	for _, b := range Registry() {
+		f, err := b.Build(m)
+		if err != nil {
+			if errors.Is(err, ErrBuild) {
+				continue
+			}
+			t.Fatalf("%s on %s: %v", b.Name, label, err)
+		}
+		out = append(out, f, NewAuto(f, AutoChoice{}))
+	}
+	return out
 }
 
-// TestCtxKernelsMatchLegacy: under a live context, SpMVCtx and
-// MultiplyManyCtx must produce bit-identical results to the legacy entry
-// points for every registry format (native chunk-polling implementations
-// and helper fallbacks alike).
+func nanFilled(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.NaN()
+	}
+	return v
+}
+
+// TestCtxKernelsMatchLegacy: under a live context Apply must produce
+// bit-identical results to the legacy delegates (which run uncancellable)
+// for every format, range kernels and carriers alike: chunk polling may
+// only cut between whole units, never change what a unit computes.
 func TestCtxKernelsMatchLegacy(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
@@ -36,46 +60,23 @@ func TestCtxKernelsMatchLegacy(t *testing.T) {
 		ms[name] = m
 	}
 	for name, m := range ms {
-		for _, b := range Registry() {
-			f, err := b.Build(m)
-			if err != nil {
-				if errors.Is(err, ErrBuild) {
-					continue
+		for _, f := range ctxSubjects(t, name, m) {
+			for _, k := range ctxKs {
+				x := matrix.RandomVector(m.Cols*k, int64(31+k))
+				want := make([]float64, m.Rows*k)
+				if k == 1 {
+					f.SpMVParallel(x, want, 8)
+				} else {
+					f.MultiplyMany(want, x, k)
 				}
-				t.Fatalf("%s on %s: %v", b.Name, name, err)
-			}
-			if _, native := f.(ContextFormat); native != ctxFormats[f.Name()] {
-				t.Fatalf("%s: native ContextFormat = %v, want %v", f.Name(), native, ctxFormats[f.Name()])
-			}
-			x := matrix.RandomVector(m.Cols, 31)
-			want := make([]float64, m.Rows)
-			f.SpMVParallel(x, want, 8)
-			got := make([]float64, m.Rows)
-			for i := range got {
-				got[i] = math.NaN()
-			}
-			if err := SpMVCtx(ctx, f, x, got, 8); err != nil {
-				t.Fatalf("%s on %s: SpMVCtx: %v", f.Name(), name, err)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s on %s: SpMVCtx row %d = %v, want %v", f.Name(), name, i, got[i], want[i])
+				got := nanFilled(m.Rows * k)
+				if err := f.Apply(ctx, got, x, k, 8); err != nil {
+					t.Fatalf("%s on %s k=%d: Apply: %v", f.Name(), name, k, err)
 				}
-			}
-			const k = 5
-			xk := matrix.RandomVector(m.Cols*k, 41)
-			wantK := make([]float64, m.Rows*k)
-			f.MultiplyMany(wantK, xk, k)
-			gotK := make([]float64, m.Rows*k)
-			for i := range gotK {
-				gotK[i] = math.NaN()
-			}
-			if err := MultiplyManyCtx(ctx, f, gotK, xk, k); err != nil {
-				t.Fatalf("%s on %s: MultiplyManyCtx: %v", f.Name(), name, err)
-			}
-			for i := range gotK {
-				if gotK[i] != wantK[i] {
-					t.Fatalf("%s on %s: MultiplyManyCtx slot %d = %v, want %v", f.Name(), name, i, gotK[i], wantK[i])
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s on %s k=%d: Apply slot %d = %v, want %v", f.Name(), name, k, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -83,36 +84,41 @@ func TestCtxKernelsMatchLegacy(t *testing.T) {
 }
 
 // TestCtxPreCancelledReturnsImmediately: a context cancelled before the
-// call must return context.Canceled for every registry format, native and
-// fallback alike, without touching y.
+// call must return context.Canceled for every format without touching y.
 func TestCtxPreCancelledReturnsImmediately(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	m := matrix.Random(2000, 2000, 0.01, 3)
-	x := matrix.RandomVector(m.Cols, 7)
-	for _, b := range Registry() {
-		f, err := b.Build(m)
-		if err != nil {
-			continue
-		}
-		y := make([]float64, m.Rows)
-		if err := SpMVCtx(ctx, f, x, y, 8); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: SpMVCtx on cancelled ctx = %v, want context.Canceled", f.Name(), err)
-		}
-		yk := make([]float64, m.Rows*3)
-		xk := matrix.RandomVector(m.Cols*3, 9)
-		if err := MultiplyManyCtx(ctx, f, yk, xk, 3); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: MultiplyManyCtx on cancelled ctx = %v, want context.Canceled", f.Name(), err)
+	for name, m := range map[string]*matrix.CSR{
+		"random": matrix.Random(2000, 2000, 0.01, 3),
+		"banded": matrix.Tridiagonal(2000, 2, -1), // DIA refuses the random one
+	} {
+		for _, f := range ctxSubjects(t, name, m) {
+			for _, k := range ctxKs {
+				x := matrix.RandomVector(m.Cols*k, 7)
+				y := nanFilled(m.Rows * k)
+				if err := f.Apply(ctx, y, x, k, 8); !errors.Is(err, context.Canceled) {
+					t.Errorf("%s on %s k=%d: Apply on cancelled ctx = %v, want context.Canceled", f.Name(), name, k, err)
+				}
+				for i := range y {
+					if !math.IsNaN(y[i]) {
+						t.Errorf("%s on %s k=%d: cancelled Apply wrote y[%d]", f.Name(), name, k, i)
+						break
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestCtxChunkingCoversAllRows drives the serial chunked path (workers
-// forced to 1) so the chunk-boundary arithmetic itself is exercised:
-// every row must be written exactly as the one-shot kernel writes it.
+// forced to 1) so the chunk-boundary arithmetic itself is exercised: the
+// skewed matrix carries several cancellation grains of work at every k
+// (the banded one, which DIA accepts, at k > 1), so each sweep is cut into
+// many sub-ranges, and every row must still be written exactly as the
+// one-shot kernel writes it.
 func TestCtxChunkingCoversAllRows(t *testing.T) {
 	prev := exec.SetMaxWorkers(1)
 	defer exec.SetMaxWorkers(prev)
@@ -120,64 +126,127 @@ func TestCtxChunkingCoversAllRows(t *testing.T) {
 	defer cancel()
 
 	// Skewed row lengths so chunk boundaries land mid-matrix.
-	rowNNZ := make([]int, 300)
+	rowNNZ := make([]int, 9000)
 	for i := range rowNNZ {
 		rowNNZ[i] = 1 + (i%7)*20
 	}
-	m := matrix.RandomRowSizes(300, 400, rowNNZ, 11)
-	x := matrix.RandomVector(m.Cols, 13)
-	for _, name := range []string{"Naive-CSR", "Vec-CSR", "Bal-CSR", "MKL-IE", "ELL", "SELL-C-s"} {
-		b, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("missing builder %s", name)
+	for name, m := range map[string]*matrix.CSR{
+		"skewed": matrix.RandomRowSizes(len(rowNNZ), 4000, rowNNZ, 11),
+		"banded": matrix.Tridiagonal(60000, 2, -1),
+	} {
+		if work := int64(m.NNZ()); work < 2*ctxGrain(3) {
+			t.Fatalf("%s: %d work items do not span two cancellation chunks at k = 3", name, work)
 		}
-		f, err := b.Build(m)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := make([]float64, m.Rows)
-		f.SpMV(x, want)
-		got := make([]float64, m.Rows)
-		for i := range got {
-			got[i] = math.NaN()
-		}
-		if err := f.(ContextFormat).SpMVCtx(ctx, x, got, 1); err != nil {
-			t.Fatalf("%s: SpMVCtx: %v", name, err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: serial chunked row %d = %v, want %v", name, i, got[i], want[i])
+		for _, f := range ctxSubjects(t, name, m) {
+			for _, k := range ctxKs {
+				x := matrix.RandomVector(m.Cols*k, int64(13+k))
+				want := make([]float64, m.Rows*k)
+				if k == 1 {
+					f.SpMV(x, want)
+				} else {
+					f.MultiplyMany(want, x, k)
+				}
+				got := nanFilled(m.Rows * k)
+				if err := f.Apply(ctx, got, x, k, 1); err != nil {
+					t.Fatalf("%s on %s k=%d: Apply: %v", f.Name(), name, k, err)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s on %s k=%d: serial chunked slot %d = %v, want %v", f.Name(), name, k, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestCtxWorkerPanicBecomesError: a panic inside a parallel Ctx dispatch
-// must come back as a *exec.PanicError, and the format must serve the
-// next call cleanly.
+// TestCtxWorkerPanicBecomesError: a panic on a pooled lane of any format's
+// dispatch must come back from Apply as a *exec.PanicError carrying the
+// fault, re-panic with that value from the legacy delegates, and leave the
+// format and the engine serving the next call exactly.
 func TestCtxWorkerPanicBecomesError(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
-	m := matrix.Random(4000, 4000, 0.01, 5)
-	f := NewCSR(m)
-	x := matrix.RandomVector(m.Cols, 7)
-	y := make([]float64, m.Rows)
-
-	// Model a kernel fault on one lane of a cancellable dispatch.
+	prevFP := failpoint.SetEnabled(true)
+	defer failpoint.SetEnabled(prevFP)
+	defer failpoint.Disable("exec.worker")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	g := exec.AcquireCtl(4, exec.NewCtl(ctx))
-	err := g.RunCtx(4, func(w int) {
-		if w == 1 {
-			panic("lane fault")
+
+	for name, m := range testutil.EngineMatrices(t) {
+		for _, f := range ctxSubjects(t, name, m) {
+			for _, k := range ctxKs {
+				x := matrix.RandomVector(m.Cols*k, int64(7+k))
+				want := make([]float64, m.Rows*k)
+				if err := f.Apply(ctx, want, x, k, 8); err != nil {
+					t.Fatalf("%s on %s k=%d: clean Apply: %v", f.Name(), name, k, err)
+				}
+				y := make([]float64, m.Rows*k)
+
+				arm := func() {
+					if err := failpoint.Enable("exec.worker", "panic*1"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				arm()
+				err := f.Apply(ctx, y, x, k, 8)
+				var pe *exec.PanicError
+				if !errors.As(err, &pe) || !errors.Is(err, failpoint.ErrInjected) {
+					t.Fatalf("%s on %s k=%d: Apply with a faulting lane = %v, want *exec.PanicError chaining the injected fault", f.Name(), name, k, err)
+				}
+
+				arm()
+				func() {
+					defer func() {
+						if _, ok := recover().(*exec.PanicError); !ok {
+							t.Errorf("%s on %s k=%d: legacy delegate did not re-panic the *exec.PanicError", f.Name(), name, k)
+						}
+					}()
+					if k == 1 {
+						f.SpMVParallel(x, y, 8)
+					} else {
+						f.MultiplyMany(y, x, k)
+					}
+				}()
+
+				if err := f.Apply(ctx, y, x, k, 8); err != nil {
+					t.Fatalf("%s on %s k=%d: post-fault Apply: %v", f.Name(), name, k, err)
+				}
+				for i := range y {
+					if y[i] != want[i] {
+						t.Fatalf("%s on %s k=%d: post-fault slot %d = %v, want %v", f.Name(), name, k, i, y[i], want[i])
+					}
+				}
+			}
 		}
-	})
-	var pe *exec.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *exec.PanicError", err)
 	}
-	// Subsequent legit call on the same format and engine must succeed.
-	if err := SpMVCtx(ctx, f, x, y, 8); err != nil {
-		t.Fatalf("post-fault SpMVCtx: %v", err)
+}
+
+// TestMergeCSRPlansDoNotCollide pins the regression the old code worked
+// around by giving Merge-CSR a second plan cache and no native Ctx kernel:
+// its k = 1 dispatch caches merge-path item ranges, its k > 1 dispatch
+// whole-row ranges, under the same placement. Alternating the two on one
+// instance must give the CSR reference both times.
+func TestMergeCSRPlansDoNotCollide(t *testing.T) {
+	prev := exec.SetMaxWorkers(8)
+	defer exec.SetMaxWorkers(prev)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	m := testutil.EngineMatrices(t)["longrows"]
+	f, ref := NewMergeCSR(m), NewCSR(m)
+	for round := 0; round < 3; round++ {
+		for _, k := range []int{1, 8} {
+			x := matrix.RandomVector(m.Cols*k, int64(50+round))
+			want := make([]float64, m.Rows*k)
+			if err := ref.Apply(ctx, want, x, k, 1); err != nil {
+				t.Fatal(err)
+			}
+			got := nanFilled(m.Rows * k)
+			if err := f.Apply(ctx, got, x, k, 8); err != nil {
+				t.Fatalf("round %d k=%d: %v", round, k, err)
+			}
+			testutil.CheckClose(t, "Merge-CSR alternating k", got, want, testutil.TolEngine)
+		}
 	}
 }

@@ -1,13 +1,16 @@
 package formats
 
-import "repro/internal/matrix"
+import (
+	"context"
+
+	"repro/internal/matrix"
+)
 
 // DeltaCOO is the fused delta pass of the update layer: a sorted additive
-// COO overlay whose kernels accumulate onto an existing y through the
-// same execution-engine spill-add kernels HYB uses for its COO part. A
-// base+delta multiply is therefore the base format's own sweep plus one
-// nnz-parallel accumulation with boundary carries — never a second full
-// pass over y.
+// COO overlay whose kernel accumulates onto an existing y through the same
+// accumulate-mode COO dispatch HYB uses for its spill part. A base+delta
+// multiply is therefore the base format's own sweep plus one nnz-parallel
+// accumulation with boundary carries — never a second full pass over y.
 type DeltaCOO struct {
 	coo *COO
 }
@@ -18,7 +21,7 @@ type DeltaCOO struct {
 // update layer publishes each frozen overlay once and never writes to it
 // again.
 func NewDeltaCOO(o *matrix.COO) *DeltaCOO {
-	return &DeltaCOO{coo: newCOOFromParts(o.Rows, o.Cols, o.RowIdx, o.ColIdx, o.Val)}
+	return &DeltaCOO{coo: newCOOFromParts(o.Rows, o.Cols, o.RowIdx, o.ColIdx, o.Val, true)}
 }
 
 // Len returns the overlay's entry count.
@@ -27,16 +30,10 @@ func (d *DeltaCOO) Len() int { return len(d.coo.val) }
 // Bytes returns the overlay's storage footprint.
 func (d *DeltaCOO) Bytes() int64 { return d.coo.Bytes() }
 
-// AddSpMV accumulates overlay times x onto y (y is NOT zeroed). The pass
-// runs nnz-parallel through the execution engine, dropping to the serial
-// kernel below the engine's work cutoff or when workers <= 1.
-func (d *DeltaCOO) AddSpMV(x, y []float64, workers int) {
-	d.coo.spmvAddParallel(x, y, workers)
-}
-
-// AddMultiplyMany accumulates the overlay's k-wide product onto the
-// row-major y block (y is NOT zeroed), mirroring AddSpMV's chunking so
-// each vector's accumulation order matches k single-vector adds.
-func (d *DeltaCOO) AddMultiplyMany(y, x []float64, k, workers int) {
-	d.coo.multiplyManyAdd(x, y, k, workers)
+// Add accumulates overlay times the k-wide x block onto y (y is NOT
+// zeroed), with Format.Apply's argument, cancellation and containment
+// contract. Lanes are sized by entry count alone, so each vector's
+// accumulation order matches k single-vector adds.
+func (d *DeltaCOO) Add(ctx context.Context, y, x []float64, k, workers int) error {
+	return d.coo.Apply(ctx, y, x, k, d.coo.addWorkers(workers))
 }

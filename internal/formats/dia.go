@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 )
 
 // DIA stores the matrix by diagonals (offset = col - row), the classic
@@ -14,11 +13,11 @@ import (
 // is an extension beyond the paper's evaluated set: excellent for stencils,
 // unusable for scattered sparsity, which the build gate enforces.
 type DIA struct {
+	driver
 	rows, cols int
 	nnz        int64
 	offsets    []int32   // diagonal offsets, ascending
 	val        []float64 // len(offsets) x rows, diagonal-major
-	plans      exec.PlanCache
 }
 
 // MaxDIAFillRatio bounds accepted padding: construction fails when the
@@ -42,7 +41,7 @@ func NewDIA(m *matrix.CSR) (*DIA, error) {
 				ErrBuild, len(seen), m.Rows, ratio, MaxDIAFillRatio)
 		}
 	}
-	f := &DIA{rows: m.Rows, cols: m.Cols, nnz: int64(m.NNZ()), plans: exec.NewPlanCache()}
+	f := &DIA{rows: m.Rows, cols: m.Cols, nnz: int64(m.NNZ())}
 	f.offsets = make([]int32, 0, len(seen))
 	for off := range seen {
 		f.offsets = append(f.offsets, off)
@@ -60,6 +59,7 @@ func NewDIA(m *matrix.CSR) (*DIA, error) {
 			f.val[d*m.Rows+i] = vals[k]
 		}
 	}
+	f.bind(f, true)
 	return f, nil
 }
 
@@ -125,37 +125,20 @@ func (f *DIA) rowRange(x, y []float64, lo, hi int) {
 	}
 }
 
-// SpMV implements Format.
-func (f *DIA) SpMV(x, y []float64) {
-	checkShape("DIA", f.rows, f.cols, x, y)
-	f.rowRange(x, y, 0, f.rows)
-}
+func (f *DIA) units() int { return f.rows }
 
-// SpMVParallel implements Format: rows carry identical diagonal work, so
-// equal row blocks are balanced.
-func (f *DIA) SpMVParallel(x, y []float64, workers int) {
-	checkShape("DIA", f.rows, f.cols, x, y)
-	workers = exec.Workers(int64(len(f.val)), workers)
-	if workers <= 1 {
-		f.rowRange(x, y, 0, f.rows)
+// cum: rows carry identical diagonal work, so equal row blocks are
+// balanced.
+func (f *DIA) cum(i int) int64 { return int64(i) * int64(len(f.offsets)) }
+
+func (f *DIA) plan(key exec.PlanKey, _ int) *exec.Plan { return evenPlan(f.rows, key) }
+
+func (f *DIA) apply(y, x []float64, k, lo, hi int) {
+	if k == 1 {
+		f.rowRange(x, y, lo, hi)
 		return
 	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.evenRowPlan(&g)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		f.rowRange(x, y, ranges[w].RowLo, ranges[w].RowHi)
-	})
-}
-
-// evenRowPlan builds (or fetches) the even row partition for the grant's
-// placement, shared by the single- and multi-vector dispatches.
-func (f *DIA) evenRowPlan(g *exec.Grant) *exec.Plan {
-	return f.plans.Get(g.Key(), func(k exec.PlanKey) *exec.Plan {
-		ranges, off := sched.DomainEvenRowsOff(f.rows, k.Domains, k.Workers)
-		return &exec.Plan{Ranges: ranges, DomainOff: off}
-	})
+	f.rowRangeMulti(x, y, k, lo, hi)
 }
 
 // rowRangeMulti is the fused DIA kernel. Unlike the single-vector kernel
@@ -202,22 +185,4 @@ func (f *DIA) rowRangeMulti(x, y []float64, k, lo, hi int) {
 			yi[t] = s
 		}
 	}
-}
-
-// MultiplyMany implements Format with the fused diagonal kernel over the
-// same even row partition SpMVParallel uses.
-func (f *DIA) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti("DIA", f.rows, f.cols, y, x, k)
-	workers := exec.Workers(int64(len(f.val))*int64(k), exec.MaxWorkers())
-	if workers <= 1 {
-		f.rowRangeMulti(x, y, k, 0, f.rows)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.evenRowPlan(&g)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		f.rowRangeMulti(x, y, k, ranges[w].RowLo, ranges[w].RowHi)
-	})
 }

@@ -1,0 +1,310 @@
+package formats
+
+import (
+	"context"
+	"runtime/debug"
+	"sort"
+
+	"repro/internal/exec"
+	"repro/internal/sched"
+)
+
+// The kernel contract. The paper holds the harness constant and varies
+// only the storage format; this file is that harness. A format supplies a
+// kernel — what it computes over a range of its own units, how much work
+// those units are, and how it wants them partitioned — and embeds a
+// driver, which owns everything else: argument checking, the work·k
+// serial cutoff, engine acquisition and release, the per-instance plan
+// cache, chunk-granularity cancellation, the carry-scratch contention
+// policy, and panic containment. No format dispatches on its own.
+
+// kernel is what every storage format supplies to its driver.
+type kernel interface {
+	Format
+	// units is the size of the unit space apply ranges over: rows, chunks
+	// (SELL-C-s), block rows (BCSR), tiles (CSR5), channels (VSL) or
+	// entries (COO).
+	units() int
+	// cum is a monotone cumulative work measure over units: cum(units())
+	// is the work the serial cutoff sees (times k), and differences size
+	// the cancellation chunks. It is evaluated at chunk boundaries only,
+	// never in inner loops.
+	cum(i int) int64
+	// plan is the partition policy: the lane ranges (and, for carriers,
+	// the lane scratch) for one placement at RHS count k. Built once per
+	// placement and cached by the driver.
+	plan(key exec.PlanKey, k int) *exec.Plan
+	// apply computes units [lo, hi) of the k-wide product: k == 1 is the
+	// single-vector loop, k > 1 the fused register tile. Formats bound
+	// with fused == false only ever see k == 1 (the driver multiplies
+	// their blocks one column at a time).
+	apply(y, x []float64, k, lo, hi int)
+}
+
+// carrier is additionally implemented by the formats whose parallel lanes
+// cut inside rows (COO, Merge-CSR at k = 1, CSR5, VSL): a lane cannot
+// finish a row it shares with its neighbour, so it parks the partial sum
+// in scratch and a serial finish folds the carries into y. Carried lanes
+// are the format's own partition, so they run as one chunk each (a
+// cancelled call stops before un-started lanes, not inside one), and the
+// serial path is one apply over the whole unit space.
+type carrier interface {
+	// carries reports whether dispatches at RHS count k cut inside rows;
+	// when false the format is driven as a plain range kernel.
+	carries(k int) bool
+	// begin prepares y (formats that accumulate zero it) and returns the
+	// lane scratch for one call: the plan's own, grown to k, when the
+	// caller holds the plan lock, a private copy otherwise.
+	begin(pl *exec.Plan, y []float64, k int, private bool) any
+	// lane runs lane w of the plan.
+	lane(c any, pl *exec.Plan, w int, y, x []float64, k int)
+	// finish folds the lanes' carries into y, serially, in lane order.
+	finish(c any, y []float64, k int)
+}
+
+// epilogue is implemented by composite formats (HYB) that accumulate a
+// second part onto y once the main sweep is complete.
+type epilogue interface {
+	after(ctl *exec.Ctl, y, x []float64, k, workers int) error
+}
+
+// applier is the one real entry point every Format exposes.
+type applier interface {
+	Apply(ctx context.Context, y, x []float64, k, workers int) error
+}
+
+// Delegates derives the three run-to-completion methods of Format from
+// Apply, once for every implementation: embed it, set to DelegateTo the
+// embedding value. The methods panic where Apply returns an error — a
+// contained lane panic re-panics with its *exec.PanicError, a shape
+// mismatch with its ErrDimension — which is the contract these entry
+// points always had.
+type Delegates struct{ self applier }
+
+// DelegateTo returns the delegates calling self's Apply.
+func DelegateTo(self applier) Delegates { return Delegates{self} }
+
+// SpMV computes y = A*x serially.
+func (d Delegates) SpMV(x, y []float64) {
+	must(d.self.Apply(context.Background(), y, x, 1, 1))
+}
+
+// SpMVParallel computes y = A*x with up to workers lanes.
+func (d Delegates) SpMVParallel(x, y []float64, workers int) {
+	must(d.self.Apply(context.Background(), y, x, 1, workers))
+}
+
+// MultiplyMany computes Y = A*X for k row-major right-hand sides with the
+// machine's parallelism.
+func (d Delegates) MultiplyMany(y, x []float64, k int) {
+	must(d.self.Apply(context.Background(), y, x, k, exec.MaxWorkers()))
+}
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// driver is the shared harness every format embeds.
+type driver struct {
+	Delegates
+	kern  kernel
+	carry carrier  // nil for formats that never cut inside rows
+	tail  epilogue // nil for single-part formats
+	n     int      // kern.units()
+	work  int64    // kern.cum(n)
+	fused bool     // apply handles k > 1
+	// onePlan keys plans by lane count alone instead of per placement, for
+	// scratch too heavy to duplicate per shard (VSL's partial vectors):
+	// shard-concurrent calls then share one plan and the loser of its lock
+	// pays the private allocation.
+	onePlan bool
+	plans   exec.PlanCache
+}
+
+// bind attaches the driver to the fully assembled format value. Formats
+// that embed another format by value bind the outer value last, so the
+// driver always calls the outermost kernel.
+func (d *driver) bind(k kernel, fused bool) {
+	d.Delegates = DelegateTo(k)
+	d.kern = k
+	d.carry, _ = k.(carrier)
+	d.tail, _ = k.(epilogue)
+	d.n = k.units()
+	d.work = k.cum(d.n)
+	d.fused = fused
+	d.plans = exec.NewPlanCache()
+}
+
+// fusedKernel reports whether the kernel was bound as fused.
+func (d *driver) fusedKernel() bool { return d.fused }
+
+// Apply implements Format: the one entry point. It checks the arguments
+// once, returns ctx's error if it is already done, and otherwise computes
+// Y = A*X on up to workers lanes. A cancelled call stops at the next
+// chunk boundary and returns ctx's error with y partial; a panic on any
+// lane, pooled or the caller's own, comes back as *exec.PanicError with
+// the engine still serviceable.
+func (d *driver) Apply(ctx context.Context, y, x []float64, k, workers int) (err error) {
+	if err := CheckArgs(d.kern, y, x, k); err != nil {
+		return err
+	}
+	ctl := exec.NewCtl(ctx)
+	if ctl.Cancelled() {
+		return ctl.Err()
+	}
+	defer func() {
+		// Parallel dispatches contain their own lanes; this traps a kernel
+		// fault on the serial path.
+		if r := recover(); r != nil {
+			pe, ok := r.(*exec.PanicError)
+			if !ok {
+				pe = &exec.PanicError{Value: r, Stack: debug.Stack()}
+			}
+			err = pe
+		}
+	}()
+	return d.run(ctl, y, x, k, workers)
+}
+
+// run is Apply below the argument check: composite formats re-enter here
+// for their parts.
+func (d *driver) run(ctl *exec.Ctl, y, x []float64, k, workers int) error {
+	if k > 1 && !d.fused {
+		return d.byColumn(ctl, y, x, k, workers)
+	}
+	if err := d.sweep(ctl, y, x, k, workers); err != nil {
+		return err
+	}
+	if d.tail != nil {
+		return d.tail.after(ctl, y, x, k, workers)
+	}
+	return nil
+}
+
+// sweep is the dispatch every kernel goes through.
+func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
+	carried := d.carry != nil && d.carry.carries(k)
+	workers = exec.Workers(d.work*int64(k), workers)
+	if !carried && workers > d.n {
+		workers = d.n // carriers size their own lanes in plan
+	}
+	if workers <= 1 {
+		if carried {
+			d.kern.apply(y, x, k, 0, d.n)
+		} else {
+			d.chunkCtx(ctl, y, x, k, 0, d.n)
+		}
+		if ctl.Cancelled() {
+			return ctl.Err()
+		}
+		return nil
+	}
+	g := exec.AcquireCtl(workers, ctl)
+	defer g.Release() // no-op after Run; frees the shard if a plan build panics
+	key := g.Key()
+	key.Multi = k > 1
+	if d.onePlan {
+		key.Shard, key.Domains = exec.AnyShard, 1
+	}
+	pl := d.plans.Get(key, func(key exec.PlanKey) *exec.Plan { return d.kern.plan(key, k) })
+	if !carried {
+		return g.RunPlanCtx(pl, func(w int) {
+			d.chunkCtx(ctl, y, x, k, pl.Ranges[w].RowLo, pl.Ranges[w].RowHi)
+		})
+	}
+	// Lane scratch is shared by every call on this plan. Another call
+	// mid-flight keeps the lock; this one then takes private scratch, so
+	// concurrent invocations stay fully parallel and only pay the
+	// allocation under real contention.
+	private := !pl.TryLock()
+	if !private {
+		defer pl.Unlock()
+	}
+	c := d.carry.begin(pl, y, k, private)
+	if err := g.RunPlanCtx(pl, func(w int) { d.carry.lane(c, pl, w, y, x, k) }); err != nil {
+		return err
+	}
+	d.carry.finish(c, y, k)
+	return nil
+}
+
+// cancelGrain is the approximate number of work items (nonzeros / padded
+// slots, times the RHS count k) a lane processes between cancellation
+// polls. At typical SpMV rates of a few items per nanosecond, 1<<18 items
+// bounds the poll interval — and therefore the cancellation latency —
+// around a hundred microseconds per lane, while keeping the poll itself
+// (one atomic load) far below measurement noise.
+const cancelGrain = 1 << 18
+
+// ctxGrain scales the per-poll chunk to the RHS count: a fused k-wide
+// kernel does k times the work per matrix item, so the chunk shrinks to
+// keep the wall-clock poll interval flat. The floor keeps degenerate k
+// from turning the chunk loop itself into overhead.
+func ctxGrain(k int) int64 {
+	g := int64(cancelGrain) / int64(k)
+	if g < exec.MinGrain {
+		g = exec.MinGrain
+	}
+	return g
+}
+
+// chunkCtx applies units [lo, hi) in sub-ranges of roughly ctxGrain(k)
+// work items, polling ctl between them. A nil ctl runs the range in one
+// call: the uncancellable path pays nothing.
+func (d *driver) chunkCtx(ctl *exec.Ctl, y, x []float64, k, lo, hi int) {
+	if ctl == nil {
+		d.kern.apply(y, x, k, lo, hi)
+		return
+	}
+	grain := ctxGrain(k)
+	for lo < hi && !ctl.Cancelled() {
+		start := d.kern.cum(lo)
+		// The first boundary past lo whose cumulative work reaches the
+		// grain (cum is monotone), or hi.
+		end := lo + 1 + sort.Search(hi-lo-1, func(i int) bool {
+			return d.kern.cum(lo+1+i)-start >= grain
+		})
+		d.kern.apply(y, x, k, lo, end)
+		lo = end
+	}
+}
+
+// byColumn multiplies a k-wide block one right-hand side at a time, for
+// the formats without a fused kernel (CSR5, SparseX, VSL): each column of
+// X is gathered into a contiguous vector for the single-vector dispatch
+// and the product scattered back into Y. It allocates two dense
+// temporaries per call — acceptable off the hot path, which is why the
+// hot formats supply fused kernels.
+func (d *driver) byColumn(ctl *exec.Ctl, y, x []float64, k, workers int) error {
+	rows, cols := d.kern.Rows(), d.kern.Cols()
+	xj := make([]float64, cols)
+	yj := make([]float64, rows)
+	for t := 0; t < k; t++ {
+		for c := 0; c < cols; c++ {
+			xj[c] = x[c*k+t]
+		}
+		if err := d.run(ctl, yj, xj, 1, workers); err != nil {
+			return err
+		}
+		for r := 0; r < rows; r++ {
+			y[r*k+t] = yj[r]
+		}
+	}
+	return nil
+}
+
+// rowPlan is the partition policy of the formats whose units carry a
+// CSR-style pointer array: policy over ptr, per domain slice.
+func rowPlan(ptr []int32, key exec.PlanKey, policy sched.Partitioner) *exec.Plan {
+	ranges, off := sched.DomainSplitOff(ptr, key.Domains, key.Workers, policy)
+	return &exec.Plan{Ranges: ranges, DomainOff: off}
+}
+
+// evenPlan is the partition policy of the formats whose units all cost
+// the same: equal unit counts, per domain slice.
+func evenPlan(units int, key exec.PlanKey) *exec.Plan {
+	ranges, off := sched.DomainEvenRowsOff(units, key.Domains, key.Workers)
+	return &exec.Plan{Ranges: ranges, DomainOff: off}
+}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/simd"
 )
 
@@ -13,40 +12,39 @@ import (
 // every row to the length of the longest. It vectorizes well on balanced
 // matrices and degrades badly under row-length skew (Section II-B.3).
 type ELL struct {
+	driver
 	rows, cols int
 	width      int
 	nnz        int64
 	colIdx     []int32   // rows*width, column-major: entry (i, k) at k*rows+i
 	val        []float64 // same layout; padding entries hold value 0, col 0
 	rowLen     []int32   // stored entries per row (excludes tail padding)
-	plans      exec.PlanCache
-	// noWideTiles disables the 8-vector SpMM register tile (see CSR).
-	noWideTiles bool
+	tune       Tuning
 }
-
-// SetWideTiles toggles the 8-vector SpMM register tile (WideTiler).
-func (f *ELL) SetWideTiles(on bool) { f.noWideTiles = !on }
 
 // MaxELLPaddedEntries bounds the dense ELL allocation; construction fails
 // beyond it, mirroring the memory blow-up that makes ELL unusable for
 // heavily skewed matrices.
 const MaxELLPaddedEntries = 1 << 28
 
-// newELLShell allocates an empty ELL slab for the given geometry.
-func newELLShell(rows, cols, width int) *ELL {
+// newELLShell allocates an empty, unbound ELL slab for the given geometry:
+// NewELL fills and binds it, HYB drives it as a part of its own kernel.
+func newELLShell(rows, cols, width int, t Tuning) *ELL {
 	padded := int64(rows) * int64(width)
 	return &ELL{
 		rows: rows, cols: cols, width: width,
 		colIdx: make([]int32, padded),
 		val:    make([]float64, padded),
 		rowLen: make([]int32, rows),
-		plans:  exec.NewPlanCache(),
+		tune:   t,
 	}
 }
 
 // NewELL builds the ELL format. It fails when rows*maxRowLen exceeds
 // MaxELLPaddedEntries.
-func NewELL(m *matrix.CSR) (*ELL, error) {
+func NewELL(m *matrix.CSR) (*ELL, error) { return newELL(m, Tuning{}) }
+
+func newELL(m *matrix.CSR, t Tuning) (*ELL, error) {
 	width := m.MaxRowNNZ()
 	if width == 0 {
 		width = 1
@@ -56,7 +54,7 @@ func NewELL(m *matrix.CSR) (*ELL, error) {
 		return nil, fmt.Errorf("%w ELL: %d rows x width %d = %d padded entries (max %d)",
 			ErrBuild, m.Rows, width, padded, int64(MaxELLPaddedEntries))
 	}
-	f := newELLShell(m.Rows, m.Cols, width)
+	f := newELLShell(m.Rows, m.Cols, width, t)
 	f.nnz = int64(m.NNZ())
 	for i := 0; i < m.Rows; i++ {
 		cols, vals := m.Row(i)
@@ -68,6 +66,7 @@ func NewELL(m *matrix.CSR) (*ELL, error) {
 		// Padding slots keep colIdx 0 and val 0; 0*x[0] contributes nothing
 		// for finite x.
 	}
+	f.bind(f, true)
 	return f, nil
 }
 
@@ -131,38 +130,21 @@ func (f *ELL) rowRange(x, y []float64, lo, hi int) {
 	}
 }
 
-// SpMV implements Format.
-func (f *ELL) SpMV(x, y []float64) {
-	checkShape("ELL", f.rows, f.cols, x, y)
-	f.rowRange(x, y, 0, f.rows)
-}
+func (f *ELL) units() int { return f.rows }
 
-// SpMVParallel implements Format. Every row costs exactly width slots, so
-// equal row blocks are perfectly balanced in stored work (the imbalance
-// moved into the padding itself).
-func (f *ELL) SpMVParallel(x, y []float64, workers int) {
-	checkShape("ELL", f.rows, f.cols, x, y)
-	workers = exec.Workers(int64(len(f.val)), workers)
-	if workers <= 1 {
-		f.rowRange(x, y, 0, f.rows)
+// cum: every row costs exactly width padded slots, so equal row blocks
+// are perfectly balanced in stored work (the imbalance moved into the
+// padding itself).
+func (f *ELL) cum(i int) int64 { return int64(i) * int64(f.width) }
+
+func (f *ELL) plan(key exec.PlanKey, _ int) *exec.Plan { return evenPlan(f.rows, key) }
+
+func (f *ELL) apply(y, x []float64, k, lo, hi int) {
+	if k == 1 {
+		f.rowRange(x, y, lo, hi)
 		return
 	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.evenRowPlan(&g)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		f.rowRange(x, y, ranges[w].RowLo, ranges[w].RowHi)
-	})
-}
-
-// evenRowPlan builds (or fetches) the even row partition for the grant's
-// placement, shared by the single- and multi-vector dispatches.
-func (f *ELL) evenRowPlan(g *exec.Grant) *exec.Plan {
-	return f.plans.Get(g.Key(), func(k exec.PlanKey) *exec.Plan {
-		ranges, off := sched.DomainEvenRowsOff(f.rows, k.Domains, k.Workers)
-		return &exec.Plan{Ranges: ranges, DomainOff: off}
-	})
+	f.rowRangeMulti(x, y, k, lo, hi)
 }
 
 // rowRangeMulti is the fused ELL kernel. Unlike the single-vector kernel
@@ -181,7 +163,7 @@ func (f *ELL) rowRangeMulti(x, y []float64, k, lo, hi int) {
 	rows := f.rows
 	colIdx, val, rowLen := f.colIdx, f.val, f.rowLen
 	useSIMD := simd.Enabled()
-	wide := !f.noWideTiles && useSIMD && simd.Width() >= 8
+	wide := !f.tune.NarrowTiles && useSIMD && simd.Width() >= 8
 	for i := lo; i < hi; i++ {
 		wi := int(rowLen[i])
 		yi := y[i*k : i*k+k : i*k+k]
@@ -227,58 +209,41 @@ func (f *ELL) rowRangeMulti(x, y []float64, k, lo, hi int) {
 	}
 }
 
-// MultiplyMany implements Format with the fused slab kernel over the same
-// even row partition SpMVParallel uses.
-func (f *ELL) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti("ELL", f.rows, f.cols, y, x, k)
-	workers := exec.Workers(int64(len(f.val))*int64(k), exec.MaxWorkers())
-	if workers <= 1 {
-		f.rowRangeMulti(x, y, k, 0, f.rows)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.evenRowPlan(&g)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		f.rowRangeMulti(x, y, k, ranges[w].RowLo, ranges[w].RowHi)
-	})
-}
-
 // HYB combines an ELL part holding the first k entries of every row with a
 // COO part holding the spill, k set to the average row length
 // (Section II-B.3). It keeps ELL's vectorization without its worst-case
 // padding.
 type HYB struct {
+	driver
 	rows, cols int
 	nnz        int64
 	ell        *ELL
 	spill      *COO
 }
 
-// SetWideTiles toggles the 8-vector SpMM register tile of the ELL part
-// (the COO spill has no fused wide tile) — WideTiler.
-func (f *HYB) SetWideTiles(on bool) { f.ell.SetWideTiles(on) }
-
 // NewHYB builds the hybrid format with the threshold at the mean row length.
-func NewHYB(m *matrix.CSR) (*HYB, error) {
+func NewHYB(m *matrix.CSR) (*HYB, error) { return newHYB(m, Tuning{}) }
+
+func newHYB(m *matrix.CSR, t Tuning) (*HYB, error) {
 	k := int(m.AvgRowNNZ() + 0.5)
 	if k < 1 {
 		k = 1
 	}
-	return NewHYBThreshold(m, k)
+	return newHYBThreshold(m, k, t)
 }
 
 // NewHYBThreshold builds HYB with an explicit ELL width k (exposed for the
 // ablation study of the split heuristic).
-func NewHYBThreshold(m *matrix.CSR, k int) (*HYB, error) {
+func NewHYBThreshold(m *matrix.CSR, k int) (*HYB, error) { return newHYBThreshold(m, k, Tuning{}) }
+
+func newHYBThreshold(m *matrix.CSR, k int, t Tuning) (*HYB, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w HYB: negative threshold %d", ErrBuild, k)
 	}
 	if int64(m.Rows)*int64(k) > MaxELLPaddedEntries {
 		return nil, fmt.Errorf("%w HYB: threshold %d over %d rows exceeds padding bound", ErrBuild, k, m.Rows)
 	}
-	ellPart := newELLShell(m.Rows, m.Cols, k)
+	ellPart := newELLShell(m.Rows, m.Cols, k, t)
 	spill := matrix.NewCOO(m.Rows, m.Cols, 0)
 	for i := 0; i < m.Rows; i++ {
 		cols, vals := m.Row(i)
@@ -300,8 +265,9 @@ func NewHYBThreshold(m *matrix.CSR, k int) (*HYB, error) {
 	f := &HYB{
 		rows: m.Rows, cols: m.Cols, nnz: int64(m.NNZ()),
 		ell:   ellPart,
-		spill: newCOOFromParts(m.Rows, m.Cols, spill.RowIdx, spill.ColIdx, spill.Val),
+		spill: newCOOFromParts(m.Rows, m.Cols, spill.RowIdx, spill.ColIdx, spill.Val, true),
 	}
+	f.bind(f, true)
 	return f, nil
 }
 
@@ -340,224 +306,23 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// SpMV implements Format.
-func (f *HYB) SpMV(x, y []float64) {
-	checkShape("HYB", f.rows, f.cols, x, y)
-	f.ell.SpMV(x, y)
-	f.spill.spmvAddSerial(x, y)
-}
+// HYB's kernel is its ELL part's — the row-granular slab sweep (rowLen
+// table skipping tail padding at k > 1) — followed by the spill.
 
-// spmvAddSerial accumulates the row-sorted COO product onto an existing y,
-// building each row's sum in a register.
-func (f *COO) spmvAddSerial(x, y []float64) {
-	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
-	n := len(val)
-	k := 0
-	for k < n {
-		row := rowIdx[k]
-		sum := 0.0
-		for k < n && rowIdx[k] == row {
-			sum += val[k] * x[colIdx[k]]
-			k++
-		}
-		y[row] += sum
-	}
-}
+func (f *HYB) units() int { return f.rows }
 
-// SpMVParallel implements Format: the ELL part runs row-parallel, then the
-// COO spill runs nnz-parallel with boundary carries.
-func (f *HYB) SpMVParallel(x, y []float64, workers int) {
-	checkShape("HYB", f.rows, f.cols, x, y)
-	f.ell.SpMVParallel(x, y, workers)
-	f.spill.spmvAddParallel(x, y, workers)
-}
+func (f *HYB) cum(i int) int64 { return f.ell.cum(i) }
 
-// MultiplyMany implements Format with the fused two-phase kernel: the ELL
-// part runs its fused slab kernel (rowLen table skipping tail padding),
-// then the COO spill accumulates k-wide on top with the same entry
-// chunking and boundary-carry merge order as the single-vector spill add —
-// so each vector's result is bit-identical to the by-column fallback this
-// kernel replaced (the ELL part is row-granular and the spill partitions
-// by entry count alone, making every per-row accumulation order match).
-func (f *HYB) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti("HYB", f.rows, f.cols, y, x, k)
-	f.ell.MultiplyMany(y, x, k)
-	f.spill.multiplyManyAdd(x, y, k, exec.MaxWorkers())
-}
+func (f *HYB) plan(key exec.PlanKey, k int) *exec.Plan { return f.ell.plan(key, k) }
 
-// multiplyManyAddSerial accumulates the row-sorted COO product of a k-wide
-// block onto an existing Y: per row run, per 4-vector register tile, the
-// run streams once — the k-wide twin of spmvAddSerial, accumulating each
-// vector's row sum in the same ascending entry order.
-func (f *COO) multiplyManyAddSerial(x, y []float64, k int) {
-	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
-	n := len(val)
-	e := 0
-	for e < n {
-		row := int(rowIdx[e])
-		re := e + 1
-		for re < n && int(rowIdx[re]) == row {
-			re++
-		}
-		cooRunInto(colIdx, val, x, y[row*k:row*k+k], k, e, re)
-		e = re
-	}
-}
+func (f *HYB) apply(y, x []float64, k, lo, hi int) { f.ell.apply(y, x, k, lo, hi) }
 
-// cooMultiAddCarry is one deferred k-wide row contribution.
-type cooMultiAddCarry struct {
-	row  int32
-	sums []float64 // k partial sums, backed by the scratch arena
-}
-
-// cooMultiAddScratch is the plan-cached carry state of multiplyManyAdd:
-// per worker, the (at most two) boundary rows of its entry chunk with
-// their k-wide partial sums. The arena is sized workers*2*k for the
-// largest k this plan has served and grows under the plan lock.
-type cooMultiAddScratch struct {
-	carries [][]cooMultiAddCarry
-	arena   []float64
-}
-
-// multiplyManyAdd accumulates the k-wide COO product onto an existing Y
-// (used by HYB, which must not zero the ELL part's contribution). The
-// entry chunks, serial cutoff and carry merge order deliberately mirror
-// spmvAddParallel exactly — same workers, same boundaries — so each
-// vector's accumulation order, and therefore its rounding, is identical to
-// k single-vector spill adds.
-func (f *COO) multiplyManyAdd(x, y []float64, k, workers int) {
-	n := len(f.val)
-	if n == 0 {
-		return
-	}
-	workers = exec.Workers(int64(n), workers)
-	if workers <= 1 || n < 2*workers {
-		f.multiplyManyAddSerial(x, y, k)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.maddPlans.Get(g.Key(), func(kk exec.PlanKey) *exec.Plan {
-		return &exec.Plan{Scratch: &cooMultiAddScratch{carries: make([][]cooMultiAddCarry, kk.Workers)}}
-	})
-	sc := pl.Scratch.(*cooMultiAddScratch)
-	if pl.TryLock() {
-		defer pl.Unlock()
-		if len(sc.arena) < workers*2*k {
-			sc.arena = make([]float64, workers*2*k)
-		}
-	} else {
-		// Another call on this plan is mid-flight: private carry state keeps
-		// concurrent invocations fully parallel.
-		sc = &cooMultiAddScratch{
-			carries: make([][]cooMultiAddCarry, workers),
-			arena:   make([]float64, workers*2*k),
-		}
-	}
-	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
-	g.Run(workers, func(w int) {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		local := sc.carries[w][:0]
-		arena := sc.arena[w*2*k : (w+1)*2*k]
-		used := 0
-		e := lo
-		for e < hi {
-			row := rowIdx[e]
-			re := e + 1
-			for re < hi && rowIdx[re] == row {
-				re++
-			}
-			// A row is unsafe if it may be shared with a neighboring chunk.
-			sharedLeft := lo > 0 && rowIdx[lo-1] == row
-			sharedRight := re == hi && hi < n && rowIdx[hi] == row
-			if sharedLeft || sharedRight {
-				sums := arena[used*k : used*k+k]
-				used++
-				zero(sums)
-				cooRunInto(colIdx, val, x, sums, k, e, re)
-				local = append(local, cooMultiAddCarry{row, sums})
-			} else {
-				cooRunInto(colIdx, val, x, y[int(row)*k:int(row)*k+k], k, e, re)
-			}
-			e = re
-		}
-		sc.carries[w] = local
-	})
-	for _, local := range sc.carries {
-		for _, c := range local {
-			yb := y[int(c.row)*k : int(c.row)*k+k]
-			for t, s := range c.sums {
-				yb[t] += s
-			}
-		}
-	}
-}
-
-// cooCarry is one deferred row contribution of the spill-add kernel.
-type cooCarry struct {
-	row int32
-	sum float64
-}
-
-// cooAddScratch is the plan-cached carry state of spmvAddParallel: one
-// reusable carry list per worker.
-type cooAddScratch struct {
-	carries [][]cooCarry
-}
-
-// spmvAddParallel accumulates the COO product onto an existing y (used by
-// HYB, which must not zero the ELL part's contribution).
-func (f *COO) spmvAddParallel(x, y []float64, workers int) {
-	n := len(f.val)
-	if n == 0 {
-		return
-	}
-	workers = exec.Workers(int64(n), workers)
-	if workers <= 1 || n < 2*workers {
-		f.spmvAddSerial(x, y)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.addPlans.Get(g.Key(), func(k exec.PlanKey) *exec.Plan {
-		return &exec.Plan{Scratch: &cooAddScratch{carries: make([][]cooCarry, k.Workers)}}
-	})
-	sc := pl.Scratch.(*cooAddScratch)
-	if pl.TryLock() {
-		defer pl.Unlock()
-	} else {
-		// Another call on this plan is mid-flight: private carry lists keep
-		// concurrent invocations fully parallel.
-		sc = &cooAddScratch{carries: make([][]cooCarry, workers)}
-	}
-	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
-	g.Run(workers, func(w int) {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		local := sc.carries[w][:0]
-		k := lo
-		for k < hi {
-			row := rowIdx[k]
-			sum := 0.0
-			for k < hi && rowIdx[k] == row {
-				sum += val[k] * x[colIdx[k]]
-				k++
-			}
-			// A row is unsafe if it may be shared with a neighboring chunk.
-			sharedLeft := lo > 0 && rowIdx[lo-1] == row
-			sharedRight := k == hi && hi < n && rowIdx[hi] == row
-			if sharedLeft || sharedRight {
-				local = append(local, cooCarry{row, sum})
-			} else {
-				y[row] += sum
-			}
-		}
-		sc.carries[w] = local
-	})
-	for _, local := range sc.carries {
-		for _, c := range local {
-			y[c.row] += c.sum
-		}
-	}
+// after implements epilogue: the COO spill accumulates nnz-parallel on top
+// of the finished ELL sweep, with boundary carries. Its lanes are sized by
+// entry count alone at every k (see COO.addWorkers) and the ELL part is
+// row-granular, so each vector of a fused multiply accumulates every row
+// in the same order as a single-vector multiply would — bit-identical to
+// the by-column fallback the fused kernel replaced.
+func (f *HYB) after(ctl *exec.Ctl, y, x []float64, k, workers int) error {
+	return f.spill.run(ctl, y, x, k, f.spill.addWorkers(workers))
 }

@@ -13,6 +13,7 @@
 package formats
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -31,45 +32,55 @@ type Format interface {
 	// Bytes returns the total storage footprint in bytes, including
 	// metadata and zero padding.
 	Bytes() int64
-	// SpMV computes y = A*x serially.
+	// Apply is the one real entry point: it computes Y = A*X for a block
+	// of k dense right-hand sides under ctx. X and Y are row-major: X
+	// holds k values per matrix column (len cols*k, X[c*k+t] is vector
+	// t's value for matrix column c) and Y k values per matrix row (len
+	// rows*k); k = 1 is plain SpMV. Hot formats fuse the k products into
+	// one pass over the matrix — each loaded nonzero feeds k FMAs instead
+	// of one, lifting arithmetic intensity past the bandwidth wall
+	// single-vector SpMV hits — while the remaining formats multiply one
+	// vector at a time. workers is a parallelism hint: the execution
+	// engine caps it at the machine's parallelism (see exec.MaxWorkers)
+	// and shrinks it when the matrix is too small to amortize worker
+	// wake-ups, down to a serial sweep for tiny inputs. Partitions and
+	// scratch buffers are computed on first use per placement and cached
+	// inside the format instance, so steady-state calls do zero
+	// scheduling work.
+	//
+	// Bad arguments return ErrInvalidK or ErrDimension. A cancelled or
+	// expired ctx makes Apply return the context's error within one
+	// cancellation chunk; y then holds a partial result and must not be
+	// used. A kernel panic on any lane is contained by the engine and
+	// returned as a *exec.PanicError.
+	Apply(ctx context.Context, y, x []float64, k, workers int) error
+	// SpMV, SpMVParallel and MultiplyMany are Apply for callers without a
+	// context or an error path: Apply(Background, y, x, 1, 1),
+	// Apply(Background, y, x, 1, workers) and Apply(Background, y, x, k,
+	// exec.MaxWorkers()), panicking where Apply returns an error (see
+	// Delegates).
 	SpMV(x, y []float64)
-	// SpMVParallel computes y = A*x. workers is a parallelism hint: the
-	// execution engine caps it at the machine's parallelism (see
-	// exec.MaxWorkers) and shrinks it when the matrix is too small to
-	// amortize worker wake-ups, falling back to the serial kernel for tiny
-	// inputs. Partitions and scratch buffers are computed on first use per
-	// worker count and cached inside the format instance, so steady-state
-	// calls do zero scheduling work.
 	SpMVParallel(x, y []float64, workers int)
-	// MultiplyMany computes Y = A*X for a block of k dense right-hand
-	// sides at once (SpMM). X and Y are row-major: X holds k values per
-	// matrix column (len cols*k, X[c*k+t] is vector t's value for matrix
-	// column c) and Y k values per matrix row (len rows*k). Hot formats
-	// fuse the k products into one pass over the matrix — each loaded
-	// nonzero feeds k FMAs instead of one, lifting arithmetic intensity
-	// past the bandwidth wall single-vector SpMV hits — while the
-	// remaining formats fall back to one kernel call per vector.
-	// Parallelism, partition plans and scratch go through the same
-	// execution engine and PlanKey placements as SpMVParallel.
 	MultiplyMany(y, x []float64, k int)
 	// Traits reports the structural characteristics of this instance.
 	Traits() Traits
 }
 
-// WideTiler is implemented by formats whose fused SpMM kernels carry a
-// selectable 8-vector register tile (engaged only when the dispatched
-// SIMD width is 8). The autotuner toggles it per matrix: on matrices with
-// short rows the wide tile's halved accumulator count can lose to the
-// 4-vector tile. Instances default to wide tiles on.
-type WideTiler interface {
-	SetWideTiles(on bool)
-}
-
-// WideRowTuner is implemented by the CSR-family formats whose vectorized
-// row kernels have a wide-path cutoff the selector's row-length inspector
-// derives per matrix (see VecWideRowMin).
-type WideRowTuner interface {
-	SetWideRowMin(n int)
+// Tuning carries the per-matrix structural parameters the selector's
+// autotuner measures; formats take it at construction (Builder.BuildTuned)
+// and never change it afterwards. The zero value is every format's
+// default.
+type Tuning struct {
+	// NarrowTiles keeps the fused SpMM kernels on the 4-vector register
+	// tile even when the dispatched SIMD width is 8: on matrices with
+	// short rows the wide tile's halved accumulator count can lose.
+	NarrowTiles bool
+	// WideRowMin is the row length at and above which the vectorized CSR
+	// kernels (Vec-CSR, MKL-IE) take their 8-accumulator scalar path;
+	// 0 means the built-in default of 512.
+	WideRowMin int
+	// BlockR x BlockC is the BCSR block geometry; zero means 2x2.
+	BlockR, BlockC int
 }
 
 // Balancing classifies a format's work-distribution discipline.
@@ -130,49 +141,74 @@ var ErrBuild = errors.New("formats: cannot build")
 
 // Builder constructs a format from a CSR matrix.
 type Builder struct {
-	Name  string
+	Name string
+	// Build constructs the format with the zero Tuning.
 	Build func(m *matrix.CSR) (Format, error)
+	// WideTiles reports that the format's fused SpMM kernel carries the
+	// 8-vector register tile Tuning.NarrowTiles turns off.
+	WideTiles bool
+	tuned     func(m *matrix.CSR, t Tuning) (Format, error)
+}
+
+// BuildTuned constructs the format with the given tuning; parameters the
+// format does not have are ignored.
+func (b Builder) BuildTuned(m *matrix.CSR, t Tuning) (Format, error) {
+	if b.tuned == nil {
+		return b.Build(m)
+	}
+	return b.tuned(m, t)
+}
+
+func builder(name string, wideTiles bool, tuned func(m *matrix.CSR, t Tuning) (Format, error)) Builder {
+	return Builder{
+		Name:      name,
+		Build:     func(m *matrix.CSR) (Format, error) { return tuned(m, Tuning{}) },
+		WideTiles: wideTiles,
+		tuned:     tuned,
+	}
 }
 
 // Registry returns all format builders in a stable order: the
 // state-of-practice formats first, then the research formats, then the
 // extensions. The VSL builder uses the default HBM capacity.
-func Registry() []Builder {
-	return []Builder{
-		{"COO", func(m *matrix.CSR) (Format, error) { return NewCOO(m), nil }},
-		{"Naive-CSR", func(m *matrix.CSR) (Format, error) { return NewCSR(m), nil }},
-		{"Vec-CSR", func(m *matrix.CSR) (Format, error) { return NewVecCSR(m), nil }},
-		{"Bal-CSR", func(m *matrix.CSR) (Format, error) { return NewBalCSR(m), nil }},
-		{"MKL-IE", func(m *matrix.CSR) (Format, error) { return NewInspectorCSR(m), nil }},
-		{"ELL", func(m *matrix.CSR) (Format, error) { return NewELL(m) }},
-		{"HYB", func(m *matrix.CSR) (Format, error) { return NewHYB(m) }},
-		{"CSR5", func(m *matrix.CSR) (Format, error) { return NewCSR5(m) }},
-		{"Merge-CSR", func(m *matrix.CSR) (Format, error) { return NewMergeCSR(m), nil }},
-		{"SELL-C-s", func(m *matrix.CSR) (Format, error) { return NewSELLCS(m, DefaultChunkC(), DefaultSigma) }},
-		{"SparseX", func(m *matrix.CSR) (Format, error) { return NewSPX(m), nil }},
-		{"VSL", func(m *matrix.CSR) (Format, error) { return NewVSL(m, DefaultVSLConfig()) }},
-		{"DIA", func(m *matrix.CSR) (Format, error) { return NewDIA(m) }},
-		{"BCSR", func(m *matrix.CSR) (Format, error) { return NewBCSR(m, 2, 2) }},
+func Registry() []Builder { return append([]Builder(nil), registry...) }
+
+var registry = []Builder{
+	builder("COO", false, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewCOO(m), nil }),
+	builder("Naive-CSR", true, func(m *matrix.CSR, t Tuning) (Format, error) { return newCSR(m, t), nil }),
+	builder("Vec-CSR", true, func(m *matrix.CSR, t Tuning) (Format, error) { return newVecCSR(m, t), nil }),
+	builder("Bal-CSR", true, func(m *matrix.CSR, t Tuning) (Format, error) { return newBalCSR(m, t), nil }),
+	builder("MKL-IE", true, func(m *matrix.CSR, t Tuning) (Format, error) { return newInspectorCSR(m, t), nil }),
+	builder("ELL", true, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newELL(m, t)) }),
+	builder("HYB", true, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newHYB(m, t)) }),
+	builder("CSR5", false, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewCSR5(m)) }),
+	builder("Merge-CSR", true, func(m *matrix.CSR, t Tuning) (Format, error) { return newMergeCSR(m, t), nil }),
+	builder("SELL-C-s", true, func(m *matrix.CSR, t Tuning) (Format, error) {
+		return asFormat(newSELLCS(m, DefaultChunkC(), DefaultSigma, t))
+	}),
+	builder("SparseX", false, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewSPX(m), nil }),
+	builder("VSL", false, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewVSL(m, DefaultVSLConfig())) }),
+	builder("DIA", false, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewDIA(m)) }),
+	builder("BCSR", true, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newBCSR(m, t)) }),
+}
+
+// asFormat lifts a fallible concrete constructor's result to (Format,
+// error) without wrapping a nil pointer in a non-nil interface.
+func asFormat[F Format](f F, err error) (Format, error) {
+	if err != nil {
+		return nil, err
 	}
+	return f, nil
 }
 
 // Lookup returns the builder with the given name, or false.
 func Lookup(name string) (Builder, bool) {
-	for _, b := range Registry() {
+	for _, b := range registry {
 		if b.Name == name {
 			return b, true
 		}
 	}
 	return Builder{}, false
-}
-
-// checkShape panics on kernel shape mismatches; calling SpMV with the wrong
-// vector lengths is a programmer error.
-func checkShape(name string, rows, cols int, x, y []float64) {
-	if len(x) != cols || len(y) != rows {
-		panic(fmt.Sprintf("formats: %s SpMV shape mismatch: x %d y %d for %dx%d",
-			name, len(x), len(y), rows, cols))
-	}
 }
 
 // zero clears a vector.

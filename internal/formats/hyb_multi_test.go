@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/matrix"
 )
@@ -39,6 +40,15 @@ func hybTestMatrices(t *testing.T) []*matrix.CSR {
 	return out
 }
 
+// byColumn runs f's block product through the driver's one-vector-at-a-time
+// fallback, the order the fused kernel must reproduce.
+func byColumn(t *testing.T, f *HYB, y, x []float64, k int) {
+	t.Helper()
+	if err := f.byColumn(nil, y, x, k, exec.MaxWorkers()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHYBMultiplyManyMatchesFallback is the bit-equivalence property test
 // for the fused HYB kernel: across matrices and k regimes, the fused
 // two-phase (ELL slab + k-wide spill carries) kernel must produce exactly
@@ -60,7 +70,7 @@ func TestHYBMultiplyManyMatchesFallback(t *testing.T) {
 			yFused := make([]float64, m.Rows*k)
 			yRef := make([]float64, m.Rows*k)
 			fused.MultiplyMany(yFused, x, k)
-			multiplyManyByColumn(ref, yRef, x, k)
+			byColumn(t, ref, yRef, x, k)
 			for i := range yFused {
 				if yFused[i] != yRef[i] {
 					t.Fatalf("matrix %d k=%d: fused HYB diverges from fallback at %d (row %d, vec %d): %g != %g",
@@ -96,7 +106,7 @@ func TestHYBMultiplyManySpillEdges(t *testing.T) {
 	f.MultiplyMany(y, x, k)
 	ref, _ := NewHYB(uniform)
 	yRef := make([]float64, uniform.Rows*k)
-	multiplyManyByColumn(ref, yRef, x, k)
+	byColumn(t, ref, yRef, x, k)
 	for i := range y {
 		if y[i] != yRef[i] {
 			t.Fatalf("uniform k=%d: diverges at %d", k, i)
@@ -139,7 +149,7 @@ func TestHYBMultiplyManySpillEdges(t *testing.T) {
 		y := make([]float64, m.Rows*k)
 		yRef := make([]float64, m.Rows*k)
 		g.MultiplyMany(y, x, k)
-		multiplyManyByColumn(gRef, yRef, x, k)
+		byColumn(t, gRef, yRef, x, k)
 		for i := range y {
 			if y[i] != yRef[i] {
 				t.Fatalf("giant-row k=%d: diverges at %d", k, i)
@@ -166,7 +176,7 @@ func TestHYBMultiplyManyConcurrent(t *testing.T) {
 	const k = 4
 	x := matrix.RandomVector(m.Cols*k, 33)
 	want := make([]float64, m.Rows*k)
-	multiplyManyByColumn(ref, want, x, k)
+	byColumn(t, ref, want, x, k)
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)

@@ -10,15 +10,16 @@ import (
 // storage, but the parallel kernel splits the combined (row-ends + nonzeros)
 // merge path into equal diagonals, so even a single giant row is divided
 // between workers. Partial sums of rows cut by a boundary are fixed up
-// serially afterwards. The merge-path search runs once per worker count and
+// serially afterwards. The merge-path search runs once per placement and
 // is cached, along with the carry buffers, in the execution plan.
+//
+// At k > 1 it runs the fused CSR kernel over nonzero-balanced whole-row
+// blocks rather than the merge path: a k-wide merge carry would cost k
+// partial slots per boundary, and with every nonzero feeding k FMAs the
+// imbalance a giant row causes is amortized k-fold, so row-resolution
+// nonzero balancing is the better trade there.
 type MergeCSR struct {
 	CSR
-	// mplans caches MultiplyMany partitions separately: the embedded plans
-	// cache stores merge-path ranges with carry scratch, while the fused
-	// multi-vector path uses whole-row nonzero-balanced ranges without
-	// scratch, and the two must not collide under one PlanKey.
-	mplans exec.PlanCache
 }
 
 // mergeScratch is the plan-cached carry state: one slot per worker for the
@@ -29,8 +30,12 @@ type mergeScratch struct {
 }
 
 // NewMergeCSR builds the merge-based CSR format.
-func NewMergeCSR(m *matrix.CSR) *MergeCSR {
-	return &MergeCSR{CSR: *NewCSR(m), mplans: exec.NewPlanCache()}
+func NewMergeCSR(m *matrix.CSR) *MergeCSR { return newMergeCSR(m, Tuning{}) }
+
+func newMergeCSR(m *matrix.CSR, t Tuning) *MergeCSR {
+	f := &MergeCSR{csrOf(m, sched.NNZBalanced, t)}
+	f.bind(f, true)
+	return f
 }
 
 // Name implements Format.
@@ -43,90 +48,71 @@ func (f *MergeCSR) Traits() Traits {
 	return t
 }
 
-// SpMVParallel implements Format using merge-path decomposition.
-func (f *MergeCSR) SpMVParallel(x, y []float64, workers int) {
-	checkShape(f.Name(), f.rows, f.cols, x, y)
-	workers = exec.Workers(f.work(), workers)
-	if workers <= 1 {
-		csrRowRange(f.rowPtr, f.colIdx, f.val, x, y, 0, f.rows)
-		return
+// carries implements carrier: only the single-vector merge path cuts rows.
+func (f *MergeCSR) carries(k int) bool { return k == 1 }
+
+// plan cuts the merge path at k = 1 and whole rows (the embedded policy)
+// at k > 1; the driver keys the two apart.
+func (f *MergeCSR) plan(key exec.PlanKey, k int) *exec.Plan {
+	if k > 1 {
+		return f.CSR.plan(key, k)
 	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.plans.Get(g.Key(), func(k exec.PlanKey) *exec.Plan {
-		// Domain slices cut on whole-row boundaries, so a ganged dispatch
-		// never carries a partial sum across shards; the merge-path split
-		// runs within each domain's slice.
-		ranges, off := sched.DomainSplitOff(f.rowPtr, k.Domains, k.Workers, sched.MergePath)
-		return &exec.Plan{Ranges: ranges, DomainOff: off, Scratch: &mergeScratch{
-			row: make([]int32, len(ranges)),
-			sum: make([]float64, len(ranges)),
-		}}
-	})
-	ranges := pl.Ranges
-	sc := pl.Scratch.(*mergeScratch)
-	if pl.TryLock() {
-		defer pl.Unlock()
-	} else {
-		// Another call on this plan is mid-flight: private carries keep
-		// concurrent invocations fully parallel.
-		sc = &mergeScratch{row: make([]int32, len(ranges)), sum: make([]float64, len(ranges))}
+	// Domain slices cut on whole-row boundaries, so a ganged dispatch
+	// never carries a partial sum across shards; the merge-path split
+	// runs within each domain's slice.
+	pl := rowPlan(f.rowPtr, key, sched.MergePath)
+	pl.Scratch = newMergeScratch(len(pl.Ranges))
+	return pl
+}
+
+func newMergeScratch(lanes int) *mergeScratch {
+	return &mergeScratch{row: make([]int32, lanes), sum: make([]float64, lanes)}
+}
+
+// begin implements carrier.
+func (f *MergeCSR) begin(pl *exec.Plan, _ []float64, _ int, private bool) any {
+	if private {
+		return newMergeScratch(len(pl.Ranges))
 	}
+	return pl.Scratch
+}
+
+// lane implements carrier with the merge-path decomposition.
+func (f *MergeCSR) lane(c any, pl *exec.Plan, w int, y, x []float64, _ int) {
+	sc := c.(*mergeScratch)
 	rowPtr, colIdx, val := f.rowPtr, f.colIdx, f.val
-	g.RunPlan(pl, func(w int) {
-		r := ranges[w]
-		k := r.NNZLo
-		// Rows completed inside the range. The first row may have had its
-		// head consumed by the previous worker; that head arrives via the
-		// previous worker's carry in the serial fixup below.
-		for i := r.RowLo; i < r.RowHi; i++ {
-			end := int64(rowPtr[i+1])
-			sum := 0.0
-			for ; k < end; k++ {
-				sum += val[k] * x[colIdx[k]]
-			}
-			y[i] = sum
+	r := pl.Ranges[w]
+	k := r.NNZLo
+	// Rows completed inside the range. The first row may have had its
+	// head consumed by the previous worker; that head arrives via the
+	// previous worker's carry in the serial fixup below.
+	for i := r.RowLo; i < r.RowHi; i++ {
+		end := int64(rowPtr[i+1])
+		sum := 0.0
+		for ; k < end; k++ {
+			sum += val[k] * x[colIdx[k]]
 		}
-		// Trailing fragment of the row cut by the range end.
-		sc.row[w] = -1
-		if k < r.NNZHi {
-			sum := 0.0
-			for ; k < r.NNZHi; k++ {
-				sum += val[k] * x[colIdx[k]]
-			}
-			sc.row[w] = int32(r.RowHi)
-			sc.sum[w] = sum
+		y[i] = sum
+	}
+	// Trailing fragment of the row cut by the range end.
+	sc.row[w] = -1
+	if k < r.NNZHi {
+		sum := 0.0
+		for ; k < r.NNZHi; k++ {
+			sum += val[k] * x[colIdx[k]]
 		}
-	})
-	// Serial fixup: add the carried row fragments onto the rows that were
-	// completed (or further carried) by subsequent workers.
+		sc.row[w] = int32(r.RowHi)
+		sc.sum[w] = sum
+	}
+}
+
+// finish implements carrier: add the carried row fragments onto the rows
+// that were completed (or further carried) by subsequent workers.
+func (f *MergeCSR) finish(c any, y []float64, _ int) {
+	sc := c.(*mergeScratch)
 	for w, row := range sc.row {
 		if row >= 0 && int(row) < f.rows {
 			y[row] += sc.sum[w]
 		}
 	}
-}
-
-// MultiplyMany implements Format with the fused CSR kernel over nonzero-
-// balanced whole-row blocks rather than the merge path: a k-wide merge
-// carry would cost k partial slots per boundary, and with every nonzero
-// feeding k FMAs the imbalance a giant row causes is amortized k-fold,
-// so row-resolution nonzero balancing is the better trade here.
-func (f *MergeCSR) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti(f.Name(), f.rows, f.cols, y, x, k)
-	workers := exec.Workers(f.work()*int64(k), exec.MaxWorkers())
-	if workers <= 1 {
-		csrRowRangeMulti(f.rowPtr, f.colIdx, f.val, x, y, k, 0, f.rows, !f.noWideTiles)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.mplans.Get(g.Key(), func(kk exec.PlanKey) *exec.Plan {
-		ranges, off := sched.DomainSplitOff(f.rowPtr, kk.Domains, kk.Workers, sched.NNZBalanced)
-		return &exec.Plan{Ranges: ranges, DomainOff: off}
-	})
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		csrRowRangeMulti(f.rowPtr, f.colIdx, f.val, x, y, k, ranges[w].RowLo, ranges[w].RowHi, !f.noWideTiles)
-	})
 }

@@ -1,7 +1,7 @@
 package formats
 
 // Multi-vector SpMV (SpMM): every format multiplies a block of k dense
-// right-hand sides at once via Format.MultiplyMany. Single-vector SpMV is
+// right-hand sides at once via Format.Apply with k > 1. Single-vector SpMV is
 // memory-bound — each matrix entry is loaded to feed exactly one FMA — so
 // the fused kernels here stream the matrix once per register tile of 4
 // vectors, reusing every loaded (value, column) pair k times the same way
@@ -16,16 +16,11 @@ package formats
 // handled separately): 4 accumulators hide the FP-add latency chain
 // without spilling, and the tile's x operands fit one 256-bit vector.
 //
-// Formats off the hot path (CSR5, SparseX, VSL) use the
-// multiplyManyByColumn fallback: one existing kernel call per vector, with
+// Formats off the hot path (CSR5, SparseX, VSL) go through the driver's
+// byColumn fallback: one single-vector dispatch per vector, with
 // gather/scatter between the row-major block and contiguous temporaries.
 
-import (
-	"fmt"
-
-	"repro/internal/exec"
-	"repro/internal/simd"
-)
+import "repro/internal/simd"
 
 // multiTile is the register-tile width of the fused kernels: k is unrolled
 // in blocks of this many vectors.
@@ -33,9 +28,9 @@ const multiTile = 4
 
 // multiTile8 is the wide register tile used when the dispatched SIMD width
 // is 8 (AVX-512): one ZMM register holds the whole tile's x operands. The
-// wide tile is per-instance tunable — see WideTiler — because doubling the
-// tile halves the number of live accumulator sets and can lose to the
-// 4-wide tile on matrices with short rows.
+// wide tile is a per-instance build input — see Tuning.NarrowTiles —
+// because doubling the tile halves the number of live accumulator sets and
+// can lose to the 4-wide tile on matrices with short rows.
 const multiTile8 = 8
 
 // simdMinN is the minimum inner-loop trip count at which the dispatched
@@ -44,39 +39,6 @@ const multiTile8 = 8
 // setup cost more than the vector width saves, so call sites keep the
 // scalar path regardless of dispatch state.
 const simdMinN = 8
-
-// checkShapeMulti panics on MultiplyMany shape mismatches; like checkShape,
-// calling with wrong block shapes is a programmer error.
-func checkShapeMulti(name string, rows, cols int, y, x []float64, k int) {
-	if k < 1 {
-		panic(fmt.Sprintf("formats: %s MultiplyMany: k = %d (want >= 1)", name, k))
-	}
-	if len(x) != cols*k || len(y) != rows*k {
-		panic(fmt.Sprintf("formats: %s MultiplyMany shape mismatch: x %d y %d for %dx%d with k=%d",
-			name, len(x), len(y), rows, cols, k))
-	}
-}
-
-// multiplyManyByColumn is the correctness fallback for formats without a
-// fused kernel: one right-hand side at a time, gathering each column of X
-// into a contiguous vector for the format's existing parallel kernel and
-// scattering the product back into Y. It allocates two dense temporaries
-// per call — acceptable off the hot path, which is why the hot formats
-// override it with fused kernels.
-func multiplyManyByColumn(f Format, y, x []float64, k int) {
-	rows, cols := f.Rows(), f.Cols()
-	xj := make([]float64, cols)
-	yj := make([]float64, rows)
-	for t := 0; t < k; t++ {
-		for c := 0; c < cols; c++ {
-			xj[c] = x[c*k+t]
-		}
-		f.SpMVParallel(xj, yj, exec.MaxWorkers())
-		for r := 0; r < rows; r++ {
-			y[r*k+t] = yj[r]
-		}
-	}
-}
 
 // csrRowRangeMulti is the fused CSR kernel: rows [lo, hi) of the k-wide
 // product. Each row's (value, column) stream is walked once per 4-vector

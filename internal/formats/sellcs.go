@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/simd"
 )
 
@@ -16,6 +15,7 @@ import (
 // column-major. Sorting keeps chunk-local padding small; the permutation is
 // undone when writing y.
 type SELLCS struct {
+	driver
 	rows, cols int
 	c, sigma   int
 	nnz        int64
@@ -24,13 +24,8 @@ type SELLCS struct {
 	chunkLen   []int32 // padded row length of each chunk
 	colIdx     []int32
 	val        []float64
-	plans      exec.PlanCache
-	// noWideTiles disables the 8-vector SpMM register tile (see CSR).
-	noWideTiles bool
+	tune       Tuning
 }
-
-// SetWideTiles toggles the 8-vector SpMM register tile (WideTiler).
-func (f *SELLCS) SetWideTiles(on bool) { f.noWideTiles = !on }
 
 // Default SELL-C-sigma tuning, matching common CPU configurations.
 const (
@@ -53,6 +48,10 @@ func DefaultChunkC() int {
 
 // NewSELLCS builds SELL-C-sigma with chunk size c and sorting scope sigma.
 func NewSELLCS(m *matrix.CSR, c, sigma int) (*SELLCS, error) {
+	return newSELLCS(m, c, sigma, Tuning{})
+}
+
+func newSELLCS(m *matrix.CSR, c, sigma int, t Tuning) (*SELLCS, error) {
 	if c < 1 || sigma < 1 {
 		return nil, fmt.Errorf("%w SELL-C-s: chunk %d sigma %d", ErrBuild, c, sigma)
 	}
@@ -61,8 +60,7 @@ func NewSELLCS(m *matrix.CSR, c, sigma int) (*SELLCS, error) {
 		// sorting windows.
 		sigma = ((sigma + c - 1) / c) * c
 	}
-	f := &SELLCS{rows: m.Rows, cols: m.Cols, c: c, sigma: sigma, nnz: int64(m.NNZ()),
-		plans: exec.NewPlanCache()}
+	f := &SELLCS{rows: m.Rows, cols: m.Cols, c: c, sigma: sigma, nnz: int64(m.NNZ()), tune: t}
 
 	// Permutation: sort rows by descending length within sigma windows.
 	f.perm = make([]int32, m.Rows)
@@ -117,6 +115,7 @@ func NewSELLCS(m *matrix.CSR, c, sigma int) (*SELLCS, error) {
 			}
 		}
 	}
+	f.bind(f, true)
 	return f, nil
 }
 
@@ -213,43 +212,21 @@ func (f *SELLCS) chunkRange(x, y []float64, chLo, chHi int) {
 	}
 }
 
-// SpMV implements Format.
-func (f *SELLCS) SpMV(x, y []float64) {
-	checkShape(f.Name(), f.rows, f.cols, x, y)
-	f.chunkRange(x, y, 0, len(f.chunkLen))
-}
+// units: lanes take whole chunks. Chunks are contiguous slabs of
+// sigma-sorted rows, so the domain split hands each shard adjacent slabs.
+func (f *SELLCS) units() int { return len(f.chunkLen) }
 
-// SpMVParallel implements Format, distributing chunks across workers.
-func (f *SELLCS) SpMVParallel(x, y []float64, workers int) {
-	checkShape(f.Name(), f.rows, f.cols, x, y)
-	nChunks := len(f.chunkLen)
-	workers = exec.Workers(int64(len(f.val)), workers)
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		f.SpMV(x, y)
+// cum: the chunk pointer is the cumulative padded-slot measure.
+func (f *SELLCS) cum(i int) int64 { return f.chunkPtr[i] }
+
+func (f *SELLCS) plan(key exec.PlanKey, _ int) *exec.Plan { return evenPlan(len(f.chunkLen), key) }
+
+func (f *SELLCS) apply(y, x []float64, k, lo, hi int) {
+	if k == 1 {
+		f.chunkRange(x, y, lo, hi)
 		return
 	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.chunkPlan(&g)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		f.chunkRange(x, y, ranges[w].RowLo, ranges[w].RowHi)
-	})
-}
-
-// chunkPlan builds (or fetches) the chunk partition for the grant's
-// placement. Ranges partition chunk indices (RowLo/RowHi are chunk
-// bounds): chunks are contiguous slabs of sigma-sorted rows, so the domain
-// split hands each shard adjacent slabs. Shared by the single- and
-// multi-vector dispatches.
-func (f *SELLCS) chunkPlan(g *exec.Grant) *exec.Plan {
-	return f.plans.Get(g.Key(), func(k exec.PlanKey) *exec.Plan {
-		ranges, off := sched.DomainEvenRowsOff(len(f.chunkLen), k.Domains, k.Workers)
-		return &exec.Plan{Ranges: ranges, DomainOff: off}
-	})
+	f.chunkRangeMulti(x, y, k, lo, hi)
 }
 
 // chunkRangeMulti is the fused SELL-C-sigma kernel. Within a chunk the
@@ -262,7 +239,7 @@ func (f *SELLCS) chunkRangeMulti(x, y []float64, k, chLo, chHi int) {
 	c := f.c
 	val, colIdx, rows := f.val, f.colIdx, f.rows
 	useSIMD := simd.Enabled()
-	wide := !f.noWideTiles && useSIMD && simd.Width() >= 8
+	wide := !f.tune.NarrowTiles && useSIMD && simd.Width() >= 8
 	for ch := chLo; ch < chHi; ch++ {
 		base := f.chunkPtr[ch]
 		width := int(f.chunkLen[ch])
@@ -313,26 +290,4 @@ func (f *SELLCS) chunkRangeMulti(x, y []float64, k, chLo, chHi int) {
 			}
 		}
 	}
-}
-
-// MultiplyMany implements Format with the fused chunk kernel over the same
-// chunk partition SpMVParallel uses.
-func (f *SELLCS) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti(f.Name(), f.rows, f.cols, y, x, k)
-	nChunks := len(f.chunkLen)
-	workers := exec.Workers(int64(len(f.val))*int64(k), exec.MaxWorkers())
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		f.chunkRangeMulti(x, y, k, 0, nChunks)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.chunkPlan(&g)
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		f.chunkRangeMulti(x, y, k, ranges[w].RowLo, ranges[w].RowHi)
-	})
 }

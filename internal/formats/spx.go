@@ -21,15 +21,15 @@ import (
 // compression on the row-major matrices this study generates, and the
 // Traits report the achieved compression honestly.
 type SPX struct {
+	driver
 	rows, cols int
 	nnz        int64
-	rowPtr     []int32 // unit-stream offset per row, into units
-	units      []byte  // encoded unit stream
+	rowPtr     []int32 // unit-stream offset per row, into stream
+	stream     []byte  // encoded unit stream
 	val        []float64
 	valPtr     []int64 // value offset per row
 	nnzPtr     []int32 // value offsets as int32 for the partitioner
 	bytesTotal int64
-	plans      exec.PlanCache
 }
 
 // MinRunLen is the shortest column run encoded as a horizontal-run unit.
@@ -45,7 +45,7 @@ const (
 
 // NewSPX builds the SparseX-like format from a CSR matrix.
 func NewSPX(m *matrix.CSR) *SPX {
-	f := &SPX{rows: m.Rows, cols: m.Cols, nnz: int64(m.NNZ()), plans: exec.NewPlanCache()}
+	f := &SPX{rows: m.Rows, cols: m.Cols, nnz: int64(m.NNZ())}
 	f.rowPtr = make([]int32, m.Rows+1)
 	f.valPtr = make([]int64, m.Rows+1)
 	f.val = append([]float64(nil), m.Val...)
@@ -121,13 +121,14 @@ func NewSPX(m *matrix.CSR) *SPX {
 	}
 	f.rowPtr[m.Rows] = int32(len(stream))
 	f.valPtr[m.Rows] = int64(m.NNZ())
-	f.units = stream
+	f.stream = stream
 	f.nnzPtr = make([]int32, len(f.valPtr))
 	for i, v := range f.valPtr {
 		f.nnzPtr[i] = int32(v)
 	}
 	f.bytesTotal = int64(len(stream)) + int64(len(f.val))*8 +
 		int64(len(f.rowPtr))*4 + int64(len(f.valPtr))*8
+	f.bind(f, false)
 	return f
 }
 
@@ -178,7 +179,7 @@ func (f *SPX) rowRange(x, y []float64, lo, hi int) {
 		s := int(f.rowPtr[i])
 		end := int(f.rowPtr[i+1])
 		v := f.valPtr[i]
-		u := f.units
+		u := f.stream
 		for s < end {
 			switch op := u[s]; op {
 			case opRun:
@@ -218,37 +219,18 @@ func (f *SPX) rowRange(x, y []float64, lo, hi int) {
 	}
 }
 
-// SpMV implements Format.
-func (f *SPX) SpMV(x, y []float64) {
-	checkShape("SparseX", f.rows, f.cols, x, y)
-	f.rowRange(x, y, 0, f.rows)
+func (f *SPX) units() int { return f.rows }
+
+// cum: stored values plus a row visit each.
+func (f *SPX) cum(i int) int64 { return f.valPtr[i] + int64(i) }
+
+// plan balances nonzeros over whole rows, using the value offsets as the
+// balance measure.
+func (f *SPX) plan(key exec.PlanKey, _ int) *exec.Plan {
+	return rowPlan(f.nnzPtr, key, sched.NNZBalanced)
 }
 
-// SpMVParallel implements Format with nonzero-balanced row partitions,
-// using the value offsets as the balance measure.
-func (f *SPX) SpMVParallel(x, y []float64, workers int) {
-	checkShape("SparseX", f.rows, f.cols, x, y)
-	workers = exec.Workers(f.nnz+int64(f.rows), workers)
-	if workers <= 1 {
-		f.rowRange(x, y, 0, f.rows)
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	pl := f.plans.Get(g.Key(), func(k exec.PlanKey) *exec.Plan {
-		ranges, off := sched.DomainSplitOff(f.nnzPtr, k.Domains, k.Workers, sched.NNZBalanced)
-		return &exec.Plan{Ranges: ranges, DomainOff: off}
-	})
-	ranges := pl.Ranges
-	g.RunPlan(pl, func(w int) {
-		f.rowRange(x, y, ranges[w].RowLo, ranges[w].RowHi)
-	})
-}
-
-// MultiplyMany implements Format one vector at a time: the compressed unit
-// stream must be re-decoded per register tile, which costs more than the
-// fused reuse saves, so SparseX stays off the multi-vector hot path.
-func (f *SPX) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti("SparseX", f.rows, f.cols, y, x, k)
-	multiplyManyByColumn(f, y, x, k)
-}
+// apply is single-vector only: the compressed unit stream would have to be
+// re-decoded per register tile, which costs more than the fused reuse
+// saves, so SparseX multiplies blocks one column at a time.
+func (f *SPX) apply(y, x []float64, _, lo, hi int) { f.rowRange(x, y, lo, hi) }

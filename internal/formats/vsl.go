@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 )
 
 // VSL is a CSC-variant format modeled on the Xilinx Vitis Sparse Library
@@ -19,6 +20,7 @@ import (
 // image no longer fits the configured HBM capacity — the failure mode that
 // removed 10 validation matrices from the paper's FPGA runs.
 type VSL struct {
+	driver
 	rows, cols int
 	nnz        int64
 	channels   int
@@ -30,7 +32,6 @@ type VSL struct {
 	chVal [][]float64
 
 	paddedEntries int64
-	plans         exec.PlanCache
 }
 
 // VSLConfig controls the partition layout and the capacity gate.
@@ -59,7 +60,6 @@ func NewVSL(m *matrix.CSR, cfg VSLConfig) (*VSL, error) {
 	t := m.Transpose() // rows of t are columns of m
 	f := &VSL{
 		rows: m.Rows, cols: m.Cols, nnz: int64(m.NNZ()), channels: cfg.Channels,
-		plans: exec.NewPlanCache(),
 	}
 	f.chRow = make([][]int32, cfg.Channels)
 	f.chCol = make([][]int32, cfg.Channels)
@@ -142,6 +142,8 @@ func NewVSL(m *matrix.CSR, cfg VSLConfig) (*VSL, error) {
 		return nil, fmt.Errorf("%w VSL: padded image %d bytes exceeds HBM capacity %d",
 			ErrBuild, bytes, cfg.CapacityBytes)
 	}
+	f.bind(f, false)
+	f.onePlan = true // lanes x rows of partials: megabytes
 	return f, nil
 }
 
@@ -183,11 +185,23 @@ func (f *VSL) Traits() Traits {
 		MetaBytesPerNNZ: meta, Vectorizable: true, ColumnMajor: true, Preprocessed: true}
 }
 
-// SpMV implements Format.
-func (f *VSL) SpMV(x, y []float64) {
-	checkShape("VSL", f.rows, f.cols, x, y)
+// units: lanes take whole channels (the hardware's execution units).
+func (f *VSL) units() int { return f.channels }
+
+// cum: padded stream slots plus the row visits of the final reduce,
+// spread evenly over the channels.
+func (f *VSL) cum(i int) int64 {
+	return (f.paddedEntries + int64(f.rows)) * int64(i) / int64(f.channels)
+}
+
+// apply is the serial kernel: every channel streams straight into y
+// (carriers are never sub-ranged). Single-vector only: the FPGA design
+// this format models streams one vector through the HBM channels, and a
+// fused variant would multiply the already megabyte-scale partial-vector
+// scratch by k, so VSL multiplies blocks one column at a time.
+func (f *VSL) apply(y, x []float64, _, lo, hi int) {
 	zero(y)
-	for ch := 0; ch < f.channels; ch++ {
+	for ch := lo; ch < hi; ch++ {
 		row, col, val := f.chRow[ch], f.chCol[ch], f.chVal[ch]
 		for k, v := range val {
 			y[row[k]] += v * x[col[k]]
@@ -195,77 +209,64 @@ func (f *VSL) SpMV(x, y []float64) {
 	}
 }
 
-// vslScratch is the plan-cached per-worker partial result vectors. Reusing
-// them across calls saves a rows-sized allocation per worker per call — the
+// vslScratch is the plan-cached per-lane partial result vectors. Reusing
+// them across calls saves a rows-sized allocation per lane per call — the
 // dominant per-call cost of the seed implementation.
 type vslScratch struct {
 	partials [][]float64
 }
 
-// SpMVParallel implements Format: channels run concurrently into private
-// partial vectors (the hardware writes disjoint HBM banks), reduced at the
-// end. Worker count above the channel count cannot help, as on the FPGA.
-func (f *VSL) SpMVParallel(x, y []float64, workers int) {
-	checkShape("VSL", f.rows, f.cols, x, y)
-	workers = exec.Workers(f.paddedEntries+int64(f.rows), workers)
-	if workers > f.channels {
-		workers = f.channels
+func (f *VSL) newScratch(lanes int) *vslScratch {
+	sc := &vslScratch{partials: make([][]float64, lanes)}
+	for w := range sc.partials {
+		sc.partials[w] = make([]float64, f.rows)
 	}
-	if workers <= 1 {
-		f.SpMV(x, y)
-		return
+	return sc
+}
+
+// carries implements carrier: every lane touches every row.
+func (f *VSL) carries(int) bool { return true }
+
+// plan runs channels concurrently into private partial vectors (the
+// hardware writes disjoint HBM banks), reduced at the end. Lanes beyond
+// the channel count cannot help, as on the FPGA. Lane w strides the
+// channels w, w+lanes, ...; the ranges only fix the lane count.
+func (f *VSL) plan(key exec.PlanKey, _ int) *exec.Plan {
+	lanes := key.Workers
+	if lanes > f.channels {
+		lanes = f.channels
 	}
-	g := exec.Acquire(workers)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
-	// Unlike the other formats, VSL deliberately keys its plan by worker
-	// count alone (AnyShard): the scratch is workers x rows of partial
-	// vectors, far too heavy to duplicate per placement. Shard-concurrent
-	// calls then share one plan and the loser of TryLock pays the private
-	// allocation — the right trade for megabyte-scale scratch.
-	key := exec.PlanKey{Shard: exec.AnyShard, Domains: 1, Workers: workers}
-	pl := f.plans.Get(key, func(k exec.PlanKey) *exec.Plan {
-		sc := &vslScratch{partials: make([][]float64, k.Workers)}
-		for w := range sc.partials {
-			sc.partials[w] = make([]float64, f.rows)
-		}
-		return &exec.Plan{Scratch: sc}
-	})
-	sc := pl.Scratch.(*vslScratch)
-	partials := sc.partials
-	if pl.TryLock() {
-		defer pl.Unlock()
-	} else {
-		// Another call on this plan is mid-flight: private partials keep
-		// concurrent invocations fully parallel (the seed's per-call cost,
-		// paid only under actual contention).
-		partials = make([][]float64, workers)
-		for w := range partials {
-			partials[w] = make([]float64, f.rows)
-		}
+	return &exec.Plan{Ranges: make([]sched.Range, lanes), Scratch: f.newScratch(lanes)}
+}
+
+// begin implements carrier. The scratch is lanes x rows of partial
+// vectors — megabytes — so the loser of the plan lock pays the seed's
+// per-call allocation, but only under actual contention.
+func (f *VSL) begin(pl *exec.Plan, _ []float64, _ int, private bool) any {
+	if private {
+		return f.newScratch(len(pl.Ranges))
 	}
-	g.Run(workers, func(w int) {
-		part := partials[w]
-		zero(part)
-		for ch := w; ch < f.channels; ch += workers {
-			row, col, val := f.chRow[ch], f.chCol[ch], f.chVal[ch]
-			for k, v := range val {
-				part[row[k]] += v * x[col[k]]
-			}
-		}
-	})
-	zero(y)
-	for _, part := range partials[:workers] {
-		for i, v := range part {
-			y[i] += v
+	return pl.Scratch
+}
+
+// lane implements carrier.
+func (f *VSL) lane(c any, pl *exec.Plan, w int, _, x []float64, _ int) {
+	part := c.(*vslScratch).partials[w]
+	zero(part)
+	for ch := w; ch < f.channels; ch += len(pl.Ranges) {
+		row, col, val := f.chRow[ch], f.chCol[ch], f.chVal[ch]
+		for k, v := range val {
+			part[row[k]] += v * x[col[k]]
 		}
 	}
 }
 
-// MultiplyMany implements Format one vector at a time: the FPGA design
-// this format models streams one vector through the HBM channels, and a
-// fused variant would multiply the already megabyte-scale partial-vector
-// scratch by k.
-func (f *VSL) MultiplyMany(y, x []float64, k int) {
-	checkShapeMulti("VSL", f.rows, f.cols, y, x, k)
-	multiplyManyByColumn(f, y, x, k)
+// finish implements carrier: reduce the partials in lane order.
+func (f *VSL) finish(c any, y []float64, _ int) {
+	zero(y)
+	for _, part := range c.(*vslScratch).partials {
+		for i, v := range part {
+			y[i] += v
+		}
+	}
 }

@@ -242,26 +242,38 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 }
 
 // applyTuning runs the structural-parameter autotuner and the wide-row
-// inspector for the built format, recording what was tuned in the choice.
-// The format may be replaced (BCSR block-shape rebuilds).
+// inspector for the built format, recording what was tuned in the choice,
+// and rebuilds the format with the resulting Tuning when it differs from
+// the defaults f was built with.
 func applyTuning(ctx context.Context, m *matrix.CSR, f formats.Format, k int, o AutoOptions, choice *formats.AutoChoice) formats.Format {
 	tc := o.Tunes
 	if tc == nil {
 		tc = cache.Tunes
 	}
+	var t formats.Tuning
 	if m.NNZ() >= autoProbeMinNNZ {
 		var tuned map[string]string
-		f, tuned = autotune(ctx, m, f, choice.Device, k, o.SampleRows, tc)
+		t, tuned = autotune(ctx, m, f.Name(), choice.Device, k, o.SampleRows, tc)
 		if len(tuned) > 0 {
 			choice.Tuned = tuned
 		}
 	}
-	if wrt, ok := f.(formats.WideRowTuner); ok && f.Traits().Vectorizable {
-		n := vecWideRowMinFor(m)
-		wrt.SetWideRowMin(n)
-		choice.VecWideRowMin = n
+	switch f.(type) {
+	case *formats.VecCSR, *formats.InspectorCSR:
+		if f.Traits().Vectorizable {
+			t.WideRowMin = vecWideRowMinFor(m)
+			choice.VecWideRowMin = t.WideRowMin
+		}
 	}
-	return f
+	if t == (formats.Tuning{}) {
+		return f
+	}
+	if b, ok := formats.Lookup(f.Name()); ok {
+		if nf, err := b.BuildTuned(m, t); err == nil {
+			return nf
+		}
+	}
+	return f // the tuned geometry refused the full matrix; keep the default build
 }
 
 // promote moves name to the front of the shortlist, inserting it when the

@@ -88,9 +88,6 @@ func probe(ctx context.Context, m *matrix.CSR, candidates []string, o ProbeOptio
 		rounds = defaultProbeRounds
 	}
 	sub := m.RowSample(sampleRows)
-	workers := exec.MaxWorkers()
-	exec.Prestart() // probes must not time pool construction
-
 	x := matrix.RandomVector(sub.Cols*k, 9001)
 	y := make([]float64, sub.Rows*k)
 	bestNs := math.Inf(1)
@@ -107,15 +104,13 @@ func probe(ctx context.Context, m *matrix.CSR, candidates []string, o ProbeOptio
 			results = append(results, ProbeResult{Format: name, Err: err})
 			continue
 		}
-		run := func() {
-			if k > 1 {
-				f.MultiplyMany(y, x, k)
-			} else {
-				f.SpMVParallel(x, y, workers)
-			}
+		ns, err := timeApply(ctx, f, y, x, k, minTime, rounds)
+		if err != nil {
+			// A contained kernel fault disqualifies the candidate; a
+			// cancelled ctx ends the loop at the check above.
+			results = append(results, ProbeResult{Format: name, Err: err})
+			continue
 		}
-		run() // warm plans, scratch, pages
-		ns := measureNs(run, minTime, rounds)
 		results = append(results, ProbeResult{Format: name, NsPerOp: ns})
 		if ns < bestNs {
 			bestNs = ns
@@ -126,6 +121,27 @@ func probe(ctx context.Context, m *matrix.CSR, candidates []string, o ProbeOptio
 		}
 	}
 	return winner, built, results
+}
+
+// timeApply times f's k-wide product through Format.Apply — the entry point
+// production calls take — with the machine's parallelism: one warm-up call
+// (plans, scratch, pages, pool), then measureNs. It returns the first
+// error Apply reports instead of a timing.
+func timeApply(ctx context.Context, f formats.Format, y, x []float64, k int, minTime time.Duration, rounds int) (float64, error) {
+	workers := exec.MaxWorkers()
+	exec.Prestart() // probes must not time pool construction
+	var failed error
+	run := func() {
+		if failed == nil {
+			failed = f.Apply(ctx, y, x, k, workers)
+		}
+	}
+	run()
+	if failed != nil {
+		return 0, failed
+	}
+	ns := measureNs(run, minTime, rounds)
+	return ns, failed
 }
 
 // measureNs returns the minimum ns per fn() call over the given number of

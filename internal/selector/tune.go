@@ -2,13 +2,13 @@ package selector
 
 // Micro-autotuning of structural format parameters. The device model and
 // probe pick WHICH format to build; the tuner picks the width-dependent
-// knobs INSIDE the winner that hard-coded defaults used to fix: the BCSR
-// block geometry and the fused SpMM register-tile width, both measured on
-// the same row-sampled sub-matrix harness the micro-probe uses, plus the
-// Vec-CSR wide-row cutoff, derived (not timed) from the sampled
-// row-length distribution. Winners persist through the journal as
-// "autotune" records keyed by (fingerprint, device, k, parameter), so a
-// matrix pays each sweep once per machine context.
+// build inputs (formats.Tuning) of the winner that hard-coded defaults
+// used to fix: the BCSR block geometry and the fused SpMM register-tile
+// width, both measured on the same row-sampled sub-matrix harness the
+// micro-probe uses, plus the Vec-CSR wide-row cutoff, derived (not timed)
+// from the sampled row-length distribution. Winners persist through the
+// journal as "autotune" records keyed by (fingerprint, device, k,
+// parameter), so a matrix pays each sweep once per machine context.
 
 import (
 	"context"
@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"repro/internal/cache"
-	"repro/internal/exec"
 	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/simd"
@@ -48,53 +47,51 @@ var bcsrShapes = []struct {
 // distribution the wide-row inspector reads.
 const vecRowLenSamples = 4096
 
-// autotune applies the parameter sweeps relevant to the chosen format,
+// autotune runs the parameter sweeps relevant to the named format,
 // consulting (and feeding) the tune cache so each sweep is measured once
-// per (fingerprint, device, k). It may replace f — a BCSR instance is
-// rebuilt when a non-default block shape wins — and returns the tuned
-// parameter map for the decision record. A cancelled ctx skips any sweep
-// not yet cached; already-known winners still apply.
-func autotune(ctx context.Context, m *matrix.CSR, f formats.Format, dev string, k, sampleRows int, tc *cache.TuneCache) (formats.Format, map[string]string) {
+// per (fingerprint, device, k). It returns the winners as the Tuning to
+// build the format with, plus the tuned parameter map for the decision
+// record. A cancelled ctx skips any sweep not yet cached; already-known
+// winners still apply.
+func autotune(ctx context.Context, m *matrix.CSR, name, dev string, k, sampleRows int, tc *cache.TuneCache) (formats.Tuning, map[string]string) {
+	var t formats.Tuning
 	tuned := make(map[string]string)
+	b, ok := formats.Lookup(name)
+	if !ok {
+		return t, tuned
+	}
 	fp := m.Fingerprint()
 	if sampleRows <= 0 {
 		sampleRows = DefaultProbeRows
 	}
-
-	if f.Name() == "BCSR" {
-		key := cache.TuneKey{Fingerprint: fp, Device: dev, K: k, Param: ParamBCSRBlock}
-		shape, ok := tc.Get(key)
+	// sweep recalls the parameter's journaled winner or measures it now.
+	sweep := func(param string, measure func() string) string {
+		key := cache.TuneKey{Fingerprint: fp, Device: dev, K: k, Param: param}
+		v, ok := tc.Get(key)
 		if !ok && ctx.Err() == nil {
-			if shape = tuneBCSRShape(ctx, m, k, sampleRows); shape != "" {
-				tc.Put(key, shape)
+			if v = measure(); v != "" {
+				tc.Put(key, v)
 			}
 		}
-		if shape != "" {
-			if shape != "2x2" {
-				if br, bc, err := parseBlockShape(shape); err == nil {
-					if nf, err := formats.NewBCSR(m, br, bc); err == nil {
-						f = nf
-					}
-				}
-			}
-			tuned[ParamBCSRBlock] = shape
+		if v != "" {
+			tuned[param] = v
 		}
+		return v
 	}
 
-	if wt, ok := f.(formats.WideTiler); ok && k >= 8 && simd.Enabled() && simd.Width() >= 8 {
-		key := cache.TuneKey{Fingerprint: fp, Device: dev, K: k, Param: ParamSpMMTile}
-		tile, ok2 := tc.Get(key)
-		if !ok2 && ctx.Err() == nil {
-			if tile = tuneSpMMTile(ctx, m, f.Name(), k, sampleRows); tile != "" {
-				tc.Put(key, tile)
+	if name == "BCSR" {
+		shape := sweep(ParamBCSRBlock, func() string { return tuneBCSRShape(ctx, m, k, sampleRows) })
+		if shape != "" && shape != "2x2" {
+			if br, bc, err := parseBlockShape(shape); err == nil {
+				t.BlockR, t.BlockC = br, bc
 			}
 		}
-		if tile != "" {
-			wt.SetWideTiles(tile == "8")
-			tuned[ParamSpMMTile] = tile
-		}
 	}
-	return f, tuned
+	if b.WideTiles && k >= 8 && simd.Enabled() && simd.Width() >= 8 {
+		tile := sweep(ParamSpMMTile, func() string { return tuneSpMMTile(ctx, m, b, t, k, sampleRows) })
+		t.NarrowTiles = tile == "4"
+	}
+	return t, tuned
 }
 
 // parseBlockShape parses a "BRxBC" tune value.
@@ -113,8 +110,6 @@ func parseBlockShape(s string) (br, bc int, err error) {
 // and returns the winner's name, or "" when no shape builds.
 func tuneBCSRShape(ctx context.Context, m *matrix.CSR, k, sampleRows int) string {
 	sub := m.RowSample(sampleRows)
-	workers := exec.MaxWorkers()
-	exec.Prestart()
 	x := matrix.RandomVector(sub.Cols*k, 9001)
 	y := make([]float64, sub.Rows*k)
 	best := math.Inf(1)
@@ -127,15 +122,7 @@ func tuneBCSRShape(ctx context.Context, m *matrix.CSR, k, sampleRows int) string
 		if err != nil {
 			continue // fill-ratio cap refused this geometry on the sample
 		}
-		run := func() {
-			if k > 1 {
-				f.MultiplyMany(y, x, k)
-			} else {
-				f.SpMVParallel(x, y, workers)
-			}
-		}
-		run() // warm plans, scratch, pages
-		if ns := measureNs(run, defaultProbeMinTime, defaultProbeRounds); ns < best {
+		if ns, err := timeApply(ctx, f, y, x, k, defaultProbeMinTime, defaultProbeRounds); err == nil && ns < best {
 			best = ns
 			winner = s.name
 		}
@@ -143,37 +130,26 @@ func tuneBCSRShape(ctx context.Context, m *matrix.CSR, k, sampleRows int) string
 	return winner
 }
 
-// tuneSpMMTile times the chosen format's fused SpMM kernel on the
-// sub-matrix with the 8-wide register tile on and off, returning "8" or
-// "4" (ties keep the wide tile: one kernel call covers two narrow ones).
-func tuneSpMMTile(ctx context.Context, m *matrix.CSR, name string, k, sampleRows int) string {
-	if ctx.Err() != nil {
-		return ""
-	}
-	b, ok := formats.Lookup(name)
-	if !ok {
-		return ""
-	}
+// tuneSpMMTile times the format's fused SpMM kernel on the sub-matrix,
+// built with the 8-wide register tile on and off (other tuning as given),
+// returning "8" or "4" (ties keep the wide tile: one kernel call covers
+// two narrow ones).
+func tuneSpMMTile(ctx context.Context, m *matrix.CSR, b formats.Builder, t formats.Tuning, k, sampleRows int) string {
 	sub := m.RowSample(sampleRows)
-	f, err := b.Build(sub)
-	if err != nil {
-		return ""
-	}
-	wt, ok := f.(formats.WideTiler)
-	if !ok {
-		return ""
-	}
-	exec.Prestart()
 	x := matrix.RandomVector(sub.Cols*k, 9001)
 	y := make([]float64, sub.Rows*k)
-	run := func() { f.MultiplyMany(y, x, k) }
-	wt.SetWideTiles(true)
-	run()
-	ns8 := measureNs(run, defaultProbeMinTime, defaultProbeRounds)
-	wt.SetWideTiles(false)
-	run()
-	ns4 := measureNs(run, defaultProbeMinTime, defaultProbeRounds)
-	if ns8 <= ns4 {
+	var ns [2]float64 // wide, narrow
+	for i := range ns {
+		t.NarrowTiles = i == 1
+		f, err := b.BuildTuned(sub, t)
+		if err != nil {
+			return ""
+		}
+		if ns[i], err = timeApply(ctx, f, y, x, k, defaultProbeMinTime, defaultProbeRounds); err != nil {
+			return ""
+		}
+	}
+	if ns[0] <= ns[1] {
 		return "8"
 	}
 	return "4"
@@ -184,7 +160,7 @@ func tuneSpMMTile(ctx context.Context, m *matrix.CSR, name string, k, sampleRows
 // 8-accumulator path only pays off when rows are long enough to amortize
 // its reduction, so the cutoff follows the sampled 90th-percentile row
 // length (4x p90, clamped to [128, 512] — the upper clamp is the measured
-// x86 default, see formats.VecWideRowMin). Matrices whose long tail
+// x86 default, see formats.Tuning.WideRowMin). Matrices whose long tail
 // already clears the default keep it; uniformly short-row matrices lower
 // the cutoff so their rare wide rows still take the wide path.
 func vecWideRowMinFor(m *matrix.CSR) int {

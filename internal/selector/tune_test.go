@@ -14,18 +14,18 @@ import (
 // re-measuring.
 func TestAutotuneBCSRJournalsWinner(t *testing.T) {
 	m := genMatrix(t, 8000, 12, 0, 77)
-	f, err := formats.NewBCSR(m, 2, 2)
-	if err != nil {
-		t.Fatalf("build BCSR: %v", err)
-	}
 	tc := cache.NewTuneCache()
-	_, tuned := autotune(context.Background(), m, f, "host", 1, 0, tc)
+	tuning, tuned := autotune(context.Background(), m, "BCSR", "host", 1, 0, tc)
 	shape, ok := tuned[ParamBCSRBlock]
 	if !ok || shape == "" {
 		t.Fatalf("no BCSR block shape tuned: %+v", tuned)
 	}
-	if _, _, err := parseBlockShape(shape); err != nil {
+	br, bc, err := parseBlockShape(shape)
+	if err != nil {
 		t.Fatalf("winner %q does not parse: %v", shape, err)
+	}
+	if want := (formats.Tuning{BlockR: br, BlockC: bc}); shape != "2x2" && tuning != want {
+		t.Fatalf("winner %q not carried by the build tuning: %+v", shape, tuning)
 	}
 	key := cache.TuneKey{Fingerprint: m.Fingerprint(), Device: "host", K: 1, Param: ParamBCSRBlock}
 	if v, ok := tc.Get(key); !ok || v != shape {
@@ -34,11 +34,7 @@ func TestAutotuneBCSRJournalsWinner(t *testing.T) {
 
 	// Second call must hit the cache: zero additional misses.
 	_, missBefore := tc.Stats()
-	f2, err := formats.NewBCSR(m, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, tuned2 := autotune(context.Background(), m, f2, "host", 1, 0, tc)
+	_, tuned2 := autotune(context.Background(), m, "BCSR", "host", 1, 0, tc)
 	if tuned2[ParamBCSRBlock] != shape {
 		t.Fatalf("cached re-apply picked %q, first sweep picked %q", tuned2[ParamBCSRBlock], shape)
 	}
@@ -58,8 +54,9 @@ func TestBuildAutoTuneRecordsChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := a.Choice()
-	if _, ok := a.Unwrap().(formats.WideRowTuner); ok && a.Unwrap().Traits().Vectorizable {
-		if c.VecWideRowMin < 128 || c.VecWideRowMin > 512 {
+	switch a.Unwrap().(type) {
+	case *formats.VecCSR, *formats.InspectorCSR:
+		if a.Unwrap().Traits().Vectorizable && (c.VecWideRowMin < 128 || c.VecWideRowMin > 512) {
 			t.Errorf("VecWideRowMin = %d, want within [128, 512]", c.VecWideRowMin)
 		}
 	}

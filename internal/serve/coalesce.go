@@ -129,7 +129,7 @@ func (c *Coalescer) Multiply(ctx context.Context, x []float64) ([]float64, int, 
 		c.requests.Add(1)
 		c.batches.Add(1)
 		y := make([]float64, c.rows)
-		if err := formats.SpMVCtx(ctx, c.f, x, y, exec.MaxWorkers()); err != nil {
+		if err := c.f.Apply(ctx, y, x, 1, exec.MaxWorkers()); err != nil {
 			return nil, 0, err
 		}
 		return y, 1, nil
@@ -219,7 +219,7 @@ func (c *Coalescer) flush(b []*pending) {
 		// its kernel call, so its cancellation may cancel the sweep.
 		p := b[0]
 		y := make([]float64, c.rows)
-		err := formats.SpMVCtx(c.mergedCtx(p.ctx), c.f, p.x, y, exec.MaxWorkers())
+		err := c.f.Apply(c.mergedCtx(p.ctx), y, p.x, 1, exec.MaxWorkers())
 		if err != nil {
 			y = nil
 		}
@@ -239,7 +239,7 @@ func (c *Coalescer) flush(b []*pending) {
 		}
 	}
 	y := c.getBlock(c.rows * k)
-	err := formats.MultiplyManyCtx(c.base, c.f, y, x, k)
+	err := c.f.Apply(c.base, y, x, k, exec.MaxWorkers())
 	if err != nil {
 		for _, p := range b {
 			p.done <- batchResult{batch: k, err: err}

@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
+	"repro/internal/device"
 	"repro/internal/matrix"
+	"repro/internal/selector"
 	"repro/internal/session"
 )
 
@@ -311,11 +314,29 @@ func TestParseFP(t *testing.T) {
 }
 
 // TestServerInfoEndpoint checks GET /v1/info reports the dispatch table
-// and, once a tuned matrix is hosted, its autotuned parameters.
+// and the autotuned parameters of exactly the hosted matrices that carry
+// any. Which format the host's device model ranks first — and so whether a
+// cold Tune upload has anything to tune — varies by machine, so the cold
+// upload is checked against the hosted matrix's own Info, and the
+// non-empty case is pinned through the warm-decision regime: a journaled
+// BCSR decision, whose block geometry is swept on every host.
 func TestServerInfoEndpoint(t *testing.T) {
 	cfg := DefaultConfig()
-	s, base := bootServer(t, cfg)
+	cfg.Addr = "127.0.0.1:0"
+	sess, err := session.New(session.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(cfg, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
 	defer s.Shutdown(context.Background())
+	base := "http://" + s.Addr()
 
 	status, env := call(t, "GET", base+"/v1/info", nil)
 	if status != 200 || !env.OK {
@@ -335,24 +356,70 @@ func TestServerInfoEndpoint(t *testing.T) {
 		}
 	}
 
-	// Host a matrix large enough for the tuner and ask for tuning; its
-	// parameters must show up in the report.
-	m := matrix.Random(3000, 3000, 0.004, 7)
+	// checkTuned asserts the report lists exactly the hosted matrices whose
+	// own Info carries tuning, with the same values, and returns the list.
+	checkTuned := func() []MatrixTuning {
+		t.Helper()
+		_, env := call(t, "GET", base+"/v1/info", nil)
+		var info InfoResponse
+		remarshal(t, env.Data, &info)
+		got := map[string]MatrixTuning{}
+		for _, tu := range info.Tuned {
+			got[tu.Fingerprint] = tu
+		}
+		want := 0
+		for _, in := range s.Registry().List() {
+			if len(in.Tuned) == 0 && in.VecWideRowMin == 0 {
+				if _, ok := got[in.Fingerprint]; ok {
+					t.Errorf("untuned matrix %s listed as tuned", in.Fingerprint)
+				}
+				continue
+			}
+			want++
+			tu, ok := got[in.Fingerprint]
+			if !ok {
+				t.Errorf("tuned matrix %s (%+v) missing from the report", in.Fingerprint, in.Tuned)
+				continue
+			}
+			if tu.Format != in.Format || tu.VecWideRowMin != in.VecWideRowMin || fmt.Sprint(tu.Params) != fmt.Sprint(in.Tuned) {
+				t.Errorf("report entry %+v disagrees with the hosted matrix's Info %+v", tu, in)
+			}
+		}
+		if len(info.Tuned) != want {
+			t.Errorf("report lists %d tuned matrices, registry hosts %d", len(info.Tuned), want)
+		}
+		return info.Tuned
+	}
+
+	// Cold: whatever the host model picks, the report mirrors Hosted.Info.
+	cold := matrix.Random(3000, 3000, 0.004, 7)
 	status, env = call(t, "POST", base+"/v1/matrices",
-		UploadSpec{Name: "tuned", MatrixMarket: mmBody(t, m), Tune: true})
+		UploadSpec{Name: "cold", MatrixMarket: mmBody(t, cold), Tune: true})
 	if status != 201 || !env.OK {
 		t.Fatalf("upload: %d %+v", status, env)
 	}
-	_, env = call(t, "GET", base+"/v1/info", nil)
-	remarshal(t, env.Data, &info)
-	if len(info.Tuned) != 1 {
-		t.Fatalf("tuned matrices = %+v, want one entry", info.Tuned)
+	checkTuned()
+
+	// Warm: a remembered BCSR decision makes the upload tunable everywhere.
+	warm := matrix.Tridiagonal(8000, 2, -1)
+	sess.Cache().Put(cache.DecisionKey{
+		Fingerprint: warm.Fingerprint(), Device: device.HostSpec().Name, K: 1, Shards: sess.Shards(),
+	}, cache.Decision{Format: "BCSR"})
+	status, env = call(t, "POST", base+"/v1/matrices",
+		UploadSpec{Name: "warm", MatrixMarket: mmBody(t, warm), K: 1, Tune: true})
+	if status != 201 || !env.OK {
+		t.Fatalf("upload: %d %+v", status, env)
 	}
-	tu := info.Tuned[0]
-	if tu.Fingerprint == "" || tu.Format == "" {
-		t.Fatalf("tuning entry incomplete: %+v", tu)
+	found := false
+	for _, tu := range checkTuned() {
+		if tu.Format == "BCSR" {
+			found = true
+			if tu.Fingerprint == "" || tu.Params[selector.ParamBCSRBlock] == "" {
+				t.Errorf("BCSR tuning entry incomplete: %+v", tu)
+			}
+		}
 	}
-	if tu.VecWideRowMin == 0 && len(tu.Params) == 0 {
-		t.Fatalf("tuning entry carries nothing: %+v", tu)
+	if !found {
+		t.Fatal("the remembered BCSR decision did not surface a tuning entry")
 	}
 }

@@ -17,7 +17,7 @@
 // their original scalar loops, so a disabled dispatch pays zero
 // indirection.
 //
-// # Caps and the kill switch
+// # Caps
 //
 // SPMV_SIMD_LEVEL caps the tier: "scalar", "avx2" or "avx512". "scalar"
 // forces the portable path, "avx2" stops the ladder below ZMM, and
@@ -27,11 +27,6 @@
 // widest detected, calibrated. SetLevel is the programmatic twin and is
 // how the three-way bench switches tiers mid-process; it must not race
 // in-flight multiplies (quiesce kernels first — it swaps the table).
-//
-// SPMV_NOSIMD=1 (or SetEnabled(false)) is the orthogonal kill switch: the
-// table stays installed but every caller routes back to the scalar
-// reference path, which is the correctness anchor the equivalence tests
-// pin against.
 //
 // # Accumulation-order contract
 //
@@ -78,16 +73,12 @@ import (
 	"sync/atomic"
 )
 
-// EnvNoSIMD disables the dispatched kernels at process start when set to
-// any value other than "" or "0".
-const EnvNoSIMD = "SPMV_NOSIMD"
-
 // EnvLevel caps the dispatch tier at process start: "scalar", "avx2" or
-// "avx512" (the generalization of SPMV_NOSIMD; unset means auto).
+// "avx512" (unset means auto).
 const EnvLevel = "SPMV_SIMD_LEVEL"
 
-// enabled is the runtime kill switch; true only when accelerated kernels
-// are installed AND not switched off.
+// enabled is true only when accelerated kernels are installed and the cap
+// is above "scalar" (or a test switched them off with SetEnabled).
 var enabled atomic.Bool
 
 // hasAccel reports whether accelerated kernels are currently installed.
@@ -158,15 +149,9 @@ func init() {
 	cap := envCap()
 	curCap = cap
 	install(cap) // arch-specific: builds the table under the cap
-	if hasAccel && !envDisabled() && cap != "scalar" {
+	if hasAccel && cap != "scalar" {
 		enabled.Store(true)
 	}
-}
-
-// envDisabled reports the SPMV_NOSIMD state.
-func envDisabled() bool {
-	v := os.Getenv(EnvNoSIMD)
-	return v != "" && v != "0"
 }
 
 // envCap parses SPMV_SIMD_LEVEL ("auto" when unset or unrecognized).
@@ -183,9 +168,12 @@ func envCap() string {
 // loops when false.
 func Enabled() bool { return enabled.Load() }
 
-// SetEnabled switches the dispatched kernels on or off at runtime (the
-// programmatic twin of SPMV_NOSIMD). Enabling is a no-op on hardware
-// without accelerated kernels. It returns the previous state.
+// SetEnabled routes callers to or away from the installed table without
+// swapping it, and returns the previous state. It is a test hook: the
+// equivalence tests flip one built instance between its dispatched and
+// scalar loops mid-test, which SetLevel (a table swap) is too heavy for.
+// Product code caps the tier with SetLevel("scalar"). Enabling is a no-op
+// on hardware without accelerated kernels.
 func SetEnabled(on bool) bool {
 	setMu.Lock()
 	defer setMu.Unlock()
@@ -218,7 +206,7 @@ func SetLevel(cap string) string {
 }
 
 // Available reports whether accelerated kernels exist for this CPU under
-// the current cap, regardless of the kill-switch state.
+// the current cap, regardless of whether callers are routed to them.
 func Available() bool { return hasAccel }
 
 // Level names the active dispatch tier: the widest installed accelerator
@@ -231,7 +219,7 @@ func Level() string {
 }
 
 // InstalledLevel names the widest accelerator tier currently installed,
-// ignoring the kill switch ("scalar" when none is).
+// whether or not callers are routed to it ("scalar" when none is).
 func InstalledLevel() string { return level }
 
 // DetectedLevel names the widest tier the hardware and OS support,
@@ -252,7 +240,7 @@ func Width() int {
 }
 
 // Features returns the detected CPU SIMD feature names (e.g. "avx2",
-// "fma", "avx512f"), independent of the kill switch. Empty on
+// "fma", "avx512f"), independent of the active level. Empty on
 // architectures without detection.
 func Features() []string {
 	out := make([]string, len(features))
@@ -269,7 +257,7 @@ type KernelInfo struct {
 
 // Table returns the active dispatch table, one row per kernel, for CLI,
 // BENCH artifact and /v1/info reporting — the record that makes a
-// measurement attributable to the host ISA. With the kill switch off
+// measurement attributable to the host ISA. With dispatch off
 // every entry reports "scalar" (that is what callers run).
 func Table() []KernelInfo {
 	out := make([]KernelInfo, nKernels)

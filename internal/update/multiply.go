@@ -1,6 +1,7 @@
 package update
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/exec"
@@ -80,42 +81,31 @@ func (u *Updatable) Bytes() int64 {
 // veneer, not a different execution shape.
 func (u *Updatable) Traits() formats.Traits { return u.snap.Load().base.Traits() }
 
-// SpMV computes y = A*x serially over the fused base + frozen + active
-// pass of one consistent read point.
-func (u *Updatable) SpMV(x, y []float64) {
+// Apply implements formats.Format: Y = A*X for k right-hand sides over the
+// fused base + frozen + active pass of one consistent read point. The
+// base and the frozen overlay run their own dispatches under ctx — a
+// cancelled call stops at their next chunk boundary, a lane panic comes
+// back as *exec.PanicError — and the active log entries scatter by shard;
+// shards own disjoint row groups, so the parallel apply never writes one
+// output row from two goroutines. SpMV, SpMVParallel and MultiplyMany are
+// the embedded formats.Delegates over this method.
+func (u *Updatable) Apply(ctx context.Context, y, x []float64, k, workers int) error {
 	views := make([]*shardView, len(u.shards))
 	s, v := u.loadConsistent(views)
-	s.base.SpMV(x, y)
-	if s.fdelta != nil {
-		s.fdelta.AddSpMV(x, y, 1)
+	if err := s.base.Apply(ctx, y, x, k, workers); err != nil {
+		return err
 	}
-	u.addActive(views, s.floor, v, x, y, 1)
-}
-
-// SpMVParallel computes y = A*x with up to workers goroutines. The base
-// and frozen overlay use their own parallel kernels; active log entries
-// scatter by shard, and shards own disjoint row groups, so the parallel
-// apply never writes one output row from two goroutines.
-func (u *Updatable) SpMVParallel(x, y []float64, workers int) {
-	views := make([]*shardView, len(u.shards))
-	s, v := u.loadConsistent(views)
-	s.base.SpMVParallel(x, y, workers)
 	if s.fdelta != nil {
-		s.fdelta.AddSpMV(x, y, workers)
+		if err := s.fdelta.Add(ctx, y, x, k, workers); err != nil {
+			return err
+		}
 	}
-	u.addActive(views, s.floor, v, x, y, workers)
-}
-
-// MultiplyMany computes Y = A*X for k interleaved right-hand sides in the
-// same fused fashion.
-func (u *Updatable) MultiplyMany(y, x []float64, k int) {
-	views := make([]*shardView, len(u.shards))
-	s, v := u.loadConsistent(views)
-	s.base.MultiplyMany(y, x, k)
-	if s.fdelta != nil {
-		s.fdelta.AddMultiplyMany(y, x, k, exec.MaxWorkers())
+	if k == 1 {
+		u.addActive(views, s.floor, v, x, y, workers)
+	} else {
+		u.addActiveMulti(views, s.floor, v, x, y, k, workers)
 	}
-	u.addActiveMulti(views, s.floor, v, x, y, k)
+	return nil
 }
 
 // addActive accumulates y += active*x for the committed active entries of
@@ -158,7 +148,7 @@ func (u *Updatable) addActive(views []*shardView, floor, v uint64, x, y []float6
 }
 
 // addActiveMulti is addActive for k interleaved right-hand sides.
-func (u *Updatable) addActiveMulti(views []*shardView, floor, v uint64, x, y []float64, k int) {
+func (u *Updatable) addActiveMulti(views []*shardView, floor, v uint64, x, y []float64, k, workers int) {
 	var total int64
 	for _, vw := range views {
 		lo, hi := viewRange(vw, floor, v)
@@ -167,7 +157,7 @@ func (u *Updatable) addActiveMulti(views []*shardView, floor, v uint64, x, y []f
 	if total == 0 {
 		return
 	}
-	workers := exec.Workers(total*int64(k), exec.MaxWorkers())
+	workers = exec.Workers(total*int64(k), workers)
 	if workers > len(views) {
 		workers = len(views)
 	}

@@ -60,6 +60,9 @@ func TestLinearizablePrefixUnderLoad(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(500 + w)))
 			lo := 32 + w*10
 			mine := mirrors[w]
+			for r := lo; r < lo+10; r++ {
+				mine[[2]int{r, r}] = 1 // the identity base: an Add lands on it
+			}
 			for !stop.Load() {
 				r := lo + rng.Intn(10)
 				c := rng.Intn(rows)

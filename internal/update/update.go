@@ -114,6 +114,7 @@ type snapshot struct {
 // safe for concurrent use; multiplies never block on updates or
 // compaction.
 type Updatable struct {
+	formats.Delegates
 	opts   Options
 	shards []logShard
 
@@ -196,6 +197,7 @@ func Wrap(f formats.Format, m *matrix.CSR, o Options) (*Updatable, error) {
 		s = DefaultShards
 	}
 	u := &Updatable{opts: o, shards: make([]logShard, s)}
+	u.Delegates = formats.DelegateTo(u)
 	u.commitCond = sync.NewCond(&u.commitMu)
 	for i := range u.shards {
 		u.shards[i].view.Store(emptyView)

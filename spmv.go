@@ -119,25 +119,26 @@ var (
 )
 
 // PanicError is a kernel panic contained by the execution engine: the
-// worker recovered, the shard stayed serviceable, and the Ctx entry points
-// return the panic as this error (errors.As). See internal/exec.
+// worker recovered, the shard stayed serviceable, and the Multiply entry
+// points return the panic as this error (errors.As). See internal/exec.
 type PanicError = exec.PanicError
 
-// checkArgs validates the shared multiply arguments; every facade entry
-// point rejects bad calls here before any kernel or engine work.
-func checkArgs(f Format, y, x []float64, k int) error {
-	return formats.CheckArgs(f, y, x, k)
+// apply is the one path every facade multiply takes: Format.Apply on the
+// execution engine with the machine's parallelism.
+func apply(ctx context.Context, f Format, y, x []float64, k int) error {
+	if f == nil {
+		return ErrNilFormat
+	}
+	return f.Apply(ctx, y, x, k, exec.MaxWorkers())
 }
 
 // Multiply computes y = A*x on the execution engine with the machine's
 // parallelism. It validates its arguments (ErrNilFormat, ErrDimension)
-// instead of panicking; nil error means y holds the product.
+// instead of panicking, and a kernel panic on any lane comes back as a
+// *PanicError with the engine still serviceable; nil error means y holds
+// the product.
 func Multiply(f Format, y, x []float64) error {
-	if err := checkArgs(f, y, x, 1); err != nil {
-		return err
-	}
-	f.SpMVParallel(x, y, exec.MaxWorkers())
-	return nil
+	return apply(context.Background(), f, y, x, 1)
 }
 
 // MultiplyCtx is Multiply under a context: the deadline or cancellation
@@ -145,15 +146,11 @@ func Multiply(f Format, y, x []float64) error {
 // partition-chunk granularity — a cancelled call returns the context's
 // error (context.Canceled, context.DeadlineExceeded) within a bounded
 // latency instead of finishing its sweep, and y must then be treated as
-// garbage. A panic on a worker lane comes back as a *PanicError with the
-// engine still serviceable. Formats without native chunk polling (see
-// docs/ARCHITECTURE.md, "The robustness layer") check the context before
-// dispatch and then run to completion.
+// garbage. Every format honors it (see docs/ARCHITECTURE.md, "The kernel
+// contract"); the formats whose lanes cut inside rows stop between lanes
+// rather than inside one.
 func MultiplyCtx(ctx context.Context, f Format, y, x []float64) error {
-	if err := checkArgs(f, y, x, 1); err != nil {
-		return err
-	}
-	return formats.SpMVCtx(ctx, f, x, y, exec.MaxWorkers())
+	return apply(ctx, f, y, x, 1)
 }
 
 // MultiplyMany computes Y = A*X for a block of k dense right-hand sides at
@@ -167,31 +164,14 @@ func MultiplyCtx(ctx context.Context, f Format, y, x []float64) error {
 // inference issue per iteration. Arguments are validated (ErrNilFormat,
 // ErrInvalidK, ErrDimension) instead of panicking.
 func MultiplyMany(f Format, y, x []float64, k int) error {
-	if err := checkArgs(f, y, x, k); err != nil {
-		return err
-	}
-	f.MultiplyMany(y, x, k)
-	return nil
+	return apply(context.Background(), f, y, x, k)
 }
 
 // MultiplyManyCtx is MultiplyMany under a context, with MultiplyCtx's
 // cancellation-latency, partial-result and panic-containment contract.
 func MultiplyManyCtx(ctx context.Context, f Format, y, x []float64, k int) error {
-	if err := checkArgs(f, y, x, k); err != nil {
-		return err
-	}
-	return formats.MultiplyManyCtx(ctx, f, y, x, k)
+	return apply(ctx, f, y, x, k)
 }
-
-// SetSIMD toggles the runtime SIMD dispatch layer (internal/simd): the
-// architecture-detected micro-kernels behind the CSR, ELL, SELL-C-sigma
-// and BCSR hot loops. It returns the previous state. Enabling is a no-op
-// on hosts without accelerated kernels; the SPMV_NOSIMD environment
-// variable forces scalar dispatch at startup without code changes. The
-// scalar kernels are the portable reference the accelerated ones are
-// property-tested against — see docs/ARCHITECTURE.md, "The dispatch
-// layer".
-func SetSIMD(on bool) bool { return simd.SetEnabled(on) }
 
 // SIMDInfo reports the active dispatch configuration: the instruction-set
 // level the kernels currently run at ("scalar", "avx2", "avx512"), the
@@ -225,14 +205,6 @@ func SIMDDispatch() map[string]string {
 	}
 	return out
 }
-
-// SetVecWideRowMin overrides the row-length cutoff at which the vectorized
-// CSR kernels switch to their 8-accumulator wide inner loop (default 512,
-// tuned for gather-bound x86; the SPMV_VEC_ROWMIN environment variable
-// overrides it without rebuilding). n <= 0 restores the default. Returns
-// the previous override (0 if none). Hosts with more load ports or cheaper
-// gathers can lower it after re-measuring — see docs/BENCHMARKS.md.
-func SetVecWideRowMin(n int) int { return formats.SetVecWideRowMin(n) }
 
 // Auto selects a storage format for the matrix and builds it — the
 // paper's feature analysis driving execution. The five-feature vector is
