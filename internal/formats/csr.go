@@ -108,14 +108,16 @@ func (f *CSR) apply(y, x []float64, k, lo, hi int) {
 // AVX2/NEON vectorized CSR kernels of the paper's CPU testbeds.
 type VecCSR struct {
 	CSR
+	oneColumn
 }
 
 // NewVecCSR builds the vectorized-CSR format.
 func NewVecCSR(m *matrix.CSR) *VecCSR { return newVecCSR(m, Tuning{}) }
 
 func newVecCSR(m *matrix.CSR, t Tuning) *VecCSR {
-	f := &VecCSR{csrOf(m, sched.RowBlocks, t)}
+	f := &VecCSR{CSR: csrOf(m, sched.RowBlocks, t)}
 	f.bind(f, true)
+	f.oneColumn = oneColumnOf(&f.CSR)
 	return f
 }
 
@@ -221,6 +223,33 @@ func (f *VecCSR) apply(y, x []float64, k, lo, hi int) {
 	f.CSR.apply(y, x, k, lo, hi)
 }
 
+// oneColumn is embedded by the two formats whose single-vector loop
+// reassociates the row sum (Vec-CSR, MKL-IE). Their fused tile does not, and
+// a block product must not round differently because the block happens to
+// be one column wide, so MultiplyMany at k = 1 stays on the sequential sum
+// it has at every other k: the plain CSR kernel over the same storage and
+// partition policy, dispatched by that view's own driver. Apply at k = 1 —
+// and with it SpMV and SpMVParallel — is the single-vector loop.
+type oneColumn struct {
+	wide  Delegates
+	plain *CSR
+}
+
+func oneColumnOf(c *CSR) oneColumn {
+	plain := csrOf(&matrix.CSR{Rows: c.rows, Cols: c.cols, RowPtr: c.rowPtr, ColIdx: c.colIdx, Val: c.val}, c.policy, c.tune)
+	plain.bind(&plain, true)
+	return oneColumn{wide: c.Delegates, plain: &plain}
+}
+
+// MultiplyMany implements Format.
+func (o oneColumn) MultiplyMany(y, x []float64, k int) {
+	if k == 1 {
+		o.plain.MultiplyMany(y, x, 1)
+		return
+	}
+	o.wide.MultiplyMany(y, x, k)
+}
+
 // BalCSR is CSR with nonzero-balanced row partitioning (the paper's
 // "Balanced-CSR": nonzero balancing at row resolution).
 type BalCSR struct {
@@ -252,6 +281,7 @@ func (f *BalCSR) Traits() Traits {
 // nonzero-balanced partitioning when row lengths are skewed.
 type InspectorCSR struct {
 	CSR
+	oneColumn
 	vectorize bool
 	balance   bool
 }
@@ -278,6 +308,7 @@ func newInspectorCSR(m *matrix.CSR, t Tuning) *InspectorCSR {
 		f.policy = sched.NNZBalanced
 	}
 	f.bind(f, true)
+	f.oneColumn = oneColumnOf(&f.CSR)
 	return f
 }
 

@@ -139,15 +139,31 @@ type Traits struct {
 // ErrBuild wraps format construction failures (excessive padding, capacity).
 var ErrBuild = errors.New("formats: cannot build")
 
+// Tunable names one group of Tuning fields; a Builder's Tunables are the
+// groups its format reads, so the autotuner knows what to sweep for a
+// format without knowing the format.
+type Tunable uint8
+
+// The tunable parameter groups.
+const (
+	// TuneTiles: the fused SpMM kernel carries the 8-vector register tile
+	// Tuning.NarrowTiles turns off.
+	TuneTiles Tunable = 1 << iota
+	// TuneWideRows: the single-vector kernel has the 8-accumulator scalar
+	// path Tuning.WideRowMin gates.
+	TuneWideRows
+	// TuneBlock: the block geometry is Tuning.BlockR x BlockC.
+	TuneBlock
+)
+
 // Builder constructs a format from a CSR matrix.
 type Builder struct {
 	Name string
 	// Build constructs the format with the zero Tuning.
 	Build func(m *matrix.CSR) (Format, error)
-	// WideTiles reports that the format's fused SpMM kernel carries the
-	// 8-vector register tile Tuning.NarrowTiles turns off.
-	WideTiles bool
-	tuned     func(m *matrix.CSR, t Tuning) (Format, error)
+	// Tunables is the set of Tuning parameter groups the format reads.
+	Tunables Tunable
+	tuned    func(m *matrix.CSR, t Tuning) (Format, error)
 }
 
 // BuildTuned constructs the format with the given tuning; parameters the
@@ -159,12 +175,12 @@ func (b Builder) BuildTuned(m *matrix.CSR, t Tuning) (Format, error) {
 	return b.tuned(m, t)
 }
 
-func builder(name string, wideTiles bool, tuned func(m *matrix.CSR, t Tuning) (Format, error)) Builder {
+func builder(name string, tunables Tunable, tuned func(m *matrix.CSR, t Tuning) (Format, error)) Builder {
 	return Builder{
-		Name:      name,
-		Build:     func(m *matrix.CSR) (Format, error) { return tuned(m, Tuning{}) },
-		WideTiles: wideTiles,
-		tuned:     tuned,
+		Name:     name,
+		Build:    func(m *matrix.CSR) (Format, error) { return tuned(m, Tuning{}) },
+		Tunables: tunables,
+		tuned:    tuned,
 	}
 }
 
@@ -174,22 +190,22 @@ func builder(name string, wideTiles bool, tuned func(m *matrix.CSR, t Tuning) (F
 func Registry() []Builder { return append([]Builder(nil), registry...) }
 
 var registry = []Builder{
-	builder("COO", false, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewCOO(m), nil }),
-	builder("Naive-CSR", true, func(m *matrix.CSR, t Tuning) (Format, error) { return newCSR(m, t), nil }),
-	builder("Vec-CSR", true, func(m *matrix.CSR, t Tuning) (Format, error) { return newVecCSR(m, t), nil }),
-	builder("Bal-CSR", true, func(m *matrix.CSR, t Tuning) (Format, error) { return newBalCSR(m, t), nil }),
-	builder("MKL-IE", true, func(m *matrix.CSR, t Tuning) (Format, error) { return newInspectorCSR(m, t), nil }),
-	builder("ELL", true, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newELL(m, t)) }),
-	builder("HYB", true, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newHYB(m, t)) }),
-	builder("CSR5", false, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewCSR5(m)) }),
-	builder("Merge-CSR", true, func(m *matrix.CSR, t Tuning) (Format, error) { return newMergeCSR(m, t), nil }),
-	builder("SELL-C-s", true, func(m *matrix.CSR, t Tuning) (Format, error) {
+	builder("COO", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewCOO(m), nil }),
+	builder("Naive-CSR", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newCSR(m, t), nil }),
+	builder("Vec-CSR", TuneTiles|TuneWideRows, func(m *matrix.CSR, t Tuning) (Format, error) { return newVecCSR(m, t), nil }),
+	builder("Bal-CSR", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newBalCSR(m, t), nil }),
+	builder("MKL-IE", TuneTiles|TuneWideRows, func(m *matrix.CSR, t Tuning) (Format, error) { return newInspectorCSR(m, t), nil }),
+	builder("ELL", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newELL(m, t)) }),
+	builder("HYB", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newHYB(m, t)) }),
+	builder("CSR5", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewCSR5(m)) }),
+	builder("Merge-CSR", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newMergeCSR(m, t), nil }),
+	builder("SELL-C-s", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) {
 		return asFormat(newSELLCS(m, DefaultChunkC(), DefaultSigma, t))
 	}),
-	builder("SparseX", false, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewSPX(m), nil }),
-	builder("VSL", false, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewVSL(m, DefaultVSLConfig())) }),
-	builder("DIA", false, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewDIA(m)) }),
-	builder("BCSR", true, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newBCSR(m, t)) }),
+	builder("SparseX", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewSPX(m), nil }),
+	builder("VSL", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewVSL(m, DefaultVSLConfig())) }),
+	builder("DIA", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewDIA(m)) }),
+	builder("BCSR", TuneTiles|TuneBlock, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newBCSR(m, t)) }),
 }
 
 // asFormat lifts a fallible concrete constructor's result to (Format,

@@ -158,15 +158,12 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	}
 	if !o.NoCache {
 		if d, ok := dc.Get(key); ok {
-			if f, err := buildByName(m, d.Format); err == nil {
+			// Journaled tune winners re-apply on the cached path; un-swept
+			// parameters are measured now, once.
+			if f, err := build(ctx, m, d.Format, nil, k, o, &choice); err == nil {
 				choice.Cached = true
 				choice.Probed = d.Probed
 				choice.Shortlist = []string{d.Format}
-				if o.Tune {
-					// Journaled tune winners re-apply on the cached path;
-					// un-swept parameters are measured now, once.
-					f = applyTuning(ctx, m, f, k, o, &choice)
-				}
 				return formats.NewAuto(f, choice), nil
 			}
 			// A cached format that no longer builds (should not happen for
@@ -224,56 +221,73 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 		}
 	}
 
-	f := prebuilt
-	if f == nil {
-		var err error
-		f, err = buildFirst(m, pick, shortlist)
-		if err != nil {
-			return nil, err
+	// Fall down the rest of the shortlist and finally to Naive-CSR when
+	// builders refuse the concrete matrix (trait estimates are
+	// feature-level; the built structure can still exceed a padding cap).
+	tried := map[string]bool{}
+	var f formats.Format
+	var err error
+	for _, name := range append(append([]string{pick}, shortlist...), "Naive-CSR") {
+		if tried[name] {
+			continue
 		}
+		tried[name] = true
+		if f, err = build(ctx, m, name, prebuilt, k, o, &choice); err == nil {
+			break
+		}
+		prebuilt = nil // the probe's instance was the pick's
+	}
+	if err != nil {
+		return nil, fmt.Errorf("selector: no candidate builds: %w", err)
 	}
 	if !o.NoCache {
 		dc.Put(key, cache.Decision{Format: f.Name(), Probed: choice.Probed})
 	}
-	if o.Tune {
-		f = applyTuning(ctx, m, f, k, o, &choice)
-	}
 	return formats.NewAuto(f, choice), nil
 }
 
-// applyTuning runs the structural-parameter autotuner and the wide-row
-// inspector for the built format, recording what was tuned in the choice,
-// and rebuilds the format with the resulting Tuning when it differs from
-// the defaults f was built with.
-func applyTuning(ctx context.Context, m *matrix.CSR, f formats.Format, k int, o AutoOptions, choice *formats.AutoChoice) formats.Format {
-	tc := o.Tunes
-	if tc == nil {
-		tc = cache.Tunes
+// build constructs the named format for the matrix, once. With o.Tune the
+// tuning is derived from (name, m) first — autotune's sweeps and row-length
+// inspector — and is a build input, recorded in the choice only once an
+// instance built with it exists. have is an instance of name the probe
+// already built with the zero Tuning, or nil; it is served as is when the
+// derived tuning is the zero one.
+func build(ctx context.Context, m *matrix.CSR, name string, have formats.Format, k int, o AutoOptions, choice *formats.AutoChoice) (formats.Format, error) {
+	b, ok := formats.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("selector: unknown format %q", name)
 	}
 	var t formats.Tuning
-	if m.NNZ() >= autoProbeMinNNZ {
-		var tuned map[string]string
-		t, tuned = autotune(ctx, m, f.Name(), choice.Device, k, o.SampleRows, tc)
-		if len(tuned) > 0 {
-			choice.Tuned = tuned
+	var tuned map[string]string
+	if o.Tune {
+		tc := o.Tunes
+		if tc == nil {
+			tc = cache.Tunes
+		}
+		t, tuned = autotune(ctx, m, name, choice.Device, k, o.SampleRows, tc)
+	}
+	f := have
+	if f == nil || t != (formats.Tuning{}) {
+		var err error
+		if f, err = b.BuildTuned(m, t); err != nil {
+			if t == (formats.Tuning{}) {
+				return nil, err
+			}
+			// The tuned geometry refused the full matrix: the default
+			// build is served and nothing is recorded as tuned.
+			if have != nil {
+				return have, nil
+			}
+			return b.Build(m)
 		}
 	}
-	switch f.(type) {
-	case *formats.VecCSR, *formats.InspectorCSR:
-		if f.Traits().Vectorizable {
-			t.WideRowMin = vecWideRowMinFor(m)
-			choice.VecWideRowMin = t.WideRowMin
-		}
+	if len(tuned) > 0 {
+		choice.Tuned = tuned
 	}
-	if t == (formats.Tuning{}) {
-		return f
+	if t.WideRowMin != 0 && f.Traits().Vectorizable {
+		choice.VecWideRowMin = t.WideRowMin
 	}
-	if b, ok := formats.Lookup(f.Name()); ok {
-		if nf, err := b.BuildTuned(m, t); err == nil {
-			return nf
-		}
-	}
-	return f // the tuned geometry refused the full matrix; keep the default build
+	return f, nil
 }
 
 // promote moves name to the front of the shortlist, inserting it when the
@@ -287,36 +301,4 @@ func promote(shortlist []string, name string) []string {
 		}
 	}
 	return out
-}
-
-// buildByName builds one named format for the matrix.
-func buildByName(m *matrix.CSR, name string) (formats.Format, error) {
-	b, ok := formats.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("selector: unknown format %q", name)
-	}
-	return b.Build(m)
-}
-
-// buildFirst builds pick, falling down the rest of the shortlist and
-// finally to Naive-CSR when builders refuse the concrete matrix (trait
-// estimates are feature-level; the built structure can still exceed a
-// padding cap).
-func buildFirst(m *matrix.CSR, pick string, shortlist []string) (formats.Format, error) {
-	tried := map[string]bool{}
-	order := append([]string{pick}, shortlist...)
-	order = append(order, "Naive-CSR")
-	var lastErr error
-	for _, name := range order {
-		if tried[name] {
-			continue
-		}
-		tried[name] = true
-		f, err := buildByName(m, name)
-		if err == nil {
-			return f, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("selector: no candidate builds: %w", lastErr)
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/exec"
+	"repro/internal/formats"
 	"repro/internal/gen"
 	"repro/internal/matrix"
 )
@@ -109,7 +110,11 @@ func gateMeasure(m *matrix.CSR, k int) map[string]float64 {
 	x := matrix.RandomVector(m.Cols*k, 31)
 	y := make([]float64, m.Rows*k)
 	for _, name := range device.HostSpec().Formats {
-		f, err := buildByName(m, name)
+		b, ok := formats.Lookup(name)
+		if !ok {
+			continue
+		}
+		f, err := b.Build(m)
 		if err != nil {
 			continue
 		}

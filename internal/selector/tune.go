@@ -47,12 +47,14 @@ var bcsrShapes = []struct {
 // distribution the wide-row inspector reads.
 const vecRowLenSamples = 4096
 
-// autotune runs the parameter sweeps relevant to the named format,
-// consulting (and feeding) the tune cache so each sweep is measured once
-// per (fingerprint, device, k). It returns the winners as the Tuning to
-// build the format with, plus the tuned parameter map for the decision
-// record. A cancelled ctx skips any sweep not yet cached; already-known
-// winners still apply.
+// autotune derives the Tuning to build the named format with, from the
+// parameter groups its builder declares (formats.Builder.Tunables): the
+// timed sweeps consult (and feed) the tune cache so each is measured once
+// per (fingerprint, device, k), and run only on matrices large enough to
+// time; the wide-row cutoff is derived from the row lengths, never timed.
+// It also returns the swept parameter map for the decision record. A
+// cancelled ctx skips any sweep not yet cached; already-known winners
+// still apply.
 func autotune(ctx context.Context, m *matrix.CSR, name, dev string, k, sampleRows int, tc *cache.TuneCache) (formats.Tuning, map[string]string) {
 	var t formats.Tuning
 	tuned := make(map[string]string)
@@ -79,17 +81,21 @@ func autotune(ctx context.Context, m *matrix.CSR, name, dev string, k, sampleRow
 		return v
 	}
 
-	if name == "BCSR" {
-		shape := sweep(ParamBCSRBlock, func() string { return tuneBCSRShape(ctx, m, k, sampleRows) })
+	timed := m.NNZ() >= autoProbeMinNNZ
+	if timed && b.Tunables&formats.TuneBlock != 0 {
+		shape := sweep(ParamBCSRBlock, func() string { return tuneBlockShape(ctx, m, b, k, sampleRows) })
 		if shape != "" && shape != "2x2" {
 			if br, bc, err := parseBlockShape(shape); err == nil {
 				t.BlockR, t.BlockC = br, bc
 			}
 		}
 	}
-	if b.WideTiles && k >= 8 && simd.Enabled() && simd.Width() >= 8 {
+	if timed && b.Tunables&formats.TuneTiles != 0 && k >= 8 && simd.Enabled() && simd.Width() >= 8 {
 		tile := sweep(ParamSpMMTile, func() string { return tuneSpMMTile(ctx, m, b, t, k, sampleRows) })
 		t.NarrowTiles = tile == "4"
+	}
+	if b.Tunables&formats.TuneWideRows != 0 {
+		t.WideRowMin = vecWideRowMinFor(m)
 	}
 	return t, tuned
 }
@@ -105,10 +111,10 @@ func parseBlockShape(s string) (br, bc int, err error) {
 	return br, bc, nil
 }
 
-// tuneBCSRShape times each block geometry on the row-sampled sub-matrix
+// tuneBlockShape times each block geometry on the row-sampled sub-matrix
 // (the probe harness: warmed runs, adaptive iteration, min over rounds)
 // and returns the winner's name, or "" when no shape builds.
-func tuneBCSRShape(ctx context.Context, m *matrix.CSR, k, sampleRows int) string {
+func tuneBlockShape(ctx context.Context, m *matrix.CSR, b formats.Builder, k, sampleRows int) string {
 	sub := m.RowSample(sampleRows)
 	x := matrix.RandomVector(sub.Cols*k, 9001)
 	y := make([]float64, sub.Rows*k)
@@ -118,7 +124,7 @@ func tuneBCSRShape(ctx context.Context, m *matrix.CSR, k, sampleRows int) string
 		if ctx.Err() != nil {
 			break
 		}
-		f, err := formats.NewBCSR(sub, s.br, s.bc)
+		f, err := b.BuildTuned(sub, formats.Tuning{BlockR: s.br, BlockC: s.bc})
 		if err != nil {
 			continue // fill-ratio cap refused this geometry on the sample
 		}

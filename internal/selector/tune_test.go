@@ -54,11 +54,9 @@ func TestBuildAutoTuneRecordsChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := a.Choice()
-	switch a.Unwrap().(type) {
-	case *formats.VecCSR, *formats.InspectorCSR:
-		if a.Unwrap().Traits().Vectorizable && (c.VecWideRowMin < 128 || c.VecWideRowMin > 512) {
-			t.Errorf("VecWideRowMin = %d, want within [128, 512]", c.VecWideRowMin)
-		}
+	if b, _ := formats.Lookup(a.Chosen()); b.Tunables&formats.TuneWideRows != 0 &&
+		a.Unwrap().Traits().Vectorizable && (c.VecWideRowMin < 128 || c.VecWideRowMin > 512) {
+		t.Errorf("VecWideRowMin = %d, want within [128, 512]", c.VecWideRowMin)
 	}
 	// Whatever was tuned must round-trip the cached decision path too.
 	dc := cache.NewDecisionCache()
@@ -112,5 +110,30 @@ func TestVecWideRowMinFor(t *testing.T) {
 	}
 	if got := vecWideRowMinFor(&matrix.CSR{}); got != 0 {
 		t.Errorf("empty matrix: cutoff = %d, want 0", got)
+	}
+}
+
+// TestBuildServesDefaultWhenTunedShapeRefused: a journaled block shape the
+// full matrix refuses must leave the default build served and nothing
+// recorded as tuned, so the decision record never claims parameters the
+// instance does not have.
+func TestBuildServesDefaultWhenTunedShapeRefused(t *testing.T) {
+	m := matrix.Tridiagonal(20000, 2, -1) // 16x16 blocks fill 16x > MaxBCSRFillRatio
+	tc := cache.NewTuneCache()
+	tc.Put(cache.TuneKey{Fingerprint: m.Fingerprint(), Device: "host", K: 1, Param: ParamBCSRBlock}, "16x16")
+	choice := formats.AutoChoice{Device: "host"}
+	f, err := build(context.Background(), m, "BCSR", nil, 1, AutoOptions{Tune: true, Tunes: tc}, &choice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(choice.Tuned) != 0 || choice.VecWideRowMin != 0 {
+		t.Errorf("refused tuning recorded as applied: %+v", choice)
+	}
+	want, err := formats.NewBCSR(m, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Bytes() != want.Bytes() {
+		t.Errorf("served instance is not the default 2x2 build: %d bytes, want %d", f.Bytes(), want.Bytes())
 	}
 }

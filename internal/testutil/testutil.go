@@ -63,15 +63,10 @@ func Reassoc(name string) bool {
 
 // EqualOrClose compares two product vectors under the dispatch-equivalence
 // policy: bit-for-bit equality, except that formats in the reassociation
-// set (see Reassoc) get a 1e-12 relative tolerance. A reassociated sum's
-// rounding error scales with the magnitude of its terms, not of its
-// (possibly cancelled) result, so the tolerance is relative to the larger
-// of the element and the vector's largest entry — element-relative alone
-// trips on one heavily cancelled row for roughly one x vector in fifteen.
-// On failure it returns the first offending index and false.
+// set (see Reassoc) get a 1e-12 relative tolerance. On failure it returns
+// the first offending index and false.
 func EqualOrClose(name string, got, want []float64) (int, bool) {
 	reassoc := Reassoc(name)
-	norm := -1.0 // largest |want|, computed on the first inexact element
 	for i := range got {
 		if got[i] == want[i] {
 			continue
@@ -79,14 +74,8 @@ func EqualOrClose(name string, got, want []float64) (int, bool) {
 		if !reassoc {
 			return i, false
 		}
-		if norm < 0 {
-			norm = 0
-			for _, w := range want {
-				norm = math.Max(norm, math.Abs(w))
-			}
-		}
 		diff := math.Abs(got[i] - want[i])
-		scale := math.Max(math.Max(math.Abs(got[i]), math.Abs(want[i])), norm)
+		scale := math.Max(math.Abs(got[i]), math.Abs(want[i]))
 		if diff > 1e-12*scale {
 			return i, false
 		}
