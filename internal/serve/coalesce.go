@@ -24,16 +24,18 @@ const (
 	DefaultMaxBatch = 8
 )
 
-// pending is one admitted multiply waiting for its batch to flush.
+// pending is one admitted multiply waiting for its batch to flush. The
+// flush reads x and writes y until it has sent on done, whether or not the
+// caller is still waiting (codec.go has the ownership rule).
 type pending struct {
-	x    []float64
+	x, y []float64
 	ctx  context.Context
 	done chan batchResult // buffered: a flush never blocks on a gone caller
 }
 
-// batchResult is what a flush delivers to each request of its batch.
+// batchResult is what a flush delivers to each request of its batch; the
+// product is already in the request's y.
 type batchResult struct {
-	y     []float64
 	batch int // how many requests the serving kernel call carried
 	err   error
 }
@@ -113,8 +115,21 @@ func NewCoalescer(base context.Context, f formats.Format, window time.Duration, 
 // mismatched vector length with formats.ErrDimension — the serving layer
 // maps it to a typed 400, never a 500.
 func (c *Coalescer) Multiply(ctx context.Context, x []float64) ([]float64, int, error) {
+	y := make([]float64, c.rows)
+	batch, _, err := c.multiplyInto(ctx, y, x)
+	if err != nil {
+		return nil, 0, err
+	}
+	return y, batch, nil
+}
+
+// multiplyInto is Multiply into the caller's y (len rows). released
+// reports that the coalescer is finished with x and y; it is false only
+// when the caller left on ctx.Done() while its batch was still gathering
+// or in flight, and then the flush may yet read x and write y.
+func (c *Coalescer) multiplyInto(ctx context.Context, y, x []float64) (batch int, released bool, err error) {
 	if len(x) != c.cols {
-		return nil, 0, fmt.Errorf("%w: x has %d entries, matrix has %d columns",
+		return 0, true, fmt.Errorf("%w: x has %d entries, matrix has %d columns",
 			formats.ErrDimension, len(x), c.cols)
 	}
 
@@ -124,22 +139,18 @@ func (c *Coalescer) Multiply(ctx context.Context, x []float64) ([]float64, int, 
 		closed := c.closed
 		c.mu.Unlock()
 		if closed {
-			return nil, 0, ErrShuttingDown
+			return 0, true, ErrShuttingDown
 		}
 		c.requests.Add(1)
 		c.batches.Add(1)
-		y := make([]float64, c.rows)
-		if err := c.f.Apply(ctx, y, x, 1, exec.MaxWorkers()); err != nil {
-			return nil, 0, err
-		}
-		return y, 1, nil
+		return 1, true, c.f.Apply(ctx, y, x, 1, exec.MaxWorkers())
 	}
 
-	p := &pending{x: x, ctx: ctx, done: make(chan batchResult, 1)}
+	p := &pending{x: x, y: y, ctx: ctx, done: make(chan batchResult, 1)}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, 0, ErrShuttingDown
+		return 0, true, ErrShuttingDown
 	}
 	c.requests.Add(1)
 	c.batch = append(c.batch, p)
@@ -158,9 +169,9 @@ func (c *Coalescer) Multiply(ctx context.Context, x []float64) ([]float64, int, 
 
 	select {
 	case r := <-p.done:
-		return r.y, r.batch, r.err
+		return r.batch, true, r.err
 	case <-ctx.Done():
-		return nil, 0, ctx.Err()
+		return 0, false, ctx.Err()
 	}
 }
 
@@ -218,12 +229,8 @@ func (c *Coalescer) flush(b []*pending) {
 		// A lone request keeps its own context end to end: nothing shares
 		// its kernel call, so its cancellation may cancel the sweep.
 		p := b[0]
-		y := make([]float64, c.rows)
-		err := c.f.Apply(c.mergedCtx(p.ctx), y, p.x, 1, exec.MaxWorkers())
-		if err != nil {
-			y = nil
-		}
-		p.done <- batchResult{y: y, batch: 1, err: err}
+		err := c.f.Apply(c.mergedCtx(p.ctx), p.y, p.x, 1, exec.MaxWorkers())
+		p.done <- batchResult{batch: 1, err: err}
 		return
 	}
 	// Gather into the kernel's row-major X[col*k+t] with col as the outer
@@ -250,18 +257,14 @@ func (c *Coalescer) flush(b []*pending) {
 	}
 	// Scatter with the same orientation: sequential read of Y[r*k+t],
 	// k sequential write streams.
-	outs := make([][]float64, k)
-	for t := range outs {
-		outs[t] = make([]float64, c.rows)
-	}
 	for r := 0; r < c.rows; r++ {
 		base := r * k
-		for t := range outs {
-			outs[t][r] = y[base+t]
+		for t, p := range b {
+			p.y[r] = y[base+t]
 		}
 	}
-	for t, p := range b {
-		p.done <- batchResult{y: outs[t], batch: k, err: nil}
+	for _, p := range b {
+		p.done <- batchResult{batch: k}
 	}
 	c.putBlock(x)
 	c.putBlock(y)

@@ -44,6 +44,18 @@ func almostEqual(a, b []float64) bool {
 	return true
 }
 
+// waitAdmitted blocks until the coalescer has admitted n requests.
+func waitAdmitted(t *testing.T, co *Coalescer, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for co.Stats().Requests < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests admitted", co.Stats().Requests, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // Eight concurrent requests under a generous window must coalesce into
 // one fused kernel call, and every caller must get the same answer the
 // scalar reference gives for its own vector.
@@ -141,6 +153,72 @@ func TestCoalescerDirectPath(t *testing.T) {
 	}
 }
 
+// Multiply's answers are the kernel's own bits on every path a request can
+// take — lone behind the window, fused in a full batch, coalescing off,
+// flushed by the drain — now that the kernel and the scatter write into the
+// caller's vector.
+func TestCoalescerMultiplyBitExact(t *testing.T) {
+	m := testMatrix(t)
+	f := formats.NewCSR(m)
+	const n = 4
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = matrix.RandomVector(m.Cols, int64(40+i))
+	}
+	// together sends every vector at once and returns the answers.
+	together := func(co *Coalescer, admitted func()) [][]float64 {
+		ys := make([][]float64, n)
+		var wg sync.WaitGroup
+		for i := range xs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				y, batch, err := co.Multiply(context.Background(), xs[i])
+				if err != nil || batch != n {
+					t.Errorf("request %d: batch %d, %v", i, batch, err)
+				}
+				ys[i] = y
+			}()
+		}
+		if admitted != nil {
+			waitAdmitted(t, co, n)
+			admitted()
+		}
+		wg.Wait()
+		return ys
+	}
+	fused := kernelColumns(t, f, xs)
+
+	for name, co := range map[string]*Coalescer{
+		"lone": NewCoalescer(context.Background(), f, time.Millisecond, 8),
+		"off":  NewCoalescer(context.Background(), f, 0, 8),
+	} {
+		y, batch, err := co.Multiply(context.Background(), xs[0])
+		if err != nil || batch != 1 {
+			t.Fatalf("%s: batch %d, %v", name, batch, err)
+		}
+		if want := kernelColumns(t, f, xs[:1])[0]; !bitsEqual(y, want) {
+			t.Fatalf("%s: answer differs from the single-vector kernel's", name)
+		}
+		co.Close()
+	}
+
+	full := NewCoalescer(context.Background(), f, time.Hour, n)
+	for i, y := range together(full, nil) {
+		if !bitsEqual(y, fused[i]) {
+			t.Fatalf("full batch: answer %d differs from the fused kernel's column", i)
+		}
+	}
+	full.Close()
+
+	drained := NewCoalescer(context.Background(), f, time.Hour, 64)
+	for i, y := range together(drained, drained.Close) {
+		if !bitsEqual(y, fused[i]) {
+			t.Fatalf("drain: answer %d differs from the fused kernel's column", i)
+		}
+	}
+}
+
 // A mismatched vector is refused at admission with the typed dimension
 // error — the single error table maps it to 400, never 500.
 func TestCoalescerDimensionMismatch(t *testing.T) {
@@ -219,14 +297,7 @@ func TestCoalescerCloseDrainsPendingBatch(t *testing.T) {
 			outs <- out{y, err}
 		}(i)
 	}
-	// Wait until all n are actually gathered before draining.
-	deadline := time.Now().Add(5 * time.Second)
-	for co.Stats().Requests < n {
-		if time.Now().After(deadline) {
-			t.Fatal("requests never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitAdmitted(t, co, n) // all n gathered before draining
 	co.Close()
 
 	for i := 0; i < n; i++ {
@@ -300,13 +371,7 @@ func TestCoalescerBaseCancelUnblocksWaiters(t *testing.T) {
 		_, _, err := co.Multiply(base, matrix.RandomVector(m.Cols, 1))
 		errc <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for co.Stats().Requests < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitAdmitted(t, co, 1)
 	abort()
 	select {
 	case err := <-errc:

@@ -58,12 +58,16 @@ func StatusOf(err error) (status int, code string) {
 		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound, "not_found"
+	case errors.Is(err, ErrTooLarge):
+		return http.StatusRequestEntityTooLarge, "body_too_large"
 	case errors.Is(err, ErrNotUpdatable):
 		return http.StatusConflict, "not_updatable"
 	case errors.Is(err, ErrConflict):
 		return http.StatusConflict, "fingerprint_conflict"
 	case errors.Is(err, formats.ErrBuild):
 		return http.StatusUnprocessableEntity, "unbuildable"
+	case errors.Is(err, ErrNonFinite):
+		return http.StatusUnprocessableEntity, "non_finite_result"
 	case errors.Is(err, ErrShuttingDown):
 		return http.StatusServiceUnavailable, "shutting_down"
 	case errors.Is(err, context.DeadlineExceeded):

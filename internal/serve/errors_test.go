@@ -26,9 +26,11 @@ func TestStatusOfTable(t *testing.T) {
 		{fmt.Errorf("%w: shape -1x10", gen.ErrParams), 400, "invalid_generator"},
 		{fmt.Errorf("%w: bad json", ErrBadRequest), 400, "bad_request"},
 		{fmt.Errorf("%w: 0123456789abcdef", ErrNotFound), 404, "not_found"},
+		{fmt.Errorf("%w: 99 bytes declared, limit 64", ErrTooLarge), 413, "body_too_large"},
 		{ErrNotUpdatable, 409, "not_updatable"},
 		{ErrConflict, 409, "fingerprint_conflict"},
 		{fmt.Errorf("%w: ELL too wide", formats.ErrBuild), 422, "unbuildable"},
+		{fmt.Errorf("%w: y[3] = +Inf", ErrNonFinite), 422, "non_finite_result"},
 		{ErrShuttingDown, 503, "shutting_down"},
 		{context.DeadlineExceeded, 504, "deadline_exceeded"},
 		{context.Canceled, StatusCanceled, "canceled"},

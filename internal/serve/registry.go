@@ -55,6 +55,16 @@ type Hosted struct {
 	surface  formats.Format    // what multiplies dispatch on (auto or upd)
 	chosenAt string            // format chosen at build; updatables drift
 	co       *Coalescer
+	bufs     sync.Pool // *multiplyBufs sized for this matrix
+}
+
+// getBufs leases a multiply working set: x with room for every column, y
+// with an entry per row.
+func (h *Hosted) getBufs() *multiplyBufs {
+	if b, ok := h.bufs.Get().(*multiplyBufs); ok {
+		return b
+	}
+	return &multiplyBufs{x: make([]float64, 0, h.co.cols), y: make([]float64, h.co.rows)}
 }
 
 // FP returns the fingerprint key clients address this matrix by

@@ -13,7 +13,7 @@ import (
 	"repro/internal/session"
 )
 
-func memSession(t *testing.T) *session.Session {
+func memSession(t testing.TB) *session.Session {
 	t.Helper()
 	s, err := session.New(session.Options{})
 	if err != nil {
@@ -22,7 +22,7 @@ func memSession(t *testing.T) *session.Session {
 	return s
 }
 
-func mmBody(t *testing.T, m *matrix.CSR) string {
+func mmBody(t testing.TB, m *matrix.CSR) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := matrix.WriteMatrixMarket(&buf, m); err != nil {

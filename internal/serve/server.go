@@ -7,13 +7,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -183,22 +184,43 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // writeEnvelope emits the uniform response shape with StatusOf's status.
 func writeEnvelope(w http.ResponseWriter, data any, err error) {
-	status, code := StatusOf(err)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	env := envelope{OK: err == nil, Data: data}
-	if err != nil {
-		env.Error = &wireError{Code: code, Message: err.Error()}
-	}
-	json.NewEncoder(w).Encode(env)
+	status, _ := StatusOf(err)
+	writeEnvelopeStatus(w, status, data, err)
 }
 
-// decodeBody decodes a JSON request body, mapping failures to the typed
-// bad request (size-capped: matrices arrive inline).
-func decodeBody(r *http.Request, dst any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<30))
+// writeEnvelopeStatus marshals the envelope before the header goes out, so
+// data that JSON cannot carry answers a typed 500 and not the promised
+// status over an empty body.
+func writeEnvelopeStatus(w http.ResponseWriter, status int, data any, err error) {
+	env := envelope{OK: err == nil, Data: data}
 	if err != nil {
-		return fmt.Errorf("%w: read body: %v", ErrBadRequest, err)
+		_, code := StatusOf(err)
+		env.Error = &wireError{Code: code, Message: err.Error()}
+	}
+	var buf bytes.Buffer
+	if merr := json.NewEncoder(&buf).Encode(env); merr != nil {
+		// An error envelope is two strings and always marshals.
+		writeEnvelope(w, nil, fmt.Errorf("encode response: %w", merr))
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends one complete JSON response.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body) // a failed write means the client is gone
+}
+
+// decodeBody decodes a JSON request body of the upload or cells endpoint
+// (matrices arrive inline, hence the bound), mapping failures to the typed
+// bad request.
+func decodeBody(r *http.Request, dst any) error {
+	body, err := readBody(r, nil, maxBodyBytes)
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(body, dst); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -225,9 +247,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusCreated
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(envelope{OK: true, Data: UploadResponse{Info: h.Info(), Created: created}})
+	writeEnvelopeStatus(w, status, UploadResponse{Info: h.Info(), Created: created}, nil)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -257,17 +277,34 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		writeEnvelope(w, nil, err)
 		return
 	}
-	var req MultiplyRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeEnvelope(w, nil, err)
-		return
+	b := h.getBufs()
+	if serveMultiply(w, r, h.co, b) {
+		h.bufs.Put(b)
 	}
-	y, batch, err := h.co.Multiply(r.Context(), req.X)
+}
+
+// serveMultiply answers one multiply out of the working set b and reports
+// whether b may be reused (the ownership rule in codec.go).
+func serveMultiply(w http.ResponseWriter, r *http.Request, co *Coalescer, b *multiplyBufs) bool {
+	var err error
+	limit := int64(co.cols)*multiplyBytesPerCol + multiplyBodySlack
+	if b.body, err = readBody(r, b.body, limit); err == nil {
+		b.x, err = DecodeMultiplyRequest(b.x, b.body, co.cols)
+	}
 	if err != nil {
 		writeEnvelope(w, nil, err)
-		return
+		return true
 	}
-	writeEnvelope(w, MultiplyResponse{Y: y, Batch: batch}, nil)
+	batch, released, err := co.multiplyInto(r.Context(), b.y, b.x)
+	if err == nil {
+		b.resp, err = AppendMultiplyResponse(b.resp[:0], b.y, batch)
+	}
+	if err != nil {
+		writeEnvelope(w, nil, err)
+		return released
+	}
+	writeBody(w, http.StatusOK, b.resp)
+	return true
 }
 
 func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {

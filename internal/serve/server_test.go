@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -183,6 +185,69 @@ func TestServerEndToEnd(t *testing.T) {
 	status, _ = call(t, "GET", base+"/v1/matrices/"+fp, nil)
 	if status != 404 {
 		t.Fatalf("get after delete: %d, want 404", status)
+	}
+}
+
+// post sends a raw body and decodes the envelope. declared=false hides the
+// length from the client so the body goes out chunked.
+func post(t *testing.T, url string, body []byte, declared bool) (int, envelope) {
+	t.Helper()
+	var rd io.Reader = bytes.NewReader(body)
+	if !declared {
+		rd = io.MultiReader(rd)
+	}
+	resp, err := http.Post(url, "application/json", rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	var env envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatalf("POST %s: status %d, undecodable envelope %q: %v", url, resp.StatusCode, raw, err)
+	}
+	return resp.StatusCode, env
+}
+
+// The multiply path's two typed refusals over real HTTP. A product with an
+// infinite entry has no JSON form: it must answer 422 with the envelope,
+// not 200 with an empty body. A body larger than any x for the hosted
+// matrix could be must answer 413 — refused from Content-Length when the
+// client declared one, from the bytes when it did not — not be read whole.
+func TestServerMultiplyTypedRefusals(t *testing.T) {
+	s, base := bootServer(t, DefaultConfig())
+	defer s.Shutdown(context.Background())
+
+	status, env := call(t, "POST", base+"/v1/matrices", UploadSpec{
+		MatrixMarket: "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 100\n2 2 100\n"})
+	if status != 201 {
+		t.Fatalf("upload: %d %+v", status, env)
+	}
+	var up UploadResponse
+	remarshal(t, env.Data, &up)
+	url := base + "/v1/matrices/" + up.Info.Fingerprint + "/multiply"
+
+	status, env = post(t, url, []byte(`{"x":[1e308,1]}`), true)
+	if status != 422 || env.OK || env.Error == nil || env.Error.Code != "non_finite_result" {
+		t.Fatalf("overflowing product: %d %+v, want 422 non_finite_result", status, env)
+	}
+
+	// Valid JSON, right-sized x, and a member that makes the body larger
+	// than two columns can need.
+	big := []byte(`{"x":[1,2],"pad":"` + strings.Repeat("a", 2*multiplyBytesPerCol+multiplyBodySlack) + `"}`)
+	for _, declared := range []bool{true, false} {
+		status, env = post(t, url, big, declared)
+		if status != 413 || env.OK || env.Error == nil || env.Error.Code != "body_too_large" {
+			t.Fatalf("oversized body (declared=%v): %d %+v, want 413 body_too_large", declared, status, env)
+		}
+	}
+
+	// The matrix still answers, and the envelope carries a length.
+	status, env = post(t, url, []byte(` {"x":[1,-2],"note":null} `), true)
+	var mr MultiplyResponse
+	remarshal(t, env.Data, &mr)
+	if status != 200 || len(mr.Y) != 2 || mr.Y[0] != 100 || mr.Y[1] != -200 {
+		t.Fatalf("multiply after refusals: %d %+v", status, env)
 	}
 }
 
