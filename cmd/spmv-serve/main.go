@@ -44,7 +44,8 @@
 //	POST   /v1/matrices/{fp}/multiply    {"x": [...]} -> {"y": [...], "batch": n}
 //	POST   /v1/matrices/{fp}/cells       [{"row","col","val"|"delete"}] on
 //	                                     an updatable host
-//	GET    /v1/stats                     per-matrix batching + totals
+//	GET    /v1/stats                     per-matrix batching + totals, and the
+//	                                     engine's per-shard dispatch counters
 //
 // SIGINT/SIGTERM drain gracefully: accepted requests get a result or a
 // typed cancellation (HTTP 499) before the process exits; none hang.

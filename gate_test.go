@@ -10,6 +10,8 @@ package spmv_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -155,5 +157,69 @@ func TestFailpointOverheadBudget(t *testing.T) {
 	t.Logf("multiply min-of-9: failpoints off %v, armed-empty %v", off, on)
 	if limit := off + off/50; on > limit {
 		t.Errorf("armed failpoint hooks cost %v vs %v disabled (> 2%% budget)", on, off)
+	}
+}
+
+// TestParallelNotSlowerThanSerialGate is the acceptance gate for the hot
+// handoff: on the cache-resident tier matrix where dispatch cost rivals
+// the kernel (8000^2 x 10 nnz/row, the trajectory benchmark's lib-small),
+// a closed loop of two-worker multiplies must not lose to the same loop
+// on one worker. With a parked-only handoff it did, by the wake each
+// multiply paid. It needs two real CPUs, and runs at the host's own
+// GOMAXPROCS and worker cap.
+func TestParallelNotSlowerThanSerialGate(t *testing.T) {
+	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
+		t.Skipf("needs 2 CPUs, have NumCPU %d and GOMAXPROCS %d", runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	m, err := spmv.Generate(spmv.GeneratorParams{
+		Rows: 8000, Cols: 8000, AvgNNZPerRow: 10, StdNNZPerRow: 2.5,
+		SkewCoeff: 4, BWScaled: 0.3, CrossRowSim: 0.4, AvgNumNeigh: 0.8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := spmv.FormatByName("MKL-IE")
+	f, err := b.Build(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, m.Cols)
+	y := make([]float64, m.Rows)
+	for i := range x {
+		x[i] = 1
+	}
+	ctx := context.Background()
+	// p50 of a closed loop, after 100 ms of the same loop: the workers take
+	// a few dozen milliseconds to settle on their own CPUs and stay hot.
+	loop := func(workers int) time.Duration {
+		const calls = 4000
+		lat := make([]time.Duration, 0, calls)
+		for warm := time.Now(); time.Since(warm) < 100*time.Millisecond; {
+			if err := f.Apply(ctx, y, x, 1, workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < calls; i++ {
+			start := time.Now()
+			if err := f.Apply(ctx, y, x, 1, workers); err != nil {
+				t.Fatal(err)
+			}
+			lat = append(lat, time.Since(start))
+		}
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		return lat[calls/2]
+	}
+	// One retry absorbs a noisy neighbour; a handoff that pays a wake per
+	// multiply loses both times.
+	for attempt := 1; ; attempt++ {
+		serial, parallel := loop(1), loop(2)
+		t.Logf("attempt %d: p50 serial %v, two workers %v (%.2fx)", attempt, serial, parallel,
+			float64(parallel)/float64(serial))
+		if parallel <= serial+serial/20 {
+			return
+		}
+		if attempt == 2 {
+			t.Fatalf("two workers p50 %v vs serial %v twice: > 1.05x", parallel, serial)
+		}
 	}
 }

@@ -335,7 +335,7 @@ func TestNativeExperimentSmall(t *testing.T) {
 
 func TestShardReport(t *testing.T) {
 	r := ShardReport()
-	if r.ID != "shards" || len(r.Header) != 6 {
+	if r.ID != "shards" || len(r.Header) != 9 {
 		t.Fatalf("shard report shape: id=%q header=%v", r.ID, r.Header)
 	}
 	if len(r.Rows) < 1 {

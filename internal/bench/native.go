@@ -66,20 +66,24 @@ func RunNative(o Options) []*Report {
 // ShardReport snapshots the execution engine's per-shard dispatch counters
 // as a report, the observability surface `spmv-bench` appends to its table
 // and -json output: which shard served how many dispatches, how many calls
-// gang-scheduled across shards, cumulative busy wall time per shard, and
-// how often every shard was busy and a call fell back to spawned
-// goroutines.
+// gang-scheduled across shards, cumulative busy wall time per shard, how
+// the lanes posted to its workers were taken (by a polling worker, by a
+// parked one, or back by the caller), and how often every shard was busy
+// and a call fell back to spawned goroutines.
 func ShardReport() *Report {
 	st := exec.Stats()
 	r := &Report{
-		ID:     "shards",
-		Title:  fmt.Sprintf("Execution engine dispatch over %d pool shard(s)", len(st.Shards)),
-		Header: []string{"shard", "domain", "workers", "runs", "gang_runs", "busy_s"},
+		ID:    "shards",
+		Title: fmt.Sprintf("Execution engine dispatch over %d pool shard(s)", len(st.Shards)),
+		Header: []string{"shard", "domain", "workers", "runs", "gang_runs", "busy_s",
+			"hot_handoffs", "parked_wakes", "caller_claims"},
 	}
 	for _, s := range st.Shards {
 		r.AddRow(fmt.Sprintf("%d", s.Shard), fmt.Sprintf("%d", s.Domain),
 			fmt.Sprintf("%d", s.Workers), fmt.Sprintf("%d", s.Runs),
-			fmt.Sprintf("%d", s.GangRuns), fmt.Sprintf("%.4f", s.Busy.Seconds()))
+			fmt.Sprintf("%d", s.GangRuns), fmt.Sprintf("%.4f", s.Busy.Seconds()),
+			fmt.Sprintf("%d", s.HotHandoffs), fmt.Sprintf("%d", s.ParkedWakes),
+			fmt.Sprintf("%d", s.CallerClaims))
 	}
 	r.AddNote("topology: %d domain(s); shard count resolves SetShards > SPMV_SHARDS > detected domains",
 		topo.NumDomains())

@@ -12,13 +12,19 @@
 // execute many times.
 //
 // Four mechanisms deliver steady-state calls with zero scheduling work and
-// at most one allocation (the kernel closure):
+// no allocation:
 //
-//   - Pool: worker goroutines park on per-worker wake channels and are
-//     reused across calls. Waking a parked worker is a channel send, an
-//     order of magnitude cheaper than spawning, and produces no garbage.
-//     The caller participates as worker 0, so a pool dispatch of n shards
-//     wakes only n-1 workers.
+//   - Pool: worker goroutines are reused across calls and take their lanes
+//     from per-worker atomic slots. A worker that has just finished a lane
+//     polls its slot for spinBudget before it parks, so the closed loop of
+//     an iterative solver hands each lane to a running worker: measured on
+//     a 2-vCPU KVM guest, a 2-lane round trip with 50 us of work per lane
+//     takes 50.5 us onto a polling worker and 113 us onto a parked one,
+//     which is no better than running both lanes on the caller (spawning
+//     costs as much, and allocates). The caller participates as worker 0
+//     and, once its own lane is done, runs every posted lane no worker has
+//     taken yet, so a dispatch onto parked workers costs at most the
+//     serial time.
 //   - Engine/Grant: the process-wide engine owns one pool shard per
 //     topology domain (internal/topo; override with SPMV_SHARDS or
 //     topo.SetShards). A call Acquires a grant, which routes it round-robin
@@ -38,9 +44,9 @@
 //     whose row ranges are computed within each domain's contiguous slice
 //     of the matrix (sched.DomainSplit).
 //   - Workers: a serial fast-path cutoff. Parallelism below MinGrain work
-//     items per worker costs more in wake latency than it saves, and worker
-//     counts beyond the machine's parallelism only add overhead, so tiny
-//     kernels run inline on the caller.
+//     items per worker costs more in handoff latency than it saves, and
+//     worker counts beyond the machine's parallelism only add overhead, so
+//     tiny kernels run inline on the caller.
 //
 // On multi-domain machines each shard's workers lock their OS threads and
 // pin to the shard's domain CPUs (best effort, Linux sched_setaffinity), so
@@ -53,15 +59,71 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/failpoint"
 )
 
 // MinGrain is the minimum number of work items (nonzeros, padded slots)
-// per worker below which the engine shrinks the worker count: waking a
-// worker costs on the order of a microsecond, which a sub-4k-item shard
-// cannot amortize.
+// per worker below which the engine shrinks the worker count. A lane of
+// 4k items is a few microseconds of kernel. Handing it to a polling worker
+// costs under a microsecond, which it amortizes. A parked worker adds
+// about 60 us to the round trip (see spinBudget), which it does not; there
+// the caller's claim of unstarted lanes bounds the dispatch at the serial
+// time.
 const MinGrain = 4096
+
+// spinBudget is how long a worker polls its slot after a lane before it
+// parks, and how long a dispatcher polls for completion before it blocks.
+// It is what a parked worker costs a dispatch, rounded up: on a 2-vCPU KVM
+// guest a 2-lane round trip with 50 us of work per lane takes 113 us onto
+// a parked worker and 50.5 us onto a polling one. Polling for as long as
+// the wake it avoids costs is the 2-competitive spin-then-block rule: a
+// worker never burns more than twice what parking at once would have. It
+// is a constant, not a setting: the wake it is measured against is a
+// property of the scheduler and the host's idle states, not of a workload.
+const spinBudget = 100 * time.Microsecond
+
+// spinBatch is how many polls separate two readings of the clock.
+const spinBatch = 64
+
+// A lane slot holds the id posted to its worker (>= 1: id 0 is always the
+// caller's), or one of these.
+const (
+	laneEmpty  = 0  // nothing posted; the worker is running or polling
+	laneParked = -1 // the worker blocks on its wake channel until a token arrives
+)
+
+// lane is one worker's handoff slot, padded so that a polling worker shares
+// its cache line with no other worker.
+type lane struct {
+	slot atomic.Int64
+	_    [56]byte
+}
+
+// await returns the next lane id posted to the slot, polling for up to
+// spinBudget when spin is set. A return of 0 means nothing came and the
+// slot now reads laneParked.
+func (ln *lane) await(spin bool) int64 {
+	var start time.Time
+	if spin {
+		start = time.Now()
+	}
+	for polls := 1; ; polls++ {
+		if id := ln.slot.Load(); id > 0 {
+			if ln.slot.CompareAndSwap(id, laneEmpty) {
+				return id
+			}
+			continue // the dispatcher claimed it back
+		}
+		if spin && (polls%spinBatch != 0 || time.Since(start) < spinBudget) {
+			continue
+		}
+		if ln.slot.CompareAndSwap(laneEmpty, laneParked) {
+			return 0
+		}
+	}
+}
 
 // maxWorkers caps the worker count kernels actually use; 0 means
 // runtime.GOMAXPROCS(0). Tests raise it to exercise parallel paths on
@@ -111,11 +173,30 @@ type Pool struct {
 	mu      sync.Mutex // held for the duration of one dispatch
 	started bool
 	closed  bool
-	size    int // parked workers; excludes the caller
+	size    int // pool workers; excludes the caller
 	pin     func()
 	work    func(w int)
-	wake    []chan int    // wake[i] carries the shard id worker i runs
-	done    chan struct{} // one token per completed shard
+	lanes   []lane          // lanes[i] is worker i's slot
+	wake    []chan struct{} // one token on wake[i] ends worker i's park
+	// done receives one token per dispatch, from whoever retires the last
+	// of its posted lanes.
+	done    chan struct{}
+	pending atomic.Int32 // posted lanes not yet retired
+	// spinners is how many workers poll after a lane of the in-flight
+	// dispatch; those at or above that index park at once, and at 0 nothing
+	// polls, the dispatcher included. It is GOMAXPROCS-1 — with the caller
+	// on one CPU there are only that many left to poll on — when this
+	// dispatch came within spinBudget of the one before, when polling for
+	// the budget would have caught it, and 0 when it came later: a pool
+	// whose dispatches are further apart than the budget would lose every
+	// poll it made.
+	spinners atomic.Int32
+	idle     time.Time   // when the last dispatch drained
+	waiting  atomic.Bool // the dispatcher has blocked on done
+	// How the posted lanes were taken: by a worker that had not parked
+	// since its last lane, by a worker woken from a park, or back by the
+	// dispatcher, which ran them inline.
+	hot, parked, claims atomic.Uint64
 	// panicked holds the first contained lane panic of the in-flight
 	// dispatch: workers recover (so they survive and deliver their done
 	// token) and the dispatcher resurfaces the panic on the calling
@@ -148,19 +229,21 @@ func (p *Pool) ensureStarted() {
 	if p.size <= 0 {
 		p.size = defaultPoolSize()
 	}
-	p.wake = make([]chan int, p.size)
-	p.done = make(chan struct{}, p.size)
+	p.lanes = make([]lane, p.size)
+	p.wake = make([]chan struct{}, p.size)
+	p.done = make(chan struct{}, 1)
 	for i := range p.wake {
-		p.wake[i] = make(chan int, 1)
-		go p.worker(p.wake[i])
+		p.lanes[i].slot.Store(laneParked)
+		p.wake[i] = make(chan struct{}, 1)
+		go p.worker(i, &p.lanes[i], p.wake[i])
 	}
 	p.started = true
 }
 
-// worker parks on its wake channel; each received shard id is one unit of
-// work. The channel is captured at spawn so a later Close (which nils the
-// pool's slices) cannot race with a worker that has not yet been scheduled.
-func (p *Pool) worker(wake <-chan int) {
+// worker i runs the lanes posted to its slot. It starts parked. Slot and
+// channel are captured at spawn so a later Close (which nils the pool's
+// slices) cannot race with a worker that has not yet been scheduled.
+func (p *Pool) worker(i int, ln *lane, wake <-chan struct{}) {
 	if p.pin != nil {
 		// Pinning is per OS thread; locking keeps this worker on the thread
 		// whose affinity was set. The lock is never released, so the thread
@@ -168,10 +251,56 @@ func (p *Pool) worker(wake <-chan int) {
 		runtime.LockOSThread()
 		p.pin()
 	}
-	for id := range wake {
-		p.runShard(id)
-		p.done <- struct{}{}
+	for {
+		// The slot reads laneParked: the poster that replaces it sends the
+		// one token that ends this park, and Close closes the channel.
+		if _, ok := <-wake; !ok {
+			return
+		}
+		woke := true
+		for {
+			id := ln.await(p.spins(i))
+			if id == 0 {
+				break
+			}
+			p.runShard(int(id))
+			if woke {
+				p.parked.Add(1)
+			} else {
+				p.hot.Add(1)
+			}
+			woke = false
+			if !p.spins(i) {
+				// Parked before the lane is retired: nothing is posted to a
+				// slot until its dispatch has drained, so a worker that may
+				// not poll never takes a lane hot.
+				ln.slot.Store(laneParked)
+				p.retire()
+				break
+			}
+			if p.retire() && p.waiting.Load() &&
+				ln.slot.CompareAndSwap(laneEmpty, laneParked) {
+				// That token readied a blocked dispatcher into this worker's
+				// own run queue: parking gives it the CPU now, polling would
+				// sit on it for the budget.
+				break
+			}
+		}
 	}
+}
+
+// spins reports whether worker i polls its slot before parking.
+func (p *Pool) spins(i int) bool { return int32(i) < p.spinners.Load() }
+
+// retire marks one posted lane of the in-flight dispatch finished, and
+// reports whether it was the last: whoever retires the last lane leaves the
+// dispatch's done token.
+func (p *Pool) retire() bool {
+	if p.pending.Add(-1) != 0 {
+		return false
+	}
+	p.done <- struct{}{}
+	return true
 }
 
 // runShard executes one shard id with panic containment: a panicking
@@ -229,69 +358,104 @@ func (p *Pool) runLockedE(n int, f func(w int)) (pe *PanicError) {
 		p.mu.Unlock()
 		return spawnRunE(n, f)
 	}
-	extra := 0
-	defer func() {
-		// Draining in a defer keeps the pool consistent even when a shard
-		// run on the calling goroutine panics: every woken worker's done
-		// token is consumed before the pool unlocks, so stale tokens can
-		// never satisfy a later Run's wait. The contained-panic slot is
-		// harvested before unlocking for the same reason — a later dispatch
-		// must never observe this call's fault.
-		for i := 0; i < extra; i++ {
-			<-p.done
-		}
-		p.work = nil
-		pe = p.panicked.take()
-		p.mu.Unlock()
-	}()
-	p.ensureStarted()
-	if extra = n - 1; extra > p.size {
-		extra = p.size
-	}
-	p.work = f
-	for i := 0; i < extra; i++ {
-		p.wake[i] <- i + 1
-	}
+	posted := 0
+	// Draining in a defer keeps the pool consistent even when a shard run
+	// on the calling goroutine panics: every posted lane is retired before
+	// the pool unlocks, so nothing of this call can reach a later one.
+	defer func() { pe = p.drain(posted) }()
+	posted = p.dispatch(f, 1, n-1)
 	f(0)
-	for w := extra + 1; w < n; w++ {
+	for w := posted + 1; w < n; w++ {
 		f(w)
 	}
 	return
 }
 
-// dispatch wakes up to max (capped at the pool size) workers with the
-// consecutive shard ids lo, lo+1, ... and returns how many it woke, without
-// waiting. The caller must hold p.mu and must later consume exactly that
-// many done tokens via drain. This is the ganged half of a Grant.Run, where
-// the goroutine that waits is executing on another shard.
+// dispatch posts the consecutive lane ids lo, lo+1, ... to up to max
+// workers (capped at the pool size) and returns how many it posted, without
+// waiting. Worker i's id goes into its slot; a worker found parked also
+// gets its token. The caller must hold p.mu and must later drain exactly
+// that many. This is the whole of the handoff for a single-shard Run and
+// for each shard of a ganged Grant.Run alike.
 func (p *Pool) dispatch(f func(w int), lo, max int) int {
 	if p.closed {
 		return 0 // ids fall back to the caller's inline leftover loop
 	}
 	p.ensureStarted()
-	p.work = f
 	k := max
 	if k > p.size {
 		k = p.size
 	}
+	if k <= 0 {
+		return 0
+	}
+	p.work = f
+	p.pending.Store(int32(k))
+	spinners := 0
+	if time.Since(p.idle) < spinBudget {
+		spinners = runtime.GOMAXPROCS(0) - 1
+	}
+	p.spinners.Store(int32(spinners))
 	for i := 0; i < k; i++ {
-		p.wake[i] <- lo + i
+		if p.lanes[i].slot.Swap(int64(lo+i)) == laneParked {
+			// Never blocks: each park is ended by exactly one token, so the
+			// buffer of one is free.
+			select {
+			case p.wake[i] <- struct{}{}:
+			default:
+			}
+		}
 	}
 	return k
 }
 
-// drain consumes k done tokens (matching a prior dispatch), releases the
-// pool, and returns any contained worker-lane panic from the dispatch.
-// The slot is harvested before unlocking so a later dispatch on this pool
-// can never observe this call's fault.
-func (p *Pool) drain(k int) *PanicError {
+// claim takes back every one of the k posted lanes that no worker has
+// taken yet and runs it on the calling goroutine, through runShard like a
+// worker would. A dispatcher calls it once its own lane is done, so lanes
+// posted to workers that are still waking never wait for them.
+func (p *Pool) claim(k int) {
 	for i := 0; i < k; i++ {
-		<-p.done
+		ln := &p.lanes[i]
+		if id := ln.slot.Load(); id > 0 && ln.slot.CompareAndSwap(id, laneEmpty) {
+			p.claims.Add(1)
+			p.runShard(int(id))
+			p.retire()
+		}
+	}
+}
+
+// drain completes a dispatch of k posted lanes: it claims what no worker
+// has taken, waits for the rest — polling for spinBudget, then blocking —
+// releases the pool, and returns any contained lane panic. The slot is
+// harvested before unlocking so a later dispatch on this pool can never
+// observe this call's fault.
+func (p *Pool) drain(k int) *PanicError {
+	if k > 0 {
+		p.claim(k)
+		p.awaitDone()
+		p.idle = time.Now()
 	}
 	p.work = nil
 	pe := p.panicked.take()
 	p.mu.Unlock()
 	return pe
+}
+
+// awaitDone consumes the in-flight dispatch's done token.
+func (p *Pool) awaitDone() {
+	if p.spinners.Load() > 0 {
+		start := time.Now()
+		for polls := 1; polls%spinBatch != 0 || time.Since(start) < spinBudget; polls++ {
+			select {
+			case <-p.done:
+				return
+			default:
+			}
+		}
+	}
+	p.waiting.Store(true)
+	<-p.done
+	p.waiting.Store(false)
 }
 
 // Prestart spins up the parked workers without running work, so the first

@@ -87,23 +87,31 @@ func TestPoolRecoversFromCallerShardPanic(t *testing.T) {
 	}
 }
 
+// TestPoolConcurrentCallers: one caller at a time holds the pool and hands
+// lanes to its workers; the other 63 find it busy and spawn. Every lane of
+// every call runs once either way, and the pool's own lanes are all
+// accounted for.
 func TestPoolConcurrentCallers(t *testing.T) {
+	const callers, runs = 64, 100
 	p := NewPool(2)
 	defer p.Close()
 	var wg sync.WaitGroup
 	var total int64
-	for g := 0; g < 8; g++ {
+	for g := 0; g < callers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
+			for i := 0; i < runs; i++ {
 				p.Run(3, func(int) { atomic.AddInt64(&total, 1) })
 			}
 		}()
 	}
 	wg.Wait()
-	if total != 8*100*3 {
-		t.Fatalf("total %d, want %d", total, 8*100*3)
+	if total != callers*runs*3 {
+		t.Fatalf("total %d, want %d", total, callers*runs*3)
+	}
+	if taken := p.hot.Load() + p.parked.Load() + p.claims.Load(); taken%2 != 0 || taken > callers*runs*2 {
+		t.Fatalf("%d pool lanes taken, want two per pooled call and at most %d", taken, callers*runs*2)
 	}
 }
 

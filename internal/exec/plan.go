@@ -35,13 +35,12 @@ type PlanKey struct {
 // CSR5 segment bases, VSL partial vectors). Building a plan costs one
 // partition computation; executing it costs nothing.
 //
-// Scratch buffers are shared by every call that uses the plan, so kernels
-// that write scratch must hold the plan lock for the duration of the call —
+// Scratch buffers and the lane frame are shared by every call that uses the
+// plan, so a call that writes them must hold the plan lock for its duration —
 // in practice via TryLock, building a private throwaway scratch when
 // another call already holds it, so concurrent invocations with distinct
 // output vectors keep full throughput (the seed behavior) and only pay the
-// allocation when actual contention exists. Kernels without scratch (pure
-// row-range partitions) skip the lock entirely. Shard-keyed plans make
+// allocation when actual contention exists. Shard-keyed plans make
 // that contention rare: two calls only share a plan when they land on the
 // same shard, which the engine's round-robin routing avoids while any
 // shard is idle.
@@ -57,6 +56,11 @@ type Plan struct {
 	DomainOff []int
 	// Scratch holds format-specific per-worker buffers.
 	Scratch any
+	// Frame holds the dispatcher's reusable per-call lane frame — the
+	// arguments its bound lane function reads — so a dispatch on a cached
+	// plan allocates no closure. Like Scratch it belongs to the call
+	// holding the plan lock.
+	Frame any
 
 	mu sync.Mutex
 }

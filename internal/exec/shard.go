@@ -437,21 +437,21 @@ func (g *Grant) runE(n int, off []int, f func(w int)) (pe *PanicError) {
 	// placement (Domains=np, Workers=w) when no range collapses — so each
 	// domain's slice of the matrix is walked by the shard pinned to that
 	// domain. The caller runs id 0 as a lane of the first shard; ids a pool
-	// cannot wake (its parked workers are fewer than its share) are spawned
-	// so they still run concurrently.
+	// cannot post (its workers are fewer than its share) are spawned so
+	// they still run concurrently.
 	var blk [maxGang + 1]int
 	nb := gangBlocks(np, g.workers, n, off, &blk)
 	t0 := time.Now()
 	var ps panicSlot // contained panics from spawned overflow goroutines
-	var woken [maxGang]int
+	var posted [maxGang]int
 	defer func() {
-		// Drain in a defer so a panicking caller shard still consumes every
-		// done token before the pools unlock. Each drain harvests that
+		// Drain in a defer so a panicking caller shard still retires every
+		// posted lane before the pools unlock. Each drain harvests that
 		// pool's contained-panic slot; the first fault across the gang (and
 		// the overflow spawns) is the one reported.
 		for j := 0; j < np; j++ {
 			s := g.pools[j]
-			if p := s.pool.drain(woken[j]); pe == nil {
+			if p := s.pool.drain(posted[j]); pe == nil {
 				pe = p
 			}
 			s.gangRuns.Add(1)
@@ -477,11 +477,11 @@ func (g *Grant) runE(n int, off []int, f func(w int)) (pe *PanicError) {
 		if lo >= hi {
 			continue
 		}
-		woken[j] = g.pools[j].pool.dispatch(f, lo, hi-lo)
-		// Ids of this domain's block beyond the pool's parked workers are
-		// spawned rather than handed to the next shard, so they never run
-		// on another domain's pinned cores.
-		for v := lo + woken[j]; v < hi; v++ {
+		posted[j] = g.pools[j].pool.dispatch(f, lo, hi-lo)
+		// Ids of this domain's block beyond the pool's workers are spawned
+		// rather than handed to the next shard, so they never run on
+		// another domain's pinned cores.
+		for v := lo + posted[j]; v < hi; v++ {
 			spawned.Add(1)
 			go func(v int) {
 				defer spawned.Done()
@@ -495,6 +495,11 @@ func (g *Grant) runE(n int, off []int, f func(w int)) (pe *PanicError) {
 		}
 	}
 	f(0)
+	// Claim across the whole gang before the deferred drains wait on any one
+	// shard of it.
+	for j := 0; j < np; j++ {
+		g.pools[j].pool.claim(posted[j])
+	}
 	spawned.Wait()
 	return
 }
@@ -512,18 +517,27 @@ func (g *Grant) Release() {
 
 // ShardStat is one shard's identity and cumulative dispatch statistics.
 type ShardStat struct {
-	Shard    int           // shard index within the engine
-	Domain   int           // topo domain id the shard's workers prefer
-	Workers  int           // parked workers (the caller adds one lane)
-	Runs     uint64        // single-shard dispatches served
-	GangRuns uint64        // ganged dispatches participated in
-	Busy     time.Duration // cumulative wall time serving dispatches
+	Shard    int           `json:"shard"`     // shard index within the engine
+	Domain   int           `json:"domain"`    // topo domain id the shard's workers prefer
+	Workers  int           `json:"workers"`   // pool workers (the caller adds one lane)
+	Runs     uint64        `json:"runs"`      // single-shard dispatches served
+	GangRuns uint64        `json:"gang_runs"` // ganged dispatches participated in
+	Busy     time.Duration `json:"busy_ns"`   // cumulative wall time serving dispatches
+	// How the lanes posted to this shard's workers were taken. A solver's
+	// closed loop should land almost entirely in HotHandoffs; a shard whose
+	// lanes go to ParkedWakes and CallerClaims sees dispatches further apart
+	// than the workers' polling budget, and pays a wake for each.
+	HotHandoffs  uint64 `json:"hot_handoffs"`  // by a worker that had not parked since its last lane
+	ParkedWakes  uint64 `json:"parked_wakes"`  // by a worker woken from a park
+	CallerClaims uint64 `json:"caller_claims"` // back by the dispatching goroutine, run inline
 }
 
 // EngineStats is a snapshot of the engine's dispatch counters.
 type EngineStats struct {
-	Shards         []ShardStat
-	SpawnFallbacks uint64 // process-wide count of spawned-goroutine fallbacks
+	Shards []ShardStat `json:"shards"`
+	// SpawnFallbacks is the process-wide count of spawned-goroutine
+	// fallbacks.
+	SpawnFallbacks uint64 `json:"spawn_fallbacks"`
 }
 
 // Stats snapshots per-shard dispatch statistics.
@@ -541,6 +555,10 @@ func (e *Engine) Stats() EngineStats {
 			Runs:     s.runs.Load(),
 			GangRuns: s.gangRuns.Load(),
 			Busy:     time.Duration(s.busy.Load()),
+
+			HotHandoffs:  s.pool.hot.Load(),
+			ParkedWakes:  s.pool.parked.Load(),
+			CallerClaims: s.pool.claims.Load(),
 		}
 	}
 	return st

@@ -208,26 +208,66 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 	if d.onePlan {
 		key.Shard, key.Domains = exec.AnyShard, 1
 	}
-	pl := d.plans.Get(key, func(key exec.PlanKey) *exec.Plan { return d.kern.plan(key, k) })
-	if !carried {
-		return g.RunPlanCtx(pl, func(w int) {
-			d.chunkCtx(ctl, y, x, k, pl.Ranges[w].RowLo, pl.Ranges[w].RowHi)
-		})
-	}
-	// Lane scratch is shared by every call on this plan. Another call
-	// mid-flight keeps the lock; this one then takes private scratch, so
-	// concurrent invocations stay fully parallel and only pay the
-	// allocation under real contention.
+	pl := d.plans.Get(key, func(key exec.PlanKey) *exec.Plan {
+		pl := d.kern.plan(key, k)
+		pl.Frame = newFrame()
+		return pl
+	})
+	// The plan's lane frame and, for carriers, its lane scratch are shared
+	// by every call on this placement. Another call mid-flight keeps the
+	// lock; this one then takes private ones, so concurrent invocations stay
+	// fully parallel and only pay the allocation under real contention.
+	fr := pl.Frame.(*frame)
 	private := !pl.TryLock()
-	if !private {
-		defer pl.Unlock()
+	if private {
+		fr = newFrame()
 	}
-	c := d.carry.begin(pl, y, k, private)
-	if err := g.RunPlanCtx(pl, func(w int) { d.carry.lane(c, pl, w, y, x, k) }); err != nil {
+	defer func() {
+		*fr = frame{lane: fr.lane} // a cached frame must not retain the caller's vectors
+		if !private {
+			pl.Unlock()
+		}
+	}()
+	fr.d, fr.pl, fr.ctl, fr.y, fr.x, fr.k, fr.carried = d, pl, ctl, y, x, k, carried
+	if !carried {
+		return g.RunPlanCtx(pl, fr.lane)
+	}
+	fr.c = d.carry.begin(pl, y, k, private)
+	if err := g.RunPlanCtx(pl, fr.lane); err != nil {
 		return err
 	}
-	d.carry.finish(c, y, k)
+	d.carry.finish(fr.c, y, k)
 	return nil
+}
+
+// frame carries one call's arguments to the lanes of its dispatch. Its
+// lane function is bound once, when the frame is made, so a dispatch on a
+// cached plan allocates no closure.
+type frame struct {
+	lane    func(w int) // fr.run, bound
+	d       *driver
+	pl      *exec.Plan
+	ctl     *exec.Ctl
+	y, x    []float64
+	k       int
+	carried bool
+	c       any // the carrier's lane scratch for this call
+}
+
+func newFrame() *frame {
+	fr := new(frame)
+	fr.lane = fr.run
+	return fr
+}
+
+// run is lane w of the call in the frame.
+func (fr *frame) run(w int) {
+	if fr.carried {
+		fr.d.carry.lane(fr.c, fr.pl, w, fr.y, fr.x, fr.k)
+		return
+	}
+	r := fr.pl.Ranges[w]
+	fr.d.chunkCtx(fr.ctl, fr.y, fr.x, fr.k, r.RowLo, r.RowHi)
 }
 
 // cancelGrain is the approximate number of work items (nonzeros / padded

@@ -63,9 +63,8 @@ func TestEngineSerialParallelEquivalence(t *testing.T) {
 
 // TestSpMVParallelAllocs is the steady-state acceptance gate: after the
 // first call warms the plan cache and the pool, a parallel SpMV performs no
-// partition recomputation and no goroutine spawns — at most the one kernel
-// closure allocation per dispatch (HYB dispatches twice: its ELL phase and
-// its COO spill phase).
+// partition recomputation, no goroutine spawns and no allocation (the lanes
+// read their arguments from the plan's reusable frame).
 func TestSpMVParallelAllocs(t *testing.T) {
 	prev := exec.SetMaxWorkers(4)
 	defer exec.SetMaxWorkers(prev)
@@ -88,18 +87,64 @@ func TestSpMVParallelAllocs(t *testing.T) {
 			}
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		limit := 1.0
-		if b.Name == "HYB" {
-			limit = 2 // two pooled phases, one closure each
-		}
 		f.SpMVParallel(x, y, 4) // warm plan cache and pool
 		f.SpMVParallel(x, y, 4)
 		allocs := testing.AllocsPerRun(10, func() {
 			f.SpMVParallel(x, y, 4)
 		})
-		if allocs > limit {
-			t.Errorf("%s: %v allocs per steady-state SpMVParallel, want <= %v",
-				b.Name, allocs, limit)
+		if allocs > 0 {
+			t.Errorf("%s: %v allocs per steady-state SpMVParallel, want 0", b.Name, allocs)
+		}
+	}
+}
+
+// TestParallelApplyAllocsOnTwoCPUs counts a parallel Apply's allocations
+// from runtime.MemStats with two Ps and no worker-cap override — the
+// configuration a caller runs in. testing.AllocsPerRun cannot: it sets
+// GOMAXPROCS to 1 for the measurement, where exec.Workers picks the serial
+// path unless a test has raised the cap. A row kernel, a carrier and the
+// two-phase HYB cover the lane frame's two shapes.
+func TestParallelApplyAllocsOnTwoCPUs(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	defer exec.SetMaxWorkers(exec.SetMaxWorkers(0))
+
+	m, err := gen.Generate(gen.Params{
+		Rows: 20000, Cols: 20000, AvgNNZPerRow: 10, StdNNZPerRow: 3,
+		SkewCoeff: 10, BWScaled: 0.3, CrossRowSim: 0.4, AvgNumNeigh: 0.8, Seed: 23,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := matrix.RandomVector(m.Cols, 7)
+	y := make([]float64, m.Rows)
+	for _, name := range []string{"Naive-CSR", "MKL-IE", "COO", "HYB"} {
+		b, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("no format %s", name)
+		}
+		f, err := b.Build(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if exec.Workers(int64(m.NNZ()), 2) != 2 {
+			t.Fatalf("%s: the matrix does not reach the parallel path", name)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		for i := 0; i < 4; i++ {
+			f.SpMVParallel(x, y, 2) // warm the plan cache and the pool
+		}
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f.SpMVParallel(x, y, 2)
+		}
+		runtime.ReadMemStats(&after)
+		// The count is process-wide, so leave room for the runtime's own
+		// background allocations; one per call would be 200.
+		if d := after.Mallocs - before.Mallocs; d > runs/10 {
+			t.Errorf("%s: %d allocations over %d parallel calls, want none", name, d, runs)
 		}
 	}
 }

@@ -144,10 +144,6 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 			}
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		limit := 1.0
-		if b.Name == "HYB" {
-			limit = 2 // two pooled phases, one closure each
-		}
 		// Warm both shards' plans (round-robin visits each in turn).
 		for i := 0; i < 4; i++ {
 			f.SpMVParallel(x, y, 4)
@@ -155,9 +151,8 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() {
 			f.SpMVParallel(x, y, 4)
 		})
-		if allocs > limit {
-			t.Errorf("%s: %v allocs per steady-state sharded SpMVParallel, want <= %v",
-				b.Name, allocs, limit)
+		if allocs > 0 {
+			t.Errorf("%s: %v allocs per steady-state sharded SpMVParallel, want 0", b.Name, allocs)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/session"
 	"repro/internal/simd"
 )
@@ -399,10 +400,14 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeEnvelope(w, resp, nil)
 }
 
-// StatsResponse is GET /v1/stats: per-matrix batching plus totals.
+// StatsResponse is GET /v1/stats: per-matrix batching plus totals, and the
+// execution engine's per-shard dispatch counters — where hot_handoffs
+// against parked_wakes + caller_claims says whether this daemon's
+// dispatches find the workers polling or asleep.
 type StatsResponse struct {
-	Matrices []Info         `json:"matrices"`
-	Totals   CoalescerStats `json:"totals"`
+	Matrices []Info           `json:"matrices"`
+	Totals   CoalescerStats   `json:"totals"`
+	Engine   exec.EngineStats `json:"engine"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -419,5 +424,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if tot.Batches > 0 {
 		tot.MeanBatch = float64(tot.Requests) / float64(tot.Batches)
 	}
-	writeEnvelope(w, StatsResponse{Matrices: infos, Totals: tot}, nil)
+	writeEnvelope(w, StatsResponse{Matrices: infos, Totals: tot, Engine: exec.Stats()}, nil)
 }

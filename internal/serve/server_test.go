@@ -174,7 +174,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	var st StatsResponse
 	remarshal(t, env.Data, &st)
-	if len(st.Matrices) != 1 || st.Totals.Requests == 0 {
+	if len(st.Matrices) != 1 || st.Totals.Requests == 0 || len(st.Engine.Shards) == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 
