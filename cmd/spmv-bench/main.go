@@ -13,40 +13,15 @@
 //	-sample N                     subsample the grid to ~N points (0 = full)
 //	-devices a,b,c                restrict to these testbeds
 //	-seed N                       sampling/generator seed
-//	-shards N                     execution-pool shards (0 = SPMV_SHARDS or
-//	                              detected topology domains)
-//	-rhs K                        right-hand sides for the spmm and select
-//	                              experiments; giving the flag with no
-//	                              experiment ids runs spmm alone
-//	-format NAME                  restrict the native experiment to one
-//	                              format; "auto" runs the selection
-//	                              subsystem per matrix
-//	-cache-dir DIR                persist auto-selection decisions and probe
-//	                              outcomes to a journal in DIR (warm cache;
-//	                              empty = SPMV_CACHE_DIR, or off when that
-//	                              is unset too)
-//	-cold                         delete the journal before running, so the
-//	                              selection subsystem starts from scratch
 //	-csv DIR                      also write one CSV per report into DIR
 //	-json FILE                    also write all reports as JSON into FILE
 //
-// With persistence configured, a "journal" report rides along on stdout
-// and in -json: journal path, decisions and experiences held, appends and
-// skipped lines — the state a restarted server would warm-load.
-//
-// The JSON output is the machine-readable perf trajectory: for example,
-// `spmv-bench -sample 8 -json BENCH_spmv.json native` records the native
-// per-format GFLOPS quartiles measured on this host,
-// `spmv-bench -rhs 8 -json BENCH_spmm.json` records the fused multi-vector
-// kernels' per-vector speedup over 8 sequential Multiply calls, and
-// `spmv-bench -json BENCH_select.json select` records the auto-selection
-// subsystem's retained performance vs exhaustive search, and
-// `spmv-bench -json BENCH_update.json update` records the updatable
-// overlay's retained throughput vs the bare base plus one compaction's
-// freeze/rebuild timing split. Every run
-// appends a "shards" report with the execution engine's per-shard dispatch
-// counts and busy time, so concurrency behavior is visible alongside
-// kernel numbers.
+// The experiments are the paper's Tables II-IV and Figs 1-9 on the
+// simulated testbeds, plus "native": real kernels on this host through
+// the execution engine (shard count from SPMV_SHARDS or the detected
+// topology), with the engine's per-shard dispatch report riding along.
+// One matrix under one format or "auto" is spmv-run's job; performance
+// over time is the benchmark/ module's (see docs/BENCHMARKS.md).
 package main
 
 import (
@@ -58,26 +33,19 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/dataset"
-	"repro/internal/formats"
-	"repro/internal/topo"
+	"repro/internal/device"
 )
 
 func main() {
 	var (
-		dsName   = flag.String("dataset", "medium", "dataset size: small, medium or large")
-		sample   = flag.String("sample", "0", "subsample the grid to ~N points (0 = full grid)")
-		devices  = flag.String("devices", "", "comma-separated testbed names (default: all)")
-		seed     = flag.Int64("seed", 1, "sampling and generator seed")
-		shards   = flag.Int("shards", 0, "execution-pool shards (0 = SPMV_SHARDS or detected topology domains)")
-		rhs      = flag.Int("rhs", 0, "right-hand sides for the spmm/select experiments (0 = default 8)")
-		format   = flag.String("format", "", "restrict the native experiment to one format (\"auto\" = selection subsystem)")
-		cacheDir = flag.String("cache-dir", "", "journal directory for persistent auto-selection decisions (empty = SPMV_CACHE_DIR or off)")
-		cold     = flag.Bool("cold", false, "delete the journal before running (cold selection cache)")
-		csvDir   = flag.String("csv", "", "directory to also write CSV reports into")
-		jsonOut  = flag.String("json", "", "file to also write all reports into as JSON")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
+		dsName  = flag.String("dataset", "medium", "dataset size: small, medium or large")
+		sample  = flag.Int("sample", 0, "subsample the grid to ~N points (0 = full grid)")
+		devices = flag.String("devices", "", "comma-separated testbed names (default: all)")
+		seed    = flag.Int64("seed", 1, "sampling and generator seed")
+		csvDir  = flag.String("csv", "", "directory to also write CSV reports into")
+		jsonOut = flag.String("json", "", "file to also write all reports into as JSON")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
@@ -100,38 +68,20 @@ func main() {
 	default:
 		fatalf("unknown dataset %q (small, medium, large)", *dsName)
 	}
-	if _, err := fmt.Sscanf(*sample, "%d", &opts.SampleN); err != nil {
-		fatalf("bad -sample %q", *sample)
+	if *sample < 0 {
+		fatalf("bad -sample %d (want >= 0)", *sample)
 	}
+	opts.SampleN = *sample
 	if *devices != "" {
 		opts.Devices = strings.Split(*devices, ",")
-	}
-	if *shards < 0 {
-		fatalf("bad -shards %d (want >= 0)", *shards)
-	}
-	topo.SetShards(*shards)
-	if *rhs < 0 {
-		fatalf("bad -rhs %d (want >= 0)", *rhs)
-	}
-	opts.RHS = *rhs
-	if *format != "" && *format != "auto" {
-		if _, ok := formats.Lookup(*format); !ok {
-			fatalf("unknown format %q (use a registry name or \"auto\")", *format)
+		for _, name := range opts.Devices {
+			if _, ok := device.ByName(name); !ok {
+				fatalf("unknown device %q (%s)", name, strings.Join(device.Names(), ", "))
+			}
 		}
-	}
-	opts.Format = *format
-
-	if err := cache.ConfigureFlags(*cacheDir, *cold); err != nil {
-		fatalf("%v", err)
 	}
 
 	ids := flag.Args()
-	if len(ids) == 0 && *format != "" {
-		ids = []string{"native"} // -format means: run the native sweep with it
-	}
-	if len(ids) == 0 && *rhs > 0 {
-		ids = []string{"spmm"} // -rhs alone means: run the multi-vector benchmark
-	}
 	if len(ids) == 0 {
 		fatalf("no experiments given; use 'all' or see -list")
 	}
@@ -157,30 +107,6 @@ func main() {
 			collected = append(collected, r)
 		}
 	}
-	// Per-shard dispatch statistics ride along with every run, on stdout
-	// and in the JSON trajectory.
-	sr := bench.ShardReport()
-	if err := sr.Render(os.Stdout); err != nil {
-		fatalf("render shards: %v", err)
-	}
-	collected = append(collected, sr)
-	// As does the SIMD kernel dispatch table — kernel numbers are never
-	// read without knowing which kernels produced them.
-	dr := bench.DispatchReport()
-	if err := dr.Render(os.Stdout); err != nil {
-		fatalf("render dispatch: %v", err)
-	}
-	collected = append(collected, dr)
-	// So does the selection journal, when persistence is on: the state a
-	// restarted server would warm-load.
-	if cache.Configured() {
-		if jr := journalReport(); jr != nil {
-			if err := jr.Render(os.Stdout); err != nil {
-				fatalf("render journal: %v", err)
-			}
-			collected = append(collected, jr)
-		}
-	}
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, collected); err != nil {
 			fatalf("json: %v", err)
@@ -188,32 +114,8 @@ func main() {
 	}
 }
 
-// journalReport summarizes the on-disk selection journal (nil when it
-// cannot be opened).
-func journalReport() *bench.Report {
-	dir, err := cache.Dir()
-	if err != nil {
-		return nil
-	}
-	st, err := cache.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer st.Close()
-	ss := st.Stats()
-	r := &bench.Report{
-		ID:     "journal",
-		Title:  "Persistent selection journal",
-		Header: []string{"path", "decisions", "experiences", "skipped_lines", "invalidated"},
-	}
-	r.AddRow(ss.Path, fmt.Sprintf("%d", ss.Decisions), fmt.Sprintf("%d", ss.Experiences),
-		fmt.Sprintf("%d", ss.Skipped), fmt.Sprintf("%v", ss.Invalidated))
-	r.AddNote("a warm restart loads this state before the first selection; delete with -cold")
-	return r
-}
-
 // writeJSON dumps the reports as an indented JSON array so external tools
-// (and future PRs) can track the perf trajectory without table scraping.
+// can read the tables without scraping text.
 func writeJSON(path string, reports []*bench.Report) error {
 	f, err := os.Create(path)
 	if err != nil {

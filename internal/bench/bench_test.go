@@ -15,15 +15,13 @@ func fastOptions() Options {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	ids := IDs()
-	if len(ids) < 12 {
-		t.Fatalf("only %d experiments registered", len(ids))
+	// The paper's Tables II-IV and Figs 1-9 in paper order, plus native.
+	want := "table2 table3 fig1 table4 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 native"
+	if got := strings.Join(IDs(), " "); got != want {
+		t.Fatalf("experiment ids = %q, want %q", got, want)
 	}
-	for _, id := range []string{"table2", "table3", "table4", "fig1", "fig2", "fig3",
-		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "native"} {
-		if _, ok := ByID(id); !ok {
-			t.Errorf("experiment %q missing", id)
-		}
+	if e, ok := ByID("native"); !ok || e.ID != "native" {
+		t.Errorf("ByID(native) = %+v, %v", e.ID, ok)
 	}
 	if _, ok := ByID("fig99"); ok {
 		t.Error("unknown experiment id resolved")
@@ -323,8 +321,11 @@ func TestNativeExperimentSmall(t *testing.T) {
 	o.SampleN = 4
 	o.Workers = 2
 	reports := RunNative(o)
-	if len(reports) != 1 || len(reports[0].Rows) == 0 {
+	if len(reports) != 2 || len(reports[0].Rows) == 0 {
 		t.Fatal("native experiment produced nothing")
+	}
+	if reports[1].ID != "shards" || len(reports[1].Rows) == 0 {
+		t.Errorf("shards rider missing: %+v", reports[1])
 	}
 	for _, row := range reports[0].Rows {
 		if parseCell(t, row[4]) <= 0 {

@@ -14,10 +14,8 @@ type Options struct {
 	Dataset dataset.Size
 	SampleN int      // subsample the grid to ~N points (0: full grid)
 	Seed    int64    // sampling and generator seed
-	Devices []string // restrict to these testbeds (nil: all nine)
+	Devices []string // restrict to these testbeds (nil: all nine; unknown names are skipped, spmv-bench rejects them first)
 	Workers int      // native engine worker count (0: GOMAXPROCS)
-	RHS     int      // right-hand sides for the spmm/select experiments (0: DefaultRHS)
-	Format  string   // restrict the native experiment to one format; "auto" selects per matrix
 }
 
 // DefaultOptions runs the full medium (16200-point) dataset on all devices,
@@ -131,11 +129,6 @@ func Experiments() []Experiment {
 		{"fig8", "Dataset-size ablation on AMD-EPYC-24 (Fig 8)", RunFig8},
 		{"fig9", "Regularity evolution under fixed features (Fig 9)", RunFig9},
 		{"native", "Native-engine format comparison on this host", RunNative},
-		{"spmm", "Fused multi-vector SpMV (SpMM) vs sequential baseline", RunSpMM},
-		{"simd", "SIMD dispatch tiers: scalar vs AVX2 vs AVX-512", RunSIMD},
-		{"select", "Auto format selection vs exhaustive search (retained performance)", RunSelect},
-		{"update", "Updatable overlay overhead and compaction timings", RunUpdate},
-		{"serve", "Batch-coalesced serving vs per-request dispatch", RunServe},
 	}
 }
 

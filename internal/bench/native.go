@@ -6,10 +6,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/exec"
-	"repro/internal/formats"
 	"repro/internal/gen"
-	"repro/internal/matrix"
-	"repro/internal/selector"
+	"repro/internal/simd"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -22,10 +20,8 @@ const NativeScaleMB = 24.0
 // RunNative measures real format kernels (not models) on the host CPU over
 // a scaled-down feature grid, producing the Fig 7-style per-format summary
 // with actual wall-clock GFLOPS. This is the measurement path the paper
-// used on its CPU testbeds, at reduced scale. Options.Format restricts the
-// sweep to one format; the special name "auto" runs the selection
-// subsystem per matrix, so the report shows what the auto path actually
-// delivers (per-pick, under the Auto[...] names).
+// used on its CPU testbeds, at reduced scale. It is the one experiment
+// that touches the execution engine, so the shards report rides along.
 func RunNative(o Options) []*Report {
 	points := nativePoints(o)
 	engine := device.NativeEngine{Workers: o.Workers, Iterations: 8}
@@ -40,7 +36,7 @@ func RunNative(o Options) []*Report {
 		}
 		built++
 		sample := map[string]float64{}
-		for _, res := range nativeResults(engine, m, o) {
+		for _, res := range engine.RunAll(m) {
 			if res.BuildErr != nil || res.GFLOPS <= 0 {
 				continue
 			}
@@ -60,12 +56,13 @@ func RunNative(o Options) []*Report {
 	r.AddNote("measured wall-clock GFLOPS with up to %d workers; absolute values depend on this host", engine.EffectiveWorkers())
 	r.AddNote("execution engine: %d pool shard(s) over %d topology domain(s); see the shards report for per-shard dispatch",
 		topo.Shards(), topo.NumDomains())
-	return []*Report{r}
+	r.AddNote("SIMD dispatch level: %s", simd.Level())
+	return []*Report{r, ShardReport()}
 }
 
 // ShardReport snapshots the execution engine's per-shard dispatch counters
-// as a report, the observability surface `spmv-bench` appends to its table
-// and -json output: which shard served how many dispatches, how many calls
+// as a report, the observability surface the native experiment appends to
+// its table: which shard served how many dispatches, how many calls
 // gang-scheduled across shards, cumulative busy wall time per shard, how
 // the lanes posted to its workers were taken (by a polling worker, by a
 // parked one, or back by the caller), and how often every shard was busy
@@ -89,36 +86,6 @@ func ShardReport() *Report {
 		topo.NumDomains())
 	r.AddNote("spawn fallbacks (dispatches that found every shard busy): %d", st.SpawnFallbacks)
 	return r
-}
-
-// nativeResults measures the formats Options.Format selects on one matrix:
-// everything in the registry by default, one named format, or — with
-// "auto" — the single format the selection subsystem picks for this
-// matrix, reported under its Auto[...] name.
-func nativeResults(engine device.NativeEngine, m *matrix.CSR, o Options) []device.NativeResult {
-	switch o.Format {
-	case "":
-		return engine.RunAll(m)
-	case "auto":
-		// The native experiment times single-vector SpMV, so the selector
-		// must target k = 1 regardless of Options.RHS — measuring a k = 8
-		// pick at k = 1 would misreport both. The k-regime auto path is
-		// measured by the select experiment and `spmv-run -format auto -rhs`.
-		af, err := selector.BuildAuto(m, selector.AutoOptions{K: 1, Probe: true})
-		if err != nil {
-			return []device.NativeResult{{Format: "auto", BuildErr: err}}
-		}
-		return []device.NativeResult{engine.Run(m, formats.Builder{
-			Name:  af.Name(),
-			Build: func(*matrix.CSR) (formats.Format, error) { return af, nil },
-		})}
-	default:
-		b, ok := formats.Lookup(o.Format)
-		if !ok {
-			return []device.NativeResult{{Format: o.Format, BuildErr: fmt.Errorf("unknown format %q", o.Format)}}
-		}
-		return []device.NativeResult{engine.Run(m, b)}
-	}
 }
 
 // nativePoints picks a small diverse feature sample and scales footprints

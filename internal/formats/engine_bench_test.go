@@ -13,7 +13,8 @@ import (
 // what a CG loop issues thousands of times. The tiers separate matrices
 // whose kernel time is dwarfed by per-call scheduling overhead (tiny/small,
 // both under 1 MB as CSR) from those where the kernel dominates (large).
-// BENCH_exec.json tracks these numbers before/after the exec engine.
+// For a before/after, build both test binaries and alternate them, -count 3,
+// minimum ns/op per (tier, format) (docs/BENCHMARKS.md).
 
 type engineTier struct {
 	name string

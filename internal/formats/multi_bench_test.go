@@ -10,9 +10,10 @@ import (
 
 // Multi-vector benchmarks: one op is one fused k-wide MultiplyMany call or
 // its baseline — k sequential SpMVParallel calls — on a pre-built format.
-// BENCH_spmm.json tracks the fused/sequential ratio via spmv-bench -rhs;
-// these Go benchmarks keep the same kernels under `go test -bench` (and
-// the CI bench-smoke step) so they cannot rot between perf PRs.
+// The trajectory benchmark reads the fused/sequential ratio as
+// formats.k8_per_vec_speedup; these Go benchmarks keep the same kernels
+// under `go test -bench` (and the CI bench-smoke step) so they cannot rot
+// between perf PRs.
 
 const benchRHS = 8
 

@@ -22,7 +22,7 @@ const (
 	defaultProbeMinTime = 2 * time.Millisecond
 	// defaultProbeRounds is the number of adaptive timing runs per
 	// candidate; the minimum over rounds is kept (the least-noisy
-	// estimator on shared hosts, the BENCH_exec.json policy).
+	// estimator on shared hosts).
 	defaultProbeRounds = 2
 )
 

@@ -16,9 +16,9 @@ import (
 // reaches DefaultMaxBatch single-vector multiplies or DefaultWindow after
 // the first request armed the window, whichever comes first — the
 // inference-serving recipe. Eight is where the fused MultiplyMany kernels'
-// per-vector gain flattens (BENCH_spmm.json); 200µs is well under one
-// medium-matrix sweep, so a lone request's added latency stays below one
-// kernel time.
+// per-vector gain flattens (BenchmarkMultiplyMany in internal/formats);
+// 200µs is well under one medium-matrix sweep, so a lone request's added
+// latency stays below one kernel time.
 const (
 	DefaultWindow   = 200 * time.Microsecond
 	DefaultMaxBatch = 8
@@ -55,9 +55,9 @@ type CoalescerStats struct {
 // hosted matrix into fused MultiplyMany calls: the first request of a
 // batch arms a window timer, and the batch flushes when it fills to
 // maxBatch or the window lapses, whichever is first. k waiting users cost
-// one matrix sweep instead of k (~3.3x aggregate at k = 8 per
-// BENCH_spmm.json) at a bounded latency premium. All methods are safe for
-// concurrent use.
+// one matrix sweep instead of k (TestCoalescedBatchingGate holds the
+// aggregate win to its floor) at a bounded latency premium. All methods
+// are safe for concurrent use.
 type Coalescer struct {
 	f          formats.Format
 	rows, cols int

@@ -218,10 +218,6 @@ func Level() string {
 	return "scalar"
 }
 
-// InstalledLevel names the widest accelerator tier currently installed,
-// whether or not callers are routed to it ("scalar" when none is).
-func InstalledLevel() string { return level }
-
 // DetectedLevel names the widest tier the hardware and OS support,
 // independent of caps and switches. The journal host fingerprint keys off
 // this, not Level(): a capped process must still recognize journals

@@ -324,15 +324,15 @@ func TestSetLevelSweep(t *testing.T) {
 	for _, tier := range tiers {
 		SetLevel(tier)
 		if tierRank(tier) > tierRank(DetectedLevel()) {
-			if InstalledLevel() != DetectedLevel() {
-				t.Fatalf("cap %q above detected %q: installed %q", tier, DetectedLevel(), InstalledLevel())
+			if level != DetectedLevel() {
+				t.Fatalf("cap %q above detected %q: installed %q", tier, DetectedLevel(), level)
 			}
 		} else if tier == "scalar" {
 			if Enabled() || Width() != 1 {
 				t.Fatalf("cap scalar: enabled=%v width=%d", Enabled(), Width())
 			}
-		} else if InstalledLevel() != tier || Level() != tier {
-			t.Fatalf("cap %q: installed %q active %q", tier, InstalledLevel(), Level())
+		} else if level != tier || Level() != tier {
+			t.Fatalf("cap %q: installed %q active %q", tier, level, Level())
 		}
 		wantWidth := map[string]int{"scalar": 1, "avx2": 4, "avx512": 8}[Level()]
 		if Width() != wantWidth {

@@ -40,18 +40,6 @@ func Summarize(vs []float64) Summary {
 	return s
 }
 
-// Mean returns the arithmetic mean of vs (0 for an empty input).
-func Mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vs {
-		sum += v
-	}
-	return sum / float64(len(vs))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of an ascending-sorted
 // slice using linear interpolation.
 func Quantile(sorted []float64, q float64) float64 {
@@ -78,22 +66,6 @@ func Median(vs []float64) float64 {
 	sorted := append([]float64(nil), vs...)
 	sort.Float64s(sorted)
 	return Quantile(sorted, 0.5)
-}
-
-// GeoMean returns the geometric mean of positive values; zero or negative
-// entries are skipped.
-func GeoMean(vs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, v := range vs {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }
 
 // APE returns the absolute percentage error of got against want, in

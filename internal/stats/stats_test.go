@@ -57,18 +57,6 @@ func TestMedianUnsorted(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %g, want 10", got)
-	}
-	if got := GeoMean([]float64{2, 0, -5}); math.Abs(got-2) > 1e-9 {
-		t.Errorf("GeoMean skipping nonpositive = %g, want 2", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("empty GeoMean should be 0")
-	}
-}
-
 func TestAPE(t *testing.T) {
 	if got := APE(100, 110); math.Abs(got-10) > 1e-12 {
 		t.Errorf("APE = %g, want 10", got)
