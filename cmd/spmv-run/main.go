@@ -31,6 +31,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/selector"
+	"repro/internal/session"
 	"repro/internal/simd"
 )
 
@@ -56,8 +57,17 @@ func main() {
 	// Persistence flags act regardless of -format, so `-cold` always
 	// deletes the journal it names (silently ignoring it would leave the
 	// cache the user asked to clear warm for the next auto run).
-	if err := cache.ConfigureFlags(*cacheDir, *cold); err != nil {
-		fatalf("%v", err)
+	dir := *cacheDir
+	if dir == "" {
+		dir = os.Getenv(cache.EnvCacheDir)
+	}
+	if *cold {
+		if dir == "" {
+			fatalf("-cold needs a journal: give -cache-dir or set %s", cache.EnvCacheDir)
+		}
+		if err := cache.RemoveJournal(dir); err != nil {
+			fatalf("cold start: %v", err)
+		}
 	}
 
 	var m *matrix.CSR
@@ -103,19 +113,19 @@ func main() {
 			res.Format, res.GFLOPS, res.Iterations, res.Workers, res.Seconds)
 	}
 	if *format == "auto" {
-		if cache.Configured() {
-			if _, err := selector.Persist(""); err != nil {
-				fatalf("persistence: %v", err)
-			}
+		sess, err := session.New(session.Options{CacheDir: dir})
+		if err != nil {
+			fatalf("persistence: %v", err)
 		}
-		af, err := selector.BuildAuto(m, selector.AutoOptions{K: *rhs, Probe: true})
+		defer sess.Close()
+		af, err := sess.Auto(m, selector.AutoOptions{K: *rhs, Probe: true})
 		if err != nil {
 			fatalf("auto selection: %v", err)
 		}
 		c := af.Choice()
 		fmt.Printf("auto: chose %s for k=%d on %s (shortlist %s, probed=%v, cached=%v, learned=%v)\n",
 			af.Chosen(), c.K, c.Device, strings.Join(c.Shortlist, " > "), c.Probed, c.Cached, c.Learned)
-		if st := cache.Decisions.Store(); st != nil {
+		if st := sess.Store(); st != nil {
 			ss := st.Stats()
 			fmt.Printf("journal: %s (%d decisions / %d experiences loaded, %d appended)\n",
 				ss.Path, ss.Decisions, ss.Experiences, ss.Appended)

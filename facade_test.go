@@ -141,3 +141,49 @@ func TestAutoCtxCancelled(t *testing.T) {
 		t.Fatal("AutoCtx chose nothing")
 	}
 }
+
+// TestFacadeAndDefaultSessionShareOneState: the package-level functions
+// are delegates to DefaultSession(), so both observe one cache, one
+// journal and one shard context.
+func TestFacadeAndDefaultSessionShareOneState(t *testing.T) {
+	d := spmv.DefaultSession()
+	m := facadeMatrix(t)
+
+	before := d.Cache().Len()
+	if _, err := spmv.Auto(m, spmv.AutoOptions{K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Cache().Len(); got != before+1 {
+		t.Fatalf("spmv.Auto grew the default session's cache %d -> %d, want +1", before, got)
+	}
+
+	if err := spmv.SetCacheDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if d.Store() == nil {
+		t.Fatal("SetCacheDir attached no journal to the default session")
+	}
+	spmv.UnsetCacheDir()
+	if d.Store() != nil {
+		t.Fatal("UnsetCacheDir left the default session's journal attached")
+	}
+	if got := d.Cache().Len(); got != before+1 {
+		t.Fatalf("UnsetCacheDir dropped cached decisions: %d, want %d", got, before+1)
+	}
+
+	// SetShards is engine layout: it shows through the default session,
+	// and a scoped session's own shard context wins over it.
+	prev := spmv.SetShards(3)
+	defer spmv.SetShards(prev)
+	if d.Shards() != 3 {
+		t.Fatalf("default session shards = %d, want 3", d.Shards())
+	}
+	scoped, err := spmv.NewSession(spmv.SessionOptions{Shards: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scoped.Close()
+	if scoped.Shards() != 5 {
+		t.Fatalf("scoped session shards = %d, want 5", scoped.Shards())
+	}
+}

@@ -1,10 +1,5 @@
 package cache
 
-import (
-	"container/list"
-	"sync"
-)
-
 // DecisionKey identifies one auto-format decision context. A decision is
 // only reusable when everything that influenced it recurs: the sparsity
 // structure (matrix fingerprint), the device the ranking targeted, the
@@ -16,6 +11,8 @@ type DecisionKey struct {
 	K           int    // right-hand-side count the choice targets
 	Shards      int    // topo.Shards() at decision time
 }
+
+func (k DecisionKey) fingerprint() uint64 { return k.Fingerprint }
 
 // Decision is one cached format choice.
 type Decision struct {
@@ -30,204 +27,19 @@ type Decision struct {
 // re-warm on the next restart even after eviction.
 const DefaultDecisionCap = 4096
 
-// decisionEntry is one LRU node payload.
-type decisionEntry struct {
-	key DecisionKey
-	dec Decision
-}
-
 // DecisionCache is a concurrency-safe, LRU-bounded store of auto-format
 // decisions, optionally backed by a disk journal (AttachStore) so decisions
-// survive process restarts. The zero value is not usable; construct with
-// NewDecisionCache. A plain mutex guards all state: every operation
-// (including Get, which bumps recency and the hit/miss counters) writes, so
-// a reader/writer lock would buy nothing.
+// survive process restarts: repeated Auto builds of the same matrix under
+// the same (device, k, shards) context skip ranking and probing entirely.
+// The zero value is not usable; construct with NewDecisionCache.
 type DecisionCache struct {
-	mu      sync.Mutex
-	m       map[DecisionKey]*list.Element // value: *decisionEntry
-	lru     *list.List                    // front = most recently used
-	cap     int
-	hits    uint64
-	misses  uint64
-	evicted uint64
-	store   *Store
+	journaledLRU[DecisionKey, Decision]
 }
 
 // NewDecisionCache returns an empty decision cache bounded at
 // DefaultDecisionCap entries.
 func NewDecisionCache() *DecisionCache {
-	return &DecisionCache{
-		m:   make(map[DecisionKey]*list.Element),
-		lru: list.New(),
-		cap: DefaultDecisionCap,
-	}
-}
-
-// Decisions is the process-wide cache the selection subsystem consults by
-// default, so repeated Auto builds of the same matrix under the same
-// (device, k, shards) context skip ranking and probing entirely.
-var Decisions = NewDecisionCache()
-
-// SetCap changes the eviction bound. n <= 0 restores DefaultDecisionCap.
-// Shrinking evicts least-recently-used entries immediately. Returns the
-// previous cap.
-func (c *DecisionCache) SetCap(n int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev := c.cap
-	if n <= 0 {
-		n = DefaultDecisionCap
-	}
-	c.cap = n
-	c.evictLocked()
-	return prev
-}
-
-// Cap returns the current eviction bound.
-func (c *DecisionCache) Cap() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cap
-}
-
-// evictLocked drops least-recently-used entries until len <= cap.
-func (c *DecisionCache) evictLocked() {
-	for len(c.m) > c.cap {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		e := back.Value.(*decisionEntry)
-		delete(c.m, e.key)
-		c.lru.Remove(back)
-		c.evicted++
-	}
-}
-
-// Get returns the cached decision for the key, if any, marking it most
-// recently used.
-func (c *DecisionCache) Get(k DecisionKey) (Decision, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[k]
-	if !ok {
-		c.misses++
-		return Decision{}, false
-	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*decisionEntry).dec, true
-}
-
-// Put stores (or replaces) the decision for the key, journaling it when a
-// store is attached and evicting the least-recently-used entry past the
-// cap. Eviction only trims memory: the journal keeps the decision for the
-// next restart. The journal append happens under the cache lock so the
-// journal's last-line-wins order always matches the in-memory winner of
-// concurrent Puts (lock order is cache -> store; the store never calls
-// back into the cache).
-func (c *DecisionCache) Put(k DecisionKey, d Decision) {
-	c.mu.Lock()
-	if el, ok := c.m[k]; ok {
-		el.Value.(*decisionEntry).dec = d
-		c.lru.MoveToFront(el)
-	} else {
-		c.m[k] = c.lru.PushFront(&decisionEntry{key: k, dec: d})
-		c.evictLocked()
-	}
-	st := c.store
-	if st != nil {
-		st.AppendDecision(k, d)
-	}
-	c.mu.Unlock()
-	// Compaction (a journal rewrite with fsync) runs outside c.mu so it
-	// never stalls concurrent Gets; the append order above is already
-	// journaled, and a rewrite is content-neutral.
-	if st != nil && st.NeedsCompact() {
-		_ = st.Compact()
-	}
-}
-
-// AttachStore binds the cache to an open journal: the store's decisions
-// warm-load into memory (newest-first recency, respecting the cap) and
-// every subsequent Put appends to the journal. Returns how many decisions
-// were warm-loaded. Attaching a nil store detaches.
-func (c *DecisionCache) AttachStore(st *Store) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store = st
-	if st == nil {
-		return 0
-	}
-	keys, decs := st.Decisions()
-	for i, k := range keys { // journal order: oldest first, so newest end up at the front
-		if el, ok := c.m[k]; ok {
-			el.Value.(*decisionEntry).dec = decs[i]
-			c.lru.MoveToFront(el)
-			continue
-		}
-		c.m[k] = c.lru.PushFront(&decisionEntry{key: k, dec: decs[i]})
-	}
-	c.evictLocked()
-	return len(keys)
-}
-
-// Store returns the attached journal, or nil.
-func (c *DecisionCache) Store() *Store {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.store
-}
-
-// Len returns the number of cached decisions.
-func (c *DecisionCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (c *DecisionCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Evicted returns how many entries the LRU bound has dropped.
-func (c *DecisionCache) Evicted() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicted
-}
-
-// InvalidateFingerprint drops every cached decision for the fingerprint,
-// across all (device, k, shards) contexts at once — when a matrix's
-// structure drifts, every regime's ranking of the dead structure drifts
-// with it. Returns how many entries were dropped. Only memory is touched:
-// journaled decisions for the dead fingerprint stay on disk and replay
-// harmlessly (the drifted matrix hashes to a different fingerprint, so
-// nothing ever looks the stale entries up) until a journal compaction
-// rewrites them away.
-func (c *DecisionCache) InvalidateFingerprint(fp uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for k, el := range c.m {
-		if k.Fingerprint == fp {
-			delete(c.m, k)
-			c.lru.Remove(el)
-			n++
-		}
-	}
-	return n
-}
-
-// Clear drops every cached decision and resets the counters. The attached
-// journal, if any, is untouched: Clear empties memory, not history.
-func (c *DecisionCache) Clear() {
-	c.mu.Lock()
-	c.m = make(map[DecisionKey]*list.Element)
-	c.lru.Init()
-	c.hits, c.misses, c.evicted = 0, 0, 0
-	c.mu.Unlock()
+	c := &DecisionCache{}
+	c.init(DefaultDecisionCap, (*Store).Decisions, (*Store).AppendDecision)
+	return c
 }

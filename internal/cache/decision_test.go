@@ -44,31 +44,65 @@ func TestDecisionCacheBasics(t *testing.T) {
 	}
 }
 
+// lruCase is one row of the tests that hold for every instantiation of
+// journaledLRU: the cache under test, its default cap, a key per
+// (fingerprint, regime) and three distinguishable values.
+type lruCase[K journalKey, V comparable] struct {
+	c      *journaledLRU[K, V]
+	defCap int
+	key    func(fp uint64, regime int) K
+	vals   [3]V
+}
+
+func decisionCase() lruCase[DecisionKey, Decision] {
+	return lruCase[DecisionKey, Decision]{
+		c: &NewDecisionCache().journaledLRU, defCap: DefaultDecisionCap,
+		key: func(fp uint64, r int) DecisionKey {
+			return DecisionKey{Fingerprint: fp, Device: "host", K: 1 + r, Shards: 1}
+		},
+		vals: [3]Decision{{Format: "CSR5"}, {Format: "COO"}, {Format: "ELL"}},
+	}
+}
+
+func tuneCase() lruCase[TuneKey, string] {
+	return lruCase[TuneKey, string]{
+		c: &NewTuneCache().journaledLRU, defCap: DefaultTuneCap,
+		key: func(fp uint64, r int) TuneKey {
+			return TuneKey{Fingerprint: fp, Device: "host", K: 1 + r, Param: "bcsr.block"}
+		},
+		vals: [3]string{"2x2", "4x4", "2x4"},
+	}
+}
+
 // TestDecisionCacheLRUBound pins the memory bound of a long-running
 // server: the cache must never exceed its cap, must evict in
 // least-recently-used order, and Get must count as a use.
 func TestDecisionCacheLRUBound(t *testing.T) {
-	c := NewDecisionCache()
-	if c.Cap() != DefaultDecisionCap {
-		t.Fatalf("default cap = %d, want %d", c.Cap(), DefaultDecisionCap)
+	t.Run("decision", func(t *testing.T) { testLRUBound(t, decisionCase()) })
+	t.Run("tune", func(t *testing.T) { testLRUBound(t, tuneCase()) })
+}
+
+func testLRUBound[K journalKey, V comparable](t *testing.T, tc lruCase[K, V]) {
+	c, key := tc.c, func(fp uint64) K { return tc.key(fp, 0) }
+	if c.Cap() != tc.defCap {
+		t.Fatalf("default cap = %d, want %d", c.Cap(), tc.defCap)
 	}
 	c.SetCap(3)
-	key := func(i int) DecisionKey { return DecisionKey{Fingerprint: uint64(i), Device: "host", K: 1, Shards: 1} }
-	for i := 0; i < 3; i++ {
-		c.Put(key(i), Decision{Format: "CSR5"})
+	for i := uint64(0); i < 3; i++ {
+		c.Put(key(i), tc.vals[0])
 	}
 	// Touch key 0 so key 1 is the LRU victim.
 	if _, ok := c.Get(key(0)); !ok {
 		t.Fatal("key 0 missing")
 	}
-	c.Put(key(3), Decision{Format: "COO"})
+	c.Put(key(3), tc.vals[1])
 	if c.Len() != 3 {
 		t.Fatalf("len = %d past cap 3", c.Len())
 	}
 	if _, ok := c.Get(key(1)); ok {
 		t.Error("key 1 should have been evicted (least recently used)")
 	}
-	for _, i := range []int{0, 2, 3} {
+	for _, i := range []uint64{0, 2, 3} {
 		if _, ok := c.Get(key(i)); !ok {
 			t.Errorf("key %d should have survived", i)
 		}
@@ -85,13 +119,13 @@ func TestDecisionCacheLRUBound(t *testing.T) {
 	if prev := c.SetCap(0); prev != 1 {
 		t.Errorf("SetCap returned %d, want 1", prev)
 	}
-	if c.Cap() != DefaultDecisionCap {
+	if c.Cap() != tc.defCap {
 		t.Errorf("cap = %d, want default restored", c.Cap())
 	}
 	// Re-putting an existing key must not grow the count.
-	c.Put(key(3), Decision{Format: "ELL"})
-	if d, _ := c.Get(key(3)); d.Format != "ELL" {
-		t.Errorf("re-put did not replace: %+v", d)
+	c.Put(key(3), tc.vals[2])
+	if v, _ := c.Get(key(3)); v != tc.vals[2] {
+		t.Errorf("re-put did not replace: %+v", v)
 	}
 }
 
@@ -136,21 +170,26 @@ func TestDecisionCacheEvictionKeepsJournal(t *testing.T) {
 }
 
 func TestDecisionCacheConcurrent(t *testing.T) {
-	c := NewDecisionCache()
+	t.Run("decision", func(t *testing.T) { testLRUConcurrent(t, decisionCase()) })
+	t.Run("tune", func(t *testing.T) { testLRUConcurrent(t, tuneCase()) })
+}
+
+func testLRUConcurrent[K journalKey, V comparable](t *testing.T, tc lruCase[K, V]) {
+	c := tc.c
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := DecisionKey{Fingerprint: uint64(i % 16), K: g % 3}
-				c.Put(k, Decision{Format: "CSR"})
+				k := tc.key(uint64(i%16), g%3)
+				c.Put(k, tc.vals[0])
 				c.Get(k)
 			}
 		}(g)
 	}
 	wg.Wait()
 	if c.Len() == 0 {
-		t.Error("no decisions survived")
+		t.Error("no entries survived")
 	}
 }

@@ -78,33 +78,6 @@ const (
 	maxForeignLines = 4096
 )
 
-// dirOverride is the SetDir override; guarded by dirMu.
-var (
-	dirMu       sync.Mutex
-	dirOverride string
-)
-
-// SetDir overrides the cache directory programmatically. An empty dir
-// restores the default resolution (SPMV_CACHE_DIR, then the user cache
-// dir). Returns the previous override.
-func SetDir(dir string) string {
-	dirMu.Lock()
-	defer dirMu.Unlock()
-	prev := dirOverride
-	dirOverride = dir
-	return prev
-}
-
-// Configured reports whether a journal location has been explicitly
-// chosen (SetDir override or SPMV_CACHE_DIR): the signal CLIs and the
-// select experiment use to decide whether persistence is opted in.
-func Configured() bool {
-	dirMu.Lock()
-	o := dirOverride
-	dirMu.Unlock()
-	return o != "" || os.Getenv(EnvCacheDir) != ""
-}
-
 // RemoveJournal deletes the journal file in dir — the cold-start switch.
 // A missing journal is not an error.
 func RemoveJournal(dir string) error {
@@ -115,39 +88,9 @@ func RemoveJournal(dir string) error {
 	return err
 }
 
-// ConfigureFlags applies the CLIs' shared persistence flags: a non-empty
-// dir overrides the journal location (-cache-dir), cold deletes the
-// journal at the resolved location (-cold). Returns an error when cold
-// has no journal to act on or the location is unusable.
-func ConfigureFlags(dir string, cold bool) error {
-	if dir != "" {
-		SetDir(dir)
-	}
-	if Configured() {
-		d, err := Dir()
-		if err != nil {
-			return fmt.Errorf("cache dir: %w", err)
-		}
-		if cold {
-			if err := RemoveJournal(d); err != nil {
-				return fmt.Errorf("cold start: %w", err)
-			}
-		}
-	} else if cold {
-		return fmt.Errorf("-cold needs a journal: give -cache-dir or set %s", EnvCacheDir)
-	}
-	return nil
-}
-
-// Dir resolves the journal directory: the SetDir override, then the
-// SPMV_CACHE_DIR environment variable, then <user cache dir>/go-spmv.
+// Dir resolves the default journal directory: the SPMV_CACHE_DIR
+// environment variable, then <user cache dir>/go-spmv.
 func Dir() (string, error) {
-	dirMu.Lock()
-	o := dirOverride
-	dirMu.Unlock()
-	if o != "" {
-		return o, nil
-	}
 	if env := os.Getenv(EnvCacheDir); env != "" {
 		return env, nil
 	}

@@ -266,19 +266,11 @@ func TestStoreExperienceWindow(t *testing.T) {
 }
 
 func TestDirResolution(t *testing.T) {
-	prev := SetDir("")
-	defer SetDir(prev)
 	t.Setenv(EnvCacheDir, "/tmp/spmv-env-dir")
 	d, err := Dir()
 	if err != nil || d != "/tmp/spmv-env-dir" {
 		t.Fatalf("Dir with env = %q, %v", d, err)
 	}
-	SetDir("/tmp/spmv-set-dir")
-	d, err = Dir()
-	if err != nil || d != "/tmp/spmv-set-dir" {
-		t.Fatalf("Dir with override = %q, %v (override must beat env)", d, err)
-	}
-	SetDir("")
 	t.Setenv(EnvCacheDir, "")
 	d, err = Dir()
 	if err != nil {

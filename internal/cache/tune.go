@@ -1,10 +1,5 @@
 package cache
 
-import (
-	"container/list"
-	"sync"
-)
-
 // TuneKey identifies one autotuned structural parameter: the matrix
 // (fingerprint), the device the measurement targeted, the RHS-count
 // regime, and the parameter name ("bcsr.block", "spmm.tile", ...). The
@@ -18,177 +13,25 @@ type TuneKey struct {
 	Param       string // parameter name, e.g. "bcsr.block"
 }
 
+func (k TuneKey) fingerprint() uint64 { return k.Fingerprint }
+
 // DefaultTuneCap bounds the in-memory tune cache; like decisions, colder
 // winners survive in the journal and re-warm on the next restart.
 const DefaultTuneCap = 4096
 
-// tuneEntry is one LRU node payload.
-type tuneEntry struct {
-	key   TuneKey
-	value string
-}
-
 // TuneCache is a concurrency-safe, LRU-bounded store of autotune winners
 // (parameter name -> winning value, e.g. "bcsr.block" -> "4x4"),
-// optionally journal-backed so tuning is paid once per fingerprint. The
-// zero value is not usable; construct with NewTuneCache.
+// optionally journal-backed so tuning is paid once per fingerprint:
+// repeated Auto builds of the same matrix reuse measured block shapes and
+// tile widths instead of re-sweeping. The zero value is not usable;
+// construct with NewTuneCache.
 type TuneCache struct {
-	mu      sync.Mutex
-	m       map[TuneKey]*list.Element // value: *tuneEntry
-	lru     *list.List                // front = most recently used
-	cap     int
-	hits    uint64
-	misses  uint64
-	evicted uint64
-	store   *Store
+	journaledLRU[TuneKey, string]
 }
 
 // NewTuneCache returns an empty tune cache bounded at DefaultTuneCap.
 func NewTuneCache() *TuneCache {
-	return &TuneCache{
-		m:   make(map[TuneKey]*list.Element),
-		lru: list.New(),
-		cap: DefaultTuneCap,
-	}
-}
-
-// Tunes is the process-wide autotune cache the selection subsystem
-// consults by default, so repeated Auto builds of the same matrix reuse
-// measured block shapes and tile widths instead of re-sweeping.
-var Tunes = NewTuneCache()
-
-// SetCap changes the eviction bound. n <= 0 restores DefaultTuneCap.
-// Returns the previous cap.
-func (c *TuneCache) SetCap(n int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev := c.cap
-	if n <= 0 {
-		n = DefaultTuneCap
-	}
-	c.cap = n
-	c.evictLocked()
-	return prev
-}
-
-// evictLocked drops least-recently-used entries until len <= cap.
-func (c *TuneCache) evictLocked() {
-	for len(c.m) > c.cap {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		e := back.Value.(*tuneEntry)
-		delete(c.m, e.key)
-		c.lru.Remove(back)
-		c.evicted++
-	}
-}
-
-// Get returns the cached winner for the key, if any, marking it most
-// recently used.
-func (c *TuneCache) Get(k TuneKey) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[k]
-	if !ok {
-		c.misses++
-		return "", false
-	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*tuneEntry).value, true
-}
-
-// Put stores (or replaces) the winner for the key, journaling it when a
-// store is attached. Like DecisionCache.Put, the append runs under the
-// cache lock so journal order matches the in-memory winner, and any
-// compaction runs after the lock is released.
-func (c *TuneCache) Put(k TuneKey, value string) {
-	c.mu.Lock()
-	if el, ok := c.m[k]; ok {
-		el.Value.(*tuneEntry).value = value
-		c.lru.MoveToFront(el)
-	} else {
-		c.m[k] = c.lru.PushFront(&tuneEntry{key: k, value: value})
-		c.evictLocked()
-	}
-	st := c.store
-	if st != nil {
-		st.AppendTune(k, value)
-	}
-	c.mu.Unlock()
-	if st != nil && st.NeedsCompact() {
-		_ = st.Compact()
-	}
-}
-
-// AttachStore binds the cache to an open journal: the store's tune
-// records warm-load into memory and every subsequent Put appends.
-// Returns how many winners were warm-loaded. Attaching nil detaches.
-func (c *TuneCache) AttachStore(st *Store) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store = st
-	if st == nil {
-		return 0
-	}
-	keys, values := st.Tunes()
-	for i, k := range keys { // journal order: oldest first
-		if el, ok := c.m[k]; ok {
-			el.Value.(*tuneEntry).value = values[i]
-			c.lru.MoveToFront(el)
-			continue
-		}
-		c.m[k] = c.lru.PushFront(&tuneEntry{key: k, value: values[i]})
-	}
-	c.evictLocked()
-	return len(keys)
-}
-
-// Store returns the attached journal, or nil.
-func (c *TuneCache) Store() *Store {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.store
-}
-
-// Len returns the number of cached winners.
-func (c *TuneCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (c *TuneCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// InvalidateFingerprint drops every cached winner for the fingerprint
-// across all contexts, mirroring DecisionCache.InvalidateFingerprint.
-func (c *TuneCache) InvalidateFingerprint(fp uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for k, el := range c.m {
-		if k.Fingerprint == fp {
-			delete(c.m, k)
-			c.lru.Remove(el)
-			n++
-		}
-	}
-	return n
-}
-
-// Clear drops every cached winner and resets the counters; the attached
-// journal is untouched.
-func (c *TuneCache) Clear() {
-	c.mu.Lock()
-	c.m = make(map[TuneKey]*list.Element)
-	c.lru.Init()
-	c.hits, c.misses, c.evicted = 0, 0, 0
-	c.mu.Unlock()
+	c := &TuneCache{}
+	c.init(DefaultTuneCap, (*Store).Tunes, (*Store).AppendTune)
+	return c
 }

@@ -23,6 +23,23 @@ const DefaultShortlist = 3
 // about the same, and the probe's timing floor would dominate the build.
 const autoProbeMinNNZ = 1 << 14
 
+// State is everything one selection context remembers between builds:
+// the decision cache (keyed by matrix fingerprint, device, k, shards — a
+// repeated build of one matrix under one context skips ranking and
+// probing), the autotune cache, the online-learned experience base, and
+// the shard count recorded in decision keys. A Session owns one and hands
+// it to every build by pointer; nil members are simply not consulted.
+type State struct {
+	Cache   *cache.DecisionCache
+	Tunes   *cache.TuneCache
+	Learned *Learned
+	// Shards is the execution-context shard count recorded in decision
+	// keys (0: the live topo.Shards()). The engine's pool layout is
+	// process-wide hardware state; this only scopes which cached decisions
+	// a build may reuse.
+	Shards int
+}
+
 // AutoOptions configures BuildAuto.
 type AutoOptions struct {
 	// K is the expected right-hand-side count of the workload (0 or 1:
@@ -41,29 +58,18 @@ type AutoOptions struct {
 	Probe bool
 	// SampleRows overrides the probe sub-matrix row budget (0: 8192).
 	SampleRows int
-	// Cache overrides the decision cache (nil: the process-wide
-	// cache.Decisions). Decisions are keyed by (matrix fingerprint,
-	// device, k, shards), so repeated builds of one matrix under one
-	// context skip ranking and probing.
-	Cache *cache.DecisionCache
-	// NoCache disables decision caching entirely (benchmarks that must
-	// observe the full pipeline every time).
+	// State is the remembered measurement this build consults and feeds.
+	// Nil means a stateless selection: nothing is looked up, nothing is
+	// recorded.
+	State *State
+	// NoCache disables decision caching for this build (benchmarks that
+	// must observe the full pipeline every time).
 	NoCache bool
 	// NoLearn disables the online-learned experience base for this build:
 	// neither consulting past probe outcomes nor recording new ones. The
 	// model-only baselines use it so their numbers reflect the analytical
 	// model alone.
 	NoLearn bool
-	// Learned overrides the experience base consulted and fed by this
-	// build (nil: the process-wide default). Sessions with private
-	// journals pass their own so measured winners — and mispredictions —
-	// stay session-local.
-	Learned *Learned
-	// Shards overrides the execution-context shard count recorded in the
-	// decision key (0: the live topo.Shards()). The engine's pool layout
-	// is process-wide hardware state; this field only scopes which cached
-	// decisions the build may reuse.
-	Shards int
 	// Tune enables the structural-parameter micro-autotuner: the BCSR
 	// block geometry and the fused SpMM register-tile width are measured
 	// on the probe's row-sampled harness (winners journaled per
@@ -71,19 +77,24 @@ type AutoOptions struct {
 	// sampled row-length distribution. Like Probe, worth it for matrices
 	// multiplied more than a handful of times.
 	Tune bool
-	// Tunes overrides the autotune cache (nil: the process-wide
-	// cache.Tunes). Sessions pass their own so tuned winners stay
-	// session-local.
-	Tunes *cache.TuneCache
+}
+
+// state returns the build's State by value; the zero State (every member
+// nil) is the stateless selection.
+func (o AutoOptions) state() State {
+	if o.State == nil {
+		return State{}
+	}
+	return *o.State
 }
 
 // BuildAuto selects a storage format for the matrix and builds it: the
 // paper's feature analysis driving execution. The pipeline is
 //
 //  1. extract the five-feature vector (core.Extract);
-//  2. consult the decision cache keyed by (fingerprint, device, k, shards)
-//     — warm-loaded from the disk journal when persistence is on, so a
-//     restarted process reuses every decision its predecessors made;
+//  2. consult the State's decision cache keyed by (fingerprint, device, k,
+//     shards) — warm-loaded from the disk journal when its owner persists,
+//     so a restarted process reuses every decision its predecessors made;
 //  3. on a miss, shortlist candidates by the k-regime device model
 //     (device.Spec.EstimateMulti ranking, plus the RulesK pick), and let
 //     the online-learned experience base promote the measured winner of a
@@ -111,12 +122,6 @@ func BuildAuto(m *matrix.CSR, o AutoOptions) (*formats.Auto, error) {
 // for selections that ran to completion; an aborted selection leaves no
 // partial state behind.
 func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.Auto, error) {
-	if o.Cache == nil {
-		// The env-configured journal opt-in binds to the process-wide
-		// default cache; a build with a private cache (a Session) must not
-		// trigger — or be affected by — the global attachment.
-		maybeAttachEnvJournal()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -132,15 +137,10 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 		}
 		spec = s
 	}
-	dc := o.Cache
-	if dc == nil {
-		dc = cache.Decisions
-	}
-	lrn := o.Learned
-	if lrn == nil {
-		lrn = defaultLearned
-	}
-	shards := o.Shards
+	st := o.state()
+	useCache := st.Cache != nil && !o.NoCache
+	learn := st.Learned != nil && !o.NoLearn
+	shards := st.Shards
 	if shards <= 0 {
 		shards = topo.Shards()
 	}
@@ -156,8 +156,8 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 		K:           k,
 		Shards:      choice.Shards,
 	}
-	if !o.NoCache {
-		if d, ok := dc.Get(key); ok {
+	if useCache {
+		if d, ok := st.Cache.Get(key); ok {
 			// Journaled tune winners re-apply on the cached path; un-swept
 			// parameters are measured now, once.
 			if f, err := build(ctx, m, d.Format, nil, k, o, &choice); err == nil {
@@ -182,11 +182,11 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 		// builds and is never a bad worst case.
 		shortlist = []string{"Naive-CSR"}
 	}
-	if !o.NoLearn {
+	if learn {
 		// A measured winner of a nearby matrix outranks the analytical
 		// model: promote it to the front (it becomes the pick when no probe
 		// runs, and a probed candidate otherwise).
-		if name, ok := lrn.pick(spec.Name, k, fv); ok {
+		if name, ok := st.Learned.pick(spec.Name, k, fv); ok {
 			shortlist = promote(shortlist, name)
 			choice.Learned = true
 		}
@@ -215,8 +215,8 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 					choice.ProbeNs[r.Format] = r.NsPerOp
 				}
 			}
-			if !o.NoLearn {
-				observeWinner(dc, lrn, spec.Name, k, fv, winner)
+			if learn {
+				observeWinner(st, spec.Name, k, fv, winner)
 			}
 		}
 	}
@@ -240,8 +240,8 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	if err != nil {
 		return nil, fmt.Errorf("selector: no candidate builds: %w", err)
 	}
-	if !o.NoCache {
-		dc.Put(key, cache.Decision{Format: f.Name(), Probed: choice.Probed})
+	if useCache {
+		st.Cache.Put(key, cache.Decision{Format: f.Name(), Probed: choice.Probed})
 	}
 	return formats.NewAuto(f, choice), nil
 }
@@ -260,9 +260,9 @@ func build(ctx context.Context, m *matrix.CSR, name string, have formats.Format,
 	var t formats.Tuning
 	var tuned map[string]string
 	if o.Tune {
-		tc := o.Tunes
+		tc := o.state().Tunes
 		if tc == nil {
-			tc = cache.Tunes
+			tc = cache.NewTuneCache() // stateless: sweeps are measured, not remembered
 		}
 		t, tuned = autotune(ctx, m, name, choice.Device, k, o.SampleRows, tc)
 	}

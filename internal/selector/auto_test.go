@@ -104,7 +104,7 @@ func TestBuildAutoDegenerate(t *testing.T) {
 func TestBuildAutoCachesDecision(t *testing.T) {
 	m := genMatrix(t, 3000, 10, 5, 8)
 	dc := cache.NewDecisionCache()
-	a1, err := BuildAuto(m, AutoOptions{K: 8, Cache: dc})
+	a1, err := BuildAuto(m, AutoOptions{K: 8, State: &State{Cache: dc}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBuildAutoCachesDecision(t *testing.T) {
 	if dc.Len() != 1 {
 		t.Fatalf("cache holds %d decisions, want 1", dc.Len())
 	}
-	a2, err := BuildAuto(m, AutoOptions{K: 8, Cache: dc})
+	a2, err := BuildAuto(m, AutoOptions{K: 8, State: &State{Cache: dc}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestBuildAutoCachesDecision(t *testing.T) {
 		t.Errorf("cached decision %q != original %q", a2.Chosen(), a1.Chosen())
 	}
 	// A different k is a different regime and must not share the entry.
-	a3, err := BuildAuto(m, AutoOptions{K: 1, Cache: dc})
+	a3, err := BuildAuto(m, AutoOptions{K: 1, State: &State{Cache: dc}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBuildAutoConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			k := 1 + (g%2)*7 // alternate k=1 and k=8
-			a, err := BuildAuto(m, AutoOptions{K: k, Cache: dc})
+			a, err := BuildAuto(m, AutoOptions{K: k, State: &State{Cache: dc}})
 			if err != nil {
 				errs <- err
 				return

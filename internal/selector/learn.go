@@ -9,10 +9,10 @@ package selector
 // startup, so a restarted server keeps everything its predecessors
 // measured.
 //
-// The experience base is an instantiable type (Learned) so callers that
-// need isolation — one Session per journal, the server's registry, tests —
-// can hold their own; the package-level functions operate on a process-wide
-// default instance the facade uses.
+// The experience base is an instantiable type (Learned) with exactly one
+// owner per selection context: a Session holds it inside its State, next
+// to the caches and the journal they share. This package keeps no
+// experience of its own — a build handed no State learns nothing.
 
 import (
 	"math"
@@ -56,14 +56,6 @@ type Learned struct {
 func NewLearned() *Learned {
 	return &Learned{base: map[regimeKey]*Nearest{}}
 }
-
-// defaultLearned is the process-wide experience base the package-level
-// functions (and any AutoOptions without a Learned override) operate on.
-var defaultLearned = NewLearned()
-
-// DefaultLearned returns the process-wide experience base the facade's
-// default session consults.
-func DefaultLearned() *Learned { return defaultLearned }
 
 // probeRuns counts micro-probe invocations process-wide; the persistence CI
 // gate asserts a warm restart performs zero.
@@ -141,20 +133,16 @@ func (l *Learned) WarmLoad(st *cache.Store) int {
 	return len(exps)
 }
 
-// LearnedLen reports how many experience samples the default base holds
-// for the regime.
-func LearnedLen(device string, k int) int { return defaultLearned.Len(device, k) }
-
-// ResetLearned drops every in-memory experience sample of the default base.
-func ResetLearned() { defaultLearned.Reset() }
-
-// observeWinner records one measured probe outcome: into the given
-// in-memory k-NN base immediately, and into the journal behind the
+// observeWinner records one measured probe outcome: into the state's
+// in-memory k-NN base immediately, and into the journal behind its
 // decision cache (when one is attached) for the next process.
-func observeWinner(dc *cache.DecisionCache, lrn *Learned, device string, k int, fv core.FeatureVector, best string) {
-	lrn.observe(device, k, fv, best, 0)
-	if st := dc.Store(); st != nil {
-		st.AppendExperience(cache.Experience{Device: device, K: k, FV: fv, Best: best})
+func observeWinner(st State, device string, k int, fv core.FeatureVector, best string) {
+	st.Learned.observe(device, k, fv, best, 0)
+	if st.Cache == nil {
+		return
+	}
+	if j := st.Cache.Store(); j != nil {
+		j.AppendExperience(cache.Experience{Device: device, K: k, FV: fv, Best: best})
 	}
 }
 
@@ -164,80 +152,3 @@ func observeWinner(dc *cache.DecisionCache, lrn *Learned, device string, k int, 
 // possibly under different load, thermals, or a since-changed kernel —
 // still votes, but two fresh confirmations outvote it.
 const experienceHalfLife = 256
-
-// WarmLoad replays a journal's experience records into the default base.
-func WarmLoad(st *cache.Store) int { return defaultLearned.WarmLoad(st) }
-
-// Persist opens (or creates) the decision journal in dir and binds it to
-// the process-wide selection state: the decision cache warm-loads and
-// journals through it, and the experience base is re-baselined to the
-// journal's probe history (reset, then replayed — re-invoking Persist, or
-// switching directories, must not stack a second copy of every sample
-// into the k-NN vote). An empty dir resolves the default location
-// (SPMV_CACHE_DIR, then the user cache dir — see cache.Dir). Returns the
-// open store.
-//
-// Persist configures the DEFAULT session's state — the one the package
-// facade uses. Callers that need isolated journals (one per server
-// registry, concurrent writers) should hold their own cache and Learned
-// via AutoOptions, as internal/session does.
-func Persist(dir string) (*cache.Store, error) {
-	if dir != "" {
-		cache.SetDir(dir)
-	}
-	d, err := cache.Dir()
-	if err != nil {
-		return nil, err
-	}
-	st, err := cache.Open(d)
-	if err != nil {
-		return nil, err
-	}
-	// Attach the new store BEFORE closing the old: a concurrent Put must
-	// never land on an already-closed handle (its append would be dropped
-	// without error).
-	old := cache.Decisions.Store()
-	cache.Decisions.AttachStore(st)
-	cache.Tunes.AttachStore(st)
-	if old != nil {
-		old.Close()
-	}
-	ResetLearned()
-	WarmLoad(st)
-	return st, nil
-}
-
-// Unpersist turns persistence back off: the journal detaches from the
-// process-wide decision cache (closing its file handle) and the directory
-// override clears. In-memory state — cached decisions, learned samples —
-// stays; only the disk binding goes. With SPMV_CACHE_DIR still set in the
-// environment, a later Persist (or env auto-attach, which fires at most
-// once per process) would re-enable it.
-func Unpersist() {
-	if st := cache.Decisions.Store(); st != nil {
-		cache.Decisions.AttachStore(nil)
-		cache.Tunes.AttachStore(nil)
-		st.Close()
-	}
-	cache.SetDir("")
-}
-
-// envAttachOnce arms the configuration opt-in: the first selection of a
-// process with a journal location chosen (SPMV_CACHE_DIR, or a
-// cache.SetDir override such as the CLIs' -cache-dir flag) attaches the
-// journal transparently, so servers and CLIs get persistence with zero
-// further code. Without a configured location (and without an explicit
-// Persist call) nothing touches disk.
-var envAttachOnce sync.Once
-
-func maybeAttachEnvJournal() {
-	envAttachOnce.Do(func() {
-		if !cache.Configured() {
-			return
-		}
-		if cache.Decisions.Store() != nil {
-			return
-		}
-		_, _ = Persist("") // best-effort: an unusable dir just disables persistence
-	})
-}

@@ -49,12 +49,11 @@ func TestWarmLoadAgesExperience(t *testing.T) {
 	}
 	st.AppendExperience(cache.Experience{Device: "host", K: 8, FV: fv, Best: "ELL"})
 
-	ResetLearned()
-	defer ResetLearned()
-	if n := WarmLoad(st); n == 0 {
+	lrn := NewLearned()
+	if n := lrn.WarmLoad(st); n == 0 {
 		t.Fatal("nothing replayed")
 	}
-	name, ok := defaultLearned.pick("host", 8, fv)
+	name, ok := lrn.pick("host", 8, fv)
 	if !ok || name != "ELL" {
 		t.Fatalf("aged pick = %q,%v; want fresh ELL to outvote the stale COO majority", name, ok)
 	}

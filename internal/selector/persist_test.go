@@ -31,7 +31,7 @@ func TestPersistRoundTripZeroProbes(t *testing.T) {
 	var cold []string
 	for _, m := range mats {
 		for _, k := range []int{1, 8} {
-			a, err := BuildAuto(m, AutoOptions{K: k, Probe: true, Cache: dc1, NoLearn: true})
+			a, err := BuildAuto(m, AutoOptions{K: k, Probe: true, State: &State{Cache: dc1}, NoLearn: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestPersistRoundTripZeroProbes(t *testing.T) {
 	i := 0
 	for _, m := range mats {
 		for _, k := range []int{1, 8} {
-			a, err := BuildAuto(m, AutoOptions{K: k, Probe: true, Cache: dc2, NoLearn: true})
+			a, err := BuildAuto(m, AutoOptions{K: k, Probe: true, State: &State{Cache: dc2}, NoLearn: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestLearnedExperiencePersists(t *testing.T) {
 	dc1 := cache.NewDecisionCache()
 	dc1.AttachStore(st1)
 	m := genMatrix(t, 20000, 12, 10, 9)
-	a, err := BuildAuto(m, AutoOptions{K: 8, Probe: true, Cache: dc1})
+	a, err := BuildAuto(m, AutoOptions{K: 8, Probe: true, State: &State{Cache: dc1, Learned: NewLearned()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,17 +110,16 @@ func TestLearnedExperiencePersists(t *testing.T) {
 	if last.K != 8 || last.Best != a.Chosen() {
 		t.Errorf("journaled experience %+v, want winner %q at k=8", last, a.Chosen())
 	}
-	ResetLearned()
-	defer ResetLearned()
-	if n := WarmLoad(st2); n != len(exps) {
+	lrn := NewLearned()
+	if n := lrn.WarmLoad(st2); n != len(exps) {
 		t.Fatalf("WarmLoad replayed %d, want %d", n, len(exps))
 	}
-	if LearnedLen(last.Device, 8) == 0 {
+	if lrn.Len(last.Device, 8) == 0 {
 		t.Error("experience base empty after warm-load")
 	}
 	// The warmed base steers a fresh (uncached, unprobed) decision on the
 	// same matrix to the measured winner.
-	fresh, err := BuildAuto(m, AutoOptions{K: 8, NoCache: true})
+	fresh, err := BuildAuto(m, AutoOptions{K: 8, NoCache: true, State: &State{Learned: lrn}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,34 +128,6 @@ func TestLearnedExperiencePersists(t *testing.T) {
 	}
 	if fresh.Chosen() != a.Chosen() {
 		t.Errorf("learned pick %q != measured winner %q", fresh.Chosen(), a.Chosen())
-	}
-}
-
-// TestPersistReinvokeNoDuplicates: re-invoking Persist (config reload,
-// directory switch) must re-baseline the experience base to the journal,
-// not stack a second copy of every sample into the k-NN vote.
-func TestPersistReinvokeNoDuplicates(t *testing.T) {
-	dir := t.TempDir()
-	prevDir := cache.SetDir("")
-	defer func() {
-		cache.SetDir(prevDir)
-		if st := cache.Decisions.Store(); st != nil {
-			cache.Decisions.AttachStore(nil)
-			st.Close()
-		}
-		ResetLearned()
-	}()
-	st, err := Persist(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.AppendExperience(cache.Experience{Device: "host", K: 8, Best: "ELL"})
-	st.AppendExperience(cache.Experience{Device: "host", K: 8, Best: "ELL"})
-	if _, err := Persist(dir); err != nil {
-		t.Fatal(err)
-	}
-	if got := LearnedLen("host", 8); got != 2 {
-		t.Fatalf("after re-Persist the base holds %d samples, want 2 (journal contents, not stacked copies)", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package selector
 import (
 	"context"
 
-	"repro/internal/cache"
 	"repro/internal/formats"
 	"repro/internal/matrix"
 )
@@ -31,11 +30,10 @@ func Reselect(oldFingerprint uint64, m *matrix.CSR, o AutoOptions) (*formats.Aut
 // are invalidated unconditionally (they are wrong regardless of whether
 // this rebuild completes), then BuildAutoCtx selects under ctx.
 func ReselectCtx(ctx context.Context, oldFingerprint uint64, m *matrix.CSR, o AutoOptions) (*formats.Auto, int, error) {
-	dc := o.Cache
-	if dc == nil {
-		dc = cache.Decisions
+	dropped := 0
+	if dc := o.state().Cache; dc != nil {
+		dropped = dc.InvalidateFingerprint(oldFingerprint)
 	}
-	dropped := dc.InvalidateFingerprint(oldFingerprint)
 	f, err := BuildAutoCtx(ctx, m, o)
 	return f, dropped, err
 }

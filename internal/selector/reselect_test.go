@@ -14,11 +14,11 @@ import (
 func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
 	dc := cache.NewDecisionCache()
 	m1 := matrix.Random(300, 300, 0.05, 3)
-	a1, err := BuildAuto(m1, AutoOptions{Cache: dc, NoLearn: true})
+	a1, err := BuildAuto(m1, AutoOptions{State: &State{Cache: dc}, NoLearn: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildAuto(m1, AutoOptions{K: 8, Cache: dc, NoLearn: true}); err != nil {
+	if _, err := BuildAuto(m1, AutoOptions{K: 8, State: &State{Cache: dc}, NoLearn: true}); err != nil {
 		t.Fatal(err)
 	}
 	if dc.Len() != 2 {
@@ -37,7 +37,7 @@ func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
 		t.Fatal("drifted matrix kept its fingerprint; test is vacuous")
 	}
 
-	a2, dropped, err := Reselect(m1.Fingerprint(), m2, AutoOptions{Cache: dc, NoLearn: true})
+	a2, dropped, err := Reselect(m1.Fingerprint(), m2, AutoOptions{State: &State{Cache: dc}, NoLearn: true})
 	if err != nil {
 		t.Fatal(err)
 	}

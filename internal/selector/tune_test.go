@@ -49,7 +49,7 @@ func TestAutotuneBCSRJournalsWinner(t *testing.T) {
 func TestBuildAutoTuneRecordsChoice(t *testing.T) {
 	m := genMatrix(t, 8000, 12, 0, 78)
 	tc := cache.NewTuneCache()
-	a, err := BuildAuto(m, AutoOptions{K: 8, NoCache: true, NoLearn: true, Tune: true, Tunes: tc})
+	a, err := BuildAuto(m, AutoOptions{K: 8, NoCache: true, NoLearn: true, Tune: true, State: &State{Tunes: tc}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestBuildAutoTuneRecordsChoice(t *testing.T) {
 	}
 	// Whatever was tuned must round-trip the cached decision path too.
 	dc := cache.NewDecisionCache()
-	a1, err := BuildAuto(m, AutoOptions{K: 8, NoLearn: true, Tune: true, Tunes: tc, Cache: dc})
+	a1, err := BuildAuto(m, AutoOptions{K: 8, NoLearn: true, Tune: true, State: &State{Cache: dc, Tunes: tc}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := BuildAuto(m, AutoOptions{K: 8, NoLearn: true, Tune: true, Tunes: tc, Cache: dc})
+	a2, err := BuildAuto(m, AutoOptions{K: 8, NoLearn: true, Tune: true, State: &State{Cache: dc, Tunes: tc}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBuildServesDefaultWhenTunedShapeRefused(t *testing.T) {
 	tc := cache.NewTuneCache()
 	tc.Put(cache.TuneKey{Fingerprint: m.Fingerprint(), Device: "host", K: 1, Param: ParamBCSRBlock}, "16x16")
 	choice := formats.AutoChoice{Device: "host"}
-	f, err := build(context.Background(), m, "BCSR", nil, 1, AutoOptions{Tune: true, Tunes: tc}, &choice)
+	f, err := build(context.Background(), m, "BCSR", nil, 1, AutoOptions{Tune: true, State: &State{Tunes: tc}}, &choice)
 	if err != nil {
 		t.Fatal(err)
 	}

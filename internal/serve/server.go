@@ -66,6 +66,7 @@ type UploadResponse struct {
 // envelope, and a drain-bounded graceful shutdown.
 type Server struct {
 	reg   *Registry
+	sess  *session.Session // non-nil only when NewServer opened it: Shutdown closes what it owns
 	cfg   Config
 	http  *http.Server
 	lis   net.Listener
@@ -77,12 +78,14 @@ type Server struct {
 }
 
 // NewServer wires a server from cfg. The session is built from the
-// config's CacheDir/K/Probe/Shards; pass a non-nil sess to share one
-// (e.g. the default session) instead.
+// config's CacheDir/K/Probe/Shards and closed by Shutdown; pass a non-nil
+// sess to share one (e.g. the default session, or one journal between two
+// servers) instead — a supplied session stays open, its owner closes it.
 func NewServer(cfg Config, sess *session.Session) (*Server, error) {
+	var own *session.Session
 	if sess == nil {
 		var err error
-		sess, err = session.New(session.Options{
+		own, err = session.New(session.Options{
 			CacheDir: cfg.CacheDir,
 			K:        cfg.K,
 			Probe:    cfg.Probe,
@@ -91,10 +94,12 @@ func NewServer(cfg Config, sess *session.Session) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		sess = own
 	}
 	base, abort := context.WithCancel(context.Background())
 	s := &Server{
 		reg:   NewRegistry(base, sess, cfg.Window, cfg.MaxBatch),
+		sess:  own,
 		cfg:   cfg,
 		base:  base,
 		abort: abort,
@@ -177,8 +182,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	err := s.http.Shutdown(drainCtx)
 	s.reg.Close()
-	if s.reg.sess != nil && !s.reg.sess.IsDefault() {
-		s.reg.sess.Close()
+	if s.sess != nil {
+		s.sess.Close()
 	}
 	return err
 }

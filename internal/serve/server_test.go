@@ -488,3 +488,31 @@ func TestServerInfoEndpoint(t *testing.T) {
 		t.Fatal("the remembered BCSR decision did not surface a tuning entry")
 	}
 }
+
+// TestShutdownLeavesSuppliedSessionOpen: a session handed to NewServer
+// belongs to the caller — two servers may share one journal — so Shutdown
+// must not detach it; only a session NewServer opened itself is closed.
+func TestShutdownLeavesSuppliedSessionOpen(t *testing.T) {
+	sess, err := session.New(session.Options{CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	s, err := NewServer(DefaultConfig(), sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if sess.Store() == nil {
+		t.Fatal("Shutdown detached the journal of a caller-supplied session")
+	}
+	before := sess.Store().Stats().Appended
+	if _, err := sess.Auto(matrix.Random(200, 200, 0.05, 3), selector.AutoOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Store().Stats().Appended; got <= before {
+		t.Fatalf("Auto after Shutdown appended %d records, want > %d", got, before)
+	}
+}

@@ -1,27 +1,26 @@
-// Package session scopes the selection subsystem's mutable state — the
-// decision cache, the disk journal, the online-learned experience base,
-// and the execution-context shard count — into an instantiable Session,
-// replacing the package-global SetShards/SetCacheDir facade state that
-// concurrent hosts (one server registry per journal, tests, multi-tenant
-// embedders) would otherwise fight over.
+// Package session is the one owner of the selection subsystem's mutable
+// state: the decision cache, the autotune cache, the disk journal behind
+// both, the online-learned experience base, and the execution-context
+// shard count recorded in decision keys. A Session holds real instances of
+// all of them in one selector.State and hands that state to every build
+// it runs; internal/selector and internal/cache keep no package-level
+// state of their own.
 //
-// Two sessions share nothing: each owns its DecisionCache, its journal
-// Store (opened directly on the session's directory, never through the
-// process-wide cache.SetDir override), and its Learned experience base.
-// Decisions, probe outcomes, and learned samples made under one session
-// are invisible to every other — the ROADMAP-flagged "concurrent writers
-// sharing one journal" fix.
+// Two sessions share nothing: decisions, probe outcomes and learned
+// samples made under one are invisible to every other, in memory and on
+// disk, so concurrent hosts (one server registry per journal, tests,
+// multi-tenant embedders) never fight over a journal.
 //
-// The process-wide default session (Default) is a view over the legacy
-// globals — cache.Decisions, the selector's default experience base,
-// topo.Shards() — so the spmv facade's package-level functions remain
-// exactly a thin wrapper over it: code written against SetCacheDir keeps
-// its behavior bit for bit.
+// The process-wide default session (Default) is an ordinary Session,
+// opened once on $SPMV_CACHE_DIR (memory-only without it). The spmv
+// facade's package-level Auto, NewUpdatable, SetCacheDir and
+// UnsetCacheDir are one-line delegates to it.
 package session
 
 import (
 	"context"
 	"fmt"
+	"os"
 	"sync"
 
 	"repro/internal/cache"
@@ -37,8 +36,7 @@ type Options struct {
 	// CacheDir is the journal directory for persistent decisions and probe
 	// outcomes. Empty means memory-only: the session still has its own
 	// isolated decision cache and experience base, but nothing touches
-	// disk. Unlike the facade's SetCacheDir, the directory is opened
-	// directly — no process-global override is installed.
+	// disk.
 	CacheDir string
 	// K is the default right-hand-side regime hint for Auto builds under
 	// this session (0 or 1: single-vector SpMV).
@@ -54,38 +52,33 @@ type Options struct {
 // Session is one isolated selection context. All methods are safe for
 // concurrent use.
 type Session struct {
-	opts    Options
-	dc      *cache.DecisionCache
-	tunes   *cache.TuneCache
-	store   *cache.Store // nil when memory-only
-	learned *selector.Learned
+	opts Options
+	// state is what every build under this session consults and feeds. Its
+	// members are fixed for the session's lifetime; the journal attaches to
+	// and detaches from the caches inside it.
+	state selector.State
 
-	// def marks the default session, whose state is the legacy process
-	// globals rather than private instances.
-	def bool
+	mu sync.Mutex // serializes Persist and Close
 }
 
 // New opens a session. With a CacheDir, the journal is opened (creating
 // the directory as needed), existing decisions warm-load into the
-// session's cache and experience replays into its learned base — the same
-// restart contract the process-wide persistence layer gives the facade,
-// scoped to this session.
+// session's cache and experience replays into its learned base: prior
+// decisions resolve with zero probes after a restart.
 func New(o Options) (*Session, error) {
 	s := &Session{
-		opts:    o,
-		dc:      cache.NewDecisionCache(),
-		tunes:   cache.NewTuneCache(),
-		learned: selector.NewLearned(),
+		opts: o,
+		state: selector.State{
+			Cache:   cache.NewDecisionCache(),
+			Tunes:   cache.NewTuneCache(),
+			Learned: selector.NewLearned(),
+			Shards:  o.Shards,
+		},
 	}
 	if o.CacheDir != "" {
-		st, err := cache.Open(o.CacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("session: open journal: %w", err)
+		if err := s.Persist(o.CacheDir); err != nil {
+			return nil, err
 		}
-		s.store = st
-		s.dc.AttachStore(st)
-		s.tunes.AttachStore(st)
-		s.learned.WarmLoad(st)
 	}
 	return s, nil
 }
@@ -95,70 +88,49 @@ var (
 	defSess *Session
 )
 
-// Default returns the process-wide default session: a view over the
-// legacy globals (cache.Decisions, the selector's default experience
-// base, topo.Shards()). The spmv facade's package-level Auto, SetShards
-// and SetCacheDir delegate here, so facade callers and Default() callers
-// observe one shared state.
+// Default returns the process-wide default session — the state the spmv
+// facade's package-level functions operate on. It is opened on first use:
+// with SPMV_CACHE_DIR set it journals there (persistence with zero code
+// changes), without it nothing touches disk until Persist is called.
 func Default() *Session {
-	defOnce.Do(func() {
-		defSess = &Session{def: true}
-	})
+	defOnce.Do(func() { defSess = newDefault(os.Getenv(cache.EnvCacheDir)) })
 	return defSess
 }
 
-// IsDefault reports whether this is the process-wide default session.
-func (s *Session) IsDefault() bool { return s.def }
-
-// Cache returns the session's decision cache (the process-wide
-// cache.Decisions for the default session).
-func (s *Session) Cache() *cache.DecisionCache {
-	if s.def {
-		return cache.Decisions
+// newDefault opens the default session on dir. Best-effort: an unusable
+// directory only costs persistence, never the session.
+func newDefault(dir string) *Session {
+	s, err := New(Options{CacheDir: dir})
+	if err != nil {
+		s, _ = New(Options{})
 	}
-	return s.dc
+	return s
 }
 
-// Tunes returns the session's autotune cache (the process-wide
-// cache.Tunes for the default session).
-func (s *Session) Tunes() *cache.TuneCache {
-	if s.def {
-		return cache.Tunes
-	}
-	return s.tunes
-}
+// Cache returns the session's decision cache.
+func (s *Session) Cache() *cache.DecisionCache { return s.state.Cache }
+
+// Tunes returns the session's autotune cache.
+func (s *Session) Tunes() *cache.TuneCache { return s.state.Tunes }
 
 // Learned returns the session's experience base.
-func (s *Session) Learned() *selector.Learned {
-	if s.def {
-		return selector.DefaultLearned()
-	}
-	return s.learned
-}
+func (s *Session) Learned() *selector.Learned { return s.state.Learned }
 
-// Store returns the session's journal, or nil when memory-only. The
-// default session reports whatever journal the facade has attached.
-func (s *Session) Store() *cache.Store {
-	if s.def {
-		return cache.Decisions.Store()
-	}
-	return s.store
-}
+// Store returns the session's journal, or nil when memory-only.
+func (s *Session) Store() *cache.Store { return s.state.Cache.Store() }
 
 // Shards returns the execution-context shard count recorded in this
 // session's decision keys: the session override when set, else the live
 // engine topology.
 func (s *Session) Shards() int {
-	if !s.def && s.opts.Shards > 0 {
-		return s.opts.Shards
+	if s.state.Shards > 0 {
+		return s.state.Shards
 	}
 	return topo.Shards()
 }
 
-// autoOptions scopes o to this session: the session's cache, learned
-// base and shard context replace the globals, and the session's default
-// K/Probe fill unset fields. The default session passes nil overrides so
-// selection runs on the legacy global path unchanged.
+// autoOptions scopes o to this session: its state is the build's state,
+// and the session's default K/Probe fill unset fields.
 func (s *Session) autoOptions(o selector.AutoOptions) selector.AutoOptions {
 	if o.K == 0 {
 		o.K = s.opts.K
@@ -166,15 +138,7 @@ func (s *Session) autoOptions(o selector.AutoOptions) selector.AutoOptions {
 	if !o.Probe {
 		o.Probe = s.opts.Probe
 	}
-	if s.def {
-		return o
-	}
-	o.Cache = s.dc
-	o.Tunes = s.tunes
-	o.Learned = s.learned
-	if o.Shards == 0 {
-		o.Shards = s.opts.Shards
-	}
+	o.State = &s.state
 	return o
 }
 
@@ -190,36 +154,60 @@ func (s *Session) AutoCtx(ctx context.Context, m *matrix.CSR, o selector.AutoOpt
 }
 
 // NewUpdatable wraps m in a concurrently updatable form whose base
-// (re-)selection runs under this session's state; see update.New.
+// selection — the initial build and every compaction's re-selection —
+// runs under this session's state; see update.New.
 func (s *Session) NewUpdatable(m *matrix.CSR, o update.Options) (*update.Updatable, error) {
-	if o.K == 0 {
-		o.K = s.opts.K
-	}
-	if !o.Probe {
-		o.Probe = s.opts.Probe
-	}
-	if !s.def {
-		if o.Cache == nil {
-			o.Cache = s.dc
-		}
-		if o.Learned == nil {
-			o.Learned = s.learned
-		}
-	}
+	a := s.autoOptions(selector.AutoOptions{K: o.K, Probe: o.Probe})
+	o.K, o.Probe, o.State = a.K, a.Probe, a.State
 	return update.New(m, o)
 }
 
+// Persist binds the session to the journal in dir (opened, created as
+// needed): the caches warm-load and journal through it, and the
+// experience base is re-baselined to the journal's probe history (reset,
+// then replayed — re-invoking Persist, or switching directories, must not
+// stack a second copy of every sample into the k-NN vote). An empty dir
+// resolves the default location (SPMV_CACHE_DIR, then the user cache dir —
+// see cache.Dir). A journal already attached is closed.
+func (s *Session) Persist(dir string) error {
+	if dir == "" {
+		d, err := cache.Dir()
+		if err != nil {
+			return err
+		}
+		dir = d
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, err := cache.Open(dir)
+	if err != nil {
+		return fmt.Errorf("session: open journal: %w", err)
+	}
+	// Attach the new store BEFORE closing the old: a concurrent Put must
+	// never land on an already-closed handle (its append would be dropped
+	// without error).
+	old := s.Store()
+	s.state.Cache.AttachStore(st)
+	s.state.Tunes.AttachStore(st)
+	if old != nil {
+		old.Close()
+	}
+	s.state.Learned.Reset()
+	s.state.Learned.WarmLoad(st)
+	return nil
+}
+
 // Close detaches and closes the session's journal, if any. The session's
-// in-memory caches stay usable (memory-only) afterwards. Closing the
-// default session is a no-op: its journal belongs to the facade
-// (UnsetCacheDir detaches it).
+// in-memory caches and experience stay usable (memory-only) afterwards,
+// and a later Persist re-attaches.
 func (s *Session) Close() error {
-	if s.def || s.store == nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.Store()
+	if st == nil {
 		return nil
 	}
-	st := s.store
-	s.store = nil
-	s.dc.AttachStore(nil)
-	s.tunes.AttachStore(nil)
+	s.state.Cache.AttachStore(nil)
+	s.state.Tunes.AttachStore(nil)
 	return st.Close()
 }

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -64,11 +65,12 @@ func TestSessionsJournalIndependently(t *testing.T) {
 	}
 }
 
-// Sessions never touch the process-global selection state: decisions go
-// to the session cache and probe outcomes feed the session's experience
-// base, not the defaults.
-func TestSessionIsolatedFromGlobals(t *testing.T) {
-	globalBefore := cache.Decisions.Len()
+// Sessions never touch the default session's state: decisions go to the
+// session cache and probe outcomes feed the session's experience base,
+// not Default()'s.
+func TestSessionIsolatedFromDefault(t *testing.T) {
+	d := Default()
+	defaultBefore := d.Cache().Len()
 
 	s, err := New(Options{CacheDir: filepath.Join(t.TempDir(), "s")})
 	if err != nil {
@@ -81,56 +83,78 @@ func TestSessionIsolatedFromGlobals(t *testing.T) {
 	}
 	ch := a.Choice()
 
-	if got := cache.Decisions.Len(); got != globalBefore {
-		t.Fatalf("session build grew the global decision cache: %d -> %d", globalBefore, got)
+	if got := d.Cache().Len(); got != defaultBefore {
+		t.Fatalf("session build grew the default decision cache: %d -> %d", defaultBefore, got)
 	}
 	if ch.Probed {
 		if s.Learned().Len(ch.Device, ch.K) == 0 {
 			t.Fatal("probe outcome missing from the session's experience base")
 		}
-		if got := selector.LearnedLen(ch.Device, ch.K); got != 0 {
-			t.Fatalf("probe outcome leaked into the global experience base: %d", got)
+		if got := d.Learned().Len(ch.Device, ch.K); got != 0 {
+			t.Fatalf("probe outcome leaked into the default experience base: %d", got)
 		}
 	}
 }
 
-// The default session is a view over the legacy globals: the facade's
-// package-level state and Default() observe one shared world, so code
-// written against SetShards/SetCacheDir keeps its behavior.
-func TestDefaultSessionIsTheLegacyGlobals(t *testing.T) {
-	d := Default()
-	if !d.IsDefault() {
-		t.Fatal("Default() not marked default")
+// The constructor Default() wraps is the env-only opt-in: given a
+// directory (the value of SPMV_CACHE_DIR) it warm-loads the journal
+// there, given "" it is memory-only and nothing touches disk.
+func TestNewDefaultEnvAttach(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	cold := newDefault(dir)
+	if cold.Store() == nil {
+		t.Fatal("default session given a dir opened no journal")
 	}
-	if d.Cache() != cache.Decisions {
-		t.Fatal("default session cache is not the global decision cache")
+	if _, err := cold.Auto(testMatrix(), selector.AutoOptions{}); err != nil {
+		t.Fatal(err)
 	}
-	if d.Learned() != selector.DefaultLearned() {
-		t.Fatal("default session learned base is not the global one")
-	}
-
-	// topo.SetShards (the facade's SetShards) is visible through the
-	// default session, and a scoped session override wins over it.
-	prev := topo.SetShards(3)
-	defer topo.SetShards(prev)
-	if d.Shards() != 3 {
-		t.Fatalf("default session shards = %d, want 3", d.Shards())
-	}
-	scoped, err := New(Options{Shards: 5})
+	cold.Close()
+	warm := newDefault(dir)
+	defer warm.Close()
+	a, err := warm.Auto(testMatrix(), selector.AutoOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer scoped.Close()
-	if scoped.Shards() != 5 {
-		t.Fatalf("scoped session shards = %d, want 5", scoped.Shards())
+	if !a.Choice().Cached || warm.Store().Stats().Appended != 0 {
+		t.Fatalf("restart on the same dir: cached=%v, %d appended; want a warm hit and no append",
+			a.Choice().Cached, warm.Store().Stats().Appended)
 	}
 
-	// Closing the default session must not detach the facade's journal.
-	if err := d.Close(); err != nil {
+	// Without a dir: no store, and the would-be default location (the
+	// user cache dir, redirected here) stays empty.
+	home := t.TempDir()
+	t.Setenv("HOME", home)
+	t.Setenv("XDG_CACHE_HOME", filepath.Join(home, ".cache"))
+	mem := newDefault("")
+	if mem.Store() != nil {
+		t.Fatal("default session without SPMV_CACHE_DIR has a store")
+	}
+	if _, err := mem.Auto(testMatrix(), selector.AutoOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Cache() != cache.Decisions {
-		t.Fatal("closing the default session broke the global view")
+	if ents, _ := os.ReadDir(home); len(ents) != 0 {
+		t.Fatalf("memory-only default session touched disk: %v", ents)
+	}
+}
+
+// TestPersistReinvokeNoDuplicates: re-invoking Persist (config reload,
+// directory switch) must re-baseline the experience base to the journal,
+// not stack a second copy of every sample into the k-NN vote.
+func TestPersistReinvokeNoDuplicates(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Options{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st := s.Store()
+	st.AppendExperience(cache.Experience{Device: "host", K: 8, Best: "ELL"})
+	st.AppendExperience(cache.Experience{Device: "host", K: 8, Best: "ELL"})
+	if err := s.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Learned().Len("host", 8); got != 2 {
+		t.Fatalf("after re-Persist the base holds %d samples, want 2 (journal contents, not stacked copies)", got)
 	}
 }
 
@@ -158,7 +182,7 @@ func TestMemoryOnlySession(t *testing.T) {
 }
 
 // An updatable built under a session re-selects under that session's
-// state, not the globals.
+// state, not the default session's.
 func TestSessionUpdatable(t *testing.T) {
 	s, err := New(Options{})
 	if err != nil {
@@ -166,7 +190,7 @@ func TestSessionUpdatable(t *testing.T) {
 	}
 	defer s.Close()
 
-	globalBefore := cache.Decisions.Len()
+	defaultBefore := Default().Cache().Len()
 	u, err := s.NewUpdatable(testMatrix(), update.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +203,35 @@ func TestSessionUpdatable(t *testing.T) {
 	if y[0] < 2.49 || y[0] > 2.51 {
 		t.Fatalf("y[0] = %v, want 2.5", y[0])
 	}
-	if got := cache.Decisions.Len(); got != globalBefore {
-		t.Fatalf("session updatable grew the global decision cache: %d -> %d", globalBefore, got)
+	if got := Default().Cache().Len(); got != defaultBefore {
+		t.Fatalf("session updatable grew the default decision cache: %d -> %d", defaultBefore, got)
+	}
+}
+
+// A session's shard context keys every decision made under it: Auto, the
+// updatable's initial build, and each compaction's re-selection alike.
+func TestSessionUpdatableKeepsShardKey(t *testing.T) {
+	want := topo.Shards() + 2 // never the live count the bug keyed under
+	s, err := New(Options{CacheDir: t.TempDir(), Shards: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	u, err := s.NewUpdatable(testMatrix(), update.Options{NoAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.Set(0, 0, 1.25)
+	if err := u.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	keys, _ := s.Store().Decisions()
+	if len(keys) < 2 {
+		t.Fatalf("journaled %d decisions, want the initial build and the re-selection", len(keys))
+	}
+	for _, k := range keys {
+		if k.Shards != want {
+			t.Errorf("decision %+v keyed under %d shards, want the session's %d", k, k.Shards, want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package update
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/failpoint"
@@ -21,36 +20,16 @@ const (
 	compactRetryMax  = 30 * time.Second
 )
 
-// Package-wide compaction trigger defaults; per-matrix overrides live in
-// Options.
-var (
-	thresholdMu     sync.Mutex
+// Default compaction trigger; per-matrix overrides live in Options.
+const (
 	defMinCompact   = 8192
 	defCompactRatio = 0.05
 )
 
-// SetCompactionThreshold sets the process-wide default compaction
-// trigger: a background compaction starts once an Updatable's overlay
-// (frozen plus active log) holds at least max(min, ratio*base-nnz)
-// entries. Non-positive arguments keep the corresponding current value.
-// Returns the previous pair.
-func SetCompactionThreshold(min int, ratio float64) (int, float64) {
-	thresholdMu.Lock()
-	defer thresholdMu.Unlock()
-	pm, pr := defMinCompact, defCompactRatio
-	if min > 0 {
-		defMinCompact = min
-	}
-	if ratio > 0 {
-		defCompactRatio = ratio
-	}
-	return pm, pr
-}
-
-// CompactionThreshold returns the current process-wide defaults.
-func CompactionThreshold() (int, float64) {
-	thresholdMu.Lock()
-	defer thresholdMu.Unlock()
+// CompactionThreshold returns the default trigger: a background
+// compaction starts once an Updatable's overlay (frozen plus active log)
+// holds at least max(min, ratio*base-nnz) entries.
+func CompactionThreshold() (min int, ratio float64) {
 	return defMinCompact, defCompactRatio
 }
 
@@ -67,14 +46,11 @@ func (u *Updatable) overlayLen(s *snapshot) int {
 // threshold resolves the effective trigger for this matrix.
 func (u *Updatable) threshold(baseNNZ int64) int {
 	min, ratio := u.opts.MinCompact, u.opts.CompactRatio
-	if min <= 0 || ratio <= 0 {
-		dm, dr := CompactionThreshold()
-		if min <= 0 {
-			min = dm
-		}
-		if ratio <= 0 {
-			ratio = dr
-		}
+	if min <= 0 {
+		min = defMinCompact
+	}
+	if ratio <= 0 {
+		ratio = defCompactRatio
 	}
 	t := int(ratio * float64(baseNNZ))
 	if t < min {
@@ -289,9 +265,7 @@ func (u *Updatable) rebuildBase(ctx context.Context, m *matrix.CSR, oldFP uint64
 		}
 		return cb.Build(m)
 	}
-	a, _, err := selector.ReselectCtx(ctx, oldFP, m, selector.AutoOptions{
-		K: u.opts.K, Probe: u.opts.Probe, Cache: u.opts.Cache, Learned: u.opts.Learned,
-	})
+	a, _, err := selector.ReselectCtx(ctx, oldFP, m, u.opts.autoOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,7 @@ func TestCompactReAutoZeroProbesWarm(t *testing.T) {
 	}
 	dc1 := cache.NewDecisionCache()
 	dc1.AttachStore(st1)
-	u1, err := New(m, Options{Probe: true, Cache: dc1, NoAutoCompact: true})
+	u1, err := New(m, Options{Probe: true, State: &selector.State{Cache: dc1}, NoAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCompactReAutoZeroProbesWarm(t *testing.T) {
 	if n := dc2.AttachStore(st2); n < 2 {
 		t.Fatalf("warm-loaded %d decisions, want >= 2 (initial build + re-selection)", n)
 	}
-	u2, err := New(m, Options{Probe: true, Cache: dc2, NoAutoCompact: true})
+	u2, err := New(m, Options{Probe: true, State: &selector.State{Cache: dc2}, NoAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}

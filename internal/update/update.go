@@ -23,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cache"
 	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/selector"
@@ -45,26 +44,29 @@ type Options struct {
 	Format string
 	// Probe lets (re-)selection micro-probe its shortlist.
 	Probe bool
-	// Cache overrides the decision cache consulted by (re-)selection
-	// (nil: the process-wide cache). Tests isolating the zero-probe
-	// re-selection contract pass their own.
-	Cache *cache.DecisionCache
-	// Learned overrides the experience base (re-)selection consults and
-	// feeds (nil: the process-wide default). Sessions pass their own so a
-	// compaction's probe outcomes stay session-local.
-	Learned *selector.Learned
+	// State is the selection state (re-)selection consults and feeds — the
+	// owning Session's, so the initial build and every compaction's
+	// re-selection share the session's caches, experience base and shard
+	// key. Nil selects statelessly.
+	State *selector.State
 	// Shards is the delta-log shard count (0: DefaultShards).
 	Shards int
-	// MinCompact and CompactRatio override the process-wide compaction
-	// trigger (SetCompactionThreshold) for this matrix; zero keeps the
-	// defaults. A background compaction starts when the overlay holds at
-	// least max(MinCompact, CompactRatio*base-nnz) entries.
+	// MinCompact and CompactRatio override the default compaction trigger
+	// (CompactionThreshold) for this matrix; zero keeps the defaults. A
+	// background compaction starts when the overlay holds at least
+	// max(MinCompact, CompactRatio*base-nnz) entries.
 	MinCompact   int
 	CompactRatio float64
 	// NoAutoCompact disables the threshold trigger; the overlay only
 	// folds on an explicit Compact call. Benchmarks measuring overlay
 	// cost at a controlled fill use it.
 	NoAutoCompact bool
+}
+
+// autoOptions is the one place an Updatable's options become the
+// selector's: the initial build and every compaction re-select alike.
+func (o Options) autoOptions() selector.AutoOptions {
+	return selector.AutoOptions{K: o.K, Probe: o.Probe, State: o.State}
 }
 
 // cell addresses one matrix position in a shard's net-delta index.
@@ -176,7 +178,7 @@ func New(m *matrix.CSR, o Options) (*Updatable, error) {
 			return nil, err
 		}
 	} else {
-		a, err := selector.BuildAuto(m, selector.AutoOptions{K: o.K, Probe: o.Probe, Cache: o.Cache, Learned: o.Learned})
+		a, err := selector.BuildAuto(m, o.autoOptions())
 		if err != nil {
 			return nil, err
 		}

@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	spmv "repro"
-	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/failpoint"
 )
@@ -154,7 +153,7 @@ func TestDegradedJournalNeverFailsBuildOrMultiply(t *testing.T) {
 		t.Fatalf("Multiply with dying journal: %v", err)
 	}
 
-	st := cache.Decisions.Store()
+	st := spmv.DefaultSession().Store()
 	if st == nil {
 		t.Fatal("no journal attached despite SetCacheDir")
 	}

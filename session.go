@@ -5,20 +5,19 @@ import (
 	"repro/internal/topo"
 )
 
-// Session is one isolated selection context: its own decision cache,
-// journal, and online-learned experience base, plus a default (k, probe,
-// shards) context for Auto builds. Two sessions share nothing, so
-// concurrent hosts — one server registry per journal, multi-tenant
-// embedders, tests — never fight over process-global state the way the
-// package-level SetShards/SetCacheDir knobs would make them.
+// Session is the one owner of selection state: its own decision and
+// autotune caches, journal, and online-learned experience base, plus a
+// default (k, probe, shards) context for Auto builds. Two sessions share
+// nothing, so concurrent hosts — one server registry per journal,
+// multi-tenant embedders, tests — never fight over a journal.
 //
 //	sess, err := spmv.NewSession(spmv.SessionOptions{CacheDir: dir, K: 8})
 //	defer sess.Close()
 //	f, err := sess.Auto(m, spmv.AutoOptions{Probe: true})
 //
-// The package-level Auto, NewUpdatable, SetShards and SetCacheDir remain
-// supported as a thin wrapper over the default session (DefaultSession):
-// existing callers keep their exact behavior.
+// The package-level Auto, NewUpdatable, SetCacheDir and UnsetCacheDir are
+// one-line delegates to the default session (DefaultSession), which is an
+// ordinary Session opened on $SPMV_CACHE_DIR.
 type Session = session.Session
 
 // SessionOptions configures NewSession.
@@ -32,20 +31,19 @@ type SessionOptions = session.Options
 func NewSession(o SessionOptions) (*Session, error) { return session.New(o) }
 
 // DefaultSession returns the process-wide default session — the state the
-// package-level facade functions operate on (the global decision cache
-// and experience base, the SetCacheDir journal, the SetShards/topology
-// shard count). Useful to pass "the legacy globals" where a *Session is
-// expected, e.g. to a server registry that should share the process
-// journal.
+// package-level facade functions operate on (its caches and experience
+// base, the SetCacheDir journal, the live SetShards/topology shard
+// count). Useful where a *Session is expected and should share the
+// process journal, e.g. a server registry.
 func DefaultSession() *Session { return session.Default() }
 
 // SetShards overrides the execution-pool shard count process-wide; n <= 0
 // removes the override, restoring the SPMV_SHARDS / detected-topology
-// default. Returns the previous override (0 if none). This is default-
-// session state: every multiply and every decision key in the process
-// observes it. Callers needing a scoped shard context without flipping
-// the process should record it in a Session (SessionOptions.Shards)
-// instead.
+// default. Returns the previous override (0 if none). This is engine
+// layout, not selection state: every multiply observes it, and so does
+// the decision key of every session without its own shard context.
+// Callers needing a scoped shard context without flipping the process
+// should record it in a Session (SessionOptions.Shards) instead.
 func SetShards(n int) int { return topo.SetShards(n) }
 
 // Shards returns the execution-pool shard count currently in effect:

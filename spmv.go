@@ -13,6 +13,9 @@
 //     persistent worker-pool shard per memory domain; see internal/exec);
 //   - analytical models of the paper's nine testbeds, plus a native engine
 //     measuring real kernels on the host CPU;
+//   - automatic format selection (Auto, NewUpdatable) whose remembered
+//     measurement — decision cache, journal, experience base — has one
+//     owner, a Session; the package-level functions act on DefaultSession();
 //   - the experiment harness regenerating every table and figure of the
 //     paper's evaluation.
 //
@@ -43,6 +46,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/selector"
+	"repro/internal/session"
 	"repro/internal/simd"
 	"repro/internal/update"
 )
@@ -220,7 +224,7 @@ func SIMDDispatch() map[string]string {
 //
 //	f, err := spmv.Auto(m, spmv.AutoOptions{K: 8, Probe: true})
 //	// f.Chosen() names the picked format; f is a regular Format.
-func Auto(m *Matrix, o AutoOptions) (*AutoFormat, error) { return selector.BuildAuto(m, o) }
+func Auto(m *Matrix, o AutoOptions) (*AutoFormat, error) { return session.Default().Auto(m, o) }
 
 // AutoCtx is Auto under a context: the shortlist micro-probe checks the
 // context between candidates (each candidate's timed runs finish, so a
@@ -229,11 +233,11 @@ func Auto(m *Matrix, o AutoOptions) (*AutoFormat, error) { return selector.Build
 // error before the winner is built. The decision cache is only written for
 // completed selections.
 func AutoCtx(ctx context.Context, m *Matrix, o AutoOptions) (*AutoFormat, error) {
-	return selector.BuildAutoCtx(ctx, m, o)
+	return session.Default().AutoCtx(ctx, m, o)
 }
 
-// SetCacheDir turns on the selection subsystem's persistence layer: the
-// decision cache and the probe-outcome experience base journal through an
+// SetCacheDir turns on the default session's persistence layer: its
+// decision cache and probe-outcome experience base journal through an
 // append-only JSONL file in dir and warm-load from it immediately, so a
 // restarted process re-resolves every previously-seen (matrix, device, k,
 // shards) context without ranking or probing. An empty dir resolves the
@@ -243,15 +247,12 @@ func AutoCtx(ctx context.Context, m *Matrix, o AutoOptions) (*AutoFormat, error)
 // The journal is corruption-tolerant (bad lines are skipped) and is
 // invalidated wholesale when the schema version or host fingerprint
 // changes — see docs/ARCHITECTURE.md, "The persistence layer".
-func SetCacheDir(dir string) error {
-	_, err := selector.Persist(dir)
-	return err
-}
+func SetCacheDir(dir string) error { return session.Default().Persist(dir) }
 
-// UnsetCacheDir turns persistence back off: the journal is detached and
-// closed and the directory override cleared. In-memory caches keep their
-// contents; nothing further touches disk.
-func UnsetCacheDir() { selector.Unpersist() }
+// UnsetCacheDir turns persistence back off: the default session's journal
+// is detached and closed. In-memory caches keep their contents; nothing
+// further touches disk.
+func UnsetCacheDir() { _ = session.Default().Close() }
 
 // NewUpdatable wraps a matrix in a concurrently updatable form: a
 // read-optimized base (chosen automatically, or pinned via
@@ -265,14 +266,8 @@ func UnsetCacheDir() { selector.Unpersist() }
 //
 //	u, err := spmv.NewUpdatable(m, spmv.UpdateOptions{K: 8})
 //	u.Set(i, j, 3.5)  // concurrent with u.SpMVParallel(...)
-func NewUpdatable(m *Matrix, o UpdateOptions) (*Updatable, error) { return update.New(m, o) }
-
-// SetCompactionThreshold sets the process-wide default compaction trigger
-// for updatable matrices: a background compaction starts once an overlay
-// holds at least max(min, ratio*base-nnz) entries. Non-positive arguments
-// keep the corresponding current value; returns the previous pair.
-func SetCompactionThreshold(min int, ratio float64) (int, float64) {
-	return update.SetCompactionThreshold(min, ratio)
+func NewUpdatable(m *Matrix, o UpdateOptions) (*Updatable, error) {
+	return session.Default().NewUpdatable(m, o)
 }
 
 // FormatByName finds a format builder.
