@@ -16,6 +16,7 @@ import (
 	"time"
 
 	spmv "repro"
+	"repro/internal/exec"
 	"repro/internal/failpoint"
 )
 
@@ -160,6 +161,37 @@ func TestFailpointOverheadBudget(t *testing.T) {
 	}
 }
 
+// needTwoCPUs skips the scaling gates where a second lane has no CPU of its
+// own: they run at the host's own GOMAXPROCS.
+func needTwoCPUs(t *testing.T) {
+	t.Helper()
+	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
+		t.Skipf("needs 2 CPUs, have NumCPU %d and GOMAXPROCS %d", runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+}
+
+// closedLoopP50 is the p50 latency of calls back-to-back ops after warm of
+// the same loop: the workers take a few dozen milliseconds to settle on
+// their own CPUs and stay hot.
+func closedLoopP50(t *testing.T, warm time.Duration, calls int, op func() error) time.Duration {
+	t.Helper()
+	lat := make([]time.Duration, 0, calls)
+	for start := time.Now(); time.Since(start) < warm; {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < calls; i++ {
+		start := time.Now()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		lat = append(lat, time.Since(start))
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	return lat[calls/2]
+}
+
 // TestParallelNotSlowerThanSerialGate is the acceptance gate for the hot
 // handoff: on the cache-resident tier matrix where dispatch cost rivals
 // the kernel (8000^2 x 10 nnz/row, the trajectory benchmark's lib-small),
@@ -168,9 +200,7 @@ func TestFailpointOverheadBudget(t *testing.T) {
 // multiply paid. It needs two real CPUs, and runs at the host's own
 // GOMAXPROCS and worker cap.
 func TestParallelNotSlowerThanSerialGate(t *testing.T) {
-	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
-		t.Skipf("needs 2 CPUs, have NumCPU %d and GOMAXPROCS %d", runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	}
+	needTwoCPUs(t)
 	m, err := spmv.Generate(spmv.GeneratorParams{
 		Rows: 8000, Cols: 8000, AvgNNZPerRow: 10, StdNNZPerRow: 2.5,
 		SkewCoeff: 4, BWScaled: 0.3, CrossRowSim: 0.4, AvgNumNeigh: 0.8, Seed: 1,
@@ -189,25 +219,8 @@ func TestParallelNotSlowerThanSerialGate(t *testing.T) {
 		x[i] = 1
 	}
 	ctx := context.Background()
-	// p50 of a closed loop, after 100 ms of the same loop: the workers take
-	// a few dozen milliseconds to settle on their own CPUs and stay hot.
 	loop := func(workers int) time.Duration {
-		const calls = 4000
-		lat := make([]time.Duration, 0, calls)
-		for warm := time.Now(); time.Since(warm) < 100*time.Millisecond; {
-			if err := f.Apply(ctx, y, x, 1, workers); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < calls; i++ {
-			start := time.Now()
-			if err := f.Apply(ctx, y, x, 1, workers); err != nil {
-				t.Fatal(err)
-			}
-			lat = append(lat, time.Since(start))
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return lat[calls/2]
+		return closedLoopP50(t, 100*time.Millisecond, 4000, func() error { return f.Apply(ctx, y, x, 1, workers) })
 	}
 	// One retry absorbs a noisy neighbour; a handoff that pays a wake per
 	// multiply loses both times.
@@ -220,6 +233,55 @@ func TestParallelNotSlowerThanSerialGate(t *testing.T) {
 		}
 		if attempt == 2 {
 			t.Fatalf("two workers p50 %v vs serial %v twice: > 1.05x", parallel, serial)
+		}
+	}
+}
+
+// TestSkewedLanesScaleGate is the acceptance gate for chunk claiming: on
+// the trajectory benchmark's lib-stream matrix (420000^2 x 20 nnz/row,
+// skew 4: row length decays from 78 in the first decile to 2.6 in the
+// last) a closed loop of spmv.Multiply at two workers must run at least
+// 1.5x faster than at one. MKL-IE starts its lanes with equal nonzeros,
+// which are not equal times — a row costs sixteen nonzeros' worth — and
+// Naive-CSR with equal rows, nine tenths of the nonzeros on lane 0; lanes
+// that own their ranges read 1.05-1.41x here, lanes that claim chunks off
+// each other 1.8-2.0x.
+func TestSkewedLanesScaleGate(t *testing.T) {
+	needTwoCPUs(t)
+	m, err := spmv.Generate(spmv.GeneratorParams{
+		Rows: 420000, Cols: 420000, AvgNNZPerRow: 20, StdNNZPerRow: 5,
+		SkewCoeff: 4, BWScaled: 0.3, CrossRowSim: 0.4, AvgNumNeigh: 0.8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, m.Cols)
+	y := make([]float64, m.Rows)
+	for i := range x {
+		x[i] = 1
+	}
+	for _, name := range []string{"MKL-IE", "Naive-CSR"} {
+		b, _ := spmv.FormatByName(name)
+		f, err := b.Build(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop := func(workers int) time.Duration {
+			defer exec.SetMaxWorkers(exec.SetMaxWorkers(workers))
+			return closedLoopP50(t, 200*time.Millisecond, 40, func() error { return spmv.Multiply(f, y, x) })
+		}
+		// One retry absorbs a noisy neighbour; lanes that wait on the
+		// slower of two fixed ranges miss both times.
+		for attempt := 1; ; attempt++ {
+			one, two := loop(1), loop(2)
+			t.Logf("%s attempt %d: p50 one worker %v, two %v (%.2fx)", name, attempt, one, two,
+				float64(one)/float64(two))
+			if two <= one*2/3 {
+				break
+			}
+			if attempt == 2 {
+				t.Fatalf("%s: two workers p50 %v vs one %v twice: < 1.5x", name, two, one)
+			}
 		}
 	}
 }

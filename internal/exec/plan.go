@@ -45,7 +45,11 @@ type PlanKey struct {
 // same shard, which the engine's round-robin routing avoids while any
 // shard is idle.
 type Plan struct {
-	// Ranges is the cached partition; one entry per worker.
+	// Ranges is the cached partition: one entry per lane, its initial
+	// range. The engine runs lane w for every entry; the formats driver has
+	// a lane work its own in chunks and then claim chunks off the others',
+	// so an entry says where a lane starts, not what it alone computes (a
+	// carrier's ranges stay owned: its carries are positional).
 	Ranges []sched.Range
 	// DomainOff, when non-nil, is the per-domain offset table of Ranges for
 	// a ganged placement: Ranges[DomainOff[j]:DomainOff[j+1]] belong to
@@ -57,9 +61,9 @@ type Plan struct {
 	// Scratch holds format-specific per-worker buffers.
 	Scratch any
 	// Frame holds the dispatcher's reusable per-call lane frame — the
-	// arguments its bound lane function reads — so a dispatch on a cached
-	// plan allocates no closure. Like Scratch it belongs to the call
-	// holding the plan lock.
+	// arguments its bound lane function reads and the lanes' claim cursors
+	// — so a dispatch on a cached plan allocates nothing. Like Scratch it
+	// belongs to the call holding the plan lock.
 	Frame any
 
 	mu sync.Mutex

@@ -45,10 +45,29 @@ func nanFilled(n int) []float64 {
 	return v
 }
 
-// TestCtxKernelsMatchLegacy: under a live context Apply must produce
-// bit-identical results to the legacy delegates (which run uncancellable)
-// for every format, range kernels and carriers alike: chunk polling may
-// only cut between whole units, never change what a unit computes.
+// wholeRange returns what f's kernel computes in one apply over its entire
+// unit space — the sweep with no driver, no chunks and no lanes — or nil
+// when a dispatch at k is more than claimable chunks (rangeOnly) or is a
+// by-column block.
+func wholeRange(f Format, x []float64, k int) []float64 {
+	if a, ok := f.(*Auto); ok {
+		f = a.Unwrap()
+	}
+	kern := f.(kernel)
+	if !rangeOnly(f, k) || (k > 1 && !kern.(interface{ fusedKernel() bool }).fusedKernel()) {
+		return nil
+	}
+	y := make([]float64, f.Rows()*k)
+	kern.apply(y, x, k, 0, kern.units())
+	return y
+}
+
+// TestCtxKernelsMatchLegacy: under a live context, eight lanes claiming
+// chunks off each other must produce bit-identical results to the legacy
+// delegates (which run uncancellable) for every format, range kernels and
+// carriers alike — and, for range kernels, to one apply over the whole
+// unit space: claiming may only cut between whole units, never change
+// what a unit computes.
 func TestCtxKernelsMatchLegacy(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
@@ -76,6 +95,13 @@ func TestCtxKernelsMatchLegacy(t *testing.T) {
 				for i := range got {
 					if got[i] != want[i] {
 						t.Fatalf("%s on %s k=%d: Apply slot %d = %v, want %v", f.Name(), name, k, i, got[i], want[i])
+					}
+				}
+				if whole := wholeRange(f, x, k); whole != nil {
+					for i := range got {
+						if got[i] != whole[i] {
+							t.Fatalf("%s on %s k=%d: Apply slot %d = %v, one whole-range apply gives %v", f.Name(), name, k, i, got[i], whole[i])
+						}
 					}
 				}
 			}
@@ -113,12 +139,14 @@ func TestCtxPreCancelledReturnsImmediately(t *testing.T) {
 	}
 }
 
-// TestCtxChunkingCoversAllRows drives the serial chunked path (workers
+// TestCtxChunkingCoversAllRows drives the claim loop on one lane (workers
 // forced to 1) so the chunk-boundary arithmetic itself is exercised: the
-// skewed matrix carries several cancellation grains of work at every k
-// (the banded one, which DIA accepts, at k > 1), so each sweep is cut into
-// many sub-ranges, and every row must still be written exactly as the
-// one-shot kernel writes it.
+// skewed matrix carries several grains of work at every k (the banded one,
+// which DIA accepts, at k > 1), so each sweep is cut into many claims, and
+// every row must still be written exactly as one apply over the whole
+// unit space writes it. Every call is chunked now, so that reference is
+// the kernel itself; dispatches that are more than a range kernel keep
+// the delegates as theirs.
 func TestCtxChunkingCoversAllRows(t *testing.T) {
 	prev := exec.SetMaxWorkers(1)
 	defer exec.SetMaxWorkers(prev)
@@ -140,11 +168,14 @@ func TestCtxChunkingCoversAllRows(t *testing.T) {
 		for _, f := range ctxSubjects(t, name, m) {
 			for _, k := range ctxKs {
 				x := matrix.RandomVector(m.Cols*k, int64(13+k))
-				want := make([]float64, m.Rows*k)
-				if k == 1 {
-					f.SpMV(x, want)
-				} else {
-					f.MultiplyMany(want, x, k)
+				want := wholeRange(f, x, k)
+				if want == nil {
+					want = make([]float64, m.Rows*k)
+					if k == 1 {
+						f.SpMV(x, want)
+					} else {
+						f.MultiplyMany(want, x, k)
+					}
 				}
 				got := nanFilled(m.Rows * k)
 				if err := f.Apply(ctx, got, x, k, 1); err != nil {

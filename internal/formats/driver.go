@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime/debug"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/exec"
 	"repro/internal/sched"
@@ -12,11 +13,12 @@ import (
 // The kernel contract. The paper holds the harness constant and varies
 // only the storage format; this file is that harness. A format supplies a
 // kernel — what it computes over a range of its own units, how much work
-// those units are, and how it wants them partitioned — and embeds a
-// driver, which owns everything else: argument checking, the work·k
-// serial cutoff, engine acquisition and release, the per-instance plan
-// cache, chunk-granularity cancellation, the carry-scratch contention
-// policy, and panic containment. No format dispatches on its own.
+// those units are, and where each lane starts — and embeds a driver, which
+// owns everything else: argument checking, the work·k serial cutoff, engine
+// acquisition and release, the per-instance plan cache, the claim loop that
+// hands out chunks (the unit of cancellation and of load balance alike), the
+// carry-scratch contention policy, and panic containment. No format
+// dispatches on its own.
 
 // kernel is what every storage format supplies to its driver.
 type kernel interface {
@@ -27,27 +29,31 @@ type kernel interface {
 	units() int
 	// cum is a monotone cumulative work measure over units: cum(units())
 	// is the work the serial cutoff sees (times k), and differences size
-	// the cancellation chunks. It is evaluated at chunk boundaries only,
+	// the chunks lanes claim. It is evaluated at chunk boundaries only,
 	// never in inner loops.
 	cum(i int) int64
-	// plan is the partition policy: the lane ranges (and, for carriers,
-	// the lane scratch) for one placement at RHS count k. Built once per
-	// placement and cached by the driver.
+	// plan is the partition policy: each lane's initial range (and, for
+	// carriers, the lane scratch) for one placement at RHS count k. A
+	// range says where a lane starts claiming, not what it alone computes:
+	// a lane that drains its own takes chunks off the others'. Built once
+	// per placement and cached by the driver.
 	plan(key exec.PlanKey, k int) *exec.Plan
 	// apply computes units [lo, hi) of the k-wide product: k == 1 is the
-	// single-vector loop, k > 1 the fused register tile. Formats bound
-	// with fused == false only ever see k == 1 (the driver multiplies
-	// their blocks one column at a time).
+	// single-vector loop, k > 1 the fused register tile. The units are
+	// whole rows (chunks, block rows) written by no other call, so any
+	// lane may run any chunk. Formats bound with fused == false only ever
+	// see k == 1 (the driver multiplies their blocks one column at a time).
 	apply(y, x []float64, k, lo, hi int)
 }
 
 // carrier is additionally implemented by the formats whose parallel lanes
 // cut inside rows (COO, Merge-CSR at k = 1, CSR5, VSL): a lane cannot
 // finish a row it shares with its neighbour, so it parks the partial sum
-// in scratch and a serial finish folds the carries into y. Carried lanes
-// are the format's own partition, so they run as one chunk each (a
-// cancelled call stops before un-started lanes, not inside one), and the
-// serial path is one apply over the whole unit space.
+// in scratch and a serial finish folds the carries into y. A carry belongs
+// to a position in the partition — lane w's last row meets lane w+1's first
+// — so carried lanes are not claimable: each runs its own range as one
+// chunk (a cancelled call stops before un-started lanes, not inside one),
+// and the serial path is one apply over the whole unit space.
 type carrier interface {
 	// carries reports whether dispatches at RHS count k cut inside rows;
 	// when false the format is driven as a plain range kernel.
@@ -142,8 +148,8 @@ func (d *driver) fusedKernel() bool { return d.fused }
 
 // Apply implements Format: the one entry point. It checks the arguments
 // once, returns ctx's error if it is already done, and otherwise computes
-// Y = A*X on up to workers lanes. A cancelled call stops at the next
-// chunk boundary and returns ctx's error with y partial; a panic on any
+// Y = A*X on up to workers lanes. A cancelled call stops at each lane's
+// next claim and returns ctx's error with y partial; a panic on any
 // lane, pooled or the caller's own, comes back as *exec.PanicError with
 // the engine still serviceable.
 func (d *driver) Apply(ctx context.Context, y, x []float64, k, workers int) (err error) {
@@ -194,7 +200,7 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 		if carried {
 			d.kern.apply(y, x, k, 0, d.n)
 		} else {
-			d.chunkCtx(ctl, y, x, k, 0, d.n)
+			d.claim([]cursor{{hi: d.n}}, 0, ctl, y, x, k) // a serial call is one lane, from unit 0
 		}
 		if ctl.Cancelled() {
 			return ctl.Err()
@@ -210,7 +216,7 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 	}
 	pl := d.plans.Get(key, func(key exec.PlanKey) *exec.Plan {
 		pl := d.kern.plan(key, k)
-		pl.Frame = newFrame()
+		pl.Frame = newFrame(len(pl.Ranges))
 		return pl
 	})
 	// The plan's lane frame and, for carriers, its lane scratch are shared
@@ -220,16 +226,20 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 	fr := pl.Frame.(*frame)
 	private := !pl.TryLock()
 	if private {
-		fr = newFrame()
+		fr = newFrame(len(pl.Ranges))
 	}
 	defer func() {
-		*fr = frame{lane: fr.lane} // a cached frame must not retain the caller's vectors
+		*fr = frame{lane: fr.lane, cur: fr.cur} // a cached frame must not retain the caller's vectors
 		if !private {
 			pl.Unlock()
 		}
 	}()
 	fr.d, fr.pl, fr.ctl, fr.y, fr.x, fr.k, fr.carried = d, pl, ctl, y, x, k, carried
 	if !carried {
+		for w, r := range pl.Ranges {
+			fr.cur[w].next.Store(int64(r.RowLo))
+			fr.cur[w].hi = r.RowHi
+		}
 		return g.RunPlanCtx(pl, fr.lane)
 	}
 	fr.c = d.carry.begin(pl, y, k, private)
@@ -241,10 +251,11 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 }
 
 // frame carries one call's arguments to the lanes of its dispatch. Its
-// lane function is bound once, when the frame is made, so a dispatch on a
-// cached plan allocates no closure.
+// lane function is bound and its cursors are allocated once, when the
+// frame is made, so a dispatch on a cached plan allocates nothing.
 type frame struct {
 	lane    func(w int) // fr.run, bound
+	cur     []cursor    // one per lane, reset from the plan's ranges per call
 	d       *driver
 	pl      *exec.Plan
 	ctl     *exec.Ctl
@@ -254,10 +265,19 @@ type frame struct {
 	c       any // the carrier's lane scratch for this call
 }
 
-func newFrame() *frame {
-	fr := new(frame)
+func newFrame(lanes int) *frame {
+	fr := &frame{cur: make([]cursor, lanes)}
 	fr.lane = fr.run
 	return fr
+}
+
+// cursor is the claim point of one lane's range: units [next, hi) are not
+// yet claimed. Padded to a cache line, so lanes working their own ranges
+// do not share one.
+type cursor struct {
+	next atomic.Int64
+	hi   int
+	_    [48]byte
 }
 
 // run is lane w of the call in the frame.
@@ -266,22 +286,24 @@ func (fr *frame) run(w int) {
 		fr.d.carry.lane(fr.c, fr.pl, w, fr.y, fr.x, fr.k)
 		return
 	}
-	r := fr.pl.Ranges[w]
-	fr.d.chunkCtx(fr.ctl, fr.y, fr.x, fr.k, r.RowLo, r.RowHi)
+	fr.d.claim(fr.cur, w, fr.ctl, fr.y, fr.x, fr.k)
 }
 
 // cancelGrain is the approximate number of work items (nonzeros / padded
-// slots, times the RHS count k) a lane processes between cancellation
-// polls. At typical SpMV rates of a few items per nanosecond, 1<<18 items
-// bounds the poll interval — and therefore the cancellation latency —
-// around a hundred microseconds per lane, while keeping the poll itself
-// (one atomic load) far below measurement noise.
+// slots, times the RHS count k) in one claimed chunk. A chunk is both the
+// interval between a lane's cancellation polls and the unit lanes take
+// from each other, so the one grain bounds the cancellation latency and
+// the tail imbalance alike: at most one chunk per lane. Measured on the
+// 420 000-row, 20-nnz/row skewed tier (2-vCPU AVX-512 guest) a chunk takes
+// 0.47 ms where rows are long and 0.85 ms where they are short (0.55 and
+// 0.31 items/ns; longer still in a 2.6-nnz/row tail); the claim itself —
+// two atomic operations and a binary search over cum — is noise beside it.
 const cancelGrain = 1 << 18
 
-// ctxGrain scales the per-poll chunk to the RHS count: a fused k-wide
-// kernel does k times the work per matrix item, so the chunk shrinks to
-// keep the wall-clock poll interval flat. The floor keeps degenerate k
-// from turning the chunk loop itself into overhead.
+// ctxGrain scales the chunk to the RHS count: a fused k-wide kernel does
+// k times the work per matrix item, so the chunk shrinks to keep its
+// wall-clock length flat. The floor keeps degenerate k from turning the
+// claim loop itself into overhead.
 func ctxGrain(k int) int64 {
 	g := int64(cancelGrain) / int64(k)
 	if g < exec.MinGrain {
@@ -290,24 +312,35 @@ func ctxGrain(k int) int64 {
 	return g
 }
 
-// chunkCtx applies units [lo, hi) in sub-ranges of roughly ctxGrain(k)
-// work items, polling ctl between them. A nil ctl runs the range in one
-// call: the uncancellable path pays nothing.
-func (d *driver) chunkCtx(ctl *exec.Ctl, y, x []float64, k, lo, hi int) {
-	if ctl == nil {
-		d.kern.apply(y, x, k, lo, hi)
-		return
-	}
+// claim is lane w of a range dispatch, and the whole of a serial one. The
+// lane takes chunks of about ctxGrain(k) work items off the front of its
+// own range, then — a lane's time is not its work: rows cost more than cum
+// prices them at, and a CPU may be taken away — off the front of every
+// other lane's, in ring order, polling ctl before each claim. A ganged
+// plan keeps a domain's lanes adjacent, so a lane helps its own domain
+// first. Each unit is claimed once, by CAS, whoever computes it; a lane
+// that finds every range drained returns at once.
+func (d *driver) claim(cur []cursor, w int, ctl *exec.Ctl, y, x []float64, k int) {
 	grain := ctxGrain(k)
-	for lo < hi && !ctl.Cancelled() {
-		start := d.kern.cum(lo)
+	for i := 0; i < len(cur) && !ctl.Cancelled(); {
+		c := &cur[(w+i)%len(cur)]
+		lo, hi := int(c.next.Load()), c.hi
+		if lo >= hi {
+			i++
+			continue
+		}
 		// The first boundary past lo whose cumulative work reaches the
-		// grain (cum is monotone), or hi.
-		end := lo + 1 + sort.Search(hi-lo-1, func(i int) bool {
-			return d.kern.cum(lo+1+i)-start >= grain
-		})
-		d.kern.apply(y, x, k, lo, end)
-		lo = end
+		// grain (cum is monotone), or hi: a range of at most one grain is
+		// one claim and no search.
+		end := hi
+		if start := d.kern.cum(lo); d.kern.cum(hi)-start > grain {
+			end = lo + 1 + sort.Search(hi-lo-1, func(j int) bool {
+				return d.kern.cum(lo+1+j)-start >= grain
+			})
+		}
+		if c.next.CompareAndSwap(int64(lo), int64(end)) {
+			d.kern.apply(y, x, k, lo, end)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package formats
 
 import (
+	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
@@ -80,6 +82,60 @@ func BenchmarkEngineTier(b *testing.B) {
 				gflops := 2 * float64(m.NNZ()) * float64(b.N) / b.Elapsed().Seconds() / 1e9
 				b.ReportMetric(gflops, "GFLOPS")
 			})
+		}
+	}
+}
+
+// skewTier is the trajectory benchmark's lib-stream recipe at the given row
+// count: 20 nonzeros a row on average at skew 4, row length decaying from
+// ~78 in the first row decile to ~2.6 in the last.
+func skewTier(tb testing.TB, rows int) *matrix.CSR {
+	tb.Helper()
+	m, err := gen.Generate(gen.Params{
+		Rows: rows, Cols: rows, AvgNNZPerRow: 20, StdNNZPerRow: 5,
+		SkewCoeff: 4, BWScaled: 0.3, CrossRowSim: 0.4, AvgNumNeigh: 0.8, Seed: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkSkewedApply measures what chunk claiming is for, layer-locally:
+// Apply at one and two workers on a skew-4 tier a quarter of lib-stream's
+// size, for an equal-rows initial split (Naive-CSR), an equal-nonzeros one
+// (MKL-IE) and an equal-chunks one (SELL-C-s), at k = 1 and at the fused
+// k = 8. ns/op at two workers against one is the scaling.
+func BenchmarkSkewedApply(b *testing.B) {
+	m := skewTier(b, 105000)
+	ctx := context.Background()
+	for _, name := range []string{"Naive-CSR", "MKL-IE", "SELL-C-s"} {
+		fb, _ := Lookup(name)
+		f, err := fb.Build(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []int{1, 8} {
+			x := matrix.RandomVector(m.Cols*k, 7)
+			y := make([]float64, m.Rows*k)
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/k%d/w%d", name, k, workers), func(b *testing.B) {
+					// Warm the plan, and the pool for long enough that its
+					// workers have settled on their own CPUs and poll.
+					for warm := time.Now(); time.Since(warm) < 50*time.Millisecond; {
+						if err := f.Apply(ctx, y, x, k, workers); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := f.Apply(ctx, y, x, k, workers); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }
