@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -66,18 +67,23 @@ type daemon struct {
 	done chan error
 }
 
-// startDaemon builds the binary once per test run and boots it on an
-// ephemeral port, parsing the bound address off its banner line.
-func startDaemon(t *testing.T, env ...string) *daemon {
+// buildDaemon compiles the binary under test.
+func buildDaemon(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "spmv-serve")
 	build := exec.Command("go", "build", "-o", bin, ".")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
 
+// startDaemon boots bin on an ephemeral port with the given extra flags
+// and environment, parsing the bound address off its banner line.
+func startDaemon(t *testing.T, bin string, args []string, env ...string) *daemon {
+	t.Helper()
 	out := &captureWriter{addrc: make(chan string, 1)}
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-window", "5ms", "-drain", "3s")
+	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-window", "5ms", "-drain", "3s"}, args...)...)
 	cmd.Env = append(os.Environ(), env...)
 	cmd.Stdout = out
 	cmd.Stderr = out
@@ -172,7 +178,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the daemon")
 	}
-	d := startDaemon(t)
+	d := startDaemon(t, buildDaemon(t), nil)
 
 	status, env := d.get(t, "/v1/healthz")
 	if status != 200 || !env.OK {
@@ -316,28 +322,54 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// The daemon resolves config flag > env > file: SPMV_SERVE_MAXBATCH is
-// visible in the startup banner while the -window flag overrides it.
+// Each daemon setting has one source, its flag: a malformed value is a
+// usage error, and the journal directory's default is the library's
+// SPMV_CACHE_DIR, which -cache-dir beats.
 func TestDaemonConfigPrecedence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the daemon")
 	}
-	d := startDaemon(t, "SPMV_SERVE_MAXBATCH=3", "SPMV_SERVE_WINDOW=9s")
-	defer d.cmd.Process.Signal(syscall.SIGTERM)
+	bin := buildDaemon(t)
+	for _, bad := range [][]string{{"-window", "eleventy"}, {"-max-batch", "lots"}, {"-probe=maybe"}, {"-config", "serve.json"}} {
+		out, err := exec.Command(bin, bad...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "Usage") {
+			t.Errorf("spmv-serve %v: %v, want the usage exit 2\n%s", bad, err, out)
+		}
+	}
 
-	banner := d.out.String()
-	// -window 5ms (flag) must beat SPMV_SERVE_WINDOW=9s (env); max batch
-	// has no flag set, so the env value 3 shows.
-	if !strings.Contains(banner, "window 5ms") {
-		t.Fatalf("flag did not override env window:\n%s", banner)
+	// journals reports whether an upload's decision landed in dir.
+	journals := func(dir string) bool {
+		_, err := os.Stat(filepath.Join(dir, "decisions.jsonl"))
+		return err == nil
 	}
-	if !strings.Contains(banner, "max batch 3") {
-		t.Fatalf("env max batch not applied:\n%s", banner)
-	}
-	d.cmd.Process.Signal(syscall.SIGTERM)
-	select {
-	case <-d.done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never exited")
+	for _, tc := range []struct {
+		name string
+		flag bool
+	}{{"SPMV_CACHE_DIR alone", false}, {"-cache-dir beside it", true}} {
+		envDir, flagDir := t.TempDir(), t.TempDir()
+		var args []string
+		if tc.flag {
+			args = []string{"-cache-dir", flagDir}
+		}
+		d := startDaemon(t, bin, args, "SPMV_CACHE_DIR="+envDir)
+		if !strings.Contains(d.out.String(), "window 5ms") || !strings.Contains(d.out.String(), "max batch 8") {
+			t.Errorf("%s: banner shows neither the -window flag nor the default max batch:\n%s", tc.name, d.out.String())
+		}
+		status, env := d.post(t, "/v1/matrices", map[string]any{
+			"generator": map[string]any{"rows": 500, "cols": 500, "avgnnzperrow": 8, "stdnnzperrow": 2, "bwscaled": 0.4, "seed": 7},
+		})
+		if status != 201 || !env.OK {
+			t.Fatalf("%s: upload: %d %s", tc.name, status, env.Data)
+		}
+		d.cmd.Process.Signal(syscall.SIGTERM)
+		select {
+		case <-d.done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: daemon never exited", tc.name)
+		}
+		if journals(flagDir) != tc.flag || journals(envDir) == tc.flag {
+			t.Errorf("%s: journal in the flag's directory %v, in the variable's %v", tc.name, journals(flagDir), journals(envDir))
+		}
 	}
 }

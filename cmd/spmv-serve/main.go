@@ -8,7 +8,7 @@
 //
 //	spmv-serve [flags]
 //
-// Flags (resolution order: flag > environment > -config file > default):
+// Flags:
 //
 //	-addr HOST:PORT   listen address (default :8097; :0 picks a free
 //	                  port and the bound address is printed)
@@ -18,7 +18,7 @@
 //	                  (default 8, where the fused kernels' per-vector
 //	                  gain flattens)
 //	-cache-dir DIR    selection journal directory (default
-//	                  SPMV_CACHE_DIR; empty = memory-only)
+//	                  $SPMV_CACHE_DIR; empty = memory-only)
 //	-shards N         shard count recorded in decision keys (0 = live
 //	                  topology)
 //	-rhs K            default right-hand-side regime hint for uploads
@@ -26,11 +26,6 @@
 //	-drain DUR        graceful-shutdown bound: past it, in-flight
 //	                  kernels are cancelled and their requests answered
 //	                  with the typed cancellation (default 5s)
-//	-config FILE      JSON config file (the lowest-priority layer)
-//
-// Environment: SPMV_SERVE_ADDR, SPMV_SERVE_WINDOW, SPMV_SERVE_MAXBATCH,
-// SPMV_SERVE_DRAIN, SPMV_SERVE_K, SPMV_SERVE_SHARDS, SPMV_SERVE_PROBE,
-// SPMV_CACHE_DIR.
 //
 // API (all responses use the {ok, data, error:{code,message}} envelope):
 //
@@ -60,6 +55,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/serve"
 )
 
@@ -71,49 +67,19 @@ func main() {
 }
 
 func run() error {
-	var (
-		configPath = flag.String("config", "", "JSON config file (lowest-priority layer)")
-		addr       = flag.String("addr", "", "listen address")
-		window     = flag.Duration("window", 0, "coalescing window (0 disables batching)")
-		maxBatch   = flag.Int("max-batch", 0, "flush a batch early at this many requests")
-		cacheDir   = flag.String("cache-dir", "", "selection journal directory")
-		shards     = flag.Int("shards", 0, "shard count recorded in decision keys")
-		rhs        = flag.Int("rhs", 0, "default right-hand-side regime hint for uploads")
-		probe      = flag.Bool("probe", false, "micro-probe the selection shortlist on upload")
-		drain      = flag.Duration("drain", 0, "graceful-shutdown bound")
-	)
-	flag.Parse()
-
-	// Resolution order flag > env > file: start from defaults, overlay the
-	// file, overlay the environment, then overlay only the flags the user
-	// actually set.
+	// Every setting has one source, its flag; the defaults are
+	// serve.DefaultConfig's, and the journal directory's is the library's
+	// own variable, so the daemon journals where the tools do.
 	cfg := serve.DefaultConfig()
-	if err := cfg.ApplyFile(*configPath); err != nil {
-		return err
-	}
-	if err := cfg.ApplyEnv(nil); err != nil {
-		return err
-	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "addr":
-			cfg.Addr = *addr
-		case "window":
-			cfg.Window = *window
-		case "max-batch":
-			cfg.MaxBatch = *maxBatch
-		case "cache-dir":
-			cfg.CacheDir = *cacheDir
-		case "shards":
-			cfg.Shards = *shards
-		case "rhs":
-			cfg.K = *rhs
-		case "probe":
-			cfg.Probe = *probe
-		case "drain":
-			cfg.DrainTimeout = *drain
-		}
-	})
+	flag.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
+	flag.DurationVar(&cfg.Window, "window", cfg.Window, "coalescing window (0 disables batching)")
+	flag.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "flush a batch early at this many requests")
+	flag.StringVar(&cfg.CacheDir, "cache-dir", os.Getenv(cache.EnvCacheDir), "selection journal directory")
+	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "shard count recorded in decision keys")
+	flag.IntVar(&cfg.K, "rhs", cfg.K, "default right-hand-side regime hint for uploads")
+	flag.BoolVar(&cfg.Probe, "probe", cfg.Probe, "micro-probe the selection shortlist on upload")
+	flag.DurationVar(&cfg.DrainTimeout, "drain", cfg.DrainTimeout, "graceful-shutdown bound")
+	flag.Parse()
 
 	srv, err := serve.NewServer(cfg, nil)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/formats"
-	"repro/internal/roofline"
 )
 
 // Result is the model's prediction for one (device, matrix, format)
@@ -384,8 +383,8 @@ func classify(tMem, tCompute, ifactor, xBytes, total, ilp float64) core.Bottlene
 }
 
 // Roof returns the device's roofline description for Fig. 1.
-func (s Spec) Roof() roofline.Roof {
-	return roofline.Roof{
+func (s Spec) Roof() Roof {
+	return Roof{
 		PeakGFLOPS: s.PeakGFLOPS(),
 		MemBWGBs:   s.MemBWGBs,
 		LLCBWGBs:   s.LLCBWGBs,

@@ -1,8 +1,9 @@
-// Package roofline implements the Williams-Waterman-Patterson roofline
-// model used in Fig. 1 of the paper: per-matrix attainable-performance
-// bounds from the CSR arithmetic intensity against each device's measured
-// DRAM and last-level-cache bandwidths.
-package roofline
+package device
+
+// The Williams-Waterman-Patterson roofline model used in Fig. 1 of the
+// paper: per-matrix attainable-performance bounds from the CSR arithmetic
+// intensity against each device's measured DRAM and last-level-cache
+// bandwidths.
 
 import (
 	"math"
@@ -24,9 +25,9 @@ func (r Roof) Bound(ai, bwGBs float64) float64 {
 	return math.Min(r.PeakGFLOPS, ai*bwGBs)
 }
 
-// CSRIntensity returns the arithmetic intensity of CSR SpMV for the matrix:
+// csrIntensity returns the arithmetic intensity of CSR SpMV for the matrix:
 // 2 flops per nonzero over the CSR bytes plus one streaming pass of x and y.
-func CSRIntensity(fv core.FeatureVector) float64 {
+func csrIntensity(fv core.FeatureVector) float64 {
 	bytes := fv.MemFootprintMB*(1<<20) + 8*float64(fv.Rows) + 8*float64(fv.Cols)
 	if bytes <= 0 {
 		return 0
@@ -37,7 +38,7 @@ func CSRIntensity(fv core.FeatureVector) float64 {
 // MemoryBound is the paper's "Roofline Memory" point: the DRAM-bandwidth
 // ceiling at the matrix's CSR intensity.
 func (r Roof) MemoryBound(fv core.FeatureVector) float64 {
-	return r.Bound(CSRIntensity(fv), r.MemBWGBs)
+	return r.Bound(csrIntensity(fv), r.MemBWGBs)
 }
 
 // LLCBound is the paper's "Roofline LLC" point: the cache-bandwidth ceiling,
@@ -47,7 +48,7 @@ func (r Roof) LLCBound(fv core.FeatureVector) float64 {
 	if r.LLCBWGBs <= 0 {
 		return r.MemoryBound(fv)
 	}
-	return r.Bound(CSRIntensity(fv), r.LLCBWGBs)
+	return r.Bound(csrIntensity(fv), r.LLCBWGBs)
 }
 
 // Applicable returns the tighter-but-correct roof for the matrix: the LLC

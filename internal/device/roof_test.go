@@ -1,4 +1,4 @@
-package roofline
+package device
 
 import (
 	"math"
@@ -30,11 +30,11 @@ func TestBoundRegimes(t *testing.T) {
 }
 
 func TestCSRIntensityBelowOne(t *testing.T) {
-	oi := CSRIntensity(fvMB(64))
+	oi := csrIntensity(fvMB(64))
 	if oi <= 0 || oi >= 1 {
 		t.Errorf("CSR intensity = %g, want in (0,1) per the paper", oi)
 	}
-	if CSRIntensity(core.FeatureVector{}) != 0 {
+	if csrIntensity(core.FeatureVector{}) != 0 {
 		t.Error("empty matrix intensity should be 0")
 	}
 }

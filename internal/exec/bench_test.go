@@ -37,7 +37,8 @@ func BenchmarkDispatch(b *testing.B) {
 		b.Run(fmt.Sprintf("spawn-%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				spawnRun(n, body)
+				g := Grant{workers: n, shardID: AnyShard} // no pool: every lane but the caller's is spawned
+				g.Run(n, body)
 			}
 		})
 		p.Close()

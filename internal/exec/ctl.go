@@ -3,14 +3,17 @@ package exec
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync/atomic"
+
+	"repro/internal/failpoint"
 )
 
 // Ctl is the per-call execution control a cancellable dispatch carries: a
 // latched view of one context's cancellation, cheap enough for kernels to
 // poll at partition-chunk granularity. A nil *Ctl is valid everywhere and
 // means "not cancellable" — NewCtl returns nil for contexts that can never
-// be cancelled, so the uncancellable path stays exactly the legacy path.
+// be cancelled, and the one dispatch path pays a nil check for it.
 //
 // The latch matters for two reasons. First, cost: once cancellation is
 // observed, every later poll is one atomic load with no channel select.
@@ -23,8 +26,8 @@ type Ctl struct {
 }
 
 // NewCtl derives the control for one call from ctx. Contexts that cannot
-// be cancelled (nil, Background, TODO) yield nil: zero per-chunk polling
-// cost and the legacy dispatch path.
+// be cancelled (nil, Background, TODO) yield nil: a nil check per lane and
+// per chunk, nothing else.
 func NewCtl(ctx context.Context) *Ctl {
 	if ctx == nil || ctx.Done() == nil {
 		return nil
@@ -69,12 +72,11 @@ func (c *Ctl) poison() {
 	}
 }
 
-// PanicError is a panic from one lane of a parallel dispatch, contained by
-// the engine: the pool worker (or spawned goroutine) recovered, delivered
-// its completion token, and the panic resurfaced on the calling goroutine
-// — as this error from the Ctx entry points, or re-panicked with this
-// value from the legacy ones. The shard stays serviceable either way; only
-// the call that panicked is poisoned.
+// PanicError is a panic from one lane of a dispatch, contained by the
+// engine: whoever ran the lane — a pool worker, a spawned goroutine or the
+// caller itself — recovered, the dispatch completed, and Run returns the
+// first such fault as this error. The shard stays serviceable; only the
+// call that panicked is poisoned.
 type PanicError struct {
 	// Value is the original recovered panic value.
 	Value any
@@ -98,16 +100,50 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// panicSlot holds the first contained panic of one dispatch.
+// panicSlot holds the first contained panic among the lanes that share it.
 type panicSlot struct {
 	p atomic.Pointer[PanicError]
 }
 
 // record stores the first panic; later ones are dropped (the first is the
 // root cause, the rest are usually the same fault on sibling lanes).
-func (s *panicSlot) record(w int, v any, stack []byte) {
-	s.p.CompareAndSwap(nil, &PanicError{Value: v, Worker: w, Stack: stack})
+func (s *panicSlot) record(pe *PanicError) {
+	if pe != nil {
+		s.p.CompareAndSwap(nil, pe)
+	}
 }
 
 // take returns and clears the contained panic.
 func (s *panicSlot) take() *PanicError { return s.p.Swap(nil) }
+
+// call is what every lane of one dispatch runs: the lane function under
+// the grant's control.
+type call struct {
+	f   func(w int)
+	ctl *Ctl
+}
+
+// lane is the one way a lane runs, whoever runs it: not at all once the
+// control is cancelled, and with a panic contained — returned as the
+// lane's fault, the control poisoned so the sibling lanes stop at their
+// next chunk boundary. A lane posted to a pool passes the exec.worker
+// failpoint first, on the worker and on a caller that claimed it back
+// alike.
+func (c call) lane(w int, pooled bool) (pe *PanicError) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe = &PanicError{Value: r, Worker: w, Stack: debug.Stack()}
+			c.ctl.poison()
+		}
+	}()
+	if c.ctl.Cancelled() {
+		return nil
+	}
+	if pooled {
+		if err := failpoint.Inject("exec.worker"); err != nil {
+			panic(err)
+		}
+	}
+	c.f(w)
+	return nil
+}

@@ -51,27 +51,22 @@ func TestPoolContainsWorkerPanic(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	// A panic on a pool-worker lane (not the caller's lane) must not kill
-	// the worker; it resurfaces on the caller as a *PanicError.
-	func() {
-		defer func() {
-			r := recover()
-			pe, ok := r.(*PanicError)
-			if !ok {
-				t.Fatalf("recover() = %#v, want *PanicError", r)
-			}
-			if pe.Worker != 1 || pe.Value != "kernel fault" {
-				t.Fatalf("PanicError = worker %d value %v", pe.Worker, pe.Value)
-			}
-			if len(pe.Stack) == 0 {
-				t.Fatal("PanicError carries no stack")
-			}
-		}()
-		p.Run(3, func(w int) {
-			if w == 1 {
-				panic("kernel fault")
-			}
-		})
-	}()
+	// the worker; Run returns it as a *PanicError.
+	err := p.Run(3, func(w int) {
+		if w == 1 {
+			panic("kernel fault")
+		}
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Run = %#v, want *PanicError", err)
+	}
+	if pe.Worker != 1 || pe.Value != "kernel fault" {
+		t.Fatalf("PanicError = worker %d value %v", pe.Worker, pe.Value)
+	}
+	if len(pe.Stack) == 0 {
+		t.Fatal("PanicError carries no stack")
+	}
 	// The pool must remain fully serviceable on its parked workers.
 	var total int64
 	for i := 0; i < 50; i++ {
@@ -85,14 +80,19 @@ func TestPoolContainsWorkerPanic(t *testing.T) {
 	}
 }
 
+// TestSpawnRunContainsGoroutinePanic: a grant no pool backs spawns every
+// lane but the caller's, and a spawned lane's panic is contained like any
+// other.
 func TestSpawnRunContainsGoroutinePanic(t *testing.T) {
-	pe := spawnRunE(4, func(w int) {
+	g := Grant{workers: 4, shardID: AnyShard}
+	err := g.Run(4, func(w int) {
 		if w == 3 {
 			panic(errors.New("spawned fault"))
 		}
 	})
-	if pe == nil || pe.Worker != 3 {
-		t.Fatalf("spawnRunE = %v, want contained panic on worker 3", pe)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Worker != 3 {
+		t.Fatalf("Run = %v, want contained panic on worker 3", err)
 	}
 	if !errors.Is(pe, pe.Unwrap()) || pe.Unwrap().Error() != "spawned fault" {
 		t.Fatalf("Unwrap() = %v", pe.Unwrap())
@@ -105,14 +105,14 @@ func TestRunCtxConvertsWorkerPanicToError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	g := AcquireCtl(4, NewCtl(ctx))
-	err := g.RunCtx(4, func(w int) {
+	err := g.Run(4, func(w int) {
 		if w == 2 {
 			panic("ctx kernel fault")
 		}
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("RunCtx error = %v, want *PanicError", err)
+		t.Fatalf("Run error = %v, want *PanicError", err)
 	}
 	if pe.Value != "ctx kernel fault" {
 		t.Fatalf("panic value = %v", pe.Value)
@@ -135,7 +135,7 @@ func TestRunCtxPoisonStopsSiblingLanes(t *testing.T) {
 	defer cancel()
 	ctl := NewCtl(ctx)
 	g := AcquireCtl(4, ctl)
-	err := g.RunCtx(4, func(w int) {
+	err := g.Run(4, func(w int) {
 		if w == 0 {
 			panic("poison")
 		}
@@ -160,9 +160,9 @@ func TestRunCtxPreCancelledSkipsLanes(t *testing.T) {
 	cancel()
 	var ran atomic.Int64
 	g := AcquireCtl(4, NewCtl(ctx))
-	err := g.RunCtx(4, func(w int) { ran.Add(1) })
+	err := g.Run(4, func(w int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx on cancelled ctx = %v, want context.Canceled", err)
+		t.Fatalf("Run on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if ran.Load() != 0 {
 		t.Fatalf("%d lanes ran on a pre-cancelled dispatch, want 0", ran.Load())
@@ -174,8 +174,8 @@ func TestRunCtxNilCtlCompletes(t *testing.T) {
 	defer SetMaxWorkers(restore)
 	var ran atomic.Int64
 	g := AcquireCtl(4, nil)
-	if err := g.RunCtx(4, func(w int) { ran.Add(1) }); err != nil {
-		t.Fatalf("RunCtx = %v", err)
+	if err := g.Run(4, func(w int) { ran.Add(1) }); err != nil {
+		t.Fatalf("Run = %v", err)
 	}
 	if ran.Load() != 4 {
 		t.Fatalf("ran %d lanes, want 4", ran.Load())
@@ -189,14 +189,14 @@ func TestRunCtxDeadlineReportsDeadlineExceeded(t *testing.T) {
 	defer cancel()
 	ctl := NewCtl(ctx)
 	g := AcquireCtl(4, ctl)
-	err := g.RunCtx(4, func(w int) {
+	err := g.Run(4, func(w int) {
 		// Chunk-granularity polling, as a kernel would do it.
 		for !ctl.Cancelled() {
 			time.Sleep(100 * time.Microsecond)
 		}
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunCtx = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("Run = %v, want context.DeadlineExceeded", err)
 	}
 }
 
@@ -211,20 +211,12 @@ func TestExecWorkerFailpointSurfacesAsError(t *testing.T) {
 	}
 	p := NewPool(2)
 	defer p.Close()
-	func() {
-		defer func() {
-			r := recover()
-			pe, ok := r.(*PanicError)
-			if !ok {
-				t.Fatalf("recover() = %#v, want *PanicError", r)
-			}
-			var inj *failpoint.Injected
-			if !errors.As(pe, &inj) || inj.Site != "exec.worker" {
-				t.Fatalf("contained value = %v, want injected exec.worker fault", pe)
-			}
-		}()
-		p.Run(3, func(w int) {})
-	}()
+	err := p.Run(3, func(w int) {})
+	var pe *PanicError
+	var inj *failpoint.Injected
+	if !errors.As(err, &pe) || !errors.As(pe, &inj) || inj.Site != "exec.worker" {
+		t.Fatalf("Run = %v, want a *PanicError around the injected exec.worker fault", err)
+	}
 	// Site fired once (*1) and disarmed: the pool serves cleanly again.
 	var total int64
 	p.Run(3, func(w int) { atomic.AddInt64(&total, 1) })

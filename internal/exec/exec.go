@@ -56,12 +56,9 @@ package exec
 
 import (
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/failpoint"
 )
 
 // MinGrain is the minimum number of work items (nonzeros, padded slots)
@@ -175,9 +172,13 @@ type Pool struct {
 	closed  bool
 	size    int // pool workers; excludes the caller
 	pin     func()
-	work    func(w int)
-	lanes   []lane          // lanes[i] is worker i's slot
-	wake    []chan struct{} // one token on wake[i] ends worker i's park
+	call    call // what the in-flight dispatch's lanes run
+	// fault is the first panic among them: whoever runs a lane contains it
+	// there (so a worker survives and retires the lane) and the dispatcher
+	// harvests it before the pool unlocks.
+	fault panicSlot
+	lanes []lane          // lanes[i] is worker i's slot
+	wake  []chan struct{} // one token on wake[i] ends worker i's park
 	// done receives one token per dispatch, from whoever retires the last
 	// of its posted lanes.
 	done    chan struct{}
@@ -197,11 +198,21 @@ type Pool struct {
 	// since its last lane, by a worker woken from a park, or back by the
 	// dispatcher, which ran them inline.
 	hot, parked, claims atomic.Uint64
-	// panicked holds the first contained lane panic of the in-flight
-	// dispatch: workers recover (so they survive and deliver their done
-	// token) and the dispatcher resurfaces the panic on the calling
-	// goroutine once the pool is consistent again.
-	panicked panicSlot
+
+	// As a shard of the engine.
+	id     int // shard index; orders ganged dispatches
+	domain int // topo domain id the workers prefer
+	// capacity is the shard's effective parallel width in lanes. On
+	// multi-domain machines it is the domain's CPU count, which may be
+	// below the pool's parked-worker floor: the gang trigger compares the
+	// requested workers against capacity, so a call wider than one domain
+	// spreads across shards instead of stacking on one domain's pinned
+	// CPUs. Where CPUs are unknown it is the full lane count (parked
+	// workers plus the caller).
+	capacity int
+	runs     atomic.Uint64 // single-shard dispatches served
+	gangRuns atomic.Uint64 // ganged dispatches participated in
+	busy     atomic.Int64  // cumulative nanoseconds spent serving dispatches
 }
 
 // NewPool returns a pool with the given number of parked workers (the
@@ -263,7 +274,7 @@ func (p *Pool) worker(i int, ln *lane, wake <-chan struct{}) {
 			if id == 0 {
 				break
 			}
-			p.runShard(int(id))
+			p.fault.record(p.call.lane(int(id), true))
 			if woke {
 				p.parked.Add(1)
 			} else {
@@ -303,83 +314,28 @@ func (p *Pool) retire() bool {
 	return true
 }
 
-// runShard executes one shard id with panic containment: a panicking
-// kernel must not kill the worker goroutine (which would wedge the pool —
-// its done token would never arrive) or the process. The recovered panic
-// is parked on the pool and resurfaces on the dispatching goroutine once
-// every lane of the call has completed.
-func (p *Pool) runShard(id int) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.panicked.record(id, r, debug.Stack())
-		}
-	}()
-	if err := failpoint.Inject("exec.worker"); err != nil {
-		panic(err)
+// Run invokes f(0..n-1) on the pool's workers and the calling goroutine
+// and waits: Grant.Run over this one pool, or over none when the pool is
+// busy — another Run is in flight, possibly from this very goroutine — so
+// Run is safe to call concurrently and never deadlocks on nesting.
+func (p *Pool) Run(n int, f func(w int)) error {
+	g := Grant{workers: n, shardID: AnyShard}
+	if n > 1 && p.mu.TryLock() {
+		g.pools[0], g.np = p, 1
 	}
-	p.work(id)
+	return g.Run(n, f)
 }
 
-// Run invokes f(0..n-1) and waits for completion. Shard 0 runs on the
-// calling goroutine; shards beyond the pool size run inline after it. If
-// the pool is busy — another Run is in flight, possibly from this very
-// goroutine — the call falls back to spawned goroutines, so Run is safe to
-// call concurrently and never deadlocks on nesting.
-func (p *Pool) Run(n int, f func(w int)) {
-	if n <= 1 {
-		f(0)
-		return
-	}
-	if !p.mu.TryLock() {
-		spawnRun(n, f)
-		return
-	}
-	p.runLocked(n, f)
-}
-
-// runLocked executes f(0..n-1) on the pool's parked workers plus the
-// calling goroutine, re-panicking any contained worker panic on the
-// caller. The caller must hold p.mu; runLocked releases it.
-func (p *Pool) runLocked(n int, f func(w int)) {
-	if pe := p.runLockedE(n, f); pe != nil {
-		panic(pe)
-	}
-}
-
-// runLockedE is runLocked returning a contained worker-lane panic instead
-// of re-panicking, for dispatchers (RunCtx) that report it as an error.
-// Panics on the calling goroutine's own lanes propagate unchanged either
-// way. The caller must hold p.mu; runLockedE releases it.
-func (p *Pool) runLockedE(n int, f func(w int)) (pe *PanicError) {
+// post hands the consecutive lane ids lo, lo+1, ... of a dispatch to up to
+// max workers (capped at the pool size) and returns how many it posted,
+// without waiting. Worker i's id goes into its slot; a worker found parked
+// also gets its token. The caller must hold p.mu and must later claim and
+// drain exactly that many. A closed pool posts nothing: a Run or reshard
+// raced a Close, and a closed pool must never restart its workers (they
+// would be orphaned forever).
+func (p *Pool) post(c call, lo, max int) int {
 	if p.closed {
-		// A Run or reshard raced a Close: a closed pool must never restart
-		// its workers (they would be orphaned forever), so fall back to
-		// spawning.
-		p.mu.Unlock()
-		return spawnRunE(n, f)
-	}
-	posted := 0
-	// Draining in a defer keeps the pool consistent even when a shard run
-	// on the calling goroutine panics: every posted lane is retired before
-	// the pool unlocks, so nothing of this call can reach a later one.
-	defer func() { pe = p.drain(posted) }()
-	posted = p.dispatch(f, 1, n-1)
-	f(0)
-	for w := posted + 1; w < n; w++ {
-		f(w)
-	}
-	return
-}
-
-// dispatch posts the consecutive lane ids lo, lo+1, ... to up to max
-// workers (capped at the pool size) and returns how many it posted, without
-// waiting. Worker i's id goes into its slot; a worker found parked also
-// gets its token. The caller must hold p.mu and must later drain exactly
-// that many. This is the whole of the handoff for a single-shard Run and
-// for each shard of a ganged Grant.Run alike.
-func (p *Pool) dispatch(f func(w int), lo, max int) int {
-	if p.closed {
-		return 0 // ids fall back to the caller's inline leftover loop
+		return 0
 	}
 	p.ensureStarted()
 	k := max
@@ -389,7 +345,7 @@ func (p *Pool) dispatch(f func(w int), lo, max int) int {
 	if k <= 0 {
 		return 0
 	}
-	p.work = f
+	p.call = c
 	p.pending.Store(int32(k))
 	spinners := 0
 	if time.Since(p.idle) < spinBudget {
@@ -410,33 +366,32 @@ func (p *Pool) dispatch(f func(w int), lo, max int) int {
 }
 
 // claim takes back every one of the k posted lanes that no worker has
-// taken yet and runs it on the calling goroutine, through runShard like a
-// worker would. A dispatcher calls it once its own lane is done, so lanes
-// posted to workers that are still waking never wait for them.
+// taken yet and runs it on the calling goroutine, as a worker would. A
+// dispatcher calls it once its own lane is done, so lanes posted to
+// workers that are still waking never wait for them.
 func (p *Pool) claim(k int) {
 	for i := 0; i < k; i++ {
 		ln := &p.lanes[i]
 		if id := ln.slot.Load(); id > 0 && ln.slot.CompareAndSwap(id, laneEmpty) {
 			p.claims.Add(1)
-			p.runShard(int(id))
+			p.fault.record(p.call.lane(int(id), true))
 			p.retire()
 		}
 	}
 }
 
-// drain completes a dispatch of k posted lanes: it claims what no worker
-// has taken, waits for the rest — polling for spinBudget, then blocking —
-// releases the pool, and returns any contained lane panic. The slot is
-// harvested before unlocking so a later dispatch on this pool can never
-// observe this call's fault.
+// drain completes a dispatch of k posted lanes, none of them still
+// claimable: it waits for the workers' — polling for spinBudget, then
+// blocking — releases the pool, and returns any contained lane panic. The
+// fault is harvested before unlocking so a later dispatch on this pool can
+// never observe this call's.
 func (p *Pool) drain(k int) *PanicError {
 	if k > 0 {
-		p.claim(k)
 		p.awaitDone()
 		p.idle = time.Now()
 	}
-	p.work = nil
-	pe := p.panicked.take()
+	p.call = call{}
+	pe := p.fault.take()
 	p.mu.Unlock()
 	return pe
 }
@@ -494,45 +449,12 @@ func (p *Pool) Close() {
 	p.wake = nil
 }
 
-// spawnFallbacks counts dispatches that found every shard busy and fell
-// back to spawned goroutines (the seed-era path). Steady workloads sized to
-// the shard count should keep this flat; see Stats.
+// spawnFallbacks counts dispatches that found every shard busy and ran all
+// their lanes but the caller's on spawned goroutines (the seed-era path).
+// Steady workloads sized to the shard count should keep this flat; see
+// Stats.
 var spawnFallbacks atomic.Uint64
 
 // SpawnFallbacks returns the cumulative count of spawned-goroutine
 // fallback dispatches.
 func SpawnFallbacks() uint64 { return spawnFallbacks.Load() }
-
-// spawnRun is the seed-era fallback: one fresh goroutine per shard. A
-// contained goroutine panic re-panics on the caller, matching pool
-// dispatch semantics.
-func spawnRun(n int, f func(w int)) {
-	if pe := spawnRunE(n, f); pe != nil {
-		panic(pe)
-	}
-}
-
-// spawnRunE runs the spawned fallback and returns a contained goroutine
-// panic instead of letting it kill the process. The caller's own lane
-// (shard 0) panics through unchanged — but only after every spawned
-// goroutine has finished, so no goroutine outlives its dispatch.
-func spawnRunE(n int, f func(w int)) *PanicError {
-	var ps panicSlot
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	wg.Add(n - 1)
-	for w := 1; w < n; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					ps.record(w, r, debug.Stack())
-				}
-			}()
-			f(w)
-		}(w)
-	}
-	f(0)
-	wg.Wait()
-	return ps.take()
-}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,9 +15,9 @@ func TestPoolRunsEveryShardOnce(t *testing.T) {
 	defer p.Close()
 	for _, n := range []int{1, 2, 3, 4, 7, 16} {
 		counts := make([]int32, n)
-		p.Run(n, func(w int) {
-			atomic.AddInt32(&counts[w], 1)
-		})
+		if err := p.Run(n, func(w int) { atomic.AddInt32(&counts[w], 1) }); err != nil {
+			t.Fatalf("n=%d: Run = %v", n, err)
+		}
 		for w, c := range counts {
 			if c != 1 {
 				t.Fatalf("n=%d: shard %d ran %d times", n, w, c)
@@ -62,18 +63,15 @@ func TestPoolNestedRunFallsBackToSpawn(t *testing.T) {
 func TestPoolRecoversFromCallerShardPanic(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected the shard panic to propagate")
-			}
-		}()
-		p.Run(3, func(w int) {
-			if w == 0 {
-				panic("shard 0 boom")
-			}
-		})
-	}()
+	err := p.Run(3, func(w int) {
+		if w == 0 {
+			panic("shard 0 boom")
+		}
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Worker != 0 || pe.Value != "shard 0 boom" {
+		t.Fatalf("Run = %v, want the caller lane's *PanicError", err)
+	}
 	// The pool must be fully drained: no stale done tokens may satisfy a
 	// later Run's wait before its own workers finish.
 	for i := 0; i < 50; i++ {
@@ -129,10 +127,18 @@ func TestPoolRunZeroAllocsWarm(t *testing.T) {
 	}
 }
 
+// run dispatches f(0..n-1) on the process-wide engine.
+func run(n int, f func(w int)) error {
+	g := Acquire(n)
+	return g.Run(n, f)
+}
+
 func TestDefaultPoolRun(t *testing.T) {
 	Prestart()
 	var total int64
-	Run(4, func(w int) { atomic.AddInt64(&total, int64(w)+1) })
+	if err := run(4, func(w int) { atomic.AddInt64(&total, int64(w)+1) }); err != nil {
+		t.Fatal(err)
+	}
 	if total != 1+2+3+4 {
 		t.Fatalf("total %d", total)
 	}

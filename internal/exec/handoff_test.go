@@ -158,12 +158,11 @@ func TestOnlyLowWorkersPoll(t *testing.T) {
 	}
 }
 
-// TestCallerClaimedLaneFaultsLikeAWorkers: a lane the caller claimed goes
-// through runShard, so an injected exec.worker fault and a kernel panic on
-// it come back as *PanicError — from Run as a re-panic, from RunCtx as the
-// error — and leave the pool serviceable. One P makes the claim certain
-// short of a preemption, so each case repeats until the counters show the
-// faulting lane was the caller's.
+// TestCallerClaimedLaneFaultsLikeAWorkers: a lane the caller claimed runs
+// as a pooled lane, so an injected exec.worker fault and a kernel panic on
+// it come back as *PanicError from Run and leave the pool serviceable. One
+// P makes the claim certain short of a preemption, so each case repeats
+// until the counters show the faulting lane was the caller's.
 func TestCallerClaimedLaneFaultsLikeAWorkers(t *testing.T) {
 	atProcs(t, 1)
 	prev := failpoint.SetEnabled(true)
@@ -178,12 +177,8 @@ func TestCallerClaimedLaneFaultsLikeAWorkers(t *testing.T) {
 	// whether the caller had claimed that lane.
 	fault := func(f func(w int)) (pe *PanicError, claimed bool) {
 		before := p.claims.Load()
-		defer func() {
-			pe, _ = recover().(*PanicError)
-			claimed = p.claims.Load() == before+1
-		}()
-		p.Run(2, f)
-		return nil, false
+		errors.As(p.Run(2, f), &pe)
+		return pe, p.claims.Load() == before+1
 	}
 	for name, tc := range map[string]struct {
 		arm   func()
@@ -217,7 +212,7 @@ func TestCallerClaimedLaneFaultsLikeAWorkers(t *testing.T) {
 			tc.arm()
 			pe, claimed := fault(tc.lane)
 			if pe == nil || !tc.check(pe) {
-				t.Fatalf("%s: Run re-panicked with %v, want the lane-1 *PanicError", name, pe)
+				t.Fatalf("%s: Run returned %v, want the lane-1 *PanicError", name, pe)
 			}
 			sawClaim = claimed
 			var total atomic.Int32
@@ -231,25 +226,25 @@ func TestCallerClaimedLaneFaultsLikeAWorkers(t *testing.T) {
 		}
 	}
 
-	// The same through the engine's error-returning entry point.
+	// The same through a grant on the engine.
 	defer SetMaxWorkers(SetMaxWorkers(8))
 	resetShards(t, 1)
 	sawClaim := false
 	for try := 0; try < 50 && !sawClaim; try++ {
 		before := Stats().Shards[0].CallerClaims
 		g := Acquire(2)
-		err := g.RunCtx(2, func(w int) {
+		err := g.Run(2, func(w int) {
 			if w == 1 {
 				panic("claimed lane fault")
 			}
 		})
 		var pe *PanicError
 		if !errors.As(err, &pe) || pe.Worker != 1 {
-			t.Fatalf("RunCtx = %v, want the lane-1 *PanicError", err)
+			t.Fatalf("Grant.Run = %v, want the lane-1 *PanicError", err)
 		}
 		sawClaim = Stats().Shards[0].CallerClaims == before+1
 	}
 	if !sawClaim {
-		t.Error("RunCtx: the faulting lane was never the caller's in 50 tries")
+		t.Error("Grant.Run: the faulting lane was never the caller's in 50 tries")
 	}
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,25 +19,6 @@ const AnyShard = -1
 // spawning goroutines for the remainder.
 const maxGang = 8
 
-// shard is one engine pool plus its dispatch statistics.
-type shard struct {
-	pool   *Pool
-	id     int // shard index within the engine; orders ganged dispatches
-	domain int // topo domain id the shard's workers prefer
-	// capacity is the shard's effective parallel width in lanes. On
-	// multi-domain machines it is the domain's CPU count, which may be
-	// below the pool's parked-worker floor: the gang trigger compares the
-	// requested workers against capacity, so a call wider than one domain
-	// spreads across shards instead of stacking on one domain's pinned
-	// CPUs. Where CPUs are unknown it is the full lane count (parked
-	// workers plus the caller).
-	capacity int
-
-	runs     atomic.Uint64 // single-shard dispatches served
-	gangRuns atomic.Uint64 // ganged dispatches this shard participated in
-	busy     atomic.Int64  // cumulative nanoseconds spent serving dispatches
-}
-
 // Engine is the sharded execution engine: one worker-pool shard per
 // topology domain (or per requested shard, see topo.Shards), each parking
 // its workers independently. Independent concurrent SpMV calls are routed
@@ -53,12 +33,12 @@ type Engine struct {
 }
 
 type engineState struct {
-	shards []*shard
+	shards []*Pool
 }
 
 // shards returns the current shard set, (re)building it when the requested
 // shard count changed. The warm path is one atomic load.
-func (e *Engine) shards() []*shard {
+func (e *Engine) shards() []*Pool {
 	want := topo.Shards()
 	if st := e.state.Load(); st != nil && len(st.shards) == want {
 		return st.shards
@@ -66,7 +46,7 @@ func (e *Engine) shards() []*shard {
 	return e.rebuild(want)
 }
 
-func (e *Engine) rebuild(want int) []*shard {
+func (e *Engine) rebuild(want int) []*Pool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if st := e.state.Load(); st != nil {
@@ -76,7 +56,7 @@ func (e *Engine) rebuild(want int) []*shard {
 		// Close waits for each old shard's in-flight dispatch (it takes the
 		// pool mutex), so resharding never strands running work.
 		for _, s := range st.shards {
-			s.pool.Close()
+			s.Close()
 		}
 	}
 	doms := topo.Assign(want)
@@ -86,15 +66,15 @@ func (e *Engine) rebuild(want int) []*shard {
 	// engine to the first domains' CPUs and leave the rest of the machine
 	// idle, so those shards stay unpinned and machine-wide.
 	pinned := topo.NumDomains() > 1 && want >= topo.NumDomains()
-	shards := make([]*shard, want)
+	shards := make([]*Pool, want)
 	for i := range shards {
 		d := doms[i]
 		cpus := 0
 		if pinned {
 			cpus = len(d.CPUs)
 		}
-		p := &Pool{size: shardPoolSize(cpus, want)}
-		capacity := p.size + 1
+		p := &Pool{size: shardPoolSize(cpus, want), id: i, domain: d.ID}
+		p.capacity = p.size + 1
 		if pinned && len(d.CPUs) > 0 {
 			dcpus := d.CPUs
 			p.pin = func() { _ = topo.PinSelf(dcpus) } // best effort
@@ -102,11 +82,11 @@ func (e *Engine) rebuild(want int) []*shard {
 			// dispatcher uses at the CPU count so a wide call gangs across
 			// domains rather than stacking on one domain's cores (the
 			// parked-worker floor can exceed small domains).
-			if capacity = len(dcpus); capacity < 2 {
-				capacity = 2 // always keep one real worker lane
+			if p.capacity = len(dcpus); p.capacity < 2 {
+				p.capacity = 2 // always keep one real worker lane
 			}
 		}
-		shards[i] = &shard{pool: p, id: i, domain: d.ID, capacity: capacity}
+		shards[i] = p
 	}
 	e.state.Store(&engineState{shards: shards})
 	return shards
@@ -137,8 +117,8 @@ type Grant struct {
 	workers int
 	shardID int
 	np      int  // pools acquired; 0 = spawn fallback
-	ctl     *Ctl // cancellation control for Ctx dispatches; nil = uncancellable
-	pools   [maxGang]*shard
+	ctl     *Ctl // cancellation control; nil = uncancellable
+	pools   [maxGang]*Pool
 }
 
 // Ctl returns the grant's cancellation control (nil for uncancellable
@@ -188,10 +168,10 @@ func (e *Engine) Acquire(workers int) Grant {
 	for i := 0; i < n; i++ {
 		idx := (start + i) % n
 		s := shards[idx]
-		if s.pool.mu.TryLock() {
-			if s.pool.closed {
+		if s.mu.TryLock() {
+			if s.closed {
 				// A reshard raced this acquire; skip the dead pool.
-				s.pool.mu.Unlock()
+				s.mu.Unlock()
 				continue
 			}
 			g.pools[0], g.np, g.shardID = s, 1, idx
@@ -204,9 +184,9 @@ func (e *Engine) Acquire(workers int) Grant {
 	if lanes := g.pools[0].capacity; lanes < workers && n > 1 {
 		for i := 1; i < n && g.np < maxGang && lanes < workers; i++ {
 			s := shards[(g.shardID+i)%n]
-			if s.pool.mu.TryLock() {
-				if s.pool.closed {
-					s.pool.mu.Unlock()
+			if s.mu.TryLock() {
+				if s.closed {
+					s.mu.Unlock()
 					continue
 				}
 				g.pools[g.np] = s
@@ -232,8 +212,8 @@ func (e *Engine) Acquire(workers int) Grant {
 }
 
 // AcquireCtl is Acquire for a cancellable dispatch: the returned grant
-// carries ctl, which the Ctx run methods and chunk-polling kernels consult.
-// A nil ctl yields a grant identical to Acquire's.
+// carries ctl, which Run's lanes and chunk-polling kernels consult. A nil
+// ctl yields a grant identical to Acquire's.
 func (e *Engine) AcquireCtl(workers int, ctl *Ctl) Grant {
 	g := e.Acquire(workers)
 	g.ctl = ctl
@@ -247,92 +227,22 @@ func (e *Engine) AcquireCtl(workers int, ctl *Ctl) Grant {
 // arithmetically; kernels whose plan carries a per-domain offset table
 // should use RunPlan so collapsed partitions stay on their own domain.
 //
-// A panic on a worker lane is contained by the engine (the shard stays
-// serviceable) and re-panics here with a *PanicError value; a panic on the
-// caller's own lane propagates unchanged. Callers that want an error
-// instead use RunCtx.
-func (g *Grant) Run(n int, f func(w int)) {
-	if pe := g.runE(n, nil, f); pe != nil {
-		panic(pe)
-	}
-}
+// Run is contained and cancellable. A panic on any lane, the caller's own
+// included, comes back as a *PanicError with every shard serviceable, and
+// poisons the grant's Ctl so the sibling lanes stop at their next chunk
+// boundary; it wins over plain cancellation, being the root cause. Lanes
+// that would start after the Ctl is cancelled never begin — kernels bound
+// the latency further by polling g.Ctl().Cancelled() between chunks — and
+// a cancelled call reports the context's own error (context.Canceled or
+// DeadlineExceeded). A caller that wants the panic re-panics the error.
+func (g *Grant) Run(n int, f func(w int)) error { return g.run(n, nil, f) }
 
-// RunPlan executes f over a range-partitioned plan: f(0..len(pl.Ranges)-1),
+// RunPlan is Run over a range-partitioned plan: f(0..len(pl.Ranges)-1),
 // with ganged dispatches blocked by the plan's DomainOff table when present
 // — range ids [DomainOff[j], DomainOff[j+1]) run on the j-th enlisted
-// shard, exactly the domain the plan builder assigned them to. Like Run it
-// waits, releases every acquired shard, and consumes the grant. Panic
-// semantics match Run.
-func (g *Grant) RunPlan(pl *Plan, f func(w int)) {
-	if pe := g.runE(len(pl.Ranges), pl.DomainOff, f); pe != nil {
-		panic(pe)
-	}
-}
-
-// RunCtx is the cancellable, fault-isolated Run: it executes f(0..n-1),
-// skips lanes that start after the grant's Ctl is cancelled, converts any
-// lane panic (caller lane included) into a *PanicError return, and reports
-// the context's error when the call was cancelled. Kernels bound the
-// cancellation latency by polling g.Ctl().Cancelled() between chunks of
-// their assigned range; RunCtx itself guarantees only that un-started
-// lanes never begin. The shard remains serviceable after any failure.
-func (g *Grant) RunCtx(n int, f func(w int)) error {
-	return g.runCtx(n, nil, f)
-}
-
-// RunPlanCtx is RunPlan with RunCtx's cancellation and panic-to-error
-// semantics.
-func (g *Grant) RunPlanCtx(pl *Plan, f func(w int)) error {
-	return g.runCtx(len(pl.Ranges), pl.DomainOff, f)
-}
-
-// runCtx wraps every lane of a dispatch with a cancellation gate and a
-// panic trap, then reports the first fault as an error: a lane panic wins
-// over plain cancellation (the panic is the root cause — it also poisons
-// the Ctl so sibling lanes stop at their next chunk boundary), and a
-// cancelled call reports the context's own error (context.Canceled or
-// DeadlineExceeded).
-func (g *Grant) runCtx(n int, off []int, f func(w int)) (err error) {
-	ctl := g.ctl
-	if ctl == nil {
-		// Uncancellable dispatch: nothing to gate or poison, so the lanes
-		// run unwrapped (no per-call allocation). Worker-lane panics are
-		// already contained by the pools; only the caller's own lanes need
-		// the trap.
-		defer func() {
-			if r := recover(); r != nil {
-				err = &PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}()
-		if pe := g.runE(n, off, f); pe != nil {
-			return pe
-		}
-		return nil
-	}
-	var ps panicSlot
-	wf := func(w int) {
-		defer func() {
-			if r := recover(); r != nil {
-				ps.record(w, r, debug.Stack())
-				ctl.poison()
-			}
-		}()
-		if ctl.Cancelled() {
-			return
-		}
-		f(w)
-	}
-	pe := g.runE(n, off, wf)
-	if pe == nil {
-		pe = ps.take()
-	}
-	if pe != nil {
-		return pe
-	}
-	if err := ctl.Err(); err != nil && ctl.Cancelled() {
-		return err
-	}
-	return nil
+// shard, exactly the domain the plan builder assigned them to.
+func (g *Grant) RunPlan(pl *Plan, f func(w int)) error {
+	return g.run(len(pl.Ranges), pl.DomainOff, f)
 }
 
 // gangBlocks fills blk[0..nb] with the worker-id block bounds per enlisted
@@ -363,145 +273,96 @@ func gangBlocks(np, workers, n int, off []int, blk *[maxGang + 1]int) int {
 	return np
 }
 
-// runE is the shared implementation of every Run variant; off is the
-// plan's per-domain offset table or nil for arithmetic gang blocks. It
-// returns the first contained panic from a worker lane (pool worker or
-// spawned overflow goroutine) — the callers decide whether that re-panics
-// (Run/RunPlan) or becomes an error (RunCtx/RunPlanCtx). A panic on the
-// caller's own lane unwinds through runE; the defers still drain every
-// woken worker and release every pool, so the engine survives that too.
-func (g *Grant) runE(n int, off []int, f func(w int)) (pe *PanicError) {
-	np := g.np
+// spill is the lanes of one dispatch that no pool could take, each on a
+// goroutine of its own. A dispatch makes one only when a lane overflows.
+type spill struct {
+	fault panicSlot
+	wg    sync.WaitGroup
+}
+
+func (s *spill) run(c call, w int) {
+	defer s.wg.Done()
+	s.fault.record(c.lane(w, false))
+}
+
+// run is the one dispatch: the caller runs lane 0, each enlisted pool is
+// posted its block of lane ids, every lane no pool could take is spawned,
+// and then the caller claims what no worker has started, drains and
+// releases. off is the plan's per-domain offset table or nil for arithmetic
+// blocks. Pool j's workers take the consecutive id block gangBlocks assigns
+// them — the plan's own per-domain range group when the plan carries an
+// offset table, else the arithmetic block [w*j/np, w*(j+1)/np) that
+// sched.DomainSplit produces for this placement (Domains=np, Workers=w)
+// when no range collapses — so each domain's slice of the matrix is walked
+// by the shard pinned to that domain. A busy engine is the case of no pool
+// (one block, all of it spawned: the seed-era path, which never queues and
+// never deadlocks), a single shard the case of one.
+func (g *Grant) run(n int, off []int, f func(w int)) (err error) {
+	pools := g.pools[:g.np]
 	g.np = 0 // consumed; Release becomes a no-op
-	if np == 0 {
-		if n <= 1 {
-			f(0)
-			return nil
-		}
+	if len(pools) == 0 && n > 1 {
 		spawnFallbacks.Add(1)
-		return spawnRunE(n, f)
 	}
-	if n <= 1 {
-		// A collapsed partition: the shards were held but no workers run.
-		// Still counts as served dispatches so the shards report reflects
-		// real engine traffic.
-		for j := 0; j < np; j++ {
-			g.pools[j].pool.mu.Unlock()
-			g.pools[j].runs.Add(1)
-		}
-		f(0)
-		return nil
-	}
-	if np == 1 {
-		s := g.pools[0]
-		t0 := time.Now()
-		if lanes := s.pool.size + 1; n > lanes {
-			// A wide call landed on one shard because every other shard was
-			// busy: spawn the overflow ids so they run concurrently instead
-			// of serializing on the caller after its own lane (PR 1 spawned
-			// the whole call in this situation).
-			var ps panicSlot // contained panics from the overflow goroutines
-			var wg sync.WaitGroup
-			// Wait again in a defer: if a pooled lane panics, the spawned
-			// goroutines must not be left writing y while the caller
-			// unwinds and possibly retries with the same vector.
-			defer wg.Wait()
-			wg.Add(n - lanes)
-			for w := lanes; w < n; w++ {
-				go func(w int) {
-					defer wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							ps.record(w, r, debug.Stack())
-						}
-					}()
-					f(w)
-				}(w)
-			}
-			pe = s.pool.runLockedE(lanes, f)
-			wg.Wait()
-			if pe == nil {
-				pe = ps.take()
-			}
-		} else {
-			pe = s.pool.runLockedE(n, f)
-		}
-		s.busy.Add(int64(time.Since(t0)))
-		s.runs.Add(1)
-		return pe
-	}
-	// Ganged dispatch: shard j's workers take the consecutive id block
-	// gangBlocks assigns them — the plan's own per-domain range group when
-	// the plan carries an offset table, else the arithmetic block
-	// [w*j/np, w*(j+1)/np) that sched.DomainSplit produces for this
-	// placement (Domains=np, Workers=w) when no range collapses — so each
-	// domain's slice of the matrix is walked by the shard pinned to that
-	// domain. The caller runs id 0 as a lane of the first shard; ids a pool
-	// cannot post (its workers are fewer than its share) are spawned so
-	// they still run concurrently.
 	var blk [maxGang + 1]int
-	nb := gangBlocks(np, g.workers, n, off, &blk)
-	t0 := time.Now()
-	var ps panicSlot // contained panics from spawned overflow goroutines
+	nb := gangBlocks(max(len(pools), 1), g.workers, n, off, &blk)
+	c := call{f: f, ctl: g.ctl}
+	var pe *PanicError // the first fault, lane 0's before any other
 	var posted [maxGang]int
+	var sp *spill
+	t0 := time.Now()
+	// Completing in a defer keeps the engine consistent when lane 0 ends its
+	// goroutine (runtime.Goexit: a t.FailNow inside a test's kernel): every
+	// lane still retires before its pool unlocks and before the caller's
+	// vectors are its own again.
 	defer func() {
-		// Drain in a defer so a panicking caller shard still retires every
-		// posted lane before the pools unlock. Each drain harvests that
-		// pool's contained-panic slot; the first fault across the gang (and
-		// the overflow spawns) is the one reported.
-		for j := 0; j < np; j++ {
-			s := g.pools[j]
-			if p := s.pool.drain(posted[j]); pe == nil {
-				pe = p
+		// Claim across the whole gang before waiting on any one shard of it.
+		for j, p := range pools {
+			p.claim(posted[j])
+		}
+		for j, p := range pools {
+			if fault := p.drain(posted[j]); pe == nil {
+				pe = fault
 			}
-			s.gangRuns.Add(1)
+			if len(pools) > 1 {
+				p.gangRuns.Add(1)
+			} else {
+				p.runs.Add(1)
+			}
+			p.busy.Add(int64(time.Since(t0)))
 		}
-		if pe == nil {
-			pe = ps.take()
+		if sp != nil {
+			sp.wg.Wait()
+			if pe == nil {
+				pe = sp.fault.take()
+			}
 		}
-		d := int64(time.Since(t0))
-		for j := 0; j < np; j++ {
-			g.pools[j].busy.Add(d)
+		if pe != nil {
+			err = pe
+		} else if c.ctl.Cancelled() {
+			err = c.ctl.Err()
 		}
 	}()
-	var spawned sync.WaitGroup
-	// As with the drain defer above: a panicking caller lane must not leave
-	// spawned overflow goroutines still writing y after the call unwinds.
-	defer spawned.Wait()
 	for j := 0; j < nb; j++ {
-		lo := blk[j]
-		hi := blk[j+1]
+		lo, hi := blk[j], blk[j+1]
 		if j == 0 {
-			lo = 1 // the caller runs id 0, a lane of the first shard
+			lo = 1 // the caller runs id 0, a lane of the first block
 		}
-		if lo >= hi {
-			continue
+		if j < len(pools) {
+			posted[j] = pools[j].post(c, lo, hi-lo)
 		}
-		posted[j] = g.pools[j].pool.dispatch(f, lo, hi-lo)
-		// Ids of this domain's block beyond the pool's workers are spawned
-		// rather than handed to the next shard, so they never run on
-		// another domain's pinned cores.
-		for v := lo + posted[j]; v < hi; v++ {
-			spawned.Add(1)
-			go func(v int) {
-				defer spawned.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						ps.record(v, r, debug.Stack())
-					}
-				}()
-				f(v)
-			}(v)
+		// Ids of a block beyond its pool's workers are spawned rather than
+		// handed to the next shard, so they never run on another domain's
+		// pinned cores, and never serially on the caller after its own lane.
+		for w := lo + posted[j]; w < hi; w++ {
+			if sp == nil {
+				sp = new(spill)
+			}
+			sp.wg.Add(1)
+			go sp.run(c, w)
 		}
 	}
-	f(0)
-	// Claim across the whole gang before the deferred drains wait on any one
-	// shard of it.
-	for j := 0; j < np; j++ {
-		g.pools[j].pool.claim(posted[j])
-	}
-	spawned.Wait()
-	return
+	pe = c.lane(0, false)
+	return nil
 }
 
 // Release frees a grant's shards without running work. It is a no-op after
@@ -509,8 +370,8 @@ func (g *Grant) runE(n int, off []int, f func(w int)) (pe *PanicError) {
 // builder, a shape check in a nested call) can never leave a shard locked
 // for the life of the process.
 func (g *Grant) Release() {
-	for j := 0; j < g.np; j++ {
-		g.pools[j].pool.mu.Unlock()
+	for _, p := range g.pools[:g.np] {
+		p.mu.Unlock()
 	}
 	g.np = 0
 }
@@ -547,18 +408,18 @@ func (e *Engine) Stats() EngineStats {
 		Shards:         make([]ShardStat, len(shards)),
 		SpawnFallbacks: SpawnFallbacks(),
 	}
-	for i, s := range shards {
+	for i, p := range shards {
 		st.Shards[i] = ShardStat{
 			Shard:    i,
-			Domain:   s.domain,
-			Workers:  s.pool.size,
-			Runs:     s.runs.Load(),
-			GangRuns: s.gangRuns.Load(),
-			Busy:     time.Duration(s.busy.Load()),
+			Domain:   p.domain,
+			Workers:  p.size,
+			Runs:     p.runs.Load(),
+			GangRuns: p.gangRuns.Load(),
+			Busy:     time.Duration(p.busy.Load()),
 
-			HotHandoffs:  s.pool.hot.Load(),
-			ParkedWakes:  s.pool.parked.Load(),
-			CallerClaims: s.pool.claims.Load(),
+			HotHandoffs:  p.hot.Load(),
+			ParkedWakes:  p.parked.Load(),
+			CallerClaims: p.claims.Load(),
 		}
 	}
 	return st
@@ -567,8 +428,8 @@ func (e *Engine) Stats() EngineStats {
 // Prestart spins up every shard's parked workers so the first timed kernel
 // call does not pay pool construction.
 func (e *Engine) Prestart() {
-	for _, s := range e.shards() {
-		s.pool.Prestart()
+	for _, p := range e.shards() {
+		p.Prestart()
 	}
 }
 
@@ -582,12 +443,6 @@ func Acquire(workers int) Grant { return defaultEngine.Acquire(workers) }
 // AcquireCtl claims resources for a cancellable workers-wide dispatch on
 // the process-wide engine.
 func AcquireCtl(workers int, ctl *Ctl) Grant { return defaultEngine.AcquireCtl(workers, ctl) }
-
-// Run executes f(0..n-1) on the process-wide engine and waits.
-func Run(n int, f func(w int)) {
-	g := Acquire(n)
-	g.Run(n, f)
-}
 
 // Prestart spins up every shard of the process-wide engine.
 func Prestart() { defaultEngine.Prestart() }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,7 +125,7 @@ func TestAcquireFallsBackWhenAllShardsBusy(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		Run(2, func(w int) {
+		run(2, func(w int) {
 			if w == 0 {
 				close(running)
 				<-release
@@ -134,7 +135,7 @@ func TestAcquireFallsBackWhenAllShardsBusy(t *testing.T) {
 	<-running
 	spawnsBefore := SpawnFallbacks()
 	var total int32
-	Run(3, func(w int) { atomic.AddInt32(&total, 1) }) // must not deadlock
+	run(3, func(w int) { atomic.AddInt32(&total, 1) }) // must not deadlock
 	close(release)
 	wg.Wait()
 	if total != 3 {
@@ -154,7 +155,7 @@ func TestEngineReshardsOnSetShards(t *testing.T) {
 	}
 	topo.SetShards(3)
 	var total int32
-	Run(4, func(w int) { atomic.AddInt32(&total, 1) })
+	run(4, func(w int) { atomic.AddInt32(&total, 1) })
 	if total != 4 {
 		t.Fatalf("post-reshard run executed %d shards", total)
 	}
@@ -203,9 +204,9 @@ func TestEngineRunZeroAllocsWarm(t *testing.T) {
 	Prestart()
 	var sink int64
 	f := func(w int) { atomic.AddInt64(&sink, int64(w)) }
-	Run(4, f)
+	run(4, f)
 	allocs := testing.AllocsPerRun(100, func() {
-		Run(4, f)
+		run(4, f)
 	})
 	if allocs > 0 {
 		t.Errorf("warm engine Run allocates %v times per call, want 0", allocs)
@@ -223,22 +224,19 @@ func TestGangRecoversFromCallerPanic(t *testing.T) {
 		lanes += s.Workers
 	}
 	n := lanes + 1
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected the caller-lane panic to propagate")
-			}
-		}()
-		g := Acquire(n)
-		if g.Domains() != 2 {
-			t.Fatalf("grant spans %d shards, want 2", g.Domains())
+	g := Acquire(n)
+	if g.Domains() != 2 {
+		t.Fatalf("grant spans %d shards, want 2", g.Domains())
+	}
+	err := g.Run(n, func(w int) {
+		if w == 0 {
+			panic("caller lane boom")
 		}
-		g.Run(n, func(w int) {
-			if w == 0 {
-				panic("caller lane boom")
-			}
-		})
-	}()
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Worker != 0 {
+		t.Fatalf("Run = %v, want the caller lane's *PanicError", err)
+	}
 	// Both shards must be idle and consistent again.
 	for i := 0; i < 20; i++ {
 		counts := make([]int32, n)
@@ -259,7 +257,7 @@ func TestStatsCountsDispatches(t *testing.T) {
 	Prestart()
 	before := Stats()
 	for i := 0; i < 10; i++ {
-		Run(4, func(int) {})
+		run(4, func(int) {})
 	}
 	after := Stats()
 	var dRuns uint64

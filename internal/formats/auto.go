@@ -34,10 +34,6 @@ type AutoChoice struct {
 	// Tuned records the autotuned structural parameters the instance was
 	// built with (e.g. "bcsr.block" -> "4x4", "spmm.tile" -> "8").
 	Tuned map[string]string
-	// VecWideRowMin is the wide-row cutoff the row-length inspector derived
-	// and the instance was built with (0: inspector not applicable / not
-	// run).
-	VecWideRowMin int
 }
 
 // Auto is the storage format produced by the selection subsystem: a thin

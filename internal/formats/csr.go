@@ -139,17 +139,14 @@ func (f *VecCSR) Traits() Traits {
 // every tested row length (avg 10, 20, 64 and 256 nnz/row; 4-way +
 // bounds-check elimination won throughout). The wide path therefore only
 // engages for very long rows, where its reduction overhead is fully
-// amortized. The selector's row-length inspector lowers the cutoff per
-// matrix through Tuning.WideRowMin; the dispatched SIMD path never reads
-// it.
+// amortized. The dispatched SIMD path never reads it.
 const defaultVecWideRowMin = 512
 
 // vecCSRRowRange is the unrolled CSR kernel: four independent accumulators
 // (eight for very long rows) hide the FP-add latency chain, short rows skip
 // the unroll entirely, and capped sub-slices drop the val/colIdx bounds
-// checks like the scalar kernel. wideMin is the instance's wide-path
-// cutoff (Tuning.WideRowMin); 0 means defaultVecWideRowMin.
-func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi, wideMin int) {
+// checks like the scalar kernel.
+func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi int) {
 	if simd.Enabled() {
 		// Dispatched path: the gather+FMA row dot-product. Like the wide
 		// scalar path it reassociates the per-row sum (8 partial sums), a
@@ -174,9 +171,6 @@ func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi, wideMin
 		}
 		return
 	}
-	if wideMin <= 0 {
-		wideMin = defaultVecWideRowMin
-	}
 	end := int(rowPtr[lo])
 	for i := lo; i < hi; i++ {
 		start := end
@@ -187,7 +181,7 @@ func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi, wideMin
 		n := len(c)
 		var s0, s1, s2, s3 float64
 		k := 0
-		if n >= wideMin {
+		if n >= defaultVecWideRowMin {
 			var s4, s5, s6, s7 float64
 			for ; k+8 <= n; k += 8 {
 				s0 += v[k] * x[c[k]]
@@ -217,7 +211,7 @@ func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi, wideMin
 
 func (f *VecCSR) apply(y, x []float64, k, lo, hi int) {
 	if k == 1 {
-		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi, f.tune.WideRowMin)
+		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi)
 		return
 	}
 	f.CSR.apply(y, x, k, lo, hi)
@@ -331,7 +325,7 @@ func (f *InspectorCSR) Traits() Traits {
 // the tile regardless of row length).
 func (f *InspectorCSR) apply(y, x []float64, k, lo, hi int) {
 	if k == 1 && f.vectorize {
-		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi, f.tune.WideRowMin)
+		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi)
 		return
 	}
 	f.CSR.apply(y, x, k, lo, hi)

@@ -235,18 +235,20 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 		}
 	}()
 	fr.d, fr.pl, fr.ctl, fr.y, fr.x, fr.k, fr.carried = d, pl, ctl, y, x, k, carried
-	if !carried {
+	if carried {
+		fr.c = d.carry.begin(pl, y, k, private)
+	} else {
 		for w, r := range pl.Ranges {
 			fr.cur[w].next.Store(int64(r.RowLo))
 			fr.cur[w].hi = r.RowHi
 		}
-		return g.RunPlanCtx(pl, fr.lane)
 	}
-	fr.c = d.carry.begin(pl, y, k, private)
-	if err := g.RunPlanCtx(pl, fr.lane); err != nil {
+	if err := g.RunPlan(pl, fr.lane); err != nil {
 		return err
 	}
-	d.carry.finish(fr.c, y, k)
+	if carried {
+		d.carry.finish(fr.c, y, k)
+	}
 	return nil
 }
 

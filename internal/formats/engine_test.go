@@ -1,6 +1,7 @@
 package formats
 
 import (
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -68,6 +69,7 @@ func TestEngineSerialParallelEquivalence(t *testing.T) {
 func TestSpMVParallelAllocs(t *testing.T) {
 	prev := exec.SetMaxWorkers(4)
 	defer exec.SetMaxWorkers(prev)
+	setShards(t, 1) // plans are per shard: two warm-up calls must warm them all (TestShardedSteadyStateAllocs has the sharded case)
 	exec.Prestart()
 
 	m, err := gen.Generate(gen.Params{
@@ -79,6 +81,8 @@ func TestSpMVParallelAllocs(t *testing.T) {
 	}
 	x := matrix.RandomVector(m.Cols, 7)
 	y := make([]float64, m.Rows)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, b := range Registry() {
 		f, err := b.Build(m)
 		if err != nil {
@@ -94,6 +98,15 @@ func TestSpMVParallelAllocs(t *testing.T) {
 		})
 		if allocs > 0 {
 			t.Errorf("%s: %v allocs per steady-state SpMVParallel, want 0", b.Name, allocs)
+		}
+		// A cancellable context costs its Ctl and nothing else.
+		allocs = testing.AllocsPerRun(10, func() {
+			if err := f.Apply(ctx, y, x, 1, 4); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: %v allocs per steady-state Apply under a cancellable context, want at most 1", b.Name, allocs)
 		}
 	}
 }
@@ -205,6 +218,7 @@ func TestConcurrentSameInstanceCalls(t *testing.T) {
 func TestPlanCachePopulatesPerWorkerCount(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
+	setShards(t, 1) // one shard, so the worker count is the only key that varies
 
 	m := matrix.Tridiagonal(30000, 2, -1)
 	f := NewCSR(m)

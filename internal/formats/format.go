@@ -75,10 +75,6 @@ type Tuning struct {
 	// tile even when the dispatched SIMD width is 8: on matrices with
 	// short rows the wide tile's halved accumulator count can lose.
 	NarrowTiles bool
-	// WideRowMin is the row length at and above which the vectorized CSR
-	// kernels (Vec-CSR, MKL-IE) take their 8-accumulator scalar path;
-	// 0 means the built-in default of 512.
-	WideRowMin int
 	// BlockR x BlockC is the BCSR block geometry; zero means 2x2.
 	BlockR, BlockC int
 }
@@ -149,9 +145,6 @@ const (
 	// TuneTiles: the fused SpMM kernel carries the 8-vector register tile
 	// Tuning.NarrowTiles turns off.
 	TuneTiles Tunable = 1 << iota
-	// TuneWideRows: the single-vector kernel has the 8-accumulator scalar
-	// path Tuning.WideRowMin gates.
-	TuneWideRows
 	// TuneBlock: the block geometry is Tuning.BlockR x BlockC.
 	TuneBlock
 )
@@ -192,9 +185,9 @@ func Registry() []Builder { return append([]Builder(nil), registry...) }
 var registry = []Builder{
 	builder("COO", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewCOO(m), nil }),
 	builder("Naive-CSR", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newCSR(m, t), nil }),
-	builder("Vec-CSR", TuneTiles|TuneWideRows, func(m *matrix.CSR, t Tuning) (Format, error) { return newVecCSR(m, t), nil }),
+	builder("Vec-CSR", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newVecCSR(m, t), nil }),
 	builder("Bal-CSR", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newBalCSR(m, t), nil }),
-	builder("MKL-IE", TuneTiles|TuneWideRows, func(m *matrix.CSR, t Tuning) (Format, error) { return newInspectorCSR(m, t), nil }),
+	builder("MKL-IE", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newInspectorCSR(m, t), nil }),
 	builder("ELL", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newELL(m, t)) }),
 	builder("HYB", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newHYB(m, t)) }),
 	builder("CSR5", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewCSR5(m)) }),

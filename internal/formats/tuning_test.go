@@ -7,41 +7,34 @@ import (
 	"repro/internal/simd"
 )
 
-// TestTuningWideRowMin covers the wide-row build input of the vectorized
-// CSR kernels: lowering the cutoff through Tuning must route mid-length
-// rows through the 8-accumulator scalar path without changing the result,
-// and the zero Tuning must keep the default. The dispatched SIMD path
-// never reads the cutoff, so the test pins the scalar loops.
+// TestTuningWideRowMin covers the 8-accumulator scalar path of the
+// vectorized CSR kernels: rows on both sides of defaultVecWideRowMin must
+// match the reference. The dispatched SIMD path never reads the cutoff, so
+// the test pins the scalar loops.
 func TestTuningWideRowMin(t *testing.T) {
 	prev := simd.SetEnabled(false)
 	defer simd.SetEnabled(prev)
 
-	// Rows of length 8..~70 all take the wide path at cutoff 8.
-	sizes := make([]int, 300)
+	sizes := make([]int, 60)
 	for i := range sizes {
-		sizes[i] = 8 + i%64
+		sizes[i] = defaultVecWideRowMin - 30 + i // 482..541: the narrow and the wide path, every tail length
 	}
-	m := matrix.RandomRowSizes(300, 500, sizes, 61)
+	m := matrix.RandomRowSizes(60, 800, sizes, 61)
 	x := matrix.RandomVector(m.Cols, 62)
 	want := make([]float64, m.Rows)
 	m.SpMV(x, want)
 
 	for _, name := range []string{"Vec-CSR", "MKL-IE"} {
 		b, _ := Lookup(name)
-		for _, cut := range []int{0, 8} {
-			f, err := b.BuildTuned(m, Tuning{WideRowMin: cut})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]float64, m.Rows)
-			f.SpMV(x, got)
-			if d := maxAbsDiff(got, want); d > 1e-9 {
-				t.Errorf("%s with WideRowMin %d: diff %g", name, cut, d)
-			}
+		f, err := b.Build(m)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if f := newVecCSR(m, Tuning{WideRowMin: 8}); f.tune.WideRowMin != 8 {
-		t.Errorf("Tuning did not reach the instance: %+v", f.tune)
+		got := make([]float64, m.Rows)
+		f.SpMV(x, got)
+		if d := maxAbsDiff(got, want); d > 1e-9 {
+			t.Errorf("%s across the wide-row cutoff: diff %g", name, d)
+		}
 	}
 	if f := NewVecCSR(m); f.tune != (Tuning{}) {
 		t.Errorf("NewVecCSR carries a non-zero Tuning: %+v", f.tune)

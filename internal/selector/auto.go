@@ -49,15 +49,11 @@ type AutoOptions struct {
 	// Device names the testbed whose model ranks candidates; "" targets
 	// the host (device.HostSpec), which offers all fourteen formats.
 	Device string
-	// Shortlist is how many formats the model ranking keeps (0: 3).
-	Shortlist int
 	// Probe refines the model's choice by timing the shortlist on a
 	// row-sampled sub-matrix through the execution engine and picking the
 	// measured winner. Costs a few milliseconds per candidate; worth it
 	// for any matrix that will be multiplied more than a handful of times.
 	Probe bool
-	// SampleRows overrides the probe sub-matrix row budget (0: 8192).
-	SampleRows int
 	// State is the remembered measurement this build consults and feeds.
 	// Nil means a stateless selection: nothing is looked up, nothing is
 	// recorded.
@@ -73,9 +69,8 @@ type AutoOptions struct {
 	// Tune enables the structural-parameter micro-autotuner: the BCSR
 	// block geometry and the fused SpMM register-tile width are measured
 	// on the probe's row-sampled harness (winners journaled per
-	// fingerprint), and the Vec-CSR wide-row cutoff is derived from the
-	// sampled row-length distribution. Like Probe, worth it for matrices
-	// multiplied more than a handful of times.
+	// fingerprint). Like Probe, worth it for matrices multiplied more than
+	// a handful of times.
 	Tune bool
 }
 
@@ -172,11 +167,7 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	}
 
 	fv := core.Extract(m)
-	n := o.Shortlist
-	if n <= 0 {
-		n = DefaultShortlist
-	}
-	shortlist := Shortlist(spec, fv, k, n)
+	shortlist := Shortlist(spec, fv, k, DefaultShortlist)
 	if len(shortlist) == 0 {
 		// Degenerate matrix (empty, or hostile to every model): CSR always
 		// builds and is never a bad worst case.
@@ -199,7 +190,7 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	pick := shortlist[0]
 	var prebuilt formats.Format
 	if o.Probe && m.NNZ() >= autoProbeMinNNZ && len(shortlist) > 1 {
-		winner, built, results := probe(ctx, m, shortlist, ProbeOptions{K: k, SampleRows: o.SampleRows})
+		winner, built, results := probe(ctx, m, shortlist, ProbeOptions{K: k})
 		if err := ctx.Err(); err != nil {
 			// The probe stopped early; its partial measurements must not
 			// become a cached decision or a learned sample.
@@ -247,9 +238,9 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 }
 
 // build constructs the named format for the matrix, once. With o.Tune the
-// tuning is derived from (name, m) first — autotune's sweeps and row-length
-// inspector — and is a build input, recorded in the choice only once an
-// instance built with it exists. have is an instance of name the probe
+// tuning is derived from (name, m) first — autotune's sweeps — and is a
+// build input, recorded in the choice only once an instance built with it
+// exists. have is an instance of name the probe
 // already built with the zero Tuning, or nil; it is served as is when the
 // derived tuning is the zero one.
 func build(ctx context.Context, m *matrix.CSR, name string, have formats.Format, k int, o AutoOptions, choice *formats.AutoChoice) (formats.Format, error) {
@@ -264,7 +255,7 @@ func build(ctx context.Context, m *matrix.CSR, name string, have formats.Format,
 		if tc == nil {
 			tc = cache.NewTuneCache() // stateless: sweeps are measured, not remembered
 		}
-		t, tuned = autotune(ctx, m, name, choice.Device, k, o.SampleRows, tc)
+		t, tuned = autotune(ctx, m, name, choice.Device, k, tc)
 	}
 	f := have
 	if f == nil || t != (formats.Tuning{}) {
@@ -283,9 +274,6 @@ func build(ctx context.Context, m *matrix.CSR, name string, have formats.Format,
 	}
 	if len(tuned) > 0 {
 		choice.Tuned = tuned
-	}
-	if t.WideRowMin != 0 && f.Traits().Vectorizable {
-		choice.VecWideRowMin = t.WideRowMin
 	}
 	return f, nil
 }

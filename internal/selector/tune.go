@@ -5,16 +5,14 @@ package selector
 // build inputs (formats.Tuning) of the winner that hard-coded defaults
 // used to fix: the BCSR block geometry and the fused SpMM register-tile
 // width, both measured on the same row-sampled sub-matrix harness the
-// micro-probe uses, plus the Vec-CSR wide-row cutoff, derived (not timed)
-// from the sampled row-length distribution. Winners persist through the
-// journal as "autotune" records keyed by (fingerprint, device, k,
-// parameter), so a matrix pays each sweep once per machine context.
+// micro-probe uses. Winners persist through the journal as "autotune"
+// records keyed by (fingerprint, device, k, parameter), so a matrix pays
+// each sweep once per machine context.
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cache"
 	"repro/internal/formats"
@@ -43,19 +41,14 @@ var bcsrShapes = []struct {
 	{2, 2, "2x2"}, {4, 4, "4x4"}, {2, 4, "2x4"}, {4, 2, "4x2"},
 }
 
-// vecRowLenSamples bounds the stride sample of the row-length
-// distribution the wide-row inspector reads.
-const vecRowLenSamples = 4096
-
 // autotune derives the Tuning to build the named format with, from the
 // parameter groups its builder declares (formats.Builder.Tunables): the
 // timed sweeps consult (and feed) the tune cache so each is measured once
 // per (fingerprint, device, k), and run only on matrices large enough to
-// time; the wide-row cutoff is derived from the row lengths, never timed.
-// It also returns the swept parameter map for the decision record. A
+// time. It also returns the swept parameter map for the decision record. A
 // cancelled ctx skips any sweep not yet cached; already-known winners
 // still apply.
-func autotune(ctx context.Context, m *matrix.CSR, name, dev string, k, sampleRows int, tc *cache.TuneCache) (formats.Tuning, map[string]string) {
+func autotune(ctx context.Context, m *matrix.CSR, name, dev string, k int, tc *cache.TuneCache) (formats.Tuning, map[string]string) {
 	var t formats.Tuning
 	tuned := make(map[string]string)
 	b, ok := formats.Lookup(name)
@@ -63,9 +56,6 @@ func autotune(ctx context.Context, m *matrix.CSR, name, dev string, k, sampleRow
 		return t, tuned
 	}
 	fp := m.Fingerprint()
-	if sampleRows <= 0 {
-		sampleRows = DefaultProbeRows
-	}
 	// sweep recalls the parameter's journaled winner or measures it now.
 	sweep := func(param string, measure func() string) string {
 		key := cache.TuneKey{Fingerprint: fp, Device: dev, K: k, Param: param}
@@ -83,7 +73,7 @@ func autotune(ctx context.Context, m *matrix.CSR, name, dev string, k, sampleRow
 
 	timed := m.NNZ() >= autoProbeMinNNZ
 	if timed && b.Tunables&formats.TuneBlock != 0 {
-		shape := sweep(ParamBCSRBlock, func() string { return tuneBlockShape(ctx, m, b, k, sampleRows) })
+		shape := sweep(ParamBCSRBlock, func() string { return tuneBlockShape(ctx, m, b, k) })
 		if shape != "" && shape != "2x2" {
 			if br, bc, err := parseBlockShape(shape); err == nil {
 				t.BlockR, t.BlockC = br, bc
@@ -91,11 +81,8 @@ func autotune(ctx context.Context, m *matrix.CSR, name, dev string, k, sampleRow
 		}
 	}
 	if timed && b.Tunables&formats.TuneTiles != 0 && k >= 8 && simd.Enabled() && simd.Width() >= 8 {
-		tile := sweep(ParamSpMMTile, func() string { return tuneSpMMTile(ctx, m, b, t, k, sampleRows) })
+		tile := sweep(ParamSpMMTile, func() string { return tuneSpMMTile(ctx, m, b, t, k) })
 		t.NarrowTiles = tile == "4"
-	}
-	if b.Tunables&formats.TuneWideRows != 0 {
-		t.WideRowMin = vecWideRowMinFor(m)
 	}
 	return t, tuned
 }
@@ -114,8 +101,8 @@ func parseBlockShape(s string) (br, bc int, err error) {
 // tuneBlockShape times each block geometry on the row-sampled sub-matrix
 // (the probe harness: warmed runs, adaptive iteration, min over rounds)
 // and returns the winner's name, or "" when no shape builds.
-func tuneBlockShape(ctx context.Context, m *matrix.CSR, b formats.Builder, k, sampleRows int) string {
-	sub := m.RowSample(sampleRows)
+func tuneBlockShape(ctx context.Context, m *matrix.CSR, b formats.Builder, k int) string {
+	sub := m.RowSample(DefaultProbeRows)
 	x := matrix.RandomVector(sub.Cols*k, 9001)
 	y := make([]float64, sub.Rows*k)
 	best := math.Inf(1)
@@ -140,8 +127,8 @@ func tuneBlockShape(ctx context.Context, m *matrix.CSR, b formats.Builder, k, sa
 // built with the 8-wide register tile on and off (other tuning as given),
 // returning "8" or "4" (ties keep the wide tile: one kernel call covers
 // two narrow ones).
-func tuneSpMMTile(ctx context.Context, m *matrix.CSR, b formats.Builder, t formats.Tuning, k, sampleRows int) string {
-	sub := m.RowSample(sampleRows)
+func tuneSpMMTile(ctx context.Context, m *matrix.CSR, b formats.Builder, t formats.Tuning, k int) string {
+	sub := m.RowSample(DefaultProbeRows)
 	x := matrix.RandomVector(sub.Cols*k, 9001)
 	y := make([]float64, sub.Rows*k)
 	var ns [2]float64 // wide, narrow
@@ -159,34 +146,4 @@ func tuneSpMMTile(ctx context.Context, m *matrix.CSR, b formats.Builder, t forma
 		return "8"
 	}
 	return "4"
-}
-
-// vecWideRowMinFor derives the vectorized-CSR wide-path cutoff from a
-// stride sample of the matrix's row-length distribution: the
-// 8-accumulator path only pays off when rows are long enough to amortize
-// its reduction, so the cutoff follows the sampled 90th-percentile row
-// length (4x p90, clamped to [128, 512] — the upper clamp is the measured
-// x86 default, see formats.Tuning.WideRowMin). Matrices whose long tail
-// already clears the default keep it; uniformly short-row matrices lower
-// the cutoff so their rare wide rows still take the wide path.
-func vecWideRowMinFor(m *matrix.CSR) int {
-	rows := m.Rows
-	if rows == 0 {
-		return 0
-	}
-	stride := rows/vecRowLenSamples + 1
-	lens := make([]int, 0, rows/stride+1)
-	for i := 0; i < rows; i += stride {
-		lens = append(lens, int(m.RowPtr[i+1]-m.RowPtr[i]))
-	}
-	sort.Ints(lens)
-	p90 := lens[len(lens)*9/10]
-	cut := 4 * p90
-	if cut > 512 {
-		cut = 512
-	}
-	if cut < 128 {
-		cut = 128
-	}
-	return cut
 }

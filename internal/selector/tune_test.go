@@ -15,7 +15,7 @@ import (
 func TestAutotuneBCSRJournalsWinner(t *testing.T) {
 	m := genMatrix(t, 8000, 12, 0, 77)
 	tc := cache.NewTuneCache()
-	tuning, tuned := autotune(context.Background(), m, "BCSR", "host", 1, 0, tc)
+	tuning, tuned := autotune(context.Background(), m, "BCSR", "host", 1, tc)
 	shape, ok := tuned[ParamBCSRBlock]
 	if !ok || shape == "" {
 		t.Fatalf("no BCSR block shape tuned: %+v", tuned)
@@ -34,7 +34,7 @@ func TestAutotuneBCSRJournalsWinner(t *testing.T) {
 
 	// Second call must hit the cache: zero additional misses.
 	_, missBefore := tc.Stats()
-	_, tuned2 := autotune(context.Background(), m, "BCSR", "host", 1, 0, tc)
+	_, tuned2 := autotune(context.Background(), m, "BCSR", "host", 1, tc)
 	if tuned2[ParamBCSRBlock] != shape {
 		t.Fatalf("cached re-apply picked %q, first sweep picked %q", tuned2[ParamBCSRBlock], shape)
 	}
@@ -43,22 +43,12 @@ func TestAutotuneBCSRJournalsWinner(t *testing.T) {
 	}
 }
 
-// TestBuildAutoTuneRecordsChoice checks the end-to-end wiring: Tune: true
-// populates the decision record and sets the wide-row cutoff on
-// CSR-family picks.
+// TestBuildAutoTuneRecordsChoice checks the end-to-end wiring: whatever
+// Tune: true records on a fresh decision round-trips the cached decision
+// path, and a format with nothing to sweep is not rebuilt for it.
 func TestBuildAutoTuneRecordsChoice(t *testing.T) {
 	m := genMatrix(t, 8000, 12, 0, 78)
 	tc := cache.NewTuneCache()
-	a, err := BuildAuto(m, AutoOptions{K: 8, NoCache: true, NoLearn: true, Tune: true, State: &State{Tunes: tc}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := a.Choice()
-	if b, _ := formats.Lookup(a.Chosen()); b.Tunables&formats.TuneWideRows != 0 &&
-		a.Unwrap().Traits().Vectorizable && (c.VecWideRowMin < 128 || c.VecWideRowMin > 512) {
-		t.Errorf("VecWideRowMin = %d, want within [128, 512]", c.VecWideRowMin)
-	}
-	// Whatever was tuned must round-trip the cached decision path too.
 	dc := cache.NewDecisionCache()
 	a1, err := BuildAuto(m, AutoOptions{K: 8, NoLearn: true, Tune: true, State: &State{Cache: dc, Tunes: tc}})
 	if err != nil {
@@ -71,45 +61,23 @@ func TestBuildAutoTuneRecordsChoice(t *testing.T) {
 	if !a2.Choice().Cached {
 		t.Fatalf("second build missed the decision cache")
 	}
-	if got, want := a2.Choice().VecWideRowMin, a1.Choice().VecWideRowMin; got != want {
-		t.Errorf("cached path VecWideRowMin = %d, fresh path %d", got, want)
-	}
 	for p, v := range a1.Choice().Tuned {
 		if a2.Choice().Tuned[p] != v {
 			t.Errorf("cached path lost tuned %s=%q: %+v", p, v, a2.Choice().Tuned)
 		}
 	}
-}
 
-// TestVecWideRowMinFor pins the inspector's clamping behavior on known
-// row-length distributions.
-func TestVecWideRowMinFor(t *testing.T) {
-	short := genMatrix(t, 6000, 4, 0, 11) // p90 tiny -> lower clamp
-	if got := vecWideRowMinFor(short); got != 128 {
-		t.Errorf("short rows: cutoff = %d, want 128 (lower clamp)", got)
-	}
-	// A dense slab with 300 nnz/row: 4*p90 > 512 -> upper clamp.
-	rows := 512
-	ptr := make([]int32, rows+1)
-	var idx []int32
-	var val []float64
-	for i := 0; i < rows; i++ {
-		ptr[i] = int32(len(idx))
-		for j := 0; j < 300; j++ {
-			idx = append(idx, int32(j))
-			val = append(val, 1)
-		}
-	}
-	ptr[rows] = int32(len(idx))
-	long, err := matrix.NewCSR(rows, rows, ptr, idx, val)
+	// MKL-IE sweeps nothing at k = 1, so its tuning is the zero one and the
+	// instance the probe built on the full matrix is the one served.
+	b, _ := formats.Lookup("MKL-IE")
+	have, err := b.Build(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := vecWideRowMinFor(long); got != 512 {
-		t.Errorf("long rows: cutoff = %d, want 512 (upper clamp)", got)
-	}
-	if got := vecWideRowMinFor(&matrix.CSR{}); got != 0 {
-		t.Errorf("empty matrix: cutoff = %d, want 0", got)
+	choice := formats.AutoChoice{Device: "host"}
+	f, err := build(context.Background(), m, "MKL-IE", have, 1, AutoOptions{Tune: true, State: &State{Tunes: tc}}, &choice)
+	if err != nil || f != have {
+		t.Errorf("tuned build of an unswept format = %p, %v; want the probe's instance %p", f, err, have)
 	}
 }
 
@@ -126,7 +94,7 @@ func TestBuildServesDefaultWhenTunedShapeRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(choice.Tuned) != 0 || choice.VecWideRowMin != 0 {
+	if len(choice.Tuned) != 0 {
 		t.Errorf("refused tuning recorded as applied: %+v", choice)
 	}
 	want, err := formats.NewBCSR(m, 2, 2)

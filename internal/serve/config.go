@@ -1,41 +1,29 @@
 package serve
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"strconv"
-	"time"
-)
+import "time"
 
-// Config is the daemon's configuration. Resolution order is flag > env >
-// file > default: main applies a config file first, then ApplyEnv, then
-// only the flags the user actually set (flag.Visit) — each layer
-// overwriting the one below.
+// Config is the daemon's configuration. Each setting has one source: the
+// spmv-serve flag of the same meaning, whose default is DefaultConfig's.
 type Config struct {
 	// Addr is the listen address (host:port; ":0" picks a free port and
 	// the daemon prints the bound address).
-	Addr string `json:"addr"`
+	Addr string
 	// Window is the coalescing window armed by the first request of a
 	// batch; 0 disables batching (every request runs alone).
-	Window time.Duration `json:"-"`
+	Window time.Duration
 	// MaxBatch flushes a batch early when it gathers this many requests.
-	MaxBatch int `json:"max_batch"`
+	MaxBatch int
 	// CacheDir is the selection journal directory; empty is memory-only.
-	CacheDir string `json:"cache_dir"`
+	CacheDir string
 	// Shards scopes the session's decision keys; 0 uses the live topology.
-	Shards int `json:"shards"`
+	Shards int
 	// K is the default right-hand-side regime hint for uploads.
-	K int `json:"k"`
+	K int
 	// Probe lets uploads micro-probe the selection shortlist by default.
-	Probe bool `json:"probe"`
+	Probe bool
 	// DrainTimeout bounds graceful shutdown: past it, in-flight kernels
 	// are cancelled and waiters get the typed cancellation.
-	DrainTimeout time.Duration `json:"-"`
-
-	// JSON carries durations as strings ("200us", "5s").
-	WindowStr string `json:"window,omitempty"`
-	DrainStr  string `json:"drain_timeout,omitempty"`
+	DrainTimeout time.Duration
 }
 
 // DefaultConfig returns the built-in defaults.
@@ -46,97 +34,4 @@ func DefaultConfig() Config {
 		MaxBatch:     DefaultMaxBatch,
 		DrainTimeout: 5 * time.Second,
 	}
-}
-
-// ApplyFile overlays cfg with the JSON config file at path. A missing
-// path is not an error (the file layer is optional); a present but
-// malformed file is.
-func (c *Config) ApplyFile(path string) error {
-	if path == "" {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("serve: config file: %w", err)
-	}
-	// Decode over the current values so absent keys keep them.
-	if err := json.Unmarshal(data, c); err != nil {
-		return fmt.Errorf("serve: config file %s: %w", path, err)
-	}
-	if c.WindowStr != "" {
-		d, err := time.ParseDuration(c.WindowStr)
-		if err != nil {
-			return fmt.Errorf("serve: config file %s: window: %w", path, err)
-		}
-		c.Window = d
-	}
-	if c.DrainStr != "" {
-		d, err := time.ParseDuration(c.DrainStr)
-		if err != nil {
-			return fmt.Errorf("serve: config file %s: drain_timeout: %w", path, err)
-		}
-		c.DrainTimeout = d
-	}
-	return nil
-}
-
-// ApplyEnv overlays cfg with SPMV_SERVE_* environment variables via
-// lookup (nil: os.LookupEnv). SPMV_CACHE_DIR is shared with the library
-// facade on purpose: the daemon journals where the tools do.
-func (c *Config) ApplyEnv(lookup func(string) (string, bool)) error {
-	if lookup == nil {
-		lookup = os.LookupEnv
-	}
-	if v, ok := lookup("SPMV_SERVE_ADDR"); ok {
-		c.Addr = v
-	}
-	if v, ok := lookup("SPMV_SERVE_WINDOW"); ok {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return fmt.Errorf("serve: SPMV_SERVE_WINDOW: %w", err)
-		}
-		c.Window = d
-	}
-	if v, ok := lookup("SPMV_SERVE_MAXBATCH"); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("serve: SPMV_SERVE_MAXBATCH: %w", err)
-		}
-		c.MaxBatch = n
-	}
-	if v, ok := lookup("SPMV_SERVE_DRAIN"); ok {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return fmt.Errorf("serve: SPMV_SERVE_DRAIN: %w", err)
-		}
-		c.DrainTimeout = d
-	}
-	if v, ok := lookup("SPMV_SERVE_K"); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("serve: SPMV_SERVE_K: %w", err)
-		}
-		c.K = n
-	}
-	if v, ok := lookup("SPMV_SERVE_SHARDS"); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("serve: SPMV_SERVE_SHARDS: %w", err)
-		}
-		c.Shards = n
-	}
-	if v, ok := lookup("SPMV_SERVE_PROBE"); ok {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return fmt.Errorf("serve: SPMV_SERVE_PROBE: %w", err)
-		}
-		c.Probe = b
-	}
-	if v, ok := lookup("SPMV_CACHE_DIR"); ok {
-		c.CacheDir = v
-	}
-	return nil
 }

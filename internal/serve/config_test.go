@@ -1,93 +1,26 @@
 package serve
 
 import (
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
 
-// Resolution order is flag > env > file > default. The file and env
-// layers are exercised here; the flag layer is main's flag.Visit overlay
-// (cmd/spmv-serve), which by construction only touches flags the user
-// set.
+// TestConfigResolutionOrder: there is one layer under spmv-serve's flags,
+// DefaultConfig, and Config offers no second way in — eight plain fields,
+// none with a wire name a file or an environment could address.
 func TestConfigResolutionOrder(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "serve.json")
-	body := `{"addr": "127.0.0.1:7001", "max_batch": 4, "window": "1ms", "cache_dir": "/tmp/file-layer"}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
+	want := Config{Addr: ":8097", Window: DefaultWindow, MaxBatch: DefaultMaxBatch, DrainTimeout: 5 * time.Second}
+	if got := DefaultConfig(); got != want {
+		t.Fatalf("DefaultConfig() = %+v, want %+v", got, want)
 	}
-
-	cfg := DefaultConfig()
-	if err := cfg.ApplyFile(path); err != nil {
-		t.Fatal(err)
+	typ := reflect.TypeOf(Config{})
+	if typ.NumField() != 8 {
+		t.Errorf("Config has %d fields, want 8", typ.NumField())
 	}
-	// File layer overrides defaults; untouched keys keep defaults.
-	if cfg.Addr != "127.0.0.1:7001" || cfg.MaxBatch != 4 || cfg.Window != time.Millisecond {
-		t.Fatalf("file layer: %+v", cfg)
-	}
-	if cfg.DrainTimeout != DefaultConfig().DrainTimeout {
-		t.Fatalf("file layer clobbered drain timeout: %v", cfg.DrainTimeout)
-	}
-
-	// Env layer overrides the file where set, leaves the rest.
-	env := map[string]string{
-		"SPMV_SERVE_ADDR":   "127.0.0.1:7002",
-		"SPMV_SERVE_WINDOW": "300us",
-		"SPMV_SERVE_DRAIN":  "7s",
-		"SPMV_SERVE_K":      "8",
-		"SPMV_SERVE_PROBE":  "true",
-		"SPMV_CACHE_DIR":    "/tmp/env-layer",
-	}
-	lookup := func(k string) (string, bool) { v, ok := env[k]; return v, ok }
-	if err := cfg.ApplyEnv(lookup); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Addr != "127.0.0.1:7002" || cfg.Window != 300*time.Microsecond ||
-		cfg.DrainTimeout != 7*time.Second || cfg.K != 8 || !cfg.Probe ||
-		cfg.CacheDir != "/tmp/env-layer" {
-		t.Fatalf("env layer: %+v", cfg)
-	}
-	if cfg.MaxBatch != 4 {
-		t.Fatalf("env layer clobbered file max_batch: %d", cfg.MaxBatch)
-	}
-}
-
-func TestConfigMissingFileIsOptional(t *testing.T) {
-	cfg := DefaultConfig()
-	if err := cfg.ApplyFile(filepath.Join(t.TempDir(), "nope.json")); err != nil {
-		t.Fatalf("missing file must be skipped: %v", err)
-	}
-	if cfg != DefaultConfig() {
-		t.Fatalf("missing file mutated config: %+v", cfg)
-	}
-}
-
-func TestConfigRejectsMalformed(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"window": "eleventy"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	if err := cfg.ApplyFile(bad); err == nil {
-		t.Fatal("bad duration in file accepted")
-	}
-
-	for k, v := range map[string]string{
-		"SPMV_SERVE_WINDOW":   "eleventy",
-		"SPMV_SERVE_MAXBATCH": "lots",
-		"SPMV_SERVE_DRAIN":    "x",
-		"SPMV_SERVE_K":        "k",
-		"SPMV_SERVE_SHARDS":   "?",
-		"SPMV_SERVE_PROBE":    "maybe",
-	} {
-		cfg := DefaultConfig()
-		one := map[string]string{k: v}
-		lookup := func(key string) (string, bool) { s, ok := one[key]; return s, ok }
-		if err := cfg.ApplyEnv(lookup); err == nil {
-			t.Fatalf("%s=%q accepted", k, v)
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Tag != "" {
+			t.Errorf("Config.%s carries the tag %q", f.Name, f.Tag)
 		}
 	}
 }

@@ -38,8 +38,8 @@ type UploadSpec struct {
 	// Probe lets selection micro-probe its shortlist for this matrix.
 	Probe bool `json:"probe,omitempty"`
 	// Tune lets selection autotune structural parameters (BCSR block
-	// geometry, fused SpMM tile width, Vec-CSR wide-row cutoff); winners
-	// show up in Info.Tuned and on GET /v1/info.
+	// geometry, fused SpMM tile width); winners show up in Info.Tuned and
+	// on GET /v1/info.
 	Tune bool `json:"tune,omitempty"`
 }
 
@@ -92,8 +92,6 @@ type Info struct {
 	// (e.g. "bcsr.block" -> "4x4"); empty when tuning was off or nothing
 	// applied to the chosen format.
 	Tuned map[string]string `json:"tuned,omitempty"`
-	// VecWideRowMin is the inspector-derived wide-row cutoff (0: n/a).
-	VecWideRowMin int `json:"vecWideRowMin,omitempty"`
 }
 
 // Info snapshots the hosted matrix's wire description.
@@ -115,9 +113,7 @@ func (h *Hosted) Info() Info {
 		info.NNZ = h.upd.NNZ()
 	}
 	if a, ok := h.surface.(*formats.Auto); ok {
-		c := a.Choice()
-		info.Tuned = c.Tuned
-		info.VecWideRowMin = c.VecWideRowMin
+		info.Tuned = a.Choice().Tuned
 	}
 	return info
 }

@@ -361,10 +361,9 @@ func applyCells(h *Hosted, ops []CellOp) (int, error) {
 // MatrixTuning is one hosted matrix's autotuned parameters as reported
 // by GET /v1/info; only tuned matrices appear.
 type MatrixTuning struct {
-	Fingerprint   string            `json:"fingerprint"`
-	Format        string            `json:"format"`
-	Params        map[string]string `json:"params,omitempty"`
-	VecWideRowMin int               `json:"vecWideRowMin,omitempty"`
+	Fingerprint string            `json:"fingerprint"`
+	Format      string            `json:"format"`
+	Params      map[string]string `json:"params,omitempty"`
 }
 
 // InfoResponse is GET /v1/info: the SIMD dispatch report — which
@@ -392,14 +391,13 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Kernels:  simd.Table(),
 	}
 	for _, in := range s.reg.List() {
-		if len(in.Tuned) == 0 && in.VecWideRowMin == 0 {
+		if len(in.Tuned) == 0 {
 			continue
 		}
 		resp.Tuned = append(resp.Tuned, MatrixTuning{
-			Fingerprint:   in.Fingerprint,
-			Format:        in.Format,
-			Params:        in.Tuned,
-			VecWideRowMin: in.VecWideRowMin,
+			Fingerprint: in.Fingerprint,
+			Format:      in.Format,
+			Params:      in.Tuned,
 		})
 	}
 	writeEnvelope(w, resp, nil)

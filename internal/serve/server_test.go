@@ -434,7 +434,7 @@ func TestServerInfoEndpoint(t *testing.T) {
 		}
 		want := 0
 		for _, in := range s.Registry().List() {
-			if len(in.Tuned) == 0 && in.VecWideRowMin == 0 {
+			if len(in.Tuned) == 0 {
 				if _, ok := got[in.Fingerprint]; ok {
 					t.Errorf("untuned matrix %s listed as tuned", in.Fingerprint)
 				}
@@ -446,7 +446,7 @@ func TestServerInfoEndpoint(t *testing.T) {
 				t.Errorf("tuned matrix %s (%+v) missing from the report", in.Fingerprint, in.Tuned)
 				continue
 			}
-			if tu.Format != in.Format || tu.VecWideRowMin != in.VecWideRowMin || fmt.Sprint(tu.Params) != fmt.Sprint(in.Tuned) {
+			if tu.Format != in.Format || fmt.Sprint(tu.Params) != fmt.Sprint(in.Tuned) {
 				t.Errorf("report entry %+v disagrees with the hosted matrix's Info %+v", tu, in)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/exec"
@@ -107,5 +108,98 @@ func TestUpdatableForwardsApply(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// activeOnly returns an Updatable whose parallel work is all in the active
+// log: a 3000-row diagonal base (under MinGrain, so its sweep is serial
+// and never reaches the pool) under 9000 distinct overlay cells, which at
+// four workers make a two-lane active pass. It raises the worker cap for
+// the test and arms the failpoint framework.
+func activeOnly(t *testing.T) (u *Updatable, x, want []float64) {
+	t.Helper()
+	prev := exec.SetMaxWorkers(4)
+	prevFP := failpoint.SetEnabled(true)
+	t.Cleanup(func() {
+		failpoint.Disable("exec.worker")
+		failpoint.SetEnabled(prevFP)
+		exec.SetMaxWorkers(prev)
+	})
+	const n = 3000
+	m := matrix.Identity(n)
+	b, _ := formats.Lookup("Naive-CSR")
+	f, err := b.Build(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err = Wrap(f, m, Options{Format: "Naive-CSR", NoAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x = matrix.RandomVector(n, 11)
+	want = append([]float64(nil), x...) // the identity's own product
+	for i := 0; i < 9000; i++ {
+		r, c := i%n, (i%n+1+i/n)%n // three distinct off-diagonal cells per row
+		u.Set(r, c, 0.5)
+		want[r] += 0.5 * x[c]
+	}
+	return u, x, want
+}
+
+// TestActivePassContainsLaneFault: a fault on a lane of the active-log pass
+// comes back from Apply as *exec.PanicError, never as a panic, and the next
+// Apply on the same engine is exact.
+func TestActivePassContainsLaneFault(t *testing.T) {
+	u, x, want := activeOnly(t)
+	y := make([]float64, len(want))
+	if err := failpoint.Enable("exec.worker", "panic*1"); err != nil {
+		t.Fatal(err)
+	}
+	err := u.Apply(context.Background(), y, x, 1, 4)
+	var pe *exec.PanicError
+	if !errors.As(err, &pe) || !errors.Is(err, failpoint.ErrInjected) {
+		t.Fatalf("Apply with a faulting active lane = %v, want *exec.PanicError chaining the injected fault", err)
+	}
+	if err := u.Apply(context.Background(), y, x, 1, 4); err != nil {
+		t.Fatalf("post-fault Apply: %v", err)
+	}
+	for i := range y {
+		if y[i] != want[i] {
+			t.Fatalf("post-fault y[%d] = %v, want %v", i, y[i], want[i])
+		}
+	}
+}
+
+// TestActivePassStopsOnCancel: a context cancelled while a lane of the
+// active pass is held back returns context.Canceled, and that lane skips
+// its log shards instead of finishing a result nobody will read.
+func TestActivePassStopsOnCancel(t *testing.T) {
+	u, x, want := activeOnly(t)
+	y := make([]float64, len(want))
+	// The one pooled lane sleeps at the failpoint, past the gate; the
+	// context is cancelled as soon as the site has fired.
+	if err := failpoint.Enable("exec.worker", "sleep:200*1"); err != nil {
+		t.Fatal(err)
+	}
+	fired := failpoint.Fired("exec.worker")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for failpoint.Fired("exec.worker") == fired && ctx.Err() == nil {
+			runtime.Gosched()
+		}
+		cancel()
+	}()
+	if err := u.Apply(ctx, y, x, 1, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Apply cancelled inside the active pass = %v, want context.Canceled", err)
+	}
+	short := 0
+	for i := range y {
+		if y[i] != want[i] {
+			short++
+		}
+	}
+	if short == 0 {
+		t.Error("the held-back lane ran its log shards after the cancel")
 	}
 }

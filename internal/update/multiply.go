@@ -82,13 +82,11 @@ func (u *Updatable) Bytes() int64 {
 func (u *Updatable) Traits() formats.Traits { return u.snap.Load().base.Traits() }
 
 // Apply implements formats.Format: Y = A*X for k right-hand sides over the
-// fused base + frozen + active pass of one consistent read point. The
-// base and the frozen overlay run their own dispatches under ctx — a
-// cancelled call stops at their next chunk boundary, a lane panic comes
-// back as *exec.PanicError — and the active log entries scatter by shard;
-// shards own disjoint row groups, so the parallel apply never writes one
-// output row from two goroutines. SpMV, SpMVParallel and MultiplyMany are
-// the embedded formats.Delegates over this method.
+// fused base + frozen + active pass of one consistent read point. All
+// three run their own dispatches under ctx — a cancelled call stops at the
+// next chunk boundary (the next log shard, in the active pass), a lane
+// panic comes back as *exec.PanicError. SpMV, SpMVParallel and MultiplyMany
+// are the embedded formats.Delegates over this method.
 func (u *Updatable) Apply(ctx context.Context, y, x []float64, k, workers int) error {
 	views := make([]*shardView, len(u.shards))
 	s, v := u.loadConsistent(views)
@@ -100,89 +98,62 @@ func (u *Updatable) Apply(ctx context.Context, y, x []float64, k, workers int) e
 			return err
 		}
 	}
-	if k == 1 {
-		u.addActive(views, s.floor, v, x, y, workers)
-	} else {
-		u.addActiveMulti(views, s.floor, v, x, y, k, workers)
-	}
-	return nil
+	return addActive(ctx, views, s.floor, v, y, x, k, workers)
 }
 
-// addActive accumulates y += active*x for the committed active entries of
+// addActive accumulates Y += active*X for the committed active entries of
 // one read point. Entries below the snapshot floor are folded into the
 // frozen overlay already; entries above the visible watermark are not yet
-// part of the observed prefix.
-func (u *Updatable) addActive(views []*shardView, floor, v uint64, x, y []float64, workers int) {
+// part of the observed prefix. The entries scatter by log shard; shards own
+// disjoint row groups, so the parallel pass never writes one output row
+// from two goroutines.
+func addActive(ctx context.Context, views []*shardView, floor, v uint64, y, x []float64, k, workers int) error {
 	var total int64
 	for _, vw := range views {
 		lo, hi := viewRange(vw, floor, v)
 		total += int64(hi - lo)
 	}
 	if total == 0 {
-		return
-	}
-	workers = exec.Workers(total, workers)
-	if workers > len(views) {
-		workers = len(views)
-	}
-	if workers <= 1 {
-		for _, vw := range views {
-			lo, hi := viewRange(vw, floor, v)
-			for e := lo; e < hi; e++ {
-				y[vw.row[e]] += vw.val[e] * x[vw.col[e]]
-			}
-		}
-		return
-	}
-	g := exec.Acquire(workers)
-	defer g.Release()
-	g.Run(workers, func(w int) {
-		for i := w; i < len(views); i += workers {
-			vw := views[i]
-			lo, hi := viewRange(vw, floor, v)
-			for e := lo; e < hi; e++ {
-				y[vw.row[e]] += vw.val[e] * x[vw.col[e]]
-			}
-		}
-	})
-}
-
-// addActiveMulti is addActive for k interleaved right-hand sides.
-func (u *Updatable) addActiveMulti(views []*shardView, floor, v uint64, x, y []float64, k, workers int) {
-	var total int64
-	for _, vw := range views {
-		lo, hi := viewRange(vw, floor, v)
-		total += int64(hi - lo)
-	}
-	if total == 0 {
-		return
+		return nil
 	}
 	workers = exec.Workers(total*int64(k), workers)
 	if workers > len(views) {
 		workers = len(views)
 	}
-	apply := func(vw *shardView) {
-		lo, hi := viewRange(vw, floor, v)
-		for e := lo; e < hi; e++ {
-			yb := y[int(vw.row[e])*k : int(vw.row[e])*k+k]
-			xb := x[int(vw.col[e])*k : int(vw.col[e])*k+k]
-			val := vw.val[e]
-			for t := range yb {
-				yb[t] += val * xb[t]
-			}
-		}
-	}
+	ctl := exec.NewCtl(ctx)
 	if workers <= 1 {
 		for _, vw := range views {
-			apply(vw)
+			if ctl.Cancelled() {
+				return ctl.Err()
+			}
+			addView(vw, floor, v, y, x, k)
+		}
+		return nil
+	}
+	g := exec.AcquireCtl(workers, ctl)
+	defer g.Release()
+	return g.Run(workers, func(w int) {
+		for i := w; i < len(views) && !ctl.Cancelled(); i += workers {
+			addView(views[i], floor, v, y, x, k)
+		}
+	})
+}
+
+// addView is addActive's pass over one log shard.
+func addView(vw *shardView, floor, v uint64, y, x []float64, k int) {
+	lo, hi := viewRange(vw, floor, v)
+	if k == 1 {
+		for e := lo; e < hi; e++ {
+			y[vw.row[e]] += vw.val[e] * x[vw.col[e]]
 		}
 		return
 	}
-	g := exec.Acquire(workers)
-	defer g.Release()
-	g.Run(workers, func(w int) {
-		for i := w; i < len(views); i += workers {
-			apply(views[i])
+	for e := lo; e < hi; e++ {
+		yb := y[int(vw.row[e])*k : int(vw.row[e])*k+k]
+		xb := x[int(vw.col[e])*k : int(vw.col[e])*k+k]
+		val := vw.val[e]
+		for t := range yb {
+			yb[t] += val * xb[t]
 		}
-	})
+	}
 }
