@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/device"
@@ -239,12 +238,12 @@ func BenchmarkAblationCacheModel(b *testing.B) {
 	fv := core.Extract(m)
 	b.Run("analytic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = cache.XVectorHitRate(fv, 1<<20)
+			_ = device.XVectorHitRate(fv, 1<<20)
 		}
 	})
 	b.Run("lru-sim", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = cache.SimulateXHitRate(m, 1<<20, 8)
+			_ = device.SimulateXHitRate(m, 1<<20, 8)
 		}
 	})
 }

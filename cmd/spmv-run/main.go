@@ -127,8 +127,8 @@ func main() {
 			af.Chosen(), c.K, c.Device, strings.Join(c.Shortlist, " > "), c.Probed, c.Cached, c.Learned)
 		if st := sess.Store(); st != nil {
 			ss := st.Stats()
-			fmt.Printf("journal: %s (%d decisions / %d experiences loaded, %d appended)\n",
-				ss.Path, ss.Decisions, ss.Experiences, ss.Appended)
+			fmt.Printf("journal: %s (%d decisions loaded, %d appended)\n",
+				ss.Path, ss.Decisions, ss.Appended)
 		}
 		if *rhs > 1 {
 			// Measure the regime the selector actually targeted: one fused

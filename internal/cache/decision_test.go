@@ -3,6 +3,8 @@ package cache
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestDecisionCacheBasics(t *testing.T) {
@@ -35,43 +37,29 @@ func TestDecisionCacheBasics(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("len = %d, want 1", c.Len())
 	}
-	c.Clear()
-	if c.Len() != 0 {
-		t.Error("clear left entries")
-	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Error("clear left counters")
-	}
 }
 
-// lruCase is one row of the tests that hold for every instantiation of
-// journaledLRU: the cache under test, its default cap, a key per
-// (fingerprint, regime) and three distinguishable values.
-type lruCase[K journalKey, V comparable] struct {
-	c      *journaledLRU[K, V]
-	defCap int
-	key    func(fp uint64, regime int) K
-	vals   [3]V
+// lruCase is one row of the tests that hold for whatever a decision
+// carries: three distinguishable values, bare ("decision") or with tuning
+// and a sample riding along ("tune").
+type lruCase struct{ vals [3]Decision }
+
+func decisionCase() lruCase {
+	return lruCase{vals: [3]Decision{{Format: "CSR5"}, {Format: "COO"}, {Format: "ELL"}}}
 }
 
-func decisionCase() lruCase[DecisionKey, Decision] {
-	return lruCase[DecisionKey, Decision]{
-		c: &NewDecisionCache().journaledLRU, defCap: DefaultDecisionCap,
-		key: func(fp uint64, r int) DecisionKey {
-			return DecisionKey{Fingerprint: fp, Device: "host", K: 1 + r, Shards: 1}
-		},
-		vals: [3]Decision{{Format: "CSR5"}, {Format: "COO"}, {Format: "ELL"}},
-	}
+func tuneCase() lruCase {
+	fv := core.FeatureVector{Rows: 9, Cols: 9, NNZ: 27, AvgNNZPerRow: 3}
+	return lruCase{vals: [3]Decision{
+		{Format: "BCSR", Tuned: "bcsr.block=2x2"},
+		{Format: "BCSR", Tuned: "bcsr.block=4x4 spmm.tile=8"},
+		{Format: "BCSR", Probed: true, Tuned: "bcsr.block=4x4 spmm.tile=8", FV: fv},
+	}}
 }
 
-func tuneCase() lruCase[TuneKey, string] {
-	return lruCase[TuneKey, string]{
-		c: &NewTuneCache().journaledLRU, defCap: DefaultTuneCap,
-		key: func(fp uint64, r int) TuneKey {
-			return TuneKey{Fingerprint: fp, Device: "host", K: 1 + r, Param: "bcsr.block"}
-		},
-		vals: [3]string{"2x2", "4x4", "2x4"},
-	}
+// key is the decision key of (fingerprint, regime) in these tests.
+func (lruCase) key(fp uint64, regime int) DecisionKey {
+	return DecisionKey{Fingerprint: fp, Device: "host", K: 1 + regime, Shards: 1}
 }
 
 // TestDecisionCacheLRUBound pins the memory bound of a long-running
@@ -82,10 +70,10 @@ func TestDecisionCacheLRUBound(t *testing.T) {
 	t.Run("tune", func(t *testing.T) { testLRUBound(t, tuneCase()) })
 }
 
-func testLRUBound[K journalKey, V comparable](t *testing.T, tc lruCase[K, V]) {
-	c, key := tc.c, func(fp uint64) K { return tc.key(fp, 0) }
-	if c.Cap() != tc.defCap {
-		t.Fatalf("default cap = %d, want %d", c.Cap(), tc.defCap)
+func testLRUBound(t *testing.T, tc lruCase) {
+	c, key := NewDecisionCache(), func(fp uint64) DecisionKey { return tc.key(fp, 0) }
+	if c.Cap() != DefaultDecisionCap {
+		t.Fatalf("default cap = %d, want %d", c.Cap(), DefaultDecisionCap)
 	}
 	c.SetCap(3)
 	for i := uint64(0); i < 3; i++ {
@@ -119,7 +107,7 @@ func testLRUBound[K journalKey, V comparable](t *testing.T, tc lruCase[K, V]) {
 	if prev := c.SetCap(0); prev != 1 {
 		t.Errorf("SetCap returned %d, want 1", prev)
 	}
-	if c.Cap() != tc.defCap {
+	if c.Cap() != DefaultDecisionCap {
 		t.Errorf("cap = %d, want default restored", c.Cap())
 	}
 	// Re-putting an existing key must not grow the count.
@@ -174,8 +162,8 @@ func TestDecisionCacheConcurrent(t *testing.T) {
 	t.Run("tune", func(t *testing.T) { testLRUConcurrent(t, tuneCase()) })
 }
 
-func testLRUConcurrent[K journalKey, V comparable](t *testing.T, tc lruCase[K, V]) {
-	c := tc.c
+func testLRUConcurrent(t *testing.T, tc lruCase) {
+	c := NewDecisionCache()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

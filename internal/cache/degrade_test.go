@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/failpoint"
 )
 
@@ -211,12 +212,11 @@ func TestUnusableDirIsMemoryOnly(t *testing.T) {
 
 	// The store is fully usable in memory: appends, reads, compaction.
 	k := DecisionKey{Fingerprint: 31, Device: "host", K: 1, Shards: 1}
-	st.AppendDecision(k, Decision{Format: "Naive-CSR"})
-	st.AppendExperience(Experience{Device: "host", K: 1, Best: "Naive-CSR"})
-	keys, _ := st.Decisions()
-	if len(keys) != 1 || len(st.Experiences()) != 1 {
-		t.Errorf("memory-only store lost records: %d decisions, %d experiences",
-			len(keys), len(st.Experiences()))
+	d := Decision{Format: "Naive-CSR", Probed: true, FV: core.FeatureVector{Rows: 4, Cols: 4, NNZ: 8}}
+	st.AppendDecision(k, d)
+	keys, decs := st.Decisions()
+	if len(keys) != 1 || decs[0] != d {
+		t.Errorf("memory-only store lost its record: %+v %+v", keys, decs)
 	}
 	if err := st.Compact(); err != nil {
 		t.Errorf("Compact on memory-only store = %v, want nil", err)

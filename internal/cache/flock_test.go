@@ -19,7 +19,7 @@ func TestAppendSurvivesForeignCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st1.Close()
-	st1.AppendExperience(Experience{Device: "host", K: 1, FV: core.FeatureVector{Rows: 10}, Best: "COO"})
+	st1.AppendDecision(dk(1, 1), Decision{Format: "COO", Probed: true, FV: core.FeatureVector{Rows: 10}})
 
 	st2, err := Open(dir)
 	if err != nil {
@@ -32,7 +32,7 @@ func TestAppendSurvivesForeignCompaction(t *testing.T) {
 
 	// st1's handle now points at the pre-compaction inode; the append must
 	// detect that and re-target the live file.
-	st1.AppendExperience(Experience{Device: "host", K: 1, FV: core.FeatureVector{Rows: 20}, Best: "ELL"})
+	st1.AppendDecision(dk(2, 1), Decision{Format: "ELL", Probed: true, FV: core.FeatureVector{Rows: 20}})
 	st1.Close()
 
 	st3, err := Open(dir)
@@ -40,9 +40,9 @@ func TestAppendSurvivesForeignCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	exps := st3.Experiences()
-	if len(exps) == 0 || exps[len(exps)-1].Best != "ELL" {
-		t.Fatalf("append after foreign compaction lost: %+v", exps)
+	keys, decs := st3.Decisions()
+	if len(decs) != 2 || keys[1] != dk(2, 1) || decs[1].Format != "ELL" || decs[1].FV.Rows != 20 {
+		t.Fatalf("append after foreign compaction lost: %+v %+v", keys, decs)
 	}
 }
 

@@ -9,8 +9,8 @@ func TestInvalidateFingerprint(t *testing.T) {
 	t.Run("tune", func(t *testing.T) { testInvalidateFingerprint(t, tuneCase()) })
 }
 
-func testInvalidateFingerprint[K journalKey, V comparable](t *testing.T, tc lruCase[K, V]) {
-	c, key, v := tc.c, tc.key, tc.vals
+func testInvalidateFingerprint(t *testing.T, tc lruCase) {
+	c, key, v := NewDecisionCache(), tc.key, tc.vals
 	c.Put(key(1, 0), v[0])
 	c.Put(key(1, 7), v[1])
 	c.Put(key(1, 3), v[2])
@@ -35,5 +35,36 @@ func testInvalidateFingerprint[K journalKey, V comparable](t *testing.T, tc lruC
 	c.Put(key(3, 0), v[2])
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
+	}
+}
+
+// TestInvalidateReachesJournal: invalidation drops the fingerprint from the
+// attached store's mirror too, so the next compaction rewrites its lines
+// away and a restart resurrects neither the decisions nor their samples.
+func TestInvalidateReachesJournal(t *testing.T) {
+	st, dir := tempStore(t)
+	c := NewDecisionCache()
+	c.AttachStore(st)
+	tc := tuneCase()
+	c.Put(tc.key(1, 0), tc.vals[2])
+	c.Put(tc.key(1, 7), tc.vals[1])
+	c.Put(tc.key(2, 0), tc.vals[2])
+	c.InvalidateFingerprint(1)
+	if got := st.Stats().Dead; got != 2 {
+		t.Errorf("dead lines = %d, want the 2 invalidated", got)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	keys, decs := re.Decisions()
+	if len(keys) != 1 || keys[0] != tc.key(2, 0) || decs[0] != tc.vals[2] {
+		t.Fatalf("reopened journal holds %+v %+v, want only fingerprint 2", keys, decs)
 	}
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/simd"
 )
 
@@ -20,16 +21,17 @@ func TestJournalSurvivesLevelCap(t *testing.T) {
 	prev := simd.SetLevel("avx2")
 	defer simd.SetLevel(prev)
 
-	// Run 1: capped at avx2, journal a decision and a tune winner.
+	// Run 1: capped at avx2, journal a bare decision and a tuned one.
 	capped := HostFingerprint()
 	k1 := DecisionKey{Fingerprint: 11, Device: "host", K: 1, Shards: 1}
-	tk := TuneKey{Fingerprint: 11, Device: "host", K: 8, Param: "bcsr.block"}
+	k8 := DecisionKey{Fingerprint: 11, Device: "host", K: 8, Shards: 1}
+	tuned := Decision{Format: "BCSR", Probed: true, Tuned: "bcsr.block=4x4", FV: core.FeatureVector{Rows: 7, NNZ: 21}}
 	st1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st1.AppendDecision(k1, Decision{Format: "ELL"})
-	st1.AppendTune(tk, "4x4")
+	st1.AppendDecision(k8, tuned)
 	st1.Close()
 
 	// Run 2: a different dispatch level on the same machine. The journal
@@ -51,9 +53,6 @@ func TestJournalSurvivesLevelCap(t *testing.T) {
 	if keys, _ := st2.Decisions(); len(keys) != 0 {
 		t.Errorf("other level's decisions loaded as evidence: %+v", keys)
 	}
-	if keys, _ := st2.Tunes(); len(keys) != 0 {
-		t.Errorf("other level's tunes loaded as evidence: %+v", keys)
-	}
 	k2 := DecisionKey{Fingerprint: 22, Device: "host", K: 1, Shards: 1}
 	st2.AppendDecision(k2, Decision{Format: "Naive-CSR"})
 	if err := st2.Compact(); err != nil {
@@ -73,31 +72,34 @@ func TestJournalSurvivesLevelCap(t *testing.T) {
 		t.Fatalf("journal invalidated after cross-level compaction: %+v", st)
 	}
 	keys, decs := st3.Decisions()
-	if len(keys) != 1 || keys[0] != k1 || decs[0].Format != "ELL" {
-		t.Errorf("capped decision lost across a scalar run's compaction: %+v %+v", keys, decs)
-	}
-	tkeys, tvals := st3.Tunes()
-	if len(tkeys) != 1 || tkeys[0] != tk || tvals[0] != "4x4" {
-		t.Errorf("capped tune lost across a scalar run's compaction: %+v %+v", tkeys, tvals)
+	if len(keys) != 2 || keys[0] != k1 || decs[0].Format != "ELL" || keys[1] != k8 || decs[1] != tuned {
+		t.Errorf("capped decisions (one with tuning and sample) lost across a scalar run's compaction: %+v %+v", keys, decs)
 	}
 }
 
-// TestTuneJournalRoundTrip exercises the "autotune" record kind end to
-// end: journal winners, reopen, warm-load a TuneCache, and supersede a
-// value.
+// TestTuneJournalRoundTrip: a decision's tuning round-trips the journal
+// end to end — put through a cache, reopen, warm-load — and a re-put with
+// more tuning supersedes the earlier line (one live decision, last line
+// wins, one dead line).
 func TestTuneJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := NewTuneCache()
-	tc.AttachStore(st)
-	ka := TuneKey{Fingerprint: 7, Device: "host", K: 8, Param: "bcsr.block"}
-	kb := TuneKey{Fingerprint: 7, Device: "host", K: 8, Param: "spmm.tile"}
-	tc.Put(ka, "2x2")
-	tc.Put(kb, "8")
-	tc.Put(ka, "4x4") // supersedes 2x2: last line wins on reload
+	c := NewDecisionCache()
+	c.AttachStore(st)
+	ka, kb := dk(7, 8), dk(8, 8)
+	c.Put(ka, Decision{Format: "BCSR", Tuned: "bcsr.block=2x2"})
+	c.Put(kb, Decision{Format: "ELL", Tuned: "spmm.tile=8"})
+	c.Put(ka, Decision{Format: "BCSR", Tuned: "bcsr.block=4x4 spmm.tile=4"}) // supersedes
+	if st.Stats().Appended != 3 {
+		t.Fatalf("appended %d lines, want 3", st.Stats().Appended)
+	}
+	c.Put(ka, Decision{Format: "BCSR", Tuned: "bcsr.block=4x4 spmm.tile=4"}) // identical: dropped
+	if got := st.Stats(); got.Appended != 3 || got.Dead != 1 {
+		t.Fatalf("after an identical re-put: %d appended, %d dead; want 3 and 1", got.Appended, got.Dead)
+	}
 	st.Close()
 
 	re, err := Open(dir)
@@ -105,17 +107,18 @@ func TestTuneJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if st := re.Stats(); st.Tunes != 2 {
-		t.Fatalf("reloaded %d tunes, want 2 (%+v)", st.Tunes, st)
-	}
-	warm := NewTuneCache()
+	warm := NewDecisionCache()
 	if n := warm.AttachStore(re); n != 2 {
-		t.Fatalf("warm-loaded %d tunes, want 2", n)
+		t.Fatalf("warm-loaded %d decisions, want 2", n)
 	}
-	if v, ok := warm.Get(ka); !ok || v != "4x4" {
-		t.Errorf("bcsr.block = %q, %v; want 4x4 (superseding line must win)", v, ok)
+	if d, ok := warm.Get(ka); !ok || d.Tuned != "bcsr.block=4x4 spmm.tile=4" {
+		t.Errorf("superseded tuning = %+v, %v; want the last line's", d, ok)
 	}
-	if v, ok := warm.Get(kb); !ok || v != "8" {
-		t.Errorf("spmm.tile = %q, %v; want 8", v, ok)
+	if d, ok := warm.Get(kb); !ok || d.Tuned != "spmm.tile=8" {
+		t.Errorf("tuning = %+v, %v; want spmm.tile=8", d, ok)
+	}
+	// The superseding decision is the newest measurement: last in order.
+	if keys, _ := re.Decisions(); keys[len(keys)-1] != ka {
+		t.Errorf("journal order %+v, want the superseded key last", keys)
 	}
 }

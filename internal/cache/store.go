@@ -1,9 +1,10 @@
 package cache
 
 // Disk persistence for the selection subsystem: an append-only, versioned
-// JSONL journal holding format decisions and probe-outcome experience
-// records, so a restarted server resumes with everything previous processes
-// learned instead of re-ranking and re-probing every matrix.
+// JSONL journal of decisions — the one record kind besides the header — so
+// a restarted server resumes with everything previous processes measured
+// (formats, tuned parameters, k-NN samples) instead of re-ranking,
+// re-probing and re-tuning every matrix.
 //
 // Design constraints, in order:
 //
@@ -29,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -40,7 +42,7 @@ const (
 	// SchemaVersion is the journal schema. Records carrying a different
 	// version are skipped on load; a header carrying a different version
 	// invalidates the whole journal.
-	SchemaVersion = 1
+	SchemaVersion = 2
 
 	// EnvCacheDir overrides the journal directory without code changes.
 	EnvCacheDir = "SPMV_CACHE_DIR"
@@ -52,25 +54,17 @@ const (
 	// mutation (appends and compactions) among cooperating spmv processes.
 	lockName = "decisions.lock"
 
-	// maxJournalExperiences bounds how many experience records Load keeps
-	// (most recent win): the online selector needs a working set, not an
-	// unbounded history of every probe a long-lived server ever ran.
-	maxJournalExperiences = 4096
-
 	// maxJournalDecisions bounds the store's in-memory decision mirror
-	// (and, through compaction, the journal itself) the same way: a few
-	// multiples of the DecisionCache LRU cap, oldest dropped first. A
-	// server streaming millions of distinct matrices must not grow the
-	// persistence layer without bound either.
+	// (and, through compaction, the journal itself): a few multiples of the
+	// DecisionCache LRU cap, oldest dropped first. A server streaming
+	// millions of distinct matrices must not grow the persistence layer
+	// without bound either — and the online selector needs a working set of
+	// samples, not every probe a long-lived server ever ran.
 	maxJournalDecisions = 4 * DefaultDecisionCap
 
 	// compactDeadMin is how many superseded (dead) journal lines accumulate
 	// before an append triggers an automatic compaction.
 	compactDeadMin = 1024
-
-	// maxJournalTunes bounds the in-memory autotune mirror like
-	// maxJournalDecisions bounds decisions.
-	maxJournalTunes = 4 * DefaultTuneCap
 
 	// maxForeignLines bounds how many other-level records a load carries
 	// through compactions for the runs that can use them; overflow becomes
@@ -109,9 +103,9 @@ func Dir() (string, error) {
 // not the dispatched one: a run capped with SPMV_SIMD_LEVEL=avx2 on an
 // AVX-512 box is still the same machine, and its journal must not be
 // invalidated wholesale when the next run lifts the cap. The cap's effect
-// travels per record instead — every decision and experience line carries
-// the dispatch level it was measured under (see EffectiveLevel), and load
-// filters records from other levels without discarding them.
+// travels per record instead — every decision line carries the dispatch
+// level it was measured under (see EffectiveLevel), and load filters
+// records from other levels without discarding them.
 func HostFingerprint() string {
 	return fmt.Sprintf("%s/%s/cpu%d/p%d/%s", runtime.GOOS, runtime.GOARCH,
 		runtime.NumCPU(), runtime.GOMAXPROCS(0), simd.DetectedLevel())
@@ -130,23 +124,10 @@ func EffectiveLevel() string {
 	return simd.Level()
 }
 
-// Experience is one probe outcome: the feature vector of a matrix whose
-// shortlist was micro-probed, and the format that measured fastest, in the
-// (device, k) regime the probe targeted. The online selector consumes these
-// as labeled k-NN samples.
-type Experience struct {
-	Device string             `json:"device"`
-	K      int                `json:"k"`
-	FV     core.FeatureVector `json:"fv"`
-	Best   string             `json:"best"`
-}
-
 // record is one JSONL journal line. Kind selects which fields are live:
 // "header" pins schema+host, "decision" carries a DecisionKey/Decision
-// pair, "experience" carries a probe outcome, "autotune" a structural
-// parameter winner (block shape, tile width) keyed like a decision plus
-// the parameter name. Non-header records carry the dispatch level they
-// were measured under (Lvl); load keeps only the current level's.
+// pair. Decisions carry the dispatch level they were measured under
+// (Lvl); load keeps only the current level's.
 type record struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
@@ -156,28 +137,52 @@ type record struct {
 	Schema int    `json:"schema,omitempty"`
 	Host   string `json:"host,omitempty"`
 
-	// decision (FP/Device/K also key autotune records)
-	FP     uint64 `json:"fp,omitempty"`
-	Device string `json:"device,omitempty"`
-	K      int    `json:"k,omitempty"`
-	Shards int    `json:"shards,omitempty"`
-	Format string `json:"format,omitempty"`
-	Probed bool   `json:"probed,omitempty"`
+	// decision
+	FP     uint64              `json:"fp,omitempty"`
+	Device string              `json:"device,omitempty"`
+	K      int                 `json:"k,omitempty"`
+	Shards int                 `json:"shards,omitempty"`
+	Format string              `json:"format,omitempty"`
+	Probed bool                `json:"probed,omitempty"`
+	Tuned  string              `json:"tuned,omitempty"`
+	FV     *core.FeatureVector `json:"fv,omitempty"` // the sample; absent without one
+}
 
-	// autotune
-	Param string `json:"param,omitempty"`
-	Value string `json:"value,omitempty"`
+func headerRecord() record {
+	return record{V: SchemaVersion, Kind: "header", Schema: SchemaVersion, Host: HostFingerprint()}
+}
 
-	// experience
-	Exp *Experience `json:"exp,omitempty"`
+func decisionRecord(lvl string, k DecisionKey, d Decision) record {
+	r := record{
+		V: SchemaVersion, Kind: "decision", Lvl: lvl,
+		FP: k.Fingerprint, Device: k.Device, K: k.K, Shards: k.Shards,
+		Format: d.Format, Probed: d.Probed, Tuned: d.Tuned,
+	}
+	if d.FV != (core.FeatureVector{}) {
+		r.FV = &d.FV
+	}
+	return r
+}
+
+// decision is decisionRecord's inverse.
+func (r record) decision() (DecisionKey, Decision) {
+	d := Decision{Format: r.Format, Probed: r.Probed, Tuned: r.Tuned}
+	if r.FV != nil {
+		d.FV = *r.FV
+	}
+	return DecisionKey{Fingerprint: r.FP, Device: r.Device, K: r.K, Shards: r.Shards}, d
+}
+
+// line renders the record as one newline-terminated JSONL line.
+func (r record) line() ([]byte, error) {
+	b, err := json.Marshal(r)
+	return append(b, '\n'), err
 }
 
 // StoreStats is a point-in-time summary of a journal, for CLI -json output.
 type StoreStats struct {
 	Path        string // journal file path
 	Decisions   int    // live decisions loaded at open
-	Experiences int    // experience records loaded at open
-	Tunes       int    // autotune records loaded at open
 	Foreign     int    // other-level records carried, not evidence here
 	Appended    int    // records appended by this process
 	Dead        int    // superseded lines awaiting compaction
@@ -186,15 +191,15 @@ type StoreStats struct {
 
 	// Degraded reports that an I/O failure (ENOSPC, torn rename, flock
 	// error, unusable directory) switched the store to memory-only:
-	// decisions and experiences keep serving from memory, nothing further
-	// touches disk, and DegradedReason records the first failure. The
-	// journal file on disk is left as the last successful write shaped it.
+	// decisions keep serving from memory, nothing further touches disk, and
+	// DegradedReason records the first failure. The journal file on disk is
+	// left as the last successful write shaped it.
 	Degraded       bool
 	DegradedReason string
 }
 
-// Store is an open journal: decisions and experiences loaded at Open time
-// plus an append handle for everything learned afterwards. A Store is safe
+// Store is an open journal: the decisions loaded at Open time plus an
+// append handle for everything measured afterwards. A Store is safe
 // for concurrent use within one process. Cross-process sharing is
 // best-effort, two layers deep: O_APPEND keeps individual line writes
 // intact (each record is one write call well under the pipe-atomicity
@@ -214,11 +219,11 @@ type Store struct {
 	f    *os.File
 	lock *os.File // sidecar flock handle; nil when unavailable
 
-	decisions   map[DecisionKey]Decision
-	order       []DecisionKey // journal order of decisions (oldest first)
-	experiences []Experience
-	tunes       map[TuneKey]string
-	tuneOrder   []TuneKey // journal order of tunes (oldest first)
+	// decisions mirrors the journal's live records; order lists their keys
+	// oldest measurement first (a superseding decision moves to the end),
+	// which is the order compaction writes and warm-loads replay.
+	decisions map[DecisionKey]Decision
+	order     []DecisionKey
 
 	// lvl is the dispatch level this store's records are evidence for,
 	// captured at Open (see EffectiveLevel); foreign holds raw lines from
@@ -226,11 +231,9 @@ type Store struct {
 	lvl     string
 	foreign [][]byte
 
-	dead        int // superseded decision lines in the file
+	dead        int // superseded, evicted or invalidated lines in the file
 	appended    int
-	loadedDec   int
-	loadedExp   int
-	loadedTune  int
+	loaded      int
 	headerOK    bool // a valid local header already leads the file
 	invalidated bool
 	skipped     int
@@ -245,9 +248,9 @@ type Store struct {
 // degradeLocked switches the store to memory-only after an I/O failure:
 // the append handle closes, the first failure is recorded, and every
 // later append or compaction becomes a silent no-op while the in-memory
-// decision and experience state keeps serving. Persistence is an
-// accelerator — a full disk, a torn rename, or a broken lock must cost
-// the journal, never a Build or a multiply. Callers hold s.mu.
+// decisions keep serving. Persistence is an accelerator — a full disk, a
+// torn rename, or a broken lock must cost the journal, never a Build or a
+// multiply. Callers hold s.mu.
 func (s *Store) degradeLocked(op string, err error) {
 	if s.degradedReason != "" {
 		return
@@ -280,7 +283,6 @@ func Open(dir string) (*Store, error) {
 	s := &Store{
 		path:      path,
 		decisions: make(map[DecisionKey]Decision),
-		tunes:     make(map[TuneKey]string),
 		lvl:       EffectiveLevel(),
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -310,19 +312,19 @@ func Open(dir string) (*Store, error) {
 		// Rewrite in place: drop the foreign-host/schema lines before this
 		// process starts appending after them. Mere dead weight does NOT
 		// compact at open: a second handle on a live journal (stats
-		// readers, the select experiment's restart simulation) must never
-		// rename the file out from under the owning appender — dead-weight
-		// compaction runs on append, where the owner holds the pen.
+		// readers, a test's restart simulation) must never rename the file
+		// out from under the owning appender — dead-weight compaction runs
+		// on append, where the owner holds the pen.
 		// A failed rewrite degrades the store (inside compactLocked).
 		_ = s.compactLocked()
 	} else if !s.headerOK {
 		// Fresh journal: pin schema and host before the first record.
-		s.appendLocked(record{V: SchemaVersion, Kind: "header", Schema: SchemaVersion, Host: HostFingerprint()})
+		s.appendLocked(headerRecord())
 	}
 	return s, nil
 }
 
-// load reads the journal once, populating decisions/experiences. Never
+// load reads the journal once, populating the decision mirror. Never
 // fails: an unreadable file is an empty journal.
 func (s *Store) load(path string) {
 	f, err := os.Open(path)
@@ -351,16 +353,14 @@ func (s *Store) load(path string) {
 			headerSeen = true
 			if r.Schema != SchemaVersion || r.Host != HostFingerprint() {
 				// Foreign journal: forget everything read so far and ignore
-				// the rest; Open rewrites the file.
-				s.decisions = make(map[DecisionKey]Decision)
-				s.order = s.order[:0]
-				s.experiences = s.experiences[:0]
-				s.tunes = make(map[TuneKey]string)
-				s.tuneOrder = s.tuneOrder[:0]
-				s.foreign = s.foreign[:0]
+				// the rest (counted, for StoreStats only); Open rewrites the
+				// file.
+				clear(s.decisions)
+				s.order, s.foreign = nil, nil
 				s.invalidated = true
-				s.drain(sc)
-				s.loadedDec, s.loadedExp = 0, 0
+				for sc.Scan() {
+					s.skipped++
+				}
 				return
 			}
 			s.headerOK = true
@@ -377,44 +377,39 @@ func (s *Store) load(path string) {
 				s.dead++
 			}
 		case r.Kind == "decision":
-			k := DecisionKey{Fingerprint: r.FP, Device: r.Device, K: r.K, Shards: r.Shards}
-			if _, seen := s.decisions[k]; seen {
-				s.dead++ // the later line supersedes the earlier one
-			} else {
-				s.order = append(s.order, k)
+			if !s.setLocked(r.decision()) {
+				s.dead++ // a line repeating the live decision adds nothing
 			}
-			s.decisions[k] = Decision{Format: r.Format, Probed: r.Probed}
-			s.evictDecisionsLocked()
-		case r.Kind == "experience" && r.Exp != nil:
-			s.experiences = append(s.experiences, *r.Exp)
-			if len(s.experiences) > maxJournalExperiences {
-				s.dead += len(s.experiences) - maxJournalExperiences
-				s.experiences = s.experiences[len(s.experiences)-maxJournalExperiences:]
-			}
-		case r.Kind == "autotune":
-			k := TuneKey{Fingerprint: r.FP, Device: r.Device, K: r.K, Param: r.Param}
-			if _, seen := s.tunes[k]; seen {
-				s.dead++
-			} else {
-				s.tuneOrder = append(s.tuneOrder, k)
-			}
-			s.tunes[k] = r.Value
-			s.evictTunesLocked()
 		default:
 			s.skipped++
 		}
 	}
 	// A scanner error (torn tail, over-long line) just ends the load early.
-	s.loadedDec = len(s.decisions)
-	s.loadedExp = len(s.experiences)
-	s.loadedTune = len(s.tunes)
+	s.loaded = len(s.decisions)
 }
 
-// evictDecisionsLocked drops the oldest-journaled decisions past the
-// in-memory bound; the dropped lines become dead weight the next
-// compaction removes from the file. Callers hold s.mu (or own s during
-// load).
-func (s *Store) evictDecisionsLocked() {
+// setLocked makes d the newest decision for k in the mirror and reports
+// whether that changed anything (an identical re-put does not). A
+// superseded decision's line becomes dead weight and its key moves to the
+// end of the order. Callers hold s.mu (or own s during load).
+func (s *Store) setLocked(k DecisionKey, d Decision) bool {
+	if prev, ok := s.decisions[k]; ok {
+		if prev == d {
+			return false
+		}
+		s.dead++
+		i := slices.Index(s.order, k)
+		s.order = slices.Delete(s.order, i, i+1)
+	}
+	s.decisions[k] = d
+	s.order = append(s.order, k)
+	s.evictLocked()
+	return true
+}
+
+// evictLocked drops the oldest decisions past the in-memory bound; their
+// lines become dead weight the next compaction removes from the file.
+func (s *Store) evictLocked() {
 	for len(s.order) > maxJournalDecisions {
 		delete(s.decisions, s.order[0])
 		s.order = s.order[1:]
@@ -422,112 +417,48 @@ func (s *Store) evictDecisionsLocked() {
 	}
 }
 
-// evictTunesLocked drops the oldest-journaled tunes past the in-memory
-// bound, like evictDecisionsLocked. Callers hold s.mu (or own s during
-// load).
-func (s *Store) evictTunesLocked() {
-	for len(s.tuneOrder) > maxJournalTunes {
-		delete(s.tunes, s.tuneOrder[0])
-		s.tuneOrder = s.tuneOrder[1:]
+// invalidateFingerprint drops every decision for the fingerprint from the
+// mirror and counts their lines dead, so the next compaction rewrites the
+// journal without them (DecisionCache.InvalidateFingerprint).
+func (s *Store) invalidateFingerprint(fp uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.order = slices.DeleteFunc(s.order, func(k DecisionKey) bool {
+		if k.Fingerprint != fp {
+			return false
+		}
+		delete(s.decisions, k)
 		s.dead++
-	}
+		return true
+	})
 }
 
-// drain consumes the rest of an invalidated journal so load can count what
-// it is discarding (for StoreStats only).
-func (s *Store) drain(sc *bufio.Scanner) {
-	for sc.Scan() {
-		s.skipped++
-	}
-}
-
-// Decisions returns the decisions loaded at Open, in journal (oldest-first)
-// order, for warm-loading an in-memory cache.
+// Decisions returns the live decisions — loaded at Open plus appended
+// since — oldest measurement first, for warm-loading an in-memory cache
+// and replaying the samples they carry.
 func (s *Store) Decisions() (keys []DecisionKey, decs []Decision) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys = make([]DecisionKey, len(s.order))
-	decs = make([]Decision, len(s.order))
-	for i, k := range s.order {
-		keys[i] = k
+	keys = slices.Clone(s.order)
+	decs = make([]Decision, len(keys))
+	for i, k := range keys {
 		decs[i] = s.decisions[k]
 	}
 	return keys, decs
 }
 
-// Experiences returns the probe outcomes loaded at Open plus any appended
-// since, oldest first.
-func (s *Store) Experiences() []Experience {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Experience, len(s.experiences))
-	copy(out, s.experiences)
-	return out
-}
-
 // AppendDecision journals one decision. Identical re-puts are dropped;
-// a changed decision for a known key marks the old line dead and may
-// trigger an automatic compaction.
+// a changed decision for a known key marks the old line dead.
 func (s *Store) AppendDecision(k DecisionKey, d Decision) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.decisions[k]; ok {
-		if prev == d {
-			return
-		}
-		s.dead++
-	} else {
-		s.order = append(s.order, k)
+	if s.setLocked(k, d) {
+		s.appendLocked(decisionRecord(s.lvl, k, d))
 	}
-	s.decisions[k] = d
-	s.evictDecisionsLocked()
-	s.appendLocked(record{
-		V: SchemaVersion, Kind: "decision", Lvl: s.lvl,
-		FP: k.Fingerprint, Device: k.Device, K: k.K, Shards: k.Shards,
-		Format: d.Format, Probed: d.Probed,
-	})
 	// No auto-compaction here: AppendDecision runs under the decision
 	// cache's mutex, and a journal rewrite (fsync + rename) there would
 	// stall every concurrent Get. The cache triggers compaction after
 	// releasing its lock (see DecisionCache.Put / NeedsCompact).
-}
-
-// Tunes returns the autotune winners loaded at Open, in journal order,
-// for warm-loading an in-memory cache.
-func (s *Store) Tunes() (keys []TuneKey, values []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys = make([]TuneKey, len(s.tuneOrder))
-	values = make([]string, len(s.tuneOrder))
-	for i, k := range s.tuneOrder {
-		keys[i] = k
-		values[i] = s.tunes[k]
-	}
-	return keys, values
-}
-
-// AppendTune journals one autotune winner. Identical re-puts are dropped;
-// a changed value for a known key marks the old line dead.
-func (s *Store) AppendTune(k TuneKey, value string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.tunes[k]; ok {
-		if prev == value {
-			return
-		}
-		s.dead++
-	} else {
-		s.tuneOrder = append(s.tuneOrder, k)
-	}
-	s.tunes[k] = value
-	s.evictTunesLocked()
-	s.appendLocked(record{
-		V: SchemaVersion, Kind: "autotune", Lvl: s.lvl,
-		FP: k.Fingerprint, Device: k.Device, K: k.K, Param: k.Param,
-		Value: value,
-	})
-	// Like AppendDecision, no auto-compaction here: the tune cache calls
-	// under its own mutex and triggers compaction after releasing it.
 }
 
 // NeedsCompact reports whether enough dead lines have accumulated that
@@ -538,21 +469,6 @@ func (s *Store) NeedsCompact() bool {
 	return s.dead >= compactDeadMin
 }
 
-// AppendExperience journals one probe outcome.
-func (s *Store) AppendExperience(e Experience) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.experiences = append(s.experiences, e)
-	if len(s.experiences) > maxJournalExperiences {
-		s.dead += len(s.experiences) - maxJournalExperiences
-		s.experiences = s.experiences[len(s.experiences)-maxJournalExperiences:]
-	}
-	s.appendLocked(record{V: SchemaVersion, Kind: "experience", Lvl: s.lvl, Exp: &e})
-	if s.dead >= compactDeadMin {
-		_ = s.compactLocked()
-	}
-}
-
 // appendLocked writes one record as a single JSONL line. A write failure
 // (ENOSPC, closed filesystem, injected fault) never propagates: persistence
 // is an accelerator, and a full disk must not fail a Build — the store
@@ -561,11 +477,10 @@ func (s *Store) appendLocked(r record) {
 	if s.f == nil {
 		return
 	}
-	b, err := json.Marshal(r)
+	b, err := r.line()
 	if err != nil {
 		return
 	}
-	b = append(b, '\n')
 	unlock := s.flock()
 	defer unlock()
 	if s.f == nil {
@@ -587,8 +502,8 @@ func (s *Store) appendLocked(r record) {
 
 // flock takes the cross-process journal lock (blocking, best-effort) and
 // returns its release func. flock on an already-held descriptor is a
-// harmless no-op conversion, so nested acquisitions (Open's header write,
-// AppendExperience's auto-compaction) are safe — the inner release just
+// harmless no-op conversion, so nested acquisitions (Open's header write
+// and invalidation rewrite) are safe — the inner release just
 // drops the lock a little early. An flock *error* (not mere absence of the
 // lock file) means journal mutation can no longer be serialized against
 // other processes, so the store stops mutating the journal: it degrades to
@@ -630,11 +545,12 @@ func (s *Store) refreshHandleLocked() {
 }
 
 // Compact rewrites the journal to hold exactly the live records: a fresh
-// header, every current decision, every retained experience. The rewrite is
-// atomic (temp file + rename), so a crash mid-compaction leaves the old
-// journal intact. A failed compaction degrades the store to memory-only
-// (the on-disk journal stays as the last successful write left it); on a
-// store already degraded Compact is a no-op.
+// header and every current decision (plus the other levels' lines, carried
+// verbatim). The rewrite is atomic (temp file + rename), so a crash
+// mid-compaction leaves the old journal intact. A failed compaction
+// degrades the store to memory-only (the on-disk journal stays as the last
+// successful write left it); on a store already degraded Compact is a
+// no-op.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -665,90 +581,50 @@ func (s *Store) rewriteLocked() error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	write := func(r record) error {
-		b, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		_, err = w.Write(b)
-		return err
-	}
-	if err := write(record{V: SchemaVersion, Kind: "header", Schema: SchemaVersion, Host: HostFingerprint()}); err != nil {
-		tmp.Close()
-		return err
-	}
+	w := bufio.NewWriter(tmp) // its first write error is sticky: Flush reports it
+	b, err := headerRecord().line()
+	w.Write(b)
 	for _, k := range s.order {
-		d := s.decisions[k]
-		if err := write(record{
-			V: SchemaVersion, Kind: "decision", Lvl: s.lvl,
-			FP: k.Fingerprint, Device: k.Device, K: k.K, Shards: k.Shards,
-			Format: d.Format, Probed: d.Probed,
-		}); err != nil {
-			tmp.Close()
-			return err
+		if err != nil {
+			break
 		}
-	}
-	for _, k := range s.tuneOrder {
-		if err := write(record{
-			V: SchemaVersion, Kind: "autotune", Lvl: s.lvl,
-			FP: k.Fingerprint, Device: k.Device, K: k.K, Param: k.Param,
-			Value: s.tunes[k],
-		}); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	for _, e := range s.experiences {
-		exp := e
-		if err := write(record{V: SchemaVersion, Kind: "experience", Lvl: s.lvl, Exp: &exp}); err != nil {
-			tmp.Close()
-			return err
-		}
+		b, err = decisionRecord(s.lvl, k, s.decisions[k]).line()
+		w.Write(b)
 	}
 	// Other-level records ride along verbatim: they are live evidence for
 	// the (capped or uncapped) run that measured them.
 	for _, raw := range s.foreign {
-		if _, err := w.Write(raw); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := w.WriteByte('\n'); err != nil {
-			tmp.Close()
-			return err
-		}
+		w.Write(raw)
+		w.WriteByte('\n')
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
 	// Torn-rename injection point: the temp file is complete and synced,
 	// the rename never happens. The defer above removes the temp; the old
 	// journal stays intact on disk.
-	if err := failpoint.Inject("cache.rename"); err != nil {
-		return err
+	if err == nil {
+		err = failpoint.Inject("cache.rename")
 	}
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.path)
+	}
+	if err != nil {
 		return err
 	}
 	// Reopen the append handle on the new file.
-	if s.f != nil {
-		s.f.Close()
-	}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	s.f.Close()
+	s.f, err = os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		s.f = nil
 		return err
 	}
-	s.f = f
 	s.dead = 0
 	s.headerOK = true
 	// s.invalidated stays: it is the sticky "this open discarded a foreign
@@ -762,9 +638,7 @@ func (s *Store) Stats() StoreStats {
 	defer s.mu.Unlock()
 	return StoreStats{
 		Path:           s.path,
-		Decisions:      s.loadedDec,
-		Experiences:    s.loadedExp,
-		Tunes:          s.loadedTune,
+		Decisions:      s.loaded,
 		Foreign:        len(s.foreign),
 		Appended:       s.appended,
 		Dead:           s.dead,

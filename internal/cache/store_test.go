@@ -26,16 +26,18 @@ func dk(fp uint64, k int) DecisionKey {
 	return DecisionKey{Fingerprint: fp, Device: "host", K: k, Shards: 1}
 }
 
+// TestStoreRoundTrip: every part of a decision — format, probed flag,
+// tuning, sample — reloads exactly, in journal order.
 func TestStoreRoundTrip(t *testing.T) {
 	st, dir := tempStore(t)
 	for i := 0; i < 20; i++ {
 		st.AppendDecision(dk(uint64(i), 1+i%3), Decision{Format: fmt.Sprintf("F%d", i), Probed: i%2 == 0})
 	}
-	st.AppendExperience(Experience{
-		Device: "host", K: 8,
-		FV:   core.FeatureVector{Rows: 100, Cols: 100, NNZ: 1000, AvgNNZPerRow: 10, MemFootprintMB: 0.01},
-		Best: "SELL-C-s",
-	})
+	full := Decision{
+		Format: "SELL-C-s", Probed: true, Tuned: "spmm.tile=4",
+		FV: core.FeatureVector{Rows: 100, Cols: 100, NNZ: 1000, AvgNNZPerRow: 10, MemFootprintMB: 0.01},
+	}
+	st.AppendDecision(dk(100, 8), full)
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -46,24 +48,19 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	defer re.Close()
 	keys, decs := re.Decisions()
-	if len(keys) != 20 {
-		t.Fatalf("reloaded %d decisions, want 20", len(keys))
+	if len(keys) != 21 {
+		t.Fatalf("reloaded %d decisions, want 21", len(keys))
 	}
-	for i, k := range keys {
-		want := Decision{Format: fmt.Sprintf("F%d", k.Fingerprint), Probed: k.Fingerprint%2 == 0}
-		if decs[i] != want {
-			t.Errorf("key %+v: reloaded %+v, want %+v", k, decs[i], want)
+	for i, k := range keys[:20] {
+		want := Decision{Format: fmt.Sprintf("F%d", i), Probed: i%2 == 0}
+		if k != dk(uint64(i), 1+i%3) || decs[i] != want {
+			t.Errorf("position %d: reloaded %+v %+v, want %+v", i, k, decs[i], want)
 		}
 	}
-	exps := re.Experiences()
-	if len(exps) != 1 || exps[0].Best != "SELL-C-s" || exps[0].K != 8 {
-		t.Fatalf("experiences reloaded wrong: %+v", exps)
+	if keys[20] != dk(100, 8) || decs[20] != full {
+		t.Errorf("tuned, sampled decision reloaded as %+v %+v, want %+v", keys[20], decs[20], full)
 	}
-	if exps[0].FV.NNZ != 1000 {
-		t.Errorf("experience feature vector lost: %+v", exps[0].FV)
-	}
-	stats := re.Stats()
-	if stats.Decisions != 20 || stats.Experiences != 1 || stats.Invalidated {
+	if stats := re.Stats(); stats.Decisions != 21 || stats.Invalidated {
 		t.Errorf("stats = %+v", stats)
 	}
 }
@@ -166,6 +163,42 @@ func TestStoreHostInvalidation(t *testing.T) {
 	}
 }
 
+// TestStoreDiscardsSchema1: a version-1 journal (three record kinds) is
+// discarded wholesale by the header rule — never an error, nothing loads,
+// and the rewritten file holds only the two kinds there are.
+func TestStoreDiscardsSchema1(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalName)
+	lvl := EffectiveLevel()
+	lines := []string{
+		fmt.Sprintf(`{"v":1,"kind":"header","schema":1,"host":%q}`, HostFingerprint()),
+		fmt.Sprintf(`{"v":1,"kind":"decision","lvl":%q,"fp":1,"device":"host","k":1,"shards":1,"format":"CSR5"}`, lvl),
+		fmt.Sprintf(`{"v":1,"kind":"experience","lvl":%q,"exp":{"device":"host","k":1,"fv":{"Rows":9},"best":"ELL"}}`, lvl),
+		fmt.Sprintf(`{"v":1,"kind":"autotune","lvl":%q,"fp":1,"device":"host","k":8,"param":"spmm.tile","value":"8"}`, lvl),
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open version-1 journal: %v", err)
+	}
+	defer st.Close()
+	if keys, _ := st.Decisions(); len(keys) != 0 || !st.Stats().Invalidated {
+		t.Fatalf("version-1 journal: %d decisions loaded, stats %+v; want none, invalidated", len(keys), st.Stats())
+	}
+	if deg, reason := st.Degraded(); deg {
+		t.Fatalf("discarding a version-1 journal degraded the store: %s", reason)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(b), "\n"); got != 1 || !strings.Contains(string(b), `"schema":2`) {
+		t.Fatalf("rewritten journal = %q, want one schema-2 header line", b)
+	}
+}
+
 func TestStoreCompaction(t *testing.T) {
 	st, dir := tempStore(t)
 	// 50 keys re-decided 10 times each: 500 lines, 450 dead.
@@ -242,13 +275,22 @@ func TestStoreConcurrentPutPersist(t *testing.T) {
 	}
 }
 
+// TestStoreExperienceWindow: samples ride on decisions, so the decision
+// bound is the experience window — past it the oldest measurements go,
+// in memory at once and from the file at the next compaction.
 func TestStoreExperienceWindow(t *testing.T) {
 	st, dir := tempStore(t)
-	for i := 0; i < maxJournalExperiences+50; i++ {
-		st.AppendExperience(Experience{Device: "host", K: 1, Best: fmt.Sprintf("F%d", i)})
+	sample := func(i int) Decision {
+		return Decision{Format: fmt.Sprintf("F%d", i), Probed: true, FV: core.FeatureVector{Rows: 1 + i}}
 	}
-	if got := len(st.Experiences()); got != maxJournalExperiences {
-		t.Fatalf("in-memory window holds %d, want %d", got, maxJournalExperiences)
+	for i := 0; i < maxJournalDecisions+50; i++ {
+		st.AppendDecision(dk(uint64(i), 1), sample(i))
+	}
+	if keys, _ := st.Decisions(); len(keys) != maxJournalDecisions {
+		t.Fatalf("in-memory window holds %d, want %d", len(keys), maxJournalDecisions)
+	}
+	if got := st.Stats().Dead; got != 50 {
+		t.Errorf("dead lines = %d, want the 50 evicted", got)
 	}
 	st.Close()
 	re, err := Open(dir)
@@ -256,12 +298,12 @@ func TestStoreExperienceWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	exps := re.Experiences()
-	if len(exps) != maxJournalExperiences {
-		t.Fatalf("reloaded %d experiences, want %d (most recent)", len(exps), maxJournalExperiences)
+	keys, decs := re.Decisions()
+	if len(keys) != maxJournalDecisions {
+		t.Fatalf("reloaded %d decisions, want %d (most recent)", len(keys), maxJournalDecisions)
 	}
-	if exps[len(exps)-1].Best != fmt.Sprintf("F%d", maxJournalExperiences+49) {
-		t.Errorf("newest experience lost: %+v", exps[len(exps)-1])
+	if keys[0] != dk(50, 1) || decs[len(decs)-1] != sample(maxJournalDecisions+49) {
+		t.Errorf("window is not the newest: first %+v, last %+v", keys[0], decs[len(decs)-1])
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/formats"
 )
@@ -116,9 +115,7 @@ func (s Spec) RankMulti(fv core.FeatureVector, formatName string, k int) Result 
 }
 
 func (s Spec) estimateMulti(fv core.FeatureVector, formatName string, k int, noise bool) Result {
-	if k < 1 {
-		k = 1
-	}
+	k = max(k, 1)
 	if !formats.EstimateFeasible(formatName, fv) {
 		return Result{Feasible: false, Reason: formatName + ": structure-hostile build rejected"}
 	}
@@ -158,9 +155,7 @@ func (s Spec) estimateWithTraitsK(fv core.FeatureVector, tr formats.Traits, k in
 	if fv.NNZ == 0 {
 		return Result{Feasible: false, Reason: "empty matrix"}
 	}
-	if k < 1 {
-		k = 1
-	}
+	k = max(k, 1)
 	switch s.Class {
 	case GPU:
 		return s.estimateGPU(fv, tr, k)
@@ -244,8 +239,8 @@ func xBlockLineFactor(k int, grainBytes float64) float64 {
 
 func (s Spec) estimateCPU(fv core.FeatureVector, tr formats.Traits, k int) Result {
 	kk := float64(k)
-	hit := cache.XVectorHitRate(fv, s.LLCBytes)
-	xBytes := float64(fv.NNZ) * (1 - hit) * cache.LineBytes * xBlockLineFactor(k, cache.LineBytes)
+	hit := XVectorHitRate(fv, s.LLCBytes)
+	xBytes := float64(fv.NNZ) * (1 - hit) * LineBytes * xBlockLineFactor(k, LineBytes)
 	yBytes := 16 * float64(fv.Rows) * kk // streamed out and written back
 	total := streamBytes(fv, tr) + yBytes + xBytes
 
@@ -297,7 +292,7 @@ func (s Spec) estimateGPU(fv core.FeatureVector, tr formats.Traits, k int) Resul
 	}
 
 	// The small L2 is mostly occupied by the matrix stream; x gets a slice.
-	hit := cache.XVectorHitRate(fv, int64(float64(s.LLCBytes)*gpuXCacheShare))
+	hit := XVectorHitRate(fv, int64(float64(s.LLCBytes)*gpuXCacheShare))
 	// Gathers fetch 32-byte sectors; clustered columns coalesce. A k-wide
 	// block gathers ceil(8k/sector) contiguous sectors per miss.
 	coalesce := 0.5 + 0.5*clamp01(fv.AvgNumNeigh/2)

@@ -13,7 +13,7 @@
 //	load imbalance             - partition skew against the format's work
 //	   distribution discipline;
 //	memory latency             - x-vector cache misses from the locality
-//	   features via internal/cache.
+//	   features (xcache.go).
 //
 // The numbers in Testbeds come straight from Table II (core counts, cache
 // sizes, measured STREAM bandwidths, HBM capacities); TDP/idle figures are

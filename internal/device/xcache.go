@@ -1,10 +1,12 @@
-// Package cache provides the memory-hierarchy substrate for the device
-// models: a trace-driven set-associative LRU cache simulator, and a closed-
-// form model of the x-vector hit rate during SpMV derived from the paper's
-// locality features (avg_num_neigh for spatial locality, cross_row_sim for
-// temporal locality, bw_scaled for the active working-set width). The two
-// are cross-validated in the package tests.
-package cache
+// The memory-hierarchy substrate of the device models: a trace-driven
+// set-associative LRU cache simulator, and a closed-form model of the
+// x-vector hit rate during SpMV derived from the paper's locality features
+// (avg_num_neigh for spatial locality, cross_row_sim for temporal locality,
+// bw_scaled for the active working-set width). The simulator is the
+// reference the closed form is cross-validated against in the package
+// tests.
+
+package device
 
 import (
 	"fmt"
@@ -178,14 +180,4 @@ func XVectorHitRate(fv core.FeatureVector, cacheBytes int64) float64 {
 		hit = streaming
 	}
 	return clamp01(hit * 0.98) // never promise a perfect cache
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

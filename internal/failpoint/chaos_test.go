@@ -217,9 +217,6 @@ func chaosRound(t *testing.T, seed int64) {
 			}
 			k := cache.DecisionKey{Fingerprint: uint64(rng.Intn(64)), Device: "host", K: 1, Shards: 1}
 			st0.AppendDecision(k, cache.Decision{Format: "Naive-CSR", Probed: i%2 == 0})
-			if i%16 == 0 {
-				st0.AppendExperience(cache.Experience{Device: "host", K: 1, Best: "ELL"})
-			}
 			if i%64 == 0 {
 				requireCleanOrInjected(t, "journal Compact", st0.Compact())
 			}

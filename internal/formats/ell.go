@@ -296,14 +296,7 @@ func (f *HYB) Traits() Traits {
 		pad = float64(int64(len(f.ell.val))-f.ell.nnz) / float64(f.nnz)
 	}
 	return Traits{Balancing: NNZGranular, PaddingRatio: pad,
-		MetaBytesPerNNZ: float64(f.Bytes()-8*f.nnz) / float64(max64(f.nnz, 1)), Vectorizable: true, ColumnMajor: true}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+		MetaBytesPerNNZ: float64(f.Bytes()-8*f.nnz) / float64(max(f.nnz, 1)), Vectorizable: true, ColumnMajor: true}
 }
 
 // HYB's kernel is its ELL part's — the row-granular slab sweep (rowLen

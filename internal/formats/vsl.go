@@ -66,7 +66,7 @@ func NewVSL(m *matrix.CSR, cfg VSLConfig) (*VSL, error) {
 	f.chVal = make([][]float64, cfg.Channels)
 
 	blockOf := func(row int32) int {
-		b := int(row) * cfg.RowBlocks / maxInt(m.Rows, 1)
+		b := int(row) * cfg.RowBlocks / max(m.Rows, 1)
 		if b >= cfg.RowBlocks {
 			b = cfg.RowBlocks - 1
 		}
@@ -145,13 +145,6 @@ func NewVSL(m *matrix.CSR, cfg VSLConfig) (*VSL, error) {
 	f.bind(f, false)
 	f.onePlan = true // lanes x rows of partials: megabytes
 	return f, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Name implements Format.

@@ -25,13 +25,13 @@ const autoProbeMinNNZ = 1 << 14
 
 // State is everything one selection context remembers between builds:
 // the decision cache (keyed by matrix fingerprint, device, k, shards — a
-// repeated build of one matrix under one context skips ranking and
-// probing), the autotune cache, the online-learned experience base, and
-// the shard count recorded in decision keys. A Session owns one and hands
-// it to every build by pointer; nil members are simply not consulted.
+// repeated build of one matrix under one context skips ranking, probing
+// and tuning), the online-learned experience base fed by the samples those
+// decisions carry, and the shard count recorded in decision keys. A
+// Session owns one and hands it to every build by pointer; nil members are
+// simply not consulted.
 type State struct {
 	Cache   *cache.DecisionCache
-	Tunes   *cache.TuneCache
 	Learned *Learned
 	// Shards is the execution-context shard count recorded in decision
 	// keys (0: the live topo.Shards()). The engine's pool layout is
@@ -59,7 +59,8 @@ type AutoOptions struct {
 	// recorded.
 	State *State
 	// NoCache disables decision caching for this build (benchmarks that
-	// must observe the full pipeline every time).
+	// must observe the full pipeline every time): no decision — format,
+	// tuning or sample — is looked up or recorded.
 	NoCache bool
 	// NoLearn disables the online-learned experience base for this build:
 	// neither consulting past probe outcomes nor recording new ones. The
@@ -68,8 +69,8 @@ type AutoOptions struct {
 	NoLearn bool
 	// Tune enables the structural-parameter micro-autotuner: the BCSR
 	// block geometry and the fused SpMM register-tile width are measured
-	// on the probe's row-sampled harness (winners journaled per
-	// fingerprint). Like Probe, worth it for matrices multiplied more than
+	// on the probe's row-sampled harness (winners remembered with the
+	// decision). Like Probe, worth it for matrices multiplied more than
 	// a handful of times.
 	Tune bool
 }
@@ -95,11 +96,13 @@ func (o AutoOptions) state() State {
 //     the online-learned experience base promote the measured winner of a
 //     nearby matrix to the front of the shortlist;
 //  4. optionally micro-probe the shortlist — time each candidate on a
-//     row-sampled sub-matrix through the execution engine — keep the
-//     measured winner, and record the outcome as a labeled sample so the
-//     next decision starts smarter;
-//  5. build the winner, falling down the shortlist (and ultimately to
-//     Naive-CSR) if a build refuses the matrix, and cache the decision.
+//     row-sampled sub-matrix through the execution engine — and keep the
+//     measured winner;
+//  5. build the winner (with o.Tune, under the structural parameters
+//     autotune measures), falling down the shortlist (and ultimately to
+//     Naive-CSR) if a build refuses the matrix, and cache the decision:
+//     the format, its tuning and — when a probe backed it — the feature
+//     vector, a labeled sample so the next decision starts smarter.
 //
 // The returned Auto delegates every kernel to the chosen format and
 // carries the decision record. BuildAuto lives here rather than in
@@ -120,10 +123,7 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	k := o.K
-	if k < 1 {
-		k = 1
-	}
+	k := max(o.K, 1)
 	spec := device.HostSpec()
 	if o.Device != "" {
 		s, ok := device.ByName(o.Device)
@@ -153,9 +153,14 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	}
 	if useCache {
 		if d, ok := st.Cache.Get(key); ok {
-			// Journaled tune winners re-apply on the cached path; un-swept
-			// parameters are measured now, once.
-			if f, err := build(ctx, m, d.Format, nil, k, o, &choice); err == nil {
+			// The decision's tuning re-applies on the cached path; a
+			// parameter it lacks is measured now and the decision re-put,
+			// once.
+			if f, tuned, err := build(ctx, m, d.Format, nil, k, o, d.Tuned, &choice); err == nil {
+				if enc := encodeTuned(tuned); o.Tune && enc != d.Tuned {
+					d.Tuned = enc
+					st.Cache.Put(key, d)
+				}
 				choice.Cached = true
 				choice.Probed = d.Probed
 				choice.Shortlist = []string{d.Format}
@@ -206,9 +211,6 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 					choice.ProbeNs[r.Format] = r.NsPerOp
 				}
 			}
-			if learn {
-				observeWinner(st, spec.Name, k, fv, winner)
-			}
 		}
 	}
 
@@ -217,13 +219,14 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	// feature-level; the built structure can still exceed a padding cap).
 	tried := map[string]bool{}
 	var f formats.Format
+	var tuned map[string]string
 	var err error
 	for _, name := range append(append([]string{pick}, shortlist...), "Naive-CSR") {
 		if tried[name] {
 			continue
 		}
 		tried[name] = true
-		if f, err = build(ctx, m, name, prebuilt, k, o, &choice); err == nil {
+		if f, tuned, err = build(ctx, m, name, prebuilt, k, o, "", &choice); err == nil {
 			break
 		}
 		prebuilt = nil // the probe's instance was the pick's
@@ -231,51 +234,59 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	if err != nil {
 		return nil, fmt.Errorf("selector: no candidate builds: %w", err)
 	}
+	d := cache.Decision{Format: f.Name(), Probed: choice.Probed, Tuned: encodeTuned(tuned)}
+	if choice.Probed && learn {
+		// A measured choice is a sample: in the k-NN base now, and riding
+		// on the decision for the processes after this one.
+		d.FV = fv
+		st.Learned.observe(spec.Name, k, fv, d.Format, 0)
+	}
 	if useCache {
-		st.Cache.Put(key, cache.Decision{Format: f.Name(), Probed: choice.Probed})
+		st.Cache.Put(key, d)
 	}
 	return formats.NewAuto(f, choice), nil
 }
 
 // build constructs the named format for the matrix, once. With o.Tune the
-// tuning is derived from (name, m) first — autotune's sweeps — and is a
-// build input, recorded in the choice only once an instance built with it
-// exists. have is an instance of name the probe
-// already built with the zero Tuning, or nil; it is served as is when the
-// derived tuning is the zero one.
-func build(ctx context.Context, m *matrix.CSR, name string, have formats.Format, k int, o AutoOptions, choice *formats.AutoChoice) (formats.Format, error) {
+// tuning is derived from (name, m) first — autotune recalls the parameters
+// in known (a cached decision's Tuned; "" on a fresh selection) and sweeps
+// the rest — and is a build input. It returns the instance and everything
+// autotune recalled or measured, which is what the decision remembers; the
+// choice reports those parameters only once an instance built with them
+// exists. have is an instance of name the probe already built with the
+// zero Tuning, or nil; it is served as is when the derived tuning is the
+// zero one.
+func build(ctx context.Context, m *matrix.CSR, name string, have formats.Format, k int, o AutoOptions, known string, choice *formats.AutoChoice) (formats.Format, map[string]string, error) {
 	b, ok := formats.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("selector: unknown format %q", name)
+		return nil, nil, fmt.Errorf("selector: unknown format %q", name)
 	}
 	var t formats.Tuning
 	var tuned map[string]string
 	if o.Tune {
-		tc := o.state().Tunes
-		if tc == nil {
-			tc = cache.NewTuneCache() // stateless: sweeps are measured, not remembered
-		}
-		t, tuned = autotune(ctx, m, name, choice.Device, k, tc)
+		t, tuned = autotune(ctx, m, name, k, known)
 	}
 	f := have
 	if f == nil || t != (formats.Tuning{}) {
 		var err error
 		if f, err = b.BuildTuned(m, t); err != nil {
 			if t == (formats.Tuning{}) {
-				return nil, err
+				return nil, nil, err
 			}
 			// The tuned geometry refused the full matrix: the default
-			// build is served and nothing is recorded as tuned.
+			// build is served and the choice reports nothing as tuned (the
+			// decision still remembers the sweep, so it is not repeated).
 			if have != nil {
-				return have, nil
+				return have, tuned, nil
 			}
-			return b.Build(m)
+			f, err = b.Build(m)
+			return f, tuned, err
 		}
 	}
 	if len(tuned) > 0 {
 		choice.Tuned = tuned
 	}
-	return f, nil
+	return f, tuned, nil
 }
 
 // promote moves name to the front of the shortlist, inserting it when the

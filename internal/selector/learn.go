@@ -1,17 +1,17 @@
 package selector
 
-// Online learning: the selection subsystem records every micro-probe
-// outcome as a labeled feature-space sample and consults those samples on
-// later decisions, so the ranking improves with use — the SMART-style
-// reuse-measured-history loop the autotuning literature shows selection
-// quality hinges on. Experience lives in a per-(device, k) k-NN base,
-// persists in the same journal as the decision cache, and warm-loads on
-// startup, so a restarted server keeps everything its predecessors
-// measured.
+// Online learning: every decision a micro-probe backed is a labeled
+// feature-space sample — (cache.Decision.FV, cache.Decision.Format) — and
+// later decisions consult those samples, so the ranking improves with use:
+// the SMART-style reuse-measured-history loop the autotuning literature
+// shows selection quality hinges on. Experience lives in a per-(device, k)
+// k-NN base that holds one sample per matrix; it persists as part of the
+// decisions themselves and warm-loads from them on startup, so a restarted
+// server keeps everything its predecessors measured.
 //
 // The experience base is an instantiable type (Learned) with exactly one
 // owner per selection context: a Session holds it inside its State, next
-// to the caches and the journal they share. This package keeps no
+// to the decision cache and the journal behind it. This package keeps no
 // experience of its own — a build handed no State learns nothing.
 
 import (
@@ -78,15 +78,7 @@ func (l *Learned) regime(device string, k int) *Nearest {
 }
 
 // Len reports how many experience samples the regime holds.
-func (l *Learned) Len(device string, k int) int {
-	l.mu.Lock()
-	n, ok := l.base[regimeKey{device, k}]
-	l.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return n.Len()
-}
+func (l *Learned) Len(device string, k int) int { return l.regime(device, k).Len() }
 
 // Reset drops every in-memory experience sample (tests and benchmark
 // harnesses that need a cold selector, and journal re-attachment).
@@ -97,58 +89,47 @@ func (l *Learned) Reset() {
 }
 
 // observe records one measured probe outcome into the in-memory k-NN base.
+// A matrix measured again (the same feature vector) replaces its earlier
+// sample and becomes the newest — what a superseding decision does to its
+// journal line — so re-deciding one matrix never stacks its vote.
 func (l *Learned) observe(device string, k int, fv core.FeatureVector, best string, weight float64) {
-	l.regime(device, k).Observe(Sample{FV: fv, Best: best, Weight: weight})
+	l.regime(device, k).observe(Sample{FV: fv, Best: best, Weight: weight}, true)
 }
 
 // pick consults the regime's experience base; ok only when a recorded
 // outcome lies within LearnMaxDist of the new matrix.
 func (l *Learned) pick(device string, k int, fv core.FeatureVector) (string, bool) {
-	l.mu.Lock()
-	n, ok := l.base[regimeKey{device, k}]
-	l.mu.Unlock()
-	if !ok {
-		return "", false
-	}
-	return n.PredictNear(fv, LearnMaxDist)
+	return l.regime(device, k).PredictNear(fv, LearnMaxDist)
 }
 
-// WarmLoad replays a journal's experience records into the base, returning
-// how many were loaded. Called when a store is attached so a restarted
-// process resumes with its predecessors' measurements. Replayed samples
-// are age-decayed: the newest record enters at full weight and each
-// experienceHalfLife records of age halve the vote, so stale history
-// biases — not dictates — future shortlists.
+// WarmLoad replays the samples a journal's decisions carry into the base,
+// oldest measurement first, returning how many were loaded. Called when a
+// store is attached so a restarted process resumes with its predecessors'
+// measurements. Replayed samples are age-decayed: the newest enters at
+// full weight and each experienceHalfLife samples of age halve the vote,
+// so stale history biases — not dictates — future shortlists.
 func (l *Learned) WarmLoad(st *cache.Store) int {
 	if st == nil {
 		return 0
 	}
-	exps := st.Experiences()
-	last := len(exps) - 1
-	for i, e := range exps {
-		age := float64(last - i)
-		w := math.Exp2(-age / experienceHalfLife)
-		l.observe(e.Device, e.K, e.FV, e.Best, w)
+	keys, decs := st.Decisions()
+	var samples []int // the decisions that carry one
+	for i, d := range decs {
+		if d.FV != (core.FeatureVector{}) {
+			samples = append(samples, i)
+		}
 	}
-	return len(exps)
+	for n, i := range samples {
+		age := float64(len(samples) - 1 - n)
+		l.observe(keys[i].Device, keys[i].K, decs[i].FV, decs[i].Format, math.Exp2(-age/experienceHalfLife))
+	}
+	return len(samples)
 }
 
-// observeWinner records one measured probe outcome: into the state's
-// in-memory k-NN base immediately, and into the journal behind its
-// decision cache (when one is attached) for the next process.
-func observeWinner(st State, device string, k int, fv core.FeatureVector, best string) {
-	st.Learned.observe(device, k, fv, best, 0)
-	if st.Cache == nil {
-		return
-	}
-	if j := st.Cache.Store(); j != nil {
-		j.AppendExperience(cache.Experience{Device: device, K: k, FV: fv, Best: best})
-	}
-}
-
-// experienceHalfLife is the age (in journal records) at which a replayed
-// experience sample's vote weight halves. The journal is append-only, so
-// record order IS measurement order: a winner measured 256 probes ago —
+// experienceHalfLife is the age (in sample-carrying decisions) at which a
+// replayed sample's vote weight halves. A superseding decision moves to
+// the end of the journal's order, so that order IS measurement order: a
+// winner measured 256 probes ago —
 // possibly under different load, thermals, or a since-changed kernel —
 // still votes, but two fresh confirmations outvote it.
 const experienceHalfLife = 256

@@ -78,7 +78,8 @@ func TestPersistRoundTripZeroProbes(t *testing.T) {
 }
 
 // TestLearnedExperiencePersists: probe outcomes recorded in one "process"
-// must warm-load into the experience base of the next.
+// — as the sample on the decision they backed — must warm-load into the
+// experience base of the next.
 func TestLearnedExperiencePersists(t *testing.T) {
 	dir := t.TempDir()
 	st1, err := cache.Open(dir)
@@ -102,19 +103,18 @@ func TestLearnedExperiencePersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	exps := st2.Experiences()
-	if len(exps) == 0 {
-		t.Fatal("probe outcome not journaled as experience")
+	keys, decs := st2.Decisions()
+	if len(decs) != 1 || decs[0].FV != core.Extract(m) {
+		t.Fatalf("probe outcome not journaled as the decision's sample: %+v", decs)
 	}
-	last := exps[len(exps)-1]
-	if last.K != 8 || last.Best != a.Chosen() {
-		t.Errorf("journaled experience %+v, want winner %q at k=8", last, a.Chosen())
+	if keys[0].K != 8 || decs[0].Format != a.Chosen() || !decs[0].Probed {
+		t.Errorf("journaled %+v %+v, want probed winner %q at k=8", keys[0], decs[0], a.Chosen())
 	}
 	lrn := NewLearned()
-	if n := lrn.WarmLoad(st2); n != len(exps) {
-		t.Fatalf("WarmLoad replayed %d, want %d", n, len(exps))
+	if n := lrn.WarmLoad(st2); n != 1 {
+		t.Fatalf("WarmLoad replayed %d, want 1", n)
 	}
-	if lrn.Len(last.Device, 8) == 0 {
+	if lrn.Len(keys[0].Device, 8) != 1 {
 		t.Error("experience base empty after warm-load")
 	}
 	// The warmed base steers a fresh (uncached, unprobed) decision on the
@@ -128,6 +128,50 @@ func TestLearnedExperiencePersists(t *testing.T) {
 	}
 	if fresh.Chosen() != a.Chosen() {
 		t.Errorf("learned pick %q != measured winner %q", fresh.Chosen(), a.Chosen())
+	}
+}
+
+// TestOneDecisionOneSample: however often one matrix is decided — cold,
+// from the cache, or around it with NoCache — selection remembers one
+// thing for it: one live journal line, one sample in the k-NN vote now and
+// one after a restart.
+func TestOneDecisionOneSample(t *testing.T) {
+	dir := t.TempDir()
+	st, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := &State{Cache: cache.NewDecisionCache(), Learned: NewLearned(), Shards: 1}
+	state.Cache.AttachStore(st)
+	m := genMatrix(t, 20000, 12, 10, 11)
+	for i, noCache := range []bool{false, true, false, true, true, false} {
+		a, err := BuildAuto(m, AutoOptions{K: 8, Probe: true, NoCache: noCache, State: state})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := a.Choice(); c.Cached != (i > 0 && !noCache) || (!c.Cached && !c.Probed) {
+			t.Fatalf("build %d (NoCache=%v): %+v", i, noCache, c)
+		}
+	}
+	if got := state.Learned.Len("host", 8); got != 1 {
+		t.Errorf("six builds of one matrix left %d samples in the live vote, want 1", got)
+	}
+	if got := st.Stats().Appended; got != 1 {
+		t.Errorf("six builds of one matrix appended %d journal lines, want 1", got)
+	}
+	st.Close()
+
+	re, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if keys, _ := re.Decisions(); len(keys) != 1 {
+		t.Errorf("reopened journal holds %d decisions, want 1", len(keys))
+	}
+	lrn := NewLearned()
+	if n := lrn.WarmLoad(re); n != 1 || lrn.Len("host", 8) != 1 {
+		t.Errorf("warm-load replayed %d samples (%d in host/k=8), want 1", n, lrn.Len("host", 8))
 	}
 }
 

@@ -28,10 +28,7 @@ const (
 
 // ProbeOptions configures the micro-probe.
 type ProbeOptions struct {
-	K          int           // RHS-count regime; k > 1 times MultiplyMany (0/1: SpMV)
-	SampleRows int           // probe sub-matrix row budget (0: DefaultProbeRows)
-	MinTime    time.Duration // per-sample wall-clock floor (0: 2ms)
-	Rounds     int           // timing runs per candidate, min kept (0: 2)
+	K int // RHS-count regime the candidates are timed at (0/1: SpMV)
 }
 
 // ProbeResult is one candidate's measured micro-benchmark.
@@ -69,65 +66,90 @@ func ProbeCtx(ctx context.Context, m *matrix.CSR, candidates []string, o ProbeOp
 // candidate at full cost, so the winner's built instance is returned for
 // the caller to use directly instead of rebuilding it. A cancelled ctx
 // stops the candidate loop at the next boundary.
-func probe(ctx context.Context, m *matrix.CSR, candidates []string, o ProbeOptions) (winner string, built formats.Format, results []ProbeResult) {
+func probe(ctx context.Context, m *matrix.CSR, names []string, o ProbeOptions) (winner string, built formats.Format, results []ProbeResult) {
 	probeRuns.Add(1)
-	k := o.K
-	if k < 1 {
-		k = 1
+	var cands []candidate
+	for _, name := range names {
+		if b, ok := formats.Lookup(name); ok {
+			cands = append(cands, candidate{b: b})
+		}
 	}
-	sampleRows := o.SampleRows
-	if sampleRows <= 0 {
-		sampleRows = DefaultProbeRows
+	timings := timeCandidates(ctx, m, cands, max(o.K, 1))
+	if i := fastest(timings); i >= 0 {
+		winner, built = cands[i].b.Name, timings[i].f
 	}
-	minTime := o.MinTime
-	if minTime <= 0 {
-		minTime = defaultProbeMinTime
+	for i, t := range timings {
+		results = append(results, ProbeResult{Format: cands[i].b.Name, NsPerOp: t.ns, Err: t.err})
 	}
-	rounds := o.Rounds
-	if rounds <= 0 {
-		rounds = defaultProbeRounds
-	}
-	sub := m.RowSample(sampleRows)
+	return winner, built, results
+}
+
+// candidate is one configuration the harness times: a format and the
+// tuning to build it with (the probe passes the zero Tuning, the autotune
+// sweeps one format under several).
+type candidate struct {
+	b formats.Builder
+	t formats.Tuning
+}
+
+// timing is one candidate's measurement.
+type timing struct {
+	ns  float64        // min ns per kernel call on the sub-matrix (0 when err != nil)
+	err error          // build refusal or contained kernel fault: disqualified
+	f   formats.Format // the timed instance, when it was built on the full matrix
+}
+
+// timeCandidates is the one harness behind the probe and the autotune
+// sweeps: each candidate is built on the row-sampled sub-matrix and timed
+// through timeApply over the same x and y. It returns one timing per
+// candidate reached — the loop checks ctx between candidates (a
+// candidate's timed runs finish once started), so a cancelled sweep
+// returns a prefix.
+func timeCandidates(ctx context.Context, m *matrix.CSR, cands []candidate, k int) []timing {
+	sub := m.RowSample(DefaultProbeRows)
 	x := matrix.RandomVector(sub.Cols*k, 9001)
 	y := make([]float64, sub.Rows*k)
-	bestNs := math.Inf(1)
-	for _, name := range candidates {
+	timings := make([]timing, 0, len(cands))
+	for _, c := range cands {
 		if ctx.Err() != nil {
 			break
 		}
-		b, ok := formats.Lookup(name)
-		if !ok {
-			continue
-		}
-		f, err := b.Build(sub)
-		if err != nil {
-			results = append(results, ProbeResult{Format: name, Err: err})
-			continue
-		}
-		ns, err := timeApply(ctx, f, y, x, k, minTime, rounds)
-		if err != nil {
+		f, err := c.b.BuildTuned(sub, c.t)
+		var ns float64
+		if err == nil {
 			// A contained kernel fault disqualifies the candidate; a
 			// cancelled ctx ends the loop at the check above.
-			results = append(results, ProbeResult{Format: name, Err: err})
+			ns, err = timeApply(ctx, f, y, x, k)
+		}
+		if err != nil {
+			timings = append(timings, timing{err: err})
 			continue
 		}
-		results = append(results, ProbeResult{Format: name, NsPerOp: ns})
-		if ns < bestNs {
-			bestNs = ns
-			winner = name
-			if sub == m {
-				built = f
-			}
+		if sub != m {
+			f = nil
+		}
+		timings = append(timings, timing{ns: ns, f: f})
+	}
+	return timings
+}
+
+// fastest returns the index of the minimum-ns timing that measured (the
+// earliest on a tie), or -1 when none did.
+func fastest(timings []timing) int {
+	best := -1
+	for i, t := range timings {
+		if t.err == nil && (best < 0 || t.ns < timings[best].ns) {
+			best = i
 		}
 	}
-	return winner, built, results
+	return best
 }
 
 // timeApply times f's k-wide product through Format.Apply — the entry point
 // production calls take — with the machine's parallelism: one warm-up call
 // (plans, scratch, pages, pool), then measureNs. It returns the first
 // error Apply reports instead of a timing.
-func timeApply(ctx context.Context, f formats.Format, y, x []float64, k int, minTime time.Duration, rounds int) (float64, error) {
+func timeApply(ctx context.Context, f formats.Format, y, x []float64, k int) (float64, error) {
 	workers := exec.MaxWorkers()
 	exec.Prestart() // probes must not time pool construction
 	var failed error
@@ -140,7 +162,7 @@ func timeApply(ctx context.Context, f formats.Format, y, x []float64, k int, min
 	if failed != nil {
 		return 0, failed
 	}
-	ns := measureNs(run, minTime, rounds)
+	ns := measureNs(run, defaultProbeMinTime, defaultProbeRounds)
 	return ns, failed
 }
 

@@ -10,10 +10,11 @@ import (
 // Reselect re-runs automatic format selection after structure drift: the
 // compactor of an updatable matrix folds its delta overlay into a fresh
 // CSR whose structure — and therefore best format — may differ from the
-// base it replaces. Every cached decision for the predecessor fingerprint
-// is invalidated first (all (device, k, shards) regimes at once; they all
-// ranked the dead structure), then BuildAuto selects for the successor
-// matrix. Returns the built choice and how many stale decisions were
+// base it replaces. Every decision for the predecessor fingerprint is
+// invalidated first — all (device, k, shards) regimes at once, each with
+// its tuning and sample, in the cache and in the journal behind it; they
+// all measured the dead structure — then BuildAuto selects for the
+// successor matrix. Returns the built choice and how many stale decisions were
 // dropped.
 //
 // The cheap-re-decision contract rides on the persistence layer: when the

@@ -9,10 +9,17 @@ import (
 )
 
 // TestReselectInvalidatesDriftedDecisions: after structure drift, Reselect
-// must drop every cached regime of the predecessor fingerprint and cache a
+// must drop every cached regime of the predecessor fingerprint — its
+// tuning with it, in memory and in the journal's mirror — and cache a
 // fresh decision for the successor.
 func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
+	st, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	dc := cache.NewDecisionCache()
+	dc.AttachStore(st)
 	m1 := matrix.Random(300, 300, 0.05, 3)
 	a1, err := BuildAuto(m1, AutoOptions{State: &State{Cache: dc}, NoLearn: true})
 	if err != nil {
@@ -24,6 +31,11 @@ func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
 	if dc.Len() != 2 {
 		t.Fatalf("cache holds %d decisions, want 2 (k=1 and k=8)", dc.Len())
 	}
+	// The k = 1 decision carries a tuning, as an autotuned build leaves it.
+	oldKey := cache.DecisionKey{
+		Fingerprint: m1.Fingerprint(), Device: a1.Choice().Device, K: 1, Shards: topo.Shards(),
+	}
+	dc.Put(oldKey, cache.Decision{Format: a1.Chosen(), Tuned: "bcsr.block=4x4"})
 
 	// Drift: densify a band of rows, changing the structural fingerprint.
 	o := m1.ToCOO()
@@ -44,11 +56,14 @@ func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
 	if dropped != 2 {
 		t.Fatalf("Reselect dropped %d stale decisions, want 2", dropped)
 	}
-	oldKey := cache.DecisionKey{
-		Fingerprint: m1.Fingerprint(), Device: a1.Choice().Device, K: 1, Shards: topo.Shards(),
-	}
 	if _, ok := dc.Get(oldKey); ok {
 		t.Fatal("stale decision for the predecessor fingerprint still cached")
+	}
+	keys, decs := st.Decisions()
+	for i, k := range keys {
+		if k.Fingerprint == m1.Fingerprint() {
+			t.Errorf("the journal still remembers the predecessor: %+v %+v", k, decs[i])
+		}
 	}
 	newKey := cache.DecisionKey{
 		Fingerprint: m2.Fingerprint(), Device: a2.Choice().Device, K: 1, Shards: topo.Shards(),

@@ -18,6 +18,7 @@
 package selector
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -106,9 +107,7 @@ func RulesK(spec device.Spec, fv core.FeatureVector, k int) string {
 // decision list — cheap insurance against a model blind spot when the
 // shortlist is probed.
 func Shortlist(spec device.Spec, fv core.FeatureVector, k, n int) []string {
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	type cand struct {
 		name   string
 		gflops float64
@@ -188,9 +187,7 @@ func TrainK(spec device.Spec, points []core.FeatureVector, k, rhs int) *Nearest 
 	if k <= 0 {
 		k = 5
 	}
-	if rhs < 1 {
-		rhs = 1
-	}
+	rhs = max(rhs, 1)
 	n := &Nearest{k: k}
 	for _, fv := range points {
 		if name, _, ok := spec.BestFormatK(fv, rhs); ok {
@@ -233,9 +230,16 @@ func NewOnline(k, limit int) *Nearest {
 // Observe adds one labeled point to the training set — the online-learning
 // hook: every measured probe winner lands here, so the k-NN ranking
 // sharpens with every decision the subsystem makes.
-func (n *Nearest) Observe(s Sample) {
+func (n *Nearest) Observe(s Sample) { n.observe(s, false) }
+
+// observe is Observe; with replace, an earlier sample of the same feature
+// vector — the same matrix, measured again — is dropped first.
+func (n *Nearest) observe(s Sample, replace bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if replace {
+		n.samples = slices.DeleteFunc(n.samples, func(o Sample) bool { return o.FV == s.FV })
+	}
 	n.samples = append(n.samples, s)
 	if n.limit > 0 && len(n.samples) > n.limit {
 		n.samples = n.samples[len(n.samples)-n.limit:]

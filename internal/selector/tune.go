@@ -5,22 +5,23 @@ package selector
 // build inputs (formats.Tuning) of the winner that hard-coded defaults
 // used to fix: the BCSR block geometry and the fused SpMM register-tile
 // width, both measured on the same row-sampled sub-matrix harness the
-// micro-probe uses. Winners persist through the journal as "autotune"
-// records keyed by (fingerprint, device, k, parameter), so a matrix pays
-// each sweep once per machine context.
+// micro-probe uses (timeCandidates). Winners are part of the decision
+// (cache.Decision.Tuned), so they are cached, journaled, invalidated and
+// forgotten with it, and a matrix pays each sweep once per decision key.
 
 import (
 	"context"
 	"fmt"
-	"math"
+	"maps"
+	"slices"
+	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/simd"
 )
 
-// Autotuned parameter names (cache.TuneKey.Param).
+// Autotuned parameter names (the keys of formats.AutoChoice.Tuned).
 const (
 	// ParamBCSRBlock is the BCSR block geometry, value "BRxBC".
 	ParamBCSRBlock = "bcsr.block"
@@ -34,35 +35,36 @@ const (
 // default and the only shape with a dispatched micro-kernel; the wider
 // shapes trade the SIMD kernel for denser value blocks and fewer index
 // loads, which wins on strongly block-structured matrices.
-var bcsrShapes = []struct {
-	br, bc int
-	name   string
-}{
-	{2, 2, "2x2"}, {4, 4, "4x4"}, {2, 4, "2x4"}, {4, 2, "4x2"},
-}
+var bcsrShapes = []string{"2x2", "4x4", "2x4", "4x2"}
 
 // autotune derives the Tuning to build the named format with, from the
-// parameter groups its builder declares (formats.Builder.Tunables): the
-// timed sweeps consult (and feed) the tune cache so each is measured once
-// per (fingerprint, device, k), and run only on matrices large enough to
-// time. It also returns the swept parameter map for the decision record. A
-// cancelled ctx skips any sweep not yet cached; already-known winners
+// parameter groups its builder declares (formats.Builder.Tunables). known
+// is the tuning the cached decision already carries ("" on a fresh
+// selection): its parameters are recalled, the rest are swept now — on
+// matrices large enough to time — so each is measured once per decision. It also
+// returns every parameter recalled or swept, for the decision and its
+// record. A cancelled ctx skips any sweep not yet known; known winners
 // still apply.
-func autotune(ctx context.Context, m *matrix.CSR, name, dev string, k int, tc *cache.TuneCache) (formats.Tuning, map[string]string) {
+func autotune(ctx context.Context, m *matrix.CSR, name string, k int, known string) (formats.Tuning, map[string]string) {
 	var t formats.Tuning
 	tuned := make(map[string]string)
 	b, ok := formats.Lookup(name)
-	if !ok {
+	if !ok || m.NNZ() < autoProbeMinNNZ {
 		return t, tuned
 	}
-	fp := m.Fingerprint()
-	// sweep recalls the parameter's journaled winner or measures it now.
-	sweep := func(param string, measure func() string) string {
-		key := cache.TuneKey{Fingerprint: fp, Device: dev, K: k, Param: param}
-		v, ok := tc.Get(key)
+	recalled := decodeTuned(known)
+	// sweep recalls the parameter's known winner or measures it now: the
+	// fastest of values, each built with the tuning with(value) derives.
+	sweep := func(param string, values []string, with func(string) formats.Tuning) string {
+		v, ok := recalled[param]
 		if !ok && ctx.Err() == nil {
-			if v = measure(); v != "" {
-				tc.Put(key, v)
+			cands := make([]candidate, len(values))
+			for i, v := range values {
+				cands[i] = candidate{b, with(v)}
+			}
+			// A sweep cut short by cancellation is not a measurement.
+			if i := fastest(timeCandidates(ctx, m, cands, k)); i >= 0 && ctx.Err() == nil {
+				v = values[i]
 			}
 		}
 		if v != "" {
@@ -71,17 +73,24 @@ func autotune(ctx context.Context, m *matrix.CSR, name, dev string, k int, tc *c
 		return v
 	}
 
-	timed := m.NNZ() >= autoProbeMinNNZ
-	if timed && b.Tunables&formats.TuneBlock != 0 {
-		shape := sweep(ParamBCSRBlock, func() string { return tuneBlockShape(ctx, m, b, k) })
-		if shape != "" && shape != "2x2" {
-			if br, bc, err := parseBlockShape(shape); err == nil {
-				t.BlockR, t.BlockC = br, bc
-			}
+	if b.Tunables&formats.TuneBlock != 0 {
+		// A geometry the fill-ratio cap refuses on the sample is skipped.
+		shape := sweep(ParamBCSRBlock, bcsrShapes, func(v string) formats.Tuning {
+			br, bc, _ := parseBlockShape(v)
+			return formats.Tuning{BlockR: br, BlockC: bc}
+		})
+		if br, bc, err := parseBlockShape(shape); err == nil && shape != "2x2" {
+			t.BlockR, t.BlockC = br, bc
 		}
 	}
-	if timed && b.Tunables&formats.TuneTiles != 0 && k >= 8 && simd.Enabled() && simd.Width() >= 8 {
-		tile := sweep(ParamSpMMTile, func() string { return tuneSpMMTile(ctx, m, b, t, k) })
+	if b.Tunables&formats.TuneTiles != 0 && k >= 8 && simd.Enabled() && simd.Width() >= 8 {
+		// The 8-wide register tile on and off, other tuning as chosen; a
+		// tie keeps the wide tile (one kernel call covers two narrow ones).
+		tile := sweep(ParamSpMMTile, []string{"8", "4"}, func(v string) formats.Tuning {
+			tt := t
+			tt.NarrowTiles = v == "4"
+			return tt
+		})
 		t.NarrowTiles = tile == "4"
 	}
 	return t, tuned
@@ -98,52 +107,23 @@ func parseBlockShape(s string) (br, bc int, err error) {
 	return br, bc, nil
 }
 
-// tuneBlockShape times each block geometry on the row-sampled sub-matrix
-// (the probe harness: warmed runs, adaptive iteration, min over rounds)
-// and returns the winner's name, or "" when no shape builds.
-func tuneBlockShape(ctx context.Context, m *matrix.CSR, b formats.Builder, k int) string {
-	sub := m.RowSample(DefaultProbeRows)
-	x := matrix.RandomVector(sub.Cols*k, 9001)
-	y := make([]float64, sub.Rows*k)
-	best := math.Inf(1)
-	winner := ""
-	for _, s := range bcsrShapes {
-		if ctx.Err() != nil {
-			break
-		}
-		f, err := b.BuildTuned(sub, formats.Tuning{BlockR: s.br, BlockC: s.bc})
-		if err != nil {
-			continue // fill-ratio cap refused this geometry on the sample
-		}
-		if ns, err := timeApply(ctx, f, y, x, k, defaultProbeMinTime, defaultProbeRounds); err == nil && ns < best {
-			best = ns
-			winner = s.name
-		}
+// encodeTuned renders a parameter map as cache.Decision.Tuned carries it:
+// "param=value" pairs sorted by param, space-separated.
+func encodeTuned(tuned map[string]string) string {
+	pairs := make([]string, 0, len(tuned))
+	for _, p := range slices.Sorted(maps.Keys(tuned)) {
+		pairs = append(pairs, p+"="+tuned[p])
 	}
-	return winner
+	return strings.Join(pairs, " ")
 }
 
-// tuneSpMMTile times the format's fused SpMM kernel on the sub-matrix,
-// built with the 8-wide register tile on and off (other tuning as given),
-// returning "8" or "4" (ties keep the wide tile: one kernel call covers
-// two narrow ones).
-func tuneSpMMTile(ctx context.Context, m *matrix.CSR, b formats.Builder, t formats.Tuning, k int) string {
-	sub := m.RowSample(DefaultProbeRows)
-	x := matrix.RandomVector(sub.Cols*k, 9001)
-	y := make([]float64, sub.Rows*k)
-	var ns [2]float64 // wide, narrow
-	for i := range ns {
-		t.NarrowTiles = i == 1
-		f, err := b.BuildTuned(sub, t)
-		if err != nil {
-			return ""
-		}
-		if ns[i], err = timeApply(ctx, f, y, x, k, defaultProbeMinTime, defaultProbeRounds); err != nil {
-			return ""
+// decodeTuned is encodeTuned's inverse; malformed pairs are dropped.
+func decodeTuned(s string) map[string]string {
+	tuned := make(map[string]string)
+	for _, pair := range strings.Fields(s) {
+		if p, v, ok := strings.Cut(pair, "="); ok {
+			tuned[p] = v
 		}
 	}
-	if ns[0] <= ns[1] {
-		return "8"
-	}
-	return "4"
+	return tuned
 }

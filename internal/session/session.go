@@ -1,14 +1,14 @@
 // Package session is the one owner of the selection subsystem's mutable
-// state: the decision cache, the autotune cache, the disk journal behind
-// both, the online-learned experience base, and the execution-context
-// shard count recorded in decision keys. A Session holds real instances of
-// all of them in one selector.State and hands that state to every build
-// it runs; internal/selector and internal/cache keep no package-level
-// state of their own.
+// state: the decision cache, the disk journal behind it, the
+// online-learned experience base the decisions' samples feed, and the
+// execution-context shard count recorded in decision keys. A Session
+// holds real instances of all of them in one selector.State and hands
+// that state to every build it runs; internal/selector and internal/cache
+// keep no package-level state of their own.
 //
-// Two sessions share nothing: decisions, probe outcomes and learned
-// samples made under one are invisible to every other, in memory and on
-// disk, so concurrent hosts (one server registry per journal, tests,
+// Two sessions share nothing: decisions — their tunings and learned
+// samples with them — made under one are invisible to every other, in
+// memory and on disk, so concurrent hosts (one server registry per journal, tests,
 // multi-tenant embedders) never fight over a journal.
 //
 // The process-wide default session (Default) is an ordinary Session,
@@ -33,10 +33,9 @@ import (
 
 // Options configures a Session.
 type Options struct {
-	// CacheDir is the journal directory for persistent decisions and probe
-	// outcomes. Empty means memory-only: the session still has its own
-	// isolated decision cache and experience base, but nothing touches
-	// disk.
+	// CacheDir is the journal directory for persistent decisions. Empty
+	// means memory-only: the session still has its own isolated decision
+	// cache and experience base, but nothing touches disk.
 	CacheDir string
 	// K is the default right-hand-side regime hint for Auto builds under
 	// this session (0 or 1: single-vector SpMV).
@@ -63,14 +62,14 @@ type Session struct {
 
 // New opens a session. With a CacheDir, the journal is opened (creating
 // the directory as needed), existing decisions warm-load into the
-// session's cache and experience replays into its learned base: prior
-// decisions resolve with zero probes after a restart.
+// session's cache and the samples they carry replay into its learned base:
+// prior decisions resolve with zero probes and zero tune sweeps after a
+// restart.
 func New(o Options) (*Session, error) {
 	s := &Session{
 		opts: o,
 		state: selector.State{
 			Cache:   cache.NewDecisionCache(),
-			Tunes:   cache.NewTuneCache(),
 			Learned: selector.NewLearned(),
 			Shards:  o.Shards,
 		},
@@ -109,9 +108,6 @@ func newDefault(dir string) *Session {
 
 // Cache returns the session's decision cache.
 func (s *Session) Cache() *cache.DecisionCache { return s.state.Cache }
-
-// Tunes returns the session's autotune cache.
-func (s *Session) Tunes() *cache.TuneCache { return s.state.Tunes }
 
 // Learned returns the session's experience base.
 func (s *Session) Learned() *selector.Learned { return s.state.Learned }
@@ -163,9 +159,9 @@ func (s *Session) NewUpdatable(m *matrix.CSR, o update.Options) (*update.Updatab
 }
 
 // Persist binds the session to the journal in dir (opened, created as
-// needed): the caches warm-load and journal through it, and the
-// experience base is re-baselined to the journal's probe history (reset,
-// then replayed — re-invoking Persist, or switching directories, must not
+// needed): the decision cache warm-loads and journals through it, and the
+// experience base is re-baselined to the samples its decisions carry
+// (reset, then replayed — re-invoking Persist, or switching directories, must not
 // stack a second copy of every sample into the k-NN vote). An empty dir
 // resolves the default location (SPMV_CACHE_DIR, then the user cache dir —
 // see cache.Dir). A journal already attached is closed.
@@ -188,7 +184,6 @@ func (s *Session) Persist(dir string) error {
 	// without error).
 	old := s.Store()
 	s.state.Cache.AttachStore(st)
-	s.state.Tunes.AttachStore(st)
 	if old != nil {
 		old.Close()
 	}
@@ -198,7 +193,7 @@ func (s *Session) Persist(dir string) error {
 }
 
 // Close detaches and closes the session's journal, if any. The session's
-// in-memory caches and experience stay usable (memory-only) afterwards,
+// in-memory cache and experience stay usable (memory-only) afterwards,
 // and a later Persist re-attaches.
 func (s *Session) Close() error {
 	s.mu.Lock()
@@ -208,6 +203,5 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.state.Cache.AttachStore(nil)
-	s.state.Tunes.AttachStore(nil)
 	return st.Close()
 }

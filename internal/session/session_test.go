@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/selector"
 	"repro/internal/topo"
@@ -148,13 +149,39 @@ func TestPersistReinvokeNoDuplicates(t *testing.T) {
 	}
 	defer s.Close()
 	st := s.Store()
-	st.AppendExperience(cache.Experience{Device: "host", K: 8, Best: "ELL"})
-	st.AppendExperience(cache.Experience{Device: "host", K: 8, Best: "ELL"})
+	for fp := uint64(1); fp <= 2; fp++ {
+		st.AppendDecision(cache.DecisionKey{Fingerprint: fp, Device: "host", K: 8, Shards: 1},
+			cache.Decision{Format: "ELL", Probed: true, FV: core.FeatureVector{Rows: int(fp), NNZ: 9}})
+	}
 	if err := s.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Learned().Len("host", 8); got != 2 {
 		t.Fatalf("after re-Persist the base holds %d samples, want 2 (journal contents, not stacked copies)", got)
+	}
+}
+
+// TestNoCacheTuneRecordsNothing: NoCache means nothing is looked up or
+// recorded, tunes included — a NoCache, Tune build on a journaled session
+// leaves the cache empty and the journal untouched, so the next one
+// observes the full pipeline again.
+func TestNoCacheTuneRecordsNothing(t *testing.T) {
+	s, err := New(Options{CacheDir: t.TempDir(), K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m := matrix.Random(4000, 4000, 0.003, 5) // above the sweeps' timing floor
+	for i := 0; i < 2; i++ {
+		if _, err := s.Auto(m, selector.AutoOptions{NoCache: true, Tune: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, appended := s.Cache().Len(), s.Store().Stats().Appended; n != 0 || appended != 0 {
+		t.Fatalf("NoCache builds left %d cached decisions and %d journal lines, want none", n, appended)
+	}
+	if keys, _ := s.Store().Decisions(); len(keys) != 0 {
+		t.Fatalf("NoCache builds reached the journal's mirror: %+v", keys)
 	}
 }
 
@@ -221,15 +248,19 @@ func TestSessionUpdatableKeepsShardKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	initial, _ := s.Store().Decisions()
 	u.Set(0, 0, 1.25)
 	if err := u.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	keys, _ := s.Store().Decisions()
-	if len(keys) < 2 {
-		t.Fatalf("journaled %d decisions, want the initial build and the re-selection", len(keys))
+	// The re-selection invalidated the initial build's decision (the base
+	// it chose for is gone) and journaled its own: two lines, one live.
+	reselected, _ := s.Store().Decisions()
+	if len(initial) != 1 || len(reselected) != 1 || initial[0] == reselected[0] || s.Store().Stats().Appended != 2 {
+		t.Fatalf("journaled %+v then %+v (%d appended), want the initial build's decision replaced by the re-selection's",
+			initial, reselected, s.Store().Stats().Appended)
 	}
-	for _, k := range keys {
+	for _, k := range append(initial, reselected...) {
 		if k.Shards != want {
 			t.Errorf("decision %+v keyed under %d shards, want the session's %d", k, k.Shards, want)
 		}

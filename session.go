@@ -5,8 +5,9 @@ import (
 	"repro/internal/topo"
 )
 
-// Session is the one owner of selection state: its own decision and
-// autotune caches, journal, and online-learned experience base, plus a
+// Session is the one owner of selection state: its own decision cache
+// (a decision carries its tuning and its learned sample), the journal
+// behind it, and the online-learned experience base it feeds, plus a
 // default (k, probe, shards) context for Auto builds. Two sessions share
 // nothing, so concurrent hosts — one server registry per journal,
 // multi-tenant embedders, tests — never fight over a journal.
@@ -25,14 +26,15 @@ type SessionOptions = session.Options
 
 // NewSession opens an isolated selection session. With CacheDir set, the
 // session's journal opens there directly (creating the directory as
-// needed) and warm-loads: prior decisions resolve with zero probes, prior
-// probe outcomes seed the session's experience base. An empty CacheDir
+// needed) and warm-loads: prior decisions resolve with zero probes and
+// zero tune sweeps, and the samples they carry seed the session's
+// experience base. An empty CacheDir
 // gives a memory-only session. Close releases the journal handle.
 func NewSession(o SessionOptions) (*Session, error) { return session.New(o) }
 
 // DefaultSession returns the process-wide default session — the state the
-// package-level facade functions operate on (its caches and experience
-// base, the SetCacheDir journal, the live SetShards/topology shard
+// package-level facade functions operate on (its decision cache and
+// experience base, the SetCacheDir journal, the live SetShards/topology shard
 // count). Useful where a *Session is expected and should share the
 // process journal, e.g. a server registry.
 func DefaultSession() *Session { return session.Default() }
