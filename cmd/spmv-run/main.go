@@ -105,8 +105,8 @@ func main() {
 	engine := device.NativeEngine{Workers: *workers, Iterations: *iters}
 	run := func(b formats.Builder) {
 		res := engine.Run(m, b)
-		if res.BuildErr != nil {
-			fmt.Printf("%-10s build refused: %v\n", b.Name, res.BuildErr)
+		if res.Err != nil { // build refused, or a first product that failed verification
+			fmt.Printf("%-10s no rate: %v\n", b.Name, res.Err)
 			return
 		}
 		fmt.Printf("%-10s %8.3f GFLOPS  (%d iters, %d workers, %.3fs)\n",

@@ -43,8 +43,8 @@ func main() {
 
 		bestName, bestPerf := "", 0.0
 		for _, res := range engine.RunAll(m) {
-			if res.BuildErr != nil {
-				fmt.Printf("   %-10s refused (%v)\n", res.Format, shortErr(res.BuildErr))
+			if res.Err != nil {
+				fmt.Printf("   %-10s no rate (%v)\n", res.Format, shortErr(res.Err))
 				continue
 			}
 			marker := ""

@@ -37,7 +37,7 @@ func RunNative(o Options) []*Report {
 		built++
 		sample := map[string]float64{}
 		for _, res := range engine.RunAll(m) {
-			if res.BuildErr != nil || res.GFLOPS <= 0 {
+			if res.Err != nil || res.GFLOPS <= 0 {
 				continue
 			}
 			sample[res.Format] = res.GFLOPS

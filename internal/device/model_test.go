@@ -1,7 +1,10 @@
 package device
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -332,8 +335,8 @@ func TestNativeEngineMeasuresRealKernels(t *testing.T) {
 	m := matrix.Random(2000, 2000, 0.01, 42)
 	e := NativeEngine{Workers: 2, Iterations: 3}
 	res := e.Run(m, mustBuilder(t, "Naive-CSR"))
-	if res.BuildErr != nil {
-		t.Fatal(res.BuildErr)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	if res.GFLOPS <= 0 || res.Seconds <= 0 {
 		t.Errorf("implausible native result %+v", res)
@@ -341,6 +344,36 @@ func TestNativeEngineMeasuresRealKernels(t *testing.T) {
 	all := e.RunAll(m)
 	if len(all) != len(formats.Registry()) {
 		t.Errorf("RunAll returned %d results", len(all))
+	}
+	for _, r := range all { // every kernel that built passes the verification it is timed behind
+		if r.Err != nil && !errors.Is(r.Err, formats.ErrBuild) {
+			t.Errorf("%s: %v", r.Format, r.Err)
+		}
+	}
+}
+
+// wrongRow is a format whose parallel product is off in one row by far more
+// than any accumulation order allows.
+type wrongRow struct{ formats.Format }
+
+func (w wrongRow) SpMVParallel(x, y []float64, workers int) {
+	w.Format.SpMVParallel(x, y, workers)
+	y[len(y)/2] += 1e-6
+}
+
+// TestNativeEngineRefusesAWrongKernel: Run verifies the warm-up product
+// against the CSR reference and reports a mismatch instead of a rate.
+func TestNativeEngineRefusesAWrongKernel(t *testing.T) {
+	m := matrix.Random(2000, 2000, 0.01, 42)
+	res := NativeEngine{Workers: 2, Iterations: 3}.Run(m, formats.Builder{
+		Name:  "wrong",
+		Build: func(m *matrix.CSR) (formats.Format, error) { return wrongRow{formats.NewCSR(m)}, nil },
+	})
+	if res.Err == nil || res.GFLOPS != 0 || res.Seconds != 0 {
+		t.Fatalf("a kernel with a wrong row was timed: %+v", res)
+	}
+	if want := fmt.Sprintf("y[%d]", m.Rows/2); !strings.Contains(res.Err.Error(), want) {
+		t.Errorf("error %q does not name %s", res.Err, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"time"
@@ -19,7 +20,7 @@ type NativeResult struct {
 	Iterations int
 	Seconds    float64 // total wall time of all iterations
 	GFLOPS     float64
-	BuildErr   error // non-nil when the format refused the matrix
+	Err        error // no rate: the build was refused (formats.ErrBuild) or the first product was wrong
 }
 
 // NativeEngine runs real format kernels on the host machine, the
@@ -47,7 +48,8 @@ func (e NativeEngine) EffectiveWorkers() int {
 }
 
 // Run measures one format on one matrix. The first product is verified
-// against the CSR reference before timing.
+// against the CSR reference before timing, to the dot product's forward
+// bound (any accumulation order fits it); a kernel that fails is not timed.
 func (e NativeEngine) Run(m *matrix.CSR, builder formats.Builder) NativeResult {
 	workers := e.EffectiveWorkers()
 	iters := e.Iterations
@@ -57,7 +59,7 @@ func (e NativeEngine) Run(m *matrix.CSR, builder formats.Builder) NativeResult {
 	res := NativeResult{Format: builder.Name, Workers: workers, Iterations: iters}
 	f, err := builder.Build(m)
 	if err != nil {
-		res.BuildErr = err
+		res.Err = err
 		return res
 	}
 	x := matrix.RandomVector(m.Cols, 12345)
@@ -65,6 +67,12 @@ func (e NativeEngine) Run(m *matrix.CSR, builder formats.Builder) NativeResult {
 
 	exec.Prestart()               // timed iterations must not pay pool startup
 	f.SpMVParallel(x, y, workers) // warm-up, page-in, plan-cache fill
+	want := make([]float64, m.Rows)
+	m.SpMV(x, want)
+	if i, ok := m.WithinDotBound(x, 1, y, want); !ok {
+		res.Err = fmt.Errorf("device: %s: wrong product, y[%d] = %v against the CSR reference's %v", builder.Name, i, y[i], want[i])
+		return res
+	}
 
 	start := time.Now()
 	done := 0

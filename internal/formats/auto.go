@@ -1,10 +1,10 @@
 package formats
 
-// fusedMulti names the formats whose kernel is bound as fused — a
-// register-tiled k > 1 loop where every loaded nonzero feeds k FMAs; the
-// rest run the driver's by-column fallback, one single-vector dispatch per
-// right-hand side. The device model reads this table before any instance
-// exists; TestFusedMultiTableMatchesKernels keeps it equal to the bindings.
+// fusedMulti names the formats whose apply takes k > 1 — a register-tiled
+// loop where every loaded nonzero feeds k FMAs; the rest run the driver's
+// by-column fallback, one single-vector dispatch per right-hand side. It is
+// the one declaration of fused-ness: driver.bind reads it by the kernel's
+// name, the device model (FusedMulti) before any instance exists.
 var fusedMulti = map[string]bool{
 	"Naive-CSR": true, "Vec-CSR": true, "Bal-CSR": true, "MKL-IE": true,
 	"Merge-CSR": true, "ELL": true, "HYB": true, "SELL-C-s": true,

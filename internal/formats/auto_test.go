@@ -79,28 +79,6 @@ func TestAutoWrapperEquivalence(t *testing.T) {
 	}
 }
 
-func TestFusedMultiMatchesKernels(t *testing.T) {
-	// The fused set must cover exactly the formats whose MultiplyMany is
-	// not the by-column fallback (see multi.go); drift here would skew the
-	// k-regime device model.
-	fused := []string{"Naive-CSR", "Vec-CSR", "Bal-CSR", "MKL-IE", "Merge-CSR",
-		"ELL", "HYB", "SELL-C-s", "BCSR", "DIA", "COO"}
-	fallback := []string{"CSR5", "SparseX", "VSL"}
-	for _, n := range fused {
-		if !FusedMulti(n) {
-			t.Errorf("FusedMulti(%q) = false, want true", n)
-		}
-	}
-	for _, n := range fallback {
-		if FusedMulti(n) {
-			t.Errorf("FusedMulti(%q) = true, want false", n)
-		}
-	}
-	if len(fused)+len(fallback) != len(Registry()) {
-		t.Errorf("fused+fallback = %d formats, registry has %d", len(fused)+len(fallback), len(Registry()))
-	}
-}
-
 // TestMultiTraitsContract pins the k-aware trait presentation: identical to
 // EstimateTraits at k = 1 and for every format without slab striding; the
 // fused slab formats (ELL, SELL-C-s, HYB) diverge at k > 1 per the

@@ -104,7 +104,7 @@ func newBCSR(m *matrix.CSR, t Tuning) (*BCSR, error) {
 		lo, hi := f.rowPtr[bi], f.rowPtr[bi+1]
 		sortBlocks(f.blkCol[lo:hi], f.val[int(lo)*br*bc:int(hi)*br*bc], br*bc)
 	}
-	f.bind(f, true)
+	f.bind(f)
 	return f, nil
 }
 

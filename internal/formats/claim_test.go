@@ -39,9 +39,13 @@ type probe struct {
 	hook  func(lo, hi int) // set between calls only
 }
 
+// The probe's apply ignores k — one call per chunk at any k — so it is
+// declared fused like any format would be: by name.
+func init() { fusedMulti["probe"] = true }
+
 func newProbe() *probe {
 	p := new(probe)
-	p.bind(p, true)
+	p.bind(p)
 	return p
 }
 
@@ -280,7 +284,7 @@ func rangeOnly(f Format, k int) bool {
 	if _, ok := f.(epilogue); ok {
 		return false
 	}
-	if !f.(interface{ fusedKernel() bool }).fusedKernel() {
+	if !FusedMulti(f.Name()) {
 		k = 1
 	}
 	c, ok := f.(carrier)

@@ -24,7 +24,7 @@ type COO struct {
 // spill part and the delta overlay).
 func newCOOFromParts(rows, cols int, rowIdx, colIdx []int32, val []float64, add bool) *COO {
 	f := &COO{rows: rows, cols: cols, rowIdx: rowIdx, colIdx: colIdx, val: val, add: add}
-	f.bind(f, true)
+	f.bind(f)
 	return f
 }
 

@@ -9,7 +9,8 @@ import (
 
 // CSR is the naive compressed-sparse-row format with row-block parallelism,
 // the baseline every platform in the paper provides. Its variants embed it
-// and differ in the single-vector row kernel and the partition policy.
+// and differ in two fields: the partition policy and whether the
+// single-vector row kernel is the vectorized one.
 type CSR struct {
 	driver
 	rows, cols int
@@ -17,6 +18,7 @@ type CSR struct {
 	colIdx     []int32
 	val        []float64
 	policy     sched.Partitioner
+	vectorize  bool // k = 1 rows run vecCSRRowRange (Vec-CSR; MKL-IE when it inspects long rows)
 	tune       Tuning
 }
 
@@ -33,7 +35,7 @@ func NewCSR(m *matrix.CSR) *CSR { return newCSR(m, Tuning{}) }
 
 func newCSR(m *matrix.CSR, t Tuning) *CSR {
 	c := csrOf(m, sched.RowBlocks, t)
-	c.bind(&c, true)
+	c.bind(&c)
 	return &c
 }
 
@@ -92,32 +94,38 @@ func csrRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi int) {
 	}
 }
 
-// apply is the scalar row kernel at k = 1 and the fused register-tiled
-// kernel at k > 1. Vec-CSR and MKL-IE replace only the k = 1 loop: the
-// multi-vector tile already provides the register-level parallelism their
-// single-vector kernels unroll for.
+// apply is the scalar or the vectorized row kernel at k = 1 and the fused
+// register-tiled ladder at k > 1, whatever the variant: the tile already
+// provides the register-level parallelism the vectorized single-vector
+// kernel unrolls for.
 func (f *CSR) apply(y, x []float64, k, lo, hi int) {
-	if k == 1 {
+	switch {
+	case k > 1:
+		l := f.tune.ladder(f.val, f.colIdx, x, y, 1, k)
+		for i := lo; i < hi; i++ {
+			l.bcastRow(i*k, int(f.rowPtr[i]), int(f.rowPtr[i+1]-f.rowPtr[i]))
+		}
+	case f.vectorize:
+		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi)
+	default:
 		csrRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi)
-		return
 	}
-	csrRowRangeMulti(f.rowPtr, f.colIdx, f.val, x, y, k, lo, hi, !f.tune.NarrowTiles)
 }
 
-// VecCSR is CSR with an 8-way unrolled inner loop, standing in for the
-// AVX2/NEON vectorized CSR kernels of the paper's CPU testbeds.
+// VecCSR is CSR with an unrolled (dispatched: gather+FMA) inner loop,
+// standing in for the AVX2/NEON vectorized CSR kernels of the paper's CPU
+// testbeds.
 type VecCSR struct {
 	CSR
-	oneColumn
 }
 
 // NewVecCSR builds the vectorized-CSR format.
 func NewVecCSR(m *matrix.CSR) *VecCSR { return newVecCSR(m, Tuning{}) }
 
 func newVecCSR(m *matrix.CSR, t Tuning) *VecCSR {
-	f := &VecCSR{CSR: csrOf(m, sched.RowBlocks, t)}
-	f.bind(f, true)
-	f.oneColumn = oneColumnOf(&f.CSR)
+	f := &VecCSR{csrOf(m, sched.RowBlocks, t)}
+	f.vectorize = true
+	f.bind(f)
 	return f
 }
 
@@ -131,27 +139,17 @@ func (f *VecCSR) Traits() Traits {
 	return t
 }
 
-// defaultVecWideRowMin gates the widened 8-accumulator inner loop of the
-// scalar vectorized-CSR kernel. Widening was evaluated for the usual
-// latency-hiding rationale, but on gather-bound x86 parts the x-vector
-// loads saturate the load ports long before the FP-add chain limits
-// throughput, and the measured effect of the wide path was negative at
-// every tested row length (avg 10, 20, 64 and 256 nnz/row; 4-way +
-// bounds-check elimination won throughout). The wide path therefore only
-// engages for very long rows, where its reduction overhead is fully
-// amortized. The dispatched SIMD path never reads it.
-const defaultVecWideRowMin = 512
-
 // vecCSRRowRange is the unrolled CSR kernel: four independent accumulators
-// (eight for very long rows) hide the FP-add latency chain, short rows skip
-// the unroll entirely, and capped sub-slices drop the val/colIdx bounds
-// checks like the scalar kernel.
+// hide the FP-add latency chain, short rows skip the unroll entirely, and
+// capped sub-slices drop the val/colIdx bounds checks like the scalar
+// kernel.
 func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi int) {
 	if simd.Enabled() {
-		// Dispatched path: the gather+FMA row dot-product. Like the wide
-		// scalar path it reassociates the per-row sum (8 partial sums), a
-		// tolerance Vec-CSR's contract already grants. Rows below the
-		// dispatch cutoff keep an inlined sequential sum.
+		// Dispatched path: the gather+FMA row dot-product. Like the
+		// unrolled scalar loop it reassociates the per-row sum (8 partial
+		// sums), within the forward bound Vec-CSR's contract grants
+		// (matrix.CSR.WithinDotBound). Rows below the dispatch cutoff keep an
+		// inlined sequential sum.
 		end := int(rowPtr[lo])
 		for i := lo; i < hi; i++ {
 			start := end
@@ -181,20 +179,6 @@ func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi int) {
 		n := len(c)
 		var s0, s1, s2, s3 float64
 		k := 0
-		if n >= defaultVecWideRowMin {
-			var s4, s5, s6, s7 float64
-			for ; k+8 <= n; k += 8 {
-				s0 += v[k] * x[c[k]]
-				s1 += v[k+1] * x[c[k+1]]
-				s2 += v[k+2] * x[c[k+2]]
-				s3 += v[k+3] * x[c[k+3]]
-				s4 += v[k+4] * x[c[k+4]]
-				s5 += v[k+5] * x[c[k+5]]
-				s6 += v[k+6] * x[c[k+6]]
-				s7 += v[k+7] * x[c[k+7]]
-			}
-			s0, s1, s2, s3 = s0+s4, s1+s5, s2+s6, s3+s7
-		}
 		for ; k+4 <= n; k += 4 {
 			s0 += v[k] * x[c[k]]
 			s1 += v[k+1] * x[c[k+1]]
@@ -209,41 +193,6 @@ func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi int) {
 	}
 }
 
-func (f *VecCSR) apply(y, x []float64, k, lo, hi int) {
-	if k == 1 {
-		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi)
-		return
-	}
-	f.CSR.apply(y, x, k, lo, hi)
-}
-
-// oneColumn is embedded by the two formats whose single-vector loop
-// reassociates the row sum (Vec-CSR, MKL-IE). Their fused tile does not, and
-// a block product must not round differently because the block happens to
-// be one column wide, so MultiplyMany at k = 1 stays on the sequential sum
-// it has at every other k: the plain CSR kernel over the same storage and
-// partition policy, dispatched by that view's own driver. Apply at k = 1 —
-// and with it SpMV and SpMVParallel — is the single-vector loop.
-type oneColumn struct {
-	wide  Delegates
-	plain *CSR
-}
-
-func oneColumnOf(c *CSR) oneColumn {
-	plain := csrOf(&matrix.CSR{Rows: c.rows, Cols: c.cols, RowPtr: c.rowPtr, ColIdx: c.colIdx, Val: c.val}, c.policy, c.tune)
-	plain.bind(&plain, true)
-	return oneColumn{wide: c.Delegates, plain: &plain}
-}
-
-// MultiplyMany implements Format.
-func (o oneColumn) MultiplyMany(y, x []float64, k int) {
-	if k == 1 {
-		o.plain.MultiplyMany(y, x, 1)
-		return
-	}
-	o.wide.MultiplyMany(y, x, k)
-}
-
 // BalCSR is CSR with nonzero-balanced row partitioning (the paper's
 // "Balanced-CSR": nonzero balancing at row resolution).
 type BalCSR struct {
@@ -255,7 +204,7 @@ func NewBalCSR(m *matrix.CSR) *BalCSR { return newBalCSR(m, Tuning{}) }
 
 func newBalCSR(m *matrix.CSR, t Tuning) *BalCSR {
 	f := &BalCSR{csrOf(m, sched.NNZBalanced, t)}
-	f.bind(f, true)
+	f.bind(f)
 	return f
 }
 
@@ -275,9 +224,7 @@ func (f *BalCSR) Traits() Traits {
 // nonzero-balanced partitioning when row lengths are skewed.
 type InspectorCSR struct {
 	CSR
-	oneColumn
-	vectorize bool
-	balance   bool
+	balance bool
 }
 
 // Inspection thresholds: rows shorter than vecMinRow on average do not repay
@@ -301,8 +248,7 @@ func newInspectorCSR(m *matrix.CSR, t Tuning) *InspectorCSR {
 	if f.balance {
 		f.policy = sched.NNZBalanced
 	}
-	f.bind(f, true)
-	f.oneColumn = oneColumnOf(&f.CSR)
+	f.bind(f)
 	return f
 }
 
@@ -318,15 +264,4 @@ func (f *InspectorCSR) Traits() Traits {
 		t.Balancing = NNZGranular
 	}
 	return t
-}
-
-// apply runs the inspected single-vector strategy; at k > 1 the fused tile
-// supersedes the vectorize choice (register-level parallelism comes from
-// the tile regardless of row length).
-func (f *InspectorCSR) apply(y, x []float64, k, lo, hi int) {
-	if k == 1 && f.vectorize {
-		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi)
-		return
-	}
-	f.CSR.apply(y, x, k, lo, hi)
 }

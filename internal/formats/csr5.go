@@ -57,7 +57,7 @@ func NewCSR5(m *matrix.CSR) (*CSR5, error) {
 		}
 	}
 	if nnz == 0 {
-		f.bind(f, false)
+		f.bind(f)
 		return f, nil
 	}
 
@@ -109,7 +109,7 @@ func NewCSR5(m *matrix.CSR) (*CSR5, error) {
 		f.colIdx[at] = m.ColIdx[g]
 		f.val[at] = m.Val[g]
 	}
-	f.bind(f, false)
+	f.bind(f)
 	return f, nil
 }
 

@@ -54,7 +54,7 @@ func wholeRange(f Format, x []float64, k int) []float64 {
 		f = a.Unwrap()
 	}
 	kern := f.(kernel)
-	if !rangeOnly(f, k) || (k > 1 && !kern.(interface{ fusedKernel() bool }).fusedKernel()) {
+	if !rangeOnly(f, k) || (k > 1 && !FusedMulti(f.Name())) {
 		return nil
 	}
 	y := make([]float64, f.Rows()*k)

@@ -59,7 +59,7 @@ func NewDIA(m *matrix.CSR) (*DIA, error) {
 			f.val[d*m.Rows+i] = vals[k]
 		}
 	}
-	f.bind(f, true)
+	f.bind(f)
 	return f, nil
 }
 

@@ -41,8 +41,8 @@ type kernel interface {
 	// apply computes units [lo, hi) of the k-wide product: k == 1 is the
 	// single-vector loop, k > 1 the fused register tile. The units are
 	// whole rows (chunks, block rows) written by no other call, so any
-	// lane may run any chunk. Formats bound with fused == false only ever
-	// see k == 1 (the driver multiplies their blocks one column at a time).
+	// lane may run any chunk. Formats not named in fusedMulti only ever see
+	// k == 1 (the driver multiplies their blocks one column at a time).
 	apply(y, x []float64, k, lo, hi int)
 }
 
@@ -131,20 +131,18 @@ type driver struct {
 
 // bind attaches the driver to the fully assembled format value. Formats
 // that embed another format by value bind the outer value last, so the
-// driver always calls the outermost kernel.
-func (d *driver) bind(k kernel, fused bool) {
+// driver always calls the outermost kernel; fusedMulti says by name whether
+// its apply takes k > 1.
+func (d *driver) bind(k kernel) {
 	d.Delegates = DelegateTo(k)
 	d.kern = k
 	d.carry, _ = k.(carrier)
 	d.tail, _ = k.(epilogue)
 	d.n = k.units()
 	d.work = k.cum(d.n)
-	d.fused = fused
+	d.fused = fusedMulti[k.Name()]
 	d.plans = exec.NewPlanCache()
 }
-
-// fusedKernel reports whether the kernel was bound as fused.
-func (d *driver) fusedKernel() bool { return d.fused }
 
 // Apply implements Format: the one entry point. It checks the arguments
 // once, returns ctx's error if it is already done, and otherwise computes

@@ -66,7 +66,7 @@ func newELL(m *matrix.CSR, t Tuning) (*ELL, error) {
 		// Padding slots keep colIdx 0 and val 0; 0*x[0] contributes nothing
 		// for finite x.
 	}
-	f.bind(f, true)
+	f.bind(f)
 	return f, nil
 }
 
@@ -139,73 +139,27 @@ func (f *ELL) cum(i int) int64 { return int64(i) * int64(f.width) }
 
 func (f *ELL) plan(key exec.PlanKey, _ int) *exec.Plan { return evenPlan(f.rows, key) }
 
+// apply is the column sweep at k = 1 and the fused ELL kernel at k > 1.
+// Unlike the single-vector kernel the fused one walks the slab row-major
+// with the row-length table bounding each walk — bcastRow over the row's
+// stride-rows slab entries: per row and register tile the partial sums
+// live in registers, and tail padding — the bulk of a skewed matrix's
+// slab, which the baseline must stream k times — is never touched at all.
+// (Two alternatives measured slower: a row-tiled column sweep pays a y
+// load+store per slot per vector, and a padded row-major walk wastes its
+// loads on the padding it cannot skip.) The stride-rows slab loads stay
+// cheap because one cache line covers eight consecutive rows' entries of a
+// slab column. Per row the columns accumulate in ascending order and
+// skipped padding contributes exactly +0.0, so each vector's result is
+// bit-identical to the single-vector kernel's.
 func (f *ELL) apply(y, x []float64, k, lo, hi int) {
 	if k == 1 {
 		f.rowRange(x, y, lo, hi)
 		return
 	}
-	f.rowRangeMulti(x, y, k, lo, hi)
-}
-
-// rowRangeMulti is the fused ELL kernel. Unlike the single-vector kernel
-// it walks the slab row-major with the row-length table bounding each
-// walk: per row and 4-vector tile the partial sums live in registers, and
-// tail padding — the bulk of a skewed matrix's slab, which the baseline
-// must stream k times — is never touched at all. (Two alternatives
-// measured slower: a row-tiled column sweep pays a y load+store per slot
-// per vector, and a padded row-major walk wastes its loads on the padding
-// it cannot skip.) The stride-rows slab loads stay cheap because one cache
-// line covers eight consecutive rows' entries of a slab column. Per row
-// the columns accumulate in ascending order and skipped padding
-// contributes exactly +0.0, so each vector's result is bit-identical to
-// the single-vector kernel's.
-func (f *ELL) rowRangeMulti(x, y []float64, k, lo, hi int) {
-	rows := f.rows
-	colIdx, val, rowLen := f.colIdx, f.val, f.rowLen
-	useSIMD := simd.Enabled()
-	wide := !f.tune.NarrowTiles && useSIMD && simd.Width() >= 8
+	l := f.tune.ladder(f.val, f.colIdx, x, y, f.rows, k)
 	for i := lo; i < hi; i++ {
-		wi := int(rowLen[i])
-		yi := y[i*k : i*k+k : i*k+k]
-		t := 0
-		if wide && wi >= simdMinN {
-			for ; t+multiTile8 <= k; t += multiTile8 {
-				d := simd.DotBcastTile8(val[i:], colIdx[i:], x[t:], rows, wi, k)
-				copy(yi[t:t+multiTile8], d[:])
-			}
-		}
-		if useSIMD && wi >= simdMinN {
-			// Dispatched path: broadcast-tile over the strided slab row.
-			// Per tile vector a sequential mul-then-add sum in ascending
-			// column order — bit-identical.
-			for ; t+multiTile <= k; t += multiTile {
-				d := simd.DotBcastTile(val[i:], colIdx[i:], x[t:], rows, wi, k)
-				yi[t], yi[t+1], yi[t+2], yi[t+3] = d[0], d[1], d[2], d[3]
-			}
-		}
-		for ; t+multiTile <= k; t += multiTile {
-			var s0, s1, s2, s3 float64
-			at := i
-			for kc := 0; kc < wi; kc++ {
-				vj := val[at]
-				xb := int(colIdx[at])*k + t
-				at += rows
-				s0 += vj * x[xb]
-				s1 += vj * x[xb+1]
-				s2 += vj * x[xb+2]
-				s3 += vj * x[xb+3]
-			}
-			yi[t], yi[t+1], yi[t+2], yi[t+3] = s0, s1, s2, s3
-		}
-		for ; t < k; t++ {
-			var s float64
-			at := i
-			for kc := 0; kc < wi; kc++ {
-				s += val[at] * x[int(colIdx[at])*k+t]
-				at += rows
-			}
-			yi[t] = s
-		}
+		l.bcastRow(i*k, i, int(f.rowLen[i]))
 	}
 }
 
@@ -267,7 +221,7 @@ func newHYBThreshold(m *matrix.CSR, k int, t Tuning) (*HYB, error) {
 		ell:   ellPart,
 		spill: newCOOFromParts(m.Rows, m.Cols, spill.RowIdx, spill.ColIdx, spill.Val, true),
 	}
-	f.bind(f, true)
+	f.bind(f)
 	return f, nil
 }
 

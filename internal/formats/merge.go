@@ -34,7 +34,7 @@ func NewMergeCSR(m *matrix.CSR) *MergeCSR { return newMergeCSR(m, Tuning{}) }
 
 func newMergeCSR(m *matrix.CSR, t Tuning) *MergeCSR {
 	f := &MergeCSR{csrOf(m, sched.NNZBalanced, t)}
-	f.bind(f, true)
+	f.bind(f)
 	return f
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
+	"repro/internal/simd"
 	"repro/internal/testutil"
 )
 
@@ -203,4 +204,58 @@ func TestMultiplyManyShapePanics(t *testing.T) {
 	mustPanic("k=0", func() { f.MultiplyMany(make([]float64, 0), make([]float64, 0), 0) })
 	mustPanic("short x", func() { f.MultiplyMany(make([]float64, 200), make([]float64, 199), 2) })
 	mustPanic("short y", func() { f.MultiplyMany(make([]float64, 199), make([]float64, 200), 2) })
+}
+
+// TestBcastRowMatchesSequentialSum holds the one fused row ladder to its
+// definition, bit for bit: each element is the sequential mul-then-add sum
+// over the row's strided entries, whichever rung a tile lands on — every
+// stride a caller passes (1: CSR; 3: a SELL chunk; 70: an ELL slab of 70
+// rows), row lengths on both sides of simdMinN and of the kernels' unroll,
+// every tile-plus-tail split of k, wide and narrow, dispatched and not, on
+// every tier the host reaches. The row starts at offset 2 and val and col
+// end at its last entry, so a read past either end shows. n = 0 is the
+// width-0 SELL chunk at the end of the slabs: its offset is past the arrays
+// — nothing to slice, k zeros to write.
+func TestBcastRowMatchesSequentialSum(t *testing.T) {
+	defer simd.SetLevel(simd.SetLevel("scalar"))
+	const cols, at, yAt = 50, 2, 3
+	for _, level := range []string{"scalar", "avx2", "avx512"} {
+		simd.SetLevel(level)
+		if level != "scalar" && simd.Level() == "scalar" {
+			continue // no accelerated tier on this host
+		}
+		for _, stride := range []int{1, 3, 70} {
+			for _, n := range []int{0, 1, 7, 8, 9, 65} {
+				var val []float64
+				var col []int32
+				if n > 0 {
+					val = matrix.RandomVector(at+(n-1)*stride+1, int64(n))
+					col = make([]int32, len(val))
+					for j := range col {
+						col[j] = int32((j*7 + n) % cols)
+					}
+				}
+				for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17} {
+					x := matrix.RandomVector(cols*k, int64(k))
+					want := nanFilled(yAt + k + 1) // the row's k elements and nothing around them
+					for u := 0; u < k; u++ {
+						want[yAt+u] = 0
+						for j := 0; j < n; j++ {
+							want[yAt+u] += val[at+j*stride] * x[int(col[at+j*stride])*k+u]
+						}
+					}
+					for _, mode := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+						l := ladder{val: val, col: col, x: x, y: nanFilled(len(want)), stride: stride, k: k, wide: mode[0], useSIMD: mode[1]}
+						l.bcastRow(yAt, at, n)
+						for u := range want {
+							if l.y[u] != want[u] && !(math.IsNaN(l.y[u]) && math.IsNaN(want[u])) {
+								t.Fatalf("%s stride=%d n=%d k=%d wide=%v simd=%v: y[%d] = %v, sequential sum %v",
+									simd.Level(), stride, n, k, mode[0], mode[1], u, l.y[u], want[u])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

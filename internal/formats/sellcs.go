@@ -115,7 +115,7 @@ func newSELLCS(m *matrix.CSR, c, sigma int, t Tuning) (*SELLCS, error) {
 			}
 		}
 	}
-	f.bind(f, true)
+	f.bind(f)
 	return f, nil
 }
 
@@ -221,73 +221,23 @@ func (f *SELLCS) cum(i int) int64 { return f.chunkPtr[i] }
 
 func (f *SELLCS) plan(key exec.PlanKey, _ int) *exec.Plan { return evenPlan(len(f.chunkLen), key) }
 
+// apply is the lane-sum chunk sweep at k = 1 and the fused SELL-C-sigma
+// kernel at k > 1: within a chunk the lanes run lane-major, each one
+// bcastRow over its stride-C slab walk. A lane's partial sums live in
+// registers while it strides through the chunk slab, and the slab — C lanes
+// x the chunk's padded width — is small enough to stay in L1 across the
+// lanes and tiles that revisit it, so the strided walk costs cache hits,
+// not memory traffic.
 func (f *SELLCS) apply(y, x []float64, k, lo, hi int) {
 	if k == 1 {
 		f.chunkRange(x, y, lo, hi)
 		return
 	}
-	f.chunkRangeMulti(x, y, k, lo, hi)
-}
-
-// chunkRangeMulti is the fused SELL-C-sigma kernel. Within a chunk the
-// lanes run lane-major per 4-vector tile: a lane's partial sums live in
-// four registers while it strides through the chunk slab, and the slab —
-// C lanes x the chunk's padded width — is small enough to stay in L1
-// across the lanes and tiles that revisit it, so the strided walk costs
-// cache hits, not memory traffic.
-func (f *SELLCS) chunkRangeMulti(x, y []float64, k, chLo, chHi int) {
 	c := f.c
-	val, colIdx, rows := f.val, f.colIdx, f.rows
-	useSIMD := simd.Enabled()
-	wide := !f.tune.NarrowTiles && useSIMD && simd.Width() >= 8
-	for ch := chLo; ch < chHi; ch++ {
-		base := f.chunkPtr[ch]
-		width := int(f.chunkLen[ch])
-		slab := int64(width) * int64(c)
-		cs := colIdx[base : base+slab : base+slab]
-		vs := val[base : base+slab : base+slab]
-		vs = vs[:len(cs)]
-		for lane := 0; lane < c; lane++ {
-			s := ch*c + lane
-			if s >= rows {
-				break // trailing lanes of the last partial chunk
-			}
-			row := int(f.perm[s])
-			yb := y[row*k : row*k+k : row*k+k]
-			t := 0
-			if wide && width >= simdMinN {
-				for ; t+multiTile8 <= k; t += multiTile8 {
-					d := simd.DotBcastTile8(vs[lane:], cs[lane:], x[t:], c, width, k)
-					copy(yb[t:t+multiTile8], d[:])
-				}
-			}
-			if useSIMD && width >= simdMinN {
-				// Dispatched path: broadcast-tile over the lane's strided
-				// slab walk — bit-identical per tile vector.
-				for ; t+multiTile <= k; t += multiTile {
-					d := simd.DotBcastTile(vs[lane:], cs[lane:], x[t:], c, width, k)
-					yb[t], yb[t+1], yb[t+2], yb[t+3] = d[0], d[1], d[2], d[3]
-				}
-			}
-			for ; t+multiTile <= k; t += multiTile {
-				var s0, s1, s2, s3 float64
-				for kk := lane; kk < len(cs); kk += c {
-					vj := vs[kk]
-					xb := x[int(cs[kk])*k+t : int(cs[kk])*k+t+4 : int(cs[kk])*k+t+4]
-					s0 += vj * xb[0]
-					s1 += vj * xb[1]
-					s2 += vj * xb[2]
-					s3 += vj * xb[3]
-				}
-				yb[t], yb[t+1], yb[t+2], yb[t+3] = s0, s1, s2, s3
-			}
-			for ; t < k; t++ {
-				var s0 float64
-				for kk := lane; kk < len(cs); kk += c {
-					s0 += vs[kk] * x[int(cs[kk])*k+t]
-				}
-				yb[t] = s0
-			}
+	l := f.tune.ladder(f.val, f.colIdx, x, y, c, k)
+	for ch := lo; ch < hi; ch++ {
+		for lane := 0; lane < c && ch*c+lane < f.rows; lane++ { // the last chunk may be partial
+			l.bcastRow(int(f.perm[ch*c+lane])*k, int(f.chunkPtr[ch])+lane, int(f.chunkLen[ch]))
 		}
 	}
 }

@@ -17,10 +17,14 @@ import (
 // order per output element, so their two modes must match BIT FOR BIT.
 // Only the Vec-CSR row dot-product (and MKL-IE, which adopts the
 // vectorized row kernel) runs the reassociating gather+FMA kernel, and
-// Vec-CSR's scalar path already reassociates into 4/8 partial sums — those
-// two get a small relative tolerance instead. The matrix pair and the
-// bitwise-unless-reassociating policy live in internal/testutil, shared
-// with the updatable-matrix suite.
+// Vec-CSR's scalar path already reassociates into 4 partial sums — those
+// two are held to the dot product's forward bound instead,
+// |simd - scalar| <= 2*n*2^-53*sum_j |a_ij*x_j| (n the row's stored
+// entries; matrix.CSR.WithinDotBound): scaled by the row, so a cancelling
+// row is judged by what the arithmetic can deliver, not by its small
+// result. The worst ratio to that bound observed on these matrices is
+// 0.25; it is not padded. The matrix pair and the policy live in
+// internal/testutil, shared with the updatable-matrix suite.
 func simdEquivMatrices(t *testing.T) map[string]*matrix.CSR {
 	return testutil.SIMDEquivMatrices(t)
 }
@@ -50,7 +54,7 @@ func TestSIMDScalarEquivalence(t *testing.T) {
 				simd.SetEnabled(false)
 				f.SpMVParallel(x, ys, workers)
 				simd.SetEnabled(true)
-				if i, ok := equalOrClose(b.Name, yv, ys); !ok {
+				if i, ok := equalOrClose(b.Name, m, x, 1, yv, ys); !ok {
 					t.Errorf("%s/%s workers=%d: y[%d] simd=%v scalar=%v",
 						mname, b.Name, workers, i, yv[i], ys[i])
 					break
@@ -103,7 +107,7 @@ func TestSIMDLevelEquivalence(t *testing.T) {
 					simd.SetLevel("scalar")
 					f.SpMVParallel(x, ys, workers)
 					simd.SetLevel(level)
-					if i, ok := equalOrClose(b.Name, yv, ys); !ok {
+					if i, ok := equalOrClose(b.Name, m, x, 1, yv, ys); !ok {
 						t.Errorf("%s/%s/%s workers=%d: y[%d] accel=%v scalar=%v",
 							level, mname, b.Name, workers, i, yv[i], ys[i])
 						break
@@ -119,7 +123,7 @@ func TestSIMDLevelEquivalence(t *testing.T) {
 					simd.SetLevel("scalar")
 					f.MultiplyMany(yks, xk, k)
 					simd.SetLevel(level)
-					if i, ok := equalOrClose(b.Name, ykv, yks); !ok {
+					if i, ok := equalOrClose(b.Name, m, xk, k, ykv, yks); !ok {
 						t.Errorf("%s/%s/%s k=%d: y[%d] accel=%v scalar=%v",
 							level, mname, b.Name, k, i, ykv[i], yks[i])
 					}
@@ -152,7 +156,7 @@ func TestSIMDScalarEquivalenceMulti(t *testing.T) {
 				simd.SetEnabled(false)
 				f.MultiplyMany(ys, x, k)
 				simd.SetEnabled(true)
-				if i, ok := equalOrClose(b.Name, yv, ys); !ok {
+				if i, ok := equalOrClose(b.Name, m, x, k, yv, ys); !ok {
 					t.Errorf("%s/%s k=%d: y[%d] simd=%v scalar=%v",
 						mname, b.Name, k, i, yv[i], ys[i])
 				}

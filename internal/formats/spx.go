@@ -128,7 +128,7 @@ func NewSPX(m *matrix.CSR) *SPX {
 	}
 	f.bytesTotal = int64(len(stream)) + int64(len(f.val))*8 +
 		int64(len(f.rowPtr))*4 + int64(len(f.valPtr))*8
-	f.bind(f, false)
+	f.bind(f)
 	return f
 }
 

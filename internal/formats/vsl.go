@@ -142,7 +142,7 @@ func NewVSL(m *matrix.CSR, cfg VSLConfig) (*VSL, error) {
 		return nil, fmt.Errorf("%w VSL: padded image %d bytes exceeds HBM capacity %d",
 			ErrBuild, bytes, cfg.CapacityBytes)
 	}
-	f.bind(f, false)
+	f.bind(f)
 	f.onePlan = true // lanes x rows of partials: megabytes
 	return f, nil
 }

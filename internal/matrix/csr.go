@@ -120,6 +120,38 @@ func (m *CSR) SpMV(x, y []float64) {
 	}
 }
 
+// WithinDotBound reports whether two computed products of m with the k-wide
+// row-major block x agree to within the forward error bound of a
+// floating-point dot product:
+//
+//	|got - want| <= 2 * n * 2^-53 * sum_j |a_ij * x_j|
+//
+// per element, n being the row's stored entries — each side is within
+// n*u*sum|a_ij*x_j| of the exact sum in whatever order it accumulated, fused
+// or not. The scale is the row's, not the result's: a cancelling row may
+// differ by many ulps of its small result and be as accurate as arithmetic
+// allows. On failure it returns the first offending index; a NaN fails.
+func (m *CSR) WithinDotBound(x []float64, k int, got, want []float64) (int, bool) {
+	for i := 0; i < m.Rows; i++ {
+		cols, vals := m.Row(i)
+		unit := 2 * float64(len(cols)) * 0x1p-53
+		for t := 0; t < k; t++ {
+			g, w := got[i*k+t], want[i*k+t]
+			if g == w {
+				continue
+			}
+			scale := 0.0
+			for j, c := range cols {
+				scale += math.Abs(vals[j] * x[int(c)*k+t])
+			}
+			if !(math.Abs(g-w) <= unit*scale) {
+				return i*k + t, false
+			}
+		}
+	}
+	return 0, true
+}
+
 // MaxRowNNZ returns the maximum number of stored entries in any row
 // (0 for an empty matrix).
 func (m *CSR) MaxRowNNZ() int {

@@ -279,3 +279,52 @@ func TestQuickSpMVLinearity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWithinDotBound pins the bound to its formula, 2*n*2^-53*sum|a_ij*x_j|:
+// it is scaled by the row's products, so the cancelling row that a
+// result-relative 1e-12 rejects passes, one ulp of slack is not added, the
+// k-wide block is indexed per vector, and an empty row, a NaN or a wrong
+// element is a mismatch.
+func TestWithinDotBound(t *testing.T) {
+	// Row 0 cancels to ~1e-5 out of products of size 1; row 1 is empty;
+	// row 2 is a single entry.
+	m, err := NewCSR(3, 3, []int32{0, 3, 3, 4}, []int32{0, 1, 2, 1},
+		[]float64{1, -1, 1e-5, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 2
+	x := []float64{1, 3, 1, 3, 1, 3} // vector 1 is 3x vector 0
+	want := make([]float64, 3*k)
+	for i := 0; i < 3; i++ {
+		cols, vals := m.Row(i)
+		for u := 0; u < k; u++ {
+			for j, c := range cols {
+				want[i*k+u] += vals[j] * x[int(c)*k+u]
+			}
+		}
+	}
+	bound0 := 2 * 3 * 0x1p-53 * (1 + 1 + 1e-5) // row 0, vector 0
+	for _, tc := range []struct {
+		name  string
+		at    int
+		delta float64
+		ok    bool
+	}{
+		{"equal", 0, 0, true},
+		{"cancelling row inside the bound", 0, 0.9 * bound0, true}, // 6e-11 of the result
+		{"cancelling row past the bound", 0, 1.1 * bound0, false},
+		{"vector 1 has 3x the scale", 1, 2.9 * bound0, true},
+		{"vector 1 past its bound", 1, 3.1 * bound0, false},
+		{"empty row must be equal", 1 * k, 1e-300, false},
+		{"single entry inside 2u", 2 * k, 2 * 0x1p-53 * 2, true},
+		{"NaN", 2 * k, math.NaN(), false},
+	} {
+		got := append([]float64(nil), want...)
+		got[tc.at] += tc.delta
+		i, ok := m.WithinDotBound(x, k, got, want)
+		if ok != tc.ok || (!ok && i != tc.at) {
+			t.Errorf("%s: WithinDotBound = (%d, %v), want (%d, %v)", tc.name, i, ok, tc.at, tc.ok)
+		}
+	}
+}

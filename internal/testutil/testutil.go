@@ -39,44 +39,30 @@ const TolSmall = 1e-9
 // boundaries and register tiles.
 const TolEngine = 1e-8
 
-// reassocFormats are the formats whose SIMD kernels are allowed a small
-// relative tolerance instead of bit equality: the Vec-CSR row dot product
-// (and MKL-IE, which adopts the vectorized row kernel) reassociates into
-// gather+FMA partial sums. Every other kernel preserves the scalar
-// accumulation order per output element and must match bit for bit.
-var reassocFormats = map[string]bool{"Vec-CSR": true, "MKL-IE": true}
-
-// Reassoc reports whether the named format's vector kernels are allowed
-// the relative tolerance of EqualOrClose. The policy is partly dynamic:
-// BCSR's block kernel is bit-identical on the scalar and AVX2 tiers but
-// reassociates on AVX-512 (four blocks per FMA iteration), so BCSR joins
-// the tolerant set exactly when that implementation is the one dispatched.
+// Reassoc reports whether the named format is held to the dot product's
+// forward bound instead of bit equality: the Vec-CSR row dot product (and
+// MKL-IE, which adopts it) reassociates into 4 scalar or 8 gather+FMA
+// partial sums, and BCSR's block kernel — bit-identical on the scalar and
+// AVX2 tiers — reassociates on AVX-512 (four blocks per FMA iteration), so
+// it joins exactly when that implementation is the one dispatched. Every
+// other kernel preserves the scalar accumulation order per output element.
 func Reassoc(name string) bool {
-	if reassocFormats[name] {
-		return true
-	}
-	if name == "BCSR" {
-		return simd.KernelImpl("bcsr.2x2") == "avx512"
-	}
-	return false
+	return name == "Vec-CSR" || name == "MKL-IE" ||
+		name == "BCSR" && simd.KernelImpl("bcsr.2x2") == "avx512"
 }
 
-// EqualOrClose compares two product vectors under the dispatch-equivalence
-// policy: bit-for-bit equality, except that formats in the reassociation
-// set (see Reassoc) get a 1e-12 relative tolerance. On failure it returns
-// the first offending index and false.
-func EqualOrClose(name string, got, want []float64) (int, bool) {
-	reassoc := Reassoc(name)
+// EqualOrClose compares two computed products of m with the k-wide block x
+// under the dispatch-equivalence policy: bit-for-bit equality, except that
+// formats in the reassociation set (see Reassoc) are held to the dot
+// product's forward bound, 2*n*2^-53*sum|a_ij*x_j| per element
+// (matrix.CSR.WithinDotBound): scaled by the row, not by the result. On
+// failure it returns the first offending index and false.
+func EqualOrClose(name string, m *matrix.CSR, x []float64, k int, got, want []float64) (int, bool) {
+	if Reassoc(name) {
+		return m.WithinDotBound(x, k, got, want)
+	}
 	for i := range got {
-		if got[i] == want[i] {
-			continue
-		}
-		if !reassoc {
-			return i, false
-		}
-		diff := math.Abs(got[i] - want[i])
-		scale := math.Max(math.Abs(got[i]), math.Abs(want[i]))
-		if diff > 1e-12*scale {
+		if got[i] != want[i] {
 			return i, false
 		}
 	}

@@ -177,7 +177,7 @@ func TestCompactBitwiseMatchesFreshBuild(t *testing.T) {
 		want := make([]float64, m.Rows)
 		u.SpMV(x, got)
 		fresh.SpMV(x, want)
-		if i, ok := testutil.EqualOrClose(u.Base().Name(), got, want); !ok {
+		if i, ok := testutil.EqualOrClose(u.Base().Name(), merged, x, 1, got, want); !ok {
 			t.Errorf("%s: post-Compact SpMV differs from fresh build at row %d: %g vs %g",
 				b.Name, i, got[i], want[i])
 		}
