@@ -139,3 +139,28 @@ func BenchmarkSkewedApply(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCSRRowRange times the vectorized CSR row kernel by row length:
+// Vec-CSR at k = 1 on one lane over 2^20 nonzeros in rows of one constant
+// length, columns drawn over a 512 KB x. ns/op across the lengths fits
+// the kernel's cost per row and per nonzero (ROADMAP item 5(a')); for a
+// before/after, interleave the parent's and the change's test binaries and
+// take minima.
+func BenchmarkCSRRowRange(b *testing.B) {
+	const nnz, cols = 1 << 20, 1 << 16
+	ctx := context.Background()
+	for _, n := range []int{1, 2, 3, 5, 8, 12, 20, 64, 1000} {
+		rows := nnz / n
+		m := matrix.RandomRowSizes(rows, cols, uniformSizes(rows, n), int64(n))
+		f := NewVecCSR(m)
+		x, y := matrix.RandomVector(cols, 7), make([]float64, rows)
+		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := f.Apply(ctx, y, x, 1, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+		})
+	}
+}

@@ -50,7 +50,7 @@ func EstimateTraits(name string, fv core.FeatureVector) Traits {
 		return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: csrMeta}
 	case "MKL-IE":
 		t := Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Preprocessed: true}
-		t.Vectorizable = avg >= vecMinRow
+		t.Vectorizable = inspectVectorize(avg)
 		if skew > balMinSkew {
 			t.Balancing = NNZGranular
 		}

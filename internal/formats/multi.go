@@ -42,11 +42,11 @@ const multiTile = 4
 // can lose to the 4-wide tile on matrices with short rows.
 const multiTile8 = 8
 
-// simdMinN is the minimum inner-loop trip count at which the dispatched
-// micro-kernels (internal/simd) beat the inlined scalar loops. Below it —
-// tridiagonal-style rows, near-empty chunks — the indirect call and gather
-// setup cost more than the vector width saves, so call sites keep the
-// scalar path regardless of dispatch state.
+// simdMinN is the minimum inner-loop trip count at which the per-row and
+// per-slab dispatched micro-kernels (internal/simd) beat the inlined scalar
+// loops. Below it the indirect call and gather setup cost more than the
+// vector width saves, so call sites keep the scalar path regardless of
+// dispatch state. (simd.CSRRowRange is entered per row range: not gated.)
 const simdMinN = 8
 
 // ladder is the fused row kernel of every format that stores a row as a

@@ -101,7 +101,7 @@ func install(cap string) {
 	forced := cap == "avx512"
 	any := false
 	for _, k := range avx512Kernels() {
-		if forced || calWinner(k.name) {
+		if forced || calWinner(kernelNames[k.idx]) {
 			k.install()
 			kernelImpl[k.idx] = "avx512"
 			any = true
@@ -114,7 +114,7 @@ func install(cap string) {
 
 // installScalar resets every table entry to its portable reference.
 func installScalar() {
-	dotGather = dotGatherScalar
+	csrRowRange = csrRowRangeScalar
 	axpyGather = axpyGatherScalar
 	laneDot4 = laneDot4Scalar
 	laneDot8 = laneDot8Scalar
@@ -132,7 +132,7 @@ func installScalar() {
 // three 8-wide entries get the bit-identical two-halves compositions, so
 // call sites can stay tier-agnostic.
 func installAVX2() {
-	dotGather = dotGatherAVX2
+	csrRowRange = csrRowRangeAVX2
 	axpyGather = axpyGatherAVX2
 	laneDot4 = laneDot4AVX2
 	laneDot8 = laneDot8AVX2
@@ -150,7 +150,6 @@ func installAVX2() {
 // upgrades and how to point the table at the ZMM implementation.
 type avx512Candidate struct {
 	idx     int
-	name    string
 	install func()
 }
 
@@ -159,11 +158,11 @@ type avx512Candidate struct {
 // lanes wide, so they stay at AVX2 under every cap.
 func avx512Kernels() []avx512Candidate {
 	return []avx512Candidate{
-		{kDotGather, kernelNames[kDotGather], func() { dotGather = dotGatherAVX512 }},
-		{kAxpyGather, kernelNames[kAxpyGather], func() { axpyGather = axpyGatherAVX512 }},
-		{kLaneDot8, kernelNames[kLaneDot8], func() { laneDot8 = laneDot8AVX512 }},
-		{kBcsr2x2, kernelNames[kBcsr2x2], func() { bcsr2x2 = bcsr2x2AVX512 }},
-		{kTile8, kernelNames[kTile8], func() { dotBcastTile8 = dotBcastTile8AVX512 }},
-		{kBcsrTile8, kernelNames[kBcsrTile8], func() { bcsr2x2Tile8 = bcsr2x2Tile8AVX512 }},
+		{kCSRRowRange, func() { csrRowRange = csrRowRangeAVX512 }},
+		{kAxpyGather, func() { axpyGather = axpyGatherAVX512 }},
+		{kLaneDot8, func() { laneDot8 = laneDot8AVX512 }},
+		{kBcsr2x2, func() { bcsr2x2 = bcsr2x2AVX512 }},
+		{kTile8, func() { dotBcastTile8 = dotBcastTile8AVX512 }},
+		{kBcsrTile8, func() { bcsr2x2Tile8 = bcsr2x2Tile8AVX512 }},
 	}
 }

@@ -2,11 +2,11 @@ package simd
 
 // AVX2/FMA kernel entry points (kernels_amd64.s). All of them trust their
 // index arguments — see the package's index-trust contract — and preserve
-// the scalar accumulation order except dotGatherAVX2 (multi-accumulator
-// FMA, documented ULP tolerance).
+// the scalar accumulation order except csrRowRangeAVX2 (masked short rows,
+// multi-accumulator FMA long rows; documented forward bound).
 
 //go:noescape
-func dotGatherAVX2(val *float64, idx *int32, x *float64, n int) float64
+func csrRowRangeAVX2(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
 
 //go:noescape
 func axpyGatherAVX2(y, val *float64, idx *int32, x *float64, n int)

@@ -12,22 +12,78 @@
 //   - VZEROUPPER before every RET that follows YMM use (SSE/AVX
 //     transition stalls otherwise).
 
-// func dotGatherAVX2(val *float64, idx *int32, x *float64, n int) float64
+// csrHeadMask is a sliding window of dword lane masks: the 16 bytes at
+// offset (4-n)*4 select the first n of four lanes, n in [0, 4].
+DATA csrHeadMask<>+0(SB)/8, $0xffffffffffffffff
+DATA csrHeadMask<>+8(SB)/8, $0xffffffffffffffff
+DATA csrHeadMask<>+16(SB)/8, $0
+DATA csrHeadMask<>+24(SB)/8, $0
+GLOBL csrHeadMask<>(SB), RODATA|NOPTR, $32
+
+// func csrRowRangeAVX2(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
 //
-// CSR row dot-product: sum(val[j] * x[idx[j]]). Eight partial sums in two
-// YMM accumulators, FMA, pairwise reduction — reassociates vs the scalar
-// sequential sum (documented ULP tolerance).
-TEXT ·dotGatherAVX2(SB), NOSPLIT, $0-40
-	MOVQ   val+0(FP), SI
-	MOVQ   idx+8(FP), DI
-	MOVQ   x+16(FP), DX
-	MOVQ   n+24(FP), CX
+// CSR rows [lo, hi): y[i] = sum(val[j] * x[idx[j]]) over row i's entries,
+// one call per claimed chunk. The row loop carries end from row to row. A
+// row of at most 4 entries (empty included) is one masked step with no
+// trip-count branch: VPMASKMOVD fetches the indices (VPMOVSXDQ from memory
+// is unmasked and would read 16 bytes past a short slice end), the gather
+// fills a zeroed register under the same lane mask and VMASKMOVPD zeroes
+// the dead values, so dead lanes multiply exact 0*0. A longer row runs
+// eight partial sums in two YMM accumulators, FMA, and a scalar tail.
+// Both reduce pairwise: reassociates vs the scalar sequential sum
+// (documented bound), bit-identical to it for n <= 2.
+TEXT ·csrRowRangeAVX2(SB), NOSPLIT, $0-56
+	MOVQ rowPtr+0(FP), R8
+	MOVQ idx+8(FP), DI
+	MOVQ val+16(FP), SI
+	MOVQ x+24(FP), DX
+	MOVQ y+32(FP), R9
+	MOVQ lo+40(FP), R10            // i
+	MOVQ hi+48(FP), R11
+	CMPQ R10, R11
+	JGE  done
+	LEAQ csrHeadMask<>+16(SB), R13
+	MOVLQSX (R8)(R10*4), R12       // end = rowPtr[lo]
+
+row:
+	MOVQ    R12, AX                // j = start
+	MOVLQSX 4(R8)(R10*4), R12      // end = rowPtr[i+1]
+	MOVQ    R12, CX
+	SUBQ    AX, CX                 // n
+	CMPQ    CX, $4
+	JGT     long
+	NEGQ    CX
+	VMOVDQU (R13)(CX*4), X3        // first n dword lanes
+	VPMASKMOVD (DI)(AX*4), X3, X2  // masked idx load (fault-suppressed)
+	VPMOVSXDQ  X3, Y3              // the same lanes as qwords
+	VPMOVSXDQ  X2, Y2
+	VMASKMOVPD (SI)(AX*8), Y3, Y0  // masked val load: dead lanes 0
+	VXORPD     Y5, Y5, Y5
+	VGATHERQPD Y3, (DX)(Y2*8), Y5  // clobbers the mask
+	VMULPD     Y5, Y0, Y0          // dead lanes are 0*0
+
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0        // [a0+a2, a1+a3]
+	VUNPCKHPD    X0, X0, X1
+	VADDSD       X1, X0, X0        // (a0+a2)+(a1+a3)
+
+store:
+	VMOVSD X0, (R9)(R10*8)         // y[i]
+	INCQ R10
+	CMPQ R10, R11
+	JLT  row
+	VZEROUPPER
+
+done:
+	RET
+
+long:
 	VXORPD Y0, Y0, Y0              // acc0
 	VXORPD Y1, Y1, Y1              // acc1
-	XORQ   AX, AX                  // j
 	MOVQ   CX, BX
 	ANDQ   $-8, BX                 // n &^ 7
 	JZ     group4
+	ADDQ   AX, BX                  // where the 8-groups end
 
 loop8:
 	VPMOVSXDQ  (DI)(AX*4), Y2      // idx[j..j+3] -> int64
@@ -59,23 +115,18 @@ group4:
 reduce:
 	VADDPD       Y1, Y0, Y0
 	VEXTRACTF128 $1, Y0, X1
-	VADDPD       X1, X0, X0        // [a0+a2, a1+a3]
+	VADDPD       X1, X0, X0
 	VUNPCKHPD    X0, X0, X1
-	VADDSD       X1, X0, X0        // (a0+a2)+(a1+a3)
+	VADDSD       X1, X0, X0
 
 tail:
-	CMPQ AX, CX
-	JGE  done
-	MOVLQSX (DI)(AX*4), R9
+	CMPQ AX, R12
+	JGE  store
+	MOVLQSX (DI)(AX*4), BX
 	VMOVSD  (SI)(AX*8), X2
-	VFMADD231SD (DX)(R9*8), X2, X0
-	ADDQ $1, AX
+	VFMADD231SD (DX)(BX*8), X2, X0
+	INCQ AX
 	JMP  tail
-
-done:
-	VZEROUPPER
-	MOVSD X0, ret+32(FP)
-	RET
 
 // func axpyGatherAVX2(y, val *float64, idx *int32, x *float64, n int)
 //

@@ -6,11 +6,11 @@ package simd
 // and stores (no scalar remainder loop for the gather kernels).
 // Accumulation order: axpyGather, laneDot8 and the two 8-wide tiles
 // preserve the scalar order (separate VMULPD/VADDPD, independent lanes);
-// dotGather (16-partial-sum FMA) and bcsr2x2 (four blocks per iteration,
-// FMA) reassociate with the documented ULP tolerance.
+// csrRowRange (masked short rows, 16-partial-sum FMA long rows) and bcsr2x2
+// (four blocks per iteration, FMA) reassociate with the documented bound.
 
 //go:noescape
-func dotGatherAVX512(val *float64, idx *int32, x *float64, n int) float64
+func csrRowRangeAVX512(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
 
 //go:noescape
 func axpyGatherAVX512(y, val *float64, idx *int32, x *float64, n int)

@@ -60,22 +60,69 @@ DATA bcsrPairB<>+48(SB)/8, $6
 DATA bcsrPairB<>+56(SB)/8, $7
 GLOBL bcsrPairB<>(SB), RODATA|NOPTR, $64
 
-// func dotGatherAVX512(val *float64, idx *int32, x *float64, n int) float64
+// func csrRowRangeAVX512(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
 //
-// CSR row dot-product: sum(val[j] * x[idx[j]]). Sixteen partial sums in
-// two ZMM accumulators, FMA, pairwise reduction, opmask tail —
-// reassociates vs the scalar sequential sum (documented ULP tolerance).
-TEXT ·dotGatherAVX512(SB), NOSPLIT, $0-40
-	MOVQ   val+0(FP), SI
-	MOVQ   idx+8(FP), DI
-	MOVQ   x+16(FP), DX
-	MOVQ   n+24(FP), CX
+// CSR rows [lo, hi): y[i] = sum(val[j] * x[idx[j]]) over row i's entries,
+// one call per claimed chunk. The row loop carries end from row to row. A
+// row of at most 8 entries (empty included) is one masked step — opmask
+// (1<<n)-1, zeroing index and value loads, a gather into a zeroed register
+// so dead lanes multiply exact 0*0, VMULPD — with no trip-count branch; a
+// longer row runs sixteen partial sums in two ZMM accumulators, FMA, and
+// an opmask tail. Both reduce pairwise: reassociates vs the scalar
+// sequential sum (documented bound), bit-identical to it for n <= 2.
+TEXT ·csrRowRangeAVX512(SB), NOSPLIT, $0-56
+	MOVQ rowPtr+0(FP), R8
+	MOVQ idx+8(FP), DI
+	MOVQ val+16(FP), SI
+	MOVQ x+24(FP), DX
+	MOVQ y+32(FP), R9
+	MOVQ lo+40(FP), R10            // i
+	MOVQ hi+48(FP), R11
+	CMPQ R10, R11
+	JGE  done
+	MOVLQSX (R8)(R10*4), R12       // end = rowPtr[lo]
+
+row:
+	MOVQ    R12, AX                // j = start
+	MOVLQSX 4(R8)(R10*4), R12      // end = rowPtr[i+1]
+	MOVQ    R12, CX
+	SUBQ    AX, CX                 // n
+	CMPQ    CX, $8
+	JGT     long
+	MOVL    $1, BX
+	SHLL    CX, BX
+	DECL    BX                     // (1<<n)-1
+	KMOVW   BX, K2
+	VPMOVSXDQ.Z (DI)(AX*4), K2, Z2 // masked idx load (fault-suppressed)
+	KMOVW   K2, K3                 // gather clobbers its mask
+	VXORPD  Z5, Z5, Z5
+	VGATHERQPD (DX)(Z2*8), K3, Z5
+	VMOVUPD.Z  (SI)(AX*8), K2, Z6  // masked val load: dead lanes 0
+	VMULPD  Z5, Z6, Z0             // dead lanes are 0*0
+
+reduce:
+	VEXTRACTF64X4 $1, Z0, Y1
+	VADDPD        Y1, Y0, Y0
+	VEXTRACTF128  $1, Y0, X1
+	VADDPD        X1, X0, X0
+	VUNPCKHPD     X0, X0, X1
+	VADDSD        X1, X0, X0
+	VMOVSD        X0, (R9)(R10*8)  // y[i]
+	INCQ R10
+	CMPQ R10, R11
+	JLT  row
+	VZEROUPPER
+
+done:
+	RET
+
+long:
 	VXORPD Z0, Z0, Z0              // acc0
 	VXORPD Z1, Z1, Z1              // acc1
-	XORQ   AX, AX                  // j
 	MOVQ   CX, BX
 	ANDQ   $-16, BX                // n &^ 15
 	JZ     group8
+	ADDQ   AX, BX                  // where the 16-groups end
 
 loop16:
 	VPMOVSXDQ  (DI)(AX*4), Z2      // idx[j..j+7] -> int64
@@ -105,30 +152,22 @@ group8:
 	ADDQ $8, AX
 
 tail:
-	SUBQ AX, CX                    // rem = n - j (0..7)
-	JZ   reduce
-	MOVL $1, R10
-	SHLL CX, R10
-	DECL R10                       // (1<<rem)-1
-	KMOVW R10, K2
-	VPMOVSXDQ.Z (DI)(AX*4), K2, Z2 // masked idx load (fault-suppressed)
-	KMOVW K2, K3                   // gather clobbers its mask
+	ANDL $7, CX                    // rem = n & 7
+	JZ   sum
+	MOVL $1, BX
+	SHLL CX, BX
+	DECL BX                        // (1<<rem)-1
+	KMOVW BX, K2
+	VPMOVSXDQ.Z (DI)(AX*4), K2, Z2
+	KMOVW K2, K3
 	VXORPD     Z5, Z5, Z5
 	VGATHERQPD (DX)(Z2*8), K3, Z5
-	VMOVUPD.Z  (SI)(AX*8), K2, Z6  // masked val load: dead lanes 0
+	VMOVUPD.Z  (SI)(AX*8), K2, Z6
 	VFMADD231PD Z5, Z6, Z0         // dead lanes contribute 0*0
 
-reduce:
-	VADDPD        Z1, Z0, Z0
-	VEXTRACTF64X4 $1, Z0, Y1
-	VADDPD        Y1, Y0, Y0
-	VEXTRACTF128  $1, Y0, X1
-	VADDPD        X1, X0, X0
-	VUNPCKHPD     X0, X0, X1
-	VADDSD        X1, X0, X0
-	VZEROUPPER
-	MOVSD X0, ret+32(FP)
-	RET
+sum:
+	VADDPD Z1, Z0, Z0
+	JMP    reduce
 
 // func axpyGatherAVX512(y, val *float64, idx *int32, x *float64, n int)
 //

@@ -7,7 +7,7 @@ import "unsafe"
 // implementations. The pointer signatures mirror the assembly stubs so
 // one table serves both.
 var (
-	dotGather     func(val *float64, idx *int32, x *float64, n int) float64                   = dotGatherScalar
+	csrRowRange   func(rowPtr, idx *int32, val, x, y *float64, lo, hi int)                    = csrRowRangeScalar
 	axpyGather    func(y, val *float64, idx *int32, x *float64, n int)                        = axpyGatherScalar
 	laneDot4      func(val *float64, idx *int32, x *float64, stride, n int) [4]float64        = laneDot4Scalar
 	laneDot8      func(val *float64, idx *int32, x *float64, stride, n int) [8]float64        = laneDot8Scalar
@@ -19,26 +19,21 @@ var (
 )
 
 // The scalar references reproduce the format kernels' accumulation order
-// exactly (they are the contract the assembly is tested against), just
-// behind the pointer ABI of the table. unsafe.Slice only rebuilds the
-// slice headers the exported wrappers flattened.
+// exactly (they are the contract the assembly is tested against; for the
+// reassociating row-range kernels, the sequential sum they are bounded
+// against), just behind the pointer ABI of the table. unsafe.Slice only
+// rebuilds the slice headers the exported wrappers flattened.
 
-func dotGatherScalar(val *float64, idx *int32, x *float64, n int) float64 {
-	v := unsafe.Slice(val, n)
-	c := unsafe.Slice(idx, n)
-	var s0, s1, s2, s3 float64
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		s0 += v[j] * *ptrAt(x, c[j])
-		s1 += v[j+1] * *ptrAt(x, c[j+1])
-		s2 += v[j+2] * *ptrAt(x, c[j+2])
-		s3 += v[j+3] * *ptrAt(x, c[j+3])
+func csrRowRangeScalar(rowPtr, idx *int32, val, x, y *float64, lo, hi int) {
+	rp, yy := unsafe.Slice(rowPtr, hi+1), unsafe.Slice(y, hi)
+	v, c := unsafe.Slice(val, rp[hi]), unsafe.Slice(idx, rp[hi])
+	for i := lo; i < hi; i++ {
+		sum := 0.0
+		for j := rp[i]; j < rp[i+1]; j++ {
+			sum += v[j] * *ptrAt(x, c[j])
+		}
+		yy[i] = sum
 	}
-	sum := (s0 + s1) + (s2 + s3)
-	for ; j < n; j++ {
-		sum += v[j] * *ptrAt(x, c[j])
-	}
-	return sum
 }
 
 func axpyGatherScalar(y, val *float64, idx *int32, x *float64, n int) {

@@ -1,5 +1,5 @@
 // Package simd provides vectorized micro-kernels for the hottest SpMV
-// inner loops — the CSR row dot-product, the ELL/SELL-C-sigma slab sweeps,
+// inner loops — the CSR row-range product, the ELL/SELL-C-sigma slab sweeps,
 // the BCSR 2x2 tile, and the k-wide broadcast tiles of the fused SpMM
 // kernels — with runtime CPU-feature detection and per-kernel
 // function-pointer dispatch across a ladder of tiers.
@@ -49,14 +49,15 @@
 // (no FMA contraction), because fusing the rounding step would break the
 // bit contract for a negligible win on gather-bound loops.
 //
-// Two kernels reassociate: DotGather (CSR row dot-product) carries
-// multiple partial sums reduced pairwise at row end and uses FMA at every
-// accelerated tier (8 partials on AVX2, 16 on AVX-512); and the AVX-512
-// Bcsr2x2 processes four blocks per iteration with FMA, unlike its
-// bit-identical AVX2 counterpart. Both may differ from the sequential
-// scalar sum by a few ULPs; the property tests grant exactly these
-// kernels a relative tolerance (see KernelImpl, which lets the test
-// harness key the tolerance off the installed implementation).
+// Two kernels reassociate: CSRRowRange ("csr.dot-gather", a whole row
+// range per call) reduces each row pairwise — one masked step for a row no
+// longer than the vector, whose dead lanes multiply exact 0*0; FMA partial
+// sums (8 on AVX2, 16 on AVX-512) for a longer one — bit-identical to the
+// sequential sum only up to two entries; and the AVX-512 Bcsr2x2 processes
+// four blocks per iteration with FMA, unlike its bit-identical AVX2
+// counterpart. Both stay within the dot product's forward bound; the
+// property tests grant exactly these kernels that tolerance (see KernelImpl,
+// which lets the test harness key it off the installed implementation).
 //
 // # Index trust
 //
@@ -71,6 +72,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // EnvLevel caps the dispatch tier at process start: "scalar", "avx2" or
@@ -108,7 +110,7 @@ var features []string
 // the wide-tier twins of the 4-lane kernels: on AVX2 they dispatch to
 // bit-identical two-halves compositions, on AVX-512 to native ZMM code.
 const (
-	kDotGather = iota
+	kCSRRowRange = iota
 	kAxpyGather
 	kLaneDot4
 	kLaneDot8
@@ -292,22 +294,24 @@ func KernelImpl(kernel string) string {
 // SetEnabled gates callers, not the table, so a mid-flight toggle never
 // races a nil pointer.
 
-// The kernels take only pointers into long-lived format storage and
+// The tile kernels take only pointers into long-lived format storage and
 // return their accumulator tiles BY VALUE ([4]/[8]float64). That shape is
 // deliberate: an indirect call is an escape-analysis barrier, so a
 // pointer-out parameter would force every caller's stack-resident register
 // tile to the heap — one allocation per row tile. Value returns keep the
 // hot loops allocation-free.
 
-// DotGather returns sum(val[i] * x[idx[i]]). Multi-accumulator with FMA:
+// CSRRowRange computes y[i] = sum(val[j] * x[idx[j]]) over the entries
+// j in [rowPtr[i], rowPtr[i+1]) of every row i in [lo, hi), the row loop
+// inside the kernel. Masked short rows, multi-accumulator FMA long rows:
 // reassociates relative to a sequential sum (see the package contract).
-func DotGather(val []float64, idx []int32, x []float64) float64 {
-	n := len(val)
-	if n == 0 {
-		return 0
+func CSRRowRange(rowPtr, idx []int32, val, x, y []float64, lo, hi int) {
+	if lo >= hi {
+		return
 	}
-	_ = idx[n-1]
-	return dotGather(&val[0], &idx[0], &x[0], n)
+	nnz := rowPtr[hi]
+	_, _, _, _ = rowPtr[lo], y[hi-1], idx[:nnz], val[:nnz]
+	csrRowRange(&rowPtr[0], unsafe.SliceData(idx), unsafe.SliceData(val), unsafe.SliceData(x), &y[0], lo, hi)
 }
 
 // AxpyGather computes y[j] += val[j] * x[idx[j]] for every j.

@@ -8,8 +8,8 @@ import (
 
 // The kernel-level property tests: every dispatched kernel against its
 // scalar reference, across sizes that hit every tail path. Order-preserving
-// kernels must match bit-for-bit; DotGather gets the documented relative
-// tolerance (it reassociates and fuses rounding).
+// kernels must match bit-for-bit; CSRRowRange gets the dot product's
+// forward bound (it reassociates and fuses rounding).
 
 func randVec(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
@@ -27,6 +27,10 @@ func randIdx(rng *rand.Rand, n, bound int) []int32 {
 	return c
 }
 
+// TestDotGatherMatchesScalar pins the csr.dot-gather entry — since the
+// row-range kernel replaced the per-row one, a one-row CSRRowRange —
+// against the table's scalar reference across sizes that hit every group
+// and tail path of both tiers.
 func TestDotGatherMatchesScalar(t *testing.T) {
 	if !Available() {
 		t.Skip("no accelerated kernels on this host")
@@ -34,15 +38,12 @@ func TestDotGatherMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := randVec(rng, 999)
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 100, 1023} {
-		val := randVec(rng, n)
-		idx := randIdx(rng, n, len(x))
-		got := DotGather(val, idx, x)
-		want := dotGatherScalar(ptr(val), ptrI(idx), &x[0], n)
-		if n == 0 {
-			want = 0
-		}
-		if !closeULP(got, want, 4) {
-			t.Errorf("n=%d: DotGather=%v scalar=%v (diff %g)", n, got, want, got-want)
+		m := csrOfLens(rng, []int{n}, len(x))
+		got, want := []float64{math.NaN()}, []float64{math.NaN()}
+		CSRRowRange(m.rowPtr, m.idx, m.val, x, got, 0, 1)
+		csrRowRangeScalar(&m.rowPtr[0], ptrI(m.idx), ptr(m.val), &x[0], &want[0], 0, 1)
+		if _, mag := m.seqRow(0, x); math.Abs(got[0]-want[0]) > dotBound(n, mag) || math.IsNaN(got[0]) {
+			t.Errorf("n=%d: CSRRowRange=%v scalar=%v (diff %g)", n, got[0], want[0], got[0]-want[0])
 		}
 	}
 }
@@ -339,18 +340,14 @@ func TestSetLevelSweep(t *testing.T) {
 			t.Fatalf("cap %q: width %d != %d for level %q", tier, Width(), wantWidth, Level())
 		}
 		for n := 1; n <= 23; n++ { // crosses every tail residue at both tiers
-			val := randVec(rng, n)
-			idx := randIdx(rng, n, len(x))
-			got := DotGather(val, idx, x)
-			want := dotGatherScalar(&val[0], &idx[0], &x[0], n)
+			m := csrOfLens(rng, []int{n}, len(x))
+			val, idx := m.val, m.idx
+			got := []float64{math.NaN()}
+			CSRRowRange(m.rowPtr, idx, val, x, got, 0, 1)
 			// Reassociation error scales with the term magnitudes, not the
 			// (possibly cancelling) sum.
-			mag := 0.0
-			for j, v := range val {
-				mag += math.Abs(v * x[idx[j]])
-			}
-			if math.Abs(got-want) > 1e-14*mag {
-				t.Fatalf("cap %q n=%d: DotGather %v != %v", tier, n, got, want)
+			if want, mag := m.seqRow(0, x); !(math.Abs(got[0]-want) <= dotBound(n, mag)) {
+				t.Fatalf("cap %q n=%d: CSRRowRange %v != %v", tier, n, got[0], want)
 			}
 			y1 := randVec(rng, n)
 			y2 := append([]float64(nil), y1...)
@@ -393,8 +390,8 @@ func ptrI(v []int32) *int32 {
 	return &v[0]
 }
 
-// closeULP accepts a small relative error (the DotGather reassociation
-// tolerance).
+// closeULP accepts a small relative error (the AVX-512 bcsr.2x2
+// reassociation tolerance).
 func closeULP(a, b float64, ulps float64) bool {
 	if a == b {
 		return true
