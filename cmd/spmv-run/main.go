@@ -1,5 +1,7 @@
 // Command spmv-run measures real SpMV kernels on the host CPU for one
-// matrix, either read from MatrixMarket or generated on the fly.
+// matrix, either read from MatrixMarket or generated on the fly, the host
+// model's estimate beside each: run it with no -format to see why Auto
+// chose what it chose.
 //
 // Usage:
 //
@@ -22,10 +24,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/formats"
 	"repro/internal/gen"
@@ -94,7 +98,10 @@ func main() {
 		}
 		m = mm
 	}
+	fv := core.Extract(m)
 	fmt.Printf("matrix: %s\n", m)
+	fmt.Printf("features: mem_footprint %.2f MiB, avg_nz_row %.2f, skew_coeff %.2f, cross_row_sim %.3f, avg_num_neigh %.3f (bw_scaled %.4f, %s)\n",
+		fv.MemFootprintMB, fv.AvgNNZPerRow, fv.SkewCoeff, fv.CrossRowSim, fv.AvgNumNeigh, fv.BWScaled, fv.RegularityLabel())
 	if fs := simd.Features(); len(fs) > 0 {
 		fmt.Printf("simd: %s dispatch, %d float64 lanes (detected: %s; SPMV_SIMD_LEVEL=scalar forces scalar)\n",
 			simd.Level(), simd.Width(), strings.Join(fs, " "))
@@ -102,15 +109,32 @@ func main() {
 		fmt.Println("simd: scalar dispatch (no accelerated kernels for this CPU)")
 	}
 
+	// Every feasible format in the order Auto would take them at k = 1.
+	host := device.HostSpec()
+	ranked := selector.Shortlist(host, fv, 1, len(host.Formats))
 	engine := device.NativeEngine{Workers: *workers, Iterations: *iters}
+	var measured, modeled []float64 // of the formats that ran and the model rates, in run order
+	pickGFLOPS := 0.0               // measured rate of the model's first choice
 	run := func(b formats.Builder) {
 		res := engine.Run(m, b)
 		if res.Err != nil { // build refused, or a first product that failed verification
 			fmt.Printf("%-10s no rate: %v\n", b.Name, res.Err)
 			return
 		}
-		fmt.Printf("%-10s %8.3f GFLOPS  (%d iters, %d workers, %.3fs)\n",
-			res.Format, res.GFLOPS, res.Iterations, res.Workers, res.Seconds)
+		fmt.Printf("%-10s %8.3f GFLOPS  (%d iters, %d workers, %.3fs)", res.Format, res.GFLOPS, res.Iterations, res.Workers, res.Seconds)
+		if rank := slices.Index(ranked, b.Name) + 1; rank > 0 {
+			r := host.RankMulti(fv, b.Name, 1)
+			fmt.Printf("  model %7.3f  #%-2d %-26s", r.GFLOPS, rank, r.Bottleneck)
+			measured, modeled = append(measured, res.GFLOPS), append(modeled, r.GFLOPS)
+			if rank == 1 {
+				pickGFLOPS = res.GFLOPS
+			}
+		}
+		if *file != "" {
+			fmt.Printf("  %8.2f MiB  pad %6.3f  meta %5.2f B/nnz  %s",
+				float64(res.Bytes)/(1<<20), res.Traits.PaddingRatio, res.Traits.MetaBytesPerNNZ, res.Traits.Balancing)
+		}
+		fmt.Println()
 	}
 	if *format == "auto" {
 		sess, err := session.New(session.Options{CacheDir: dir})
@@ -167,9 +191,47 @@ func main() {
 	for _, b := range formats.Registry() {
 		run(b)
 	}
+	if best := slices.Max(append(measured, 0)); best > 0 {
+		fmt.Printf("model's pick (%s) retains %.2f of the measured best; Spearman rho %.2f over %d formats\n",
+			ranked[0], pickGFLOPS/best, spearman(measured, modeled), len(measured))
+	}
+	if *file != "" {
+		fmt.Println("device-model predictions (best format):")
+		for _, spec := range device.Testbeds() {
+			name, res, ok := spec.BestFormat(fv)
+			if !ok {
+				fmt.Printf("  %-12s infeasible\n", spec.Name)
+				continue
+			}
+			fmt.Printf("  %-12s %8.2f GFLOPS  %6.1f W  %.3f GFLOPS/W  best=%s  bottleneck=%s\n",
+				spec.Name, res.GFLOPS, res.Watts, res.GFLOPSPerWatt(), name, res.Bottleneck)
+		}
+	}
 }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "spmv-run: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// spearman is the rank correlation of two equally long samples (ties rank
+// in index order).
+func spearman(a, b []float64) float64 {
+	rank := func(v []float64) []float64 {
+		r := make([]float64, len(v))
+		for i := range v {
+			for j := range v {
+				if v[j] < v[i] || (v[j] == v[i] && j < i) {
+					r[i]++
+				}
+			}
+		}
+		return r
+	}
+	ra, rb, d2 := rank(a), rank(b), 0.0
+	for i := range ra {
+		d2 += (ra[i] - rb[i]) * (ra[i] - rb[i])
+	}
+	n := float64(len(a))
+	return 1 - 6*d2/max(n*(n*n-1), 1)
 }

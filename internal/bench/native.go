@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/exec"
+	"repro/internal/formats"
 	"repro/internal/gen"
 	"repro/internal/simd"
 	"repro/internal/stats"
@@ -36,7 +37,8 @@ func RunNative(o Options) []*Report {
 		}
 		built++
 		sample := map[string]float64{}
-		for _, res := range engine.RunAll(m) {
+		for _, b := range formats.Registry() {
+			res := engine.Run(m, b)
 			if res.Err != nil || res.GFLOPS <= 0 {
 				continue
 			}

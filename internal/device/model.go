@@ -142,15 +142,10 @@ func (s Spec) estimateMulti(fv core.FeatureVector, formatName string, k int, noi
 	return r
 }
 
-// EstimateWithTraits predicts performance and power from explicit traits
-// (measured from a built format, or estimated).
-func (s Spec) EstimateWithTraits(fv core.FeatureVector, tr formats.Traits) Result {
-	return s.estimateWithTraitsK(fv, tr, 1)
-}
-
-// estimateWithTraitsK is EstimateWithTraits with the RHS-count axis; k = 1
-// reproduces the single-vector model exactly. The FPGA model has no fused
-// SpMM kernel (VSL runs the by-column fallback), so it only sees k = 1.
+// estimateWithTraitsK predicts performance and power from explicit traits
+// at RHS count k; k = 1 reproduces the single-vector model exactly. The FPGA
+// model has no fused SpMM kernel (VSL runs the by-column fallback), so it
+// only sees k = 1.
 func (s Spec) estimateWithTraitsK(fv core.FeatureVector, tr formats.Traits, k int) Result {
 	if fv.NNZ == 0 {
 		return Result{Feasible: false, Reason: "empty matrix"}
@@ -175,13 +170,20 @@ func streamBytes(fv core.FeatureVector, tr formats.Traits) float64 {
 // imbalanceFactor models how much longer the slowest worker runs than the
 // mean, given the format's distribution discipline and the matrix skew.
 // The generator concentrates heavy rows at the matrix head, so row-granular
-// blocks place nearly the whole heavy mass on one worker.
-func imbalanceFactor(fv core.FeatureVector, tr formats.Traits, workers int) float64 {
+// blocks place nearly the whole heavy mass on one worker — unless lanes
+// claim chunks (Spec.ClaimsChunks): whatever the initial partition, the
+// tail is then one chunk per lane plus the largest single row, which is
+// the nonzero-granular bound.
+func imbalanceFactor(fv core.FeatureVector, tr formats.Traits, workers int, claims bool) float64 {
 	if workers <= 1 {
 		return 1
 	}
 	p := float64(workers)
-	switch tr.Balancing {
+	balancing := tr.Balancing
+	if claims && balancing == formats.RowGranular {
+		balancing = formats.NNZGranular
+	}
+	switch balancing {
 	case formats.ItemGranular:
 		return 1
 	case formats.NNZGranular:
@@ -216,7 +218,7 @@ const rowOverheadColumnMajor = 0.25
 // and HYB dominate short-row matrices despite identical traffic.
 func ilpEfficiency(fv core.FeatureVector, tr formats.Traits, k int) float64 {
 	overhead := rowOverheadScalar
-	if tr.Vectorizable {
+	if tr.Class.Vectorized() {
 		overhead = rowOverheadVector
 	}
 	if k > 1 {
@@ -251,23 +253,21 @@ func (s Spec) estimateCPU(fv core.FeatureVector, tr formats.Traits, k int) Resul
 	tMem := total * (resident/(s.LLCBWGBs*cpuLLCStreamEff*1e9) +
 		(1-resident)/(s.MemBWGBs*cpuDRAMStreamEff*1e9))
 
-	lanes := 1.0
-	if tr.Vectorizable {
-		lanes = float64(s.LanesPerU)
-	}
 	ilp := ilpEfficiency(fv, tr, k)
-	// Decode work (compressed formats) is scalar cycles per stored entry on
-	// top of the FMA; it binds on few-core hosts and hides behind the
-	// memory wall on bandwidth-starved many-core parts.
-	tCompute := kk * float64(fv.NNZ) * (1 + tr.DecodeCycles) / (float64(s.Units) * lanes * s.FreqGHz * 1e9 * ilp)
+	// In-core time: every nonzero at its kernel class's rate, per unit.
+	// Decode work (compressed formats) is that much more per entry on top
+	// of the FMA; it binds on few-core hosts and hides behind the memory
+	// wall on bandwidth-starved many-core parts. (Padding is charged to the
+	// memory term alone: here too, it moved the host fit's residual 0.002.)
+	tCompute := kk * float64(fv.NNZ) * (1 + tr.DecodeCycles) / (float64(s.Units) * s.ClassRate[tr.Class] * 1e9 * ilp)
 
 	// Short rows break the stream into tiny bursts that defeat the
 	// prefetchers, so even the memory-bound path degrades with low ILP —
 	// the paper's ~2x row-length effect on CPUs (Fig 4).
 	tMem /= ilp
 
-	ifactor := imbalanceFactor(fv, tr, s.Units)
-	t := math.Max(tMem, tCompute) * ifactor
+	ifactor := imbalanceFactor(fv, tr, s.Units, s.ClaimsChunks)
+	t := (math.Max(tMem, tCompute) + (1-s.Overlap)*math.Min(tMem, tCompute)) * ifactor
 
 	res := Result{Feasible: true}
 	res.GFLOPS = 2 * kk * float64(fv.NNZ) / t / 1e9
@@ -312,7 +312,7 @@ func (s Spec) estimateGPU(fv core.FeatureVector, tr formats.Traits, k int) Resul
 
 	// Warp-level scheduling hides skew well for the balanced formats; the
 	// row-granular ones still serialize giant rows on single warps.
-	ifactor := imbalanceFactor(fv, tr, 64)
+	ifactor := imbalanceFactor(fv, tr, 64, false)
 	ifactor = 1 + (ifactor-1)*0.5 // hardware schedulers absorb half the skew
 	t := math.Max(tMem, tCompute) * ifactor
 

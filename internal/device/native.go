@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/formats"
 	"repro/internal/matrix"
@@ -20,7 +20,9 @@ type NativeResult struct {
 	Iterations int
 	Seconds    float64 // total wall time of all iterations
 	GFLOPS     float64
-	Err        error // no rate: the build was refused (formats.ErrBuild) or the first product was wrong
+	Bytes      int64          // the built format's footprint
+	Traits     formats.Traits // and its structural costs
+	Err        error          // no rate: the build was refused (formats.ErrBuild) or the first product was wrong
 }
 
 // NativeEngine runs real format kernels on the host machine, the
@@ -29,7 +31,6 @@ type NativeResult struct {
 type NativeEngine struct {
 	Workers    int // 0: GOMAXPROCS
 	Iterations int // 0: 16
-	MinSeconds float64
 }
 
 // EffectiveWorkers resolves the worker count the engine's kernels can
@@ -41,10 +42,7 @@ func (e NativeEngine) EffectiveWorkers() int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if mx := exec.MaxWorkers(); workers > mx {
-		workers = mx
-	}
-	return workers
+	return min(workers, exec.MaxWorkers())
 }
 
 // Run measures one format on one matrix. The first product is verified
@@ -62,6 +60,7 @@ func (e NativeEngine) Run(m *matrix.CSR, builder formats.Builder) NativeResult {
 		res.Err = err
 		return res
 	}
+	res.Bytes, res.Traits = f.Bytes(), f.Traits()
 	x := matrix.RandomVector(m.Cols, 12345)
 	y := make([]float64, m.Rows)
 
@@ -75,59 +74,60 @@ func (e NativeEngine) Run(m *matrix.CSR, builder formats.Builder) NativeResult {
 	}
 
 	start := time.Now()
-	done := 0
-	for done < iters || (e.MinSeconds > 0 && time.Since(start).Seconds() < e.MinSeconds) {
+	for i := 0; i < iters; i++ {
 		f.SpMVParallel(x, y, workers)
-		done++
 	}
-	res.Iterations = done
 	res.Seconds = time.Since(start).Seconds()
 	if res.Seconds > 0 {
-		res.GFLOPS = 2 * float64(m.NNZ()) * float64(done) / res.Seconds / 1e9
+		res.GFLOPS = 2 * float64(m.NNZ()) * float64(iters) / res.Seconds / 1e9
 	}
 	return res
 }
 
-// RunAll measures every format in the registry on the matrix, returning
-// results in registry order (including build failures).
-func (e NativeEngine) RunAll(m *matrix.CSR) []NativeResult {
-	var out []NativeResult
-	for _, b := range formats.Registry() {
-		out = append(out, e.Run(m, b))
+// HostSpec models the current machine as a Spec so modeled and native
+// results can sit on the same axes: Host at the usable core count and the
+// SIMD width the dispatch layer detected and enabled, under the in-core
+// table formats.MeasureClasses reads — once per process and dispatch tier,
+// at the first call (about a millisecond), never again.
+func HostSpec() Spec {
+	hostMu.Lock()
+	defer hostMu.Unlock()
+	ns, ok := hostNs[simd.Level()]
+	if !ok {
+		ns = formats.MeasureClasses()
+		hostNs[simd.Level()] = ns
 	}
-	return out
+	return Host(runtime.GOMAXPROCS(0), simd.Width(), ns)
 }
 
-// HostSpec approximates the current machine as a Spec so modeled and native
-// results can sit on the same axes. Bandwidths are rough laptop/server
-// defaults scaled by the usable core count — a single core drives only a
-// slice of the chip's aggregate bandwidth (one load/store unit, a few
-// outstanding misses), so a capped-GOMAXPROCS host must not be modeled as
-// compute-bound against full-chip bandwidth or every format's memory cost
-// collapses out of the ranking. The native engine measures, it does not
-// model.
-func HostSpec() Spec {
-	units := runtime.GOMAXPROCS(0)
-	memBW := math.Min(20, 12*float64(units))
-	llcBW := math.Min(200, 50*float64(units))
-	// The modeled SIMD width is whatever the dispatch layer actually
-	// detected and enabled — a scalar-forced host (SPMV_SIMD_LEVEL=scalar) is modeled
-	// at one lane, not at a peak its kernels cannot reach.
-	lanes := simd.Width()
-	if lanes < 1 {
-		lanes = 1
-	}
-	return Spec{
+var hostMu sync.Mutex
+var hostNs = map[string][formats.NumClasses]float64{} // by simd.Level(), under hostMu
+
+// Host is the host model for a machine of units cores and lanes float64
+// SIMD lanes whose kernels pay classNs nanoseconds per stored entry,
+// overlapped with the memory term by a fitted 0.65 (docs/BENCHMARKS.md has
+// the fit and its residuals). The memory half is still rough laptop/server
+// defaults scaled by the core count: a single core drives only a slice of
+// the chip's aggregate bandwidth, so a capped-GOMAXPROCS host must not be
+// modeled against full-chip bandwidth.
+func Host(units, lanes int, classNs [formats.NumClasses]float64) Spec {
+	s := Spec{
 		Name:      "host",
 		Class:     CPU,
 		Units:     units,
 		LanesPerU: lanes,
-		FreqGHz:   2.5,
 		LLCBytes:  32 << 20,
-		MemBWGBs:  memBW, LLCBWGBs: llcBW,
-		TDPWatts: 65, IdleWatts: 15,
-		Formats: formatNames(),
+		MemBWGBs:  math.Min(20, 12*float64(units)),
+		LLCBWGBs:  math.Min(200, 50*float64(units)),
+		TDPWatts:  65, IdleWatts: 15,
+		Formats:      formatNames(),
+		Overlap:      0.65,
+		ClaimsChunks: true,
 	}
+	for c := formats.ClassNone + 1; c < formats.NumClasses; c++ {
+		s.ClassRate[c] = 1 / classNs[c]
+	}
+	return s
 }
 
 func formatNames() []string {
@@ -137,24 +137,3 @@ func formatNames() []string {
 	}
 	return names
 }
-
-// MeasuredTraits builds the format for the matrix and returns its true
-// structural traits plus the measured feature vector, grounding the model
-// engine's analytic estimates.
-func MeasuredTraits(m *matrix.CSR, formatName string) (formats.Traits, core.FeatureVector, error) {
-	b, ok := formats.Lookup(formatName)
-	if !ok {
-		return formats.Traits{}, core.FeatureVector{}, &UnknownFormatError{formatName}
-	}
-	f, err := b.Build(m)
-	if err != nil {
-		return formats.Traits{}, core.FeatureVector{}, err
-	}
-	return f.Traits(), core.Extract(m), nil
-}
-
-// UnknownFormatError reports a format name absent from the registry.
-type UnknownFormatError struct{ Name string }
-
-// Error implements error.
-func (e *UnknownFormatError) Error() string { return "device: unknown format " + e.Name }

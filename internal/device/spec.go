@@ -20,7 +20,11 @@
 // nominal vendor values, used only for the energy-efficiency rankings.
 package device
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/formats"
+)
 
 // Class partitions the testbeds by architecture family.
 type Class int
@@ -65,6 +69,33 @@ type Spec struct {
 	IdleWatts float64
 
 	Formats []string // storage formats available on this testbed (Table II)
+
+	// The in-core half of a CPU model. ClassRate is the stored entries one
+	// unit retires per nanosecond in each kernel class, memory aside: the
+	// nominal FMA peak for a testbed (nominalCore), this library's kernels
+	// timed on this machine for the host (HostSpec). Overlap is the share
+	// of the shorter of a kernel's memory and in-core times that hides
+	// behind the longer: 1 is the max rule, 0 adds them (Kreutzer et al.'s
+	// model of a core whose loads stall its arithmetic). ClaimsChunks:
+	// lanes claim bounded chunks and drain each other's ranges (this
+	// library's engine) instead of owning one static block each (Table
+	// II's OpenMP devices), which bounds what skew costs a row partition.
+	ClassRate    [formats.NumClasses]float64
+	Overlap      float64
+	ClaimsChunks bool
+}
+
+// nominalCore fills a Table II testbed's in-core model from its data sheet:
+// one FMA per lane-cycle, every lane for a vectorized kernel class and one
+// for a scalar one, hidden in full behind the memory stream.
+func (s *Spec) nominalCore() {
+	for c := formats.ClassNone + 1; c < formats.NumClasses; c++ {
+		s.ClassRate[c] = s.FreqGHz
+		if c.Vectorized() {
+			s.ClassRate[c] *= float64(s.LanesPerU)
+		}
+	}
+	s.Overlap = 1
 }
 
 // PeakGFLOPS returns the nominal double-precision FMA peak.
@@ -78,7 +109,7 @@ func (s Spec) PeakGFLOPS() float64 {
 // for cuSPARSE's load-balanced CSR path, and VSL for the Vitis Sparse
 // Library accelerator.
 func Testbeds() []Spec {
-	return []Spec{
+	specs := []Spec{
 		{
 			Name: "AMD-EPYC-24", Class: CPU,
 			Units: 24, LanesPerU: 4, FreqGHz: 2.8,
@@ -156,6 +187,10 @@ func Testbeds() []Spec {
 			Formats: []string{"VSL"},
 		},
 	}
+	for i := range specs {
+		specs[i].nominalCore()
+	}
+	return specs
 }
 
 // ByName finds a testbed spec.

@@ -155,7 +155,7 @@ func (f *BCSR) Traits() Traits {
 		meta = float64(f.Bytes()-8*f.nnz) / float64(f.nnz)
 	}
 	return Traits{Balancing: RowGranular, PaddingRatio: pad, MetaBytesPerNNZ: meta,
-		Vectorizable: true, Preprocessed: true}
+		Class: ClassBlock, Preprocessed: true}
 }
 
 // maxStackBlockRows bounds the block heights served by the stack-resident

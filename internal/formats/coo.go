@@ -51,7 +51,7 @@ func (f *COO) Bytes() int64 { return int64(len(f.val)) * 16 }
 
 // Traits implements Format.
 func (f *COO) Traits() Traits {
-	return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: 8}
+	return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: 8, Class: ClassEntry}
 }
 
 // units: lanes take contiguous chunks of the row-sorted entry stream.

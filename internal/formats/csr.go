@@ -65,7 +65,11 @@ func (f *CSR) plan(key exec.PlanKey, _ int) *exec.Plan { return rowPlan(f.rowPtr
 
 // Traits implements Format.
 func (f *CSR) Traits() Traits {
-	return Traits{Balancing: RowGranular, MetaBytesPerNNZ: metaPerNNZCSR(len(f.val), f.rows)}
+	t := Traits{Balancing: RowGranular, MetaBytesPerNNZ: metaPerNNZCSR(len(f.val), f.rows), Class: ClassRowSum}
+	if f.vectorize {
+		t.Class = ClassDotGather
+	}
+	return t
 }
 
 func metaPerNNZCSR(nnz, rows int) float64 {
@@ -131,13 +135,6 @@ func newVecCSR(m *matrix.CSR, t Tuning) *VecCSR {
 
 // Name implements Format.
 func (f *VecCSR) Name() string { return "Vec-CSR" }
-
-// Traits implements Format.
-func (f *VecCSR) Traits() Traits {
-	t := f.CSR.Traits()
-	t.Vectorizable = true
-	return t
-}
 
 // vecCSRRowRange is the vectorized CSR kernel: dispatched, one call whose
 // row loop runs inside simd.CSRRowRange; on the scalar tier four
@@ -244,7 +241,6 @@ func (f *InspectorCSR) Name() string { return "MKL-IE" }
 func (f *InspectorCSR) Traits() Traits {
 	t := f.CSR.Traits()
 	t.Preprocessed = true
-	t.Vectorizable = f.vectorize
 	if f.balance {
 		t.Balancing = NNZGranular
 	}

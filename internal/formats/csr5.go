@@ -144,7 +144,7 @@ func (f *CSR5) Traits() Traits {
 		meta = float64(f.Bytes()-8*f.nnz) / float64(f.nnz)
 	}
 	return Traits{Balancing: ItemGranular, PaddingRatio: pad, MetaBytesPerNNZ: meta,
-		Vectorizable: true, Preprocessed: true}
+		Class: ClassTile, Preprocessed: true}
 }
 
 // The kernel below exploits the tile-geometry fact that a tile's row-start

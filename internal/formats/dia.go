@@ -88,7 +88,7 @@ func (f *DIA) Traits() Traits {
 		pad = float64(int64(len(f.val))-f.nnz) / float64(f.nnz)
 	}
 	return Traits{Balancing: RowGranular, PaddingRatio: pad,
-		MetaBytesPerNNZ: 8 * pad, Vectorizable: true}
+		MetaBytesPerNNZ: 8 * pad, Class: ClassSweep}
 }
 
 // rowRange sweeps diagonal by diagonal with the in-band row span hoisted

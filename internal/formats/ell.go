@@ -97,7 +97,7 @@ func (f *ELL) Traits() Traits {
 		pad = float64(int64(len(f.val))-f.nnz) / float64(f.nnz)
 		meta = float64(f.Bytes()-8*f.nnz) / float64(f.nnz)
 	}
-	return Traits{Balancing: RowGranular, PaddingRatio: pad, MetaBytesPerNNZ: meta, Vectorizable: true, ColumnMajor: true}
+	return Traits{Balancing: RowGranular, PaddingRatio: pad, MetaBytesPerNNZ: meta, Class: ClassSweep, ColumnMajor: true}
 }
 
 // rowRange walks the slab column by column so every access is sequential —
@@ -250,7 +250,7 @@ func (f *HYB) Traits() Traits {
 		pad = float64(int64(len(f.ell.val))-f.ell.nnz) / float64(f.nnz)
 	}
 	return Traits{Balancing: NNZGranular, PaddingRatio: pad,
-		MetaBytesPerNNZ: float64(f.Bytes()-8*f.nnz) / float64(max(f.nnz, 1)), Vectorizable: true, ColumnMajor: true}
+		MetaBytesPerNNZ: float64(f.Bytes()-8*f.nnz) / float64(max(f.nnz, 1)), Class: ClassSweep, ColumnMajor: true}
 }
 
 // HYB's kernel is its ELL part's — the row-granular slab sweep (rowLen

@@ -41,16 +41,18 @@ func EstimateTraits(name string, fv core.FeatureVector) Traits {
 
 	switch name {
 	case "COO":
-		return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: 8}
+		return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: 8, Class: ClassEntry}
 	case "Naive-CSR":
-		return Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta}
+		return Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Class: ClassRowSum}
 	case "Vec-CSR":
-		return Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Vectorizable: true}
+		return Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Class: ClassDotGather}
 	case "Bal-CSR":
-		return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: csrMeta}
+		return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: csrMeta, Class: ClassRowSum}
 	case "MKL-IE":
-		t := Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Preprocessed: true}
-		t.Vectorizable = inspectVectorize(avg)
+		t := Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Preprocessed: true, Class: ClassRowSum}
+		if inspectVectorize(avg) {
+			t.Class = ClassDotGather
+		}
 		if skew > balMinSkew {
 			t.Balancing = NNZGranular
 		}
@@ -59,24 +61,24 @@ func EstimateTraits(name string, fv core.FeatureVector) Traits {
 		// Padded slots cost a full 12 bytes each: meta = 12*(1+pad) - 8.
 		pad := skew
 		return Traits{Balancing: RowGranular, PaddingRatio: pad,
-			MetaBytesPerNNZ: 4 + 12*pad, Vectorizable: true, ColumnMajor: true}
+			MetaBytesPerNNZ: 4 + 12*pad, Class: ClassSweep, ColumnMajor: true}
 	case "HYB":
 		spill := hybSpillFraction(skew)
 		pad := spill + 0.12 // the distribution noise pads short rows too
 		return Traits{Balancing: NNZGranular, PaddingRatio: pad,
-			MetaBytesPerNNZ: 4*(1+pad) + 8*spill, Vectorizable: true, ColumnMajor: true}
+			MetaBytesPerNNZ: 4*(1+pad) + 8*spill, Class: ClassSweep, ColumnMajor: true}
 	case "CSR5":
 		// Tile descriptors: flags (8B) + lane bases (16B) per 64 entries,
 		// plus the segment tables (12B per non-empty row).
 		meta := 4 + 24.0/64 + 12/avg
 		return Traits{Balancing: ItemGranular, MetaBytesPerNNZ: meta,
-			Vectorizable: true, Preprocessed: true}
+			Class: ClassTile, Preprocessed: true}
 	case "Merge-CSR":
-		return Traits{Balancing: ItemGranular, MetaBytesPerNNZ: csrMeta}
+		return Traits{Balancing: ItemGranular, MetaBytesPerNNZ: csrMeta, Class: ClassRowSum}
 	case "SELL-C-s":
 		pad := sellPadding(skew, fv.Rows)
 		return Traits{Balancing: RowGranular, PaddingRatio: pad,
-			MetaBytesPerNNZ: 4 + 12*pad + 4/avg, Vectorizable: true, Preprocessed: true}
+			MetaBytesPerNNZ: 4 + 12*pad + 4/avg, Class: ClassLanes, Preprocessed: true}
 	case "SparseX":
 		p := math.Min(fv.AvgNumNeigh/2, 0.999)
 		runFrac := math.Pow(p, 3) * (4 - 3*p)
@@ -87,7 +89,7 @@ func EstimateTraits(name string, fv core.FeatureVector) Traits {
 		// large-compressible-matrix niche.
 		meta := runFrac*1.0 + (1-runFrac)*3.0 + 12/avg + 1.0
 		return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: meta,
-			DecodeCycles: spxDecodeCycles, Preprocessed: true}
+			Class: ClassEntry, DecodeCycles: spxDecodeCycles, Preprocessed: true}
 	case "VSL":
 		// Every column in a 2D partition pads to the partition's longest
 		// column: roughly the accumulator depth (8) plus the upper tail of
@@ -100,7 +102,7 @@ func EstimateTraits(name string, fv core.FeatureVector) Traits {
 		colLen := math.Max(avg, 1)
 		pad := (8 + 3*math.Sqrt(colLen)) / colLen * (2 - fv.CrossRowSim) / 1.5
 		return Traits{Balancing: NNZGranular, PaddingRatio: pad,
-			MetaBytesPerNNZ: 8 + 16*pad, Vectorizable: true, ColumnMajor: true, Preprocessed: true}
+			MetaBytesPerNNZ: 8 + 16*pad, Class: ClassSweep, ColumnMajor: true, Preprocessed: true}
 	case "DIA":
 		span := math.Max(fv.BWScaled*float64(fv.Cols), 1)
 		// The closed form assumes every diagonal inside the mean band is
@@ -112,7 +114,7 @@ func EstimateTraits(name string, fv core.FeatureVector) Traits {
 		// per nonzero is what makes DIA lose to CSR on thin diagonals.
 		meta := 8*pad + 4*(1+pad)
 		return Traits{Balancing: RowGranular, PaddingRatio: pad,
-			MetaBytesPerNNZ: meta, Vectorizable: true}
+			MetaBytesPerNNZ: meta, Class: ClassSweep}
 	case "BCSR":
 		fill := math.Min(1+fv.AvgNumNeigh/2+0.5*fv.CrossRowSim, 4)
 		pad := 4/fill - 1
@@ -121,9 +123,9 @@ func EstimateTraits(name string, fv core.FeatureVector) Traits {
 		// 36/fill bytes — the padded values are traffic, not just slack,
 		// which is what makes BCSR lose on low-fill matrices.
 		return Traits{Balancing: RowGranular, PaddingRatio: pad,
-			MetaBytesPerNNZ: 36/fill - 8, Vectorizable: true, Preprocessed: true}
+			MetaBytesPerNNZ: 36/fill - 8, Class: ClassBlock, Preprocessed: true}
 	}
-	return Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta}
+	return Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Class: ClassRowSum}
 }
 
 // hybSpillFraction is the fraction of nonzeros above the mean row length

@@ -39,8 +39,8 @@ func TestEstimateTraitsAgainstBuilt(t *testing.T) {
 			if got.Balancing != est.Balancing {
 				t.Errorf("grid %d %s: balancing %v, estimate %v", gi, b.Name, got.Balancing, est.Balancing)
 			}
-			if got.Vectorizable != est.Vectorizable {
-				t.Errorf("grid %d %s: vectorizable %v, estimate %v", gi, b.Name, got.Vectorizable, est.Vectorizable)
+			if got.Class != est.Class || got.Class == ClassNone {
+				t.Errorf("grid %d %s: kernel class %v, estimate %v", gi, b.Name, got.Class, est.Class)
 			}
 			// Padding ratio: exact-arithmetic formats within 15%+0.1; the
 			// heuristic estimates within a factor-of-3 band.

@@ -113,9 +113,10 @@ type Traits struct {
 	// MetaBytesPerNNZ is the metadata traffic per stored nonzero (indices,
 	// pointers, descriptors), excluding the 8-byte value itself.
 	MetaBytesPerNNZ float64
-	// Vectorizable reports whether the inner loop is laid out for SIMD
-	// (column-major chunks, unrolled tiles).
-	Vectorizable bool
+	// Class is the single-vector kernel the format runs, which prices its
+	// in-core work and says whether the loop is laid out for SIMD
+	// (KernelClass.Vectorized).
+	Class KernelClass
 	// ColumnMajor reports a slab layout whose single-vector kernel walks
 	// rows in the INNER loop (ELL/HYB column sweeps, VSL column streams):
 	// per-row loop control amortizes over the whole slab column, so the

@@ -151,7 +151,7 @@ func ellMultiTraits(fv core.FeatureVector, k int, base Traits) Traits {
 		Balancing:       base.Balancing,
 		PaddingRatio:    0,
 		MetaBytesPerNNZ: meta,
-		Vectorizable:    base.Vectorizable,
+		Class:           base.Class,
 		Preprocessed:    base.Preprocessed,
 	}
 }

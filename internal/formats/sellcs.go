@@ -149,7 +149,7 @@ func (f *SELLCS) Traits() Traits {
 		meta = float64(f.Bytes()-8*f.nnz) / float64(f.nnz)
 	}
 	return Traits{Balancing: RowGranular, PaddingRatio: pad,
-		MetaBytesPerNNZ: meta, Vectorizable: true, Preprocessed: true}
+		MetaBytesPerNNZ: meta, Class: ClassLanes, Preprocessed: true}
 }
 
 // maxStackLanes bounds the chunk widths served by the stack-resident lane

@@ -164,7 +164,7 @@ func (f *SPX) Traits() Traits {
 		meta = float64(f.bytesTotal-8*f.nnz) / float64(f.nnz)
 	}
 	return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: meta,
-		DecodeCycles: spxDecodeCycles, Preprocessed: true}
+		Class: ClassEntry, DecodeCycles: spxDecodeCycles, Preprocessed: true}
 }
 
 // spxDecodeCycles is the scalar unit-decode work per stored entry the

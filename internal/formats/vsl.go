@@ -175,7 +175,7 @@ func (f *VSL) Traits() Traits {
 		meta = float64(f.Bytes()-8*f.nnz) / float64(f.nnz)
 	}
 	return Traits{Balancing: NNZGranular, PaddingRatio: pad,
-		MetaBytesPerNNZ: meta, Vectorizable: true, ColumnMajor: true, Preprocessed: true}
+		MetaBytesPerNNZ: meta, Class: ClassSweep, ColumnMajor: true, Preprocessed: true}
 }
 
 // units: lanes take whole channels (the hardware's execution units).

@@ -23,6 +23,10 @@ const DefaultShortlist = 3
 // about the same, and the probe's timing floor would dominate the build.
 const autoProbeMinNNZ = 1 << 14
 
+// hostSpec models the machine BuildAuto ranks for when no device is named;
+// tests pin it, so that what they assert of a host pick is not a timing.
+var hostSpec = device.HostSpec
+
 // State is everything one selection context remembers between builds:
 // the decision cache (keyed by matrix fingerprint, device, k, shards — a
 // repeated build of one matrix under one context skips ranking, probing
@@ -124,7 +128,7 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 		return nil, err
 	}
 	k := max(o.K, 1)
-	spec := device.HostSpec()
+	spec := hostSpec()
 	if o.Device != "" {
 		s, ok := device.ByName(o.Device)
 		if !ok {

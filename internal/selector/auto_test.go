@@ -1,11 +1,14 @@
 package selector
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/device"
 	"repro/internal/formats"
 	"repro/internal/gen"
 	"repro/internal/matrix"
@@ -206,6 +209,80 @@ func TestProbePicksAWinner(t *testing.T) {
 	}
 }
 
+// fixtureHost is device's test fixture again (test files do not export):
+// two cores, eight lanes, the in-core table of docs/BENCHMARKS.md, no clock.
+func fixtureHost() device.Spec {
+	return device.Host(2, 8, [formats.NumClasses]float64{
+		formats.ClassRowSum: 0.81, formats.ClassDotGather: 0.29, formats.ClassSweep: 0.42, formats.ClassLanes: 0.37,
+		formats.ClassBlock: 0.27, formats.ClassTile: 1.2, formats.ClassEntry: 1.08,
+	})
+}
+
+// benchmarkFVs are core.Extract of benchmark/'s five matrices at seed 1.
+var benchmarkFVs = map[string]core.FeatureVector{
+	"lib-stream":   {Rows: 420000, Cols: 420000, NNZ: 8400000, MemFootprintMB: 97.73254776000977, AvgNNZPerRow: 20, SkewCoeff: 4.8, CrossRowSim: 0.4945103290346161, AvgNumNeigh: 0.8606733333333333, BWScaled: 0.1931906460941043},
+	"lib-small":    {Rows: 8000, Cols: 8000, NNZ: 80000, MemFootprintMB: 0.9460487365722656, AvgNNZPerRow: 10, SkewCoeff: 4.6, CrossRowSim: 0.4909426571707202, AvgNumNeigh: 0.814425, BWScaled: 0.168681109375},
+	"serve-batch":  {Rows: 3000, Cols: 3000, NNZ: 3000000, MemFootprintMB: 34.34372329711914, AvgNNZPerRow: 1000, SkewCoeff: 1.232, CrossRowSim: 0.7703501267797331, AvgNumNeigh: 1.1709926666666666, BWScaled: 0.97457},
+	"serve-wide":   {Rows: 50000, Cols: 50000, NNZ: 250000, MemFootprintMB: 3.0517616271972656, AvgNNZPerRow: 5, SkewCoeff: 4.6, CrossRowSim: 0.4703621512928838, AvgNumNeigh: 0.723304, BWScaled: 0.126227626},
+	"serve-update": {Rows: 2500, Cols: 2500, NNZ: 160000, MemFootprintMB: 1.8405952453613281, AvgNNZPerRow: 64, SkewCoeff: 4.421875, CrossRowSim: 0.5403254989758858, AvgNumNeigh: 1.0267625, BWScaled: 0.21721664000000002},
+}
+
+// TestHostShortlistsVectorizedFusedFormats: on the five benchmark matrices a
+// host whose table says what its kernels cost puts a vectorized format with
+// a fused k > 1 kernel first, and never hosts the long-row matrix behind a
+// sequential-sum kernel because the memory term tied.
+func TestHostShortlistsVectorizedFusedFormats(t *testing.T) {
+	h := fixtureHost()
+	for name, fv := range benchmarkFVs {
+		sl := Shortlist(h, fv, 1, DefaultShortlist)
+		if c := formats.EstimateTraits(sl[0], fv).Class; !c.Vectorized() || !formats.FusedMulti(sl[0]) {
+			t.Errorf("%s: shortlist %v opens with a %v kernel, fused %v", name, sl, c, formats.FusedMulti(sl[0]))
+		}
+	}
+	if sl := Shortlist(h, benchmarkFVs["serve-batch"], 1, DefaultShortlist); slices.Contains([]string{"Naive-CSR", "Bal-CSR", "COO", "Merge-CSR"}, sl[0]) {
+		t.Errorf("serve-batch: shortlist %v opens with a scalar kernel", sl)
+	}
+}
+
+// TestBuildAutoRanksForTheHostModel drives the same through BuildAuto, the
+// host model pinned at the seam.
+func TestBuildAutoRanksForTheHostModel(t *testing.T) {
+	defer func(prev func() device.Spec) { hostSpec = prev }(hostSpec)
+	hostSpec = fixtureHost
+	m := genMatrix(t, 2500, 64, 4, 3)
+	a, err := BuildAuto(m, AutoOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Shortlist(fixtureHost(), core.Extract(m), 1, DefaultShortlist)
+	if c := a.Choice(); a.Chosen() != want[0] || !slices.Equal(c.Shortlist, want) || c.Device != "host" {
+		t.Errorf("chose %s from %v for %s, want the fixture's ranking %v", a.Chosen(), c.Shortlist, c.Device, want)
+	}
+	if !a.Traits().Class.Vectorized() || !formats.FusedMulti(a.Chosen()) {
+		t.Errorf("hosted behind %s", a.Chosen())
+	}
+}
+
+// TestTiesBreakByPreferenceNotAlphabet: estimates within tieMargin of the
+// best are ordered fused first, then smaller, then inspector, then name.
+func TestTiesBreakByPreferenceNotAlphabet(t *testing.T) {
+	fv := benchmarkFVs["serve-update"]
+	if !prefer(fv, "MKL-IE", "Bal-CSR") || !prefer(fv, "MKL-IE", "Vec-CSR") || prefer(fv, "CSR5", "Naive-CSR") || !prefer(fv, "Naive-CSR", "SELL-C-s") {
+		t.Error("prefer: want fused before by-column, fewer bytes next, inspector before plain")
+	}
+	// Vec-CSR and MKL-IE run one kernel over one layout: the model cannot
+	// tell them apart, the inspector goes first.
+	sl := Shortlist(fixtureHost(), fv, 1, 2)
+	if sl[0] != "MKL-IE" || sl[1] != "Vec-CSR" {
+		t.Errorf("shortlist %v, want MKL-IE then Vec-CSR", sl)
+	}
+	// Equal distances and equal votes fall to the same order.
+	n := TrainSamples([]Sample{{FV: fv, Best: "Bal-CSR"}, {FV: fv, Best: "MKL-IE"}}, 2)
+	if got, _ := n.Predict(fv); got != "MKL-IE" {
+		t.Errorf("tied vote went to %s, want MKL-IE", got)
+	}
+}
+
 func TestShortlistRanksAndIncludesRules(t *testing.T) {
 	s := epyc(t)
 	fv := dataset.Point(128, 20, 10, 0.5, 0.9, 0.3)
@@ -215,12 +292,13 @@ func TestShortlistRanksAndIncludesRules(t *testing.T) {
 			t.Fatalf("k=%d: shortlist %v too short", k, sl)
 		}
 		// Best-first: the noise-free ranking estimates must be
-		// non-increasing over the ranked prefix (the appended RulesK pick
-		// may rank anywhere).
+		// non-increasing over the ranked prefix but for the order prefer
+		// gives the estimates within tieMargin of the best (the appended
+		// RulesK pick may rank anywhere).
 		prev := s.RankMulti(fv, sl[0], k).GFLOPS
 		for _, name := range sl[1:3] {
 			g := s.RankMulti(fv, name, k).GFLOPS
-			if g > prev+1e-9 {
+			if g > prev/(1-tieMargin) {
 				t.Errorf("k=%d: shortlist not ranked: %v", k, sl)
 			}
 			prev = g

@@ -55,16 +55,8 @@ func rulesOrder(fv core.FeatureVector) []string {
 // pickFrom returns the first name in order the device offers and the
 // filter (if any) accepts; "" when none qualifies.
 func pickFrom(spec device.Spec, order []string, accept func(string) bool) string {
-	has := func(name string) bool {
-		for _, f := range spec.Formats {
-			if f == name {
-				return true
-			}
-		}
-		return false
-	}
 	for _, n := range order {
-		if has(n) && (accept == nil || accept(n)) {
+		if slices.Contains(spec.Formats, n) && (accept == nil || accept(n)) {
 			return n
 		}
 	}
@@ -99,13 +91,38 @@ func RulesK(spec device.Spec, fv core.FeatureVector, k int) string {
 	return spec.Formats[0]
 }
 
+// tieMargin is how far below the model's best estimate a candidate may sit
+// and still count as tied with it: the host's class rates are re-measured
+// by every process and move one format's estimate against another's by up
+// to 3 % (docs/BENCHMARKS.md); a ranking decided by less would host one
+// matrix behind different formats on different days.
+const tieMargin = 0.05
+
+// prefer orders two formats the evidence cannot tell apart by what is known
+// without measuring: a fused k > 1 kernel first (a served matrix gets
+// batched), then the smaller footprint, then an inspector, then the name.
+func prefer(fv core.FeatureVector, a, b string) bool {
+	if fa, fb := formats.FusedMulti(a), formats.FusedMulti(b); fa != fb {
+		return fa
+	}
+	ta, tb := formats.EstimateTraits(a, fv), formats.EstimateTraits(b, fv)
+	if ta.MetaBytesPerNNZ != tb.MetaBytesPerNNZ {
+		return ta.MetaBytesPerNNZ < tb.MetaBytesPerNNZ
+	}
+	if ta.Preprocessed != tb.Preprocessed {
+		return ta.Preprocessed
+	}
+	return a < b
+}
+
 // Shortlist ranks the device's formats for the k-regime by the model's
 // noise-free central estimate (device.Spec.RankMulti — the jittered
-// variant would scramble near-ties) and returns the top-n feasible names,
-// best first. The RulesK pick is appended when the model ranking misses
-// it, so the shortlist always carries one entry from the interpretable
-// decision list — cheap insurance against a model blind spot when the
-// shortlist is probed.
+// variant would scramble near-ties), the candidates within tieMargin of the
+// best ordered among themselves by prefer, and returns the top-n feasible
+// names, best first. The RulesK pick is appended when the model ranking
+// misses it, so the shortlist always carries one entry from the
+// interpretable decision list — cheap insurance against a model blind spot
+// when the shortlist is probed.
 func Shortlist(spec device.Spec, fv core.FeatureVector, k, n int) []string {
 	n = max(n, 1)
 	type cand struct {
@@ -124,8 +141,13 @@ func Shortlist(spec device.Spec, fv core.FeatureVector, k, n int) []string {
 		if cands[a].gflops != cands[b].gflops {
 			return cands[a].gflops > cands[b].gflops
 		}
-		return cands[a].name < cands[b].name
+		return prefer(fv, cands[a].name, cands[b].name)
 	})
+	tied := 0
+	for tied < len(cands) && cands[tied].gflops >= (1-tieMargin)*cands[0].gflops {
+		tied++
+	}
+	sort.SliceStable(cands[:tied], func(a, b int) bool { return prefer(fv, cands[a].name, cands[b].name) })
 	if len(cands) > n {
 		cands = cands[:n]
 	}
@@ -134,14 +156,7 @@ func Shortlist(spec device.Spec, fv core.FeatureVector, k, n int) []string {
 		out = append(out, c.name)
 	}
 	if len(out) > 0 {
-		ruled := RulesK(spec, fv, k)
-		found := false
-		for _, name := range out {
-			if name == ruled {
-				found = true
-			}
-		}
-		if !found && spec.RankMulti(fv, ruled, k).Feasible {
+		if ruled := RulesK(spec, fv, k); !slices.Contains(out, ruled) && spec.RankMulti(fv, ruled, k).Feasible {
 			out = append(out, ruled)
 		}
 	}
@@ -254,7 +269,7 @@ func (n *Nearest) Len() int {
 }
 
 // Predict returns the majority format among the k nearest training points,
-// with ties broken lexicographically. ok is false with no training data.
+// with ties broken by prefer. ok is false with no training data.
 func (n *Nearest) Predict(fv core.FeatureVector) (string, bool) {
 	name, _, ok := n.predict(fv)
 	return name, ok
@@ -298,7 +313,7 @@ func (n *Nearest) predict(fv core.FeatureVector) (string, float64, bool) {
 		if cands[a].d != cands[b].d {
 			return cands[a].d < cands[b].d
 		}
-		return cands[a].name < cands[b].name
+		return prefer(fv, cands[a].name, cands[b].name)
 	})
 	k := n.k
 	if k > len(cands) {
@@ -310,7 +325,7 @@ func (n *Nearest) predict(fv core.FeatureVector) (string, float64, bool) {
 	}
 	best, bestVotes := "", -1.0
 	for name, v := range votes {
-		if v > bestVotes || (v == bestVotes && name < best) {
+		if v > bestVotes || (v == bestVotes && prefer(fv, name, best)) {
 			best, bestVotes = name, v
 		}
 	}
