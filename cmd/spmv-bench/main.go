@@ -18,8 +18,7 @@
 //
 // The experiments are the paper's Tables II-IV and Figs 1-9 on the
 // simulated testbeds, plus "native": real kernels on this host through
-// the execution engine (shard count from SPMV_SHARDS or the detected
-// topology), with the engine's per-shard dispatch report riding along.
+// the execution engine, with the engine's dispatch report riding along.
 // One matrix under one format or "auto" is spmv-run's job; performance
 // over time is the benchmark/ module's (see docs/BENCHMARKS.md).
 package main

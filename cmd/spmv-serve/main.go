@@ -19,8 +19,6 @@
 //	                  gain flattens)
 //	-cache-dir DIR    selection journal directory (default
 //	                  $SPMV_CACHE_DIR; empty = memory-only)
-//	-shards N         shard count recorded in decision keys (0 = live
-//	                  topology)
 //	-rhs K            default right-hand-side regime hint for uploads
 //	-probe            micro-probe the selection shortlist on upload
 //	-drain DUR        graceful-shutdown bound: past it, in-flight
@@ -40,7 +38,7 @@
 //	POST   /v1/matrices/{fp}/cells       [{"row","col","val"|"delete"}] on
 //	                                     an updatable host
 //	GET    /v1/stats                     per-matrix batching + totals, and the
-//	                                     engine's per-shard dispatch counters
+//	                                     engine's dispatch counters
 //
 // SIGINT/SIGTERM drain gracefully: accepted requests get a result or a
 // typed cancellation (HTTP 499) before the process exits; none hang.
@@ -75,7 +73,6 @@ func run() error {
 	flag.DurationVar(&cfg.Window, "window", cfg.Window, "coalescing window (0 disables batching)")
 	flag.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "flush a batch early at this many requests")
 	flag.StringVar(&cfg.CacheDir, "cache-dir", os.Getenv(cache.EnvCacheDir), "selection journal directory")
-	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "shard count recorded in decision keys")
 	flag.IntVar(&cfg.K, "rhs", cfg.K, "default right-hand-side regime hint for uploads")
 	flag.BoolVar(&cfg.Probe, "probe", cfg.Probe, "micro-probe the selection shortlist on upload")
 	flag.DurationVar(&cfg.DrainTimeout, "drain", cfg.DrainTimeout, "graceful-shutdown bound")

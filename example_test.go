@@ -269,9 +269,9 @@ func ExampleSetCacheDir() {
 	if err != nil {
 		panic(err)
 	}
-	// A second build of the same matrix under the same (device, k, shards)
-	// context resolves from the cache — after a real restart, from the
-	// journal on disk.
+	// A second build of the same matrix under the same (device, k) context
+	// resolves from the cache — after a real restart, from the journal on
+	// disk.
 	second, err := spmv.Auto(m, spmv.AutoOptions{K: 8})
 	if err != nil {
 		panic(err)

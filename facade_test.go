@@ -143,8 +143,8 @@ func TestAutoCtxCancelled(t *testing.T) {
 }
 
 // TestFacadeAndDefaultSessionShareOneState: the package-level functions
-// are delegates to DefaultSession(), so both observe one cache, one
-// journal and one shard context.
+// are delegates to DefaultSession(), so both observe one cache and one
+// journal.
 func TestFacadeAndDefaultSessionShareOneState(t *testing.T) {
 	d := spmv.DefaultSession()
 	m := facadeMatrix(t)
@@ -169,21 +169,5 @@ func TestFacadeAndDefaultSessionShareOneState(t *testing.T) {
 	}
 	if got := d.Cache().Len(); got != before+1 {
 		t.Fatalf("UnsetCacheDir dropped cached decisions: %d, want %d", got, before+1)
-	}
-
-	// SetShards is engine layout: it shows through the default session,
-	// and a scoped session's own shard context wins over it.
-	prev := spmv.SetShards(3)
-	defer spmv.SetShards(prev)
-	if d.Shards() != 3 {
-		t.Fatalf("default session shards = %d, want 3", d.Shards())
-	}
-	scoped, err := spmv.NewSession(spmv.SessionOptions{Shards: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scoped.Close()
-	if scoped.Shards() != 5 {
-		t.Fatalf("scoped session shards = %d, want 5", scoped.Shards())
 	}
 }

@@ -336,18 +336,18 @@ func TestNativeExperimentSmall(t *testing.T) {
 
 func TestShardReport(t *testing.T) {
 	r := ShardReport()
-	if r.ID != "shards" || len(r.Header) != 9 {
+	if r.ID != "shards" || len(r.Header) != 6 {
 		t.Fatalf("shard report shape: id=%q header=%v", r.ID, r.Header)
 	}
-	if len(r.Rows) < 1 {
-		t.Fatal("shard report has no shard rows")
+	if len(r.Rows) != 1 {
+		t.Fatalf("shard report has %d rows, want the pool's one", len(r.Rows))
 	}
 	for _, row := range r.Rows {
 		if len(row) != len(r.Header) {
 			t.Fatalf("shard row width %d, want %d", len(row), len(r.Header))
 		}
 	}
-	if len(r.Notes) < 2 {
+	if len(r.Notes) != 1 {
 		t.Fatalf("shard report notes missing: %v", r.Notes)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/simd"
 	"repro/internal/stats"
-	"repro/internal/topo"
 )
 
 // NativeScaleMB is the footprint the native experiment scales matrices to
@@ -22,7 +21,8 @@ const NativeScaleMB = 24.0
 // a scaled-down feature grid, producing the Fig 7-style per-format summary
 // with actual wall-clock GFLOPS. This is the measurement path the paper
 // used on its CPU testbeds, at reduced scale. It is the one experiment
-// that touches the execution engine, so the shards report rides along.
+// that touches the execution engine, so the engine's dispatch report rides
+// along.
 func RunNative(o Options) []*Report {
 	points := nativePoints(o)
 	engine := device.NativeEngine{Workers: o.Workers, Iterations: 8}
@@ -56,37 +56,30 @@ func RunNative(o Options) []*Report {
 			fmtG(s.Q1), fmtG(s.Median), fmtG(s.Q3), fmtG(s.Max))
 	}
 	r.AddNote("measured wall-clock GFLOPS with up to %d workers; absolute values depend on this host", engine.EffectiveWorkers())
-	r.AddNote("execution engine: %d pool shard(s) over %d topology domain(s); see the shards report for per-shard dispatch",
-		topo.Shards(), topo.NumDomains())
 	r.AddNote("SIMD dispatch level: %s", simd.Level())
 	return []*Report{r, ShardReport()}
 }
 
-// ShardReport snapshots the execution engine's per-shard dispatch counters
-// as a report, the observability surface the native experiment appends to
-// its table: which shard served how many dispatches, how many calls
-// gang-scheduled across shards, cumulative busy wall time per shard, how
-// the lanes posted to its workers were taken (by a polling worker, by a
-// parked one, or back by the caller), and how often every shard was busy
-// and a call fell back to spawned goroutines.
+// ShardReport snapshots the execution engine's dispatch counters as a
+// report, the observability surface the native experiment appends to its
+// table: how many dispatches the pool served, its cumulative busy wall
+// time, how the lanes posted to its workers were taken (by a polling
+// worker, by a parked one, or back by the caller), and how often the pool
+// was busy and a call fell back to spawned goroutines.
 func ShardReport() *Report {
 	st := exec.Stats()
 	r := &Report{
-		ID:    "shards",
-		Title: fmt.Sprintf("Execution engine dispatch over %d pool shard(s)", len(st.Shards)),
-		Header: []string{"shard", "domain", "workers", "runs", "gang_runs", "busy_s",
-			"hot_handoffs", "parked_wakes", "caller_claims"},
+		ID:     "shards",
+		Title:  "Execution engine dispatch over the worker pool",
+		Header: []string{"workers", "runs", "busy_s", "hot_handoffs", "parked_wakes", "caller_claims"},
 	}
 	for _, s := range st.Shards {
-		r.AddRow(fmt.Sprintf("%d", s.Shard), fmt.Sprintf("%d", s.Domain),
-			fmt.Sprintf("%d", s.Workers), fmt.Sprintf("%d", s.Runs),
-			fmt.Sprintf("%d", s.GangRuns), fmt.Sprintf("%.4f", s.Busy.Seconds()),
+		r.AddRow(fmt.Sprintf("%d", s.Workers), fmt.Sprintf("%d", s.Runs),
+			fmt.Sprintf("%.4f", s.Busy.Seconds()),
 			fmt.Sprintf("%d", s.HotHandoffs), fmt.Sprintf("%d", s.ParkedWakes),
 			fmt.Sprintf("%d", s.CallerClaims))
 	}
-	r.AddNote("topology: %d domain(s); shard count resolves SetShards > SPMV_SHARDS > detected domains",
-		topo.NumDomains())
-	r.AddNote("spawn fallbacks (dispatches that found every shard busy): %d", st.SpawnFallbacks)
+	r.AddNote("spawn fallbacks (dispatches that found the pool busy): %d", st.SpawnFallbacks)
 	return r
 }
 

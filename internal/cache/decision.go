@@ -1,5 +1,5 @@
 // Package cache is what selection remembers: one Decision per (matrix,
-// device, k, shards) — the format, whether a micro-probe measured it, its
+// device, k) — the format, whether a micro-probe measured it, its
 // tuned structural parameters and, when the build could learn, the
 // feature vector that makes the decision a k-NN sample — held in an
 // LRU-bounded DecisionCache and, when a Store is attached, in an
@@ -17,17 +17,16 @@ import (
 
 // DecisionKey identifies one auto-format decision context. A decision is
 // only reusable when everything that influenced it recurs: the sparsity
-// structure (matrix fingerprint), the device the ranking targeted, the
-// RHS-count regime (k = 1 and k = 8 rank formats differently), and the
-// execution-engine shard layout a micro-probe measured under. The
+// structure (matrix fingerprint), the device the ranking targeted and the
+// RHS-count regime (k = 1 and k = 8 rank formats differently). The
 // dispatch level is not part of the key — the journal scopes records to
 // the level they were measured under (see EffectiveLevel), and a process
-// only ever loads one level's records.
+// only ever loads one level's records — and neither is the machine's
+// parallelism, which the journal's host fingerprint pins.
 type DecisionKey struct {
 	Fingerprint uint64 // matrix.CSR.Fingerprint()
 	Device      string // device.Spec.Name consulted for the ranking
 	K           int    // right-hand-side count the choice targets
-	Shards      int    // topo.Shards() at decision time
 }
 
 // Decision is everything selection measured for one key. It is a
@@ -64,7 +63,7 @@ type lruEntry struct {
 // DecisionCache is a concurrency-safe, LRU-bounded store of auto-format
 // decisions, optionally backed by a disk journal (AttachStore) so decisions
 // survive process restarts: repeated Auto builds of the same matrix under
-// the same (device, k, shards) context skip ranking, probing and tuning
+// the same (device, k) context skip ranking, probing and tuning
 // entirely. The zero value is not usable; construct with NewDecisionCache.
 // A plain mutex guards all state: every operation (including Get, which
 // bumps recency and the hit/miss counters) writes, so a reader/writer lock
@@ -220,7 +219,7 @@ func (c *DecisionCache) Evicted() uint64 {
 }
 
 // InvalidateFingerprint drops every decision for the fingerprint, across
-// all (device, k, shards) contexts at once — when a matrix's structure
+// all (device, k) contexts at once — when a matrix's structure
 // drifts, every regime's ranking, tuning and sample of the dead structure
 // drifts with it. Returns how many cached entries were dropped. The
 // attached store's mirror drops them too and counts their journal lines

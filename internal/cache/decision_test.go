@@ -9,7 +9,7 @@ import (
 
 func TestDecisionCacheBasics(t *testing.T) {
 	c := NewDecisionCache()
-	key := DecisionKey{Fingerprint: 42, Device: "host", K: 8, Shards: 2}
+	key := DecisionKey{Fingerprint: 42, Device: "host", K: 8}
 	if _, ok := c.Get(key); ok {
 		t.Fatal("empty cache should miss")
 	}
@@ -20,10 +20,9 @@ func TestDecisionCacheBasics(t *testing.T) {
 	}
 	// Every key component separates decisions.
 	variants := []DecisionKey{
-		{Fingerprint: 43, Device: "host", K: 8, Shards: 2},
-		{Fingerprint: 42, Device: "AMD-EPYC-24", K: 8, Shards: 2},
-		{Fingerprint: 42, Device: "host", K: 1, Shards: 2},
-		{Fingerprint: 42, Device: "host", K: 8, Shards: 4},
+		{Fingerprint: 43, Device: "host", K: 8},
+		{Fingerprint: 42, Device: "AMD-EPYC-24", K: 8},
+		{Fingerprint: 42, Device: "host", K: 1},
 	}
 	for _, v := range variants {
 		if _, ok := c.Get(v); ok {
@@ -31,8 +30,8 @@ func TestDecisionCacheBasics(t *testing.T) {
 		}
 	}
 	hits, misses := c.Stats()
-	if hits != 1 || misses != 5 {
-		t.Errorf("stats = %d hits / %d misses, want 1/5", hits, misses)
+	if hits != 1 || misses != 4 {
+		t.Errorf("stats = %d hits / %d misses, want 1/4", hits, misses)
 	}
 	if c.Len() != 1 {
 		t.Errorf("len = %d, want 1", c.Len())
@@ -59,7 +58,7 @@ func tuneCase() lruCase {
 
 // key is the decision key of (fingerprint, regime) in these tests.
 func (lruCase) key(fp uint64, regime int) DecisionKey {
-	return DecisionKey{Fingerprint: fp, Device: "host", K: 1 + regime, Shards: 1}
+	return DecisionKey{Fingerprint: fp, Device: "host", K: 1 + regime}
 }
 
 // TestDecisionCacheLRUBound pins the memory bound of a long-running

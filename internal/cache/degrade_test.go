@@ -66,12 +66,12 @@ func TestAppendENOSPCDegradesToMemoryOnly(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer st.Close()
-	k1 := DecisionKey{Fingerprint: 1, Device: "host", K: 1, Shards: 1}
+	k1 := DecisionKey{Fingerprint: 1, Device: "host", K: 1}
 	st.AppendDecision(k1, Decision{Format: "Naive-CSR"})
 	linesBefore := parseJournal(t, st.Path())
 
 	enableFailpoint(t, "cache.append", "enospc")
-	k2 := DecisionKey{Fingerprint: 2, Device: "host", K: 1, Shards: 1}
+	k2 := DecisionKey{Fingerprint: 2, Device: "host", K: 1}
 	st.AppendDecision(k2, Decision{Format: "ELL"}) // hits injected ENOSPC
 
 	deg, reason := st.Degraded()
@@ -121,7 +121,7 @@ func TestTornRenameDegradesAndKeepsOldJournal(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer st.Close()
-	k := DecisionKey{Fingerprint: 11, Device: "host", K: 8, Shards: 2}
+	k := DecisionKey{Fingerprint: 11, Device: "host", K: 8}
 	st.AppendDecision(k, Decision{Format: "SELL-C-s", Probed: true})
 	st.AppendDecision(k, Decision{Format: "ELL", Probed: true}) // supersedes: dead line
 	linesBefore := parseJournal(t, st.Path())
@@ -211,7 +211,7 @@ func TestUnusableDirIsMemoryOnly(t *testing.T) {
 	}
 
 	// The store is fully usable in memory: appends, reads, compaction.
-	k := DecisionKey{Fingerprint: 31, Device: "host", K: 1, Shards: 1}
+	k := DecisionKey{Fingerprint: 31, Device: "host", K: 1}
 	d := Decision{Format: "Naive-CSR", Probed: true, FV: core.FeatureVector{Rows: 4, Cols: 4, NNZ: 8}}
 	st.AppendDecision(k, d)
 	keys, decs := st.Decisions()
@@ -237,11 +237,11 @@ func TestDegradedStoreBehindDecisionCache(t *testing.T) {
 	dc.AttachStore(st)
 	defer dc.AttachStore(nil)
 
-	k1 := DecisionKey{Fingerprint: 41, Device: "host", K: 1, Shards: 1}
+	k1 := DecisionKey{Fingerprint: 41, Device: "host", K: 1}
 	dc.Put(k1, Decision{Format: "ELL"})
 
 	enableFailpoint(t, "cache.append", "enospc")
-	k2 := DecisionKey{Fingerprint: 42, Device: "host", K: 1, Shards: 1}
+	k2 := DecisionKey{Fingerprint: 42, Device: "host", K: 1}
 	dc.Put(k2, Decision{Format: "COO"}) // journal append dies; Put must not care
 
 	if d, ok := dc.Get(k1); !ok || d.Format != "ELL" {

@@ -23,8 +23,8 @@ func TestJournalSurvivesLevelCap(t *testing.T) {
 
 	// Run 1: capped at avx2, journal a bare decision and a tuned one.
 	capped := HostFingerprint()
-	k1 := DecisionKey{Fingerprint: 11, Device: "host", K: 1, Shards: 1}
-	k8 := DecisionKey{Fingerprint: 11, Device: "host", K: 8, Shards: 1}
+	k1 := DecisionKey{Fingerprint: 11, Device: "host", K: 1}
+	k8 := DecisionKey{Fingerprint: 11, Device: "host", K: 8}
 	tuned := Decision{Format: "BCSR", Probed: true, Tuned: "bcsr.block=4x4", FV: core.FeatureVector{Rows: 7, NNZ: 21}}
 	st1, err := Open(dir)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestJournalSurvivesLevelCap(t *testing.T) {
 	if keys, _ := st2.Decisions(); len(keys) != 0 {
 		t.Errorf("other level's decisions loaded as evidence: %+v", keys)
 	}
-	k2 := DecisionKey{Fingerprint: 22, Device: "host", K: 1, Shards: 1}
+	k2 := DecisionKey{Fingerprint: 22, Device: "host", K: 1}
 	st2.AppendDecision(k2, Decision{Format: "Naive-CSR"})
 	if err := st2.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)

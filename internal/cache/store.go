@@ -127,7 +127,9 @@ func EffectiveLevel() string {
 // record is one JSONL journal line. Kind selects which fields are live:
 // "header" pins schema+host, "decision" carries a DecisionKey/Decision
 // pair. Decisions carry the dispatch level they were measured under
-// (Lvl); load keeps only the current level's.
+// (Lvl); load keeps only the current level's. Older schema-2 decision lines
+// also carry a "shards" field: load ignores it, so lines that differ only
+// there are one key, the newest winning, and compaction drops the field.
 type record struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
@@ -141,7 +143,6 @@ type record struct {
 	FP     uint64              `json:"fp,omitempty"`
 	Device string              `json:"device,omitempty"`
 	K      int                 `json:"k,omitempty"`
-	Shards int                 `json:"shards,omitempty"`
 	Format string              `json:"format,omitempty"`
 	Probed bool                `json:"probed,omitempty"`
 	Tuned  string              `json:"tuned,omitempty"`
@@ -155,7 +156,7 @@ func headerRecord() record {
 func decisionRecord(lvl string, k DecisionKey, d Decision) record {
 	r := record{
 		V: SchemaVersion, Kind: "decision", Lvl: lvl,
-		FP: k.Fingerprint, Device: k.Device, K: k.K, Shards: k.Shards,
+		FP: k.Fingerprint, Device: k.Device, K: k.K,
 		Format: d.Format, Probed: d.Probed, Tuned: d.Tuned,
 	}
 	if d.FV != (core.FeatureVector{}) {
@@ -170,7 +171,7 @@ func (r record) decision() (DecisionKey, Decision) {
 	if r.FV != nil {
 		d.FV = *r.FV
 	}
-	return DecisionKey{Fingerprint: r.FP, Device: r.Device, K: r.K, Shards: r.Shards}, d
+	return DecisionKey{Fingerprint: r.FP, Device: r.Device, K: r.K}, d
 }
 
 // line renders the record as one newline-terminated JSONL line.

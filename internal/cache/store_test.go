@@ -23,7 +23,7 @@ func tempStore(t *testing.T) (*Store, string) {
 }
 
 func dk(fp uint64, k int) DecisionKey {
-	return DecisionKey{Fingerprint: fp, Device: "host", K: k, Shards: 1}
+	return DecisionKey{Fingerprint: fp, Device: "host", K: k}
 }
 
 // TestStoreRoundTrip: every part of a decision — format, probed flag,
@@ -197,6 +197,64 @@ func TestStoreDiscardsSchema1(t *testing.T) {
 	if got := strings.Count(string(b), "\n"); got != 1 || !strings.Contains(string(b), `"schema":2`) {
 		t.Fatalf("rewritten journal = %q, want one schema-2 header line", b)
 	}
+}
+
+// TestStoreLoadsShardKeyedLines: schema-2 decision lines written while the
+// key still carried the engine's shard count load with that field ignored.
+// Two lines that differ only in it are one key, the newer winning; an
+// identical re-put appends nothing; a compaction rewrites the line without
+// the field, and the rewritten journal reloads the same decision.
+func TestStoreLoadsShardKeyedLines(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalName)
+	lvl := EffectiveLevel()
+	lines := []string{
+		fmt.Sprintf(`{"v":2,"kind":"header","schema":2,"host":%q}`, HostFingerprint()),
+		fmt.Sprintf(`{"v":2,"kind":"decision","lvl":%q,"fp":7,"device":"host","k":8,"shards":1,"format":"ELL"}`, lvl),
+		fmt.Sprintf(`{"v":2,"kind":"decision","lvl":%q,"fp":7,"device":"host","k":8,"shards":4,"format":"BCSR","probed":true,"tuned":"bcsr.block=4x4"}`, lvl),
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := Decision{Format: "BCSR", Probed: true, Tuned: "bcsr.block=4x4"}
+	check := func(st *Store, when string) {
+		t.Helper()
+		keys, decs := st.Decisions()
+		if len(keys) != 1 || keys[0] != dk(7, 8) || decs[0] != want {
+			t.Fatalf("%s: loaded %+v %+v, want the newer line's %+v alone", when, keys, decs, want)
+		}
+	}
+
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(st, "open")
+	if s := st.Stats(); s.Invalidated || s.Skipped != 0 || s.Dead != 1 {
+		t.Fatalf("open: stats %+v, want nothing invalidated or skipped and the older line dead", s)
+	}
+	st.AppendDecision(dk(7, 8), want)
+	if n := st.Stats().Appended; n != 0 {
+		t.Fatalf("an identical re-put appended %d lines, want 0", n)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "shards") || strings.Count(string(b), "\n") != 2 {
+		t.Fatalf("compacted journal = %q, want a header and one decision line without the shard count", b)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, "reopen after compaction")
 }
 
 func TestStoreCompaction(t *testing.T) {

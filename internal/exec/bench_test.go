@@ -37,7 +37,7 @@ func BenchmarkDispatch(b *testing.B) {
 		b.Run(fmt.Sprintf("spawn-%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g := Grant{workers: n, shardID: AnyShard} // no pool: every lane but the caller's is spawned
+				g := Grant{workers: n} // no pool: every lane but the caller's is spawned
 				g.Run(n, body)
 			}
 		})

@@ -84,7 +84,7 @@ func TestPoolContainsWorkerPanic(t *testing.T) {
 // lane but the caller's, and a spawned lane's panic is contained like any
 // other.
 func TestSpawnRunContainsGoroutinePanic(t *testing.T) {
-	g := Grant{workers: 4, shardID: AnyShard}
+	g := Grant{workers: 4}
 	err := g.Run(4, func(w int) {
 		if w == 3 {
 			panic(errors.New("spawned fault"))

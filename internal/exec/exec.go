@@ -1,7 +1,7 @@
-// Package exec is the persistent SpMV execution engine: a topology-sharded
-// set of worker pools that format kernels dispatch onto, plus
-// inspector-style execution plans that cache each format's partition (and
-// per-worker scratch buffers) keyed by execution placement.
+// Package exec is the persistent SpMV execution engine: one worker pool
+// that format kernels dispatch onto, plus inspector-style execution plans
+// that cache each format's partition (and per-worker scratch buffers) keyed
+// by worker count.
 //
 // The seed implementation paid a goroutine-spawn + sync.WaitGroup round
 // trip and recomputed its sched partition on every SpMV call. For the
@@ -25,33 +25,21 @@
 //     and, once its own lane is done, runs every posted lane no worker has
 //     taken yet, so a dispatch onto parked workers costs at most the
 //     serial time.
-//   - Engine/Grant: the process-wide engine owns one pool shard per
-//     topology domain (internal/topo; override with SPMV_SHARDS or
-//     topo.SetShards). A call Acquires a grant, which routes it round-robin
-//     to an idle shard, so independent concurrent SpMV calls run on
-//     distinct shards' parked workers instead of falling back to spawned
-//     goroutines the way the single-pool engine of PR 1 did. A single call
-//     wider than one shard gang-schedules across every idle shard. Only
-//     when every shard is busy does the engine fall back to plain spawned
-//     goroutines, so it never deadlocks and never queues.
+//   - Grant: the process-wide pool, started lazily, serves one dispatch at
+//     a time. A call Acquires a grant, which holds the pool when it is
+//     idle; a call that finds it busy runs every lane but its own on
+//     spawned goroutines, so the engine never deadlocks and never queues.
+//     A call wider than the pool spawns the lanes its workers cannot take.
 //   - Plan/PlanCache: a format computes its sched.Range partition (and any
-//     carry/scratch buffers) once per PlanKey — the (shard, domain count,
-//     worker count) placement a grant reports — and caches it inside the
-//     format instance. Matrices are immutable after build, so plans never
-//     invalidate. Keying by shard also gives each shard a private cached
-//     scratch, so concurrent calls routed to distinct shards never contend
-//     on one plan's buffers; ganged grants use a domain-split partition
-//     whose row ranges are computed within each domain's contiguous slice
-//     of the matrix (sched.DomainSplit).
+//     carry/scratch buffers) once per PlanKey — the worker count a grant
+//     reports — and caches it inside the format instance. Matrices are
+//     immutable after build, so plans never invalidate. Two calls in flight
+//     on one instance share the plan; the one that finds its lock taken
+//     runs on private scratch.
 //   - Workers: a serial fast-path cutoff. Parallelism below MinGrain work
 //     items per worker costs more in handoff latency than it saves, and
 //     worker counts beyond the machine's parallelism only add overhead, so
 //     tiny kernels run inline on the caller.
-//
-// On multi-domain machines each shard's workers lock their OS threads and
-// pin to the shard's domain CPUs (best effort, Linux sched_setaffinity), so
-// a shard's partition slice stays on the cores — and, under first-touch
-// placement, near the memory — of one domain.
 package exec
 
 import (
@@ -163,15 +151,14 @@ func Workers(work int64, requested int) int {
 	return requested
 }
 
-// Pool is a persistent worker pool — one shard of the engine, or a
-// standalone pool for tests. The zero value is valid: workers start lazily
-// on the first parallel Run. A Pool must not be copied after use.
+// Pool is a persistent worker pool — the engine's, or a standalone pool
+// for tests. The zero value is valid: workers start lazily on the first
+// parallel Run. A Pool must not be copied after use.
 type Pool struct {
 	mu      sync.Mutex // held for the duration of one dispatch
 	started bool
 	closed  bool
-	size    int // pool workers; excludes the caller
-	pin     func()
+	size    int  // pool workers; excludes the caller
 	call    call // what the in-flight dispatch's lanes run
 	// fault is the first panic among them: whoever runs a lane contains it
 	// there (so a worker survives and retires the lane) and the dispatcher
@@ -199,24 +186,12 @@ type Pool struct {
 	// dispatcher, which ran them inline.
 	hot, parked, claims atomic.Uint64
 
-	// As a shard of the engine.
-	id     int // shard index; orders ganged dispatches
-	domain int // topo domain id the workers prefer
-	// capacity is the shard's effective parallel width in lanes. On
-	// multi-domain machines it is the domain's CPU count, which may be
-	// below the pool's parked-worker floor: the gang trigger compares the
-	// requested workers against capacity, so a call wider than one domain
-	// spreads across shards instead of stacking on one domain's pinned
-	// CPUs. Where CPUs are unknown it is the full lane count (parked
-	// workers plus the caller).
-	capacity int
-	runs     atomic.Uint64 // single-shard dispatches served
-	gangRuns atomic.Uint64 // ganged dispatches participated in
-	busy     atomic.Int64  // cumulative nanoseconds spent serving dispatches
+	runs atomic.Uint64 // dispatches served
+	busy atomic.Int64  // cumulative nanoseconds spent serving dispatches
 }
 
 // NewPool returns a pool with the given number of parked workers (the
-// caller of Run always participates, so a size-N pool executes N+1 shards
+// caller of Run always participates, so a size-N pool executes N+1 lanes
 // concurrently). size <= 0 selects the default sizing.
 func NewPool(size int) *Pool {
 	return &Pool{size: size}
@@ -255,13 +230,6 @@ func (p *Pool) ensureStarted() {
 // channel are captured at spawn so a later Close (which nils the pool's
 // slices) cannot race with a worker that has not yet been scheduled.
 func (p *Pool) worker(i int, ln *lane, wake <-chan struct{}) {
-	if p.pin != nil {
-		// Pinning is per OS thread; locking keeps this worker on the thread
-		// whose affinity was set. The lock is never released, so the thread
-		// dies with the worker when the pool closes.
-		runtime.LockOSThread()
-		p.pin()
-	}
 	for {
 		// The slot reads laneParked: the poster that replaces it sends the
 		// one token that ends this park, and Close closes the channel.
@@ -315,14 +283,11 @@ func (p *Pool) retire() bool {
 }
 
 // Run invokes f(0..n-1) on the pool's workers and the calling goroutine
-// and waits: Grant.Run over this one pool, or over none when the pool is
+// and waits: Grant.Run over this pool, or over none when the pool is
 // busy — another Run is in flight, possibly from this very goroutine — so
 // Run is safe to call concurrently and never deadlocks on nesting.
 func (p *Pool) Run(n int, f func(w int)) error {
-	g := Grant{workers: n, shardID: AnyShard}
-	if n > 1 && p.mu.TryLock() {
-		g.pools[0], g.np = p, 1
-	}
+	g := p.grant(n, nil)
 	return g.Run(n, f)
 }
 
@@ -330,9 +295,9 @@ func (p *Pool) Run(n int, f func(w int)) error {
 // max workers (capped at the pool size) and returns how many it posted,
 // without waiting. Worker i's id goes into its slot; a worker found parked
 // also gets its token. The caller must hold p.mu and must later claim and
-// drain exactly that many. A closed pool posts nothing: a Run or reshard
-// raced a Close, and a closed pool must never restart its workers (they
-// would be orphaned forever).
+// drain exactly that many. A closed pool posts nothing: a Run raced a
+// Close, and a closed pool must never restart its workers (they would be
+// orphaned forever).
 func (p *Pool) post(c call, lo, max int) int {
 	if p.closed {
 		return 0
@@ -433,8 +398,7 @@ func (p *Pool) Size() int {
 }
 
 // Close terminates the parked workers. Run must not be called after Close;
-// it exists so tests, short-lived tools and engine reshards can release
-// goroutines.
+// it exists so tests and short-lived tools can release goroutines.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -449,10 +413,10 @@ func (p *Pool) Close() {
 	p.wake = nil
 }
 
-// spawnFallbacks counts dispatches that found every shard busy and ran all
+// spawnFallbacks counts dispatches that found the pool busy and ran all
 // their lanes but the caller's on spawned goroutines (the seed-era path).
-// Steady workloads sized to the shard count should keep this flat; see
-// Stats.
+// A single caller keeps this flat; concurrent callers raise it by the
+// dispatches that overlapped another. See Stats.
 var spawnFallbacks atomic.Uint64
 
 // SpawnFallbacks returns the cumulative count of spawned-goroutine

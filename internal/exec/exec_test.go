@@ -186,7 +186,7 @@ func TestPlanCacheBuildsOncePerKey(t *testing.T) {
 		atomic.AddInt32(&builds, 1)
 		return &Plan{Ranges: make([]sched.Range, k.Workers)}
 	}
-	key := PlanKey{Shard: 0, Domains: 1, Workers: 4}
+	key := PlanKey{Workers: 4}
 	var wg sync.WaitGroup
 	plans := make([]*Plan, 16)
 	for g := range plans {
@@ -205,23 +205,21 @@ func TestPlanCacheBuildsOncePerKey(t *testing.T) {
 	if builds != 1 {
 		t.Fatalf("build ran %d times, want 1", builds)
 	}
-	c.Get(PlanKey{Shard: 0, Domains: 1, Workers: 8}, build)
+	c.Get(PlanKey{Workers: 8}, build)
 	if builds != 2 || c.Len() != 2 {
 		t.Fatalf("second worker count: builds=%d len=%d", builds, c.Len())
 	}
-	// Placement, not just worker count, keys a plan: the same worker count
-	// on another shard, or ganged over several domains, is a new plan.
-	c.Get(PlanKey{Shard: 1, Domains: 1, Workers: 4}, build)
-	c.Get(PlanKey{Shard: AnyShard, Domains: 2, Workers: 4}, build)
-	if builds != 4 || c.Len() != 4 {
-		t.Fatalf("per-placement keys: builds=%d len=%d, want 4 and 4", builds, c.Len())
+	// The k > 1 regime of one worker count is a plan of its own.
+	c.Get(PlanKey{Workers: 4, Multi: true}, build)
+	if builds != 3 || c.Len() != 3 {
+		t.Fatalf("multi key: builds=%d len=%d, want 3 and 3", builds, c.Len())
 	}
 }
 
 func TestPlanCacheWarmGetZeroAllocs(t *testing.T) {
 	c := NewPlanCache()
 	build := func(PlanKey) *Plan { return &Plan{} }
-	key := PlanKey{Shard: 0, Domains: 1, Workers: 4}
+	key := PlanKey{Workers: 4}
 	c.Get(key, build)
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Get(key, build)

@@ -228,7 +228,6 @@ func TestCallerClaimedLaneFaultsLikeAWorkers(t *testing.T) {
 
 	// The same through a grant on the engine.
 	defer SetMaxWorkers(SetMaxWorkers(8))
-	resetShards(t, 1)
 	sawClaim := false
 	for try := 0; try < 50 && !sawClaim; try++ {
 		before := Stats().Shards[0].CallerClaims

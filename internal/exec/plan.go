@@ -6,20 +6,9 @@ import (
 	"repro/internal/sched"
 )
 
-// PlanKey identifies the execution placement a plan was built for — the
-// value a Grant reports before the kernel runs.
+// PlanKey identifies the dispatch shape a plan was built for — the value a
+// Grant reports before the kernel runs.
 type PlanKey struct {
-	// Shard is the engine shard the dispatch landed on, or AnyShard for
-	// gang-scheduled and spawn-fallback dispatches. Keying by shard gives
-	// every shard its own cached scratch buffers, so concurrent calls
-	// routed to distinct shards never contend on one plan's scratch (and
-	// never pay the private-scratch allocation fallback).
-	Shard int
-	// Domains is the number of topology-domain slices the partition covers:
-	// 1 for single-shard placements, the gang width for ganged ones. Plan
-	// builders hand it to sched.DomainSplit so each worker's row range is
-	// computed within its domain's contiguous slice of the matrix.
-	Domains int
 	// Workers is the worker count the partition splits across.
 	Workers int
 	// Multi separates the plans an instance builds for k > 1 dispatches
@@ -30,20 +19,18 @@ type PlanKey struct {
 	Multi bool
 }
 
-// Plan is the cached output of a format's inspector step for one placement:
-// the row/nonzero partition and any per-worker scratch (merge-path carries,
-// CSR5 segment bases, VSL partial vectors). Building a plan costs one
-// partition computation; executing it costs nothing.
+// Plan is the cached output of a format's inspector step for one worker
+// count: the row/nonzero partition and any per-worker scratch (merge-path
+// carries, CSR5 segment bases, VSL partial vectors). Building a plan costs
+// one partition computation; executing it costs nothing.
 //
 // Scratch buffers and the lane frame are shared by every call that uses the
 // plan, so a call that writes them must hold the plan lock for its duration —
 // in practice via TryLock, building a private throwaway scratch when
 // another call already holds it, so concurrent invocations with distinct
 // output vectors keep full throughput (the seed behavior) and only pay the
-// allocation when actual contention exists. Shard-keyed plans make
-// that contention rare: two calls only share a plan when they land on the
-// same shard, which the engine's round-robin routing avoids while any
-// shard is idle.
+// allocation when actual contention exists: two calls of one width in
+// flight on one instance at once.
 type Plan struct {
 	// Ranges is the cached partition: one entry per lane, its initial
 	// range. The engine runs lane w for every entry; the formats driver has
@@ -51,13 +38,6 @@ type Plan struct {
 	// so an entry says where a lane starts, not what it alone computes (a
 	// carrier's ranges stay owned: its carries are positional).
 	Ranges []sched.Range
-	// DomainOff, when non-nil, is the per-domain offset table of Ranges for
-	// a ganged placement: Ranges[DomainOff[j]:DomainOff[j+1]] belong to
-	// domain j (the j-th enlisted shard). Grant.RunPlan dispatches each
-	// domain's worker-id block by these offsets, so partitions that
-	// collapsed ranges under skew still execute on their own domain's
-	// shard. Plans without the table fall back to arithmetic id blocks.
-	DomainOff []int
 	// Scratch holds format-specific per-worker buffers.
 	Scratch any
 	// Frame holds the dispatcher's reusable per-call lane frame — the
@@ -76,7 +56,7 @@ func (p *Plan) TryLock() bool { return p.mu.TryLock() }
 // Unlock releases the scratch lock.
 func (p *Plan) Unlock() { p.mu.Unlock() }
 
-// PlanCache memoizes Plans by placement key inside a format instance. It is
+// PlanCache memoizes Plans by PlanKey inside a format instance. It is
 // a single-pointer handle so formats can embed it by value; create it with
 // NewPlanCache in the format constructor. Copies of the handle share the
 // underlying store, which is what embedded-format copies made during
@@ -97,7 +77,7 @@ func NewPlanCache() PlanCache {
 	return PlanCache{s: &planStore{plans: make(map[PlanKey]*Plan)}}
 }
 
-// Get returns the plan for the placement key, building and caching it on
+// Get returns the plan for the key, building and caching it on
 // first use. The warm path is a read-locked map probe: no allocation, no
 // partition work.
 func (c PlanCache) Get(key PlanKey, build func(key PlanKey) *Plan) *Plan {
@@ -116,7 +96,7 @@ func (c PlanCache) Get(key PlanKey, build func(key PlanKey) *Plan) *Plan {
 	return pl
 }
 
-// Len reports how many placements have cached plans.
+// Len reports how many keys have cached plans.
 func (c PlanCache) Len() int {
 	c.s.mu.RLock()
 	defer c.s.mu.RUnlock()

@@ -8,43 +8,40 @@ import (
 	"testing"
 )
 
-// placement is one shape the dispatch body serves, built by hand over
-// standalone pools so that which lane lands where is fixed: lane 0 is the
+// placement is one shape the dispatch body serves, built by hand over a
+// standalone pool so that which lane lands where is fixed: lane 0 is the
 // caller's, pooled is a lane posted to a worker (-1: none), spawned a lane
-// no pool could take (-1: none).
+// the pool could not take (-1: none).
 type placement struct {
 	name            string
-	sizes           []int // workers per enlisted pool; none = a busy engine
+	size            int // pool workers; 0 = a busy engine, no pool
 	n               int
 	pooled, spawned int
 }
 
 var placements = []placement{
-	{"busy engine", nil, 4, -1, 3},
-	{"one shard", []int{3}, 4, 2, -1},
-	{"one shard with overflow", []int{2}, 6, 1, 5},
-	{"two-shard gang", []int{2, 3}, 6, 4, -1},    // blocks [0,3) [3,6)
-	{"gang with overflow", []int{1, 1}, 6, 3, 5}, // lanes 2, 4 and 5 spawned
+	{"busy engine", 0, 4, -1, 3},
+	{"one shard", 3, 4, 2, -1},
+	{"one shard with overflow", 2, 6, 1, 5},
 }
 
-func (pc placement) pools(t *testing.T) []*Pool {
-	pools := make([]*Pool, len(pc.sizes))
-	for j, size := range pc.sizes {
-		pools[j] = NewPool(size)
-		pools[j].Prestart()
-		t.Cleanup(pools[j].Close)
+func (pc placement) pool(t *testing.T) *Pool {
+	if pc.size == 0 {
+		return nil
 	}
-	return pools
+	p := NewPool(pc.size)
+	p.Prestart()
+	t.Cleanup(p.Close)
+	return p
 }
 
-// grantOver is the grant Acquire would return had it enlisted exactly pools.
-func grantOver(workers int, ctl *Ctl, pools []*Pool) Grant {
-	g := Grant{workers: workers, shardID: AnyShard, ctl: ctl, np: len(pools)}
-	for j, p := range pools {
+// grantOver is the grant Acquire would return had it found exactly p (nil:
+// the pool busy).
+func grantOver(workers int, ctl *Ctl, p *Pool) Grant {
+	if p != nil {
 		p.mu.Lock()
-		g.pools[j] = p
 	}
-	return g
+	return Grant{workers: workers, ctl: ctl, pool: p}
 }
 
 // TestOneDispatchBody drives every placement, with and without a Ctl,
@@ -61,7 +58,7 @@ func TestOneDispatchBody(t *testing.T) {
 	for _, pc := range placements {
 		for _, live := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/ctl=%v", pc.name, live), func(t *testing.T) {
-				pools := pc.pools(t)
+				pool := pc.pool(t)
 				newCtl := func() *Ctl {
 					if !live {
 						return nil
@@ -71,7 +68,7 @@ func TestOneDispatchBody(t *testing.T) {
 				clean := func(when string) {
 					t.Helper()
 					counts := make([]atomic.Int32, pc.n)
-					g := grantOver(pc.n, newCtl(), pools)
+					g := grantOver(pc.n, newCtl(), pool)
 					if err := g.Run(pc.n, func(w int) { counts[w].Add(1) }); err != nil {
 						t.Fatalf("%s: Run = %v", when, err)
 					}
@@ -90,7 +87,7 @@ func TestOneDispatchBody(t *testing.T) {
 						}
 						atProcs(t, procs)
 						ctl := newCtl()
-						g := grantOver(pc.n, ctl, pools)
+						g := grantOver(pc.n, ctl, pool)
 						err := g.Run(pc.n, func(w int) {
 							if w == lane {
 								panic(fmt.Sprint("fault on ", w))
@@ -110,7 +107,7 @@ func TestOneDispatchBody(t *testing.T) {
 
 				if live {
 					var ran atomic.Int32
-					g := grantOver(pc.n, NewCtl(dead), pools)
+					g := grantOver(pc.n, NewCtl(dead), pool)
 					if err := g.Run(pc.n, func(int) { ran.Add(1) }); !errors.Is(err, context.Canceled) || ran.Load() != 0 {
 						t.Fatalf("pre-cancelled: Run = %v with %d lanes run, want context.Canceled and none", err, ran.Load())
 					}
@@ -122,7 +119,7 @@ func TestOneDispatchBody(t *testing.T) {
 }
 
 // TestWarmDispatchAllocs: a dispatch that spawns nothing allocates nothing
-// — over one shard, over a gang, and under a live Ctl made outside the loop.
+// — over the pool, with and without a live Ctl made outside the loop.
 func TestWarmDispatchAllocs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -132,10 +129,10 @@ func TestWarmDispatchAllocs(t *testing.T) {
 		if pc.spawned >= 0 {
 			continue
 		}
-		pools := pc.pools(t)
+		pool := pc.pool(t)
 		for name, ctl := range map[string]*Ctl{"nil Ctl": nil, "live Ctl": NewCtl(ctx)} {
 			dispatch := func() {
-				g := grantOver(pc.n, ctl, pools)
+				g := grantOver(pc.n, ctl, pool)
 				g.Run(pc.n, f)
 			}
 			dispatch()

@@ -215,7 +215,7 @@ func chaosRound(t *testing.T, seed int64) {
 				return
 			default:
 			}
-			k := cache.DecisionKey{Fingerprint: uint64(rng.Intn(64)), Device: "host", K: 1, Shards: 1}
+			k := cache.DecisionKey{Fingerprint: uint64(rng.Intn(64)), Device: "host", K: 1}
 			st0.AppendDecision(k, cache.Decision{Format: "Naive-CSR", Probed: i%2 == 0})
 			if i%64 == 0 {
 				requireCleanOrInjected(t, "journal Compact", st0.Compact())

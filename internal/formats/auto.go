@@ -25,7 +25,6 @@ type AutoChoice struct {
 	Format    string             // chosen format name
 	Device    string             // device spec consulted for the ranking
 	K         int                // RHS-count regime of the decision
-	Shards    int                // engine shard layout at decision time
 	Shortlist []string           // model ranking, best first
 	Probed    bool               // a micro-probe timed the shortlist
 	Cached    bool               // decision came from the decision cache

@@ -449,7 +449,7 @@ func (f *BCSR) cum(i int) int64 { return int64(f.rowPtr[i])*int64(f.br*f.bc) + i
 
 // plan balances blocks over whole block rows.
 func (f *BCSR) plan(key exec.PlanKey, _ int) *exec.Plan {
-	return rowPlan(f.rowPtr, key, sched.NNZBalanced)
+	return &exec.Plan{Ranges: sched.NNZBalanced(f.rowPtr, key.Workers)}
 }
 
 func (f *BCSR) apply(y, x []float64, k, lo, hi int) {

@@ -58,7 +58,9 @@ func (p *probe) Traits() Traits  { return Traits{} }
 func (p *probe) units() int      { return probeUnits }
 func (p *probe) cum(i int) int64 { return int64(i) * probeCost }
 
-func (p *probe) plan(key exec.PlanKey, _ int) *exec.Plan { return evenPlan(probeUnits, key) }
+func (p *probe) plan(key exec.PlanKey, _ int) *exec.Plan {
+	return &exec.Plan{Ranges: sched.EvenRows(probeUnits, key.Workers)}
+}
 
 func (p *probe) apply(y, x []float64, k, lo, hi int) {
 	p.calls.Add(1)
@@ -84,13 +86,13 @@ func (p *probe) reset(hook func(lo, hi int)) {
 	p.hook = hook
 }
 
-// ranges is the initial assignment of a workers-wide single-shard dispatch;
+// ranges is the initial assignment of a workers-wide dispatch;
 // a serial call is one lane over everything.
 func (p *probe) ranges(workers int) []sched.Range {
 	if workers == 1 {
 		return []sched.Range{{RowHi: probeUnits}}
 	}
-	return p.plan(exec.PlanKey{Domains: 1, Workers: workers}, 1).Ranges
+	return p.plan(exec.PlanKey{Workers: workers}, 1).Ranges
 }
 
 // checkOnce fails unless the last call, workers wide, covered every unit in

@@ -154,9 +154,7 @@ type cooScratch struct {
 func (f *COO) carries(int) bool { return true }
 
 // plan gives each lane a contiguous, equal share of the entry stream.
-// Chunks are ordered, so consecutive lane ids — which a ganged dispatch
-// groups by shard — walk adjacent slabs. Streams too short to give every
-// lane two entries run as one lane.
+// Streams too short to give every lane two entries run as one lane.
 func (f *COO) plan(key exec.PlanKey, _ int) *exec.Plan {
 	n, lanes := len(f.val), key.Workers
 	if n < 2*lanes {

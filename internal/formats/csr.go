@@ -59,9 +59,10 @@ func (f *CSR) units() int { return f.rows }
 // cum is the CSR cumulative work measure: nonzeros plus a row visit each.
 func (f *CSR) cum(i int) int64 { return int64(f.rowPtr[i]) + int64(i) }
 
-// plan splits rows under the format's policy (per domain slice when the
-// dispatch gangs across shards).
-func (f *CSR) plan(key exec.PlanKey, _ int) *exec.Plan { return rowPlan(f.rowPtr, key, f.policy) }
+// plan splits rows under the format's policy.
+func (f *CSR) plan(key exec.PlanKey, _ int) *exec.Plan {
+	return &exec.Plan{Ranges: f.policy(f.rowPtr, key.Workers)}
+}
 
 // Traits implements Format.
 func (f *CSR) Traits() Traits {

@@ -242,10 +242,7 @@ type csr5Scratch struct {
 func (f *CSR5) carries(int) bool { return true }
 
 // plan splits tiles evenly, with the first row of each range carried past
-// the boundary. The even split is already domain-contiguous: consecutive
-// lane ids — grouped by shard under a ganged dispatch — own adjacent tile
-// slabs, so no domain-aware re-split is needed. The boundary-segment
-// searches run once per placement.
+// the boundary. The boundary-segment searches run once per worker count.
 func (f *CSR5) plan(key exec.PlanKey, _ int) *exec.Plan {
 	p := key.Workers
 	if p > f.tiles {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 )
 
 // DIA stores the matrix by diagonals (offset = col - row), the classic
@@ -131,7 +132,9 @@ func (f *DIA) units() int { return f.rows }
 // balanced.
 func (f *DIA) cum(i int) int64 { return int64(i) * int64(len(f.offsets)) }
 
-func (f *DIA) plan(key exec.PlanKey, _ int) *exec.Plan { return evenPlan(f.rows, key) }
+func (f *DIA) plan(key exec.PlanKey, _ int) *exec.Plan {
+	return &exec.Plan{Ranges: sched.EvenRows(f.rows, key.Workers)}
+}
 
 func (f *DIA) apply(y, x []float64, k, lo, hi int) {
 	if k == 1 {

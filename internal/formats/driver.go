@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/exec"
-	"repro/internal/sched"
 )
 
 // The kernel contract. The paper holds the harness constant and varies
@@ -33,10 +32,10 @@ type kernel interface {
 	// never in inner loops.
 	cum(i int) int64
 	// plan is the partition policy: each lane's initial range (and, for
-	// carriers, the lane scratch) for one placement at RHS count k. A
+	// carriers, the lane scratch) for key.Workers lanes at RHS count k. A
 	// range says where a lane starts claiming, not what it alone computes:
 	// a lane that drains its own takes chunks off the others'. Built once
-	// per placement and cached by the driver.
+	// per key and cached by the driver.
 	plan(key exec.PlanKey, k int) *exec.Plan
 	// apply computes units [lo, hi) of the k-wide product: k == 1 is the
 	// single-vector loop, k > 1 the fused register tile. The units are
@@ -121,12 +120,7 @@ type driver struct {
 	n     int      // kern.units()
 	work  int64    // kern.cum(n)
 	fused bool     // apply handles k > 1
-	// onePlan keys plans by lane count alone instead of per placement, for
-	// scratch too heavy to duplicate per shard (VSL's partial vectors):
-	// shard-concurrent calls then share one plan and the loser of its lock
-	// pays the private allocation.
-	onePlan bool
-	plans   exec.PlanCache
+	plans exec.PlanCache
 }
 
 // bind attaches the driver to the fully assembled format value. Formats
@@ -206,21 +200,19 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 		return nil
 	}
 	g := exec.AcquireCtl(workers, ctl)
-	defer g.Release() // no-op after Run; frees the shard if a plan build panics
+	defer g.Release() // no-op after Run; frees the pool if a plan build panics
 	key := g.Key()
 	key.Multi = k > 1
-	if d.onePlan {
-		key.Shard, key.Domains = exec.AnyShard, 1
-	}
 	pl := d.plans.Get(key, func(key exec.PlanKey) *exec.Plan {
 		pl := d.kern.plan(key, k)
 		pl.Frame = newFrame(len(pl.Ranges))
 		return pl
 	})
 	// The plan's lane frame and, for carriers, its lane scratch are shared
-	// by every call on this placement. Another call mid-flight keeps the
-	// lock; this one then takes private ones, so concurrent invocations stay
-	// fully parallel and only pay the allocation under real contention.
+	// by every call of this width. Another call mid-flight — the pooled one
+	// when this one spawns, or the other way round — keeps the lock; this
+	// one then takes private ones, so concurrent invocations stay fully
+	// parallel and only pay the allocation under real contention.
 	fr := pl.Frame.(*frame)
 	private := !pl.TryLock()
 	if private {
@@ -241,7 +233,7 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 			fr.cur[w].hi = r.RowHi
 		}
 	}
-	if err := g.RunPlan(pl, fr.lane); err != nil {
+	if err := g.Run(len(pl.Ranges), fr.lane); err != nil {
 		return err
 	}
 	if carried {
@@ -316,10 +308,9 @@ func ctxGrain(k int) int64 {
 // lane takes chunks of about ctxGrain(k) work items off the front of its
 // own range, then — a lane's time is not its work: rows cost more than cum
 // prices them at, and a CPU may be taken away — off the front of every
-// other lane's, in ring order, polling ctl before each claim. A ganged
-// plan keeps a domain's lanes adjacent, so a lane helps its own domain
-// first. Each unit is claimed once, by CAS, whoever computes it; a lane
-// that finds every range drained returns at once.
+// other lane's, in ring order, polling ctl before each claim. Each unit is
+// claimed once, by CAS, whoever computes it; a lane that finds every range
+// drained returns at once.
 func (d *driver) claim(cur []cursor, w int, ctl *exec.Ctl, y, x []float64, k int) {
 	grain := ctxGrain(k)
 	for i := 0; i < len(cur) && !ctl.Cancelled(); {
@@ -366,18 +357,4 @@ func (d *driver) byColumn(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 		}
 	}
 	return nil
-}
-
-// rowPlan is the partition policy of the formats whose units carry a
-// CSR-style pointer array: policy over ptr, per domain slice.
-func rowPlan(ptr []int32, key exec.PlanKey, policy sched.Partitioner) *exec.Plan {
-	ranges, off := sched.DomainSplitOff(ptr, key.Domains, key.Workers, policy)
-	return &exec.Plan{Ranges: ranges, DomainOff: off}
-}
-
-// evenPlan is the partition policy of the formats whose units all cost
-// the same: equal unit counts, per domain slice.
-func evenPlan(units int, key exec.PlanKey) *exec.Plan {
-	ranges, off := sched.DomainEvenRowsOff(units, key.Domains, key.Workers)
-	return &exec.Plan{Ranges: ranges, DomainOff: off}
 }

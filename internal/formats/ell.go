@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 	"repro/internal/simd"
 )
 
@@ -137,7 +138,9 @@ func (f *ELL) units() int { return f.rows }
 // padding itself).
 func (f *ELL) cum(i int) int64 { return int64(i) * int64(f.width) }
 
-func (f *ELL) plan(key exec.PlanKey, _ int) *exec.Plan { return evenPlan(f.rows, key) }
+func (f *ELL) plan(key exec.PlanKey, _ int) *exec.Plan {
+	return &exec.Plan{Ranges: sched.EvenRows(f.rows, key.Workers)}
+}
 
 // apply is the column sweep at k = 1 and the fused ELL kernel at k > 1.
 // Unlike the single-vector kernel the fused one walks the slab row-major

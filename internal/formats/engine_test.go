@@ -69,7 +69,6 @@ func TestEngineSerialParallelEquivalence(t *testing.T) {
 func TestSpMVParallelAllocs(t *testing.T) {
 	prev := exec.SetMaxWorkers(4)
 	defer exec.SetMaxWorkers(prev)
-	setShards(t, 1) // plans are per shard: two warm-up calls must warm them all (TestShardedSteadyStateAllocs has the sharded case)
 	exec.Prestart()
 
 	m, err := gen.Generate(gen.Params{
@@ -218,7 +217,6 @@ func TestConcurrentSameInstanceCalls(t *testing.T) {
 func TestPlanCachePopulatesPerWorkerCount(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
-	setShards(t, 1) // one shard, so the worker count is the only key that varies
 
 	m := matrix.Tridiagonal(30000, 2, -1)
 	f := NewCSR(m)

@@ -57,12 +57,8 @@ func (f *MergeCSR) plan(key exec.PlanKey, k int) *exec.Plan {
 	if k > 1 {
 		return f.CSR.plan(key, k)
 	}
-	// Domain slices cut on whole-row boundaries, so a ganged dispatch
-	// never carries a partial sum across shards; the merge-path split
-	// runs within each domain's slice.
-	pl := rowPlan(f.rowPtr, key, sched.MergePath)
-	pl.Scratch = newMergeScratch(len(pl.Ranges))
-	return pl
+	ranges := sched.MergePath(f.rowPtr, key.Workers)
+	return &exec.Plan{Ranges: ranges, Scratch: newMergeScratch(len(ranges))}
 }
 
 func newMergeScratch(lanes int) *mergeScratch {

@@ -71,14 +71,13 @@ func TestMultiplyManyEquivalence(t *testing.T) {
 	}
 }
 
-// TestMultiplyManyShardedEquivalence is the gang-path property: with
-// several shards and a worker cap wide enough that a fused call must
-// gang-schedule (domain-split plans, offset-dispatched id blocks), every
-// format still matches the sequential specification.
+// TestMultiplyManyShardedEquivalence is the wide-call property: with a
+// worker cap wider than the pool, so that a fused call runs lanes on every
+// pool worker and spawns the rest, every format still matches the
+// sequential specification.
 func TestMultiplyManyShardedEquivalence(t *testing.T) {
 	prev := exec.SetMaxWorkers(32)
 	defer exec.SetMaxWorkers(prev)
-	setShards(t, 3)
 	exec.Prestart()
 
 	const k = 8
@@ -100,7 +99,7 @@ func TestMultiplyManyShardedEquivalence(t *testing.T) {
 			f.MultiplyMany(got, x, k)
 			f.MultiplyMany(got, x, k)
 			if d := maxAbsDiff(got, want); d > 1e-8 || anyNaN(got) {
-				t.Errorf("%s on %s ganged over 3 shards with k=%d: diff %g (NaN=%v)",
+				t.Errorf("%s on %s over 32 lanes with k=%d: diff %g (NaN=%v)",
 					b.Name, name, k, d, anyNaN(got))
 			}
 		}
@@ -108,7 +107,7 @@ func TestMultiplyManyShardedEquivalence(t *testing.T) {
 }
 
 // TestMultiplyManyConcurrentCallers drives the contention path through the
-// sharded engine: several goroutines issue MultiplyMany on one format
+// engine: several goroutines issue MultiplyMany on one format
 // instance with distinct outputs and distinct k. Calls that lose the
 // plan's TryLock must fall back to private k-wide scratch and still be
 // correct; with -race this also proves the cached carry buffers are never
@@ -116,7 +115,6 @@ func TestMultiplyManyShardedEquivalence(t *testing.T) {
 func TestMultiplyManyConcurrentCallers(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
-	setShards(t, 2)
 	exec.Prestart()
 
 	m := matrix.RandomRowSizes(20000, 20000, skewedSizes(20000, 400), 91)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 	"repro/internal/simd"
 )
 
@@ -212,14 +213,15 @@ func (f *SELLCS) chunkRange(x, y []float64, chLo, chHi int) {
 	}
 }
 
-// units: lanes take whole chunks. Chunks are contiguous slabs of
-// sigma-sorted rows, so the domain split hands each shard adjacent slabs.
+// units: lanes take whole chunks, contiguous slabs of sigma-sorted rows.
 func (f *SELLCS) units() int { return len(f.chunkLen) }
 
 // cum: the chunk pointer is the cumulative padded-slot measure.
 func (f *SELLCS) cum(i int) int64 { return f.chunkPtr[i] }
 
-func (f *SELLCS) plan(key exec.PlanKey, _ int) *exec.Plan { return evenPlan(len(f.chunkLen), key) }
+func (f *SELLCS) plan(key exec.PlanKey, _ int) *exec.Plan {
+	return &exec.Plan{Ranges: sched.EvenRows(len(f.chunkLen), key.Workers)}
+}
 
 // apply is the lane-sum chunk sweep at k = 1 and the fused SELL-C-sigma
 // kernel at k > 1: within a chunk the lanes run lane-major, each one

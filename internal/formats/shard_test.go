@@ -7,28 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/failpoint"
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/topo"
 )
 
-// setShards pins the engine shard count for a test and restores it after.
-func setShards(t *testing.T, n int) {
-	t.Helper()
-	prev := topo.SetShards(n)
-	t.Cleanup(func() { topo.SetShards(prev) })
-}
-
-// TestEngineShardedEquivalence is the gang-path correctness property: with
-// several shards and a worker count wide enough that a single call must
-// gang-schedule across all of them (domain-split partitions, per-shard
-// worker blocks), every format still matches its serial kernel on every
-// engine test matrix. Run with -race this also proves the ganged dispatch
-// never shares scratch across shards.
+// TestEngineShardedEquivalence is the wide-call correctness property: with
+// a worker count wider than the pool, so that a single call runs lanes on
+// every pool worker and spawns the rest, every format still matches its
+// serial kernel on every engine test matrix. Run with -race this also
+// proves pooled and spawned lanes never share scratch.
 func TestEngineShardedEquivalence(t *testing.T) {
 	prev := exec.SetMaxWorkers(32)
 	defer exec.SetMaxWorkers(prev)
-	setShards(t, 3)
 	exec.Prestart()
 
 	for name, m := range engineTestMatrices(t) {
@@ -47,27 +38,29 @@ func TestEngineShardedEquivalence(t *testing.T) {
 			for i := range got {
 				got[i] = math.NaN() // every row must be written
 			}
-			// Twice: the second call runs on the cached domain-split plan.
+			// Twice: the second call runs on the cached plan.
 			f.SpMVParallel(x, got, 32)
 			f.SpMVParallel(x, got, 32)
 			if d := maxAbsDiff(got, want); d > 1e-8 || anyNaN(got) {
-				t.Errorf("%s on %s ganged over 3 shards: differs from serial by %g (NaN=%v)",
+				t.Errorf("%s on %s over 32 lanes: differs from serial by %g (NaN=%v)",
 					b.Name, name, d, anyNaN(got))
 			}
 		}
 	}
 }
 
-// TestConcurrentCallersRouteToDistinctShards is the serving-path acceptance
-// property: with two shards on a single-domain machine, two simultaneous
-// SpMV calls on the same format instance both execute on parked pool
-// workers — no spawned-goroutine fallback — and both produce the serial
-// result. The rendezvous inside the kernel's worker 0 proves the calls
-// overlap in time.
+// TestConcurrentCallersRouteToDistinctShards is the serving-path property:
+// two SpMV calls in flight on one format instance at once — one holding the
+// pool, one finding it busy and spawning — share one cached plan, so the
+// second runs on a private lane frame, and both come out bit-identical to
+// the serial product. The pooled call is held inside a lane by the
+// exec.worker failpoint until the spawned one has finished; under -race
+// this proves the two never share a frame.
 func TestConcurrentCallersRouteToDistinctShards(t *testing.T) {
 	prev := exec.SetMaxWorkers(4)
 	defer exec.SetMaxWorkers(prev)
-	setShards(t, 2)
+	defer failpoint.SetEnabled(failpoint.SetEnabled(true))
+	defer failpoint.Disable("exec.worker")
 	exec.Prestart()
 
 	m, err := gen.Generate(gen.Params{
@@ -81,50 +74,45 @@ func TestConcurrentCallersRouteToDistinctShards(t *testing.T) {
 	x := matrix.RandomVector(m.Cols, 41)
 	want := make([]float64, m.Rows)
 	f.SpMV(x, want)
-	// Warm both shards' plans so the measured runs do no partition work.
-	ys := [2][]float64{make([]float64, m.Rows), make([]float64, m.Rows)}
-	f.SpMVParallel(x, ys[0], 4)
-	f.SpMVParallel(x, ys[1], 4)
+	pooled, spawned := nanFilled(m.Rows), nanFilled(m.Rows)
+	f.SpMVParallel(x, pooled, 4) // warm the plan: both calls below share it
 
+	// The sleep only has to outlast the spawned call's start; its end is
+	// awaited, not timed.
+	if err := failpoint.Enable("exec.worker", "sleep:500*1"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f.SpMVParallel(x, pooled, 4)
+	}()
+	if !await(func() bool { return failpoint.Fired("exec.worker") == 1 }) {
+		t.Fatal("the pooled call never reached a pool lane")
+	}
 	spawnsBefore := exec.SpawnFallbacks()
-	var ready, wg sync.WaitGroup
-	ready.Add(2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// The rendezvous makes both calls hold their shard at once; a
-			// single-pool engine could only serve this by spawning.
-			ready.Done()
-			ready.Wait()
-			for iter := 0; iter < 50; iter++ {
-				f.SpMVParallel(x, ys[i], 4)
-			}
-		}(i)
+	f.SpMVParallel(x, spawned, 4)
+	if d := exec.SpawnFallbacks() - spawnsBefore; d != 1 {
+		t.Errorf("%d spawn fallbacks for the call that met the busy pool, want 1", d)
 	}
 	wg.Wait()
-	for i := range ys {
-		if d := maxAbsDiff(ys[i], want); d > 1e-8 {
-			t.Errorf("concurrent caller %d diverged from serial by %g", i, d)
+
+	for name, y := range map[string][]float64{"pooled": pooled, "spawned": spawned} {
+		for i := range y {
+			if y[i] != want[i] {
+				t.Fatalf("%s call: y[%d] = %v, want the serial %v", name, i, y[i], want[i])
+			}
 		}
-	}
-	// Routing may very occasionally race both callers onto one shard for a
-	// single iteration; over 100 iterations the fallback count must stay
-	// far below what a single-pool engine would show (which spawns on every
-	// overlapping call).
-	if d := exec.SpawnFallbacks() - spawnsBefore; d > 5 {
-		t.Errorf("%d spawn fallbacks across 100 two-caller iterations, want ~0", d)
 	}
 }
 
-// TestShardedSteadyStateAllocs: with two shards, the steady single-caller
-// state stays at the engine's alloc budget (the one kernel closure per
-// dispatch) even though round-robin routing alternates shards — each shard
-// has its own cached plan and scratch.
+// TestShardedSteadyStateAllocs: the steady single-caller state stays at the
+// engine's alloc budget of zero for every format — the pool, the cached
+// plan and its lane frame are all reused.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	prev := exec.SetMaxWorkers(4)
 	defer exec.SetMaxWorkers(prev)
-	setShards(t, 2)
 	exec.Prestart()
 
 	m, err := gen.Generate(gen.Params{
@@ -144,7 +132,6 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 			}
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		// Warm both shards' plans (round-robin visits each in turn).
 		for i := 0; i < 4; i++ {
 			f.SpMVParallel(x, y, 4)
 		}
@@ -152,7 +139,7 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 			f.SpMVParallel(x, y, 4)
 		})
 		if allocs > 0 {
-			t.Errorf("%s: %v allocs per steady-state sharded SpMVParallel, want 0", b.Name, allocs)
+			t.Errorf("%s: %v allocs per steady-state SpMVParallel, want 0", b.Name, allocs)
 		}
 	}
 }

@@ -227,7 +227,7 @@ func (f *SPX) cum(i int) int64 { return f.valPtr[i] + int64(i) }
 // plan balances nonzeros over whole rows, using the value offsets as the
 // balance measure.
 func (f *SPX) plan(key exec.PlanKey, _ int) *exec.Plan {
-	return rowPlan(f.nnzPtr, key, sched.NNZBalanced)
+	return &exec.Plan{Ranges: sched.NNZBalanced(f.nnzPtr, key.Workers)}
 }
 
 // apply is single-vector only: the compressed unit stream would have to be

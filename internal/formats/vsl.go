@@ -143,7 +143,6 @@ func NewVSL(m *matrix.CSR, cfg VSLConfig) (*VSL, error) {
 			ErrBuild, bytes, cfg.CapacityBytes)
 	}
 	f.bind(f)
-	f.onePlan = true // lanes x rows of partials: megabytes
 	return f, nil
 }
 

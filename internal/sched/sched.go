@@ -27,6 +27,10 @@ func (r Range) Rows() int { return r.RowHi - r.RowLo }
 // NNZ returns the number of nonzeros covered by the range.
 func (r Range) NNZ() int64 { return r.NNZHi - r.NNZLo }
 
+// Partitioner is a row partition policy: RowBlocks, NNZBalanced or
+// MergePath.
+type Partitioner func(rowPtr []int32, p int) []Range
+
 // RowBlocks splits rows into p contiguous blocks of near-equal row count.
 func RowBlocks(rowPtr []int32, p int) []Range {
 	rows := len(rowPtr) - 1

@@ -9,7 +9,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/formats"
 	"repro/internal/matrix"
-	"repro/internal/topo"
 )
 
 // DefaultShortlist is how many candidate formats the model ranking keeps
@@ -28,20 +27,14 @@ const autoProbeMinNNZ = 1 << 14
 var hostSpec = device.HostSpec
 
 // State is everything one selection context remembers between builds:
-// the decision cache (keyed by matrix fingerprint, device, k, shards — a
-// repeated build of one matrix under one context skips ranking, probing
-// and tuning), the online-learned experience base fed by the samples those
-// decisions carry, and the shard count recorded in decision keys. A
-// Session owns one and hands it to every build by pointer; nil members are
-// simply not consulted.
+// the decision cache (keyed by matrix fingerprint, device, k — a repeated
+// build of one matrix under one context skips ranking, probing and
+// tuning) and the online-learned experience base fed by the samples those
+// decisions carry. A Session owns one and hands it to every build by
+// pointer; nil members are simply not consulted.
 type State struct {
 	Cache   *cache.DecisionCache
 	Learned *Learned
-	// Shards is the execution-context shard count recorded in decision
-	// keys (0: the live topo.Shards()). The engine's pool layout is
-	// process-wide hardware state; this only scopes which cached decisions
-	// a build may reuse.
-	Shards int
 }
 
 // AutoOptions configures BuildAuto.
@@ -92,8 +85,8 @@ func (o AutoOptions) state() State {
 // paper's feature analysis driving execution. The pipeline is
 //
 //  1. extract the five-feature vector (core.Extract);
-//  2. consult the State's decision cache keyed by (fingerprint, device, k,
-//     shards) — warm-loaded from the disk journal when its owner persists,
+//  2. consult the State's decision cache keyed by (fingerprint, device,
+//     k) — warm-loaded from the disk journal when its owner persists,
 //     so a restarted process reuses every decision its predecessors made;
 //  3. on a miss, shortlist candidates by the k-regime device model
 //     (device.Spec.EstimateMulti ranking, plus the RulesK pick), and let
@@ -139,22 +132,8 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	st := o.state()
 	useCache := st.Cache != nil && !o.NoCache
 	learn := st.Learned != nil && !o.NoLearn
-	shards := st.Shards
-	if shards <= 0 {
-		shards = topo.Shards()
-	}
-	choice := formats.AutoChoice{
-		Device: spec.Name,
-		K:      k,
-		Shards: shards,
-	}
-
-	key := cache.DecisionKey{
-		Fingerprint: m.Fingerprint(),
-		Device:      spec.Name,
-		K:           k,
-		Shards:      choice.Shards,
-	}
+	choice := formats.AutoChoice{Device: spec.Name, K: k}
+	key := cache.DecisionKey{Fingerprint: m.Fingerprint(), Device: spec.Name, K: k}
 	if useCache {
 		if d, ok := st.Cache.Get(key); ok {
 			// The decision's tuning re-applies on the cached path; a

@@ -45,7 +45,7 @@ func TestWarmLoadAgesExperience(t *testing.T) {
 	fp := uint64(0)
 	put := func(device string, k int, d cache.Decision) {
 		fp++
-		st.AppendDecision(cache.DecisionKey{Fingerprint: fp, Device: device, K: k, Shards: 1}, d)
+		st.AppendDecision(cache.DecisionKey{Fingerprint: fp, Device: device, K: k}, d)
 	}
 	sample := func(rows int, best string) cache.Decision {
 		fv := core.FeatureVector{Rows: rows, Cols: 20000, NNZ: 240000, AvgNNZPerRow: 12, SkewCoeff: 9}
@@ -73,7 +73,7 @@ func TestWarmLoadAgesExperience(t *testing.T) {
 
 	// Re-measuring the oldest matrix supersedes its decision, which moves to
 	// the end of the order: on the next replay it is the freshest vote.
-	st.AppendDecision(cache.DecisionKey{Fingerprint: 1, Device: "host", K: 8, Shards: 1}, sample(20000, "HYB"))
+	st.AppendDecision(cache.DecisionKey{Fingerprint: 1, Device: "host", K: 8}, sample(20000, "HYB"))
 	lrn = NewLearned()
 	lrn.WarmLoad(st)
 	if got := lrn.Len("host", 8); got != 3 {

@@ -141,7 +141,7 @@ func TestOneDecisionOneSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := &State{Cache: cache.NewDecisionCache(), Learned: NewLearned(), Shards: 1}
+	state := &State{Cache: cache.NewDecisionCache(), Learned: NewLearned()}
 	state.Cache.AttachStore(st)
 	m := genMatrix(t, 20000, 12, 10, 11)
 	for i, noCache := range []bool{false, true, false, true, true, false} {

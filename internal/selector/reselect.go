@@ -11,7 +11,7 @@ import (
 // compactor of an updatable matrix folds its delta overlay into a fresh
 // CSR whose structure — and therefore best format — may differ from the
 // base it replaces. Every decision for the predecessor fingerprint is
-// invalidated first — all (device, k, shards) regimes at once, each with
+// invalidated first — all (device, k) regimes at once, each with
 // its tuning and sample, in the cache and in the journal behind it; they
 // all measured the dead structure — then BuildAuto selects for the
 // successor matrix. Returns the built choice and how many stale decisions were

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/matrix"
-	"repro/internal/topo"
 )
 
 // TestReselectInvalidatesDriftedDecisions: after structure drift, Reselect
@@ -33,7 +32,7 @@ func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
 	}
 	// The k = 1 decision carries a tuning, as an autotuned build leaves it.
 	oldKey := cache.DecisionKey{
-		Fingerprint: m1.Fingerprint(), Device: a1.Choice().Device, K: 1, Shards: topo.Shards(),
+		Fingerprint: m1.Fingerprint(), Device: a1.Choice().Device, K: 1,
 	}
 	dc.Put(oldKey, cache.Decision{Format: a1.Chosen(), Tuned: "bcsr.block=4x4"})
 
@@ -66,7 +65,7 @@ func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
 		}
 	}
 	newKey := cache.DecisionKey{
-		Fingerprint: m2.Fingerprint(), Device: a2.Choice().Device, K: 1, Shards: topo.Shards(),
+		Fingerprint: m2.Fingerprint(), Device: a2.Choice().Device, K: 1,
 	}
 	if d, ok := dc.Get(newKey); !ok || d.Format != a2.Chosen() {
 		t.Fatalf("successor decision not cached (ok=%v)", ok)

@@ -56,9 +56,9 @@ func TestBuildAutoTuneRecordsChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	state := &State{Cache: cache.NewDecisionCache(), Shards: 1}
+	state := &State{Cache: cache.NewDecisionCache()}
 	state.Cache.AttachStore(st)
-	key := cache.DecisionKey{Fingerprint: m.Fingerprint(), Device: "host", K: 8, Shards: 1}
+	key := cache.DecisionKey{Fingerprint: m.Fingerprint(), Device: "host", K: 8}
 	state.Cache.Put(key, cache.Decision{Format: "BCSR"})
 
 	var tuned [3]map[string]string

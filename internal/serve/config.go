@@ -15,8 +15,6 @@ type Config struct {
 	MaxBatch int
 	// CacheDir is the selection journal directory; empty is memory-only.
 	CacheDir string
-	// Shards scopes the session's decision keys; 0 uses the live topology.
-	Shards int
 	// K is the default right-hand-side regime hint for uploads.
 	K int
 	// Probe lets uploads micro-probe the selection shortlist by default.

@@ -78,7 +78,7 @@ type Server struct {
 }
 
 // NewServer wires a server from cfg. The session is built from the
-// config's CacheDir/K/Probe/Shards and closed by Shutdown; pass a non-nil
+// config's CacheDir/K/Probe and closed by Shutdown; pass a non-nil
 // sess to share one (e.g. the default session, or one journal between two
 // servers) instead — a supplied session stays open, its owner closes it.
 func NewServer(cfg Config, sess *session.Session) (*Server, error) {
@@ -89,7 +89,6 @@ func NewServer(cfg Config, sess *session.Session) (*Server, error) {
 			CacheDir: cfg.CacheDir,
 			K:        cfg.K,
 			Probe:    cfg.Probe,
-			Shards:   cfg.Shards,
 		})
 		if err != nil {
 			return nil, err
@@ -404,7 +403,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsResponse is GET /v1/stats: per-matrix batching plus totals, and the
-// execution engine's per-shard dispatch counters — where hot_handoffs
+// execution engine's dispatch counters — where hot_handoffs
 // against parked_wakes + caller_claims says whether this daemon's
 // dispatches find the workers polling or asleep.
 type StatsResponse struct {

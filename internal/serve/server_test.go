@@ -468,7 +468,7 @@ func TestServerInfoEndpoint(t *testing.T) {
 	// Warm: a remembered BCSR decision makes the upload tunable everywhere.
 	warm := matrix.Tridiagonal(8000, 2, -1)
 	sess.Cache().Put(cache.DecisionKey{
-		Fingerprint: warm.Fingerprint(), Device: device.HostSpec().Name, K: 1, Shards: sess.Shards(),
+		Fingerprint: warm.Fingerprint(), Device: device.HostSpec().Name, K: 1,
 	}, cache.Decision{Format: "BCSR"})
 	status, env = call(t, "POST", base+"/v1/matrices",
 		UploadSpec{Name: "warm", MatrixMarket: mmBody(t, warm), K: 1, Tune: true})

@@ -1,7 +1,6 @@
 // Package session is the one owner of the selection subsystem's mutable
-// state: the decision cache, the disk journal behind it, the
-// online-learned experience base the decisions' samples feed, and the
-// execution-context shard count recorded in decision keys. A Session
+// state: the decision cache, the disk journal behind it and the
+// online-learned experience base the decisions' samples feed. A Session
 // holds real instances of all of them in one selector.State and hands
 // that state to every build it runs; internal/selector and internal/cache
 // keep no package-level state of their own.
@@ -27,7 +26,6 @@ import (
 	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/selector"
-	"repro/internal/topo"
 	"repro/internal/update"
 )
 
@@ -42,10 +40,6 @@ type Options struct {
 	K int
 	// Probe lets Auto builds micro-probe their shortlist by default.
 	Probe bool
-	// Shards overrides the execution-context shard count recorded in this
-	// session's decision keys (0: the live topo.Shards()). The engine's
-	// pool layout itself is process-wide hardware state.
-	Shards int
 }
 
 // Session is one isolated selection context. All methods are safe for
@@ -71,7 +65,6 @@ func New(o Options) (*Session, error) {
 		state: selector.State{
 			Cache:   cache.NewDecisionCache(),
 			Learned: selector.NewLearned(),
-			Shards:  o.Shards,
 		},
 	}
 	if o.CacheDir != "" {
@@ -114,16 +107,6 @@ func (s *Session) Learned() *selector.Learned { return s.state.Learned }
 
 // Store returns the session's journal, or nil when memory-only.
 func (s *Session) Store() *cache.Store { return s.state.Cache.Store() }
-
-// Shards returns the execution-context shard count recorded in this
-// session's decision keys: the session override when set, else the live
-// engine topology.
-func (s *Session) Shards() int {
-	if s.state.Shards > 0 {
-		return s.state.Shards
-	}
-	return topo.Shards()
-}
 
 // autoOptions scopes o to this session: its state is the build's state,
 // and the session's default K/Probe fill unset fields.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/selector"
-	"repro/internal/topo"
 	"repro/internal/update"
 )
 
@@ -150,7 +149,7 @@ func TestPersistReinvokeNoDuplicates(t *testing.T) {
 	defer s.Close()
 	st := s.Store()
 	for fp := uint64(1); fp <= 2; fp++ {
-		st.AppendDecision(cache.DecisionKey{Fingerprint: fp, Device: "host", K: 8, Shards: 1},
+		st.AppendDecision(cache.DecisionKey{Fingerprint: fp, Device: "host", K: 8},
 			cache.Decision{Format: "ELL", Probed: true, FV: core.FeatureVector{Rows: int(fp), NNZ: 9}})
 	}
 	if err := s.Persist(dir); err != nil {
@@ -235,20 +234,27 @@ func TestSessionUpdatable(t *testing.T) {
 	}
 }
 
-// A session's shard context keys every decision made under it: Auto, the
-// updatable's initial build, and each compaction's re-selection alike.
+// TestSessionUpdatableKeepsShardKey: every decision an updatable built under
+// a session makes — the initial build's and each compaction's re-selection
+// — lands in that session's cache and journal, never in the default
+// session's.
 func TestSessionUpdatableKeepsShardKey(t *testing.T) {
-	want := topo.Shards() + 2 // never the live count the bug keyed under
-	s, err := New(Options{CacheDir: t.TempDir(), Shards: want})
+	d := Default()
+	defaultBefore := d.Cache().Len()
+	s, err := New(Options{CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	u, err := s.NewUpdatable(testMatrix(), update.Options{NoAutoCompact: true})
+	m := testMatrix()
+	u, err := s.NewUpdatable(m, update.Options{NoAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	initial, _ := s.Store().Decisions()
+	if len(initial) != 1 || initial[0].Fingerprint != m.Fingerprint() {
+		t.Fatalf("the initial build journaled %+v, want one decision for the matrix", initial)
+	}
 	u.Set(0, 0, 1.25)
 	if err := u.Compact(); err != nil {
 		t.Fatal(err)
@@ -256,13 +262,19 @@ func TestSessionUpdatableKeepsShardKey(t *testing.T) {
 	// The re-selection invalidated the initial build's decision (the base
 	// it chose for is gone) and journaled its own: two lines, one live.
 	reselected, _ := s.Store().Decisions()
-	if len(initial) != 1 || len(reselected) != 1 || initial[0] == reselected[0] || s.Store().Stats().Appended != 2 {
+	if len(reselected) != 1 || reselected[0] == initial[0] || s.Store().Stats().Appended != 2 {
 		t.Fatalf("journaled %+v then %+v (%d appended), want the initial build's decision replaced by the re-selection's",
 			initial, reselected, s.Store().Stats().Appended)
 	}
+	if _, ok := s.Cache().Get(reselected[0]); !ok {
+		t.Errorf("the re-selection's decision %+v is not in the session's cache", reselected[0])
+	}
 	for _, k := range append(initial, reselected...) {
-		if k.Shards != want {
-			t.Errorf("decision %+v keyed under %d shards, want the session's %d", k, k.Shards, want)
+		if _, ok := d.Cache().Get(k); ok {
+			t.Errorf("decision %+v reached the default session's cache", k)
 		}
+	}
+	if got := d.Cache().Len(); got != defaultBefore {
+		t.Errorf("the session's updatable grew the default decision cache: %d -> %d", defaultBefore, got)
 	}
 }

@@ -218,7 +218,7 @@ func SIMDDispatch() map[string]string {
 // the measured winner of any similar matrix probed before, an optional
 // micro-probe times the shortlist on a row-sampled sub-matrix through the
 // execution engine, and the winner is built. Decisions are cached by
-// (matrix fingerprint, device, k, shards), so rebuilding the same matrix
+// (matrix fingerprint, device, k), so rebuilding the same matrix
 // under the same context is instant — and with persistence on (SetCacheDir
 // or SPMV_CACHE_DIR) decisions, with their tuning and probe samples,
 // survive restarts.
@@ -240,8 +240,8 @@ func AutoCtx(ctx context.Context, m *Matrix, o AutoOptions) (*AutoFormat, error)
 // SetCacheDir turns on the default session's persistence layer: its
 // decisions (each with its tuning and probe sample) journal through an
 // append-only JSONL file in dir and warm-load from it immediately, so a
-// restarted process re-resolves every previously-seen (matrix, device, k,
-// shards) context without ranking, probing or tuning. An empty dir resolves the
+// restarted process re-resolves every previously-seen (matrix, device, k)
+// context without ranking, probing or tuning. An empty dir resolves the
 // default location — the SPMV_CACHE_DIR environment variable, then
 // <user cache dir>/go-spmv. Setting SPMV_CACHE_DIR alone enables the same
 // behavior with zero code changes; without either, nothing touches disk.
