@@ -11,14 +11,15 @@
 //
 //	-dataset small|medium|large   artificial dataset size (default medium)
 //	-sample N                     subsample the grid to ~N points (0 = full)
-//	-devices a,b,c                restrict to these testbeds
+//	-devices a,b,c                run on these devices ("host" measures this machine)
 //	-seed N                       sampling/generator seed
 //	-csv DIR                      also write one CSV per report into DIR
 //	-json FILE                    also write all reports as JSON into FILE
 //
-// The experiments are the paper's Tables II-IV and Figs 1-9 on the
-// simulated testbeds, plus "native": real kernels on this host through
-// the execution engine, with the engine's dispatch report riding along.
+// The experiments are the paper's Tables II-IV and Figs 1-9. By default
+// they run on the nine simulated testbeds; "-devices host" runs the same
+// figure code on this machine, generating every point (up to 64 MB; a
+// larger one is infeasible) and timing every format's kernels on it.
 // One matrix under one format or "auto" is spmv-run's job; performance
 // over time is the benchmark/ module's (see docs/BENCHMARKS.md).
 package main
@@ -40,7 +41,7 @@ func main() {
 	var (
 		dsName  = flag.String("dataset", "medium", "dataset size: small, medium or large")
 		sample  = flag.Int("sample", 0, "subsample the grid to ~N points (0 = full grid)")
-		devices = flag.String("devices", "", "comma-separated testbed names (default: all)")
+		devices = flag.String("devices", "", "comma-separated device names, the testbeds or host (default: each experiment's)")
 		seed    = flag.Int64("seed", 1, "sampling and generator seed")
 		csvDir  = flag.String("csv", "", "directory to also write CSV reports into")
 		jsonOut = flag.String("json", "", "file to also write all reports into as JSON")
@@ -75,7 +76,7 @@ func main() {
 		opts.Devices = strings.Split(*devices, ",")
 		for _, name := range opts.Devices {
 			if _, ok := device.ByName(name); !ok {
-				fatalf("unknown device %q (%s)", name, strings.Join(device.Names(), ", "))
+				fatalf("unknown device %q (%s, host)", name, strings.Join(device.Names(), ", "))
 			}
 		}
 	}

@@ -2,11 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/formats"
 )
 
 // fastOptions keeps experiment tests quick: a small subsample of the grid.
@@ -15,13 +17,13 @@ func fastOptions() Options {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	// The paper's Tables II-IV and Figs 1-9 in paper order, plus native.
-	want := "table2 table3 fig1 table4 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 native"
+	// The paper's Tables II-IV and Figs 1-9 in paper order.
+	want := "table2 table3 fig1 table4 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9"
 	if got := strings.Join(IDs(), " "); got != want {
 		t.Fatalf("experiment ids = %q, want %q", got, want)
 	}
-	if e, ok := ByID("native"); !ok || e.ID != "native" {
-		t.Errorf("ByID(native) = %+v, %v", e.ID, ok)
+	if e, ok := ByID("fig7"); !ok || e.ID != "fig7" {
+		t.Errorf("ByID(fig7) = %+v, %v", e.ID, ok)
 	}
 	if _, ok := ByID("fig99"); ok {
 		t.Error("unknown experiment id resolved")
@@ -313,41 +315,82 @@ func TestFig9RegularityEvolution(t *testing.T) {
 	}
 }
 
-func TestNativeExperimentSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("native kernels are slow in -short mode")
+// hostTestbed is this machine as a figure sees it.
+func hostTestbed(t *testing.T) testbed {
+	t.Helper()
+	tbs := Options{Devices: []string{"host"}}.testbeds()
+	if len(tbs) != 1 || !tbs[0].measured() {
+		t.Fatalf("host did not resolve to a measured testbed: %+v", tbs)
 	}
-	o := fastOptions()
-	o.SampleN = 4
-	o.Workers = 2
-	reports := RunNative(o)
-	if len(reports) != 2 || len(reports[0].Rows) == 0 {
-		t.Fatal("native experiment produced nothing")
-	}
-	if reports[1].ID != "shards" || len(reports[1].Rows) == 0 {
-		t.Errorf("shards rider missing: %+v", reports[1])
-	}
-	for _, row := range reports[0].Rows {
-		if parseCell(t, row[4]) <= 0 {
-			t.Errorf("format %s: nonpositive median GFLOPS", row[0])
+	return tbs[0]
+}
+
+// TestHostGateRefusesWithoutGenerating: a point over the gate is
+// infeasible for every format, and nothing is generated or rescaled.
+func TestHostGateRefusesWithoutGenerating(t *testing.T) {
+	host := hostTestbed(t)
+	fv := dataset.Point(2*hostGateMB, 20, 0, 0.5, 1, 0.3)
+	// The generator would refuse this with its own error; the gate answers first.
+	fv.AvgNNZPerRow = 0
+	for i, r := range host.rates(fv) {
+		if r.Feasible || !strings.Contains(r.Reason, "gate") {
+			t.Errorf("%s: %+v, want infeasible at the gate", host.Formats[i], r)
 		}
+	}
+	if _, ok := host.best(fv); ok {
+		t.Error("a gated point has a best format")
 	}
 }
 
-func TestShardReport(t *testing.T) {
-	r := ShardReport()
-	if r.ID != "shards" || len(r.Header) != 6 {
-		t.Fatalf("shard report shape: id=%q header=%v", r.ID, r.Header)
+// TestHostRatesEveryFormat times every registry format on one generated
+// point: each has a positive rate or says why it has none (DIA refuses
+// scattered sparsity).
+func TestHostRatesEveryFormat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times every format's kernels")
 	}
-	if len(r.Rows) != 1 {
-		t.Fatalf("shard report has %d rows, want the pool's one", len(r.Rows))
+	host := hostTestbed(t)
+	rates := host.rates(dataset.Point(8, 10, 0, 0.5, 1, 0.3))
+	if len(rates) != len(formats.Registry()) {
+		t.Fatalf("%d rates for %d registry formats", len(rates), len(formats.Registry()))
 	}
-	for _, row := range r.Rows {
-		if len(row) != len(r.Header) {
-			t.Fatalf("shard row width %d, want %d", len(row), len(r.Header))
+	for i, r := range rates {
+		if r.Feasible != (r.GFLOPS > 0) || r.Feasible == (r.Reason != "") || r.Watts != 0 {
+			t.Errorf("%s: %+v, want a positive rate or a reason, and no power", host.Formats[i], r)
 		}
 	}
-	if len(r.Notes) != 1 {
-		t.Fatalf("shard report notes missing: %v", r.Notes)
+	if !rates[slices.Index(host.Formats, "Naive-CSR")].Feasible {
+		t.Error("the CSR reference has no rate")
+	}
+}
+
+// TestHostTables runs Fig 7 and Table II on the host through the same
+// figure code as the testbeds.
+func TestHostTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times every format's kernels")
+	}
+	// One 11 MB point of the small grid.
+	o := Options{Dataset: dataset.Small, SampleN: 1, Seed: 1, Devices: []string{"host"}}
+	if pts := o.points(); len(pts) != 1 || pts[0].MemFootprintMB > 16 {
+		t.Fatalf("want one small point, got %v", pts)
+	}
+	fig7 := RunFig7(o)
+	if len(fig7) != 1 || fig7[0].Title != "Format comparison on host" || len(fig7[0].Rows) != len(formats.Registry()) {
+		t.Fatalf("fig7 on host: %+v", fig7)
+	}
+	total := 0.0
+	for _, row := range fig7[0].Rows {
+		total += parsePct(t, row[1])
+		if row[2] == "1" && parseCell(t, row[4]) <= 0 {
+			t.Errorf("%s ran but has median %s", row[0], row[4])
+		}
+	}
+	if total < 99.9 || total > 100.1 {
+		t.Errorf("wins sum to %.2f%%", total)
+	}
+	t2 := RunTable2(o)
+	if len(t2) != 1 || len(t2[0].Rows) != 1 || t2[0].Rows[0][0] != "host" {
+		t.Errorf("table2 on host: %+v", t2)
 	}
 }

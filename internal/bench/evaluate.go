@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -14,8 +13,7 @@ type Options struct {
 	Dataset dataset.Size
 	SampleN int      // subsample the grid to ~N points (0: full grid)
 	Seed    int64    // sampling and generator seed
-	Devices []string // restrict to these testbeds (nil: all nine; unknown names are skipped, spmv-bench rejects them first)
-	Workers int      // native engine worker count (0: GOMAXPROCS)
+	Devices []string // run on these device.ByName names (nil: the experiment's default; unknown names are skipped, spmv-bench rejects them first)
 }
 
 // DefaultOptions runs the full medium (16200-point) dataset on all devices,
@@ -24,14 +22,16 @@ func DefaultOptions() Options {
 	return Options{Dataset: dataset.Medium, Seed: 1}
 }
 
-func (o Options) devices() []device.Spec {
-	if len(o.Devices) == 0 {
-		return device.Testbeds()
+// testbeds resolves Devices, or fallback when none are named.
+func (o Options) testbeds(fallback ...string) []testbed {
+	names := o.Devices
+	if len(names) == 0 {
+		names = fallback
 	}
-	var out []device.Spec
-	for _, name := range o.Devices {
+	var out []testbed
+	for _, name := range names {
 		if s, ok := device.ByName(name); ok {
-			out = append(out, s)
+			out = append(out, testbed{Spec: s, seed: o.Seed})
 		}
 	}
 	return out
@@ -44,42 +44,39 @@ func (o Options) points() []core.FeatureVector {
 	return o.Dataset.Grid()
 }
 
-// Measurement is one evaluated configuration: the best feasible format for
-// a matrix on a device (the paper reports best-among-formats).
-type Measurement struct {
-	FV     core.FeatureVector
-	Format string
+// measurement is one evaluated point: the best feasible format's result
+// for a matrix on a testbed (the paper reports best-among-formats).
+type measurement struct {
+	FV core.FeatureVector
 	device.Result
 }
 
-// EvaluateBest computes the best-format measurement for every dataset point
-// on the device. Points where no format is feasible are skipped, mirroring
-// the paper's missing FPGA entries.
-func EvaluateBest(spec device.Spec, points []core.FeatureVector) []Measurement {
-	out := make([]Measurement, 0, len(points))
+// evaluateBest measures the best format at every point on the testbed.
+// Points where no format is feasible are skipped, mirroring the paper's
+// missing FPGA entries.
+func evaluateBest(t testbed, points []core.FeatureVector) []measurement {
+	out := make([]measurement, 0, len(points))
 	for _, fv := range points {
-		name, res, ok := spec.BestFormat(fv)
-		if !ok {
-			continue
+		if res, ok := t.best(fv); ok {
+			out = append(out, measurement{FV: fv, Result: res})
 		}
-		out = append(out, Measurement{FV: fv, Format: name, Result: res})
 	}
 	return out
 }
 
-// EvaluateAllFormats computes per-format results for every point: a map
-// from format name to the GFLOPS series (aligned with feasible points), and
-// per-point win maps for stats.Winners.
-func EvaluateAllFormats(spec device.Spec, points []core.FeatureVector) (series map[string][]float64, perPoint []map[string]float64) {
-	series = make(map[string][]float64, len(spec.Formats))
+// evaluateAllFormats rates every format at every point: a map from format
+// name to its GFLOPS series (over the points where it is feasible), and
+// per-point win maps for winners.
+func evaluateAllFormats(t testbed, points []core.FeatureVector) (series map[string][]float64, perPoint []map[string]float64) {
+	series = make(map[string][]float64, len(t.Formats))
 	perPoint = make([]map[string]float64, 0, len(points))
 	for _, fv := range points {
 		sample := map[string]float64{}
-		for _, f := range spec.Formats {
-			r := spec.Estimate(fv, f)
+		for i, r := range t.rates(fv) {
 			if !r.Feasible {
 				continue
 			}
+			f := t.Formats[i]
 			sample[f] = r.GFLOPS
 			series[f] = append(series[f], r.GFLOPS)
 		}
@@ -89,7 +86,7 @@ func EvaluateAllFormats(spec device.Spec, points []core.FeatureVector) (series m
 }
 
 // gflopsOf extracts the GFLOPS series from measurements.
-func gflopsOf(ms []Measurement) []float64 {
+func gflopsOf(ms []measurement) []float64 {
 	out := make([]float64, len(ms))
 	for i, m := range ms {
 		out[i] = m.GFLOPS
@@ -98,7 +95,7 @@ func gflopsOf(ms []Measurement) []float64 {
 }
 
 // effOf extracts the GFLOPS/W series from measurements.
-func effOf(ms []Measurement) []float64 {
+func effOf(ms []measurement) []float64 {
 	out := make([]float64, len(ms))
 	for i, m := range ms {
 		out[i] = m.GFLOPSPerWatt()
@@ -128,7 +125,6 @@ func Experiments() []Experiment {
 		{"fig7", "Format comparison and win rates (Fig 7)", RunFig7},
 		{"fig8", "Dataset-size ablation on AMD-EPYC-24 (Fig 8)", RunFig8},
 		{"fig9", "Regularity evolution under fixed features (Fig 9)", RunFig9},
-		{"native", "Native-engine format comparison on this host", RunNative},
 	}
 }
 
@@ -156,13 +152,3 @@ func fmtG(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // fmtPct formats a percentage.
 func fmtPct(v float64) string { return fmt.Sprintf("%.2f%%", v) }
-
-// sortedKeys returns map keys in sorted order for stable reports.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

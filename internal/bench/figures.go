@@ -6,11 +6,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/device"
-	"repro/internal/stats"
 )
 
-// deviceByName resolves a testbed name, keeping figure code terse.
-func deviceByName(name string) (device.Spec, bool) { return device.ByName(name) }
+// sweepDevices are Figs 3-6's default devices: a GPU, a CPU and the FPGA.
+var sweepDevices = []string{"Tesla-A100", "AMD-EPYC-64", "Alveo-U280"}
 
 // splitMB is the small/large matrix split used by Figs 4-6 for all devices.
 const splitMB = 256.0
@@ -39,22 +38,22 @@ func RunFig2(o Options) []*Report {
 	maxPerf := 0.0
 	type row struct {
 		name   string
-		ps, es stats.Summary
+		ps, es summary
 	}
 	var rows []row
-	for _, spec := range o.devices() {
-		ms := EvaluateBest(spec, points)
-		ps := stats.Summarize(gflopsOf(ms))
-		es := stats.Summarize(effOf(ms))
+	for _, tb := range o.testbeds(device.Names()...) {
+		ms := evaluateBest(tb, points)
+		ps := summarize(gflopsOf(ms))
+		es := summarize(effOf(ms))
 		if ps.Max > maxPerf {
 			maxPerf = ps.Max
 		}
-		rows = append(rows, row{spec.Name, ps, es})
+		rows = append(rows, row{tb.Name, ps, es})
 	}
 	for _, rw := range rows {
 		perf.AddRow(rw.name, fmt.Sprintf("%d", rw.ps.N),
 			fmtG(rw.ps.Min), fmtG(rw.ps.Q1), fmtG(rw.ps.Median), fmtG(rw.ps.Q3), fmtG(rw.ps.Max),
-			stats.Boxplot(rw.ps, 0, maxPerf, 32))
+			boxplot(rw.ps, 0, maxPerf, 32))
 		eff.AddRow(rw.name, fmt.Sprintf("%d", rw.es.N),
 			fmt.Sprintf("%.4f", rw.es.Min), fmt.Sprintf("%.4f", rw.es.Q1),
 			fmt.Sprintf("%.4f", rw.es.Median), fmt.Sprintf("%.4f", rw.es.Q3),
@@ -68,20 +67,12 @@ func RunFig2(o Options) []*Report {
 // RunFig3 reproduces Fig. 3: impact of memory footprint, with all-matrices
 // (light) and favorable-featured (dark) distributions per device.
 func RunFig3(o Options) []*Report {
-	devices := o.Devices
-	if devices == nil {
-		devices = []string{"Tesla-A100", "AMD-EPYC-64", "Alveo-U280"}
-	}
 	points := o.points()
 	var reports []*Report
-	for _, dev := range devices {
-		spec, ok := deviceByName(dev)
-		if !ok {
-			continue
-		}
-		r := &Report{ID: "fig3", Title: "Footprint impact on " + spec.Name,
+	for _, tb := range o.testbeds(sweepDevices...) {
+		r := &Report{ID: "fig3", Title: "Footprint impact on " + tb.Name,
 			Header: []string{"footprint", "n(all)", "median(all)", "q3(all)", "n(fav)", "median(fav)", "max(fav)"}}
-		ms := EvaluateBest(spec, points)
+		ms := evaluateBest(tb, points)
 		for _, b := range footprintBuckets {
 			var all, fav []float64
 			for _, m := range ms {
@@ -93,17 +84,20 @@ func RunFig3(o Options) []*Report {
 					fav = append(fav, m.GFLOPS)
 				}
 			}
-			sa, sf := stats.Summarize(all), stats.Summarize(fav)
+			sa, sf := summarize(all), summarize(fav)
 			r.AddRow(bucketLabel(b), fmt.Sprintf("%d", sa.N), fmtG(sa.Median), fmtG(sa.Q3),
 				fmt.Sprintf("%d", sf.N), fmtG(sf.Median), fmtG(sf.Max))
 		}
-		addCliffNote(r, ms, spec.Name)
+		addCliffNote(r, ms, tb.Name)
+		if tb.measured() && len(ms) < len(points) {
+			r.AddNote("%s: %d of %d points infeasible (over the %d MB gate, or no format ran)", tb.Name, len(points)-len(ms), len(points), hostGateMB)
+		}
 		reports = append(reports, r)
 	}
 	return reports
 }
 
-func addCliffNote(r *Report, ms []Measurement, dev string) {
+func addCliffNote(r *Report, ms []measurement, dev string) {
 	var smallFav, largeFav []float64
 	for _, m := range ms {
 		if !favorable(m.FV) {
@@ -115,7 +109,7 @@ func addCliffNote(r *Report, ms []Measurement, dev string) {
 			largeFav = append(largeFav, m.GFLOPS)
 		}
 	}
-	s, l := stats.Median(smallFav), stats.Median(largeFav)
+	s, l := median(smallFav), median(largeFav)
 	if s > 0 && l > 0 {
 		if s > l {
 			r.AddNote("%s: small/large favorable median ratio %.2fx", dev, s/l)
@@ -142,20 +136,12 @@ func RunFig5(o Options) []*Report {
 // featureSweep renders per-device small/large summaries for each value of
 // one swept feature.
 func featureSweep(o Options, id, title string, keyOf func(core.FeatureVector) (string, bool), values []float64, keyFmt string) []*Report {
-	devices := o.Devices
-	if devices == nil {
-		devices = []string{"Tesla-A100", "AMD-EPYC-64", "Alveo-U280"}
-	}
 	points := o.points()
 	var reports []*Report
-	for _, dev := range devices {
-		spec, ok := deviceByName(dev)
-		if !ok {
-			continue
-		}
-		r := &Report{ID: id, Title: title + " on " + spec.Name,
+	for _, tb := range o.testbeds(sweepDevices...) {
+		r := &Report{ID: id, Title: title + " on " + tb.Name,
 			Header: []string{"value", "n(small)", "med(small)", "n(large)", "med(large)"}}
-		ms := EvaluateBest(spec, points)
+		ms := evaluateBest(tb, points)
 		small := map[string][]float64{}
 		large := map[string][]float64{}
 		for _, m := range ms {
@@ -171,11 +157,11 @@ func featureSweep(o Options, id, title string, keyOf func(core.FeatureVector) (s
 		}
 		for _, v := range values {
 			key := fmt.Sprintf(keyFmt, v)
-			ss, ls := stats.Summarize(small[key]), stats.Summarize(large[key])
+			ss, ls := summarize(small[key]), summarize(large[key])
 			r.AddRow(key, fmt.Sprintf("%d", ss.N), fmtG(ss.Median),
 				fmt.Sprintf("%d", ls.N), fmtG(ls.Median))
 		}
-		addSweepGapNote(r, small, large, values, keyFmt, spec.Name)
+		addSweepGapNote(r, small, large, values, keyFmt, tb.Name)
 		reports = append(reports, r)
 	}
 	return reports
@@ -184,11 +170,14 @@ func featureSweep(o Options, id, title string, keyOf func(core.FeatureVector) (s
 func addSweepGapNote(r *Report, small, large map[string][]float64, values []float64, keyFmt, dev string) {
 	first := fmt.Sprintf(keyFmt, values[0])
 	last := fmt.Sprintf(keyFmt, values[len(values)-1])
-	for side, m := range map[string]map[string][]float64{"small": small, "large": large} {
-		a, b := stats.Median(m[first]), stats.Median(m[last])
+	for _, side := range []struct {
+		name string
+		m    map[string][]float64
+	}{{"small", small}, {"large", large}} {
+		a, b := median(side.m[first]), median(side.m[last])
 		if a > 0 && b > 0 {
 			r.AddNote("%s %s: median %s %s -> %s %s (%.2fx)",
-				dev, side, first, fmtG(a), last, fmtG(b), b/a)
+				dev, side.name, first, fmtG(a), last, fmtG(b), b/a)
 		}
 	}
 }
@@ -196,20 +185,12 @@ func addSweepGapNote(r *Report, small, large map[string][]float64, values []floa
 // RunFig6 reproduces Fig. 6: impact of regularity as an SML x SML grid of
 // the two locality subfeatures, split small/large.
 func RunFig6(o Options) []*Report {
-	devices := o.Devices
-	if devices == nil {
-		devices = []string{"Tesla-A100", "AMD-EPYC-64", "Alveo-U280"}
-	}
 	points := o.points()
 	var reports []*Report
-	for _, dev := range devices {
-		spec, ok := deviceByName(dev)
-		if !ok {
-			continue
-		}
-		r := &Report{ID: "fig6", Title: "Regularity impact on " + spec.Name,
+	for _, tb := range o.testbeds(sweepDevices...) {
+		r := &Report{ID: "fig6", Title: "Regularity impact on " + tb.Name,
 			Header: []string{"neigh class", "sim class", "n(small)", "q1(small)", "med(small)", "n(large)", "q1(large)", "med(large)"}}
-		ms := EvaluateBest(spec, points)
+		ms := evaluateBest(tb, points)
 		type cell struct{ small, large []float64 }
 		grid := map[string]*cell{}
 		for _, m := range ms {
@@ -231,7 +212,7 @@ func RunFig6(o Options) []*Report {
 				if c == nil {
 					continue
 				}
-				ss, ls := stats.Summarize(c.small), stats.Summarize(c.large)
+				ss, ls := summarize(c.small), summarize(c.large)
 				r.AddRow(nc, sc,
 					fmt.Sprintf("%d", ss.N), fmtG(ss.Q1), fmtG(ss.Median),
 					fmt.Sprintf("%d", ls.N), fmtG(ls.Q1), fmtG(ls.Median))
@@ -241,10 +222,10 @@ func RunFig6(o Options) []*Report {
 		// performance (boxplot shrinks upwards)" — a lower-quartile effect;
 		// band-resident configurations keep the medians close.
 		if ss, ll := grid["SS"], grid["LL"]; ss != nil && ll != nil {
-			a := stats.Summarize(ss.large)
-			b := stats.Summarize(ll.large)
+			a := summarize(ss.large)
+			b := summarize(ll.large)
 			if a.Q1 > 0 {
-				r.AddNote("%s large: regular(LL)/irregular(SS) q1 ratio %.2fx", spec.Name, b.Q1/a.Q1)
+				r.AddNote("%s large: regular(LL)/irregular(SS) q1 ratio %.2fx", tb.Name, b.Q1/a.Q1)
 			}
 		}
 		reports = append(reports, r)
@@ -257,13 +238,13 @@ func RunFig6(o Options) []*Report {
 func RunFig7(o Options) []*Report {
 	points := o.points()
 	var reports []*Report
-	for _, spec := range o.devices() {
-		r := &Report{ID: "fig7", Title: "Format comparison on " + spec.Name,
+	for _, tb := range o.testbeds(device.Names()...) {
+		r := &Report{ID: "fig7", Title: "Format comparison on " + tb.Name,
 			Header: []string{"format", "wins", "n", "q1", "median", "q3", "max"}}
-		series, perPoint := EvaluateAllFormats(spec, points)
-		wins := stats.Winners(perPoint)
-		for _, f := range spec.Formats {
-			s := stats.Summarize(series[f])
+		series, perPoint := evaluateAllFormats(tb, points)
+		wins := winners(perPoint)
+		for _, f := range tb.Formats {
+			s := summarize(series[f])
 			r.AddRow(f, fmtPct(wins[f]), fmt.Sprintf("%d", s.N),
 				fmtG(s.Q1), fmtG(s.Median), fmtG(s.Q3), fmtG(s.Max))
 		}
@@ -277,17 +258,15 @@ func RunFig7(o Options) []*Report {
 // the small (~3K), medium (16200) and large (27000) grids must show the
 // same footprint trend.
 func RunFig8(o Options) []*Report {
-	spec, ok := deviceByName("AMD-EPYC-24")
-	if !ok {
-		return nil
-	}
+	spec, _ := device.ByName("AMD-EPYC-24") // whatever Devices says
+	tb := testbed{Spec: spec}
 	r := &Report{ID: "fig8", Title: "Dataset-size ablation on AMD-EPYC-24",
 		Header: []string{"dataset", "points", "footprint", "n", "q1", "median", "q3"}}
 	for _, size := range []dataset.Size{dataset.Small, dataset.Medium, dataset.Large} {
 		opts := o
 		opts.Dataset = size
 		points := opts.points()
-		ms := EvaluateBest(spec, points)
+		ms := evaluateBest(tb, points)
 		for _, b := range footprintBuckets {
 			var vals []float64
 			for _, m := range ms {
@@ -295,7 +274,7 @@ func RunFig8(o Options) []*Report {
 					vals = append(vals, m.GFLOPS)
 				}
 			}
-			s := stats.Summarize(vals)
+			s := summarize(vals)
 			r.AddRow(size.String(), fmt.Sprintf("%d", len(points)), bucketLabel(b),
 				fmt.Sprintf("%d", s.N), fmtG(s.Q1), fmtG(s.Median), fmtG(s.Q3))
 		}
@@ -308,12 +287,10 @@ func RunFig8(o Options) []*Report {
 // avg-num-neighbors subfeature grows, for fixed S/M/L classes of the other
 // three features.
 func RunFig9(o Options) []*Report {
-	spec, ok := deviceByName("AMD-EPYC-24")
-	if !ok {
-		return nil
-	}
+	spec, _ := device.ByName("AMD-EPYC-24") // whatever Devices says
+	tb := testbed{Spec: spec}
 	points := o.points()
-	ms := EvaluateBest(spec, points)
+	ms := evaluateBest(tb, points)
 	r := &Report{ID: "fig9", Title: "Regularity evolution on AMD-EPYC-24 (median GFLOPS per neigh value)",
 		Header: append([]string{"footprint", "rows", "skew"}, neighHeaders()...)}
 
@@ -331,7 +308,7 @@ func RunFig9(o Options) []*Report {
 	peak := 0.0
 	for _, g := range groups {
 		for _, vals := range g {
-			if m := stats.Median(vals); m > peak {
+			if m := median(vals); m > peak {
 				peak = m
 			}
 		}
@@ -346,7 +323,7 @@ func RunFig9(o Options) []*Report {
 				row := []string{fp, avg, sk}
 				var first, last float64
 				for i, nv := range dataset.NeighValues {
-					med := stats.Median(g[nv])
+					med := median(g[nv])
 					row = append(row, fmtG(med))
 					if i == 0 {
 						first = med
@@ -362,7 +339,7 @@ func RunFig9(o Options) []*Report {
 				if badFixed {
 					var max float64
 					for _, nv := range dataset.NeighValues {
-						if m := stats.Median(g[nv]); m > max {
+						if m := median(g[nv]); m > max {
 							max = m
 						}
 					}

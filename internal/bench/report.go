@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: one runner per table and figure
 // of the paper's evaluation section, each regenerating the corresponding
-// rows/series from this reproduction's device models and datasets, plus a
-// native-engine experiment that measures real kernels on the host CPU.
+// rows/series from this reproduction's datasets on a testbed — one of the
+// nine modelled Table II machines, or "host", whose every point is a
+// generated matrix and every rate a timed kernel (testbed.go).
 package bench
 
 import (

@@ -5,14 +5,13 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/device"
-	"repro/internal/stats"
 )
 
 // RunTable2 renders the encoded testbed table (Table II).
 func RunTable2(o Options) []*Report {
 	r := &Report{ID: "table2", Title: "Testbeds (Table II)",
 		Header: []string{"device", "class", "units", "freq GHz", "LLC MB", "mem BW GB/s", "LLC BW GB/s", "TDP W", "formats"}}
-	for _, s := range o.devices() {
+	for _, s := range o.testbeds(device.Names()...) {
 		r.AddRow(s.Name, s.Class.String(),
 			fmt.Sprintf("%d", s.Units), fmt.Sprintf("%.2f", s.FreqGHz),
 			fmt.Sprintf("%d", s.LLCBytes>>20), fmt.Sprintf("%.1f", s.MemBWGBs),
@@ -46,23 +45,22 @@ type validationPerf struct {
 	ok      bool
 }
 
-func runValidation(spec device.Spec, seed int64) []validationPerf {
+func runValidation(tb testbed) []validationPerf {
 	suite := dataset.TableIII()
 	out := make([]validationPerf, 0, len(suite))
 	for _, v := range suite {
 		fv := v.Features()
 		vp := validationPerf{matrix: v}
-		_, res, ok := spec.BestFormat(fv)
-		if ok {
+		if res, ok := tb.best(fv); ok {
 			vp.self = res.GFLOPS
 			vp.ok = true
 		}
-		for _, ffv := range v.Friends(0, seed) {
-			if _, fr, fok := spec.BestFormat(ffv); fok {
+		for _, ffv := range v.Friends(0, tb.seed) {
+			if fr, fok := tb.best(ffv); fok {
 				vp.friends = append(vp.friends, fr.GFLOPS)
 			}
 		}
-		roof := spec.Roof()
+		roof := tb.Roof()
 		vp.roofMem = roof.MemoryBound(fv)
 		vp.roofLLC = roof.LLCBound(fv)
 		out = append(out, vp)
@@ -76,11 +74,11 @@ func runValidation(spec device.Spec, seed int64) []validationPerf {
 // echoing the 10 matrices that failed on the paper's FPGA.
 func RunFig1(o Options) []*Report {
 	var reports []*Report
-	for _, spec := range o.devices() {
-		r := &Report{ID: "fig1", Title: "Validation vs friends on " + spec.Name,
-			Header: []string{"matrix", "GFLOPS", "friends med", "friends range", "roof mem", "roof LLC", "boxplot [log lo..hi]"}}
+	for _, tb := range o.testbeds(device.Names()...) {
+		r := &Report{ID: "fig1", Title: "Validation vs friends on " + tb.Name,
+			Header: []string{"matrix", "GFLOPS", "friends med", "friends range", "roof mem", "roof LLC", "boxplot [lo..hi]"}}
 		failed := 0
-		perfs := runValidation(spec, o.Seed)
+		perfs := runValidation(tb)
 		lo, hi := plotRange(perfs)
 		for _, vp := range perfs {
 			if !vp.ok {
@@ -89,14 +87,14 @@ func RunFig1(o Options) []*Report {
 					fmtG(vp.roofMem), fmtG(vp.roofLLC), "")
 				continue
 			}
-			s := stats.Summarize(vp.friends)
+			s := summarize(vp.friends)
 			r.AddRow(vp.matrix.Name, fmtG(vp.self), fmtG(s.Median),
 				fmt.Sprintf("[%s, %s]", fmtG(s.Min), fmtG(s.Max)),
 				fmtG(vp.roofMem), fmtG(vp.roofLLC),
-				stats.Boxplot(s, lo, hi, 32))
+				boxplot(s, lo, hi, 32))
 		}
 		if failed > 0 {
-			r.AddNote("%d matrices failed to run on %s (capacity/padding limits)", failed, spec.Name)
+			r.AddNote("%d matrices failed to run on %s (capacity/padding limits)", failed, tb.Name)
 		}
 		reports = append(reports, r)
 	}
@@ -128,21 +126,21 @@ func RunTable4(o Options) []*Report {
 	r := &Report{ID: "table4", Title: "Validation error (Table IV)",
 		Header: []string{"device", "MAPE", "APE-best", "matrices"}}
 	var allMAPE, allBest []float64
-	for _, spec := range o.devices() {
+	for _, tb := range o.testbeds(device.Names()...) {
 		var mapes, bests []float64
-		for _, vp := range runValidation(spec, o.Seed) {
+		for _, vp := range runValidation(tb) {
 			if !vp.ok || len(vp.friends) == 0 {
 				continue
 			}
-			med := stats.Median(vp.friends)
-			mapes = append(mapes, stats.APE(vp.self, med))
-			bests = append(bests, stats.BestAPE(vp.self, vp.friends))
+			med := median(vp.friends)
+			mapes = append(mapes, ape(vp.self, med))
+			bests = append(bests, bestAPE(vp.self, vp.friends))
 		}
 		m := mean(mapes)
 		b := mean(bests)
 		allMAPE = append(allMAPE, m)
 		allBest = append(allBest, b)
-		r.AddRow(spec.Name, fmtPct(m), fmtPct(b), fmt.Sprintf("%d", len(mapes)))
+		r.AddRow(tb.Name, fmtPct(m), fmtPct(b), fmt.Sprintf("%d", len(mapes)))
 	}
 	r.AddRow("Average", fmtPct(mean(allMAPE)), fmtPct(mean(allBest)), "")
 	r.AddNote("paper: average MAPE 17.51%%, average APE-best 8.58%%")

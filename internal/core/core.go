@@ -272,7 +272,6 @@ func Distance(a, b FeatureVector) float64 {
 
 // Scale returns a copy of f with the footprint-bearing dimensions (rows,
 // nnz, footprint) multiplied by s, keeping the per-row features unchanged.
-// Used to run native experiments at reduced scale.
 func (f FeatureVector) Scale(s float64) FeatureVector {
 	g := f
 	g.Rows = int(math.Max(1, float64(f.Rows)*s))

@@ -65,6 +65,11 @@ func TestByName(t *testing.T) {
 	if got := len(Names()); got != 9 {
 		t.Errorf("Names() = %d entries", got)
 	}
+	// "host" resolves too, to the model of this machine, without joining
+	// the nine.
+	if s, ok := ByName("host"); !ok || s.Name != "host" || len(s.Formats) != len(formats.Registry()) {
+		t.Errorf(`ByName("host") = %q with %d formats, %v`, s.Name, len(s.Formats), ok)
+	}
 }
 
 func TestCPULLCCliff(t *testing.T) {

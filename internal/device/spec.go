@@ -193,8 +193,12 @@ func Testbeds() []Spec {
 	return specs
 }
 
-// ByName finds a testbed spec.
+// ByName finds a device: one of the nine testbeds, or "host", the machine
+// this process runs on (HostSpec).
 func ByName(name string) (Spec, bool) {
+	if name == "host" {
+		return HostSpec(), true
+	}
 	for _, s := range Testbeds() {
 		if s.Name == name {
 			return s, true

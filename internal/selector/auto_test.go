@@ -147,6 +147,24 @@ func TestBuildAutoUnknownDevice(t *testing.T) {
 	}
 }
 
+// TestBuildAutoHostByName: naming "host" is the default device, one
+// decision key, so the unnamed build after it is a cache hit.
+func TestBuildAutoHostByName(t *testing.T) {
+	m := genMatrix(t, 1000, 8, 0, 2)
+	st := &State{Cache: cache.NewDecisionCache()}
+	named, err := BuildAuto(m, AutoOptions{Device: "host", State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unnamed, err := BuildAuto(m, AutoOptions{State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := unnamed.Choice(); !c.Cached || c.Device != named.Choice().Device || st.Cache.Len() != 1 {
+		t.Errorf("Device %q then unnamed: cached=%v, devices %q/%q, %d decisions", "host", c.Cached, named.Choice().Device, c.Device, st.Cache.Len())
+	}
+}
+
 func TestBuildAutoDeviceRestrictsChoice(t *testing.T) {
 	m := genMatrix(t, 2000, 10, 0, 3)
 	a, err := BuildAuto(m, AutoOptions{Device: "Alveo-U280", NoCache: true})

@@ -9,15 +9,16 @@
 //     extraction of Section III-A;
 //   - the artificial matrix generator of Section III-B;
 //   - fourteen storage formats with serial and parallel SpMV kernels,
-//     dispatched on a sharded, topology-aware execution engine (one
-//     persistent worker-pool shard per memory domain; see internal/exec);
+//     dispatched on an execution engine with one lazily started worker
+//     pool, the caller as lane 0, and spawned lanes for a call that finds
+//     it busy (see internal/exec);
 //   - analytical models of the paper's nine testbeds, plus a native engine
 //     measuring real kernels on the host CPU;
 //   - automatic format selection (Auto, NewUpdatable) whose remembered
 //     measurement — decision cache, journal, experience base — has one
 //     owner, a Session; the package-level functions act on DefaultSession();
 //   - the experiment harness regenerating every table and figure of the
-//     paper's evaluation.
+//     paper's evaluation, on the nine testbeds or measured on the host.
 //
 // Quick start:
 //
@@ -123,7 +124,7 @@ var (
 )
 
 // PanicError is a kernel panic contained by the execution engine: the
-// worker recovered, the shard stayed serviceable, and the Multiply entry
+// worker recovered, the pool stayed serviceable, and the Multiply entry
 // points return the panic as this error (errors.As). See internal/exec.
 type PanicError = exec.PanicError
 
@@ -162,8 +163,8 @@ func MultiplyCtx(ctx context.Context, f Format, y, x []float64) error {
 // (len cols*k) and Y k values per row (len rows*k). Hot formats (CSR
 // family, ELL, HYB, SELL-C-s, BCSR, DIA, COO) run fused register-tiled kernels
 // that stream the matrix once per tile of 4 vectors — every loaded nonzero
-// feeds k FMAs instead of one — on the same sharded execution engine as
-// the single-vector kernels; the remaining formats multiply one vector at
+// feeds k FMAs instead of one — on the same worker pool as the
+// single-vector kernels; the remaining formats multiply one vector at
 // a time. This is the kernel block Krylov solvers and multi-query
 // inference issue per iteration. Arguments are validated (ErrNilFormat,
 // ErrInvalidK, ErrDimension) instead of panicking.
@@ -277,7 +278,7 @@ func FormatByName(name string) (FormatBuilder, bool) { return formats.Lookup(nam
 // Devices returns the paper's nine testbeds (Table II).
 func Devices() []Device { return device.Testbeds() }
 
-// DeviceByName finds a testbed.
+// DeviceByName finds a testbed, or "host", the model of this machine.
 func DeviceByName(name string) (Device, bool) { return device.ByName(name) }
 
 // ReadMatrixMarket parses a MatrixMarket coordinate stream.

@@ -93,8 +93,8 @@ func TestFacadeLookups(t *testing.T) {
 	if _, ok := spmv.DeviceByName("Alveo-U280"); !ok {
 		t.Error("Alveo missing from facade")
 	}
-	if len(spmv.Experiments()) < 13 {
-		t.Errorf("experiments = %d", len(spmv.Experiments()))
+	if len(spmv.Experiments()) != 12 {
+		t.Errorf("experiments = %d, want the paper's twelve", len(spmv.Experiments()))
 	}
 	if _, ok := spmv.ExperimentByID("fig7"); !ok {
 		t.Error("fig7 missing from facade")
