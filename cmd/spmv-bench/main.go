@@ -18,7 +18,7 @@
 //
 // The experiments are the paper's Tables II-IV and Figs 1-9. By default
 // they run on the nine simulated testbeds; "-devices host" runs the same
-// figure code on this machine, generating every point (up to 64 MB; a
+// figure code on this machine, generating every point (up to 256 MB; a
 // larger one is infeasible) and timing every format's kernels on it.
 // One matrix under one format or "auto" is spmv-run's job; performance
 // over time is the benchmark/ module's (see docs/BENCHMARKS.md).

@@ -225,7 +225,7 @@ func ExampleMultiplyCtx() {
 	// engine still serves: true
 }
 
-// ExampleFormats lists the first of the registry's fourteen storage
+// ExampleFormats lists the first of the registry's twelve storage
 // formats, state-of-practice first.
 func ExampleFormats() {
 	for _, b := range spmv.Formats()[:4] {
@@ -237,7 +237,7 @@ func ExampleFormats() {
 	// Naive-CSR
 	// Vec-CSR
 	// Bal-CSR
-	// ... 14 formats total
+	// ... 12 formats total
 }
 
 // ExampleSetCacheDir turns on the persistence layer: auto-format

@@ -31,7 +31,7 @@ func main() {
 	a.SpMV(ones, b)
 
 	workers := runtime.GOMAXPROCS(0)
-	for _, builder := range []string{"Naive-CSR", "Vec-CSR", "CSR5", "Merge-CSR", "SELL-C-s", "SparseX", "DIA"} {
+	for _, builder := range []string{"Naive-CSR", "Vec-CSR", "CSR5", "Merge-CSR", "SELL-C-s", "SparseX", "ELL"} {
 		fb, ok := formats.Lookup(builder)
 		if !ok {
 			log.Fatalf("unknown format %s", builder)

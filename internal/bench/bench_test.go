@@ -343,8 +343,8 @@ func TestHostGateRefusesWithoutGenerating(t *testing.T) {
 }
 
 // TestHostRatesEveryFormat times every registry format on one generated
-// point: each has a positive rate or says why it has none (DIA refuses
-// scattered sparsity).
+// point: each has a positive rate or says why it has none (a refused
+// build, a wrong product).
 func TestHostRatesEveryFormat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times every format's kernels")

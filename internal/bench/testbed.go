@@ -13,12 +13,13 @@ import (
 // hostGateMB is the largest requested footprint the host testbed
 // generates. A point above it is infeasible and never generated, the way
 // the FPGA's capacity failures show in Fig 1; no point is rescaled to fit.
-// The worst format sets it: VSL pads short, similar rows (nnz/row 5, sim
-// 0.95, neigh 0.05, bw 0.05) to 29x their CSR bytes, and builds that
-// image before its capacity check, so a 64 MB point peaks at 3.7 GiB of
-// resident memory — half of an 8 GB machine. Table I's middle-class
-// ceiling (512 MB) needs that image refused before it is allocated.
-const hostGateMB = 64
+// HYB's staged COO spill (twice the CSR bytes on long, skewed rows) and
+// ELL's 2.5x slab of short rows set it: with every format run in one
+// process, a 223 MB point peaks at 1.5 GB of resident memory, under a
+// fifth of an 8 GB machine, and Table I's middle-class ceiling (512 MB)
+// would double that. It bounds a point, not a run over many points
+// (docs/BENCHMARKS.md).
+const hostGateMB = 256
 
 // testbed is a device a figure runs on: its Spec (name, formats, roof and
 // Table II row) and its rate for a (feature point, format) pair. The nine

@@ -45,7 +45,9 @@ func TestTestbedsComplete(t *testing.T) {
 			t.Errorf("%s: no formats", s.Name)
 		}
 		for _, f := range s.Formats {
-			if _, ok := formats.Lookup(f); !ok {
+			// The FPGA's VSL is priced by its trait estimate alone: the
+			// host builds no kernel for it.
+			if _, ok := formats.Lookup(f); !ok && !(s.Class == FPGA && f == "VSL") {
 				t.Errorf("%s: format %q not in registry", s.Name, f)
 			}
 		}

@@ -107,7 +107,8 @@ func (s Spec) PeakGFLOPS() float64 {
 // onto this repository's format implementations: MKL-IE stands for every
 // inspector-executor vendor CSR (Intel MKL, AOCL-Sparse, ARMPL), Bal-CSR
 // for cuSPARSE's load-balanced CSR path, and VSL for the Vitis Sparse
-// Library accelerator.
+// Library accelerator (priced by its trait estimate: the host builds no
+// VSL kernel).
 func Testbeds() []Spec {
 	specs := []Spec{
 		{

@@ -21,8 +21,8 @@ type PlanKey struct {
 
 // Plan is the cached output of a format's inspector step for one worker
 // count: the row/nonzero partition and any per-worker scratch (merge-path
-// carries, CSR5 segment bases, VSL partial vectors). Building a plan costs
-// one partition computation; executing it costs nothing.
+// carries, CSR5 segment bases). Building a plan costs one partition
+// computation; executing it costs nothing.
 //
 // Scratch buffers and the lane frame are shared by every call that uses the
 // plan, so a call that writes them must hold the plan lock for its duration —

@@ -8,7 +8,7 @@ package formats
 var fusedMulti = map[string]bool{
 	"Naive-CSR": true, "Vec-CSR": true, "Bal-CSR": true, "MKL-IE": true,
 	"Merge-CSR": true, "ELL": true, "HYB": true, "SELL-C-s": true,
-	"BCSR": true, "DIA": true, "COO": true,
+	"BCSR": true, "COO": true,
 }
 
 // FusedMulti reports whether the named format multiplies a k-wide block of

@@ -31,7 +31,7 @@ func TestAutoWrapperEquivalence(t *testing.T) {
 	for _, b := range Registry() {
 		inner, err := b.Build(m)
 		if err != nil {
-			continue // e.g. DIA refuses scattered sparsity
+			continue // e.g. ELL refuses a slab past MaxELLPaddedEntries
 		}
 		direct, err := b.Build(m)
 		if err != nil {

@@ -165,60 +165,6 @@ func TestSELLCSPermutationIsBijective(t *testing.T) {
 	}
 }
 
-func TestVSLPartitionPaddingGrowsWithSpread(t *testing.T) {
-	// A matrix with one dense column inside each partition forces every
-	// other column in that partition to pad to its length.
-	o := matrix.NewCOO(256, 256, 0)
-	for r := int32(0); r < 256; r++ {
-		o.Append(r, 0, 1) // column 0 is dense
-	}
-	for r := int32(0); r < 16; r++ {
-		o.Append(r, 100, 1) // a companion column concentrated in one block
-	}
-	m := o.ToCSR()
-	cfg := VSLConfig{Channels: 2, RowBlocks: 1, AccLatency: 8, CapacityBytes: 0}
-	f, err := NewVSL(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Partition max is 256 (column 0), so column 100's 16 entries pad to 256.
-	if f.PaddedEntries() < 512 {
-		t.Errorf("padded entries = %d, want >= 512 (partition-max padding)", f.PaddedEntries())
-	}
-	// With 8 row blocks the padding shrinks: each block's max is 32.
-	cfg.RowBlocks = 8
-	f8, err := NewVSL(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f8.PaddedEntries() >= f.PaddedEntries() {
-		t.Errorf("row blocking should reduce padding: %d vs %d",
-			f8.PaddedEntries(), f.PaddedEntries())
-	}
-}
-
-func TestVSLCorrectnessWithRowBlocks(t *testing.T) {
-	m := matrix.Random(200, 180, 0.05, 44)
-	for _, blocks := range []int{1, 3, 8} {
-		f, err := NewVSL(m, VSLConfig{Channels: 4, RowBlocks: blocks, AccLatency: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := matrix.RandomVector(180, 45)
-		want := make([]float64, 200)
-		got := make([]float64, 200)
-		m.SpMV(x, want)
-		f.SpMV(x, got)
-		if d := maxAbsDiff(got, want); d > 1e-9 {
-			t.Errorf("blocks=%d: serial diff %g", blocks, d)
-		}
-		f.SpMVParallel(x, got, 4)
-		if d := maxAbsDiff(got, want); d > 1e-9 {
-			t.Errorf("blocks=%d: parallel diff %g", blocks, d)
-		}
-	}
-}
-
 func TestHYBAllSpillAndNoSpill(t *testing.T) {
 	m := matrix.Random(60, 60, 0.2, 46)
 	x := matrix.RandomVector(60, 47)

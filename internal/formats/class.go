@@ -17,7 +17,7 @@ const (
 	ClassNone      KernelClass = iota
 	ClassRowSum                // csrRowRange, MergeCSR.lane: one dependent FP add per nonzero
 	ClassDotGather             // vecCSRRowRange: simd.CSRRowRange, or four accumulators on the scalar tier
-	ClassSweep                 // ELL.rowRange (HYB; the gather-free DIA and VSL sweeps): an axpy per slab column
+	ClassSweep                 // ELL.rowRange (HYB; the FPGA's VSL streams, priced only): an axpy per slab column
 	ClassLanes                 // SELLCS.chunkRange: C independent lane sums per chunk
 	ClassBlock                 // BCSR.blockRowRange: dense blocks, no per-element index
 	ClassTile                  // CSR5's flag-segmented tile

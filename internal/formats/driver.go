@@ -23,8 +23,7 @@ import (
 type kernel interface {
 	Format
 	// units is the size of the unit space apply ranges over: rows, chunks
-	// (SELL-C-s), block rows (BCSR), tiles (CSR5), channels (VSL) or
-	// entries (COO).
+	// (SELL-C-s), block rows (BCSR), tiles (CSR5) or entries (COO).
 	units() int
 	// cum is a monotone cumulative work measure over units: cum(units())
 	// is the work the serial cutoff sees (times k), and differences size
@@ -46,7 +45,7 @@ type kernel interface {
 }
 
 // carrier is additionally implemented by the formats whose parallel lanes
-// cut inside rows (COO, Merge-CSR at k = 1, CSR5, VSL): a lane cannot
+// cut inside rows (COO, Merge-CSR at k = 1, CSR5): a lane cannot
 // finish a row it shares with its neighbour, so it parks the partial sum
 // in scratch and a serial finish folds the carries into y. A carry belongs
 // to a position in the partition — lane w's last row meets lane w+1's first
@@ -336,7 +335,7 @@ func (d *driver) claim(cur []cursor, w int, ctl *exec.Ctl, y, x []float64, k int
 }
 
 // byColumn multiplies a k-wide block one right-hand side at a time, for
-// the formats without a fused kernel (CSR5, SparseX, VSL): each column of
+// the formats without a fused kernel (CSR5, SparseX): each column of
 // X is gathered into a contiguous vector for the single-vector dispatch
 // and the product scattered back into Y. It allocates two dense
 // temporaries per call — acceptable off the hot path, which is why the

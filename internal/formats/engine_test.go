@@ -180,7 +180,7 @@ func TestConcurrentSameInstanceCalls(t *testing.T) {
 	x := matrix.RandomVector(m.Cols, 41)
 	want := make([]float64, m.Rows)
 	// Scratch-using formats are the ones with a contention fallback.
-	for _, name := range []string{"COO", "Merge-CSR", "CSR5", "HYB", "VSL"} {
+	for _, name := range []string{"COO", "Merge-CSR", "CSR5", "HYB"} {
 		b, _ := Lookup(name)
 		f, err := b.Build(m)
 		if err != nil {

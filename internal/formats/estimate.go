@@ -24,9 +24,11 @@ import (
 //     p = avg_num_neigh/2, run lengths are geometric and the fraction of
 //     elements inside runs of length >= MinRunLen is p^3(4-3p).
 //   - VSL pads every column stream to a multiple of the accumulator depth,
-//     costing ~(depth-1)/2 slots per non-empty column.
+//     costing ~(depth-1)/2 slots per non-empty column. The Alveo testbed
+//     prices it; the host has no VSL kernel.
 //
-// Unknown format names return a neutral CSR-like estimate.
+// Unknown format names (DIA among them: no testbed offers it and the host
+// does not build it) return a neutral CSR-like estimate.
 func EstimateTraits(name string, fv core.FeatureVector) Traits {
 	avg := math.Max(fv.AvgNNZPerRow, 1)
 	skew := math.Max(fv.SkewCoeff, 0)
@@ -103,18 +105,6 @@ func EstimateTraits(name string, fv core.FeatureVector) Traits {
 		pad := (8 + 3*math.Sqrt(colLen)) / colLen * (2 - fv.CrossRowSim) / 1.5
 		return Traits{Balancing: NNZGranular, PaddingRatio: pad,
 			MetaBytesPerNNZ: 8 + 16*pad, Class: ClassSweep, ColumnMajor: true, Preprocessed: true}
-	case "DIA":
-		span := math.Max(fv.BWScaled*float64(fv.Cols), 1)
-		// The closed form assumes every diagonal inside the mean band is
-		// densely filled; the union of per-row offsets always carries some
-		// slack diagonals, so the fill never reaches the ideal (floor 0.5).
-		pad := math.Max(span/avg-1, 0.5)
-		// The diagonal-major sweep rewrites its y range once per stored
-		// diagonal. Most of that traffic is cache-resident, but the residue
-		// per nonzero is what makes DIA lose to CSR on thin diagonals.
-		meta := 8*pad + 4*(1+pad)
-		return Traits{Balancing: RowGranular, PaddingRatio: pad,
-			MetaBytesPerNNZ: meta, Class: ClassSweep}
 	case "BCSR":
 		fill := math.Min(1+fv.AvgNumNeigh/2+0.5*fv.CrossRowSim, 4)
 		pad := 4/fill - 1
@@ -163,8 +153,6 @@ func EstimateFeasible(name string, fv core.FeatureVector) bool {
 	case "ELL":
 		padded := float64(fv.NNZ) * (1 + t.PaddingRatio)
 		return padded <= MaxELLPaddedEntries
-	case "DIA":
-		return t.PaddingRatio+1 <= MaxDIAFillRatio
 	case "BCSR":
 		return t.PaddingRatio+1 <= MaxBCSRFillRatio
 	}

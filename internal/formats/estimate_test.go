@@ -72,12 +72,13 @@ func TestEstimateFeasible(t *testing.T) {
 	if EstimateFeasible("ELL", hostileELL) {
 		t.Error("ELL should be infeasible under extreme skew at scale")
 	}
-	scattered := core.FeatureVector{NNZ: 1e6, Rows: 1e5, Cols: 1e5, AvgNNZPerRow: 10, BWScaled: 0.6}
-	if EstimateFeasible("DIA", scattered) {
-		t.Error("DIA should be infeasible for wide-band scatter")
-	}
-	if !EstimateFeasible("Naive-CSR", hostileELL) {
-		t.Error("CSR is always feasible")
+	// CSR always builds, and the names priced without a host kernel (the
+	// FPGA's VSL, DIA) stay feasible, so the testbeds that price them keep
+	// their predictions.
+	for _, name := range []string{"Naive-CSR", "VSL", "DIA"} {
+		if !EstimateFeasible(name, hostileELL) {
+			t.Errorf("%s should be feasible", name)
+		}
 	}
 }
 

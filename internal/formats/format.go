@@ -1,11 +1,14 @@
 // Package formats implements the sparse storage formats and SpMV kernels
-// evaluated by the paper: the state-of-practice formats COO, CSR (naive,
-// vectorized, balanced, inspector-executor), ELL and HYB, the research
-// formats CSR5, Merge-CSR, SELL-C-sigma and a SparseX-like compressed
-// format, and a VSL-like column-major FPGA format — plus DIA and BCSR as
-// extensions. Every format builds from a CSR matrix and provides serial and
+// evaluated by the paper that earn their place on the host: the
+// state-of-practice formats COO, CSR (naive, vectorized, balanced,
+// inspector-executor), ELL and HYB, the research formats CSR5, Merge-CSR,
+// SELL-C-sigma and a SparseX-like compressed format, plus BCSR as an
+// extension. Every format builds from a CSR matrix and provides serial and
 // parallel double-precision SpMV kernels producing the same result as the
-// CSR reference (up to floating-point reassociation).
+// CSR reference (up to floating-point reassociation). A format the paper
+// runs only on another device (VSL on the FPGA) or that loses everywhere
+// on the host (DIA) keeps a trait estimate for the device models and no
+// kernel.
 //
 // Each format also reports Traits — padding ratio, metadata volume, work
 // distribution discipline — which ground the analytical device models in
@@ -180,7 +183,7 @@ func builder(name string, tunables Tunable, tuned func(m *matrix.CSR, t Tuning) 
 
 // Registry returns all format builders in a stable order: the
 // state-of-practice formats first, then the research formats, then the
-// extensions. The VSL builder uses the default HBM capacity.
+// extension.
 func Registry() []Builder { return append([]Builder(nil), registry...) }
 
 var registry = []Builder{
@@ -197,8 +200,6 @@ var registry = []Builder{
 		return asFormat(newSELLCS(m, DefaultChunkC(), DefaultSigma, t))
 	}),
 	builder("SparseX", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewSPX(m), nil }),
-	builder("VSL", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewVSL(m, DefaultVSLConfig())) }),
-	builder("DIA", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewDIA(m)) }),
 	builder("BCSR", TuneTiles|TuneBlock, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newBCSR(m, t)) }),
 }
 
@@ -211,7 +212,8 @@ func asFormat[F Format](f F, err error) (Format, error) {
 	return f, nil
 }
 
-// Lookup returns the builder with the given name, or false.
+// Lookup returns the builder with the given name, or false — also for the
+// names EstimateTraits prices without a kernel (VSL, DIA).
 func Lookup(name string) (Builder, bool) {
 	for _, b := range registry {
 		if b.Name == name {

@@ -292,50 +292,6 @@ func TestSPXDeltaWidths(t *testing.T) {
 	}
 }
 
-func TestVSLCapacityGate(t *testing.T) {
-	m := matrix.Random(200, 200, 0.1, 16)
-	cfg := DefaultVSLConfig()
-	cfg.CapacityBytes = 100 // absurdly small
-	if _, err := NewVSL(m, cfg); !errors.Is(err, ErrBuild) {
-		t.Errorf("VSL ignored the capacity gate: %v", err)
-	}
-	cfg.CapacityBytes = 0 // disabled
-	if _, err := NewVSL(m, cfg); err != nil {
-		t.Errorf("VSL with disabled gate failed: %v", err)
-	}
-}
-
-func TestVSLPadding(t *testing.T) {
-	// Column streams pad to multiples of AccLatency.
-	m := matrix.Identity(10) // every column has 1 entry -> pads to 8
-	f, err := NewVSL(m, VSLConfig{Channels: 2, AccLatency: 8, CapacityBytes: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.PaddedEntries() != 80 {
-		t.Errorf("padded entries = %d, want 80", f.PaddedEntries())
-	}
-	tr := f.Traits()
-	if math.Abs(tr.PaddingRatio-7.0) > 1e-9 {
-		t.Errorf("padding ratio = %g, want 7", tr.PaddingRatio)
-	}
-}
-
-func TestDIAOnBandedAndScattered(t *testing.T) {
-	banded := matrix.Tridiagonal(200, 2, -1)
-	f, err := NewDIA(banded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Diagonals() != 3 {
-		t.Errorf("tridiagonal stored %d diagonals, want 3", f.Diagonals())
-	}
-	scattered := matrix.Random(300, 300, 0.01, 17)
-	if _, err := NewDIA(scattered); !errors.Is(err, ErrBuild) {
-		t.Error("DIA accepted a scattered matrix")
-	}
-}
-
 func TestBCSRBlocksAndFillGate(t *testing.T) {
 	// 2x2 dense blocks pack perfectly.
 	o := matrix.NewCOO(8, 8, 0)

@@ -25,7 +25,7 @@ package formats
 // n the row's stored entries (matrix.CSR.WithinDotBound) — not to a
 // tolerance relative to the result, which is wrong where a row cancels.
 //
-// Formats off the hot path (CSR5, SparseX, VSL) go through the driver's
+// Formats off the hot path (CSR5, SparseX) go through the driver's
 // byColumn fallback: one single-vector dispatch per vector, with
 // gather/scatter between the row-major block and contiguous temporaries.
 

@@ -17,9 +17,8 @@ import (
 
 const benchRHS = 8
 
-// multiBenchFormats are the fused hot-path formats (DIA is exercised by
-// the banded matrix below; it refuses the scattered tier).
-var multiBenchFormats = []string{"Naive-CSR", "Vec-CSR", "ELL", "SELL-C-s", "BCSR", "DIA", "COO"}
+// multiBenchFormats are the fused hot-path formats.
+var multiBenchFormats = []string{"Naive-CSR", "Vec-CSR", "ELL", "SELL-C-s", "BCSR", "COO"}
 
 func benchmarkMulti(b *testing.B, m *matrix.CSR, matName string) {
 	b.Helper()

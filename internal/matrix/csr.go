@@ -271,8 +271,7 @@ func (r rowView) Swap(i, j int) {
 }
 
 // Transpose returns the transpose of the matrix in CSR form (equivalently,
-// the CSC view of the original), used by column-oriented formats such as the
-// FPGA VSL format.
+// the CSC view of the original).
 func (m *CSR) Transpose() *CSR {
 	t := &CSR{Rows: m.Cols, Cols: m.Rows}
 	t.RowPtr = make([]int32, m.Cols+1)

@@ -3,6 +3,7 @@ package selector
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -44,7 +45,7 @@ type AutoOptions struct {
 	// differently, so a block solver should pass its block width.
 	K int
 	// Device names the testbed whose model ranks candidates; "" targets
-	// the host (device.HostSpec), which offers all fourteen formats.
+	// the host (device.HostSpec), which offers every registered format.
 	Device string
 	// Probe refines the model's choice by timing the shortlist on a
 	// row-sampled sub-matrix through the execution engine and picking the
@@ -149,8 +150,9 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 				choice.Shortlist = []string{d.Format}
 				return formats.NewAuto(f, choice), nil
 			}
-			// A cached format that no longer builds (should not happen for
-			// an identical fingerprint) falls through to fresh selection.
+			// A cached format that no longer builds (one an older build
+			// journaled and this one has no kernel for) falls through to
+			// fresh selection, whose decision supersedes it.
 		}
 	}
 
@@ -164,8 +166,10 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	if learn {
 		// A measured winner of a nearby matrix outranks the analytical
 		// model: promote it to the front (it becomes the pick when no probe
-		// runs, and a probed candidate otherwise).
-		if name, ok := st.Learned.pick(spec.Name, k, fv); ok {
+		// runs, and a probed candidate otherwise) — if the device still
+		// offers it: a journal from an older build can name a format this
+		// one no longer has.
+		if name, ok := st.Learned.pick(spec.Name, k, fv); ok && slices.Contains(spec.Formats, name) {
 			shortlist = promote(shortlist, name)
 			choice.Learned = true
 		}

@@ -171,10 +171,10 @@ func TestBuildAutoDeviceRestrictsChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The FPGA offers only VSL; the choice must come from its format list
-	// (or the CSR build fallback if VSL refuses the concrete matrix).
-	if got := a.Chosen(); got != "VSL" && got != "Naive-CSR" {
-		t.Errorf("Alveo choice = %q, want VSL (or the CSR fallback)", got)
+	// The FPGA offers only VSL, which the host prices but cannot build:
+	// the choice lands on the CSR build fallback.
+	if got := a.Chosen(); got != "Naive-CSR" || a.Choice().Shortlist[0] != "VSL" {
+		t.Errorf("Alveo choice = %q from %v, want the CSR fallback behind VSL", got, a.Choice().Shortlist)
 	}
 }
 
@@ -330,6 +330,22 @@ func TestShortlistRanksAndIncludesRules(t *testing.T) {
 		}
 		if !found && s.RankMulti(fv, ruled, k).Feasible {
 			t.Errorf("k=%d: shortlist %v misses the rules pick %q", k, sl, ruled)
+		}
+	}
+}
+
+// TestHostShortlistIsNative: over a sample of the medium grid at k = 1 and
+// k = 8, every name the host shortlists — the model's top three and the
+// appended rules pick — has a kernel to build.
+func TestHostShortlistIsNative(t *testing.T) {
+	h := fixtureHost()
+	for _, fv := range dataset.Medium.Sample(400, 7) {
+		for _, k := range []int{1, 8} {
+			for _, name := range Shortlist(h, fv, k, DefaultShortlist) {
+				if _, ok := formats.Lookup(name); !ok {
+					t.Fatalf("k=%d %+v: shortlisted %q has no kernel", k, fv, name)
+				}
+			}
 		}
 	}
 }

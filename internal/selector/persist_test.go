@@ -1,10 +1,16 @@
 package selector
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/device"
+	"repro/internal/formats"
 	"repro/internal/matrix"
 )
 
@@ -204,5 +210,75 @@ func TestObserveImprovesNearest(t *testing.T) {
 	}
 	if got, _ := n.PredictNear(far, LearnMaxDist); got != "COO" {
 		t.Errorf("windowed base predicts %q, want COO", got)
+	}
+}
+
+// TestStaleJournalFormatReselects: a journal written by a build that had a
+// format this one lacks (DIA lost its kernel) cannot serve that decision;
+// the build selects afresh and its decision is the only one left for the
+// key once the journal is compacted.
+func TestStaleJournalFormatReselects(t *testing.T) {
+	dir := t.TempDir()
+	m := genMatrix(t, 3000, 10, 5, 12)
+	journal := fmt.Sprintf("{\"v\":2,\"kind\":\"header\",\"schema\":2,\"host\":%q}\n"+
+		"{\"v\":2,\"kind\":\"decision\",\"lvl\":%q,\"fp\":%d,\"device\":\"host\",\"k\":1,\"format\":\"DIA\"}\n",
+		cache.HostFingerprint(), cache.EffectiveLevel(), m.Fingerprint())
+	if err := os.WriteFile(filepath.Join(dir, "decisions.jsonl"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := cache.NewDecisionCache()
+	if n := dc.AttachStore(st); n != 1 {
+		t.Fatalf("warm-loaded %d decisions, want the stale one", n)
+	}
+	a, err := BuildAuto(m, AutoOptions{State: &State{Cache: dc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := formats.Lookup(a.Chosen()); !ok || a.Choice().Cached {
+		t.Errorf("chose %q, cached %v: want a fresh pick with a kernel", a.Chosen(), a.Choice().Cached)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	re, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	keys, decs := re.Decisions()
+	if len(keys) != 1 || keys[0].Fingerprint != m.Fingerprint() || decs[0].Format != a.Chosen() {
+		t.Errorf("compacted journal holds %+v %+v, want only the new %q decision", keys, decs, a.Chosen())
+	}
+}
+
+// TestLearnedPickMustBeOffered: a k-NN sample naming a format the device
+// does not offer (DIA, journaled when it still had a kernel) does not steer
+// the shortlist: promoting it would put an unbuildable name first.
+func TestLearnedPickMustBeOffered(t *testing.T) {
+	defer func(prev func() device.Spec) { hostSpec = prev }(hostSpec)
+	hostSpec = fixtureHost
+	m := genMatrix(t, 3000, 10, 5, 13)
+	lrn := NewLearned()
+	lrn.observe("host", 1, core.Extract(m), "DIA", 0)
+	a, err := BuildAuto(m, AutoOptions{NoCache: true, State: &State{Learned: lrn}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := a.Choice()
+	if c.Learned || slices.Contains(c.Shortlist, "DIA") {
+		t.Errorf("learned %v, shortlist %v: a format without a kernel steered the choice", c.Learned, c.Shortlist)
+	}
+	// An offered format still steers.
+	lrn.observe("host", 1, core.Extract(m), "CSR5", 0)
+	if a, err = BuildAuto(m, AutoOptions{NoCache: true, State: &State{Learned: lrn}}); err != nil {
+		t.Fatal(err)
+	}
+	if c := a.Choice(); !c.Learned || c.Shortlist[0] != "CSR5" {
+		t.Errorf("learned %v, shortlist %v: want CSR5 promoted", c.Learned, c.Shortlist)
 	}
 }

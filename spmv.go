@@ -8,7 +8,7 @@
 //   - sparse matrices (CSR/COO, MatrixMarket I/O) and the five-feature
 //     extraction of Section III-A;
 //   - the artificial matrix generator of Section III-B;
-//   - fourteen storage formats with serial and parallel SpMV kernels,
+//   - twelve storage formats with serial and parallel SpMV kernels,
 //     dispatched on an execution engine with one lazily started worker
 //     pool, the caller as lane 0, and spawned lanes for a call that finds
 //     it busy (see internal/exec);
@@ -161,7 +161,7 @@ func MultiplyCtx(ctx context.Context, f Format, y, x []float64) error {
 // MultiplyMany computes Y = A*X for a block of k dense right-hand sides at
 // once (SpMM). X and Y are row-major: X holds k values per matrix column
 // (len cols*k) and Y k values per row (len rows*k). Hot formats (CSR
-// family, ELL, HYB, SELL-C-s, BCSR, DIA, COO) run fused register-tiled kernels
+// family, ELL, HYB, SELL-C-s, BCSR, COO) run fused register-tiled kernels
 // that stream the matrix once per tile of 4 vectors — every loaded nonzero
 // feeds k FMAs instead of one — on the same worker pool as the
 // single-vector kernels; the remaining formats multiply one vector at

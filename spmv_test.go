@@ -81,8 +81,8 @@ func TestEndToEndPipeline(t *testing.T) {
 }
 
 func TestFacadeLookups(t *testing.T) {
-	if len(spmv.Formats()) < 14 {
-		t.Errorf("formats = %d, want >= 14", len(spmv.Formats()))
+	if len(spmv.Formats()) != 12 {
+		t.Errorf("formats = %d, want 12", len(spmv.Formats()))
 	}
 	if len(spmv.Devices()) != 9 {
 		t.Errorf("devices = %d, want 9", len(spmv.Devices()))
