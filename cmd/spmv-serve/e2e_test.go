@@ -83,7 +83,7 @@ func buildDaemon(t *testing.T) string {
 func startDaemon(t *testing.T, bin string, args []string, env ...string) *daemon {
 	t.Helper()
 	out := &captureWriter{addrc: make(chan string, 1)}
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-window", "5ms", "-drain", "3s"}, args...)...)
+	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-drain", "3s"}, args...)...)
 	cmd.Env = append(os.Environ(), env...)
 	cmd.Stdout = out
 	cmd.Stderr = out
@@ -258,19 +258,39 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("short vector: %d %+v", status, env.Error)
 	}
 
-	// SIGTERM with requests in flight: the 5ms window means these are
-	// mid-gather when the signal lands. Drain contract: every request
+	// SIGTERM once every request has been admitted (the daemon's request
+	// counter says so, no sleep): each is answered, running, or queued
+	// behind the matrix's kernel call when the signal lands — none still
+	// connecting. One connection per request: a pooled client may dial a
+	// connection it then never sends on, and the daemon's drain waits
+	// for such a connection past its bound. Drain contract: every request
 	// gets an HTTP response (200/499/503 — never a torn connection), and
 	// the daemon exits 0.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	admitted := func() uint64 {
+		resp, err := client.Get(d.base + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		env := decodeEnvelope(t, "/v1/stats", resp)
+		var st struct {
+			Totals struct {
+				Requests uint64 `json:"requests"`
+			} `json:"totals"`
+		}
+		if err := json.Unmarshal(env.Data, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Totals.Requests
+	}
 	const inflight = 8
+	before := admitted()
 	results := make(chan int, inflight)
-	var launched sync.WaitGroup
 	for i := 0; i < inflight; i++ {
-		launched.Add(1)
 		go func() {
 			body, _ := json.Marshal(map[string]any{"x": []float64{0, 1, 0, 0}})
-			launched.Done()
-			resp, err := http.Post(d.base+"/v1/matrices/"+fp+"/multiply",
+			resp, err := client.Post(d.base+"/v1/matrices/"+fp+"/multiply",
 				"application/json", bytes.NewReader(body))
 			if err != nil {
 				results <- -1
@@ -285,8 +305,11 @@ func TestDaemonEndToEnd(t *testing.T) {
 			results <- resp.StatusCode
 		}()
 	}
-	launched.Wait()
-	time.Sleep(2 * time.Millisecond)
+	for deadline := time.Now().Add(30 * time.Second); admitted() < before+inflight; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests admitted", admitted()-before, inflight)
+		}
+	}
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -322,15 +345,16 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// Each daemon setting has one source, its flag: a malformed value is a
-// usage error, and the journal directory's default is the library's
+// Each daemon setting has one source, its flag: a malformed value or a
+// flag the daemon does not have (-window and -config are gone) is a usage
+// error, and the journal directory's default is the library's
 // SPMV_CACHE_DIR, which -cache-dir beats.
 func TestDaemonConfigPrecedence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the daemon")
 	}
 	bin := buildDaemon(t)
-	for _, bad := range [][]string{{"-window", "eleventy"}, {"-max-batch", "lots"}, {"-probe=maybe"}, {"-config", "serve.json"}} {
+	for _, bad := range [][]string{{"-window", "5ms"}, {"-max-batch", "lots"}, {"-probe=maybe"}, {"-config", "serve.json"}} {
 		out, err := exec.Command(bin, bad...).CombinedOutput()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "Usage") {
@@ -353,8 +377,8 @@ func TestDaemonConfigPrecedence(t *testing.T) {
 			args = []string{"-cache-dir", flagDir}
 		}
 		d := startDaemon(t, bin, args, "SPMV_CACHE_DIR="+envDir)
-		if !strings.Contains(d.out.String(), "window 5ms") || !strings.Contains(d.out.String(), "max batch 8") {
-			t.Errorf("%s: banner shows neither the -window flag nor the default max batch:\n%s", tc.name, d.out.String())
+		if !strings.Contains(d.out.String(), "(max batch 8)") {
+			t.Errorf("%s: banner does not show the default max batch:\n%s", tc.name, d.out.String())
 		}
 		status, env := d.post(t, "/v1/matrices", map[string]any{
 			"generator": map[string]any{"rows": 500, "cols": 500, "avgnnzperrow": 8, "stdnnzperrow": 2, "bwscaled": 0.4, "seed": 7},

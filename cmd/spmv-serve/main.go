@@ -1,8 +1,10 @@
 // Command spmv-serve hosts matrices behind an HTTP API and coalesces
 // concurrent single-vector multiply requests into fused multi-vector
-// kernel calls — the inference-serving recipe applied to SpMV: upload
-// (and pay format selection for) a matrix once, then let k concurrent
-// clients share one matrix sweep instead of issuing k.
+// kernel calls by group commit: each matrix runs at most one kernel call
+// at a time, a request that finds it idle runs at once, and the requests
+// that arrive meanwhile ride the next call together. Upload (and pay
+// format selection for) a matrix once, then let k concurrent clients
+// share one matrix sweep instead of issuing k.
 //
 // Usage:
 //
@@ -12,11 +14,9 @@
 //
 //	-addr HOST:PORT   listen address (default :8097; :0 picks a free
 //	                  port and the bound address is printed)
-//	-window DUR       coalescing window armed by the first request of a
-//	                  batch (default 200us; 0 disables batching)
-//	-max-batch N      flush a batch early at N gathered requests
+//	-max-batch N      at most N queued requests ride one kernel call
 //	                  (default 8, where the fused kernels' per-vector
-//	                  gain flattens)
+//	                  gain flattens; 1 disables batching)
 //	-cache-dir DIR    selection journal directory (default
 //	                  $SPMV_CACHE_DIR; empty = memory-only)
 //	-rhs K            default right-hand-side regime hint for uploads
@@ -70,8 +70,7 @@ func run() error {
 	// own variable, so the daemon journals where the tools do.
 	cfg := serve.DefaultConfig()
 	flag.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
-	flag.DurationVar(&cfg.Window, "window", cfg.Window, "coalescing window (0 disables batching)")
-	flag.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "flush a batch early at this many requests")
+	flag.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "most queued requests one kernel call carries (1 disables batching)")
 	flag.StringVar(&cfg.CacheDir, "cache-dir", os.Getenv(cache.EnvCacheDir), "selection journal directory")
 	flag.IntVar(&cfg.K, "rhs", cfg.K, "default right-hand-side regime hint for uploads")
 	flag.BoolVar(&cfg.Probe, "probe", cfg.Probe, "micro-probe the selection shortlist on upload")
@@ -86,8 +85,7 @@ func run() error {
 		return err
 	}
 	// The e2e harness parses this line to learn the bound port (-addr :0).
-	fmt.Printf("spmv-serve listening on %s (window %v, max batch %d)\n",
-		srv.Addr(), cfg.Window, cfg.MaxBatch)
+	fmt.Printf("spmv-serve listening on %s (max batch %d)\n", srv.Addr(), cfg.MaxBatch)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)

@@ -270,17 +270,6 @@ func Distance(a, b FeatureVector) float64 {
 	return math.Sqrt((d1*d1 + d2*d2 + d3*d3 + d4*d4 + d5*d5) / 5)
 }
 
-// Scale returns a copy of f with the footprint-bearing dimensions (rows,
-// nnz, footprint) multiplied by s, keeping the per-row features unchanged.
-func (f FeatureVector) Scale(s float64) FeatureVector {
-	g := f
-	g.Rows = int(math.Max(1, float64(f.Rows)*s))
-	g.Cols = int(math.Max(1, float64(f.Cols)*s))
-	g.NNZ = int64(float64(f.NNZ) * s)
-	g.MemFootprintMB = f.MemFootprintMB * s
-	return g
-}
-
 // String formats the feature vector compactly.
 func (f FeatureVector) String() string {
 	return fmt.Sprintf("fv{%.1fMB nzr=%.1f skew=%.0f sim=%.2f neigh=%.2f bw=%.2f}",

@@ -175,17 +175,6 @@ func TestDistanceProperties(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	a := FeatureVector{Rows: 1000, Cols: 1000, NNZ: 20000, MemFootprintMB: 64, AvgNNZPerRow: 20, SkewCoeff: 5}
-	s := a.Scale(0.25)
-	if s.Rows != 250 || s.NNZ != 5000 || s.MemFootprintMB != 16 {
-		t.Errorf("Scale wrong: %+v", s)
-	}
-	if s.AvgNNZPerRow != a.AvgNNZPerRow || s.SkewCoeff != a.SkewCoeff {
-		t.Error("Scale must keep per-row features")
-	}
-}
-
 func TestOperationalIntensityMulti(t *testing.T) {
 	fv := FeatureVector{Rows: 1000, Cols: 1000, NNZ: 20000, MemFootprintMB: 0.25}
 	if got, want := fv.OperationalIntensityMulti(1), fv.OperationalIntensity(); got != want {

@@ -5,35 +5,28 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/failpoint"
 	"repro/internal/formats"
 )
 
-// Coalescing defaults: flush a matrix's gathered requests when the batch
-// reaches DefaultMaxBatch single-vector multiplies or DefaultWindow after
-// the first request armed the window, whichever comes first — the
-// inference-serving recipe. Eight is where the fused MultiplyMany kernels'
-// per-vector gain flattens (BenchmarkMultiplyMany in internal/formats);
-// 200µs is well under one medium-matrix sweep, so a lone request's added
-// latency stays below one kernel time.
-const (
-	DefaultWindow   = 200 * time.Microsecond
-	DefaultMaxBatch = 8
-)
+// DefaultMaxBatch caps how many queued single-vector multiplies ride one
+// fused kernel call: eight is where the fused MultiplyMany kernels'
+// per-vector gain flattens (BenchmarkMultiplyMany in internal/formats).
+const DefaultMaxBatch = 8
 
-// pending is one admitted multiply waiting for its batch to flush. The
-// flush reads x and writes y until it has sent on done, whether or not the
-// caller is still waiting (codec.go has the ownership rule).
+// pending is one admitted multiply queued behind the matrix's in-flight
+// kernel call. The call that serves it reads x and writes y until it has
+// sent on done, whether or not the caller is still waiting (codec.go has
+// the ownership rule).
 type pending struct {
 	x, y []float64
 	ctx  context.Context
-	done chan batchResult // buffered: a flush never blocks on a gone caller
+	done chan batchResult // buffered: a batch never blocks on a gone caller
 }
 
-// batchResult is what a flush delivers to each request of its batch; the
+// batchResult is what a batch delivers to each request it carried; the
 // product is already in the request's y.
 type batchResult struct {
 	batch int // how many requests the serving kernel call carried
@@ -42,28 +35,28 @@ type batchResult struct {
 
 // CoalescerStats is a point-in-time view of one matrix's batching.
 type CoalescerStats struct {
-	Requests    uint64  `json:"requests"`     // admitted multiplies
-	Batches     uint64  `json:"batches"`      // kernel calls issued
-	Coalesced   uint64  `json:"coalesced"`    // requests served in a batch of > 1
-	FlushFull   uint64  `json:"flush_full"`   // flushes at MaxBatch
-	FlushWindow uint64  `json:"flush_window"` // flushes at the window deadline
-	FlushDrain  uint64  `json:"flush_drain"`  // flushes forced by shutdown drain
-	MeanBatch   float64 `json:"mean_batch"`   // Requests / Batches
+	Requests  uint64 `json:"requests"`  // admitted multiplies
+	Batches   uint64 `json:"batches"`   // kernel calls issued
+	Coalesced uint64 `json:"coalesced"` // requests served in a batch of > 1
+	// FlushWindow is always 0: no batch waits on a timer. It stays for
+	// readers that still compile against it.
+	FlushWindow uint64  `json:"flush_window"`
+	MeanBatch   float64 `json:"mean_batch"` // Requests / Batches
 }
 
-// Coalescer gathers concurrent single-vector multiply requests against one
-// hosted matrix into fused MultiplyMany calls: the first request of a
-// batch arms a window timer, and the batch flushes when it fills to
-// maxBatch or the window lapses, whichever is first. k waiting users cost
-// one matrix sweep instead of k (TestCoalescedBatchingGate holds the
-// aggregate win to its floor) at a bounded latency premium. All methods
-// are safe for concurrent use.
+// Coalescer serves concurrent single-vector multiply requests against one
+// hosted matrix by group commit: at most one kernel call is in flight. A
+// request that finds the matrix idle runs its own single-vector call at
+// once; requests that arrive while a call is in flight queue, and when it
+// returns, up to maxBatch of them ride the next call as one fused
+// MultiplyMany. Nothing waits on a timer, and k queued users cost one
+// matrix sweep instead of k (TestCoalescedBatchingGate holds the aggregate
+// win to its floor). All methods are safe for concurrent use.
 type Coalescer struct {
 	f          formats.Format
 	rows, cols int
-	window     time.Duration
 	maxBatch   int
-	// base is the server-lifetime context batched kernel calls run under:
+	// base is the server-lifetime context fused kernel calls run under:
 	// one request's cancellation must not kill its batch siblings'
 	// results, so per-request contexts only govern admission and the
 	// caller's own wait. Cancelling base (shutdown past the drain
@@ -72,28 +65,24 @@ type Coalescer struct {
 	base context.Context
 
 	mu     sync.Mutex
-	batch  []*pending
-	gen    uint64 // bumped per takeLocked; stale window timers no-op
-	timer  *time.Timer
+	busy   bool       // a kernel call is in flight
+	queue  []*pending // arrived while busy; empty whenever idle
 	closed bool
 
-	// blocks recycles the gather/scatter staging blocks across flushes.
+	// blocks recycles the gather/scatter staging blocks across batches.
 	blocks sync.Pool
 
-	requests    atomic.Uint64
-	batches     atomic.Uint64
-	coalesced   atomic.Uint64
-	flushFull   atomic.Uint64
-	flushWindow atomic.Uint64
-	flushDrain  atomic.Uint64
+	requests  atomic.Uint64
+	batches   atomic.Uint64
+	coalesced atomic.Uint64
 }
 
 // NewCoalescer wraps a built format (plain or updatable) for coalesced
 // serving. base is the server-lifetime context (nil: context.Background).
-// window <= 0 or maxBatch <= 1 disables gathering: every request runs its
-// own single-vector kernel — the sequential baseline the batching gate
-// measures against.
-func NewCoalescer(base context.Context, f formats.Format, window time.Duration, maxBatch int) *Coalescer {
+// maxBatch <= 1 disables batching: every request runs its own
+// single-vector kernel at once, concurrently with the others — the direct
+// path the batching gate measures against.
+func NewCoalescer(base context.Context, f formats.Format, maxBatch int) *Coalescer {
 	if base == nil {
 		base = context.Background()
 	}
@@ -101,7 +90,6 @@ func NewCoalescer(base context.Context, f formats.Format, window time.Duration, 
 		f:        f,
 		rows:     f.Rows(),
 		cols:     f.Cols(),
-		window:   window,
 		maxBatch: maxBatch,
 		base:     base,
 	}
@@ -125,112 +113,109 @@ func (c *Coalescer) Multiply(ctx context.Context, x []float64) ([]float64, int, 
 
 // multiplyInto is Multiply into the caller's y (len rows). released
 // reports that the coalescer is finished with x and y; it is false only
-// when the caller left on ctx.Done() while its batch was still gathering
-// or in flight, and then the flush may yet read x and write y.
+// when the caller left on ctx.Done() while queued or while its batch was in
+// flight, and then that batch may yet read x and write y.
 func (c *Coalescer) multiplyInto(ctx context.Context, y, x []float64) (batch int, released bool, err error) {
 	if len(x) != c.cols {
 		return 0, true, fmt.Errorf("%w: x has %d entries, matrix has %d columns",
 			formats.ErrDimension, len(x), c.cols)
 	}
 
-	if c.maxBatch <= 1 || c.window <= 0 {
-		// Coalescing off: serve directly under the caller's context.
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return 0, true, ErrShuttingDown
-		}
-		c.requests.Add(1)
-		c.batches.Add(1)
-		return 1, true, c.f.Apply(ctx, y, x, 1, exec.MaxWorkers())
-	}
-
-	p := &pending{x: x, y: y, ctx: ctx, done: make(chan batchResult, 1)}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return 0, true, ErrShuttingDown
 	}
 	c.requests.Add(1)
-	c.batch = append(c.batch, p)
-	if len(c.batch) >= c.maxBatch {
-		b := c.takeLocked()
+	if c.busy {
+		p := &pending{x: x, y: y, ctx: ctx, done: make(chan batchResult, 1)}
+		c.queue = append(c.queue, p)
 		c.mu.Unlock()
-		c.flushFull.Add(1)
-		c.flush(b) // the filling request runs the flush: no handoff latency
-	} else {
-		if len(c.batch) == 1 {
-			gen := c.gen
-			c.timer = time.AfterFunc(c.window, func() { c.onWindow(gen) })
+		select {
+		case r := <-p.done:
+			return r.batch, true, r.err
+		case <-ctx.Done():
+			return 0, false, ctx.Err()
 		}
-		c.mu.Unlock()
 	}
+	// Idle (or batching off): this request's own call, on its goroutine.
+	c.busy = c.maxBatch > 1
+	c.mu.Unlock()
+	if c.maxBatch > 1 {
+		defer c.handOff()
+	}
+	return 1, true, c.single(ctx, y, x)
+}
 
-	select {
-	case r := <-p.done:
-		return r.batch, true, r.err
-	case <-ctx.Done():
-		return 0, false, ctx.Err()
+// single runs one single-vector kernel call. Nothing shares it, so the
+// request keeps its own context end to end: its cancellation may cancel
+// the sweep.
+func (c *Coalescer) single(ctx context.Context, y, x []float64) error {
+	c.batches.Add(1)
+	// Fault-injection point at the dispatch boundary (never inside a
+	// kernel): a fired site fails the call with provenance, the way a
+	// kernel dispatch fault would; runBatch fails a fused call's whole
+	// batch the same way.
+	if err := failpoint.Inject("serve.flush"); err != nil {
+		return err
+	}
+	return c.f.Apply(c.mergedCtx(ctx), y, x, 1, exec.MaxWorkers())
+}
+
+// handOff ends a caller's own call: the requests queued behind it run on a
+// fresh goroutine, so the caller returns without waiting for its siblings.
+func (c *Coalescer) handOff() {
+	if b := c.next(); b != nil {
+		go c.drain(b)
 	}
 }
 
-// takeLocked detaches the current batch and invalidates its window timer.
-func (c *Coalescer) takeLocked() []*pending {
-	b := c.batch
-	c.batch = nil
-	c.gen++
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
+// drain runs batches until the queue is empty.
+func (c *Coalescer) drain(b []*pending) {
+	for ; b != nil; b = c.next() {
+		c.runBatch(b)
+	}
+}
+
+// next ends the in-flight call and returns the next one's batch: up to
+// maxBatch queued requests, in arrival order. With none queued it returns
+// nil and the coalescer goes idle. The queue is only ever non-empty while
+// a call is in flight, so no request is left behind.
+func (c *Coalescer) next() []*pending {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := c.queue
+	switch {
+	case len(b) == 0:
+		c.busy = false
+		return nil
+	case len(b) > c.maxBatch:
+		b, c.queue = b[:c.maxBatch:c.maxBatch], b[c.maxBatch:]
+	default:
+		c.queue = nil
 	}
 	return b
 }
 
-// onWindow flushes the batch the timer was armed for; a stale generation
-// means that batch already flushed full (or drained) and a new one may be
-// gathering — leave it its own full window.
-func (c *Coalescer) onWindow(gen uint64) {
-	c.mu.Lock()
-	if gen != c.gen {
-		c.mu.Unlock()
+// runBatch serves one batch of queued requests with one kernel call:
+// gather the k request vectors into one row-major block, run the fused
+// kernel once, scatter each request's column back out. Errors — injected
+// faults at the serve.flush site, contained kernel panics, base-context
+// cancellation during shutdown — propagate to every request of the batch;
+// each queued request always receives exactly one response.
+func (c *Coalescer) runBatch(b []*pending) {
+	k := len(b)
+	if k == 1 {
+		p := b[0]
+		p.done <- batchResult{batch: 1, err: c.single(p.ctx, p.y, p.x)}
 		return
 	}
-	b := c.takeLocked()
-	c.mu.Unlock()
-	if len(b) > 0 {
-		c.flushWindow.Add(1)
-		c.flush(b)
-	}
-}
-
-// flush serves one detached batch: gather the k request vectors into one
-// row-major block, run the fused kernel once, scatter each request's
-// column back out. Errors — injected faults at the serve.flush site,
-// contained kernel panics, base-context cancellation during shutdown —
-// propagate to every request of the batch; each admitted request always
-// receives exactly one response.
-func (c *Coalescer) flush(b []*pending) {
-	k := len(b)
 	c.batches.Add(1)
-	if k > 1 {
-		c.coalesced.Add(uint64(k))
-	}
-	// Fault-injection point at the dispatch boundary (never inside a
-	// kernel): a fired site fails the whole batch with provenance, the
-	// way a fused-kernel dispatch fault would.
+	c.coalesced.Add(uint64(k))
 	if err := failpoint.Inject("serve.flush"); err != nil {
 		for _, p := range b {
 			p.done <- batchResult{batch: k, err: err}
 		}
-		return
-	}
-	if k == 1 {
-		// A lone request keeps its own context end to end: nothing shares
-		// its kernel call, so its cancellation may cancel the sweep.
-		p := b[0]
-		err := c.f.Apply(c.mergedCtx(p.ctx), p.y, p.x, 1, exec.MaxWorkers())
-		p.done <- batchResult{batch: 1, err: err}
 		return
 	}
 	// Gather into the kernel's row-major X[col*k+t] with col as the outer
@@ -247,31 +232,25 @@ func (c *Coalescer) flush(b []*pending) {
 	}
 	y := c.getBlock(c.rows * k)
 	err := c.f.Apply(c.base, y, x, k, exec.MaxWorkers())
-	if err != nil {
-		for _, p := range b {
-			p.done <- batchResult{batch: k, err: err}
-		}
-		c.putBlock(x)
-		c.putBlock(y)
-		return
-	}
-	// Scatter with the same orientation: sequential read of Y[r*k+t],
-	// k sequential write streams.
-	for r := 0; r < c.rows; r++ {
-		base := r * k
-		for t, p := range b {
-			p.y[r] = y[base+t]
+	if err == nil {
+		// Scatter with the same orientation: sequential read of Y[r*k+t],
+		// k sequential write streams.
+		for r := 0; r < c.rows; r++ {
+			base := r * k
+			for t, p := range b {
+				p.y[r] = y[base+t]
+			}
 		}
 	}
 	for _, p := range b {
-		p.done <- batchResult{batch: k}
+		p.done <- batchResult{batch: k, err: err}
 	}
 	c.putBlock(x)
 	c.putBlock(y)
 }
 
 // getBlock leases a gather/scatter block of at least n entries from the
-// coalescer's pool; flush-rate allocations of multi-megabyte blocks are
+// coalescer's pool; batch-rate allocations of multi-megabyte blocks are
 // pure overhead on the serving path.
 func (c *Coalescer) getBlock(n int) []float64 {
 	if v := c.blocks.Get(); v != nil {
@@ -295,34 +274,22 @@ func (c *Coalescer) mergedCtx(reqCtx context.Context) context.Context {
 	return reqCtx
 }
 
-// Close drains the coalescer: the gathering batch (if any) flushes
-// immediately and every later Multiply is refused with ErrShuttingDown.
-// Requests admitted before Close still receive their response — the
-// serve-job SIGTERM gate asserts none hang.
+// Close refuses every later Multiply with ErrShuttingDown. Requests
+// admitted before Close still receive their response — the running call
+// drains the queue behind it — and the serve-job SIGTERM gate asserts none
+// hang.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
 	c.closed = true
-	b := c.takeLocked()
 	c.mu.Unlock()
-	if len(b) > 0 {
-		c.flushDrain.Add(1)
-		c.flush(b)
-	}
 }
 
 // Stats returns cumulative batching counters.
 func (c *Coalescer) Stats() CoalescerStats {
 	s := CoalescerStats{
-		Requests:    c.requests.Load(),
-		Batches:     c.batches.Load(),
-		Coalesced:   c.coalesced.Load(),
-		FlushFull:   c.flushFull.Load(),
-		FlushWindow: c.flushWindow.Load(),
-		FlushDrain:  c.flushDrain.Load(),
+		Requests:  c.requests.Load(),
+		Batches:   c.batches.Load(),
+		Coalesced: c.coalesced.Load(),
 	}
 	if s.Batches > 0 {
 		s.MeanBatch = float64(s.Requests) / float64(s.Batches)

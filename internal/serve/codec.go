@@ -19,10 +19,10 @@ import (
 // reflection, and every buffer a request needs recycled per hosted matrix.
 //
 // Buffer ownership. A request's pooled x and y return to the pool only on
-// the path that received the batch's batchResult (or that never admitted
-// them to a batch). A caller that leaves on ctx.Done() abandons its
-// buffers to the garbage collector: the flush may still be gathering from
-// p.x or scattering into p.y for the request's batch siblings.
+// the path that ran its own kernel call or received its batch's
+// batchResult. A queued caller that leaves on ctx.Done() abandons its
+// buffers to the garbage collector: its batch may still gather from p.x
+// or scatter into p.y for the request's siblings.
 
 var (
 	// ErrTooLarge reports a request body over its endpoint's bound.

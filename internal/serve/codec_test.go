@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/formats"
 	"repro/internal/matrix"
@@ -251,28 +250,27 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// The ownership rule under the race detector: a full batch of handlers on
-// their own working sets, one of whose callers gives up while the batch is
-// still gathering. Its working set must be reported unusable — the flush
-// still gathers from it and scatters into it — and its siblings' answers
-// must be the fused kernel's, bit for bit.
+// The ownership rule under the race detector: handlers on their own
+// working sets queue behind a held kernel call, and one of their callers
+// gives up while queued. Its working set must be reported unusable — its
+// batch still gathers from it and scatters into it — and its siblings'
+// answers must be the fused kernel's, bit for bit.
 func TestServeMultiplyAbandonsCancelledCallersBuffers(t *testing.T) {
-	const maxBatch = 4
+	const queued = 3
 	m := testMatrix(t)
-	f := formats.NewCSR(m)
-	// Only the filling request can flush: the window outlasts the test.
-	co := NewCoalescer(context.Background(), f, time.Hour, maxBatch)
+	h := holdFormat(formats.NewCSR(m))
+	co := NewCoalescer(context.Background(), h, 4)
 	defer co.Close()
 
-	type answer struct {
+	type served struct {
 		reusable bool
 		rec      *httptest.ResponseRecorder
 	}
-	xs := make([][]float64, maxBatch)
-	answers := make([]chan answer, maxBatch)
+	xs := make([][]float64, queued)
+	answers := make([]chan served, queued)
 	serve := func(i int, ctx context.Context) {
 		xs[i] = matrix.RandomVector(m.Cols, int64(i+1))
-		answers[i] = make(chan answer, 1)
+		answers[i] = make(chan served, 1)
 		body, err := json.Marshal(MultiplyRequest{X: xs[i]})
 		if err != nil {
 			t.Fatal(err)
@@ -281,24 +279,29 @@ func TestServeMultiplyAbandonsCancelledCallersBuffers(t *testing.T) {
 			b := &multiplyBufs{x: make([]float64, 0, m.Cols), y: make([]float64, m.Rows)}
 			req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)).WithContext(ctx)
 			rec := httptest.NewRecorder()
-			answers[i] <- answer{serveMultiply(rec, req, co, b), rec}
+			answers[i] <- served{serveMultiply(rec, req, co, b), rec}
 		}()
 	}
 
+	lone := send(co, context.Background(), matrix.RandomVector(m.Cols, 99))
+	h.started(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	serve(0, ctx)
+	waitAdmitted(t, co, 2)
 	serve(1, context.Background())
-	serve(2, context.Background())
 	waitAdmitted(t, co, 3)
+	serve(2, context.Background())
+	waitAdmitted(t, co, 4)
 	cancel()
 	gone := <-answers[0]
 	if gone.reusable || gone.rec.Code != StatusCanceled {
 		t.Fatalf("cancelled caller: reusable=%v status=%d, want its buffers abandoned and 499", gone.reusable, gone.rec.Code)
 	}
-	serve(3, context.Background()) // fills the batch and runs the flush
+	close(h.release)
+	receive(t, lone)
 
-	want := kernelColumns(t, f, xs)
-	for i := 1; i < maxBatch; i++ {
+	want := kernelColumns(t, h.Format, xs)
+	for i := 1; i < queued; i++ {
 		a := <-answers[i]
 		if !a.reusable || a.rec.Code != http.StatusOK {
 			t.Fatalf("caller %d: reusable=%v status=%d body=%.200s", i, a.reusable, a.rec.Code, a.rec.Body)
@@ -309,7 +312,7 @@ func TestServeMultiplyAbandonsCancelledCallersBuffers(t *testing.T) {
 		if err := json.Unmarshal(a.rec.Body.Bytes(), &env); err != nil {
 			t.Fatal(err)
 		}
-		if env.Data.Batch != maxBatch || !bitsEqual(env.Data.Y, want[i]) {
+		if env.Data.Batch != queued || !bitsEqual(env.Data.Y, want[i]) {
 			t.Fatalf("caller %d: batch %d, answer differs from the fused kernel's column", i, env.Data.Batch)
 		}
 	}

@@ -8,10 +8,8 @@ type Config struct {
 	// Addr is the listen address (host:port; ":0" picks a free port and
 	// the daemon prints the bound address).
 	Addr string
-	// Window is the coalescing window armed by the first request of a
-	// batch; 0 disables batching (every request runs alone).
-	Window time.Duration
-	// MaxBatch flushes a batch early when it gathers this many requests.
+	// MaxBatch caps how many queued requests ride one fused kernel call;
+	// 1 disables batching (every request runs its own call at once).
 	MaxBatch int
 	// CacheDir is the selection journal directory; empty is memory-only.
 	CacheDir string
@@ -28,7 +26,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Addr:         ":8097",
-		Window:       DefaultWindow,
 		MaxBatch:     DefaultMaxBatch,
 		DrainTimeout: 5 * time.Second,
 	}

@@ -124,7 +124,6 @@ func (h *Hosted) Info() Info {
 type Registry struct {
 	sess     *session.Session
 	base     context.Context
-	window   time.Duration
 	maxBatch int
 
 	mu     sync.Mutex
@@ -133,9 +132,9 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry serving under the given session (nil: the
-// process default session) and server-lifetime context. window/maxBatch
-// configure every hosted matrix's coalescer.
-func NewRegistry(base context.Context, sess *session.Session, window time.Duration, maxBatch int) *Registry {
+// process default session) and server-lifetime context. maxBatch
+// configures every hosted matrix's coalescer.
+func NewRegistry(base context.Context, sess *session.Session, maxBatch int) *Registry {
 	if base == nil {
 		base = context.Background()
 	}
@@ -145,7 +144,6 @@ func NewRegistry(base context.Context, sess *session.Session, window time.Durati
 	return &Registry{
 		sess:     sess,
 		base:     base,
-		window:   window,
 		maxBatch: maxBatch,
 		m:        make(map[uint64]*Hosted),
 	}
@@ -275,7 +273,7 @@ func (r *Registry) host(ctx context.Context, spec UploadSpec, m *matrix.CSR, fp,
 		h.surface = a
 		h.chosenAt = a.Chosen()
 	}
-	h.co = NewCoalescer(r.base, h.surface, r.window, r.maxBatch)
+	h.co = NewCoalescer(r.base, h.surface, r.maxBatch)
 	return h, nil
 }
 
@@ -294,8 +292,8 @@ func (r *Registry) Get(fpStr string) (*Hosted, error) {
 	return h, nil
 }
 
-// Delete unhosts a matrix. In-flight requests drain (the coalescer
-// flushes and then refuses); the entry leaves the address space at once.
+// Delete unhosts a matrix. In-flight and queued requests drain (the
+// coalescer refuses new ones); the entry leaves the address space at once.
 func (r *Registry) Delete(fpStr string) error {
 	fp, err := parseFP(fpStr)
 	if err != nil {
@@ -340,8 +338,8 @@ func (r *Registry) Len() int {
 	return len(r.m)
 }
 
-// Close drains every hosted matrix and refuses further uploads. Every
-// admitted request still receives its response.
+// Close refuses further uploads and multiplies on every hosted matrix.
+// Every admitted request still receives its response.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
@@ -32,7 +31,7 @@ func mmBody(t testing.TB, m *matrix.CSR) string {
 }
 
 func TestRegistryUploadIdempotentAndConflict(t *testing.T) {
-	r := NewRegistry(context.Background(), memSession(t), DefaultWindow, DefaultMaxBatch)
+	r := NewRegistry(context.Background(), memSession(t), DefaultMaxBatch)
 	defer r.Close()
 
 	m := matrix.Random(120, 120, 0.05, 5)
@@ -69,7 +68,7 @@ func TestRegistryUploadIdempotentAndConflict(t *testing.T) {
 }
 
 func TestRegistryGeneratorUpload(t *testing.T) {
-	r := NewRegistry(context.Background(), memSession(t), DefaultWindow, DefaultMaxBatch)
+	r := NewRegistry(context.Background(), memSession(t), DefaultMaxBatch)
 	defer r.Close()
 
 	h, created, err := r.Upload(context.Background(), UploadSpec{
@@ -97,7 +96,7 @@ func TestRegistryGeneratorUpload(t *testing.T) {
 }
 
 func TestRegistryUploadSpecValidation(t *testing.T) {
-	r := NewRegistry(context.Background(), memSession(t), DefaultWindow, DefaultMaxBatch)
+	r := NewRegistry(context.Background(), memSession(t), DefaultMaxBatch)
 	defer r.Close()
 
 	m := matrix.Random(30, 30, 0.1, 1)
@@ -113,7 +112,7 @@ func TestRegistryUploadSpecValidation(t *testing.T) {
 }
 
 func TestRegistryLookupDeleteNotFound(t *testing.T) {
-	r := NewRegistry(context.Background(), memSession(t), DefaultWindow, DefaultMaxBatch)
+	r := NewRegistry(context.Background(), memSession(t), DefaultMaxBatch)
 	defer r.Close()
 
 	m := matrix.Random(80, 80, 0.05, 2)
@@ -151,7 +150,7 @@ func TestRegistryLookupDeleteNotFound(t *testing.T) {
 // Concurrent identical uploads race build-outside-the-lock: exactly one
 // wins the insert, everyone gets the same host back.
 func TestRegistryConcurrentIdenticalUploads(t *testing.T) {
-	r := NewRegistry(context.Background(), memSession(t), DefaultWindow, DefaultMaxBatch)
+	r := NewRegistry(context.Background(), memSession(t), DefaultMaxBatch)
 	defer r.Close()
 
 	body := mmBody(t, matrix.Random(150, 150, 0.03, 9))
@@ -191,7 +190,7 @@ func TestRegistryConcurrentIdenticalUploads(t *testing.T) {
 }
 
 func TestRegistryUpdatableHostServesUpdates(t *testing.T) {
-	r := NewRegistry(context.Background(), memSession(t), 2*time.Millisecond, 4)
+	r := NewRegistry(context.Background(), memSession(t), 4)
 	defer r.Close()
 
 	m := matrix.Random(100, 100, 0.05, 3)
@@ -244,7 +243,7 @@ func TestRegistryUpdatableHostServesUpdates(t *testing.T) {
 }
 
 func TestRegistryCloseRefusesUploads(t *testing.T) {
-	r := NewRegistry(context.Background(), memSession(t), DefaultWindow, DefaultMaxBatch)
+	r := NewRegistry(context.Background(), memSession(t), DefaultMaxBatch)
 	m := matrix.Random(40, 40, 0.1, 6)
 	if _, _, err := r.Upload(context.Background(), UploadSpec{MatrixMarket: mmBody(t, m)}); err != nil {
 		t.Fatal(err)

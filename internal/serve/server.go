@@ -97,7 +97,7 @@ func NewServer(cfg Config, sess *session.Session) (*Server, error) {
 	}
 	base, abort := context.WithCancel(context.Background())
 	s := &Server{
-		reg:   NewRegistry(base, sess, cfg.Window, cfg.MaxBatch),
+		reg:   NewRegistry(base, sess, cfg.MaxBatch),
 		sess:  own,
 		cfg:   cfg,
 		base:  base,
@@ -165,11 +165,11 @@ func (s *Server) Serve() error {
 }
 
 // Shutdown drains the server gracefully: stop accepting, wait for
-// in-flight handlers (window timers still fire, so gathered batches
-// flush and answer), then close the registry so the last gathering
-// batches flush. Past the drain timeout the base context is cancelled:
-// in-flight kernels cancel and their waiters get the typed cancellation
-// — every admitted request gets a response, none hang.
+// in-flight handlers (each matrix's running kernel call serves the
+// requests queued behind it), then close the registry. Past the drain
+// timeout the base context is cancelled: in-flight kernels cancel and
+// their waiters get the typed cancellation — every admitted request gets
+// a response, none hang.
 func (s *Server) Shutdown(ctx context.Context) error {
 	drainCtx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
 	defer cancel()
@@ -419,9 +419,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		tot.Requests += in.Batching.Requests
 		tot.Batches += in.Batching.Batches
 		tot.Coalesced += in.Batching.Coalesced
-		tot.FlushFull += in.Batching.FlushFull
-		tot.FlushWindow += in.Batching.FlushWindow
-		tot.FlushDrain += in.Batching.FlushDrain
 	}
 	if tot.Batches > 0 {
 		tot.MeanBatch = float64(tot.Requests) / float64(tot.Batches)

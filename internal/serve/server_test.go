@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -84,9 +83,7 @@ func remarshal(t *testing.T, data any, dst any) {
 // multiply, updatable cell set visible in the next multiply, typed 400 on
 // a wrong-length vector, 404 on an unknown fingerprint, delete.
 func TestServerEndToEnd(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Window = 2 * time.Millisecond
-	s, base := bootServer(t, cfg)
+	s, base := bootServer(t, DefaultConfig())
 	defer s.Shutdown(context.Background())
 
 	status, env := call(t, "GET", base+"/v1/healthz", nil)
@@ -252,11 +249,13 @@ func TestServerMultiplyTypedRefusals(t *testing.T) {
 }
 
 // Shutdown while requests are in flight: every admitted request receives
-// a response — a result or a typed cancellation — and none hang. This is
-// the SIGTERM drain contract the serve CI job asserts end to end.
+// a response and none hang. This is the SIGTERM drain contract the serve
+// CI job asserts end to end. The matrix's kernel is held until Shutdown
+// has begun, so one request is in flight and the rest are queued behind
+// it when the drain starts — every connection past its request header,
+// none left new to hold Shutdown past its bound.
 func TestServerShutdownDrainsInFlight(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Window = 20 * time.Millisecond // wide window: shutdown hits mid-gather
 	cfg.DrainTimeout = 2 * time.Second
 	s, base := bootServer(t, cfg)
 
@@ -265,6 +264,13 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	var up UploadResponse
 	remarshal(t, env.Data, &up)
 	url := base + "/v1/matrices/" + up.Info.Fingerprint + "/multiply"
+	hosted, err := s.Registry().Get(up.Info.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := holdFormat(hosted.surface)
+	hosted.co = NewCoalescer(s.base, held, cfg.MaxBatch)
+	s.http.RegisterOnShutdown(func() { close(held.release) })
 
 	const n = 6
 	type result struct {
@@ -272,12 +278,9 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 		ok     bool
 	}
 	results := make(chan result, n)
-	var started sync.WaitGroup
 	for i := 0; i < n; i++ {
-		started.Add(1)
 		go func(i int) {
 			b, _ := json.Marshal(MultiplyRequest{X: matrix.RandomVector(400, int64(i))})
-			started.Done()
 			resp, err := http.Post(url, "application/json", bytes.NewReader(b))
 			if err != nil {
 				// Connection torn down without a response would be a drain
@@ -291,8 +294,10 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 			results <- result{status: resp.StatusCode, ok: ok && (env.OK || env.Error != nil)}
 		}(i)
 	}
-	started.Wait()
-	time.Sleep(5 * time.Millisecond) // requests reach the gathering window
+	waitAdmitted(t, hosted.co, n)
+	if k := held.started(t); k != 1 {
+		t.Fatalf("held call carries %d, want 1", k)
+	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
@@ -303,13 +308,8 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 			if r.status == -1 {
 				t.Fatal("request torn down without a response during drain")
 			}
-			if !r.ok {
-				t.Fatalf("response without a valid envelope (status %d)", r.status)
-			}
-			switch r.status {
-			case 200, StatusCanceled, 503:
-			default:
-				t.Fatalf("drained request answered %d, want 200/499/503", r.status)
+			if !r.ok || r.status != 200 {
+				t.Fatalf("drained request answered %d (valid envelope %v), want 200", r.status, r.ok)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("request hung across shutdown — drain broken")
