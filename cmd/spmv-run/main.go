@@ -148,7 +148,7 @@ func main() {
 		}
 		c := af.Choice()
 		fmt.Printf("auto: chose %s for k=%d on %s (shortlist %s, probed=%v, cached=%v, learned=%v)\n",
-			af.Chosen(), c.K, c.Device, strings.Join(c.Shortlist, " > "), c.Probed, c.Cached, c.Learned)
+			af.Chosen(), c.K, c.Device, strings.Join(c.Shortlist, " > "), c.Probed, c.Cached, c.Voted)
 		if st := sess.Store(); st != nil {
 			ss := st.Stats()
 			fmt.Printf("journal: %s (%d decisions loaded, %d appended)\n",

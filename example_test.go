@@ -241,7 +241,7 @@ func ExampleFormats() {
 }
 
 // ExampleSetCacheDir turns on the persistence layer: auto-format
-// decisions and probe outcomes journal to disk and warm-load on the next
+// decisions and probe outcomes journal to disk and load on the next
 // start, so a restarted server re-probes nothing it has seen. The example
 // uses a throwaway directory; a server would pass its cache path once (or
 // set SPMV_CACHE_DIR and call nothing at all).

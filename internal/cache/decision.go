@@ -1,15 +1,15 @@
 // Package cache is what selection remembers: one Decision per (matrix,
 // device, k) — the format, whether a micro-probe measured it, its
 // tuned structural parameters and, when the build could learn, the
-// feature vector that makes the decision a k-NN sample — held in an
-// LRU-bounded DecisionCache and, when a Store is attached, in an
-// append-only JSONL journal (store.go) that a restarted process
-// warm-loads, so it neither re-ranks, re-probes nor re-tunes a matrix its
-// predecessors measured.
+// feature vector that makes the decision a k-NN sample — held once, in a
+// DecisionCache, and, when a Store is attached, in an append-only JSONL
+// journal (store.go) that a restarted process loads, so it neither
+// re-ranks, re-probes nor re-tunes a matrix its predecessors measured.
 package cache
 
 import (
-	"container/list"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -42,152 +42,157 @@ type Decision struct {
 	Tuned string
 	// FV is the matrix's feature vector when a micro-probe backed the
 	// choice and the build was allowed to learn: (FV, Format) is then a
-	// labelled sample of the online k-NN (selector.Learned replays them in
-	// journal order). The zero value means the decision carries no sample.
+	// labelled sample of the k-NN vote (DecisionCache.Samples). The zero
+	// value means the decision carries no sample.
 	FV core.FeatureVector
 }
 
-// DefaultDecisionCap bounds the in-memory decision cache: a long-running
-// server seeing an endless stream of distinct matrices must not grow the
-// map without bound. A few thousand entries cover any realistic working set
-// of recurring matrices; colder decisions survive in the journal and
-// re-warm on the next restart even after eviction.
-const DefaultDecisionCap = 4096
+const (
+	// DefaultDecisionCap bounds what a DecisionCache holds — and, through
+	// compaction, the journal behind it: a server seeing an endless stream
+	// of distinct matrices must not grow either without bound. Past it the
+	// oldest measurement goes.
+	DefaultDecisionCap = 16384
 
-// lruEntry is one LRU node payload.
-type lruEntry struct {
-	key DecisionKey
-	val Decision
-}
+	// voteWindow is how many of a regime's sample-carrying decisions the
+	// k-NN vote reads, newest first: a working set of measurements, not
+	// every probe a long-lived server ever ran.
+	voteWindow = 2048
 
-// DecisionCache is a concurrency-safe, LRU-bounded store of auto-format
-// decisions, optionally backed by a disk journal (AttachStore) so decisions
-// survive process restarts: repeated Auto builds of the same matrix under
-// the same (device, k) context skip ranking, probing and tuning
-// entirely. The zero value is not usable; construct with NewDecisionCache.
-// A plain mutex guards all state: every operation (including Get, which
-// bumps recency and the hit/miss counters) writes, so a reader/writer lock
-// would buy nothing.
+	// sampleHalfLife is the age, in sample-carrying decisions of any regime
+	// measured since, at which a sample's vote weight halves. A superseding
+	// decision is the newest measurement, so a winner measured 256 probes
+	// ago — possibly under different load, thermals, or a since-changed
+	// kernel — still votes, but two fresh confirmations outvote it.
+	sampleHalfLife = 256
+)
+
+// DecisionCache is the one place a decision lives: a map plus the order
+// the decisions were measured in (a superseding decision moves to the
+// end), bounded at DefaultDecisionCap. It serves lookups, the journal
+// (Attach: every Put appends, Compact rewrites from it) and the k-NN vote
+// (Samples), so the live process and one reopened on its journal hold the
+// same decisions in the same order. Safe for concurrent use; construct
+// with NewDecisionCache.
 type DecisionCache struct {
-	mu      sync.Mutex
-	m       map[DecisionKey]*list.Element // value: *lruEntry
-	lru     *list.List                    // front = most recently used
-	cap     int
-	hits    uint64
-	misses  uint64
-	evicted uint64
-	store   *Store
+	mu           sync.Mutex
+	m            map[DecisionKey]Decision
+	order        []DecisionKey // oldest measurement first
+	cap          int
+	store        *Store
+	hits, misses uint64
 }
 
 // NewDecisionCache returns an empty decision cache bounded at
 // DefaultDecisionCap entries.
 func NewDecisionCache() *DecisionCache {
-	return &DecisionCache{
-		m:   make(map[DecisionKey]*list.Element),
-		lru: list.New(),
-		cap: DefaultDecisionCap,
-	}
+	return &DecisionCache{m: make(map[DecisionKey]Decision), cap: DefaultDecisionCap}
 }
 
-// SetCap changes the eviction bound. n <= 0 restores the default cap.
-// Shrinking evicts least-recently-used entries immediately. Returns the
-// previous cap.
-func (c *DecisionCache) SetCap(n int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev := c.cap
-	if n <= 0 {
-		n = DefaultDecisionCap
-	}
-	c.cap = n
-	c.evictLocked()
-	return prev
-}
-
-// Cap returns the current eviction bound.
-func (c *DecisionCache) Cap() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cap
-}
-
-// evictLocked drops least-recently-used entries until len <= cap.
-func (c *DecisionCache) evictLocked() {
-	for len(c.m) > c.cap {
-		back := c.lru.Back()
-		delete(c.m, back.Value.(*lruEntry).key)
-		c.lru.Remove(back)
-		c.evicted++
-	}
-}
-
-// Get returns the cached decision for the key, if any, marking it most
-// recently used.
+// Get returns the decision for the key, if any. A lookup is not a
+// measurement: it leaves the order alone.
 func (c *DecisionCache) Get(k DecisionKey) (Decision, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[k]
-	if !ok {
+	d, ok := c.m[k]
+	if ok {
+		c.hits++
+	} else {
 		c.misses++
-		return Decision{}, false
 	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	return d, ok
 }
 
-// setLocked stores (or replaces) one entry at the front of the LRU
-// without evicting.
-func (c *DecisionCache) setLocked(k DecisionKey, d Decision) {
-	if el, ok := c.m[k]; ok {
-		el.Value.(*lruEntry).val = d
-		c.lru.MoveToFront(el)
-		return
+// setLocked makes d the newest decision for k and reports whether that
+// changed anything (an identical re-put does not, and keeps its place) and
+// how many held decisions it displaced: the one it superseded and the
+// oldest ones past the bound — each a dead line in an attached journal.
+func (c *DecisionCache) setLocked(k DecisionKey, d Decision) (changed bool, displaced int) {
+	if prev, ok := c.m[k]; ok {
+		if prev == d {
+			return false, 0
+		}
+		i := slices.Index(c.order, k)
+		c.order = slices.Delete(c.order, i, i+1)
+		displaced++
 	}
-	c.m[k] = c.lru.PushFront(&lruEntry{key: k, val: d})
+	c.m[k] = d
+	c.order = append(c.order, k)
+	for len(c.order) > c.cap {
+		delete(c.m, c.order[0])
+		c.order = c.order[1:]
+		displaced++
+	}
+	return true, displaced
 }
 
-// Put stores (or replaces) the decision for the key, journaling it when a
-// store is attached and evicting the least-recently-used entry past the
-// cap. Eviction only trims memory: the journal keeps the record for the
-// next restart. The journal append happens under the cache lock so the
-// journal's last-line-wins order always matches the in-memory winner of
+// putLocked is Put under c.mu: a changed decision is journaled when a
+// store is attached. The append happens under the cache lock, so the
+// journal's last-line-wins order always matches the held order of
 // concurrent Puts (lock order is cache -> store; the store never calls
 // back into the cache).
-func (c *DecisionCache) Put(k DecisionKey, d Decision) {
-	c.mu.Lock()
-	c.setLocked(k, d)
-	c.evictLocked()
-	st := c.store
-	if st != nil {
-		st.AppendDecision(k, d)
-	}
-	c.mu.Unlock()
-	// Compaction (a journal rewrite with fsync) runs outside c.mu so it
-	// never stalls concurrent Gets; the append order above is already
-	// journaled, and a rewrite is content-neutral.
-	if st != nil && st.NeedsCompact() {
-		_ = st.Compact()
+func (c *DecisionCache) putLocked(k DecisionKey, d Decision) {
+	if changed, displaced := c.setLocked(k, d); changed && c.store != nil {
+		c.store.appendDecision(k, d, displaced)
 	}
 }
 
-// AttachStore binds the cache to an open journal: the store's decisions
-// warm-load into memory (newest-first recency, respecting the cap) and
-// every subsequent Put appends to the journal. Returns how many decisions
-// were warm-loaded. Attaching a nil store detaches.
-func (c *DecisionCache) AttachStore(st *Store) int {
+// Put stores (or replaces) the decision for the key as the newest
+// measurement, journaling it when a store is attached, and compacts the
+// journal once enough of its lines are dead. Compaction holds the lock: it
+// is rare, and no Put may land between the rewrite's snapshot and its
+// rename.
+func (c *DecisionCache) Put(k DecisionKey, d Decision) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(k, d)
+	if c.store != nil && c.store.needsCompact() {
+		_ = c.store.compact(c.order, c.m) // a failure degrades the store, never the Put
+	}
+}
+
+// Attach binds the cache to an open journal and returns the one it
+// replaces (nil when none) for the caller to close. The decisions st
+// loaded at Open become the cache's — st hands them over once and keeps
+// no copy — and the decisions the cache already held are put over them,
+// each the journal lacks appended to it, so the cache then holds exactly
+// what a process opening the same journal afresh would. Every later Put
+// appends. Attaching nil detaches: the held decisions stay, memory-only.
+func (c *DecisionCache) Attach(st *Store) *Store {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	prev := c.store
 	c.store = st
 	if st == nil {
-		return 0
+		return prev
 	}
-	keys, decs := st.Decisions()
-	for i, k := range keys { // journal order: oldest first, so newest end up at the front
-		c.setLocked(k, decs[i])
+	held, heldM := c.order, c.m
+	c.order, c.m = nil, make(map[DecisionKey]Decision, len(heldM))
+	dead := 0
+	for _, r := range st.take() {
+		changed, displaced := c.setLocked(r.decision())
+		dead += displaced
+		if !changed {
+			dead++ // a line repeating the held decision adds nothing
+		}
 	}
-	c.evictLocked()
-	return len(keys)
+	st.loadedAs(len(c.m), dead)
+	for _, k := range held {
+		c.putLocked(k, heldM[k])
+	}
+	return prev
+}
+
+// Compact rewrites the attached journal to hold exactly the cache's
+// decisions, oldest measurement first (see Store for what a failure
+// does). Without a store it is a no-op.
+func (c *DecisionCache) Compact() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.store == nil {
+		return nil
+	}
+	return c.store.compact(c.order, c.m)
 }
 
 // Store returns the attached journal, or nil.
@@ -197,11 +202,24 @@ func (c *DecisionCache) Store() *Store {
 	return c.store
 }
 
-// Len returns the number of cached decisions.
+// Len returns the number of held decisions.
 func (c *DecisionCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
+}
+
+// Decisions returns the held decisions, oldest measurement first — the
+// order compaction writes them in and a reopened journal loads them in.
+func (c *DecisionCache) Decisions() (keys []DecisionKey, decs []Decision) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys = slices.Clone(c.order)
+	decs = make([]Decision, len(keys))
+	for i, k := range keys {
+		decs[i] = c.m[k]
+	}
+	return keys, decs
 }
 
 // Stats returns the cumulative hit and miss counts.
@@ -211,33 +229,51 @@ func (c *DecisionCache) Stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-// Evicted returns how many entries the LRU bound has dropped.
-func (c *DecisionCache) Evicted() uint64 {
+// Samples returns the (device, k) regime's k-NN vote: its sample-carrying
+// decisions, newest first, at most voteWindow of them, each with the
+// weight of its vote, 2^(-age/sampleHalfLife), where age counts the
+// sample-carrying decisions of every regime measured since. Stale history
+// biases — never dictates — a shortlist.
+func (c *DecisionCache) Samples(device string, k int) (decs []Decision, weights []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.evicted
+	age := 0
+	for i := len(c.order) - 1; i >= 0 && len(decs) < voteWindow; i-- {
+		key := c.order[i]
+		d := c.m[key]
+		if d.FV == (core.FeatureVector{}) {
+			continue
+		}
+		if key.Device == device && key.K == k {
+			decs = append(decs, d)
+			weights = append(weights, math.Exp2(-float64(age)/sampleHalfLife))
+		}
+		age++
+	}
+	return decs, weights
 }
 
 // InvalidateFingerprint drops every decision for the fingerprint, across
-// all (device, k) contexts at once — when a matrix's structure
-// drifts, every regime's ranking, tuning and sample of the dead structure
-// drifts with it. Returns how many cached entries were dropped. The
-// attached store's mirror drops them too and counts their journal lines
-// dead: the lines stay in the append-only file (and would replay on a
-// restart) until the next compaction, which no longer rewrites them.
+// all (device, k) contexts at once — when a matrix's structure drifts,
+// every regime's ranking, tuning and sample of the dead structure drifts
+// with it. Returns how many decisions were dropped. An attached journal
+// is compacted at once (a failure degrades it): its append-only lines
+// would otherwise bring the dropped decisions back on a restart, and a
+// reopened journal must hold what the live cache holds.
 func (c *DecisionCache) InvalidateFingerprint(fp uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for k, el := range c.m {
-		if k.Fingerprint == fp {
-			delete(c.m, k)
-			c.lru.Remove(el)
-			n++
+	n := len(c.order)
+	c.order = slices.DeleteFunc(c.order, func(k DecisionKey) bool {
+		if k.Fingerprint != fp {
+			return false
 		}
-	}
-	if c.store != nil {
-		c.store.invalidateFingerprint(fp)
+		delete(c.m, k)
+		return true
+	})
+	n -= len(c.order)
+	if n > 0 && c.store != nil {
+		_ = c.store.compact(c.order, c.m)
 	}
 	return n
 }

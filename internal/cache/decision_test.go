@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -62,8 +63,9 @@ func (lruCase) key(fp uint64, regime int) DecisionKey {
 }
 
 // TestDecisionCacheLRUBound pins the memory bound of a long-running
-// server: the cache must never exceed its cap, must evict in
-// least-recently-used order, and Get must count as a use.
+// server: the cache never exceeds its cap and evicts the least recently
+// measured decision — a Get is not a measurement, a changed re-put is, an
+// identical one is not.
 func TestDecisionCacheLRUBound(t *testing.T) {
 	t.Run("decision", func(t *testing.T) { testLRUBound(t, decisionCase()) })
 	t.Run("tune", func(t *testing.T) { testLRUBound(t, tuneCase()) })
@@ -71,88 +73,99 @@ func TestDecisionCacheLRUBound(t *testing.T) {
 
 func testLRUBound(t *testing.T, tc lruCase) {
 	c, key := NewDecisionCache(), func(fp uint64) DecisionKey { return tc.key(fp, 0) }
-	if c.Cap() != DefaultDecisionCap {
-		t.Fatalf("default cap = %d, want %d", c.Cap(), DefaultDecisionCap)
+	if c.cap != DefaultDecisionCap {
+		t.Fatalf("default cap = %d, want %d", c.cap, DefaultDecisionCap)
 	}
-	c.SetCap(3)
+	c.cap = 3
 	for i := uint64(0); i < 3; i++ {
 		c.Put(key(i), tc.vals[0])
 	}
-	// Touch key 0 so key 1 is the LRU victim.
+	// Reading key 0 does not save it; re-measuring key 1 does.
 	if _, ok := c.Get(key(0)); !ok {
 		t.Fatal("key 0 missing")
 	}
+	c.Put(key(1), tc.vals[1])
 	c.Put(key(3), tc.vals[1])
 	if c.Len() != 3 {
 		t.Fatalf("len = %d past cap 3", c.Len())
 	}
-	if _, ok := c.Get(key(1)); ok {
-		t.Error("key 1 should have been evicted (least recently used)")
+	if _, ok := c.Get(key(0)); ok {
+		t.Error("key 0 should have been evicted (oldest measurement)")
 	}
-	for _, i := range []uint64{0, 2, 3} {
+	for _, i := range []uint64{1, 2, 3} {
 		if _, ok := c.Get(key(i)); !ok {
 			t.Errorf("key %d should have survived", i)
 		}
 	}
-	if c.Evicted() != 1 {
-		t.Errorf("evicted = %d, want 1", c.Evicted())
-	}
-	// Shrinking the cap evicts immediately; restoring the default re-opens
-	// headroom.
-	c.SetCap(1)
-	if c.Len() != 1 {
-		t.Errorf("len = %d after shrink to 1", c.Len())
-	}
-	if prev := c.SetCap(0); prev != 1 {
-		t.Errorf("SetCap returned %d, want 1", prev)
-	}
-	if c.Cap() != DefaultDecisionCap {
-		t.Errorf("cap = %d, want default restored", c.Cap())
+	// An identical re-put is no new measurement: key 2 stays the oldest.
+	c.Put(key(2), tc.vals[0])
+	c.Put(key(4), tc.vals[2])
+	if _, ok := c.Get(key(2)); ok {
+		t.Error("an identical re-put refreshed key 2")
 	}
 	// Re-putting an existing key must not grow the count.
 	c.Put(key(3), tc.vals[2])
-	if v, _ := c.Get(key(3)); v != tc.vals[2] {
-		t.Errorf("re-put did not replace: %+v", v)
+	if v, _ := c.Get(key(3)); v != tc.vals[2] || c.Len() != 3 {
+		t.Errorf("re-put did not replace in place: %+v, len %d", v, c.Len())
 	}
 }
 
-// TestDecisionCacheEvictionKeepsJournal: eviction trims memory only — an
-// evicted decision must still re-load from the attached journal on the
-// next restart.
+// TestDecisionCacheEvictionKeepsJournal: eviction leaves the evicted
+// decisions' lines in the journal as dead weight until a compaction, and a
+// cache reopening the journal holds the same window — the newest
+// decisions.
 func TestDecisionCacheEvictionKeepsJournal(t *testing.T) {
-	st, dir := tempStore(t)
-	c := NewDecisionCache()
-	c.SetCap(2)
-	c.AttachStore(st)
+	c, st, dir := tempCache(t)
+	c.cap = 2
 	for i := 0; i < 5; i++ {
 		c.Put(dk(uint64(i), 1), Decision{Format: "CSR5"})
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
+	if s := st.Stats(); s.Appended != 5 || s.Dead != 3 {
+		t.Fatalf("journal: %d appended, %d dead; want 5 and the 3 evicted", s.Appended, s.Dead)
+	}
 	st.Close()
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+
+	re, rs := NewDecisionCache(), Open(dir)
+	defer rs.Close()
+	re.cap = 2
+	re.Attach(rs)
+	if s := rs.Stats(); s.Decisions != 2 || s.Dead != 3 {
+		t.Fatalf("reopened: %d decisions, %d dead; want 2 and 3", s.Decisions, s.Dead)
 	}
-	defer re.Close()
 	keys, _ := re.Decisions()
-	if len(keys) != 5 {
-		t.Fatalf("journal kept %d decisions, want all 5 despite eviction", len(keys))
+	if len(keys) != 2 || keys[0] != dk(3, 1) || keys[1] != dk(4, 1) {
+		t.Errorf("reopened window = %+v, want the newest keys 3 and 4", keys)
 	}
-	// A fresh cache warm-loads the most recent ones within its cap.
-	c2 := NewDecisionCache()
-	c2.SetCap(2)
-	if n := c2.AttachStore(re); n != 5 {
-		t.Fatalf("warm-load reported %d, want 5", n)
+}
+
+// TestSamplesVote: the vote reads a regime's sample-carrying decisions
+// newest first, at most voteWindow of them, each weighted by its age in
+// samples of every regime measured since; a decision without a sample
+// neither votes nor ages the others.
+func TestSamplesVote(t *testing.T) {
+	c := NewDecisionCache()
+	fv := func(i int) core.FeatureVector { return core.FeatureVector{Rows: 1 + i} }
+	for i := 0; i < voteWindow+10; i++ {
+		c.Put(dk(uint64(i), 1), Decision{Format: "A", FV: fv(i)})
 	}
-	if c2.Len() != 2 {
-		t.Fatalf("warm-loaded len = %d, want cap 2", c2.Len())
+	c.Put(dk(1<<20, 8), Decision{Format: "B", FV: fv(1 << 20)})
+	c.Put(dk(1<<21, 1), Decision{Format: "bare"})
+	decs, w := c.Samples("host", 1)
+	if len(decs) != voteWindow || decs[0].FV != fv(voteWindow+9) {
+		t.Fatalf("vote read %d samples starting at %+v, want %d starting at the newest", len(decs), decs[0].FV, voteWindow)
 	}
-	for _, i := range []int{3, 4} {
-		if _, ok := c2.Get(dk(uint64(i), 1)); !ok {
-			t.Errorf("newest key %d should have survived the capped warm-load", i)
-		}
+	// Sample j has age j+1: the k = 8 sample was measured after all of them.
+	if w[0] != math.Exp2(-1.0/sampleHalfLife) || w[sampleHalfLife-1] != 0.5 {
+		t.Errorf("weights %v, %v; want 2^(-1/%d) and 0.5", w[0], w[sampleHalfLife-1], sampleHalfLife)
+	}
+	if decs, w := c.Samples("host", 8); len(decs) != 1 || w[0] != 1 {
+		t.Errorf("k = 8 vote = %+v %v, want the one full-weight sample", decs, w)
+	}
+	if decs, _ := c.Samples("other", 1); len(decs) != 0 {
+		t.Errorf("another device's vote read %d samples", len(decs))
 	}
 }
 
@@ -172,6 +185,7 @@ func testLRUConcurrent(t *testing.T, tc lruCase) {
 				k := tc.key(uint64(i%16), g%3)
 				c.Put(k, tc.vals[0])
 				c.Get(k)
+				c.Samples("host", 1+g%3)
 			}
 		}(g)
 	}

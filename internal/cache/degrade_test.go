@@ -60,19 +60,14 @@ func enableFailpoint(t *testing.T, name, spec string) {
 // one) still serves from memory, and the journal on disk keeps every
 // line written before the failure.
 func TestAppendENOSPCDegradesToMemoryOnly(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer st.Close()
+	c, st, _ := tempCache(t)
 	k1 := DecisionKey{Fingerprint: 1, Device: "host", K: 1}
-	st.AppendDecision(k1, Decision{Format: "Naive-CSR"})
+	c.Put(k1, Decision{Format: "Naive-CSR"})
 	linesBefore := parseJournal(t, st.Path())
 
 	enableFailpoint(t, "cache.append", "enospc")
 	k2 := DecisionKey{Fingerprint: 2, Device: "host", K: 1}
-	st.AppendDecision(k2, Decision{Format: "ELL"}) // hits injected ENOSPC
+	c.Put(k2, Decision{Format: "ELL"}) // hits injected ENOSPC
 
 	deg, reason := st.Degraded()
 	if !deg {
@@ -86,9 +81,9 @@ func TestAppendENOSPCDegradesToMemoryOnly(t *testing.T) {
 		t.Errorf("Stats degradation mismatch: %+v vs %q", stats, reason)
 	}
 
-	// Memory still serves both decisions, including the one whose journal
-	// line was lost.
-	keys, decs := st.Decisions()
+	// The cache still serves both decisions, including the one whose
+	// journal line was lost.
+	keys, decs := c.Decisions()
 	found := map[uint64]string{}
 	for i, k := range keys {
 		found[k.Fingerprint] = decs[i].Format
@@ -99,8 +94,8 @@ func TestAppendENOSPCDegradesToMemoryOnly(t *testing.T) {
 
 	// Later appends are silent no-ops, not errors or panics.
 	failpoint.Disable("cache.append") // disk "recovers"; degradation is sticky
-	st.AppendDecision(DecisionKey{Fingerprint: 3}, Decision{Format: "COO"})
-	if err := st.Compact(); err != nil {
+	c.Put(DecisionKey{Fingerprint: 3}, Decision{Format: "COO"})
+	if err := c.Compact(); err != nil {
 		t.Errorf("Compact on degraded store = %v, want nil no-op", err)
 	}
 
@@ -115,19 +110,14 @@ func TestAppendENOSPCDegradesToMemoryOnly(t *testing.T) {
 // intact on disk, the temp file is cleaned up, and a fresh Open replays
 // the old contents.
 func TestTornRenameDegradesAndKeepsOldJournal(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer st.Close()
+	c, st, dir := tempCache(t)
 	k := DecisionKey{Fingerprint: 11, Device: "host", K: 8}
-	st.AppendDecision(k, Decision{Format: "SELL-C-s", Probed: true})
-	st.AppendDecision(k, Decision{Format: "ELL", Probed: true}) // supersedes: dead line
+	c.Put(k, Decision{Format: "SELL-C-s", Probed: true})
+	c.Put(k, Decision{Format: "ELL", Probed: true}) // supersedes: dead line
 	linesBefore := parseJournal(t, st.Path())
 
 	enableFailpoint(t, "cache.rename", "error")
-	if err := st.Compact(); err == nil {
+	if err := c.Compact(); err == nil {
 		t.Fatal("Compact with torn rename returned nil, want error")
 	}
 	deg, reason := st.Degraded()
@@ -151,12 +141,8 @@ func TestTornRenameDegradesAndKeepsOldJournal(t *testing.T) {
 
 	// A fresh Open (next process) replays the surviving journal.
 	failpoint.Disable("cache.rename")
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer re.Close()
-	if deg, _ := re.Degraded(); deg {
+	re, rs := attached(t, dir)
+	if deg, _ := rs.Degraded(); deg {
 		t.Error("fresh Open degraded; degradation must not persist across opens")
 	}
 	keys, decs := re.Decisions()
@@ -169,28 +155,23 @@ func TestTornRenameDegradesAndKeepsOldJournal(t *testing.T) {
 // means journal mutation cannot be serialized against other processes, so
 // the store goes memory-only rather than risk a torn interleaving.
 func TestFlockFailureDegrades(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer st.Close()
+	c, st, _ := tempCache(t)
 
 	enableFailpoint(t, "cache.flock", "error")
-	st.AppendDecision(DecisionKey{Fingerprint: 21}, Decision{Format: "COO"})
+	c.Put(DecisionKey{Fingerprint: 21}, Decision{Format: "COO"})
 	deg, reason := st.Degraded()
 	if !deg || !strings.Contains(reason, "flock") {
 		t.Fatalf("degraded=%v reason=%q, want flock failure", deg, reason)
 	}
-	// The decision still serves from memory.
-	keys, _ := st.Decisions()
+	// The decision still serves from the cache.
+	keys, _ := c.Decisions()
 	if len(keys) != 1 {
 		t.Errorf("in-memory decisions = %d, want 1", len(keys))
 	}
 }
 
 // TestUnusableDirIsMemoryOnly: Open on a path that cannot be a directory
-// returns a working memory-only store (never an error), so persistence
+// returns a working memory-only store, so persistence
 // misconfiguration costs the journal, not the selection pipeline.
 func TestUnusableDirIsMemoryOnly(t *testing.T) {
 	base := t.TempDir()
@@ -200,25 +181,21 @@ func TestUnusableDirIsMemoryOnly(t *testing.T) {
 	}
 	// MkdirAll under a regular file fails with ENOTDIR for every uid,
 	// including root (a chmod-based unwritable dir would not stop root).
-	st, err := Open(filepath.Join(notADir, "cache"))
-	if err != nil {
-		t.Fatalf("Open on unusable dir = %v, want degraded store + nil error", err)
-	}
-	defer st.Close()
+	c, st := attached(t, filepath.Join(notADir, "cache"))
 	deg, reason := st.Degraded()
 	if !deg || !strings.Contains(reason, "create dir") {
 		t.Fatalf("degraded=%v reason=%q, want create-dir failure", deg, reason)
 	}
 
-	// The store is fully usable in memory: appends, reads, compaction.
+	// The cache behind it is fully usable: puts, reads, compaction.
 	k := DecisionKey{Fingerprint: 31, Device: "host", K: 1}
 	d := Decision{Format: "Naive-CSR", Probed: true, FV: core.FeatureVector{Rows: 4, Cols: 4, NNZ: 8}}
-	st.AppendDecision(k, d)
-	keys, decs := st.Decisions()
+	c.Put(k, d)
+	keys, decs := c.Decisions()
 	if len(keys) != 1 || decs[0] != d {
 		t.Errorf("memory-only store lost its record: %+v %+v", keys, decs)
 	}
-	if err := st.Compact(); err != nil {
+	if err := c.Compact(); err != nil {
 		t.Errorf("Compact on memory-only store = %v, want nil", err)
 	}
 }
@@ -227,15 +204,7 @@ func TestUnusableDirIsMemoryOnly(t *testing.T) {
 // a DecisionCache whose attached journal degrades mid-run keeps serving
 // Puts and Gets without a single error reaching the caller.
 func TestDegradedStoreBehindDecisionCache(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer st.Close()
-	dc := NewDecisionCache()
-	dc.AttachStore(st)
-	defer dc.AttachStore(nil)
+	dc, st, _ := tempCache(t)
 
 	k1 := DecisionKey{Fingerprint: 41, Device: "host", K: 1}
 	dc.Put(k1, Decision{Format: "ELL"})

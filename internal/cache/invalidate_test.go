@@ -3,7 +3,8 @@ package cache
 import "testing"
 
 // TestInvalidateFingerprint: drift invalidation drops every regime of the
-// fingerprint and nothing else, and keeps the LRU list consistent.
+// fingerprint and nothing else, and keeps the measurement order
+// consistent.
 func TestInvalidateFingerprint(t *testing.T) {
 	t.Run("decision", func(t *testing.T) { testInvalidateFingerprint(t, decisionCase()) })
 	t.Run("tune", func(t *testing.T) { testInvalidateFingerprint(t, tuneCase()) })
@@ -31,38 +32,28 @@ func testInvalidateFingerprint(t *testing.T, tc lruCase) {
 	if n := c.InvalidateFingerprint(99); n != 0 {
 		t.Fatalf("unknown fingerprint dropped %d", n)
 	}
-	// The survivor must still cycle through the LRU without issue.
+	// The survivor and a newcomer keep their measurement order.
 	c.Put(key(3, 0), v[2])
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.Len())
+	if keys, _ := c.Decisions(); len(keys) != 2 || keys[0] != key(2, 0) || keys[1] != key(3, 0) {
+		t.Fatalf("cache holds %+v, want fingerprints 2 then 3", keys)
 	}
 }
 
-// TestInvalidateReachesJournal: invalidation drops the fingerprint from the
-// attached store's mirror too, so the next compaction rewrites its lines
-// away and a restart resurrects neither the decisions nor their samples.
+// TestInvalidateReachesJournal: invalidation rewrites the journal at once,
+// so a restart resurrects neither the decisions nor their samples.
 func TestInvalidateReachesJournal(t *testing.T) {
-	st, dir := tempStore(t)
-	c := NewDecisionCache()
-	c.AttachStore(st)
+	c, st, dir := tempCache(t)
 	tc := tuneCase()
 	c.Put(tc.key(1, 0), tc.vals[2])
 	c.Put(tc.key(1, 7), tc.vals[1])
 	c.Put(tc.key(2, 0), tc.vals[2])
 	c.InvalidateFingerprint(1)
-	if got := st.Stats().Dead; got != 2 {
-		t.Errorf("dead lines = %d, want the 2 invalidated", got)
-	}
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
+	if got := st.Stats().Dead; got != 0 {
+		t.Errorf("dead lines = %d after invalidation, want the journal rewritten", got)
 	}
 	st.Close()
 
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
+	re, _ := attached(t, dir)
 	keys, decs := re.Decisions()
 	if len(keys) != 1 || keys[0] != tc.key(2, 0) || decs[0] != tc.vals[2] {
 		t.Fatalf("reopened journal holds %+v %+v, want only fingerprint 2", keys, decs)

@@ -30,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -53,14 +52,6 @@ const (
 	// lockName is the sidecar flock file serializing cross-process journal
 	// mutation (appends and compactions) among cooperating spmv processes.
 	lockName = "decisions.lock"
-
-	// maxJournalDecisions bounds the store's in-memory decision mirror
-	// (and, through compaction, the journal itself): a few multiples of the
-	// DecisionCache LRU cap, oldest dropped first. A server streaming
-	// millions of distinct matrices must not grow the persistence layer
-	// without bound either — and the online selector needs a working set of
-	// samples, not every probe a long-lived server ever ran.
-	maxJournalDecisions = 4 * DefaultDecisionCap
 
 	// compactDeadMin is how many superseded (dead) journal lines accumulate
 	// before an append triggers an automatic compaction.
@@ -183,7 +174,7 @@ func (r record) line() ([]byte, error) {
 // StoreStats is a point-in-time summary of a journal, for CLI -json output.
 type StoreStats struct {
 	Path        string // journal file path
-	Decisions   int    // live decisions loaded at open
+	Decisions   int    // live decisions the attached cache took from the load
 	Foreign     int    // other-level records carried, not evidence here
 	Appended    int    // records appended by this process
 	Dead        int    // superseded lines awaiting compaction
@@ -192,16 +183,18 @@ type StoreStats struct {
 
 	// Degraded reports that an I/O failure (ENOSPC, torn rename, flock
 	// error, unusable directory) switched the store to memory-only:
-	// decisions keep serving from memory, nothing further touches disk, and
-	// DegradedReason records the first failure. The journal file on disk is
-	// left as the last successful write shaped it.
+	// decisions keep serving from the cache, nothing further touches disk,
+	// and DegradedReason records the first failure. The journal file on
+	// disk is left as the last successful write shaped it.
 	Degraded       bool
 	DegradedReason string
 }
 
-// Store is an open journal: the decisions loaded at Open time plus an
-// append handle for everything measured afterwards. A Store is safe
-// for concurrent use within one process. Cross-process sharing is
+// Store is the file side of an open journal: the append handle, the
+// cross-process lock, the other levels' lines and the counters. The
+// decisions themselves live in the DecisionCache the store is attached
+// to, which takes the ones Open loaded and compacts from its own. A Store
+// is safe for concurrent use within one process. Cross-process sharing is
 // best-effort, two layers deep: O_APPEND keeps individual line writes
 // intact (each record is one write call well under the pipe-atomicity
 // bound), and an advisory flock on a sidecar lock file serializes loads,
@@ -209,8 +202,8 @@ type StoreStats struct {
 // check before every append re-targeting the handle after another process
 // compacted (renamed over) the journal, so post-compaction appends land in
 // the live file instead of the unlinked inode. A compaction still rewrites
-// from the compactor's own state: lines another process appended between
-// that compactor's Open and its rewrite are dropped (their in-memory copy
+// from the compactor's cache: lines another process appended between that
+// compactor's Open and its rewrite are dropped (their in-memory copy
 // survives; its next process re-journals what it re-measures). On
 // filesystems without flock the lock degrades to a no-op and only the
 // O_APPEND guarantee remains.
@@ -220,11 +213,9 @@ type Store struct {
 	f    *os.File
 	lock *os.File // sidecar flock handle; nil when unavailable
 
-	// decisions mirrors the journal's live records; order lists their keys
-	// oldest measurement first (a superseding decision moves to the end),
-	// which is the order compaction writes and warm-loads replay.
-	decisions map[DecisionKey]Decision
-	order     []DecisionKey
+	// pending holds this level's decision lines as Open loaded them, in
+	// file order, until the attaching DecisionCache takes them.
+	pending []record
 
 	// lvl is the dispatch level this store's records are evidence for,
 	// captured at Open (see EffectiveLevel); foreign holds raw lines from
@@ -232,7 +223,7 @@ type Store struct {
 	lvl     string
 	foreign [][]byte
 
-	dead        int // superseded, evicted or invalidated lines in the file
+	dead        int // superseded or evicted lines in the file
 	appended    int
 	loaded      int
 	headerOK    bool // a valid local header already leads the file
@@ -248,8 +239,8 @@ type Store struct {
 
 // degradeLocked switches the store to memory-only after an I/O failure:
 // the append handle closes, the first failure is recorded, and every
-// later append or compaction becomes a silent no-op while the in-memory
-// decisions keep serving. Persistence is an accelerator — a full disk, a
+// later append or compaction becomes a silent no-op while the attached
+// cache keeps serving. Persistence is an accelerator — a full disk, a
 // torn rename, or a broken lock must cost the journal, never a Build or a
 // multiply. Callers hold s.mu.
 func (s *Store) degradeLocked(op string, err error) {
@@ -272,23 +263,19 @@ func (s *Store) Degraded() (bool, string) {
 }
 
 // Open opens (creating if needed) the journal in dir, loads every record it
-// can parse, and leaves the file positioned for appends. The load is
-// corruption-tolerant: bad lines are skipped, a schema or host-fingerprint
-// mismatch discards the journal's contents and starts it fresh. Open never
-// fails: an unusable directory or journal file returns a memory-only store
-// whose Stats record the DegradedReason — selection keeps its in-process
-// cache and loses only persistence. The error return is kept for
-// compatibility and is always nil.
-func Open(dir string) (*Store, error) {
+// can parse for DecisionCache.Attach to take, and leaves the file
+// positioned for appends. The load is corruption-tolerant: bad lines are
+// skipped, a schema or host-fingerprint mismatch discards the journal's
+// contents and starts it fresh. Open never fails: an unusable directory or
+// journal file returns a memory-only store whose Stats record the
+// DegradedReason — selection keeps its in-process cache and loses only
+// persistence.
+func Open(dir string) *Store {
 	path := filepath.Join(dir, journalName)
-	s := &Store{
-		path:      path,
-		decisions: make(map[DecisionKey]Decision),
-		lvl:       EffectiveLevel(),
-	}
+	s := &Store{path: path, lvl: EffectiveLevel()}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		s.degradeLocked("create dir", err)
-		return s, nil
+		return s
 	}
 	// Best-effort cross-process lock: held across the load and the initial
 	// header/compaction so Open never reads a half-compacted journal from a
@@ -300,13 +287,13 @@ func Open(dir string) (*Store, error) {
 	if s.degradedReason != "" {
 		// The flock failed: what was loaded serves from memory, but this
 		// store must not mutate a journal it cannot serialize access to.
-		return s, nil
+		return s
 	}
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		s.degradeLocked("open journal", err)
-		return s, nil
+		return s
 	}
 	s.f = f
 	if s.invalidated {
@@ -317,16 +304,16 @@ func Open(dir string) (*Store, error) {
 		// out from under the owning appender — dead-weight compaction runs
 		// on append, where the owner holds the pen.
 		// A failed rewrite degrades the store (inside compactLocked).
-		_ = s.compactLocked()
+		_ = s.compactLocked(nil, nil)
 	} else if !s.headerOK {
 		// Fresh journal: pin schema and host before the first record.
 		s.appendLocked(headerRecord())
 	}
-	return s, nil
+	return s
 }
 
-// load reads the journal once, populating the decision mirror. Never
-// fails: an unreadable file is an empty journal.
+// load reads the journal once, collecting this level's decision lines in
+// file order. Never fails: an unreadable file is an empty journal.
 func (s *Store) load(path string) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -356,8 +343,7 @@ func (s *Store) load(path string) {
 				// Foreign journal: forget everything read so far and ignore
 				// the rest (counted, for StoreStats only); Open rewrites the
 				// file.
-				clear(s.decisions)
-				s.order, s.foreign = nil, nil
+				s.pending, s.foreign = nil, nil
 				s.invalidated = true
 				for sc.Scan() {
 					s.skipped++
@@ -378,93 +364,45 @@ func (s *Store) load(path string) {
 				s.dead++
 			}
 		case r.Kind == "decision":
-			if !s.setLocked(r.decision()) {
-				s.dead++ // a line repeating the live decision adds nothing
-			}
+			s.pending = append(s.pending, r)
 		default:
 			s.skipped++
 		}
 	}
 	// A scanner error (torn tail, over-long line) just ends the load early.
-	s.loaded = len(s.decisions)
 }
 
-// setLocked makes d the newest decision for k in the mirror and reports
-// whether that changed anything (an identical re-put does not). A
-// superseded decision's line becomes dead weight and its key moves to the
-// end of the order. Callers hold s.mu (or own s during load).
-func (s *Store) setLocked(k DecisionKey, d Decision) bool {
-	if prev, ok := s.decisions[k]; ok {
-		if prev == d {
-			return false
-		}
-		s.dead++
-		i := slices.Index(s.order, k)
-		s.order = slices.Delete(s.order, i, i+1)
-	}
-	s.decisions[k] = d
-	s.order = append(s.order, k)
-	s.evictLocked()
-	return true
-}
-
-// evictLocked drops the oldest decisions past the in-memory bound; their
-// lines become dead weight the next compaction removes from the file.
-func (s *Store) evictLocked() {
-	for len(s.order) > maxJournalDecisions {
-		delete(s.decisions, s.order[0])
-		s.order = s.order[1:]
-		s.dead++
-	}
-}
-
-// invalidateFingerprint drops every decision for the fingerprint from the
-// mirror and counts their lines dead, so the next compaction rewrites the
-// journal without them (DecisionCache.InvalidateFingerprint).
-func (s *Store) invalidateFingerprint(fp uint64) {
+// take hands the loaded decision lines to the attaching cache, once: the
+// store keeps no copy.
+func (s *Store) take() []record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.order = slices.DeleteFunc(s.order, func(k DecisionKey) bool {
-		if k.Fingerprint != fp {
-			return false
-		}
-		delete(s.decisions, k)
-		s.dead++
-		return true
-	})
+	p := s.pending
+	s.pending = nil
+	return p
 }
 
-// Decisions returns the live decisions — loaded at Open plus appended
-// since — oldest measurement first, for warm-loading an in-memory cache
-// and replaying the samples they carry.
-func (s *Store) Decisions() (keys []DecisionKey, decs []Decision) {
+// loadedAs records what the attaching cache made of the loaded lines: how
+// many live decisions they held and how many lines were dead weight.
+func (s *Store) loadedAs(live, dead int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys = slices.Clone(s.order)
-	decs = make([]Decision, len(keys))
-	for i, k := range keys {
-		decs[i] = s.decisions[k]
-	}
-	return keys, decs
+	s.loaded = live
+	s.dead += dead
 }
 
-// AppendDecision journals one decision. Identical re-puts are dropped;
-// a changed decision for a known key marks the old line dead.
-func (s *Store) AppendDecision(k DecisionKey, d Decision) {
+// appendDecision journals one decision the cache changed, counting dead
+// the lines of the decisions it displaced.
+func (s *Store) appendDecision(k DecisionKey, d Decision, displaced int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.setLocked(k, d) {
-		s.appendLocked(decisionRecord(s.lvl, k, d))
-	}
-	// No auto-compaction here: AppendDecision runs under the decision
-	// cache's mutex, and a journal rewrite (fsync + rename) there would
-	// stall every concurrent Get. The cache triggers compaction after
-	// releasing its lock (see DecisionCache.Put / NeedsCompact).
+	s.dead += displaced
+	s.appendLocked(decisionRecord(s.lvl, k, d))
 }
 
-// NeedsCompact reports whether enough dead lines have accumulated that
-// the owning appender should call Compact.
-func (s *Store) NeedsCompact() bool {
+// needsCompact reports whether enough dead lines have accumulated that
+// the attached cache should compact.
+func (s *Store) needsCompact() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dead >= compactDeadMin
@@ -545,33 +483,33 @@ func (s *Store) refreshHandleLocked() {
 	}
 }
 
-// Compact rewrites the journal to hold exactly the live records: a fresh
-// header and every current decision (plus the other levels' lines, carried
-// verbatim). The rewrite is atomic (temp file + rename), so a crash
+// compact rewrites the journal to hold exactly the given decisions, in
+// order: a fresh header and every decision (plus the other levels' lines,
+// carried verbatim). The rewrite is atomic (temp file + rename), so a crash
 // mid-compaction leaves the old journal intact. A failed compaction
 // degrades the store to memory-only (the on-disk journal stays as the last
-// successful write left it); on a store already degraded Compact is a
+// successful write left it); on a store already degraded compact is a
 // no-op.
-func (s *Store) Compact() error {
+func (s *Store) compact(order []DecisionKey, m map[DecisionKey]Decision) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.compactLocked()
+	return s.compactLocked(order, m)
 }
 
 // compactLocked runs the rewrite and folds any failure into degradation.
 // Callers hold s.mu.
-func (s *Store) compactLocked() error {
+func (s *Store) compactLocked(order []DecisionKey, m map[DecisionKey]Decision) error {
 	if s.f == nil {
 		return nil // memory-only: nothing on disk this store may rewrite
 	}
-	if err := s.rewriteLocked(); err != nil {
+	if err := s.rewriteLocked(order, m); err != nil {
 		s.degradeLocked("compact", err)
 		return err
 	}
 	return nil
 }
 
-func (s *Store) rewriteLocked() error {
+func (s *Store) rewriteLocked(order []DecisionKey, m map[DecisionKey]Decision) error {
 	unlock := s.flock()
 	defer unlock()
 	if s.f == nil {
@@ -585,11 +523,11 @@ func (s *Store) rewriteLocked() error {
 	w := bufio.NewWriter(tmp) // its first write error is sticky: Flush reports it
 	b, err := headerRecord().line()
 	w.Write(b)
-	for _, k := range s.order {
+	for _, k := range order {
 		if err != nil {
 			break
 		}
-		b, err = decisionRecord(s.lvl, k, s.decisions[k]).line()
+		b, err = decisionRecord(s.lvl, k, m[k]).line()
 		w.Write(b)
 	}
 	// Other-level records ride along verbatim: they are live evidence for

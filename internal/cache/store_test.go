@@ -12,14 +12,23 @@ import (
 	"repro/internal/core"
 )
 
-func tempStore(t *testing.T) (*Store, string) {
+// attached opens the journal in dir behind a fresh decision cache — what a
+// process starting on it does — and closes the store when the test ends.
+func attached(t *testing.T, dir string) (*DecisionCache, *Store) {
+	t.Helper()
+	st := Open(dir)
+	t.Cleanup(func() { st.Close() })
+	c := NewDecisionCache()
+	c.Attach(st)
+	return c, st
+}
+
+// tempCache is attached on a fresh directory.
+func tempCache(t *testing.T) (*DecisionCache, *Store, string) {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	return st, dir
+	c, st := attached(t, dir)
+	return c, st, dir
 }
 
 func dk(fp uint64, k int) DecisionKey {
@@ -29,24 +38,20 @@ func dk(fp uint64, k int) DecisionKey {
 // TestStoreRoundTrip: every part of a decision — format, probed flag,
 // tuning, sample — reloads exactly, in journal order.
 func TestStoreRoundTrip(t *testing.T) {
-	st, dir := tempStore(t)
+	c, st, dir := tempCache(t)
 	for i := 0; i < 20; i++ {
-		st.AppendDecision(dk(uint64(i), 1+i%3), Decision{Format: fmt.Sprintf("F%d", i), Probed: i%2 == 0})
+		c.Put(dk(uint64(i), 1+i%3), Decision{Format: fmt.Sprintf("F%d", i), Probed: i%2 == 0})
 	}
 	full := Decision{
 		Format: "SELL-C-s", Probed: true, Tuned: "spmm.tile=4",
 		FV: core.FeatureVector{Rows: 100, Cols: 100, NNZ: 1000, AvgNNZPerRow: 10, MemFootprintMB: 0.01},
 	}
-	st.AppendDecision(dk(100, 8), full)
+	c.Put(dk(100, 8), full)
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer re.Close()
+	re, rs := attached(t, dir)
 	keys, decs := re.Decisions()
 	if len(keys) != 21 {
 		t.Fatalf("reloaded %d decisions, want 21", len(keys))
@@ -60,7 +65,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if keys[20] != dk(100, 8) || decs[20] != full {
 		t.Errorf("tuned, sampled decision reloaded as %+v %+v, want %+v", keys[20], decs[20], full)
 	}
-	if stats := re.Stats(); stats.Decisions != 21 || stats.Invalidated {
+	if stats := rs.Stats(); stats.Decisions != 21 || stats.Invalidated {
 		t.Errorf("stats = %+v", stats)
 	}
 }
@@ -69,9 +74,9 @@ func TestStoreRoundTrip(t *testing.T) {
 // lines, binary garbage and foreign-version records must all load cleanly,
 // keeping every parseable current-version record.
 func TestStoreCorruptionTolerance(t *testing.T) {
-	st, dir := tempStore(t)
-	st.AppendDecision(dk(1, 1), Decision{Format: "CSR5"})
-	st.AppendDecision(dk(2, 8), Decision{Format: "ELL", Probed: true})
+	c, st, dir := tempCache(t)
+	c.Put(dk(1, 1), Decision{Format: "CSR5"})
+	c.Put(dk(2, 8), Decision{Format: "ELL", Probed: true})
 	st.Close()
 
 	path := filepath.Join(dir, journalName)
@@ -87,11 +92,7 @@ func TestStoreCorruptionTolerance(t *testing.T) {
 	fmt.Fprintf(f, `{"v":%d,"kind":"decision","fp":5,"device":"ho`, SchemaVersion)
 	f.Close()
 
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen corrupted: %v", err)
-	}
-	defer re.Close()
+	re, rs := attached(t, dir)
 	keys, _ := re.Decisions()
 	if len(keys) != 3 {
 		t.Fatalf("loaded %d decisions from corrupted journal, want 3 (got %+v)", len(keys), keys)
@@ -102,7 +103,7 @@ func TestStoreCorruptionTolerance(t *testing.T) {
 	if _, ok := find(keys, dk(4, 1)); !ok {
 		t.Error("valid record after garbage must load")
 	}
-	if st := re.Stats(); st.Skipped < 2 {
+	if st := rs.Stats(); st.Skipped < 2 {
 		t.Errorf("skipped = %d, want >= 2 (garbage + foreign version)", st.Skipped)
 	}
 }
@@ -129,12 +130,8 @@ func TestStoreHostInvalidation(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open foreign journal: %v", err)
-	}
-	keys, _ := st.Decisions()
-	if len(keys) != 0 {
+	c, st := attached(t, dir)
+	if keys, _ := c.Decisions(); len(keys) != 0 {
 		t.Fatalf("foreign-host decisions leaked: %+v", keys)
 	}
 	if !st.Stats().Invalidated {
@@ -142,7 +139,7 @@ func TestStoreHostInvalidation(t *testing.T) {
 	}
 	// The rewrite must leave a fresh local header so the next process
 	// trusts its own appends.
-	st.AppendDecision(dk(9, 1), Decision{Format: "COO"})
+	c.Put(dk(9, 1), Decision{Format: "COO"})
 	st.Close()
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -153,11 +150,7 @@ func TestStoreHostInvalidation(t *testing.T) {
 	if err := json.Unmarshal([]byte(first), &hdr); err != nil || hdr.Kind != "header" || hdr.Host != HostFingerprint() {
 		t.Fatalf("rewritten journal header = %q", first)
 	}
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
+	re, _ := attached(t, dir)
 	if keys, _ := re.Decisions(); len(keys) != 1 {
 		t.Fatalf("post-invalidation append lost: %+v", keys)
 	}
@@ -179,12 +172,8 @@ func TestStoreDiscardsSchema1(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open version-1 journal: %v", err)
-	}
-	defer st.Close()
-	if keys, _ := st.Decisions(); len(keys) != 0 || !st.Stats().Invalidated {
+	c, st := attached(t, dir)
+	if keys, _ := c.Decisions(); len(keys) != 0 || !st.Stats().Invalidated {
 		t.Fatalf("version-1 journal: %d decisions loaded, stats %+v; want none, invalidated", len(keys), st.Stats())
 	}
 	if deg, reason := st.Degraded(); deg {
@@ -217,27 +206,24 @@ func TestStoreLoadsShardKeyedLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Decision{Format: "BCSR", Probed: true, Tuned: "bcsr.block=4x4"}
-	check := func(st *Store, when string) {
+	check := func(c *DecisionCache, when string) {
 		t.Helper()
-		keys, decs := st.Decisions()
+		keys, decs := c.Decisions()
 		if len(keys) != 1 || keys[0] != dk(7, 8) || decs[0] != want {
 			t.Fatalf("%s: loaded %+v %+v, want the newer line's %+v alone", when, keys, decs, want)
 		}
 	}
 
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(st, "open")
+	c, st := attached(t, dir)
+	check(c, "open")
 	if s := st.Stats(); s.Invalidated || s.Skipped != 0 || s.Dead != 1 {
 		t.Fatalf("open: stats %+v, want nothing invalidated or skipped and the older line dead", s)
 	}
-	st.AppendDecision(dk(7, 8), want)
+	c.Put(dk(7, 8), want)
 	if n := st.Stats().Appended; n != 0 {
 		t.Fatalf("an identical re-put appended %d lines, want 0", n)
 	}
-	if err := st.Compact(); err != nil {
+	if err := c.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -249,25 +235,21 @@ func TestStoreLoadsShardKeyedLines(t *testing.T) {
 		t.Fatalf("compacted journal = %q, want a header and one decision line without the shard count", b)
 	}
 
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
+	re, _ := attached(t, dir)
 	check(re, "reopen after compaction")
 }
 
 func TestStoreCompaction(t *testing.T) {
-	st, dir := tempStore(t)
+	c, st, dir := tempCache(t)
 	// 50 keys re-decided 10 times each: 500 lines, 450 dead.
 	for rep := 0; rep < 10; rep++ {
 		for i := 0; i < 50; i++ {
-			st.AppendDecision(dk(uint64(i), 1), Decision{Format: fmt.Sprintf("F%d-%d", i, rep)})
+			c.Put(dk(uint64(i), 1), Decision{Format: fmt.Sprintf("F%d-%d", i, rep)})
 		}
 	}
 	path := filepath.Join(dir, journalName)
 	before, _ := os.Stat(path)
-	if err := st.Compact(); err != nil {
+	if err := c.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	after, _ := os.Stat(path)
@@ -275,13 +257,9 @@ func TestStoreCompaction(t *testing.T) {
 		t.Errorf("compaction did not shrink the journal: %d -> %d bytes", before.Size(), after.Size())
 	}
 	// Appends must keep working on the renamed file.
-	st.AppendDecision(dk(999, 1), Decision{Format: "COO"})
+	c.Put(dk(999, 1), Decision{Format: "COO"})
 	st.Close()
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
+	re, _ := attached(t, dir)
 	keys, decs := re.Decisions()
 	if len(keys) != 51 {
 		t.Fatalf("reloaded %d decisions after compaction, want 51", len(keys))
@@ -300,9 +278,7 @@ func TestStoreCompaction(t *testing.T) {
 // journal-attached cache; run with -race. Reload verifies every key
 // resolves to some value that was actually written.
 func TestStoreConcurrentPutPersist(t *testing.T) {
-	st, dir := tempStore(t)
-	c := NewDecisionCache()
-	c.AttachStore(st)
+	c, st, dir := tempCache(t)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -317,11 +293,7 @@ func TestStoreConcurrentPutPersist(t *testing.T) {
 	}
 	wg.Wait()
 	st.Close()
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
+	re, _ := attached(t, dir)
 	keys, decs := re.Decisions()
 	if len(keys) == 0 {
 		t.Fatal("no decisions persisted")
@@ -335,32 +307,29 @@ func TestStoreConcurrentPutPersist(t *testing.T) {
 
 // TestStoreExperienceWindow: samples ride on decisions, so the decision
 // bound is the experience window — past it the oldest measurements go,
-// in memory at once and from the file at the next compaction.
+// from the cache at once and from the file at the next compaction, and a
+// reopened journal holds the same window.
 func TestStoreExperienceWindow(t *testing.T) {
-	st, dir := tempStore(t)
+	c, st, dir := tempCache(t)
 	sample := func(i int) Decision {
 		return Decision{Format: fmt.Sprintf("F%d", i), Probed: true, FV: core.FeatureVector{Rows: 1 + i}}
 	}
-	for i := 0; i < maxJournalDecisions+50; i++ {
-		st.AppendDecision(dk(uint64(i), 1), sample(i))
+	for i := 0; i < DefaultDecisionCap+50; i++ {
+		c.Put(dk(uint64(i), 1), sample(i))
 	}
-	if keys, _ := st.Decisions(); len(keys) != maxJournalDecisions {
-		t.Fatalf("in-memory window holds %d, want %d", len(keys), maxJournalDecisions)
+	if c.Len() != DefaultDecisionCap {
+		t.Fatalf("the cache holds %d, want %d", c.Len(), DefaultDecisionCap)
 	}
 	if got := st.Stats().Dead; got != 50 {
 		t.Errorf("dead lines = %d, want the 50 evicted", got)
 	}
 	st.Close()
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
+	re, _ := attached(t, dir)
 	keys, decs := re.Decisions()
-	if len(keys) != maxJournalDecisions {
-		t.Fatalf("reloaded %d decisions, want %d (most recent)", len(keys), maxJournalDecisions)
+	if len(keys) != DefaultDecisionCap {
+		t.Fatalf("reloaded %d decisions, want %d (most recent)", len(keys), DefaultDecisionCap)
 	}
-	if keys[0] != dk(50, 1) || decs[len(decs)-1] != sample(maxJournalDecisions+49) {
+	if keys[0] != dk(50, 1) || decs[len(decs)-1] != sample(DefaultDecisionCap+49) {
 		t.Errorf("window is not the newest: first %+v, last %+v", keys[0], decs[len(decs)-1])
 	}
 }

@@ -28,7 +28,7 @@ type AutoChoice struct {
 	Shortlist []string           // model ranking, best first
 	Probed    bool               // a micro-probe timed the shortlist
 	Cached    bool               // decision came from the decision cache
-	Learned   bool               // the experience base steered the shortlist
+	Voted     bool               // the k-NN vote over measured samples steered the shortlist
 	ProbeNs   map[string]float64 // measured ns/op per probed candidate
 	// Tuned records the autotuned structural parameters the instance was
 	// built with (e.g. "bcsr.block" -> "4x4", "spmm.tile" -> "8").

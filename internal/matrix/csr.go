@@ -270,33 +270,6 @@ func (r rowView) Swap(i, j int) {
 	r.val[i], r.val[j] = r.val[j], r.val[i]
 }
 
-// Transpose returns the transpose of the matrix in CSR form (equivalently,
-// the CSC view of the original).
-func (m *CSR) Transpose() *CSR {
-	t := &CSR{Rows: m.Cols, Cols: m.Rows}
-	t.RowPtr = make([]int32, m.Cols+1)
-	t.ColIdx = make([]int32, m.NNZ())
-	t.Val = make([]float64, m.NNZ())
-	// Count entries per column.
-	for _, c := range m.ColIdx {
-		t.RowPtr[c+1]++
-	}
-	for i := 0; i < m.Cols; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	cursor := append([]int32(nil), t.RowPtr[:m.Cols]...)
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			c := m.ColIdx[k]
-			at := cursor[c]
-			t.ColIdx[at] = int32(i)
-			t.Val[at] = m.Val[k]
-			cursor[c]++
-		}
-	}
-	return t
-}
-
 // String summarizes the matrix shape and density.
 func (m *CSR) String() string {
 	return fmt.Sprintf("CSR %dx%d nnz=%d (%.2f MiB, %.2f nnz/row)",

@@ -187,31 +187,6 @@ func TestCSRSortRowsMergesDuplicates(t *testing.T) {
 	}
 }
 
-func TestCSRTranspose(t *testing.T) {
-	m := Random(20, 15, 0.25, 9)
-	tr := m.Transpose()
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("transpose invalid: %v", err)
-	}
-	d := m.ToDense()
-	dt := tr.ToDense()
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if d.At(i, j) != dt.At(j, i) {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestCSRTransposeInvolution(t *testing.T) {
-	m := Random(30, 30, 0.15, 10)
-	tt := m.Transpose().Transpose()
-	if !m.Equal(tt) {
-		t.Error("transpose of transpose differs from original")
-	}
-}
-
 func TestEmptyMatrix(t *testing.T) {
 	m, err := NewCSR(0, 0, []int32{0}, nil, nil)
 	if err != nil {
@@ -232,21 +207,6 @@ func TestMatrixWithEmptyRows(t *testing.T) {
 	y := make([]float64, 3)
 	m.SpMV(x, y)
 	vecAlmostEqual(t, y, []float64{0, 21, 0}, 0)
-}
-
-// Property: transpose preserves nnz and swaps shape for arbitrary random
-// matrices.
-func TestQuickTransposeShape(t *testing.T) {
-	f := func(seedRaw uint32, rowsRaw, colsRaw uint8) bool {
-		rows := int(rowsRaw%40) + 1
-		cols := int(colsRaw%40) + 1
-		m := Random(rows, cols, 0.2, int64(seedRaw))
-		tr := m.Transpose()
-		return tr.Rows == cols && tr.Cols == rows && tr.NNZ() == m.NNZ() && tr.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: SpMV is linear, A(ax+by) = a*Ax + b*Ay.

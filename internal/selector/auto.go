@@ -27,15 +27,28 @@ const autoProbeMinNNZ = 1 << 14
 // tests pin it, so that what they assert of a host pick is not a timing.
 var hostSpec = device.HostSpec
 
-// State is everything one selection context remembers between builds:
-// the decision cache (keyed by matrix fingerprint, device, k — a repeated
-// build of one matrix under one context skips ranking, probing and
-// tuning) and the online-learned experience base fed by the samples those
-// decisions carry. A Session owns one and hands it to every build by
-// pointer; nil members are simply not consulted.
-type State struct {
-	Cache   *cache.DecisionCache
-	Learned *Learned
+const (
+	// learnKNN is the width of the k-NN vote over measured samples: probe
+	// outcomes are sparse and high-signal, so a narrow vote tracks them
+	// closely.
+	learnKNN = 3
+	// LearnMaxDist is how far (core.Distance) the nearest measured sample
+	// may be from a new matrix and still steer its shortlist; beyond it the
+	// analytical model decides alone. The threshold sits at roughly "same
+	// footprint class, similar row profile".
+	LearnMaxDist = 0.15
+)
+
+// vote takes the k-NN vote over the regime's measured samples, as the
+// cache weighs them (cache.DecisionCache.Samples); ok only when one lies
+// within LearnMaxDist of the new matrix.
+func vote(dc *cache.DecisionCache, device string, k int, fv core.FeatureVector) (string, bool) {
+	decs, weights := dc.Samples(device, k)
+	samples := make([]Sample, len(decs))
+	for i, d := range decs {
+		samples[i] = Sample{FV: d.FV, Best: d.Format, Weight: weights[i]}
+	}
+	return TrainSamples(samples, learnKNN).PredictNear(fv, LearnMaxDist)
 }
 
 // AutoOptions configures BuildAuto.
@@ -52,18 +65,20 @@ type AutoOptions struct {
 	// measured winner. Costs a few milliseconds per candidate; worth it
 	// for any matrix that will be multiplied more than a handful of times.
 	Probe bool
-	// State is the remembered measurement this build consults and feeds.
-	// Nil means a stateless selection: nothing is looked up, nothing is
+	// Cache is the remembered measurement this build consults and feeds:
+	// the decisions, and the k-NN vote over the samples they carry. Nil
+	// means a stateless selection: nothing is looked up, nothing is
 	// recorded.
-	State *State
-	// NoCache disables decision caching for this build (benchmarks that
-	// must observe the full pipeline every time): no decision — format,
-	// tuning or sample — is looked up or recorded.
+	Cache *cache.DecisionCache
+	// NoCache makes this build stateless whatever Cache holds (benchmarks
+	// that must observe the full pipeline every time): no decision —
+	// format, tuning or sample — is looked up or recorded, and no vote is
+	// taken.
 	NoCache bool
-	// NoLearn disables the online-learned experience base for this build:
-	// neither consulting past probe outcomes nor recording new ones. The
-	// model-only baselines use it so their numbers reflect the analytical
-	// model alone.
+	// NoLearn keeps the k-NN vote out of this build: past probe outcomes
+	// are not consulted, and the decision it records carries no sample.
+	// The model-only baselines use it so their numbers reflect the
+	// analytical model alone.
 	NoLearn bool
 	// Tune enables the structural-parameter micro-autotuner: the BCSR
 	// block geometry and the fused SpMM register-tile width are measured
@@ -73,26 +88,17 @@ type AutoOptions struct {
 	Tune bool
 }
 
-// state returns the build's State by value; the zero State (every member
-// nil) is the stateless selection.
-func (o AutoOptions) state() State {
-	if o.State == nil {
-		return State{}
-	}
-	return *o.State
-}
-
 // BuildAuto selects a storage format for the matrix and builds it: the
 // paper's feature analysis driving execution. The pipeline is
 //
 //  1. extract the five-feature vector (core.Extract);
-//  2. consult the State's decision cache keyed by (fingerprint, device,
-//     k) — warm-loaded from the disk journal when its owner persists,
-//     so a restarted process reuses every decision its predecessors made;
+//  2. consult the decision cache keyed by (fingerprint, device, k) —
+//     loaded from the disk journal when its owner persists, so a
+//     restarted process reuses every decision its predecessors made;
 //  3. on a miss, shortlist candidates by the k-regime device model
 //     (device.Spec.EstimateMulti ranking, plus the RulesK pick), and let
-//     the online-learned experience base promote the measured winner of a
-//     nearby matrix to the front of the shortlist;
+//     the k-NN vote over the cache's measured samples promote the
+//     measured winner of a nearby matrix to the front of the shortlist;
 //  4. optionally micro-probe the shortlist — time each candidate on a
 //     row-sampled sub-matrix through the execution engine — and keep the
 //     measured winner;
@@ -114,9 +120,8 @@ func BuildAuto(m *matrix.CSR, o AutoOptions) (*formats.Auto, error) {
 // the context's error at its stage boundaries — before ranking, and
 // between micro-probe candidates (a candidate's timed runs finish, so a
 // cancelled selection returns within one candidate's probe budget, a few
-// milliseconds). The decision cache and experience base are only written
-// for selections that ran to completion; an aborted selection leaves no
-// partial state behind.
+// milliseconds). The decision cache is only written for selections that
+// ran to completion; an aborted selection leaves no partial state behind.
 func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.Auto, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -130,20 +135,22 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 		}
 		spec = s
 	}
-	st := o.state()
-	useCache := st.Cache != nil && !o.NoCache
-	learn := st.Learned != nil && !o.NoLearn
+	dc := o.Cache
+	if o.NoCache {
+		dc = nil
+	}
+	learn := dc != nil && !o.NoLearn
 	choice := formats.AutoChoice{Device: spec.Name, K: k}
 	key := cache.DecisionKey{Fingerprint: m.Fingerprint(), Device: spec.Name, K: k}
-	if useCache {
-		if d, ok := st.Cache.Get(key); ok {
+	if dc != nil {
+		if d, ok := dc.Get(key); ok {
 			// The decision's tuning re-applies on the cached path; a
 			// parameter it lacks is measured now and the decision re-put,
 			// once.
 			if f, tuned, err := build(ctx, m, d.Format, nil, k, o, d.Tuned, &choice); err == nil {
 				if enc := encodeTuned(tuned); o.Tune && enc != d.Tuned {
 					d.Tuned = enc
-					st.Cache.Put(key, d)
+					dc.Put(key, d)
 				}
 				choice.Cached = true
 				choice.Probed = d.Probed
@@ -169,9 +176,9 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 		// runs, and a probed candidate otherwise) — if the device still
 		// offers it: a journal from an older build can name a format this
 		// one no longer has.
-		if name, ok := st.Learned.pick(spec.Name, k, fv); ok && slices.Contains(spec.Formats, name) {
+		if name, ok := vote(dc, spec.Name, k, fv); ok && slices.Contains(spec.Formats, name) {
 			shortlist = promote(shortlist, name)
-			choice.Learned = true
+			choice.Voted = true
 		}
 	}
 	choice.Shortlist = shortlist
@@ -182,10 +189,10 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	pick := shortlist[0]
 	var prebuilt formats.Format
 	if o.Probe && m.NNZ() >= autoProbeMinNNZ && len(shortlist) > 1 {
-		winner, built, results := probe(ctx, m, shortlist, ProbeOptions{K: k})
+		winner, built, results := probe(ctx, m, shortlist, k)
 		if err := ctx.Err(); err != nil {
 			// The probe stopped early; its partial measurements must not
-			// become a cached decision or a learned sample.
+			// become a cached decision or a sample.
 			return nil, err
 		}
 		if winner != "" {
@@ -223,13 +230,13 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	}
 	d := cache.Decision{Format: f.Name(), Probed: choice.Probed, Tuned: encodeTuned(tuned)}
 	if choice.Probed && learn {
-		// A measured choice is a sample: in the k-NN base now, and riding
-		// on the decision for the processes after this one.
+		// A measured choice is a sample: it rides on the decision, so the
+		// vote reads it from now on, here and in every process that loads
+		// the journal.
 		d.FV = fv
-		st.Learned.observe(spec.Name, k, fv, d.Format, 0)
 	}
-	if useCache {
-		st.Cache.Put(key, d)
+	if dc != nil {
+		dc.Put(key, d)
 	}
 	return formats.NewAuto(f, choice), nil
 }

@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"testing"
@@ -107,7 +108,7 @@ func TestBuildAutoDegenerate(t *testing.T) {
 func TestBuildAutoCachesDecision(t *testing.T) {
 	m := genMatrix(t, 3000, 10, 5, 8)
 	dc := cache.NewDecisionCache()
-	a1, err := BuildAuto(m, AutoOptions{K: 8, State: &State{Cache: dc}})
+	a1, err := BuildAuto(m, AutoOptions{K: 8, Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestBuildAutoCachesDecision(t *testing.T) {
 	if dc.Len() != 1 {
 		t.Fatalf("cache holds %d decisions, want 1", dc.Len())
 	}
-	a2, err := BuildAuto(m, AutoOptions{K: 8, State: &State{Cache: dc}})
+	a2, err := BuildAuto(m, AutoOptions{K: 8, Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestBuildAutoCachesDecision(t *testing.T) {
 		t.Errorf("cached decision %q != original %q", a2.Chosen(), a1.Chosen())
 	}
 	// A different k is a different regime and must not share the entry.
-	a3, err := BuildAuto(m, AutoOptions{K: 1, State: &State{Cache: dc}})
+	a3, err := BuildAuto(m, AutoOptions{K: 1, Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,17 +152,17 @@ func TestBuildAutoUnknownDevice(t *testing.T) {
 // decision key, so the unnamed build after it is a cache hit.
 func TestBuildAutoHostByName(t *testing.T) {
 	m := genMatrix(t, 1000, 8, 0, 2)
-	st := &State{Cache: cache.NewDecisionCache()}
-	named, err := BuildAuto(m, AutoOptions{Device: "host", State: st})
+	dc := cache.NewDecisionCache()
+	named, err := BuildAuto(m, AutoOptions{Device: "host", Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unnamed, err := BuildAuto(m, AutoOptions{State: st})
+	unnamed, err := BuildAuto(m, AutoOptions{Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := unnamed.Choice(); !c.Cached || c.Device != named.Choice().Device || st.Cache.Len() != 1 {
-		t.Errorf("Device %q then unnamed: cached=%v, devices %q/%q, %d decisions", "host", c.Cached, named.Choice().Device, c.Device, st.Cache.Len())
+	if c := unnamed.Choice(); !c.Cached || c.Device != named.Choice().Device || dc.Len() != 1 {
+		t.Errorf("Device %q then unnamed: cached=%v, devices %q/%q, %d decisions", "host", c.Cached, named.Choice().Device, c.Device, dc.Len())
 	}
 }
 
@@ -191,7 +192,7 @@ func TestBuildAutoConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			k := 1 + (g%2)*7 // alternate k=1 and k=8
-			a, err := BuildAuto(m, AutoOptions{K: k, State: &State{Cache: dc}})
+			a, err := BuildAuto(m, AutoOptions{K: k, Cache: dc})
 			if err != nil {
 				errs <- err
 				return
@@ -213,7 +214,7 @@ func TestBuildAutoConcurrent(t *testing.T) {
 
 func TestProbePicksAWinner(t *testing.T) {
 	m := genMatrix(t, 20000, 12, 10, 5)
-	winner, results := Probe(m, []string{"Naive-CSR", "Vec-CSR", "SELL-C-s"}, ProbeOptions{K: 1})
+	winner, _, results := probe(context.Background(), m, []string{"Naive-CSR", "Vec-CSR", "SELL-C-s"}, 1)
 	if winner == "" {
 		t.Fatal("probe found no winner")
 	}

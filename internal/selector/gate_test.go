@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/device"
 	"repro/internal/exec"
 	"repro/internal/formats"
@@ -53,15 +54,12 @@ func TestAutoRetainedGate(t *testing.T) {
 		mats = append(mats, m)
 	}
 	exec.Prestart()
-	// One experience base across the run, as a session would hold: each
-	// probe outcome may steer the later matrices' shortlists.
-	st := &State{Learned: NewLearned()}
 	for _, k := range []int{1, 8} {
-		mean := gateMeanRetained(t, st, mats, k)
+		mean := gateMeanRetained(t, mats, k)
 		if mean < retainedGate {
 			// One retry: re-measure the whole regime before failing.
 			t.Logf("k=%d: mean retained %.3f below gate on first pass; re-measuring", k, mean)
-			if remeasured := gateMeanRetained(t, st, mats, k); remeasured > mean {
+			if remeasured := gateMeanRetained(t, mats, k); remeasured > mean {
 				mean = remeasured
 			}
 		}
@@ -74,13 +72,18 @@ func TestAutoRetainedGate(t *testing.T) {
 }
 
 // gateMeanRetained measures every host format and the Auto pick on each
-// matrix and returns the mean retained performance for the regime.
-func gateMeanRetained(t *testing.T, st *State, mats []*matrix.CSR, k int) float64 {
+// matrix and returns the mean retained performance for the regime. Each
+// pass selects under a fresh decision cache, as a new session would: a
+// probe outcome may steer the later matrices' shortlists through the
+// vote, and a re-measured pass selects afresh instead of recalling the
+// first pass's decisions.
+func gateMeanRetained(t *testing.T, mats []*matrix.CSR, k int) float64 {
 	t.Helper()
+	dc := cache.NewDecisionCache()
 	var sum float64
 	var n int
 	for _, m := range mats {
-		a, err := BuildAuto(m, AutoOptions{K: k, Probe: true, NoCache: true, State: st})
+		a, err := BuildAuto(m, AutoOptions{K: k, Probe: true, Cache: dc})
 		if err != nil {
 			t.Fatalf("k=%d: BuildAuto: %v", k, err)
 		}

@@ -14,11 +14,21 @@ import (
 	"repro/internal/matrix"
 )
 
+// journaled opens the journal in dir behind a fresh decision cache — what
+// a process starting on it does — and closes the store when the test ends.
+func journaled(t *testing.T, dir string) (*cache.DecisionCache, *cache.Store) {
+	t.Helper()
+	st := cache.Open(dir)
+	t.Cleanup(func() { st.Close() })
+	dc := cache.NewDecisionCache()
+	dc.Attach(st)
+	return dc, st
+}
+
 // TestPersistRoundTripZeroProbes is the satellite acceptance test: a full
 // save -> restart -> load cycle must reproduce identical decisions with
-// zero micro-probes. "Restart" is simulated with fresh DecisionCache and
-// Store instances over the same directory — exactly what a new process
-// does.
+// zero micro-probes. "Restart" is simulated with a fresh DecisionCache and
+// Store over the same directory — exactly what a new process does.
 func TestPersistRoundTripZeroProbes(t *testing.T) {
 	dir := t.TempDir()
 	mats := []*matrix.CSR{
@@ -28,16 +38,11 @@ func TestPersistRoundTripZeroProbes(t *testing.T) {
 	}
 
 	// Cold process: probe-backed decisions, journaled.
-	st1, err := cache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc1 := cache.NewDecisionCache()
-	dc1.AttachStore(st1)
+	dc1, st1 := journaled(t, dir)
 	var cold []string
 	for _, m := range mats {
 		for _, k := range []int{1, 8} {
-			a, err := BuildAuto(m, AutoOptions{K: k, Probe: true, State: &State{Cache: dc1}, NoLearn: true})
+			a, err := BuildAuto(m, AutoOptions{K: k, Probe: true, Cache: dc1, NoLearn: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,20 +57,15 @@ func TestPersistRoundTripZeroProbes(t *testing.T) {
 	}
 
 	// Warm process: same directory, fresh in-memory state.
-	st2, err := cache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	dc2 := cache.NewDecisionCache()
-	if n := dc2.AttachStore(st2); n != len(cold) {
-		t.Fatalf("warm-loaded %d decisions, want %d", n, len(cold))
+	dc2, st2 := journaled(t, dir)
+	if n := st2.Stats().Decisions; n != len(cold) {
+		t.Fatalf("loaded %d decisions, want %d", n, len(cold))
 	}
 	probesBefore := ProbeCount()
 	i := 0
 	for _, m := range mats {
 		for _, k := range []int{1, 8} {
-			a, err := BuildAuto(m, AutoOptions{K: k, Probe: true, State: &State{Cache: dc2}, NoLearn: true})
+			a, err := BuildAuto(m, AutoOptions{K: k, Probe: true, Cache: dc2, NoLearn: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,19 +83,14 @@ func TestPersistRoundTripZeroProbes(t *testing.T) {
 	}
 }
 
-// TestLearnedExperiencePersists: probe outcomes recorded in one "process"
-// — as the sample on the decision they backed — must warm-load into the
-// experience base of the next.
+// TestLearnedExperiencePersists: a probe outcome recorded in one "process"
+// — as the sample on the decision it backed — votes in the next, near the
+// matrix it measured and nowhere far from it.
 func TestLearnedExperiencePersists(t *testing.T) {
 	dir := t.TempDir()
-	st1, err := cache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc1 := cache.NewDecisionCache()
-	dc1.AttachStore(st1)
+	dc1, st1 := journaled(t, dir)
 	m := genMatrix(t, 20000, 12, 10, 9)
-	a, err := BuildAuto(m, AutoOptions{K: 8, Probe: true, State: &State{Cache: dc1, Learned: NewLearned()}})
+	a, err := BuildAuto(m, AutoOptions{K: 8, Probe: true, Cache: dc1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,54 +99,34 @@ func TestLearnedExperiencePersists(t *testing.T) {
 	}
 	st1.Close()
 
-	st2, err := cache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	keys, decs := st2.Decisions()
+	dc2, _ := journaled(t, dir)
+	keys, decs := dc2.Decisions()
 	if len(decs) != 1 || decs[0].FV != core.Extract(m) {
 		t.Fatalf("probe outcome not journaled as the decision's sample: %+v", decs)
 	}
 	if keys[0].K != 8 || decs[0].Format != a.Chosen() || !decs[0].Probed {
 		t.Errorf("journaled %+v %+v, want probed winner %q at k=8", keys[0], decs[0], a.Chosen())
 	}
-	lrn := NewLearned()
-	if n := lrn.WarmLoad(st2); n != 1 {
-		t.Fatalf("WarmLoad replayed %d, want 1", n)
+	if got, ok := vote(dc2, keys[0].Device, 8, core.Extract(m)); !ok || got != a.Chosen() {
+		t.Errorf("reopened vote picks %q (%v), want the measured winner %q", got, ok, a.Chosen())
 	}
-	if lrn.Len(keys[0].Device, 8) != 1 {
-		t.Error("experience base empty after warm-load")
-	}
-	// The warmed base steers a fresh (uncached, unprobed) decision on the
-	// same matrix to the measured winner.
-	fresh, err := BuildAuto(m, AutoOptions{K: 8, NoCache: true, State: &State{Learned: lrn}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fresh.Choice().Learned {
-		t.Error("learned experience did not steer the shortlist")
-	}
-	if fresh.Chosen() != a.Chosen() {
-		t.Errorf("learned pick %q != measured winner %q", fresh.Chosen(), a.Chosen())
+	far := core.FeatureVector{Rows: 1, Cols: 1e6, NNZ: 5e6,
+		MemFootprintMB: 4000, AvgNNZPerRow: 5e6}
+	if _, ok := vote(dc2, keys[0].Device, 8, far); ok {
+		t.Error("the vote generalized past its distance gate")
 	}
 }
 
 // TestOneDecisionOneSample: however often one matrix is decided — cold,
 // from the cache, or around it with NoCache — selection remembers one
-// thing for it: one live journal line, one sample in the k-NN vote now and
-// one after a restart.
+// thing for it: one live journal line, one sample in the vote now and one
+// after a restart.
 func TestOneDecisionOneSample(t *testing.T) {
 	dir := t.TempDir()
-	st, err := cache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := &State{Cache: cache.NewDecisionCache(), Learned: NewLearned()}
-	state.Cache.AttachStore(st)
+	dc, st := journaled(t, dir)
 	m := genMatrix(t, 20000, 12, 10, 11)
 	for i, noCache := range []bool{false, true, false, true, true, false} {
-		a, err := BuildAuto(m, AutoOptions{K: 8, Probe: true, NoCache: noCache, State: state})
+		a, err := BuildAuto(m, AutoOptions{K: 8, Probe: true, NoCache: noCache, Cache: dc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,57 +134,20 @@ func TestOneDecisionOneSample(t *testing.T) {
 			t.Fatalf("build %d (NoCache=%v): %+v", i, noCache, c)
 		}
 	}
-	if got := state.Learned.Len("host", 8); got != 1 {
-		t.Errorf("six builds of one matrix left %d samples in the live vote, want 1", got)
+	if votes, _ := dc.Samples("host", 8); len(votes) != 1 {
+		t.Errorf("six builds of one matrix left %d samples in the vote, want 1", len(votes))
 	}
 	if got := st.Stats().Appended; got != 1 {
 		t.Errorf("six builds of one matrix appended %d journal lines, want 1", got)
 	}
 	st.Close()
 
-	re, err := cache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
+	re, _ := journaled(t, dir)
 	if keys, _ := re.Decisions(); len(keys) != 1 {
 		t.Errorf("reopened journal holds %d decisions, want 1", len(keys))
 	}
-	lrn := NewLearned()
-	if n := lrn.WarmLoad(re); n != 1 || lrn.Len("host", 8) != 1 {
-		t.Errorf("warm-load replayed %d samples (%d in host/k=8), want 1", n, lrn.Len("host", 8))
-	}
-}
-
-// TestObserveImprovesNearest pins the incremental-learning contract on
-// Nearest itself: observing a labeled point changes a nearby prediction.
-func TestObserveImprovesNearest(t *testing.T) {
-	n := NewOnline(3, 8)
-	fv := core.FeatureVector{Rows: 1000, Cols: 1000, NNZ: 10000,
-		MemFootprintMB: 0.5, AvgNNZPerRow: 10, SkewCoeff: 2, CrossRowSim: 0.5, AvgNumNeigh: 1}
-	if _, ok := n.Predict(fv); ok {
-		t.Fatal("empty online selector must not predict")
-	}
-	n.Observe(Sample{FV: fv, Best: "SELL-C-s"})
-	got, ok := n.PredictNear(fv, LearnMaxDist)
-	if !ok || got != "SELL-C-s" {
-		t.Fatalf("PredictNear after Observe = %q, %v", got, ok)
-	}
-	// A far-away point must not borrow the experience.
-	far := core.FeatureVector{Rows: 1, Cols: 1e6, NNZ: 5e6,
-		MemFootprintMB: 4000, AvgNNZPerRow: 5e6, SkewCoeff: 0, CrossRowSim: 0, AvgNumNeigh: 0}
-	if _, ok := n.PredictNear(far, LearnMaxDist); ok {
-		t.Error("PredictNear generalized past its distance gate")
-	}
-	// The window drops the oldest sample.
-	for i := 0; i < 8; i++ {
-		n.Observe(Sample{FV: far, Best: "COO"})
-	}
-	if n.Len() != 8 {
-		t.Errorf("window len = %d, want 8", n.Len())
-	}
-	if got, _ := n.PredictNear(far, LearnMaxDist); got != "COO" {
-		t.Errorf("windowed base predicts %q, want COO", got)
+	if votes, _ := re.Samples("host", 8); len(votes) != 1 {
+		t.Errorf("the reopened vote reads %d samples, want 1", len(votes))
 	}
 }
 
@@ -226,30 +164,22 @@ func TestStaleJournalFormatReselects(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "decisions.jsonl"), []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := cache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	dc, st := journaled(t, dir)
+	if n := st.Stats().Decisions; n != 1 {
+		t.Fatalf("loaded %d decisions, want the stale one", n)
 	}
-	dc := cache.NewDecisionCache()
-	if n := dc.AttachStore(st); n != 1 {
-		t.Fatalf("warm-loaded %d decisions, want the stale one", n)
-	}
-	a, err := BuildAuto(m, AutoOptions{State: &State{Cache: dc}})
+	a, err := BuildAuto(m, AutoOptions{Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := formats.Lookup(a.Chosen()); !ok || a.Choice().Cached {
 		t.Errorf("chose %q, cached %v: want a fresh pick with a kernel", a.Chosen(), a.Choice().Cached)
 	}
-	if err := st.Compact(); err != nil {
+	if err := dc.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
-	re, err := cache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
+	re, _ := journaled(t, dir)
 	keys, decs := re.Decisions()
 	if len(keys) != 1 || keys[0].Fingerprint != m.Fingerprint() || decs[0].Format != a.Chosen() {
 		t.Errorf("compacted journal holds %+v %+v, want only the new %q decision", keys, decs, a.Chosen())
@@ -263,22 +193,26 @@ func TestLearnedPickMustBeOffered(t *testing.T) {
 	defer func(prev func() device.Spec) { hostSpec = prev }(hostSpec)
 	hostSpec = fixtureHost
 	m := genMatrix(t, 3000, 10, 5, 13)
-	lrn := NewLearned()
-	lrn.observe("host", 1, core.Extract(m), "DIA", 0)
-	a, err := BuildAuto(m, AutoOptions{NoCache: true, State: &State{Learned: lrn}})
+	dc := cache.NewDecisionCache()
+	// A sample of m's own features under another fingerprint: m's build
+	// misses the cache, but the vote reads it.
+	other := cache.DecisionKey{Fingerprint: 1, Device: "host", K: 1}
+	dc.Put(other, cache.Decision{Format: "DIA", Probed: true, FV: core.Extract(m)})
+	a, err := BuildAuto(m, AutoOptions{Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := a.Choice()
-	if c.Learned || slices.Contains(c.Shortlist, "DIA") {
-		t.Errorf("learned %v, shortlist %v: a format without a kernel steered the choice", c.Learned, c.Shortlist)
+	if c.Voted || slices.Contains(c.Shortlist, "DIA") {
+		t.Errorf("voted %v, shortlist %v: a format without a kernel steered the choice", c.Voted, c.Shortlist)
 	}
 	// An offered format still steers.
-	lrn.observe("host", 1, core.Extract(m), "CSR5", 0)
-	if a, err = BuildAuto(m, AutoOptions{NoCache: true, State: &State{Learned: lrn}}); err != nil {
+	dc.InvalidateFingerprint(m.Fingerprint())
+	dc.Put(other, cache.Decision{Format: "CSR5", Probed: true, FV: core.Extract(m)})
+	if a, err = BuildAuto(m, AutoOptions{Cache: dc}); err != nil {
 		t.Fatal(err)
 	}
-	if c := a.Choice(); !c.Learned || c.Shortlist[0] != "CSR5" {
-		t.Errorf("learned %v, shortlist %v: want CSR5 promoted", c.Learned, c.Shortlist)
+	if c := a.Choice(); !c.Voted || c.Shortlist[0] != "CSR5" {
+		t.Errorf("voted %v, shortlist %v: want CSR5 promoted", c.Voted, c.Shortlist)
 	}
 }

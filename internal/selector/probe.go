@@ -3,6 +3,7 @@ package selector
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
@@ -26,10 +27,12 @@ const (
 	defaultProbeRounds = 2
 )
 
-// ProbeOptions configures the micro-probe.
-type ProbeOptions struct {
-	K int // RHS-count regime the candidates are timed at (0/1: SpMV)
-}
+// probeRuns counts micro-probe invocations process-wide; the persistence CI
+// gate asserts a warm restart performs zero.
+var probeRuns atomic.Int64
+
+// ProbeCount returns how many micro-probe sweeps this process has run.
+func ProbeCount() int64 { return probeRuns.Load() }
 
 // ProbeResult is one candidate's measured micro-benchmark.
 type ProbeResult struct {
@@ -38,35 +41,19 @@ type ProbeResult struct {
 	Err     error   // build failure on the sub-matrix
 }
 
-// Probe times the candidate formats on a row-sampled sub-matrix through
-// the execution engine and returns the measured winner. The sub-matrix
-// keeps the full column dimension and a stride sample of the rows, so
-// balance and x-locality behaviour carry over from the full matrix while
-// build plus timing stays in the low milliseconds per candidate. Results
-// are returned in candidate order; winner is "" when every candidate
-// failed to build.
-func Probe(m *matrix.CSR, candidates []string, o ProbeOptions) (winner string, results []ProbeResult) {
-	winner, _, results = probe(context.Background(), m, candidates, o)
-	return winner, results
-}
-
-// ProbeCtx is Probe honoring a context: the candidate loop checks it
-// between candidates (a candidate's timed runs finish once started), so a
-// cancelled probe returns within one candidate's timing budget. The
-// partial results measured before cancellation are returned with the
-// context's error; winner is the best of those, which an aborting caller
-// should discard.
-func ProbeCtx(ctx context.Context, m *matrix.CSR, candidates []string, o ProbeOptions) (winner string, results []ProbeResult, err error) {
-	winner, _, results = probe(ctx, m, candidates, o)
-	return winner, results, ctx.Err()
-}
-
-// probe is Probe plus build reuse: when the row budget covers the whole
-// matrix (RowSample returns m itself), the probe already built every
-// candidate at full cost, so the winner's built instance is returned for
-// the caller to use directly instead of rebuilding it. A cancelled ctx
-// stops the candidate loop at the next boundary.
-func probe(ctx context.Context, m *matrix.CSR, names []string, o ProbeOptions) (winner string, built formats.Format, results []ProbeResult) {
+// probe times the candidate formats at k on a row-sampled sub-matrix
+// through the execution engine and returns the measured winner. The
+// sub-matrix keeps the full column dimension and a stride sample of the
+// rows, so balance and x-locality behaviour carry over from the full
+// matrix while build plus timing stays in the low milliseconds per
+// candidate. Results are in candidate order; winner is "" when every
+// candidate failed to build. When the row budget covers the whole matrix
+// (RowSample returns m itself), the probe already built every candidate
+// at full cost, so the winner's built instance is returned for the caller
+// to serve instead of rebuilding it. A cancelled ctx stops the candidate
+// loop at the next boundary (a candidate's timed runs finish once
+// started).
+func probe(ctx context.Context, m *matrix.CSR, names []string, k int) (winner string, built formats.Format, results []ProbeResult) {
 	probeRuns.Add(1)
 	var cands []candidate
 	for _, name := range names {
@@ -74,7 +61,7 @@ func probe(ctx context.Context, m *matrix.CSR, names []string, o ProbeOptions) (
 			cands = append(cands, candidate{b: b})
 		}
 	}
-	timings := timeCandidates(ctx, m, cands, max(o.K, 1))
+	timings := timeCandidates(ctx, m, cands, k)
 	if i := fastest(timings); i >= 0 {
 		winner, built = cands[i].b.Name, timings[i].f
 	}

@@ -1,30 +1,26 @@
 package selector
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/matrix"
 )
 
-// TestReselectInvalidatesDriftedDecisions: after structure drift, Reselect
-// must drop every cached regime of the predecessor fingerprint — its
-// tuning with it, in memory and in the journal's mirror — and cache a
-// fresh decision for the successor.
+// TestReselectInvalidatesDriftedDecisions: after structure drift,
+// ReselectCtx must drop every cached regime of the predecessor fingerprint
+// — its tuning with it, in memory and in the journal — and cache a fresh
+// decision for the successor.
 func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
-	st, err := cache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	dc := cache.NewDecisionCache()
-	dc.AttachStore(st)
+	dir := t.TempDir()
+	dc, st := journaled(t, dir)
 	m1 := matrix.Random(300, 300, 0.05, 3)
-	a1, err := BuildAuto(m1, AutoOptions{State: &State{Cache: dc}, NoLearn: true})
+	a1, err := BuildAuto(m1, AutoOptions{Cache: dc, NoLearn: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildAuto(m1, AutoOptions{K: 8, State: &State{Cache: dc}, NoLearn: true}); err != nil {
+	if _, err := BuildAuto(m1, AutoOptions{K: 8, Cache: dc, NoLearn: true}); err != nil {
 		t.Fatal(err)
 	}
 	if dc.Len() != 2 {
@@ -48,26 +44,28 @@ func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
 		t.Fatal("drifted matrix kept its fingerprint; test is vacuous")
 	}
 
-	a2, dropped, err := Reselect(m1.Fingerprint(), m2, AutoOptions{State: &State{Cache: dc}, NoLearn: true})
+	a2, dropped, err := ReselectCtx(context.Background(), m1.Fingerprint(), m2, AutoOptions{Cache: dc, NoLearn: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dropped != 2 {
-		t.Fatalf("Reselect dropped %d stale decisions, want 2", dropped)
+		t.Fatalf("ReselectCtx dropped %d stale decisions, want 2", dropped)
 	}
 	if _, ok := dc.Get(oldKey); ok {
 		t.Fatal("stale decision for the predecessor fingerprint still cached")
-	}
-	keys, decs := st.Decisions()
-	for i, k := range keys {
-		if k.Fingerprint == m1.Fingerprint() {
-			t.Errorf("the journal still remembers the predecessor: %+v %+v", k, decs[i])
-		}
 	}
 	newKey := cache.DecisionKey{
 		Fingerprint: m2.Fingerprint(), Device: a2.Choice().Device, K: 1,
 	}
 	if d, ok := dc.Get(newKey); !ok || d.Format != a2.Chosen() {
 		t.Fatalf("successor decision not cached (ok=%v)", ok)
+	}
+	st.Close()
+	re, _ := journaled(t, dir)
+	keys, decs := re.Decisions()
+	for i, k := range keys {
+		if k.Fingerprint == m1.Fingerprint() {
+			t.Errorf("the journal still remembers the predecessor: %+v %+v", k, decs[i])
+		}
 	}
 }

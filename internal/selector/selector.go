@@ -20,7 +20,6 @@ package selector
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -164,9 +163,9 @@ func Shortlist(spec device.Spec, fv core.FeatureVector, k, n int) []string {
 }
 
 // Sample is one labeled training point. Weight scales its vote in the
-// k-NN majority (<= 0 means 1): the warm-load path ages journal replays so
-// a stale measured winner cannot outvote fresh evidence forever, while
-// live Observe calls enter at full weight.
+// k-NN majority (<= 0 means 1): the vote over a decision cache's samples
+// ages them (cache.DecisionCache.Samples), so a stale measured winner
+// cannot outvote fresh evidence forever.
 type Sample struct {
 	FV     core.FeatureVector
 	Best   string
@@ -174,14 +173,11 @@ type Sample struct {
 }
 
 // Nearest is a k-nearest-neighbor format selector over the normalized
-// feature space. It is safe for concurrent Predict/Observe: the online
-// selection path feeds probe outcomes in (Observe) while other goroutines
-// consult it.
+// feature space. It does not change once built, so concurrent Predict
+// calls are safe.
 type Nearest struct {
-	mu      sync.RWMutex
 	k       int
 	samples []Sample
-	limit   int // Observe drops the oldest sample past this bound (0: unbounded)
 	dropped int
 }
 
@@ -216,11 +212,7 @@ func TrainK(spec device.Spec, points []core.FeatureVector, k, rhs int) *Nearest 
 
 // Dropped returns how many training points the device model could not
 // label (and were therefore excluded from the training set).
-func (n *Nearest) Dropped() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.dropped
-}
+func (n *Nearest) Dropped() int { return n.dropped }
 
 // TrainSamples builds the selector from pre-labeled samples (e.g. native
 // measurements).
@@ -231,42 +223,8 @@ func TrainSamples(samples []Sample, k int) *Nearest {
 	return &Nearest{k: k, samples: samples}
 }
 
-// NewOnline returns an empty selector meant to be fed incrementally via
-// Observe. limit bounds the sample window (oldest dropped first; 0 keeps
-// everything) so a long-running server's experience base stays a working
-// set instead of an unbounded history.
-func NewOnline(k, limit int) *Nearest {
-	if k <= 0 {
-		k = 5
-	}
-	return &Nearest{k: k, limit: limit}
-}
-
-// Observe adds one labeled point to the training set — the online-learning
-// hook: every measured probe winner lands here, so the k-NN ranking
-// sharpens with every decision the subsystem makes.
-func (n *Nearest) Observe(s Sample) { n.observe(s, false) }
-
-// observe is Observe; with replace, an earlier sample of the same feature
-// vector — the same matrix, measured again — is dropped first.
-func (n *Nearest) observe(s Sample, replace bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if replace {
-		n.samples = slices.DeleteFunc(n.samples, func(o Sample) bool { return o.FV == s.FV })
-	}
-	n.samples = append(n.samples, s)
-	if n.limit > 0 && len(n.samples) > n.limit {
-		n.samples = n.samples[len(n.samples)-n.limit:]
-	}
-}
-
 // Len returns the training-set size.
-func (n *Nearest) Len() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.samples)
-}
+func (n *Nearest) Len() int { return len(n.samples) }
 
 // Predict returns the majority format among the k nearest training points,
 // with ties broken by prefer. ok is false with no training data.
@@ -291,8 +249,6 @@ func (n *Nearest) PredictNear(fv core.FeatureVector, maxDist float64) (string, b
 // predict returns the k-NN majority vote and the distance to the single
 // nearest sample.
 func (n *Nearest) predict(fv core.FeatureVector) (string, float64, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
 	if len(n.samples) == 0 {
 		return "", 0, false
 	}

@@ -51,19 +51,13 @@ func TestAutotuneBCSRJournalsWinner(t *testing.T) {
 // for it.
 func TestBuildAutoTuneRecordsChoice(t *testing.T) {
 	m := genMatrix(t, 8000, 12, 0, 78)
-	st, err := cache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	state := &State{Cache: cache.NewDecisionCache()}
-	state.Cache.AttachStore(st)
+	dc, st := journaled(t, t.TempDir())
 	key := cache.DecisionKey{Fingerprint: m.Fingerprint(), Device: "host", K: 8}
-	state.Cache.Put(key, cache.Decision{Format: "BCSR"})
+	dc.Put(key, cache.Decision{Format: "BCSR"})
 
 	var tuned [3]map[string]string
 	for i, wantAppended := range []int{2, 2, 2} {
-		a, err := BuildAuto(m, AutoOptions{K: 8, NoLearn: true, Tune: true, State: state})
+		a, err := BuildAuto(m, AutoOptions{K: 8, NoLearn: true, Tune: true, Cache: dc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,17 +72,17 @@ func TestBuildAutoTuneRecordsChoice(t *testing.T) {
 	if tuned[0][ParamBCSRBlock] == "" {
 		t.Fatalf("first Tune build swept no block shape: %+v", tuned[0])
 	}
-	d, _ := state.Cache.Get(key)
+	d, _ := dc.Get(key)
 	for i := range tuned {
 		if encodeTuned(tuned[i]) != d.Tuned {
 			t.Errorf("build %d reports %+v, the decision remembers %q", i, tuned[i], d.Tuned)
 		}
 	}
 	// A build without Tune leaves the remembered tuning alone.
-	if _, err := BuildAuto(m, AutoOptions{K: 8, NoLearn: true, State: state}); err != nil {
+	if _, err := BuildAuto(m, AutoOptions{K: 8, NoLearn: true, Cache: dc}); err != nil {
 		t.Fatal(err)
 	}
-	if d2, _ := state.Cache.Get(key); d2 != d || st.Stats().Appended != 2 {
+	if d2, _ := dc.Get(key); d2 != d || st.Stats().Appended != 2 {
 		t.Errorf("an untuned build changed the decision: %+v -> %+v", d, d2)
 	}
 

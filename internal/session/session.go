@@ -1,13 +1,12 @@
 // Package session is the one owner of the selection subsystem's mutable
-// state: the decision cache, the disk journal behind it and the
-// online-learned experience base the decisions' samples feed. A Session
-// holds real instances of all of them in one selector.State and hands
-// that state to every build it runs; internal/selector and internal/cache
-// keep no package-level state of their own.
+// state: the decision cache — which holds every decision, the samples the
+// k-NN vote reads among them — and the disk journal behind it. A Session
+// holds one cache and hands it to every build it runs; internal/selector
+// and internal/cache keep no package-level state of their own.
 //
-// Two sessions share nothing: decisions — their tunings and learned
-// samples with them — made under one are invisible to every other, in
-// memory and on disk, so concurrent hosts (one server registry per journal, tests,
+// Two sessions share nothing: decisions — their tunings and samples with
+// them — made under one are invisible to every other, in memory and on
+// disk, so concurrent hosts (one server registry per journal, tests,
 // multi-tenant embedders) never fight over a journal.
 //
 // The process-wide default session (Default) is an ordinary Session,
@@ -18,7 +17,6 @@ package session
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"sync"
 
@@ -33,7 +31,7 @@ import (
 type Options struct {
 	// CacheDir is the journal directory for persistent decisions. Empty
 	// means memory-only: the session still has its own isolated decision
-	// cache and experience base, but nothing touches disk.
+	// cache, but nothing touches disk.
 	CacheDir string
 	// K is the default right-hand-side regime hint for Auto builds under
 	// this session (0 or 1: single-vector SpMV).
@@ -46,27 +44,20 @@ type Options struct {
 // concurrent use.
 type Session struct {
 	opts Options
-	// state is what every build under this session consults and feeds. Its
-	// members are fixed for the session's lifetime; the journal attaches to
-	// and detaches from the caches inside it.
-	state selector.State
+	// cache is what every build under this session consults and feeds,
+	// fixed for the session's lifetime; the journal attaches to and
+	// detaches from it.
+	cache *cache.DecisionCache
 
 	mu sync.Mutex // serializes Persist and Close
 }
 
 // New opens a session. With a CacheDir, the journal is opened (creating
-// the directory as needed), existing decisions warm-load into the
-// session's cache and the samples they carry replay into its learned base:
-// prior decisions resolve with zero probes and zero tune sweeps after a
-// restart.
+// the directory as needed) and its decisions load into the session's
+// cache: prior decisions resolve with zero probes and zero tune sweeps
+// after a restart, and the samples they carry vote.
 func New(o Options) (*Session, error) {
-	s := &Session{
-		opts: o,
-		state: selector.State{
-			Cache:   cache.NewDecisionCache(),
-			Learned: selector.NewLearned(),
-		},
-	}
+	s := &Session{opts: o, cache: cache.NewDecisionCache()}
 	if o.CacheDir != "" {
 		if err := s.Persist(o.CacheDir); err != nil {
 			return nil, err
@@ -100,15 +91,12 @@ func newDefault(dir string) *Session {
 }
 
 // Cache returns the session's decision cache.
-func (s *Session) Cache() *cache.DecisionCache { return s.state.Cache }
-
-// Learned returns the session's experience base.
-func (s *Session) Learned() *selector.Learned { return s.state.Learned }
+func (s *Session) Cache() *cache.DecisionCache { return s.cache }
 
 // Store returns the session's journal, or nil when memory-only.
-func (s *Session) Store() *cache.Store { return s.state.Cache.Store() }
+func (s *Session) Store() *cache.Store { return s.cache.Store() }
 
-// autoOptions scopes o to this session: its state is the build's state,
+// autoOptions scopes o to this session: its cache is the build's cache,
 // and the session's default K/Probe fill unset fields.
 func (s *Session) autoOptions(o selector.AutoOptions) selector.AutoOptions {
 	if o.K == 0 {
@@ -117,7 +105,7 @@ func (s *Session) autoOptions(o selector.AutoOptions) selector.AutoOptions {
 	if !o.Probe {
 		o.Probe = s.opts.Probe
 	}
-	o.State = &s.state
+	o.Cache = s.cache
 	return o
 }
 
@@ -137,17 +125,19 @@ func (s *Session) AutoCtx(ctx context.Context, m *matrix.CSR, o selector.AutoOpt
 // runs under this session's state; see update.New.
 func (s *Session) NewUpdatable(m *matrix.CSR, o update.Options) (*update.Updatable, error) {
 	a := s.autoOptions(selector.AutoOptions{K: o.K, Probe: o.Probe})
-	o.K, o.Probe, o.State = a.K, a.Probe, a.State
+	o.K, o.Probe, o.Cache = a.K, a.Probe, a.Cache
 	return update.New(m, o)
 }
 
 // Persist binds the session to the journal in dir (opened, created as
-// needed): the decision cache warm-loads and journals through it, and the
-// experience base is re-baselined to the samples its decisions carry
-// (reset, then replayed — re-invoking Persist, or switching directories, must not
-// stack a second copy of every sample into the k-NN vote). An empty dir
-// resolves the default location (SPMV_CACHE_DIR, then the user cache dir —
-// see cache.Dir). A journal already attached is closed.
+// needed): its decisions load into the session's cache, the decisions the
+// session already held are put over them and journaled, and every later
+// one appends (cache.DecisionCache.Attach) — so the session holds what a
+// fresh one opened on dir would, and re-invoking Persist stacks nothing.
+// An empty dir resolves the default location (SPMV_CACHE_DIR, then the
+// user cache dir — see cache.Dir). A journal already attached is closed
+// once the new one is in place, so a concurrent Put never lands on a
+// closed handle.
 func (s *Session) Persist(dir string) error {
 	if dir == "" {
 		d, err := cache.Dir()
@@ -158,33 +148,20 @@ func (s *Session) Persist(dir string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, err := cache.Open(dir)
-	if err != nil {
-		return fmt.Errorf("session: open journal: %w", err)
-	}
-	// Attach the new store BEFORE closing the old: a concurrent Put must
-	// never land on an already-closed handle (its append would be dropped
-	// without error).
-	old := s.Store()
-	s.state.Cache.AttachStore(st)
-	if old != nil {
+	if old := s.cache.Attach(cache.Open(dir)); old != nil {
 		old.Close()
 	}
-	s.state.Learned.Reset()
-	s.state.Learned.WarmLoad(st)
 	return nil
 }
 
 // Close detaches and closes the session's journal, if any. The session's
-// in-memory cache and experience stay usable (memory-only) afterwards,
-// and a later Persist re-attaches.
+// cache stays usable (memory-only) afterwards, and a later Persist
+// re-attaches.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.Store()
-	if st == nil {
-		return nil
+	if st := s.cache.Attach(nil); st != nil {
+		return st.Close()
 	}
-	s.state.Cache.AttachStore(nil)
-	return st.Close()
+	return nil
 }

@@ -43,13 +43,11 @@ func TestSessionsJournalIndependently(t *testing.T) {
 	if sb.Cache().Len() != 0 {
 		t.Fatalf("session A's decision leaked into session B (len %d)", sb.Cache().Len())
 	}
-	keysA, _ := sa.Store().Decisions()
-	if len(keysA) == 0 {
+	if sa.Store().Stats().Appended == 0 {
 		t.Fatal("session A journaled nothing")
 	}
-	keysB, _ := sb.Store().Decisions()
-	if len(keysB) != 0 {
-		t.Fatalf("session A's decision leaked into session B's journal (%d entries)", len(keysB))
+	if n := sb.Store().Stats().Appended; n != 0 {
+		t.Fatalf("session A's decision leaked into session B's journal (%d lines)", n)
 	}
 
 	// A's journal warm-loads into a fresh session on the same dir; B's
@@ -65,9 +63,9 @@ func TestSessionsJournalIndependently(t *testing.T) {
 	}
 }
 
-// Sessions never touch the default session's state: decisions go to the
-// session cache and probe outcomes feed the session's experience base,
-// not Default()'s.
+// Sessions never touch the default session's state: decisions — and the
+// samples the vote reads among them — go to the session's cache, not
+// Default()'s.
 func TestSessionIsolatedFromDefault(t *testing.T) {
 	d := Default()
 	defaultBefore := d.Cache().Len()
@@ -87,11 +85,11 @@ func TestSessionIsolatedFromDefault(t *testing.T) {
 		t.Fatalf("session build grew the default decision cache: %d -> %d", defaultBefore, got)
 	}
 	if ch.Probed {
-		if s.Learned().Len(ch.Device, ch.K) == 0 {
-			t.Fatal("probe outcome missing from the session's experience base")
+		if votes, _ := s.Cache().Samples(ch.Device, ch.K); len(votes) == 0 {
+			t.Fatal("probe outcome missing from the session's vote")
 		}
-		if got := d.Learned().Len(ch.Device, ch.K); got != 0 {
-			t.Fatalf("probe outcome leaked into the default experience base: %d", got)
+		if votes, _ := d.Cache().Samples(ch.Device, ch.K); len(votes) != 0 {
+			t.Fatalf("probe outcome leaked into the default session's vote: %d", len(votes))
 		}
 	}
 }
@@ -137,9 +135,9 @@ func TestNewDefaultEnvAttach(t *testing.T) {
 	}
 }
 
-// TestPersistReinvokeNoDuplicates: re-invoking Persist (config reload,
-// directory switch) must re-baseline the experience base to the journal,
-// not stack a second copy of every sample into the k-NN vote.
+// TestPersistReinvokeNoDuplicates: re-invoking Persist (config reload)
+// must neither stack a second copy of every sample into the k-NN vote nor
+// journal the decisions the journal already holds.
 func TestPersistReinvokeNoDuplicates(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Options{CacheDir: dir})
@@ -147,16 +145,18 @@ func TestPersistReinvokeNoDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	st := s.Store()
 	for fp := uint64(1); fp <= 2; fp++ {
-		st.AppendDecision(cache.DecisionKey{Fingerprint: fp, Device: "host", K: 8},
+		s.Cache().Put(cache.DecisionKey{Fingerprint: fp, Device: "host", K: 8},
 			cache.Decision{Format: "ELL", Probed: true, FV: core.FeatureVector{Rows: int(fp), NNZ: 9}})
 	}
 	if err := s.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Learned().Len("host", 8); got != 2 {
-		t.Fatalf("after re-Persist the base holds %d samples, want 2 (journal contents, not stacked copies)", got)
+	if votes, _ := s.Cache().Samples("host", 8); len(votes) != 2 {
+		t.Fatalf("after re-Persist the vote reads %d samples, want 2 (journal contents, not stacked copies)", len(votes))
+	}
+	if n := s.Store().Stats().Appended; n != 0 {
+		t.Fatalf("re-Persist appended %d lines the journal already held", n)
 	}
 }
 
@@ -178,9 +178,6 @@ func TestNoCacheTuneRecordsNothing(t *testing.T) {
 	}
 	if n, appended := s.Cache().Len(), s.Store().Stats().Appended; n != 0 || appended != 0 {
 		t.Fatalf("NoCache builds left %d cached decisions and %d journal lines, want none", n, appended)
-	}
-	if keys, _ := s.Store().Decisions(); len(keys) != 0 {
-		t.Fatalf("NoCache builds reached the journal's mirror: %+v", keys)
 	}
 }
 
@@ -251,7 +248,7 @@ func TestSessionUpdatableKeepsShardKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial, _ := s.Store().Decisions()
+	initial, _ := s.Cache().Decisions()
 	if len(initial) != 1 || initial[0].Fingerprint != m.Fingerprint() {
 		t.Fatalf("the initial build journaled %+v, want one decision for the matrix", initial)
 	}
@@ -261,7 +258,7 @@ func TestSessionUpdatableKeepsShardKey(t *testing.T) {
 	}
 	// The re-selection invalidated the initial build's decision (the base
 	// it chose for is gone) and journaled its own: two lines, one live.
-	reselected, _ := s.Store().Decisions()
+	reselected, _ := s.Cache().Decisions()
 	if len(reselected) != 1 || reselected[0] == initial[0] || s.Store().Stats().Appended != 2 {
 		t.Fatalf("journaled %+v then %+v (%d appended), want the initial build's decision replaced by the re-selection's",
 			initial, reselected, s.Store().Stats().Appended)

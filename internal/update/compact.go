@@ -135,7 +135,7 @@ func (u *Updatable) CompactCtx(ctx context.Context) error {
 //
 // Phase 2 (rebuild) runs without any lock: merge the frozen overlay into a
 // fresh CSR, re-select the base format (drift invalidation plus warm
-// journal reuse via selector.Reselect), and publish the new epoch. Readers
+// journal reuse via selector.ReselectCtx), and publish the new epoch. Readers
 // that loaded the frozen snapshot concurrently revalidate and retry.
 func (u *Updatable) compactOnce(ctx context.Context) error {
 	start := time.Now()

@@ -38,13 +38,10 @@ func TestCompactReAutoZeroProbesWarm(t *testing.T) {
 	}
 
 	// Cold process: build, drift, compact; both decisions journaled.
-	st1, err := cache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st1 := cache.Open(dir)
 	dc1 := cache.NewDecisionCache()
-	dc1.AttachStore(st1)
-	u1, err := New(m, Options{Probe: true, State: &selector.State{Cache: dc1}, NoAutoCompact: true})
+	dc1.Attach(st1)
+	u1, err := New(m, Options{Probe: true, Cache: dc1, NoAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +65,14 @@ func TestCompactReAutoZeroProbesWarm(t *testing.T) {
 	}
 
 	// Warm process: fresh in-memory state over the same journal.
-	st2, err := cache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := cache.Open(dir)
 	defer st2.Close()
 	dc2 := cache.NewDecisionCache()
-	if n := dc2.AttachStore(st2); n < 2 {
-		t.Fatalf("warm-loaded %d decisions, want >= 2 (initial build + re-selection)", n)
+	dc2.Attach(st2)
+	if n := dc2.Len(); n < 1 {
+		t.Fatalf("loaded %d decisions, want the re-selection's", n)
 	}
-	u2, err := New(m, Options{Probe: true, State: &selector.State{Cache: dc2}, NoAutoCompact: true})
+	u2, err := New(m, Options{Probe: true, Cache: dc2, NoAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/selector"
@@ -44,11 +45,11 @@ type Options struct {
 	Format string
 	// Probe lets (re-)selection micro-probe its shortlist.
 	Probe bool
-	// State is the selection state (re-)selection consults and feeds — the
+	// Cache is the decision cache (re-)selection consults and feeds — the
 	// owning Session's, so the initial build and every compaction's
-	// re-selection share the session's caches, experience base and shard
-	// key. Nil selects statelessly.
-	State *selector.State
+	// re-selection share its decisions and its k-NN vote. Nil selects
+	// statelessly.
+	Cache *cache.DecisionCache
 	// Shards is the delta-log shard count (0: DefaultShards).
 	Shards int
 	// MinCompact and CompactRatio override the default compaction trigger
@@ -66,7 +67,7 @@ type Options struct {
 // autoOptions is the one place an Updatable's options become the
 // selector's: the initial build and every compaction re-select alike.
 func (o Options) autoOptions() selector.AutoOptions {
-	return selector.AutoOptions{K: o.K, Probe: o.Probe, State: o.State}
+	return selector.AutoOptions{K: o.K, Probe: o.Probe, Cache: o.Cache}
 }
 
 // cell addresses one matrix position in a shard's net-delta index.

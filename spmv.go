@@ -15,8 +15,8 @@
 //   - analytical models of the paper's nine testbeds, plus a native engine
 //     measuring real kernels on the host CPU;
 //   - automatic format selection (Auto, NewUpdatable) whose remembered
-//     measurement — decision cache, journal, experience base — has one
-//     owner, a Session; the package-level functions act on DefaultSession();
+//     measurement — one decision cache, which the k-NN vote reads, and
+//     its journal — has one owner, a Session; the package-level functions act on DefaultSession();
 //   - the experiment harness regenerating every table and figure of the
 //     paper's evaluation, on the nine testbeds or measured on the host.
 //
@@ -215,8 +215,8 @@ func SIMDDispatch() map[string]string {
 // paper's feature analysis driving execution. The five-feature vector is
 // extracted, a k-regime-aware device model shortlists candidate formats
 // (k = 1 and k = 8 rank formats differently; set AutoOptions.K to the
-// workload's block width), the online-learned experience base promotes
-// the measured winner of any similar matrix probed before, an optional
+// workload's block width), a k-NN vote over the decisions probed before
+// promotes the measured winner of any similar matrix, an optional
 // micro-probe times the shortlist on a row-sampled sub-matrix through the
 // execution engine, and the winner is built. Decisions are cached by
 // (matrix fingerprint, device, k), so rebuilding the same matrix
@@ -240,7 +240,7 @@ func AutoCtx(ctx context.Context, m *Matrix, o AutoOptions) (*AutoFormat, error)
 
 // SetCacheDir turns on the default session's persistence layer: its
 // decisions (each with its tuning and probe sample) journal through an
-// append-only JSONL file in dir and warm-load from it immediately, so a
+// append-only JSONL file in dir and load from it immediately, so a
 // restarted process re-resolves every previously-seen (matrix, device, k)
 // context without ranking, probing or tuning. An empty dir resolves the
 // default location — the SPMV_CACHE_DIR environment variable, then
