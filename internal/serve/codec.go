@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"unsafe"
@@ -51,11 +52,13 @@ const (
 )
 
 // multiplyBufs is the working set of one multiply request: the raw body,
-// the decoded x, the product y and the encoded response.
+// the decoded x, the product y, the encoded response and the request's
+// stage clock.
 type multiplyBufs struct {
-	body []byte
-	x, y []float64
-	resp []byte
+	body  []byte
+	x, y  []float64
+	resp  []byte
+	clock stageClock
 }
 
 // readBody reads r's body into buf (reusing its capacity), sized from
@@ -210,19 +213,22 @@ func (d *decoder) vector(x []float64, cols int) ([]float64, error) {
 	for {
 		d.space()
 		start := d.i
-		if err := d.number(); err != nil {
+		dec, err := d.number()
+		if err != nil {
 			return x, err
 		}
 		if len(x) == cols {
 			return x, fmt.Errorf("%w: x has more than %d entries, matrix has %d columns",
 				formats.ErrDimension, cols, cols)
 		}
-		lit := d.b[start:d.i]
-		// The literal is valid JSON, so ParseFloat can only fail on range.
-		v, err := strconv.ParseFloat(unsafe.String(&lit[0], len(lit)), 64)
-		if err != nil {
-			d.i = start
-			return x, d.errorf("number %s out of range", lit)
+		v, ok := dec.float()
+		if !ok {
+			lit := d.b[start:d.i]
+			// The literal is valid JSON, so ParseFloat can only fail on range.
+			if v, err = strconv.ParseFloat(unsafe.String(&lit[0], len(lit)), 64); err != nil {
+				d.i = start
+				return x, d.errorf("number %s out of range", lit)
+			}
 		}
 		x = append(x, v)
 		switch d.peek() {
@@ -237,47 +243,172 @@ func (d *decoder) vector(x []float64, cols int) ([]float64, error) {
 	}
 }
 
-// number consumes one JSON number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *decoder) number() error {
+// decimal is a scanned number literal: its value is ±mant × 10^exp,
+// exactly, unless hard is set.
+type decimal struct {
+	mant uint64
+	exp  int
+	neg  bool
+	// hard marks a literal the fast paths must leave to strconv: a nonzero
+	// digit past the 19th significant one (mant is truncated), or an
+	// exponent too long to accumulate.
+	hard bool
+}
+
+// maxMantDigits is the most significant digits a uint64 always holds.
+const maxMantDigits = 19
+
+// number consumes one JSON number,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and accumulates its
+// value on the way, so the bytes are read once.
+func (d *decoder) number() (v decimal, err error) {
 	b, i := d.b, d.i
 	if i < len(b) && b[i] == '-' {
+		v.neg = true
 		i++
 	}
+	nd := 0 // significant digits in mant; leading zeros are not
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i < len(b) && isDigit(b[i]) {
-			i++
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if nd < maxMantDigits {
+				v.mant = v.mant*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				v.exp++
+				if b[i] != '0' {
+					v.hard = true
+				}
+			}
 		}
 	default:
-		return d.errorf("expected a number")
+		return v, d.errorf("expected a number")
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
 		if i == len(b) || !isDigit(b[i]) {
 			d.i = i
-			return d.errorf("expected a digit after the decimal point")
+			return v, d.errorf("expected a digit after the decimal point")
 		}
-		for i < len(b) && isDigit(b[i]) {
-			i++
+		if v.mant == 0 {
+			for ; i < len(b) && b[i] == '0'; i++ {
+				v.exp--
+			}
 		}
+		whole := nd
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if nd < maxMantDigits {
+				v.mant = v.mant*10 + uint64(b[i]-'0')
+				nd++
+			} else if b[i] != '0' {
+				v.hard = true
+			}
+		}
+		v.exp -= nd - whole
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		neg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
 		if i == len(b) || !isDigit(b[i]) {
 			d.i = i
-			return d.errorf("expected a digit in the exponent")
+			return v, d.errorf("expected a digit in the exponent")
 		}
-		for i < len(b) && isDigit(b[i]) {
-			i++
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 1<<20 {
+				e = e*10 + int(b[i]-'0')
+			} else {
+				v.hard = true
+			}
 		}
+		if neg {
+			e = -e
+		}
+		v.exp += e
 	}
 	d.i = i
-	return nil
+	return v, nil
+}
+
+// Exact powers of ten: every 10^k with k ≤ 22 is a float64 (5^22 < 2^53),
+// and every 10^k with k ≤ 19 a uint64.
+var (
+	pow10f = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+	pow10u = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+)
+
+// float converts v to the float64 nearest its value, ties to even — the
+// result strconv.ParseFloat gives — by the first of two exact paths that
+// applies, and reports false when neither does.
+//
+// (i) Clinger (PLDI 1990): a mantissa of at most 2^53 and a power of ten of
+// at most 10^22 are both exact doubles, so one correctly rounded multiply
+// or divide is the correctly rounded value.
+//
+// (ii) Long division: any other mantissa over 10^q, q ≤ 19, is one exact
+// 128-by-64-bit division (quotient) rounded once.
+func (v decimal) float() (float64, bool) {
+	var f float64
+	switch {
+	case v.hard:
+		return 0, false
+	case v.mant <= 1<<53 && -len(pow10f) < v.exp && v.exp < len(pow10f):
+		f = float64(v.mant)
+		if v.exp < 0 {
+			f /= pow10f[-v.exp]
+		} else {
+			f *= pow10f[v.exp]
+		}
+	case -len(pow10u) < v.exp && v.exp < 0: // so v.mant > 2^53
+		f = quotient(v.mant, pow10u[-v.exp])
+	default:
+		return 0, false
+	}
+	if v.neg {
+		f = -f
+	}
+	return f, true
+}
+
+// quotient returns m/p rounded to nearest, ties to even, for m > 0 and p a
+// power of ten in [10, 10^19]; m/p lies in [10^-19, 2^64/10], far from
+// subnormals and overflow. With both operands shifted to a set top bit, the
+// 128-bit dividend m·2^64 (or m·2^63 when m ≥ p) gives a 64-bit quotient q
+// with its top bit set and a remainder r, and m/p = (q + r/p)·2^e exactly.
+// The float keeps q's top 53 bits; the 11 below, and r as a sticky bit,
+// round them.
+func quotient(m, p uint64) float64 {
+	s := bits.LeadingZeros64(p)
+	z := bits.LeadingZeros64(m)
+	p, m = p<<s, m<<z
+	e := s - z - 64
+	hi, lo := m, uint64(0)
+	if m >= p { // keep hi < p, the divide's precondition
+		hi, lo = m>>1, m<<63
+		e++
+	}
+	q, r := bits.Div64(hi, lo, p)
+	const drop = 64 - 53
+	low := q & (1<<drop - 1)
+	q >>= drop
+	e += drop
+	if low > 1<<(drop-1) || low == 1<<(drop-1) && (r != 0 || q&1 != 0) {
+		q++
+		if q == 1<<53 {
+			q >>= 1
+			e++
+		}
+	}
+	// q·2^e with q in [2^52, 2^53): biased exponent e+52+1023, implicit
+	// leading bit dropped.
+	return math.Float64frombits(uint64(e+52+1023)<<52 | q&(1<<52-1))
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
@@ -328,7 +459,8 @@ func (d *decoder) skip(depth int) error {
 	case c == '"':
 		return d.str()
 	case c == '-' || isDigit(c):
-		return d.number()
+		_, err := d.number()
+		return err
 	case c == 't':
 		return d.literal("true")
 	case c == 'f':

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -37,6 +39,10 @@ func decodeSeeds() []string {
 		"1e-999", "-0", "0", "-", "1e", "1e+", "1E-7", "0.1e+2", "00", "-01", "1.e3", "5e-324",
 		"1.7976931348623157e308", "1.7976931348623159e308", "123456789012345678901234567890",
 		"0.000000000000000000000000000001", "1,", "0e0", "-0.0",
+		// One literal per conversion path: Clinger, long division, strconv.
+		"0.1", "-2.5e-22", "9007199254740992e22", "0.12345678901234567", "-123456.78901234567",
+		"0.9999999999999999999", "9007199254740993", "1e23", "0.99999999999999999999",
+		"1.2345678901234567e-5", "2.2250738585072011e-308", "0.30000000000000004e0",
 	} {
 		seeds = append(seeds, `{"x":[`+num+`]}`)
 	}
@@ -128,6 +134,183 @@ func TestDecodeStopsAtDimension(t *testing.T) {
 	}
 	if len(x) != 2 || cap(x) != 2 {
 		t.Fatalf("x grew past the matrix: len %d cap %d", len(x), cap(x))
+	}
+}
+
+// literalOf writes a number literal whose significant digits are digits
+// (the first nonzero) with the decimal point after the point-th of them,
+// in plain or exponent notation.
+func literalOf(neg bool, digits string, point int, exponent bool) string {
+	var b strings.Builder
+	if neg {
+		b.WriteByte('-')
+	}
+	switch {
+	case exponent:
+		b.WriteString(digits[:1])
+		if len(digits) > 1 {
+			b.WriteString("." + digits[1:])
+		}
+		fmt.Fprintf(&b, "e%d", point-1)
+	case point <= 0:
+		b.WriteString("0." + strings.Repeat("0", -point) + digits)
+	case point >= len(digits):
+		b.WriteString(digits + strings.Repeat("0", point-len(digits)))
+	default:
+		b.WriteString(digits[:point] + "." + digits[point:])
+	}
+	return b.String()
+}
+
+// digitsOf splits strconv's 'e' form of v into its significant digits and
+// the point literalOf places.
+func digitsOf(v float64, prec int) (string, int) {
+	s := strconv.FormatFloat(math.Abs(v), 'e', prec, 64)
+	mant, exp, _ := strings.Cut(s, "e")
+	e, _ := strconv.Atoi(exp)
+	return strings.Replace(mant, ".", "", 1), e + 1
+}
+
+// addOne returns the decimal digit string d plus one in its last place.
+func addOne(d string) string {
+	b := []byte(d)
+	for i := len(b) - 1; i >= 0; i-- {
+		if b[i] < '9' {
+			b[i]++
+			return string(b)
+		}
+		b[i] = '0'
+	}
+	return "1" + string(b)
+}
+
+// differentialLiterals returns number literals around each of the decoder's
+// three conversion paths, in plain and exponent notation, both signs.
+func differentialLiterals(n int) []string {
+	rng := rand.New(rand.NewSource(31))
+	var lits []string
+	add := func(digits string, point int) {
+		for _, neg := range []bool{false, true} {
+			for _, exponent := range []bool{false, true} {
+				lits = append(lits, literalOf(neg, digits, point, exponent))
+			}
+		}
+	}
+	// Fixed edges: zeros, 2^53 ± 1, exponents at ±22 / ±23, and 10^q
+	// mantissas at q = 19 / 20.
+	lits = append(lits, "0", "-0", "0.0", "-0.0", "0e0", "-0e-0", "0.000000000000000000000000", "-0e400", "0e-400")
+	for _, m := range []uint64{1, 9, 1<<53 - 1, 1 << 53, 1<<53 + 1, 1<<53 + 2, 1e15, 1e16, 1e17, 1e19 - 1, 1e19, 1e19 + 1, math.MaxUint64} {
+		digits := strconv.FormatUint(m, 10)
+		for _, shift := range []int{-24, -23, -22, -21, -20, -19, -18, -1, 0, 1, 21, 22, 23, 24} {
+			add(digits, len(digits)+shift)
+		}
+		for _, point := range []int{-2, -1, 0, 1} {
+			add(digits, point)
+		}
+	}
+	for _, d := range []string{strings.Repeat("9", 19), strings.Repeat("9", 20), "1" + strings.Repeat("0", 18) + "1", "1" + strings.Repeat("0", 19) + "1"} {
+		for _, point := range []int{-1, 0, 1, 19, 20} {
+			add(d, point)
+		}
+	}
+	half, mid := new(big.Float).SetPrec(2200), new(big.Float).SetPrec(2200)
+	for len(lits) < n {
+		var v float64
+		switch rng.Intn(3) {
+		case 0: // the shape of a request's entries: uniform in [-1, 1)
+			v = rng.Float64()*2 - 1
+		case 1: // any magnitude Clinger or the long division can reach
+			v = rng.Float64() * math.Pow(10, float64(rng.Intn(60)-30))
+		default: // any finite double
+			for v = math.Float64frombits(rng.Uint64()); math.IsInf(v, 0) || math.IsNaN(v); {
+				v = math.Float64frombits(rng.Uint64())
+			}
+		}
+		if v == 0 {
+			continue
+		}
+		// The shortest form, a short one, and 17 to 20 significant digits.
+		for _, prec := range []int{-1, rng.Intn(15), 16, 17, 18, 19} {
+			add(digitsOf(v, prec))
+		}
+		// The two 19-digit decimals either side of the midpoint between v
+		// and the next double up, which round to different doubles.
+		up := math.Nextafter(math.Abs(v), math.Inf(1))
+		if math.IsInf(up, 0) {
+			continue
+		}
+		half.SetFloat64(math.Abs(v))
+		mid.SetFloat64(up)
+		mid.Add(mid, half).Quo(mid, big.NewFloat(2))
+		m, exp, _ := strings.Cut(mid.Text('e', 40), "e")
+		e, _ := strconv.Atoi(exp)
+		digits := strings.Replace(m, ".", "", 1)
+		below := digits[:19]
+		add(below, e+1)
+		if above := addOne(below); len(above) == 19 {
+			add(above, e+1)
+		} else {
+			add(above[:19], e+2)
+		}
+		// 41 digits on the midpoint, where the 20th and later decide
+		// (strconv's slow path, so for a quarter of the doubles).
+		if rng.Intn(4) == 0 {
+			add(digits, e+1)
+			if above := addOne(digits); len(above) == len(digits) {
+				add(above, e+1)
+			}
+		}
+	}
+	// An exponent too long to accumulate after 2^20 leading zeros: a decoder
+	// that kept its first seven digits would read 1 (strconv, which caps
+	// exponents too, reads 0).
+	lits = append(lits, "0."+strings.Repeat("0", 1<<20-1)+"1e10485760")
+	return lits
+}
+
+// Every decoded entry is strconv.ParseFloat's double, bit for bit, on every
+// conversion path and at each path's edges; and each path carries a share
+// of the literals, so none of them goes untested.
+func TestDecodeMatchesParseFloat(t *testing.T) {
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 16
+	}
+	lits := differentialLiterals(n)
+	var paths [3]int // Clinger, long division, strconv
+	for lo := 0; lo < len(lits); lo += 4096 {
+		chunk := lits[lo:min(lo+4096, len(lits))]
+		body := []byte(`{"x":[` + strings.Join(chunk, ",") + `]}`)
+		got, err := DecodeMultiplyRequest(nil, body, len(chunk))
+		if err != nil {
+			t.Fatalf("%.200v", err)
+		}
+		for i, lit := range chunk {
+			// Every literal is in range; the fuzz seeds hold the ones that
+			// are not.
+			want, err := strconv.ParseFloat(lit, 64)
+			if err != nil {
+				t.Fatalf("%.80s: %.80v", lit, err)
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%.80s: decoded %v (%#x), ParseFloat %v (%#x)", lit, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			}
+			dec, _ := (&decoder{b: []byte(lit)}).number()
+			switch _, ok := dec.float(); {
+			case !ok:
+				paths[2]++
+			case dec.mant <= 1<<53:
+				paths[0]++
+			default:
+				paths[1]++
+			}
+		}
+	}
+	t.Logf("%d literals: %d Clinger, %d long division, %d strconv", len(lits), paths[0], paths[1], paths[2])
+	for i, c := range paths {
+		if c < len(lits)/20 {
+			t.Errorf("path %d took %d of %d literals", i, c, len(lits))
+		}
 	}
 }
 
@@ -337,6 +520,7 @@ func BenchmarkMultiplyCodec(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			reportPerFloat(b, n)
 		})
 		b.Run(fmt.Sprintf("encode/n=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(len(resp)))
@@ -344,6 +528,7 @@ func BenchmarkMultiplyCodec(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				resp, _ = AppendMultiplyResponse(resp[:0], y, 1)
 			}
+			reportPerFloat(b, n)
 		})
 		b.Run(fmt.Sprintf("handler/n=%d", n), func(b *testing.B) {
 			s, err := NewServer(DefaultConfig(), memSession(b))
@@ -369,4 +554,10 @@ func BenchmarkMultiplyCodec(b *testing.B) {
 			}
 		})
 	}
+}
+
+// reportPerFloat reports a codec benchmark's time per vector entry, which
+// compares across widths and encodings where ns/op does not.
+func reportPerFloat(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/float")
 }

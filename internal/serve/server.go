@@ -289,27 +289,82 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveMultiply answers one multiply out of the working set b and reports
-// whether b may be reused (the ownership rule in codec.go).
+// whether b may be reused (the ownership rule in codec.go). Every response
+// that got past reading the body carries the stages it reached in a
+// Server-Timing header.
 func serveMultiply(w http.ResponseWriter, r *http.Request, co *Coalescer, b *multiplyBufs) bool {
 	var err error
 	limit := int64(co.cols)*multiplyBytesPerCol + multiplyBodySlack
-	if b.body, err = readBody(r, b.body, limit); err == nil {
-		b.x, err = DecodeMultiplyRequest(b.x, b.body, co.cols)
+	if b.body, err = readBody(r, b.body, limit); err != nil {
+		writeEnvelope(w, nil, err)
+		return true
 	}
+	clock := &b.clock
+	clock.start()
+	b.x, err = DecodeMultiplyRequest(b.x, b.body, co.cols)
+	clock.stamp()
 	if err != nil {
+		clock.header(w.Header())
 		writeEnvelope(w, nil, err)
 		return true
 	}
 	batch, released, err := co.multiplyInto(r.Context(), b.y, b.x)
+	clock.stamp()
 	if err == nil {
 		b.resp, err = AppendMultiplyResponse(b.resp[:0], b.y, batch)
+		clock.stamp()
 	}
+	clock.header(w.Header())
 	if err != nil {
 		writeEnvelope(w, nil, err)
 		return released
 	}
 	writeBody(w, http.StatusOK, b.resp)
 	return true
+}
+
+// stageNames are a multiply's timed stages in order: decode parses the
+// body, multiply is the coalescer's wait plus the kernel call and its
+// scatter, encode formats the response.
+var stageNames = [...]string{"decode", "multiply", "encode"}
+
+// stageClock times one multiply's stages: at[0] is when decode began and
+// at[i] when stage i-1 ended. It lives on the pooled working set, so
+// stamping allocates nothing.
+type stageClock struct {
+	at  [len(stageNames) + 1]time.Time
+	n   int // stamps taken
+	hdr []byte
+	val [1]string
+}
+
+func (c *stageClock) start() {
+	c.n = 0
+	c.stamp()
+}
+
+func (c *stageClock) stamp() {
+	c.at[c.n] = time.Now()
+	c.n++
+}
+
+// header sets h's Server-Timing to the stages stamped so far, in
+// milliseconds at microsecond resolution. The value's string is the one
+// allocation; its slice is c.val, which WriteHeader copies out of h before
+// the handler returns the working set to the pool.
+func (c *stageClock) header(h http.Header) {
+	c.hdr = c.hdr[:0]
+	for i := 1; i < c.n; i++ {
+		if i > 1 {
+			c.hdr = append(c.hdr, ", "...)
+		}
+		c.hdr = append(c.hdr, stageNames[i-1]...)
+		c.hdr = append(c.hdr, ";dur="...)
+		us := c.at[i].Sub(c.at[i-1]).Microseconds()
+		c.hdr = strconv.AppendFloat(c.hdr, float64(us)/1e3, 'f', 3, 64)
+	}
+	c.val[0] = string(c.hdr)
+	h["Server-Timing"] = c.val[:]
 }
 
 func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +247,82 @@ func TestServerMultiplyTypedRefusals(t *testing.T) {
 	remarshal(t, env.Data, &mr)
 	if status != 200 || len(mr.Y) != 2 || mr.Y[0] != 100 || mr.Y[1] != -200 {
 		t.Fatalf("multiply after refusals: %d %+v", status, env)
+	}
+}
+
+// Every multiply response that got past reading its body says where its
+// time went: Server-Timing names the stages it reached, in order, and their
+// durations sum to no more than the handler's own wall time.
+func TestServerTimingHeader(t *testing.T) {
+	s, err := NewServer(DefaultConfig(), memSession(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	h, _, err := s.Registry().Upload(context.Background(), UploadSpec{
+		MatrixMarket: "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 100\n2 2 100\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler, url := s.routes(), "/v1/matrices/"+h.FP()+"/multiply"
+	for _, c := range []struct {
+		body   string
+		status int
+		stages int // how many of stageNames the response reached
+	}{
+		{`{"x":[1,2]}`, http.StatusOK, 3},
+		{`{"x":[1e308,1]}`, http.StatusUnprocessableEntity, 3}, // the encode refuses an infinite y
+		{`{"x":[1]}`, http.StatusBadRequest, 2},                // the coalescer refuses a short x
+		{`{"x":[1,2,3]}`, http.StatusBadRequest, 1},            // the decode stops at the third entry
+		{`{"x":[1,"2"]}`, http.StatusBadRequest, 1},
+		{`{"x":[1,2],"pad":"` + strings.Repeat("a", 256) + `"}`, http.StatusRequestEntityTooLarge, 0},
+	} {
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, strings.NewReader(c.body)))
+		wall := time.Since(start)
+		if rec.Code != c.status {
+			t.Fatalf("%s: status %d, want %d", c.body, rec.Code, c.status)
+		}
+		timing, present := rec.Result().Header["Server-Timing"]
+		if c.stages == 0 {
+			if present {
+				t.Fatalf("%s: unread body timed as %q", c.body, timing)
+			}
+			continue
+		}
+		if len(timing) != 1 {
+			t.Fatalf("%s: Server-Timing %q, want one value", c.body, timing)
+		}
+		var sum time.Duration
+		metrics := strings.Split(timing[0], ", ")
+		if len(metrics) != c.stages {
+			t.Fatalf("%s: Server-Timing %q, want the first %d of %v", c.body, timing[0], c.stages, stageNames)
+		}
+		for i, m := range metrics {
+			name, dur, ok := strings.Cut(m, ";dur=")
+			ms, err := strconv.ParseFloat(dur, 64)
+			if !ok || err != nil || name != stageNames[i] || ms < 0 {
+				t.Fatalf("%s: Server-Timing %q: metric %d does not parse as %s;dur=<ms>", c.body, timing[0], i, stageNames[i])
+			}
+			sum += time.Duration(ms * float64(time.Millisecond))
+		}
+		if sum > wall {
+			t.Fatalf("%s: stages sum to %v, the handler took %v", c.body, sum, wall)
+		}
+	}
+
+	// Stamping is free and the header costs its value's string.
+	var clock stageClock
+	hdr := http.Header{}
+	if allocs := testing.AllocsPerRun(100, func() {
+		clock.start()
+		for range stageNames {
+			clock.stamp()
+		}
+		clock.header(hdr)
+	}); allocs > 1 {
+		t.Fatalf("the stage clock allocates %v objects per request, want at most 1", allocs)
 	}
 }
 
