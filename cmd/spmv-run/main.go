@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	spmv-run -file matrix.mtx -format CSR5 -workers 8 -iters 64
+//	spmv-run -file matrix.mtx -format CSR5 -workers 8
 //	spmv-run -rows 200000 -avg 20 -skew 100     # generated matrix, all formats
 //	spmv-run -format auto -rhs 8                # let the selector choose for k=8
 //	spmv-run -format auto -cache-dir /var/cache/spmv   # warm across restarts
@@ -13,6 +13,8 @@
 // -format auto invokes the selection subsystem: the five-feature vector is
 // extracted, the device model shortlists candidates for the -rhs regime, a
 // micro-probe times them on a row sample, and the measured winner runs.
+// Every run is device.NativeEngine's at -rhs right-hand sides: the product
+// checked against the CSR reference, then timed (min and median of rounds).
 // With -cache-dir (or SPMV_CACHE_DIR) the decision and the probe outcome
 // journal to disk, so the next process run skips ranking and probing for
 // the same matrix; -cold deletes the journal first.
@@ -26,7 +28,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -43,11 +44,10 @@ func main() {
 	var (
 		file     = flag.String("file", "", "MatrixMarket input (empty: generate)")
 		format   = flag.String("format", "", "single format to run (empty: all; \"auto\": selection subsystem)")
-		rhs      = flag.Int("rhs", 1, "right-hand-side count the auto selector targets")
+		rhs      = flag.Int("rhs", 1, "right-hand sides per product (the k the auto selector targets)")
 		cacheDir = flag.String("cache-dir", "", "journal directory for persistent auto-selection decisions (empty = SPMV_CACHE_DIR or off)")
 		cold     = flag.Bool("cold", false, "delete the journal before selecting (cold cache)")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers")
-		iters    = flag.Int("iters", 32, "SpMV iterations to time")
 		rows     = flag.Int("rows", 200000, "generated matrix rows")
 		avg      = flag.Float64("avg", 20, "generated average nonzeros per row")
 		skew     = flag.Float64("skew", 0, "generated skew coefficient")
@@ -109,21 +109,23 @@ func main() {
 		fmt.Println("simd: scalar dispatch (no accelerated kernels for this CPU)")
 	}
 
-	// Every feasible format in the order Auto would take them at k = 1.
+	// Every feasible format in the order Auto would take them at k.
+	k := *rhs
 	host := device.HostSpec()
-	ranked := selector.Shortlist(host, fv, 1, len(host.Formats))
-	engine := device.NativeEngine{Workers: *workers, Iterations: *iters}
+	ranked := selector.Shortlist(host, fv, k, len(host.Formats))
+	engine := device.NativeEngine{Workers: *workers}
 	var measured, modeled []float64 // of the formats that ran and the model rates, in run order
 	pickGFLOPS := 0.0               // measured rate of the model's first choice
 	run := func(b formats.Builder) {
-		res := engine.Run(m, b)
+		res := engine.Run(m, b, k)
 		if res.Err != nil { // build refused, or a first product that failed verification
 			fmt.Printf("%-10s no rate: %v\n", b.Name, res.Err)
 			return
 		}
-		fmt.Printf("%-10s %8.3f GFLOPS  (%d iters, %d workers, %.3fs)", res.Format, res.GFLOPS, res.Iterations, res.Workers, res.Seconds)
+		fmt.Printf("%-10s %8.3f GFLOPS  (k=%d, %d workers, min %.3f ms, median %.3f ms)",
+			res.Format, res.GFLOPS, k, res.Workers, res.MinNs/1e6, res.MedianNs/1e6)
 		if rank := slices.Index(ranked, b.Name) + 1; rank > 0 {
-			r := host.RankMulti(fv, b.Name, 1)
+			r := host.RankMulti(fv, b.Name, k)
 			fmt.Printf("  model %7.3f  #%-2d %-26s", r.GFLOPS, rank, r.Bottleneck)
 			measured, modeled = append(measured, res.GFLOPS), append(modeled, r.GFLOPS)
 			if rank == 1 {
@@ -142,7 +144,7 @@ func main() {
 			fatalf("persistence: %v", err)
 		}
 		defer sess.Close()
-		af, err := sess.Auto(m, selector.AutoOptions{K: *rhs, Probe: true})
+		af, err := sess.Auto(m, selector.AutoOptions{K: k, Probe: true})
 		if err != nil {
 			fatalf("auto selection: %v", err)
 		}
@@ -153,26 +155,6 @@ func main() {
 			ss := st.Stats()
 			fmt.Printf("journal: %s (%d decisions loaded, %d appended)\n",
 				ss.Path, ss.Decisions, ss.Appended)
-		}
-		if *rhs > 1 {
-			// Measure the regime the selector actually targeted: one fused
-			// k-wide MultiplyMany per iteration, not k=1 SpMV.
-			k := *rhs
-			x := matrix.RandomVector(m.Cols*k, 12345)
-			y := make([]float64, m.Rows*k)
-			af.MultiplyMany(y, x, k) // warm-up, page-in, plan-cache fill
-			start := time.Now()
-			for i := 0; i < *iters; i++ {
-				af.MultiplyMany(y, x, k)
-			}
-			secs := time.Since(start).Seconds()
-			gflops := 0.0
-			if secs > 0 {
-				gflops = 2 * float64(m.NNZ()) * float64(k) * float64(*iters) / secs / 1e9
-			}
-			fmt.Printf("%-10s %8.3f GFLOPS  (%d iters of k=%d MultiplyMany, %.3fs)\n",
-				af.Name(), gflops, *iters, k, secs)
-			return
 		}
 		run(formats.Builder{
 			Name:  af.Name(),

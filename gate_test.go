@@ -18,6 +18,7 @@ import (
 	spmv "repro"
 	"repro/internal/exec"
 	"repro/internal/failpoint"
+	"repro/internal/measure"
 )
 
 // TestCancellationLatencyGate is the acceptance gate for deadline
@@ -132,29 +133,31 @@ func TestFailpointOverheadBudget(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
+	// Off and armed are one measure.Compare, their single-call rounds
+	// interleaved; a candidate flips the switch when it takes over.
+	const rounds, minTime = 9, 0
 	ctx := context.Background()
-	measure := func() time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for rep := 0; rep < 9; rep++ {
-			start := time.Now()
-			if err := spmv.MultiplyCtx(ctx, f, y, x); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	spmv.MultiplyCtx(ctx, f, y, x) // warm plans and pages
 	failpoint.DisableAll()
 	prev := failpoint.SetEnabled(false)
-	off := measure()
-	failpoint.SetEnabled(true)
-	on := measure()
-	failpoint.SetEnabled(prev)
-
+	defer failpoint.SetEnabled(prev)
+	armed := false
+	side := func(on bool) func() error {
+		return func() error {
+			if armed != on {
+				failpoint.SetEnabled(on)
+				armed = on
+			}
+			return spmv.MultiplyCtx(ctx, f, y, x)
+		}
+	}
+	res, err := measure.Compare(ctx, []func() error{side(false), side(true)}, rounds, minTime)
+	if err == nil {
+		err = errors.Join(res[0].Err, res[1].Err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, on := time.Duration(res[0].MinNs), time.Duration(res[1].MinNs)
 	t.Logf("multiply min-of-9: failpoints off %v, armed-empty %v", off, on)
 	if limit := off + off/50; on > limit {
 		t.Errorf("armed failpoint hooks cost %v vs %v disabled (> 2%% budget)", on, off)

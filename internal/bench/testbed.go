@@ -36,7 +36,7 @@ func (t testbed) measured() bool { return t.Name == "host" }
 // rates returns the testbed's result for each of its formats at fv, in
 // Formats order. A measured point is generated once and lives only for
 // the call; each format is built, checked against the CSR reference and
-// timed over 8 iterations (device.NativeEngine). A gated point, a refused
+// timed at k = 1 by device.NativeEngine. A gated point, a refused
 // build or a wrong product is infeasible with its error as the Reason,
 // and Watts stays 0: the host exposes no power counter.
 func (t testbed) rates(fv core.FeatureVector) []device.Result {
@@ -48,14 +48,14 @@ func (t testbed) rates(fv core.FeatureVector) []device.Result {
 		return out
 	}
 	m, err := generate(fv, t.seed)
-	engine := device.NativeEngine{Iterations: 8}
+	var engine device.NativeEngine
 	for i, f := range t.Formats {
 		if err != nil {
 			out[i].Reason = err.Error()
 			continue
 		}
 		b, _ := formats.Lookup(f) // the host's Formats are the registry's names
-		res := engine.Run(m, b)
+		res := engine.Run(m, b, 1)
 		out[i] = device.Result{GFLOPS: res.GFLOPS, Feasible: res.Err == nil}
 		if res.Err != nil {
 			out[i].Reason = res.Err.Error()

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -357,43 +358,48 @@ func TestModelBelowRoofline(t *testing.T) {
 
 func TestNativeEngineMeasuresRealKernels(t *testing.T) {
 	m := matrix.Random(2000, 2000, 0.01, 42)
-	e := NativeEngine{Workers: 2, Iterations: 3}
-	res := e.Run(m, mustBuilder(t, "Naive-CSR"))
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.GFLOPS <= 0 || res.Seconds <= 0 {
-		t.Errorf("implausible native result %+v", res)
-	}
-	for _, b := range formats.Registry() { // every kernel that built passes the verification it is timed behind
-		if r := e.Run(m, b); r.Err != nil && !errors.Is(r.Err, formats.ErrBuild) {
-			t.Errorf("%s: %v", r.Format, r.Err)
+	e := NativeEngine{Workers: 2}
+	for _, k := range []int{1, 4} {
+		res := e.Run(m, mustBuilder(t, "Naive-CSR"), k)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if res.GFLOPS <= 0 || res.MinNs <= 0 || res.MinNs > res.MedianNs {
+			t.Errorf("k=%d: implausible native result %+v", k, res)
+		}
+		for _, b := range formats.Registry() { // every kernel that built passes the verification it is timed behind
+			if r := e.Run(m, b, k); r.Err != nil && !errors.Is(r.Err, formats.ErrBuild) {
+				t.Errorf("%s k=%d: %v", r.Format, k, r.Err)
+			}
 		}
 	}
 }
 
-// wrongRow is a format whose parallel product is off in one row by far more
+// wrongRow is a format whose product is off in one element by far more
 // than any accumulation order allows.
 type wrongRow struct{ formats.Format }
 
-func (w wrongRow) SpMVParallel(x, y []float64, workers int) {
-	w.Format.SpMVParallel(x, y, workers)
+func (w wrongRow) Apply(ctx context.Context, y, x []float64, k, workers int) error {
+	err := w.Format.Apply(ctx, y, x, k, workers)
 	y[len(y)/2] += 1e-6
+	return err
 }
 
 // TestNativeEngineRefusesAWrongKernel: Run verifies the warm-up product
 // against the CSR reference and reports a mismatch instead of a rate.
 func TestNativeEngineRefusesAWrongKernel(t *testing.T) {
 	m := matrix.Random(2000, 2000, 0.01, 42)
-	res := NativeEngine{Workers: 2, Iterations: 3}.Run(m, formats.Builder{
-		Name:  "wrong",
-		Build: func(m *matrix.CSR) (formats.Format, error) { return wrongRow{formats.NewCSR(m)}, nil },
-	})
-	if res.Err == nil || res.GFLOPS != 0 || res.Seconds != 0 {
-		t.Fatalf("a kernel with a wrong row was timed: %+v", res)
-	}
-	if want := fmt.Sprintf("y[%d]", m.Rows/2); !strings.Contains(res.Err.Error(), want) {
-		t.Errorf("error %q does not name %s", res.Err, want)
+	for _, k := range []int{1, 4} {
+		res := NativeEngine{Workers: 2}.Run(m, formats.Builder{
+			Name:  "wrong",
+			Build: func(m *matrix.CSR) (formats.Format, error) { return wrongRow{formats.NewCSR(m)}, nil },
+		}, k)
+		if res.Err == nil || res.GFLOPS != 0 || res.MinNs != 0 {
+			t.Fatalf("k=%d: a kernel with a wrong element was timed: %+v", k, res)
+		}
+		if want := fmt.Sprintf("y[%d]", m.Rows*k/2); !strings.Contains(res.Err.Error(), want) {
+			t.Errorf("k=%d: error %q does not name %s", k, res.Err, want)
+		}
 	}
 }
 

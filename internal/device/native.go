@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -10,76 +11,83 @@ import (
 	"repro/internal/exec"
 	"repro/internal/formats"
 	"repro/internal/matrix"
+	"repro/internal/measure"
 	"repro/internal/simd"
 )
 
-// NativeResult reports a measured (not modeled) SpMV run on the host CPU.
+// NativeResult reports a measured (not modeled) k-wide product on the host
+// CPU.
 type NativeResult struct {
-	Format     string
-	Workers    int
-	Iterations int
-	Seconds    float64 // total wall time of all iterations
-	GFLOPS     float64
-	Bytes      int64          // the built format's footprint
-	Traits     formats.Traits // and its structural costs
-	Err        error          // no rate: the build was refused (formats.ErrBuild) or the first product was wrong
+	Format   string
+	Workers  int
+	MinNs    float64        // ns per product, the least of the timed rounds
+	MedianNs float64        // and their median
+	GFLOPS   float64        // at MinNs
+	Bytes    int64          // the built format's footprint
+	Traits   formats.Traits // and its structural costs
+	Err      error          // no rate: the build was refused (formats.ErrBuild), the first product was wrong or a call failed
 }
 
 // NativeEngine runs real format kernels on the host machine, the
-// measurement path the paper used on its CPU testbeds (128 iterations,
-// average performance).
+// measurement path the paper used on its CPU testbeds (there: 128
+// iterations, average performance; here: the minimum of measure.Compare's
+// rounds).
 type NativeEngine struct {
-	Workers    int // 0: GOMAXPROCS
-	Iterations int // 0: 16
+	Workers int // 0: GOMAXPROCS
 }
 
-// EffectiveWorkers resolves the worker count the engine's kernels can
-// actually use: the configured count, defaulted to GOMAXPROCS and capped
-// by the execution engine. Per-matrix grain shrinking may lower it further
-// for small inputs.
-func (e NativeEngine) EffectiveWorkers() int {
+// nativeRounds rounds of at least nativeMinTime per format: one call a
+// round from a few tens of megabytes up, many on a cache-resident matrix.
+const (
+	nativeRounds  = 8
+	nativeMinTime = 2 * time.Millisecond
+)
+
+// Run measures one format's product with k right-hand sides on one
+// matrix. The first product is verified against the CSR reference, column
+// by column, before timing, to the dot product's forward bound (any
+// accumulation order fits it); a kernel that fails is not timed.
+func (e NativeEngine) Run(m *matrix.CSR, builder formats.Builder, k int) NativeResult {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return min(workers, exec.MaxWorkers())
-}
-
-// Run measures one format on one matrix. The first product is verified
-// against the CSR reference before timing, to the dot product's forward
-// bound (any accumulation order fits it); a kernel that fails is not timed.
-func (e NativeEngine) Run(m *matrix.CSR, builder formats.Builder) NativeResult {
-	workers := e.EffectiveWorkers()
-	iters := e.Iterations
-	if iters <= 0 {
-		iters = 16
-	}
-	res := NativeResult{Format: builder.Name, Workers: workers, Iterations: iters}
+	workers = min(workers, exec.MaxWorkers()) // what the kernels can use: the engine's cap
+	res := NativeResult{Format: builder.Name, Workers: workers}
 	f, err := builder.Build(m)
 	if err != nil {
 		res.Err = err
 		return res
 	}
 	res.Bytes, res.Traits = f.Bytes(), f.Traits()
-	x := matrix.RandomVector(m.Cols, 12345)
-	y := make([]float64, m.Rows)
+	x := matrix.RandomVector(m.Cols*k, 12345)
+	y := make([]float64, m.Rows*k)
+	ctx := context.Background()
+	product := func() error { return f.Apply(ctx, y, x, k, workers) }
 
-	exec.Prestart()               // timed iterations must not pay pool startup
-	f.SpMVParallel(x, y, workers) // warm-up, page-in, plan-cache fill
-	want := make([]float64, m.Rows)
-	m.SpMV(x, want)
-	if i, ok := m.WithinDotBound(x, 1, y, want); !ok {
+	exec.Prestart() // timed calls must not pay pool startup
+	if res.Err = product(); res.Err != nil {
+		return res
+	}
+	want, xt, yt := make([]float64, m.Rows*k), make([]float64, m.Cols), make([]float64, m.Rows)
+	for t := 0; t < k; t++ {
+		for c := range xt {
+			xt[c] = x[c*k+t]
+		}
+		m.SpMV(xt, yt)
+		for r, v := range yt {
+			want[r*k+t] = v
+		}
+	}
+	if i, ok := m.WithinDotBound(x, k, y, want); !ok {
 		res.Err = fmt.Errorf("device: %s: wrong product, y[%d] = %v against the CSR reference's %v", builder.Name, i, y[i], want[i])
 		return res
 	}
 
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		f.SpMVParallel(x, y, workers)
-	}
-	res.Seconds = time.Since(start).Seconds()
-	if res.Seconds > 0 {
-		res.GFLOPS = 2 * float64(m.NNZ()) * float64(iters) / res.Seconds / 1e9
+	r, _ := measure.Compare(ctx, []func() error{product}, nativeRounds, nativeMinTime) // nothing cancels it
+	if res.Err = r[0].Err; res.Err == nil {
+		res.MinNs, res.MedianNs = r[0].MinNs, r[0].MedianNs
+		res.GFLOPS = 2 * float64(m.NNZ()) * float64(k) / res.MinNs
 	}
 	return res
 }
@@ -88,7 +96,7 @@ func (e NativeEngine) Run(m *matrix.CSR, builder formats.Builder) NativeResult {
 // results can sit on the same axes: Host at the usable core count and the
 // SIMD width the dispatch layer detected and enabled, under the in-core
 // table formats.MeasureClasses reads — once per process and dispatch tier,
-// at the first call (about a millisecond), never again.
+// at the first call (a millisecond or two), never again.
 func HostSpec() Spec {
 	hostMu.Lock()
 	defer hostMu.Unlock()

@@ -1,10 +1,11 @@
 package formats
 
 import (
-	"math"
+	"context"
 	"time"
 
 	"repro/internal/matrix"
+	"repro/internal/measure"
 )
 
 // KernelClass names the single-vector inner loop a format runs: a trait
@@ -35,14 +36,15 @@ func (c KernelClass) Vectorized() bool { return c > ClassRowSum && c < ClassEntr
 
 // The class-timing fixture is 64 rows of 64 entries (50 KB of CSR, a 2 KB x:
 // cache-resident), row pairs sharing their column pairs so that every format
-// builds without padding. A timed round is classPasses kernel calls, a few
-// microseconds: enough for the clock, and seven builds with their rounds
-// fit the millisecond a process's first device.HostSpec can be charged.
+// builds without padding. The classes are timed in one measure.Compare of
+// classRounds rounds of at least classMinTime each, a few kernel calls:
+// enough for the clock, and seven builds with their rounds fit the
+// millisecond or two a process's first device.HostSpec can be charged.
 const (
-	classRows   = 64
-	classRowNNZ = 64
-	classSweeps = 4 // times the classes are gone over, one timed round each; the best counts
-	classPasses = 4 // kernel calls per round
+	classRows    = 64
+	classRowNNZ  = 64
+	classRounds  = 8
+	classMinTime = 5 * time.Microsecond
 )
 
 // MeasureClasses times every kernel class on the calling goroutine, one
@@ -63,29 +65,21 @@ func MeasureClasses() (ns [NumClasses]float64) {
 		m.RowPtr[i+1] = int32(len(m.ColIdx))
 	}
 	x, y := matrix.RandomVector(m.Cols, 1), make([]float64, m.Rows)
-	var reps [NumClasses]Format
+	fns := make([]func() error, 0, NumClasses-1)
 	for c := ClassNone + 1; c < NumClasses; c++ {
 		b, _ := Lookup(classRep[c])
 		f, err := b.Build(m)
 		if err != nil {
 			panic("formats: class fixture refused by " + classRep[c] + ": " + err.Error())
 		}
-		reps[c], ns[c] = f, math.Inf(1)
+		fns = append(fns, func() error { f.SpMV(x, y); return nil })
 	}
-	// The classes are gone over classSweeps times, a warm-up pass (the rate
-	// is the in-core one: arrays hot in L1) and one timed round each: a slow
-	// spell of the machine costs every class a round, not one class all of
-	// them, and the table keeps its proportions. The best round counts:
-	// noise only ever inflates one.
-	for sweep := 0; sweep < classSweeps; sweep++ {
-		for c := ClassNone + 1; c < NumClasses; c++ {
-			reps[c].SpMV(x, y)
-			t0 := time.Now()
-			for p := 0; p < classPasses; p++ {
-				reps[c].SpMV(x, y)
-			}
-			ns[c] = min(ns[c], float64(time.Since(t0))/float64(classPasses*nnz))
-		}
+	// Interleaved rounds (each led by a call that brings the class's arrays
+	// back in core): a slow spell of the machine costs every class a round,
+	// not one class all of them, and the table keeps its proportions.
+	res, _ := measure.Compare(context.Background(), fns, classRounds, classMinTime) // nothing fails or cancels
+	for i, r := range res {
+		ns[i+1] = r.MinNs / nnz
 	}
 	return ns
 }

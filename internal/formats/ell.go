@@ -46,10 +46,7 @@ func newELLShell(rows, cols, width int, t Tuning) *ELL {
 func NewELL(m *matrix.CSR) (*ELL, error) { return newELL(m, Tuning{}) }
 
 func newELL(m *matrix.CSR, t Tuning) (*ELL, error) {
-	width := m.MaxRowNNZ()
-	if width == 0 {
-		width = 1
-	}
+	width := m.MaxRowNNZ() // 0 for an empty matrix: no slot may read x[0] when x is empty
 	padded := int64(m.Rows) * int64(width)
 	if padded > MaxELLPaddedEntries {
 		return nil, fmt.Errorf("%w ELL: %d rows x width %d = %d padded entries (max %d)",
@@ -183,7 +180,7 @@ func NewHYB(m *matrix.CSR) (*HYB, error) { return newHYB(m, Tuning{}) }
 
 func newHYB(m *matrix.CSR, t Tuning) (*HYB, error) {
 	k := int(m.AvgRowNNZ() + 0.5)
-	if k < 1 {
+	if k < 1 && m.NNZ() > 0 { // an empty matrix keeps 0: no slot may read x[0] when x is empty
 		k = 1
 	}
 	return newHYBThreshold(m, k, t)

@@ -3,11 +3,14 @@
 package formats
 
 import (
+	"context"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
+	"repro/internal/measure"
 	"repro/internal/simd"
 	"repro/internal/testutil"
 )
@@ -43,18 +46,12 @@ func TestAVX512NotSlowerThanAVX2Gate(t *testing.T) {
 				t.Fatalf("%s %s: %v", tier, name, err)
 			}
 			for _, c := range []struct {
-				k  int
-				fn func()
-			}{
-				{1, func() { f.SpMVParallel(x1, y1, workers) }},
-				{k, func() { f.MultiplyMany(yk, xk, k) }},
-			} {
-				var ns [2]float64
-				for i, lvl := range []string{"avx2", "avx512"} {
-					simd.SetLevel(lvl)
-					c.fn() // warm this tier's plans
-					ns[i] = testutil.MinNsPerOp(c.fn)
-				}
+				k    int
+				x, y []float64
+			}{{1, x1, y1}, {k, xk, yk}} {
+				ns := tierNs(t, []string{"avx2", "avx512"}, func() error {
+					return f.Apply(context.Background(), c.y, c.x, c.k, workers)
+				})
 				t.Logf("%s %s k=%d: avx2 %.3f ms, avx512 %.3f ms, %.2fx", tier, name, c.k, ns[0]/1e6, ns[1]/1e6, ns[0]/ns[1])
 				sumLog += math.Log(ns[0] / ns[1])
 				pairs++
@@ -84,14 +81,10 @@ func TestShortRowsVectorizedGate(t *testing.T) {
 	m := skewTier(t, 420000)
 	f := NewInspectorCSR(m)
 	x, y := matrix.RandomVector(m.Cols, 6), make([]float64, m.Rows)
-	fn := func() { f.SpMVParallel(x, y, 1) }
 	for attempt := 1; ; attempt++ {
-		var ns [2]float64
-		for i, lvl := range []string{"scalar", "auto"} {
-			simd.SetLevel(lvl)
-			fn()
-			ns[i] = testutil.MinNsPerOp(fn)
-		}
+		ns := tierNs(t, []string{"scalar", "auto"}, func() error {
+			return f.Apply(context.Background(), y, x, 1, 1)
+		})
 		ratio := ns[0] / ns[1]
 		t.Logf("attempt %d: scalar %.2f ms, %s %.2f ms, %.2fx", attempt, ns[0]/1e6, simd.Level(), ns[1]/1e6, ratio)
 		if ratio >= floor {
@@ -101,4 +94,37 @@ func TestShortRowsVectorizedGate(t *testing.T) {
 			t.Fatalf("MKL-IE on lib-stream runs %.2fx the scalar tier under %s, floor %.2fx", ratio, simd.Level(), floor)
 		}
 	}
+}
+
+// tierNs times fn under each dispatch tier in one measure.Compare, the
+// tiers' rounds interleaved: gateRounds rounds of at least gateMinTime.
+// A candidate swaps its table in when it takes over from the other, in
+// the untimed call that leads its round. It returns min ns per call by
+// tier, in order.
+func tierNs(t *testing.T, levels []string, fn func() error) []float64 {
+	t.Helper()
+	const gateRounds, gateMinTime = 3, 20 * time.Millisecond
+	cur := ""
+	cands := make([]func() error, len(levels))
+	for i, lvl := range levels {
+		cands[i] = func() error {
+			if cur != lvl {
+				simd.SetLevel(lvl)
+				cur = lvl
+			}
+			return fn()
+		}
+	}
+	res, err := measure.Compare(context.Background(), cands, gateRounds, gateMinTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := make([]float64, len(res))
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", levels[i], r.Err)
+		}
+		ns[i] = r.MinNs
+	}
+	return ns
 }

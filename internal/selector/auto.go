@@ -189,7 +189,7 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	pick := shortlist[0]
 	var prebuilt formats.Format
 	if o.Probe && m.NNZ() >= autoProbeMinNNZ && len(shortlist) > 1 {
-		winner, built, results := probe(ctx, m, shortlist, k)
+		winner, built, ns := probe(ctx, m, shortlist, k)
 		if err := ctx.Err(); err != nil {
 			// The probe stopped early; its partial measurements must not
 			// become a cached decision or a sample.
@@ -198,13 +198,7 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 		if winner != "" {
 			pick = winner
 			prebuilt = built // non-nil when the probe ran on the full matrix
-			choice.Probed = true
-			choice.ProbeNs = make(map[string]float64, len(results))
-			for _, r := range results {
-				if r.Err == nil {
-					choice.ProbeNs[r.Format] = r.NsPerOp
-				}
-			}
+			choice.Probed, choice.ProbeNs = true, ns
 		}
 	}
 

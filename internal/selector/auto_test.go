@@ -214,16 +214,16 @@ func TestBuildAutoConcurrent(t *testing.T) {
 
 func TestProbePicksAWinner(t *testing.T) {
 	m := genMatrix(t, 20000, 12, 10, 5)
-	winner, _, results := probe(context.Background(), m, []string{"Naive-CSR", "Vec-CSR", "SELL-C-s"}, 1)
+	winner, _, ns := probe(context.Background(), m, []string{"Naive-CSR", "Vec-CSR", "SELL-C-s"}, 1)
 	if winner == "" {
 		t.Fatal("probe found no winner")
 	}
-	if len(results) != 3 {
-		t.Fatalf("probe returned %d results, want 3", len(results))
+	if len(ns) != 3 {
+		t.Fatalf("probe measured %v, want all 3 candidates", ns)
 	}
-	for _, r := range results {
-		if r.Err == nil && r.NsPerOp <= 0 {
-			t.Errorf("%s: non-positive measurement", r.Format)
+	for name, v := range ns {
+		if v <= 0 || v < ns[winner] {
+			t.Errorf("%s: %v ns, winner %s %v ns: non-positive, or faster than the winner", name, v, winner, ns[winner])
 		}
 	}
 }

@@ -6,6 +6,7 @@ package selector
 // stays deterministic on any host: go test -tags gate -run 'Gate|Budget'.
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/formats"
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/measure"
 )
 
 // TestAutoRetainedGate is the CI accuracy regression gate on real
@@ -87,7 +89,7 @@ func gateMeanRetained(t *testing.T, mats []*matrix.CSR, k int) float64 {
 		if err != nil {
 			t.Fatalf("k=%d: BuildAuto: %v", k, err)
 		}
-		perf := gateMeasure(m, k)
+		perf := gateMeasure(t, m, k)
 		pickNs, ok := perf[a.Chosen()]
 		if !ok || pickNs <= 0 {
 			t.Fatalf("k=%d: pick %q not measurable", k, a.Chosen())
@@ -107,14 +109,18 @@ func gateMeanRetained(t *testing.T, mats []*matrix.CSR, k int) float64 {
 	return sum / float64(n)
 }
 
-// gateMeasure times one k-wide multiply in every buildable host format:
-// min ns/op over 3 adaptive rounds with an 8ms floor (deliberately more
-// patient than the probe — this is the ground truth side of the gate).
-func gateMeasure(m *matrix.CSR, k int) map[string]float64 {
-	perf := map[string]float64{}
+// gateMeasure times one k-wide multiply in every buildable host format,
+// all of them in one measure.Compare: gateRounds rounds of at least
+// gateMinTime (deliberately more patient than the probe: this is the
+// ground truth side of the gate). It returns min ns/op by format.
+func gateMeasure(t *testing.T, m *matrix.CSR, k int) map[string]float64 {
+	const gateRounds, gateMinTime = 3, 8 * time.Millisecond
+	t.Helper()
 	workers := exec.MaxWorkers()
 	x := matrix.RandomVector(m.Cols*k, 31)
 	y := make([]float64, m.Rows*k)
+	var names []string
+	var fns []func() error
 	for _, name := range device.HostSpec().Formats {
 		b, ok := formats.Lookup(name)
 		if !ok {
@@ -124,15 +130,19 @@ func gateMeasure(m *matrix.CSR, k int) map[string]float64 {
 		if err != nil {
 			continue
 		}
-		run := func() {
-			if k > 1 {
-				f.MultiplyMany(y, x, k)
-			} else {
-				f.SpMVParallel(x, y, workers)
-			}
+		names = append(names, name)
+		fns = append(fns, func() error { return f.Apply(context.Background(), y, x, k, workers) })
+	}
+	res, err := measure.Compare(context.Background(), fns, gateRounds, gateMinTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perf := map[string]float64{}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("%s k=%d: %v", names[i], k, r.Err)
 		}
-		run()
-		perf[name] = measureNs(run, 8*time.Millisecond, 3)
+		perf[names[i]] = r.MinNs
 	}
 	return perf
 }

@@ -2,13 +2,13 @@ package selector
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/formats"
 	"repro/internal/matrix"
+	"repro/internal/measure"
 )
 
 // Probe defaults.
@@ -18,13 +18,11 @@ const (
 	// row-length distribution survives sampling, small enough that probing
 	// three candidates costs milliseconds, not a solve iteration.
 	DefaultProbeRows = 8192
-	// defaultProbeMinTime is the wall-clock floor one timing sample must
-	// reach; samples double their iteration count until they do.
-	defaultProbeMinTime = 2 * time.Millisecond
-	// defaultProbeRounds is the number of adaptive timing runs per
-	// candidate; the minimum over rounds is kept (the least-noisy
-	// estimator on shared hosts).
-	defaultProbeRounds = 2
+	// probeRounds timed rounds of at least probeMinTime each per candidate
+	// (measure.Compare): the probe's budget, a few milliseconds a
+	// candidate.
+	probeRounds  = 2
+	probeMinTime = 2 * time.Millisecond
 )
 
 // probeRuns counts micro-probe invocations process-wide; the persistence CI
@@ -34,26 +32,17 @@ var probeRuns atomic.Int64
 // ProbeCount returns how many micro-probe sweeps this process has run.
 func ProbeCount() int64 { return probeRuns.Load() }
 
-// ProbeResult is one candidate's measured micro-benchmark.
-type ProbeResult struct {
-	Format  string
-	NsPerOp float64 // min ns per kernel call on the sub-matrix (0 when Err != nil)
-	Err     error   // build failure on the sub-matrix
-}
-
 // probe times the candidate formats at k on a row-sampled sub-matrix
-// through the execution engine and returns the measured winner. The
-// sub-matrix keeps the full column dimension and a stride sample of the
-// rows, so balance and x-locality behaviour carry over from the full
-// matrix while build plus timing stays in the low milliseconds per
-// candidate. Results are in candidate order; winner is "" when every
-// candidate failed to build. When the row budget covers the whole matrix
-// (RowSample returns m itself), the probe already built every candidate
-// at full cost, so the winner's built instance is returned for the caller
-// to serve instead of rebuilding it. A cancelled ctx stops the candidate
-// loop at the next boundary (a candidate's timed runs finish once
-// started).
-func probe(ctx context.Context, m *matrix.CSR, names []string, k int) (winner string, built formats.Format, results []ProbeResult) {
+// through the execution engine and returns the measured winner with every
+// measured candidate's min ns per call. The sub-matrix keeps the full
+// column dimension and a stride sample of the rows, so balance and
+// x-locality behaviour carry over from the full matrix while build plus
+// timing stays in the low milliseconds per candidate. winner is "" when
+// every candidate failed to build or run, or ctx was cancelled. When the
+// row budget covers the whole matrix (RowSample returns m itself), the
+// probe already built every candidate at full cost, so the winner's built
+// instance is returned for the caller to serve instead of rebuilding it.
+func probe(ctx context.Context, m *matrix.CSR, names []string, k int) (winner string, built formats.Format, ns map[string]float64) {
 	probeRuns.Add(1)
 	var cands []candidate
 	for _, name := range names {
@@ -61,14 +50,21 @@ func probe(ctx context.Context, m *matrix.CSR, names []string, k int) (winner st
 			cands = append(cands, candidate{b: b})
 		}
 	}
-	timings := timeCandidates(ctx, m, cands, k)
-	if i := fastest(timings); i >= 0 {
-		winner, built = cands[i].b.Name, timings[i].f
+	res, fs := timeCandidates(ctx, m, cands, k)
+	i := fastest(res)
+	if i < 0 {
+		return "", nil, nil
 	}
-	for i, t := range timings {
-		results = append(results, ProbeResult{Format: cands[i].b.Name, NsPerOp: t.ns, Err: t.err})
+	ns = make(map[string]float64, len(res))
+	for j, r := range res {
+		if r.Err == nil {
+			ns[cands[j].b.Name] = r.MinNs
+		}
 	}
-	return winner, built, results
+	if fs != nil {
+		built = fs[i]
+	}
+	return cands[i].b.Name, built, ns
 }
 
 // candidate is one configuration the harness times: a format and the
@@ -79,100 +75,45 @@ type candidate struct {
 	t formats.Tuning
 }
 
-// timing is one candidate's measurement.
-type timing struct {
-	ns  float64        // min ns per kernel call on the sub-matrix (0 when err != nil)
-	err error          // build refusal or contained kernel fault: disqualified
-	f   formats.Format // the timed instance, when it was built on the full matrix
-}
-
 // timeCandidates is the one harness behind the probe and the autotune
-// sweeps: each candidate is built on the row-sampled sub-matrix and timed
-// through timeApply over the same x and y. It returns one timing per
-// candidate reached — the loop checks ctx between candidates (a
-// candidate's timed runs finish once started), so a cancelled sweep
-// returns a prefix.
-func timeCandidates(ctx context.Context, m *matrix.CSR, cands []candidate, k int) []timing {
+// sweeps: every candidate is built on the row-sampled sub-matrix, then one
+// measure.Compare times their k-wide products through Format.Apply — the
+// entry point production calls take — with the machine's parallelism,
+// over the same x and y. A build refusal or a contained kernel fault
+// disqualifies a candidate with its error. It returns one result per
+// candidate, and the built instances when the sub-matrix is m itself; no
+// results when ctx was cancelled: a cancelled sweep is not a measurement.
+func timeCandidates(ctx context.Context, m *matrix.CSR, cands []candidate, k int) ([]measure.Result, []formats.Format) {
 	sub := m.RowSample(DefaultProbeRows)
 	x := matrix.RandomVector(sub.Cols*k, 9001)
 	y := make([]float64, sub.Rows*k)
-	timings := make([]timing, 0, len(cands))
-	for _, c := range cands {
-		if ctx.Err() != nil {
-			break
-		}
-		f, err := c.b.BuildTuned(sub, c.t)
-		var ns float64
-		if err == nil {
-			// A contained kernel fault disqualifies the candidate; a
-			// cancelled ctx ends the loop at the check above.
-			ns, err = timeApply(ctx, f, y, x, k)
-		}
-		if err != nil {
-			timings = append(timings, timing{err: err})
-			continue
-		}
-		if sub != m {
-			f = nil
-		}
-		timings = append(timings, timing{ns: ns, f: f})
-	}
-	return timings
-}
-
-// fastest returns the index of the minimum-ns timing that measured (the
-// earliest on a tie), or -1 when none did.
-func fastest(timings []timing) int {
-	best := -1
-	for i, t := range timings {
-		if t.err == nil && (best < 0 || t.ns < timings[best].ns) {
-			best = i
-		}
-	}
-	return best
-}
-
-// timeApply times f's k-wide product through Format.Apply — the entry point
-// production calls take — with the machine's parallelism: one warm-up call
-// (plans, scratch, pages, pool), then measureNs. It returns the first
-// error Apply reports instead of a timing.
-func timeApply(ctx context.Context, f formats.Format, y, x []float64, k int) (float64, error) {
 	workers := exec.MaxWorkers()
 	exec.Prestart() // probes must not time pool construction
-	var failed error
-	run := func() {
-		if failed == nil {
-			failed = f.Apply(ctx, y, x, k, workers)
+	fns := make([]func() error, len(cands))
+	built := make([]formats.Format, len(cands))
+	for i, c := range cands {
+		f, err := c.b.BuildTuned(sub, c.t)
+		if err != nil {
+			fns[i] = func() error { return err } // disqualified at its first call
+			continue
 		}
+		built[i] = f
+		fns[i] = func() error { return f.Apply(ctx, y, x, k, workers) }
 	}
-	run()
-	if failed != nil {
-		return 0, failed
+	res, err := measure.Compare(ctx, fns, probeRounds, probeMinTime)
+	if err != nil || sub != m {
+		return res, nil
 	}
-	ns := measureNs(run, defaultProbeMinTime, defaultProbeRounds)
-	return ns, failed
+	return res, built
 }
 
-// measureNs returns the minimum ns per fn() call over the given number of
-// adaptive timing runs, each doubling its iteration count until it spans
-// minTime of wall clock.
-func measureNs(fn func(), minTime time.Duration, rounds int) float64 {
-	best := math.Inf(1)
-	for rep := 0; rep < rounds; rep++ {
-		iters := 1
-		for {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				fn()
-			}
-			elapsed := time.Since(start)
-			if elapsed >= minTime || iters >= 1<<22 {
-				if ns := float64(elapsed.Nanoseconds()) / float64(iters); ns < best {
-					best = ns
-				}
-				break
-			}
-			iters *= 2
+// fastest returns the index of the minimum-ns result that measured (the
+// earliest on a tie), or -1 when none did.
+func fastest(res []measure.Result) int {
+	best := -1
+	for i, r := range res {
+		if r.Err == nil && (best < 0 || r.MinNs < res[best].MinNs) {
+			best = i
 		}
 	}
 	return best

@@ -63,7 +63,8 @@ func autotune(ctx context.Context, m *matrix.CSR, name string, k int, known stri
 				cands[i] = candidate{b, with(v)}
 			}
 			// A sweep cut short by cancellation is not a measurement.
-			if i := fastest(timeCandidates(ctx, m, cands, k)); i >= 0 && ctx.Err() == nil {
+			res, _ := timeCandidates(ctx, m, cands, k)
+			if i := fastest(res); i >= 0 && ctx.Err() == nil {
 				v = values[i]
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/failpoint"
@@ -26,10 +27,11 @@ type pending struct {
 	done chan batchResult // buffered: a batch never blocks on a gone caller
 }
 
-// batchResult is what a batch delivers to each request it carried; the
-// product is already in the request's y.
+// batchResult is what a kernel call delivers to each request it carried;
+// the product is already in the request's y.
 type batchResult struct {
-	batch int // how many requests the serving kernel call carried
+	batch int       // how many requests the serving kernel call carried
+	began time.Time // when that call began; zero for the caller's own call
 	err   error
 }
 
@@ -104,27 +106,28 @@ func NewCoalescer(base context.Context, f formats.Format, maxBatch int) *Coalesc
 // maps it to a typed 400, never a 500.
 func (c *Coalescer) Multiply(ctx context.Context, x []float64) ([]float64, int, error) {
 	y := make([]float64, c.rows)
-	batch, _, err := c.multiplyInto(ctx, y, x)
-	if err != nil {
-		return nil, 0, err
+	r, _ := c.multiplyInto(ctx, y, x)
+	if r.err != nil {
+		return nil, 0, r.err
 	}
-	return y, batch, nil
+	return y, r.batch, nil
 }
 
 // multiplyInto is Multiply into the caller's y (len rows). released
 // reports that the coalescer is finished with x and y; it is false only
 // when the caller left on ctx.Done() while queued or while its batch was in
-// flight, and then that batch may yet read x and write y.
-func (c *Coalescer) multiplyInto(ctx context.Context, y, x []float64) (batch int, released bool, err error) {
+// flight, and then that batch may yet read x and write y. A caller that
+// left reports the time it left as the call's start: it waited all along.
+func (c *Coalescer) multiplyInto(ctx context.Context, y, x []float64) (r batchResult, released bool) {
 	if len(x) != c.cols {
-		return 0, true, fmt.Errorf("%w: x has %d entries, matrix has %d columns",
-			formats.ErrDimension, len(x), c.cols)
+		return batchResult{err: fmt.Errorf("%w: x has %d entries, matrix has %d columns",
+			formats.ErrDimension, len(x), c.cols)}, true
 	}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return 0, true, ErrShuttingDown
+		return batchResult{err: ErrShuttingDown}, true
 	}
 	c.requests.Add(1)
 	if c.busy {
@@ -133,9 +136,9 @@ func (c *Coalescer) multiplyInto(ctx context.Context, y, x []float64) (batch int
 		c.mu.Unlock()
 		select {
 		case r := <-p.done:
-			return r.batch, true, r.err
+			return r, true
 		case <-ctx.Done():
-			return 0, false, ctx.Err()
+			return batchResult{began: time.Now(), err: ctx.Err()}, false
 		}
 	}
 	// Idle (or batching off): this request's own call, on its goroutine.
@@ -144,7 +147,7 @@ func (c *Coalescer) multiplyInto(ctx context.Context, y, x []float64) (batch int
 	if c.maxBatch > 1 {
 		defer c.handOff()
 	}
-	return 1, true, c.single(ctx, y, x)
+	return batchResult{batch: 1, err: c.single(ctx, y, x)}, true
 }
 
 // single runs one single-vector kernel call. Nothing shares it, so the
@@ -204,17 +207,17 @@ func (c *Coalescer) next() []*pending {
 // cancellation during shutdown — propagate to every request of the batch;
 // each queued request always receives exactly one response.
 func (c *Coalescer) runBatch(b []*pending) {
-	k := len(b)
+	k, began := len(b), time.Now()
 	if k == 1 {
 		p := b[0]
-		p.done <- batchResult{batch: 1, err: c.single(p.ctx, p.y, p.x)}
+		p.done <- batchResult{batch: 1, began: began, err: c.single(p.ctx, p.y, p.x)}
 		return
 	}
 	c.batches.Add(1)
 	c.coalesced.Add(uint64(k))
 	if err := failpoint.Inject("serve.flush"); err != nil {
 		for _, p := range b {
-			p.done <- batchResult{batch: k, err: err}
+			p.done <- batchResult{batch: k, began: began, err: err}
 		}
 		return
 	}
@@ -243,7 +246,7 @@ func (c *Coalescer) runBatch(b []*pending) {
 		}
 	}
 	for _, p := range b {
-		p.done <- batchResult{batch: k, err: err}
+		p.done <- batchResult{batch: k, began: began, err: err}
 	}
 	c.putBlock(x)
 	c.putBlock(y)

@@ -308,10 +308,11 @@ func serveMultiply(w http.ResponseWriter, r *http.Request, co *Coalescer, b *mul
 		writeEnvelope(w, nil, err)
 		return true
 	}
-	batch, released, err := co.multiplyInto(r.Context(), b.y, b.x)
+	res, released := co.multiplyInto(r.Context(), b.y, b.x)
+	clock.stampAt(res.began)
 	clock.stamp()
-	if err == nil {
-		b.resp, err = AppendMultiplyResponse(b.resp[:0], b.y, batch)
+	if err = res.err; err == nil {
+		b.resp, err = AppendMultiplyResponse(b.resp[:0], b.y, res.batch)
 		clock.stamp()
 	}
 	clock.header(w.Header())
@@ -324,9 +325,10 @@ func serveMultiply(w http.ResponseWriter, r *http.Request, co *Coalescer, b *mul
 }
 
 // stageNames are a multiply's timed stages in order: decode parses the
-// body, multiply is the coalescer's wait plus the kernel call and its
-// scatter, encode formats the response.
-var stageNames = [...]string{"decode", "multiply", "encode"}
+// body; wait runs until the kernel call that serves the request begins (0
+// when the request runs its own call); kernel is that call with a batch's
+// gather and scatter; encode formats the response.
+var stageNames = [...]string{"decode", "wait", "kernel", "encode"}
 
 // stageClock times one multiply's stages: at[0] is when decode began and
 // at[i] when stage i-1 ended. It lives on the pooled working set, so
@@ -343,8 +345,15 @@ func (c *stageClock) start() {
 	c.stamp()
 }
 
-func (c *stageClock) stamp() {
-	c.at[c.n] = time.Now()
+func (c *stageClock) stamp() { c.stampAt(time.Now()) }
+
+// stampAt ends the current stage at t; the zero t ends it where the
+// previous stage ended.
+func (c *stageClock) stampAt(t time.Time) {
+	if t.IsZero() {
+		t = c.at[c.n-1]
+	}
+	c.at[c.n] = t
 	c.n++
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/device"
+	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/selector"
 	"repro/internal/session"
@@ -252,7 +253,9 @@ func TestServerMultiplyTypedRefusals(t *testing.T) {
 
 // Every multiply response that got past reading its body says where its
 // time went: Server-Timing names the stages it reached, in order, and their
-// durations sum to no more than the handler's own wall time.
+// durations sum to no more than the handler's own wall time. A request that
+// runs its own kernel call waits 0; one queued behind another's call waits
+// until its own begins.
 func TestServerTimingHeader(t *testing.T) {
 	s, err := NewServer(DefaultConfig(), memSession(t))
 	if err != nil {
@@ -270,9 +273,9 @@ func TestServerTimingHeader(t *testing.T) {
 		status int
 		stages int // how many of stageNames the response reached
 	}{
-		{`{"x":[1,2]}`, http.StatusOK, 3},
-		{`{"x":[1e308,1]}`, http.StatusUnprocessableEntity, 3}, // the encode refuses an infinite y
-		{`{"x":[1]}`, http.StatusBadRequest, 2},                // the coalescer refuses a short x
+		{`{"x":[1,2]}`, http.StatusOK, 4},
+		{`{"x":[1e308,1]}`, http.StatusUnprocessableEntity, 4}, // the encode refuses an infinite y
+		{`{"x":[1]}`, http.StatusBadRequest, 3},                // the coalescer refuses a short x
 		{`{"x":[1,2,3]}`, http.StatusBadRequest, 1},            // the decode stops at the third entry
 		{`{"x":[1,"2"]}`, http.StatusBadRequest, 1},
 		{`{"x":[1,2],"pad":"` + strings.Repeat("a", 256) + `"}`, http.StatusRequestEntityTooLarge, 0},
@@ -294,22 +297,39 @@ func TestServerTimingHeader(t *testing.T) {
 		if len(timing) != 1 {
 			t.Fatalf("%s: Server-Timing %q, want one value", c.body, timing)
 		}
+		stages := parseTiming(t, c.body, timing[0], c.stages)
 		var sum time.Duration
-		metrics := strings.Split(timing[0], ", ")
-		if len(metrics) != c.stages {
-			t.Fatalf("%s: Server-Timing %q, want the first %d of %v", c.body, timing[0], c.stages, stageNames)
-		}
-		for i, m := range metrics {
-			name, dur, ok := strings.Cut(m, ";dur=")
-			ms, err := strconv.ParseFloat(dur, 64)
-			if !ok || err != nil || name != stageNames[i] || ms < 0 {
-				t.Fatalf("%s: Server-Timing %q: metric %d does not parse as %s;dur=<ms>", c.body, timing[0], i, stageNames[i])
-			}
-			sum += time.Duration(ms * float64(time.Millisecond))
+		for _, d := range stages {
+			sum += d
 		}
 		if sum > wall {
 			t.Fatalf("%s: stages sum to %v, the handler took %v", c.body, sum, wall)
 		}
+		if c.stages > 1 && stages[1] != 0 {
+			t.Fatalf("%s: Server-Timing %q: a request that ran its own call waited", c.body, timing[0])
+		}
+	}
+
+	// A second request queued behind a held call waits at least as long as
+	// the call is held after it queued.
+	hf := holdFormat(formats.NewCSR(matrix.Random(2, 2, 1, 1)))
+	co := NewCoalescer(context.Background(), hf, DefaultMaxBatch)
+	first := send(co, context.Background(), []float64{1, 2})
+	hf.started(t)
+	queued := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		serveMultiply(rec, httptest.NewRequest(http.MethodPost, url, strings.NewReader(`{"x":[1,2]}`)), co, &multiplyBufs{y: make([]float64, 2)})
+		queued <- rec
+	}()
+	waitAdmitted(t, co, 2)
+	const held = 2 * time.Millisecond
+	time.Sleep(held)
+	close(hf.release)
+	receive(t, first)
+	rec := <-queued
+	if timing := rec.Result().Header.Get("Server-Timing"); rec.Code != http.StatusOK || parseTiming(t, "queued", timing, 4)[1] < held {
+		t.Fatalf("queued request: status %d, Server-Timing %q, want a wait of at least %v", rec.Code, timing, held)
 	}
 
 	// Stamping is free and the header costs its value's string.
@@ -593,4 +613,24 @@ func TestShutdownLeavesSuppliedSessionOpen(t *testing.T) {
 	if got := sess.Store().Stats().Appended; got <= before {
 		t.Fatalf("Auto after Shutdown appended %d records, want > %d", got, before)
 	}
+}
+
+// parseTiming parses a Server-Timing value that must hold the first n of
+// stageNames, in order, and returns their durations.
+func parseTiming(t *testing.T, label, timing string, n int) []time.Duration {
+	t.Helper()
+	metrics := strings.Split(timing, ", ")
+	if len(metrics) != n {
+		t.Fatalf("%s: Server-Timing %q, want the first %d of %v", label, timing, n, stageNames)
+	}
+	stages := make([]time.Duration, n)
+	for i, m := range metrics {
+		name, dur, ok := strings.Cut(m, ";dur=")
+		ms, err := strconv.ParseFloat(dur, 64)
+		if !ok || err != nil || name != stageNames[i] || ms < 0 {
+			t.Fatalf("%s: Server-Timing %q: metric %d does not parse as %s;dur=<ms>", label, timing, i, stageNames[i])
+		}
+		stages[i] = time.Duration(ms * float64(time.Millisecond))
+	}
+	return stages
 }

@@ -1,22 +1,30 @@
 package simd
 
-import "time"
+import (
+	"context"
+	"time"
+
+	"repro/internal/measure"
+)
 
 // Install-time calibration of the AVX-512 rung: 512-bit execution can
 // downclock the core or stall on gather ports, so each ZMM kernel must
 // beat its AVX2 counterpart on a synthetic workload before it replaces
 // it ("win-or-stay-at-AVX2"). The workloads mirror the kernels' real
-// shapes (streaming val/idx, gathered x resident in L1/L2); timings take
-// the best of calRounds rounds so scheduler noise only ever flatters the
-// incumbent. Winners are computed once per process: SetLevel re-installs
-// from the cached verdicts.
+// shapes (streaming val/idx, gathered x resident in L1/L2). Each pair is
+// one measure.Compare, the two kernels' rounds interleaved, and the verdict
+// reads their minima. Winners are computed once per process: SetLevel
+// re-installs from the cached verdicts.
 
 const (
-	calElems  = 4096 // streamed elements / blocks per timed call
-	calXLen   = 2048 // gathered x vector length
-	calRows   = 512  // rows per CSR row set (at most 16 entries each)
-	calRounds = 3
-	calIters  = 8
+	calElems = 4096 // streamed elements / blocks per timed call
+	calXLen  = 2048 // gathered x vector length
+	calRows  = 512  // rows per CSR row set (at most 16 entries each)
+	calSets  = 8    // CSR row sets the row-range case cycles through
+	// calRounds rounds of at least calMinTime per kernel: calibration is a
+	// cold-start cost every process pays.
+	calRounds  = 3
+	calMinTime = 20 * time.Microsecond
 	// calMargin is the win threshold: the ZMM kernel must be at least this
 	// factor of the AVX2 time (2% faster) — ties stay at AVX2.
 	calMargin = 0.98
@@ -60,12 +68,12 @@ func calibrate() map[string]bool {
 		bc[i] = int32((i * 13) % bcBound)
 	}
 
-	// CSR rows of 1..16 entries in no learnable order, calIters row sets
+	// CSR rows of 1..16 entries in no learnable order, calSets row sets
 	// over one stream, each timed call taking the next: the row-range
 	// kernels differ most in trip-count branches per row, and the branch
 	// predictors memorize one set of < 3 000 rows replayed (ZMM then reads
 	// 0.95-1.1x YMM, against 1.6x on fresh rows, 1.26-1.41x on matrices).
-	rowPtr := make([]int32, calIters*(calRows+1))
+	rowPtr := make([]int32, calSets*(calRows+1))
 	for i, s := 1, uint32(1); i < len(rowPtr); i++ {
 		if s = s*1664525 + 1013904223; i%(calRows+1) != 0 { // a set starts at 0
 			rowPtr[i] = rowPtr[i-1] + 1 + int32(s>>24)%16
@@ -73,7 +81,7 @@ func calibrate() map[string]bool {
 	}
 	y := make([]float64, len(rowPtr))
 	set := 0
-	nextSet := func() int { set++; return set % calIters * (calRows + 1) }
+	nextSet := func() int { set++; return set % calSets * (calRows + 1) }
 
 	lanes8 := calElems / 8 // strided rows for the 8-lane kernels
 
@@ -103,24 +111,11 @@ func calibrate() map[string]bool {
 
 	win := make(map[string]bool, len(cases))
 	for _, c := range cases {
-		c.a() // warm both paths (page-in, branch predictors, ZMM power-up)
-		c.b()
-		win[c.name] = float64(calTime(c.b)) <= calMargin*float64(calTime(c.a))
+		res, _ := measure.Compare(context.Background(), []func() error{
+			func() error { c.a(); return nil },
+			func() error { c.b(); return nil },
+		}, calRounds, calMinTime) // neither fails, and nothing cancels
+		win[c.name] = res[1].MinNs <= calMargin*res[0].MinNs
 	}
 	return win
-}
-
-// calTime returns the best-of-rounds duration of calIters calls.
-func calTime(f func()) time.Duration {
-	best := time.Duration(1 << 62)
-	for r := 0; r < calRounds; r++ {
-		t0 := time.Now()
-		for i := 0; i < calIters; i++ {
-			f()
-		}
-		if d := time.Since(t0); d < best {
-			best = d
-		}
-	}
-	return best
 }

@@ -3,9 +3,7 @@
 package testutil
 
 import (
-	"math"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
@@ -38,24 +36,4 @@ func GateTier(t *testing.T, name string) *matrix.CSR {
 		t.Fatalf("generate %s: %v", name, err)
 	}
 	return m
-}
-
-// MinNsPerOp returns the minimum ns per fn() call over three timing runs,
-// each doubling its iteration count until it lasts 20 ms — the
-// least-noisy estimator on shared hosts.
-func MinNsPerOp(fn func()) float64 {
-	best := math.Inf(1)
-	for rep := 0; rep < 3; rep++ {
-		for iters := 1; ; iters *= 2 {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				fn()
-			}
-			if elapsed := time.Since(start); elapsed >= 20*time.Millisecond || iters >= 1<<22 {
-				best = math.Min(best, float64(elapsed.Nanoseconds())/float64(iters))
-				break
-			}
-		}
-	}
-	return best
 }

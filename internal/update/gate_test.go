@@ -3,12 +3,16 @@
 package update
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/formats"
 	"repro/internal/matrix"
+	"repro/internal/measure"
 	"repro/internal/testutil"
 )
 
@@ -19,6 +23,7 @@ import (
 // Naive-CSR base's throughput on the same engine, at k = 1 and k = 8.
 func TestOverlayRetainedGate(t *testing.T) {
 	const fill, floor, k = 0.01, 0.85, 8
+	const gateRounds, gateMinTime = 3, 20 * time.Millisecond
 	workers := exec.MaxWorkers()
 	exec.Prestart()
 	for _, tier := range []string{"small-80k", "medium-600k"} {
@@ -38,18 +43,24 @@ func TestOverlayRetainedGate(t *testing.T) {
 		}
 		x1, y1 := matrix.RandomVector(m.Cols, 4), make([]float64, m.Rows)
 		xk, yk := matrix.RandomVector(m.Cols*k, 6), make([]float64, m.Rows*k)
-		// Base and fused are timed back to back per k: this host's speed
-		// drifts over seconds, and the verdict is their ratio.
+		// Base and fused are timed in one measure.Compare per k, their
+		// rounds interleaved: this host's speed drifts over seconds, and
+		// the verdict is their ratio.
 		for _, c := range []struct {
-			k           int
-			base, fused func()
-		}{
-			{1, func() { base.SpMVParallel(x1, y1, workers) }, func() { u.SpMVParallel(x1, y1, workers) }},
-			{k, func() { base.MultiplyMany(yk, xk, k) }, func() { u.MultiplyMany(yk, xk, k) }},
-		} {
-			c.base() // warm plans and pools
-			c.fused()
-			baseNs, fusedNs := testutil.MinNsPerOp(c.base), testutil.MinNsPerOp(c.fused)
+			k    int
+			x, y []float64
+		}{{1, x1, y1}, {k, xk, yk}} {
+			res, err := measure.Compare(context.Background(), []func() error{
+				func() error { return base.Apply(context.Background(), c.y, c.x, c.k, workers) },
+				func() error { return u.Apply(context.Background(), c.y, c.x, c.k, workers) },
+			}, gateRounds, gateMinTime)
+			if err == nil {
+				err = errors.Join(res[0].Err, res[1].Err)
+			}
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", tier, c.k, err)
+			}
+			baseNs, fusedNs := res[0].MinNs, res[1].MinNs
 			retained := baseNs / fusedNs
 			t.Logf("%s k=%d: base %.3f ms, fused %.3f ms, retained %.2fx", tier, c.k, baseNs/1e6, fusedNs/1e6, retained)
 			if retained < floor {
