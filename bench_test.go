@@ -288,7 +288,7 @@ func BenchmarkExtensionSelector(b *testing.B) {
 	knn := selector.Train(spec, train, 5)
 	b.Run("rules", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ev := selector.Evaluate(spec, test, func(fv core.FeatureVector) string {
+			ev := selector.EvaluateK(spec, test, 1, func(fv core.FeatureVector) string {
 				return selector.Rules(spec, fv)
 			})
 			b.ReportMetric(ev.Retained*100, "%retained")
@@ -296,7 +296,7 @@ func BenchmarkExtensionSelector(b *testing.B) {
 	})
 	b.Run("knn", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ev := selector.Evaluate(spec, test, func(fv core.FeatureVector) string {
+			ev := selector.EvaluateK(spec, test, 1, func(fv core.FeatureVector) string {
 				name, _ := knn.Predict(fv)
 				return name
 			})

@@ -27,11 +27,11 @@ func TestExtractIdentity(t *testing.T) {
 
 func TestExtractDenseRow(t *testing.T) {
 	// One row, all columns occupied: every interior element has 2 neighbors.
-	d := matrix.NewDense(1, 50)
-	for j := 0; j < 50; j++ {
-		d.Set(0, j, 1)
+	o := matrix.NewCOO(1, 50, 50)
+	for j := int32(0); j < 50; j++ {
+		o.Append(0, j, 1)
 	}
-	fv := Extract(matrix.FromDense(d))
+	fv := Extract(o.ToCSR())
 	want := float64(2*49) / 50 // 49 adjacent pairs contribute 2 each
 	if !floatNear(fv.AvgNumNeigh, want, 1e-12) {
 		t.Errorf("AvgNumNeigh = %g, want %g", fv.AvgNumNeigh, want)

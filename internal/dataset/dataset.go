@@ -123,12 +123,6 @@ func Point(mb, avg, skew, sim, neigh, bw float64) core.FeatureVector {
 	}
 }
 
-// GridSize returns the number of points without materializing the grid.
-func (s Size) GridSize() int {
-	return len(s.Footprints()) * len(AvgNNZValues) * len(SkewValues) *
-		len(SimValues) * len(NeighValues) * len(BWValues)
-}
-
 // Sample returns a deterministic subsample of the grid of approximately n
 // points, preserving the grid's coverage by striding.
 func (s Size) Sample(n int, seed int64) []core.FeatureVector {

@@ -81,13 +81,13 @@ func TestLRUFullyAssociativeSequential(t *testing.T) {
 
 func TestSimulateXHitRateDenseRow(t *testing.T) {
 	// Fully dense rows walk x sequentially: 7/8 of accesses hit the line.
-	d := matrix.NewDense(4, 512)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 512; j++ {
-			d.Set(i, j, 1)
+	o := matrix.NewCOO(4, 512, 4*512)
+	for i := int32(0); i < 4; i++ {
+		for j := int32(0); j < 512; j++ {
+			o.Append(i, j, 1)
 		}
 	}
-	m := matrix.FromDense(d)
+	m := o.ToCSR()
 	rate := SimulateXHitRate(m, 1<<20, 8)
 	// First row: 7/8 in-line hits; later rows fully resident.
 	if rate < 0.9 {

@@ -141,9 +141,6 @@ func (f *BCSR) Bytes() int64 {
 	return int64(len(f.val))*8 + int64(len(f.blkCol))*4 + int64(len(f.rowPtr))*4
 }
 
-// Blocks returns the stored block count.
-func (f *BCSR) Blocks() int { return len(f.blkCol) }
-
 // Traits implements Format.
 func (f *BCSR) Traits() Traits {
 	pad := 0.0

@@ -138,9 +138,6 @@ func (f *SELLCS) Bytes() int64 {
 	return int64(len(f.val))*12 + int64(len(f.perm))*4 + int64(len(f.chunkPtr))*8 + int64(len(f.chunkLen))*4
 }
 
-// PaddedEntries returns the slab slot count including padding.
-func (f *SELLCS) PaddedEntries() int64 { return int64(len(f.val)) }
-
 // Traits implements Format.
 func (f *SELLCS) Traits() Traits {
 	pad := 0.0

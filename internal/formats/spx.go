@@ -147,16 +147,6 @@ func (f *SPX) NNZ() int64 { return f.nnz }
 // Bytes implements Format.
 func (f *SPX) Bytes() int64 { return f.bytesTotal }
 
-// CompressionRatio returns CSR bytes divided by SPX bytes (> 1 means SPX is
-// smaller).
-func (f *SPX) CompressionRatio() float64 {
-	csr := f.nnz*12 + int64(f.rows+1)*4
-	if f.bytesTotal == 0 {
-		return 1
-	}
-	return float64(csr) / float64(f.bytesTotal)
-}
-
 // Traits implements Format.
 func (f *SPX) Traits() Traits {
 	meta := 4.0

@@ -101,13 +101,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// MaxFeasibleSkew returns the largest skew coefficient reachable for the
-// given shape: the longest possible row is Cols, so skew cannot exceed
-// Cols/avg - 1.
-func (p Params) MaxFeasibleSkew() float64 {
-	return float64(p.Cols)/p.AvgNNZPerRow - 1
-}
-
 // RowsForFootprint returns the row count for which a square CSR matrix with
 // the given average nonzeros per row occupies approximately mb MiB
 // (12 bytes per nonzero + 4 per row-pointer entry, as in the paper's f1).

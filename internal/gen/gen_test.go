@@ -91,7 +91,8 @@ func TestGenerateInfeasibleSkewClamps(t *testing.T) {
 	p.SkewCoeff = 10000 // max row would be 200020 > 500 cols
 	m := mustGenerate(t, p)
 	fv := core.Extract(m)
-	maxSkew := p.MaxFeasibleSkew()
+	// The longest row is Cols, so skew cannot exceed Cols/avg - 1.
+	maxSkew := float64(p.Cols)/p.AvgNNZPerRow - 1
 	if fv.SkewCoeff > maxSkew+1 {
 		t.Errorf("measured skew %g exceeds feasibility bound %g", fv.SkewCoeff, maxSkew)
 	}

@@ -13,7 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // CSR is a sparse matrix in Compressed Sparse Row format.
@@ -164,20 +164,6 @@ func (m *CSR) MaxRowNNZ() int {
 	return max
 }
 
-// MinRowNNZ returns the minimum number of stored entries in any row.
-func (m *CSR) MinRowNNZ() int {
-	if m.Rows == 0 {
-		return 0
-	}
-	min := math.MaxInt
-	for i := 0; i < m.Rows; i++ {
-		if n := m.RowNNZ(i); n < min {
-			min = n
-		}
-	}
-	return min
-}
-
 // AvgRowNNZ returns the mean number of stored entries per row, the paper's
 // f2 feature.
 func (m *CSR) AvgRowNNZ() float64 {
@@ -199,75 +185,15 @@ func (m *CSR) RowBandwidth(i int) int {
 
 // Clone returns a deep copy of the matrix.
 func (m *CSR) Clone() *CSR {
-	c := &CSR{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		RowPtr: append([]int32(nil), m.RowPtr...),
-		ColIdx: append([]int32(nil), m.ColIdx...),
-		Val:    append([]float64(nil), m.Val...),
-	}
-	return c
+	return &CSR{Rows: m.Rows, Cols: m.Cols,
+		RowPtr: slices.Clone(m.RowPtr), ColIdx: slices.Clone(m.ColIdx), Val: slices.Clone(m.Val)}
 }
 
 // Equal reports whether two matrices have identical shape and stored
 // structure, with values compared exactly.
 func (m *CSR) Equal(o *CSR) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols || m.NNZ() != o.NNZ() {
-		return false
-	}
-	for i := range m.RowPtr {
-		if m.RowPtr[i] != o.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range m.ColIdx {
-		if m.ColIdx[k] != o.ColIdx[k] || m.Val[k] != o.Val[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// SortRows sorts the column indices (and matching values) within each row and
-// merges duplicate entries by addition, restoring the CSR invariant for data
-// assembled in arbitrary order. It returns the number of merged duplicates.
-func (m *CSR) SortRows() int {
-	merged := 0
-	w := int32(0) // write cursor into the compacted arrays
-	newPtr := make([]int32, m.Rows+1)
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		row := rowView{m.ColIdx[lo:hi], m.Val[lo:hi]}
-		sort.Sort(row)
-		newPtr[i] = w
-		for k := lo; k < hi; k++ {
-			if w > newPtr[i] && m.ColIdx[w-1] == m.ColIdx[k] {
-				m.Val[w-1] += m.Val[k]
-				merged++
-				continue
-			}
-			m.ColIdx[w] = m.ColIdx[k]
-			m.Val[w] = m.Val[k]
-			w++
-		}
-	}
-	newPtr[m.Rows] = w
-	m.RowPtr = newPtr
-	m.ColIdx = m.ColIdx[:w]
-	m.Val = m.Val[:w]
-	return merged
-}
-
-type rowView struct {
-	col []int32
-	val []float64
-}
-
-func (r rowView) Len() int           { return len(r.col) }
-func (r rowView) Less(i, j int) bool { return r.col[i] < r.col[j] }
-func (r rowView) Swap(i, j int) {
-	r.col[i], r.col[j] = r.col[j], r.col[i]
-	r.val[i], r.val[j] = r.val[j], r.val[i]
+	return m.Rows == o.Rows && m.Cols == o.Cols && slices.Equal(m.RowPtr, o.RowPtr) &&
+		slices.Equal(m.ColIdx, o.ColIdx) && slices.Equal(m.Val, o.Val)
 }
 
 // String summarizes the matrix shape and density.

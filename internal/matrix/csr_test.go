@@ -129,9 +129,6 @@ func TestCSRRowStats(t *testing.T) {
 	if got := m.MaxRowNNZ(); got != 5 {
 		t.Errorf("MaxRowNNZ = %d, want 5", got)
 	}
-	if got := m.MinRowNNZ(); got != 1 {
-		t.Errorf("MinRowNNZ = %d, want 1", got)
-	}
 	if got := m.AvgRowNNZ(); !almostEqual(got, 2.5, 1e-12) {
 		t.Errorf("AvgRowNNZ = %g, want 2.5", got)
 	}
@@ -168,31 +165,12 @@ func TestCSRCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestCSRSortRowsMergesDuplicates(t *testing.T) {
-	m := &CSR{Rows: 2, Cols: 5,
-		RowPtr: []int32{0, 4, 6},
-		ColIdx: []int32{3, 1, 3, 0, 4, 4},
-		Val:    []float64{1, 2, 10, 3, 4, 5},
-	}
-	merged := m.SortRows()
-	if merged != 2 {
-		t.Errorf("merged = %d, want 2", merged)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("invalid after SortRows: %v", err)
-	}
-	d := m.ToDense()
-	if d.At(0, 3) != 11 || d.At(0, 1) != 2 || d.At(0, 0) != 3 || d.At(1, 4) != 9 {
-		t.Errorf("wrong merged values: %+v", d.Data)
-	}
-}
-
 func TestEmptyMatrix(t *testing.T) {
 	m, err := NewCSR(0, 0, []int32{0}, nil, nil)
 	if err != nil {
 		t.Fatalf("NewCSR empty: %v", err)
 	}
-	if m.NNZ() != 0 || m.AvgRowNNZ() != 0 || m.MaxRowNNZ() != 0 || m.MinRowNNZ() != 0 {
+	if m.NNZ() != 0 || m.AvgRowNNZ() != 0 || m.MaxRowNNZ() != 0 {
 		t.Error("empty matrix stats not all zero")
 	}
 	m.SpMV(nil, nil) // must not panic

@@ -29,19 +29,6 @@ func (m *CSR) ToDense() *Dense {
 	return d
 }
 
-// FromDense builds a CSR matrix from the nonzero entries of d.
-func FromDense(d *Dense) *CSR {
-	o := NewCOO(d.Rows, d.Cols, 0)
-	for i := 0; i < d.Rows; i++ {
-		for j := 0; j < d.Cols; j++ {
-			if v := d.At(i, j); v != 0 {
-				o.Append(int32(i), int32(j), v)
-			}
-		}
-	}
-	return o.ToCSR()
-}
-
 // SpMV computes y = D*x by the naive triple loop.
 func (d *Dense) SpMV(x, y []float64) {
 	for i := 0; i < d.Rows; i++ {

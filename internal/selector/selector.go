@@ -296,12 +296,6 @@ type Evaluation struct {
 	RetainedP10 float64 // 10th percentile of retained performance
 }
 
-// Evaluate scores a selector function against exhaustive search on the
-// device model.
-func Evaluate(spec device.Spec, points []core.FeatureVector, predict func(core.FeatureVector) string) Evaluation {
-	return EvaluateK(spec, points, 1, predict)
-}
-
 // EvaluateK scores a selector function for the k-wide SpMM regime: the
 // ground truth is device.Spec.BestFormatK and predictions are rated at
 // the same k, so the score reflects the regime the selector targets.

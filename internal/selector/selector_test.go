@@ -54,7 +54,7 @@ func TestRulesEncodeTakeaways(t *testing.T) {
 func TestRulesRetainPerformance(t *testing.T) {
 	s := epyc(t)
 	points := dataset.Medium.Sample(600, 5)
-	ev := Evaluate(s, points, func(fv core.FeatureVector) string { return Rules(s, fv) })
+	ev := EvaluateK(s, points, 1, func(fv core.FeatureVector) string { return Rules(s, fv) })
 	if ev.N < 500 {
 		t.Fatalf("evaluated only %d points", ev.N)
 	}
@@ -71,11 +71,11 @@ func TestNearestBeatsRules(t *testing.T) {
 	if knn.Len() == 0 {
 		t.Fatal("empty training set")
 	}
-	evKNN := Evaluate(s, test, func(fv core.FeatureVector) string {
+	evKNN := EvaluateK(s, test, 1, func(fv core.FeatureVector) string {
 		name, _ := knn.Predict(fv)
 		return name
 	})
-	evRules := Evaluate(s, test, func(fv core.FeatureVector) string { return Rules(s, fv) })
+	evRules := EvaluateK(s, test, 1, func(fv core.FeatureVector) string { return Rules(s, fv) })
 	if evKNN.Retained < evRules.Retained-0.02 {
 		t.Errorf("k-NN retains %.3f, rules %.3f; k-NN should be at least comparable",
 			evKNN.Retained, evRules.Retained)
@@ -106,7 +106,7 @@ func TestNearestEmptyAndTies(t *testing.T) {
 
 func TestEvaluateEmpty(t *testing.T) {
 	s := epyc(t)
-	ev := Evaluate(s, nil, func(core.FeatureVector) string { return "Naive-CSR" })
+	ev := EvaluateK(s, nil, 1, func(core.FeatureVector) string { return "Naive-CSR" })
 	if ev.N != 0 || ev.Retained != 0 {
 		t.Errorf("empty evaluation should be zero: %+v", ev)
 	}
@@ -151,7 +151,7 @@ func TestRetainedP10SmallTestSets(t *testing.T) {
 		return name
 	}
 	first := true
-	ev := Evaluate(s, points, func(fv core.FeatureVector) string {
+	ev := EvaluateK(s, points, 1, func(fv core.FeatureVector) string {
 		if first {
 			first = false
 			return worst(fv)

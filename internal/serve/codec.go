@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"unsafe"
 
@@ -533,18 +534,132 @@ func AppendMultiplyResponse(dst []byte, y []float64, batch int) ([]byte, error) 
 		}
 		// encoding/json's float encoding (the ES6 number-to-string rule):
 		// plain decimals inside [1e-6, 1e21), exponent form outside, and a
-		// one-digit negative exponent without its padding zero.
-		format := byte('f')
-		if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		dst = strconv.AppendFloat(dst, v, format, -1, 64)
-		if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
+		// one-digit negative exponent without its padding zero. The codec
+		// writes the plain decimals below 2^53 itself; strconv the rest.
+		switch abs := math.Abs(v); {
+		case abs >= 1e-6 && abs < 1<<53:
+			dst = appendShortest(dst, v)
+		case abs == 0 || abs >= 1<<53 && abs < 1e21:
+			dst = strconv.AppendFloat(dst, v, 'f', -1, 64)
+		default:
+			dst = strconv.AppendFloat(dst, v, 'e', -1, 64)
+			if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+				dst[n-2] = dst[n-1]
+				dst = dst[:n-1]
+			}
 		}
 	}
 	dst = append(dst, `],"batch":`...)
 	dst = strconv.AppendInt(dst, int64(batch), 10)
 	return append(dst, "}}\n"...), nil
+}
+
+// pow5 holds 5^0 … 5^22: the shortest-digit search scales by at most
+// 10^22 (5^22 < 2^52), and pow5[k]<<k is 10^k.
+var pow5 = func() (t [23]uint64) {
+	for i, p := 0, uint64(1); i < len(t); i, p = i+1, 5*p {
+		t[i] = p
+	}
+	return t
+}()
+
+// digitPairs holds "00" to "99", two digits per lookup.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// appendShortest appends v, 1e-6 <= |v| < 2^53, as
+// strconv.AppendFloat(dst, v, 'f', -1, 64) does: the fewest digits that
+// read back as v and, of those, the closest to v, ties to even. Scaled by
+// the 10^q that makes one unit of 2^e2 (e2 in [-73, -2]) just over 1, the
+// rounding interval is (c ± 1)·5^q / 2^s with 5^q < 2^52 and s < 64: one
+// 64x64-bit product holds its bounds exactly, so nothing is approximated.
+func appendShortest(dst []byte, v float64) []byte {
+	if v < 0 {
+		dst = append(dst, '-')
+	}
+	b := math.Float64bits(v)
+	mant, exp := b&(1<<52-1)|1<<52, int(b>>52&0x7ff)-1075
+	if bits.TrailingZeros64(mant) >= -exp { // an integer prints as one
+		return appendDecimal(dst, mant>>-exp, 0)
+	}
+	// The interval is c ± 1 in units of 2^e2. Two cases of the general
+	// rule cannot arise in this range, so neither is coded. The bounds
+	// (c ± 1)·5^q / 2^s have odd numerators and s >= 1, so no candidate
+	// lies on one (the lower bound's ceiling is its floor plus one), and
+	// the even-mantissa rule for such a candidate has nothing to decide. The only values whose gap below is half the gap
+	// above, 2^-19 … 2^-1, have at most 14 significant digits and no other
+	// decimal that short within an ulp, so they print as themselves.
+	c, e2 := mant<<1, exp-1
+	q := (-e2*78913)>>18 + 1 // 10^q > 2^-e2 (78913/2^18 ≈ log10 2)
+	s, p := uint(-e2-q), pow5[q]
+	l := (64 - s) & 63 // s is in [1, 51]; the masks spare the shifts a range check
+	ch, cl := bits.Mul64(c, p)
+	ll, borrow := bits.Sub64(cl, p, 0)
+	ul, carry := bits.Add64(cl, p, 0)
+	lo, mid, hi := ((ch-borrow)<<l|ll>>(s&63))+1, ch<<l|cl>>(s&63), (ch+carry)<<l|ul>>(s&63)
+	mask := uint64(1)<<s - 1
+	// Drop digits while [lo, hi] still holds a shorter number, then round
+	// the central value to the k digits dropped, ties to even, and keep
+	// the result inside the interval.
+	k, d := 0, mid
+	for (lo+9)/10 <= hi/10 {
+		lo, hi, d = (lo+9)/10, hi/10, d/10
+		k++
+	}
+	// Twice the dropped remainder: its integer part and fraction bits.
+	pk := pow5[k] << k
+	twice, tail := 2*(mid-d*pk)+(cl&mask)>>(s-1), cl&(mask>>1)
+	if twice > pk || twice == pk && (tail != 0 || d&1 == 1) {
+		d++
+	}
+	return appendDecimal(dst, min(max(d, lo), hi), q-k)
+}
+
+// appendDecimal appends d·10^-frac in plain notation, each digit written
+// once in its final place.
+func appendDecimal(dst []byte, d uint64, frac int) []byte {
+	nd := bits.Len64(d) * 1233 >> 12 // log10 2 ≈ 1233/2^12
+	if d >= pow5[nd]<<nd {
+		nd++
+	}
+	if frac >= nd { // 0.000ddd, at most five zeros at or above 1e-6
+		dst = append(dst, "0.00000"[:2+frac-nd]...)
+	}
+	n, sep := len(dst), 0 // sep is 1 when the point falls among the digits
+	if 0 < frac && frac < nd {
+		sep = 1
+	}
+	dst = slices.Grow(dst, nd+sep)[:n+nd+sep]
+	putDigits(dst[n+sep:], d)
+	if sep == 1 { // ddd.ddd: the integer digits move left past the point
+		point := n + nd - frac
+		copy(dst[n:point], dst[n+1:point+1])
+		dst[point] = '.'
+	}
+	return dst
+}
+
+// putDigits fills b with d's last len(b) digits, eight at a time as two
+// independent halves of two pairs each.
+func putDigits(b []byte, d uint64) {
+	i := len(b)
+	for ; i >= 8; i -= 8 {
+		r := uint32(d % 1e8)
+		d /= 1e8
+		hi, lo := r/1e4, r%1e4
+		put2(b[i-8:], hi/100)
+		put2(b[i-6:], hi%100)
+		put2(b[i-4:], lo/100)
+		put2(b[i-2:], lo%100)
+	}
+	for ; i >= 2; i -= 2 {
+		put2(b[i-2:], uint32(d%100))
+		d /= 100
+	}
+	if i == 1 {
+		b[0] = byte('0' + d)
+	}
+}
+
+func put2(b []byte, r uint32) {
+	b[0], b[1] = digitPairs[2*r], digitPairs[2*r+1]
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -314,54 +315,166 @@ func TestDecodeMatchesParseFloat(t *testing.T) {
 	}
 }
 
-// Successful responses are byte for byte what encoding/json wrote before
-// the codec replaced it.
-func TestAppendMultiplyResponseByteIdentity(t *testing.T) {
+// encodingJSON is what encoding/json writes for a multiply's success
+// envelope.
+func encodingJSON(tb testing.TB, y []float64, batch int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(envelope{OK: true, Data: MultiplyResponse{Y: y, Batch: batch}}); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// encodeEdges are the values where shortest formatting turns: the layout
+// switches, each power of ten and two in range with its neighbours (a
+// power of two's interval is lopsided), the ends of the fast path, and
+// integers with trailing zeros.
+func encodeEdges() []float64 {
+	vs := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 2.2250738585072014e-308, 1e21, 1e22, 1e100}
+	around := func(v float64) {
+		vs = append(vs, math.Nextafter(v, 0), v, math.Nextafter(v, math.Inf(1)))
+	}
+	for k := -7; k <= 21; k++ {
+		around(math.Pow10(k))
+	}
+	for e := -21; e <= 54; e++ {
+		around(math.Ldexp(1, e))
+	}
+	for _, n := range []uint64{1, 7, 12345, 999999, 9007199254740993 / 10} {
+		for p := uint64(1); n*p < 1<<54; p *= 10 {
+			vs = append(vs, float64(n*p))
+		}
+	}
+	return vs
+}
+
+// encodeValues returns n values from every source the differential
+// draws on: encodeEdges, any finite bit pattern, products shaped like the
+// wide workload's y, decimals of 1 to 17 significant digits, and doubles
+// of few fraction bits (where the rounding tie between two shortest
+// candidates happens).
+func encodeValues(n int) []float64 {
 	rng := rand.New(rand.NewSource(13))
-	vectors := [][]float64{
-		{}, {0}, {math.Copysign(0, -1)},
-		{5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-310},
-		{1e-7, 1e-6, 9.999999999999999e-7, 1.0000000000000002e-6, -1e-7, -1e-6},
-		{1e20, 1e21, 9.999999999999999e20, 1.0000000000000001e21, -1e21, 1e22, 1e100},
-		{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1e-9, 1.5e-10, 123456789, 0.1, 1.0 / 3},
+	vs := encodeEdges()
+	for _, v := range vs {
+		vs = append(vs, -v)
 	}
-	for n := 0; n < 200; n++ {
-		y := make([]float64, rng.Intn(40))
-		for i := range y {
-			switch rng.Intn(3) {
-			case 0: // any finite bit pattern, denormals included
-				for {
-					if y[i] = math.Float64frombits(rng.Uint64()); !math.IsInf(y[i], 0) && !math.IsNaN(y[i]) {
-						break
-					}
+	// 5 nonzeros a row as on the wide workload, at a width matrix.Random
+	// builds quickly.
+	const cols = 2048
+	m := matrix.Random(cols, cols, 5.0/cols, 7)
+	y := make([]float64, cols)
+	for seed := int64(1); len(vs) < n; seed++ {
+		m.SpMV(matrix.RandomVector(cols, seed), y)
+		for i := 0; i < cols && len(vs) < n; i++ {
+			var v float64
+			switch i % 4 {
+			case 0:
+				v = y[i]
+			case 1:
+				for v = math.Inf(1); math.IsInf(v, 0) || math.IsNaN(v); {
+					v = math.Float64frombits(rng.Uint64())
 				}
-			case 1: // magnitudes around the two format switches
-				y[i] = (rng.Float64()*2 - 1) * math.Pow(10, float64(rng.Intn(40)-12))
+			case 2:
+				digits := rng.Int63n(int64(math.Pow10(1 + rng.Intn(17))))
+				v, _ = strconv.ParseFloat(fmt.Sprintf("%de%d", digits, rng.Intn(44)-30), 64)
 			default:
-				y[i] = rng.NormFloat64()
+				v = math.Ldexp(float64(rng.Int63n(1<<53)|1<<52), rng.Intn(80)-76)
 			}
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			vs = append(vs, v)
 		}
-		vectors = append(vectors, y)
 	}
-	for _, y := range vectors {
-		batch := rng.Intn(DefaultMaxBatch) + 1
-		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(envelope{OK: true, Data: MultiplyResponse{Y: y, Batch: batch}}); err != nil {
-			t.Fatal(err)
+	return vs
+}
+
+// Successful responses are byte for byte what encoding/json writes, on
+// the codec's own formatter and on its strconv fallback, and each path
+// carries a share of the values, so neither goes untested.
+func TestAppendMultiplyResponseByteIdentity(t *testing.T) {
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 16
+	}
+	vs := encodeValues(n)
+	fast := 0 // values on the codec's own formatter rather than strconv
+	for _, v := range vs {
+		if abs := math.Abs(v); abs >= 1e-6 && abs < 1<<53 {
+			fast++
 		}
+	}
+	for lo := 0; lo < len(vs); lo += 4096 {
+		y := vs[lo:min(lo+4096, len(vs))]
+		batch := lo/4096%DefaultMaxBatch + 1
 		got, err := AppendMultiplyResponse(nil, y, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("y = %v\n got %s\nwant %s", y, got, want.Bytes())
+		if bytes.Equal(got, encodingJSON(t, y, batch)) {
+			continue
 		}
+		for _, v := range y {
+			got, _ := AppendMultiplyResponse(nil, []float64{v}, 1)
+			if want := encodingJSON(t, []float64{v}, 1); !bytes.Equal(got, want) {
+				t.Fatalf("%v (%#x):\n got %s\nwant %s", v, math.Float64bits(v), got, want)
+			}
+		}
+		t.Fatalf("values %d to %d differ only together", lo, lo+len(y))
+	}
+	t.Logf("%d values: %d on the formatter, %d on strconv", len(vs), fast, len(vs)-fast)
+	if fast < len(vs)/20 || len(vs)-fast < len(vs)/20 {
+		t.Errorf("a path took under 5%% of %d values: formatter %d", len(vs), fast)
+	}
+	if got, _ := AppendMultiplyResponse(nil, nil, 2); !bytes.Equal(got, encodingJSON(t, []float64{}, 2)) {
+		t.Fatalf("empty y: got %s", got)
 	}
 	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 		if _, err := AppendMultiplyResponse(nil, []float64{1, bad}, 1); !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("y = [1 %v]: err = %v, want ErrNonFinite", bad, err)
 		}
 	}
+}
+
+// The encoder against its reference on any vector of bit patterns: the
+// bytes encoding/json writes, or ErrNonFinite where it has no JSON form.
+func FuzzAppendMultiplyResponse(f *testing.F) {
+	for _, y := range [][]float64{
+		{}, {1.5e-5, 3.14159, 12300, 1e20}, // 0.000ddd, d.ddd, ddd00
+		{1e-7, -2.5e-300, 1e17, 1e22, 9007199254740993, math.Copysign(0, -1)}, // strconv's cases
+		{0.1, 1.0 / 3, 1125899906842624.25, math.Ldexp(1, -20), 9.999999999999999e-7, 1e-6},
+		{math.NaN()}, {2, math.Inf(-1)},
+	} {
+		var b []byte
+		for _, v := range y {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		y := make([]float64, len(b)/8)
+		finite := true
+		for i := range y {
+			y[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			finite = finite && !math.IsInf(y[i], 0) && !math.IsNaN(y[i])
+		}
+		got, err := AppendMultiplyResponse(nil, y, 3)
+		switch {
+		case !finite:
+			if !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("y = %v: err = %v, want ErrNonFinite", y, err)
+			}
+		case err != nil:
+			t.Fatalf("y = %v: %v", y, err)
+		default:
+			if want := encodingJSON(t, y, 3); !bytes.Equal(got, want) {
+				t.Fatalf("y = %v:\n got %s\nwant %s", y, got, want)
+			}
+		}
+	})
 }
 
 // wideRequest is an n-entry request body as a client's encoding/json
@@ -381,14 +494,22 @@ func TestMultiplyCodecZeroAllocs(t *testing.T) {
 	const n = 50000
 	body := wideRequest(t, n)
 	x := make([]float64, 0, n)
-	resp, _ := AppendMultiplyResponse(nil, matrix.RandomVector(n, 51), 1)
+	// A second y puts every third entry on the strconv fallback, below
+	// 1e-6 or at 2^53 and above.
+	mixed := matrix.RandomVector(n, 52)
+	for i := 0; i < n; i += 3 {
+		mixed[i] *= []float64{1e-9, 1e17, 1e25}[i/3%3]
+	}
+	resp, _ := AppendMultiplyResponse(nil, mixed, 1)
 	allocs := testing.AllocsPerRun(3, func() {
 		var err error
 		if x, err = DecodeMultiplyRequest(x, body, n); err != nil || len(x) != n {
 			t.Fatalf("decode: %d entries, %v", len(x), err)
 		}
-		if resp, err = AppendMultiplyResponse(resp[:0], x, 1); err != nil {
-			t.Fatal(err)
+		for _, y := range [][]float64{x, mixed} {
+			if resp, err = AppendMultiplyResponse(resp[:0], y, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if allocs != 0 {
