@@ -169,62 +169,6 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 	}
 }
 
-// Ablation A2: SELL-C-sigma sorting scope. Larger sigma removes more
-// padding on skewed matrices at equal kernel shape.
-func BenchmarkAblationSELLSigma(b *testing.B) {
-	m, err := gen.Generate(gen.Params{
-		Rows: 100000, Cols: 100000,
-		AvgNNZPerRow: 12, StdNNZPerRow: 8,
-		SkewCoeff: 200, BWScaled: 0.3, CrossRowSim: 0.3, AvgNumNeigh: 0.5, Seed: 10,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sigma := range []int{1, 32, 256, 4096} {
-		b.Run(fmt.Sprintf("sigma=%d", sigma), func(b *testing.B) {
-			f, err := formats.NewSELLCS(m, formats.DefaultChunk, sigma)
-			if err != nil {
-				b.Skipf("build: %v", err)
-			}
-			x := matrix.RandomVector(m.Cols, 7)
-			y := make([]float64, m.Rows)
-			b.ReportMetric(f.Traits().PaddingRatio, "pad-ratio")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.SpMV(x, y)
-			}
-		})
-	}
-}
-
-// Ablation A3: HYB split threshold around the mean row length.
-func BenchmarkAblationHYBThreshold(b *testing.B) {
-	m, err := gen.Generate(gen.Params{
-		Rows: 100000, Cols: 100000,
-		AvgNNZPerRow: 16, StdNNZPerRow: 10,
-		SkewCoeff: 100, BWScaled: 0.3, CrossRowSim: 0.3, AvgNumNeigh: 0.5, Seed: 11,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	avg := int(m.AvgRowNNZ())
-	for _, k := range []int{avg / 2, avg, 2 * avg} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			f, err := formats.NewHYBThreshold(m, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			x := matrix.RandomVector(m.Cols, 7)
-			y := make([]float64, m.Rows)
-			b.ReportMetric(float64(f.SpillNNZ())/float64(m.NNZ()), "spill-frac")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.SpMV(x, y)
-			}
-		})
-	}
-}
-
 // Ablation A5: analytic x-hit model vs trace-driven LRU simulation.
 func BenchmarkAblationCacheModel(b *testing.B) {
 	m, err := gen.Generate(gen.Params{

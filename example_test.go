@@ -364,14 +364,14 @@ func Example_quickstart() {
 	// generated: CSR 5000x5000 nnz=100000 (1.16 MiB, 20.00 nnz/row)
 	// features: avg=20.0 skew=10.2 sim=0.56 neigh=1.17
 	// COO        1.53 MiB stored, matches CSR within 1e-12: true
-	// Naive-CSR  1.16 MiB stored, matches CSR within 1e-12: true
-	// Vec-CSR    1.16 MiB stored, matches CSR within 1e-12: true
-	// Bal-CSR    1.16 MiB stored, matches CSR within 1e-12: true
-	// MKL-IE     1.16 MiB stored, matches CSR within 1e-12: true
+	// Naive-CSR  0.97 MiB stored, matches CSR within 1e-12: true
+	// Vec-CSR    0.97 MiB stored, matches CSR within 1e-12: true
+	// Bal-CSR    0.97 MiB stored, matches CSR within 1e-12: true
+	// MKL-IE     0.97 MiB stored, matches CSR within 1e-12: true
 	// ELL        12.78 MiB stored, matches CSR within 1e-12: true
 	// HYB        2.18 MiB stored, matches CSR within 1e-12: true
 	// CSR5       1.24 MiB stored, matches CSR within 1e-12: true
-	// Merge-CSR  1.16 MiB stored, matches CSR within 1e-12: true
+	// Merge-CSR  0.97 MiB stored, matches CSR within 1e-12: true
 	// SELL-C-s   1.19 MiB stored, matches CSR within 1e-12: true
 	// SparseX    0.99 MiB stored, matches CSR within 1e-12: true
 	// BCSR       1.68 MiB stored, matches CSR within 1e-12: true

@@ -231,26 +231,6 @@ func (f FeatureVector) OperationalIntensity() float64 {
 	return 2 * float64(f.NNZ) / bytes
 }
 
-// OperationalIntensityMulti returns the flop-per-byte ratio of a fused
-// k-vector SpMM pass over the matrix: 2k flops per nonzero against the CSR
-// stream (loaded once per pass, however many right-hand sides ride on it)
-// plus the k-wide streaming of the X and Y blocks. For k = 1 the x-block
-// term is folded into the cache model exactly as in OperationalIntensity;
-// for k > 1 the blocks are dense streams and are charged here. This is the
-// RHS-count axis of the feature space: intensity grows almost linearly in
-// k until the block traffic itself dominates, which is why the format
-// win-rate ordering flips between the k = 1 and k = 8 regimes.
-func (f FeatureVector) OperationalIntensityMulti(k int) float64 {
-	if k <= 1 {
-		return f.OperationalIntensity()
-	}
-	bytes := f.MemFootprintMB*(1<<20) + 8*float64(k)*float64(f.Rows+f.Cols)
-	if bytes == 0 {
-		return 0
-	}
-	return 2 * float64(f.NNZ) * float64(k) / bytes
-}
-
 // Distance returns a dimensionless feature-space distance used to pick the
 // nearest friend of a validation matrix: the RMS of per-feature relative (or
 // range-scaled) differences.

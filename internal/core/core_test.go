@@ -175,33 +175,6 @@ func TestDistanceProperties(t *testing.T) {
 	}
 }
 
-func TestOperationalIntensityMulti(t *testing.T) {
-	fv := FeatureVector{Rows: 1000, Cols: 1000, NNZ: 20000, MemFootprintMB: 0.25}
-	if got, want := fv.OperationalIntensityMulti(1), fv.OperationalIntensity(); got != want {
-		t.Errorf("k=1 intensity %g != OperationalIntensity %g", got, want)
-	}
-	if got, want := fv.OperationalIntensityMulti(0), fv.OperationalIntensity(); got != want {
-		t.Errorf("k=0 intensity %g != OperationalIntensity %g", got, want)
-	}
-	i1 := fv.OperationalIntensityMulti(1)
-	i8 := fv.OperationalIntensityMulti(8)
-	i64 := fv.OperationalIntensityMulti(64)
-	if i8 <= i1 {
-		t.Errorf("k=8 intensity %g should exceed k=1 %g (stream amortized)", i8, i1)
-	}
-	// Sublinear growth: the X/Y block traffic scales with k, so intensity
-	// must grow slower than k itself.
-	if i8 >= 8*i1 {
-		t.Errorf("k=8 intensity %g grew linearly (k=1: %g); block traffic ignored", i8, i1)
-	}
-	if i64 <= i8 {
-		t.Errorf("intensity should keep rising toward the block-traffic bound (k=64 %g vs k=8 %g)", i64, i8)
-	}
-	if (FeatureVector{}).OperationalIntensityMulti(8) != 0 {
-		t.Error("empty feature vector should have zero intensity")
-	}
-}
-
 func TestBottleneckStrings(t *testing.T) {
 	for b, want := range map[Bottleneck]string{
 		BandwidthIntensity: "memory-bandwidth intensity",

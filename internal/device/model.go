@@ -94,9 +94,8 @@ const fallbackMultiEff = 0.92
 // formats at fixed k and show the fusion speedup over Estimate directly.
 //
 // Formats with fused MultiplyMany kernels stream the matrix once per pass
-// and reuse every loaded nonzero k times, so their arithmetic intensity
-// (core.FeatureVector.OperationalIntensityMulti) — and modeled rate —
-// grows with k until the X/Y block traffic dominates. Formats on the
+// and reuse every loaded nonzero k times, so their arithmetic intensity —
+// and modeled rate — grows with k until the X/Y block traffic dominates. Formats on the
 // by-column fallback execute k sequential single-vector passes and keep
 // their k = 1 rate minus the block copy overhead. This asymmetry is what
 // flips the win-rate ordering between regimes (e.g. ELL's padding skip

@@ -391,8 +391,12 @@ func TestNativeEngineRefusesAWrongKernel(t *testing.T) {
 	m := matrix.Random(2000, 2000, 0.01, 42)
 	for _, k := range []int{1, 4} {
 		res := NativeEngine{Workers: 2}.Run(m, formats.Builder{
-			Name:  "wrong",
-			Build: func(m *matrix.CSR) (formats.Format, error) { return wrongRow{formats.NewCSR(m)}, nil },
+			Name: "wrong",
+			Build: func(m *matrix.CSR) (formats.Format, error) {
+				b, _ := formats.Lookup("Naive-CSR")
+				f, err := b.Build(m)
+				return wrongRow{f}, err
+			},
 		}, k)
 		if res.Err == nil || res.GFLOPS != 0 || res.MinNs != 0 {
 			t.Fatalf("k=%d: a kernel with a wrong element was timed: %+v", k, res)

@@ -30,11 +30,6 @@ type BCSR struct {
 // image exceeds this multiple of the nonzero count.
 const MaxBCSRFillRatio = 8.0
 
-// NewBCSR builds blocked CSR with br x bc blocks aligned to the block grid.
-func NewBCSR(m *matrix.CSR, br, bc int) (*BCSR, error) {
-	return newBCSR(m, Tuning{BlockR: br, BlockC: bc})
-}
-
 // newBCSR builds blocked CSR with the tuning's block geometry (2x2 when
 // unset).
 func newBCSR(m *matrix.CSR, t Tuning) (*BCSR, error) {

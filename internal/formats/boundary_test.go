@@ -25,7 +25,7 @@ func giantRowMatrix(rows, giantLen int, seed int64) *matrix.CSR {
 
 func TestMergeCSRGiantRowAcrossManyWorkers(t *testing.T) {
 	m := giantRowMatrix(64, 5000, 31)
-	f := NewMergeCSR(m)
+	f := newMergeCSR(m, Tuning{})
 	x := matrix.RandomVector(m.Cols, 32)
 	want := make([]float64, m.Rows)
 	m.SpMV(x, want)
@@ -130,7 +130,7 @@ func TestSELLCSLastChunkPartial(t *testing.T) {
 	// final chunk whose missing lanes must stay silent.
 	for _, rows := range []int{1, 7, 8, 9, 17} {
 		m := matrix.Random(rows, 50, 0.3, int64(rows)+50)
-		f, err := NewSELLCS(m, 8, 16)
+		f, err := newSELLCS(m, 8, 16, Tuning{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestSELLCSLastChunkPartial(t *testing.T) {
 
 func TestSELLCSPermutationIsBijective(t *testing.T) {
 	m := matrix.RandomRowSizes(100, 200, skewedSizes(100, 50), 43)
-	f, err := NewSELLCS(m, 8, 32)
+	f, err := newSELLCS(m, 8, 32, Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +171,12 @@ func TestHYBAllSpillAndNoSpill(t *testing.T) {
 	want := make([]float64, 60)
 	m.SpMV(x, want)
 	// Threshold larger than every row: pure ELL, empty spill.
-	fAll, err := NewHYBThreshold(m, m.MaxRowNNZ())
+	fAll, err := newHYBThreshold(m, m.MaxRowNNZ(), Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fAll.SpillNNZ() != 0 {
-		t.Errorf("spill = %d, want 0 at threshold=max", fAll.SpillNNZ())
+	if fAll.spill.NNZ() != 0 {
+		t.Errorf("spill = %d, want 0 at threshold=max", fAll.spill.NNZ())
 	}
 	got := make([]float64, 60)
 	fAll.SpMVParallel(x, got, 4)
@@ -184,7 +184,7 @@ func TestHYBAllSpillAndNoSpill(t *testing.T) {
 		t.Errorf("no-spill diff %g", d)
 	}
 	// Threshold 0: pure COO.
-	fNone, err := NewHYBThreshold(m, 0)
+	fNone, err := newHYBThreshold(m, 0, Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestQuickCarryKernels(t *testing.T) {
 		m.SpMV(x, want)
 
 		coo := NewCOO(m)
-		merge := NewMergeCSR(m)
+		merge := newMergeCSR(m, Tuning{})
 		csr5, err := NewCSR5(m)
 		if err != nil {
 			return false

@@ -11,27 +11,52 @@ import (
 // the baseline every platform in the paper provides. Its variants embed it
 // and differ in two fields: the partition policy and whether the
 // single-vector row kernel is the vectorized one.
+// On at most narrowMaxCols columns the family stores 2-byte column indices
+// (12 -> 10 bytes per nonzero) read by the int32 kernels' own generic or
+// macro bodies in the same order, so results are bit-identical; a wider
+// matrix shares its int32 array. Cols alone decides: nothing to tune.
 type CSR struct {
 	driver
 	rows, cols int
 	rowPtr     []int32
-	colIdx     []int32
+	colIdx     []int32  // nil when col16 holds the indices
+	col16      []uint16 // with simd.U16Slack zeroed entries past the last
 	val        []float64
 	policy     sched.Partitioner
 	vectorize  bool // k = 1 rows run vecCSRRowRange (Vec-CSR; MKL-IE unless a scalar tier inspects short rows)
 	tune       Tuning
 }
 
-// csrOf wraps a CSR matrix (sharing its storage; the matrix must not be
-// mutated while the format is in use) under the given partition policy.
-// The caller binds the driver once the outermost format is assembled.
+// narrowMaxCols is the widest matrix whose column indices fit uint16.
+const narrowMaxCols = 1 << 16
+
+// csrOf wraps a CSR matrix (sharing its storage, the column indices unless
+// it narrows them; the matrix must not be mutated while the format is in
+// use) under the given partition policy. The caller binds the driver once
+// the outermost format is assembled.
 func csrOf(m *matrix.CSR, policy sched.Partitioner, t Tuning) CSR {
-	return CSR{rows: m.Rows, cols: m.Cols, rowPtr: m.RowPtr, colIdx: m.ColIdx, val: m.Val,
-		policy: policy, tune: t}
+	c := CSR{rows: m.Rows, cols: m.Cols, rowPtr: m.RowPtr, colIdx: m.ColIdx, val: m.Val, policy: policy, tune: t}
+	if m.Cols <= narrowMaxCols {
+		c.colIdx, c.col16 = nil, narrowIdx(m.ColIdx)
+	}
+	return c
 }
 
-// NewCSR builds the naive CSR format over equal-count row blocks.
-func NewCSR(m *matrix.CSR) *CSR { return newCSR(m, Tuning{}) }
+// narrowIdx is src as col16. It is on every build's path, so it converts
+// eight indices per bounds check into one allocation.
+func narrowIdx(src []int32) []uint16 {
+	dst := make([]uint16, len(src)+simd.U16Slack)
+	j := 0
+	for ; j+8 <= len(src); j += 8 {
+		s, d := (*[8]int32)(src[j:]), (*[8]uint16)(dst[j:])
+		d[0], d[1], d[2], d[3] = uint16(s[0]), uint16(s[1]), uint16(s[2]), uint16(s[3])
+		d[4], d[5], d[6], d[7] = uint16(s[4]), uint16(s[5]), uint16(s[6]), uint16(s[7])
+	}
+	for ; j < len(src); j++ {
+		dst[j] = uint16(src[j])
+	}
+	return dst
+}
 
 func newCSR(m *matrix.CSR, t Tuning) *CSR {
 	c := csrOf(m, sched.RowBlocks, t)
@@ -52,7 +77,9 @@ func (f *CSR) Cols() int { return f.cols }
 func (f *CSR) NNZ() int64 { return int64(len(f.val)) }
 
 // Bytes implements Format.
-func (f *CSR) Bytes() int64 { return int64(len(f.val))*12 + int64(f.rows+1)*4 }
+func (f *CSR) Bytes() int64 {
+	return int64(len(f.val))*8 + int64(len(f.colIdx))*4 + int64(len(f.col16))*2 + int64(f.rows+1)*4
+}
 
 func (f *CSR) units() int { return f.rows }
 
@@ -66,24 +93,18 @@ func (f *CSR) plan(key exec.PlanKey, _ int) *exec.Plan {
 
 // Traits implements Format.
 func (f *CSR) Traits() Traits {
-	t := Traits{Balancing: RowGranular, MetaBytesPerNNZ: metaPerNNZCSR(len(f.val), f.rows), Class: ClassRowSum}
+	meta := float64(f.Bytes()-8*f.NNZ()) / float64(max(f.NNZ(), 1))
+	t := Traits{Balancing: RowGranular, MetaBytesPerNNZ: meta, Class: ClassRowSum}
 	if f.vectorize {
 		t.Class = ClassDotGather
 	}
 	return t
 }
 
-func metaPerNNZCSR(nnz, rows int) float64 {
-	if nnz == 0 {
-		return 4
-	}
-	return 4 + 4*float64(rows+1)/float64(nnz)
-}
-
 // csrRowRange is the scalar CSR kernel. Rows are materialized as capped
 // sub-slices so the compiler drops the val/colIdx bounds checks from the
 // inner loop; only the x gather keeps its check (its index is data).
-func csrRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi int) {
+func csrRowRange[I simd.Index](rowPtr []int32, colIdx []I, val, x, y []float64, lo, hi int) {
 	end := int(rowPtr[lo])
 	for i := lo; i < hi; i++ {
 		start := end
@@ -104,16 +125,24 @@ func csrRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi int) {
 // provides the register-level parallelism the vectorized single-vector
 // kernel unrolls for.
 func (f *CSR) apply(y, x []float64, k, lo, hi int) {
+	if f.col16 != nil {
+		csrApply(f, f.col16, y, x, k, lo, hi)
+	} else {
+		csrApply(f, f.colIdx, y, x, k, lo, hi)
+	}
+}
+
+func csrApply[I simd.Index](f *CSR, col []I, y, x []float64, k, lo, hi int) {
 	switch {
 	case k > 1:
-		l := f.tune.ladder(f.val, f.colIdx, x, y, 1, k)
+		l := newLadder(f.tune, f.val, col, x, y, 1, k)
 		for i := lo; i < hi; i++ {
 			l.bcastRow(i*k, int(f.rowPtr[i]), int(f.rowPtr[i+1]-f.rowPtr[i]))
 		}
 	case f.vectorize:
-		vecCSRRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi)
+		vecCSRRowRange(f.rowPtr, col, f.val, x, y, lo, hi)
 	default:
-		csrRowRange(f.rowPtr, f.colIdx, f.val, x, y, lo, hi)
+		csrRowRange(f.rowPtr, col, f.val, x, y, lo, hi)
 	}
 }
 
@@ -123,9 +152,6 @@ func (f *CSR) apply(y, x []float64, k, lo, hi int) {
 type VecCSR struct {
 	CSR
 }
-
-// NewVecCSR builds the vectorized-CSR format.
-func NewVecCSR(m *matrix.CSR) *VecCSR { return newVecCSR(m, Tuning{}) }
 
 func newVecCSR(m *matrix.CSR, t Tuning) *VecCSR {
 	f := &VecCSR{csrOf(m, sched.RowBlocks, t)}
@@ -142,7 +168,7 @@ func (f *VecCSR) Name() string { return "Vec-CSR" }
 // independent accumulators hide the FP-add latency chain and capped
 // sub-slices drop the val/colIdx bounds checks like the scalar kernel. Both
 // reassociate the row sum within matrix.CSR.WithinDotBound's forward bound.
-func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi int) {
+func vecCSRRowRange[I simd.Index](rowPtr []int32, colIdx []I, val, x, y []float64, lo, hi int) {
 	if simd.Enabled() {
 		simd.CSRRowRange(rowPtr, colIdx, val, x, y, lo, hi)
 		return
@@ -176,9 +202,6 @@ func vecCSRRowRange(rowPtr, colIdx []int32, val, x, y []float64, lo, hi int) {
 type BalCSR struct {
 	CSR
 }
-
-// NewBalCSR builds the balanced-CSR format.
-func NewBalCSR(m *matrix.CSR) *BalCSR { return newBalCSR(m, Tuning{}) }
 
 func newBalCSR(m *matrix.CSR, t Tuning) *BalCSR {
 	f := &BalCSR{csrOf(m, sched.NNZBalanced, t)}
@@ -216,9 +239,6 @@ const (
 )
 
 func inspectVectorize(avg float64) bool { return simd.Enabled() || avg >= vecMinRow }
-
-// NewInspectorCSR builds the inspector-executor CSR, analyzing the matrix.
-func NewInspectorCSR(m *matrix.CSR) *InspectorCSR { return newInspectorCSR(m, Tuning{}) }
 
 func newInspectorCSR(m *matrix.CSR, t Tuning) *InspectorCSR {
 	f := &InspectorCSR{CSR: csrOf(m, sched.RowBlocks, t)}

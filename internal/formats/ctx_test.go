@@ -265,7 +265,7 @@ func TestMergeCSRPlansDoNotCollide(t *testing.T) {
 	defer cancel()
 
 	m := testutil.EngineMatrices(t)["longrows"]
-	f, ref := NewMergeCSR(m), NewCSR(m)
+	f, ref := newMergeCSR(m, Tuning{}), newCSR(m, Tuning{})
 	for round := 0; round < 3; round++ {
 		for _, k := range []int{1, 8} {
 			x := matrix.RandomVector(m.Cols*k, int64(50+round))

@@ -29,7 +29,7 @@ type ELL struct {
 const MaxELLPaddedEntries = 1 << 28
 
 // newELLShell allocates an empty, unbound ELL slab for the given geometry:
-// NewELL fills and binds it, HYB drives it as a part of its own kernel.
+// newELL fills and binds it, HYB drives it as a part of its own kernel.
 func newELLShell(rows, cols, width int, t Tuning) *ELL {
 	padded := int64(rows) * int64(width)
 	return &ELL{
@@ -41,10 +41,8 @@ func newELLShell(rows, cols, width int, t Tuning) *ELL {
 	}
 }
 
-// NewELL builds the ELL format. It fails when rows*maxRowLen exceeds
+// newELL builds the ELL format. It fails when rows*maxRowLen exceeds
 // MaxELLPaddedEntries.
-func NewELL(m *matrix.CSR) (*ELL, error) { return newELL(m, Tuning{}) }
-
 func newELL(m *matrix.CSR, t Tuning) (*ELL, error) {
 	width := m.MaxRowNNZ() // 0 for an empty matrix: no slot may read x[0] when x is empty
 	padded := int64(m.Rows) * int64(width)
@@ -157,7 +155,7 @@ func (f *ELL) apply(y, x []float64, k, lo, hi int) {
 		f.rowRange(x, y, lo, hi)
 		return
 	}
-	l := f.tune.ladder(f.val, f.colIdx, x, y, f.rows, k)
+	l := newLadder(f.tune, f.val, f.colIdx, x, y, f.rows, k)
 	for i := lo; i < hi; i++ {
 		l.bcastRow(i*k, i, int(f.rowLen[i]))
 	}
@@ -175,9 +173,7 @@ type HYB struct {
 	spill      *COO
 }
 
-// NewHYB builds the hybrid format with the threshold at the mean row length.
-func NewHYB(m *matrix.CSR) (*HYB, error) { return newHYB(m, Tuning{}) }
-
+// newHYB builds the hybrid format with the threshold at the mean row length.
 func newHYB(m *matrix.CSR, t Tuning) (*HYB, error) {
 	k := int(m.AvgRowNNZ() + 0.5)
 	if k < 1 && m.NNZ() > 0 { // an empty matrix keeps 0: no slot may read x[0] when x is empty
@@ -186,10 +182,8 @@ func newHYB(m *matrix.CSR, t Tuning) (*HYB, error) {
 	return newHYBThreshold(m, k, t)
 }
 
-// NewHYBThreshold builds HYB with an explicit ELL width k (exposed for the
-// ablation study of the split heuristic).
-func NewHYBThreshold(m *matrix.CSR, k int) (*HYB, error) { return newHYBThreshold(m, k, Tuning{}) }
-
+// newHYBThreshold builds HYB with an explicit ELL width k (the ablation
+// study of the split heuristic varies it).
 func newHYBThreshold(m *matrix.CSR, k int, t Tuning) (*HYB, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w HYB: negative threshold %d", ErrBuild, k)
@@ -239,9 +233,6 @@ func (f *HYB) NNZ() int64 { return f.nnz }
 
 // Bytes implements Format.
 func (f *HYB) Bytes() int64 { return f.ell.Bytes() + f.spill.Bytes() }
-
-// SpillNNZ returns the number of entries in the COO spill part.
-func (f *HYB) SpillNNZ() int64 { return f.spill.NNZ() }
 
 // Traits implements Format.
 func (f *HYB) Traits() Traits {

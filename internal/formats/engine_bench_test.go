@@ -152,7 +152,7 @@ func BenchmarkCSRRowRange(b *testing.B) {
 	for _, n := range []int{1, 2, 3, 5, 8, 12, 20, 64, 1000} {
 		rows := nnz / n
 		m := matrix.RandomRowSizes(rows, cols, uniformSizes(rows, n), int64(n))
-		f := NewVecCSR(m)
+		f := newVecCSR(m, Tuning{})
 		x, y := matrix.RandomVector(cols, 7), make([]float64, rows)
 		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -161,6 +161,62 @@ func BenchmarkCSRRowRange(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+		})
+	}
+}
+
+// Ablation A2: SELL-C-sigma sorting scope. Larger sigma removes more
+// padding on skewed matrices at equal kernel shape.
+func BenchmarkAblationSELLSigma(b *testing.B) {
+	m, err := gen.Generate(gen.Params{
+		Rows: 100000, Cols: 100000,
+		AvgNNZPerRow: 12, StdNNZPerRow: 8,
+		SkewCoeff: 200, BWScaled: 0.3, CrossRowSim: 0.3, AvgNumNeigh: 0.5, Seed: 10,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sigma := range []int{1, 32, 256, 4096} {
+		b.Run(fmt.Sprintf("sigma=%d", sigma), func(b *testing.B) {
+			f, err := newSELLCS(m, DefaultChunk, sigma, Tuning{})
+			if err != nil {
+				b.Skipf("build: %v", err)
+			}
+			x := matrix.RandomVector(m.Cols, 7)
+			y := make([]float64, m.Rows)
+			b.ReportMetric(f.Traits().PaddingRatio, "pad-ratio")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.SpMV(x, y)
+			}
+		})
+	}
+}
+
+// Ablation A3: HYB split threshold around the mean row length.
+func BenchmarkAblationHYBThreshold(b *testing.B) {
+	m, err := gen.Generate(gen.Params{
+		Rows: 100000, Cols: 100000,
+		AvgNNZPerRow: 16, StdNNZPerRow: 10,
+		SkewCoeff: 100, BWScaled: 0.3, CrossRowSim: 0.3, AvgNumNeigh: 0.5, Seed: 11,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	avg := int(m.AvgRowNNZ())
+	for _, k := range []int{avg / 2, avg, 2 * avg} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			f, err := newHYBThreshold(m, k, Tuning{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := matrix.RandomVector(m.Cols, 7)
+			y := make([]float64, m.Rows)
+			b.ReportMetric(float64(f.spill.NNZ())/float64(m.NNZ()), "spill-frac")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.SpMV(x, y)
+			}
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
+	"repro/internal/simd"
 	"repro/internal/testutil"
 )
 
@@ -96,17 +97,26 @@ func TestFormatNamesMatchBuilders(t *testing.T) {
 
 func TestBytesPositiveAndOrdered(t *testing.T) {
 	m := matrix.Random(100, 100, 0.1, 9)
-	csrBytes := int64(m.NNZ())*12 + int64(m.Rows+1)*4
-	for _, b := range Registry() {
-		f, err := b.Build(m)
-		if err != nil {
-			continue
-		}
-		if f.Bytes() <= 0 {
-			t.Errorf("%s: nonpositive Bytes %d", b.Name, f.Bytes())
-		}
-		if f.Name() == "Naive-CSR" && f.Bytes() != csrBytes {
-			t.Errorf("CSR Bytes = %d, want %d", f.Bytes(), csrBytes)
+	// 8-byte values and 4-byte row pointers; 2-byte column indices (and
+	// their slack) on a matrix of at most narrowMaxCols columns, 4-byte ones
+	// on its widened twin.
+	nnz := int64(m.NNZ())
+	for _, c := range []struct {
+		m        *matrix.CSR
+		idxBytes int64
+	}{{m, 2 * (nnz + simd.U16Slack)}, {widened(m), 4 * nnz}} {
+		csrBytes := nnz*8 + c.idxBytes + int64(m.Rows+1)*4
+		for _, b := range Registry() {
+			f, err := b.Build(c.m)
+			if err != nil {
+				continue
+			}
+			if f.Bytes() <= 0 {
+				t.Errorf("%s: nonpositive Bytes %d", b.Name, f.Bytes())
+			}
+			if f.Name() == "Naive-CSR" && f.Bytes() != csrBytes {
+				t.Errorf("CSR Bytes over %d columns = %d, want %d", c.m.Cols, f.Bytes(), csrBytes)
+			}
 		}
 	}
 }
@@ -114,7 +124,7 @@ func TestBytesPositiveAndOrdered(t *testing.T) {
 func TestELLPaddingAndRejection(t *testing.T) {
 	// Balanced matrix: no padding beyond the max row.
 	m := matrix.RandomRowSizes(50, 100, uniformSizes(50, 4), 10)
-	f, err := NewELL(m)
+	f, err := newELL(m, Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +137,7 @@ func TestELLPaddingAndRejection(t *testing.T) {
 
 	// Skewed matrix: padding ratio equals skew.
 	sk := matrix.RandomRowSizes(64, 1000, skewedSizes(64, 640), 11)
-	fs, err := NewELL(sk)
+	fs, err := newELL(sk, Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +153,7 @@ func TestELLPaddingAndRejection(t *testing.T) {
 	for c := int32(0); c < 1000; c++ {
 		huge.Append(5, c, 1)
 	}
-	if _, err := NewELL(huge.ToCSR()); !errors.Is(err, ErrBuild) {
+	if _, err := newELL(huge.ToCSR(), Tuning{}); !errors.Is(err, ErrBuild) {
 		t.Errorf("ELL accepted a pathological matrix: %v", err)
 	}
 }
@@ -153,25 +163,25 @@ func TestHYBSplit(t *testing.T) {
 	sizes := uniformSizes(50, 2)
 	sizes[7] = 20
 	m := matrix.RandomRowSizes(50, 100, sizes, 12)
-	f, err := NewHYB(m)
+	f, err := newHYB(m, Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.SpillNNZ() == 0 {
+	if f.spill.NNZ() == 0 {
 		t.Error("HYB spill empty despite a long row")
 	}
-	if f.SpillNNZ() >= int64(m.NNZ()) {
+	if f.spill.NNZ() >= int64(m.NNZ()) {
 		t.Error("HYB spilled everything")
 	}
 	// Explicit threshold 0 spills all entries.
-	f0, err := NewHYBThreshold(m, 0)
+	f0, err := newHYBThreshold(m, 0, Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f0.SpillNNZ() != int64(m.NNZ()) {
-		t.Errorf("threshold 0: spill %d, want all %d", f0.SpillNNZ(), m.NNZ())
+	if f0.spill.NNZ() != int64(m.NNZ()) {
+		t.Errorf("threshold 0: spill %d, want all %d", f0.spill.NNZ(), m.NNZ())
 	}
-	if _, err := NewHYBThreshold(m, -1); err == nil {
+	if _, err := newHYBThreshold(m, -1, Tuning{}); err == nil {
 		t.Error("negative threshold accepted")
 	}
 }
@@ -225,11 +235,11 @@ func TestSELLCSPaddingShrinksWithSorting(t *testing.T) {
 		}
 	}
 	m := matrix.RandomRowSizes(512, 2000, sizes, 14)
-	unsorted, err := NewSELLCS(m, 8, 1) // sigma=1: no sorting
+	unsorted, err := newSELLCS(m, 8, 1, Tuning{}) // sigma=1: no sorting
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := NewSELLCS(m, 8, 256)
+	sorted, err := newSELLCS(m, 8, 256, Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +250,10 @@ func TestSELLCSPaddingShrinksWithSorting(t *testing.T) {
 
 func TestSELLCSRejectsBadConfig(t *testing.T) {
 	m := matrix.Identity(8)
-	if _, err := NewSELLCS(m, 0, 8); err == nil {
+	if _, err := newSELLCS(m, 0, 8, Tuning{}); err == nil {
 		t.Error("chunk 0 accepted")
 	}
-	if _, err := NewSELLCS(m, 4, 0); err == nil {
+	if _, err := newSELLCS(m, 4, 0, Tuning{}); err == nil {
 		t.Error("sigma 0 accepted")
 	}
 }
@@ -256,8 +266,12 @@ func TestSPXCompression(t *testing.T) {
 			o.Append(i, 100+c, float64(c))
 		}
 	}
-	// CSR bytes over SPX bytes: > 1 means SPX is smaller.
-	ratio := func(m *matrix.CSR) float64 { return float64(NewCSR(m).Bytes()) / float64(NewSPX(m).Bytes()) }
+	// CSR bytes over SPX bytes: > 1 means SPX is smaller. The CSR side is
+	// SparseX's baseline, 4-byte column indices (the widened twin): the
+	// CSR family narrows the indices of matrices this small itself.
+	ratio := func(m *matrix.CSR) float64 {
+		return float64(newCSR(widened(m), Tuning{}).Bytes()) / float64(NewSPX(m).Bytes())
+	}
 	if r := ratio(o.ToCSR()); r < 1.4 {
 		t.Errorf("run-structured compression ratio = %g, want > 1.4", r)
 	}
@@ -302,7 +316,7 @@ func TestBCSRBlocksAndFillGate(t *testing.T) {
 		}
 	}
 	m := o.ToCSR()
-	f, err := NewBCSR(m, 2, 2)
+	f, err := newBCSR(m, Tuning{BlockR: 2, BlockC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,17 +325,17 @@ func TestBCSRBlocksAndFillGate(t *testing.T) {
 	}
 	// Fully scattered: one entry per block, fill ratio 4 with 2x2; a sparse
 	// diagonal-ish spread exceeding the gate must be refused.
-	if _, err := NewBCSR(matrix.Random(400, 4000, 0.0005, 18), 4, 4); !errors.Is(err, ErrBuild) {
+	if _, err := newBCSR(matrix.Random(400, 4000, 0.0005, 18), Tuning{BlockR: 4, BlockC: 4}); !errors.Is(err, ErrBuild) {
 		t.Error("BCSR accepted a hostile fill ratio")
 	}
-	if _, err := NewBCSR(m, 0, 2); err == nil {
+	if _, err := newBCSR(m, Tuning{BlockR: 0, BlockC: 2}); err == nil {
 		t.Error("BCSR accepted block size 0")
 	}
 }
 
 func TestInspectorCSRDecisions(t *testing.T) {
 	longRows := matrix.RandomRowSizes(40, 400, uniformSizes(40, 30), 19)
-	f := NewInspectorCSR(longRows)
+	f := newInspectorCSR(longRows, Tuning{})
 	if !f.vectorize {
 		t.Error("inspector should vectorize long rows")
 	}
@@ -332,7 +346,7 @@ func TestInspectorCSRDecisions(t *testing.T) {
 	sizes := uniformSizes(40, 2)
 	sizes[3] = 200
 	skewed := matrix.RandomRowSizes(40, 400, sizes, 20)
-	fs := NewInspectorCSR(skewed)
+	fs := newInspectorCSR(skewed, Tuning{})
 	if !fs.balance {
 		t.Error("inspector should balance a skewed matrix")
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/matrix"
@@ -39,11 +40,17 @@ func fuzzEntries(rows, cols byte, entries ...[4]byte) []byte {
 // FuzzBuildersMatchCSR holds every registry builder to the CSR reference on
 // arbitrary small matrices: a builder either refuses with ErrBuild, or its
 // Apply at k = 1 and k = 3 agrees with the column-wise CSR product within
-// the dot product's forward bound. Values and x stay finite: whether ELL's
+// the dot product's forward bound. The CSR family also builds every input
+// as its widened twin (Cols past narrowMaxCols, x padded with zeros), so
+// its int32 path is fuzzed beside its uint16 one. Values and x stay finite: whether ELL's
 // padding slots (column 0, value 0) may turn an infinite or NaN x[0] into a
 // NaN where CSR is finite is a contract not yet decided, so non-finite
 // inputs stay out until it is.
 func FuzzBuildersMatchCSR(f *testing.F) {
+	type input struct {
+		m *matrix.CSR
+		x []float64
+	}
 	f.Add([]byte{})                                                        // 0 x 0
 	f.Add([]byte{5, 7})                                                    // no entries
 	f.Add([]byte{18, 0})                                                   // rows without a column: an x of length 0
@@ -58,23 +65,30 @@ func FuzzBuildersMatchCSR(f *testing.F) {
 		[4]byte{2, 63, 100, 0}, [4]byte{2, 62, 100, 63}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := fuzzCSR(data)
-		for _, b := range Registry() {
-			fm, err := b.Build(m)
-			if err != nil {
-				if !errors.Is(err, ErrBuild) {
-					t.Fatalf("%s on %v: %v, want a format or ErrBuild", b.Name, m, err)
+		for _, k := range []int{1, 3} {
+			x := matrix.RandomVector(m.Cols*k, int64(k))
+			want := testutil.MultiplyManyWant(m, m.Rows, m.Cols, x, k)
+			twin := input{widened(m), padX(m, x, k)}
+			for _, b := range Registry() {
+				ins := []input{{m, x}}
+				if slices.Contains(csrFamily, b.Name) {
+					ins = append(ins, twin)
 				}
-				continue
-			}
-			for _, k := range []int{1, 3} {
-				x := matrix.RandomVector(m.Cols*k, int64(k))
-				y := make([]float64, m.Rows*k)
-				if err := fm.Apply(context.Background(), y, x, k, 2); err != nil {
-					t.Fatalf("%s k=%d on %v: %v", b.Name, k, m, err)
-				}
-				want := testutil.MultiplyManyWant(m, m.Rows, m.Cols, x, k)
-				if i, ok := m.WithinDotBound(x, k, y, want); !ok {
-					t.Fatalf("%s k=%d on %v: y[%d] = %v, the CSR reference's %v", b.Name, k, m, i, y[i], want[i])
+				for _, in := range ins {
+					fm, err := b.Build(in.m)
+					if err != nil {
+						if !errors.Is(err, ErrBuild) {
+							t.Fatalf("%s on %v: %v, want a format or ErrBuild", b.Name, in.m, err)
+						}
+						continue
+					}
+					y := make([]float64, m.Rows*k)
+					if err := fm.Apply(context.Background(), y, in.x, k, 2); err != nil {
+						t.Fatalf("%s k=%d on %v: %v", b.Name, k, in.m, err)
+					}
+					if i, ok := m.WithinDotBound(x, k, y, want); !ok {
+						t.Fatalf("%s k=%d on %v: y[%d] = %v, the CSR reference's %v", b.Name, k, in.m, i, y[i], want[i])
+					}
 				}
 			}
 		}

@@ -4,11 +4,13 @@ package formats
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/measure"
 	"repro/internal/simd"
@@ -79,7 +81,7 @@ func TestShortRowsVectorizedGate(t *testing.T) {
 	const floor = 1.30
 	defer simd.SetLevel(simd.SetLevel("auto"))
 	m := skewTier(t, 420000)
-	f := NewInspectorCSR(m)
+	f := newInspectorCSR(m, Tuning{})
 	x, y := matrix.RandomVector(m.Cols, 6), make([]float64, m.Rows)
 	for attempt := 1; ; attempt++ {
 		ns := tierNs(t, []string{"scalar", "auto"}, func() error {
@@ -92,6 +94,52 @@ func TestShortRowsVectorizedGate(t *testing.T) {
 		}
 		if attempt == 2 {
 			t.Fatalf("MKL-IE on lib-stream runs %.2fx the scalar tier under %s, floor %.2fx", ratio, simd.Level(), floor)
+		}
+	}
+}
+
+// TestNarrowIndexGate holds the narrow-index mechanism to its reason for
+// being: on a matrix shaped like serve-batch's (3 000 x 3 000, 1 000
+// nonzeros per row, bandwidth 1, skew 0.5; 36 MB of int32 CSR), MKL-IE on
+// two lanes must run at least 1.08x faster over 2-byte column indices than
+// over its widened int32 twin, the two timed in one measure.Compare of
+// fifteen rounds (1.14-1.39x on a 2-vCPU AVX-512 guest; nine rounds read
+// 1.00-1.43x). Without an accelerated tier the kernel is not
+// bandwidth-bound, so the test skips. One retry absorbs a noisy neighbour.
+func TestNarrowIndexGate(t *testing.T) {
+	if simd.Level() == "scalar" {
+		t.Skip("no accelerated tier: the scalar kernel is not bandwidth-bound")
+	}
+	const floor, workers = 1.08, 2
+	defer exec.SetMaxWorkers(exec.SetMaxWorkers(workers))
+	exec.Prestart()
+	m, err := gen.Generate(gen.Params{Rows: 3000, Cols: 3000, AvgNNZPerRow: 1000, StdNNZPerRow: 250,
+		SkewCoeff: 0.5, BWScaled: 1, CrossRowSim: 0.4, AvgNumNeigh: 0.8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, wide := newInspectorCSR(m, Tuning{}), newInspectorCSR(widened(m), Tuning{})
+	x := matrix.RandomVector(m.Cols, 6)
+	xw, yn, yw := padX(m, x, 1), make([]float64, m.Rows), make([]float64, m.Rows)
+	for attempt := 1; ; attempt++ {
+		res, err := measure.Compare(context.Background(), []func() error{
+			func() error { return narrow.Apply(context.Background(), yn, x, 1, workers) },
+			func() error { return wide.Apply(context.Background(), yw, xw, 1, workers) },
+		}, 15, 20*time.Millisecond)
+		if err == nil {
+			err = errors.Join(res[0].Err, res[1].Err)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := res[1].MinNs / res[0].MinNs
+		t.Logf("attempt %d, %s, %d lanes: uint16 %.3f ms (%d B), int32 %.3f ms (%d B): %.2fx", attempt, simd.Level(),
+			workers, res[0].MinNs/1e6, narrow.Bytes(), res[1].MinNs/1e6, wide.Bytes(), ratio)
+		if ratio >= floor {
+			return
+		}
+		if attempt == 2 {
+			t.Fatalf("narrow indices run %.2fx their int32 twin, floor %.2fx", ratio, floor)
 		}
 	}
 }

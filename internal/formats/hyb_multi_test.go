@@ -57,11 +57,11 @@ func byColumn(t *testing.T, f *HYB, y, x []float64, k int) {
 // differ.
 func TestHYBMultiplyManyMatchesFallback(t *testing.T) {
 	for mi, m := range hybTestMatrices(t) {
-		fused, err := NewHYB(m)
+		fused, err := newHYB(m, Tuning{})
 		if err != nil {
 			t.Fatalf("matrix %d: %v", mi, err)
 		}
-		ref, err := NewHYB(m)
+		ref, err := newHYB(m, Tuning{})
 		if err != nil {
 			t.Fatalf("matrix %d: %v", mi, err)
 		}
@@ -93,18 +93,18 @@ func TestHYBMultiplyManySpillEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewHYB(uniform)
+	f, err := newHYB(uniform, Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.SpillNNZ() != 0 {
-		t.Logf("uniform matrix spilled %d entries (distribution noise)", f.SpillNNZ())
+	if f.spill.NNZ() != 0 {
+		t.Logf("uniform matrix spilled %d entries (distribution noise)", f.spill.NNZ())
 	}
 	k := 8
 	x := matrix.RandomVector(uniform.Cols*k, 5)
 	y := make([]float64, uniform.Rows*k)
 	f.MultiplyMany(y, x, k)
-	ref, _ := NewHYB(uniform)
+	ref, _ := newHYB(uniform, Tuning{})
 	yRef := make([]float64, uniform.Rows*k)
 	byColumn(t, ref, yRef, x, k)
 	for i := range y {
@@ -139,11 +139,11 @@ func TestHYBMultiplyManySpillEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewHYB(m)
+	g, err := newHYB(m, Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gRef, _ := NewHYB(m)
+	gRef, _ := newHYB(m, Tuning{})
 	for _, k := range []int{1, 4, 17} {
 		x := matrix.RandomVector(m.Cols*k, 11)
 		y := make([]float64, m.Rows*k)
@@ -168,11 +168,11 @@ func TestHYBMultiplyManyConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewHYB(m)
+	f, err := newHYB(m, Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := NewHYB(m)
+	ref, _ := newHYB(m, Tuning{})
 	const k = 4
 	x := matrix.RandomVector(m.Cols*k, 33)
 	want := make([]float64, m.Rows*k)

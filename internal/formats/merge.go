@@ -4,6 +4,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/simd"
 )
 
 // MergeCSR is the Merrill-Garland merge-based CSR SpMV (SC'16): standard CSR
@@ -28,9 +29,6 @@ type mergeScratch struct {
 	row []int32
 	sum []float64
 }
-
-// NewMergeCSR builds the merge-based CSR format.
-func NewMergeCSR(m *matrix.CSR) *MergeCSR { return newMergeCSR(m, Tuning{}) }
 
 func newMergeCSR(m *matrix.CSR, t Tuning) *MergeCSR {
 	f := &MergeCSR{csrOf(m, sched.NNZBalanced, t)}
@@ -75,9 +73,14 @@ func (f *MergeCSR) begin(pl *exec.Plan, _ []float64, _ int, private bool) any {
 
 // lane implements carrier with the merge-path decomposition.
 func (f *MergeCSR) lane(c any, pl *exec.Plan, w int, y, x []float64, _ int) {
-	sc := c.(*mergeScratch)
-	rowPtr, colIdx, val := f.rowPtr, f.colIdx, f.val
-	r := pl.Ranges[w]
+	if f.col16 != nil {
+		mergeLane(c.(*mergeScratch), pl.Ranges[w], w, f.rowPtr, f.col16, f.val, x, y)
+	} else {
+		mergeLane(c.(*mergeScratch), pl.Ranges[w], w, f.rowPtr, f.colIdx, f.val, x, y)
+	}
+}
+
+func mergeLane[I simd.Index](sc *mergeScratch, r sched.Range, w int, rowPtr []int32, colIdx []I, val, x, y []float64) {
 	k := r.NNZLo
 	// Rows completed inside the range. The first row may have had its
 	// head consumed by the previous worker; that head arrives via the

@@ -55,18 +55,18 @@ const simdMinN = 8
 // of one range call share: the format's arrays, the k-wide blocks, and the
 // two switches resolved once (are the dispatched micro-kernels live, and
 // does this instance take the 8-vector tile on top of them).
-type ladder struct {
+type ladder[I simd.Index] struct {
 	val           []float64
-	col           []int32
+	col           []I
 	x, y          []float64
 	stride, k     int
 	wide, useSIMD bool
 }
 
-func (t Tuning) ladder(val []float64, col []int32, x, y []float64, stride, k int) ladder {
+func newLadder[I simd.Index](t Tuning, val []float64, col []I, x, y []float64, stride, k int) ladder[I] {
 	useSIMD := simd.Enabled()
 	wide := !t.NarrowTiles && useSIMD && simd.Width() >= 8
-	return ladder{val, col, x, y, stride, k, wide, useSIMD}
+	return ladder[I]{val, col, x, y, stride, k, wide, useSIMD}
 }
 
 // bcastRow writes one row of the k-wide product,
@@ -80,7 +80,7 @@ func (t Tuning) ladder(val []float64, col []int32, x, y []float64, stride, k int
 // vector tail. Every rung computes each element as an independent sequential
 // mul-then-add sum in entry order, so which rung a tile lands on never
 // changes a bit. n = 0 writes k zeros and touches neither val nor col.
-func (l *ladder) bcastRow(yAt, at, n int) {
+func (l *ladder[I]) bcastRow(yAt, at, n int) {
 	val, col, x, stride, k := l.val, l.col, l.x, l.stride, l.k
 	dst := l.y[yAt : yAt+k : yAt+k]
 	t := 0

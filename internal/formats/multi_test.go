@@ -189,7 +189,7 @@ func TestQuickMultiplyMany(t *testing.T) {
 // errors and must panic, like the single-vector kernels.
 func TestMultiplyManyShapePanics(t *testing.T) {
 	m := matrix.Tridiagonal(100, 2, -1)
-	f := NewCSR(m)
+	f := newCSR(m, Tuning{})
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -213,7 +213,8 @@ func TestMultiplyManyShapePanics(t *testing.T) {
 // every tier the host reaches. The row starts at offset 2 and val and col
 // end at its last entry, so a read past either end shows. n = 0 is the
 // width-0 SELL chunk at the end of the slabs: its offset is past the arrays
-// — nothing to slice, k zeros to write.
+// — nothing to slice, k zeros to write. The CSR family's uint16 column
+// indices run the same cases (with their zeroed slack past the end).
 func TestBcastRowMatchesSequentialSum(t *testing.T) {
 	defer simd.SetLevel(simd.SetLevel("scalar"))
 	const cols, at, yAt = 50, 2, 3
@@ -243,12 +244,16 @@ func TestBcastRowMatchesSequentialSum(t *testing.T) {
 						}
 					}
 					for _, mode := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
-						l := ladder{val: val, col: col, x: x, y: nanFilled(len(want)), stride: stride, k: k, wide: mode[0], useSIMD: mode[1]}
+						l := ladder[int32]{val: val, col: col, x: x, y: nanFilled(len(want)), stride: stride, k: k, wide: mode[0], useSIMD: mode[1]}
 						l.bcastRow(yAt, at, n)
+						l16 := ladder[uint16]{val: val, col: narrowIdx(col), x: x, y: nanFilled(len(want)), stride: stride, k: k, wide: mode[0], useSIMD: mode[1]}
+						l16.bcastRow(yAt, at, n)
 						for u := range want {
-							if l.y[u] != want[u] && !(math.IsNaN(l.y[u]) && math.IsNaN(want[u])) {
-								t.Fatalf("%s stride=%d n=%d k=%d wide=%v simd=%v: y[%d] = %v, sequential sum %v",
-									simd.Level(), stride, n, k, mode[0], mode[1], u, l.y[u], want[u])
+							for w, y := range [][]float64{l.y, l16.y} {
+								if y[u] != want[u] && !(math.IsNaN(y[u]) && math.IsNaN(want[u])) {
+									t.Fatalf("%s stride=%d n=%d k=%d wide=%v simd=%v index bytes %d: y[%d] = %v, sequential sum %v",
+										simd.Level(), stride, n, k, mode[0], mode[1], 4-2*w, u, y[u], want[u])
+								}
 							}
 						}
 					}

@@ -47,11 +47,7 @@ func DefaultChunkC() int {
 	return DefaultChunk
 }
 
-// NewSELLCS builds SELL-C-sigma with chunk size c and sorting scope sigma.
-func NewSELLCS(m *matrix.CSR, c, sigma int) (*SELLCS, error) {
-	return newSELLCS(m, c, sigma, Tuning{})
-}
-
+// newSELLCS builds SELL-C-sigma with chunk size c and sorting scope sigma.
 func newSELLCS(m *matrix.CSR, c, sigma int, t Tuning) (*SELLCS, error) {
 	if c < 1 || sigma < 1 {
 		return nil, fmt.Errorf("%w SELL-C-s: chunk %d sigma %d", ErrBuild, c, sigma)
@@ -233,7 +229,7 @@ func (f *SELLCS) apply(y, x []float64, k, lo, hi int) {
 		return
 	}
 	c := f.c
-	l := f.tune.ladder(f.val, f.colIdx, x, y, c, k)
+	l := newLadder(f.tune, f.val, f.colIdx, x, y, c, k)
 	for ch := lo; ch < hi; ch++ {
 		for lane := 0; lane < c && ch*c+lane < f.rows; lane++ { // the last chunk may be partial
 			l.bcastRow(int(f.perm[ch*c+lane])*k, int(f.chunkPtr[ch])+lane, int(f.chunkLen[ch]))

@@ -37,7 +37,8 @@ func TestTuningWideRowMin(t *testing.T) {
 			t.Errorf("%s: %d-entry row %d = %v, reference %v: beyond the forward bound", name, sizes[i], i, got[i], want[i])
 		}
 	}
-	if f := NewVecCSR(m); f.tune != (Tuning{}) {
-		t.Errorf("NewVecCSR carries a non-zero Tuning: %+v", f.tune)
+	b, _ := Lookup("Vec-CSR")
+	if f, _ := b.Build(m); f.(*VecCSR).tune != (Tuning{}) {
+		t.Errorf("Vec-CSR's Build carries a non-zero Tuning: %+v", f.(*VecCSR).tune)
 	}
 }

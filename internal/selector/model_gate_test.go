@@ -24,7 +24,7 @@ func TestModelSelectorRetainedGateK(t *testing.T) {
 	for _, k := range []int{1, 8} {
 		knn := TrainK(s, train, 5, k)
 		if knn.Len() == 0 {
-			t.Fatalf("k=%d: empty training set (%d dropped)", k, knn.Dropped())
+			t.Fatalf("k=%d: empty training set (all %d points dropped)", k, len(train))
 		}
 		ev := EvaluateK(s, test, k, func(fv core.FeatureVector) string {
 			name, _ := knn.Predict(fv)

@@ -178,14 +178,13 @@ type Sample struct {
 type Nearest struct {
 	k       int
 	samples []Sample
-	dropped int
 }
 
 // Train builds a k-NN selector by labelling the given feature points with
 // the device model's best format. k defaults to 5. Points the device model
 // cannot label (no feasible format, e.g. past a capacity gate) are
-// dropped; Dropped reports how many, so a thin training set is visible to
-// the caller instead of silently degrading accuracy.
+// dropped; Len reports how many were kept, so a thin training set is
+// visible to the caller instead of silently degrading accuracy.
 func Train(spec device.Spec, points []core.FeatureVector, k int) *Nearest {
 	return TrainK(spec, points, k, 1)
 }
@@ -203,16 +202,10 @@ func TrainK(spec device.Spec, points []core.FeatureVector, k, rhs int) *Nearest 
 	for _, fv := range points {
 		if name, _, ok := spec.BestFormatK(fv, rhs); ok {
 			n.samples = append(n.samples, Sample{FV: fv, Best: name})
-		} else {
-			n.dropped++
 		}
 	}
 	return n
 }
-
-// Dropped returns how many training points the device model could not
-// label (and were therefore excluded from the training set).
-func (n *Nearest) Dropped() int { return n.dropped }
 
 // TrainSamples builds the selector from pre-labeled samples (e.g. native
 // measurements).

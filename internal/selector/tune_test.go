@@ -118,7 +118,8 @@ func TestBuildServesDefaultWhenTunedShapeRefused(t *testing.T) {
 	if remembered[ParamBCSRBlock] != "16x16" {
 		t.Errorf("the refused shape was forgotten (it would be swept again): %+v", remembered)
 	}
-	want, err := formats.NewBCSR(m, 2, 2)
+	bcsr, _ := formats.Lookup("BCSR")
+	want, err := bcsr.BuildTuned(m, formats.Tuning{BlockR: 2, BlockC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

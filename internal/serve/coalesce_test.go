@@ -67,6 +67,16 @@ type heldFormat struct {
 	release chan struct{}
 }
 
+// naiveCSR builds the registry's Naive-CSR over m.
+func naiveCSR(m *matrix.CSR) formats.Format {
+	b, _ := formats.Lookup("Naive-CSR")
+	f, err := b.Build(m)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func holdFormat(f formats.Format) *heldFormat {
 	return &heldFormat{Format: f, calls: make(chan int, 64), release: make(chan struct{})}
 }
@@ -151,7 +161,7 @@ func vectors(n, cols int, seed int64) [][]float64 {
 // are every caller's own product.
 func TestCoalescerBatchesConcurrentRequests(t *testing.T) {
 	m := testMatrix(t)
-	h := holdFormat(formats.NewCSR(m))
+	h := holdFormat(naiveCSR(m))
 	co := NewCoalescer(context.Background(), h, 8)
 	defer co.Close()
 
@@ -190,7 +200,7 @@ func TestCoalescerBatchesConcurrentRequests(t *testing.T) {
 func TestCoalescerSplitsLongQueueInArrivalOrder(t *testing.T) {
 	const maxBatch = 4
 	m := testMatrix(t)
-	h := holdFormat(formats.NewCSR(m))
+	h := holdFormat(naiveCSR(m))
 	co := NewCoalescer(context.Background(), h, maxBatch)
 	defer co.Close()
 
@@ -226,7 +236,7 @@ func TestCoalescerSplitsLongQueueInArrivalOrder(t *testing.T) {
 // behind it: it has its answer while that batch's kernel is still held.
 func TestCoalescerHeldCallerReturnsFirst(t *testing.T) {
 	m := testMatrix(t)
-	h := holdFormat(formats.NewCSR(m))
+	h := holdFormat(naiveCSR(m))
 	co := NewCoalescer(context.Background(), h, 8)
 	defer co.Close()
 
@@ -261,7 +271,7 @@ func TestCoalescerHeldCallerReturnsFirst(t *testing.T) {
 // cancellation cancels its sweep.
 func TestCoalescerLoneRequest(t *testing.T) {
 	m := testMatrix(t)
-	co := NewCoalescer(context.Background(), formats.NewCSR(m), 64)
+	co := NewCoalescer(context.Background(), naiveCSR(m), 64)
 	defer co.Close()
 
 	x := matrix.RandomVector(m.Cols, 7)
@@ -279,7 +289,7 @@ func TestCoalescerLoneRequest(t *testing.T) {
 		t.Fatalf("stats %+v, want 1 request in 1 batch", st)
 	}
 
-	h := holdFormat(formats.NewCSR(m))
+	h := holdFormat(naiveCSR(m))
 	held := NewCoalescer(context.Background(), h, 64)
 	defer held.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -304,7 +314,7 @@ func TestCoalescerLoneRequest(t *testing.T) {
 // at once, and calls of one matrix run side by side.
 func TestCoalescerDirectPath(t *testing.T) {
 	m := testMatrix(t)
-	h := holdFormat(formats.NewCSR(m))
+	h := holdFormat(naiveCSR(m))
 	co := NewCoalescer(context.Background(), h, 1)
 	defer co.Close()
 
@@ -334,7 +344,7 @@ func TestCoalescerDirectPath(t *testing.T) {
 // vector.
 func TestCoalescerMultiplyBitExact(t *testing.T) {
 	m := testMatrix(t)
-	f := formats.NewCSR(m)
+	f := naiveCSR(m)
 	const n = 4
 	xs := vectors(n, m.Cols, 40)
 	fused := kernelColumns(t, f, xs)
@@ -388,7 +398,7 @@ func TestCoalescerMultiplyBitExact(t *testing.T) {
 // error — the single error table maps it to 400, never 500.
 func TestCoalescerDimensionMismatch(t *testing.T) {
 	m := testMatrix(t)
-	co := NewCoalescer(context.Background(), formats.NewCSR(m), DefaultMaxBatch)
+	co := NewCoalescer(context.Background(), naiveCSR(m), DefaultMaxBatch)
 	defer co.Close()
 
 	_, _, err := co.Multiply(context.Background(), make([]float64, m.Cols+1))
@@ -408,7 +418,7 @@ func TestCoalescerDimensionMismatch(t *testing.T) {
 // the queue still get their answers.
 func TestCoalescerCallerCancellation(t *testing.T) {
 	m := testMatrix(t)
-	h := holdFormat(formats.NewCSR(m))
+	h := holdFormat(naiveCSR(m))
 	co := NewCoalescer(context.Background(), h, 8)
 	defer co.Close()
 
@@ -446,7 +456,7 @@ func TestCoalescerCallerCancellation(t *testing.T) {
 // queued request.
 func TestCoalescerCloseDrainsPendingBatch(t *testing.T) {
 	m := testMatrix(t)
-	h := holdFormat(formats.NewCSR(m))
+	h := holdFormat(naiveCSR(m))
 	co := NewCoalescer(context.Background(), h, 64)
 
 	lone := send(co, context.Background(), matrix.RandomVector(m.Cols, 99))
@@ -485,7 +495,7 @@ func TestCoalescerCloseDrainsPendingBatch(t *testing.T) {
 // request of the batch with provenance — and the coalescer stays usable.
 func TestCoalescerFlushFailpoint(t *testing.T) {
 	m := testMatrix(t)
-	co := NewCoalescer(context.Background(), formats.NewCSR(m), 8)
+	co := NewCoalescer(context.Background(), naiveCSR(m), 8)
 	defer co.Close()
 
 	prev := failpoint.SetEnabled(true)
@@ -521,7 +531,7 @@ func TestCoalescerFlushFailpoint(t *testing.T) {
 func TestCoalescerBaseCancelUnblocksWaiters(t *testing.T) {
 	m := testMatrix(t)
 	base, abort := context.WithCancel(context.Background())
-	h := holdFormat(formats.NewCSR(m))
+	h := holdFormat(naiveCSR(m))
 	co := NewCoalescer(base, h, 64)
 	defer co.Close()
 

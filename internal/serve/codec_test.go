@@ -562,7 +562,7 @@ func bitsEqual(a, b []float64) bool {
 func TestServeMultiplyAbandonsCancelledCallersBuffers(t *testing.T) {
 	const queued = 3
 	m := testMatrix(t)
-	h := holdFormat(formats.NewCSR(m))
+	h := holdFormat(naiveCSR(m))
 	co := NewCoalescer(context.Background(), h, 4)
 	defer co.Close()
 

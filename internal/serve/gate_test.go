@@ -79,7 +79,7 @@ func directVsCoalesced(f formats.Format, clients int) (direct, coalesced, meanBa
 func TestCoalescedBatchingGate(t *testing.T) {
 	const floor = 2.0
 	exec.Prestart()
-	f := formats.NewCSR(testutil.GateTier(t, "medium-600k"))
+	f := naiveCSR(testutil.GateTier(t, "medium-600k"))
 
 	for _, clients := range []int{1, 2, 4, 8} {
 		seqRPS, coalRPS, meanBatch := directVsCoalesced(f, clients)
@@ -101,7 +101,7 @@ func TestCoalescedBatchingGate(t *testing.T) {
 func TestCoalescerLoneRequestGate(t *testing.T) {
 	const floor = 0.85
 	exec.Prestart()
-	f := formats.NewCSR(testutil.GateTier(t, "medium-600k"))
+	f := naiveCSR(testutil.GateTier(t, "medium-600k"))
 
 	var bestDirect, bestCoalesced float64
 	for round := 0; round < 3; round++ {

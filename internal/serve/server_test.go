@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/device"
-	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/selector"
 	"repro/internal/session"
@@ -312,7 +311,7 @@ func TestServerTimingHeader(t *testing.T) {
 
 	// A second request queued behind a held call waits at least as long as
 	// the call is held after it queued.
-	hf := holdFormat(formats.NewCSR(matrix.Random(2, 2, 1, 1)))
+	hf := holdFormat(naiveCSR(matrix.Random(2, 2, 1, 1)))
 	co := NewCoalescer(context.Background(), hf, DefaultMaxBatch)
 	first := send(co, context.Background(), []float64{1, 2})
 	hf.started(t)

@@ -25,12 +25,16 @@ func laneDot8AVX2(val *float64, idx *int32, x *float64, stride, n int) (sums [8]
 	return sums
 }
 
-func dotBcastTile8AVX2(val *float64, idx *int32, x *float64, stride, n, k int) (dst [8]float64) {
-	a := dotBcastTileAVX2(val, idx, x, stride, n, k)
-	b := dotBcastTileAVX2(val, idx, addF64(x, 4), stride, n, k)
-	copy(dst[:4], a[:])
-	copy(dst[4:], b[:])
-	return dst
+var dotBcastTile8AVX2, dotBcastTile8AVX2U16 = tile8Of(dotBcastTileAVX2), tile8Of(dotBcastTileAVX2U16)
+
+func tile8Of[I Index](tile4 func(val *float64, idx *I, x *float64, stride, n, k int) [4]float64) func(val *float64, idx *I, x *float64, stride, n, k int) [8]float64 {
+	return func(val *float64, idx *I, x *float64, stride, n, k int) (dst [8]float64) {
+		a := tile4(val, idx, x, stride, n, k)
+		b := tile4(val, idx, addF64(x, 4), stride, n, k)
+		copy(dst[:4], a[:])
+		copy(dst[4:], b[:])
+		return dst
+	}
 }
 
 func bcsr2x2Tile8AVX2(val *float64, blkCol *int32, x *float64, n, k int) (lo, hi [8]float64) {

@@ -24,6 +24,15 @@ func csrOfLens(rng *rand.Rand, lens []int, bound int) csrMat {
 	return m
 }
 
+// narrowIdx is idx as uint16 indices with their zeroed U16Slack tail.
+func narrowIdx(idx []int32) []uint16 {
+	c := make([]uint16, len(idx)+U16Slack)
+	for j, v := range idx {
+		c[j] = uint16(v)
+	}
+	return c
+}
+
 // seqRow is the oracle: row i's sequential sum and its sum of magnitudes.
 func (m csrMat) seqRow(i int, x []float64) (sum, mag float64) {
 	for j := m.rowPtr[i]; j < m.rowPtr[i+1]; j++ {
@@ -53,8 +62,9 @@ func reachableTiers() []string {
 // tier to the sequential row sum: within the dot product's forward bound
 // for every row length around the short step, the group and tail
 // boundaries and a long row; bit-equal for rows of at most two entries;
-// nothing written outside [lo, hi); and nothing read from x that no row
-// references (dead lanes of the masked step must be exact zeros).
+// nothing written outside [lo, hi); nothing read from x that no row
+// references (dead lanes of the masked step must be exact zeros); and the
+// uint16-index entry bit-identical to the int32 one.
 func TestCSRRowRangeMatchesReference(t *testing.T) {
 	defer SetLevel(SetLevel("scalar"))
 	rng := rand.New(rand.NewSource(11))
@@ -64,8 +74,9 @@ func TestCSRRowRangeMatchesReference(t *testing.T) {
 	}
 	lens = append(lens, 0, 0, 0, 63, 64, 65, 0, 127, 128, 129, 1000, 0, 0)
 	rows := len(lens)
-	const cols = 4096
+	const cols = 1 << 16 // every uint16 index value
 	m := csrOfLens(rng, lens, cols)
+	idx16 := narrowIdx(m.idx)
 	x := randVec(rng, cols)
 	used := make([]bool, cols)
 	for _, c := range m.idx {
@@ -85,7 +96,15 @@ func TestCSRRowRangeMatchesReference(t *testing.T) {
 				y[i] = math.NaN()
 			}
 			CSRRowRange(m.rowPtr, m.idx, m.val, x, y, lo, hi)
+			y16 := append([]float64(nil), y...)
+			for i := lo; i < hi; i++ {
+				y16[i] = math.NaN()
+			}
+			CSRRowRange(m.rowPtr, idx16, m.val, x, y16, lo, hi)
 			for i, got := range y {
+				if math.Float64bits(y16[i]) != math.Float64bits(got) {
+					t.Fatalf("%s [%d,%d): row %d: uint16 indices gave %v, int32 %v", tier, lo, hi, i, y16[i], got)
+				}
 				if i < lo || i >= hi {
 					if !math.IsNaN(got) {
 						t.Fatalf("%s [%d,%d): y[%d] = %v written outside the range", tier, lo, hi, i, got)
@@ -103,7 +122,7 @@ func TestCSRRowRangeMatchesReference(t *testing.T) {
 		}
 		// A matrix with no entries at all: every row in range is zero.
 		y := []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
-		CSRRowRange(make([]int32, 5), nil, nil, x, y, 1, 3)
+		CSRRowRange(make([]int32, 5), []int32(nil), nil, x, y, 1, 3)
 		if !math.IsNaN(y[0]) || y[1] != 0 || y[2] != 0 || !math.IsNaN(y[3]) {
 			t.Fatalf("%s: empty matrix rows [1,3) gave %v", tier, y)
 		}

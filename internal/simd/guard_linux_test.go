@@ -11,7 +11,7 @@ import (
 
 // flushToGuard copies src into fresh pages so that it ends flush against a
 // PROT_NONE page: one byte read past the slice end faults.
-func flushToGuard[T int32 | float64](t *testing.T, src []T) []T {
+func flushToGuard[T int32 | uint16 | float64](t *testing.T, src []T) []T {
 	t.Helper()
 	page := syscall.Getpagesize()
 	size := len(src) * int(unsafe.Sizeof(src[0]))
@@ -34,7 +34,9 @@ func flushToGuard[T int32 | float64](t *testing.T, src []T) []T {
 // against an unmapped page, with a last row of every length from empty
 // (its entry address is one past the slices) to beyond both tiers' group
 // widths: a tail load that is not fault-suppressed dies with SIGSEGV
-// here instead of silently reading a neighbour's bytes.
+// here instead of silently reading a neighbour's bytes. The uint16 indices
+// end at the page with exactly their U16Slack tail: what AVX2's unmasked
+// short-row load may read past a row is that slack and no more.
 func TestCSRRowRangeTailsStayInBounds(t *testing.T) {
 	defer SetLevel(SetLevel("scalar"))
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
@@ -56,6 +58,11 @@ func TestCSRRowRangeTailsStayInBounds(t *testing.T) {
 				want, mag := m.seqRow(2, x)
 				if !(math.Abs(y[2]-want) <= dotBound(last, mag)) {
 					t.Fatalf("%s, last row of %d: %v, want %v", tier, last, y[2], want)
+				}
+				y16 := flushToGuard(t, make([]float64, 3))
+				CSRRowRange(rowPtr, flushToGuard(t, narrowIdx(m.idx)), val, x, y16, 0, 3)
+				if y16[2] != y[2] {
+					t.Fatalf("%s, last row of %d: uint16 indices gave %v, int32 %v", tier, last, y16[2], y[2])
 				}
 			}()
 		}

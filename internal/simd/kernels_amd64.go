@@ -9,6 +9,9 @@ package simd
 func csrRowRangeAVX2(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
 
 //go:noescape
+func csrRowRangeAVX2U16(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi int)
+
+//go:noescape
 func axpyGatherAVX2(y, val *float64, idx *int32, x *float64, n int)
 
 //go:noescape
@@ -19,6 +22,9 @@ func bcsr2x2AVX2(val *float64, blkCol *int32, x *float64, n int) (s0, s1 float64
 
 //go:noescape
 func dotBcastTileAVX2(val *float64, idx *int32, x *float64, stride, n, k int) (dst [4]float64)
+
+//go:noescape
+func dotBcastTileAVX2U16(val *float64, idx *uint16, x *float64, stride, n, k int) (dst [4]float64)
 
 //go:noescape
 func bcsr2x2TileAVX2(val *float64, blkCol *int32, x *float64, n, k int) (lo, hi [4]float64)

@@ -4,7 +4,11 @@
 //
 // Conventions:
 //   - Gathers load x through sign-extended 32-bit column indices
-//     (VPMOVSXDQ + VGATHERQPD). The all-ones gather mask is rebuilt with
+//     (VPMOVSXDQ + VGATHERQPD), or zero-extended 16-bit ones (VPMOVZXWQ)
+//     in the U16 twins: each such kernel is one macro, instantiated for
+//     both widths. The macros are defined ahead of the first TEXT (go
+//     vet's asmdecl checks a #define's frame references against the TEXT
+//     above it). The all-ones gather mask is rebuilt with
 //     VPCMPEQQ before EVERY gather — the instruction zeroes its mask.
 //   - Kernels that promise bit-identity to the scalar path use separate
 //     VMULPD/VADDPD (no FMA contraction) and preserve the scalar
@@ -21,112 +25,162 @@ DATA csrHeadMask<>+24(SB)/8, $0
 GLOBL csrHeadMask<>(SB), RODATA|NOPTR, $32
 
 // func csrRowRangeAVX2(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
+// func csrRowRangeAVX2U16(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi int)
 //
 // CSR rows [lo, hi): y[i] = sum(val[j] * x[idx[j]]) over row i's entries,
 // one call per claimed chunk. The row loop carries end from row to row. A
 // row of at most 4 entries (empty included) is one masked step with no
-// trip-count branch: VPMASKMOVD fetches the indices (VPMOVSXDQ from memory
-// is unmasked and would read 16 bytes past a short slice end), the gather
-// fills a zeroed register under the same lane mask and VMASKMOVPD zeroes
-// the dead values, so dead lanes multiply exact 0*0. A longer row runs
-// eight partial sums in two YMM accumulators, FMA, and a scalar tail.
-// Both reduce pairwise: reassociates vs the scalar sequential sum
-// (documented bound), bit-identical to it for n <= 2.
-TEXT ·csrRowRangeAVX2(SB), NOSPLIT, $0-56
-	MOVQ rowPtr+0(FP), R8
-	MOVQ idx+8(FP), DI
-	MOVQ val+16(FP), SI
-	MOVQ x+24(FP), DX
-	MOVQ y+32(FP), R9
-	MOVQ lo+40(FP), R10            // i
-	MOVQ hi+48(FP), R11
-	CMPQ R10, R11
-	JGE  done
-	LEAQ csrHeadMask<>+16(SB), R13
-	MOVLQSX (R8)(R10*4), R12       // end = rowPtr[lo]
+// trip-count branch: the indices come in under SHORTIDX, the gather fills a
+// zeroed register under the row's lane mask and VMASKMOVPD zeroes the dead
+// values, so dead lanes multiply exact 0*0. A longer row runs eight partial
+// sums in two YMM accumulators, FMA, and a scalar tail. Both reduce
+// pairwise: reassociates vs the scalar sequential sum (documented bound),
+// bit-identical to it for n <= 2.
+//
+// CSR_ROW_RANGE_AVX2 is the body for both index widths: LOADX widens four
+// indices to qwords, LOADS one, SCALE is the index size and QUAD the bytes
+// of four indices. SHORTIDX loads a short row's indices into Y2 while X3
+// still holds the dword lane mask: int32 indices through VPMASKMOVD
+// (VPMOVSXDQ from memory is unmasked and would read 16 bytes past a short
+// slice end), uint16 ones with one unmasked 8-byte load that the narrow
+// array's zeroed slack keeps in bounds (AVX2 has no word-masked load).
+#define SHORT_IDX_I32 VPMASKMOVD (DI)(AX*4), X3, X2; VPMOVSXDQ X2, Y2
+#define SHORT_IDX_U16 VPMOVZXWQ (DI)(AX*2), Y2
 
-row:
-	MOVQ    R12, AX                // j = start
-	MOVLQSX 4(R8)(R10*4), R12      // end = rowPtr[i+1]
-	MOVQ    R12, CX
-	SUBQ    AX, CX                 // n
-	CMPQ    CX, $4
-	JGT     long
-	NEGQ    CX
-	VMOVDQU (R13)(CX*4), X3        // first n dword lanes
-	VPMASKMOVD (DI)(AX*4), X3, X2  // masked idx load (fault-suppressed)
-	VPMOVSXDQ  X3, Y3              // the same lanes as qwords
-	VPMOVSXDQ  X2, Y2
-	VMASKMOVPD (SI)(AX*8), Y3, Y0  // masked val load: dead lanes 0
-	VXORPD     Y5, Y5, Y5
-	VGATHERQPD Y3, (DX)(Y2*8), Y5  // clobbers the mask
-	VMULPD     Y5, Y0, Y0          // dead lanes are 0*0
+#define CSR_ROW_RANGE_AVX2(LOADX, LOADS, SCALE, QUAD, SHORTIDX) \
+	MOVQ rowPtr+0(FP), R8 \
+	MOVQ idx+8(FP), DI \
+	MOVQ val+16(FP), SI \
+	MOVQ x+24(FP), DX \
+	MOVQ y+32(FP), R9 \
+	MOVQ lo+40(FP), R10            /* i */ \
+	MOVQ hi+48(FP), R11 \
+	CMPQ R10, R11 \
+	JGE  done \
+	LEAQ csrHeadMask<>+16(SB), R13 \
+	MOVLQSX (R8)(R10*4), R12       /* end = rowPtr[lo] */ \
+row: \
+	MOVQ    R12, AX                /* j = start */ \
+	MOVLQSX 4(R8)(R10*4), R12      /* end = rowPtr[i+1] */ \
+	MOVQ    R12, CX \
+	SUBQ    AX, CX                 /* n */ \
+	CMPQ    CX, $4 \
+	JGT     long \
+	NEGQ    CX \
+	VMOVDQU (R13)(CX*4), X3        /* first n dword lanes */ \
+	SHORTIDX                       /* indices (see above) */ \
+	VPMOVSXDQ  X3, Y3              /* the same lanes as qwords */ \
+	VMASKMOVPD (SI)(AX*8), Y3, Y0  /* masked val load: dead lanes 0 */ \
+	VXORPD     Y5, Y5, Y5 \
+	VGATHERQPD Y3, (DX)(Y2*8), Y5  /* clobbers the mask */ \
+	VMULPD     Y5, Y0, Y0          /* dead lanes are 0*0 */ \
+	VEXTRACTF128 $1, Y0, X1 \
+	VADDPD       X1, X0, X0        /* [a0+a2, a1+a3] */ \
+	VUNPCKHPD    X0, X0, X1 \
+	VADDSD       X1, X0, X0        /* (a0+a2)+(a1+a3) */ \
+store: \
+	VMOVSD X0, (R9)(R10*8)         /* y[i] */ \
+	INCQ R10 \
+	CMPQ R10, R11 \
+	JLT  row \
+	VZEROUPPER \
+done: \
+	RET \
+long: \
+	VXORPD Y0, Y0, Y0              /* acc0 */ \
+	VXORPD Y1, Y1, Y1              /* acc1 */ \
+	MOVQ   CX, BX \
+	ANDQ   $-8, BX                 /* n &^ 7 */ \
+	JZ     group4 \
+	ADDQ   AX, BX                  /* where the 8-groups end */ \
+loop8: \
+	LOADX      (DI)(AX*SCALE), Y2  /* idx[j..j+3] -> int64 */ \
+	VPCMPEQQ   Y4, Y4, Y4          /* gather mask (all ones) */ \
+	VXORPD     Y5, Y5, Y5 \
+	VGATHERQPD Y4, (DX)(Y2*8), Y5  /* x[idx[j..j+3]] */ \
+	VFMADD231PD (SI)(AX*8), Y5, Y0 /* acc0 += val * x */ \
+	LOADX      QUAD(DI)(AX*SCALE), Y2 /* idx[j+4..j+7] */ \
+	VPCMPEQQ   Y4, Y4, Y4 \
+	VXORPD     Y6, Y6, Y6 \
+	VGATHERQPD Y4, (DX)(Y2*8), Y6 \
+	VFMADD231PD 32(SI)(AX*8), Y6, Y1 \
+	ADDQ $8, AX \
+	CMPQ AX, BX \
+	JLT  loop8 \
+group4: \
+	TESTQ $4, CX                   /* one remaining 4-group? */ \
+	JZ    reduce \
+	LOADX      (DI)(AX*SCALE), Y2 \
+	VPCMPEQQ   Y4, Y4, Y4 \
+	VXORPD     Y5, Y5, Y5 \
+	VGATHERQPD Y4, (DX)(Y2*8), Y5 \
+	VFMADD231PD (SI)(AX*8), Y5, Y0 \
+	ADDQ $4, AX \
+reduce: \
+	VADDPD       Y1, Y0, Y0 \
+	VEXTRACTF128 $1, Y0, X1 \
+	VADDPD       X1, X0, X0 \
+	VUNPCKHPD    X0, X0, X1 \
+	VADDSD       X1, X0, X0 \
+tail: \
+	CMPQ AX, R12 \
+	JGE  store \
+	LOADS   (DI)(AX*SCALE), BX \
+	VMOVSD  (SI)(AX*8), X2 \
+	VFMADD231SD (DX)(BX*8), X2, X0 \
+	INCQ AX \
+	JMP  tail
 
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD       X1, X0, X0        // [a0+a2, a1+a3]
-	VUNPCKHPD    X0, X0, X1
-	VADDSD       X1, X0, X0        // (a0+a2)+(a1+a3)
-
-store:
-	VMOVSD X0, (R9)(R10*8)         // y[i]
-	INCQ R10
-	CMPQ R10, R11
-	JLT  row
-	VZEROUPPER
-
-done:
+// func dotBcastTileAVX2(val *float64, idx *int32, x *float64, stride, n, k int) (dst [4]float64)
+// func dotBcastTileAVX2U16(val *float64, idx *uint16, x *float64, stride, n, k int) (dst [4]float64)
+//
+// Fused SpMM register tile: dst[t] = sum of val[j*stride] * X[idx[j*stride], t]
+// for the 4 tile vectors t, returned by value. x is pre-offset to the tile
+// start. Each lane is an independent sequential mul-then-add sum —
+// bit-identical. DOT_BCAST_TILE_AVX2 is the body for both index widths:
+// LOADS widens one index, LOG2 is the log2 of its size.
+#define DOT_BCAST_TILE_AVX2(LOADS, LOG2) \
+	MOVQ   val+0(FP), SI \
+	MOVQ   idx+8(FP), DI \
+	MOVQ   x+16(FP), DX \
+	MOVQ   stride+24(FP), R10 \
+	MOVQ   n+32(FP), CX \
+	MOVQ   k+40(FP), R12 \
+	SHLQ   $3, R12                 /* k * 8: X row pitch in bytes */ \
+	MOVQ   R10, R11 \
+	SHLQ   $3, R10                 /* stride * 8 */ \
+	SHLQ   $LOG2, R11              /* stride * index size */ \
+	VXORPD Y0, Y0, Y0 \
+	TESTQ  CX, CX \
+	JZ     done \
+loop: \
+	LOADS        (DI), AX \
+	IMULQ        R12, AX           /* idx * k * 8 */ \
+	VMOVUPD      (DX)(AX*1), Y1    /* X tile row */ \
+	VBROADCASTSD (SI), Y2 \
+	VMULPD       Y1, Y2, Y2 \
+	VADDPD       Y2, Y0, Y0 \
+	ADDQ R10, SI \
+	ADDQ R11, DI \
+	DECQ CX \
+	JNZ  loop \
+done: \
+	LEAQ    dst+48(FP), R8 \
+	VMOVUPD Y0, (R8) \
+	VZEROUPPER \
 	RET
 
-long:
-	VXORPD Y0, Y0, Y0              // acc0
-	VXORPD Y1, Y1, Y1              // acc1
-	MOVQ   CX, BX
-	ANDQ   $-8, BX                 // n &^ 7
-	JZ     group4
-	ADDQ   AX, BX                  // where the 8-groups end
+TEXT ·csrRowRangeAVX2(SB), NOSPLIT, $0-56
+	CSR_ROW_RANGE_AVX2(VPMOVSXDQ, MOVLQSX, 4, 16, SHORT_IDX_I32)
 
-loop8:
-	VPMOVSXDQ  (DI)(AX*4), Y2      // idx[j..j+3] -> int64
-	VPCMPEQQ   Y4, Y4, Y4          // gather mask (all ones)
-	VXORPD     Y5, Y5, Y5
-	VGATHERQPD Y4, (DX)(Y2*8), Y5  // x[idx[j..j+3]]
-	VFMADD231PD (SI)(AX*8), Y5, Y0 // acc0 += val * x
+TEXT ·csrRowRangeAVX2U16(SB), NOSPLIT, $0-56
+	CSR_ROW_RANGE_AVX2(VPMOVZXWQ, MOVWQZX, 2, 8, SHORT_IDX_U16)
 
-	VPMOVSXDQ  16(DI)(AX*4), Y2    // idx[j+4..j+7]
-	VPCMPEQQ   Y4, Y4, Y4
-	VXORPD     Y6, Y6, Y6
-	VGATHERQPD Y4, (DX)(Y2*8), Y6
-	VFMADD231PD 32(SI)(AX*8), Y6, Y1
+TEXT ·dotBcastTileAVX2(SB), NOSPLIT, $0-80
+	DOT_BCAST_TILE_AVX2(MOVLQSX, 2)
 
-	ADDQ $8, AX
-	CMPQ AX, BX
-	JLT  loop8
-
-group4:
-	TESTQ $4, CX                   // one remaining 4-group?
-	JZ    reduce
-	VPMOVSXDQ  (DI)(AX*4), Y2
-	VPCMPEQQ   Y4, Y4, Y4
-	VXORPD     Y5, Y5, Y5
-	VGATHERQPD Y4, (DX)(Y2*8), Y5
-	VFMADD231PD (SI)(AX*8), Y5, Y0
-	ADDQ $4, AX
-
-reduce:
-	VADDPD       Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD       X1, X0, X0
-	VUNPCKHPD    X0, X0, X1
-	VADDSD       X1, X0, X0
-
-tail:
-	CMPQ AX, R12
-	JGE  store
-	MOVLQSX (DI)(AX*4), BX
-	VMOVSD  (SI)(AX*8), X2
-	VFMADD231SD (DX)(BX*8), X2, X0
-	INCQ AX
-	JMP  tail
+TEXT ·dotBcastTileAVX2U16(SB), NOSPLIT, $0-80
+	DOT_BCAST_TILE_AVX2(MOVWQZX, 1)
 
 // func axpyGatherAVX2(y, val *float64, idx *int32, x *float64, n int)
 //
@@ -237,45 +291,6 @@ done:
 	VMOVSD    X0, s0+32(FP)
 	VPERMILPD $1, X0, X0
 	VMOVSD    X0, s1+40(FP)
-	RET
-
-// func dotBcastTileAVX2(val *float64, idx *int32, x *float64, stride, n, k int) (dst [4]float64)
-//
-// Fused SpMM register tile: dst[t] = sum of val[j*stride] * X[idx[j*stride], t]
-// for the 4 tile vectors t, returned by value. x is pre-offset to the tile
-// start. Each lane is an independent sequential mul-then-add sum —
-// bit-identical.
-TEXT ·dotBcastTileAVX2(SB), NOSPLIT, $0-80
-	MOVQ   val+0(FP), SI
-	MOVQ   idx+8(FP), DI
-	MOVQ   x+16(FP), DX
-	MOVQ   stride+24(FP), R10
-	MOVQ   n+32(FP), CX
-	MOVQ   k+40(FP), R12
-	SHLQ   $3, R12                 // k * 8: X row pitch in bytes
-	MOVQ   R10, R11
-	SHLQ   $3, R10                 // stride * 8
-	SHLQ   $2, R11                 // stride * 4
-	VXORPD Y0, Y0, Y0
-	TESTQ  CX, CX
-	JZ     done
-
-loop:
-	MOVLQSX      (DI), AX
-	IMULQ        R12, AX           // idx * k * 8
-	VMOVUPD      (DX)(AX*1), Y1    // X tile row
-	VBROADCASTSD (SI), Y2
-	VMULPD       Y1, Y2, Y2
-	VADDPD       Y2, Y0, Y0
-	ADDQ R10, SI
-	ADDQ R11, DI
-	DECQ CX
-	JNZ  loop
-
-done:
-	LEAQ    dst+48(FP), R8
-	VMOVUPD Y0, (R8)
-	VZEROUPPER
 	RET
 
 // func bcsr2x2TileAVX2(val *float64, blkCol *int32, x *float64, n, k int) (lo, hi [4]float64)

@@ -13,6 +13,9 @@ package simd
 func csrRowRangeAVX512(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
 
 //go:noescape
+func csrRowRangeAVX512U16(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi int)
+
+//go:noescape
 func axpyGatherAVX512(y, val *float64, idx *int32, x *float64, n int)
 
 //go:noescape
@@ -23,6 +26,9 @@ func bcsr2x2AVX512(val *float64, blkCol *int32, x *float64, n int) (s0, s1 float
 
 //go:noescape
 func dotBcastTile8AVX512(val *float64, idx *int32, x *float64, stride, n, k int) (dst [8]float64)
+
+//go:noescape
+func dotBcastTile8AVX512U16(val *float64, idx *uint16, x *float64, stride, n, k int) (dst [8]float64)
 
 //go:noescape
 func bcsr2x2Tile8AVX512(val *float64, blkCol *int32, x *float64, n, k int) (lo, hi [8]float64)

@@ -5,7 +5,8 @@
 //
 // Conventions (on top of the AVX2 file's):
 //   - Gathers load x through sign-extended 32-bit column indices
-//     (VPMOVSXDQ + VGATHERQPD) under an opmask rebuilt before EVERY
+//     (VPMOVSXDQ + VGATHERQPD), or zero-extended 16-bit ones (VPMOVZXWQ)
+//     in the U16 twins, under an opmask rebuilt before EVERY
 //     gather — the instruction zeroes its mask as it completes.
 //   - Lane-unaligned tails use opmask predication: the tail mask is
 //     (1<<rem)-1, masked loads are zeroing (.Z) so dead lanes contribute
@@ -61,6 +62,7 @@ DATA bcsrPairB<>+56(SB)/8, $7
 GLOBL bcsrPairB<>(SB), RODATA|NOPTR, $64
 
 // func csrRowRangeAVX512(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
+// func csrRowRangeAVX512U16(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi int)
 //
 // CSR rows [lo, hi): y[i] = sum(val[j] * x[idx[j]]) over row i's entries,
 // one call per claimed chunk. The row loop carries end from row to row. A
@@ -70,104 +72,150 @@ GLOBL bcsrPairB<>(SB), RODATA|NOPTR, $64
 // longer row runs sixteen partial sums in two ZMM accumulators, FMA, and
 // an opmask tail. Both reduce pairwise: reassociates vs the scalar
 // sequential sum (documented bound), bit-identical to it for n <= 2.
-TEXT ·csrRowRangeAVX512(SB), NOSPLIT, $0-56
-	MOVQ rowPtr+0(FP), R8
-	MOVQ idx+8(FP), DI
-	MOVQ val+16(FP), SI
-	MOVQ x+24(FP), DX
-	MOVQ y+32(FP), R9
-	MOVQ lo+40(FP), R10            // i
-	MOVQ hi+48(FP), R11
-	CMPQ R10, R11
-	JGE  done
-	MOVLQSX (R8)(R10*4), R12       // end = rowPtr[lo]
+//
+// CSR_ROW_RANGE_AVX512 is the body for both index widths: LOADX (LOADXZ
+// its zeroing form) widens eight indices to qwords, SCALE is the index
+// size and OCT the bytes of eight indices. The masked loads need no slack
+// at either width: EVEX fault suppression skips the dead elements.
+#define CSR_ROW_RANGE_AVX512(LOADX, LOADXZ, SCALE, OCT) \
+	MOVQ rowPtr+0(FP), R8 \
+	MOVQ idx+8(FP), DI \
+	MOVQ val+16(FP), SI \
+	MOVQ x+24(FP), DX \
+	MOVQ y+32(FP), R9 \
+	MOVQ lo+40(FP), R10            /* i */ \
+	MOVQ hi+48(FP), R11 \
+	CMPQ R10, R11 \
+	JGE  done \
+	MOVLQSX (R8)(R10*4), R12       /* end = rowPtr[lo] */ \
+row: \
+	MOVQ    R12, AX                /* j = start */ \
+	MOVLQSX 4(R8)(R10*4), R12      /* end = rowPtr[i+1] */ \
+	MOVQ    R12, CX \
+	SUBQ    AX, CX                 /* n */ \
+	CMPQ    CX, $8 \
+	JGT     long \
+	MOVL    $1, BX \
+	SHLL    CX, BX \
+	DECL    BX                     /* (1<<n)-1 */ \
+	KMOVW   BX, K2 \
+	LOADXZ  (DI)(AX*SCALE), K2, Z2 /* masked idx load (fault-suppressed) */ \
+	KMOVW   K2, K3                 /* gather clobbers its mask */ \
+	VXORPD  Z5, Z5, Z5 \
+	VGATHERQPD (DX)(Z2*8), K3, Z5 \
+	VMOVUPD.Z  (SI)(AX*8), K2, Z6  /* masked val load: dead lanes 0 */ \
+	VMULPD  Z5, Z6, Z0             /* dead lanes are 0*0 */ \
+reduce: \
+	VEXTRACTF64X4 $1, Z0, Y1 \
+	VADDPD        Y1, Y0, Y0 \
+	VEXTRACTF128  $1, Y0, X1 \
+	VADDPD        X1, X0, X0 \
+	VUNPCKHPD     X0, X0, X1 \
+	VADDSD        X1, X0, X0 \
+	VMOVSD        X0, (R9)(R10*8)  /* y[i] */ \
+	INCQ R10 \
+	CMPQ R10, R11 \
+	JLT  row \
+	VZEROUPPER \
+done: \
+	RET \
+long: \
+	VXORPD Z0, Z0, Z0              /* acc0 */ \
+	VXORPD Z1, Z1, Z1              /* acc1 */ \
+	MOVQ   CX, BX \
+	ANDQ   $-16, BX                /* n &^ 15 */ \
+	JZ     group8 \
+	ADDQ   AX, BX                  /* where the 16-groups end */ \
+loop16: \
+	LOADX      (DI)(AX*SCALE), Z2  /* idx[j..j+7] -> int64 */ \
+	KXNORW     K1, K1, K1          /* gather mask (all ones) */ \
+	VXORPD     Z5, Z5, Z5 \
+	VGATHERQPD (DX)(Z2*8), K1, Z5  /* x[idx[j..j+7]] */ \
+	VFMADD231PD (SI)(AX*8), Z5, Z0 /* acc0 += val * x */ \
+	LOADX      OCT(DI)(AX*SCALE), Z2 /* idx[j+8..j+15] */ \
+	KXNORW     K1, K1, K1 \
+	VXORPD     Z6, Z6, Z6 \
+	VGATHERQPD (DX)(Z2*8), K1, Z6 \
+	VFMADD231PD 64(SI)(AX*8), Z6, Z1 \
+	ADDQ $16, AX \
+	CMPQ AX, BX \
+	JLT  loop16 \
+group8: \
+	TESTQ $8, CX                   /* one remaining 8-group? */ \
+	JZ    tail \
+	LOADX      (DI)(AX*SCALE), Z2 \
+	KXNORW     K1, K1, K1 \
+	VXORPD     Z5, Z5, Z5 \
+	VGATHERQPD (DX)(Z2*8), K1, Z5 \
+	VFMADD231PD (SI)(AX*8), Z5, Z0 \
+	ADDQ $8, AX \
+tail: \
+	ANDL $7, CX                    /* rem = n & 7 */ \
+	JZ   sum \
+	MOVL $1, BX \
+	SHLL CX, BX \
+	DECL BX                        /* (1<<rem)-1 */ \
+	KMOVW BX, K2 \
+	LOADXZ (DI)(AX*SCALE), K2, Z2 \
+	KMOVW K2, K3 \
+	VXORPD     Z5, Z5, Z5 \
+	VGATHERQPD (DX)(Z2*8), K3, Z5 \
+	VMOVUPD.Z  (SI)(AX*8), K2, Z6 \
+	VFMADD231PD Z5, Z6, Z0         /* dead lanes contribute 0*0 */ \
+sum: \
+	VADDPD Z1, Z0, Z0 \
+	JMP    reduce
 
-row:
-	MOVQ    R12, AX                // j = start
-	MOVLQSX 4(R8)(R10*4), R12      // end = rowPtr[i+1]
-	MOVQ    R12, CX
-	SUBQ    AX, CX                 // n
-	CMPQ    CX, $8
-	JGT     long
-	MOVL    $1, BX
-	SHLL    CX, BX
-	DECL    BX                     // (1<<n)-1
-	KMOVW   BX, K2
-	VPMOVSXDQ.Z (DI)(AX*4), K2, Z2 // masked idx load (fault-suppressed)
-	KMOVW   K2, K3                 // gather clobbers its mask
-	VXORPD  Z5, Z5, Z5
-	VGATHERQPD (DX)(Z2*8), K3, Z5
-	VMOVUPD.Z  (SI)(AX*8), K2, Z6  // masked val load: dead lanes 0
-	VMULPD  Z5, Z6, Z0             // dead lanes are 0*0
-
-reduce:
-	VEXTRACTF64X4 $1, Z0, Y1
-	VADDPD        Y1, Y0, Y0
-	VEXTRACTF128  $1, Y0, X1
-	VADDPD        X1, X0, X0
-	VUNPCKHPD     X0, X0, X1
-	VADDSD        X1, X0, X0
-	VMOVSD        X0, (R9)(R10*8)  // y[i]
-	INCQ R10
-	CMPQ R10, R11
-	JLT  row
-	VZEROUPPER
-
-done:
+// func dotBcastTile8AVX512(val *float64, idx *int32, x *float64, stride, n, k int) (dst [8]float64)
+// func dotBcastTile8AVX512U16(val *float64, idx *uint16, x *float64, stride, n, k int) (dst [8]float64)
+//
+// Fused SpMM register tile: dst[t] = sum of val[j*stride] * X[idx[j*stride], t]
+// for the 8 tile vectors t, returned by value. x is pre-offset to the
+// tile start. Each lane is an independent sequential mul-then-add sum —
+// bit-identical. DOT_BCAST_TILE8_AVX512 is the body for both index
+// widths: LOADS widens one index, LOG2 is the log2 of its size.
+#define DOT_BCAST_TILE8_AVX512(LOADS, LOG2) \
+	MOVQ   val+0(FP), SI \
+	MOVQ   idx+8(FP), DI \
+	MOVQ   x+16(FP), DX \
+	MOVQ   stride+24(FP), R10 \
+	MOVQ   n+32(FP), CX \
+	MOVQ   k+40(FP), R12 \
+	SHLQ   $3, R12                 /* k * 8: X row pitch in bytes */ \
+	MOVQ   R10, R11 \
+	SHLQ   $3, R10                 /* stride * 8 */ \
+	SHLQ   $LOG2, R11              /* stride * index size */ \
+	VXORPD Z0, Z0, Z0 \
+	TESTQ  CX, CX \
+	JZ     done \
+loop: \
+	LOADS        (DI), AX \
+	IMULQ        R12, AX           /* idx * k * 8 */ \
+	VMOVUPD      (DX)(AX*1), Z1    /* X tile row (8 vectors) */ \
+	VBROADCASTSD (SI), Z2 \
+	VMULPD       Z1, Z2, Z2 \
+	VADDPD       Z2, Z0, Z0 \
+	ADDQ R10, SI \
+	ADDQ R11, DI \
+	DECQ CX \
+	JNZ  loop \
+done: \
+	LEAQ    dst+48(FP), R8 \
+	VMOVUPD Z0, (R8) \
+	VZEROUPPER \
 	RET
 
-long:
-	VXORPD Z0, Z0, Z0              // acc0
-	VXORPD Z1, Z1, Z1              // acc1
-	MOVQ   CX, BX
-	ANDQ   $-16, BX                // n &^ 15
-	JZ     group8
-	ADDQ   AX, BX                  // where the 16-groups end
+TEXT ·csrRowRangeAVX512(SB), NOSPLIT, $0-56
+	CSR_ROW_RANGE_AVX512(VPMOVSXDQ, VPMOVSXDQ.Z, 4, 32)
 
-loop16:
-	VPMOVSXDQ  (DI)(AX*4), Z2      // idx[j..j+7] -> int64
-	KXNORW     K1, K1, K1          // gather mask (all ones)
-	VXORPD     Z5, Z5, Z5
-	VGATHERQPD (DX)(Z2*8), K1, Z5  // x[idx[j..j+7]]
-	VFMADD231PD (SI)(AX*8), Z5, Z0 // acc0 += val * x
+TEXT ·csrRowRangeAVX512U16(SB), NOSPLIT, $0-56
+	CSR_ROW_RANGE_AVX512(VPMOVZXWQ, VPMOVZXWQ.Z, 2, 16)
 
-	VPMOVSXDQ  32(DI)(AX*4), Z2    // idx[j+8..j+15]
-	KXNORW     K1, K1, K1
-	VXORPD     Z6, Z6, Z6
-	VGATHERQPD (DX)(Z2*8), K1, Z6
-	VFMADD231PD 64(SI)(AX*8), Z6, Z1
+TEXT ·dotBcastTile8AVX512(SB), NOSPLIT, $0-112
+	DOT_BCAST_TILE8_AVX512(MOVLQSX, 2)
 
-	ADDQ $16, AX
-	CMPQ AX, BX
-	JLT  loop16
-
-group8:
-	TESTQ $8, CX                   // one remaining 8-group?
-	JZ    tail
-	VPMOVSXDQ  (DI)(AX*4), Z2
-	KXNORW     K1, K1, K1
-	VXORPD     Z5, Z5, Z5
-	VGATHERQPD (DX)(Z2*8), K1, Z5
-	VFMADD231PD (SI)(AX*8), Z5, Z0
-	ADDQ $8, AX
-
-tail:
-	ANDL $7, CX                    // rem = n & 7
-	JZ   sum
-	MOVL $1, BX
-	SHLL CX, BX
-	DECL BX                        // (1<<rem)-1
-	KMOVW BX, K2
-	VPMOVSXDQ.Z (DI)(AX*4), K2, Z2
-	KMOVW K2, K3
-	VXORPD     Z5, Z5, Z5
-	VGATHERQPD (DX)(Z2*8), K3, Z5
-	VMOVUPD.Z  (SI)(AX*8), K2, Z6
-	VFMADD231PD Z5, Z6, Z0         // dead lanes contribute 0*0
-
-sum:
-	VADDPD Z1, Z0, Z0
-	JMP    reduce
+TEXT ·dotBcastTile8AVX512U16(SB), NOSPLIT, $0-112
+	DOT_BCAST_TILE8_AVX512(MOVWQZX, 1)
 
 // func axpyGatherAVX512(y, val *float64, idx *int32, x *float64, n int)
 //
@@ -330,45 +378,6 @@ done:
 	VMOVSD    X0, s0+32(FP)
 	VPERMILPD $1, X0, X0
 	VMOVSD    X0, s1+40(FP)
-	VZEROUPPER
-	RET
-
-// func dotBcastTile8AVX512(val *float64, idx *int32, x *float64, stride, n, k int) (dst [8]float64)
-//
-// Fused SpMM register tile: dst[t] = sum of val[j*stride] * X[idx[j*stride], t]
-// for the 8 tile vectors t, returned by value. x is pre-offset to the
-// tile start. Each lane is an independent sequential mul-then-add sum —
-// bit-identical.
-TEXT ·dotBcastTile8AVX512(SB), NOSPLIT, $0-112
-	MOVQ   val+0(FP), SI
-	MOVQ   idx+8(FP), DI
-	MOVQ   x+16(FP), DX
-	MOVQ   stride+24(FP), R10
-	MOVQ   n+32(FP), CX
-	MOVQ   k+40(FP), R12
-	SHLQ   $3, R12                 // k * 8: X row pitch in bytes
-	MOVQ   R10, R11
-	SHLQ   $3, R10                 // stride * 8
-	SHLQ   $2, R11                 // stride * 4
-	VXORPD Z0, Z0, Z0
-	TESTQ  CX, CX
-	JZ     done
-
-loop:
-	MOVLQSX      (DI), AX
-	IMULQ        R12, AX           // idx * k * 8
-	VMOVUPD      (DX)(AX*1), Z1    // X tile row (8 vectors)
-	VBROADCASTSD (SI), Z2
-	VMULPD       Z1, Z2, Z2
-	VADDPD       Z2, Z0, Z0
-	ADDQ R10, SI
-	ADDQ R11, DI
-	DECQ CX
-	JNZ  loop
-
-done:
-	LEAQ    dst+48(FP), R8
-	VMOVUPD Z0, (R8)
 	VZEROUPPER
 	RET
 

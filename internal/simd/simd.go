@@ -61,10 +61,10 @@
 //
 // # Index trust
 //
-// The kernels gather x through 32-bit column indices with no bounds
-// checks (that is much of the speedup). Callers must guarantee indices
-// are in [0, len(x)); every format in internal/formats does so by
-// construction from a validated CSR matrix.
+// The kernels gather x through 32-bit (or, see Index, 16-bit) column
+// indices with no bounds checks (that is much of the speedup). Callers
+// must guarantee indices are in [0, len(x)); every format in
+// internal/formats does so by construction from a validated CSR matrix.
 package simd
 
 import (
@@ -301,17 +301,32 @@ func KernelImpl(kernel string) string {
 // tile to the heap — one allocation per row tile. Value returns keep the
 // hot loops allocation-free.
 
+// Index is the column-index type of the row-range and broadcast-tile
+// kernels: int32, or uint16 (zero-extended) up to 1<<16 columns. Each such
+// kernel body is one assembly macro instantiated for both widths.
+type Index interface{ int32 | uint16 }
+
+// U16Slack is how many zeroed entries a uint16 index array holds past its
+// last: AVX2 has no word-masked load, so its row-range kernel loads a short
+// row's four indices unmasked.
+const U16Slack = 4
+
 // CSRRowRange computes y[i] = sum(val[j] * x[idx[j]]) over the entries
 // j in [rowPtr[i], rowPtr[i+1]) of every row i in [lo, hi), the row loop
 // inside the kernel. Masked short rows, multi-accumulator FMA long rows:
-// reassociates relative to a sequential sum (see the package contract).
-func CSRRowRange(rowPtr, idx []int32, val, x, y []float64, lo, hi int) {
+// reassociates relative to a sequential sum (see the package contract),
+// in the same order at both index widths.
+func CSRRowRange[I Index](rowPtr []int32, idx []I, val, x, y []float64, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	nnz := rowPtr[hi]
-	_, _, _, _ = rowPtr[lo], y[hi-1], idx[:nnz], val[:nnz]
-	csrRowRange(&rowPtr[0], unsafe.SliceData(idx), unsafe.SliceData(val), unsafe.SliceData(x), &y[0], lo, hi)
+	nnz := int(rowPtr[hi])
+	_, _, _ = rowPtr[lo], y[hi-1], val[:nnz]
+	if c, ok := any(idx).([]uint16); ok {
+		csrRowRangeU16(&rowPtr[0], unsafe.SliceData(c[:nnz+U16Slack]), unsafe.SliceData(val), unsafe.SliceData(x), &y[0], lo, hi)
+		return
+	}
+	csrRowRange(&rowPtr[0], (*int32)(unsafe.Pointer(unsafe.SliceData(idx[:nnz]))), unsafe.SliceData(val), unsafe.SliceData(x), &y[0], lo, hi)
 }
 
 // AxpyGather computes y[j] += val[j] * x[idx[j]] for every j.
@@ -369,25 +384,31 @@ func Bcsr2x2(val []float64, blkCol []int32, x []float64, n int) (s0, s1 float64)
 // dst[t] = sum over j in [0, n) of val[j*stride] * x[idx[j*stride]*k + t],
 // t in [0, 4). x must be pre-offset to the tile start (so its element 0 is
 // vector lane 0 of the tile). Bit-identical to the scalar tile loop.
-func DotBcastTile(val []float64, idx []int32, x []float64, stride, n, k int) [4]float64 {
+func DotBcastTile[I Index](val []float64, idx []I, x []float64, stride, n, k int) [4]float64 {
 	if n == 0 {
 		return [4]float64{}
 	}
 	_ = val[(n-1)*stride]
 	_ = idx[(n-1)*stride]
-	return dotBcastTile(&val[0], &idx[0], &x[0], stride, n, k)
+	if c, ok := any(idx).([]uint16); ok {
+		return dotBcastTileU16(&val[0], &c[0], &x[0], stride, n, k)
+	}
+	return dotBcastTile(&val[0], (*int32)(unsafe.Pointer(&idx[0])), &x[0], stride, n, k)
 }
 
 // DotBcastTile8 is the 8-vector twin of DotBcastTile (t in [0, 8); the
 // tile must have 8 live lanes). Bit-identical to the scalar tile loop at
 // every tier.
-func DotBcastTile8(val []float64, idx []int32, x []float64, stride, n, k int) [8]float64 {
+func DotBcastTile8[I Index](val []float64, idx []I, x []float64, stride, n, k int) [8]float64 {
 	if n == 0 {
 		return [8]float64{}
 	}
 	_ = val[(n-1)*stride]
 	_ = idx[(n-1)*stride]
-	return dotBcastTile8(&val[0], &idx[0], &x[0], stride, n, k)
+	if c, ok := any(idx).([]uint16); ok {
+		return dotBcastTile8U16(&val[0], &c[0], &x[0], stride, n, k)
+	}
+	return dotBcastTile8(&val[0], (*int32)(unsafe.Pointer(&idx[0])), &x[0], stride, n, k)
 }
 
 // Bcsr2x2Tile returns a 2-row x 4-vector BCSR SpMM tile over n interior

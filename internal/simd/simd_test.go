@@ -158,7 +158,7 @@ func TestDotBcastTile8BitIdentical(t *testing.T) {
 		t.Skip("no accelerated kernels on this host")
 	}
 	rng := rand.New(rand.NewSource(8))
-	const cols = 300
+	const cols = 1 << 16 // every uint16 index value
 	for _, k := range []int{8, 12} {
 		x := randVec(rng, cols*k)
 		for _, stride := range []int{1, 4} {
@@ -170,12 +170,13 @@ func TestDotBcastTile8BitIdentical(t *testing.T) {
 				val := randVec(rng, ln)
 				idx := randIdx(rng, ln, cols)
 				d1 := DotBcastTile8(val, idx, x[k-8:], stride, n, k)
+				d16 := DotBcastTile8(val, narrowIdx(idx), x[k-8:], stride, n, k)
 				var d2 [8]float64
 				if n > 0 {
 					d2 = dotBcastTile8Scalar(&val[0], &idx[0], &x[k-8], stride, n, k)
 				}
-				if d1 != d2 {
-					t.Fatalf("k=%d stride=%d n=%d: %v != %v", k, stride, n, d1, d2)
+				if d1 != d2 || d16 != d2 {
+					t.Fatalf("k=%d stride=%d n=%d: int32 %v, uint16 %v, scalar %v", k, stride, n, d1, d16, d2)
 				}
 			}
 		}
@@ -210,7 +211,7 @@ func TestDotBcastTileBitIdentical(t *testing.T) {
 		t.Skip("no accelerated kernels on this host")
 	}
 	rng := rand.New(rand.NewSource(5))
-	const cols = 300
+	const cols = 1 << 16 // every uint16 index value
 	for _, k := range []int{4, 8} {
 		x := randVec(rng, cols*k)
 		for _, stride := range []int{1, 4} {
@@ -223,12 +224,13 @@ func TestDotBcastTileBitIdentical(t *testing.T) {
 				idx := randIdx(rng, ln, cols)
 				// tile offset t = k-4: exercises the pre-offset contract
 				d1 := DotBcastTile(val, idx, x[k-4:], stride, n, k)
+				d16 := DotBcastTile(val, narrowIdx(idx), x[k-4:], stride, n, k)
 				var d2 [4]float64
 				if n > 0 {
 					d2 = dotBcastTileScalar(&val[0], &idx[0], &x[k-4], stride, n, k)
 				}
-				if d1 != d2 {
-					t.Fatalf("k=%d stride=%d n=%d: %v != %v", k, stride, n, d1, d2)
+				if d1 != d2 || d16 != d2 {
+					t.Fatalf("k=%d stride=%d n=%d: int32 %v, uint16 %v, scalar %v", k, stride, n, d1, d16, d2)
 				}
 			}
 		}

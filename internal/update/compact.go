@@ -319,6 +319,3 @@ func (u *Updatable) Epoch() uint64 { return u.snap.Load().epoch }
 
 // Base returns the current base format.
 func (u *Updatable) Base() formats.Format { return u.snap.Load().base }
-
-// BaseMatrix returns the CSR the current base was built from.
-func (u *Updatable) BaseMatrix() *matrix.CSR { return u.snap.Load().baseCSR }

@@ -56,7 +56,7 @@ func TestCompactReAutoZeroProbesWarm(t *testing.T) {
 	if a1.Choice().Cached {
 		t.Fatal("cold re-selection must not be a cache hit")
 	}
-	coldFP := u1.BaseMatrix().Fingerprint()
+	coldFP := u1.snap.Load().baseCSR.Fingerprint()
 	if coldFP == m.Fingerprint() {
 		t.Fatal("drift did not change the fingerprint; test is vacuous")
 	}
@@ -91,7 +91,7 @@ func TestCompactReAutoZeroProbesWarm(t *testing.T) {
 	if a2.Chosen() != a1.Chosen() {
 		t.Errorf("warm re-selection chose %q, cold chose %q", a2.Chosen(), a1.Chosen())
 	}
-	if u2.BaseMatrix().Fingerprint() != coldFP {
+	if u2.snap.Load().baseCSR.Fingerprint() != coldFP {
 		t.Error("deterministic drift produced different merged fingerprints")
 	}
 }

@@ -163,7 +163,7 @@ func TestCompactBitwiseMatchesFreshBuild(t *testing.T) {
 		}
 		// Rebuild the merged matrix from scratch through the same builder
 		// the compactor used (it may have fallen back to Naive-CSR).
-		merged := u.BaseMatrix()
+		merged := u.snap.Load().baseCSR
 		fb, ok := formats.Lookup(u.Base().Name())
 		if !ok {
 			t.Fatalf("%s: base %q not in registry", b.Name, u.Base().Name())
