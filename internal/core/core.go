@@ -64,8 +64,21 @@ type FeatureVector struct {
 // same-row or next-row element counts as a neighbor. The paper uses 1.
 const NeighborDistance = 1
 
-// Extract measures the full feature vector of a concrete matrix. It runs in
-// O(nnz) time and O(cols/64) extra space.
+// Extract measures the full feature vector of a concrete matrix in one pass
+// over its rows, in O(nnz) time and O(cols/64) extra space:
+//
+//   - SkewCoeff from the longest row;
+//   - AvgNumNeigh (f4.b): for every nonzero, the same-row elements within
+//     NeighborDistance columns, averaged over all nonzeros. Columns within a
+//     row are sorted and unique, so the result lies in [0, 2];
+//   - CrossRowSim (f4.a): for each non-empty row that has a next row, the
+//     fraction of its elements with an element of the next row within
+//     NeighborDistance columns, averaged over those rows; in [0, 1];
+//   - BWScaled: the mean column span of the non-empty rows over Cols.
+//
+// The next row's columns are marked in a bitmap shifted by NeighborDistance,
+// so an element at column c looks for next-row neighbors in the
+// 2*NeighborDistance+1 bits from c.
 func Extract(m *matrix.CSR) FeatureVector {
 	fv := FeatureVector{
 		Rows:           m.Rows,
@@ -77,93 +90,54 @@ func Extract(m *matrix.CSR) FeatureVector {
 	if m.Rows == 0 || m.NNZ() == 0 {
 		return fv
 	}
-	avg := fv.AvgNNZPerRow
-	fv.SkewCoeff = (float64(m.MaxRowNNZ()) - avg) / avg
-	fv.AvgNumNeigh = AvgNumNeighbors(m)
-	fv.CrossRowSim = CrossRowSimilarity(m)
-	fv.BWScaled = AvgRowBandwidthScaled(m)
-	return fv
-}
-
-// AvgNumNeighbors computes f4.b: for every nonzero, count same-row elements
-// within NeighborDistance columns (left or right), then average over all
-// nonzeros. Because columns within a row are sorted and unique, each nonzero
-// has at most 2 such neighbors, so the result lies in [0, 2].
-func AvgNumNeighbors(m *matrix.CSR) float64 {
-	if m.NNZ() == 0 {
-		return 0
-	}
-	var neigh int64
+	const window = 1<<(2*NeighborDistance+1) - 1
+	mark := make([]uint64, m.Cols/64+2) // bit c+NeighborDistance for next-row column c
+	maxRow, neigh := 0, int64(0)
+	var simSum, bwSum float64
+	simRows, bwRows := 0, 0
 	for i := 0; i < m.Rows; i++ {
-		cols, _ := m.Row(i)
-		for k := 1; k < len(cols); k++ {
-			if cols[k]-cols[k-1] <= NeighborDistance {
-				neigh += 2 // the pair contributes one neighbor to each side
-			}
-		}
-	}
-	return float64(neigh) / float64(m.NNZ())
-}
-
-// CrossRowSimilarity computes f4.a: for each row, the fraction of its
-// elements that have at least one element in the NEXT row within
-// NeighborDistance columns; averaged over rows that have a next row and at
-// least one element. The result lies in [0, 1].
-func CrossRowSimilarity(m *matrix.CSR) float64 {
-	if m.Rows < 2 {
-		return 0
-	}
-	var simSum float64
-	counted := 0
-	for i := 0; i < m.Rows-1; i++ {
-		cur, _ := m.Row(i)
-		next, _ := m.Row(i + 1)
+		cur := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]]
 		if len(cur) == 0 {
 			continue
 		}
-		counted++
-		if len(next) == 0 {
-			continue
+		maxRow = max(maxRow, len(cur))
+		bwSum += float64(int(cur[len(cur)-1]-cur[0]) + 1)
+		bwRows++
+		var next []int32
+		if i+1 < m.Rows {
+			next = m.ColIdx[m.RowPtr[i+1]:m.RowPtr[i+2]]
 		}
-		matched := 0
-		j := 0
+		for _, c := range next {
+			c += NeighborDistance
+			mark[c>>6] |= 1 << (c & 63)
+		}
+		matched, last := 0, cur[0]-NeighborDistance-1
 		for _, c := range cur {
-			// Advance the next-row cursor past columns left of the window.
-			for j < len(next) && next[j] < c-NeighborDistance {
-				j++
+			if c-last <= NeighborDistance {
+				neigh += 2 // the pair contributes one neighbor to each side
 			}
-			if j < len(next) && next[j] <= c+NeighborDistance {
+			last = c
+			w, s := c>>6, uint(c&63)
+			if (mark[w]>>s|mark[w+1]<<(64-s))&window != 0 {
 				matched++
 			}
 		}
-		simSum += float64(matched) / float64(len(cur))
-	}
-	if counted == 0 {
-		return 0
-	}
-	return simSum / float64(counted)
-}
-
-// AvgRowBandwidthScaled returns the mean row bandwidth (column span of each
-// non-empty row) divided by the number of columns, the generator's bw_scaled
-// parameter measured on a concrete matrix.
-func AvgRowBandwidthScaled(m *matrix.CSR) float64 {
-	if m.Cols == 0 {
-		return 0
-	}
-	var sum float64
-	counted := 0
-	for i := 0; i < m.Rows; i++ {
-		if m.RowNNZ(i) == 0 {
-			continue
+		for _, c := range next {
+			mark[(c+NeighborDistance)>>6] = 0
 		}
-		counted++
-		sum += float64(m.RowBandwidth(i))
+		if i+1 < m.Rows {
+			simSum += float64(matched) / float64(len(cur))
+			simRows++
+		}
 	}
-	if counted == 0 {
-		return 0
+	avg := fv.AvgNNZPerRow
+	fv.SkewCoeff = (float64(maxRow) - avg) / avg
+	fv.AvgNumNeigh = float64(neigh) / float64(m.NNZ())
+	if simRows > 0 {
+		fv.CrossRowSim = simSum / float64(simRows)
 	}
-	return sum / float64(counted) / float64(m.Cols)
+	fv.BWScaled = bwSum / float64(bwRows) / float64(m.Cols)
+	return fv
 }
 
 // SizeClass labels one regularity subfeature range as in Table III, where
@@ -218,17 +192,6 @@ func (f FeatureVector) SimClass() SizeClass { return ClassifyRange(f.CrossRowSim
 // first, e.g. "LS" for clustered but dissimilar rows.
 func (f FeatureVector) RegularityLabel() string {
 	return f.NeighClass().String() + f.SimClass().String()
-}
-
-// OperationalIntensity returns the CSR flop-per-byte ratio of the matrix:
-// 2 flops per nonzero over the CSR bytes plus the streaming store of y.
-// The x-vector traffic is excluded here and handled by the cache model.
-func (f FeatureVector) OperationalIntensity() float64 {
-	bytes := f.MemFootprintMB*(1<<20) + 8*float64(f.Rows)
-	if bytes == 0 {
-		return 0
-	}
-	return 2 * float64(f.NNZ) / bytes
 }
 
 // Distance returns a dimensionless feature-space distance used to pick the

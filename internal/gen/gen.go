@@ -29,10 +29,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
@@ -81,7 +83,7 @@ var ErrParams = errors.New("gen: invalid parameters")
 // Validate checks parameter ranges.
 func (p Params) Validate() error {
 	switch {
-	case p.Rows <= 0 || p.Cols <= 0:
+	case p.Rows <= 0 || p.Cols <= 0 || p.Rows > math.MaxInt32 || p.Cols > math.MaxInt32:
 		return fmt.Errorf("%w: shape %dx%d", ErrParams, p.Rows, p.Cols)
 	case p.AvgNNZPerRow <= 0:
 		return fmt.Errorf("%w: avg nnz/row %g", ErrParams, p.AvgNNZPerRow)
@@ -172,17 +174,19 @@ func GenerateParallel(p Params, workers int) (*matrix.CSR, error) {
 		Val:    make([]float64, total),
 	}
 
+	// Each worker claims chunks in turn and owns one column bitmap.
 	nChunks := (p.Rows + chunkRows - 1) / chunkRows
-	sem := make(chan struct{}, workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
+	for range min(workers, nChunks) {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(chunk int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			fillChunk(m, counts, p, chunk)
-		}(c)
+			mark := make([]uint64, (p.Cols+63)/64)
+			for c := int(next.Add(1) - 1); c < nChunks; c = int(next.Add(1) - 1) {
+				fillChunk(m, counts, p, c, mark)
+			}
+		}()
 	}
 	wg.Wait()
 	return m, nil
@@ -288,8 +292,9 @@ func rebalance(counts []int, want int64, maxRow int, rng *rand.Rand) {
 // independent PRNG stream and carries its own bandwidth-window random walk;
 // cross-row duplication references the previous row inside the chunk only,
 // so chunk boundaries are seams of slightly reduced similarity (negligible
-// at the 4096-row chunk size).
-func fillChunk(m *matrix.CSR, counts []int, p Params, chunk int) {
+// at the 4096-row chunk size). mark is the worker's all-zero column bitmap,
+// left all-zero on return.
+func fillChunk(m *matrix.CSR, counts []int, p Params, chunk int, mark []uint64) {
 	rng := rand.New(rand.NewSource(splitmix(p.Seed, uint64(chunk)+1)))
 	lo := chunk * chunkRows
 	hi := lo + chunkRows
@@ -313,7 +318,6 @@ func fillChunk(m *matrix.CSR, counts []int, p Params, chunk int) {
 	}
 
 	pNeigh := p.AvgNumNeigh / 2
-	set := make(map[int32]struct{}, 256)
 	var prev []int32
 
 	for i := lo; i < hi; i++ {
@@ -342,82 +346,104 @@ func fillChunk(m *matrix.CSR, counts []int, p Params, chunk int) {
 			start = 0
 		}
 
-		clear(set)
+		base := m.RowPtr[i]
+		set := colSet{mark: mark, cols: m.ColIdx[base : base+int32(n)]}
 		// Step 1: duplicate previous-row columns with probability sim.
 		// Per-column duplication fragments the previous row's neighbor
 		// runs, so each duplicate also rolls the clustering dice and
 		// extends rightward — keeping the two locality features
 		// independent targets even when both are high.
 		for _, c := range prev {
-			if len(set) >= n {
+			if set.n >= n {
 				break
 			}
 			if rng.Float64() < p.CrossRowSim {
-				set[c] = struct{}{}
-				for len(set) < n && rng.Float64() < pNeigh {
+				set.add(c)
+				for set.n < n && rng.Float64() < pNeigh {
 					c++
-					if int(c) >= p.Cols {
+					if int(c) >= p.Cols || !set.add(c) {
 						break
 					}
-					if _, dup := set[c]; dup {
-						break
-					}
-					set[c] = struct{}{}
 				}
 			}
 		}
 		// Step 2: random placement in the window with neighbor clustering.
 		misses := 0
-		for len(set) < n {
+		for set.n < n {
 			c := int32(start + rng.Intn(w))
-			if _, dup := set[c]; dup {
+			if !set.add(c) {
 				misses++
 				if misses > 8*w+64 {
-					fillLinear(set, n, start, w)
-					break
+					// Nearly full window: top the row up deterministically.
+					// The window holds w >= n columns, so this completes it.
+					for c := int32(start); set.n < n; c++ {
+						set.add(c)
+					}
 				}
 				continue
 			}
-			set[c] = struct{}{}
-			for len(set) < n && rng.Float64() < pNeigh {
+			for set.n < n && rng.Float64() < pNeigh {
 				c++
-				if int(c) >= start+w {
+				if int(c) >= start+w || !set.add(c) {
 					break
 				}
-				if _, dup := set[c]; dup {
-					break
-				}
-				set[c] = struct{}{}
 			}
 		}
 
 		// Commit the row sorted, with uniform values in [-0.5, 0.5).
-		base := m.RowPtr[i]
-		cols := m.ColIdx[base : base+int32(n)]
-		k := 0
-		for c := range set {
-			cols[k] = c
-			k++
-		}
-		sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
+		set.sort()
 		vals := m.Val[base : base+int32(n)]
 		for k := range vals {
 			vals[k] = rng.Float64() - 0.5
 		}
-		prev = cols
+		prev = set.cols
 	}
 }
 
-// fillLinear deterministically tops a row up to n entries when random
-// placement keeps colliding (nearly full window).
-func fillLinear(set map[int32]struct{}, n, start, w int) {
-	for c := int32(start); len(set) < n && int(c) < start+w; c++ {
-		set[c] = struct{}{}
+// colSet is one row's column set while it is drawn: the members in
+// insertion order at the front of the row's own ColIdx segment, and a bit
+// per column in mark.
+type colSet struct {
+	mark []uint64
+	cols []int32
+	n    int
+}
+
+// add inserts c and reports whether it was new.
+func (s *colSet) add(c int32) bool {
+	w, b := c>>6, uint64(1)<<(c&63)
+	if s.mark[w]&b != 0 {
+		return false
 	}
-	// The window itself may be too small if duplicated columns fell outside
-	// it; spill to the left of the window as a last resort.
-	for c := int32(start) - 1; len(set) < n && c >= 0; c-- {
-		set[c] = struct{}{}
+	s.mark[w] |= b
+	s.cols[s.n] = c
+	s.n++
+	return true
+}
+
+// sort orders the members and clears their marks. A row whose span covers
+// fewer bitmap words than it has members is read back from the bitmap in
+// order; a sparser one is sorted.
+func (s *colSet) sort() {
+	cols := s.cols[:s.n]
+	if len(cols) == 0 {
+		return
+	}
+	lo, hi := slices.Min(cols)>>6, slices.Max(cols)>>6
+	if int(hi-lo) >= len(cols) {
+		slices.Sort(cols)
+		for _, c := range cols {
+			s.mark[c>>6] = 0
+		}
+		return
+	}
+	k := 0
+	for w := lo; w <= hi; w++ {
+		for word := s.mark[w]; word != 0; word &= word - 1 {
+			cols[k] = w<<6 | int32(bits.TrailingZeros64(word))
+			k++
+		}
+		s.mark[w] = 0
 	}
 }
 

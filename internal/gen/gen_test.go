@@ -35,6 +35,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	cases := []func(*Params){
 		func(p *Params) { p.Rows = 0 },
 		func(p *Params) { p.Cols = -1 },
+		func(p *Params) { p.Cols = 1<<33 + 5 }, // column indices are int32
+		func(p *Params) { p.Rows = math.MaxInt32 + 1 },
 		func(p *Params) { p.AvgNNZPerRow = 0 },
 		func(p *Params) { p.AvgNNZPerRow = 1e9 },
 		func(p *Params) { p.StdNNZPerRow = -1 },
@@ -314,4 +316,30 @@ func TestQuickGenerateInvariants(t *testing.T) {
 			t.Error("rows 197, avg 1, seed 0x1dc972d6: nonzero count is not rows x avg")
 		}
 	})
+}
+
+// BenchmarkGenerate times the generator on three benchmark recipes and
+// reports the cost per nonzero.
+func BenchmarkGenerate(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		p    Params
+	}{
+		{"serve-batch", recipe(3000, 1000, true)},
+		{"serve-update", recipe(2500, 64, false)},
+		{"lib-small", recipe(8000, 10, false)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.p.Seed = 1
+			var nnz int
+			for range b.N {
+				m, err := Generate(bc.p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nnz = m.NNZ()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nnz), "ns/nnz")
+		})
+	}
 }

@@ -57,8 +57,8 @@ func goldenParams() []Params {
 	ps := []Params{
 		{Rows: 1, Cols: 1, AvgNNZPerRow: 1, BWScaled: 1, Seed: 1},
 		{Rows: 300, Cols: 300, AvgNNZPerRow: 40, StdNNZPerRow: 10, BWScaled: 1, CrossRowSim: 0.5, AvgNumNeigh: 1, Seed: 2},
-		// Every row full width: random placement runs out of tries and
-		// fillLinear tops rows up (cases 8, 12 and 39 take that path too).
+		// Every row full width: random placement runs out of tries and the
+		// row is topped up left to right (cases 8, 12 and 39 do so too).
 		{Rows: 200, Cols: 300, AvgNNZPerRow: 300, BWScaled: 1, Seed: 3},
 		// Rows nearly as long as the matrix is wide in a narrow window.
 		{Rows: 64, Cols: 64, AvgNNZPerRow: 60, StdNNZPerRow: 4, BWScaled: 0.1, CrossRowSim: 0.5, AvgNumNeigh: 1, Seed: 3},

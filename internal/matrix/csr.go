@@ -173,16 +173,6 @@ func (m *CSR) AvgRowNNZ() float64 {
 	return float64(m.NNZ()) / float64(m.Rows)
 }
 
-// RowBandwidth returns the column span (max-min+1) of row i, or 0 for an
-// empty row.
-func (m *CSR) RowBandwidth(i int) int {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	if lo == hi {
-		return 0
-	}
-	return int(m.ColIdx[hi-1]-m.ColIdx[lo]) + 1
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *CSR) Clone() *CSR {
 	return &CSR{Rows: m.Rows, Cols: m.Cols,

@@ -134,25 +134,6 @@ func TestCSRRowStats(t *testing.T) {
 	}
 }
 
-func TestCSRRowBandwidth(t *testing.T) {
-	m, err := NewCSR(3, 10,
-		[]int32{0, 3, 3, 4},
-		[]int32{2, 5, 9, 0},
-		[]float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.RowBandwidth(0); got != 8 {
-		t.Errorf("RowBandwidth(0) = %d, want 8", got)
-	}
-	if got := m.RowBandwidth(1); got != 0 {
-		t.Errorf("RowBandwidth(1) = %d, want 0 for empty row", got)
-	}
-	if got := m.RowBandwidth(2); got != 1 {
-		t.Errorf("RowBandwidth(2) = %d, want 1", got)
-	}
-}
-
 func TestCSRCloneIndependent(t *testing.T) {
 	m := Random(10, 10, 0.3, 4)
 	c := m.Clone()

@@ -83,15 +83,19 @@ func TestRegistryGeneratorUpload(t *testing.T) {
 		t.Fatalf("bad info %+v", info)
 	}
 
-	// Invalid generator params surface as the typed 400.
-	_, _, err = r.Upload(context.Background(), UploadSpec{
-		Generator: &gen.Params{Rows: -1, Cols: 10, AvgNNZPerRow: 2},
-	})
-	if !errors.Is(err, gen.ErrParams) {
-		t.Fatalf("err = %v, want gen.ErrParams", err)
-	}
-	if status, code := StatusOf(err); status != 400 || code != "invalid_generator" {
-		t.Fatalf("StatusOf = %d/%s, want 400/invalid_generator", status, code)
+	// Invalid generator params surface as the typed 400, a shape wider
+	// than int32 column indices included.
+	for _, p := range []gen.Params{
+		{Rows: -1, Cols: 10, AvgNNZPerRow: 2},
+		{Rows: 4, Cols: 1<<33 + 5, AvgNNZPerRow: 2, BWScaled: 0.5},
+	} {
+		_, _, err = r.Upload(context.Background(), UploadSpec{Generator: &p})
+		if !errors.Is(err, gen.ErrParams) {
+			t.Fatalf("%+v: err = %v, want gen.ErrParams", p, err)
+		}
+		if status, code := StatusOf(err); status != 400 || code != "invalid_generator" {
+			t.Fatalf("%+v: StatusOf = %d/%s, want 400/invalid_generator", p, status, code)
+		}
 	}
 }
 
