@@ -75,7 +75,7 @@ func TestCtxKernelsMatchLegacy(t *testing.T) {
 	defer cancel() // live for the duration of the test
 
 	ms := testutil.EngineMatrices(t)
-	for name, m := range testutil.Degenerate() {
+	for name, m := range degenerateMatrices() {
 		ms[name] = m
 	}
 	for name, m := range ms {
@@ -277,7 +277,7 @@ func TestMergeCSRPlansDoNotCollide(t *testing.T) {
 			if err := f.Apply(ctx, got, x, k, 8); err != nil {
 				t.Fatalf("round %d k=%d: %v", round, k, err)
 			}
-			testutil.CheckClose(t, "Merge-CSR alternating k", got, want, testutil.TolEngine)
+			checkClose(t, "Merge-CSR alternating k", got, want, testutil.TolEngine)
 		}
 	}
 }

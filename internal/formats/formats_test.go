@@ -8,21 +8,6 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/simd"
-	"repro/internal/testutil"
-)
-
-// The matrix generators and comparison helpers live in internal/testutil —
-// the shared randomized-equivalence harness — with thin aliases here so
-// every test file in the package reads the same as before the extraction.
-func testMatrices(t *testing.T) map[string]*matrix.CSR { return testutil.Matrices(t) }
-
-func skewedSizes(rows, max int) []int { return testutil.SkewedSizes(rows, max) }
-
-func uniformSizes(rows, n int) []int { return testutil.UniformSizes(rows, n) }
-
-var (
-	maxAbsDiff = testutil.MaxAbsDiff
-	anyNaN     = testutil.AnyNaN
 )
 
 // TestAllFormatsMatchReference is the central correctness property: every
@@ -34,7 +19,7 @@ func TestAllFormatsMatchReference(t *testing.T) {
 		x := matrix.RandomVector(m.Cols, 1000)
 		// Dense-reference compare: the oracle multiplies through the dense
 		// triple loop, so no sparse kernel is trusted on either side.
-		want := testutil.Reference(m, x)
+		want := denseReference(m, x)
 		for _, b := range Registry() {
 			f, err := b.Build(m)
 			if err != nil {
@@ -48,7 +33,7 @@ func TestAllFormatsMatchReference(t *testing.T) {
 			}
 			got := make([]float64, m.Rows)
 			f.SpMV(x, got)
-			if d := maxAbsDiff(got, want); d > testutil.TolSmall {
+			if d := maxAbsDiff(got, want); d > tolSmall {
 				t.Errorf("%s on %s: serial SpMV differs by %g", b.Name, name, d)
 			}
 			for _, workers := range []int{2, 3, 8, 64} {
@@ -56,7 +41,7 @@ func TestAllFormatsMatchReference(t *testing.T) {
 					got[i] = math.NaN() // ensure every row is written
 				}
 				f.SpMVParallel(x, got, workers)
-				if d := maxAbsDiff(got, want); d > testutil.TolSmall || anyNaN(got) {
+				if d := maxAbsDiff(got, want); d > tolSmall || anyNaN(got) {
 					t.Errorf("%s on %s with %d workers: parallel SpMV differs by %g",
 						b.Name, name, workers, d)
 				}

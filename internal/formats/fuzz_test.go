@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
-	"repro/internal/testutil"
 )
 
 // fuzzCSR decodes fuzz bytes into a valid CSR of at most 64x64: data[0]
@@ -67,7 +66,7 @@ func FuzzBuildersMatchCSR(f *testing.F) {
 		m := fuzzCSR(data)
 		for _, k := range []int{1, 3} {
 			x := matrix.RandomVector(m.Cols*k, int64(k))
-			want := testutil.MultiplyManyWant(m, m.Rows, m.Cols, x, k)
+			want := multiplyManyWant(m, m.Rows, m.Cols, x, k)
 			twin := input{widened(m), padX(m, x, k)}
 			for _, b := range Registry() {
 				ins := []input{{m, x}}

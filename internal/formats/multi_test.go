@@ -10,25 +10,12 @@ import (
 	"repro/internal/exec"
 	"repro/internal/matrix"
 	"repro/internal/simd"
-	"repro/internal/testutil"
 )
 
 // multiKs are the block widths the MultiplyMany property tests sweep: 1
 // (degenerate), every tail size (2, 3), the register-tile width (4), tile
 // plus tail (5), the benchmark width (8), and a prime past two tiles (17).
 var multiKs = []int{1, 2, 3, 4, 5, 8, 17}
-
-// multiplyManyWant is the specification: k independent Multiply calls
-// through the format's own serial kernel, gathered from / scattered to the
-// row-major block layout (testutil.MultiplyManyWant, shared with the
-// updatable-matrix suite).
-func multiplyManyWant(f Format, rows, cols int, x []float64, k int) []float64 {
-	return testutil.MultiplyManyWant(f, rows, cols, x, k)
-}
-
-// degenerateMatrices are the empty and near-empty shapes every format must
-// survive: no nonzeros, single entries, and empty-row runs at the edges.
-func degenerateMatrices() map[string]*matrix.CSR { return testutil.Degenerate() }
 
 // TestMultiplyManyEquivalence is the tentpole correctness property: for
 // every registry format, MultiplyMany must equal k independent Multiply

@@ -83,7 +83,7 @@ func TestSIMDLevelEquivalence(t *testing.T) {
 	defer simd.SetLevel(prevCap)
 
 	mats := simdEquivMatrices(t)
-	for name, m := range testutil.UnalignedTailMatrices(t) {
+	for name, m := range unalignedTailMatrices() {
 		mats[name] = m
 	}
 	for _, level := range []string{"avx2", "avx512"} {

@@ -131,15 +131,17 @@ func (o cooTail) Swap(i, j int) {
 	m.Val[a], m.Val[b] = m.Val[b], m.Val[a]
 }
 
-// ToCSR converts the COO matrix to CSR, compacting it first.
+// ToCSR converts the COO matrix to CSR, compacting it first. The CSR
+// takes over the compacted column and value arrays, so m is not to be
+// changed afterwards.
 func (m *COO) ToCSR() *CSR {
 	m.Compact()
 	c := &CSR{
 		Rows:   m.Rows,
 		Cols:   m.Cols,
 		RowPtr: make([]int32, m.Rows+1),
-		ColIdx: append([]int32(nil), m.ColIdx...),
-		Val:    append([]float64(nil), m.Val...),
+		ColIdx: m.ColIdx,
+		Val:    m.Val,
 	}
 	for _, r := range m.RowIdx {
 		c.RowPtr[r+1]++

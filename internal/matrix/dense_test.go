@@ -1,6 +1,6 @@
 package matrix
 
-// Dense is a row-major dense matrix used as a brute-force oracle in tests.
+// Dense is a row-major dense matrix, the package tests' brute-force oracle.
 type Dense struct {
 	Rows, Cols int
 	Data       []float64 // len Rows*Cols, row-major
@@ -17,8 +17,8 @@ func (d *Dense) At(i, j int) float64 { return d.Data[i*d.Cols+j] }
 // Set assigns element (i, j).
 func (d *Dense) Set(i, j int, v float64) { d.Data[i*d.Cols+j] = v }
 
-// ToDense expands a CSR matrix into dense form. Intended for small matrices
-// in tests; it allocates Rows*Cols floats.
+// ToDense expands a CSR matrix into dense form; it allocates Rows*Cols
+// floats.
 func (m *CSR) ToDense() *Dense {
 	d := NewDense(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {

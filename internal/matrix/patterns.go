@@ -1,6 +1,9 @@
 package matrix
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // Pattern helpers produce small structured matrices for tests and examples.
 
@@ -105,7 +108,7 @@ func RandomRowSizes(rows, cols int, rowNNZ []int, seed int64) *CSR {
 		for c := range seen {
 			cs = append(cs, c)
 		}
-		sortInt32(cs)
+		slices.Sort(cs)
 		for _, c := range cs {
 			m.ColIdx = append(m.ColIdx, c)
 			m.Val = append(m.Val, rng.Float64()*2-1)
@@ -113,15 +116,6 @@ func RandomRowSizes(rows, cols int, rowNNZ []int, seed int64) *CSR {
 		m.RowPtr[i+1] = int32(len(m.Val))
 	}
 	return m
-}
-
-func sortInt32(s []int32) {
-	// Insertion sort is fine for the short per-row slices used here.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // RandomVector returns an n-vector with entries uniform in [-1, 1),

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -9,8 +12,12 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
 	"unsafe"
 
+	"repro/internal/decimal"
 	"repro/internal/formats"
 )
 
@@ -116,6 +123,86 @@ func DecodeMultiplyRequest(x []float64, body []byte, cols int) ([]float64, error
 	return x, nil
 }
 
+// DecodeUpload parses an upload body: what json.Unmarshal into UploadSpec
+// accepts, but for the "matrixmarket" member, which is not copied into the
+// spec. Its text is unescaped in place over body (no JSON escape decodes
+// to more bytes than its spelling) and returned as mm, for
+// matrix.ParseMatrixMarket; the other members go through json.Unmarshal.
+// One narrowing, a bad request here: a member name encoding/json would
+// fold onto "matrixmarket", such as "MatrixMarket".
+func DecodeUpload(body []byte) (spec UploadSpec, mm []byte, err error) {
+	d := decoder{b: body}
+	rest := []byte{'{'}
+	var name []byte
+	err = d.members('{', func(raw []byte) error {
+		name = unquote(name[:0], raw)
+		if string(name) == "matrixmarket" && d.peek() == '"' {
+			start := d.i + 1
+			if err := d.str(); err != nil {
+				return err
+			}
+			mm = unquote(d.b[start:start], d.b[start:d.i-1])
+			return nil
+		}
+		if string(name) != "matrixmarket" && bytes.EqualFold(name, []byte("matrixmarket")) {
+			return d.errorf(`member %q: the name is "matrixmarket"`, name)
+		}
+		start := d.i
+		if err := d.skip(1); err != nil {
+			return err
+		}
+		if len(rest) > 1 {
+			rest = append(rest, ',')
+		}
+		rest = append(append(append(append(rest, '"'), raw...), '"', ':'), d.b[start:d.i]...)
+		return nil
+	})
+	if d.space(); err == nil && d.i != len(d.b) {
+		err = d.errorf("trailing data after the upload object")
+	} else if err == nil {
+		if jerr := json.Unmarshal(append(rest, '}'), &spec); jerr != nil {
+			err = fmt.Errorf("%w: %v", ErrBadRequest, jerr)
+		}
+	}
+	return spec, mm, err
+}
+
+// unquote appends the decoding of raw, string contents str has validated,
+// to dst the way encoding/json decodes them, less its replacement of
+// invalid UTF-8. dst may be raw[:0]: no escape decodes to more bytes than
+// its spelling, so no byte is overwritten before it is read.
+func unquote(dst, raw []byte) []byte {
+	hex4 := func(b []byte) rune { u, _ := strconv.ParseUint(string(b[:4]), 16, 16); return rune(u) }
+	for {
+		k := bytes.IndexByte(raw, '\\')
+		if k < 0 {
+			return append(dst, raw...)
+		}
+		dst = append(dst, raw[:k]...)
+		c := raw[k+1]
+		raw = raw[k+2:]
+		switch c {
+		case 'b', 'f', 'n', 'r', 't':
+			dst = append(dst, "\b\f\n\r\t"[strings.IndexByte("bfnrt", c)])
+		case 'u':
+			r := hex4(raw)
+			raw = raw[4:]
+			if utf16.IsSurrogate(r) {
+				r2 := rune(-1)
+				if len(raw) >= 6 && raw[0] == '\\' && raw[1] == 'u' {
+					r2 = hex4(raw[2:])
+				}
+				if r = utf16.DecodeRune(r, r2); r != utf8.RuneError {
+					raw = raw[6:]
+				}
+			}
+			dst = utf8.AppendRune(dst, r)
+		default: // '"', '\\', '/'
+			dst = append(dst, c)
+		}
+	}
+}
+
 // decoder is a cursor over one request body.
 type decoder struct {
 	b []byte
@@ -159,26 +246,7 @@ func (d *decoder) expect(c byte) error {
 
 // request parses the top-level object.
 func (d *decoder) request(x []float64, cols int) ([]float64, error) {
-	if err := d.expect('{'); err != nil {
-		return x, err
-	}
-	if d.peek() == '}' {
-		d.i++
-		return x, nil
-	}
-	for {
-		if d.peek() != '"' {
-			return x, d.errorf("expected a member name")
-		}
-		start := d.i + 1
-		if err := d.str(); err != nil {
-			return x, err
-		}
-		name := d.b[start : d.i-1]
-		if err := d.expect(':'); err != nil {
-			return x, err
-		}
-		var err error
+	err := d.members('{', func(name []byte) (err error) {
 		switch string(name) {
 		case "x", `\u0078`:
 			x, err = d.vector(x[:0], cols)
@@ -187,17 +255,50 @@ func (d *decoder) request(x []float64, cols int) ([]float64, error) {
 		default:
 			err = d.skip(1)
 		}
-		if err != nil {
-			return x, err
+		return err
+	})
+	return x, err
+}
+
+// members walks one JSON object or array (open is '{' or '['). For each
+// member it calls each with the name's raw bytes (between the quotes,
+// escapes as spelled; nil in an array) and the cursor on the value, which
+// each must consume.
+func (d *decoder) members(open byte, each func(name []byte) error) error {
+	if err := d.expect(open); err != nil {
+		return err
+	}
+	closer := open + 2 // '{'+2 == '}', '['+2 == ']'
+	if d.peek() == closer {
+		d.i++
+		return nil
+	}
+	for {
+		var name []byte
+		if open == '{' {
+			if d.peek() != '"' {
+				return d.errorf("expected a member name")
+			}
+			start := d.i + 1
+			if err := d.str(); err != nil {
+				return err
+			}
+			name = d.b[start : d.i-1]
+			if err := d.expect(':'); err != nil {
+				return err
+			}
+		}
+		if err := each(name); err != nil {
+			return err
 		}
 		switch d.peek() {
 		case ',':
 			d.i++
-		case '}':
+		case closer:
 			d.i++
-			return x, nil
+			return nil
 		default:
-			return x, d.errorf("expected ',' or '}'")
+			return d.errorf("expected ',' or %q", closer)
 		}
 	}
 }
@@ -214,7 +315,7 @@ func (d *decoder) vector(x []float64, cols int) ([]float64, error) {
 	for {
 		d.space()
 		start := d.i
-		dec, err := d.number()
+		num, err := d.number()
 		if err != nil {
 			return x, err
 		}
@@ -222,7 +323,7 @@ func (d *decoder) vector(x []float64, cols int) ([]float64, error) {
 			return x, fmt.Errorf("%w: x has more than %d entries, matrix has %d columns",
 				formats.ErrDimension, cols, cols)
 		}
-		v, ok := dec.float()
+		v, ok := num.Float()
 		if !ok {
 			lit := d.b[start:d.i]
 			// The literal is valid JSON, so ParseFloat can only fail on range.
@@ -244,178 +345,18 @@ func (d *decoder) vector(x []float64, cols int) ([]float64, error) {
 	}
 }
 
-// decimal is a scanned number literal: its value is ±mant × 10^exp,
-// exactly, unless hard is set.
-type decimal struct {
-	mant uint64
-	exp  int
-	neg  bool
-	// hard marks a literal the fast paths must leave to strconv: a nonzero
-	// digit past the 19th significant one (mant is truncated), or an
-	// exponent too long to accumulate.
-	hard bool
-}
-
-// maxMantDigits is the most significant digits a uint64 always holds.
-const maxMantDigits = 19
-
-// number consumes one JSON number,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and accumulates its
-// value on the way, so the bytes are read once.
-func (d *decoder) number() (v decimal, err error) {
-	b, i := d.b, d.i
-	if i < len(b) && b[i] == '-' {
-		v.neg = true
-		i++
+// number consumes one JSON number; internal/decimal holds the grammar.
+func (d *decoder) number() (decimal.Number, error) {
+	v, n, err := decimal.Scan(d.b[d.i:])
+	d.i += n
+	if err != nil {
+		return v, d.errorf("%v", err)
 	}
-	nd := 0 // significant digits in mant; leading zeros are not
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			if nd < maxMantDigits {
-				v.mant = v.mant*10 + uint64(b[i]-'0')
-				nd++
-			} else {
-				v.exp++
-				if b[i] != '0' {
-					v.hard = true
-				}
-			}
-		}
-	default:
-		return v, d.errorf("expected a number")
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if i == len(b) || !isDigit(b[i]) {
-			d.i = i
-			return v, d.errorf("expected a digit after the decimal point")
-		}
-		if v.mant == 0 {
-			for ; i < len(b) && b[i] == '0'; i++ {
-				v.exp--
-			}
-		}
-		whole := nd
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			if nd < maxMantDigits {
-				v.mant = v.mant*10 + uint64(b[i]-'0')
-				nd++
-			} else if b[i] != '0' {
-				v.hard = true
-			}
-		}
-		v.exp -= nd - whole
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		neg := i < len(b) && b[i] == '-'
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i == len(b) || !isDigit(b[i]) {
-			d.i = i
-			return v, d.errorf("expected a digit in the exponent")
-		}
-		e := 0
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			if e < 1<<20 {
-				e = e*10 + int(b[i]-'0')
-			} else {
-				v.hard = true
-			}
-		}
-		if neg {
-			e = -e
-		}
-		v.exp += e
-	}
-	d.i = i
 	return v, nil
 }
 
-// Exact powers of ten: every 10^k with k ≤ 22 is a float64 (5^22 < 2^53),
-// and every 10^k with k ≤ 19 a uint64.
-var (
-	pow10f = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-	pow10u = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
-)
-
-// float converts v to the float64 nearest its value, ties to even — the
-// result strconv.ParseFloat gives — by the first of two exact paths that
-// applies, and reports false when neither does.
-//
-// (i) Clinger (PLDI 1990): a mantissa of at most 2^53 and a power of ten of
-// at most 10^22 are both exact doubles, so one correctly rounded multiply
-// or divide is the correctly rounded value.
-//
-// (ii) Long division: any other mantissa over 10^q, q ≤ 19, is one exact
-// 128-by-64-bit division (quotient) rounded once.
-func (v decimal) float() (float64, bool) {
-	var f float64
-	switch {
-	case v.hard:
-		return 0, false
-	case v.mant <= 1<<53 && -len(pow10f) < v.exp && v.exp < len(pow10f):
-		f = float64(v.mant)
-		if v.exp < 0 {
-			f /= pow10f[-v.exp]
-		} else {
-			f *= pow10f[v.exp]
-		}
-	case -len(pow10u) < v.exp && v.exp < 0: // so v.mant > 2^53
-		f = quotient(v.mant, pow10u[-v.exp])
-	default:
-		return 0, false
-	}
-	if v.neg {
-		f = -f
-	}
-	return f, true
-}
-
-// quotient returns m/p rounded to nearest, ties to even, for m > 0 and p a
-// power of ten in [10, 10^19]; m/p lies in [10^-19, 2^64/10], far from
-// subnormals and overflow. With both operands shifted to a set top bit, the
-// 128-bit dividend m·2^64 (or m·2^63 when m ≥ p) gives a 64-bit quotient q
-// with its top bit set and a remainder r, and m/p = (q + r/p)·2^e exactly.
-// The float keeps q's top 53 bits; the 11 below, and r as a sticky bit,
-// round them.
-func quotient(m, p uint64) float64 {
-	s := bits.LeadingZeros64(p)
-	z := bits.LeadingZeros64(m)
-	p, m = p<<s, m<<z
-	e := s - z - 64
-	hi, lo := m, uint64(0)
-	if m >= p { // keep hi < p, the divide's precondition
-		hi, lo = m>>1, m<<63
-		e++
-	}
-	q, r := bits.Div64(hi, lo, p)
-	const drop = 64 - 53
-	low := q & (1<<drop - 1)
-	q >>= drop
-	e += drop
-	if low > 1<<(drop-1) || low == 1<<(drop-1) && (r != 0 || q&1 != 0) {
-		q++
-		if q == 1<<53 {
-			q >>= 1
-			e++
-		}
-	}
-	// q·2^e with q in [2^52, 2^53): biased exponent e+52+1023, implicit
-	// leading bit dropped.
-	return math.Float64frombits(uint64(e+52+1023)<<52 | q&(1<<52-1))
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
 func isHex(c byte) bool {
-	return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+	return decimal.IsDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 // str consumes one JSON string, opening quote included, validating its
@@ -423,6 +364,12 @@ func isHex(c byte) bool {
 func (d *decoder) str() error {
 	b := d.b
 	for i := d.i + 1; i < len(b); i++ {
+		for len(b)-i >= 8 && plain8(b[i:]) {
+			i += 8
+		}
+		if i == len(b) {
+			break
+		}
 		switch c := b[i]; {
 		case c == '"':
 			d.i = i + 1
@@ -453,13 +400,23 @@ func (d *decoder) str() error {
 	return d.errorf("unterminated string")
 }
 
+// plain8 reports whether none of b's first eight bytes is a quote, a
+// backslash or a control character, testing the eight as one word: v has
+// a byte under n when (v - n·0x01…01) &^ v has a high bit set.
+func plain8(b []byte) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	x := binary.LittleEndian.Uint64(b)
+	q, s := x^(ones*'"'), x^(ones*'\\')
+	return ((x-ones*0x20)&^x|(q-ones)&^q|(s-ones)&^s)&highs == 0
+}
+
 // skip consumes one JSON value of any shape — an unknown member's — at
 // nesting depth depth, validating it as it goes.
 func (d *decoder) skip(depth int) error {
 	switch c := d.peek(); {
 	case c == '"':
 		return d.str()
-	case c == '-' || isDigit(c):
+	case c == '-' || decimal.IsDigit(c):
 		_, err := d.number()
 		return err
 	case c == 't':
@@ -472,37 +429,7 @@ func (d *decoder) skip(depth int) error {
 		if depth == maxDepth {
 			return d.errorf("exceeded max depth")
 		}
-		d.i++
-		closer := c + 2 // '{'+2 == '}', '['+2 == ']'
-		if d.peek() == closer {
-			d.i++
-			return nil
-		}
-		for {
-			if c == '{' {
-				if d.peek() != '"' {
-					return d.errorf("expected a member name")
-				}
-				if err := d.str(); err != nil {
-					return err
-				}
-				if err := d.expect(':'); err != nil {
-					return err
-				}
-			}
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-			switch d.peek() {
-			case ',':
-				d.i++
-			case closer:
-				d.i++
-				return nil
-			default:
-				return d.errorf("expected ',' or %q", closer)
-			}
-		}
+		return d.members(c, func([]byte) error { return d.skip(depth + 1) })
 	default:
 		return d.errorf("expected a value")
 	}

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/decimal"
 	"repro/internal/formats"
 	"repro/internal/matrix"
 )
@@ -296,11 +297,11 @@ func TestDecodeMatchesParseFloat(t *testing.T) {
 			if math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("%.80s: decoded %v (%#x), ParseFloat %v (%#x)", lit, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 			}
-			dec, _ := (&decoder{b: []byte(lit)}).number()
-			switch _, ok := dec.float(); {
+			num, _, _ := decimal.Scan([]byte(lit))
+			switch _, ok := num.Float(); {
 			case !ok:
 				paths[2]++
-			case dec.mant <= 1<<53:
+			case num.Mant <= 1<<53:
 				paths[0]++
 			default:
 				paths[1]++

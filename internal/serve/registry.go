@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -155,10 +155,10 @@ func (r *Registry) Session() *session.Session { return r.sess }
 // fpKey renders a fingerprint the way clients address it.
 func fpKey(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
-// parseFP parses a client fingerprint key.
+// parseFP parses a client fingerprint key: exactly 16 hex digits.
 func parseFP(s string) (uint64, error) {
-	var fp uint64
-	if _, err := fmt.Sscanf(strings.ToLower(s), "%16x", &fp); err != nil || len(s) != 16 {
+	fp, err := strconv.ParseUint(s, 16, 64)
+	if err != nil || len(s) != 16 {
 		return 0, fmt.Errorf("%w: fingerprint %q (want 16 hex digits)", ErrBadRequest, s)
 	}
 	return fp, nil
@@ -190,7 +190,13 @@ func valueSum(m *matrix.CSR) uint64 {
 // identical matrix (structure and values) is idempotent and returns the
 // incumbent; a structural collision with different values is ErrConflict.
 func (r *Registry) Upload(ctx context.Context, spec UploadSpec) (*Hosted, bool, error) {
-	m, err := r.buildMatrix(spec)
+	return r.upload(ctx, spec, []byte(spec.MatrixMarket))
+}
+
+// upload is Upload with the MatrixMarket text as bytes, which the HTTP
+// handler decodes in place (DecodeUpload); spec.MatrixMarket is ignored.
+func (r *Registry) upload(ctx context.Context, spec UploadSpec, mm []byte) (*Hosted, bool, error) {
+	m, err := buildMatrix(spec, mm)
 	if err != nil {
 		return nil, false, err
 	}
@@ -236,13 +242,14 @@ func (r *Registry) Upload(ctx context.Context, spec UploadSpec) (*Hosted, bool, 
 	return h, true, nil
 }
 
-// buildMatrix materializes the upload's matrix from exactly one source.
-func (r *Registry) buildMatrix(spec UploadSpec) (*matrix.CSR, error) {
+// buildMatrix materializes the upload's matrix from exactly one source:
+// the MatrixMarket text mm or spec's generator.
+func buildMatrix(spec UploadSpec, mm []byte) (*matrix.CSR, error) {
 	switch {
-	case spec.MatrixMarket != "" && spec.Generator != nil:
+	case len(mm) > 0 && spec.Generator != nil:
 		return nil, fmt.Errorf("%w: give matrixmarket or generator, not both", ErrBadRequest)
-	case spec.MatrixMarket != "":
-		m, err := matrix.ReadMatrixMarket(strings.NewReader(spec.MatrixMarket))
+	case len(mm) > 0:
+		m, err := matrix.ParseMatrixMarket(mm)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}

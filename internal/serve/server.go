@@ -219,31 +219,22 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body) // a failed write means the client is gone
 }
 
-// decodeBody decodes a JSON request body of the upload or cells endpoint
-// (matrices arrive inline, hence the bound), mapping failures to the typed
-// bad request.
-func decodeBody(r *http.Request, dst any) error {
-	body, err := readBody(r, nil, maxBodyBytes)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return nil
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeEnvelope(w, map[string]any{"status": "ok", "matrices": s.reg.Len()}, nil)
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var spec UploadSpec
-	if err := decodeBody(r, &spec); err != nil {
+	var mm []byte
+	body, err := readBody(r, nil, maxBodyBytes)
+	if err == nil {
+		spec, mm, err = DecodeUpload(body)
+	}
+	if err != nil {
 		writeEnvelope(w, nil, err)
 		return
 	}
-	h, created, err := s.reg.Upload(r.Context(), spec)
+	h, created, err := s.reg.upload(r.Context(), spec, mm)
 	if err != nil {
 		writeEnvelope(w, nil, err)
 		return
@@ -383,7 +374,13 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ops []CellOp
-	if err := decodeBody(r, &ops); err != nil {
+	body, err := readBody(r, nil, maxBodyBytes)
+	if err == nil {
+		if jerr := json.Unmarshal(body, &ops); jerr != nil {
+			err = fmt.Errorf("%w: %v", ErrBadRequest, jerr)
+		}
+	}
+	if err != nil {
 		writeEnvelope(w, nil, err)
 		return
 	}

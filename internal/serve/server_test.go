@@ -464,7 +464,9 @@ func TestEnvelopeShape(t *testing.T) {
 
 // Sanity for the fingerprint parser corner cases.
 func TestParseFP(t *testing.T) {
-	for _, bad := range []string{"", "123", "0123456789abcdefg", "0123456789abcde", "xyzzyxyzzyxyzzyx"} {
+	for _, bad := range []string{"", "123", "0123456789abcdefg", "0123456789abcde", "xyzzyxyzzyxyzzyx",
+		// Sixteen bytes that are not sixteen hex digits.
+		" 00000000000000f", "00000000000000fz", "00000000000000F\n", "0x0000000000000f", "0000000000000_0f"} {
 		if _, err := parseFP(bad); err == nil {
 			t.Fatalf("parseFP(%q) accepted", bad)
 		}
