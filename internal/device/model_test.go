@@ -422,7 +422,7 @@ func mustBuilder(t *testing.T, name string) formats.Builder {
 // what the host model concludes run against it, never against a clock.
 func fixtureHost() Spec {
 	return Host(2, 8, [formats.NumClasses]float64{
-		formats.ClassRowSum: 0.81, formats.ClassDotGather: 0.29, formats.ClassSweep: 0.42, formats.ClassLanes: 0.37,
+		formats.ClassRowSum: 0.81, formats.ClassDotGo: 0.96, formats.ClassDotGather: 0.29, formats.ClassSweep: 0.42, formats.ClassLanes: 0.37,
 		formats.ClassBlock: 0.27, formats.ClassTile: 1.2, formats.ClassEntry: 1.08,
 	})
 }

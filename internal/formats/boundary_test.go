@@ -25,7 +25,7 @@ func giantRowMatrix(rows, giantLen int, seed int64) *matrix.CSR {
 
 func TestMergeCSRGiantRowAcrossManyWorkers(t *testing.T) {
 	m := giantRowMatrix(64, 5000, 31)
-	f := newMergeCSR(m, Tuning{})
+	f := newMergeCSR(m)
 	x := matrix.RandomVector(m.Cols, 32)
 	want := make([]float64, m.Rows)
 	m.SpMV(x, want)
@@ -206,7 +206,7 @@ func TestQuickCarryKernels(t *testing.T) {
 		m.SpMV(x, want)
 
 		coo := NewCOO(m)
-		merge := newMergeCSR(m, Tuning{})
+		merge := newMergeCSR(m)
 		csr5, err := NewCSR5(m)
 		if err != nil {
 			return false

@@ -16,8 +16,9 @@ type KernelClass uint8
 // The kernel classes.
 const (
 	ClassNone      KernelClass = iota
-	ClassRowSum                // csrRowRange, MergeCSR.lane: one dependent FP add per nonzero
-	ClassDotGather             // vecCSRRowRange: simd.CSRRowRange, or four accumulators on the scalar tier
+	ClassRowSum                // MergeCSR.lane: one dependent FP add per nonzero
+	ClassDotGo                 // simd.CSRRowRangeGo: the canonical CSR order in Go, eight math.FMA chains
+	ClassDotGather             // simd.CSRRowRange: that order dispatched (the Go one on the scalar tier)
 	ClassSweep                 // ELL.rowRange (HYB; the FPGA's VSL streams, priced only): an axpy per slab column
 	ClassLanes                 // SELLCS.chunkRange: C independent lane sums per chunk
 	ClassBlock                 // BCSR.blockRowRange: dense blocks, no per-element index
@@ -27,12 +28,13 @@ const (
 )
 
 // classRep is the registered format whose k = 1 kernel is each class's loop
-// and nothing else: MeasureClasses times it.
-var classRep = [NumClasses]string{"", "Naive-CSR", "Vec-CSR", "ELL", "SELL-C-s", "BCSR", "CSR5", "COO"}
+// and nothing else: MeasureClasses times it (Merge-CSR on one lane: the
+// merge path is one range, no carry).
+var classRep = [NumClasses]string{"", "Merge-CSR", "Naive-CSR", "Vec-CSR", "ELL", "SELL-C-s", "BCSR", "CSR5", "COO"}
 
 // Vectorized reports whether the loop is laid out for SIMD (gathers,
 // column-major chunks, unrolled tiles).
-func (c KernelClass) Vectorized() bool { return c > ClassRowSum && c < ClassEntry }
+func (c KernelClass) Vectorized() bool { return c > ClassDotGo && c < ClassEntry }
 
 // The class-timing fixture is 64 rows of 64 entries (50 KB of CSR, a 2 KB x:
 // cache-resident), row pairs sharing their column pairs so that every format

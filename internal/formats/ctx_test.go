@@ -265,7 +265,7 @@ func TestMergeCSRPlansDoNotCollide(t *testing.T) {
 	defer cancel()
 
 	m := testutil.EngineMatrices(t)["longrows"]
-	f, ref := newMergeCSR(m, Tuning{}), newCSR(m, Tuning{})
+	f, ref := newMergeCSR(m), newPreset("Naive-CSR", m)
 	for round := 0; round < 3; round++ {
 		for _, k := range []int{1, 8} {
 			x := matrix.RandomVector(m.Cols*k, int64(50+round))

@@ -152,7 +152,7 @@ func BenchmarkCSRRowRange(b *testing.B) {
 	for _, n := range []int{1, 2, 3, 5, 8, 12, 20, 64, 1000} {
 		rows := nnz / n
 		m := matrix.RandomRowSizes(rows, cols, uniformSizes(rows, n), int64(n))
-		f := newVecCSR(m, Tuning{})
+		f := newPreset("Vec-CSR", m)
 		x, y := matrix.RandomVector(cols, 7), make([]float64, rows)
 		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -219,7 +219,7 @@ func TestPlanCachePopulatesPerWorkerCount(t *testing.T) {
 	defer exec.SetMaxWorkers(prev)
 
 	m := matrix.Tridiagonal(30000, 2, -1)
-	f := newCSR(m, Tuning{})
+	f := newPreset("Naive-CSR", m)
 	x := matrix.RandomVector(m.Cols, 3)
 	y := make([]float64, m.Rows)
 	for i := 0; i < 3; i++ {

@@ -45,16 +45,13 @@ func EstimateTraits(name string, fv core.FeatureVector) Traits {
 	case "COO":
 		return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: 8, Class: ClassEntry}
 	case "Naive-CSR":
-		return Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Class: ClassRowSum}
+		return Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Class: ClassDotGo}
 	case "Vec-CSR":
 		return Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Class: ClassDotGather}
 	case "Bal-CSR":
-		return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: csrMeta, Class: ClassRowSum}
+		return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: csrMeta, Class: ClassDotGo}
 	case "MKL-IE":
-		t := Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Preprocessed: true, Class: ClassRowSum}
-		if inspectVectorize(avg) {
-			t.Class = ClassDotGather
-		}
+		t := Traits{Balancing: RowGranular, MetaBytesPerNNZ: csrMeta, Preprocessed: true, Class: ClassDotGather}
 		if skew > balMinSkew {
 			t.Balancing = NNZGranular
 		}

@@ -188,19 +188,25 @@ func Registry() []Builder { return append([]Builder(nil), registry...) }
 
 var registry = []Builder{
 	builder("COO", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewCOO(m), nil }),
-	builder("Naive-CSR", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newCSR(m, t), nil }),
-	builder("Vec-CSR", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newVecCSR(m, t), nil }),
-	builder("Bal-CSR", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newBalCSR(m, t), nil }),
-	builder("MKL-IE", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newInspectorCSR(m, t), nil }),
+	csrBuilder("Naive-CSR"),
+	csrBuilder("Vec-CSR"),
+	csrBuilder("Bal-CSR"),
+	csrBuilder("MKL-IE"),
 	builder("ELL", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newELL(m, t)) }),
 	builder("HYB", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newHYB(m, t)) }),
 	builder("CSR5", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewCSR5(m)) }),
-	builder("Merge-CSR", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return newMergeCSR(m, t), nil }),
+	builder("Merge-CSR", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return newMergeCSR(m), nil }),
 	builder("SELL-C-s", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) {
 		return asFormat(newSELLCS(m, DefaultChunkC(), DefaultSigma, t))
 	}),
 	builder("SparseX", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewSPX(m), nil }),
 	builder("BCSR", TuneTiles|TuneBlock, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newBCSR(m, t)) }),
+}
+
+// csrBuilder registers a CSR preset (newPreset). The family reads no
+// Tuning: its k-wide kernel keeps eight accumulators at either tile width.
+func csrBuilder(name string) Builder {
+	return builder(name, 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return newPreset(name, m), nil })
 }
 
 // asFormat lifts a fallible concrete constructor's result to (Format,

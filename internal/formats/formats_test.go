@@ -255,7 +255,7 @@ func TestSPXCompression(t *testing.T) {
 	// SparseX's baseline, 4-byte column indices (the widened twin): the
 	// CSR family narrows the indices of matrices this small itself.
 	ratio := func(m *matrix.CSR) float64 {
-		return float64(newCSR(widened(m), Tuning{}).Bytes()) / float64(NewSPX(m).Bytes())
+		return float64(newPreset("Naive-CSR", widened(m)).Bytes()) / float64(NewSPX(m).Bytes())
 	}
 	if r := ratio(o.ToCSR()); r < 1.4 {
 		t.Errorf("run-structured compression ratio = %g, want > 1.4", r)
@@ -320,9 +320,9 @@ func TestBCSRBlocksAndFillGate(t *testing.T) {
 
 func TestInspectorCSRDecisions(t *testing.T) {
 	longRows := matrix.RandomRowSizes(40, 400, uniformSizes(40, 30), 19)
-	f := newInspectorCSR(longRows, Tuning{})
-	if !f.vectorize {
-		t.Error("inspector should vectorize long rows")
+	f := newPreset("MKL-IE", longRows)
+	if !f.dispatch {
+		t.Error("inspector should run the dispatched kernel")
 	}
 	if f.balance {
 		t.Error("inspector should not balance a uniform matrix")
@@ -331,7 +331,7 @@ func TestInspectorCSRDecisions(t *testing.T) {
 	sizes := uniformSizes(40, 2)
 	sizes[3] = 200
 	skewed := matrix.RandomRowSizes(40, 400, sizes, 20)
-	fs := newInspectorCSR(skewed, Tuning{})
+	fs := newPreset("MKL-IE", skewed)
 	if !fs.balance {
 		t.Error("inspector should balance a skewed matrix")
 	}

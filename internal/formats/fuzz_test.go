@@ -39,9 +39,10 @@ func fuzzEntries(rows, cols byte, entries ...[4]byte) []byte {
 // FuzzBuildersMatchCSR holds every registry builder to the CSR reference on
 // arbitrary small matrices: a builder either refuses with ErrBuild, or its
 // Apply at k = 1 and k = 3 agrees with the column-wise CSR product within
-// the dot product's forward bound. The CSR family also builds every input
-// as its widened twin (Cols past narrowMaxCols, x padded with zeros), so
-// its int32 path is fuzzed beside its uint16 one. Values and x stay finite: whether ELL's
+// the dot product's forward bound, and the four CSR presets are bit-equal
+// to Naive-CSR. The CSR family also builds every input as its widened twin
+// (Cols past narrowMaxCols, x padded with zeros), so its int32 path is
+// fuzzed beside its uint16 one. Values and x stay finite: whether ELL's
 // padding slots (column 0, value 0) may turn an infinite or NaN x[0] into a
 // NaN where CSR is finite is a contract not yet decided, so non-finite
 // inputs stay out until it is.
@@ -68,6 +69,7 @@ func FuzzBuildersMatchCSR(f *testing.F) {
 			x := matrix.RandomVector(m.Cols*k, int64(k))
 			want := multiplyManyWant(m, m.Rows, m.Cols, x, k)
 			twin := input{widened(m), padX(m, x, k)}
+			var naive []float64 // Registry lists Naive-CSR before the other presets
 			for _, b := range Registry() {
 				ins := []input{{m, x}}
 				if slices.Contains(csrFamily, b.Name) {
@@ -87,6 +89,17 @@ func FuzzBuildersMatchCSR(f *testing.F) {
 					}
 					if i, ok := m.WithinDotBound(x, k, y, want); !ok {
 						t.Fatalf("%s k=%d on %v: y[%d] = %v, the CSR reference's %v", b.Name, k, in.m, i, y[i], want[i])
+					}
+					if !slices.Contains(csrPresets, b.Name) {
+						continue
+					}
+					if naive == nil {
+						naive = y
+					}
+					for i := range y {
+						if math.Float64bits(y[i]) != math.Float64bits(naive[i]) {
+							t.Fatalf("%s k=%d on %v: y[%d] = %v, Naive-CSR's %v", b.Name, k, in.m, i, y[i], naive[i])
+						}
 					}
 				}
 			}

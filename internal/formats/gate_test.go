@@ -81,7 +81,7 @@ func TestShortRowsVectorizedGate(t *testing.T) {
 	const floor = 1.30
 	defer simd.SetLevel(simd.SetLevel("auto"))
 	m := skewTier(t, 420000)
-	f := newInspectorCSR(m, Tuning{})
+	f := newPreset("MKL-IE", m)
 	x, y := matrix.RandomVector(m.Cols, 6), make([]float64, m.Rows)
 	for attempt := 1; ; attempt++ {
 		ns := tierNs(t, []string{"scalar", "auto"}, func() error {
@@ -118,7 +118,7 @@ func TestNarrowIndexGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, wide := newInspectorCSR(m, Tuning{}), newInspectorCSR(widened(m), Tuning{})
+	narrow, wide := newPreset("MKL-IE", m), newPreset("MKL-IE", widened(m))
 	x := matrix.RandomVector(m.Cols, 6)
 	xw, yn, yw := padX(m, x, 1), make([]float64, m.Rows), make([]float64, m.Rows)
 	for attempt := 1; ; attempt++ {

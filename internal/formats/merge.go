@@ -14,10 +14,11 @@ import (
 // serially afterwards. The merge-path search runs once per placement and
 // is cached, along with the carry buffers, in the execution plan.
 //
-// At k > 1 it runs the fused CSR kernel over nonzero-balanced whole-row
-// blocks rather than the merge path: a k-wide merge carry would cost k
-// partial slots per boundary, and with every nonzero feeding k FMAs the
-// imbalance a giant row causes is amortized k-fold, so row-resolution
+// Its lanes sum sequentially (the bounded class of multi.go's contract).
+// At k > 1 it runs the dispatched CSR kernel over nonzero-balanced
+// whole-row blocks rather than the merge path: a k-wide merge carry would
+// cost k partial slots per boundary, and with every nonzero feeding k FMAs
+// the imbalance a giant row causes is amortized k-fold, so row-resolution
 // nonzero balancing is the better trade there.
 type MergeCSR struct {
 	CSR
@@ -30,8 +31,9 @@ type mergeScratch struct {
 	sum []float64
 }
 
-func newMergeCSR(m *matrix.CSR, t Tuning) *MergeCSR {
-	f := &MergeCSR{csrOf(m, sched.NNZBalanced, t)}
+func newMergeCSR(m *matrix.CSR) *MergeCSR {
+	f := &MergeCSR{csrOf(m)}
+	f.balance, f.dispatch = true, true
 	f.bind(f)
 	return f
 }
@@ -39,10 +41,10 @@ func newMergeCSR(m *matrix.CSR, t Tuning) *MergeCSR {
 // Name implements Format.
 func (f *MergeCSR) Name() string { return "Merge-CSR" }
 
-// Traits implements Format.
+// Traits implements Format: its k = 1 kernel is the sequential lane.
 func (f *MergeCSR) Traits() Traits {
 	t := f.CSR.Traits()
-	t.Balancing = ItemGranular
+	t.Balancing, t.Class = ItemGranular, ClassRowSum
 	return t
 }
 
@@ -71,20 +73,40 @@ func (f *MergeCSR) begin(pl *exec.Plan, _ []float64, _ int, private bool) any {
 	return pl.Scratch
 }
 
-// lane implements carrier with the merge-path decomposition.
+// apply is the serial sweep: at k = 1 the merge path's one lane, rows in
+// sequential sums; at k > 1 the CSR kernel.
+func (f *MergeCSR) apply(y, x []float64, k, lo, hi int) {
+	if k > 1 {
+		f.CSR.apply(y, x, k, lo, hi)
+		return
+	}
+	f.seq(sched.Range{RowLo: lo, RowHi: hi, NNZLo: int64(f.rowPtr[lo]), NNZHi: int64(f.rowPtr[hi])}, y, x)
+}
+
+// lane implements carrier with the merge-path decomposition: the row cut
+// by the range end is carried (-1: none).
 func (f *MergeCSR) lane(c any, pl *exec.Plan, w int, y, x []float64, _ int) {
-	if f.col16 != nil {
-		mergeLane(c.(*mergeScratch), pl.Ranges[w], w, f.rowPtr, f.col16, f.val, x, y)
-	} else {
-		mergeLane(c.(*mergeScratch), pl.Ranges[w], w, f.rowPtr, f.colIdx, f.val, x, y)
+	sc := c.(*mergeScratch)
+	sc.row[w] = -1
+	if sum, cut := f.seq(pl.Ranges[w], y, x); cut {
+		sc.row[w], sc.sum[w] = int32(pl.Ranges[w].RowHi), sum
 	}
 }
 
-func mergeLane[I simd.Index](sc *mergeScratch, r sched.Range, w int, rowPtr []int32, colIdx []I, val, x, y []float64) {
+// seq is mergeLane over the format's index width.
+func (f *MergeCSR) seq(r sched.Range, y, x []float64) (float64, bool) {
+	if f.col16 != nil {
+		return mergeLane(r, f.rowPtr, f.col16, f.val, x, y)
+	}
+	return mergeLane(r, f.rowPtr, f.colIdx, f.val, x, y)
+}
+
+// mergeLane writes the rows completed inside r as sequential sums and
+// returns the sum of the trailing fragment of the row r's end cuts, if
+// any. The first row may have had its head consumed by the previous lane;
+// that head arrives via the previous lane's carry in the serial fixup.
+func mergeLane[I simd.Index](r sched.Range, rowPtr []int32, colIdx []I, val, x, y []float64) (sum float64, cut bool) {
 	k := r.NNZLo
-	// Rows completed inside the range. The first row may have had its
-	// head consumed by the previous worker; that head arrives via the
-	// previous worker's carry in the serial fixup below.
 	for i := r.RowLo; i < r.RowHi; i++ {
 		end := int64(rowPtr[i+1])
 		sum := 0.0
@@ -93,16 +115,11 @@ func mergeLane[I simd.Index](sc *mergeScratch, r sched.Range, w int, rowPtr []in
 		}
 		y[i] = sum
 	}
-	// Trailing fragment of the row cut by the range end.
-	sc.row[w] = -1
-	if k < r.NNZHi {
-		sum := 0.0
-		for ; k < r.NNZHi; k++ {
-			sum += val[k] * x[colIdx[k]]
-		}
-		sc.row[w] = int32(r.RowHi)
-		sc.sum[w] = sum
+	for ; k < r.NNZHi; k++ {
+		sum += val[k] * x[colIdx[k]]
+		cut = true
 	}
+	return sum, cut
 }
 
 // finish implements carrier: add the carried row fragments onto the rows

@@ -3,27 +3,32 @@ package formats
 // Multi-vector SpMV (SpMM): every format multiplies a block of k dense
 // right-hand sides at once via Format.Apply with k > 1. Single-vector SpMV is
 // memory-bound — each matrix entry is loaded to feed exactly one FMA — so
-// the fused kernels here stream the matrix once per register tile of 4
-// vectors, reusing every loaded (value, column) pair k times the same way
-// wide-SIMD formats reuse row structure (Kreutzer et al., SELL-C-sigma).
+// the fused kernels stream the matrix once per register tile of vectors,
+// reusing every loaded (value, column) pair k times the same way wide-SIMD
+// formats reuse row structure (Kreutzer et al., SELL-C-sigma). The CSR
+// family's tile is simd.CSRRowRange's; the ladder below is the one of ELL,
+// HYB and SELL-C-sigma.
 //
 // Layout: X and Y are row-major blocks, k values per matrix column/row.
 // X[c*k+t] is vector t's entry for matrix column c, so one nonzero's k
 // x-operands are contiguous — a single gathered cache line serves the
 // whole tile — and Y[r*k:(r+1)*k] is written once per row.
 //
-// The register tile is 4 wide (k unrolled in blocks of 4, tail of 1-3
-// handled separately): 4 accumulators hide the FP-add latency chain
-// without spilling, and the tile's x operands fit one 256-bit vector.
+// The ladder's register tile is 4 wide (k unrolled in blocks of 4, tail of
+// 1-3 handled separately) and the tile's x operands fit one 256-bit
+// vector.
 //
-// Rounding contract: every fused kernel computes each output element as a
-// sequential mul-then-add sum in entry order, bit-identical across dispatch
-// tiers. k = 1 is the format's single-vector kernel whatever the entry
-// point; where that kernel reassociates (the dot-gather of Vec-CSR and
-// MKL-IE, BCSR 2x2 on the AVX-512 rung) two computations of an element
-// agree to the dot product's forward bound, 2*n*2^-53*sum_j |a_ij*x_j| with
-// n the row's stored entries (matrix.CSR.WithinDotBound) — not to a
-// tolerance relative to the result, which is wrong where a row cancels.
+// Rounding contract. Column t of a k-wide product is the single-vector
+// product of vector t, bit for bit, for every format but Merge-CSR
+// (sequential merge-path lanes at k = 1, the CSR kernel at k > 1) and BCSR
+// (its AVX-512 2x2 rung reassociates across blocks, its tiles do not),
+// which agree with it to the dot product's forward bound,
+// 2*n*2^-53*sum_j |a_ij*x_j| with n the row's stored entries
+// (matrix.CSR.WithinDotBound) — not to a tolerance relative to the result,
+// which is wrong where a row cancels. The same bound holds every format
+// against the sequential reference: the CSR presets sum each element in
+// simd.CSRRowRangeGo's order at every k, tier and worker count; ELL, HYB,
+// SELL-C-sigma and COO sequentially in entry order; CSR5 by tiles.
 //
 // Formats off the hot path (CSR5, SparseX) go through the driver's
 // byColumn fallback: one single-vector dispatch per vector, with
@@ -46,27 +51,27 @@ const multiTile8 = 8
 // per-slab dispatched micro-kernels (internal/simd) beat the inlined scalar
 // loops. Below it the indirect call and gather setup cost more than the
 // vector width saves, so call sites keep the scalar path regardless of
-// dispatch state. (simd.CSRRowRange is entered per row range: not gated.)
+// dispatch state.
 const simdMinN = 8
 
-// ladder is the fused row kernel of every format that stores a row as a
-// strided (value, column) stream — the CSR family (stride 1), ELL and HYB's
-// ELL part (stride rows) and SELL-C-sigma (stride C) — holding what the rows
-// of one range call share: the format's arrays, the k-wide blocks, and the
-// two switches resolved once (are the dispatched micro-kernels live, and
-// does this instance take the 8-vector tile on top of them).
-type ladder[I simd.Index] struct {
+// ladder is the fused row kernel of the formats that store a row as a
+// strided (value, column) stream — ELL and HYB's ELL part (stride rows) and
+// SELL-C-sigma (stride C) — holding what the rows of one range call share:
+// the format's arrays, the k-wide blocks, and the two switches resolved
+// once (are the dispatched micro-kernels live, and does this instance take
+// the 8-vector tile on top of them).
+type ladder struct {
 	val           []float64
-	col           []I
+	col           []int32
 	x, y          []float64
 	stride, k     int
 	wide, useSIMD bool
 }
 
-func newLadder[I simd.Index](t Tuning, val []float64, col []I, x, y []float64, stride, k int) ladder[I] {
+func newLadder(t Tuning, val []float64, col []int32, x, y []float64, stride, k int) ladder {
 	useSIMD := simd.Enabled()
 	wide := !t.NarrowTiles && useSIMD && simd.Width() >= 8
-	return ladder[I]{val, col, x, y, stride, k, wide, useSIMD}
+	return ladder{val, col, x, y, stride, k, wide, useSIMD}
 }
 
 // bcastRow writes one row of the k-wide product,
@@ -80,7 +85,7 @@ func newLadder[I simd.Index](t Tuning, val []float64, col []I, x, y []float64, s
 // vector tail. Every rung computes each element as an independent sequential
 // mul-then-add sum in entry order, so which rung a tile lands on never
 // changes a bit. n = 0 writes k zeros and touches neither val nor col.
-func (l *ladder[I]) bcastRow(yAt, at, n int) {
+func (l *ladder) bcastRow(yAt, at, n int) {
 	val, col, x, stride, k := l.val, l.col, l.x, l.stride, l.k
 	dst := l.y[yAt : yAt+k : yAt+k]
 	t := 0

@@ -176,7 +176,7 @@ func TestQuickMultiplyMany(t *testing.T) {
 // errors and must panic, like the single-vector kernels.
 func TestMultiplyManyShapePanics(t *testing.T) {
 	m := matrix.Tridiagonal(100, 2, -1)
-	f := newCSR(m, Tuning{})
+	f := newPreset("Naive-CSR", m)
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -194,14 +194,13 @@ func TestMultiplyManyShapePanics(t *testing.T) {
 // TestBcastRowMatchesSequentialSum holds the one fused row ladder to its
 // definition, bit for bit: each element is the sequential mul-then-add sum
 // over the row's strided entries, whichever rung a tile lands on — every
-// stride a caller passes (1: CSR; 3: a SELL chunk; 70: an ELL slab of 70
+// stride a caller passes (1: contiguous; 3: a SELL chunk; 70: an ELL slab of 70
 // rows), row lengths on both sides of simdMinN and of the kernels' unroll,
 // every tile-plus-tail split of k, wide and narrow, dispatched and not, on
 // every tier the host reaches. The row starts at offset 2 and val and col
 // end at its last entry, so a read past either end shows. n = 0 is the
 // width-0 SELL chunk at the end of the slabs: its offset is past the arrays
-// — nothing to slice, k zeros to write. The CSR family's uint16 column
-// indices run the same cases (with their zeroed slack past the end).
+// — nothing to slice, k zeros to write.
 func TestBcastRowMatchesSequentialSum(t *testing.T) {
 	defer simd.SetLevel(simd.SetLevel("scalar"))
 	const cols, at, yAt = 50, 2, 3
@@ -231,16 +230,12 @@ func TestBcastRowMatchesSequentialSum(t *testing.T) {
 						}
 					}
 					for _, mode := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
-						l := ladder[int32]{val: val, col: col, x: x, y: nanFilled(len(want)), stride: stride, k: k, wide: mode[0], useSIMD: mode[1]}
+						l := ladder{val: val, col: col, x: x, y: nanFilled(len(want)), stride: stride, k: k, wide: mode[0], useSIMD: mode[1]}
 						l.bcastRow(yAt, at, n)
-						l16 := ladder[uint16]{val: val, col: narrowIdx(col), x: x, y: nanFilled(len(want)), stride: stride, k: k, wide: mode[0], useSIMD: mode[1]}
-						l16.bcastRow(yAt, at, n)
-						for u := range want {
-							for w, y := range [][]float64{l.y, l16.y} {
-								if y[u] != want[u] && !(math.IsNaN(y[u]) && math.IsNaN(want[u])) {
-									t.Fatalf("%s stride=%d n=%d k=%d wide=%v simd=%v index bytes %d: y[%d] = %v, sequential sum %v",
-										simd.Level(), stride, n, k, mode[0], mode[1], 4-2*w, u, y[u], want[u])
-								}
+						for u, y := range l.y {
+							if y != want[u] && !(math.IsNaN(y) && math.IsNaN(want[u])) {
+								t.Fatalf("%s stride=%d n=%d k=%d wide=%v simd=%v: y[%d] = %v, sequential sum %v",
+									simd.Level(), stride, n, k, mode[0], mode[1], u, y, want[u])
 							}
 						}
 					}

@@ -35,12 +35,6 @@ func csrPart(f Format) *CSR {
 	switch f := f.(type) {
 	case *CSR:
 		return f
-	case *VecCSR:
-		return &f.CSR
-	case *BalCSR:
-		return &f.CSR
-	case *InspectorCSR:
-		return &f.CSR
 	case *MergeCSR:
 		return &f.CSR
 	}

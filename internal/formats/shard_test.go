@@ -70,7 +70,7 @@ func TestConcurrentCallersRouteToDistinctShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newCSR(m, Tuning{})
+	f := newPreset("Naive-CSR", m)
 	x := matrix.RandomVector(m.Cols, 41)
 	want := make([]float64, m.Rows)
 	f.SpMV(x, want)

@@ -232,7 +232,7 @@ func TestProbePicksAWinner(t *testing.T) {
 // two cores, eight lanes, the in-core table of docs/BENCHMARKS.md, no clock.
 func fixtureHost() device.Spec {
 	return device.Host(2, 8, [formats.NumClasses]float64{
-		formats.ClassRowSum: 0.81, formats.ClassDotGather: 0.29, formats.ClassSweep: 0.42, formats.ClassLanes: 0.37,
+		formats.ClassRowSum: 0.81, formats.ClassDotGo: 0.96, formats.ClassDotGather: 0.29, formats.ClassSweep: 0.42, formats.ClassLanes: 0.37,
 		formats.ClassBlock: 0.27, formats.ClassTile: 1.2, formats.ClassEntry: 1.08,
 	})
 }

@@ -79,7 +79,7 @@ func calibrate() map[string]bool {
 			rowPtr[i] = rowPtr[i-1] + 1 + int32(s>>24)%16
 		}
 	}
-	y := make([]float64, len(rowPtr))
+	y := make([]float64, len(rowPtr)*k) // k-pitched for the tile
 	set := 0
 	nextSet := func() int { set++; return set % calSets * (calRows + 1) }
 
@@ -92,6 +92,9 @@ func calibrate() map[string]bool {
 		{kernelNames[kCSRRowRange],
 			func() { lo := nextSet(); csrRowRangeAVX2(&rowPtr[0], &idx[0], &val[0], &x[0], &y[0], lo, lo+calRows) },
 			func() { lo := nextSet(); csrRowRangeAVX512(&rowPtr[0], &idx[0], &val[0], &x[0], &y[0], lo, lo+calRows) }},
+		{kernelNames[kCSRTile],
+			func() { lo := nextSet(); csrTileAVX2(&rowPtr[0], &idx[0], &val[0], &x[0], &y[0], lo, lo+calRows, k) },
+			func() { lo := nextSet(); csrTileAVX512(&rowPtr[0], &idx[0], &val[0], &x[0], &y[0], lo, lo+calRows, k) }},
 		{kernelNames[kAxpyGather],
 			func() { axpyGatherAVX2(&val[calElems], &val[0], &idx[0], &x[0], calElems) },
 			func() { axpyGatherAVX512(&val[calElems], &val[0], &idx[0], &x[0], calElems) }},

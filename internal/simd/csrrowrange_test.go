@@ -58,13 +58,19 @@ func reachableTiers() []string {
 	return tiers
 }
 
-// TestCSRRowRangeMatchesReference holds the row-range kernel of every
-// tier to the sequential row sum: within the dot product's forward bound
-// for every row length around the short step, the group and tail
-// boundaries and a long row; bit-equal for rows of at most two entries;
-// nothing written outside [lo, hi); nothing read from x that no row
-// references (dead lanes of the masked step must be exact zeros); and the
-// uint16-index entry bit-identical to the int32 one.
+// csrKs are the vector counts the CSR kernel tests sweep: k = 1 (the
+// gather kernel), every lane-mask tail of both tile widths, whole 4- and
+// 8-vector passes, a ZMM pass plus a full YMM one, and a pass plus one.
+var csrKs = []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 17}
+
+// TestCSRRowRangeMatchesReference holds the CSR kernel of every tier to
+// CSRRowRangeGo bit for bit, at every k in csrKs, for every row length
+// around the masked steps, the group boundaries and a long row; and the Go
+// reference itself to the sequential row sum within the dot product's
+// forward bound (bit-equal for rows of at most two entries). Nothing is
+// written outside rows [lo, hi), nothing read from x that no row
+// references (a dead lane's load must be masked), and the uint16-index
+// entry is bit-identical to the int32 one.
 func TestCSRRowRangeMatchesReference(t *testing.T) {
 	defer SetLevel(SetLevel("scalar"))
 	rng := rand.New(rand.NewSource(11))
@@ -77,54 +83,98 @@ func TestCSRRowRangeMatchesReference(t *testing.T) {
 	const cols = 1 << 16 // every uint16 index value
 	m := csrOfLens(rng, lens, cols)
 	idx16 := narrowIdx(m.idx)
-	x := randVec(rng, cols)
 	used := make([]bool, cols)
 	for _, c := range m.idx {
 		used[c] = true
 	}
-	for c := range x {
-		if !used[c] {
-			x[c] = math.NaN()
+	for _, k := range csrKs {
+		x := randVec(rng, cols*k)
+		for c := range used {
+			for t := 0; t < k && !used[c]; t++ {
+				x[c*k+t] = math.NaN()
+			}
 		}
-	}
-	for _, tier := range reachableTiers() {
-		SetLevel(tier)
-		for _, r := range [][2]int{{0, rows}, {3, rows - 1}, {7, 7}, {rows, rows}, {rows - 1, rows}, {44, 52}} {
-			lo, hi := r[0], r[1]
-			y := make([]float64, rows)
-			for i := range y {
-				y[i] = math.NaN()
-			}
-			CSRRowRange(m.rowPtr, m.idx, m.val, x, y, lo, hi)
-			y16 := append([]float64(nil), y...)
-			for i := lo; i < hi; i++ {
-				y16[i] = math.NaN()
-			}
-			CSRRowRange(m.rowPtr, idx16, m.val, x, y16, lo, hi)
-			for i, got := range y {
-				if math.Float64bits(y16[i]) != math.Float64bits(got) {
-					t.Fatalf("%s [%d,%d): row %d: uint16 indices gave %v, int32 %v", tier, lo, hi, i, y16[i], got)
+		want := nanVec(rows * k)
+		CSRRowRangeGo(m.rowPtr, m.idx, m.val, x, want, 0, rows, k)
+		if k == 1 {
+			for i, got := range want {
+				seq, mag := m.seqRow(i, x)
+				if lens[i] <= 2 && got != seq || !(math.Abs(got-seq) <= dotBound(lens[i], mag)) {
+					t.Fatalf("row %d (n=%d): the Go reference gave %v, the sequential sum %v", i, lens[i], got, seq)
 				}
-				if i < lo || i >= hi {
-					if !math.IsNaN(got) {
-						t.Fatalf("%s [%d,%d): y[%d] = %v written outside the range", tier, lo, hi, i, got)
+			}
+		}
+		for _, tier := range reachableTiers() {
+			SetLevel(tier)
+			for _, r := range [][2]int{{0, rows}, {3, rows - 1}, {7, 7}, {rows, rows}, {rows - 1, rows}, {44, 52}} {
+				lo, hi := r[0], r[1]
+				y, y16 := nanVec(rows*k), nanVec(rows*k)
+				CSRRowRange(m.rowPtr, m.idx, m.val, x, y, lo, hi, k)
+				CSRRowRange(m.rowPtr, idx16, m.val, x, y16, lo, hi, k)
+				for e, got := range y {
+					if i := e / k; i < lo || i >= hi {
+						if !math.IsNaN(got) || !math.IsNaN(y16[e]) {
+							t.Fatalf("%s k=%d [%d,%d): y[%d] = %v, %v written outside the range", tier, k, lo, hi, e, got, y16[e])
+						}
+					} else if math.Float64bits(got) != math.Float64bits(want[e]) || math.Float64bits(y16[e]) != math.Float64bits(want[e]) {
+						t.Fatalf("%s k=%d [%d,%d): row %d (n=%d) vector %d = %v (uint16 %v), the Go reference %v",
+							tier, k, lo, hi, i, lens[i], e%k, got, y16[e], want[e])
 					}
-					continue
 				}
-				want, mag := m.seqRow(i, x)
-				if lens[i] <= 2 && got != want {
-					t.Fatalf("%s [%d,%d): row %d (n=%d) = %v, not bit-equal to the sequential %v", tier, lo, hi, i, lens[i], got, want)
-				}
-				if !(math.Abs(got-want) <= dotBound(lens[i], mag)) {
-					t.Fatalf("%s [%d,%d): row %d (n=%d) = %v, want %v within %g", tier, lo, hi, i, lens[i], got, want, dotBound(lens[i], mag))
+			}
+			// A matrix with no entries at all: every row in range is +0.
+			y := nanVec(4 * k)
+			CSRRowRange(make([]int32, 5), []int32(nil), nil, x, y, 1, 3, k)
+			for e, v := range y {
+				if in := e >= k && e < 3*k; in && math.Float64bits(v) != 0 || !in && !math.IsNaN(v) {
+					t.Fatalf("%s k=%d: empty matrix rows [1,3) gave %v", tier, k, y)
 				}
 			}
 		}
-		// A matrix with no entries at all: every row in range is zero.
-		y := []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
-		CSRRowRange(make([]int32, 5), []int32(nil), nil, x, y, 1, 3)
-		if !math.IsNaN(y[0]) || y[1] != 0 || y[2] != 0 || !math.IsNaN(y[3]) {
-			t.Fatalf("%s: empty matrix rows [1,3) gave %v", tier, y)
+	}
+}
+
+// TestCSRRowRangeSignedZeros pins the +0 start of the canonical order on
+// rows whose products are -0 or underflow to it: a row of only such
+// products sums to +0 below eight entries (a +0 partial sum is in the
+// tree) and to -0 at eight and more when every product is -0 (every
+// partial sum holds -0), on every tier and both tile widths. A dead lane
+// of a masked step must leave a -0 partial sum alone.
+func TestCSRRowRangeSignedZeros(t *testing.T) {
+	defer SetLevel(SetLevel("scalar"))
+	for _, n := range []int{1, 3, 4, 7, 8, 9, 12, 15, 16, 17, 21} {
+		m := csrMat{rowPtr: []int32{0, int32(n)}, idx: make([]int32, n), val: make([]float64, n)}
+		for j := range m.val {
+			m.val[j] = -0x1p-600 // times 0x1p-600: a product that underflows to -0
+		}
+		for _, k := range csrKs {
+			x := make([]float64, k)
+			for u := range x {
+				x[u] = 0x1p-600
+			}
+			want := make([]float64, k)
+			CSRRowRangeGo(m.rowPtr, m.idx, m.val, x, want, 0, 1, k)
+			if sign := math.Signbit(want[0]); want[0] != 0 || sign != (n >= 8) {
+				t.Fatalf("n=%d k=%d: the Go reference gave %v, want %s0", n, k, want[0], map[bool]string{true: "-", false: "+"}[n >= 8])
+			}
+			for _, tier := range reachableTiers() {
+				SetLevel(tier)
+				y := nanVec(k)
+				CSRRowRange(m.rowPtr, m.idx, m.val, x, y, 0, 1, k)
+				for u := range y {
+					if math.Float64bits(y[u]) != math.Float64bits(want[u]) {
+						t.Fatalf("%s n=%d k=%d: vector %d = %v, the Go reference %v", tier, n, k, u, y[u], want[u])
+					}
+				}
+			}
 		}
 	}
+}
+
+func nanVec(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.NaN()
+	}
+	return v
 }

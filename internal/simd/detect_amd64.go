@@ -114,13 +114,13 @@ func install(cap string) {
 
 // installScalar resets every table entry to its portable reference.
 func installScalar() {
-	csrRowRange, csrRowRangeU16 = csrRowRangeScalar[int32], csrRowRangeScalar[uint16]
+	csrRowRange, csrRowRangeU16, csrTile, csrTileU16 = nil, nil, nil, nil
 	axpyGather = axpyGatherScalar
 	laneDot4 = laneDot4Scalar
 	laneDot8 = laneDot8Scalar
 	bcsr2x2 = bcsr2x2Scalar
-	dotBcastTile, dotBcastTileU16 = dotBcastTileScalar[int32], dotBcastTileScalar[uint16]
-	dotBcastTile8, dotBcastTile8U16 = dotBcastTile8Scalar[int32], dotBcastTile8Scalar[uint16]
+	dotBcastTile = dotBcastTileScalar
+	dotBcastTile8 = dotBcastTile8Scalar
 	bcsr2x2Tile = bcsr2x2TileScalar
 	bcsr2x2Tile8 = bcsr2x2Tile8Scalar
 	for i := range kernelImpl {
@@ -133,12 +133,13 @@ func installScalar() {
 // call sites can stay tier-agnostic.
 func installAVX2() {
 	csrRowRange, csrRowRangeU16 = csrRowRangeAVX2, csrRowRangeAVX2U16
+	csrTile, csrTileU16 = csrTileAVX2, csrTileAVX2U16
 	axpyGather = axpyGatherAVX2
 	laneDot4 = laneDot4AVX2
 	laneDot8 = laneDot8AVX2
 	bcsr2x2 = bcsr2x2AVX2
-	dotBcastTile, dotBcastTileU16 = dotBcastTileAVX2, dotBcastTileAVX2U16
-	dotBcastTile8, dotBcastTile8U16 = dotBcastTile8AVX2, dotBcastTile8AVX2U16
+	dotBcastTile = dotBcastTileAVX2
+	dotBcastTile8 = dotBcastTile8AVX2
 	bcsr2x2Tile = bcsr2x2TileAVX2
 	bcsr2x2Tile8 = bcsr2x2Tile8AVX2
 	for i := range kernelImpl {
@@ -153,17 +154,18 @@ type avx512Candidate struct {
 	install func()
 }
 
-// avx512Kernels lists the six kernels with native ZMM implementations; a
+// avx512Kernels lists the seven kernels with native ZMM implementations; a
 // kernel's U16 twin rides on its calibration verdict.
 // LaneDot4 and the 4-wide tiles have none: their data simply is not 8
 // lanes wide, so they stay at AVX2 under every cap.
 func avx512Kernels() []avx512Candidate {
 	return []avx512Candidate{
 		{kCSRRowRange, func() { csrRowRange, csrRowRangeU16 = csrRowRangeAVX512, csrRowRangeAVX512U16 }},
+		{kCSRTile, func() { csrTile, csrTileU16 = csrTileAVX512, csrTileAVX512U16 }},
 		{kAxpyGather, func() { axpyGather = axpyGatherAVX512 }},
 		{kLaneDot8, func() { laneDot8 = laneDot8AVX512 }},
 		{kBcsr2x2, func() { bcsr2x2 = bcsr2x2AVX512 }},
-		{kTile8, func() { dotBcastTile8, dotBcastTile8U16 = dotBcastTile8AVX512, dotBcastTile8AVX512U16 }},
+		{kTile8, func() { dotBcastTile8 = dotBcastTile8AVX512 }},
 		{kBcsrTile8, func() { bcsr2x2Tile8 = bcsr2x2Tile8AVX512 }},
 	}
 }

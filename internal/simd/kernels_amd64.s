@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "csrtile_amd64.h"
 
 // AVX2/FMA micro-kernels for the SpMV inner loops.
 //
@@ -10,9 +11,10 @@
 //     vet's asmdecl checks a #define's frame references against the TEXT
 //     above it). The all-ones gather mask is rebuilt with
 //     VPCMPEQQ before EVERY gather — the instruction zeroes its mask.
-//   - Kernels that promise bit-identity to the scalar path use separate
-//     VMULPD/VADDPD (no FMA contraction) and preserve the scalar
-//     accumulation order per output element.
+//   - The CSR kernels run CSRRowRangeGo's order, FMA into eight partial
+//     sums (the pass macro of the k-wide one is in csrtile_amd64.h). The
+//     others promise bit-identity to their scalar loops with separate
+//     VMULPD/VADDPD (no FMA contraction) in the loops' order per element.
 //   - VZEROUPPER before every RET that follows YMM use (SSE/AVX
 //     transition stalls otherwise).
 
@@ -27,27 +29,29 @@ GLOBL csrHeadMask<>(SB), RODATA|NOPTR, $32
 // func csrRowRangeAVX2(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
 // func csrRowRangeAVX2U16(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi int)
 //
-// CSR rows [lo, hi): y[i] = sum(val[j] * x[idx[j]]) over row i's entries,
-// one call per claimed chunk. The row loop carries end from row to row. A
-// row of at most 4 entries (empty included) is one masked step with no
-// trip-count branch: the indices come in under SHORTIDX, the gather fills a
-// zeroed register under the row's lane mask and VMASKMOVPD zeroes the dead
-// values, so dead lanes multiply exact 0*0. A longer row runs eight partial
-// sums in two YMM accumulators, FMA, and a scalar tail. Both reduce
-// pairwise: reassociates vs the scalar sequential sum (documented bound),
-// bit-identical to it for n <= 2.
+// CSR rows [lo, hi) at k = 1 in the canonical order (CSRRowRangeGo's),
+// one call per claimed chunk. The row loop carries end from row to row.
+// Entry j of a row goes into partial sum j mod 8: p0..p3 in Y0, p4..p7 in
+// Y1, both from +0. An 8-group gathers twice and FMAs into both; a
+// remaining 4-group FMAs into Y0 and swaps the two, so the last 1-3
+// entries (partial sums p4.. after a 4-group, p0.. without one) always
+// land in Y0. They take one masked step: the indices under SHORTIDX, the
+// values under VMASKMOVPD, the gather under the lane mask, an FMA into a
+// copy of Y0 and VBLENDVPD back into its live lanes only. The reduction
+// ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)) adds Y0 and Y1 lane-wise first,
+// so the swap does not reorder it.
 //
 // CSR_ROW_RANGE_AVX2 is the body for both index widths: LOADX widens four
-// indices to qwords, LOADS one, SCALE is the index size and QUAD the bytes
-// of four indices. SHORTIDX loads a short row's indices into Y2 while X3
-// still holds the dword lane mask: int32 indices through VPMASKMOVD
-// (VPMOVSXDQ from memory is unmasked and would read 16 bytes past a short
-// slice end), uint16 ones with one unmasked 8-byte load that the narrow
-// array's zeroed slack keeps in bounds (AVX2 has no word-masked load).
+// indices to qwords, SCALE is the index size and QUAD the bytes of four
+// indices. SHORTIDX loads the step's indices into Y2 while X3 still holds
+// the dword lane mask: int32 indices through VPMASKMOVD (VPMOVSXDQ from
+// memory is unmasked and would read 16 bytes past a short slice end),
+// uint16 ones with one unmasked 8-byte load that the narrow array's
+// zeroed slack keeps in bounds (AVX2 has no word-masked load).
 #define SHORT_IDX_I32 VPMASKMOVD (DI)(AX*4), X3, X2; VPMOVSXDQ X2, Y2
 #define SHORT_IDX_U16 VPMOVZXWQ (DI)(AX*2), Y2
 
-#define CSR_ROW_RANGE_AVX2(LOADX, LOADS, SCALE, QUAD, SHORTIDX) \
+#define CSR_ROW_RANGE_AVX2(LOADX, SCALE, QUAD, SHORTIDX) \
 	MOVQ rowPtr+0(FP), R8 \
 	MOVQ idx+8(FP), DI \
 	MOVQ val+16(FP), SI \
@@ -64,123 +68,157 @@ row: \
 	MOVLQSX 4(R8)(R10*4), R12      /* end = rowPtr[i+1] */ \
 	MOVQ    R12, CX \
 	SUBQ    AX, CX                 /* n */ \
-	CMPQ    CX, $4 \
-	JGT     long \
-	NEGQ    CX \
-	VMOVDQU (R13)(CX*4), X3        /* first n dword lanes */ \
-	SHORTIDX                       /* indices (see above) */ \
-	VPMOVSXDQ  X3, Y3              /* the same lanes as qwords */ \
-	VMASKMOVPD (SI)(AX*8), Y3, Y0  /* masked val load: dead lanes 0 */ \
-	VXORPD     Y5, Y5, Y5 \
-	VGATHERQPD Y3, (DX)(Y2*8), Y5  /* clobbers the mask */ \
-	VMULPD     Y5, Y0, Y0          /* dead lanes are 0*0 */ \
-	VEXTRACTF128 $1, Y0, X1 \
-	VADDPD       X1, X0, X0        /* [a0+a2, a1+a3] */ \
-	VUNPCKHPD    X0, X0, X1 \
-	VADDSD       X1, X0, X0        /* (a0+a2)+(a1+a3) */ \
-store: \
-	VMOVSD X0, (R9)(R10*8)         /* y[i] */ \
-	INCQ R10 \
-	CMPQ R10, R11 \
-	JLT  row \
-	VZEROUPPER \
-done: \
-	RET \
-long: \
-	VXORPD Y0, Y0, Y0              /* acc0 */ \
-	VXORPD Y1, Y1, Y1              /* acc1 */ \
-	MOVQ   CX, BX \
-	ANDQ   $-8, BX                 /* n &^ 7 */ \
-	JZ     group4 \
-	ADDQ   AX, BX                  /* where the 8-groups end */ \
+	VXORPD  Y0, Y0, Y0             /* p0..p3 */ \
+	VXORPD  Y1, Y1, Y1             /* p4..p7 */ \
+	MOVQ    CX, BX \
+	ANDQ    $-8, BX                /* n &^ 7 */ \
+	JZ      group4 \
+	ADDQ    AX, BX                 /* where the 8-groups end */ \
 loop8: \
 	LOADX      (DI)(AX*SCALE), Y2  /* idx[j..j+3] -> int64 */ \
 	VPCMPEQQ   Y4, Y4, Y4          /* gather mask (all ones) */ \
 	VXORPD     Y5, Y5, Y5 \
 	VGATHERQPD Y4, (DX)(Y2*8), Y5  /* x[idx[j..j+3]] */ \
-	VFMADD231PD (SI)(AX*8), Y5, Y0 /* acc0 += val * x */ \
+	VFMADD231PD (SI)(AX*8), Y5, Y0 /* p0..p3 += val * x */ \
 	LOADX      QUAD(DI)(AX*SCALE), Y2 /* idx[j+4..j+7] */ \
 	VPCMPEQQ   Y4, Y4, Y4 \
 	VXORPD     Y6, Y6, Y6 \
 	VGATHERQPD Y4, (DX)(Y2*8), Y6 \
-	VFMADD231PD 32(SI)(AX*8), Y6, Y1 \
+	VFMADD231PD 32(SI)(AX*8), Y6, Y1 /* p4..p7 */ \
 	ADDQ $8, AX \
 	CMPQ AX, BX \
 	JLT  loop8 \
 group4: \
 	TESTQ $4, CX                   /* one remaining 4-group? */ \
-	JZ    reduce \
+	JZ    tail \
 	LOADX      (DI)(AX*SCALE), Y2 \
 	VPCMPEQQ   Y4, Y4, Y4 \
 	VXORPD     Y5, Y5, Y5 \
 	VGATHERQPD Y4, (DX)(Y2*8), Y5 \
 	VFMADD231PD (SI)(AX*8), Y5, Y0 \
 	ADDQ $4, AX \
+	VMOVAPD Y0, Y7 \
+	VMOVAPD Y1, Y0                 /* p4..p7 take the tail */ \
+	VMOVAPD Y7, Y1 \
+tail: \
+	ANDQ $3, CX                    /* entries left */ \
+	JZ   reduce \
+	NEGQ CX \
+	VMOVDQU (R13)(CX*4), X3        /* their dword lanes */ \
+	SHORTIDX                       /* indices (see above) */ \
+	VPMOVSXDQ  X3, Y3              /* the same lanes as qwords */ \
+	VMASKMOVPD (SI)(AX*8), Y3, Y6  /* masked val load */ \
+	VMOVAPD    Y3, Y4              /* the gather clobbers its mask */ \
+	VXORPD     Y5, Y5, Y5 \
+	VGATHERQPD Y3, (DX)(Y2*8), Y5 \
+	VMOVAPD    Y0, Y7 \
+	VFMADD231PD Y5, Y6, Y7 \
+	VBLENDVPD  Y4, Y7, Y0, Y0      /* the live lanes only */ \
 reduce: \
-	VADDPD       Y1, Y0, Y0 \
+	VADDPD       Y1, Y0, Y0        /* [p0+p4, p1+p5, p2+p6, p3+p7] */ \
 	VEXTRACTF128 $1, Y0, X1 \
 	VADDPD       X1, X0, X0 \
 	VUNPCKHPD    X0, X0, X1 \
 	VADDSD       X1, X0, X0 \
-tail: \
-	CMPQ AX, R12 \
-	JGE  store \
-	LOADS   (DI)(AX*SCALE), BX \
-	VMOVSD  (SI)(AX*8), X2 \
-	VFMADD231SD (DX)(BX*8), X2, X0 \
-	INCQ AX \
-	JMP  tail
-
-// func dotBcastTileAVX2(val *float64, idx *int32, x *float64, stride, n, k int) (dst [4]float64)
-// func dotBcastTileAVX2U16(val *float64, idx *uint16, x *float64, stride, n, k int) (dst [4]float64)
-//
-// Fused SpMM register tile: dst[t] = sum of val[j*stride] * X[idx[j*stride], t]
-// for the 4 tile vectors t, returned by value. x is pre-offset to the tile
-// start. Each lane is an independent sequential mul-then-add sum —
-// bit-identical. DOT_BCAST_TILE_AVX2 is the body for both index widths:
-// LOADS widens one index, LOG2 is the log2 of its size.
-#define DOT_BCAST_TILE_AVX2(LOADS, LOG2) \
-	MOVQ   val+0(FP), SI \
-	MOVQ   idx+8(FP), DI \
-	MOVQ   x+16(FP), DX \
-	MOVQ   stride+24(FP), R10 \
-	MOVQ   n+32(FP), CX \
-	MOVQ   k+40(FP), R12 \
-	SHLQ   $3, R12                 /* k * 8: X row pitch in bytes */ \
-	MOVQ   R10, R11 \
-	SHLQ   $3, R10                 /* stride * 8 */ \
-	SHLQ   $LOG2, R11              /* stride * index size */ \
-	VXORPD Y0, Y0, Y0 \
-	TESTQ  CX, CX \
-	JZ     done \
-loop: \
-	LOADS        (DI), AX \
-	IMULQ        R12, AX           /* idx * k * 8 */ \
-	VMOVUPD      (DX)(AX*1), Y1    /* X tile row */ \
-	VBROADCASTSD (SI), Y2 \
-	VMULPD       Y1, Y2, Y2 \
-	VADDPD       Y2, Y0, Y0 \
-	ADDQ R10, SI \
-	ADDQ R11, DI \
-	DECQ CX \
-	JNZ  loop \
-done: \
-	LEAQ    dst+48(FP), R8 \
-	VMOVUPD Y0, (R8) \
+	VMOVSD X0, (R9)(R10*8)         /* y[i] */ \
+	INCQ R10 \
+	CMPQ R10, R11 \
+	JLT  row \
 	VZEROUPPER \
+done: \
+	RET
+
+// func csrTileAVX2(rowPtr, idx *int32, val, x, y *float64, lo, hi, k int)
+// func csrTileAVX2U16(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi, k int)
+//
+// CSR rows [lo, hi) of the k-wide product in the canonical order: for
+// each row, CSR_TILE_YMM_PASS (csrtile_amd64.h) over four vectors at a
+// time, the last k mod 4 under its lane mask. CSR_TILE_AVX2 is the body
+// for both index widths: LOADS widens one index, SCALE is its size.
+#define CSR_TILE_AVX2(LOADS, SCALE) \
+	MOVQ rowPtr+0(FP), R8 \
+	MOVQ idx+8(FP), DI \
+	MOVQ val+16(FP), SI \
+	MOVQ x+24(FP), DX \
+	MOVQ y+32(FP), R9 \
+	MOVQ lo+40(FP), R10            /* i */ \
+	MOVQ hi+48(FP), R11 \
+	MOVQ k+56(FP), R12 \
+	SHLQ $3, R12                   /* k * 8: the x and y row pitch */ \
+	MOVQ R10, AX \
+	IMULQ R12, AX \
+	ADDQ AX, R9                    /* y's row lo */ \
+	CMPQ R10, R11 \
+	JGE  done \
+row: \
+	XORQ R13, R13                  /* the pass's offset into the row */ \
+pass: \
+	MOVQ R12, CX \
+	SUBQ R13, CX \
+	CMPQ CX, $32 \
+	JLE  lanes \
+	MOVQ $32, CX \
+lanes: \
+	CSR_TILE_YMM_PASS(LOADS, SCALE, group, rest, reduce) \
+	ADDQ $32, R13 \
+	CMPQ R13, R12 \
+	JLT  pass \
+	ADDQ R12, R9                   /* next y row */ \
+	INCQ R10 \
+	CMPQ R10, R11 \
+	JLT  row \
+	VZEROUPPER \
+done: \
 	RET
 
 TEXT ·csrRowRangeAVX2(SB), NOSPLIT, $0-56
-	CSR_ROW_RANGE_AVX2(VPMOVSXDQ, MOVLQSX, 4, 16, SHORT_IDX_I32)
+	CSR_ROW_RANGE_AVX2(VPMOVSXDQ, 4, 16, SHORT_IDX_I32)
 
 TEXT ·csrRowRangeAVX2U16(SB), NOSPLIT, $0-56
-	CSR_ROW_RANGE_AVX2(VPMOVZXWQ, MOVWQZX, 2, 8, SHORT_IDX_U16)
+	CSR_ROW_RANGE_AVX2(VPMOVZXWQ, 2, 8, SHORT_IDX_U16)
 
+TEXT ·csrTileAVX2(SB), NOSPLIT, $0-64
+	CSR_TILE_AVX2(MOVLQSX, 4)
+
+TEXT ·csrTileAVX2U16(SB), NOSPLIT, $0-64
+	CSR_TILE_AVX2(MOVWQZX, 2)
+
+// func dotBcastTileAVX2(val *float64, idx *int32, x *float64, stride, n, k int) (dst [4]float64)
+//
+// Fused SpMM register tile of the ELL/HYB/SELL-C-sigma ladder:
+// dst[t] = sum of val[j*stride] * X[idx[j*stride], t] for the 4 tile
+// vectors t, returned by value. x is pre-offset to the tile start. Each
+// lane is an independent sequential mul-then-add sum — bit-identical.
 TEXT ·dotBcastTileAVX2(SB), NOSPLIT, $0-80
-	DOT_BCAST_TILE_AVX2(MOVLQSX, 2)
-
-TEXT ·dotBcastTileAVX2U16(SB), NOSPLIT, $0-80
-	DOT_BCAST_TILE_AVX2(MOVWQZX, 1)
+	MOVQ   val+0(FP), SI
+	MOVQ   idx+8(FP), DI
+	MOVQ   x+16(FP), DX
+	MOVQ   stride+24(FP), R10
+	MOVQ   n+32(FP), CX
+	MOVQ   k+40(FP), R12
+	SHLQ   $3, R12  // k * 8: X row pitch in bytes
+	MOVQ   R10, R11
+	SHLQ   $3, R10  // stride * 8
+	SHLQ   $2, R11  // stride * index size
+	VXORPD Y0, Y0, Y0
+	TESTQ  CX, CX
+	JZ     done
+loop:
+	MOVLQSX      (DI), AX
+	IMULQ        R12, AX  // idx * k * 8
+	VMOVUPD      (DX)(AX*1), Y1  // X tile row
+	VBROADCASTSD (SI), Y2
+	VMULPD       Y1, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	ADDQ R10, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  loop
+done:
+	LEAQ    dst+48(FP), R8
+	VMOVUPD Y0, (R8)
+	VZEROUPPER
+	RET
 
 // func axpyGatherAVX2(y, val *float64, idx *int32, x *float64, n int)
 //

@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "csrtile_amd64.h"
 
 // AVX-512F micro-kernels for the SpMV inner loops: 8-lane ZMM ports of
 // the AVX2 kernels in kernels_amd64.s.
@@ -12,9 +13,8 @@
 //     (1<<rem)-1, masked loads are zeroing (.Z) so dead lanes contribute
 //     exact zeros, and masked-off elements are never dereferenced (EVEX
 //     fault suppression) — no scalar remainder loops.
-//   - Kernels that promise bit-identity to the scalar path use separate
-//     VMULPD/VADDPD (no FMA contraction) and preserve the scalar
-//     accumulation order per output element.
+//   - As in the AVX2 file, the CSR kernels run CSRRowRangeGo's order with
+//     FMA and the others their scalar loops' with VMULPD/VADDPD.
 //   - VZEROUPPER before every RET that follows ZMM/YMM use.
 
 // Permutation controls for bcsr2x2AVX512 (four 2x2 blocks per
@@ -64,20 +64,20 @@ GLOBL bcsrPairB<>(SB), RODATA|NOPTR, $64
 // func csrRowRangeAVX512(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
 // func csrRowRangeAVX512U16(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi int)
 //
-// CSR rows [lo, hi): y[i] = sum(val[j] * x[idx[j]]) over row i's entries,
-// one call per claimed chunk. The row loop carries end from row to row. A
-// row of at most 8 entries (empty included) is one masked step — opmask
-// (1<<n)-1, zeroing index and value loads, a gather into a zeroed register
-// so dead lanes multiply exact 0*0, VMULPD — with no trip-count branch; a
-// longer row runs sixteen partial sums in two ZMM accumulators, FMA, and
-// an opmask tail. Both reduce pairwise: reassociates vs the scalar
-// sequential sum (documented bound), bit-identical to it for n <= 2.
+// CSR rows [lo, hi) at k = 1 in the canonical order (CSRRowRangeGo's),
+// one call per claimed chunk. The row loop carries end from row to row.
+// Entry j of a row goes into lane j mod 8 of one ZMM accumulator, from
+// +0: whole 8-groups by gather and FMA, the last n mod 8 entries by one
+// masked step — opmask (1<<rem)-1, zeroing index and value loads, a
+// masked gather and a merge-masked FMA, so the dead lanes keep their sums
+// — and the lanes reduce as ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)). A row
+// of at most 8 entries (empty included) is the masked step alone.
 //
 // CSR_ROW_RANGE_AVX512 is the body for both index widths: LOADX (LOADXZ
-// its zeroing form) widens eight indices to qwords, SCALE is the index
-// size and OCT the bytes of eight indices. The masked loads need no slack
-// at either width: EVEX fault suppression skips the dead elements.
-#define CSR_ROW_RANGE_AVX512(LOADX, LOADXZ, SCALE, OCT) \
+// its zeroing form) widens eight indices to qwords and SCALE is the index
+// size. The masked loads need no slack at either width: EVEX fault
+// suppression skips the dead elements.
+#define CSR_ROW_RANGE_AVX512(LOADX, LOADXZ, SCALE) \
 	MOVQ rowPtr+0(FP), R8 \
 	MOVQ idx+8(FP), DI \
 	MOVQ val+16(FP), SI \
@@ -93,21 +93,36 @@ row: \
 	MOVLQSX 4(R8)(R10*4), R12      /* end = rowPtr[i+1] */ \
 	MOVQ    R12, CX \
 	SUBQ    AX, CX                 /* n */ \
-	CMPQ    CX, $8 \
-	JGT     long \
-	MOVL    $1, BX \
-	SHLL    CX, BX \
-	DECL    BX                     /* (1<<n)-1 */ \
-	KMOVW   BX, K2 \
-	LOADXZ  (DI)(AX*SCALE), K2, Z2 /* masked idx load (fault-suppressed) */ \
-	KMOVW   K2, K3                 /* gather clobbers its mask */ \
-	VXORPD  Z5, Z5, Z5 \
+	VXORPD  Z0, Z0, Z0             /* p0..p7 */ \
+	MOVQ    CX, BX \
+	ANDQ    $-8, BX                /* n &^ 7 */ \
+	JZ      tail \
+	ADDQ    AX, BX                 /* where the 8-groups end */ \
+loop8: \
+	LOADX      (DI)(AX*SCALE), Z2  /* idx[j..j+7] -> int64 */ \
+	KXNORW     K1, K1, K1          /* gather mask (all ones) */ \
+	VXORPD     Z5, Z5, Z5 \
+	VGATHERQPD (DX)(Z2*8), K1, Z5  /* x[idx[j..j+7]] */ \
+	VFMADD231PD (SI)(AX*8), Z5, Z0 /* p += val * x */ \
+	ADDQ $8, AX \
+	CMPQ AX, BX \
+	JLT  loop8 \
+tail: \
+	ANDL $7, CX                    /* rem = n & 7 */ \
+	JZ   reduce \
+	MOVL $1, BX \
+	SHLL CX, BX \
+	DECL BX                        /* (1<<rem)-1 */ \
+	KMOVW BX, K2 \
+	LOADXZ (DI)(AX*SCALE), K2, Z2  /* masked idx load (fault-suppressed) */ \
+	KMOVW K2, K3                   /* gather clobbers its mask */ \
+	VXORPD     Z5, Z5, Z5 \
 	VGATHERQPD (DX)(Z2*8), K3, Z5 \
-	VMOVUPD.Z  (SI)(AX*8), K2, Z6  /* masked val load: dead lanes 0 */ \
-	VMULPD  Z5, Z6, Z0             /* dead lanes are 0*0 */ \
+	VMOVUPD.Z  (SI)(AX*8), K2, Z6 \
+	VFMADD231PD Z5, Z6, K2, Z0     /* live lanes only */ \
 reduce: \
 	VEXTRACTF64X4 $1, Z0, Y1 \
-	VADDPD        Y1, Y0, Y0 \
+	VADDPD        Y1, Y0, Y0       /* [p0+p4, p1+p5, p2+p6, p3+p7] */ \
 	VEXTRACTF128  $1, Y0, X1 \
 	VADDPD        X1, X0, X0 \
 	VUNPCKHPD     X0, X0, X1 \
@@ -118,104 +133,177 @@ reduce: \
 	JLT  row \
 	VZEROUPPER \
 done: \
-	RET \
-long: \
-	VXORPD Z0, Z0, Z0              /* acc0 */ \
-	VXORPD Z1, Z1, Z1              /* acc1 */ \
-	MOVQ   CX, BX \
-	ANDQ   $-16, BX                /* n &^ 15 */ \
-	JZ     group8 \
-	ADDQ   AX, BX                  /* where the 16-groups end */ \
-loop16: \
-	LOADX      (DI)(AX*SCALE), Z2  /* idx[j..j+7] -> int64 */ \
-	KXNORW     K1, K1, K1          /* gather mask (all ones) */ \
-	VXORPD     Z5, Z5, Z5 \
-	VGATHERQPD (DX)(Z2*8), K1, Z5  /* x[idx[j..j+7]] */ \
-	VFMADD231PD (SI)(AX*8), Z5, Z0 /* acc0 += val * x */ \
-	LOADX      OCT(DI)(AX*SCALE), Z2 /* idx[j+8..j+15] */ \
-	KXNORW     K1, K1, K1 \
-	VXORPD     Z6, Z6, Z6 \
-	VGATHERQPD (DX)(Z2*8), K1, Z6 \
-	VFMADD231PD 64(SI)(AX*8), Z6, Z1 \
-	ADDQ $16, AX \
-	CMPQ AX, BX \
-	JLT  loop16 \
-group8: \
-	TESTQ $8, CX                   /* one remaining 8-group? */ \
-	JZ    tail \
-	LOADX      (DI)(AX*SCALE), Z2 \
-	KXNORW     K1, K1, K1 \
-	VXORPD     Z5, Z5, Z5 \
-	VGATHERQPD (DX)(Z2*8), K1, Z5 \
-	VFMADD231PD (SI)(AX*8), Z5, Z0 \
-	ADDQ $8, AX \
-tail: \
-	ANDL $7, CX                    /* rem = n & 7 */ \
-	JZ   sum \
+	RET
+
+// func csrTileAVX512(rowPtr, idx *int32, val, x, y *float64, lo, hi, k int)
+// func csrTileAVX512U16(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi, k int)
+//
+// The ZMM form of csrTileAVX2: eight vectors per pass over a row, Z0..Z7
+// the partial sums 0..7 of the pass's vectors, the same reduction, and
+// the pass's live lanes under the opmask K1 — merge-masked FMAs whose x
+// operands are fault-suppressed past them, and a masked store. A pass of
+// at most four vectors is CSR_TILE_YMM_PASS instead. CSR_TILE_AVX512 is
+// the body for both index widths: LOADS widens one index, SCALE is its
+// size. CSR_TILE_STEP_AVX512 is entry E of a group into ACC.
+#define CSR_TILE_STEP_AVX512(LOADS, SCALE, E, ACC) \
+	LOADS (E*SCALE)(DI)(AX*SCALE), CX \
+	IMULQ R12, CX \
+	VBROADCASTSD (E*8)(SI)(AX*8), Z9 \
+	VFMADD231PD (R14)(CX*1), Z9, K1, ACC
+
+#define CSR_TILE_AVX512(LOADS, SCALE) \
+	MOVQ rowPtr+0(FP), R8 \
+	MOVQ idx+8(FP), DI \
+	MOVQ val+16(FP), SI \
+	MOVQ x+24(FP), DX \
+	MOVQ y+32(FP), R9 \
+	MOVQ lo+40(FP), R10            /* i */ \
+	MOVQ hi+48(FP), R11 \
+	MOVQ k+56(FP), R12 \
+	SHLQ $3, R12                   /* k * 8: the x and y row pitch */ \
+	MOVQ R10, AX \
+	IMULQ R12, AX \
+	ADDQ AX, R9                    /* y's row lo */ \
+	CMPQ R10, R11 \
+	JGE  done \
+row: \
+	XORQ R13, R13                  /* the pass's offset into the row */ \
+pass: \
+	MOVQ R12, CX \
+	SUBQ R13, CX \
+	CMPQ CX, $32 \
+	JLE  ypass                     /* at most four vectors left */ \
+	SHRQ $3, CX                    /* vectors left */ \
+	CMPQ CX, $8 \
+	JLE  lanes \
+	MOVQ $8, CX \
+lanes: \
 	MOVL $1, BX \
 	SHLL CX, BX \
-	DECL BX                        /* (1<<rem)-1 */ \
-	KMOVW BX, K2 \
-	LOADXZ (DI)(AX*SCALE), K2, Z2 \
-	KMOVW K2, K3 \
-	VXORPD     Z5, Z5, Z5 \
-	VGATHERQPD (DX)(Z2*8), K3, Z5 \
-	VMOVUPD.Z  (SI)(AX*8), K2, Z6 \
-	VFMADD231PD Z5, Z6, Z0         /* dead lanes contribute 0*0 */ \
-sum: \
-	VADDPD Z1, Z0, Z0 \
-	JMP    reduce
-
-// func dotBcastTile8AVX512(val *float64, idx *int32, x *float64, stride, n, k int) (dst [8]float64)
-// func dotBcastTile8AVX512U16(val *float64, idx *uint16, x *float64, stride, n, k int) (dst [8]float64)
-//
-// Fused SpMM register tile: dst[t] = sum of val[j*stride] * X[idx[j*stride], t]
-// for the 8 tile vectors t, returned by value. x is pre-offset to the
-// tile start. Each lane is an independent sequential mul-then-add sum —
-// bit-identical. DOT_BCAST_TILE8_AVX512 is the body for both index
-// widths: LOADS widens one index, LOG2 is the log2 of its size.
-#define DOT_BCAST_TILE8_AVX512(LOADS, LOG2) \
-	MOVQ   val+0(FP), SI \
-	MOVQ   idx+8(FP), DI \
-	MOVQ   x+16(FP), DX \
-	MOVQ   stride+24(FP), R10 \
-	MOVQ   n+32(FP), CX \
-	MOVQ   k+40(FP), R12 \
-	SHLQ   $3, R12                 /* k * 8: X row pitch in bytes */ \
-	MOVQ   R10, R11 \
-	SHLQ   $3, R10                 /* stride * 8 */ \
-	SHLQ   $LOG2, R11              /* stride * index size */ \
+	DECL BX \
+	KMOVW BX, K1                   /* the pass's live lanes */ \
+	LEAQ (DX)(R13*1), R14          /* x at the pass's first vector */ \
 	VXORPD Z0, Z0, Z0 \
-	TESTQ  CX, CX \
-	JZ     done \
-loop: \
-	LOADS        (DI), AX \
-	IMULQ        R12, AX           /* idx * k * 8 */ \
-	VMOVUPD      (DX)(AX*1), Z1    /* X tile row (8 vectors) */ \
-	VBROADCASTSD (SI), Z2 \
-	VMULPD       Z1, Z2, Z2 \
-	VADDPD       Z2, Z0, Z0 \
-	ADDQ R10, SI \
-	ADDQ R11, DI \
-	DECQ CX \
-	JNZ  loop \
-done: \
-	LEAQ    dst+48(FP), R8 \
-	VMOVUPD Z0, (R8) \
+	VXORPD Z1, Z1, Z1 \
+	VXORPD Z2, Z2, Z2 \
+	VXORPD Z3, Z3, Z3 \
+	VXORPD Z4, Z4, Z4 \
+	VXORPD Z5, Z5, Z5 \
+	VXORPD Z6, Z6, Z6 \
+	VXORPD Z7, Z7, Z7 \
+	MOVLQSX (R8)(R10*4), AX        /* j = start */ \
+	MOVLQSX 4(R8)(R10*4), BX \
+	SUBQ AX, BX \
+	ANDQ $-8, BX \
+	ADDQ AX, BX                    /* where the 8-groups end */ \
+group: \
+	CMPQ AX, BX \
+	JGE  rest \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 0, Z0) \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 1, Z1) \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 2, Z2) \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 3, Z3) \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 4, Z4) \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 5, Z5) \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 6, Z6) \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 7, Z7) \
+	ADDQ $8, AX \
+	JMP  group \
+rest: \
+	MOVLQSX 4(R8)(R10*4), BX \
+	SUBQ AX, BX                    /* entries left, 0..7 */ \
+	JZ   reduce \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 0, Z0) \
+	CMPQ BX, $1 \
+	JEQ  reduce \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 1, Z1) \
+	CMPQ BX, $2 \
+	JEQ  reduce \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 2, Z2) \
+	CMPQ BX, $3 \
+	JEQ  reduce \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 3, Z3) \
+	CMPQ BX, $4 \
+	JEQ  reduce \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 4, Z4) \
+	CMPQ BX, $5 \
+	JEQ  reduce \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 5, Z5) \
+	CMPQ BX, $6 \
+	JEQ  reduce \
+	CSR_TILE_STEP_AVX512(LOADS, SCALE, 6, Z6) \
+reduce: \
+	VADDPD Z4, Z0, Z0 \
+	VADDPD Z6, Z2, Z2 \
+	VADDPD Z5, Z1, Z1 \
+	VADDPD Z7, Z3, Z3 \
+	VADDPD Z2, Z0, Z0 \
+	VADDPD Z3, Z1, Z1 \
+	VADDPD Z1, Z0, Z0 \
+	VMOVUPD Z0, K1, (R9)(R13*1) \
+	ADDQ $64, R13 \
+	CMPQ R13, R12 \
+	JLT  pass \
+	JMP  next \
+ypass: \
+	CSR_TILE_YMM_PASS(LOADS, SCALE, ygroup, yrest, yreduce) \
+next: \
+	ADDQ R12, R9                   /* next y row */ \
+	INCQ R10 \
+	CMPQ R10, R11 \
+	JLT  row \
 	VZEROUPPER \
+done: \
 	RET
 
 TEXT ·csrRowRangeAVX512(SB), NOSPLIT, $0-56
-	CSR_ROW_RANGE_AVX512(VPMOVSXDQ, VPMOVSXDQ.Z, 4, 32)
+	CSR_ROW_RANGE_AVX512(VPMOVSXDQ, VPMOVSXDQ.Z, 4)
 
 TEXT ·csrRowRangeAVX512U16(SB), NOSPLIT, $0-56
-	CSR_ROW_RANGE_AVX512(VPMOVZXWQ, VPMOVZXWQ.Z, 2, 16)
+	CSR_ROW_RANGE_AVX512(VPMOVZXWQ, VPMOVZXWQ.Z, 2)
 
+TEXT ·csrTileAVX512(SB), NOSPLIT, $0-64
+	CSR_TILE_AVX512(MOVLQSX, 4)
+
+TEXT ·csrTileAVX512U16(SB), NOSPLIT, $0-64
+	CSR_TILE_AVX512(MOVWQZX, 2)
+
+// func dotBcastTile8AVX512(val *float64, idx *int32, x *float64, stride, n, k int) (dst [8]float64)
+//
+// Fused SpMM register tile of the ELL/HYB/SELL-C-sigma ladder:
+// dst[t] = sum of val[j*stride] * X[idx[j*stride], t] for the 8 tile
+// vectors t, returned by value. x is pre-offset to the tile start. Each
+// lane is an independent sequential mul-then-add sum — bit-identical.
 TEXT ·dotBcastTile8AVX512(SB), NOSPLIT, $0-112
-	DOT_BCAST_TILE8_AVX512(MOVLQSX, 2)
-
-TEXT ·dotBcastTile8AVX512U16(SB), NOSPLIT, $0-112
-	DOT_BCAST_TILE8_AVX512(MOVWQZX, 1)
+	MOVQ   val+0(FP), SI
+	MOVQ   idx+8(FP), DI
+	MOVQ   x+16(FP), DX
+	MOVQ   stride+24(FP), R10
+	MOVQ   n+32(FP), CX
+	MOVQ   k+40(FP), R12
+	SHLQ   $3, R12  // k * 8: X row pitch in bytes
+	MOVQ   R10, R11
+	SHLQ   $3, R10  // stride * 8
+	SHLQ   $2, R11  // stride * index size
+	VXORPD Z0, Z0, Z0
+	TESTQ  CX, CX
+	JZ     done
+loop:
+	MOVLQSX      (DI), AX
+	IMULQ        R12, AX  // idx * k * 8
+	VMOVUPD      (DX)(AX*1), Z1  // X tile row (8 vectors)
+	VBROADCASTSD (SI), Z2
+	VMULPD       Z1, Z2, Z2
+	VADDPD       Z2, Z0, Z0
+	ADDQ R10, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  loop
+done:
+	LEAQ    dst+48(FP), R8
+	VMOVUPD Z0, (R8)
+	VZEROUPPER
+	RET
 
 // func axpyGatherAVX512(y, val *float64, idx *int32, x *float64, n int)
 //

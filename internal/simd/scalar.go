@@ -1,44 +1,90 @@
 package simd
 
-import "unsafe"
+import (
+	"math"
+	"unsafe"
+)
 
 // The dispatch table. Entries point at the portable scalar references
 // below until an architecture init (detect) installs accelerated
 // implementations. The pointer signatures mirror the assembly stubs so
 // one table serves both. A U16 entry (uint16 indices, the same asm macro
-// as its int32 twin) is always installed at its twin's tier.
+// as its int32 twin) is always installed at its twin's tier. The CSR
+// entries stay nil off a tier: CSRRowRange runs CSRRowRangeGo then.
 var (
-	csrRowRange      func(rowPtr, idx *int32, val, x, y *float64, lo, hi int)                    = csrRowRangeScalar[int32]
-	csrRowRangeU16   func(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi int)            = csrRowRangeScalar[uint16]
-	axpyGather       func(y, val *float64, idx *int32, x *float64, n int)                        = axpyGatherScalar
-	laneDot4         func(val *float64, idx *int32, x *float64, stride, n int) [4]float64        = laneDot4Scalar
-	laneDot8         func(val *float64, idx *int32, x *float64, stride, n int) [8]float64        = laneDot8Scalar
-	bcsr2x2          func(val *float64, blkCol *int32, x *float64, n int) (s0, s1 float64)       = bcsr2x2Scalar
-	dotBcastTile     func(val *float64, idx *int32, x *float64, stride, n, k int) [4]float64     = dotBcastTileScalar[int32]
-	dotBcastTileU16  func(val *float64, idx *uint16, x *float64, stride, n, k int) [4]float64    = dotBcastTileScalar[uint16]
-	dotBcastTile8    func(val *float64, idx *int32, x *float64, stride, n, k int) [8]float64     = dotBcastTile8Scalar[int32]
-	dotBcastTile8U16 func(val *float64, idx *uint16, x *float64, stride, n, k int) [8]float64    = dotBcastTile8Scalar[uint16]
-	bcsr2x2Tile      func(val *float64, blkCol *int32, x *float64, n, k int) (lo, hi [4]float64) = bcsr2x2TileScalar
-	bcsr2x2Tile8     func(val *float64, blkCol *int32, x *float64, n, k int) (lo, hi [8]float64) = bcsr2x2Tile8Scalar
+	csrRowRange    func(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
+	csrRowRangeU16 func(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi int)
+	csrTile        func(rowPtr, idx *int32, val, x, y *float64, lo, hi, k int)
+	csrTileU16     func(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi, k int)
+	axpyGather     func(y, val *float64, idx *int32, x *float64, n int)                        = axpyGatherScalar
+	laneDot4       func(val *float64, idx *int32, x *float64, stride, n int) [4]float64        = laneDot4Scalar
+	laneDot8       func(val *float64, idx *int32, x *float64, stride, n int) [8]float64        = laneDot8Scalar
+	bcsr2x2        func(val *float64, blkCol *int32, x *float64, n int) (s0, s1 float64)       = bcsr2x2Scalar
+	dotBcastTile   func(val *float64, idx *int32, x *float64, stride, n, k int) [4]float64     = dotBcastTileScalar
+	dotBcastTile8  func(val *float64, idx *int32, x *float64, stride, n, k int) [8]float64     = dotBcastTile8Scalar
+	bcsr2x2Tile    func(val *float64, blkCol *int32, x *float64, n, k int) (lo, hi [4]float64) = bcsr2x2TileScalar
+	bcsr2x2Tile8   func(val *float64, blkCol *int32, x *float64, n, k int) (lo, hi [8]float64) = bcsr2x2Tile8Scalar
 )
 
-// The scalar references reproduce the format kernels' accumulation order
-// exactly (they are the contract the assembly is tested against; for the
-// reassociating row-range kernels, the sequential sum they are bounded
-// against), just behind the pointer ABI of the table. unsafe.Slice only
-// rebuilds the slice headers the exported wrappers flattened.
-
-func csrRowRangeScalar[I Index](rowPtr *int32, idx *I, val, x, y *float64, lo, hi int) {
-	rp, yy := unsafe.Slice(rowPtr, hi+1), unsafe.Slice(y, hi)
-	v, c := unsafe.Slice(val, rp[hi]), unsafe.Slice(idx, rp[hi])
-	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			sum += v[j] * *ptrAt(x, int(c[j]))
+// CSRRowRangeGo is CSRRowRange in Go: the canonical CSR row order (see the
+// package contract) with math.FMA, which every tier reproduces bit for
+// bit, one pass over the rows per vector. It trusts the indices as the
+// dispatched kernels do. The eight partial sums are unrolled locals in
+// the row loop: an array indexed by j&7 runs about 1.4x slower, a call
+// per row 1.2-1.5x on short rows.
+func CSRRowRangeGo[I Index](rowPtr []int32, idx []I, val, x, y []float64, lo, hi, k int) {
+	xp := unsafe.SliceData(x)
+	for t := 0; t < k; t++ {
+		end := int(rowPtr[lo])
+		for i := lo; i < hi; i++ {
+			start := end
+			end = int(rowPtr[i+1])
+			c, v := idx[start:end:end], val[start:end:end]
+			v = v[:len(c)]
+			var p0, p1, p2, p3, p4, p5, p6, p7 float64
+			j := 0
+			for ; j+8 <= len(c); j += 8 {
+				c8, v8 := (*[8]I)(c[j:]), (*[8]float64)(v[j:])
+				p0 = math.FMA(v8[0], *ptrAt(xp, int(c8[0])*k+t), p0)
+				p1 = math.FMA(v8[1], *ptrAt(xp, int(c8[1])*k+t), p1)
+				p2 = math.FMA(v8[2], *ptrAt(xp, int(c8[2])*k+t), p2)
+				p3 = math.FMA(v8[3], *ptrAt(xp, int(c8[3])*k+t), p3)
+				p4 = math.FMA(v8[4], *ptrAt(xp, int(c8[4])*k+t), p4)
+				p5 = math.FMA(v8[5], *ptrAt(xp, int(c8[5])*k+t), p5)
+				p6 = math.FMA(v8[6], *ptrAt(xp, int(c8[6])*k+t), p6)
+				p7 = math.FMA(v8[7], *ptrAt(xp, int(c8[7])*k+t), p7)
+			}
+			switch c, v := c[j:], v[j:]; len(c) {
+			case 7:
+				p6 = math.FMA(v[6], *ptrAt(xp, int(c[6])*k+t), p6)
+				fallthrough
+			case 6:
+				p5 = math.FMA(v[5], *ptrAt(xp, int(c[5])*k+t), p5)
+				fallthrough
+			case 5:
+				p4 = math.FMA(v[4], *ptrAt(xp, int(c[4])*k+t), p4)
+				fallthrough
+			case 4:
+				p3 = math.FMA(v[3], *ptrAt(xp, int(c[3])*k+t), p3)
+				fallthrough
+			case 3:
+				p2 = math.FMA(v[2], *ptrAt(xp, int(c[2])*k+t), p2)
+				fallthrough
+			case 2:
+				p1 = math.FMA(v[1], *ptrAt(xp, int(c[1])*k+t), p1)
+				fallthrough
+			case 1:
+				p0 = math.FMA(v[0], *ptrAt(xp, int(c[0])*k+t), p0)
+			}
+			y[i*k+t] = ((p0 + p4) + (p2 + p6)) + ((p1 + p5) + (p3 + p7))
 		}
-		yy[i] = sum
 	}
 }
+
+// The other scalar references reproduce the format kernels' accumulation
+// order exactly (the contract the assembly is tested against) behind the
+// pointer ABI of the table. unsafe.Slice only rebuilds the slice headers
+// the exported wrappers flattened.
 
 func axpyGatherScalar(y, val *float64, idx *int32, x *float64, n int) {
 	yy := unsafe.Slice(y, n)
@@ -84,17 +130,17 @@ func bcsr2x2Scalar(val *float64, blkCol *int32, x *float64, n int) (s0, s1 float
 	return s0, s1
 }
 
-func dotBcastTileScalar[I Index](val *float64, idx *I, x *float64, stride, n, k int) (d [4]float64) {
+func dotBcastTileScalar(val *float64, idx *int32, x *float64, stride, n, k int) (d [4]float64) {
 	dotBcastScalar(d[:], val, idx, x, stride, n, k)
 	return d
 }
 
-func dotBcastTile8Scalar[I Index](val *float64, idx *I, x *float64, stride, n, k int) (d [8]float64) {
+func dotBcastTile8Scalar(val *float64, idx *int32, x *float64, stride, n, k int) (d [8]float64) {
 	dotBcastScalar(d[:], val, idx, x, stride, n, k)
 	return d
 }
 
-func dotBcastScalar[I Index](dst []float64, val *float64, idx *I, x *float64, stride, n, k int) {
+func dotBcastScalar(dst []float64, val *float64, idx *int32, x *float64, stride, n, k int) {
 	v := unsafe.Slice(val, (n-1)*stride+1)
 	c := unsafe.Slice(idx, (n-1)*stride+1)
 	for j := 0; j < n; j++ {

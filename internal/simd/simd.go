@@ -30,9 +30,17 @@
 //
 // # Accumulation-order contract
 //
-// The dispatched kernels are drop-in replacements at the bit level
-// wherever the scalar kernel's accumulation order survives vectorization:
+// All dispatched kernels but one (below) are bit-level drop-ins:
 //
+//   - CSRRowRange ("csr.dot-gather" at k = 1, "csr.tile" at k > 1) runs
+//     one canonical row order at every tier and k, CSRRowRangeGo's: entry
+//     j of a row goes into partial sum j mod 8 by FMA, and the eight sums
+//     reduce as ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)). AVX2 holds them in
+//     two YMM registers, AVX-512 in one ZMM, the k-wide tile in eight
+//     registers of 4 (YMM) or 8 (ZMM) vectors. The sums start from +0, so
+//     a product of exactly -0 adds as +0, as in 0 + a*b; a masked step
+//     writes its live lanes only, so a dead lane's 0*0 never turns a sum
+//     of -0 (an underflowed negative product) into +0.
 //   - AxpyGather (ELL column sweep): each y[j] receives exactly one
 //     mul-then-add per slab column, in the same column order — results are
 //     bit-identical to the scalar sweep at every tier.
@@ -42,22 +50,19 @@
 //   - Bcsr2x2Tile / Bcsr2x2Tile8: per block and lane the scalar kernel
 //     computes d += (v0*x0 + v1*x1); the vector kernels reproduce exactly
 //     that pairing — bit-identical.
-//   - DotBcastTile / DotBcastTile8 (fused SpMM tiles): each vector lane is
-//     an independent sequential sum in entry order — bit-identical.
+//   - DotBcastTile / DotBcastTile8 (the fused SpMM tiles of ELL, HYB and
+//     SELL-C-sigma): each vector lane is an independent sequential sum in
+//     entry order — bit-identical.
 //
-// These kernels deliberately use separate multiply and add instructions
-// (no FMA contraction), because fusing the rounding step would break the
-// bit contract for a negligible win on gather-bound loops.
+// The kernels other than CSRRowRange deliberately use separate multiply
+// and add instructions (no FMA contraction): their order is the scalar
+// loop's, and fusing the rounding step would break it.
 //
-// Two kernels reassociate: CSRRowRange ("csr.dot-gather", a whole row
-// range per call) reduces each row pairwise — one masked step for a row no
-// longer than the vector, whose dead lanes multiply exact 0*0; FMA partial
-// sums (8 on AVX2, 16 on AVX-512) for a longer one — bit-identical to the
-// sequential sum only up to two entries; and the AVX-512 Bcsr2x2 processes
-// four blocks per iteration with FMA, unlike its bit-identical AVX2
-// counterpart. Both stay within the dot product's forward bound; the
-// property tests grant exactly these kernels that tolerance (see KernelImpl,
-// which lets the test harness key it off the installed implementation).
+// One kernel reassociates: the AVX-512 Bcsr2x2 processes four blocks per
+// iteration with FMA, unlike its bit-identical AVX2 counterpart. It stays
+// within the dot product's forward bound; the property tests grant exactly
+// that kernel the tolerance (see KernelImpl, which lets the test harness
+// key it off the installed implementation).
 //
 // # Index trust
 //
@@ -111,6 +116,7 @@ var features []string
 // bit-identical two-halves compositions, on AVX-512 to native ZMM code.
 const (
 	kCSRRowRange = iota
+	kCSRTile
 	kAxpyGather
 	kLaneDot4
 	kLaneDot8
@@ -126,6 +132,7 @@ const (
 // (aligned with the k* indices above).
 var kernelNames = [nKernels]string{
 	"csr.dot-gather",
+	"csr.tile",
 	"ell.axpy-gather",
 	"sellcs.lane-dot4",
 	"sellcs.lane-dot8",
@@ -301,32 +308,48 @@ func KernelImpl(kernel string) string {
 // tile to the heap — one allocation per row tile. Value returns keep the
 // hot loops allocation-free.
 
-// Index is the column-index type of the row-range and broadcast-tile
-// kernels: int32, or uint16 (zero-extended) up to 1<<16 columns. Each such
-// kernel body is one assembly macro instantiated for both widths.
+// Index is the column-index type of the CSR kernels: int32, or uint16
+// (zero-extended) up to 1<<16 columns. Each CSR kernel body is one
+// assembly macro instantiated for both widths.
 type Index interface{ int32 | uint16 }
 
 // U16Slack is how many zeroed entries a uint16 index array holds past its
-// last: AVX2 has no word-masked load, so its row-range kernel loads a short
-// row's four indices unmasked.
+// last: AVX2 has no word-masked load, so its CSR kernel loads a row's last
+// one to three indices as four, unmasked.
 const U16Slack = 4
 
-// CSRRowRange computes y[i] = sum(val[j] * x[idx[j]]) over the entries
-// j in [rowPtr[i], rowPtr[i+1]) of every row i in [lo, hi), the row loop
-// inside the kernel. Masked short rows, multi-accumulator FMA long rows:
-// reassociates relative to a sequential sum (see the package contract),
-// in the same order at both index widths.
-func CSRRowRange[I Index](rowPtr []int32, idx []I, val, x, y []float64, lo, hi int) {
+// CSRRowRange computes rows [lo, hi) of Y = A*X for k row-major vectors,
+// y[i*k+t] over the entries j in [rowPtr[i], rowPtr[i+1]) of
+// val[j] * x[idx[j]*k+t], in CSRRowRangeGo's order and bit for bit with it
+// at every tier (see the package contract). The row loop runs inside the
+// kernel: the gather kernel at k = 1, at k > 1 the register tile, 4
+// vectors per YMM pass or 8 per ZMM pass with the last k mod 4 (or 8)
+// under a lane mask. With dispatch off it is CSRRowRangeGo.
+func CSRRowRange[I Index](rowPtr []int32, idx []I, val, x, y []float64, lo, hi, k int) {
+	if !Enabled() {
+		CSRRowRangeGo(rowPtr, idx, val, x, y, lo, hi, k)
+		return
+	}
 	if lo >= hi {
 		return
 	}
 	nnz := int(rowPtr[hi])
-	_, _, _ = rowPtr[lo], y[hi-1], val[:nnz]
+	_, _, _ = rowPtr[lo], y[hi*k-1], val[:nnz]
+	rp, v, xp, yp := &rowPtr[0], unsafe.SliceData(val), unsafe.SliceData(x), &y[0]
 	if c, ok := any(idx).([]uint16); ok {
-		csrRowRangeU16(&rowPtr[0], unsafe.SliceData(c[:nnz+U16Slack]), unsafe.SliceData(val), unsafe.SliceData(x), &y[0], lo, hi)
+		if c = c[:nnz+U16Slack]; k == 1 {
+			csrRowRangeU16(rp, unsafe.SliceData(c), v, xp, yp, lo, hi)
+		} else {
+			csrTileU16(rp, unsafe.SliceData(c), v, xp, yp, lo, hi, k)
+		}
 		return
 	}
-	csrRowRange(&rowPtr[0], (*int32)(unsafe.Pointer(unsafe.SliceData(idx[:nnz]))), unsafe.SliceData(val), unsafe.SliceData(x), &y[0], lo, hi)
+	c := (*int32)(unsafe.Pointer(unsafe.SliceData(idx[:nnz])))
+	if k == 1 {
+		csrRowRange(rp, c, v, xp, yp, lo, hi)
+	} else {
+		csrTile(rp, c, v, xp, yp, lo, hi, k)
+	}
 }
 
 // AxpyGather computes y[j] += val[j] * x[idx[j]] for every j.
@@ -384,31 +407,25 @@ func Bcsr2x2(val []float64, blkCol []int32, x []float64, n int) (s0, s1 float64)
 // dst[t] = sum over j in [0, n) of val[j*stride] * x[idx[j*stride]*k + t],
 // t in [0, 4). x must be pre-offset to the tile start (so its element 0 is
 // vector lane 0 of the tile). Bit-identical to the scalar tile loop.
-func DotBcastTile[I Index](val []float64, idx []I, x []float64, stride, n, k int) [4]float64 {
+func DotBcastTile(val []float64, idx []int32, x []float64, stride, n, k int) [4]float64 {
 	if n == 0 {
 		return [4]float64{}
 	}
 	_ = val[(n-1)*stride]
 	_ = idx[(n-1)*stride]
-	if c, ok := any(idx).([]uint16); ok {
-		return dotBcastTileU16(&val[0], &c[0], &x[0], stride, n, k)
-	}
-	return dotBcastTile(&val[0], (*int32)(unsafe.Pointer(&idx[0])), &x[0], stride, n, k)
+	return dotBcastTile(&val[0], &idx[0], &x[0], stride, n, k)
 }
 
 // DotBcastTile8 is the 8-vector twin of DotBcastTile (t in [0, 8); the
 // tile must have 8 live lanes). Bit-identical to the scalar tile loop at
 // every tier.
-func DotBcastTile8[I Index](val []float64, idx []I, x []float64, stride, n, k int) [8]float64 {
+func DotBcastTile8(val []float64, idx []int32, x []float64, stride, n, k int) [8]float64 {
 	if n == 0 {
 		return [8]float64{}
 	}
 	_ = val[(n-1)*stride]
 	_ = idx[(n-1)*stride]
-	if c, ok := any(idx).([]uint16); ok {
-		return dotBcastTile8U16(&val[0], &c[0], &x[0], stride, n, k)
-	}
-	return dotBcastTile8(&val[0], (*int32)(unsafe.Pointer(&idx[0])), &x[0], stride, n, k)
+	return dotBcastTile8(&val[0], &idx[0], &x[0], stride, n, k)
 }
 
 // Bcsr2x2Tile returns a 2-row x 4-vector BCSR SpMM tile over n interior

@@ -7,9 +7,8 @@ import (
 )
 
 // The kernel-level property tests: every dispatched kernel against its
-// scalar reference, across sizes that hit every tail path. Order-preserving
-// kernels must match bit-for-bit; CSRRowRange gets the dot product's
-// forward bound (it reassociates and fuses rounding).
+// scalar reference, across sizes that hit every tail path, bit for bit
+// (CSRRowRange against CSRRowRangeGo's canonical order).
 
 func randVec(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
@@ -27,10 +26,9 @@ func randIdx(rng *rand.Rand, n, bound int) []int32 {
 	return c
 }
 
-// TestDotGatherMatchesScalar pins the csr.dot-gather entry — since the
-// row-range kernel replaced the per-row one, a one-row CSRRowRange —
-// against the table's scalar reference across sizes that hit every group
-// and tail path of both tiers.
+// TestDotGatherMatchesScalar pins the csr.dot-gather entry — a one-row
+// CSRRowRange at k = 1 — to the Go reference, bit for bit, across sizes
+// that hit every group and tail path of both tiers.
 func TestDotGatherMatchesScalar(t *testing.T) {
 	if !Available() {
 		t.Skip("no accelerated kernels on this host")
@@ -40,10 +38,10 @@ func TestDotGatherMatchesScalar(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 100, 1023} {
 		m := csrOfLens(rng, []int{n}, len(x))
 		got, want := []float64{math.NaN()}, []float64{math.NaN()}
-		CSRRowRange(m.rowPtr, m.idx, m.val, x, got, 0, 1)
-		csrRowRangeScalar(&m.rowPtr[0], ptrI(m.idx), ptr(m.val), &x[0], &want[0], 0, 1)
-		if _, mag := m.seqRow(0, x); math.Abs(got[0]-want[0]) > dotBound(n, mag) || math.IsNaN(got[0]) {
-			t.Errorf("n=%d: CSRRowRange=%v scalar=%v (diff %g)", n, got[0], want[0], got[0]-want[0])
+		CSRRowRange(m.rowPtr, m.idx, m.val, x, got, 0, 1, 1)
+		CSRRowRangeGo(m.rowPtr, m.idx, m.val, x, want, 0, 1, 1)
+		if math.Float64bits(got[0]) != math.Float64bits(want[0]) {
+			t.Errorf("n=%d: CSRRowRange=%v, the Go reference %v", n, got[0], want[0])
 		}
 	}
 }
@@ -158,7 +156,7 @@ func TestDotBcastTile8BitIdentical(t *testing.T) {
 		t.Skip("no accelerated kernels on this host")
 	}
 	rng := rand.New(rand.NewSource(8))
-	const cols = 1 << 16 // every uint16 index value
+	const cols = 999
 	for _, k := range []int{8, 12} {
 		x := randVec(rng, cols*k)
 		for _, stride := range []int{1, 4} {
@@ -170,13 +168,12 @@ func TestDotBcastTile8BitIdentical(t *testing.T) {
 				val := randVec(rng, ln)
 				idx := randIdx(rng, ln, cols)
 				d1 := DotBcastTile8(val, idx, x[k-8:], stride, n, k)
-				d16 := DotBcastTile8(val, narrowIdx(idx), x[k-8:], stride, n, k)
 				var d2 [8]float64
 				if n > 0 {
 					d2 = dotBcastTile8Scalar(&val[0], &idx[0], &x[k-8], stride, n, k)
 				}
-				if d1 != d2 || d16 != d2 {
-					t.Fatalf("k=%d stride=%d n=%d: int32 %v, uint16 %v, scalar %v", k, stride, n, d1, d16, d2)
+				if d1 != d2 {
+					t.Fatalf("k=%d stride=%d n=%d: %v, scalar %v", k, stride, n, d1, d2)
 				}
 			}
 		}
@@ -211,7 +208,7 @@ func TestDotBcastTileBitIdentical(t *testing.T) {
 		t.Skip("no accelerated kernels on this host")
 	}
 	rng := rand.New(rand.NewSource(5))
-	const cols = 1 << 16 // every uint16 index value
+	const cols = 999
 	for _, k := range []int{4, 8} {
 		x := randVec(rng, cols*k)
 		for _, stride := range []int{1, 4} {
@@ -224,13 +221,12 @@ func TestDotBcastTileBitIdentical(t *testing.T) {
 				idx := randIdx(rng, ln, cols)
 				// tile offset t = k-4: exercises the pre-offset contract
 				d1 := DotBcastTile(val, idx, x[k-4:], stride, n, k)
-				d16 := DotBcastTile(val, narrowIdx(idx), x[k-4:], stride, n, k)
 				var d2 [4]float64
 				if n > 0 {
 					d2 = dotBcastTileScalar(&val[0], &idx[0], &x[k-4], stride, n, k)
 				}
-				if d1 != d2 || d16 != d2 {
-					t.Fatalf("k=%d stride=%d n=%d: int32 %v, uint16 %v, scalar %v", k, stride, n, d1, d16, d2)
+				if d1 != d2 {
+					t.Fatalf("k=%d stride=%d n=%d: %v, scalar %v", k, stride, n, d1, d2)
 				}
 			}
 		}
@@ -344,12 +340,11 @@ func TestSetLevelSweep(t *testing.T) {
 		for n := 1; n <= 23; n++ { // crosses every tail residue at both tiers
 			m := csrOfLens(rng, []int{n}, len(x))
 			val, idx := m.val, m.idx
-			got := []float64{math.NaN()}
-			CSRRowRange(m.rowPtr, idx, val, x, got, 0, 1)
-			// Reassociation error scales with the term magnitudes, not the
-			// (possibly cancelling) sum.
-			if want, mag := m.seqRow(0, x); !(math.Abs(got[0]-want) <= dotBound(n, mag)) {
-				t.Fatalf("cap %q n=%d: CSRRowRange %v != %v", tier, n, got[0], want)
+			got, want := []float64{math.NaN()}, []float64{math.NaN()}
+			CSRRowRange(m.rowPtr, idx, val, x, got, 0, 1, 1)
+			CSRRowRangeGo(m.rowPtr, idx, val, x, want, 0, 1, 1)
+			if got[0] != want[0] {
+				t.Fatalf("cap %q n=%d: CSRRowRange %v != %v", tier, n, got[0], want[0])
 			}
 			y1 := randVec(rng, n)
 			y2 := append([]float64(nil), y1...)

@@ -24,15 +24,15 @@ import (
 const TolEngine = 1e-8
 
 // Reassoc reports whether the named format is held to the dot product's
-// forward bound instead of bit equality: the Vec-CSR row dot product (and
-// MKL-IE, which adopts it) reassociates into 4 scalar or 8 gather+FMA
-// partial sums, and BCSR's block kernel — bit-identical on the scalar and
-// AVX2 tiers — reassociates on AVX-512 (four blocks per FMA iteration), so
-// it joins exactly when that implementation is the one dispatched. Every
-// other kernel preserves the scalar accumulation order per output element.
+// forward bound instead of bit equality when its dispatched kernels are
+// compared with its scalar ones: BCSR's block kernel — bit-identical on
+// the scalar and AVX2 tiers — reassociates on AVX-512 (four blocks per
+// FMA iteration), so it joins exactly when that implementation is the one
+// dispatched. Every other kernel keeps its order at every tier: the CSR
+// presets the canonical row order of simd.CSRRowRangeGo, the rest their
+// scalar loops'.
 func Reassoc(name string) bool {
-	return name == "Vec-CSR" || name == "MKL-IE" ||
-		name == "BCSR" && simd.KernelImpl("bcsr.2x2") == "avx512"
+	return name == "BCSR" && simd.KernelImpl("bcsr.2x2") == "avx512"
 }
 
 // EqualOrClose compares two computed products of m with the k-wide block x
