@@ -5,12 +5,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/matrix"
 )
 
 var sink core.FeatureVector
 
-// BenchmarkExtract times feature extraction on the matrices of three
-// benchmark recipes and reports the cost per nonzero.
+// BenchmarkExtract times exact feature extraction and the sampled estimate
+// Auto reads on the matrices of four benchmark recipes, and reports both in
+// nanoseconds per nonzero of the full matrix.
 func BenchmarkExtract(b *testing.B) {
 	// The recipes of benchmark/workloads.go (tier, and denseRows for
 	// serve-batch) at seed 1.
@@ -21,6 +23,7 @@ func BenchmarkExtract(b *testing.B) {
 		avg   float64
 		dense bool
 	}{
+		{"lib-stream", 420000, 20, false},
 		{"serve-batch", 3000, 1000, true},
 		{"serve-update", 2500, 64, false},
 		{"lib-small", 8000, 10, false},
@@ -34,11 +37,16 @@ func BenchmarkExtract(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(bc.name, func(b *testing.B) {
-			for range b.N {
-				sink = core.Extract(m)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/nnz")
-		})
+		for _, f := range []struct {
+			name    string
+			extract func(*matrix.CSR) core.FeatureVector
+		}{{"Extract", core.Extract}, {"Estimate", core.Estimate}} {
+			b.Run(bc.name+"/"+f.name, func(b *testing.B) {
+				for range b.N {
+					sink = f.extract(m)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/nnz")
+			})
+		}
 	}
 }

@@ -191,11 +191,12 @@ func TestBottleneckStrings(t *testing.T) {
 
 func floatNear(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// referenceExtract is Extract's definition as three passes over the matrix,
+// referenceExtract is extract's definition as three passes over the matrix,
 // the way the paper states the features: one for the neighbor count, one
 // merging each row with the next for the cross-row similarity, one for the
-// row spans.
-func referenceExtract(m *matrix.CSR) FeatureVector {
+// row spans. Each pass visits the rows i ≡ 0 (mod stride); the row-length
+// fields read every row. At stride 1 it is Extract's definition.
+func referenceExtract(m *matrix.CSR, stride int) FeatureVector {
 	fv := FeatureVector{Rows: m.Rows, Cols: m.Cols, NNZ: int64(m.NNZ()),
 		MemFootprintMB: m.FootprintMB(), AvgNNZPerRow: m.AvgRowNNZ()}
 	if m.Rows == 0 || m.NNZ() == 0 {
@@ -204,20 +205,23 @@ func referenceExtract(m *matrix.CSR) FeatureVector {
 	avg := fv.AvgNNZPerRow
 	fv.SkewCoeff = (float64(m.MaxRowNNZ()) - avg) / avg
 
-	var neigh int64
-	for i := 0; i < m.Rows; i++ {
+	var neigh, nnz int64
+	for i := 0; i < m.Rows; i += stride {
 		cols, _ := m.Row(i)
+		nnz += int64(len(cols))
 		for k := 1; k < len(cols); k++ {
 			if cols[k]-cols[k-1] <= NeighborDistance {
 				neigh += 2
 			}
 		}
 	}
-	fv.AvgNumNeigh = float64(neigh) / float64(m.NNZ())
+	if nnz > 0 {
+		fv.AvgNumNeigh = float64(neigh) / float64(nnz)
+	}
 
 	var simSum float64
 	counted := 0
-	for i := 0; i < m.Rows-1; i++ {
+	for i := 0; i < m.Rows-1; i += stride {
 		cur, _ := m.Row(i)
 		next, _ := m.Row(i + 1)
 		if len(cur) == 0 {
@@ -244,13 +248,15 @@ func referenceExtract(m *matrix.CSR) FeatureVector {
 
 	var bwSum float64
 	counted = 0
-	for i := 0; i < m.Rows; i++ {
+	for i := 0; i < m.Rows; i += stride {
 		if cols, _ := m.Row(i); len(cols) > 0 {
 			counted++
 			bwSum += float64(int(cols[len(cols)-1]-cols[0]) + 1)
 		}
 	}
-	fv.BWScaled = bwSum / float64(counted) / float64(m.Cols)
+	if counted > 0 {
+		fv.BWScaled = bwSum / float64(counted) / float64(m.Cols)
+	}
 	return fv
 }
 
@@ -282,20 +288,29 @@ func decodeCSR(data []byte) *matrix.CSR {
 	return o.ToCSR()
 }
 
+// FuzzExtractMatchesReference holds the strided loop to its three-pass
+// definition at every stride: the first byte is the stride (1 + byte%8),
+// the rest decodeCSR's matrix.
 func FuzzExtractMatchesReference(f *testing.F) {
-	f.Add([]byte{})                              // empty matrix
-	f.Add([]byte{1, 10, 0, 3, 0, 4, 0, 9})       // Rows = 1
-	f.Add([]byte{5, 1, 0, 0, 1, 0, 3, 0, 4, 0})  // Cols = 1
-	f.Add([]byte{6, 20, 0, 3, 2, 4, 2, 5, 5, 9}) // empty rows
-	f.Add([]byte{3, 40, 0, 0, 0, 39, 1, 39, 1, 38, 2, 0, 2, 1})
-	f.Add([]byte{4, 255, 0, 63, 0, 64, 1, 64, 1, 128, 2, 127, 2, 191, 3, 192, 3, 0, 3, 254, 0, 254})
+	f.Add([]byte{})                                 // empty matrix
+	f.Add([]byte{0, 1, 10, 0, 3, 0, 4, 0, 9})       // Rows = 1
+	f.Add([]byte{0, 5, 1, 0, 0, 1, 0, 3, 0, 4, 0})  // Cols = 1
+	f.Add([]byte{0, 6, 20, 0, 3, 2, 4, 2, 5, 5, 9}) // empty rows
+	f.Add([]byte{1, 6, 20, 1, 3, 3, 4, 5, 5, 5, 9}) // stride 2, every visited row empty
+	f.Add([]byte{0, 3, 40, 0, 0, 0, 39, 1, 39, 1, 38, 2, 0, 2, 1})
+	f.Add([]byte{2, 7, 40, 0, 0, 0, 39, 1, 39, 3, 38, 3, 0, 4, 1, 6, 2})
+	f.Add([]byte{0, 4, 255, 0, 63, 0, 64, 1, 64, 1, 128, 2, 127, 2, 191, 3, 192, 3, 0, 3, 254, 0, 254})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		stride := 1
+		if len(data) > 0 {
+			stride, data = 1+int(data[0]%8), data[1:]
+		}
 		m := decodeCSR(data)
 		if err := m.Validate(); err != nil {
 			t.Fatalf("decoded an invalid matrix: %v", err)
 		}
-		if got, want := Extract(m), referenceExtract(m); !sameBits(got, want) {
-			t.Fatalf("Extract = %#v\nreference %#v", got, want)
+		if got, want := extract(m, stride), referenceExtract(m, stride); !sameBits(got, want) {
+			t.Fatalf("stride %d: extract = %#v\nreference %#v", stride, got, want)
 		}
 	})
 }
@@ -311,9 +326,43 @@ func TestExtractMatchesReferenceRandom(t *testing.T) {
 			matrix.Random(rows, cols, 0.02*float64(seed%6+1), seed),
 			matrix.RandomRowSizes(rows, cols, sizes, seed),
 		} {
-			if got, want := Extract(m), referenceExtract(m); !sameBits(got, want) {
-				t.Fatalf("seed %d: Extract = %#v\nreference %#v", seed, got, want)
+			for _, stride := range []int{1, 2, 7} {
+				if got, want := extract(m, stride), referenceExtract(m, stride); !sameBits(got, want) {
+					t.Fatalf("seed %d, stride %d: extract = %#v\nreference %#v", seed, stride, got, want)
+				}
 			}
 		}
+	}
+}
+
+// TestEstimateStride: Estimate's stride is ⌈nnz / 2¹⁹⌉, so it is Extract up
+// to 2¹⁹ nonzeros and visits every other row one nonzero past it.
+func TestEstimateStride(t *testing.T) {
+	// 2¹⁸ rows alternating one and three entries: 2¹⁹ nonzeros, and the
+	// even rows alone read differently from all of them.
+	const n = 1 << 18
+	build := func(extra bool) *matrix.CSR {
+		o := matrix.NewCOO(n, n, 1<<19+1)
+		for i := int32(0); i < n; i++ {
+			o.Append(i, i, 1)
+			if i%2 == 1 {
+				o.Append(i, (i+5)%n, 1)
+				o.Append(i, (i+9)%n, 1)
+			}
+		}
+		if extra {
+			o.Append(0, n-1, 1)
+		}
+		return o.ToCSR()
+	}
+	at, past := build(false), build(true)
+	if at.NNZ() != 1<<19 || past.NNZ() != 1<<19+1 {
+		t.Fatalf("nonzeros %d and %d", at.NNZ(), past.NNZ())
+	}
+	if got, want := Estimate(at), Extract(at); !sameBits(got, want) {
+		t.Errorf("at 2^19: Estimate = %#v\nExtract %#v", got, want)
+	}
+	if got, want := Estimate(past), extract(past, 2); !sameBits(got, want) || sameBits(got, Extract(past)) {
+		t.Errorf("past 2^19: Estimate = %#v\nstride 2 %#v", got, want)
 	}
 }

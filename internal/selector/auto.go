@@ -91,7 +91,8 @@ type AutoOptions struct {
 // BuildAuto selects a storage format for the matrix and builds it: the
 // paper's feature analysis driving execution. The pipeline is
 //
-//  1. extract the five-feature vector (core.Extract);
+//  1. estimate the five-feature vector (core.Estimate, exact up to 2¹⁹
+//     nonzeros and a bounded row-pair sample above);
 //  2. consult the decision cache keyed by (fingerprint, device, k) —
 //     loaded from the disk journal when its owner persists, so a
 //     restarted process reuses every decision its predecessors made;
@@ -163,7 +164,7 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 		}
 	}
 
-	fv := core.Extract(m)
+	fv := core.Estimate(m)
 	shortlist := Shortlist(spec, fv, k, DefaultShortlist)
 	if len(shortlist) == 0 {
 		// Degenerate matrix (empty, or hostile to every model): CSR always

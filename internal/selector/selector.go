@@ -64,12 +64,7 @@ func pickFrom(spec device.Spec, order []string, accept func(string) bool) string
 
 // Rules picks a format for the device using the paper's qualitative
 // takeaways. It needs no training and serves as the interpretable baseline.
-func Rules(spec device.Spec, fv core.FeatureVector) string {
-	if n := pickFrom(spec, rulesOrder(fv), nil); n != "" {
-		return n
-	}
-	return spec.Formats[0]
-}
+func Rules(spec device.Spec, fv core.FeatureVector) string { return RulesK(spec, fv, 1) }
 
 // RulesK picks a format for the k-wide SpMM regime: the same decision list
 // as Rules, but for k > 1 formats with fused MultiplyMany kernels are
@@ -194,17 +189,13 @@ func Train(spec device.Spec, points []core.FeatureVector, k int) *Nearest {
 // k = 8 win-rate ordering (fused kernels promoted, fallback formats
 // demoted) rather than the single-vector one.
 func TrainK(spec device.Spec, points []core.FeatureVector, k, rhs int) *Nearest {
-	if k <= 0 {
-		k = 5
-	}
-	rhs = max(rhs, 1)
-	n := &Nearest{k: k}
+	var samples []Sample
 	for _, fv := range points {
-		if name, _, ok := spec.BestFormatK(fv, rhs); ok {
-			n.samples = append(n.samples, Sample{FV: fv, Best: name})
+		if name, _, ok := spec.BestFormatK(fv, max(rhs, 1)); ok {
+			samples = append(samples, Sample{FV: fv, Best: name})
 		}
 	}
-	return n
+	return TrainSamples(samples, k)
 }
 
 // TrainSamples builds the selector from pre-labeled samples (e.g. native
@@ -264,12 +255,8 @@ func (n *Nearest) predict(fv core.FeatureVector) (string, float64, bool) {
 		}
 		return prefer(fv, cands[a].name, cands[b].name)
 	})
-	k := n.k
-	if k > len(cands) {
-		k = len(cands)
-	}
 	votes := map[string]float64{}
-	for _, c := range cands[:k] {
+	for _, c := range cands[:min(n.k, len(cands))] {
 		votes[c.name] += c.w
 	}
 	best, bestVotes := "", -1.0
@@ -301,19 +288,16 @@ func EvaluateK(spec device.Spec, points []core.FeatureVector, k int, predict fun
 			continue
 		}
 		name := predict(fv)
-		got := spec.EstimateMulti(fv, name, k)
-		if !got.Feasible {
-			retained = append(retained, 0)
-			ev.N++
-			continue
+		r := 0.0 // an infeasible prediction retains nothing
+		if got := spec.EstimateMulti(fv, name, k); got.Feasible {
+			r = got.GFLOPS / best.GFLOPS
+			if name == bestName {
+				ev.Exact++
+			}
 		}
-		if name == bestName {
-			ev.Exact++
-		}
-		retained = append(retained, got.GFLOPS/best.GFLOPS)
-		ev.N++
+		retained = append(retained, r)
 	}
-	if ev.N == 0 {
+	if ev.N = len(retained); ev.N == 0 {
 		return ev
 	}
 	ev.Exact /= float64(ev.N)
@@ -323,13 +307,8 @@ func EvaluateK(spec device.Spec, points []core.FeatureVector, k int, predict fun
 	}
 	ev.Retained = sum / float64(len(retained))
 	sort.Float64s(retained)
-	// A true 10th percentile needs at least 10 samples; below that, report
-	// the minimum — the pessimistic reading of a thin test set — instead of
-	// an index that silently aliases a higher percentile.
-	if len(retained) < 10 {
-		ev.RetainedP10 = retained[0]
-	} else {
-		ev.RetainedP10 = retained[len(retained)/10]
-	}
+	// A true 10th percentile needs at least 10 samples; below that the
+	// index is 0, the minimum — the pessimistic reading of a thin test set.
+	ev.RetainedP10 = retained[len(retained)/10]
 	return ev
 }

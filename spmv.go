@@ -93,7 +93,8 @@ type (
 	UpdateStats = update.Stats
 )
 
-// Extract measures the feature vector of a matrix.
+// Extract measures the exact feature vector of a matrix in one pass over its
+// nonzeros (Auto reads a bounded sample of it instead, core.Estimate).
 func Extract(m *Matrix) Features { return core.Extract(m) }
 
 // Generate builds an artificial matrix matching the requested features.
