@@ -3,9 +3,11 @@ package spmv_test
 import (
 	"context"
 	"errors"
+	"maps"
 	"testing"
 
 	spmv "repro"
+	"repro/internal/simd"
 )
 
 func facadeMatrix(t *testing.T) *spmv.Matrix {
@@ -169,5 +171,51 @@ func TestFacadeAndDefaultSessionShareOneState(t *testing.T) {
 	}
 	if got := d.Cache().Len(); got != before+1 {
 		t.Fatalf("UnsetCacheDir dropped cached decisions: %d, want %d", got, before+1)
+	}
+}
+
+// TestFacadeSIMDSurface pins the facade's dispatch report and switch:
+// under SetSIMDLevel("scalar") SIMDInfo reports the scalar tier one lane
+// wide and every SIMDDispatch entry — keyed by the dispatch layer's kernel
+// names — is served by the scalar reference; the token SetSIMDLevel returns
+// restores the prior table.
+func TestFacadeSIMDSurface(t *testing.T) {
+	level0, width0, _ := spmv.SIMDInfo()
+	table0 := spmv.SIMDDispatch()
+	tok := spmv.SetSIMDLevel("scalar")
+	restored := false
+	defer func() {
+		if !restored {
+			spmv.SetSIMDLevel(tok)
+		}
+	}()
+
+	if level, width, _ := spmv.SIMDInfo(); level != "scalar" || width != 1 {
+		t.Errorf("scalar cap: SIMDInfo reports %q, width %d; want \"scalar\", 1", level, width)
+	}
+	table := spmv.SIMDDispatch()
+	names := make(map[string]bool)
+	for _, e := range simd.Table() {
+		names[e.Kernel] = true
+	}
+	if len(table) != len(names) || !names["csr.dot-gather"] || !names["bcsr.2x2"] {
+		t.Errorf("SIMDDispatch keys %v, want the dispatch table's kernel names %v", table, names)
+	}
+	for kernel, impl := range table {
+		if !names[kernel] {
+			t.Errorf("SIMDDispatch key %q is no dispatch kernel", kernel)
+		}
+		if impl != "scalar" {
+			t.Errorf("scalar cap: %s served by %q", kernel, impl)
+		}
+	}
+
+	spmv.SetSIMDLevel(tok)
+	restored = true
+	if level, width, _ := spmv.SIMDInfo(); level != level0 || width != width0 {
+		t.Errorf("restored SIMDInfo %q/%d, want the prior %q/%d", level, width, level0, width0)
+	}
+	if got := spmv.SIMDDispatch(); !maps.Equal(got, table0) {
+		t.Errorf("restored dispatch table %v, want the prior %v", got, table0)
 	}
 }

@@ -1,10 +1,9 @@
 // Package cache is what selection remembers: one Decision per (matrix,
-// device, k) — the format, whether a micro-probe measured it, its
-// tuned structural parameters and, when the build could learn, the
-// feature vector that makes the decision a k-NN sample — held once, in a
-// DecisionCache, and, when a Store is attached, in an append-only JSONL
-// journal (store.go) that a restarted process loads, so it neither
-// re-ranks, re-probes nor re-tunes a matrix its predecessors measured.
+// device, k) — the format, whether a micro-probe measured it and, when the
+// build could learn, the feature vector that makes the decision a k-NN
+// sample — held once, in a DecisionCache, and, when a Store is attached, in
+// an append-only JSONL journal (store.go) that a restarted process loads,
+// so it neither re-ranks nor re-probes a matrix its predecessors measured.
 package cache
 
 import (
@@ -35,11 +34,6 @@ type DecisionKey struct {
 type Decision struct {
 	Format string // chosen format name
 	Probed bool   // a micro-probe measurement backed the choice
-	// Tuned is the autotuner's measured structural parameters for Format
-	// (the pairs formats.AutoChoice.Tuned reports), as space-separated
-	// "param=value" sorted by param — "bcsr.block=4x4 spmm.tile=8". Empty
-	// when nothing was swept; a Tune build sweeps what is missing, once.
-	Tuned string
 	// FV is the matrix's feature vector when a micro-probe backed the
 	// choice and the build was allowed to learn: (FV, Format) is then a
 	// labelled sample of the k-NN vote (DecisionCache.Samples). The zero
@@ -255,7 +249,7 @@ func (c *DecisionCache) Samples(device string, k int) (decs []Decision, weights 
 
 // InvalidateFingerprint drops every decision for the fingerprint, across
 // all (device, k) contexts at once — when a matrix's structure drifts,
-// every regime's ranking, tuning and sample of the dead structure drifts
+// every regime's ranking and sample of the dead structure drifts
 // with it. Returns how many decisions were dropped. An attached journal
 // is compacted at once (a failure degrades it): its append-only lines
 // would otherwise bring the dropped decisions back on a restart, and a

@@ -40,8 +40,8 @@ func TestDecisionCacheBasics(t *testing.T) {
 }
 
 // lruCase is one row of the tests that hold for whatever a decision
-// carries: three distinguishable values, bare ("decision") or with tuning
-// and a sample riding along ("tune").
+// carries: three distinguishable values, bare ("decision") or probed and
+// with a sample riding along ("tune").
 type lruCase struct{ vals [3]Decision }
 
 func decisionCase() lruCase {
@@ -51,9 +51,9 @@ func decisionCase() lruCase {
 func tuneCase() lruCase {
 	fv := core.FeatureVector{Rows: 9, Cols: 9, NNZ: 27, AvgNNZPerRow: 3}
 	return lruCase{vals: [3]Decision{
-		{Format: "BCSR", Tuned: "bcsr.block=2x2"},
-		{Format: "BCSR", Tuned: "bcsr.block=4x4 spmm.tile=8"},
-		{Format: "BCSR", Probed: true, Tuned: "bcsr.block=4x4 spmm.tile=8", FV: fv},
+		{Format: "BCSR"},
+		{Format: "BCSR", Probed: true},
+		{Format: "BCSR", Probed: true, FV: fv},
 	}}
 }
 

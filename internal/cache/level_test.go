@@ -1,6 +1,11 @@
 package cache
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -21,14 +26,14 @@ func TestJournalSurvivesLevelCap(t *testing.T) {
 	prev := simd.SetLevel("avx2")
 	defer simd.SetLevel(prev)
 
-	// Run 1: capped at avx2, journal a bare decision and a tuned one.
+	// Run 1: capped at avx2, journal a bare decision and a sampled one.
 	capped := HostFingerprint()
 	k1 := DecisionKey{Fingerprint: 11, Device: "host", K: 1}
 	k8 := DecisionKey{Fingerprint: 11, Device: "host", K: 8}
-	tuned := Decision{Format: "BCSR", Probed: true, Tuned: "bcsr.block=4x4", FV: core.FeatureVector{Rows: 7, NNZ: 21}}
+	sampled := Decision{Format: "BCSR", Probed: true, FV: core.FeatureVector{Rows: 7, NNZ: 21}}
 	c1, st1 := attached(t, dir)
 	c1.Put(k1, Decision{Format: "ELL"})
-	c1.Put(k8, tuned)
+	c1.Put(k8, sampled)
 	st1.Close()
 
 	// Run 2: a different dispatch level on the same machine. The journal
@@ -62,42 +67,64 @@ func TestJournalSurvivesLevelCap(t *testing.T) {
 		t.Fatalf("journal invalidated after cross-level compaction: %+v", st)
 	}
 	keys, decs := c3.Decisions()
-	if len(keys) != 2 || keys[0] != k1 || decs[0].Format != "ELL" || keys[1] != k8 || decs[1] != tuned {
-		t.Errorf("capped decisions (one with tuning and sample) lost across a scalar run's compaction: %+v %+v", keys, decs)
+	if len(keys) != 2 || keys[0] != k1 || decs[0].Format != "ELL" || keys[1] != k8 || decs[1] != sampled {
+		t.Errorf("capped decisions (one probed, with a sample) lost across a scalar run's compaction: %+v %+v", keys, decs)
 	}
 }
 
-// TestTuneJournalRoundTrip: a decision's tuning round-trips the journal
-// end to end — put through a cache, reopen, load — and a re-put with
-// more tuning supersedes the earlier line (one live decision, last line
-// wins, one dead line).
+// TestTuneJournalRoundTrip: decision lines written by builds that
+// autotuned BCSR blocks and SpMM tiles carry a "tuned" field. They load
+// with it ignored — format, probed flag and sample intact, and a line that
+// differs from a later one only there superseded by it (one dead line) —
+// an identical re-put appends nothing, and a compaction rewrites them
+// without the field.
 func TestTuneJournalRoundTrip(t *testing.T) {
-	c, st, dir := tempCache(t)
-	ka, kb := dk(7, 8), dk(8, 8)
-	c.Put(ka, Decision{Format: "BCSR", Tuned: "bcsr.block=2x2"})
-	c.Put(kb, Decision{Format: "ELL", Tuned: "spmm.tile=8"})
-	c.Put(ka, Decision{Format: "BCSR", Tuned: "bcsr.block=4x4 spmm.tile=4"}) // supersedes
-	if st.Stats().Appended != 3 {
-		t.Fatalf("appended %d lines, want 3", st.Stats().Appended)
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalName)
+	lvl := EffectiveLevel()
+	lines := []string{
+		fmt.Sprintf(`{"v":2,"kind":"header","schema":2,"host":%q}`, HostFingerprint()),
+		fmt.Sprintf(`{"v":2,"kind":"decision","lvl":%q,"fp":7,"device":"host","k":8,"format":"BCSR","probed":true,"tuned":"bcsr.block=4x4 spmm.tile=8","fv":{"Rows":9,"Cols":9,"NNZ":27,"AvgNNZPerRow":3}}`, lvl),
+		fmt.Sprintf(`{"v":2,"kind":"decision","lvl":%q,"fp":8,"device":"host","k":8,"format":"ELL","tuned":"spmm.tile=4"}`, lvl),
+		fmt.Sprintf(`{"v":2,"kind":"decision","lvl":%q,"fp":8,"device":"host","k":8,"format":"ELL","tuned":"spmm.tile=8"}`, lvl),
 	}
-	c.Put(ka, Decision{Format: "BCSR", Tuned: "bcsr.block=4x4 spmm.tile=4"}) // identical: dropped
-	if got := st.Stats(); got.Appended != 3 || got.Dead != 1 {
-		t.Fatalf("after an identical re-put: %d appended, %d dead; want 3 and 1", got.Appended, got.Dead)
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantKeys := []DecisionKey{dk(7, 8), dk(8, 8)}
+	wantDecs := []Decision{
+		{Format: "BCSR", Probed: true, FV: core.FeatureVector{Rows: 9, Cols: 9, NNZ: 27, AvgNNZPerRow: 3}},
+		{Format: "ELL"},
+	}
+	check := func(c *DecisionCache, when string) {
+		t.Helper()
+		keys, decs := c.Decisions()
+		if !slices.Equal(keys, wantKeys) || !slices.Equal(decs, wantDecs) {
+			t.Fatalf("%s: loaded %+v %+v, want %+v %+v", when, keys, decs, wantKeys, wantDecs)
+		}
+	}
+
+	c, st := attached(t, dir)
+	check(c, "open")
+	if s := st.Stats(); s.Invalidated || s.Skipped != 0 || s.Dead != 1 {
+		t.Fatalf("open: stats %+v, want nothing invalidated or skipped and the superseded line dead", s)
+	}
+	c.Put(dk(8, 8), Decision{Format: "ELL"})
+	if n := st.Stats().Appended; n != 0 {
+		t.Fatalf("an identical re-put appended %d lines, want 0", n)
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
 	}
 	st.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "tuned") || strings.Count(string(b), "\n") != 3 {
+		t.Fatalf("compacted journal = %q, want a header and two decision lines without the tuning", b)
+	}
 
-	warm, re := attached(t, dir)
-	if n := re.Stats().Decisions; n != 2 {
-		t.Fatalf("loaded %d decisions, want 2", n)
-	}
-	if d, ok := warm.Get(ka); !ok || d.Tuned != "bcsr.block=4x4 spmm.tile=4" {
-		t.Errorf("superseded tuning = %+v, %v; want the last line's", d, ok)
-	}
-	if d, ok := warm.Get(kb); !ok || d.Tuned != "spmm.tile=8" {
-		t.Errorf("tuning = %+v, %v; want spmm.tile=8", d, ok)
-	}
-	// The superseding decision is the newest measurement: last in order.
-	if keys, _ := warm.Decisions(); keys[len(keys)-1] != ka {
-		t.Errorf("journal order %+v, want the superseded key last", keys)
-	}
+	re, _ := attached(t, dir)
+	check(re, "reopen after compaction")
 }

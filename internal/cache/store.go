@@ -3,8 +3,8 @@ package cache
 // Disk persistence for the selection subsystem: an append-only, versioned
 // JSONL journal of decisions — the one record kind besides the header — so
 // a restarted server resumes with everything previous processes measured
-// (formats, tuned parameters, k-NN samples) instead of re-ranking,
-// re-probing and re-tuning every matrix.
+// (formats, k-NN samples) instead of re-ranking and re-probing every
+// matrix.
 //
 // Design constraints, in order:
 //
@@ -119,8 +119,10 @@ func EffectiveLevel() string {
 // "header" pins schema+host, "decision" carries a DecisionKey/Decision
 // pair. Decisions carry the dispatch level they were measured under
 // (Lvl); load keeps only the current level's. Older schema-2 decision lines
-// also carry a "shards" field: load ignores it, so lines that differ only
-// there are one key, the newest winning, and compaction drops the field.
+// may also carry a "shards" or a "tuned" field (the latter from builds that
+// autotuned BCSR blocks and SpMM tiles): load ignores both, so lines that
+// differ only there are one key, the newest winning, and compaction drops
+// the fields.
 type record struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
@@ -136,7 +138,6 @@ type record struct {
 	K      int                 `json:"k,omitempty"`
 	Format string              `json:"format,omitempty"`
 	Probed bool                `json:"probed,omitempty"`
-	Tuned  string              `json:"tuned,omitempty"`
 	FV     *core.FeatureVector `json:"fv,omitempty"` // the sample; absent without one
 }
 
@@ -148,7 +149,7 @@ func decisionRecord(lvl string, k DecisionKey, d Decision) record {
 	r := record{
 		V: SchemaVersion, Kind: "decision", Lvl: lvl,
 		FP: k.Fingerprint, Device: k.Device, K: k.K,
-		Format: d.Format, Probed: d.Probed, Tuned: d.Tuned,
+		Format: d.Format, Probed: d.Probed,
 	}
 	if d.FV != (core.FeatureVector{}) {
 		r.FV = &d.FV
@@ -158,7 +159,7 @@ func decisionRecord(lvl string, k DecisionKey, d Decision) record {
 
 // decision is decisionRecord's inverse.
 func (r record) decision() (DecisionKey, Decision) {
-	d := Decision{Format: r.Format, Probed: r.Probed, Tuned: r.Tuned}
+	d := Decision{Format: r.Format, Probed: r.Probed}
 	if r.FV != nil {
 		d.FV = *r.FV
 	}

@@ -36,14 +36,14 @@ func dk(fp uint64, k int) DecisionKey {
 }
 
 // TestStoreRoundTrip: every part of a decision — format, probed flag,
-// tuning, sample — reloads exactly, in journal order.
+// sample — reloads exactly, in journal order.
 func TestStoreRoundTrip(t *testing.T) {
 	c, st, dir := tempCache(t)
 	for i := 0; i < 20; i++ {
 		c.Put(dk(uint64(i), 1+i%3), Decision{Format: fmt.Sprintf("F%d", i), Probed: i%2 == 0})
 	}
 	full := Decision{
-		Format: "SELL-C-s", Probed: true, Tuned: "spmm.tile=4",
+		Format: "SELL-C-s", Probed: true,
 		FV: core.FeatureVector{Rows: 100, Cols: 100, NNZ: 1000, AvgNNZPerRow: 10, MemFootprintMB: 0.01},
 	}
 	c.Put(dk(100, 8), full)
@@ -63,7 +63,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		}
 	}
 	if keys[20] != dk(100, 8) || decs[20] != full {
-		t.Errorf("tuned, sampled decision reloaded as %+v %+v, want %+v", keys[20], decs[20], full)
+		t.Errorf("probed, sampled decision reloaded as %+v %+v, want %+v", keys[20], decs[20], full)
 	}
 	if stats := rs.Stats(); stats.Decisions != 21 || stats.Invalidated {
 		t.Errorf("stats = %+v", stats)
@@ -205,7 +205,7 @@ func TestStoreLoadsShardKeyedLines(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := Decision{Format: "BCSR", Probed: true, Tuned: "bcsr.block=4x4"}
+	want := Decision{Format: "BCSR", Probed: true}
 	check := func(c *DecisionCache, when string) {
 		t.Helper()
 		keys, decs := c.Decisions()
@@ -231,8 +231,8 @@ func TestStoreLoadsShardKeyedLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(b), "shards") || strings.Count(string(b), "\n") != 2 {
-		t.Fatalf("compacted journal = %q, want a header and one decision line without the shard count", b)
+	if strings.Contains(string(b), "shards") || strings.Contains(string(b), "tuned") || strings.Count(string(b), "\n") != 2 {
+		t.Fatalf("compacted journal = %q, want a header and one decision line without the shard count or tuning", b)
 	}
 
 	re, _ := attached(t, dir)

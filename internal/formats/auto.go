@@ -30,9 +30,6 @@ type AutoChoice struct {
 	Cached    bool               // decision came from the decision cache
 	Voted     bool               // the k-NN vote over measured samples steered the shortlist
 	ProbeNs   map[string]float64 // measured ns/op per probed candidate
-	// Tuned records the autotuned structural parameters the instance was
-	// built with (e.g. "bcsr.block" -> "4x4", "spmm.tile" -> "8").
-	Tuned map[string]string
 }
 
 // Auto is the storage format produced by the selection subsystem: a thin

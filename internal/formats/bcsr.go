@@ -1,50 +1,40 @@
 package formats
 
 import (
-	"fmt"
-
 	"repro/internal/exec"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/simd"
 )
 
-// BCSR is blocked CSR with fixed br x bc dense blocks (an extension from
-// the paper's related work: register-blocking formats like those in
+// BCSR is blocked CSR with 2x2 dense blocks (an extension from the
+// paper's related work: register-blocking formats like those in
 // SPARSITY/OSKI). Nonzeros are gathered into aligned dense blocks; blocks
 // store no per-element indices, trading zero fill for metadata compression
-// and unrollable inner loops.
+// and unrollable inner loops. The geometry is fixed: 2x2 is the only shape
+// with a dispatched micro-kernel, and it beat 4x4, 2x4 and 4x2 on matrices
+// built of each of those shapes (the block-geometry table in
+// docs/BENCHMARKS.md).
 type BCSR struct {
 	driver
 	rows, cols int
-	br, bc     int
 	nnz        int64
 	blockRows  int
 	rowPtr     []int32   // per block row, into blkCol
 	blkCol     []int32   // block-column index per block
-	val        []float64 // br*bc per block
-	tune       Tuning
+	val        []float64 // 4 per block, row-major
 }
 
-// MaxBCSRFillRatio bounds the zero fill: construction fails when the blocked
-// image exceeds this multiple of the nonzero count.
+// MaxBCSRFillRatio bounds the zero fill the device model's feasibility
+// estimate accepts for BCSR. A 2x2 block holds at least one entry, so a
+// built instance's fill never exceeds 4 and construction refuses nothing.
 const MaxBCSRFillRatio = 8.0
 
-// newBCSR builds blocked CSR with the tuning's block geometry (2x2 when
-// unset).
-func newBCSR(m *matrix.CSR, t Tuning) (*BCSR, error) {
-	br, bc := t.BlockR, t.BlockC
-	if br == 0 && bc == 0 {
-		br, bc = 2, 2
-	}
-	if br < 1 || bc < 1 {
-		return nil, fmt.Errorf("%w BCSR: block %dx%d", ErrBuild, br, bc)
-	}
+// newBCSR builds blocked CSR with 2x2 blocks.
+func newBCSR(m *matrix.CSR) *BCSR {
+	const br, bc = 2, 2
 	blockRows := (m.Rows + br - 1) / br
-	f := &BCSR{
-		rows: m.Rows, cols: m.Cols, br: br, bc: bc, nnz: int64(m.NNZ()), blockRows: blockRows,
-		tune: t,
-	}
+	f := &BCSR{rows: m.Rows, cols: m.Cols, nnz: int64(m.NNZ()), blockRows: blockRows}
 	f.rowPtr = make([]int32, blockRows+1)
 
 	// Two passes: count distinct block columns per block row, then fill.
@@ -52,12 +42,6 @@ func newBCSR(m *matrix.CSR, t Tuning) (*BCSR, error) {
 	var totalBlocks int64
 	for pass := 0; pass < 2; pass++ {
 		if pass == 1 {
-			if m.NNZ() > 0 {
-				fill := float64(totalBlocks*int64(br*bc)) / float64(m.NNZ())
-				if fill > MaxBCSRFillRatio {
-					return nil, fmt.Errorf("%w BCSR: fill ratio %.1f exceeds %.0f", ErrBuild, fill, MaxBCSRFillRatio)
-				}
-			}
 			f.blkCol = make([]int32, totalBlocks)
 			f.val = make([]float64, totalBlocks*int64(br*bc))
 		}
@@ -100,7 +84,7 @@ func newBCSR(m *matrix.CSR, t Tuning) (*BCSR, error) {
 		sortBlocks(f.blkCol[lo:hi], f.val[int(lo)*br*bc:int(hi)*br*bc], br*bc)
 	}
 	f.bind(f)
-	return f, nil
+	return f
 }
 
 // sortBlocks sorts block columns ascending, moving the block value slabs of
@@ -150,69 +134,10 @@ func (f *BCSR) Traits() Traits {
 		Class: ClassBlock, Preprocessed: true}
 }
 
-// maxStackBlockRows bounds the block heights served by the stack-resident
-// row accumulators; taller blocks fall back to a heap buffer.
-const maxStackBlockRows = 16
-
+// blockRowRange is the register-blocked single-vector micro-kernel: both
+// row sums live in registers, both x values load once per block, and only
+// the matrix-edge block pays a column check.
 func (f *BCSR) blockRowRange(x, y []float64, lo, hi int) {
-	if f.br == 2 && f.bc == 2 {
-		f.blockRowRange2x2(x, y, lo, hi)
-		return
-	}
-	br, bc := f.br, f.bc
-	var sumsBuf [maxStackBlockRows]float64
-	var sums []float64
-	if br <= maxStackBlockRows {
-		sums = sumsBuf[:br]
-	} else {
-		sums = make([]float64, br)
-	}
-	rowPtr, blkCol, val := f.rowPtr, f.blkCol, f.val
-	blk := br * bc
-	for bi := lo; bi < hi; bi++ {
-		for r := range sums {
-			sums[r] = 0
-		}
-		for b := int(rowPtr[bi]); b < int(rowPtr[bi+1]); b++ {
-			baseCol := int(blkCol[b]) * bc
-			off := b * blk
-			if baseCol+bc <= f.cols {
-				// Interior block: the whole x window is in range, no
-				// per-element edge check.
-				for r := 0; r < br; r++ {
-					s := 0.0
-					ro := off + r*bc
-					for c := 0; c < bc; c++ {
-						s += val[ro+c] * x[baseCol+c]
-					}
-					sums[r] += s
-				}
-				continue
-			}
-			for r := 0; r < br; r++ {
-				s := 0.0
-				for c := 0; c < bc; c++ {
-					col := baseCol + c
-					if col < f.cols {
-						s += val[off+r*bc+c] * x[col]
-					}
-				}
-				sums[r] += s
-			}
-		}
-		for r := 0; r < br; r++ {
-			row := bi*br + r
-			if row < f.rows {
-				y[row] = sums[r]
-			}
-		}
-	}
-}
-
-// blockRowRange2x2 is the register-blocked micro-kernel for the default
-// 2x2 geometry: both row sums live in registers, both x values load once
-// per block, and only the matrix-edge block pays a column check.
-func (f *BCSR) blockRowRange2x2(x, y []float64, lo, hi int) {
 	rowPtr, blkCol, val := f.rowPtr, f.blkCol, f.val
 	cols := f.cols
 	useSIMD := simd.Enabled()
@@ -256,15 +181,15 @@ func (f *BCSR) blockRowRange2x2(x, y []float64, lo, hi int) {
 	}
 }
 
-// blockRowRangeMulti2x2 is the fused register-blocked micro-kernel for the
-// default 2x2 geometry: per 4-vector tile both rows' partial sums live in
-// eight registers, and each block's four values load once to feed sixteen
-// FMAs.
-func (f *BCSR) blockRowRangeMulti2x2(x, y []float64, k, lo, hi int) {
+// blockRowRangeMulti is the fused register-blocked micro-kernel: per
+// 4-vector tile both rows' partial sums live in eight registers, and each
+// block's four values load once to feed sixteen FMAs; the dispatched
+// 8-vector tile goes first where the dispatch offers it.
+func (f *BCSR) blockRowRangeMulti(x, y []float64, k, lo, hi int) {
 	rowPtr, blkCol, val := f.rowPtr, f.blkCol, f.val
 	cols := f.cols
 	useSIMD := simd.Enabled()
-	wide := !f.tune.NarrowTiles && useSIMD && simd.Width() >= 8
+	wide := useSIMD && simd.Width() >= 8
 	for bi := lo; bi < hi; bi++ {
 		row := bi * 2
 		bLo, bEnd := int(rowPtr[bi]), int(rowPtr[bi+1])
@@ -377,67 +302,11 @@ func (f *BCSR) blockRowRangeMulti2x2(x, y []float64, k, lo, hi int) {
 	}
 }
 
-// blockRowRangeMulti is the fused generic-geometry kernel: per block row
-// and 4-vector tile the row accumulators live in a small buffer while each
-// block's values load once per tile.
-func (f *BCSR) blockRowRangeMulti(x, y []float64, k, lo, hi int) {
-	if f.br == 2 && f.bc == 2 {
-		f.blockRowRangeMulti2x2(x, y, k, lo, hi)
-		return
-	}
-	br, bc := f.br, f.bc
-	var sumsBuf [multiTile * maxStackBlockRows]float64
-	var sums []float64
-	if br <= maxStackBlockRows {
-		sums = sumsBuf[:br*multiTile]
-	} else {
-		sums = make([]float64, br*multiTile)
-	}
-	rowPtr, blkCol, val := f.rowPtr, f.blkCol, f.val
-	blk := br * bc
-	for bi := lo; bi < hi; bi++ {
-		for t := 0; t < k; t += multiTile {
-			tw := k - t
-			if tw > multiTile {
-				tw = multiTile
-			}
-			for i := range sums {
-				sums[i] = 0
-			}
-			for b := int(rowPtr[bi]); b < int(rowPtr[bi+1]); b++ {
-				baseCol := int(blkCol[b]) * bc
-				off := b * blk
-				for cc := 0; cc < bc; cc++ {
-					col := baseCol + cc
-					if col >= f.cols {
-						break // edge block: remaining columns out of range
-					}
-					xb := x[col*k+t : col*k+t+tw : col*k+t+tw]
-					for r := 0; r < br; r++ {
-						v := val[off+r*bc+cc]
-						sb := sums[r*multiTile : r*multiTile+tw : r*multiTile+tw]
-						for q, xq := range xb {
-							sb[q] += v * xq
-						}
-					}
-				}
-			}
-			for r := 0; r < br; r++ {
-				row := bi*br + r
-				if row >= f.rows {
-					break
-				}
-				copy(y[row*k+t:row*k+t+tw], sums[r*multiTile:r*multiTile+tw])
-			}
-		}
-	}
-}
-
 // units: lanes take whole block rows.
 func (f *BCSR) units() int { return f.blockRows }
 
 // cum: stored block values plus a block-row visit each.
-func (f *BCSR) cum(i int) int64 { return int64(f.rowPtr[i])*int64(f.br*f.bc) + int64(i) }
+func (f *BCSR) cum(i int) int64 { return int64(f.rowPtr[i])*4 + int64(i) }
 
 // plan balances blocks over whole block rows.
 func (f *BCSR) plan(key exec.PlanKey, _ int) *exec.Plan {

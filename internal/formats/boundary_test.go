@@ -130,7 +130,7 @@ func TestSELLCSLastChunkPartial(t *testing.T) {
 	// final chunk whose missing lanes must stay silent.
 	for _, rows := range []int{1, 7, 8, 9, 17} {
 		m := matrix.Random(rows, 50, 0.3, int64(rows)+50)
-		f, err := newSELLCS(m, 8, 16, Tuning{})
+		f, err := newSELLCS(m, 8, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestSELLCSLastChunkPartial(t *testing.T) {
 
 func TestSELLCSPermutationIsBijective(t *testing.T) {
 	m := matrix.RandomRowSizes(100, 200, skewedSizes(100, 50), 43)
-	f, err := newSELLCS(m, 8, 32, Tuning{})
+	f, err := newSELLCS(m, 8, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestHYBAllSpillAndNoSpill(t *testing.T) {
 	want := make([]float64, 60)
 	m.SpMV(x, want)
 	// Threshold larger than every row: pure ELL, empty spill.
-	fAll, err := newHYBThreshold(m, m.MaxRowNNZ(), Tuning{})
+	fAll, err := newHYBThreshold(m, m.MaxRowNNZ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestHYBAllSpillAndNoSpill(t *testing.T) {
 		t.Errorf("no-spill diff %g", d)
 	}
 	// Threshold 0: pure COO.
-	fNone, err := newHYBThreshold(m, 0, Tuning{})
+	fNone, err := newHYBThreshold(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

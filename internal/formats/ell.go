@@ -20,7 +20,6 @@ type ELL struct {
 	colIdx     []int32   // rows*width, column-major: entry (i, k) at k*rows+i
 	val        []float64 // same layout; padding entries hold value 0, col 0
 	rowLen     []int32   // stored entries per row (excludes tail padding)
-	tune       Tuning
 }
 
 // MaxELLPaddedEntries bounds the dense ELL allocation; construction fails
@@ -30,27 +29,26 @@ const MaxELLPaddedEntries = 1 << 28
 
 // newELLShell allocates an empty, unbound ELL slab for the given geometry:
 // newELL fills and binds it, HYB drives it as a part of its own kernel.
-func newELLShell(rows, cols, width int, t Tuning) *ELL {
+func newELLShell(rows, cols, width int) *ELL {
 	padded := int64(rows) * int64(width)
 	return &ELL{
 		rows: rows, cols: cols, width: width,
 		colIdx: make([]int32, padded),
 		val:    make([]float64, padded),
 		rowLen: make([]int32, rows),
-		tune:   t,
 	}
 }
 
 // newELL builds the ELL format. It fails when rows*maxRowLen exceeds
 // MaxELLPaddedEntries.
-func newELL(m *matrix.CSR, t Tuning) (*ELL, error) {
+func newELL(m *matrix.CSR) (*ELL, error) {
 	width := m.MaxRowNNZ() // 0 for an empty matrix: no slot may read x[0] when x is empty
 	padded := int64(m.Rows) * int64(width)
 	if padded > MaxELLPaddedEntries {
 		return nil, fmt.Errorf("%w ELL: %d rows x width %d = %d padded entries (max %d)",
 			ErrBuild, m.Rows, width, padded, int64(MaxELLPaddedEntries))
 	}
-	f := newELLShell(m.Rows, m.Cols, width, t)
+	f := newELLShell(m.Rows, m.Cols, width)
 	f.nnz = int64(m.NNZ())
 	for i := 0; i < m.Rows; i++ {
 		cols, vals := m.Row(i)
@@ -155,7 +153,7 @@ func (f *ELL) apply(y, x []float64, k, lo, hi int) {
 		f.rowRange(x, y, lo, hi)
 		return
 	}
-	l := newLadder(f.tune, f.val, f.colIdx, x, y, f.rows, k)
+	l := newLadder(f.val, f.colIdx, x, y, f.rows, k)
 	for i := lo; i < hi; i++ {
 		l.bcastRow(i*k, i, int(f.rowLen[i]))
 	}
@@ -174,24 +172,24 @@ type HYB struct {
 }
 
 // newHYB builds the hybrid format with the threshold at the mean row length.
-func newHYB(m *matrix.CSR, t Tuning) (*HYB, error) {
+func newHYB(m *matrix.CSR) (*HYB, error) {
 	k := int(m.AvgRowNNZ() + 0.5)
 	if k < 1 && m.NNZ() > 0 { // an empty matrix keeps 0: no slot may read x[0] when x is empty
 		k = 1
 	}
-	return newHYBThreshold(m, k, t)
+	return newHYBThreshold(m, k)
 }
 
 // newHYBThreshold builds HYB with an explicit ELL width k (the ablation
 // study of the split heuristic varies it).
-func newHYBThreshold(m *matrix.CSR, k int, t Tuning) (*HYB, error) {
+func newHYBThreshold(m *matrix.CSR, k int) (*HYB, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w HYB: negative threshold %d", ErrBuild, k)
 	}
 	if int64(m.Rows)*int64(k) > MaxELLPaddedEntries {
 		return nil, fmt.Errorf("%w HYB: threshold %d over %d rows exceeds padding bound", ErrBuild, k, m.Rows)
 	}
-	ellPart := newELLShell(m.Rows, m.Cols, k, t)
+	ellPart := newELLShell(m.Rows, m.Cols, k)
 	spill := matrix.NewCOO(m.Rows, m.Cols, 0)
 	for i := 0; i < m.Rows; i++ {
 		cols, vals := m.Row(i)

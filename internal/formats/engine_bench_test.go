@@ -178,7 +178,7 @@ func BenchmarkAblationSELLSigma(b *testing.B) {
 	}
 	for _, sigma := range []int{1, 32, 256, 4096} {
 		b.Run(fmt.Sprintf("sigma=%d", sigma), func(b *testing.B) {
-			f, err := newSELLCS(m, DefaultChunk, sigma, Tuning{})
+			f, err := newSELLCS(m, DefaultChunk, sigma)
 			if err != nil {
 				b.Skipf("build: %v", err)
 			}
@@ -206,7 +206,7 @@ func BenchmarkAblationHYBThreshold(b *testing.B) {
 	avg := int(m.AvgRowNNZ())
 	for _, k := range []int{avg / 2, avg, 2 * avg} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			f, err := newHYBThreshold(m, k, Tuning{})
+			f, err := newHYBThreshold(m, k)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -69,19 +69,6 @@ type Format interface {
 	Traits() Traits
 }
 
-// Tuning carries the per-matrix structural parameters the selector's
-// autotuner measures; formats take it at construction (Builder.BuildTuned)
-// and never change it afterwards. The zero value is every format's
-// default.
-type Tuning struct {
-	// NarrowTiles keeps the fused SpMM kernels on the 4-vector register
-	// tile even when the dispatched SIMD width is 8: on matrices with
-	// short rows the wide tile's halved accumulator count can lose.
-	NarrowTiles bool
-	// BlockR x BlockC is the BCSR block geometry; zero means 2x2.
-	BlockR, BlockC int
-}
-
 // Balancing classifies a format's work-distribution discipline.
 type Balancing int
 
@@ -139,46 +126,10 @@ type Traits struct {
 // ErrBuild wraps format construction failures (excessive padding, capacity).
 var ErrBuild = errors.New("formats: cannot build")
 
-// Tunable names one group of Tuning fields; a Builder's Tunables are the
-// groups its format reads, so the autotuner knows what to sweep for a
-// format without knowing the format.
-type Tunable uint8
-
-// The tunable parameter groups.
-const (
-	// TuneTiles: the fused SpMM kernel carries the 8-vector register tile
-	// Tuning.NarrowTiles turns off.
-	TuneTiles Tunable = 1 << iota
-	// TuneBlock: the block geometry is Tuning.BlockR x BlockC.
-	TuneBlock
-)
-
 // Builder constructs a format from a CSR matrix.
 type Builder struct {
-	Name string
-	// Build constructs the format with the zero Tuning.
+	Name  string
 	Build func(m *matrix.CSR) (Format, error)
-	// Tunables is the set of Tuning parameter groups the format reads.
-	Tunables Tunable
-	tuned    func(m *matrix.CSR, t Tuning) (Format, error)
-}
-
-// BuildTuned constructs the format with the given tuning; parameters the
-// format does not have are ignored.
-func (b Builder) BuildTuned(m *matrix.CSR, t Tuning) (Format, error) {
-	if b.tuned == nil {
-		return b.Build(m)
-	}
-	return b.tuned(m, t)
-}
-
-func builder(name string, tunables Tunable, tuned func(m *matrix.CSR, t Tuning) (Format, error)) Builder {
-	return Builder{
-		Name:     name,
-		Build:    func(m *matrix.CSR) (Format, error) { return tuned(m, Tuning{}) },
-		Tunables: tunables,
-		tuned:    tuned,
-	}
 }
 
 // Registry returns all format builders in a stable order: the
@@ -187,26 +138,25 @@ func builder(name string, tunables Tunable, tuned func(m *matrix.CSR, t Tuning) 
 func Registry() []Builder { return append([]Builder(nil), registry...) }
 
 var registry = []Builder{
-	builder("COO", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewCOO(m), nil }),
+	{"COO", func(m *matrix.CSR) (Format, error) { return NewCOO(m), nil }},
 	csrBuilder("Naive-CSR"),
 	csrBuilder("Vec-CSR"),
 	csrBuilder("Bal-CSR"),
 	csrBuilder("MKL-IE"),
-	builder("ELL", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newELL(m, t)) }),
-	builder("HYB", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newHYB(m, t)) }),
-	builder("CSR5", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return asFormat(NewCSR5(m)) }),
-	builder("Merge-CSR", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return newMergeCSR(m), nil }),
-	builder("SELL-C-s", TuneTiles, func(m *matrix.CSR, t Tuning) (Format, error) {
-		return asFormat(newSELLCS(m, DefaultChunkC(), DefaultSigma, t))
-	}),
-	builder("SparseX", 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return NewSPX(m), nil }),
-	builder("BCSR", TuneTiles|TuneBlock, func(m *matrix.CSR, t Tuning) (Format, error) { return asFormat(newBCSR(m, t)) }),
+	{"ELL", func(m *matrix.CSR) (Format, error) { return asFormat(newELL(m)) }},
+	{"HYB", func(m *matrix.CSR) (Format, error) { return asFormat(newHYB(m)) }},
+	{"CSR5", func(m *matrix.CSR) (Format, error) { return asFormat(NewCSR5(m)) }},
+	{"Merge-CSR", func(m *matrix.CSR) (Format, error) { return newMergeCSR(m), nil }},
+	{"SELL-C-s", func(m *matrix.CSR) (Format, error) {
+		return asFormat(newSELLCS(m, DefaultChunkC(), DefaultSigma))
+	}},
+	{"SparseX", func(m *matrix.CSR) (Format, error) { return NewSPX(m), nil }},
+	{"BCSR", func(m *matrix.CSR) (Format, error) { return newBCSR(m), nil }},
 }
 
-// csrBuilder registers a CSR preset (newPreset). The family reads no
-// Tuning: its k-wide kernel keeps eight accumulators at either tile width.
+// csrBuilder registers a CSR preset (newPreset).
 func csrBuilder(name string) Builder {
-	return builder(name, 0, func(m *matrix.CSR, _ Tuning) (Format, error) { return newPreset(name, m), nil })
+	return Builder{name, func(m *matrix.CSR) (Format, error) { return newPreset(name, m), nil }}
 }
 
 // asFormat lifts a fallible concrete constructor's result to (Format,

@@ -57,11 +57,11 @@ func byColumn(t *testing.T, f *HYB, y, x []float64, k int) {
 // differ.
 func TestHYBMultiplyManyMatchesFallback(t *testing.T) {
 	for mi, m := range hybTestMatrices(t) {
-		fused, err := newHYB(m, Tuning{})
+		fused, err := newHYB(m)
 		if err != nil {
 			t.Fatalf("matrix %d: %v", mi, err)
 		}
-		ref, err := newHYB(m, Tuning{})
+		ref, err := newHYB(m)
 		if err != nil {
 			t.Fatalf("matrix %d: %v", mi, err)
 		}
@@ -93,7 +93,7 @@ func TestHYBMultiplyManySpillEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := newHYB(uniform, Tuning{})
+	f, err := newHYB(uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestHYBMultiplyManySpillEdges(t *testing.T) {
 	x := matrix.RandomVector(uniform.Cols*k, 5)
 	y := make([]float64, uniform.Rows*k)
 	f.MultiplyMany(y, x, k)
-	ref, _ := newHYB(uniform, Tuning{})
+	ref, _ := newHYB(uniform)
 	yRef := make([]float64, uniform.Rows*k)
 	byColumn(t, ref, yRef, x, k)
 	for i := range y {
@@ -139,11 +139,11 @@ func TestHYBMultiplyManySpillEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := newHYB(m, Tuning{})
+	g, err := newHYB(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gRef, _ := newHYB(m, Tuning{})
+	gRef, _ := newHYB(m)
 	for _, k := range []int{1, 4, 17} {
 		x := matrix.RandomVector(m.Cols*k, 11)
 		y := make([]float64, m.Rows*k)
@@ -168,11 +168,11 @@ func TestHYBMultiplyManyConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := newHYB(m, Tuning{})
+	f, err := newHYB(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := newHYB(m, Tuning{})
+	ref, _ := newHYB(m)
 	const k = 4
 	x := matrix.RandomVector(m.Cols*k, 33)
 	want := make([]float64, m.Rows*k)

@@ -41,10 +41,12 @@ import "repro/internal/simd"
 const multiTile = 4
 
 // multiTile8 is the wide register tile used when the dispatched SIMD width
-// is 8 (AVX-512): one ZMM register holds the whole tile's x operands. The
-// wide tile is a per-instance build input — see Tuning.NarrowTiles —
-// because doubling the tile halves the number of live accumulator sets and
-// can lose to the 4-wide tile on matrices with short rows.
+// is 8 (AVX-512): one ZMM register holds the whole tile's x operands. Every
+// fused kernel takes the widest tile the dispatch offers: against the
+// 4-wide tile it measured a median 1.18x ahead over 192 cells, up to 2x on
+// long rows, and the 4-wide tile won no cell beyond that cell's own spread
+// (the tile-width table in docs/BENCHMARKS.md). The 4-wide tile still
+// serves the k mod 8 >= 4 remainder.
 const multiTile8 = 8
 
 // simdMinN is the minimum inner-loop trip count at which the per-row and
@@ -58,8 +60,8 @@ const simdMinN = 8
 // strided (value, column) stream — ELL and HYB's ELL part (stride rows) and
 // SELL-C-sigma (stride C) — holding what the rows of one range call share:
 // the format's arrays, the k-wide blocks, and the two switches resolved
-// once (are the dispatched micro-kernels live, and does this instance take
-// the 8-vector tile on top of them).
+// once (are the dispatched micro-kernels live, and do they offer the
+// 8-vector tile on top of them).
 type ladder struct {
 	val           []float64
 	col           []int32
@@ -68,10 +70,9 @@ type ladder struct {
 	wide, useSIMD bool
 }
 
-func newLadder(t Tuning, val []float64, col []int32, x, y []float64, stride, k int) ladder {
+func newLadder(val []float64, col []int32, x, y []float64, stride, k int) ladder {
 	useSIMD := simd.Enabled()
-	wide := !t.NarrowTiles && useSIMD && simd.Width() >= 8
-	return ladder{val, col, x, y, stride, k, wide, useSIMD}
+	return ladder{val, col, x, y, stride, k, useSIMD && simd.Width() >= 8, useSIMD}
 }
 
 // bcastRow writes one row of the k-wide product,

@@ -25,7 +25,6 @@ type SELLCS struct {
 	chunkLen   []int32 // padded row length of each chunk
 	colIdx     []int32
 	val        []float64
-	tune       Tuning
 }
 
 // Default SELL-C-sigma tuning, matching common CPU configurations.
@@ -48,7 +47,7 @@ func DefaultChunkC() int {
 }
 
 // newSELLCS builds SELL-C-sigma with chunk size c and sorting scope sigma.
-func newSELLCS(m *matrix.CSR, c, sigma int, t Tuning) (*SELLCS, error) {
+func newSELLCS(m *matrix.CSR, c, sigma int) (*SELLCS, error) {
 	if c < 1 || sigma < 1 {
 		return nil, fmt.Errorf("%w SELL-C-s: chunk %d sigma %d", ErrBuild, c, sigma)
 	}
@@ -57,7 +56,7 @@ func newSELLCS(m *matrix.CSR, c, sigma int, t Tuning) (*SELLCS, error) {
 		// sorting windows.
 		sigma = ((sigma + c - 1) / c) * c
 	}
-	f := &SELLCS{rows: m.Rows, cols: m.Cols, c: c, sigma: sigma, nnz: int64(m.NNZ()), tune: t}
+	f := &SELLCS{rows: m.Rows, cols: m.Cols, c: c, sigma: sigma, nnz: int64(m.NNZ())}
 
 	// Permutation: sort rows by descending length within sigma windows.
 	f.perm = make([]int32, m.Rows)
@@ -229,7 +228,7 @@ func (f *SELLCS) apply(y, x []float64, k, lo, hi int) {
 		return
 	}
 	c := f.c
-	l := newLadder(f.tune, f.val, f.colIdx, x, y, c, k)
+	l := newLadder(f.val, f.colIdx, x, y, c, k)
 	for ch := lo; ch < hi; ch++ {
 		for lane := 0; lane < c && ch*c+lane < f.rows; lane++ { // the last chunk may be partial
 			l.bcastRow(int(f.perm[ch*c+lane])*k, int(f.chunkPtr[ch])+lane, int(f.chunkLen[ch]))

@@ -10,8 +10,7 @@ import (
 // TestTuningWideRowMin pins the Go kernel of the dispatched CSR presets on
 // long rows (482..541 entries: every 8-way tail length): they must match
 // the sequential reference within the dot product's forward bound — the
-// dispatched SIMD path is held to the Go kernel bit for bit elsewhere —
-// and the family has nothing for the autotuner to sweep.
+// dispatched SIMD path is held to the Go kernel bit for bit elsewhere.
 func TestTuningWideRowMin(t *testing.T) {
 	prev := simd.SetEnabled(false)
 	defer simd.SetEnabled(prev)
@@ -35,11 +34,6 @@ func TestTuningWideRowMin(t *testing.T) {
 		f.SpMV(x, got)
 		if i, ok := m.WithinDotBound(x, 1, got, want); !ok {
 			t.Errorf("%s: %d-entry row %d = %v, reference %v: beyond the forward bound", name, sizes[i], i, got[i], want[i])
-		}
-	}
-	for _, name := range csrFamily {
-		if b, _ := Lookup(name); b.Tunables != 0 {
-			t.Errorf("%s sweeps tunables %b", name, b.Tunables)
 		}
 	}
 }

@@ -72,20 +72,13 @@ type AutoOptions struct {
 	Cache *cache.DecisionCache
 	// NoCache makes this build stateless whatever Cache holds (benchmarks
 	// that must observe the full pipeline every time): no decision —
-	// format, tuning or sample — is looked up or recorded, and no vote is
-	// taken.
+	// format or sample — is looked up or recorded, and no vote is taken.
 	NoCache bool
 	// NoLearn keeps the k-NN vote out of this build: past probe outcomes
 	// are not consulted, and the decision it records carries no sample.
 	// The model-only baselines use it so their numbers reflect the
 	// analytical model alone.
 	NoLearn bool
-	// Tune enables the structural-parameter micro-autotuner: the BCSR
-	// block geometry and the fused SpMM register-tile width are measured
-	// on the probe's row-sampled harness (winners remembered with the
-	// decision). Like Probe, worth it for matrices multiplied more than
-	// a handful of times.
-	Tune bool
 }
 
 // BuildAuto selects a storage format for the matrix and builds it: the
@@ -103,11 +96,10 @@ type AutoOptions struct {
 //  4. optionally micro-probe the shortlist — time each candidate on a
 //     row-sampled sub-matrix through the execution engine — and keep the
 //     measured winner;
-//  5. build the winner (with o.Tune, under the structural parameters
-//     autotune measures), falling down the shortlist (and ultimately to
+//  5. build the winner, falling down the shortlist (and ultimately to
 //     Naive-CSR) if a build refuses the matrix, and cache the decision:
-//     the format, its tuning and — when a probe backed it — the feature
-//     vector, a labeled sample so the next decision starts smarter.
+//     the format and — when a probe backed it — the feature vector, a
+//     labeled sample so the next decision starts smarter.
 //
 // The returned Auto delegates every kernel to the chosen format and
 // carries the decision record. BuildAuto lives here rather than in
@@ -145,14 +137,7 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	key := cache.DecisionKey{Fingerprint: m.Fingerprint(), Device: spec.Name, K: k}
 	if dc != nil {
 		if d, ok := dc.Get(key); ok {
-			// The decision's tuning re-applies on the cached path; a
-			// parameter it lacks is measured now and the decision re-put,
-			// once.
-			if f, tuned, err := build(ctx, m, d.Format, nil, k, o, d.Tuned, &choice); err == nil {
-				if enc := encodeTuned(tuned); o.Tune && enc != d.Tuned {
-					d.Tuned = enc
-					dc.Put(key, d)
-				}
+			if f, err := build(m, d.Format); err == nil {
 				choice.Cached = true
 				choice.Probed = d.Probed
 				choice.Shortlist = []string{d.Format}
@@ -207,23 +192,21 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	// builders refuse the concrete matrix (trait estimates are
 	// feature-level; the built structure can still exceed a padding cap).
 	tried := map[string]bool{}
-	var f formats.Format
-	var tuned map[string]string
+	f := prebuilt
 	var err error
 	for _, name := range append(append([]string{pick}, shortlist...), "Naive-CSR") {
-		if tried[name] {
-			continue
-		}
-		tried[name] = true
-		if f, tuned, err = build(ctx, m, name, prebuilt, k, o, "", &choice); err == nil {
+		if f != nil {
 			break
 		}
-		prebuilt = nil // the probe's instance was the pick's
+		if !tried[name] {
+			tried[name] = true
+			f, err = build(m, name)
+		}
 	}
-	if err != nil {
+	if f == nil {
 		return nil, fmt.Errorf("selector: no candidate builds: %w", err)
 	}
-	d := cache.Decision{Format: f.Name(), Probed: choice.Probed, Tuned: encodeTuned(tuned)}
+	d := cache.Decision{Format: f.Name(), Probed: choice.Probed}
 	if choice.Probed && learn {
 		// A measured choice is a sample: it rides on the decision, so the
 		// vote reads it from now on, here and in every process that loads
@@ -236,46 +219,13 @@ func BuildAutoCtx(ctx context.Context, m *matrix.CSR, o AutoOptions) (*formats.A
 	return formats.NewAuto(f, choice), nil
 }
 
-// build constructs the named format for the matrix, once. With o.Tune the
-// tuning is derived from (name, m) first — autotune recalls the parameters
-// in known (a cached decision's Tuned; "" on a fresh selection) and sweeps
-// the rest — and is a build input. It returns the instance and everything
-// autotune recalled or measured, which is what the decision remembers; the
-// choice reports those parameters only once an instance built with them
-// exists. have is an instance of name the probe already built with the
-// zero Tuning, or nil; it is served as is when the derived tuning is the
-// zero one.
-func build(ctx context.Context, m *matrix.CSR, name string, have formats.Format, k int, o AutoOptions, known string, choice *formats.AutoChoice) (formats.Format, map[string]string, error) {
+// build constructs the named format for the matrix.
+func build(m *matrix.CSR, name string) (formats.Format, error) {
 	b, ok := formats.Lookup(name)
 	if !ok {
-		return nil, nil, fmt.Errorf("selector: unknown format %q", name)
+		return nil, fmt.Errorf("selector: unknown format %q", name)
 	}
-	var t formats.Tuning
-	var tuned map[string]string
-	if o.Tune {
-		t, tuned = autotune(ctx, m, name, k, known)
-	}
-	f := have
-	if f == nil || t != (formats.Tuning{}) {
-		var err error
-		if f, err = b.BuildTuned(m, t); err != nil {
-			if t == (formats.Tuning{}) {
-				return nil, nil, err
-			}
-			// The tuned geometry refused the full matrix: the default
-			// build is served and the choice reports nothing as tuned (the
-			// decision still remembers the sweep, so it is not repeated).
-			if have != nil {
-				return have, tuned, nil
-			}
-			f, err = b.Build(m)
-			return f, tuned, err
-		}
-	}
-	if len(tuned) > 0 {
-		choice.Tuned = tuned
-	}
-	return f, tuned, nil
+	return b.Build(m)
 }
 
 // promote moves name to the front of the shortlist, inserting it when the

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -183,6 +184,53 @@ func TestStaleJournalFormatReselects(t *testing.T) {
 	keys, decs := re.Decisions()
 	if len(keys) != 1 || keys[0].Fingerprint != m.Fingerprint() || decs[0].Format != a.Chosen() {
 		t.Errorf("compacted journal holds %+v %+v, want only the new %q decision", keys, decs, a.Chosen())
+	}
+}
+
+// TestTunedJournalLineBuildsDefault: a decision line written by a build
+// that autotuned BCSR's block geometry still serves its key. The "tuned"
+// field is ignored: the cached BCSR decision builds the one 2x2 geometry,
+// bit for bit the fresh build, appends nothing, and a compaction rewrites
+// the line without the field.
+func TestTunedJournalLineBuildsDefault(t *testing.T) {
+	dir := t.TempDir()
+	m := genMatrix(t, 3000, 10, 5, 14)
+	journal := fmt.Sprintf("{\"v\":2,\"kind\":\"header\",\"schema\":2,\"host\":%q}\n"+
+		"{\"v\":2,\"kind\":\"decision\",\"lvl\":%q,\"fp\":%d,\"device\":\"host\",\"k\":1,\"format\":\"BCSR\",\"probed\":true,\"tuned\":\"bcsr.block=4x4 spmm.tile=8\"}\n",
+		cache.HostFingerprint(), cache.EffectiveLevel(), m.Fingerprint())
+	path := filepath.Join(dir, "decisions.jsonl")
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dc, st := journaled(t, dir)
+	a, err := BuildAuto(m, AutoOptions{Cache: dc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := a.Choice(); a.Chosen() != "BCSR" || !c.Cached || !c.Probed {
+		t.Fatalf("chose %q (cached %v, probed %v): want the journaled, probed BCSR decision", a.Chosen(), c.Cached, c.Probed)
+	}
+	b, _ := formats.Lookup("BCSR")
+	fresh, err := b.Build(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := matrix.RandomVector(m.Cols, 15)
+	got, want := make([]float64, m.Rows), make([]float64, m.Rows)
+	a.SpMV(x, got)
+	fresh.SpMV(x, want)
+	if a.Bytes() != fresh.Bytes() || !slices.Equal(got, want) {
+		t.Errorf("cached BCSR (%d bytes) differs from the fresh 2x2 build (%d bytes)", a.Bytes(), fresh.Bytes())
+	}
+	if n := st.Stats().Appended; n != 0 {
+		t.Errorf("serving the cached decision appended %d lines, want 0", n)
+	}
+	if err := dc.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if b, err := os.ReadFile(path); err != nil || strings.Contains(string(b), "tuned") || !strings.Contains(string(b), `"probed":true`) {
+		t.Errorf("compacted journal = %q (%v), want the decision kept without its tuning", b, err)
 	}
 }
 

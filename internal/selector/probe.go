@@ -44,10 +44,10 @@ func ProbeCount() int64 { return probeRuns.Load() }
 // instance is returned for the caller to serve instead of rebuilding it.
 func probe(ctx context.Context, m *matrix.CSR, names []string, k int) (winner string, built formats.Format, ns map[string]float64) {
 	probeRuns.Add(1)
-	var cands []candidate
+	var cands []formats.Builder
 	for _, name := range names {
 		if b, ok := formats.Lookup(name); ok {
-			cands = append(cands, candidate{b: b})
+			cands = append(cands, b)
 		}
 	}
 	res, fs := timeCandidates(ctx, m, cands, k)
@@ -58,32 +58,24 @@ func probe(ctx context.Context, m *matrix.CSR, names []string, k int) (winner st
 	ns = make(map[string]float64, len(res))
 	for j, r := range res {
 		if r.Err == nil {
-			ns[cands[j].b.Name] = r.MinNs
+			ns[cands[j].Name] = r.MinNs
 		}
 	}
 	if fs != nil {
 		built = fs[i]
 	}
-	return cands[i].b.Name, built, ns
+	return cands[i].Name, built, ns
 }
 
-// candidate is one configuration the harness times: a format and the
-// tuning to build it with (the probe passes the zero Tuning, the autotune
-// sweeps one format under several).
-type candidate struct {
-	b formats.Builder
-	t formats.Tuning
-}
-
-// timeCandidates is the one harness behind the probe and the autotune
-// sweeps: every candidate is built on the row-sampled sub-matrix, then one
-// measure.Compare times their k-wide products through Format.Apply — the
-// entry point production calls take — with the machine's parallelism,
-// over the same x and y. A build refusal or a contained kernel fault
-// disqualifies a candidate with its error. It returns one result per
-// candidate, and the built instances when the sub-matrix is m itself; no
-// results when ctx was cancelled: a cancelled sweep is not a measurement.
-func timeCandidates(ctx context.Context, m *matrix.CSR, cands []candidate, k int) ([]measure.Result, []formats.Format) {
+// timeCandidates is the probe's harness: every candidate is built on the
+// row-sampled sub-matrix, then one measure.Compare times their k-wide
+// products through Format.Apply — the entry point production calls take —
+// with the machine's parallelism, over the same x and y. A build refusal
+// or a contained kernel fault disqualifies a candidate with its error. It
+// returns one result per candidate, and the built instances when the
+// sub-matrix is m itself; no results when ctx was cancelled: a cancelled
+// probe is not a measurement.
+func timeCandidates(ctx context.Context, m *matrix.CSR, cands []formats.Builder, k int) ([]measure.Result, []formats.Format) {
 	sub := m.RowSample(DefaultProbeRows)
 	x := matrix.RandomVector(sub.Cols*k, 9001)
 	y := make([]float64, sub.Rows*k)
@@ -91,8 +83,8 @@ func timeCandidates(ctx context.Context, m *matrix.CSR, cands []candidate, k int
 	exec.Prestart() // probes must not time pool construction
 	fns := make([]func() error, len(cands))
 	built := make([]formats.Format, len(cands))
-	for i, c := range cands {
-		f, err := c.b.BuildTuned(sub, c.t)
+	for i, b := range cands {
+		f, err := b.Build(sub)
 		if err != nil {
 			fns[i] = func() error { return err } // disqualified at its first call
 			continue

@@ -12,7 +12,7 @@ import (
 // fresh CSR whose structure — and therefore best format — may differ from
 // the base it replaces. Every decision for the predecessor fingerprint is
 // invalidated first — all (device, k) regimes at once, each with its
-// tuning and sample, in the cache and in the journal behind it; they all
+// sample, in the cache and in the journal behind it; they all
 // measured the dead structure, so they go whether or not this rebuild
 // completes — then BuildAutoCtx selects for the successor matrix under
 // ctx, so a compaction rebuild stops on shutdown. Returns the built choice

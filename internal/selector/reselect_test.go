@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/matrix"
 )
 
 // TestReselectInvalidatesDriftedDecisions: after structure drift,
 // ReselectCtx must drop every cached regime of the predecessor fingerprint
-// — its tuning with it, in memory and in the journal — and cache a fresh
+// — its sample with it, in memory and in the journal — and cache a fresh
 // decision for the successor.
 func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
 	dir := t.TempDir()
@@ -26,11 +27,11 @@ func TestReselectInvalidatesDriftedDecisions(t *testing.T) {
 	if dc.Len() != 2 {
 		t.Fatalf("cache holds %d decisions, want 2 (k=1 and k=8)", dc.Len())
 	}
-	// The k = 1 decision carries a tuning, as an autotuned build leaves it.
+	// The k = 1 decision carries a sample, as a probed build leaves it.
 	oldKey := cache.DecisionKey{
 		Fingerprint: m1.Fingerprint(), Device: a1.Choice().Device, K: 1,
 	}
-	dc.Put(oldKey, cache.Decision{Format: a1.Chosen(), Tuned: "bcsr.block=4x4"})
+	dc.Put(oldKey, cache.Decision{Format: a1.Chosen(), Probed: true, FV: core.Extract(m1)})
 
 	// Drift: densify a band of rows, changing the structural fingerprint.
 	o := m1.ToCOO()

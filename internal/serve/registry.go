@@ -37,10 +37,6 @@ type UploadSpec struct {
 	K int `json:"k,omitempty"`
 	// Probe lets selection micro-probe its shortlist for this matrix.
 	Probe bool `json:"probe,omitempty"`
-	// Tune lets selection autotune structural parameters (BCSR block
-	// geometry, fused SpMM tile width); winners show up in Info.Tuned and
-	// on GET /v1/info.
-	Tune bool `json:"tune,omitempty"`
 }
 
 // Hosted is one matrix the registry serves, addressed by the structural
@@ -88,10 +84,6 @@ type Info struct {
 	Updatable   bool           `json:"updatable"`
 	Created     time.Time      `json:"created"`
 	Batching    CoalescerStats `json:"batching"`
-	// Tuned reports the autotuned structural parameters of the build
-	// (e.g. "bcsr.block" -> "4x4"); empty when tuning was off or nothing
-	// applied to the chosen format.
-	Tuned map[string]string `json:"tuned,omitempty"`
 }
 
 // Info snapshots the hosted matrix's wire description.
@@ -111,9 +103,6 @@ func (h *Hosted) Info() Info {
 		st := h.upd.Stats()
 		info.Format = st.BaseFormat // compaction re-selects; report live
 		info.NNZ = h.upd.NNZ()
-	}
-	if a, ok := h.surface.(*formats.Auto); ok {
-		info.Tuned = a.Choice().Tuned
 	}
 	return info
 }
@@ -273,7 +262,7 @@ func (r *Registry) host(ctx context.Context, spec UploadSpec, m *matrix.CSR, fp,
 		h.surface = u
 		h.chosenAt = u.Stats().BaseFormat
 	} else {
-		a, err := r.sess.AutoCtx(ctx, m, selector.AutoOptions{K: spec.K, Probe: spec.Probe, Tune: spec.Tune})
+		a, err := r.sess.AutoCtx(ctx, m, selector.AutoOptions{K: spec.K, Probe: spec.Probe})
 		if err != nil {
 			return nil, err
 		}

@@ -418,19 +418,10 @@ func applyCells(h *Hosted, ops []CellOp) (int, error) {
 	return applied, nil
 }
 
-// MatrixTuning is one hosted matrix's autotuned parameters as reported
-// by GET /v1/info; only tuned matrices appear.
-type MatrixTuning struct {
-	Fingerprint string            `json:"fingerprint"`
-	Format      string            `json:"format"`
-	Params      map[string]string `json:"params,omitempty"`
-}
-
 // InfoResponse is GET /v1/info: the SIMD dispatch report — which
-// instruction-set tier serves each kernel on this host and under what cap
-// — plus the autotuned structural parameters of the hosted matrices. It
-// is the record that makes the daemon's numbers attributable to the host
-// ISA.
+// instruction-set tier serves each kernel on this host and under what cap.
+// It is the record that makes the daemon's numbers attributable to the
+// host ISA.
 type InfoResponse struct {
 	Level    string            `json:"level"`    // dispatched tier (cap applied)
 	Detected string            `json:"detected"` // hardware tier, ignoring the cap
@@ -438,7 +429,6 @@ type InfoResponse struct {
 	Enabled  bool              `json:"enabled"`
 	Features []string          `json:"features,omitempty"`
 	Kernels  []simd.KernelInfo `json:"kernels"`
-	Tuned    []MatrixTuning    `json:"tuned,omitempty"`
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -449,16 +439,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Enabled:  simd.Enabled(),
 		Features: simd.Features(),
 		Kernels:  simd.Table(),
-	}
-	for _, in := range s.reg.List() {
-		if len(in.Tuned) == 0 {
-			continue
-		}
-		resp.Tuned = append(resp.Tuned, MatrixTuning{
-			Fingerprint: in.Fingerprint,
-			Format:      in.Format,
-			Params:      in.Tuned,
-		})
 	}
 	writeEnvelope(w, resp, nil)
 }

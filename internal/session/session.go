@@ -4,8 +4,8 @@
 // holds one cache and hands it to every build it runs; internal/selector
 // and internal/cache keep no package-level state of their own.
 //
-// Two sessions share nothing: decisions — their tunings and samples with
-// them — made under one are invisible to every other, in memory and on
+// Two sessions share nothing: decisions — and the samples they carry —
+// made under one are invisible to every other, in memory and on
 // disk, so concurrent hosts (one server registry per journal, tests,
 // multi-tenant embedders) never fight over a journal.
 //
@@ -54,8 +54,8 @@ type Session struct {
 
 // New opens a session. With a CacheDir, the journal is opened (creating
 // the directory as needed) and its decisions load into the session's
-// cache: prior decisions resolve with zero probes and zero tune sweeps
-// after a restart, and the samples they carry vote.
+// cache: prior decisions resolve with zero probes after a restart, and the
+// samples they carry vote.
 func New(o Options) (*Session, error) {
 	s := &Session{opts: o, cache: cache.NewDecisionCache()}
 	if o.CacheDir != "" {

@@ -161,18 +161,18 @@ func TestPersistReinvokeNoDuplicates(t *testing.T) {
 }
 
 // TestNoCacheTuneRecordsNothing: NoCache means nothing is looked up or
-// recorded, tunes included — a NoCache, Tune build on a journaled session
-// leaves the cache empty and the journal untouched, so the next one
-// observes the full pipeline again.
+// recorded, probed decisions included — a NoCache, probing build on a
+// journaled session leaves the cache empty and the journal untouched, so
+// the next one observes the full pipeline again.
 func TestNoCacheTuneRecordsNothing(t *testing.T) {
 	s, err := New(Options{CacheDir: t.TempDir(), K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	m := matrix.Random(4000, 4000, 0.003, 5) // above the sweeps' timing floor
+	m := matrix.Random(4000, 4000, 0.003, 5) // above the probe's timing floor
 	for i := 0; i < 2; i++ {
-		if _, err := s.Auto(m, selector.AutoOptions{NoCache: true, Tune: true}); err != nil {
+		if _, err := s.Auto(m, selector.AutoOptions{NoCache: true, Probe: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

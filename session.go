@@ -2,10 +2,9 @@ package spmv
 
 import "repro/internal/session"
 
-// Session is the one owner of selection state: its own decision cache
-// (a decision carries its tuning and the sample the k-NN vote reads) and
-// the journal behind it, plus a default (k, probe) context for Auto
-// builds. Two sessions share
+// Session is the one owner of selection state: its own decision cache (a
+// decision carries the sample the k-NN vote reads) and the journal behind
+// it, plus a default (k, probe) context for Auto builds. Two sessions share
 // nothing, so concurrent hosts — one server registry per journal,
 // multi-tenant embedders, tests — never fight over a journal.
 //
@@ -23,8 +22,8 @@ type SessionOptions = session.Options
 
 // NewSession opens an isolated selection session. With CacheDir set, the
 // session's journal opens there directly (creating the directory as
-// needed) and loads: prior decisions resolve with zero probes and zero
-// tune sweeps, and the samples they carry vote. An empty CacheDir
+// needed) and loads: prior decisions resolve with zero probes, and the
+// samples they carry vote. An empty CacheDir
 // gives a memory-only session. Close releases the journal handle.
 func NewSession(o SessionOptions) (*Session, error) { return session.New(o) }
 

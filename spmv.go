@@ -222,8 +222,8 @@ func SIMDDispatch() map[string]string {
 // execution engine, and the winner is built. Decisions are cached by
 // (matrix fingerprint, device, k), so rebuilding the same matrix
 // under the same context is instant — and with persistence on (SetCacheDir
-// or SPMV_CACHE_DIR) decisions, with their tuning and probe samples,
-// survive restarts.
+// or SPMV_CACHE_DIR) decisions, with their probe samples, survive
+// restarts.
 //
 //	f, err := spmv.Auto(m, spmv.AutoOptions{K: 8, Probe: true})
 //	// f.Chosen() names the picked format; f is a regular Format.
@@ -240,10 +240,10 @@ func AutoCtx(ctx context.Context, m *Matrix, o AutoOptions) (*AutoFormat, error)
 }
 
 // SetCacheDir turns on the default session's persistence layer: its
-// decisions (each with its tuning and probe sample) journal through an
+// decisions (each with its probe sample) journal through an
 // append-only JSONL file in dir and load from it immediately, so a
 // restarted process re-resolves every previously-seen (matrix, device, k)
-// context without ranking, probing or tuning. An empty dir resolves the
+// context without ranking or probing. An empty dir resolves the
 // default location — the SPMV_CACHE_DIR environment variable, then
 // <user cache dir>/go-spmv. Setting SPMV_CACHE_DIR alone enables the same
 // behavior with zero code changes; without either, nothing touches disk.
