@@ -25,11 +25,6 @@ type BCSR struct {
 	val        []float64 // 4 per block, row-major
 }
 
-// MaxBCSRFillRatio bounds the zero fill the device model's feasibility
-// estimate accepts for BCSR. A 2x2 block holds at least one entry, so a
-// built instance's fill never exceeds 4 and construction refuses nothing.
-const MaxBCSRFillRatio = 8.0
-
 // newBCSR builds blocked CSR with 2x2 blocks.
 func newBCSR(m *matrix.CSR) *BCSR {
 	const br, bc = 2, 2

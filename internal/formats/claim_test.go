@@ -21,18 +21,21 @@ import (
 // schedule is forced and the verdict is exact, and on every registry format
 // with one pool lane held back by the exec.worker failpoint.
 
-// probeUnits x probeCost is 32 chunks at k = 1, 64 units each.
+// probeUnits x probeCost is 32 chunks at k = 1, 64 units each; at
+// subGrainCost the whole call is half of one cancelGrain.
 const (
-	probeCost  = 4096
-	probeChunk = cancelGrain / probeCost
-	probeUnits = 32 * probeChunk
+	probeCost    = 4096
+	probeChunk   = cancelGrain / probeCost
+	probeUnits   = 32 * probeChunk
+	subGrainCost = cancelGrain / 2 / probeUnits
 )
 
-// probe is a range kernel over probeUnits equal-cost units, one output row
-// each. It counts the apply calls that covered each unit and runs the
+// probe is a range kernel over probeUnits units of equal cost, one output
+// row each. It counts the apply calls that covered each unit and runs the
 // test's hook inside every call.
 type probe struct {
 	driver
+	cost  int64 // cum units per unit
 	seen  [probeUnits]atomic.Int32
 	calls atomic.Int32
 	done  atomic.Int32     // units whose apply has returned
@@ -43,8 +46,10 @@ type probe struct {
 // declared fused like any format would be: by name.
 func init() { fusedMulti["probe"] = true }
 
-func newProbe() *probe {
-	p := new(probe)
+func newProbe() *probe { return newProbeOf(probeCost) }
+
+func newProbeOf(cost int64) *probe {
+	p := &probe{cost: cost}
 	p.bind(p)
 	return p
 }
@@ -56,7 +61,7 @@ func (p *probe) NNZ() int64      { return probeUnits }
 func (p *probe) Bytes() int64    { return 0 }
 func (p *probe) Traits() Traits  { return Traits{} }
 func (p *probe) units() int      { return probeUnits }
-func (p *probe) cum(i int) int64 { return int64(i) * probeCost }
+func (p *probe) cum(i int) int64 { return int64(i) * p.cost }
 
 func (p *probe) plan(key exec.PlanKey, _ int) *exec.Plan {
 	return &exec.Plan{Ranges: sched.EvenRows(probeUnits, key.Workers)}
@@ -95,12 +100,22 @@ func (p *probe) ranges(workers int) []sched.Range {
 	return p.plan(exec.PlanKey{Workers: workers}, 1).Ranges
 }
 
+// chunk is how many units one claim of a workers-wide call at k covers:
+// ctxGrain(k) for a serial call, the call-scaled grain for a parallel one.
+func (p *probe) chunk(k, workers int) int {
+	g := ctxGrain(k)
+	if workers > 1 {
+		g = p.grain(k, len(p.ranges(workers)))
+	}
+	return int((g + p.cost - 1) / p.cost)
+}
+
 // checkOnce fails unless the last call, workers wide, covered every unit in
 // exactly one apply, wrote every y slot, and cut each range into chunks of
-// the grain at k.
+// the call's grain at k.
 func (p *probe) checkOnce(t *testing.T, label string, y, x []float64, k, workers int) {
 	t.Helper()
-	chunk := int((ctxGrain(k) + probeCost - 1) / probeCost)
+	chunk := p.chunk(k, workers)
 	want := 0
 	for _, r := range p.ranges(workers) {
 		want += (r.Rows() + chunk - 1) / chunk
@@ -164,6 +179,90 @@ func TestClaimLoopFinishesAStalledLanesRange(t *testing.T) {
 			}
 			p.checkOnce(t, "stalled lane", y, x, k, workers)
 		}
+	}
+}
+
+// TestSubGrainCallIsCutPerLane: a two-lane call on half a cancelGrain of
+// work is cut into chunksPerLane chunks a lane, not one claim a range that
+// only its owner could run. Whichever lane claims the first chunk of range
+// 1 is held inside it until every other unit of the call is done, so the
+// rest of that range can only have been finished by the other lane, and
+// every unit once.
+func TestSubGrainCallIsCutPerLane(t *testing.T) {
+	defer exec.SetMaxWorkers(exec.SetMaxWorkers(2))
+	p := newProbeOf(subGrainCost)
+	if work := p.cum(probeUnits); work >= cancelGrain {
+		t.Fatalf("%d work items are not under one cancelGrain", work)
+	}
+	r1 := p.ranges(2)[1]
+	var timedOut atomic.Bool
+	var stalled atomic.Int32 // units in the held chunk
+	p.reset(func(lo, hi int) {
+		if lo != r1.RowLo {
+			return
+		}
+		stalled.Store(int32(hi - lo))
+		if !await(func() bool { return int(p.done.Load()) == probeUnits-(hi-lo) }) {
+			timedOut.Store(true)
+		}
+	})
+	x := []float64{2}
+	y := nanFilled(probeUnits)
+	if err := p.Apply(context.Background(), y, x, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if timedOut.Load() {
+		t.Fatal("nobody finished the held lane's range")
+	}
+	if n := int(stalled.Load()); n <= 0 || n >= r1.Rows() {
+		t.Fatalf("the held chunk covers %d of range 1's %d units; want a proper part", n, r1.Rows())
+	}
+	if got := p.calls.Load(); got != 2*chunksPerLane {
+		t.Errorf("%d apply calls, want %d chunks per lane", got, chunksPerLane)
+	}
+	p.checkOnce(t, "sub-grain", y, x, 1, 2)
+}
+
+// TestCancelInsideASubGrainCall: a two-lane call under one cancelGrain is
+// cancelled once both lanes are inside their first chunks; the hook holds
+// the first lane in until the second arrives, and the second until the
+// cancellation. Both then stop at their next poll: two chunks applied, the
+// rest never (were each range one chunk, those two would be the whole call).
+func TestCancelInsideASubGrainCall(t *testing.T) {
+	defer exec.SetMaxWorkers(exec.SetMaxWorkers(2))
+	p := newProbeOf(subGrainCost)
+	ctx, cancel := context.WithCancel(context.Background())
+	var entered atomic.Int32
+	var timedOut atomic.Bool
+	p.reset(func(int, int) {
+		if entered.Add(1) > 1 {
+			await(func() bool { return ctx.Err() != nil })
+			return
+		}
+		timedOut.Store(!await(func() bool { return entered.Load() > 1 }))
+		cancel()
+	})
+	if err := p.Apply(ctx, nanFilled(probeUnits), []float64{1}, 1, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Apply cancelled in its first chunks = %v, want context.Canceled", err)
+	}
+	if timedOut.Load() {
+		t.Fatal("the second lane never entered a chunk")
+	}
+	if got := p.calls.Load(); got != 2 {
+		t.Errorf("%d of %d chunks applied, want the two the lanes were in", got, 2*chunksPerLane)
+	}
+	skipped := 0
+	for u := range p.seen {
+		switch p.seen[u].Load() {
+		case 0:
+			skipped++
+		case 1:
+		default:
+			t.Fatalf("unit %d computed more than once", u)
+		}
+	}
+	if skipped == 0 {
+		t.Error("every unit was computed: the cancellation skipped no chunk")
 	}
 }
 

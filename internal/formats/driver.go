@@ -191,7 +191,7 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 		if carried {
 			d.kern.apply(y, x, k, 0, d.n)
 		} else {
-			d.claim([]cursor{{hi: d.n}}, 0, ctl, y, x, k) // a serial call is one lane, from unit 0
+			d.claim([]cursor{{hi: d.n}}, 0, ctxGrain(k), ctl, y, x, k) // a serial call is one lane, from unit 0
 		}
 		if ctl.Cancelled() {
 			return ctl.Err()
@@ -227,6 +227,7 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 	if carried {
 		fr.c = d.carry.begin(pl, y, k, private)
 	} else {
+		fr.grain = d.grain(k, len(pl.Ranges))
 		for w, r := range pl.Ranges {
 			fr.cur[w].next.Store(int64(r.RowLo))
 			fr.cur[w].hi = r.RowHi
@@ -252,6 +253,7 @@ type frame struct {
 	ctl     *exec.Ctl
 	y, x    []float64
 	k       int
+	grain   int64 // what the lanes claim by, for range kernels
 	carried bool
 	c       any // the carrier's lane scratch for this call
 }
@@ -277,41 +279,48 @@ func (fr *frame) run(w int) {
 		fr.d.carry.lane(fr.c, fr.pl, w, fr.y, fr.x, fr.k)
 		return
 	}
-	fr.d.claim(fr.cur, w, fr.ctl, fr.y, fr.x, fr.k)
+	fr.d.claim(fr.cur, w, fr.grain, fr.ctl, fr.y, fr.x, fr.k)
 }
 
 // cancelGrain is the approximate number of work items (nonzeros / padded
-// slots, times the RHS count k) in one claimed chunk. A chunk is both the
-// interval between a lane's cancellation polls and the unit lanes take
-// from each other, so the one grain bounds the cancellation latency and
-// the tail imbalance alike: at most one chunk per lane. Measured on the
-// 420 000-row, 20-nnz/row skewed tier (2-vCPU AVX-512 guest) a chunk takes
-// 0.47 ms where rows are long and 0.85 ms where they are short (0.55 and
-// 0.31 items/ns; longer still in a 2.6-nnz/row tail); the claim itself —
-// two atomic operations and a binary search over cum — is noise beside it.
+// slots, times the RHS count k) in one claimed chunk of a serial call or a
+// large parallel one. A chunk is both the interval between a lane's
+// cancellation polls and the unit lanes take from each other, so the one
+// grain bounds the cancellation latency and the tail imbalance alike: at
+// most one chunk per lane. Measured on the 420 000-row, 20-nnz/row skewed
+// tier (2-vCPU AVX-512 guest) a chunk takes 0.47 ms where rows are long and
+// 0.85 ms where they are short (0.55 and 0.31 items/ns; longer still in a
+// 2.6-nnz/row tail); the claim itself — two atomic operations and a binary
+// search over cum — is noise beside it.
 const cancelGrain = 1 << 18
+
+// chunksPerLane is the fewest chunks a parallel call's lanes are cut into,
+// however small the call, since a one-chunk range cannot be shared: on an
+// 8 000-row skewed matrix MKL-IE's nonzero-balanced halves take 21–26 and
+// 43–51 µs. 4, 8 and 16 were measured (docs/BENCHMARKS.md).
+const chunksPerLane = 8
 
 // ctxGrain scales the chunk to the RHS count: a fused k-wide kernel does
 // k times the work per matrix item, so the chunk shrinks to keep its
 // wall-clock length flat. The floor keeps degenerate k from turning the
 // claim loop itself into overhead.
-func ctxGrain(k int) int64 {
-	g := int64(cancelGrain) / int64(k)
-	if g < exec.MinGrain {
-		g = exec.MinGrain
-	}
-	return g
+func ctxGrain(k int) int64 { return max(cancelGrain/int64(k), exec.MinGrain) }
+
+// grain is the chunk a lanes-wide dispatch claims by at RHS count k: the
+// work cut lanes·chunksPerLane ways, within [exec.MinGrain, ctxGrain(k)].
+func (d *driver) grain(k, lanes int) int64 {
+	n := int64(lanes * chunksPerLane)
+	return min(max((d.work+n-1)/n, exec.MinGrain), ctxGrain(k))
 }
 
 // claim is lane w of a range dispatch, and the whole of a serial one. The
-// lane takes chunks of about ctxGrain(k) work items off the front of its
-// own range, then — a lane's time is not its work: rows cost more than cum
+// lane takes chunks of about grain work items off the front of its own
+// range, then — a lane's time is not its work: rows cost more than cum
 // prices them at, and a CPU may be taken away — off the front of every
 // other lane's, in ring order, polling ctl before each claim. Each unit is
 // claimed once, by CAS, whoever computes it; a lane that finds every range
 // drained returns at once.
-func (d *driver) claim(cur []cursor, w int, ctl *exec.Ctl, y, x []float64, k int) {
-	grain := ctxGrain(k)
+func (d *driver) claim(cur []cursor, w int, grain int64, ctl *exec.Ctl, y, x []float64, k int) {
 	for i := 0; i < len(cur) && !ctl.Cancelled(); {
 		c := &cur[(w+i)%len(cur)]
 		lo, hi := int(c.next.Load()), c.hi

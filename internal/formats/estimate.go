@@ -142,16 +142,12 @@ func sellPadding(skew float64, rows int) float64 {
 }
 
 // EstimateFeasible reports whether a format can be built at all for the
-// given features: the dense-slab formats refuse structurally hostile
-// matrices instead of exploding.
+// given features: ELL refuses structurally hostile matrices instead of
+// exploding. (BCSR's 2x2 blocks bound its fill at 4 and refuse nothing.)
 func EstimateFeasible(name string, fv core.FeatureVector) bool {
-	t := EstimateTraits(name, fv)
-	switch name {
-	case "ELL":
-		padded := float64(fv.NNZ) * (1 + t.PaddingRatio)
-		return padded <= MaxELLPaddedEntries
-	case "BCSR":
-		return t.PaddingRatio+1 <= MaxBCSRFillRatio
+	if name != "ELL" {
+		return true
 	}
-	return true
+	padded := float64(fv.NNZ) * (1 + EstimateTraits(name, fv).PaddingRatio)
+	return padded <= MaxELLPaddedEntries
 }

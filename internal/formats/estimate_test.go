@@ -77,10 +77,10 @@ func TestEstimateFeasible(t *testing.T) {
 	if EstimateFeasible("ELL", hostileELL) {
 		t.Error("ELL should be infeasible under extreme skew at scale")
 	}
-	// CSR always builds, and the names priced without a host kernel (the
-	// FPGA's VSL, DIA) stay feasible, so the testbeds that price them keep
-	// their predictions.
-	for _, name := range []string{"Naive-CSR", "VSL", "DIA"} {
+	// CSR and 2x2 BCSR always build, and the names priced without a host
+	// kernel (the FPGA's VSL, DIA) stay feasible, so the testbeds that
+	// price them keep their predictions.
+	for _, name := range []string{"Naive-CSR", "BCSR", "VSL", "DIA"} {
 		if !EstimateFeasible(name, hostileELL) {
 			t.Errorf("%s should be feasible", name)
 		}
