@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/big"
 	"math/bits"
 )
 
@@ -34,10 +35,10 @@ const maxMantDigits = 19
 // many bytes it consumed; on a grammar error, the offset of the offending
 // byte (0 when b does not start a number).
 func Scan(b []byte) (v Number, n int, err error) {
+	v.Neg = len(b) > 0 && b[0] == '-'
 	i := 0
-	if i < len(b) && b[i] == '-' {
-		v.Neg = true
-		i++
+	if v.Neg { // a conditional move, not a branch
+		i = 1
 	}
 	nd := 0 // significant digits in Mant; leading zeros are not
 	switch {
@@ -128,80 +129,70 @@ func eightDigits(b []byte, i int, mant uint64, nd int) (uint64, int, int) {
 	return mant, nd, i
 }
 
-// Exact powers of ten: every 10^k with k ≤ 22 is a float64 (5^22 < 2^53),
-// and every 10^k with k ≤ 19 a uint64.
-var (
-	pow10f = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-	pow10u = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
-)
+// pow10[e-minPow10] is 10^e's 128-bit mantissa, rounded down with its top
+// bit set, high word first, for every exponent a literal of up to 19
+// digits has when its value lies in about [1e-45, 1e45]; others go to
+// strconv. It is built at init from exact powers of five: 10^e is 5^e·2^e,
+// and only the exponent sees the 2^e.
+const minPow10, maxPow10 = -64, 45
 
-// Float converts v to the float64 nearest its value, ties to even — the
-// result strconv.ParseFloat gives — by the first of two exact paths that
-// applies, and reports false when neither does.
-//
-// (i) Clinger (PLDI 1990): a mantissa of at most 2^53 and a power of ten of
-// at most 10^22 are both exact doubles, so one correctly rounded multiply
-// or divide is the correctly rounded value.
-//
-// (ii) Long division: any other mantissa over 10^q, q ≤ 19, is one exact
-// 128-by-64-bit division (quotient) rounded once.
+var pow10 = func() (t [maxPow10 - minPow10 + 1][2]uint64) {
+	var buf [16]byte
+	for e := minPow10; e <= maxPow10; e++ {
+		p := new(big.Int).Exp(big.NewInt(5), big.NewInt(int64(max(e, -e))), nil)
+		if e < 0 { // 2^(127+len)/5^-e lies strictly between 2^127 and 2^128
+			p.Quo(new(big.Int).Lsh(big.NewInt(1), uint(p.BitLen()+127)), p)
+		}
+		p.Lsh(p, 128).Rsh(p, uint(p.BitLen()-128)).FillBytes(buf[:]) // top 128 bits, rounded down
+		t[e-minPow10] = [2]uint64{binary.BigEndian.Uint64(buf[:8]), binary.BigEndian.Uint64(buf[8:])}
+	}
+	return t
+}()
+
+// Float converts v to the float64 nearest its value, ties to even (what
+// strconv.ParseFloat gives), by Eisel–Lemire (Lemire, 2021), and reports
+// false where that cannot prove it: a Hard literal, an exponent outside
+// pow10, a subnormal or infinite result, or a product too near a rounding
+// boundary. The mantissa at a set top bit times 10^e's high word gives the
+// double's 53 bits and a rounding bit unless the bits below could carry
+// into them; then the low word settles it, or strconv does.
 func (v Number) Float() (float64, bool) {
-	var f float64
-	switch {
-	case v.Hard:
-		return 0, false
-	case v.Mant <= 1<<53 && -len(pow10f) < v.Exp && v.Exp < len(pow10f):
-		f = float64(v.Mant)
-		if v.Exp < 0 {
-			f /= pow10f[-v.Exp]
-		} else {
-			f *= pow10f[v.Exp]
-		}
-	case -len(pow10u) < v.Exp && v.Exp < 0: // so v.Mant > 2^53
-		f = quotient(v.Mant, pow10u[-v.Exp])
-	default:
+	if v.Hard || v.Exp < minPow10 || v.Exp > maxPow10 {
 		return 0, false
 	}
+	sign := uint64(0)
 	if v.Neg {
-		f = -f
+		sign = 1 << 63
 	}
-	return f, true
-}
-
-// quotient returns m/p rounded to nearest, ties to even, for m > 0 and p a
-// power of ten in [10, 10^19]; m/p lies in [10^-19, 2^64/10], far from
-// subnormals and overflow. With both operands shifted to a set top bit, the
-// 128-bit dividend m·2^64 (or m·2^63 when m ≥ p) gives a 64-bit quotient q
-// with its top bit set and a remainder r, and m/p = (q + r/p)·2^e exactly.
-// The float keeps q's top 53 bits; the 11 below, and r as a sticky bit,
-// round them.
-func quotient(m, p uint64) float64 {
-	s := bits.LeadingZeros64(p)
-	z := bits.LeadingZeros64(m)
-	p, m = p<<s, m<<z
-	e := s - z - 64
-	hi, lo := m, uint64(0)
-	if m >= p { // keep hi < p, the divide's precondition
-		hi, lo = m>>1, m<<63
-		e++
+	if v.Mant == 0 {
+		return math.Float64frombits(sign), true
 	}
-	q, r := bits.Div64(hi, lo, p)
-	const drop = 64 - 53
-	low := q & (1<<drop - 1)
-	q >>= drop
-	e += drop
-	if low > 1<<(drop-1) || low == 1<<(drop-1) && (r != 0 || q&1 != 0) {
-		q++
-		if q == 1<<53 {
-			q >>= 1
-			e++
+	z := bits.LeadingZeros64(v.Mant)
+	m, p := v.Mant<<z, &pow10[v.Exp-minPow10]
+	hi, lo := bits.Mul64(m, p[0])
+	if hi&0x1ff == 0x1ff && lo+m < m { // the rounding bits are all ones and may carry
+		yhi, ylo := bits.Mul64(m, p[1])
+		var c uint64
+		lo, c = bits.Add64(lo, yhi, 0)
+		hi += c
+		if hi&0x1ff == 0x1ff && lo+1 == 0 && ylo+m < m {
+			return 0, false
 		}
 	}
-	// q·2^e with q in [2^52, 2^53): biased exponent e+52+1023, implicit
-	// leading bit dropped.
-	return math.Float64frombits(uint64(e+52+1023)<<52 | q&(1<<52-1))
+	// 217706/2^16 ≈ log2 10; the product's top bit places it in the binade.
+	top := hi >> 63
+	mant := hi >> (top + 9)
+	exp := uint64(217706*v.Exp>>16+64+1023) - uint64(z) - (1 ^ top)
+	if lo == 0 && hi&0x1ff == 0 && mant&3 == 1 { // on a tie the truncation may hide
+		return 0, false
+	}
+	mant = (mant + mant&1) >> 1 // round the 54th bit off, ties up: the tie was excluded
+	carry := mant >> 53         // the rounding carried into a 54th bit
+	mant, exp = mant>>carry, exp+carry
+	if exp-1 >= 0x7ff-1 { // subnormal or infinite: strconv's case
+		return 0, false
+	}
+	return math.Float64frombits(sign | exp<<52 | mant&(1<<52-1)), true
 }
 
 // IsDigit reports whether c is an ASCII decimal digit.

@@ -490,9 +490,6 @@ var pow5 = func() (t [23]uint64) {
 	return t
 }()
 
-// digitPairs holds "00" to "99", two digits per lookup.
-const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
-
 // appendShortest appends v, 1e-6 <= |v| < 2^53, as
 // strconv.AppendFloat(dst, v, 'f', -1, 64) does: the fewest digits that
 // read back as v and, of those, the closest to v, ties to even. Scaled by
@@ -500,10 +497,9 @@ const digitPairs = "000102030405060708091011121314151617181920212223242526272829
 // rounding interval is (c ± 1)·5^q / 2^s with 5^q < 2^52 and s < 64: one
 // 64x64-bit product holds its bounds exactly, so nothing is approximated.
 func appendShortest(dst []byte, v float64) []byte {
-	if v < 0 {
-		dst = append(dst, '-')
-	}
 	b := math.Float64bits(v)
+	n := len(dst)
+	dst = append(dst, '-')[:n+int(b>>63)] // kept only for a set sign bit
 	mant, exp := b&(1<<52-1)|1<<52, int(b>>52&0x7ff)-1075
 	if bits.TrailingZeros64(mant) >= -exp { // an integer prints as one
 		return appendDecimal(dst, mant>>-exp, 0)
@@ -532,12 +528,12 @@ func appendShortest(dst []byte, v float64) []byte {
 		lo, hi, d = (lo+9)/10, hi/10, d/10
 		k++
 	}
-	// Twice the dropped remainder: its integer part and fraction bits.
+	// Twice the dropped remainder (integer part, fraction bits); round up
+	// when 2·twice + (a fraction bit or odd d) > 2·10^k: the borrow below.
 	pk := pow5[k] << k
 	twice, tail := 2*(mid-d*pk)+(cl&mask)>>(s-1), cl&(mask>>1)
-	if twice > pk || twice == pk && (tail != 0 || d&1 == 1) {
-		d++
-	}
+	_, up := bits.Sub64(2*pk, 2*twice|(tail|-tail)>>63|d&1, 0)
+	d += up
 	return appendDecimal(dst, min(max(d, lo), hi), q-k)
 }
 
@@ -548,14 +544,19 @@ func appendDecimal(dst []byte, d uint64, frac int) []byte {
 	if d >= pow5[nd]<<nd {
 		nd++
 	}
-	if frac >= nd { // 0.000ddd, at most five zeros at or above 1e-6
-		dst = append(dst, "0.00000"[:2+frac-nd]...)
-	}
-	n, sep := len(dst), 0 // sep is 1 when the point falls among the digits
-	if 0 < frac && frac < nd {
+	// "0.000000" is stored whole and kept as far as 0.000ddd needs (at most
+	// five zeros at or above 1e-6); sep is 1 when the point falls among the
+	// digits.
+	n, zeros, sep := len(dst), 0, 0
+	if frac >= nd {
+		zeros = 2 + frac - nd
+	} else if frac > 0 {
 		sep = 1
 	}
-	dst = slices.Grow(dst, nd+sep)[:n+nd+sep]
+	dst = slices.Grow(dst, 16+nd)
+	binary.LittleEndian.PutUint64(dst[n:n+8], 0x3030303030302e30)
+	n += zeros
+	dst = dst[:n+nd+sep] // and 8 bytes of room past it for putDigits
 	putDigits(dst[n+sep:], d)
 	if sep == 1 { // ddd.ddd: the integer digits move left past the point
 		point := n + nd - frac
@@ -565,28 +566,34 @@ func appendDecimal(dst []byte, d uint64, frac int) []byte {
 	return dst
 }
 
-// putDigits fills b with d's last len(b) digits, eight at a time as two
-// independent halves of two pairs each.
+// putDigits fills b with d's last len(b) ≤ 20 digits, eight to a word: the
+// leading one to eight are stored whole, up to seven bytes past len(b)
+// (cap(b) must hold them), and the next groups' stores overwrite those.
 func putDigits(b []byte, d uint64) {
-	i := len(b)
-	for ; i >= 8; i -= 8 {
-		r := uint32(d % 1e8)
+	k, g := len(b), 0
+	var rest [2]uint64
+	for ; k > 8; k -= 8 {
+		rest[g] = digits8(d % 1e8)
 		d /= 1e8
-		hi, lo := r/1e4, r%1e4
-		put2(b[i-8:], hi/100)
-		put2(b[i-6:], hi%100)
-		put2(b[i-4:], lo/100)
-		put2(b[i-2:], lo%100)
+		g++
 	}
-	for ; i >= 2; i -= 2 {
-		put2(b[i-2:], uint32(d%100))
-		d /= 100
-	}
-	if i == 1 {
-		b[0] = byte('0' + d)
+	binary.LittleEndian.PutUint64(b[:8], digits8(d)>>((64-8*k)&63))
+	for ; g > 0; g-- {
+		binary.LittleEndian.PutUint64(b[k:], rest[g-1])
+		k += 8
 	}
 }
 
-func put2(b []byte, r uint32) {
-	b[0], b[1] = digitPairs[2*r], digitPairs[2*r+1]
+// digits8 returns d < 10^8 as eight ASCII digits in one little-endian word,
+// the most significant in the lowest byte: halves of d, their halves and
+// theirs go to ever narrower lanes, each split by a multiply-and-shift for
+// the divide (x·5243>>19 is x/100 below 43 699, x·103>>10 is x/10 below
+// 179) and a mask dropping what the shift brought in from the lane above.
+func digits8(d uint64) uint64 {
+	x := d/1e4 | d%1e4<<32 // two 4-digit lanes of 32 bits
+	q := x * 5243 >> 19 & 0x0000007f0000007f
+	x = q | (x-100*q)<<16 // four 2-digit lanes of 16 bits
+	q = x * 103 >> 10 & 0x000f000f000f000f
+	x = q | (x-10*q)<<8 // eight digits, one a byte
+	return x | 0x3030303030303030
 }

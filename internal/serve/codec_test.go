@@ -41,8 +41,9 @@ func decodeSeeds() []string {
 		"1e-999", "-0", "0", "-", "1e", "1e+", "1E-7", "0.1e+2", "00", "-01", "1.e3", "5e-324",
 		"1.7976931348623157e308", "1.7976931348623159e308", "123456789012345678901234567890",
 		"0.000000000000000000000000000001", "1,", "0e0", "-0.0",
-		// One literal per conversion path: Clinger, long division, strconv.
-		"0.1", "-2.5e-22", "9007199254740992e22", "0.12345678901234567", "-123456.78901234567",
+		// Mantissas either side of 2^53, exponents either side of the
+		// conversion's table, and literals strconv must take.
+		"0.1", "-2.5e-22", "1e-64", "1e-65", "1e45", "-1e46", "9007199254740992e22", "0.12345678901234567", "-123456.78901234567",
 		"0.9999999999999999999", "9007199254740993", "1e23", "0.99999999999999999999",
 		"1.2345678901234567e-5", "2.2250738585072011e-308", "0.30000000000000004e0",
 	} {
@@ -186,8 +187,9 @@ func addOne(d string) string {
 	return "1" + string(b)
 }
 
-// differentialLiterals returns number literals around each of the decoder's
-// three conversion paths, in plain and exponent notation, both signs.
+// differentialLiterals returns number literals around the edges of the
+// decoder's conversion and of its strconv fallback, in plain and exponent
+// notation, both signs.
 func differentialLiterals(n int) []string {
 	rng := rand.New(rand.NewSource(31))
 	var lits []string
@@ -215,13 +217,27 @@ func differentialLiterals(n int) []string {
 			add(d, point)
 		}
 	}
+	// 16- to 20-digit mantissas just below, at and just above 2^53·10^j,
+	// and below and above 10^19 scaled to the same lengths, at every
+	// exponent from -1 to -22: where a mantissa stops fitting a double and
+	// then a uint64, and where Scan's second eight-digit word ends.
+	for l := 16; l <= 20; l++ {
+		zeros := strings.Repeat("0", l-16)
+		at := "9007199254740992" + zeros
+		for _, d := range []string{"9007199254740991" + strings.Repeat("9", l-16), at, addOne(at),
+			strings.Repeat("9", l), "1" + strings.Repeat("0", l-2) + "1"} {
+			for e := -22; e <= -1; e++ {
+				add(d, len(d)+e)
+			}
+		}
+	}
 	half, mid := new(big.Float).SetPrec(2200), new(big.Float).SetPrec(2200)
 	for len(lits) < n {
 		var v float64
 		switch rng.Intn(3) {
 		case 0: // the shape of a request's entries: uniform in [-1, 1)
 			v = rng.Float64()*2 - 1
-		case 1: // any magnitude Clinger or the long division can reach
+		case 1: // magnitudes inside the conversion's power table
 			v = rng.Float64() * math.Pow(10, float64(rng.Intn(60)-30))
 		default: // any finite double
 			for v = math.Float64frombits(rng.Uint64()); math.IsInf(v, 0) || math.IsNaN(v); {
@@ -270,16 +286,17 @@ func differentialLiterals(n int) []string {
 	return lits
 }
 
-// Every decoded entry is strconv.ParseFloat's double, bit for bit, on every
-// conversion path and at each path's edges; and each path carries a share
-// of the literals, so none of them goes untested.
+// Every decoded entry is strconv.ParseFloat's double, bit for bit, on the
+// codec's own conversion and on its strconv fallback, at the edges of
+// each; and each path carries a share of the literals, so neither goes
+// untested.
 func TestDecodeMatchesParseFloat(t *testing.T) {
 	n := 1 << 20
 	if testing.Short() {
 		n = 1 << 16
 	}
 	lits := differentialLiterals(n)
-	var paths [3]int // Clinger, long division, strconv
+	var paths [2]int // Eisel–Lemire, strconv
 	for lo := 0; lo < len(lits); lo += 4096 {
 		chunk := lits[lo:min(lo+4096, len(lits))]
 		body := []byte(`{"x":[` + strings.Join(chunk, ",") + `]}`)
@@ -298,17 +315,14 @@ func TestDecodeMatchesParseFloat(t *testing.T) {
 				t.Fatalf("%.80s: decoded %v (%#x), ParseFloat %v (%#x)", lit, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 			}
 			num, _, _ := decimal.Scan([]byte(lit))
-			switch _, ok := num.Float(); {
-			case !ok:
-				paths[2]++
-			case num.Mant <= 1<<53:
+			if _, ok := num.Float(); ok {
 				paths[0]++
-			default:
+			} else {
 				paths[1]++
 			}
 		}
 	}
-	t.Logf("%d literals: %d Clinger, %d long division, %d strconv", len(lits), paths[0], paths[1], paths[2])
+	t.Logf("%d literals: %d Eisel–Lemire, %d strconv", len(lits), paths[0], paths[1])
 	for i, c := range paths {
 		if c < len(lits)/20 {
 			t.Errorf("path %d took %d of %d literals", i, c, len(lits))
@@ -329,8 +343,9 @@ func encodingJSON(tb testing.TB, y []float64, batch int) []byte {
 
 // encodeEdges are the values where shortest formatting turns: the layout
 // switches, each power of ten and two in range with its neighbours (a
-// power of two's interval is lopsided), the ends of the fast path, and
-// integers with trailing zeros.
+// power of two's interval is lopsided), the ends of the fast path,
+// integers with trailing zeros, and each digit count around a word of the
+// digit writer.
 func encodeEdges() []float64 {
 	vs := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		math.MaxFloat64, -math.MaxFloat64, 2.2250738585072014e-308, 1e21, 1e22, 1e100}
@@ -346,6 +361,20 @@ func encodeEdges() []float64 {
 	for _, n := range []uint64{1, 7, 12345, 999999, 9007199254740993 / 10} {
 		for p := uint64(1); n*p < 1<<54; p *= 10 {
 			vs = append(vs, float64(n*p))
+		}
+	}
+	// Shortest forms of exactly 1, 7, 8, 9, 15, 16 and 17 digits, either
+	// side of each eight-digit word the formatter stores, in each layout:
+	// 0.00000ddd, 0.ddd, d.ddd, dd…d.ddd and, below 2^53, the integer. A
+	// decimal that reads back as a shorter form moves up an ulp at a time.
+	for _, l := range []int{1, 7, 8, 9, 15, 16, 17} {
+		digits := "12345678901234567"[:l]
+		for _, point := range []int{-5, 0, 1, l - 1, min(l, 16)} {
+			v, _ := strconv.ParseFloat(literalOf(false, digits, point, false), 64)
+			for d, _ := digitsOf(v, -1); len(d) != l; d, _ = digitsOf(v, -1) {
+				v = math.Nextafter(v, math.Inf(1))
+			}
+			vs = append(vs, v)
 		}
 	}
 	return vs
