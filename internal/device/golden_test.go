@@ -47,12 +47,13 @@ func testbedGolden() string {
 // tier because SELL-C-s's trait estimate follows the live tier
 // (DefaultChunkC); the scalar and avx512 tiers build the same chunk, so
 // their hashes agree. MKL-IE's estimate prices the dispatched CSR kernel
-// on every tier.
+// on every tier, and Merge-CSR, which has no fused kernel
+// (formats.FusedMulti), its k = 1 rate at k = 8.
 func TestTestbedGolden(t *testing.T) {
 	want := map[string]string{
-		"avx512": "a83dcc36985ef540d72b11f77e2f0f99a591288200276f13e6d28a34aac0ac24",
-		"avx2":   "025194783e1e8ca43291c9ff5bf525a8bb9a5cfda08f7bf6c7f6b9ab24a44acd",
-		"scalar": "a83dcc36985ef540d72b11f77e2f0f99a591288200276f13e6d28a34aac0ac24",
+		"avx512": "8311af827db661e9a8028916aec0e1d4cdac8bee41cacea34a5baeedbb8f5947",
+		"avx2":   "28dd4c5f7fc579f473f317501ff7e89bb5930c699a39e47339f5faf5ca2a8f39",
+		"scalar": "8311af827db661e9a8028916aec0e1d4cdac8bee41cacea34a5baeedbb8f5947",
 	}[simd.Level()]
 	if got := testbedGolden(); got != want {
 		t.Errorf("testbed predictions moved on the %s tier: hash %s, want %s", simd.Level(), got, want)

@@ -209,10 +209,10 @@ func TestPlanCacheBuildsOncePerKey(t *testing.T) {
 	if builds != 2 || c.Len() != 2 {
 		t.Fatalf("second worker count: builds=%d len=%d", builds, c.Len())
 	}
-	// The k > 1 regime of one worker count is a plan of its own.
-	c.Get(PlanKey{Workers: 4, Multi: true}, build)
-	if builds != 3 || c.Len() != 3 {
-		t.Fatalf("multi key: builds=%d len=%d, want 3 and 3", builds, c.Len())
+	// A worker count seen before is served from the cache.
+	c.Get(PlanKey{Workers: 4}, build)
+	if builds != 2 || c.Len() != 2 {
+		t.Fatalf("repeated worker count: builds=%d len=%d, want 2 and 2", builds, c.Len())
 	}
 }
 

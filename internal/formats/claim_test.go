@@ -63,7 +63,7 @@ func (p *probe) Traits() Traits  { return Traits{} }
 func (p *probe) units() int      { return probeUnits }
 func (p *probe) cum(i int) int64 { return int64(i) * p.cost }
 
-func (p *probe) plan(key exec.PlanKey, _ int) *exec.Plan {
+func (p *probe) plan(key exec.PlanKey) *exec.Plan {
 	return &exec.Plan{Ranges: sched.EvenRows(probeUnits, key.Workers)}
 }
 
@@ -97,7 +97,7 @@ func (p *probe) ranges(workers int) []sched.Range {
 	if workers == 1 {
 		return []sched.Range{{RowHi: probeUnits}}
 	}
-	return p.plan(exec.PlanKey{Workers: workers}, 1).Ranges
+	return p.plan(exec.PlanKey{Workers: workers}).Ranges
 }
 
 // chunk is how many units one claim of a workers-wide call at k covers:
@@ -374,22 +374,17 @@ func allNaN(v []float64) bool {
 	return true
 }
 
-// rangeOnly reports whether a dispatch of f at RHS count k is nothing but
-// claimable chunks of whole units, so that its result cannot depend on the
-// lane count: no positional carries, no spill epilogue. (A by-column block
-// is k single-vector dispatches.)
-func rangeOnly(f Format, k int) bool {
+// rangeOnly reports whether every dispatch of f is nothing but claimable
+// chunks of whole units, so that its result cannot depend on the lane
+// count: no positional carries, no spill epilogue, at any k (a by-column
+// block is k single-vector dispatches).
+func rangeOnly(f Format) bool {
 	if a, ok := f.(*Auto); ok {
 		f = a.Unwrap()
 	}
-	if _, ok := f.(epilogue); ok {
-		return false
-	}
-	if !FusedMulti(f.Name()) {
-		k = 1
-	}
-	c, ok := f.(carrier)
-	return !ok || !c.carries(k)
+	_, tail := f.(epilogue)
+	_, carried := f.(carrier)
+	return !tail && !carried
 }
 
 // TestLateLaneEveryFormat holds one pool lane back for 50 ms — several
@@ -431,7 +426,7 @@ func TestLateLaneEveryFormat(t *testing.T) {
 			}
 			for _, workers := range lanes {
 				want := serial
-				if !rangeOnly(f, k) {
+				if !rangeOnly(f) {
 					want = make([]float64, m.Rows*k)
 					if err := f.Apply(ctx, want, x, k, workers); err != nil {
 						t.Fatalf("%s k=%d workers=%d: unstalled Apply: %v", b.Name, k, workers, err)

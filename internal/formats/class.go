@@ -21,7 +21,7 @@ const (
 	ClassDotGather             // simd.CSRRowRange: that order dispatched (the Go one on the scalar tier)
 	ClassSweep                 // ELL.rowRange (HYB; the FPGA's VSL streams, priced only): an axpy per slab column
 	ClassLanes                 // SELLCS.chunkRange: C independent lane sums per chunk
-	ClassBlock                 // BCSR.blockRowRange: dense blocks, no per-element index
+	ClassBlock                 // BCSR.blockRowColumn: dense blocks, no per-element index
 	ClassTile                  // CSR5's flag-segmented tile
 	ClassEntry                 // COO.apply, SparseX's unit decode: a row index or header read per entry
 	NumClasses

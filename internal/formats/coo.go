@@ -150,12 +150,9 @@ type cooScratch struct {
 	arena   []float64
 }
 
-// carries implements carrier: entry chunks cut rows at every k.
-func (f *COO) carries(int) bool { return true }
-
 // plan gives each lane a contiguous, equal share of the entry stream.
 // Streams too short to give every lane two entries run as one lane.
-func (f *COO) plan(key exec.PlanKey, _ int) *exec.Plan {
+func (f *COO) plan(key exec.PlanKey) *exec.Plan {
 	n, lanes := len(f.val), key.Workers
 	if n < 2*lanes {
 		lanes = 1

@@ -118,7 +118,7 @@ func (f *CSR) units() int { return f.rows }
 func (f *CSR) cum(i int) int64 { return int64(f.rowPtr[i]) + int64(i) }
 
 // plan splits rows under the preset's policy.
-func (f *CSR) plan(key exec.PlanKey, _ int) *exec.Plan {
+func (f *CSR) plan(key exec.PlanKey) *exec.Plan {
 	policy := sched.RowBlocks
 	if f.balance {
 		policy = sched.NNZBalanced

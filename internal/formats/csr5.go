@@ -238,12 +238,9 @@ type csr5Scratch struct {
 	carry    []float64
 }
 
-// carries implements carrier.
-func (f *CSR5) carries(int) bool { return true }
-
 // plan splits tiles evenly, with the first row of each range carried past
 // the boundary. The boundary-segment searches run once per worker count.
-func (f *CSR5) plan(key exec.PlanKey, _ int) *exec.Plan {
+func (f *CSR5) plan(key exec.PlanKey) *exec.Plan {
 	p := key.Workers
 	if p > f.tiles {
 		p = f.tiles

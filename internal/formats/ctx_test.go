@@ -54,7 +54,7 @@ func wholeRange(f Format, x []float64, k int) []float64 {
 		f = a.Unwrap()
 	}
 	kern := f.(kernel)
-	if !rangeOnly(f, k) || (k > 1 && !FusedMulti(f.Name())) {
+	if !rangeOnly(f) || (k > 1 && !FusedMulti(f.Name())) {
 		return nil
 	}
 	y := make([]float64, f.Rows()*k)
@@ -253,11 +253,10 @@ func TestCtxWorkerPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestMergeCSRPlansDoNotCollide pins the regression the old code worked
-// around by giving Merge-CSR a second plan cache and no native Ctx kernel:
-// its k = 1 dispatch caches merge-path item ranges, its k > 1 dispatch
-// whole-row ranges, under the same placement. Alternating the two on one
-// instance must give the CSR reference both times.
+// TestMergeCSRPlansDoNotCollide alternates single-vector and k = 8 calls
+// on one eight-lane Merge-CSR instance: both run the merge-path plan and
+// carry scratch cached for that placement (the k = 8 call as eight
+// by-column dispatches), and each must give the CSR reference.
 func TestMergeCSRPlansDoNotCollide(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)

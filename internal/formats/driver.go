@@ -31,11 +31,11 @@ type kernel interface {
 	// never in inner loops.
 	cum(i int) int64
 	// plan is the partition policy: each lane's initial range (and, for
-	// carriers, the lane scratch) for key.Workers lanes at RHS count k. A
-	// range says where a lane starts claiming, not what it alone computes:
-	// a lane that drains its own takes chunks off the others'. Built once
-	// per key and cached by the driver.
-	plan(key exec.PlanKey, k int) *exec.Plan
+	// carriers, the lane scratch) for key.Workers lanes, whatever the RHS
+	// count. A range says where a lane starts claiming, not what it alone
+	// computes: a lane that drains its own takes chunks off the others'.
+	// Built once per key and cached by the driver.
+	plan(key exec.PlanKey) *exec.Plan
 	// apply computes units [lo, hi) of the k-wide product: k == 1 is the
 	// single-vector loop, k > 1 the fused register tile. The units are
 	// whole rows (chunks, block rows) written by no other call, so any
@@ -45,17 +45,14 @@ type kernel interface {
 }
 
 // carrier is additionally implemented by the formats whose parallel lanes
-// cut inside rows (COO, Merge-CSR at k = 1, CSR5): a lane cannot
-// finish a row it shares with its neighbour, so it parks the partial sum
-// in scratch and a serial finish folds the carries into y. A carry belongs
-// to a position in the partition — lane w's last row meets lane w+1's first
-// — so carried lanes are not claimable: each runs its own range as one
-// chunk (a cancelled call stops before un-started lanes, not inside one),
-// and the serial path is one apply over the whole unit space.
+// cut inside rows (COO, Merge-CSR, CSR5): a lane cannot finish a row it
+// shares with its neighbour, so it parks the partial sum in scratch and a
+// serial finish folds the carries into y. A carry belongs to a position in
+// the partition — lane w's last row meets lane w+1's first — so carried
+// lanes are not claimable: each runs its own range as one chunk (a
+// cancelled call stops before un-started lanes, not inside one), and the
+// serial path is one apply over the whole unit space.
 type carrier interface {
-	// carries reports whether dispatches at RHS count k cut inside rows;
-	// when false the format is driven as a plain range kernel.
-	carries(k int) bool
 	// begin prepares y (formats that accumulate zero it) and returns the
 	// lane scratch for one call: the plan's own, grown to k, when the
 	// caller holds the plan lock, a private copy otherwise.
@@ -182,7 +179,7 @@ func (d *driver) run(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 
 // sweep is the dispatch every kernel goes through.
 func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
-	carried := d.carry != nil && d.carry.carries(k)
+	carried := d.carry != nil
 	workers = exec.Workers(d.work*int64(k), workers)
 	if !carried && workers > d.n {
 		workers = d.n // carriers size their own lanes in plan
@@ -200,10 +197,8 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 	}
 	g := exec.AcquireCtl(workers, ctl)
 	defer g.Release() // no-op after Run; frees the pool if a plan build panics
-	key := g.Key()
-	key.Multi = k > 1
-	pl := d.plans.Get(key, func(key exec.PlanKey) *exec.Plan {
-		pl := d.kern.plan(key, k)
+	pl := d.plans.Get(g.Key(), func(key exec.PlanKey) *exec.Plan {
+		pl := d.kern.plan(key)
 		pl.Frame = newFrame(len(pl.Ranges))
 		return pl
 	})
@@ -344,11 +339,12 @@ func (d *driver) claim(cur []cursor, w int, grain int64, ctl *exec.Ctl, y, x []f
 }
 
 // byColumn multiplies a k-wide block one right-hand side at a time, for
-// the formats without a fused kernel (CSR5, SparseX): each column of
-// X is gathered into a contiguous vector for the single-vector dispatch
-// and the product scattered back into Y. It allocates two dense
-// temporaries per call — acceptable off the hot path, which is why the
-// hot formats supply fused kernels.
+// the formats without a fused kernel (Merge-CSR, CSR5, SparseX): each
+// column of X is gathered into a contiguous vector for the single-vector
+// dispatch at the call's lane count and the product scattered back into
+// Y, so column t is bit for bit that vector's own product. It allocates
+// two dense temporaries per call — acceptable off the hot path, which is
+// why the hot formats supply fused kernels.
 func (d *driver) byColumn(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 	rows, cols := d.kern.Rows(), d.kern.Cols()
 	xj := make([]float64, cols)

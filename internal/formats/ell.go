@@ -131,7 +131,7 @@ func (f *ELL) units() int { return f.rows }
 // padding itself).
 func (f *ELL) cum(i int) int64 { return int64(i) * int64(f.width) }
 
-func (f *ELL) plan(key exec.PlanKey, _ int) *exec.Plan {
+func (f *ELL) plan(key exec.PlanKey) *exec.Plan {
 	return &exec.Plan{Ranges: sched.EvenRows(f.rows, key.Workers)}
 }
 
@@ -249,7 +249,7 @@ func (f *HYB) units() int { return f.rows }
 
 func (f *HYB) cum(i int) int64 { return f.ell.cum(i) }
 
-func (f *HYB) plan(key exec.PlanKey, k int) *exec.Plan { return f.ell.plan(key, k) }
+func (f *HYB) plan(key exec.PlanKey) *exec.Plan { return f.ell.plan(key) }
 
 func (f *HYB) apply(y, x []float64, k, lo, hi int) { f.ell.apply(y, x, k, lo, hi) }
 

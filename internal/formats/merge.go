@@ -14,12 +14,11 @@ import (
 // serially afterwards. The merge-path search runs once per placement and
 // is cached, along with the carry buffers, in the execution plan.
 //
-// Its lanes sum sequentially (the bounded class of multi.go's contract).
-// At k > 1 it runs the dispatched CSR kernel over nonzero-balanced
-// whole-row blocks rather than the merge path: a k-wide merge carry would
-// cost k partial slots per boundary, and with every nonzero feeding k FMAs
-// the imbalance a giant row causes is amortized k-fold, so row-resolution
-// nonzero balancing is the better trade there.
+// Its lanes sum sequentially, so its answer follows the lane count (a cut
+// row's head and tail are two sums) but never the RHS count: it has no
+// fused k-wide kernel, so a block runs by column, each vector its own
+// merge-path dispatch at the call's lane count. (A fused pass over whole
+// rows would be the CSR kernel, MKL-IE's.)
 type MergeCSR struct {
 	CSR
 }
@@ -33,7 +32,6 @@ type mergeScratch struct {
 
 func newMergeCSR(m *matrix.CSR) *MergeCSR {
 	f := &MergeCSR{csrOf(m)}
-	f.balance, f.dispatch = true, true
 	f.bind(f)
 	return f
 }
@@ -48,15 +46,8 @@ func (f *MergeCSR) Traits() Traits {
 	return t
 }
 
-// carries implements carrier: only the single-vector merge path cuts rows.
-func (f *MergeCSR) carries(k int) bool { return k == 1 }
-
-// plan cuts the merge path at k = 1 and whole rows (the embedded policy)
-// at k > 1; the driver keys the two apart.
-func (f *MergeCSR) plan(key exec.PlanKey, k int) *exec.Plan {
-	if k > 1 {
-		return f.CSR.plan(key, k)
-	}
+// plan cuts the merge path into equal diagonals.
+func (f *MergeCSR) plan(key exec.PlanKey) *exec.Plan {
 	ranges := sched.MergePath(f.rowPtr, key.Workers)
 	return &exec.Plan{Ranges: ranges, Scratch: newMergeScratch(len(ranges))}
 }
@@ -73,13 +64,9 @@ func (f *MergeCSR) begin(pl *exec.Plan, _ []float64, _ int, private bool) any {
 	return pl.Scratch
 }
 
-// apply is the serial sweep: at k = 1 the merge path's one lane, rows in
-// sequential sums; at k > 1 the CSR kernel.
-func (f *MergeCSR) apply(y, x []float64, k, lo, hi int) {
-	if k > 1 {
-		f.CSR.apply(y, x, k, lo, hi)
-		return
-	}
+// apply is the serial sweep: the merge path's one lane, rows in
+// sequential sums.
+func (f *MergeCSR) apply(y, x []float64, _, lo, hi int) {
 	f.seq(sched.Range{RowLo: lo, RowHi: hi, NNZLo: int64(f.rowPtr[lo]), NNZHi: int64(f.rowPtr[hi])}, y, x)
 }
 

@@ -28,17 +28,15 @@ func metamorphicMatrices(t *testing.T) map[string]*matrix.CSR {
 // of the named format's k-wide product on workers lanes summed alone, in an
 // order fixed by the row's own entries, so a row's bits do not depend on
 // where it sits. CSR5 sums by tiles, BCSR pairs rows into blocks, SparseX
-// decodes runs that cross rows, and Merge-CSR's k = 1 merge-path lanes and
-// COO's parallel lanes (HYB's spill among them) split rows at lane
-// boundaries and add the pieces: they are held to the forward bound
-// instead.
-func rowsAlone(name string, k, workers int) bool {
+// decodes runs that cross rows, and Merge-CSR's merge-path lanes (at every
+// k: a block runs by column) and COO's parallel lanes (HYB's spill among
+// them) split rows at lane boundaries and add the pieces: they are held to
+// the forward bound instead.
+func rowsAlone(name string, workers int) bool {
 	switch name {
 	case "CSR5", "BCSR", "SparseX":
 		return false
-	case "Merge-CSR":
-		return k > 1
-	case "COO", "HYB":
+	case "Merge-CSR", "COO", "HYB":
 		return workers == 1
 	}
 	return true
@@ -141,7 +139,7 @@ func TestMetamorphicRowPermutation(t *testing.T) {
 					for i, r := range perm {
 						copy(want[i*k:(i+1)*k], y[r*k:(r+1)*k])
 					}
-					if !rowsAlone(b.Name, k, workers) {
+					if !rowsAlone(b.Name, workers) {
 						if i, ok := pm.WithinDotBound(x, k, py, want); !ok {
 							t.Fatalf("%s on %s k=%d workers=%d: permuted row %d vector %d = %v, unpermuted %v: beyond the forward bound",
 								b.Name, mname, k, workers, i/k, i%k, py[i], want[i])

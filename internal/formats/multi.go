@@ -19,19 +19,20 @@ package formats
 // vector.
 //
 // Rounding contract. Column t of a k-wide product is the single-vector
-// product of vector t, bit for bit, for every format but Merge-CSR
-// (sequential merge-path lanes at k = 1, the CSR kernel at k > 1) and BCSR
-// (its AVX-512 2x2 rung reassociates across blocks, its tiles do not),
-// which agree with it to the dot product's forward bound,
+// product of vector t at the same lane count, bit for bit, for every
+// format: a vector's answer never depends on what it was batched with.
+// The fused kernels keep their k = 1 order in every tile lane (the CSR
+// presets simd.CSRRowRangeGo's canonical order at every k, tier and
+// worker count; ELL, HYB, SELL-C-sigma and COO sequential sums in entry
+// order; BCSR d += (v0*x0 + v1*x1) per 2x2 block), and the formats
+// without one run by column. Against the sequential reference every
+// format agrees to the dot product's forward bound,
 // 2*n*2^-53*sum_j |a_ij*x_j| with n the row's stored entries
-// (matrix.CSR.WithinDotBound) — not to a tolerance relative to the result,
-// which is wrong where a row cancels. The same bound holds every format
-// against the sequential reference: the CSR presets sum each element in
-// simd.CSRRowRangeGo's order at every k, tier and worker count; ELL, HYB,
-// SELL-C-sigma and COO sequentially in entry order; CSR5 by tiles.
+// (matrix.CSR.WithinDotBound) — not to a tolerance relative to the
+// result, which is wrong where a row cancels.
 //
-// Formats off the hot path (CSR5, SparseX) go through the driver's
-// byColumn fallback: one single-vector dispatch per vector, with
+// Formats off the hot path (Merge-CSR, CSR5, SparseX) go through the
+// driver's byColumn fallback: one single-vector dispatch per vector, with
 // gather/scatter between the row-major block and contiguous temporaries.
 
 import "repro/internal/simd"

@@ -211,7 +211,7 @@ func (f *SELLCS) units() int { return len(f.chunkLen) }
 // cum: the chunk pointer is the cumulative padded-slot measure.
 func (f *SELLCS) cum(i int) int64 { return f.chunkPtr[i] }
 
-func (f *SELLCS) plan(key exec.PlanKey, _ int) *exec.Plan {
+func (f *SELLCS) plan(key exec.PlanKey) *exec.Plan {
 	return &exec.Plan{Ranges: sched.EvenRows(len(f.chunkLen), key.Workers)}
 }
 

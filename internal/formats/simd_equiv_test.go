@@ -10,26 +10,16 @@ import (
 
 // SIMD vs scalar dispatch equivalence: every registry format must produce
 // the same product under both dispatch modes, on the same built format
-// (only the kernel path toggles, never the layout).
-//
-// The accumulation-order contract (internal/simd): the ELL, SELL-C-s,
-// BCSR and every fused multi kernel preserve the scalar accumulation
-// order per output element, so their two modes must match BIT FOR BIT.
-// Only the Vec-CSR row dot-product (and MKL-IE, which adopts the
-// vectorized row kernel) runs the reassociating gather+FMA kernel, and
-// Vec-CSR's scalar path already reassociates into 4 partial sums — those
-// two are held to the dot product's forward bound instead,
-// |simd - scalar| <= 2*n*2^-53*sum_j |a_ij*x_j| (n the row's stored
-// entries; matrix.CSR.WithinDotBound): scaled by the row, so a cancelling
-// row is judged by what the arithmetic can deliver, not by its small
-// result. The worst ratio to that bound observed on these matrices is
-// 0.25; it is not padded. The matrix pair and the policy live in
-// internal/testutil, shared with the updatable-matrix suite.
+// (only the kernel path toggles, never the layout), BIT FOR BIT. The
+// accumulation-order contract (internal/simd) makes every dispatched
+// kernel a drop-in for its scalar loop: the CSR presets run
+// simd.CSRRowRangeGo's canonical order at every tier, the ELL, SELL-C-s,
+// BCSR and fused multi kernels their scalar loops' order per output
+// element. The matrix pair lives in internal/testutil, shared with the
+// updatable-matrix suite.
 func simdEquivMatrices(t *testing.T) map[string]*matrix.CSR {
 	return testutil.SIMDEquivMatrices(t)
 }
-
-var equalOrClose = testutil.EqualOrClose
 
 // TestSIMDScalarEquivalence runs every format's single-vector kernels
 // (serial and parallel) under both dispatch modes and compares.
@@ -54,7 +44,7 @@ func TestSIMDScalarEquivalence(t *testing.T) {
 				simd.SetEnabled(false)
 				f.SpMVParallel(x, ys, workers)
 				simd.SetEnabled(true)
-				if i, ok := equalOrClose(b.Name, m, x, 1, yv, ys); !ok {
+				if i, ok := testutil.Equal(yv, ys); !ok {
 					t.Errorf("%s/%s workers=%d: y[%d] simd=%v scalar=%v",
 						mname, b.Name, workers, i, yv[i], ys[i])
 					break
@@ -69,10 +59,7 @@ func TestSIMDScalarEquivalence(t *testing.T) {
 // multi-vector (k in {1,4,8}), over both the standard equivalence pair
 // and the lane-unaligned tail matrices whose every row exercises the
 // masked-tail / remainder paths. Each accelerated tier is compared
-// against the scalar dispatch of the same built instance; the tolerance
-// policy is evaluated while the tier is active, so the per-kernel
-// reassociation rules (e.g. BCSR on the AVX-512 rung) apply exactly when
-// that implementation is the one dispatched.
+// against the scalar dispatch of the same built instance.
 func TestSIMDLevelEquivalence(t *testing.T) {
 	if !simd.Available() {
 		t.Skip("no accelerated kernels on this host")
@@ -107,7 +94,7 @@ func TestSIMDLevelEquivalence(t *testing.T) {
 					simd.SetLevel("scalar")
 					f.SpMVParallel(x, ys, workers)
 					simd.SetLevel(level)
-					if i, ok := equalOrClose(b.Name, m, x, 1, yv, ys); !ok {
+					if i, ok := testutil.Equal(yv, ys); !ok {
 						t.Errorf("%s/%s/%s workers=%d: y[%d] accel=%v scalar=%v",
 							level, mname, b.Name, workers, i, yv[i], ys[i])
 						break
@@ -123,7 +110,7 @@ func TestSIMDLevelEquivalence(t *testing.T) {
 					simd.SetLevel("scalar")
 					f.MultiplyMany(yks, xk, k)
 					simd.SetLevel(level)
-					if i, ok := equalOrClose(b.Name, m, xk, k, ykv, yks); !ok {
+					if i, ok := testutil.Equal(ykv, yks); !ok {
 						t.Errorf("%s/%s/%s k=%d: y[%d] accel=%v scalar=%v",
 							level, mname, b.Name, k, i, ykv[i], yks[i])
 					}
@@ -156,7 +143,7 @@ func TestSIMDScalarEquivalenceMulti(t *testing.T) {
 				simd.SetEnabled(false)
 				f.MultiplyMany(ys, x, k)
 				simd.SetEnabled(true)
-				if i, ok := equalOrClose(b.Name, m, x, k, yv, ys); !ok {
+				if i, ok := testutil.Equal(yv, ys); !ok {
 					t.Errorf("%s/%s k=%d: y[%d] simd=%v scalar=%v",
 						mname, b.Name, k, i, yv[i], ys[i])
 				}

@@ -216,7 +216,7 @@ func (f *SPX) cum(i int) int64 { return f.valPtr[i] + int64(i) }
 
 // plan balances nonzeros over whole rows, using the value offsets as the
 // balance measure.
-func (f *SPX) plan(key exec.PlanKey, _ int) *exec.Plan {
+func (f *SPX) plan(key exec.PlanKey) *exec.Plan {
 	return &exec.Plan{Ranges: sched.NNZBalanced(f.nnzPtr, key.Workers)}
 }
 

@@ -16,20 +16,23 @@ import (
 
 // A served answer is the same bytes whether the request ran alone or rode
 // a coalesced batch with other clients' vectors: on an MKL-IE-hosted
-// matrix, plain and updatable (with cells set in its overlay), the same x
-// posted to /multiply once on an idle matrix and once queued behind a
-// held call with another request — one k = 2 kernel call — gets response
-// bodies identical up to the "batch" member, which reports 1 and 2.
+// matrix, plain and updatable (with cells set in its overlay), and on
+// BCSR- and Merge-CSR-hosted ones, the same x posted to /multiply once on
+// an idle matrix and once queued behind a held call with another request
+// — one k = 2 kernel call — gets response bodies identical up to the
+// "batch" member, which reports 1 and 2.
 func TestServedAnswerIndependentOfBatching(t *testing.T) {
 	m, err := gen.Generate(gen.Params{Rows: 400, Cols: 400, AvgNNZPerRow: 60, StdNNZPerRow: 20,
 		SkewCoeff: 0.5, BWScaled: 0.5, CrossRowSim: 0.4, AvgNumNeigh: 0.8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := formats.Lookup("MKL-IE")
-	plain, err := b.Build(m)
-	if err != nil {
-		t.Fatal(err)
+	hosted := map[string]formats.Format{}
+	for _, name := range []string{"MKL-IE", "BCSR", "Merge-CSR"} {
+		b, _ := formats.Lookup(name)
+		if hosted[name], err = b.Build(m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	upd, err := update.New(m, update.Options{Format: "MKL-IE", NoAutoCompact: true})
 	if err != nil {
@@ -58,7 +61,8 @@ func TestServedAnswerIndependentOfBatching(t *testing.T) {
 		}()
 		return out
 	}
-	for name, f := range map[string]formats.Format{"plain": plain, "updatable": upd} {
+	hosted["updatable"] = upd
+	for name, f := range hosted {
 		co := NewCoalescer(context.Background(), f, DefaultMaxBatch)
 		alone := <-post(co, x)
 		co.Close()

@@ -101,9 +101,6 @@ func calibrate() map[string]bool {
 		{kernelNames[kLaneDot8],
 			func() { s := laneDot8AVX2(&val[0], &idx[0], &x[0], 8, lanes8); calSink += s[0] },
 			func() { s := laneDot8AVX512(&val[0], &idx[0], &x[0], 8, lanes8); calSink += s[0] }},
-		{kernelNames[kBcsr2x2],
-			func() { s0, s1 := bcsr2x2AVX2(&val[0], &bc[0], &x[0], calElems); calSink += s0 + s1 },
-			func() { s0, s1 := bcsr2x2AVX512(&val[0], &bc[0], &x[0], calElems); calSink += s0 + s1 }},
 		{kernelNames[kTile8],
 			func() { d := dotBcastTile8AVX2(&val[0], &idx[0], &x[0], 1, calElems, k); calSink += d[0] },
 			func() { d := dotBcastTile8AVX512(&val[0], &idx[0], &x[0], 1, calElems, k); calSink += d[0] }},

@@ -154,17 +154,19 @@ type avx512Candidate struct {
 	install func()
 }
 
-// avx512Kernels lists the seven kernels with native ZMM implementations; a
+// avx512Kernels lists the six kernels with native ZMM implementations; a
 // kernel's U16 twin rides on its calibration verdict.
 // LaneDot4 and the 4-wide tiles have none: their data simply is not 8
-// lanes wide, so they stay at AVX2 under every cap.
+// lanes wide, so they stay at AVX2 under every cap. Nor has bcsr.2x2: a
+// block row's two sums fill two lanes, and a ZMM rung that took four
+// blocks an iteration had to reassociate across them, so a BCSR y would
+// follow the calibration verdict.
 func avx512Kernels() []avx512Candidate {
 	return []avx512Candidate{
 		{kCSRRowRange, func() { csrRowRange, csrRowRangeU16 = csrRowRangeAVX512, csrRowRangeAVX512U16 }},
 		{kCSRTile, func() { csrTile, csrTileU16 = csrTileAVX512, csrTileAVX512U16 }},
 		{kAxpyGather, func() { axpyGather = axpyGatherAVX512 }},
 		{kLaneDot8, func() { laneDot8 = laneDot8AVX512 }},
-		{kBcsr2x2, func() { bcsr2x2 = bcsr2x2AVX512 }},
 		{kTile8, func() { dotBcastTile8 = dotBcastTile8AVX512 }},
 		{kBcsrTile8, func() { bcsr2x2Tile8 = bcsr2x2Tile8AVX512 }},
 	}

@@ -6,8 +6,9 @@ package simd
 // and stores (no scalar remainder loop for the gather kernels).
 // Accumulation order: csrRowRange and csrTile run CSRRowRangeGo's eight
 // FMA partial sums; axpyGather, laneDot8 and the two 8-wide tiles preserve
-// the scalar order (separate VMULPD/VADDPD, independent lanes); bcsr2x2
-// (four blocks per iteration, FMA) reassociates with the documented bound.
+// the scalar order (separate VMULPD/VADDPD, independent lanes). Every one
+// is bit-identical to its AVX2 and scalar twins. bcsr.2x2 has no ZMM
+// rung: AVX2 serves it on every accelerated host.
 
 //go:noescape
 func csrRowRangeAVX512(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
@@ -26,9 +27,6 @@ func axpyGatherAVX512(y, val *float64, idx *int32, x *float64, n int)
 
 //go:noescape
 func laneDot8AVX512(val *float64, idx *int32, x *float64, stride, n int) (sums [8]float64)
-
-//go:noescape
-func bcsr2x2AVX512(val *float64, blkCol *int32, x *float64, n int) (s0, s1 float64)
 
 //go:noescape
 func dotBcastTile8AVX512(val *float64, idx *int32, x *float64, stride, n, k int) (dst [8]float64)

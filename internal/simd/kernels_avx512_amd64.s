@@ -17,50 +17,6 @@
 //     FMA and the others their scalar loops' with VMULPD/VADDPD.
 //   - VZEROUPPER before every RET that follows ZMM/YMM use.
 
-// Permutation controls for bcsr2x2AVX512 (four 2x2 blocks per
-// iteration). bcsrDup expands four block columns to gather index pairs;
-// bcsrPairA/B expand the gathered [x0 x1] pairs to the per-block
-// [x0 x1 x0 x1] pattern the interleaved val layout multiplies against.
-DATA bcsrDup<>+0(SB)/8, $0
-DATA bcsrDup<>+8(SB)/8, $0
-DATA bcsrDup<>+16(SB)/8, $1
-DATA bcsrDup<>+24(SB)/8, $1
-DATA bcsrDup<>+32(SB)/8, $2
-DATA bcsrDup<>+40(SB)/8, $2
-DATA bcsrDup<>+48(SB)/8, $3
-DATA bcsrDup<>+56(SB)/8, $3
-GLOBL bcsrDup<>(SB), RODATA|NOPTR, $64
-
-DATA bcsrOdd<>+0(SB)/8, $0
-DATA bcsrOdd<>+8(SB)/8, $1
-DATA bcsrOdd<>+16(SB)/8, $0
-DATA bcsrOdd<>+24(SB)/8, $1
-DATA bcsrOdd<>+32(SB)/8, $0
-DATA bcsrOdd<>+40(SB)/8, $1
-DATA bcsrOdd<>+48(SB)/8, $0
-DATA bcsrOdd<>+56(SB)/8, $1
-GLOBL bcsrOdd<>(SB), RODATA|NOPTR, $64
-
-DATA bcsrPairA<>+0(SB)/8, $0
-DATA bcsrPairA<>+8(SB)/8, $1
-DATA bcsrPairA<>+16(SB)/8, $0
-DATA bcsrPairA<>+24(SB)/8, $1
-DATA bcsrPairA<>+32(SB)/8, $2
-DATA bcsrPairA<>+40(SB)/8, $3
-DATA bcsrPairA<>+48(SB)/8, $2
-DATA bcsrPairA<>+56(SB)/8, $3
-GLOBL bcsrPairA<>(SB), RODATA|NOPTR, $64
-
-DATA bcsrPairB<>+0(SB)/8, $4
-DATA bcsrPairB<>+8(SB)/8, $5
-DATA bcsrPairB<>+16(SB)/8, $4
-DATA bcsrPairB<>+24(SB)/8, $5
-DATA bcsrPairB<>+32(SB)/8, $6
-DATA bcsrPairB<>+40(SB)/8, $7
-DATA bcsrPairB<>+48(SB)/8, $6
-DATA bcsrPairB<>+56(SB)/8, $7
-GLOBL bcsrPairB<>(SB), RODATA|NOPTR, $64
-
 // func csrRowRangeAVX512(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
 // func csrRowRangeAVX512U16(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi int)
 //
@@ -388,84 +344,6 @@ loop:
 done:
 	LEAQ    sums+40(FP), R8
 	VMOVUPD Z0, (R8)
-	VZEROUPPER
-	RET
-
-// func bcsr2x2AVX512(val *float64, blkCol *int32, x *float64, n int) (s0, s1 float64)
-//
-// BCSR block-row sweep over n interior 2x2 blocks, four blocks per
-// iteration: one 8-lane gather fetches the four [x0 x1] pairs, two
-// permutes expand them against the interleaved block values, and two
-// FMA accumulators carry [v0x0, v1x1, v2x0, v3x1] per block. Unlike the
-// AVX2 kernel this reassociates across blocks and fuses rounding
-// (documented ULP tolerance; KernelImpl gates the test policy).
-TEXT ·bcsr2x2AVX512(SB), NOSPLIT, $0-48
-	MOVQ   val+0(FP), SI
-	MOVQ   blkCol+8(FP), DI
-	MOVQ   x+16(FP), DX
-	MOVQ   n+24(FP), CX
-	VXORPD X0, X0, X0              // [s0, s1]
-	MOVQ   CX, BX
-	ANDQ   $-4, BX                 // grouped block count
-	SUBQ   BX, CX                  // tail block count (0..3)
-	TESTQ  BX, BX
-	JZ     tail
-
-	VMOVUPD bcsrDup<>(SB), Z10
-	VMOVUPD bcsrOdd<>(SB), Z11
-	VMOVUPD bcsrPairA<>(SB), Z12
-	VMOVUPD bcsrPairB<>(SB), Z13
-	VXORPD  Z8, Z8, Z8             // acc blocks 4b, 4b+1
-	VXORPD  Z9, Z9, Z9             // acc blocks 4b+2, 4b+3
-
-loop4:
-	VPMOVSXDQ (DI), Y2             // c0..c3 -> int64 (upper ZMM half zero)
-	VPERMQ    Z2, Z10, Z3          // [c0 c0 c1 c1 c2 c2 c3 c3]
-	VPSLLQ    $1, Z3, Z3           // *2: x element columns
-	VPADDQ    Z11, Z3, Z3          // + [0 1 0 1 ...]
-	KXNORW    K1, K1, K1
-	VXORPD    Z4, Z4, Z4
-	VGATHERQPD (DX)(Z3*8), K1, Z4  // [x0b0 x1b0 x0b1 x1b1 x0b2 x1b2 x0b3 x1b3]
-
-	VPERMQ      Z4, Z12, Z5        // [x0 x1 x0 x1] for blocks 0,1
-	VFMADD231PD (SI), Z5, Z8       // += [v0x0 v1x1 v2x0 v3x1 | block 1]
-	VPERMQ      Z4, Z13, Z6        // same for blocks 2,3
-	VFMADD231PD 64(SI), Z6, Z9
-
-	ADDQ $128, SI                  // 4 blocks * 4 doubles
-	ADDQ $16, DI                   // 4 block columns
-	SUBQ $4, BX
-	JNZ  loop4
-
-	// Reduce the two ZMM accumulators to the [s0, s1] pair: lanes 0,1
-	// (and 4,5) carry row 0 terms, lanes 2,3 (and 6,7) row 1.
-	VADDPD        Z9, Z8, Z8
-	VEXTRACTF64X4 $1, Z8, Y9
-	VADDPD        Y9, Y8, Y8       // [r0 r0' r1 r1']
-	VEXTRACTF128  $1, Y8, X9       // [r1 r1']
-	VHADDPD       X9, X8, X0       // [s0, s1]
-
-tail:
-	TESTQ CX, CX
-	JZ    done
-
-tailloop:
-	MOVLQSX (DI), AX               // bj
-	SHLQ    $4, AX                 // bj*2 doubles = bj*16 bytes
-	VMOVUPD (DX)(AX*1), X1         // [x0, x1]
-	VMULPD  (SI), X1, X2           // [v0*x0, v1*x1]
-	VMULPD  16(SI), X1, X3         // [v2*x0, v3*x1]
-	VHADDPD X3, X2, X2             // [v0x0+v1x1, v2x0+v3x1]
-	VADDPD  X2, X0, X0
-	ADDQ $32, SI
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  tailloop
-
-done:
-	VMOVSD    X0, s0+32(FP)
-	VPERMILPD $1, X0, X0
-	VMOVSD    X0, s1+40(FP)
 	VZEROUPPER
 	RET
 

@@ -30,7 +30,9 @@
 //
 // # Accumulation-order contract
 //
-// All dispatched kernels but one (below) are bit-level drop-ins:
+// Every dispatched kernel is a bit-level drop-in for its scalar loop, at
+// every tier: which tier calibration installs decides the speed, never
+// the bits.
 //
 //   - CSRRowRange ("csr.dot-gather" at k = 1, "csr.tile" at k > 1) runs
 //     one canonical row order at every tier and k, CSRRowRangeGo's: entry
@@ -42,27 +44,20 @@
 //     writes its live lanes only, so a dead lane's 0*0 never turns a sum
 //     of -0 (an underflowed negative product) into +0.
 //   - AxpyGather (ELL column sweep): each y[j] receives exactly one
-//     mul-then-add per slab column, in the same column order — results are
-//     bit-identical to the scalar sweep at every tier.
+//     mul-then-add per slab column, in the same column order.
 //   - LaneDot4 / LaneDot8 (SELL-C-sigma slab): each lane's sum accumulates
 //     sequentially in ascending column order (lanes are independent SIMD
-//     lanes) — bit-identical.
-//   - Bcsr2x2Tile / Bcsr2x2Tile8: per block and lane the scalar kernel
-//     computes d += (v0*x0 + v1*x1); the vector kernels reproduce exactly
-//     that pairing — bit-identical.
+//     lanes).
+//   - Bcsr2x2 / Bcsr2x2Tile / Bcsr2x2Tile8: per block (and lane) the
+//     scalar kernel computes d += (v0*x0 + v1*x1); the vector kernels
+//     reproduce exactly that pairing. Bcsr2x2 has no AVX-512 rung.
 //   - DotBcastTile / DotBcastTile8 (the fused SpMM tiles of ELL, HYB and
 //     SELL-C-sigma): each vector lane is an independent sequential sum in
-//     entry order — bit-identical.
+//     entry order.
 //
 // The kernels other than CSRRowRange deliberately use separate multiply
 // and add instructions (no FMA contraction): their order is the scalar
 // loop's, and fusing the rounding step would break it.
-//
-// One kernel reassociates: the AVX-512 Bcsr2x2 processes four blocks per
-// iteration with FMA, unlike its bit-identical AVX2 counterpart. It stays
-// within the dot product's forward bound; the property tests grant exactly
-// that kernel the tolerance (see KernelImpl, which lets the test harness
-// key it off the installed implementation).
 //
 // # Index trust
 //
@@ -277,22 +272,6 @@ func Table() []KernelInfo {
 	return out
 }
 
-// KernelImpl reports the implementation serving the named kernel right
-// now ("scalar" when dispatch is off or the kernel is unknown). The
-// equivalence harness keys its tolerance policy off this: e.g. "bcsr.2x2"
-// is bit-identical on AVX2 but reassociates on AVX-512.
-func KernelImpl(kernel string) string {
-	if !Enabled() {
-		return "scalar"
-	}
-	for i, n := range kernelNames {
-		if n == kernel {
-			return kernelImpl[i]
-		}
-	}
-	return "scalar"
-}
-
 // --- dispatched entry points -------------------------------------------
 //
 // Each wrapper validates the degenerate cases the assembly does not
@@ -391,9 +370,8 @@ func LaneDot8(val []float64, idx []int32, x []float64, stride, n int) [8]float64
 
 // Bcsr2x2 accumulates one BCSR block row of interior 2x2 blocks:
 // s0 += v0*x0 + v1*x1, s1 += v2*x0 + v3*x1 per block, with x0, x1 read at
-// column blkCol[b]*2. Bit-identical to the scalar block loop on AVX2; the
-// AVX-512 implementation processes four blocks per iteration and
-// reassociates (KernelImpl("bcsr.2x2") tells the tests which applies).
+// column blkCol[b]*2. Bit-identical to the scalar block loop at every
+// tier (AVX2 serves it on AVX-512 hosts too).
 func Bcsr2x2(val []float64, blkCol []int32, x []float64, n int) (s0, s1 float64) {
 	if n == 0 {
 		return 0, 0

@@ -1,8 +1,7 @@
 // Package testutil holds what the test suites of more than one package
 // share: the engine-sized and SIMD-equivalence matrix sets, the gate
-// tiers, and the tolerance policy deciding how close "equal" has to be
-// for each kernel family. Helpers one package alone uses live in that
-// package's tests.
+// tiers, and the bit-equality check of dispatch equivalence. Helpers one
+// package alone uses live in that package's tests.
 //
 // The package deliberately does NOT import internal/formats: the formats
 // package's own in-package tests use this harness, so an import would
@@ -15,7 +14,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/simd"
 )
 
 // TolEngine is the absolute tolerance for the engine-sized matrices,
@@ -23,28 +21,12 @@ import (
 // boundaries and register tiles.
 const TolEngine = 1e-8
 
-// Reassoc reports whether the named format is held to the dot product's
-// forward bound instead of bit equality when its dispatched kernels are
-// compared with its scalar ones: BCSR's block kernel — bit-identical on
-// the scalar and AVX2 tiers — reassociates on AVX-512 (four blocks per
-// FMA iteration), so it joins exactly when that implementation is the one
-// dispatched. Every other kernel keeps its order at every tier: the CSR
-// presets the canonical row order of simd.CSRRowRangeGo, the rest their
-// scalar loops'.
-func Reassoc(name string) bool {
-	return name == "BCSR" && simd.KernelImpl("bcsr.2x2") == "avx512"
-}
-
-// EqualOrClose compares two computed products of m with the k-wide block x
-// under the dispatch-equivalence policy: bit-for-bit equality, except that
-// formats in the reassociation set (see Reassoc) are held to the dot
-// product's forward bound, 2*n*2^-53*sum|a_ij*x_j| per element
-// (matrix.CSR.WithinDotBound): scaled by the row, not by the result. On
-// failure it returns the first offending index and false.
-func EqualOrClose(name string, m *matrix.CSR, x []float64, k int, got, want []float64) (int, bool) {
-	if Reassoc(name) {
-		return m.WithinDotBound(x, k, got, want)
-	}
+// Equal compares two computed products bit for bit, as the
+// dispatch-equivalence tests hold every format: each kernel keeps its
+// scalar loop's order at every tier (the CSR presets the canonical row
+// order of simd.CSRRowRangeGo). On failure it returns the first offending
+// index and false.
+func Equal(got, want []float64) (int, bool) {
 	for i := range got {
 		if got[i] != want[i] {
 			return i, false
