@@ -1,7 +1,7 @@
 // Package exec is the persistent SpMV execution engine: one worker pool
 // that format kernels dispatch onto, plus inspector-style execution plans
-// that cache each format's partition (and per-worker scratch buffers) keyed
-// by worker count.
+// that cache each format's partition (and the dispatcher's lane frame)
+// keyed by worker count.
 //
 // The seed implementation paid a goroutine-spawn + sync.WaitGroup round
 // trip and recomputed its sched partition on every SpMV call. For the
@@ -30,12 +30,12 @@
 //     idle; a call that finds it busy runs every lane but its own on
 //     spawned goroutines, so the engine never deadlocks and never queues.
 //     A call wider than the pool spawns the lanes its workers cannot take.
-//   - Plan/PlanCache: a format computes its sched.Range partition (and any
-//     carry/scratch buffers) once per PlanKey — the worker count a grant
-//     reports — and caches it inside the format instance. Matrices are
+//   - Plan/PlanCache: a format computes its sched.Range partition once per
+//     PlanKey — the worker count a grant reports — and caches it, with the
+//     dispatcher's lane frame, inside the format instance. Matrices are
 //     immutable after build, so plans never invalidate. Two calls in flight
 //     on one instance share the plan; the one that finds its lock taken
-//     runs on private scratch.
+//     runs on a private frame.
 //   - Workers: a serial fast-path cutoff. Parallelism below MinGrain work
 //     items per worker costs more in handoff latency than it saves, and
 //     worker counts beyond the machine's parallelism only add overhead, so

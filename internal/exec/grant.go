@@ -24,7 +24,7 @@ func (g *Grant) Ctl() *Ctl { return g.ctl }
 
 // Key returns the plan-cache key for this grant: its worker count. A
 // pooled and a spawned dispatch of one width share a plan; whichever finds
-// its lock taken runs on private scratch.
+// its lock taken runs on a private frame.
 func (g *Grant) Key() PlanKey { return PlanKey{Workers: g.workers} }
 
 // grant claims p for a workers-wide dispatch without blocking, or returns

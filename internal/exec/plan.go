@@ -15,40 +15,35 @@ type PlanKey struct {
 }
 
 // Plan is the cached output of a format's inspector step for one worker
-// count: the row/nonzero partition and any per-worker scratch (merge-path
-// carries, CSR5 segment bases). Building a plan costs one partition
-// computation; executing it costs nothing.
+// count: the partition, and the dispatcher's lane frame. Building a plan
+// costs one partition computation; executing it costs nothing.
 //
-// Scratch buffers and the lane frame are shared by every call that uses the
-// plan, so a call that writes them must hold the plan lock for its duration —
-// in practice via TryLock, building a private throwaway scratch when
-// another call already holds it, so concurrent invocations with distinct
-// output vectors keep full throughput (the seed behavior) and only pay the
-// allocation when actual contention exists: two calls of one width in
-// flight on one instance at once.
+// The lane frame is shared by every call that uses the plan, so a call
+// that writes it must hold the plan lock for its duration — in practice
+// via TryLock, building a private throwaway frame when another call
+// already holds it, so concurrent invocations with distinct output vectors
+// keep full throughput and only pay the allocation when actual contention
+// exists: two calls of one width in flight on one instance at once.
 type Plan struct {
 	// Ranges is the cached partition: one entry per lane, its initial
 	// range. The engine runs lane w for every entry; the formats driver has
 	// a lane work its own in chunks and then claim chunks off the others',
-	// so an entry says where a lane starts, not what it alone computes (a
-	// carrier's ranges stay owned: its carries are positional).
+	// so an entry says where a lane starts, not what it alone computes.
 	Ranges []sched.Range
-	// Scratch holds format-specific per-worker buffers.
-	Scratch any
 	// Frame holds the dispatcher's reusable per-call lane frame — the
-	// arguments its bound lane function reads and the lanes' claim cursors
-	// — so a dispatch on a cached plan allocates nothing. Like Scratch it
-	// belongs to the call holding the plan lock.
+	// arguments its bound lane function reads, the lanes' claim cursors and
+	// the call's carry slots — so a dispatch on a cached plan allocates
+	// nothing. It belongs to the call holding the plan lock.
 	Frame any
 
 	mu sync.Mutex
 }
 
-// TryLock claims the plan's scratch without blocking; a false return means
-// another call is mid-flight and the caller should use private scratch.
+// TryLock claims the plan's frame without blocking; a false return means
+// another call is mid-flight and the caller should use a private one.
 func (p *Plan) TryLock() bool { return p.mu.TryLock() }
 
-// Unlock releases the scratch lock.
+// Unlock releases the frame lock.
 func (p *Plan) Unlock() { p.mu.Unlock() }
 
 // PlanCache memoizes Plans by PlanKey inside a format instance. It is

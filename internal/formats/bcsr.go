@@ -298,7 +298,7 @@ func (f *BCSR) plan(key exec.PlanKey) *exec.Plan {
 	return &exec.Plan{Ranges: sched.NNZBalanced(f.rowPtr, key.Workers)}
 }
 
-func (f *BCSR) apply(y, x []float64, k, lo, hi int) {
+func (f *BCSR) apply(y, x, _ []float64, k, lo, hi int) {
 	if k == 1 {
 		f.blockRowColumn(x, y, 1, 0, lo, hi)
 		return

@@ -1,16 +1,19 @@
 package formats
 
 import (
+	"context"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exec"
 	"repro/internal/matrix"
 )
 
-// Boundary-condition tests for the parallel kernels' carry logic: rows
-// spanning two or more workers, chunk boundaries landing exactly on row
-// starts, and empty-row runs at partition edges.
+// Boundary-condition tests for the row-splitting kernels' carry logic: rows
+// spanning two or more units, unit boundaries landing exactly on row
+// starts, and empty-row runs at unit edges.
 
 // giantRowMatrix has one row holding frac of all nonzeros, forcing
 // worker-boundary splits inside that row for item-granular kernels.
@@ -251,5 +254,72 @@ func TestQuickBytesTraitsConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCarryUnitEdges runs the row-splitting formats on rows laid against
+// their carryUnit cuts — a unit that starts exactly at a row start, one
+// that starts and ends inside one row, runs of empty rows on both sides of
+// a cut, and a matrix ending in empty rows — on 1, 2 and 7 lanes at k = 1
+// and 3 into NaN-filled vectors: every row is written, within the forward
+// bound of the CSR reference, and every lane count gives the 1-lane bits.
+// Then every two adjacent units run on two goroutines, so that under
+// -race a unit that touches a row or slot its neighbour owns fails.
+func TestCarryUnitEdges(t *testing.T) {
+	defer exec.SetMaxWorkers(exec.SetMaxWorkers(7))
+	lens := []int{carryUnit, 0, 0, carryUnit - 1, 1, 3 * carryUnit, 0, 5, carryUnit - 5, 0,
+		2*carryUnit + 7, 1, 0, 0, carryUnit/2 - 8, 9000, 0, 0}
+	rows := 200
+	sizes := make([]int, rows)
+	copy(sizes, lens)
+	for i := len(lens); i < rows; i++ {
+		sizes[i] = []int{0, 40, 0, 0, 17}[i%5]
+	}
+	sizes[rows-1], sizes[rows-2] = 0, 0
+	m := matrix.RandomRowSizes(rows, 9000, sizes, 61)
+	for _, b := range []string{"COO", "HYB", "Merge-CSR", "CSR5"} {
+		bld, _ := Lookup(b)
+		f, err := bld.Build(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 3} {
+			x := matrix.RandomVector(m.Cols*k, int64(62+k))
+			want := multiplyManyWant(m, m.Rows, m.Cols, x, k)
+			var one []float64
+			for _, workers := range []int{1, 2, 7} {
+				y := nanFilled(m.Rows * k)
+				if err := f.Apply(context.Background(), y, x, k, workers); err != nil {
+					t.Fatal(err)
+				}
+				if i, ok := m.WithinDotBound(x, k, y, want); !ok {
+					t.Fatalf("%s k=%d workers=%d: y[%d] = %v, the CSR reference's %v", b, k, workers, i, y[i], want[i])
+				}
+				if one == nil {
+					one = y
+				}
+				for i := range y {
+					if math.Float64bits(y[i]) != math.Float64bits(one[i]) {
+						t.Fatalf("%s k=%d workers=%d: y[%d] = %v, %v on one lane", b, k, workers, i, y[i], one[i])
+					}
+				}
+			}
+		}
+		kern := f.(kernel)
+		if h, ok := f.(*HYB); ok {
+			kern = h.spill
+		}
+		x, y, c := matrix.RandomVector(m.Cols, 64), make([]float64, m.Rows), make([]float64, kern.units())
+		for u := 1; u < kern.units(); u++ {
+			var wg sync.WaitGroup
+			for _, v := range []int{u - 1, u} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					kern.apply(y, x, c, 1, v, v+1)
+				}()
+			}
+			wg.Wait()
+		}
 	}
 }

@@ -2,14 +2,10 @@ package formats
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"math"
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/simd"
 )
@@ -149,65 +145,6 @@ func TestMultiplyManyColumnIsMultiply(t *testing.T) {
 					for e := range y {
 						if math.Float64bits(y[e]) != math.Float64bits(single[e]) {
 							t.Fatalf("%s on %s k=%d workers=%d: row %d vector %d = %v batched, %v alone", b.Name, mname, k, workers, e/k, e%k, y[e], single[e])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestOneHashPerFormatAndLanes holds BCSR (rows paired into 2x2 blocks)
-// and Merge-CSR (rows split at merge-path lanes) to one answer per
-// (format, lanes): the same vector in every column of a k-wide block, at
-// k in {1, 2, 3, 5, 8, 9}, under every tier cap the host reaches and the
-// calibrated "auto", must give every column one y hash — no tier,
-// calibration verdict or batch width moves a bit. The matrix's rows of 30
-// entries cluster enough that most 2x2 blocks hold both products of a
-// row.
-func TestOneHashPerFormatAndLanes(t *testing.T) {
-	defer simd.SetLevel(simd.SetLevel("scalar"))
-	defer exec.SetMaxWorkers(exec.SetMaxWorkers(2))
-	m, err := gen.Generate(gen.Params{Rows: 6000, Cols: 6000, AvgNNZPerRow: 30, StdNNZPerRow: 10,
-		SkewCoeff: 5, BWScaled: 0.3, CrossRowSim: 0.6, AvgNumNeigh: 1.5, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := matrix.RandomVector(m.Cols, 42)
-	for _, name := range []string{"BCSR", "Merge-CSR"} {
-		b, _ := Lookup(name)
-		f, err := b.Build(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2} {
-			var first string
-			for _, level := range []string{"scalar", "avx2", "avx512", "auto"} {
-				simd.SetLevel(level)
-				if level != "auto" && simd.Level() != level {
-					continue // tier not detected on this host
-				}
-				for _, k := range []int{1, 2, 3, 5, 8, 9} {
-					x := make([]float64, m.Cols*k)
-					for c, vc := range v {
-						for u := 0; u < k; u++ {
-							x[c*k+u] = vc
-						}
-					}
-					y := nanFilled(m.Rows * k)
-					if err := f.Apply(context.Background(), y, x, k, workers); err != nil {
-						t.Fatal(err)
-					}
-					for u := 0; u < k; u++ {
-						h := sha256.New()
-						for i := 0; i < m.Rows; i++ {
-							binary.Write(h, binary.LittleEndian, math.Float64bits(y[i*k+u]))
-						}
-						got := hex.EncodeToString(h.Sum(nil))
-						if first == "" {
-							first = got
-						} else if got != first {
-							t.Fatalf("%s workers=%d %s k=%d: column %d hashes %.16s, the first %.16s", name, workers, level, k, u, got, first)
 						}
 					}
 				}

@@ -16,7 +16,7 @@ type KernelClass uint8
 // The kernel classes.
 const (
 	ClassNone      KernelClass = iota
-	ClassRowSum                // MergeCSR.lane: one dependent FP add per nonzero
+	ClassRowSum                // mergeUnit: one dependent FP add per nonzero
 	ClassDotGo                 // simd.CSRRowRangeGo: the canonical CSR order in Go, eight math.FMA chains
 	ClassDotGather             // simd.CSRRowRange: that order dispatched (the Go one on the scalar tier)
 	ClassSweep                 // ELL.rowRange (HYB; the FPGA's VSL streams, priced only): an axpy per slab column
@@ -28,8 +28,8 @@ const (
 )
 
 // classRep is the registered format whose k = 1 kernel is each class's loop
-// and nothing else: MeasureClasses times it (Merge-CSR on one lane: the
-// merge path is one range, no carry).
+// and nothing else: MeasureClasses times it (Merge-CSR on one lane: its
+// diagonals in sequence, a carry slot per diagonal).
 var classRep = [NumClasses]string{"", "Merge-CSR", "Naive-CSR", "Vec-CSR", "ELL", "SELL-C-s", "BCSR", "CSR5", "COO"}
 
 // Vectorized reports whether the loop is laid out for SIMD (gathers,

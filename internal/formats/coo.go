@@ -1,10 +1,6 @@
 package formats
 
-import (
-	"repro/internal/exec"
-	"repro/internal/matrix"
-	"repro/internal/sched"
-)
+import "repro/internal/matrix"
 
 // COO stores the matrix as row-sorted coordinate triplets. It balances
 // nonzeros perfectly across workers but pays 8 bytes of metadata per entry.
@@ -21,9 +17,17 @@ type COO struct {
 }
 
 // newCOOFromParts wraps pre-built triplet arrays (used by NewCOO, the HYB
-// spill part and the delta overlay).
+// spill part and the delta overlay) and cuts the entry stream into units of
+// carryUnit entries.
 func newCOOFromParts(rows, cols int, rowIdx, colIdx []int32, val []float64, add bool) *COO {
 	f := &COO{rows: rows, cols: cols, rowIdx: rowIdx, colIdx: colIdx, val: val, add: add}
+	f.heads = make([]int32, f.units())
+	for u := range f.heads {
+		f.heads[u] = -1
+		if e := u * carryUnit; e > 0 && e < len(val) && rowIdx[e] == rowIdx[e-1] {
+			f.heads[u] = rowIdx[e]
+		}
+	}
 	f.bind(f)
 	return f
 }
@@ -54,24 +58,18 @@ func (f *COO) Traits() Traits {
 	return Traits{Balancing: NNZGranular, MetaBytesPerNNZ: 8, Class: ClassEntry}
 }
 
-// units: lanes take contiguous chunks of the row-sorted entry stream.
-func (f *COO) units() int { return len(f.val) }
+// units are segments of carryUnit entries of the row-sorted stream, at
+// least one: an overwriting COO without entries still zeroes y.
+func (f *COO) units() int { return max((len(f.val)+carryUnit-1)/carryUnit, 1) }
 
 // cum counts entries, plus — when y is overwritten, so every row is
 // visited — the row visits spread evenly over them.
 func (f *COO) cum(i int) int64 {
-	if f.add || i == 0 {
-		return int64(i)
+	e := int64(min(i*carryUnit, len(f.val)))
+	if f.add || e == 0 {
+		return e
 	}
-	return int64(i) + int64(f.rows)*int64(i)/int64(len(f.val))
-}
-
-// addWorkers sizes an accumulate-mode dispatch by entry count alone,
-// whatever k: each vector of a fused spill add then sees exactly the lanes
-// k single-vector adds would, so its accumulation order — and rounding —
-// matches theirs bit for bit.
-func (f *COO) addWorkers(workers int) int {
-	return exec.Workers(int64(len(f.val)), workers)
+	return e + int64(f.rows)*e/int64(len(f.val))
 }
 
 // cooRunInto accumulates entries [lo, hi) — all belonging to one row —
@@ -103,14 +101,43 @@ func cooRunInto(colIdx []int32, val, x, dst []float64, k, lo, hi int) {
 	}
 }
 
-// apply is the serial kernel over the whole entry stream (carriers are
-// never sub-ranged). Entries are row-sorted, so each row run's sums build
-// in registers and hit y once: at k = 1 in the same pass that finds the
-// run's end, at k > 1 once per register tile.
-func (f *COO) apply(y, x []float64, k, lo, hi int) {
+// apply runs entry segments [lo, hi). Rows start in at most one segment:
+// there they go to y, which an overwriting COO zeroes first over the rows
+// its segments start, the empty ones between included (so a row is +0 plus
+// its sums). A segment that begins inside a row sums that fragment into
+// its carry slot.
+func (f *COO) apply(y, x, c []float64, k, lo, hi int) {
+	n := len(f.val)
 	if !f.add {
-		zero(y)
+		r0, r1 := 0, f.rows
+		if e := lo * carryUnit; e > 0 {
+			r0 = int(f.rowIdx[e-1]) + 1
+		}
+		if e := hi * carryUnit; e < n {
+			r1 = int(f.rowIdx[e-1]) + 1
+		}
+		zero(y[r0*k : r1*k])
 	}
+	for u := lo; u < hi; u++ {
+		e, end := u*carryUnit, min((u+1)*carryUnit, n)
+		if h := f.heads[u]; h >= 0 {
+			re := e + 1
+			for re < end && f.rowIdx[re] == h {
+				re++
+			}
+			slot := c[u*k : u*k+k]
+			zero(slot)
+			cooRunInto(f.colIdx, f.val, x, slot, k, e, re)
+			e = re
+		}
+		f.runs(y, x, k, e, end)
+	}
+}
+
+// runs adds entries [lo, hi) into y. Entries are row-sorted, so each row
+// run's sums build in registers and hit y once: at k = 1 in the same pass
+// that finds the run's end, at k > 1 once per register tile.
+func (f *COO) runs(y, x []float64, k, lo, hi int) {
 	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
 	if k == 1 {
 		for e := lo; e < hi; {
@@ -132,118 +159,5 @@ func (f *COO) apply(y, x []float64, k, lo, hi int) {
 		}
 		cooRunInto(colIdx, val, x, y[row*k:row*k+k], k, e, re)
 		e = re
-	}
-}
-
-// cooCarry is one deferred k-wide row contribution.
-type cooCarry struct {
-	row  int32
-	sums []float64 // k partial sums, backed by the scratch arena
-}
-
-// cooScratch is the plan-cached carry state: per lane, the (at most two)
-// boundary rows of its entry chunk with their k-wide partial sums. The
-// arena is sized lanes*2*k for the largest k this plan has served and
-// grows under the plan lock.
-type cooScratch struct {
-	carries [][]cooCarry
-	arena   []float64
-}
-
-// plan gives each lane a contiguous, equal share of the entry stream.
-// Streams too short to give every lane two entries run as one lane.
-func (f *COO) plan(key exec.PlanKey) *exec.Plan {
-	n, lanes := len(f.val), key.Workers
-	if n < 2*lanes {
-		lanes = 1
-	}
-	ranges := make([]sched.Range, lanes)
-	for w := range ranges {
-		ranges[w] = sched.Range{RowLo: n * w / lanes, RowHi: n * (w + 1) / lanes}
-	}
-	return &exec.Plan{Ranges: ranges, Scratch: &cooScratch{carries: make([][]cooCarry, lanes)}}
-}
-
-// begin implements carrier.
-func (f *COO) begin(pl *exec.Plan, y []float64, k int, private bool) any {
-	if !f.add {
-		zero(y)
-	}
-	lanes := len(pl.Ranges)
-	if private {
-		return &cooScratch{carries: make([][]cooCarry, lanes), arena: make([]float64, lanes*2*k)}
-	}
-	sc := pl.Scratch.(*cooScratch)
-	if len(sc.arena) < lanes*2*k {
-		sc.arena = make([]float64, lanes*2*k)
-	}
-	return sc
-}
-
-// lane implements carrier: rows wholly inside the chunk accumulate straight
-// into y; a row that may be shared with a neighbouring chunk goes to a
-// carry slot instead. As in apply, k = 1 sums a run in the pass that finds
-// its end.
-func (f *COO) lane(c any, pl *exec.Plan, w int, y, x []float64, k int) {
-	sc := c.(*cooScratch)
-	rowIdx, colIdx, val := f.rowIdx, f.colIdx, f.val
-	lo, hi := pl.Ranges[w].RowLo, pl.Ranges[w].RowHi
-	// The only rows a neighbour can share: the one ending the previous
-	// chunk and the one starting the next.
-	leftRow, rightRow := int32(-1), int32(-1)
-	if lo > 0 {
-		leftRow = rowIdx[lo-1]
-	}
-	if hi < len(val) {
-		rightRow = rowIdx[hi]
-	}
-	local := sc.carries[w][:0]
-	arena := sc.arena[w*2*k : (w+1)*2*k]
-	if k == 1 {
-		for e := lo; e < hi; {
-			row := rowIdx[e]
-			sum := 0.0
-			for e < hi && rowIdx[e] == row {
-				sum += val[e] * x[colIdx[e]]
-				e++
-			}
-			if row == leftRow || (e == hi && row == rightRow) {
-				slot := arena[len(local) : len(local)+1]
-				slot[0] = sum
-				local = append(local, cooCarry{row, slot})
-			} else {
-				y[row] += sum
-			}
-		}
-		sc.carries[w] = local
-		return
-	}
-	for e := lo; e < hi; {
-		row := rowIdx[e]
-		re := e + 1
-		for re < hi && rowIdx[re] == row {
-			re++
-		}
-		dst := y[int(row)*k : int(row)*k+k]
-		if row == leftRow || (re == hi && row == rightRow) {
-			dst = arena[len(local)*k : len(local)*k+k]
-			zero(dst)
-			local = append(local, cooCarry{row, dst})
-		}
-		cooRunInto(colIdx, val, x, dst, k, e, re)
-		e = re
-	}
-	sc.carries[w] = local
-}
-
-// finish implements carrier, merging the carries in lane order.
-func (f *COO) finish(c any, y []float64, k int) {
-	for _, local := range c.(*cooScratch).carries {
-		for _, cr := range local {
-			yb := y[int(cr.row)*k : int(cr.row)*k+k]
-			for t, s := range cr.sums {
-				yb[t] += s
-			}
-		}
 	}
 }

@@ -141,7 +141,7 @@ func (f *CSR) Traits() Traits {
 
 // apply runs rows [lo, hi) of the k-wide product through the preset's
 // kernel; k = 1 is the same order as every other k.
-func (f *CSR) apply(y, x []float64, k, lo, hi int) {
+func (f *CSR) apply(y, x, _ []float64, k, lo, hi int) {
 	if f.col16 != nil {
 		csrRows(f, f.col16, y, x, k, lo, hi)
 	} else {

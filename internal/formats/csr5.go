@@ -3,9 +3,7 @@ package formats
 import (
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 )
 
 // CSR5 implements the tile-based format of Liu & Vinter (ICS 2015). The
@@ -56,11 +54,6 @@ func NewCSR5(m *matrix.CSR) (*CSR5, error) {
 			f.segStart = append(f.segStart, int64(m.RowPtr[i]))
 		}
 	}
-	if nnz == 0 {
-		f.bind(f)
-		return f, nil
-	}
-
 	f.tiles = int((nnz + tileN - 1) / tileN)
 	f.flags = make([]uint64, f.tiles*flagWordsPerTile)
 	f.laneSegBase = make([]int32, f.tiles*Omega)
@@ -109,6 +102,15 @@ func NewCSR5(m *matrix.CSR) (*CSR5, error) {
 		f.colIdx[at] = m.ColIdx[g]
 		f.val[at] = m.Val[g]
 	}
+	f.heads = make([]int32, f.units())
+	for u := range f.heads {
+		f.heads[u] = -1
+		if e := int64(u) * carryUnit; e > 0 {
+			if s := f.segOfEntry(e); f.segStart[s] < e {
+				f.heads[u] = f.segRow[s]
+			}
+		}
+	}
 	f.bind(f)
 	return f, nil
 }
@@ -152,28 +154,36 @@ func (f *CSR5) Traits() Traits {
 // Omega*Sigma stops being 64.
 var _ [1]struct{} = [flagWordsPerTile]struct{}{}
 
-// processTiles runs the segmented sum over tiles [tLo, tHi). Contributions
-// to carryRow accumulate into the returned carry instead of y, so parallel
-// callers can fix up rows straddling worker boundaries serially. Flushes to
-// segments below minSeg are dropped: the only such flush is the zero-sum
-// flush a lane emits when it begins exactly at a row start, and dropping it
-// keeps workers from touching rows owned by their predecessor.
+// unitTiles is how many tiles one unit holds: carryUnit entries.
+const unitTiles = carryUnit / tileN
+
+// processTiles runs the segmented sum over the tiles of unit u. A flush to
+// the unit's head row (the row its first entry belongs to, when that row
+// began in an earlier unit) accumulates into the returned sum instead of
+// y. A flush to a segment before the unit's first entry is dropped: the
+// only one is the zero-sum flush a lane emits when it begins exactly at a
+// row start, and dropping it keeps the unit off rows an earlier unit owns.
 //
 // Each lane extracts its Sigma flag bits from the tile's flag word once;
 // lanes with no row start (the common case away from row boundaries) take a
 // branch-free accumulate path over the bounds-check-free tile slab.
-func (f *CSR5) processTiles(x, y []float64, tLo, tHi int, carryRow int32, minSeg int32) float64 {
-	carry := 0.0
+func (f *CSR5) processTiles(x, y []float64, u int) (head float64) {
+	tLo, tHi := u*unitTiles, min((u+1)*unitTiles, f.tiles)
+	if tLo >= tHi {
+		return 0
+	}
+	minSeg, headSeg := int32(f.segOfEntry(int64(tLo)*tileN)), int32(-1)
+	if f.heads[u] >= 0 {
+		headSeg = minSeg
+	}
 	segRow := f.segRow
 	flush := func(seg int32, sum float64) {
-		if seg < minSeg {
-			return
-		}
-		row := segRow[seg]
-		if row == carryRow {
-			carry += sum
-		} else {
-			y[row] += sum
+		switch {
+		case seg < minSeg:
+		case seg == headSeg:
+			head += sum
+		default:
+			y[segRow[seg]] += sum
 		}
 	}
 	for t := tLo; t < tHi; t++ {
@@ -205,84 +215,38 @@ func (f *CSR5) processTiles(x, y []float64, tLo, tHi int, carryRow int32, minSeg
 			flush(seg, sum)
 		}
 	}
-	return carry
+	return head
 }
 
-// units: lanes take contiguous tile ranges — perfectly nonzero-balanced.
-func (f *CSR5) units() int { return f.tiles }
+// units are groups of unitTiles tiles — perfectly nonzero-balanced. A
+// matrix without entries keeps one, to zero y.
+func (f *CSR5) units() int { return max((f.tiles+unitTiles-1)/unitTiles, 1) }
 
-// cum: every tile holds tileN entries, the last one possibly fewer.
-func (f *CSR5) cum(i int) int64 {
-	if c := int64(i) * tileN; c < f.nnz {
-		return c
+// cum counts entries.
+func (f *CSR5) cum(i int) int64 { return min(int64(i)*carryUnit, f.nnz) }
+
+// apply zeroes the rows units [lo, hi) start, the empty ones between
+// included, then runs the segmented sum unit by unit. Single-vector only:
+// the segmented-sum descriptors would need k-wide lane carries and flush
+// slots, heavy machinery for a format the multi-vector workloads do not
+// favor, so CSR5 multiplies blocks one column at a time.
+func (f *CSR5) apply(y, x, c []float64, _, lo, hi int) {
+	zero(y[f.firstRow(lo):f.firstRow(hi)])
+	for u := lo; u < hi; u++ {
+		c[u] = f.processTiles(x, y, u)
 	}
-	return f.nnz
 }
 
-// apply is the serial segmented sum over all tiles (carriers are never
-// sub-ranged). Single-vector only: the segmented-sum descriptors would
-// need k-wide lane carries and flush slots, heavy machinery for a format
-// the multi-vector workloads do not favor, so CSR5 multiplies blocks one
-// column at a time.
-func (f *CSR5) apply(y, x []float64, _, lo, hi int) {
-	zero(y)
-	f.processTiles(x, y, lo, hi, -1, 0)
-}
-
-// csr5Scratch is the plan-cached executor state: the boundary segment
-// each lane must not touch directly (read-only after the plan is built)
-// and the carry accumulator slots.
-type csr5Scratch struct {
-	carryRow []int32
-	minSeg   []int32
-	carry    []float64
-}
-
-// plan splits tiles evenly, with the first row of each range carried past
-// the boundary. The boundary-segment searches run once per worker count.
-func (f *CSR5) plan(key exec.PlanKey) *exec.Plan {
-	p := key.Workers
-	if p > f.tiles {
-		p = f.tiles
-	}
-	ranges := make([]sched.Range, p)
-	sc := &csr5Scratch{carryRow: make([]int32, p), minSeg: make([]int32, p), carry: make([]float64, p)}
-	for w := range ranges {
-		ranges[w] = sched.Range{RowLo: f.tiles * w / p, RowHi: f.tiles * (w + 1) / p}
-		sc.carryRow[w] = -1
-		if w > 0 && ranges[w].RowLo < f.tiles {
-			// The row containing the first entry of this range may have
-			// started in the previous range.
-			sc.minSeg[w] = int32(f.segOfEntry(int64(ranges[w].RowLo) * tileN))
-			sc.carryRow[w] = f.segRow[sc.minSeg[w]]
-		}
-	}
-	return &exec.Plan{Ranges: ranges, Scratch: sc}
-}
-
-// begin implements carrier: only the carry accumulators need exclusivity.
-func (f *CSR5) begin(pl *exec.Plan, y []float64, _ int, private bool) any {
-	zero(y)
-	sc := pl.Scratch.(*csr5Scratch)
-	if private {
-		return &csr5Scratch{carryRow: sc.carryRow, minSeg: sc.minSeg, carry: make([]float64, len(sc.carry))}
-	}
-	return sc
-}
-
-// lane implements carrier.
-func (f *CSR5) lane(c any, pl *exec.Plan, w int, y, x []float64, _ int) {
-	sc := c.(*csr5Scratch)
-	sc.carry[w] = f.processTiles(x, y, pl.Ranges[w].RowLo, pl.Ranges[w].RowHi, sc.carryRow[w], sc.minSeg[w])
-}
-
-// finish implements carrier.
-func (f *CSR5) finish(c any, y []float64, _ int) {
-	sc := c.(*csr5Scratch)
-	for w, row := range sc.carryRow {
-		if row >= 0 {
-			y[row] += sc.carry[w]
-		}
+// firstRow is the first row unit u writes into y: the row after the one
+// holding the entry before the unit (f.rows past the last unit).
+func (f *CSR5) firstRow(u int) int {
+	switch e := int64(u) * carryUnit; {
+	case u == 0:
+		return 0
+	case e >= f.nnz:
+		return f.rows
+	default:
+		return int(f.segRow[f.segOfEntry(e-1)]) + 1
 	}
 }
 

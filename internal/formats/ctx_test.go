@@ -46,8 +46,8 @@ func nanFilled(n int) []float64 {
 }
 
 // wholeRange returns what f's kernel computes in one apply over its entire
-// unit space — the sweep with no driver, no chunks and no lanes — or nil
-// when a dispatch at k is more than claimable chunks (rangeOnly) or is a
+// unit space, then the carry fold — the sweep with no chunks and no lanes
+// — or nil when a dispatch at k is more than that (rangeOnly) or is a
 // by-column block.
 func wholeRange(f Format, x []float64, k int) []float64 {
 	if a, ok := f.(*Auto); ok {
@@ -57,17 +57,17 @@ func wholeRange(f Format, x []float64, k int) []float64 {
 	if !rangeOnly(f) || (k > 1 && !FusedMulti(f.Name())) {
 		return nil
 	}
-	y := make([]float64, f.Rows()*k)
-	kern.apply(y, x, k, 0, kern.units())
+	y, c := make([]float64, f.Rows()*k), make([]float64, kern.units()*k)
+	kern.apply(y, x, c, k, 0, kern.units())
+	f.(interface{ fold(y, c []float64, k int) }).fold(y, c, k)
 	return y
 }
 
 // TestCtxKernelsMatchLegacy: under a live context, eight lanes claiming
 // chunks off each other must produce bit-identical results to the legacy
-// delegates (which run uncancellable) for every format, range kernels and
-// carriers alike — and, for range kernels, to one apply over the whole
-// unit space: claiming may only cut between whole units, never change
-// what a unit computes.
+// delegates (which run uncancellable) for every format — and to one apply
+// over the whole unit space plus the carry fold: claiming may only cut
+// between whole units, never change what a unit computes.
 func TestCtxKernelsMatchLegacy(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
@@ -254,9 +254,9 @@ func TestCtxWorkerPanicBecomesError(t *testing.T) {
 }
 
 // TestMergeCSRPlansDoNotCollide alternates single-vector and k = 8 calls
-// on one eight-lane Merge-CSR instance: both run the merge-path plan and
-// carry scratch cached for that placement (the k = 8 call as eight
-// by-column dispatches), and each must give the CSR reference.
+// on one eight-lane Merge-CSR instance: both run the plan and carry slots
+// cached for that placement (the k = 8 call as eight by-column
+// dispatches), and each must give the CSR reference.
 func TestMergeCSRPlansDoNotCollide(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)

@@ -10,7 +10,7 @@ import (
 // COO overlay whose kernel accumulates onto an existing y through the same
 // accumulate-mode COO dispatch HYB uses for its spill part. A base+delta
 // multiply is therefore the base format's own sweep plus one nnz-parallel
-// accumulation with boundary carries — never a second full pass over y.
+// accumulation with segment carries — never a second full pass over y.
 type DeltaCOO struct {
 	coo *COO
 }
@@ -32,8 +32,8 @@ func (d *DeltaCOO) Bytes() int64 { return d.coo.Bytes() }
 
 // Add accumulates overlay times the k-wide x block onto y (y is NOT
 // zeroed), with Format.Apply's argument, cancellation and containment
-// contract. Lanes are sized by entry count alone, so each vector's
-// accumulation order matches k single-vector adds.
+// contract. Its entry segments are cut at build, so the answer is one
+// per (overlay, x) whatever the lane count or k.
 func (d *DeltaCOO) Add(ctx context.Context, y, x []float64, k, workers int) error {
-	return d.coo.Apply(ctx, y, x, k, d.coo.addWorkers(workers))
+	return d.coo.Apply(ctx, y, x, k, workers)
 }

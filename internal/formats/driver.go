@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/exec"
+	"repro/internal/sched"
 )
 
 // The kernel contract. The paper holds the harness constant and varies
@@ -16,52 +17,47 @@ import (
 // owns everything else: argument checking, the work·k serial cutoff, engine
 // acquisition and release, the per-instance plan cache, the claim loop that
 // hands out chunks (the unit of cancellation and of load balance alike), the
-// carry-scratch contention policy, and panic containment. No format
+// carry fold of the formats that cut rows, and panic containment. No format
 // dispatches on its own.
 
 // kernel is what every storage format supplies to its driver.
 type kernel interface {
 	Format
 	// units is the size of the unit space apply ranges over: rows, chunks
-	// (SELL-C-s), block rows (BCSR), tiles (CSR5) or entries (COO).
+	// (SELL-C-s), block rows (BCSR), or the fixed cuts of a format that
+	// splits rows (carryUnit).
 	units() int
 	// cum is a monotone cumulative work measure over units: cum(units())
 	// is the work the serial cutoff sees (times k), and differences size
 	// the chunks lanes claim. It is evaluated at chunk boundaries only,
 	// never in inner loops.
 	cum(i int) int64
-	// plan is the partition policy: each lane's initial range (and, for
-	// carriers, the lane scratch) for key.Workers lanes, whatever the RHS
-	// count. A range says where a lane starts claiming, not what it alone
-	// computes: a lane that drains its own takes chunks off the others'.
-	// Built once per key and cached by the driver.
+	// plan is the partition policy: each lane's initial range for
+	// key.Workers lanes, whatever the RHS count. A range says where a lane
+	// starts claiming, not what it alone computes: a lane that drains its
+	// own takes chunks off the others'. Built once per key and cached by
+	// the driver; the driver's own (an even cut of the units) serves the
+	// formats that do not choose.
 	plan(key exec.PlanKey) *exec.Plan
 	// apply computes units [lo, hi) of the k-wide product: k == 1 is the
-	// single-vector loop, k > 1 the fused register tile. The units are
-	// whole rows (chunks, block rows) written by no other call, so any
-	// lane may run any chunk. Formats not named in fusedMulti only ever see
-	// k == 1 (the driver multiplies their blocks one column at a time).
-	apply(y, x []float64, k, lo, hi int)
+	// single-vector loop, k > 1 the fused register tile. No other call
+	// writes what a unit writes, so any lane may run any chunk. Formats
+	// not named in fusedMulti only ever see k == 1 (the driver multiplies
+	// their blocks one column at a time). A unit with a head row (see
+	// driver.heads) sums that row's fragment from +0 into its carry slot,
+	// c[u*k : u*k+k], instead of y; c is nil for the other formats.
+	apply(y, x, c []float64, k, lo, hi int)
 }
 
-// carrier is additionally implemented by the formats whose parallel lanes
-// cut inside rows (COO, Merge-CSR, CSR5): a lane cannot finish a row it
-// shares with its neighbour, so it parks the partial sum in scratch and a
-// serial finish folds the carries into y. A carry belongs to a position in
-// the partition — lane w's last row meets lane w+1's first — so carried
-// lanes are not claimable: each runs its own range as one chunk (a
-// cancelled call stops before un-started lanes, not inside one), and the
-// serial path is one apply over the whole unit space.
-type carrier interface {
-	// begin prepares y (formats that accumulate zero it) and returns the
-	// lane scratch for one call: the plan's own, grown to k, when the
-	// caller holds the plan lock, a private copy otherwise.
-	begin(pl *exec.Plan, y []float64, k int, private bool) any
-	// lane runs lane w of the plan.
-	lane(c any, pl *exec.Plan, w int, y, x []float64, k int)
-	// finish folds the lanes' carries into y, serially, in lane order.
-	finish(c any, y []float64, k int)
-}
+// carryUnit is the work in one unit of the formats that split rows — COO's
+// entry segments (HYB's spill and DeltaCOO among them), Merge-CSR's
+// merge-path diagonals (row ends plus nonzeros) and CSR5's groups of tiles
+// — cut once at build. Every unit boundary is a cut whatever the lane
+// count or k, so those formats give one answer per (matrix, x). Small
+// enough that a small call still cuts into several claimable chunks a
+// lane, large enough that the serial fold of the slots is noise beside
+// the sweep.
+const carryUnit = 1024
 
 // epilogue is implemented by composite formats (HYB) that accumulate a
 // second part onto y once the main sweep is complete.
@@ -110,12 +106,15 @@ func must(err error) {
 // driver is the shared harness every format embeds.
 type driver struct {
 	Delegates
-	kern  kernel
-	carry carrier  // nil for formats that never cut inside rows
-	tail  epilogue // nil for single-part formats
-	n     int      // kern.units()
-	work  int64    // kern.cum(n)
-	fused bool     // apply handles k > 1
+	kern kernel
+	tail epilogue // nil for single-part formats
+	// heads is set at build by the formats that split rows, one entry per
+	// unit: the row its first item belongs to when that row began in an
+	// earlier unit, else -1. nil for every other format.
+	heads []int32
+	n     int   // kern.units()
+	work  int64 // kern.cum(n)
+	fused bool  // apply handles k > 1
 	plans exec.PlanCache
 }
 
@@ -126,7 +125,6 @@ type driver struct {
 func (d *driver) bind(k kernel) {
 	d.Delegates = DelegateTo(k)
 	d.kern = k
-	d.carry, _ = k.(carrier)
 	d.tail, _ = k.(epilogue)
 	d.n = k.units()
 	d.work = k.cum(d.n)
@@ -179,78 +177,99 @@ func (d *driver) run(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 
 // sweep is the dispatch every kernel goes through.
 func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
-	carried := d.carry != nil
-	workers = exec.Workers(d.work*int64(k), workers)
-	if !carried && workers > d.n {
-		workers = d.n // carriers size their own lanes in plan
-	}
-	if workers <= 1 {
-		if carried {
-			d.kern.apply(y, x, k, 0, d.n)
-		} else {
-			d.claim([]cursor{{hi: d.n}}, 0, ctxGrain(k), ctl, y, x, k) // a serial call is one lane, from unit 0
-		}
+	workers = min(exec.Workers(d.work*int64(k), workers), d.n)
+	if workers <= 1 && d.heads == nil {
+		d.claim([]cursor{{hi: d.n}}, 0, ctxGrain(k), ctl, y, x, nil, k) // a serial call is one lane, from unit 0
 		if ctl.Cancelled() {
 			return ctl.Err()
 		}
 		return nil
 	}
-	g := exec.AcquireCtl(workers, ctl)
-	defer g.Release() // no-op after Run; frees the pool if a plan build panics
-	pl := d.plans.Get(g.Key(), func(key exec.PlanKey) *exec.Plan {
+	// A format that splits rows needs its carry slots on the serial path
+	// too: it runs there as the one-lane plan.
+	key, parallel := exec.PlanKey{Workers: 1}, workers > 1
+	var g exec.Grant
+	if parallel {
+		g = exec.AcquireCtl(workers, ctl)
+		defer g.Release() // no-op after Run; frees the pool if a plan build panics
+		key = g.Key()
+	}
+	pl := d.plans.Get(key, func(key exec.PlanKey) *exec.Plan {
 		pl := d.kern.plan(key)
 		pl.Frame = newFrame(len(pl.Ranges))
 		return pl
 	})
-	// The plan's lane frame and, for carriers, its lane scratch are shared
-	// by every call of this width. Another call mid-flight — the pooled one
-	// when this one spawns, or the other way round — keeps the lock; this
-	// one then takes private ones, so concurrent invocations stay fully
-	// parallel and only pay the allocation under real contention.
+	// The plan's lane frame and its carry slots are shared by every call
+	// of this width. Another call mid-flight — the pooled one when this one
+	// spawns, or the other way round — keeps the lock; this one then takes
+	// a private frame, so concurrent invocations stay fully parallel and
+	// only pay the allocation under real contention.
 	fr := pl.Frame.(*frame)
 	private := !pl.TryLock()
 	if private {
 		fr = newFrame(len(pl.Ranges))
 	}
 	defer func() {
-		*fr = frame{lane: fr.lane, cur: fr.cur} // a cached frame must not retain the caller's vectors
+		*fr = frame{lane: fr.lane, cur: fr.cur, c: fr.c} // a cached frame must not retain the caller's vectors
 		if !private {
 			pl.Unlock()
 		}
 	}()
-	fr.d, fr.pl, fr.ctl, fr.y, fr.x, fr.k, fr.carried = d, pl, ctl, y, x, k, carried
-	if carried {
-		fr.c = d.carry.begin(pl, y, k, private)
-	} else {
+	fr.d, fr.ctl, fr.y, fr.x, fr.k = d, ctl, y, x, k
+	fr.grain = ctxGrain(k)
+	if parallel {
 		fr.grain = d.grain(k, len(pl.Ranges))
-		for w, r := range pl.Ranges {
-			fr.cur[w].next.Store(int64(r.RowLo))
-			fr.cur[w].hi = r.RowHi
-		}
 	}
-	if err := g.Run(len(pl.Ranges), fr.lane); err != nil {
+	if n := len(d.heads) * k; len(fr.c) < n {
+		fr.c = make([]float64, n) // grows to the widest k this plan has served
+	}
+	for w, r := range pl.Ranges {
+		fr.cur[w].next.Store(int64(r.RowLo))
+		fr.cur[w].hi = r.RowHi
+	}
+	if !parallel {
+		fr.run(0)
+		if ctl.Cancelled() {
+			return ctl.Err()
+		}
+	} else if err := g.Run(len(pl.Ranges), fr.lane); err != nil {
 		return err
 	}
-	if carried {
-		d.carry.finish(fr.c, y, k)
-	}
+	d.fold(y, fr.c, k)
 	return nil
+}
+
+// fold adds every unit's carry slot onto its head row, serially in unit
+// order, once the units have all run: the rounding of a row cut by units
+// follows the units alone.
+func (d *driver) fold(y, c []float64, k int) {
+	for u, row := range d.heads {
+		if row >= 0 {
+			yr, s := y[int(row)*k:int(row)*k+k], c[u*k:u*k+k]
+			for t := range yr {
+				yr[t] += s[t]
+			}
+		}
+	}
+}
+
+// plan is the default partition policy: the units cut evenly.
+func (d *driver) plan(key exec.PlanKey) *exec.Plan {
+	return &exec.Plan{Ranges: sched.EvenRows(d.n, key.Workers)}
 }
 
 // frame carries one call's arguments to the lanes of its dispatch. Its
 // lane function is bound and its cursors are allocated once, when the
 // frame is made, so a dispatch on a cached plan allocates nothing.
 type frame struct {
-	lane    func(w int) // fr.run, bound
-	cur     []cursor    // one per lane, reset from the plan's ranges per call
-	d       *driver
-	pl      *exec.Plan
-	ctl     *exec.Ctl
-	y, x    []float64
-	k       int
-	grain   int64 // what the lanes claim by, for range kernels
-	carried bool
-	c       any // the carrier's lane scratch for this call
+	lane  func(w int) // fr.run, bound
+	cur   []cursor    // one per lane, reset from the plan's ranges per call
+	c     []float64   // the carry slots, k per unit, kept across calls
+	d     *driver
+	ctl   *exec.Ctl
+	y, x  []float64
+	k     int
+	grain int64 // what the lanes claim by
 }
 
 func newFrame(lanes int) *frame {
@@ -270,11 +289,7 @@ type cursor struct {
 
 // run is lane w of the call in the frame.
 func (fr *frame) run(w int) {
-	if fr.carried {
-		fr.d.carry.lane(fr.c, fr.pl, w, fr.y, fr.x, fr.k)
-		return
-	}
-	fr.d.claim(fr.cur, w, fr.grain, fr.ctl, fr.y, fr.x, fr.k)
+	fr.d.claim(fr.cur, w, fr.grain, fr.ctl, fr.y, fr.x, fr.c, fr.k)
 }
 
 // cancelGrain is the approximate number of work items (nonzeros / padded
@@ -315,7 +330,7 @@ func (d *driver) grain(k, lanes int) int64 {
 // other lane's, in ring order, polling ctl before each claim. Each unit is
 // claimed once, by CAS, whoever computes it; a lane that finds every range
 // drained returns at once.
-func (d *driver) claim(cur []cursor, w int, grain int64, ctl *exec.Ctl, y, x []float64, k int) {
+func (d *driver) claim(cur []cursor, w int, grain int64, ctl *exec.Ctl, y, x, slots []float64, k int) {
 	for i := 0; i < len(cur) && !ctl.Cancelled(); {
 		c := &cur[(w+i)%len(cur)]
 		lo, hi := int(c.next.Load()), c.hi
@@ -333,7 +348,7 @@ func (d *driver) claim(cur []cursor, w int, grain int64, ctl *exec.Ctl, y, x []f
 			})
 		}
 		if c.next.CompareAndSwap(int64(lo), int64(end)) {
-			d.kern.apply(y, x, k, lo, end)
+			d.kern.apply(y, x, slots, k, lo, end)
 		}
 	}
 }

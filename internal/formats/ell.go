@@ -57,8 +57,10 @@ func newELL(m *matrix.CSR) (*ELL, error) {
 			f.colIdx[k*m.Rows+i] = c
 			f.val[k*m.Rows+i] = vals[k]
 		}
-		// Padding slots keep colIdx 0 and val 0; 0*x[0] contributes nothing
-		// for finite x.
+		// Padding slots keep colIdx 0 and val 0. The column sweep still
+		// multiplies them: 0*x[0] is a zero for a finite x[0] but NaN for an
+		// infinite or NaN one, which turns every padded row's y into NaN
+		// (ROADMAP item 3(c): the non-finite x contract is open).
 	}
 	f.bind(f)
 	return f, nil
@@ -148,7 +150,7 @@ func (f *ELL) plan(key exec.PlanKey) *exec.Plan {
 // slab column. Per row the columns accumulate in ascending order and
 // skipped padding contributes exactly +0.0, so each vector's result is
 // bit-identical to the single-vector kernel's.
-func (f *ELL) apply(y, x []float64, k, lo, hi int) {
+func (f *ELL) apply(y, x, _ []float64, k, lo, hi int) {
 	if k == 1 {
 		f.rowRange(x, y, lo, hi)
 		return
@@ -251,14 +253,14 @@ func (f *HYB) cum(i int) int64 { return f.ell.cum(i) }
 
 func (f *HYB) plan(key exec.PlanKey) *exec.Plan { return f.ell.plan(key) }
 
-func (f *HYB) apply(y, x []float64, k, lo, hi int) { f.ell.apply(y, x, k, lo, hi) }
+func (f *HYB) apply(y, x, c []float64, k, lo, hi int) { f.ell.apply(y, x, c, k, lo, hi) }
 
 // after implements epilogue: the COO spill accumulates nnz-parallel on top
-// of the finished ELL sweep, with boundary carries. Its lanes are sized by
-// entry count alone at every k (see COO.addWorkers) and the ELL part is
-// row-granular, so each vector of a fused multiply accumulates every row
-// in the same order as a single-vector multiply would — bit-identical to
-// the by-column fallback the fused kernel replaced.
+// of the finished ELL sweep, with segment carries. Its segments are cut at
+// build and the ELL part is row-granular, so each vector of a fused
+// multiply accumulates every row in the same order as a single-vector
+// multiply on any lane count — bit-identical to the by-column fallback the
+// fused kernel replaced.
 func (f *HYB) after(ctl *exec.Ctl, y, x []float64, k, workers int) error {
-	return f.spill.run(ctl, y, x, k, f.spill.addWorkers(workers))
+	return f.spill.run(ctl, y, x, k, workers)
 }

@@ -27,7 +27,7 @@ func engineTestMatrices(t *testing.T) map[string]*matrix.CSR {
 // property: under a raised worker cap (so the pool genuinely runs multi-
 // worker even on small machines), SpMVParallel must match SpMV for every
 // registry format at several worker counts, within FP-reassociation
-// tolerance. Run with -race this also exercises the carry/scratch sharing.
+// tolerance. Run with -race this also exercises the lane frame sharing.
 func TestEngineSerialParallelEquivalence(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
@@ -63,9 +63,10 @@ func TestEngineSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestSpMVParallelAllocs is the steady-state acceptance gate: after the
-// first call warms the plan cache and the pool, a parallel SpMV performs no
-// partition recomputation, no goroutine spawns and no allocation (the lanes
-// read their arguments from the plan's reusable frame).
+// first call warms the plan cache and the pool, a parallel or serial SpMV
+// performs no partition recomputation, no goroutine spawns and no
+// allocation (the lanes read their arguments and carry slots from the
+// plan's reusable frame).
 func TestSpMVParallelAllocs(t *testing.T) {
 	prev := exec.SetMaxWorkers(4)
 	defer exec.SetMaxWorkers(prev)
@@ -98,6 +99,10 @@ func TestSpMVParallelAllocs(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("%s: %v allocs per steady-state SpMVParallel, want 0", b.Name, allocs)
 		}
+		f.SpMV(x, y)
+		if allocs := testing.AllocsPerRun(10, func() { f.SpMV(x, y) }); allocs > 0 {
+			t.Errorf("%s: %v allocs per steady-state SpMV, want 0", b.Name, allocs)
+		}
 		// A cancellable context costs its Ctl and nothing else.
 		allocs = testing.AllocsPerRun(10, func() {
 			if err := f.Apply(ctx, y, x, 1, 4); err != nil {
@@ -114,8 +119,8 @@ func TestSpMVParallelAllocs(t *testing.T) {
 // from runtime.MemStats with two Ps and no worker-cap override — the
 // configuration a caller runs in. testing.AllocsPerRun cannot: it sets
 // GOMAXPROCS to 1 for the measurement, where exec.Workers picks the serial
-// path unless a test has raised the cap. A row kernel, a carrier and the
-// two-phase HYB cover the lane frame's two shapes.
+// path unless a test has raised the cap. Every registry format runs, the
+// ones that split rows with their carry slots in the lane frame.
 func TestParallelApplyAllocsOnTwoCPUs(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -131,13 +136,12 @@ func TestParallelApplyAllocsOnTwoCPUs(t *testing.T) {
 	}
 	x := matrix.RandomVector(m.Cols, 7)
 	y := make([]float64, m.Rows)
-	for _, name := range []string{"Naive-CSR", "MKL-IE", "COO", "HYB"} {
-		b, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("no format %s", name)
-		}
+	for _, b := range Registry() {
+		name := b.Name
 		f, err := b.Build(m)
-		if err != nil {
+		if errors.Is(err, ErrBuild) {
+			continue
+		} else if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if exec.Workers(int64(m.NNZ()), 2) != 2 {
@@ -163,9 +167,10 @@ func TestParallelApplyAllocsOnTwoCPUs(t *testing.T) {
 
 // TestConcurrentSameInstanceCalls drives the contention path: several
 // goroutines issue SpMVParallel on one format instance with distinct output
-// vectors. Calls that lose the plan's TryLock must fall back to private
-// scratch and still produce the serial result; with -race this also proves
-// the cached scratch is never shared across in-flight calls.
+// vectors. Calls that lose the plan's TryLock must fall back to a private
+// frame and still produce the serial result; with -race this also proves
+// the cached frame and its carry slots are never shared across in-flight
+// calls.
 func TestConcurrentSameInstanceCalls(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
@@ -179,7 +184,7 @@ func TestConcurrentSameInstanceCalls(t *testing.T) {
 	}
 	x := matrix.RandomVector(m.Cols, 41)
 	want := make([]float64, m.Rows)
-	// Scratch-using formats are the ones with a contention fallback.
+	// The formats that split rows, whose frames carry slots.
 	for _, name := range []string{"COO", "Merge-CSR", "CSR5", "HYB"} {
 		b, _ := Lookup(name)
 		f, err := b.Build(m)

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/matrix"
 )
 
@@ -27,6 +28,15 @@ func fuzzCSR(data []byte) *matrix.CSR {
 	return o.ToCSR()
 }
 
+// fuzzLanes decodes the lane count, 1 to 7, from the byte fuzzCSR leaves
+// over after its last whole entry (1 when none is left).
+func fuzzLanes(data []byte) int {
+	if len(data) < 2 || (len(data)-2)%4 == 0 {
+		return 1
+	}
+	return 1 + int(data[len(data)-1])%7
+}
+
 // fuzzEntries encodes entries for a seed in fuzzCSR's layout.
 func fuzzEntries(rows, cols byte, entries ...[4]byte) []byte {
 	data := []byte{rows, cols}
@@ -39,8 +49,9 @@ func fuzzEntries(rows, cols byte, entries ...[4]byte) []byte {
 // FuzzBuildersMatchCSR holds every registry builder to the CSR reference on
 // arbitrary small matrices: a builder either refuses with ErrBuild, or its
 // Apply at k = 1 and k = 3 agrees with the column-wise CSR product within
-// the dot product's forward bound, and the four CSR presets are bit-equal
-// to Naive-CSR. The CSR family also builds every input as its widened twin
+// the dot product's forward bound, its Apply on the decoded lane count
+// (fuzzLanes) is bit-equal to its own on one lane, and the four CSR
+// presets are bit-equal to Naive-CSR. The CSR family also builds every input as its widened twin
 // (Cols past narrowMaxCols, x padded with zeros), so its int32 path is
 // fuzzed beside its uint16 one. Values and x stay finite: whether ELL's
 // padding slots (column 0, value 0) may turn an infinite or NaN x[0] into a
@@ -63,8 +74,10 @@ func FuzzBuildersMatchCSR(f *testing.F) {
 	f.Add(giant)
 	f.Add(fuzzEntries(3, 64, [4]byte{0, 0, 1, 32}, [4]byte{0, 0, 255, 32}, // a cancelling duplicate
 		[4]byte{2, 63, 100, 0}, [4]byte{2, 62, 100, 63}))
+	f.Add(append(giant, 6)) // the giant row on seven lanes
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := fuzzCSR(data)
+		defer exec.SetMaxWorkers(exec.SetMaxWorkers(7))
+		m, lanes := fuzzCSR(data), fuzzLanes(data)
 		for _, k := range []int{1, 3} {
 			x := matrix.RandomVector(m.Cols*k, int64(k))
 			want := multiplyManyWant(m, m.Rows, m.Cols, x, k)
@@ -83,12 +96,20 @@ func FuzzBuildersMatchCSR(f *testing.F) {
 						}
 						continue
 					}
-					y := make([]float64, m.Rows*k)
-					if err := fm.Apply(context.Background(), y, in.x, k, 2); err != nil {
+					y, one := make([]float64, m.Rows*k), make([]float64, m.Rows*k)
+					if err := fm.Apply(context.Background(), y, in.x, k, lanes); err != nil {
 						t.Fatalf("%s k=%d on %v: %v", b.Name, k, in.m, err)
 					}
 					if i, ok := m.WithinDotBound(x, k, y, want); !ok {
 						t.Fatalf("%s k=%d on %v: y[%d] = %v, the CSR reference's %v", b.Name, k, in.m, i, y[i], want[i])
+					}
+					if err := fm.Apply(context.Background(), one, in.x, k, 1); err != nil {
+						t.Fatalf("%s k=%d on %v: %v", b.Name, k, in.m, err)
+					}
+					for i := range y {
+						if math.Float64bits(y[i]) != math.Float64bits(one[i]) {
+							t.Fatalf("%s k=%d on %v: y[%d] = %v on %d lanes, %v on one", b.Name, k, in.m, i, y[i], lanes, one[i])
+						}
 					}
 					if !slices.Contains(csrPresets, b.Name) {
 						continue

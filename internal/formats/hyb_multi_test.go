@@ -52,9 +52,8 @@ func byColumn(t *testing.T, f *HYB, y, x []float64, k int) {
 // TestHYBMultiplyManyMatchesFallback is the bit-equivalence property test
 // for the fused HYB kernel: across matrices and k regimes, the fused
 // two-phase (ELL slab + k-wide spill carries) kernel must produce exactly
-// the by-column fallback's bits — the fused spill add mirrors the
-// single-vector chunking and carry merge order, so not even rounding may
-// differ.
+// the by-column fallback's bits — the spill's segments and carry fold are
+// the same at every k, so not even rounding may differ.
 func TestHYBMultiplyManyMatchesFallback(t *testing.T) {
 	for mi, m := range hybTestMatrices(t) {
 		fused, err := newHYB(m)
@@ -113,8 +112,8 @@ func TestHYBMultiplyManySpillEdges(t *testing.T) {
 		}
 	}
 
-	// One giant row: its spill run spans every worker chunk, exercising the
-	// carry merge across all boundaries.
+	// One giant row: its spill run spans many segments, exercising the
+	// carry fold across all of them.
 	rows := 64
 	giantLen := 20000
 	rowPtr := make([]int32, rows+1)

@@ -1,37 +1,39 @@
 package formats
 
 import (
-	"repro/internal/exec"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/simd"
 )
 
 // MergeCSR is the Merrill-Garland merge-based CSR SpMV (SC'16): standard CSR
-// storage, but the parallel kernel splits the combined (row-ends + nonzeros)
-// merge path into equal diagonals, so even a single giant row is divided
-// between workers. Partial sums of rows cut by a boundary are fixed up
-// serially afterwards. The merge-path search runs once per placement and
-// is cached, along with the carry buffers, in the execution plan.
+// storage, but the kernel splits the combined (row-ends + nonzeros) merge
+// path into equal diagonals, so even a single giant row is divided between
+// workers. The diagonals are its units: carryUnit items each, searched once
+// at build. A row that a diagonal boundary cuts is stored by the diagonal
+// it starts in; every later piece goes to its diagonal's carry slot, added
+// on serially afterwards in diagonal order.
 //
-// Its lanes sum sequentially, so its answer follows the lane count (a cut
-// row's head and tail are two sums) but never the RHS count: it has no
-// fused k-wide kernel, so a block runs by column, each vector its own
-// merge-path dispatch at the call's lane count. (A fused pass over whole
-// rows would be the CSR kernel, MKL-IE's.)
+// Its units sum sequentially, so its answer follows the fixed diagonals
+// but never the lane count or the RHS count: it has no fused k-wide
+// kernel, so a block runs by column. (A fused pass over whole rows would
+// be the CSR kernel, MKL-IE's.)
 type MergeCSR struct {
-	CSR
-}
-
-// mergeScratch is the plan-cached carry state: one slot per worker for the
-// row cut by that worker's end boundary (-1 if none) and its partial sum.
-type mergeScratch struct {
-	row []int32
-	sum []float64
+	driver
+	csr   CSR           // the storage; its own driver stays unbound
+	diags []sched.Range // the units
 }
 
 func newMergeCSR(m *matrix.CSR) *MergeCSR {
-	f := &MergeCSR{csrOf(m)}
+	f := &MergeCSR{csr: csrOf(m)}
+	f.diags = sched.MergePath(m.RowPtr, (m.Rows+m.NNZ()+carryUnit-1)/carryUnit)
+	f.heads = make([]int32, len(f.diags))
+	for u, r := range f.diags {
+		f.heads[u] = -1
+		if r.NNZLo > int64(m.RowPtr[r.RowLo]) {
+			f.heads[u] = int32(r.RowLo) // entries of the row were consumed before the diagonal
+		}
+	}
 	f.bind(f)
 	return f
 }
@@ -39,83 +41,78 @@ func newMergeCSR(m *matrix.CSR) *MergeCSR {
 // Name implements Format.
 func (f *MergeCSR) Name() string { return "Merge-CSR" }
 
-// Traits implements Format: its k = 1 kernel is the sequential lane.
+// Rows implements Format.
+func (f *MergeCSR) Rows() int { return f.csr.rows }
+
+// Cols implements Format.
+func (f *MergeCSR) Cols() int { return f.csr.cols }
+
+// NNZ implements Format.
+func (f *MergeCSR) NNZ() int64 { return f.csr.NNZ() }
+
+// Bytes implements Format: the CSR storage.
+func (f *MergeCSR) Bytes() int64 { return f.csr.Bytes() }
+
+// Traits implements Format: its k = 1 kernel is the sequential row sum.
 func (f *MergeCSR) Traits() Traits {
-	t := f.CSR.Traits()
+	t := f.csr.Traits()
 	t.Balancing, t.Class = ItemGranular, ClassRowSum
 	return t
 }
 
-// plan cuts the merge path into equal diagonals.
-func (f *MergeCSR) plan(key exec.PlanKey) *exec.Plan {
-	ranges := sched.MergePath(f.rowPtr, key.Workers)
-	return &exec.Plan{Ranges: ranges, Scratch: newMergeScratch(len(ranges))}
-}
+func (f *MergeCSR) units() int { return len(f.diags) }
 
-func newMergeScratch(lanes int) *mergeScratch {
-	return &mergeScratch{row: make([]int32, lanes), sum: make([]float64, lanes)}
-}
-
-// begin implements carrier.
-func (f *MergeCSR) begin(pl *exec.Plan, _ []float64, _ int, private bool) any {
-	if private {
-		return newMergeScratch(len(pl.Ranges))
+// cum counts merge items: row ends plus nonzeros.
+func (f *MergeCSR) cum(i int) int64 {
+	if i == 0 {
+		return 0
 	}
-	return pl.Scratch
+	r := f.diags[i-1]
+	return int64(r.RowHi) + r.NNZHi
 }
 
-// apply is the serial sweep: the merge path's one lane, rows in
-// sequential sums.
-func (f *MergeCSR) apply(y, x []float64, _, lo, hi int) {
-	f.seq(sched.Range{RowLo: lo, RowHi: hi, NNZLo: int64(f.rowPtr[lo]), NNZHi: int64(f.rowPtr[hi])}, y, x)
-}
-
-// lane implements carrier with the merge-path decomposition: the row cut
-// by the range end is carried (-1: none).
-func (f *MergeCSR) lane(c any, pl *exec.Plan, w int, y, x []float64, _ int) {
-	sc := c.(*mergeScratch)
-	sc.row[w] = -1
-	if sum, cut := f.seq(pl.Ranges[w], y, x); cut {
-		sc.row[w], sc.sum[w] = int32(pl.Ranges[w].RowHi), sum
+// apply runs diagonals [lo, hi), single-vector only.
+func (f *MergeCSR) apply(y, x, c []float64, _, lo, hi int) {
+	if f.csr.col16 != nil {
+		mergeUnits(f, f.csr.col16, y, x, c, lo, hi)
+	} else {
+		mergeUnits(f, f.csr.colIdx, y, x, c, lo, hi)
 	}
 }
 
-// seq is mergeLane over the format's index width.
-func (f *MergeCSR) seq(r sched.Range, y, x []float64) (float64, bool) {
-	if f.col16 != nil {
-		return mergeLane(r, f.rowPtr, f.col16, f.val, x, y)
+func mergeUnits[I simd.Index](f *MergeCSR, colIdx []I, y, x, c []float64, lo, hi int) {
+	for u := lo; u < hi; u++ {
+		c[u] = mergeUnit(f.diags[u], f.heads[u] >= 0, f.csr.rowPtr, colIdx, f.csr.val, x, y)
 	}
-	return mergeLane(r, f.rowPtr, f.colIdx, f.val, x, y)
 }
 
-// mergeLane writes the rows completed inside r as sequential sums and
-// returns the sum of the trailing fragment of the row r's end cuts, if
-// any. The first row may have had its head consumed by the previous lane;
-// that head arrives via the previous lane's carry in the serial fixup.
-func mergeLane[I simd.Index](r sched.Range, rowPtr []int32, colIdx []I, val, x, y []float64) (sum float64, cut bool) {
-	k := r.NNZLo
-	for i := r.RowLo; i < r.RowHi; i++ {
-		end := int64(rowPtr[i+1])
+// mergeUnit stores every row that starts inside the diagonal r into y as
+// the sequential sum of its entries in r, and returns the sum of the head
+// row's fragment (the row r begins inside, when head) instead.
+func mergeUnit[I simd.Index](r sched.Range, head bool, rowPtr []int32, colIdx []I, val, x, y []float64) (frag float64) {
+	k, i := r.NNZLo, r.RowLo
+	if head {
+		for end := min(int64(rowPtr[i+1]), r.NNZHi); k < end; k++ {
+			frag += val[k] * x[colIdx[k]]
+		}
+		if i == r.RowHi {
+			return frag // the diagonal ends inside its head row
+		}
+		i++
+	}
+	for ; i < r.RowHi; i++ {
 		sum := 0.0
-		for ; k < end; k++ {
+		for end := int64(rowPtr[i+1]); k < end; k++ {
 			sum += val[k] * x[colIdx[k]]
 		}
 		y[i] = sum
 	}
-	for ; k < r.NNZHi; k++ {
-		sum += val[k] * x[colIdx[k]]
-		cut = true
-	}
-	return sum, cut
-}
-
-// finish implements carrier: add the carried row fragments onto the rows
-// that were completed (or further carried) by subsequent workers.
-func (f *MergeCSR) finish(c any, y []float64, _ int) {
-	sc := c.(*mergeScratch)
-	for w, row := range sc.row {
-		if row >= 0 && int(row) < f.rows {
-			y[row] += sc.sum[w]
+	if k < r.NNZHi { // the row the diagonal ends inside starts here
+		sum := 0.0
+		for ; k < r.NNZHi; k++ {
+			sum += val[k] * x[colIdx[k]]
 		}
+		y[r.RowHi] = sum
 	}
+	return frag
 }

@@ -25,19 +25,17 @@ func metamorphicMatrices(t *testing.T) map[string]*matrix.CSR {
 }
 
 // rowsAlone reports whether the rounding contract (multi.go) has every row
-// of the named format's k-wide product on workers lanes summed alone, in an
-// order fixed by the row's own entries, so a row's bits do not depend on
-// where it sits. CSR5 sums by tiles, BCSR pairs rows into blocks, SparseX
-// decodes runs that cross rows, and Merge-CSR's merge-path lanes (at every
-// k: a block runs by column) and COO's parallel lanes (HYB's spill among
-// them) split rows at lane boundaries and add the pieces: they are held to
-// the forward bound instead.
-func rowsAlone(name string, workers int) bool {
+// of the named format's k-wide product summed alone, in an order fixed by
+// the row's own entries, so a row's bits do not depend on where it sits.
+// CSR5 sums by tiles, BCSR pairs rows into blocks, SparseX decodes runs
+// that cross rows, and Merge-CSR (at every k: a block runs by column) and
+// COO (HYB's spill among them) cut rows at units fixed by position in the
+// merge path or entry stream and add the pieces: they are held to the
+// forward bound instead.
+func rowsAlone(name string) bool {
 	switch name {
-	case "CSR5", "BCSR", "SparseX":
+	case "CSR5", "BCSR", "SparseX", "Merge-CSR", "COO", "HYB":
 		return false
-	case "Merge-CSR", "COO", "HYB":
-		return workers == 1
 	}
 	return true
 }
@@ -139,7 +137,7 @@ func TestMetamorphicRowPermutation(t *testing.T) {
 					for i, r := range perm {
 						copy(want[i*k:(i+1)*k], y[r*k:(r+1)*k])
 					}
-					if !rowsAlone(b.Name, workers) {
+					if !rowsAlone(b.Name) {
 						if i, ok := pm.WithinDotBound(x, k, py, want); !ok {
 							t.Fatalf("%s on %s k=%d workers=%d: permuted row %d vector %d = %v, unpermuted %v: beyond the forward bound",
 								b.Name, mname, k, workers, i/k, i%k, py[i], want[i])

@@ -19,13 +19,18 @@ package formats
 // vector.
 //
 // Rounding contract. Column t of a k-wide product is the single-vector
-// product of vector t at the same lane count, bit for bit, for every
-// format: a vector's answer never depends on what it was batched with.
-// The fused kernels keep their k = 1 order in every tile lane (the CSR
-// presets simd.CSRRowRangeGo's canonical order at every k, tier and
-// worker count; ELL, HYB, SELL-C-sigma and COO sequential sums in entry
-// order; BCSR d += (v0*x0 + v1*x1) per 2x2 block), and the formats
-// without one run by column. Against the sequential reference every
+// product of vector t, bit for bit, for every format, on any lane count:
+// a vector's answer depends neither on what it was batched with nor on
+// how many lanes computed it. The fused kernels keep their k = 1 order in
+// every tile lane (the CSR presets simd.CSRRowRangeGo's canonical order at
+// every k, tier and worker count; ELL, HYB, SELL-C-sigma and COO
+// sequential sums in entry order; BCSR d += (v0*x0 + v1*x1) per 2x2
+// block), and the formats without one run by column. The formats that
+// split rows (COO with HYB's spill and DeltaCOO, Merge-CSR, CSR5) cut
+// them only at units fixed at build (carryUnit): the piece a unit holds
+// of a row begun earlier is summed from +0 in the unit's carry slot, and
+// the driver adds the slots onto their rows serially in unit order after
+// the dispatch, so lanes only decide who computes a unit, never a sum. Against the sequential reference every
 // format agrees to the dot product's forward bound,
 // 2*n*2^-53*sum_j |a_ij*x_j| with n the row's stored entries
 // (matrix.CSR.WithinDotBound) — not to a tolerance relative to the

@@ -96,17 +96,17 @@ func TestMultiplyManyShardedEquivalence(t *testing.T) {
 // TestMultiplyManyConcurrentCallers drives the contention path through the
 // engine: several goroutines issue MultiplyMany on one format
 // instance with distinct outputs and distinct k. Calls that lose the
-// plan's TryLock must fall back to private k-wide scratch and still be
-// correct; with -race this also proves the cached carry buffers are never
-// shared across in-flight calls.
+// plan's TryLock must fall back to a private frame (with k-wide carry
+// slots) and still be correct; with -race this also proves the cached
+// carry slots are never shared across in-flight calls.
 func TestMultiplyManyConcurrentCallers(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)
 	defer exec.SetMaxWorkers(prev)
 	exec.Prestart()
 
 	m := matrix.RandomRowSizes(20000, 20000, skewedSizes(20000, 400), 91)
-	// COO carries k-wide scratch; CSR and SELL-C-s cover the scratch-free
-	// fused paths.
+	// COO carries k-wide slots; CSR and SELL-C-s cover the slot-free fused
+	// paths.
 	for _, name := range []string{"COO", "Naive-CSR", "SELL-C-s"} {
 		b, _ := Lookup(name)
 		f, err := b.Build(m)
@@ -116,7 +116,7 @@ func TestMultiplyManyConcurrentCallers(t *testing.T) {
 		var wg sync.WaitGroup
 		errs := make(chan string, 8)
 		for gi := 0; gi < 8; gi++ {
-			k := []int{3, 8}[gi%2] // distinct widths contend on one plan's scratch
+			k := []int{3, 8}[gi%2] // distinct widths contend on one plan's frame
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()

@@ -30,13 +30,13 @@ func padX(m *matrix.CSR, x []float64, k int) []float64 {
 	return xw
 }
 
-// csrPart is the CSR storage a CSR-family format embeds.
+// csrPart is the CSR storage of a CSR-family format.
 func csrPart(f Format) *CSR {
 	switch f := f.(type) {
 	case *CSR:
 		return f
 	case *MergeCSR:
-		return &f.CSR
+		return &f.csr
 	}
 	return nil
 }

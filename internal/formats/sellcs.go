@@ -222,7 +222,7 @@ func (f *SELLCS) plan(key exec.PlanKey) *exec.Plan {
 // x the chunk's padded width — is small enough to stay in L1 across the
 // lanes and tiles that revisit it, so the strided walk costs cache hits,
 // not memory traffic.
-func (f *SELLCS) apply(y, x []float64, k, lo, hi int) {
+func (f *SELLCS) apply(y, x, _ []float64, k, lo, hi int) {
 	if k == 1 {
 		f.chunkRange(x, y, lo, hi)
 		return

@@ -223,4 +223,4 @@ func (f *SPX) plan(key exec.PlanKey) *exec.Plan {
 // apply is single-vector only: the compressed unit stream would have to be
 // re-decoded per register tile, which costs more than the fused reuse
 // saves, so SparseX multiplies blocks one column at a time.
-func (f *SPX) apply(y, x []float64, _, lo, hi int) { f.rowRange(x, y, lo, hi) }
+func (f *SPX) apply(y, x, _ []float64, _, lo, hi int) { f.rowRange(x, y, lo, hi) }

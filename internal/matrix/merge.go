@@ -1,22 +1,28 @@
 package matrix
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // MergeCOO returns a new CSR with the additive delta overlay applied to m:
-// every delta entry adds onto its base cell, creating the cell when the
-// base has no entry there. A cell the delta touches whose merged value is
-// exactly zero is dropped — that is how the update layer expresses
-// deletion (it appends the exact negation of the current value). Base
-// cells the delta does not touch are copied bit for bit, including stored
-// zeros. m is not modified; delta is compacted in place first (a pure
-// scan when it is already sorted and duplicate-free, as frozen overlays
-// are).
+// a cell's delta entries add onto it one after another, in delta order —
+// onto the base value, or onto zero where the base has no entry — so the
+// merged value is what applying the entries in sequence gives. A cell the
+// delta touches whose merged value is exactly zero is dropped — that is
+// how the update layer expresses deletion (it appends the exact negation
+// of the current value). Base cells the delta does not touch are copied
+// bit for bit, including stored zeros. m is not modified; delta is sorted
+// in place first, stably (a pure scan when it is already sorted, as frozen
+// overlays are).
 func (m *CSR) MergeCOO(delta *COO) *CSR {
 	if delta.Rows != m.Rows || delta.Cols != m.Cols {
 		panic(fmt.Sprintf("matrix: MergeCOO shape mismatch: delta %dx%d for %dx%d",
 			delta.Rows, delta.Cols, m.Rows, m.Cols))
 	}
-	delta.Compact()
+	if all := (cooTail{delta, 0}); !sort.IsSorted(all) {
+		sort.Stable(all)
+	}
 	nd := delta.NNZ()
 	out := &CSR{
 		Rows:   m.Rows,
@@ -29,27 +35,26 @@ func (m *CSR) MergeCOO(delta *COO) *CSR {
 	for i := 0; i < m.Rows; i++ {
 		k, hi := m.RowPtr[i], m.RowPtr[i+1]
 		for k < hi || (d < nd && int(delta.RowIdx[d]) == i) {
-			switch {
-			case d >= nd || int(delta.RowIdx[d]) != i || (k < hi && m.ColIdx[k] < delta.ColIdx[d]):
+			if d >= nd || int(delta.RowIdx[d]) != i || (k < hi && m.ColIdx[k] < delta.ColIdx[d]) {
 				// Base-only cell: copied untouched.
 				out.ColIdx = append(out.ColIdx, m.ColIdx[k])
 				out.Val = append(out.Val, m.Val[k])
 				k++
-			case k < hi && m.ColIdx[k] == delta.ColIdx[d]:
-				// Both: add, dropping an exact-zero result (deletion).
-				if v := m.Val[k] + delta.Val[d]; v != 0 {
-					out.ColIdx = append(out.ColIdx, m.ColIdx[k])
-					out.Val = append(out.Val, v)
-				}
+				continue
+			}
+			// A touched cell: its entries add on in order, dropping an
+			// exact-zero result (deletion).
+			c, v := delta.ColIdx[d], 0.0
+			if k < hi && m.ColIdx[k] == c {
+				v = m.Val[k]
 				k++
-				d++
-			default:
-				// Delta-only cell: created unless it nets to exactly zero.
-				if delta.Val[d] != 0 {
-					out.ColIdx = append(out.ColIdx, delta.ColIdx[d])
-					out.Val = append(out.Val, delta.Val[d])
-				}
-				d++
+			}
+			for ; d < nd && int(delta.RowIdx[d]) == i && delta.ColIdx[d] == c; d++ {
+				v += delta.Val[d]
+			}
+			if v != 0 {
+				out.ColIdx = append(out.ColIdx, c)
+				out.Val = append(out.Val, v)
 			}
 		}
 		out.RowPtr[i+1] = int32(len(out.Val))

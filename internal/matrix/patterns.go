@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 )
@@ -66,15 +67,28 @@ func Laplacian2D(nx, ny int) *CSR {
 
 // Random returns a rows x cols matrix where each entry is present with
 // probability density, with values uniform in [-1, 1). Deterministic in seed.
+// It draws the geometric gap to each next present cell over the flattened
+// cell index, so it costs O(nnz), not one draw per cell.
 func Random(rows, cols int, density float64, seed int64) *CSR {
 	rng := rand.New(rand.NewSource(seed))
-	o := NewCOO(rows, cols, int(float64(rows*cols)*density)+1)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if rng.Float64() < density {
-				o.Append(int32(i), int32(j), rng.Float64()*2-1)
+	if !(density > 0) {
+		return NewCOO(rows, cols, 0).ToCSR()
+	}
+	n := int64(rows) * int64(cols)
+	o := NewCOO(rows, cols, int(float64(n)*min(density, 1))+1)
+	lq := math.Log1p(-density) // the log of a cell's chance to be absent
+	for c := int64(0); ; c++ {
+		if density < 1 {
+			g := math.Log(1-rng.Float64()) / lq // absent cells before the next present one
+			if g >= float64(n-c) {
+				break
 			}
+			c += int64(g)
 		}
+		if c >= n {
+			break
+		}
+		o.Append(int32(c/int64(cols)), int32(c%int64(cols)), rng.Float64()*2-1)
 	}
 	return o.ToCSR()
 }
