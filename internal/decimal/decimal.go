@@ -129,22 +129,22 @@ func eightDigits(b []byte, i int, mant uint64, nd int) (uint64, int, int) {
 	return mant, nd, i
 }
 
-// pow10[e-minPow10] is 10^e's 128-bit mantissa, rounded down with its top
+// Pow10[e-MinPow10] is 10^e's 128-bit mantissa, rounded down with its top
 // bit set, high word first, for every exponent a literal of up to 19
 // digits has when its value lies in about [1e-45, 1e45]; others go to
 // strconv. It is built at init from exact powers of five: 10^e is 5^e·2^e,
 // and only the exponent sees the 2^e.
-const minPow10, maxPow10 = -64, 45
+const MinPow10, maxPow10 = -64, 45
 
-var pow10 = func() (t [maxPow10 - minPow10 + 1][2]uint64) {
+var Pow10 = func() (t [maxPow10 - MinPow10 + 1][2]uint64) {
 	var buf [16]byte
-	for e := minPow10; e <= maxPow10; e++ {
+	for e := MinPow10; e <= maxPow10; e++ {
 		p := new(big.Int).Exp(big.NewInt(5), big.NewInt(int64(max(e, -e))), nil)
 		if e < 0 { // 2^(127+len)/5^-e lies strictly between 2^127 and 2^128
 			p.Quo(new(big.Int).Lsh(big.NewInt(1), uint(p.BitLen()+127)), p)
 		}
 		p.Lsh(p, 128).Rsh(p, uint(p.BitLen()-128)).FillBytes(buf[:]) // top 128 bits, rounded down
-		t[e-minPow10] = [2]uint64{binary.BigEndian.Uint64(buf[:8]), binary.BigEndian.Uint64(buf[8:])}
+		t[e-MinPow10] = [2]uint64{binary.BigEndian.Uint64(buf[:8]), binary.BigEndian.Uint64(buf[8:])}
 	}
 	return t
 }()
@@ -152,12 +152,12 @@ var pow10 = func() (t [maxPow10 - minPow10 + 1][2]uint64) {
 // Float converts v to the float64 nearest its value, ties to even (what
 // strconv.ParseFloat gives), by Eisel–Lemire (Lemire, 2021), and reports
 // false where that cannot prove it: a Hard literal, an exponent outside
-// pow10, a subnormal or infinite result, or a product too near a rounding
+// Pow10, a subnormal or infinite result, or a product too near a rounding
 // boundary. The mantissa at a set top bit times 10^e's high word gives the
 // double's 53 bits and a rounding bit unless the bits below could carry
 // into them; then the low word settles it, or strconv does.
 func (v Number) Float() (float64, bool) {
-	if v.Hard || v.Exp < minPow10 || v.Exp > maxPow10 {
+	if v.Hard || v.Exp < MinPow10 || v.Exp > maxPow10 {
 		return 0, false
 	}
 	sign := uint64(0)
@@ -168,7 +168,7 @@ func (v Number) Float() (float64, bool) {
 		return math.Float64frombits(sign), true
 	}
 	z := bits.LeadingZeros64(v.Mant)
-	m, p := v.Mant<<z, &pow10[v.Exp-minPow10]
+	m, p := v.Mant<<z, &Pow10[v.Exp-MinPow10]
 	hi, lo := bits.Mul64(m, p[0])
 	if hi&0x1ff == 0x1ff && lo+m < m { // the rounding bits are all ones and may carry
 		yhi, ylo := bits.Mul64(m, p[1])

@@ -1,4 +1,4 @@
-package decimal
+package decimal_test
 
 import (
 	"math"
@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/decimal"
+	"repro/internal/simd"
 )
 
 // Scan stops where the JSON grammar does and reports where it failed, and
@@ -23,7 +26,7 @@ func TestScanAndFloat(t *testing.T) {
 		{"", 0, true}, {"-", 0, true}, {"+1", 0, true}, {".5", 0, true}, {"1.", 2, true}, {"1.e3", 2, true},
 		{"1e", 2, true}, {"1e+", 3, true}, {"-x", 0, true},
 	} {
-		_, n, err := Scan([]byte(c.in))
+		_, n, err := decimal.Scan([]byte(c.in))
 		if n != c.n || (err != nil) != c.bad {
 			t.Errorf("Scan(%q) = %d, %v; want %d, error %v", c.in, n, err, c.n, c.bad)
 		}
@@ -38,7 +41,7 @@ func TestScanAndFloat(t *testing.T) {
 	}
 	lits = append(lits, "0.1", "5e-324", "1.7976931348623157e308", "0."+strings.Repeat("0", 30)+"1", "123456789.12345678")
 	for _, lit := range lits {
-		num, n, err := Scan([]byte(lit))
+		num, n, err := decimal.Scan([]byte(lit))
 		if err != nil || n != len(lit) {
 			t.Fatalf("Scan(%q) = %d, %v", lit, n, err)
 		}
@@ -52,7 +55,10 @@ func TestScanAndFloat(t *testing.T) {
 // Scan consumes exactly what the JSON number grammar matches, and where it
 // fails it stops on a fraction or exponent the grammar cannot complete;
 // Float, where it converts, gives strconv.ParseFloat's bits for the
-// consumed literal and declines whatever ParseFloat refuses. The seeds end
+// consumed literal and declines whatever ParseFloat refuses; and the
+// AVX-512 tier's block scanner (simd.ScanPlain), from any offset and with
+// a literal in the slack at the end, decodes a literal only as Scan and
+// Float do. The seeds end
 // runs of 1 to 24 digits at every offset of an eight-byte word: at the end
 // of the input, before bytes 0xFA-0xFF (which carry out of a byte when the
 // word test adds 6 to each), and before '.', 'e' and ','; behind a
@@ -68,8 +74,21 @@ func FuzzScan(f *testing.F) {
 		}
 	}
 	grammar := regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`)
+	pad := strings.Repeat(",", simd.ScanSlack-1)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		num, n, err := Scan(b)
+		var one [1]float64
+		for _, in := range [][]byte{b, append(b[:len(b):len(b)], pad...)} {
+			for i := range in {
+				if k, end := simd.ScanPlain(in, i, one[:]); k == 1 {
+					num, n, err := decimal.Scan(in[i:])
+					v, ok := num.Float()
+					if err != nil || i+n+1 != end || in[i+n] != ',' || !ok || math.Float64bits(v) != math.Float64bits(one[0]) {
+						t.Fatalf("%q from %d: ScanPlain %v to %d, Scan %+v, %d bytes, %v", in, i, one[0], end, num, n, err)
+					}
+				}
+			}
+		}
+		num, n, err := decimal.Scan(b)
 		m := len(grammar.Find(b))
 		if err != nil {
 			// Nothing matched, or a match stopped on a '.', 'e' or 'E' with no
@@ -77,7 +96,7 @@ func FuzzScan(f *testing.F) {
 			if m == 0 && n == 0 {
 				return
 			}
-			if n <= m || n > m+2 || !strings.ContainsRune(".eE", rune(b[m])) || n < len(b) && IsDigit(b[n]) {
+			if n <= m || n > m+2 || !strings.ContainsRune(".eE", rune(b[m])) || n < len(b) && decimal.IsDigit(b[n]) {
 				t.Fatalf("Scan(%q) failed at %d (%v); the grammar matches %d bytes", b, n, err, m)
 			}
 			return

@@ -50,14 +50,3 @@ func (r Roof) LLCBound(fv core.FeatureVector) float64 {
 	}
 	return r.Bound(csrIntensity(fv), r.LLCBWGBs)
 }
-
-// Applicable returns the tighter-but-correct roof for the matrix: the LLC
-// bound when the whole working set is cache-resident, the memory bound
-// otherwise.
-func (r Roof) Applicable(fv core.FeatureVector) float64 {
-	workingSet := fv.MemFootprintMB*(1<<20) + 8*float64(fv.Rows+fv.Cols)
-	if r.LLCBytes > 0 && workingSet <= 0.8*float64(r.LLCBytes) {
-		return r.LLCBound(fv)
-	}
-	return r.MemoryBound(fv)
-}

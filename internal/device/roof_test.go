@@ -52,18 +52,6 @@ func TestLLCBoundAboveMemoryBound(t *testing.T) {
 	}
 }
 
-func TestApplicableSwitchesAtCapacity(t *testing.T) {
-	r := testRoof() // 128 MB LLC
-	small := fvMB(16)
-	large := fvMB(1024)
-	if got, want := r.Applicable(small), r.LLCBound(small); got != want {
-		t.Errorf("small matrix roof = %g, want LLC bound %g", got, want)
-	}
-	if got, want := r.Applicable(large), r.MemoryBound(large); got != want {
-		t.Errorf("large matrix roof = %g, want memory bound %g", got, want)
-	}
-}
-
 func TestBoundMonotoneInIntensity(t *testing.T) {
 	r := testRoof()
 	prev := -1.0

@@ -76,12 +76,6 @@ func (c *LRU) Access(addr uint64) bool {
 	return false
 }
 
-// Hits returns the number of hits so far.
-func (c *LRU) Hits() uint64 { return c.hits }
-
-// Misses returns the number of misses so far.
-func (c *LRU) Misses() uint64 { return c.misses }
-
 // HitRate returns hits/(hits+misses), or 0 before any access.
 func (c *LRU) HitRate() float64 {
 	total := c.hits + c.misses
@@ -89,15 +83,6 @@ func (c *LRU) HitRate() float64 {
 		return 0
 	}
 	return float64(c.hits) / float64(total)
-}
-
-// Reset clears contents and counters.
-func (c *LRU) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-	}
-	c.clock, c.hits, c.misses = 0, 0, 0
 }
 
 // String describes the geometry.

@@ -176,3 +176,20 @@ func TestAnalyticMatchesSimulation(t *testing.T) {
 		}
 	}
 }
+
+// The LRU surface only tests use.
+
+// Hits returns the number of hits so far.
+func (c *LRU) Hits() uint64 { return c.hits }
+
+// Misses returns the number of misses so far.
+func (c *LRU) Misses() uint64 { return c.misses }
+
+// Reset clears contents and counters.
+func (c *LRU) Reset() {
+	for i := range c.tags {
+		c.tags[i] = 0
+		c.stamps[i] = 0
+	}
+	c.clock, c.hits, c.misses = 0, 0, 0
+}

@@ -228,3 +228,40 @@ func TestPlanCacheWarmGetZeroAllocs(t *testing.T) {
 		t.Errorf("warm Get allocates %v times per call, want 0", allocs)
 	}
 }
+
+// The Pool surface only tests use.
+
+// Run invokes f(0..n-1) on the pool's workers and the calling goroutine
+// and waits: Grant.Run over this pool, or over none when the pool is
+// busy — another Run is in flight, possibly from this very goroutine — so
+// Run is safe to call concurrently and never deadlocks on nesting.
+func (p *Pool) Run(n int, f func(w int)) error {
+	g := p.grant(n, nil)
+	return g.Run(n, f)
+}
+
+// Size returns the number of parked workers (0 until started).
+func (p *Pool) Size() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.started {
+		return 0
+	}
+	return p.size
+}
+
+// Close terminates the parked workers. Run must not be called after Close;
+// it exists so tests and short-lived tools can release goroutines.
+func (p *Pool) Close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	if !p.started {
+		return
+	}
+	for _, c := range p.wake {
+		close(c)
+	}
+	p.started = false
+	p.wake = nil
+}

@@ -16,12 +16,6 @@ type Grant struct {
 	pool    *Pool // nil = spawn fallback
 }
 
-// Ctl returns the grant's cancellation control (nil for uncancellable
-// grants). Kernels poll g.Ctl().Cancelled() at chunk granularity inside
-// their partition loops; the nil receiver is valid and always reports
-// false, so uncancellable kernels share the same code path.
-func (g *Grant) Ctl() *Ctl { return g.ctl }
-
 // Key returns the plan-cache key for this grant: its worker count. A
 // pooled and a spawned dispatch of one width share a plan; whichever finds
 // its lock taken runs on a private frame.
@@ -48,9 +42,10 @@ func (p *Pool) grant(workers int, ctl *Ctl) Grant {
 // poisons the grant's Ctl so the sibling lanes stop at their next chunk
 // boundary; it wins over plain cancellation, being the root cause. Lanes
 // that would start after the Ctl is cancelled never begin — kernels bound
-// the latency further by polling g.Ctl().Cancelled() between chunks — and
-// a cancelled call reports the context's own error (context.Canceled or
-// DeadlineExceeded). A caller that wants the panic re-panics the error.
+// the latency further by polling the Ctl they passed to AcquireCtl
+// between chunks — and a cancelled call reports the context's own error
+// (context.Canceled or DeadlineExceeded). A caller that wants the panic
+// re-panics the error.
 func (g *Grant) Run(n int, f func(w int)) (err error) {
 	p := g.pool
 	g.pool = nil // consumed; Release becomes a no-op

@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -108,9 +107,6 @@ func init() {
 		_ = Configure(v)
 	}
 }
-
-// Enabled reports whether the framework is armed.
-func Enabled() bool { return enabled.Load() }
 
 // SetEnabled arms or disarms the framework (tests and chaos drivers);
 // returns the previous state. Disarming leaves site specs in place but
@@ -216,18 +212,6 @@ func Fired(name string) uint64 {
 		return 0
 	}
 	return s.fired.Load()
-}
-
-// List returns the currently armed site names, sorted.
-func List() []string {
-	mu.Lock()
-	names := make([]string, 0, len(sites))
-	for n := range sites {
-		names = append(names, n)
-	}
-	mu.Unlock()
-	sort.Strings(names)
-	return names
 }
 
 // Inject evaluates the named site. With the framework disarmed (the

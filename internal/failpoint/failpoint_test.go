@@ -2,6 +2,7 @@ package failpoint
 
 import (
 	"errors"
+	"sort"
 	"syscall"
 	"testing"
 )
@@ -155,4 +156,16 @@ func BenchmarkInjectDisabled(b *testing.B) {
 			b.Fatal("fired")
 		}
 	}
+}
+
+// List returns the currently armed site names, sorted.
+func List() []string {
+	mu.Lock()
+	names := make([]string, 0, len(sites))
+	for n := range sites {
+		names = append(names, n)
+	}
+	mu.Unlock()
+	sort.Strings(names)
+	return names
 }

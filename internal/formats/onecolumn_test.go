@@ -8,7 +8,6 @@ import (
 	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/simd"
-	"repro/internal/testutil"
 	"repro/internal/update"
 )
 
@@ -22,7 +21,7 @@ func TestOneColumnBlockIsSpMV(t *testing.T) {
 	defer exec.SetMaxWorkers(exec.SetMaxWorkers(4))
 	defer simd.SetEnabled(simd.SetEnabled(true))
 
-	mats := testutil.SIMDEquivMatrices(t)
+	mats := formats.SIMDEquivMatrices(t)
 	mats["tridiagonal"] = matrix.Tridiagonal(3000, 2, -1) // the one DIA accepts
 	built := map[string]bool{}
 	for mname, m := range mats {

@@ -3,6 +3,7 @@ package formats
 import (
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/simd"
 	"repro/internal/testutil"
@@ -15,11 +16,7 @@ import (
 // kernel a drop-in for its scalar loop: the CSR presets run
 // simd.CSRRowRangeGo's canonical order at every tier, the ELL, SELL-C-s,
 // BCSR and fused multi kernels their scalar loops' order per output
-// element. The matrix pair lives in internal/testutil, shared with the
-// updatable-matrix suite.
-func simdEquivMatrices(t *testing.T) map[string]*matrix.CSR {
-	return testutil.SIMDEquivMatrices(t)
-}
+// element.
 
 // TestSIMDScalarEquivalence runs every format's single-vector kernels
 // (serial and parallel) under both dispatch modes and compares.
@@ -29,7 +26,7 @@ func TestSIMDScalarEquivalence(t *testing.T) {
 	}
 	prev := simd.SetEnabled(true)
 	defer simd.SetEnabled(prev)
-	for mname, m := range simdEquivMatrices(t) {
+	for mname, m := range SIMDEquivMatrices(t) {
 		x := matrix.RandomVector(m.Cols, 4242)
 		for _, b := range Registry() {
 			f, err := b.Build(m)
@@ -69,7 +66,7 @@ func TestSIMDLevelEquivalence(t *testing.T) {
 	prevCap := simd.SetLevel("scalar")
 	defer simd.SetLevel(prevCap)
 
-	mats := simdEquivMatrices(t)
+	mats := SIMDEquivMatrices(t)
 	for name, m := range unalignedTailMatrices() {
 		mats[name] = m
 	}
@@ -128,7 +125,7 @@ func TestSIMDScalarEquivalenceMulti(t *testing.T) {
 	}
 	prev := simd.SetEnabled(true)
 	defer simd.SetEnabled(prev)
-	for mname, m := range simdEquivMatrices(t) {
+	for mname, m := range SIMDEquivMatrices(t) {
 		for _, b := range Registry() {
 			f, err := b.Build(m)
 			if err != nil {
@@ -150,4 +147,27 @@ func TestSIMDScalarEquivalenceMulti(t *testing.T) {
 			}
 		}
 	}
+}
+
+// SIMDEquivMatrices returns the dispatch-equivalence pair: a skewed
+// general matrix (gather tails, SELL chunk variation, HYB spill) and an
+// odd-dimension banded one (BCSR edge blocks past the column bound,
+// DIA-friendly structure).
+func SIMDEquivMatrices(t *testing.T) map[string]*matrix.CSR {
+	t.Helper()
+	skewed, err := gen.Generate(gen.Params{
+		Rows: 2000, Cols: 2000, AvgNNZPerRow: 14, StdNNZPerRow: 5,
+		SkewCoeff: 10, BWScaled: 0.4, CrossRowSim: 0.4, AvgNumNeigh: 1.2, Seed: 77,
+	})
+	if err != nil {
+		t.Fatalf("generate skewed: %v", err)
+	}
+	banded, err := gen.Generate(gen.Params{
+		Rows: 1997, Cols: 1997, AvgNNZPerRow: 9, StdNNZPerRow: 2,
+		SkewCoeff: 1, BWScaled: 0.02, CrossRowSim: 0.8, AvgNumNeigh: 1.8, Seed: 78,
+	})
+	if err != nil {
+		t.Fatalf("generate banded: %v", err)
+	}
+	return map[string]*matrix.CSR{"skewed": skewed, "banded": banded}
 }

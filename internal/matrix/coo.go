@@ -41,91 +41,45 @@ func (m *COO) Append(r, c int32, v float64) {
 }
 
 // Compact sorts entries into row-major order and merges duplicates by
-// addition. It returns the number of merged duplicates.
-//
-// The compaction is delta-log friendly: one linear scan finds the longest
-// already-sorted duplicate-free prefix and leaves it in place, so a log
-// assembled by appending t new entries onto a previously compacted run
-// costs O(n + t log t) instead of re-sorting all n entries. An already
-// compact matrix (the common case for frozen overlays) is a pure scan
-// with no mutation at all. The tail sort is stable and the run merge
-// consumes the prefix first on equal cells, so duplicates accumulate in
-// append order — Compact is deterministic bit for bit.
+// addition, each cell's in append order, so it is deterministic bit for
+// bit. It returns the number of merged duplicates.
 func (m *COO) Compact() int {
-	n := len(m.Val)
-	if n <= 1 {
-		return 0
-	}
-	// Longest strictly increasing (row-major) prefix: sorted AND unique.
-	p := 1
-	for p < n && (m.RowIdx[p-1] < m.RowIdx[p] ||
-		(m.RowIdx[p-1] == m.RowIdx[p] && m.ColIdx[p-1] < m.ColIdx[p])) {
-		p++
-	}
-	if p == n {
-		return 0
-	}
-	sort.Stable(cooTail{m, p})
-	// Merge the two sorted runs into fresh arrays (the shrink on duplicate
-	// merge makes a safe in-place merge more trouble than the copy).
-	rowOut := make([]int32, 0, n)
-	colOut := make([]int32, 0, n)
-	valOut := make([]float64, 0, n)
-	merged := 0
-	push := func(r, c int32, v float64) {
-		if k := len(valOut); k > 0 && rowOut[k-1] == r && colOut[k-1] == c {
-			valOut[k-1] += v
-			merged++
-			return
+	m.SortStable()
+	w := 0
+	for i := range m.Val {
+		if w > 0 && m.RowIdx[w-1] == m.RowIdx[i] && m.ColIdx[w-1] == m.ColIdx[i] {
+			m.Val[w-1] += m.Val[i]
+			continue
 		}
-		rowOut = append(rowOut, r)
-		colOut = append(colOut, c)
-		valOut = append(valOut, v)
+		m.RowIdx[w], m.ColIdx[w], m.Val[w] = m.RowIdx[i], m.ColIdx[i], m.Val[i]
+		w++
 	}
-	i, j := 0, p
-	for i < p && j < n {
-		// Prefix first on equal cells: its entries were appended (and any
-		// earlier Compact accumulated them) before everything in the tail.
-		if m.RowIdx[i] < m.RowIdx[j] ||
-			(m.RowIdx[i] == m.RowIdx[j] && m.ColIdx[i] <= m.ColIdx[j]) {
-			push(m.RowIdx[i], m.ColIdx[i], m.Val[i])
-			i++
-		} else {
-			push(m.RowIdx[j], m.ColIdx[j], m.Val[j])
-			j++
-		}
-	}
-	for ; i < p; i++ {
-		push(m.RowIdx[i], m.ColIdx[i], m.Val[i])
-	}
-	for ; j < n; j++ {
-		push(m.RowIdx[j], m.ColIdx[j], m.Val[j])
-	}
-	m.RowIdx = rowOut
-	m.ColIdx = colOut
-	m.Val = valOut
+	merged := len(m.Val) - w
+	m.RowIdx, m.ColIdx, m.Val = m.RowIdx[:w], m.ColIdx[:w], m.Val[:w]
 	return merged
 }
 
-// cooTail sorts the unsorted tail [base:] of a COO log by (row, col).
-// Used with sort.Stable so entries for one cell keep their append order.
-type cooTail struct {
-	m    *COO
-	base int
+// SortStable sorts the entries into row-major order, each cell's
+// duplicates in append order; a sorted matrix costs one scan.
+func (m *COO) SortStable() {
+	if o := (cooOrder{m}); !sort.IsSorted(o) {
+		sort.Stable(o)
+	}
 }
 
-func (o cooTail) Len() int { return len(o.m.Val) - o.base }
-func (o cooTail) Less(i, j int) bool {
+// cooOrder orders a COO's entries by (row, col) for package sort.
+type cooOrder struct{ m *COO }
+
+func (o cooOrder) Len() int { return len(o.m.Val) }
+func (o cooOrder) Less(a, b int) bool {
 	m := o.m
-	a, b := o.base+i, o.base+j
 	if m.RowIdx[a] != m.RowIdx[b] {
 		return m.RowIdx[a] < m.RowIdx[b]
 	}
 	return m.ColIdx[a] < m.ColIdx[b]
 }
-func (o cooTail) Swap(i, j int) {
+func (o cooOrder) Swap(a, b int) {
 	m := o.m
-	a, b := o.base+i, o.base+j
 	m.RowIdx[a], m.RowIdx[b] = m.RowIdx[b], m.RowIdx[a]
 	m.ColIdx[a], m.ColIdx[b] = m.ColIdx[b], m.ColIdx[a]
 	m.Val[a], m.Val[b] = m.Val[b], m.Val[a]

@@ -173,12 +173,6 @@ func (m *CSR) AvgRowNNZ() float64 {
 	return float64(m.NNZ()) / float64(m.Rows)
 }
 
-// Clone returns a deep copy of the matrix.
-func (m *CSR) Clone() *CSR {
-	return &CSR{Rows: m.Rows, Cols: m.Cols,
-		RowPtr: slices.Clone(m.RowPtr), ColIdx: slices.Clone(m.ColIdx), Val: slices.Clone(m.Val)}
-}
-
 // Equal reports whether two matrices have identical shape and stored
 // structure, with values compared exactly.
 func (m *CSR) Equal(o *CSR) bool {

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -246,4 +247,10 @@ func TestWithinDotBound(t *testing.T) {
 			t.Errorf("%s: WithinDotBound = (%d, %v), want (%d, %v)", tc.name, i, ok, tc.at, tc.ok)
 		}
 	}
+}
+
+// Clone returns a deep copy of the matrix.
+func (m *CSR) Clone() *CSR {
+	return &CSR{Rows: m.Rows, Cols: m.Cols,
+		RowPtr: slices.Clone(m.RowPtr), ColIdx: slices.Clone(m.ColIdx), Val: slices.Clone(m.Val)}
 }

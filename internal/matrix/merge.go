@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MergeCOO returns a new CSR with the additive delta overlay applied to m:
 // a cell's delta entries add onto it one after another, in delta order —
@@ -13,16 +10,14 @@ import (
 // how the update layer expresses deletion (it appends the exact negation
 // of the current value). Base cells the delta does not touch are copied
 // bit for bit, including stored zeros. m is not modified; delta is sorted
-// in place first, stably (a pure scan when it is already sorted, as frozen
-// overlays are).
+// in place first (SortStable: a pure scan when it is already sorted, as
+// the update layer's logs are).
 func (m *CSR) MergeCOO(delta *COO) *CSR {
 	if delta.Rows != m.Rows || delta.Cols != m.Cols {
 		panic(fmt.Sprintf("matrix: MergeCOO shape mismatch: delta %dx%d for %dx%d",
 			delta.Rows, delta.Cols, m.Rows, m.Cols))
 	}
-	if all := (cooTail{delta, 0}); !sort.IsSorted(all) {
-		sort.Stable(all)
-	}
+	delta.SortStable()
 	nd := delta.NNZ()
 	out := &CSR{
 		Rows:   m.Rows,

@@ -27,10 +27,6 @@ func (r Range) Rows() int { return r.RowHi - r.RowLo }
 // NNZ returns the number of nonzeros covered by the range.
 func (r Range) NNZ() int64 { return r.NNZHi - r.NNZLo }
 
-// Partitioner is a row partition policy: RowBlocks, NNZBalanced or
-// MergePath.
-type Partitioner func(rowPtr []int32, p int) []Range
-
 // RowBlocks splits rows into p contiguous blocks of near-equal row count.
 func RowBlocks(rowPtr []int32, p int) []Range {
 	rows := len(rowPtr) - 1
@@ -180,30 +176,4 @@ func MergePath(rowPtr []int32, p int) []Range {
 		prev = next
 	}
 	return out
-}
-
-// Imbalance returns max worker work divided by mean worker work, where work
-// is the nonzero count (plus one per row to account for loop overhead).
-// 1.0 is perfect balance; the paper's skewed matrices drive this up for
-// row-granular policies.
-func Imbalance(ranges []Range) float64 {
-	if len(ranges) == 0 {
-		return 1
-	}
-	var total, max int64
-	for _, r := range ranges {
-		work := r.NNZ() + int64(r.Rows())
-		total += work
-		if work > max {
-			max = work
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	mean := float64(total) / float64(len(ranges))
-	if mean == 0 {
-		return 1
-	}
-	return float64(max) / mean
 }

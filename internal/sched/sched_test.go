@@ -205,3 +205,29 @@ func TestQuickPartitionCoverage(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Imbalance returns max worker work divided by mean worker work, where work
+// is the nonzero count (plus one per row to account for loop overhead).
+// 1.0 is perfect balance; the paper's skewed matrices drive this up for
+// row-granular policies.
+func Imbalance(ranges []Range) float64 {
+	if len(ranges) == 0 {
+		return 1
+	}
+	var total, max int64
+	for _, r := range ranges {
+		work := r.NNZ() + int64(r.Rows())
+		total += work
+		if work > max {
+			max = work
+		}
+	}
+	if total == 0 {
+		return 1
+	}
+	mean := float64(total) / float64(len(ranges))
+	if mean == 0 {
+		return 1
+	}
+	return float64(max) / mean
+}

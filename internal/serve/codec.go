@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/decimal"
 	"repro/internal/formats"
+	"repro/internal/simd"
 )
 
 // The multiply endpoint's wire codec. A request is {"x":[numbers]} and a
@@ -313,6 +314,15 @@ func (d *decoder) vector(x []float64, cols int) ([]float64, error) {
 		return x, nil
 	}
 	for {
+		// A run of plain literals is decoded a block at a time at the AVX-512
+		// tier; the literal it stops on is the per-literal path's below.
+		if simd.CodecAVX512() && len(x) < cols {
+			x = slices.Grow(x, min(64, cols-len(x)))
+			n, end := simd.ScanPlain(d.b, d.i, x[len(x):min(cap(x), cols)])
+			if x, d.i = x[:len(x)+n], end; n > 0 {
+				continue
+			}
+		}
 		d.space()
 		start := d.i
 		num, err := d.number()
@@ -449,36 +459,77 @@ func (d *decoder) literal(lit string) error {
 // envelope{OK: true, Data: MultiplyResponse{Y: y, Batch: batch}}, trailing
 // newline included. A y with an infinite or NaN entry has no JSON form
 // and returns ErrNonFinite.
+//
+// y goes a block at a time, each entry followed by a comma. At the
+// AVX-512 codec tier a first pass finds the shortest digits of each entry
+// in the codec formatter's range, as three 8-digit groups, and
+// simd.AppendPlain writes each run of them at once; appendFloat writes
+// the other entries, and every entry below that tier.
 func AppendMultiplyResponse(dst []byte, y []float64, batch int) ([]byte, error) {
 	dst = append(dst, `{"ok":true,"data":{"y":[`...)
-	for i, v := range y {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		// The subtraction is NaN for exactly the values JSON cannot carry.
-		if v-v != 0 {
-			return dst, fmt.Errorf("%w: y[%d] = %v", ErrNonFinite, i, v)
-		}
-		// encoding/json's float encoding (the ES6 number-to-string rule):
-		// plain decimals inside [1e-6, 1e21), exponent form outside, and a
-		// one-digit negative exponent without its padding zero. The codec
-		// writes the plain decimals below 2^53 itself; strconv the rest.
-		switch abs := math.Abs(v); {
-		case abs >= 1e-6 && abs < 1<<53:
-			dst = appendShortest(dst, v)
-		case abs == 0 || abs >= 1<<53 && abs < 1e21:
-			dst = strconv.AppendFloat(dst, v, 'f', -1, 64)
-		default:
-			dst = strconv.AppendFloat(dst, v, 'e', -1, 64)
-			if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-				dst[n-2] = dst[n-1]
-				dst = dst[:n-1]
+	var g [24*encodeBlock + 32]byte // simd.AppendPlain reads 32 bytes past the last entry
+	var lay [encodeBlock]uint32     // fraction digits | sign<<8 | 1<<16; 0 for appendFloat
+	tier := simd.CodecAVX512()
+	for lo := 0; lo < len(y); lo += encodeBlock {
+		blk := y[lo:min(lo+encodeBlock, len(y))]
+		for j, v := range blk {
+			// The subtraction is NaN for exactly the values JSON cannot carry.
+			if v-v != 0 {
+				return dst, fmt.Errorf("%w: y[%d] = %v", ErrNonFinite, lo+j, v)
+			}
+			lay[j] = 0
+			if abs := math.Abs(v); tier && abs >= 1e-6 && abs < 1<<53 {
+				d, frac := shortest(abs)
+				binary.LittleEndian.PutUint64(g[24*j:], d/1e16)
+				binary.LittleEndian.PutUint64(g[24*j+8:], d/1e8%1e8)
+				binary.LittleEndian.PutUint64(g[24*j+16:], d%1e8)
+				lay[j] = uint32(frac | int(math.Float64bits(v)>>63)<<8 | 1<<16)
 			}
 		}
+		for j := 0; j < len(blk); j++ {
+			k := j
+			for k < len(blk) && lay[k] != 0 {
+				k++
+			}
+			dst = simd.AppendPlain(dst, g[24*j:], lay[j:k])
+			if j = k; k < len(blk) {
+				dst = append(appendFloat(dst, blk[k]), ',')
+			}
+		}
+	}
+	if len(y) > 0 {
+		dst = dst[:len(dst)-1] // the last entry's comma
 	}
 	dst = append(dst, `],"batch":`...)
 	dst = strconv.AppendInt(dst, int64(batch), 10)
 	return append(dst, "}}\n"...), nil
+}
+
+// encodeBlock is how many entries of y AppendMultiplyResponse takes a
+// pass at a time.
+const encodeBlock = 64
+
+// appendFloat appends the finite v as encoding/json does (the ES6
+// number-to-string rule): plain decimals inside [1e-6, 1e21), exponent
+// form outside, and a one-digit negative exponent without its padding
+// zero. The codec writes the plain decimals below 2^53 itself; strconv
+// the rest.
+func appendFloat(dst []byte, v float64) []byte {
+	switch abs := math.Abs(v); {
+	case abs >= 1e-6 && abs < 1<<53:
+		n := len(dst)
+		dst = append(dst, '-')[:n+int(math.Float64bits(v)>>63)] // kept only for a set sign bit
+		d, frac := shortest(abs)
+		return appendDecimal(dst, d, frac)
+	case abs == 0 || abs >= 1<<53 && abs < 1e21:
+		return strconv.AppendFloat(dst, v, 'f', -1, 64)
+	}
+	dst = strconv.AppendFloat(dst, v, 'e', -1, 64)
+	if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // pow5 holds 5^0 … 5^22: the shortest-digit search scales by at most
@@ -490,19 +541,17 @@ var pow5 = func() (t [23]uint64) {
 	return t
 }()
 
-// appendShortest appends v, 1e-6 <= |v| < 2^53, as
-// strconv.AppendFloat(dst, v, 'f', -1, 64) does: the fewest digits that
-// read back as v and, of those, the closest to v, ties to even. Scaled by
-// the 10^q that makes one unit of 2^e2 (e2 in [-73, -2]) just over 1, the
-// rounding interval is (c ± 1)·5^q / 2^s with 5^q < 2^52 and s < 64: one
-// 64x64-bit product holds its bounds exactly, so nothing is approximated.
-func appendShortest(dst []byte, v float64) []byte {
+// shortest returns v, 1e-6 <= v < 2^53, as the decimal d·10^-frac
+// strconv.AppendFloat(dst, v, 'f', -1, 64) writes: the fewest digits that read back as v and,
+// of those, the closest to v, ties to even. Scaled by the 10^q that makes
+// one unit of 2^e2 (e2 in [-73, -2]) just over 1, the rounding interval
+// is (c ± 1)·5^q / 2^s with 5^q < 2^52 and s < 64: one 64x64-bit product
+// holds its bounds exactly, so nothing is approximated.
+func shortest(v float64) (d uint64, frac int) {
 	b := math.Float64bits(v)
-	n := len(dst)
-	dst = append(dst, '-')[:n+int(b>>63)] // kept only for a set sign bit
 	mant, exp := b&(1<<52-1)|1<<52, int(b>>52&0x7ff)-1075
 	if bits.TrailingZeros64(mant) >= -exp { // an integer prints as one
-		return appendDecimal(dst, mant>>-exp, 0)
+		return mant >> -exp, 0
 	}
 	// The interval is c ± 1 in units of 2^e2. Two cases of the general
 	// rule cannot arise in this range, so neither is coded. The bounds
@@ -534,7 +583,7 @@ func appendShortest(dst []byte, v float64) []byte {
 	twice, tail := 2*(mid-d*pk)+(cl&mask)>>(s-1), cl&(mask>>1)
 	_, up := bits.Sub64(2*pk, 2*twice|(tail|-tail)>>63|d&1, 0)
 	d += up
-	return appendDecimal(dst, min(max(d, lo), hi), q-k)
+	return min(max(d, lo), hi), q - k
 }
 
 // appendDecimal appends d·10^-frac in plain notation, each digit written

@@ -19,6 +19,7 @@ import (
 	"repro/internal/decimal"
 	"repro/internal/formats"
 	"repro/internal/matrix"
+	"repro/internal/simd"
 )
 
 // decodeSeeds are request bodies at the edges of the number grammar and
@@ -100,8 +101,14 @@ func FuzzDecodeMultiplyRequest(f *testing.F) {
 		var want MultiplyRequest
 		jerr := json.Unmarshal(body, &want)
 		// No body holds more entries than bytes: the dimension stop stays out
-		// of the differential.
+		// of the differential. The Go tier answers alike, error text included.
 		got, err := DecodeMultiplyRequest(nil, body, len(body))
+		prev := simd.SetEnabled(false)
+		goGot, goErr := DecodeMultiplyRequest(nil, body, len(body))
+		simd.SetEnabled(prev)
+		if fmt.Sprint(err) != fmt.Sprint(goErr) || !bitsEqual(got, goGot) {
+			t.Fatalf("%q: %v, %v at the active tier; %v, %v in Go", body, got, err, goGot, goErr)
+		}
 		switch {
 		case jerr != nil && err == nil:
 			t.Fatalf("codec accepted %q, encoding/json rejects it: %v", body, jerr)
@@ -296,6 +303,10 @@ func TestDecodeMatchesParseFloat(t *testing.T) {
 		n = 1 << 16
 	}
 	lits := differentialLiterals(n)
+	atEveryLevel(t, func(t *testing.T) { decodeMatchesParseFloat(t, lits) })
+}
+
+func decodeMatchesParseFloat(t *testing.T, lits []string) {
 	var paths [2]int // Eisel–Lemire, strconv
 	for lo := 0; lo < len(lits); lo += 4096 {
 		chunk := lits[lo:min(lo+4096, len(lits))]
@@ -431,6 +442,10 @@ func TestAppendMultiplyResponseByteIdentity(t *testing.T) {
 		n = 1 << 16
 	}
 	vs := encodeValues(n)
+	atEveryLevel(t, func(t *testing.T) { appendByteIdentity(t, vs) })
+}
+
+func appendByteIdentity(t *testing.T, vs []float64) {
 	fast := 0 // values on the codec's own formatter rather than strconv
 	for _, v := range vs {
 		if abs := math.Abs(v); abs >= 1e-6 && abs < 1<<53 {
@@ -492,6 +507,12 @@ func FuzzAppendMultiplyResponse(f *testing.F) {
 			finite = finite && !math.IsInf(y[i], 0) && !math.IsNaN(y[i])
 		}
 		got, err := AppendMultiplyResponse(nil, y, 3)
+		prev := simd.SetEnabled(false)
+		goGot, goErr := AppendMultiplyResponse(nil, y, 3)
+		simd.SetEnabled(prev)
+		if fmt.Sprint(err) != fmt.Sprint(goErr) || err == nil && !bytes.Equal(got, goGot) {
+			t.Fatalf("y = %v: %s, %v at the active tier; %s, %v in Go", y, got, err, goGot, goErr)
+		}
 		switch {
 		case !finite:
 			if !errors.Is(err, ErrNonFinite) {
@@ -518,9 +539,23 @@ func wideRequest(tb testing.TB, n int) []byte {
 	return body
 }
 
+// atEveryLevel runs f under each SIMD cap, the codec's AVX-512 tier and
+// its Go path, and restores the boot cap.
+func atEveryLevel(t *testing.T, f func(t *testing.T)) {
+	defer simd.SetLevel(simd.SetLevel("auto"))
+	for _, level := range []string{"avx512", "avx2", "scalar"} {
+		simd.SetLevel(level)
+		t.Run(level, f)
+	}
+}
+
 // On warm buffers a decode and an encode allocate nothing, at the width
-// where the codec is the request.
+// where the codec is the request, at every SIMD level.
 func TestMultiplyCodecZeroAllocs(t *testing.T) {
+	atEveryLevel(t, codecZeroAllocs)
+}
+
+func codecZeroAllocs(t *testing.T) {
 	const n = 50000
 	body := wideRequest(t, n)
 	x := make([]float64, 0, n)
@@ -653,13 +688,19 @@ func TestServeMultiplyAbandonsCancelledCallersBuffers(t *testing.T) {
 }
 
 // BenchmarkMultiplyCodec times the multiply path's codec at the two widths
-// the trajectory benchmark serves: the decode, the encode, and a whole
-// request through the handler.
+// the trajectory benchmark serves: the decode, the encode of a random y
+// and of the A·x the daemon serves, and a whole request through the
+// handler.
 func BenchmarkMultiplyCodec(b *testing.B) {
 	for _, n := range []int{3000, 50000} {
 		body := wideRequest(b, n)
+		// The served y is A·x over the wide workload's shape, 5 nonzeros a
+		// row; a RandomVector y prints shorter and flatters the encoder.
+		m := matrix.Random(n, n, 5/float64(n), 7)
+		ax := make([]float64, n)
+		m.SpMV(matrix.RandomVector(n, 50), ax)
 		y := matrix.RandomVector(n, 51)
-		resp, _ := AppendMultiplyResponse(nil, y, 1)
+		resp, _ := AppendMultiplyResponse(nil, ax, 1)
 
 		b.Run(fmt.Sprintf("decode/n=%d", n), func(b *testing.B) {
 			x := make([]float64, 0, n)
@@ -673,22 +714,26 @@ func BenchmarkMultiplyCodec(b *testing.B) {
 			}
 			reportPerFloat(b, n)
 		})
-		b.Run(fmt.Sprintf("encode/n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(len(resp)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				resp, _ = AppendMultiplyResponse(resp[:0], y, 1)
-			}
-			reportPerFloat(b, n)
-		})
+		for _, enc := range []struct {
+			name string
+			y    []float64
+		}{{"encode", y}, {"encode-ax", ax}} {
+			b.Run(fmt.Sprintf("%s/n=%d", enc.name, n), func(b *testing.B) {
+				b.SetBytes(int64(len(resp)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					resp, _ = AppendMultiplyResponse(resp[:0], enc.y, 1)
+				}
+				reportPerFloat(b, n)
+			})
+		}
 		b.Run(fmt.Sprintf("handler/n=%d", n), func(b *testing.B) {
 			s, err := NewServer(DefaultConfig(), memSession(b))
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Shutdown(context.Background())
-			h, _, err := s.Registry().Upload(context.Background(),
-				UploadSpec{MatrixMarket: mmBody(b, matrix.Random(n, n, 5/float64(n), 7))})
+			h, _, err := s.Registry().Upload(context.Background(), UploadSpec{MatrixMarket: mmBody(b, m)})
 			if err != nil {
 				b.Fatal(err)
 			}

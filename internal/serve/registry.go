@@ -138,9 +138,6 @@ func NewRegistry(base context.Context, sess *session.Session, maxBatch int) *Reg
 	}
 }
 
-// Session returns the selection session the registry builds under.
-func (r *Registry) Session() *session.Session { return r.sess }
-
 // fpKey renders a fingerprint the way clients address it.
 func fpKey(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
@@ -174,16 +171,12 @@ func valueSum(m *matrix.CSR) uint64 {
 	return h
 }
 
-// Upload builds and hosts the matrix described by spec, returning the
-// hosted entry and whether it was created by this call. Re-uploading an
-// identical matrix (structure and values) is idempotent and returns the
-// incumbent; a structural collision with different values is ErrConflict.
-func (r *Registry) Upload(ctx context.Context, spec UploadSpec) (*Hosted, bool, error) {
-	return r.upload(ctx, spec, []byte(spec.MatrixMarket))
-}
-
-// upload is Upload with the MatrixMarket text as bytes, which the HTTP
-// handler decodes in place (DecodeUpload); spec.MatrixMarket is ignored.
+// upload builds and hosts the matrix described by spec, with the
+// MatrixMarket text as bytes, which the HTTP handler decodes in place
+// (DecodeUpload); spec.MatrixMarket is ignored. It returns the hosted
+// entry and whether this call created it. Re-uploading an identical
+// matrix (structure and values) is idempotent and returns the incumbent;
+// a structural collision with different values is ErrConflict.
 func (r *Registry) upload(ctx context.Context, spec UploadSpec, mm []byte) (*Hosted, bool, error) {
 	m, err := buildMatrix(spec, mm)
 	if err != nil {

@@ -258,3 +258,8 @@ func TestRegistryCloseRefusesUploads(t *testing.T) {
 		t.Fatalf("post-close upload: err = %v, want ErrShuttingDown", err)
 	}
 }
+
+// Upload is upload with spec's MatrixMarket text, as tests call it.
+func (r *Registry) Upload(ctx context.Context, spec UploadSpec) (*Hosted, bool, error) {
+	return r.upload(ctx, spec, []byte(spec.MatrixMarket))
+}

@@ -15,6 +15,7 @@ func xgetbv() (eax, edx uint32)
 var can struct {
 	avx2   bool
 	avx512 bool
+	codec  bool // AVX-512 BW, VL and VBMI2, BMI1 and BMI2: the codec's kernels
 }
 
 func detect() {
@@ -39,11 +40,13 @@ func detect() {
 		ymmOS = xcr0&0x06 == 0x06
 		zmmOS = ymmOS && xcr0&0xe0 == 0xe0
 	}
-	var avx2, avx512f bool
+	var avx2, avx512f, codec bool
 	if maxID >= 7 {
-		_, ebx7, _, _ := cpuid(7, 0)
+		_, ebx7, ecx7, _ := cpuid(7, 0)
 		avx2 = ebx7&(1<<5) != 0
 		avx512f = ebx7&(1<<16) != 0
+		const bmiBWVL = 1<<3 | 1<<8 | 1<<30 | 1<<31
+		codec = ebx7&bmiBWVL == bmiBWVL && ecx7&(1<<6) != 0 // and VBMI2
 	}
 	if hasAVX && ymmOS {
 		features = append(features, "avx")
@@ -59,6 +62,7 @@ func detect() {
 	}
 	can.avx2 = hasAVX && avx2 && hasFMA && ymmOS
 	can.avx512 = can.avx2 && avx512f && zmmOS
+	can.codec = can.avx512 && codec
 	switch {
 	case can.avx512:
 		detected = "avx512"
@@ -110,6 +114,11 @@ func install(cap string) {
 	if any {
 		level, width = "avx512", 8
 	}
+	// The codec's kernels replace Go, not an AVX2 rung: they need no
+	// calibration, only the cap and the CPU.
+	if codecAVX512 = can.codec; can.codec {
+		kernelImpl[kScanPlain], kernelImpl[kFormat] = "avx512", "avx512"
+	}
 }
 
 // installScalar resets every table entry to its portable reference.
@@ -123,6 +132,7 @@ func installScalar() {
 	dotBcastTile8 = dotBcastTile8Scalar
 	bcsr2x2Tile = bcsr2x2TileScalar
 	bcsr2x2Tile8 = bcsr2x2Tile8Scalar
+	codecAVX512 = false
 	for i := range kernelImpl {
 		kernelImpl[i] = "scalar"
 	}
@@ -142,7 +152,7 @@ func installAVX2() {
 	dotBcastTile8 = dotBcastTile8AVX2
 	bcsr2x2Tile = bcsr2x2TileAVX2
 	bcsr2x2Tile8 = bcsr2x2Tile8AVX2
-	for i := range kernelImpl {
+	for i := range kernelImpl[:kScanPlain] { // the codec has no AVX2 rung
 		kernelImpl[i] = "avx2"
 	}
 }

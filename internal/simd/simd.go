@@ -69,10 +69,13 @@ package simd
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/decimal"
 )
 
 // EnvLevel caps the dispatch tier at process start: "scalar", "avx2" or
@@ -120,6 +123,8 @@ const (
 	kTile8
 	kBcsrTile4
 	kBcsrTile8
+	kScanPlain
+	kFormat
 	nKernels
 )
 
@@ -136,6 +141,8 @@ var kernelNames = [nKernels]string{
 	"multi.bcast-tile8",
 	"bcsr.2x2-tile4",
 	"bcsr.2x2-tile8",
+	"codec.scan",
+	"codec.format",
 }
 
 // kernelImpl records which implementation each table entry points at.
@@ -427,4 +434,46 @@ func Bcsr2x2Tile8(val []float64, blkCol []int32, x []float64, n, k int) (lo, hi 
 	_ = val[n*4-1]
 	_ = blkCol[n-1]
 	return bcsr2x2Tile8(&val[0], &blkCol[0], &x[0], n, k)
+}
+
+// codecAVX512 is set while the multiply codec's kernels are installed.
+// They are called directly, not through the table: an indirect call would
+// move the caller's stack buffers to the heap.
+var codecAVX512 bool
+
+// CodecAVX512 reports whether the multiply codec's AVX-512 tier (BW, VL
+// and VBMI2) is installed and enabled; below it ScanPlain decodes nothing
+// and AppendPlain must not be called.
+func CodecAVX512() bool { return codecAVX512 && Enabled() }
+
+// ScanSlack is how many bytes ScanPlain leaves unread at the end of its
+// input: a literal that starts in them is the caller's.
+const ScanSlack = 64
+
+// ScanPlain decodes the plain literals at b[i:], each followed by a ','
+// that it consumes, into x: a literal -?(0|[1-9][0-9]*)(\.[0-9]+)? of at
+// most 19 significant digits whose decimal.Number Float converts becomes
+// that float64. It stops at the first literal of any other kind, at one
+// starting within ScanSlack bytes of the end, or when x is full, and
+// returns how many it decoded and the offset after the last one's comma.
+func ScanPlain(b []byte, i int, x []float64) (n, end int) {
+	if !CodecAVX512() || len(x) == 0 {
+		return 0, i
+	}
+	return scanPlainAVX512(unsafe.SliceData(b), i, len(b)-ScanSlack, &x[0], len(x), &decimal.Pow10[-decimal.MinPow10])
+}
+
+// AppendPlain appends, for each lay[j] = frac | neg<<8 (higher bits
+// ignored), ±d·10^-frac in plain notation and a ',': d > 0 has at most 17
+// digits, as the three 8-digit groups at g[24j:24j+24], little-endian
+// words below 10^8 (g is overwritten and read 32 bytes past them), and
+// the point falls among them or, where they run out, after a "0" and zeros.
+func AppendPlain(dst, g []byte, lay []uint32) []byte {
+	if len(lay) == 0 {
+		return dst
+	}
+	_ = g[24*len(lay)+31]
+	dst = slices.Grow(dst, 26*len(lay)+32) // an entry takes at most 26 bytes, a store 32
+	n := len(dst)
+	return dst[:n+appendPlainAVX512(&dst[:n+1][n], &g[0], &lay[0], len(lay))]
 }

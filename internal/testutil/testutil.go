@@ -1,7 +1,7 @@
 // Package testutil holds what the test suites of more than one package
-// share: the engine-sized and SIMD-equivalence matrix sets, the gate
-// tiers, and the bit-equality check of dispatch equivalence. Helpers one
-// package alone uses live in that package's tests.
+// share: the engine-sized matrix set, the gate tiers, and the
+// bit-equality check of dispatch equivalence. Helpers one package alone
+// uses live in that package's tests.
 //
 // The package deliberately does NOT import internal/formats: the formats
 // package's own in-package tests use this harness, so an import would
@@ -76,29 +76,6 @@ func EngineMatrices(t *testing.T) map[string]*matrix.CSR {
 	sizes[1499] = 800
 	ms["longrows"] = matrix.RandomRowSizes(1500, 2500, sizes, 22)
 	return ms
-}
-
-// SIMDEquivMatrices returns the dispatch-equivalence pair: a skewed
-// general matrix (gather tails, SELL chunk variation, HYB spill) and an
-// odd-dimension banded one (BCSR edge blocks past the column bound,
-// DIA-friendly structure).
-func SIMDEquivMatrices(t *testing.T) map[string]*matrix.CSR {
-	t.Helper()
-	skewed, err := gen.Generate(gen.Params{
-		Rows: 2000, Cols: 2000, AvgNNZPerRow: 14, StdNNZPerRow: 5,
-		SkewCoeff: 10, BWScaled: 0.4, CrossRowSim: 0.4, AvgNumNeigh: 1.2, Seed: 77,
-	})
-	if err != nil {
-		t.Fatalf("generate skewed: %v", err)
-	}
-	banded, err := gen.Generate(gen.Params{
-		Rows: 1997, Cols: 1997, AvgNNZPerRow: 9, StdNNZPerRow: 2,
-		SkewCoeff: 1, BWScaled: 0.02, CrossRowSim: 0.8, AvgNumNeigh: 1.8, Seed: 78,
-	})
-	if err != nil {
-		t.Fatalf("generate banded: %v", err)
-	}
-	return map[string]*matrix.CSR{"skewed": skewed, "banded": banded}
 }
 
 // WithEmptyRows returns a matrix whose rows 1,2 mod 3 are empty.

@@ -33,12 +33,12 @@ func CompactionThreshold() (min int, ratio float64) {
 	return defMinCompact, defCompactRatio
 }
 
-// overlayLen counts overlay entries: frozen plus the active log above the
-// snapshot floor.
+// overlayLen counts overlay entries: the frozen log (a failed rebuild's)
+// plus the active log above the snapshot floor.
 func (u *Updatable) overlayLen(s *snapshot) int {
 	n := int(u.alloc.Load() - s.floor)
-	if s.frozen != nil {
-		n += s.frozen.NNZ()
+	if s.log != nil {
+		n += s.log.NNZ()
 	}
 	return n
 }
@@ -133,7 +133,7 @@ func (u *Updatable) CompactCtx(ctx context.Context) error {
 // cut exact: no writer can be between ticket allocation and view publish,
 // so every sequence number at or below the cut is in some view.
 //
-// Phase 2 (rebuild) runs without any lock: merge the frozen overlay into a
+// Phase 2 (rebuild) runs without any lock: merge the frozen log into a
 // fresh CSR, re-select the base format (drift invalidation plus warm
 // journal reuse via selector.ReselectCtx), and publish the new epoch. Readers
 // that loaded the frozen snapshot concurrently revalidate and retry.
@@ -152,89 +152,110 @@ func (u *Updatable) compactOnce(ctx context.Context) error {
 		u.shards[i].mu.Lock()
 	}
 	s := u.snap.Load()
-	cut := u.alloc.Load()
-	frozenN := 0
-	if s.frozen != nil {
-		frozenN = s.frozen.NNZ()
+	n := 0
+	if s.log != nil {
+		n = s.log.NNZ()
 	}
-	active := 0
 	for i := range u.shards {
-		active += len(u.shards[i].view.Load().seq)
+		n += len(u.shards[i].view.Load().seq)
 	}
-	if frozenN+active == 0 {
+	if n == 0 {
 		for i := range u.shards {
 			u.shards[i].mu.Unlock()
 		}
 		return nil
 	}
-	o := matrix.NewCOO(s.baseCSR.Rows, s.baseCSR.Cols, frozenN+active)
-	if s.frozen != nil {
-		// The frozen overlay is already sorted and duplicate-free, so it
-		// forms the sorted prefix Compact's fast path scans over.
-		o.RowIdx = append(o.RowIdx, s.frozen.RowIdx...)
-		o.ColIdx = append(o.ColIdx, s.frozen.ColIdx...)
-		o.Val = append(o.Val, s.frozen.Val...)
+	// log holds every entry the base lacks, each cell's in sequence order:
+	// a failed rebuild's log first, then the active log, whose cells each
+	// live in one shard. The stable sort keeps that order within a cell.
+	log := matrix.NewCOO(s.baseCSR.Rows, s.baseCSR.Cols, n)
+	if s.log != nil {
+		log.RowIdx = append(log.RowIdx, s.log.RowIdx...)
+		log.ColIdx = append(log.ColIdx, s.log.ColIdx...)
+		log.Val = append(log.Val, s.log.Val...)
 	}
 	for i := range u.shards {
 		vw := u.shards[i].view.Load()
-		o.RowIdx = append(o.RowIdx, vw.row...)
-		o.ColIdx = append(o.ColIdx, vw.col...)
-		o.Val = append(o.Val, vw.val...)
+		log.RowIdx = append(log.RowIdx, vw.row...)
+		log.ColIdx = append(log.ColIdx, vw.col...)
+		log.Val = append(log.Val, vw.val...)
 	}
-	o.Compact()
-	// Drop net-zero cells: deletions and exact cancellations carry no
-	// information once folded, and keeping them would grow the overlay (and
-	// later the merged base) with dead storage.
-	w := 0
-	for i := range o.Val {
-		if o.Val[i] != 0 {
-			o.RowIdx[w], o.ColIdx[w], o.Val[w] = o.RowIdx[i], o.ColIdx[i], o.Val[i]
-			w++
-		}
-	}
-	o.RowIdx, o.ColIdx, o.Val = o.RowIdx[:w], o.ColIdx[:w], o.Val[:w]
-
+	log.SortStable()
+	o, changed := sumCells(s.baseCSR, log)
 	frozen := &snapshot{
 		epoch:   s.epoch + 1,
 		base:    s.base,
 		baseCSR: s.baseCSR,
-		floor:   cut,
+		log:     log,
+		floor:   u.alloc.Load(),
 	}
 	if o.NNZ() > 0 {
 		frozen.frozen = o
 		frozen.fdelta = formats.NewDeltaCOO(o)
 	}
+	// Each shard's net keeps its cells' values across the freeze: they are
+	// what the rebuild merges to, so At and the writes that resolve
+	// against it read the same value before, during and after.
 	u.snap.Store(frozen)
 	for i := range u.shards {
-		sh := &u.shards[i]
-		sh.view.Store(emptyView)
-		sh.net = make(map[cell]float64)
-		sh.mu.Unlock()
+		u.shards[i].view.Store(emptyView)
+		u.shards[i].mu.Unlock()
 	}
 	u.lastFreezeNs.Store(time.Since(start).Nanoseconds())
 
 	if u.rebuildHook != nil {
 		u.rebuildHook()
 	}
-	if frozen.frozen == nil {
-		// The overlay net-cancelled to nothing; the old base is still exact.
-		u.lastCompactNs.Store(time.Since(start).Nanoseconds())
-		return nil
+	next := &snapshot{epoch: frozen.epoch + 1, base: s.base, baseCSR: s.baseCSR, floor: frozen.floor}
+	if changed {
+		merged := s.baseCSR.MergeCOO(log)
+		base, err := u.rebuildBase(ctx, merged, s.baseCSR.Fingerprint())
+		if err != nil {
+			return err
+		}
+		next.base, next.baseCSR = base, merged
+		u.compactions.Add(1)
 	}
-	merged := frozen.baseCSR.MergeCOO(frozen.frozen)
-	base, err := u.rebuildBase(ctx, merged, frozen.baseCSR.Fingerprint())
-	if err != nil {
-		return err
+	u.snap.Store(next)
+	// The base now holds every frozen cell's value; net keeps only the
+	// cells the active log touches.
+	for i := range u.shards {
+		sh := &u.shards[i]
+		sh.mu.Lock()
+		vw := sh.view.Load()
+		keep := make(map[cell]float64, len(vw.seq))
+		for j := range vw.seq {
+			key := cell{vw.row[j], vw.col[j]}
+			keep[key] = sh.net[key]
+		}
+		sh.net = keep
+		sh.mu.Unlock()
 	}
-	u.snap.Store(&snapshot{
-		epoch:   frozen.epoch + 1,
-		base:    base,
-		baseCSR: merged,
-		floor:   frozen.floor,
-	})
-	u.compactions.Add(1)
 	u.lastCompactNs.Store(time.Since(start).Nanoseconds())
 	return nil
+}
+
+// sumCells returns the sorted log summed per cell, less the cells that
+// sum to zero (they add nothing to a product): the readers' frozen
+// overlay. changed reports whether any cell's entries, added onto the
+// base one after another, move it; when none does, the base is already
+// exact and the rebuild is skipped.
+func sumCells(base *matrix.CSR, log *matrix.COO) (o *matrix.COO, changed bool) {
+	o = matrix.NewCOO(log.Rows, log.Cols, 0)
+	for i := 0; i < log.NNZ(); {
+		r, c := log.RowIdx[i], log.ColIdx[i]
+		b := csrAt(base, r, c)
+		v, sum := b, 0.0
+		for ; i < log.NNZ() && log.RowIdx[i] == r && log.ColIdx[i] == c; i++ {
+			v += log.Val[i]
+			sum += log.Val[i]
+		}
+		changed = changed || v != b
+		if sum != 0 {
+			o.Append(r, c, sum)
+		}
+	}
+	return o, changed
 }
 
 // rebuildBase builds the next epoch's base format for the merged matrix.
@@ -246,7 +267,7 @@ func (u *Updatable) rebuildBase(ctx context.Context, m *matrix.CSR, oldFP uint64
 	// Rebuild injection point: a fault here models the rebuild dying after
 	// the freeze — the frozen snapshot is already published, so readers
 	// keep computing base + frozen exactly; a retry re-merges the same
-	// frozen overlay.
+	// frozen log.
 	if err := failpoint.Inject("update.rebuild"); err != nil {
 		return nil, err
 	}
@@ -290,13 +311,15 @@ type Stats struct {
 
 // Stats returns current counters and sizes.
 func (u *Updatable) Stats() Stats {
-	views := make([]*shardView, len(u.shards))
-	s, v := u.loadConsistent(views)
+	rp := u.read()
+	defer u.release(rp)
+	s := rp.s
 	st := Stats{
 		Epoch:         s.epoch,
 		BaseFormat:    s.base.Name(),
 		BaseNNZ:       s.base.NNZ(),
-		Updates:       v,
+		ActiveLen:     rp.active(),
+		Updates:       rp.v,
 		Compactions:   u.compactions.Load(),
 		LastFreezeNs:  u.lastFreezeNs.Load(),
 		LastCompactNs: u.lastCompactNs.Load(),
@@ -306,10 +329,6 @@ func (u *Updatable) Stats() Stats {
 	}
 	if s.frozen != nil {
 		st.FrozenLen = s.frozen.NNZ()
-	}
-	for _, vw := range views {
-		lo, hi := viewRange(vw, s.floor, v)
-		st.ActiveLen += hi - lo
 	}
 	return st
 }

@@ -91,9 +91,11 @@ var emptyView = &shardView{}
 type logShard struct {
 	mu   sync.Mutex
 	view atomic.Pointer[shardView]
-	// net holds the per-cell sum of this shard's entries above the
-	// current snapshot floor: the write-time state Set and Delete resolve
-	// their current value against. Guarded by mu; rebuilt on freeze.
+	// net holds the value of each cell this shard's entries not yet in
+	// the base touch: the base value with the entries added on in order,
+	// what the next rebuild merges it to. Set, Delete and At resolve
+	// against it. Guarded by mu; kept across the freeze and cut to the
+	// active log's cells when a rebuilt base publishes.
 	net map[cell]float64
 }
 
@@ -108,6 +110,10 @@ type snapshot struct {
 	// kernels.
 	frozen *matrix.COO
 	fdelta *formats.DeltaCOO
+	// log is frozen's entries unsummed, sorted with each cell's in
+	// sequence order: what the rebuild merges, and a retry after a failed
+	// one merges again.
+	log *matrix.COO
 	// floor is the highest update sequence number folded into
 	// baseCSR+frozen; active log entries with seq <= floor are stale.
 	floor uint64
@@ -128,7 +134,8 @@ type Updatable struct {
 	alloc   atomic.Uint64
 	visible atomic.Uint64
 
-	snap atomic.Pointer[snapshot]
+	snap  atomic.Pointer[snapshot]
+	spare atomic.Pointer[readPoint]
 
 	// Commit-wait parking. Writers commit in ticket order; a writer whose
 	// predecessor has not yet published spins briefly (the common case: the
@@ -229,18 +236,13 @@ func (u *Updatable) Delete(r, c int) {
 
 // apply resolves one update into an additive log entry and commits it.
 // Set and Delete need the cell's current value, which under the shard
-// lock is exactly base + frozen + the shard's net index (freezes take
-// every shard lock, so the snapshot and the index cannot drift apart
-// while we hold ours).
+// lock is the shard's net index or, for a cell it does not hold, the
+// base's (a rebuild publishes its base before it cuts the index, so the
+// two cannot drift apart while we hold ours).
 func (u *Updatable) apply(r, c int, dv func(cur float64) float64) {
-	if s := u.snap.Load(); r < 0 || r >= s.baseCSR.Rows || c < 0 || c >= s.baseCSR.Cols {
-		panic(fmt.Sprintf("update: entry (%d,%d) out of range %dx%d", r, c, s.baseCSR.Rows, s.baseCSR.Cols))
-	}
-	key := cell{int32(r), int32(c)}
-	sh := &u.shards[r%len(u.shards)]
+	key, sh := u.locate(r, c)
 	sh.mu.Lock()
-	s := u.snap.Load()
-	cur := csrAt(s.baseCSR, key.r, key.c) + cooAt(s.frozen, key.r, key.c) + sh.net[key]
+	cur := u.current(sh, key)
 	d := dv(cur)
 	if d == 0 {
 		// No-op update: Set to the present value, Delete of an absent
@@ -260,11 +262,7 @@ func (u *Updatable) apply(r, c int, dv func(cur float64) float64) {
 		val: append(old.val, d),
 	}
 	sh.view.Store(nv)
-	if nd := sh.net[key] + d; nd == 0 {
-		delete(sh.net, key)
-	} else {
-		sh.net[key] = nd
-	}
+	sh.net[key] = cur + d
 	sh.mu.Unlock()
 	// Commit in ticket order: wait for every earlier update to become
 	// visible, then publish ours. The chain always advances — every
@@ -334,36 +332,28 @@ func csrAt(m *matrix.CSR, r, c int32) float64 {
 	return 0
 }
 
-// cooAt returns the overlay value at (r, c) by binary search over the
-// row-major sorted entries, zero when absent (or when there is no
-// overlay).
-func cooAt(o *matrix.COO, r, c int32) float64 {
-	if o == nil {
-		return 0
-	}
-	n := len(o.Val)
-	i := sort.Search(n, func(i int) bool {
-		if o.RowIdx[i] != r {
-			return o.RowIdx[i] > r
-		}
-		return o.ColIdx[i] >= c
-	})
-	if i < n && o.RowIdx[i] == r && o.ColIdx[i] == c {
-		return o.Val[i]
-	}
-	return 0
-}
-
 // At returns the current value of cell (r, c) as the next multiply would
 // observe it.
 func (u *Updatable) At(r, c int) float64 {
+	key, sh := u.locate(r, c)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return u.current(sh, key)
+}
+
+// locate returns cell (r, c) and the shard that logs it, and panics when
+// the coordinates are out of range.
+func (u *Updatable) locate(r, c int) (cell, *logShard) {
 	if s := u.snap.Load(); r < 0 || r >= s.baseCSR.Rows || c < 0 || c >= s.baseCSR.Cols {
 		panic(fmt.Sprintf("update: entry (%d,%d) out of range %dx%d", r, c, s.baseCSR.Rows, s.baseCSR.Cols))
 	}
-	key := cell{int32(r), int32(c)}
-	sh := &u.shards[r%len(u.shards)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := u.snap.Load()
-	return csrAt(s.baseCSR, key.r, key.c) + cooAt(s.frozen, key.r, key.c) + sh.net[key]
+	return cell{int32(r), int32(c)}, &u.shards[r%len(u.shards)]
+}
+
+// current returns cell key's value; the caller holds sh.mu.
+func (u *Updatable) current(sh *logShard, key cell) float64 {
+	if v, ok := sh.net[key]; ok {
+		return v
+	}
+	return csrAt(u.snap.Load().baseCSR, key.r, key.c)
 }

@@ -1,10 +1,13 @@
 package update
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/exec"
+	"repro/internal/failpoint"
 	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/testutil"
@@ -239,4 +242,98 @@ func TestUpdatableAccessors(t *testing.T) {
 		}()
 		u.Set(64, 0, 1)
 	}()
+}
+
+// A deleted cell is gone after Compact, whatever rounding its earlier
+// entries met: the entries merge onto the base in sequence order, as the
+// delete resolved them, so base 0.1 + 0.75 - 0.85 folds to exactly zero
+// (summed first, 0.75 - 0.85 left 2.8e-17 behind), and At reads the same
+// value before, during and after the fold. The window leg deletes again
+// while the rebuild runs; the retry leg fails the first rebuild, so the
+// second merges the same sequence.
+func TestCompactDropsDeletedCell(t *testing.T) {
+	for _, leg := range []string{"sync", "window", "retry"} {
+		t.Run(leg, func(t *testing.T) {
+			base := matrix.NewCOO(2, 2, 2)
+			base.Append(0, 0, 0.1)
+			base.Append(1, 1, 1)
+			u, err := New(base.ToCSR(), Options{Format: "Naive-CSR", NoAutoCompact: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u.Add(0, 0, 0.75)
+			u.Add(1, 1, 0.2)
+			u.Add(1, 1, 0.1)
+			before := u.At(1, 1)
+			u.Delete(0, 0)
+			check := func(when string) {
+				t.Helper()
+				if got := u.At(0, 0); got != 0 {
+					t.Errorf("At(0,0) %s = %g, want 0", when, got)
+				}
+				if got := u.At(1, 1); got != before {
+					t.Errorf("At(1,1) %s = %v, want %v", when, got, before)
+				}
+			}
+			check("after Delete")
+			switch leg {
+			case "window":
+				u.rebuildHook = func() {
+					check("during the rebuild")
+					u.Delete(0, 0)
+				}
+			case "retry":
+				failpoint.SetEnabled(true)
+				defer failpoint.SetEnabled(false)
+				if err := failpoint.Enable("update.rebuild", "error"); err != nil {
+					t.Fatal(err)
+				}
+				if u.Compact() == nil {
+					t.Fatal("Compact with a failing rebuild returned nil")
+				}
+				failpoint.Disable("update.rebuild")
+				check("after a failed rebuild")
+			}
+			for i := 0; i < 2; i++ {
+				if err := u.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				check("after Compact")
+				if u.NNZ() != 1 {
+					t.Errorf("NNZ after Compact = %d, want 1: the deleted cell survived", u.NNZ())
+				}
+			}
+		})
+	}
+}
+
+// A steady-state multiply allocates nothing, with entries in the active
+// log and on one lane or two (the log is long enough for two lanes to
+// share its pass), and neither does NNZ, which every POST /cells answer
+// reads.
+func TestUpdatableApplyAllocs(t *testing.T) {
+	defer exec.SetMaxWorkers(exec.SetMaxWorkers(4))
+	m := matrix.Random(4000, 4000, 16.0/4000, 3)
+	u, err := New(m, Options{Format: "Naive-CSR", NoAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60000; i++ {
+		u.Add(i*61%4000, i*37%4000, 0.5)
+	}
+	x, y := matrix.RandomVector(4000, 1), make([]float64, 4000)
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		u.Apply(ctx, y, x, 1, workers) // warm the pools
+		if a := testing.AllocsPerRun(20, func() {
+			if err := u.Apply(ctx, y, x, 1, workers); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%d workers: %v allocs per multiply, want 0", workers, a)
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() { u.NNZ() }); a != 0 {
+		t.Errorf("NNZ: %v allocs, want 0", a)
+	}
 }
