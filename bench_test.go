@@ -229,7 +229,7 @@ func BenchmarkExtensionSelector(b *testing.B) {
 	}
 	train := dataset.Medium.Sample(1000, 7)
 	test := dataset.Medium.Sample(300, 11)
-	knn := selector.Train(spec, train, 5)
+	knn := selector.TrainK(spec, train, 5, 1)
 	b.Run("rules", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev := selector.EvaluateK(spec, test, 1, func(fv core.FeatureVector) string {

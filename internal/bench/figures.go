@@ -109,7 +109,7 @@ func addCliffNote(r *Report, ms []measurement, dev string) {
 			largeFav = append(largeFav, m.GFLOPS)
 		}
 	}
-	s, l := median(smallFav), median(largeFav)
+	s, l := summarize(smallFav).Median, summarize(largeFav).Median
 	if s > 0 && l > 0 {
 		if s > l {
 			r.AddNote("%s: small/large favorable median ratio %.2fx", dev, s/l)
@@ -174,7 +174,7 @@ func addSweepGapNote(r *Report, small, large map[string][]float64, values []floa
 		name string
 		m    map[string][]float64
 	}{{"small", small}, {"large", large}} {
-		a, b := median(side.m[first]), median(side.m[last])
+		a, b := summarize(side.m[first]).Median, summarize(side.m[last]).Median
 		if a > 0 && b > 0 {
 			r.AddNote("%s %s: median %s %s -> %s %s (%.2fx)",
 				dev, side.name, first, fmtG(a), last, fmtG(b), b/a)
@@ -308,7 +308,7 @@ func RunFig9(o Options) []*Report {
 	peak := 0.0
 	for _, g := range groups {
 		for _, vals := range g {
-			if m := median(vals); m > peak {
+			if m := summarize(vals).Median; m > peak {
 				peak = m
 			}
 		}
@@ -323,7 +323,7 @@ func RunFig9(o Options) []*Report {
 				row := []string{fp, avg, sk}
 				var first, last float64
 				for i, nv := range dataset.NeighValues {
-					med := median(g[nv])
+					med := summarize(g[nv]).Median
 					row = append(row, fmtG(med))
 					if i == 0 {
 						first = med
@@ -339,7 +339,7 @@ func RunFig9(o Options) []*Report {
 				if badFixed {
 					var max float64
 					for _, nv := range dataset.NeighValues {
-						if m := median(g[nv]); m > max {
+						if m := summarize(g[nv]).Median; m > max {
 							max = m
 						}
 					}

@@ -53,13 +53,6 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// median is the median of unsorted input.
-func median(vs []float64) float64 {
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	return quantile(sorted, 0.5)
-}
-
 // ape returns the absolute percentage error of got against want, in
 // percent. A zero want with nonzero got returns +Inf.
 func ape(want, got float64) float64 {

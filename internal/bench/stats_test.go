@@ -52,7 +52,7 @@ func TestQuantileInterpolation(t *testing.T) {
 }
 
 func TestMedianUnsorted(t *testing.T) {
-	if got := median([]float64{5, 1, 3}); got != 3 {
+	if got := summarize([]float64{5, 1, 3}).Median; got != 3 {
 		t.Errorf("median = %g, want 3", got)
 	}
 }

@@ -132,7 +132,7 @@ func RunTable4(o Options) []*Report {
 			if !vp.ok || len(vp.friends) == 0 {
 				continue
 			}
-			med := median(vp.friends)
+			med := summarize(vp.friends).Median
 			mapes = append(mapes, ape(vp.self, med))
 			bests = append(bests, bestAPE(vp.self, vp.friends))
 		}

@@ -129,6 +129,15 @@ func eightDigits(b []byte, i int, mant uint64, nd int) (uint64, int, int) {
 	return mant, nd, i
 }
 
+// Pow5 holds 5^0 … 5^23 exactly, and Pow5[k]<<k is 10^k up to k = 19:
+// the multiply codec's shortest-digit searches scale by 5^q.
+var Pow5 = func() (t [24]uint64) {
+	for i, p := 0, uint64(1); i < len(t); i, p = i+1, 5*p {
+		t[i] = p
+	}
+	return t
+}()
+
 // Pow10[e-MinPow10] is 10^e's 128-bit mantissa, rounded down with its top
 // bit set, high word first, for every exponent a literal of up to 19
 // digits has when its value lies in about [1e-45, 1e45]; others go to

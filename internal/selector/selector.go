@@ -175,19 +175,14 @@ type Nearest struct {
 	samples []Sample
 }
 
-// Train builds a k-NN selector by labelling the given feature points with
-// the device model's best format. k defaults to 5. Points the device model
-// cannot label (no feasible format, e.g. past a capacity gate) are
-// dropped; Len reports how many were kept, so a thin training set is
-// visible to the caller instead of silently degrading accuracy.
-func Train(spec device.Spec, points []core.FeatureVector, k int) *Nearest {
-	return TrainK(spec, points, k, 1)
-}
-
-// TrainK is Train on the k-wide SpMM axis: labels come from
-// device.Spec.BestFormatK, so a selector trained with rhs = 8 learns the
-// k = 8 win-rate ordering (fused kernels promoted, fallback formats
-// demoted) rather than the single-vector one.
+// TrainK builds a k-NN selector by labelling the given feature points with
+// the device model's best format at rhs vectors (device.Spec.BestFormatK;
+// rhs = 1 is the single-vector SpMV), so a selector trained with rhs = 8
+// learns the k = 8 win-rate ordering (fused kernels promoted, fallback
+// formats demoted). k defaults to 5. Points the device model cannot label
+// (no feasible format, e.g. past a capacity gate) are dropped; Len reports
+// how many were kept, so a thin training set is visible to the caller
+// instead of silently degrading accuracy.
 func TrainK(spec device.Spec, points []core.FeatureVector, k, rhs int) *Nearest {
 	var samples []Sample
 	for _, fv := range points {

@@ -67,7 +67,7 @@ func TestNearestBeatsRules(t *testing.T) {
 	s := epyc(t)
 	train := dataset.Medium.Sample(1500, 7)
 	test := dataset.Medium.Sample(400, 11)
-	knn := Train(s, train, 5)
+	knn := TrainK(s, train, 5, 1)
 	if knn.Len() == 0 {
 		t.Fatal("empty training set")
 	}
@@ -118,7 +118,7 @@ func TestTrainReportsDroppedPoints(t *testing.T) {
 	labelable := len(points)
 	// Unlabelable points: empty matrices have no feasible format.
 	points = append(points, core.FeatureVector{}, core.FeatureVector{Rows: 10, Cols: 10})
-	knn := Train(s, points, 3)
+	knn := TrainK(s, points, 3, 1)
 	if knn.Len() != labelable {
 		t.Errorf("Len() = %d, want the %d labelable points", knn.Len(), labelable)
 	}

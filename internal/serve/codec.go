@@ -461,30 +461,19 @@ func (d *decoder) literal(lit string) error {
 // and returns ErrNonFinite.
 //
 // y goes a block at a time, each entry followed by a comma. At the
-// AVX-512 codec tier a first pass finds the shortest digits of each entry
-// in the codec formatter's range, as three 8-digit groups, and
-// simd.AppendPlain writes each run of them at once; appendFloat writes
-// the other entries, and every entry below that tier.
+// AVX-512 codec tier simd.ShortestPlain finds the shortest digits of each
+// entry it can in ZMM lanes and simd.AppendPlain writes each run of them
+// at once; appendFloat writes the other entries, and every entry below
+// that tier.
 func AppendMultiplyResponse(dst []byte, y []float64, batch int) ([]byte, error) {
 	dst = append(dst, `{"ok":true,"data":{"y":[`...)
 	var g [24*encodeBlock + 32]byte // simd.AppendPlain reads 32 bytes past the last entry
-	var lay [encodeBlock]uint32     // fraction digits | sign<<8 | 1<<16; 0 for appendFloat
+	var lay [encodeBlock]uint32     // ShortestPlain's layout words; 0 for appendFloat
 	tier := simd.CodecAVX512()
 	for lo := 0; lo < len(y); lo += encodeBlock {
 		blk := y[lo:min(lo+encodeBlock, len(y))]
-		for j, v := range blk {
-			// The subtraction is NaN for exactly the values JSON cannot carry.
-			if v-v != 0 {
-				return dst, fmt.Errorf("%w: y[%d] = %v", ErrNonFinite, lo+j, v)
-			}
-			lay[j] = 0
-			if abs := math.Abs(v); tier && abs >= 1e-6 && abs < 1<<53 {
-				d, frac := shortest(abs)
-				binary.LittleEndian.PutUint64(g[24*j:], d/1e16)
-				binary.LittleEndian.PutUint64(g[24*j+8:], d/1e8%1e8)
-				binary.LittleEndian.PutUint64(g[24*j+16:], d%1e8)
-				lay[j] = uint32(frac | int(math.Float64bits(v)>>63)<<8 | 1<<16)
-			}
+		if tier {
+			simd.ShortestPlain(blk, g[:], lay[:])
 		}
 		for j := 0; j < len(blk); j++ {
 			k := j
@@ -493,6 +482,10 @@ func AppendMultiplyResponse(dst []byte, y []float64, batch int) ([]byte, error) 
 			}
 			dst = simd.AppendPlain(dst, g[24*j:], lay[j:k])
 			if j = k; k < len(blk) {
+				// The subtraction is NaN for exactly the values JSON cannot carry.
+				if v := blk[k]; v-v != 0 {
+					return dst, fmt.Errorf("%w: y[%d] = %v", ErrNonFinite, lo+k, v)
+				}
 				dst = append(appendFloat(dst, blk[k]), ',')
 			}
 		}
@@ -532,21 +525,12 @@ func appendFloat(dst []byte, v float64) []byte {
 	return dst
 }
 
-// pow5 holds 5^0 … 5^22: the shortest-digit search scales by at most
-// 10^22 (5^22 < 2^52), and pow5[k]<<k is 10^k.
-var pow5 = func() (t [23]uint64) {
-	for i, p := 0, uint64(1); i < len(t); i, p = i+1, 5*p {
-		t[i] = p
-	}
-	return t
-}()
-
 // shortest returns v, 1e-6 <= v < 2^53, as the decimal d·10^-frac
 // strconv.AppendFloat(dst, v, 'f', -1, 64) writes: the fewest digits that read back as v and,
 // of those, the closest to v, ties to even. Scaled by the 10^q that makes
 // one unit of 2^e2 (e2 in [-73, -2]) just over 1, the rounding interval
-// is (c ± 1)·5^q / 2^s with 5^q < 2^52 and s < 64: one 64x64-bit product
-// holds its bounds exactly, so nothing is approximated.
+// is (c ± 1)·5^q / 2^s with q <= 22 (5^22 < 2^52) and s < 64: one
+// 64x64-bit product holds its bounds exactly, so nothing is approximated.
 func shortest(v float64) (d uint64, frac int) {
 	b := math.Float64bits(v)
 	mant, exp := b&(1<<52-1)|1<<52, int(b>>52&0x7ff)-1075
@@ -562,7 +546,7 @@ func shortest(v float64) (d uint64, frac int) {
 	// decimal that short within an ulp, so they print as themselves.
 	c, e2 := mant<<1, exp-1
 	q := (-e2*78913)>>18 + 1 // 10^q > 2^-e2 (78913/2^18 ≈ log10 2)
-	s, p := uint(-e2-q), pow5[q]
+	s, p := uint(-e2-q), decimal.Pow5[q]
 	l := (64 - s) & 63 // s is in [1, 51]; the masks spare the shifts a range check
 	ch, cl := bits.Mul64(c, p)
 	ll, borrow := bits.Sub64(cl, p, 0)
@@ -570,8 +554,10 @@ func shortest(v float64) (d uint64, frac int) {
 	lo, mid, hi := ((ch-borrow)<<l|ll>>(s&63))+1, ch<<l|cl>>(s&63), (ch+carry)<<l|ul>>(s&63)
 	mask := uint64(1)<<s - 1
 	// Drop digits while [lo, hi] still holds a shorter number, then round
-	// the central value to the k digits dropped, ties to even, and keep
-	// the result inside the interval.
+	// the central value to the k digits dropped, ties to even. [lo, hi]
+	// is every integer nearer the exact scaled value than the interval's
+	// half-width (no bound is an integer) and holds a multiple of 10^k,
+	// so it holds the nearest one too: the result needs no clamp.
 	k, d := 0, mid
 	for (lo+9)/10 <= hi/10 {
 		lo, hi, d = (lo+9)/10, hi/10, d/10
@@ -579,18 +565,17 @@ func shortest(v float64) (d uint64, frac int) {
 	}
 	// Twice the dropped remainder (integer part, fraction bits); round up
 	// when 2·twice + (a fraction bit or odd d) > 2·10^k: the borrow below.
-	pk := pow5[k] << k
+	pk := decimal.Pow5[k] << k
 	twice, tail := 2*(mid-d*pk)+(cl&mask)>>(s-1), cl&(mask>>1)
 	_, up := bits.Sub64(2*pk, 2*twice|(tail|-tail)>>63|d&1, 0)
-	d += up
-	return min(max(d, lo), hi), q - k
+	return d + up, q - k
 }
 
 // appendDecimal appends d·10^-frac in plain notation, each digit written
 // once in its final place.
 func appendDecimal(dst []byte, d uint64, frac int) []byte {
 	nd := bits.Len64(d) * 1233 >> 12 // log10 2 ≈ 1233/2^12
-	if d >= pow5[nd]<<nd {
+	if d >= decimal.Pow5[nd]<<nd {
 		nd++
 	}
 	// "0.000000" is stored whole and kept as far as 0.000ddd needs (at most

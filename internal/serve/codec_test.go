@@ -7,11 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/big"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -487,12 +489,17 @@ func appendByteIdentity(t *testing.T, vs []float64) {
 // The encoder against its reference on any vector of bit patterns: the
 // bytes encoding/json writes, or ErrNonFinite where it has no JSON form.
 func FuzzAppendMultiplyResponse(f *testing.F) {
-	for _, y := range [][]float64{
+	seeds := [][]float64{
 		{}, {1.5e-5, 3.14159, 12300, 1e20}, // 0.000ddd, d.ddd, ddd00
 		{1e-7, -2.5e-300, 1e17, 1e22, 9007199254740993, math.Copysign(0, -1)}, // strconv's cases
 		{0.1, 1.0 / 3, 1125899906842624.25, math.Ldexp(1, -20), 9.999999999999999e-7, 1e-6},
 		{math.NaN()}, {2, math.Inf(-1)},
-	} {
+	}
+	classes := laneClasses()
+	for _, name := range slices.Sorted(maps.Keys(classes)) {
+		seeds = append(seeds, classes[name][:min(len(classes[name]), 70)])
+	}
+	for _, y := range seeds {
 		var b []byte
 		for _, v := range y {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
@@ -525,6 +532,147 @@ func FuzzAppendMultiplyResponse(f *testing.F) {
 				t.Fatalf("y = %v:\n got %s\nwant %s", y, got, want)
 			}
 		}
+	})
+}
+
+// laneClasses are the values simd.ShortestPlain's lanes must agree with
+// shortest on, by what each exercises; every class is met negated too.
+func laneClasses() map[string][]float64 {
+	rng := rand.New(rand.NewSource(17))
+	c := map[string][]float64{}
+	add := func(class string, vs ...float64) {
+		for _, v := range vs {
+			c[class] = append(c[class], v, -v)
+		}
+	}
+	// 1 to 17 significant digits at every scale in range: none to sixteen
+	// of the search's digits dropped, and decimals whose double lies just
+	// below them, which round up through a run of nines.
+	for sig := 1; sig <= 17; sig++ {
+		for range 64 {
+			lit := fmt.Sprintf("%de%d", rng.Int63n(int64(math.Pow10(sig))), rng.Intn(22)-6-sig)
+			v, _ := strconv.ParseFloat(lit, 64)
+			exact, _ := new(big.Rat).SetString(lit)
+			class := "decimals"
+			if new(big.Rat).SetFloat64(v).Cmp(exact) < 0 {
+				class = "decimals rounded up"
+			}
+			add(class, v)
+		}
+	}
+	around := func(class string, v float64) {
+		add(class, math.Nextafter(math.Nextafter(v, 0), 0), math.Nextafter(v, 0), v,
+			math.Nextafter(v, math.Inf(1)), math.Nextafter(math.Nextafter(v, math.Inf(1)), math.Inf(1)))
+	}
+	for k := -6; k <= 16; k++ {
+		around("powers of ten", math.Pow10(k))
+	}
+	for e := -19; e <= -1; e++ {
+		around("2^-19 to 2^-1", math.Ldexp(1, e))
+	}
+	around("1e-6", 1e-6)
+	around("2^53", 1<<53)
+	around("2^52", 1<<52)
+	add("fallback", 0, 3, 4.5e15, 1e-7, 1e300, 0.5, 1.25, 0.1, math.NaN(), math.Inf(1))
+	const cols = 512
+	y := make([]float64, cols)
+	matrix.Random(cols, cols, 5.0/cols, 7).SpMV(matrix.RandomVector(cols, 1), y)
+	add("wide workload's y", y...)
+	return c
+}
+
+// searchDrop is how many of the digits shortest's search starts from its
+// answer for v drops: q, the power of ten it scales by, less frac.
+func searchDrop(v float64) int {
+	_, frac := shortest(v)
+	return (1076-int(math.Float64bits(v)>>52&0x7ff))*78913>>18 + 1 - frac
+}
+
+// checkLanes runs simd.ShortestPlain over y and holds each entry to
+// shortest: its layout word and 8-digit groups where the lanes take it,
+// and 0 exactly for an integer, an entry outside [1e-6, 2^53) or one that
+// drops eight digits or more. It counts the entries taken by digits
+// dropped, and fails if the kernel writes past y's last block of eight.
+func checkLanes(t *testing.T, y []float64, drops map[int]int) {
+	t.Helper()
+	n8 := (len(y) + 7) &^ 7
+	g := make([]byte, 24*n8+8)
+	lay := make([]uint32, n8+1)
+	lay[n8], g[24*n8] = 0xdead, 0xad
+	simd.ShortestPlain(y, g, lay)
+	if lay[n8] != 0xdead || g[24*n8] != 0xad {
+		t.Fatalf("%d entries: written past %d", len(y), n8)
+	}
+	for j, v := range y {
+		abs, want, digits := math.Abs(v), uint32(0), ""
+		if abs >= 1e-6 && abs < 1<<53 && abs != math.Trunc(abs) {
+			if drop := searchDrop(abs); drop < 8 {
+				d, frac := shortest(abs)
+				want = uint32(frac | int(math.Float64bits(v)>>63)<<8 | drop<<16)
+				digits = fmt.Sprintf("%0*d%s", 24-drop, d, strings.Repeat("0", drop))
+				drops[drop]++
+			} else {
+				drops[8]++
+			}
+		}
+		if lay[j] != want {
+			t.Fatalf("y[%d] = %v (%#x): layout %#x, want %#x", j, v, math.Float64bits(v), lay[j], want)
+		}
+		for i := 0; want != 0 && i < 3; i++ {
+			got := binary.LittleEndian.Uint64(g[24*j+8*i:])
+			if w, _ := strconv.ParseUint(digits[8*i:8*i+8], 10, 64); got != w {
+				t.Fatalf("y[%d] = %v (%#x): group %d is %d, want %d", j, v, math.Float64bits(v), i, got, w)
+			}
+		}
+	}
+}
+
+// The lane search is shortest, entry by entry, over every class of
+// laneClasses, and over blocks of every length up to 70 (past one encode
+// block) with a fallback entry at every position; it meets every count of
+// dropped digits, and the responses built on it are encoding/json's at
+// every level.
+func TestShortestPlainMatchesShortest(t *testing.T) {
+	defer simd.SetLevel(simd.SetLevel("avx512"))
+	if !simd.CodecAVX512() {
+		t.Skip("no AVX-512 codec tier on this host")
+	}
+	classes, drops := laneClasses(), map[int]int{}
+	var all []float64
+	for _, name := range slices.Sorted(maps.Keys(classes)) {
+		t.Run(name, func(t *testing.T) { checkLanes(t, classes[name], drops) })
+		all = append(all, classes[name]...)
+	}
+	t.Logf("entries by digits dropped (8: eight or more): %v", drops)
+	for k := 0; k <= 8; k++ {
+		if drops[k] == 0 {
+			t.Errorf("no entry drops %d digits", k)
+		}
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	fallback := classes["fallback"]
+	tails := func(f func(y []float64)) {
+		y := make([]float64, 0, 70)
+		for n := 1; n <= cap(y); n++ {
+			for p := range n {
+				y = append(y[:0], all[n*p%(len(all)-cap(y)):][:n]...)
+				y[p] = fallback[(n+p)%len(fallback)]
+				f(y)
+			}
+		}
+	}
+	tails(func(y []float64) { checkLanes(t, y, drops) })
+	atEveryLevel(t, func(t *testing.T) {
+		tails(func(y []float64) {
+			got, err := AppendMultiplyResponse(nil, y, 1)
+			if err != nil {
+				if !errors.Is(err, ErrNonFinite) || !slices.ContainsFunc(y, func(v float64) bool { return v-v != 0 }) {
+					t.Fatalf("y = %v: %v", y, err)
+				}
+			} else if want := encodingJSON(t, y, 1); !bytes.Equal(got, want) {
+				t.Fatalf("y = %v:\n got %s\nwant %s", y, got, want)
+			}
+		})
 	})
 }
 

@@ -212,9 +212,10 @@ done:
 // func appendPlainAVX512(dst, grp *byte, lay *uint32, n int) (written int)
 //
 // Writes n plain decimals to dst, each followed by ','. Entry j is
-// ±d·10^-frac with lay[j] = frac | neg<<8 (higher bits ignored) and
-// d > 0's digits in three 8-digit groups at grp[24j:], little-endian
-// words below 10^8. First every group becomes eight ASCII digits in place
+// ±d·10^-frac with lay[j] = frac | neg<<8 | drop<<16 (higher bits
+// ignored) and d·10^drop > 0's digits in three 8-digit groups at
+// grp[24j:], little-endian words below 10^8; its last drop digits are
+// not written. First every group becomes eight ASCII digits in place
 // (DIGITS8: the halving of serve's digits8 in 64-bit lanes, eight words a
 // step and the last 3n mod 8 under an opmask). Then each entry is a '-'
 // store, kept for a negative, and one 32-byte store: its digits, loaded
@@ -303,11 +304,15 @@ entry:
 	VMOVDQU   (SI), Y1
 	VPCMPUB   $4, Y4, Y1, K1  // digits other than '0'
 	KMOVD     K1, BX
-	TZCNTL    BX, BX          // 24 - nd
+	TZCNTL    BX, BX          // 24 - nd - drop
 	VMOVDQU   (SI)(BX*1), Y1  // the digits, from byte 0
-	NEGL      BX
-	ADDL      $24, BX         // nd
 	MOVL      (R8)(R10*4), AX
+	MOVL      AX, DX
+	SHRL      $16, DX
+	MOVBLZX   DX, DX          // drop
+	NEGL      BX
+	ADDL      $24, BX
+	SUBL      DX, BX          // nd
 	MOVBLZX   AX, CX          // frac
 	SHRL      $8, AX
 	ANDL      $1, AX          // the sign's length
@@ -350,3 +355,209 @@ out:
 	MOVQ DI, written+32(FP)
 	VZEROUPPER
 	RET
+
+// func shortestAVX512(y *float64, grp *byte, lay *uint32, n int, pow5 *[24]uint64)
+//
+// For n entries of y, eight to a ZMM step (the last step's load masked),
+// the shortest-digit search of serve's shortest in 64-bit lanes, written
+// as appendPlainAVX512 reads it: lay[j] = frac | neg<<8 | drop<<16 and the
+// three 8-digit groups of d·10^drop at grp[24j:]. A lane outside
+// 1e-6 <= |v| < 2^53, an integer, or one that drops eight digits or more
+// gets lay[j] = 0 (every other has frac >= 1). Every step stores eight
+// entries: lay and grp have room for n rounded up to 8.
+//
+// Scaled by 10^q, one unit of 2^e2 is just over 1 and the interval is
+// (c ± 1)·p/2^s (c = 2·mant, p = 5^q). IFMA takes mant·p as H·2^52 + L,
+// so mid = cp/2^s is H·2^(53-s) + 2L>>s, its fraction f = 2L mod 2^s,
+// and mid - lo = (p-f-1)>>s and hi - mid = (f+p)>>s: a and b, each at
+// most ten. The group split is a double's quotient corrected by one. Then
+// drop = the largest k <= 7 with a multiple of 10^k in [mid-a, mid+b],
+// tested on C = mid mod 10^8 as C mod 10^k <= a or 10^k - C mod 10^k <= b,
+// and C rounds to 10^drop, half to even on f. Like shortest's, that
+// multiple lies in the interval, so it is not one of 10^8 (drop would be
+// 8): it never carries out of C.
+#define DROP(POW) \
+	VPMULUDQ Z23, Z5, Z5 \
+	VPSRLQ   $35, Z5, Z5      /* C / 10^k */ \
+	MOVL     $POW, AX \
+	VPBROADCASTQ AX, Z13 \
+	VPMULUDQ Z13, Z5, Z14 \
+	VPSUBQ   Z14, Z3, Z14     /* r = C mod 10^k */ \
+	VPCMPUQ  $2, Z10, Z14, K5 /* r <= a */ \
+	VPSUBQ   Z14, Z13, Z14 \
+	VPCMPUQ  $2, Z11, Z14, K6 /* 10^k - r <= b */ \
+	KORW     K5, K6, K5 \
+	VMOVDQA64 Z5, K5, Z6      /* C / 10^drop */ \
+	VMOVDQA64 Z13, K5, Z7     /* 10^drop */ \
+	VPADDQ   Z26, Z9, K5, Z9  /* drop */
+
+TEXT ·shortestAVX512(SB), NOSPLIT, $0-40
+	MOVQ y+0(FP), SI
+	MOVQ grp+8(FP), DI
+	MOVQ lay+16(FP), R8
+	MOVQ n+24(FP), R9
+	MOVQ pow5+32(FP), BX
+	MOVQ $0x3eb0c6f7a0b5ed8d, AX
+	VPBROADCASTQ AX, Z31 // 1e-6
+	MOVQ $0x4340000000000000, AX
+	VPBROADCASTQ AX, Z30 // 2^53
+	MOVQ $0xfffffffffffff, AX
+	VPBROADCASTQ AX, Z29 // the fraction field
+	MOVL $1076, AX
+	VPBROADCASTQ AX, Z28
+	MOVL $78913, AX
+	VPBROADCASTQ AX, Z27 // log10 2 · 2^18
+	MOVL $1, AX
+	VPBROADCASTQ AX, Z26
+	MOVQ $0x3e45798ee2308c3a, AX
+	VPBROADCASTQ AX, Z25 // 1e-8
+	MOVL $100000000, AX
+	VPBROADCASTQ AX, Z24
+	MOVL $0xcccccccd, AX
+	VPBROADCASTQ AX, Z23 // x·Z23>>35 is x/10 for any 32-bit x
+	MOVL $2882303762, AX
+	VPBROADCASTQ AX, Z22 // x·Z22>>58 is x/10^8 below 2^31
+	VMOVDQU64 (BX), Z21
+	VPMOVZXBQ interleave<>+0(SB), Z20
+	VPMOVZXBQ interleave<>+8(SB), Z19
+	VPMOVZXBQ interleave<>+16(SB), Z18
+	VPMOVZXBQ interleave<>+24(SB), Z17
+	MOVL $8, R10
+
+step:
+	TESTQ   R9, R9
+	JLE     done
+	MOVQ    R9, AX
+	CMPQ    AX, R10
+	CMOVQGT R10, AX
+	MOVL    $0xff, DX
+	BZHIL   AX, DX, DX
+	KMOVW   DX, K1            // the entries this step
+	VMOVDQU64.Z (SI), K1, Z0
+	VPSRLQ   $63, Z0, Z1      // sign
+	VPSLLQ   $1, Z0, Z0
+	VPSRLQ   $1, Z0, Z0       // |v|
+	VPCMPUQ  $5, Z31, Z0, K1, K2
+	VPCMPUQ  $1, Z30, Z0, K2, K2
+	VRNDSCALEPD $0x0b, Z0, Z2
+	VCMPPD   $4, Z2, Z0, K2, K2 // in range and not an integer
+	VPSRLQ   $52, Z0, Z2
+	VPSUBQ   Z2, Z28, Z2      // -e2
+	VPANDQ   Z29, Z0, Z3      // mant - 2^52
+	VPMULUDQ Z27, Z2, Z4
+	VPSRLQ   $18, Z4, Z4
+	VPADDQ   Z26, Z4, Z4      // q
+	VPSUBQ   Z4, Z2, Z2       // s
+	VMOVDQA64 Z4, Z5
+	VPERMI2Q 64(BX), Z21, Z5
+	VPSRLQ   $4, Z4, Z6
+	VPTESTMQ Z6, Z6, K3
+	VPERMQ   128(BX), Z4, K3, Z5 // p = 5^q
+	VPXORQ   Z6, Z6, Z6
+	VPMADD52LUQ Z5, Z3, Z6    // L
+	VMOVDQA64 Z5, Z7
+	VPMADD52HUQ Z5, Z3, Z7    // H
+	VPADDQ   Z6, Z6, Z6
+	VPSRLVQ  Z2, Z6, Z8
+	VPSLLVQ  Z2, Z8, Z9
+	VPSUBQ   Z9, Z6, Z6       // f
+	VPSLLQ   $53, Z7, Z9
+	VPSRLQ   $11, Z7, Z10
+	VPSHRDVQ Z2, Z10, Z9      // H·2^53 >> s
+	VPADDQ   Z9, Z8, Z8       // mid
+	VPSUBQ   Z6, Z5, Z10
+	VPSUBQ   Z26, Z10, Z10
+	VPSRLVQ  Z2, Z10, Z10     // a
+	VPADDQ   Z6, Z5, Z11
+	VPSRLVQ  Z2, Z11, Z11     // b
+	VPSUBQ   Z26, Z2, Z2
+	VPSRLVQ  Z2, Z6, Z12      // half: f's top bit
+	VPSLLVQ  Z2, Z12, Z13
+	VPCMPUQ  $4, Z13, Z6, K4  // sticky: and bits below it
+	VCVTUQQ2PD Z8, Z0
+	VMULPD   Z25, Z0, Z0
+	VCVTTPD2UQQ Z0, Z0
+	VPMULUDQ Z24, Z0, Z3
+	VPSUBQ   Z3, Z8, Z3
+	VPMOVQ2M Z3, K5
+	VPSUBQ   Z26, Z0, K5, Z0
+	VPADDQ   Z24, Z3, K5, Z3
+	VPCMPUQ  $5, Z24, Z3, K5
+	VPADDQ   Z26, Z0, K5, Z0  // mid / 10^8
+	VPSUBQ   Z24, Z3, K5, Z3  // C
+
+	VMOVDQA64 Z3, Z5
+	VMOVDQA64 Z3, Z6
+	VMOVDQA64 Z26, Z7
+	VPXORQ   Z9, Z9, Z9
+	DROP(10)
+	DROP(100)
+	DROP(1000)
+	DROP(10000)
+	DROP(100000)
+	DROP(1000000)
+	DROP(10000000)
+	VPCMPUQ  $2, Z10, Z3, K5
+	VPSUBQ   Z3, Z24, Z14
+	VPCMPUQ  $2, Z11, Z14, K6
+	KORW     K5, K6, K5
+	KANDNW   K2, K5, K2       // less eight digits or more to drop
+
+	VPMULUDQ Z7, Z6, Z14
+	VPSUBQ   Z14, Z3, Z14     // R = C mod 10^drop
+	VPADDQ   Z14, Z14, Z13
+	VPADDQ   Z12, Z13, Z13    // twice R, and half
+	VPTESTMQ Z26, Z6, K5
+	KORW     K4, K5, K5
+	VPCMPUQ  $0, Z7, Z13, K5, K5 // a tie, and sticky or odd
+	VPCMPUQ  $6, Z7, Z13, K6  // or over half
+	KORW     K5, K6, K5
+	VPSUBQ   Z14, Z3, Z3
+	VPADDQ   Z7, Z3, K5, Z3   // C of d·10^drop: never 10^8 in a kept lane
+	VPMULUDQ Z22, Z0, Z13
+	VPSRLQ   $58, Z13, Z13    // A
+	VPMULUDQ Z24, Z13, Z14
+	VPSUBQ   Z14, Z0, Z14     // B
+
+	VPSUBQ   Z9, Z4, Z4       // frac
+	VPSLLQ   $8, Z1, Z1
+	VPSLLQ   $16, Z9, Z9
+	VPTERNLOGQ $0xfe, Z1, Z9, Z4
+	VMOVDQA64.Z Z4, K2, Z4
+	VPMOVQD  Z4, (R8)
+	MOVL     $0x24, AX
+	KMOVW    AX, K3
+	MOVL     $0x49, AX
+	KMOVW    AX, K5
+	MOVL     $0x92, AX
+	KMOVW    AX, K6
+	VMOVDQA64 Z20, Z15
+	VPERMI2Q Z14, Z13, Z15
+	VPERMQ   Z3, Z17, K3, Z15 // A0 B0 C0 A1 B1 C1 A2 B2
+	VMOVDQA64 Z19, Z16
+	VPERMI2Q Z14, Z13, Z16
+	VPERMQ   Z3, Z17, K5, Z16 // C2 A3 B3 C3 A4 B4 C4 A5
+	VMOVDQA64 Z18, Z0
+	VPERMI2Q Z14, Z13, Z0
+	VPERMQ   Z3, Z17, K6, Z0  // B5 C5 A6 B6 C6 A7 B7 C7
+	VMOVDQU64 Z15, (DI)
+	VMOVDQU64 Z16, 64(DI)
+	VMOVDQU64 Z0, 128(DI)
+	ADDQ     $64, SI
+	ADDQ     $192, DI
+	ADDQ     $32, R8
+	SUBQ     $8, R9
+	JMP      step
+
+done:
+	VZEROUPPER
+	RET
+
+// interleave holds, a byte a lane, the VPERMI2Q indices of A and B (A's
+// lanes 0-7, B's 8-15) for the three group stores, and the VPERMQ indices
+// of C for all three.
+DATA interleave<>+0(SB)/8, $0x0a02000901000800
+DATA interleave<>+8(SB)/8, $0x05000c04000b0300
+DATA interleave<>+16(SB)/8, $0x000f07000e06000d
+DATA interleave<>+24(SB)/8, $0x0704010603000502
+GLOBL interleave<>(SB), RODATA|NOPTR, $32

@@ -3,6 +3,7 @@ package simd
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"regexp"
@@ -30,8 +31,9 @@ func plainRef(d uint64, frac int, neg bool) string {
 }
 
 // AppendPlain writes plainRef's text for every digit count, fraction
-// length and sign, in runs of every length the digit pass's masked tail
-// takes, onto any prefix, and leaves the prefix alone.
+// length, sign and count of trailing zeros left unwritten, in runs of
+// every length the digit pass's masked tail takes, onto any prefix, and
+// leaves the prefix alone.
 func TestAppendPlainMatchesReference(t *testing.T) {
 	if !CodecAVX512() {
 		t.Skip("no AVX-512 codec tier on this host")
@@ -52,10 +54,13 @@ func TestAppendPlainMatchesReference(t *testing.T) {
 				if neg {
 					sign = 1
 				}
-				lay = append(lay, uint32(frac|sign<<8|1<<16))
-				g = binary.LittleEndian.AppendUint64(g, d/1e16)
-				g = binary.LittleEndian.AppendUint64(g, d/1e8%1e8)
-				g = binary.LittleEndian.AppendUint64(g, d%1e8)
+				drop := rng.Intn(25 - nd)
+				lay = append(lay, uint32(frac|sign<<8|drop<<16))
+				digits := fmt.Sprintf("%024s", strconv.FormatUint(d, 10)+strings.Repeat("0", drop))
+				for i := 0; i < 24; i += 8 {
+					group, _ := strconv.ParseUint(digits[i:i+8], 10, 64)
+					g = binary.LittleEndian.AppendUint64(g, group)
+				}
 			}
 		}
 	}

@@ -11,13 +11,6 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // OSXSAVE CPUID bit, which the caller checks first).
 func xgetbv() (eax, edx uint32)
 
-// can records the hardware+OS capability ladder filled by detect.
-var can struct {
-	avx2   bool
-	avx512 bool
-	codec  bool // AVX-512 BW, VL and VBMI2, BMI1 and BMI2: the codec's kernels
-}
-
 func detect() {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 1 {
@@ -45,8 +38,8 @@ func detect() {
 		_, ebx7, ecx7, _ := cpuid(7, 0)
 		avx2 = ebx7&(1<<5) != 0
 		avx512f = ebx7&(1<<16) != 0
-		const bmiBWVL = 1<<3 | 1<<8 | 1<<30 | 1<<31
-		codec = ebx7&bmiBWVL == bmiBWVL && ecx7&(1<<6) != 0 // and VBMI2
+		const bmiDQIFMABWVL = 1<<3 | 1<<8 | 1<<17 | 1<<21 | 1<<30 | 1<<31
+		codec = ebx7&bmiDQIFMABWVL == bmiDQIFMABWVL && ecx7&(1<<6) != 0 // and VBMI2
 	}
 	if hasAVX && ymmOS {
 		features = append(features, "avx")
@@ -69,17 +62,6 @@ func detect() {
 	case can.avx2:
 		detected = "avx2"
 	}
-}
-
-// tierRank orders the cap ladder for clamping.
-func tierRank(t string) int {
-	switch t {
-	case "avx2":
-		return 1
-	case "avx512", "auto":
-		return 2
-	}
-	return 0
 }
 
 // install (re)builds the dispatch table under a cap ("auto", "scalar",

@@ -15,3 +15,4 @@ func install(string) {}
 // The codec's kernels exist on amd64 only: codecAVX512 stays false here.
 func scanPlainAVX512(_ *byte, i, _ int, _ *float64, _ int, _ *[2]uint64) (int, int) { return 0, i }
 func appendPlainAVX512(*byte, *byte, *uint32, int) int                              { return 0 }
+func shortestAVX512(*float64, *byte, *uint32, int, *[24]uint64)                     {}

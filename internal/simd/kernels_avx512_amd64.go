@@ -35,10 +35,13 @@ func dotBcastTile8AVX512(val *float64, idx *int32, x *float64, stride, n, k int)
 func bcsr2x2Tile8AVX512(val *float64, blkCol *int32, x *float64, n, k int) (lo, hi [8]float64)
 
 // The multiply codec's kernels (codec_avx512_amd64.s); they also need
-// AVX-512 BW, VL and VBMI2.
+// AVX-512 BW, VL, DQ, IFMA and VBMI2.
 
 //go:noescape
 func scanPlainAVX512(b *byte, i, limit int, x *float64, n int, pow *[2]uint64) (count, end int)
 
 //go:noescape
 func appendPlainAVX512(dst, grp *byte, lay *uint32, n int) (written int)
+
+//go:noescape
+func shortestAVX512(y *float64, grp *byte, lay *uint32, n int, pow5 *[24]uint64)

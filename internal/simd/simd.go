@@ -153,6 +153,25 @@ var kernelImpl = func() (ki [nKernels]string) {
 	return ki
 }()
 
+// can records the hardware+OS capability ladder filled by detect (none
+// off amd64).
+var can struct {
+	avx2   bool
+	avx512 bool
+	codec  bool // AVX-512 BW, VL, DQ, IFMA and VBMI2, BMI1 and BMI2: the codec's kernels
+}
+
+// tierRank orders the cap ladder for clamping.
+func tierRank(t string) int {
+	switch t {
+	case "avx2":
+		return 1
+	case "avx512", "auto":
+		return 2
+	}
+	return 0
+}
+
 var setMu sync.Mutex
 
 func init() {
@@ -441,9 +460,9 @@ func Bcsr2x2Tile8(val []float64, blkCol []int32, x []float64, n, k int) (lo, hi 
 // move the caller's stack buffers to the heap.
 var codecAVX512 bool
 
-// CodecAVX512 reports whether the multiply codec's AVX-512 tier (BW, VL
-// and VBMI2) is installed and enabled; below it ScanPlain decodes nothing
-// and AppendPlain must not be called.
+// CodecAVX512 reports whether the multiply codec's AVX-512 tier (BW, VL,
+// DQ, IFMA and VBMI2) is installed and enabled; below it ScanPlain
+// decodes nothing and ShortestPlain and AppendPlain must not be called.
 func CodecAVX512() bool { return codecAVX512 && Enabled() }
 
 // ScanSlack is how many bytes ScanPlain leaves unread at the end of its
@@ -463,11 +482,12 @@ func ScanPlain(b []byte, i int, x []float64) (n, end int) {
 	return scanPlainAVX512(unsafe.SliceData(b), i, len(b)-ScanSlack, &x[0], len(x), &decimal.Pow10[-decimal.MinPow10])
 }
 
-// AppendPlain appends, for each lay[j] = frac | neg<<8 (higher bits
-// ignored), ±d·10^-frac in plain notation and a ',': d > 0 has at most 17
-// digits, as the three 8-digit groups at g[24j:24j+24], little-endian
-// words below 10^8 (g is overwritten and read 32 bytes past them), and
-// the point falls among them or, where they run out, after a "0" and zeros.
+// AppendPlain appends, for each lay[j] = frac | neg<<8 | drop<<16 (higher
+// bits ignored), ±d·10^-frac in plain notation and a ',': d > 0 has at
+// most 17 digits, and d·10^drop is given as the three 8-digit groups at
+// g[24j:24j+24], little-endian words below 10^8 (g is overwritten and read
+// 32 bytes past them); the point falls among d's digits or, where they
+// run out, after a "0" and zeros.
 func AppendPlain(dst, g []byte, lay []uint32) []byte {
 	if len(lay) == 0 {
 		return dst
@@ -476,4 +496,15 @@ func AppendPlain(dst, g []byte, lay []uint32) []byte {
 	dst = slices.Grow(dst, 26*len(lay)+32) // an entry takes at most 26 bytes, a store 32
 	n := len(dst)
 	return dst[:n+appendPlainAVX512(&dst[:n+1][n], &g[0], &lay[0], len(lay))]
+}
+
+// ShortestPlain sets lay[j] and g[24j:24j+24] for AppendPlain to write
+// y[j] as strconv.AppendFloat(dst, y[j], 'f', -1, 64) does, for each y[j]
+// that is not an integer, has 1e-6 <= |y[j]| < 2^53 and drops fewer than
+// eight of the digits the exact search starts from (then lay[j] >= 1),
+// and lay[j] = 0 for every other entry. lay and g hold len(y) entries
+// rounded up to eight. Call it only at the codec tier (CodecAVX512).
+func ShortestPlain(y []float64, g []byte, lay []uint32) {
+	n8 := (len(y) + 7) &^ 7
+	shortestAVX512(unsafe.SliceData(y), unsafe.SliceData(g[:24*n8]), unsafe.SliceData(lay[:n8]), len(y), &decimal.Pow5)
 }
