@@ -369,7 +369,7 @@ func Example_quickstart() {
 	// Bal-CSR    0.97 MiB stored, matches CSR within 1e-12: true
 	// MKL-IE     0.97 MiB stored, matches CSR within 1e-12: true
 	// ELL        12.78 MiB stored, matches CSR within 1e-12: true
-	// HYB        2.18 MiB stored, matches CSR within 1e-12: true
+	// HYB        1.94 MiB stored, matches CSR within 1e-12: true
 	// CSR5       1.24 MiB stored, matches CSR within 1e-12: true
 	// Merge-CSR  0.97 MiB stored, matches CSR within 1e-12: true
 	// SELL-C-s   1.19 MiB stored, matches CSR within 1e-12: true

@@ -13,9 +13,9 @@ import (
 // hostGateMB is the largest requested footprint the host testbed
 // generates. A point above it is infeasible and never generated, the way
 // the FPGA's capacity failures show in Fig 1; no point is rescaled to fit.
-// HYB's staged COO spill (twice the CSR bytes on long, skewed rows) and
-// ELL's 2.5x slab of short rows set it: with every format run in one
-// process, a 223 MB point peaks at 1.5 GB of resident memory, under a
+// ELL's 2.5x slab of short rows sets it: with every format run in one
+// process, a 223 MB point peaked at 1.5 GB of resident memory (measured
+// while HYB still staged a COO spill of twice the CSR bytes), under a
 // fifth of an 8 GB machine, and Table I's middle-class ceiling (512 MB)
 // would double that. It bounds a point, not a run over many points
 // (docs/BENCHMARKS.md).

@@ -178,8 +178,8 @@ func TestHYBAllSpillAndNoSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fAll.spill.NNZ() != 0 {
-		t.Errorf("spill = %d, want 0 at threshold=max", fAll.spill.NNZ())
+	if len(fAll.spillVal) != 0 {
+		t.Errorf("spill = %d, want 0 at threshold=max", len(fAll.spillVal))
 	}
 	got := make([]float64, 60)
 	fAll.SpMVParallel(x, got, 4)
@@ -257,12 +257,13 @@ func TestQuickBytesTraitsConsistency(t *testing.T) {
 	}
 }
 
-// TestCarryUnitEdges runs the row-splitting formats on rows laid against
-// their carryUnit cuts — a unit that starts exactly at a row start, one
-// that starts and ends inside one row, runs of empty rows on both sides of
-// a cut, and a matrix ending in empty rows — on 1, 2 and 7 lanes at k = 1
-// and 3 into NaN-filled vectors: every row is written, within the forward
-// bound of the CSR reference, and every lane count gives the 1-lane bits.
+// TestCarryUnitEdges runs the row-splitting formats, and HYB, whose rows
+// carry a spill, on rows laid against the carryUnit cuts — a unit that
+// starts exactly at a row start, one that starts and ends inside one row,
+// runs of empty rows on both sides of a cut, and a matrix ending in empty
+// rows — on 1, 2 and 7 lanes at k = 1 and 3 into NaN-filled vectors:
+// every row is written, within the forward bound of the CSR reference, and
+// every lane count gives the 1-lane bits.
 // Then every two adjacent units run on two goroutines, so that under
 // -race a unit that touches a row or slot its neighbour owns fails.
 func TestCarryUnitEdges(t *testing.T) {
@@ -306,9 +307,6 @@ func TestCarryUnitEdges(t *testing.T) {
 			}
 		}
 		kern := f.(kernel)
-		if h, ok := f.(*HYB); ok {
-			kern = h.spill
-		}
 		x, y, c := matrix.RandomVector(m.Cols, 64), make([]float64, m.Rows), make([]float64, kern.units())
 		for u := 1; u < kern.units(); u++ {
 			var wg sync.WaitGroup

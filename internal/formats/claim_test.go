@@ -370,17 +370,6 @@ func allNaN(v []float64) bool {
 	return true
 }
 
-// rangeOnly reports whether every dispatch of f is nothing but claimable
-// chunks of its units and the carry fold: no spill epilogue, at any k (a
-// by-column block is k single-vector dispatches).
-func rangeOnly(f Format) bool {
-	if a, ok := f.(*Auto); ok {
-		f = a.Unwrap()
-	}
-	_, tail := f.(epilogue)
-	return !tail
-}
-
 // TestLateLaneEveryFormat holds one pool lane back for 50 ms — several
 // sweeps — on a skewed matrix of more than eight chunks, for every
 // registry format, RHS count and lane count: the others finish its range,

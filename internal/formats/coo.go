@@ -10,32 +10,22 @@ type COO struct {
 	rowIdx     []int32
 	colIdx     []int32
 	val        []float64
-	// add makes the kernels accumulate onto y instead of overwriting it:
-	// the HYB spill and the update layer's delta overlay run on top of
-	// another part's product.
-	add bool
 }
 
-// newCOOFromParts wraps pre-built triplet arrays (used by NewCOO, the HYB
-// spill part and the delta overlay) and cuts the entry stream into units of
-// carryUnit entries.
-func newCOOFromParts(rows, cols int, rowIdx, colIdx []int32, val []float64, add bool) *COO {
-	f := &COO{rows: rows, cols: cols, rowIdx: rowIdx, colIdx: colIdx, val: val, add: add}
+// NewCOO builds the coordinate format from a CSR matrix and cuts the entry
+// stream into units of carryUnit entries.
+func NewCOO(m *matrix.CSR) *COO {
+	o := m.ToCOO()
+	f := &COO{rows: m.Rows, cols: m.Cols, rowIdx: o.RowIdx, colIdx: o.ColIdx, val: o.Val}
 	f.heads = make([]int32, f.units())
 	for u := range f.heads {
 		f.heads[u] = -1
-		if e := u * carryUnit; e > 0 && e < len(val) && rowIdx[e] == rowIdx[e-1] {
-			f.heads[u] = rowIdx[e]
+		if e := u * carryUnit; e > 0 && e < len(f.val) && f.rowIdx[e] == f.rowIdx[e-1] {
+			f.heads[u] = f.rowIdx[e]
 		}
 	}
 	f.bind(f)
 	return f
-}
-
-// NewCOO builds the coordinate format from a CSR matrix.
-func NewCOO(m *matrix.CSR) *COO {
-	o := m.ToCOO()
-	return newCOOFromParts(m.Rows, m.Cols, o.RowIdx, o.ColIdx, o.Val, false)
 }
 
 // Name implements Format.
@@ -59,15 +49,15 @@ func (f *COO) Traits() Traits {
 }
 
 // units are segments of carryUnit entries of the row-sorted stream, at
-// least one: an overwriting COO without entries still zeroes y.
+// least one: a COO without entries still zeroes y.
 func (f *COO) units() int { return max((len(f.val)+carryUnit-1)/carryUnit, 1) }
 
-// cum counts entries, plus — when y is overwritten, so every row is
-// visited — the row visits spread evenly over them.
+// cum counts entries plus the row visits — every row of y is written —
+// spread evenly over them.
 func (f *COO) cum(i int) int64 {
 	e := int64(min(i*carryUnit, len(f.val)))
-	if f.add || e == 0 {
-		return e
+	if e == 0 {
+		return 0
 	}
 	return e + int64(f.rows)*e/int64(len(f.val))
 }
@@ -102,22 +92,19 @@ func cooRunInto(colIdx []int32, val, x, dst []float64, k, lo, hi int) {
 }
 
 // apply runs entry segments [lo, hi). Rows start in at most one segment:
-// there they go to y, which an overwriting COO zeroes first over the rows
-// its segments start, the empty ones between included (so a row is +0 plus
-// its sums). A segment that begins inside a row sums that fragment into
-// its carry slot.
+// there they go to y, which is zeroed first over the rows its segments
+// start, the empty ones between included (so a row is +0 plus its sums). A
+// segment that begins inside a row sums that fragment into its carry slot.
 func (f *COO) apply(y, x, c []float64, k, lo, hi int) {
 	n := len(f.val)
-	if !f.add {
-		r0, r1 := 0, f.rows
-		if e := lo * carryUnit; e > 0 {
-			r0 = int(f.rowIdx[e-1]) + 1
-		}
-		if e := hi * carryUnit; e < n {
-			r1 = int(f.rowIdx[e-1]) + 1
-		}
-		zero(y[r0*k : r1*k])
+	r0, r1 := 0, f.rows
+	if e := lo * carryUnit; e > 0 {
+		r0 = int(f.rowIdx[e-1]) + 1
 	}
+	if e := hi * carryUnit; e < n {
+		r1 = int(f.rowIdx[e-1]) + 1
+	}
+	zero(y[r0*k : r1*k])
 	for u := lo; u < hi; u++ {
 		e, end := u*carryUnit, min((u+1)*carryUnit, n)
 		if h := f.heads[u]; h >= 0 {

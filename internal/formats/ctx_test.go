@@ -47,14 +47,13 @@ func nanFilled(n int) []float64 {
 
 // wholeRange returns what f's kernel computes in one apply over its entire
 // unit space, then the carry fold — the sweep with no chunks and no lanes
-// — or nil when a dispatch at k is more than that (rangeOnly) or is a
-// by-column block.
+// — or nil when a dispatch at k is a by-column block.
 func wholeRange(f Format, x []float64, k int) []float64 {
 	if a, ok := f.(*Auto); ok {
 		f = a.Unwrap()
 	}
 	kern := f.(kernel)
-	if !rangeOnly(f) || (k > 1 && !FusedMulti(f.Name())) {
+	if k > 1 && !FusedMulti(f.Name()) {
 		return nil
 	}
 	y, c := make([]float64, f.Rows()*k), make([]float64, kern.units()*k)

@@ -50,20 +50,13 @@ type kernel interface {
 }
 
 // carryUnit is the work in one unit of the formats that split rows — COO's
-// entry segments (HYB's spill and DeltaCOO among them), Merge-CSR's
-// merge-path diagonals (row ends plus nonzeros) and CSR5's groups of tiles
-// — cut once at build. Every unit boundary is a cut whatever the lane
-// count or k, so those formats give one answer per (matrix, x). Small
-// enough that a small call still cuts into several claimable chunks a
-// lane, large enough that the serial fold of the slots is noise beside
-// the sweep.
+// entry segments, Merge-CSR's merge-path diagonals (row ends plus
+// nonzeros) and CSR5's groups of tiles — cut once at build. Every unit
+// boundary is a cut whatever the lane count or k, so those formats give
+// one answer per (matrix, x). Small enough that a small call still cuts
+// into several claimable chunks a lane, large enough that the serial fold
+// of the slots is noise beside the sweep.
 const carryUnit = 1024
-
-// epilogue is implemented by composite formats (HYB) that accumulate a
-// second part onto y once the main sweep is complete.
-type epilogue interface {
-	after(ctl *exec.Ctl, y, x []float64, k, workers int) error
-}
 
 // applier is the one real entry point every Format exposes.
 type applier interface {
@@ -107,7 +100,6 @@ func must(err error) {
 type driver struct {
 	Delegates
 	kern kernel
-	tail epilogue // nil for single-part formats
 	// heads is set at build by the formats that split rows, one entry per
 	// unit: the row its first item belongs to when that row began in an
 	// earlier unit, else -1. nil for every other format.
@@ -125,7 +117,6 @@ type driver struct {
 func (d *driver) bind(k kernel) {
 	d.Delegates = DelegateTo(k)
 	d.kern = k
-	d.tail, _ = k.(epilogue)
 	d.n = k.units()
 	d.work = k.cum(d.n)
 	d.fused = fusedMulti[k.Name()]
@@ -157,22 +148,10 @@ func (d *driver) Apply(ctx context.Context, y, x []float64, k, workers int) (err
 			err = pe
 		}
 	}()
-	return d.run(ctl, y, x, k, workers)
-}
-
-// run is Apply below the argument check: composite formats re-enter here
-// for their parts.
-func (d *driver) run(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 	if k > 1 && !d.fused {
 		return d.byColumn(ctl, y, x, k, workers)
 	}
-	if err := d.sweep(ctl, y, x, k, workers); err != nil {
-		return err
-	}
-	if d.tail != nil {
-		return d.tail.after(ctl, y, x, k, workers)
-	}
-	return nil
+	return d.sweep(ctl, y, x, k, workers)
 }
 
 // sweep is the dispatch every kernel goes through.
@@ -368,7 +347,7 @@ func (d *driver) byColumn(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 		for c := 0; c < cols; c++ {
 			xj[c] = x[c*k+t]
 		}
-		if err := d.run(ctl, yj, xj, 1, workers); err != nil {
+		if err := d.sweep(ctl, yj, xj, 1, workers); err != nil {
 			return err
 		}
 		for r := 0; r < rows; r++ {

@@ -3,9 +3,7 @@ package formats
 import (
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/simd"
 )
 
@@ -133,10 +131,6 @@ func (f *ELL) units() int { return f.rows }
 // padding itself).
 func (f *ELL) cum(i int) int64 { return int64(i) * int64(f.width) }
 
-func (f *ELL) plan(key exec.PlanKey) *exec.Plan {
-	return &exec.Plan{Ranges: sched.EvenRows(f.rows, key.Workers)}
-}
-
 // apply is the column sweep at k = 1 and the fused ELL kernel at k > 1.
 // Unlike the single-vector kernel the fused one walks the slab row-major
 // with the row-length table bounding each walk — bcastRow over the row's
@@ -162,15 +156,18 @@ func (f *ELL) apply(y, x, _ []float64, k, lo, hi int) {
 }
 
 // HYB combines an ELL part holding the first k entries of every row with a
-// COO part holding the spill, k set to the average row length
-// (Section II-B.3). It keeps ELL's vectorization without its worst-case
-// padding.
+// spill holding the rest, k set to the average row length (Section
+// II-B.3). It keeps ELL's vectorization without its worst-case padding.
+// The spill is row-indexed like CSR — row i's entries are
+// [spillPtr[i], spillPtr[i+1]) — so a unit is one row, slab and spill.
 type HYB struct {
 	driver
 	rows, cols int
 	nnz        int64
 	ell        *ELL
-	spill      *COO
+	spillPtr   []int32 // rows+1
+	spillCol   []int32
+	spillVal   []float64
 }
 
 // newHYB builds the hybrid format with the threshold at the mean row length.
@@ -183,7 +180,8 @@ func newHYB(m *matrix.CSR) (*HYB, error) {
 }
 
 // newHYBThreshold builds HYB with an explicit ELL width k (the ablation
-// study of the split heuristic varies it).
+// study of the split heuristic varies it). The spill's row lengths are
+// taken first, so its arrays are allocated once at their exact size.
 func newHYBThreshold(m *matrix.CSR, k int) (*HYB, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w HYB: negative threshold %d", ErrBuild, k)
@@ -191,29 +189,28 @@ func newHYBThreshold(m *matrix.CSR, k int) (*HYB, error) {
 	if int64(m.Rows)*int64(k) > MaxELLPaddedEntries {
 		return nil, fmt.Errorf("%w HYB: threshold %d over %d rows exceeds padding bound", ErrBuild, k, m.Rows)
 	}
-	ellPart := newELLShell(m.Rows, m.Cols, k)
-	spill := matrix.NewCOO(m.Rows, m.Cols, 0)
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for j, c := range cols {
-			if j < k {
-				ellPart.colIdx[j*m.Rows+i] = c
-				ellPart.val[j*m.Rows+i] = vals[j]
-				ellPart.nnz++
-			} else {
-				spill.Append(int32(i), c, vals[j])
-			}
-		}
-		if n := len(cols); n < k {
-			ellPart.rowLen[i] = int32(n)
-		} else {
-			ellPart.rowLen[i] = int32(k)
-		}
-	}
 	f := &HYB{
 		rows: m.Rows, cols: m.Cols, nnz: int64(m.NNZ()),
-		ell:   ellPart,
-		spill: newCOOFromParts(m.Rows, m.Cols, spill.RowIdx, spill.ColIdx, spill.Val, true),
+		ell:      newELLShell(m.Rows, m.Cols, k),
+		spillPtr: make([]int32, m.Rows+1),
+	}
+	for i := 0; i < m.Rows; i++ {
+		cols, _ := m.Row(i)
+		f.spillPtr[i+1] = f.spillPtr[i] + int32(max(len(cols)-k, 0))
+	}
+	f.spillCol = make([]int32, f.spillPtr[m.Rows])
+	f.spillVal = make([]float64, f.spillPtr[m.Rows])
+	for i := 0; i < m.Rows; i++ {
+		cols, vals := m.Row(i)
+		n := min(len(cols), k)
+		for j, c := range cols[:n] {
+			f.ell.colIdx[j*m.Rows+i] = c
+			f.ell.val[j*m.Rows+i] = vals[j]
+		}
+		f.ell.rowLen[i] = int32(n)
+		f.ell.nnz += int64(n)
+		copy(f.spillCol[f.spillPtr[i]:], cols[n:])
+		copy(f.spillVal[f.spillPtr[i]:], vals[n:])
 	}
 	f.bind(f)
 	return f, nil
@@ -231,8 +228,11 @@ func (f *HYB) Cols() int { return f.cols }
 // NNZ implements Format.
 func (f *HYB) NNZ() int64 { return f.nnz }
 
-// Bytes implements Format.
-func (f *HYB) Bytes() int64 { return f.ell.Bytes() + f.spill.Bytes() }
+// Bytes implements Format: the ELL part, 12 bytes per spilled entry and
+// the spill's row pointers.
+func (f *HYB) Bytes() int64 {
+	return f.ell.Bytes() + int64(len(f.spillVal))*12 + int64(len(f.spillPtr))*4
+}
 
 // Traits implements Format.
 func (f *HYB) Traits() Traits {
@@ -244,23 +244,21 @@ func (f *HYB) Traits() Traits {
 		MetaBytesPerNNZ: float64(f.Bytes()-8*f.nnz) / float64(max(f.nnz, 1)), Class: ClassSweep, ColumnMajor: true}
 }
 
-// HYB's kernel is its ELL part's — the row-granular slab sweep (rowLen
-// table skipping tail padding at k > 1) — followed by the spill.
-
 func (f *HYB) units() int { return f.rows }
 
-func (f *HYB) cum(i int) int64 { return f.ell.cum(i) }
+// cum prices a row at its padded slab slots plus its spilled entries, so a
+// claimed chunk carries its spill work.
+func (f *HYB) cum(i int) int64 { return f.ell.cum(i) + int64(f.spillPtr[i]) }
 
-func (f *HYB) plan(key exec.PlanKey) *exec.Plan { return f.ell.plan(key) }
-
-func (f *HYB) apply(y, x, c []float64, k, lo, hi int) { f.ell.apply(y, x, c, k, lo, hi) }
-
-// after implements epilogue: the COO spill accumulates nnz-parallel on top
-// of the finished ELL sweep, with segment carries. Its segments are cut at
-// build and the ELL part is row-granular, so each vector of a fused
-// multiply accumulates every row in the same order as a single-vector
-// multiply on any lane count — bit-identical to the by-column fallback the
-// fused kernel replaced.
-func (f *HYB) after(ctl *exec.Ctl, y, x []float64, k, workers int) error {
-	return f.spill.run(ctl, y, x, k, workers)
+// apply is the ELL part's kernel over rows [lo, hi) — the slab sweep, or
+// at k > 1 the rowLen-bounded fused walk — then each row's spill summed
+// from +0 in entry order and added on: every column of a k-wide block
+// keeps its single-vector product's bits, on any lane count.
+func (f *HYB) apply(y, x, c []float64, k, lo, hi int) {
+	f.ell.apply(y, x, c, k, lo, hi)
+	for i := lo; i < hi; i++ {
+		if p, q := int(f.spillPtr[i]), int(f.spillPtr[i+1]); p < q {
+			cooRunInto(f.spillCol, f.spillVal, x, y[i*k:i*k+k], k, p, q)
+		}
+	}
 }

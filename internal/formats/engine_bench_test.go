@@ -212,7 +212,7 @@ func BenchmarkAblationHYBThreshold(b *testing.B) {
 			}
 			x := matrix.RandomVector(m.Cols, 7)
 			y := make([]float64, m.Rows)
-			b.ReportMetric(float64(f.spill.NNZ())/float64(m.NNZ()), "spill-frac")
+			b.ReportMetric(float64(len(f.spillVal))/float64(m.NNZ()), "spill-frac")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.SpMV(x, y)

@@ -152,10 +152,10 @@ func TestHYBSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.spill.NNZ() == 0 {
+	if len(f.spillVal) == 0 {
 		t.Error("HYB spill empty despite a long row")
 	}
-	if f.spill.NNZ() >= int64(m.NNZ()) {
+	if len(f.spillVal) >= m.NNZ() {
 		t.Error("HYB spilled everything")
 	}
 	// Explicit threshold 0 spills all entries.
@@ -163,8 +163,8 @@ func TestHYBSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f0.spill.NNZ() != int64(m.NNZ()) {
-		t.Errorf("threshold 0: spill %d, want all %d", f0.spill.NNZ(), m.NNZ())
+	if len(f0.spillVal) != m.NNZ() {
+		t.Errorf("threshold 0: spill %d, want all %d", len(f0.spillVal), m.NNZ())
 	}
 	if _, err := newHYBThreshold(m, -1); err == nil {
 		t.Error("negative threshold accepted")

@@ -26,7 +26,7 @@ package formats
 // every k, tier and worker count; ELL, HYB, SELL-C-sigma and COO
 // sequential sums in entry order; BCSR d += (v0*x0 + v1*x1) per 2x2
 // block), and the formats without one run by column. The formats that
-// split rows (COO with HYB's spill and DeltaCOO, Merge-CSR, CSR5) cut
+// split rows (COO, Merge-CSR, CSR5) cut
 // them only at units fixed at build (carryUnit): the piece a unit holds
 // of a row begun earlier is summed from +0 in the unit's carry slot, and
 // the driver adds the slots onto their rows serially in unit order after

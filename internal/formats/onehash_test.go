@@ -19,7 +19,7 @@ import (
 )
 
 // TestOneHashPerFormat holds every registry format, and an Updatable whose
-// frozen overlay (the DeltaCOO pass) is large enough to run on every lane,
+// overlay pass — frozen entries, then active ones — runs on every lane,
 // to one answer per (matrix, x): the same vector in every column of a
 // k-wide block, at k in {1, 2, 3, 5, 8, 9}, on 1, 2 and 7 lanes, under
 // every tier cap the host reaches and the calibrated "auto", must give
@@ -104,8 +104,10 @@ func TestOneHashPerFormat(t *testing.T) {
 }
 
 // frozenOverlay wraps m's Naive-CSR in an Updatable and leaves it a frozen
-// overlay of 36 000 entries, six to a row, by a compaction whose rebuild
-// fails: enough work for seven lanes of the overlay pass alone.
+// overlay of about 33 000 entries, six to a row, by a compaction whose
+// rebuild fails, and then an active log as large, every other entry on a
+// frozen cell: the active log sizes the overlay pass, and this one is
+// enough work for seven lanes.
 func frozenOverlay(t *testing.T, m *matrix.CSR) *update.Updatable {
 	t.Helper()
 	b, _ := formats.Lookup("Naive-CSR")
@@ -128,8 +130,15 @@ func frozenOverlay(t *testing.T, m *matrix.CSR) *update.Updatable {
 	if err := u.Compact(); !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("Compact with a dying rebuild = %v, want the injected fault", err)
 	}
-	if st := u.Stats(); st.FrozenLen < 7*exec.MinGrain || st.ActiveLen != 0 {
-		t.Fatalf("overlay frozen=%d active=%d, want every entry frozen and seven lanes' work", st.FrozenLen, st.ActiveLen)
+	for i := 0; i < 6*m.Rows; i++ {
+		c := (i*104729 + 31) % m.Cols
+		if i%2 == 0 {
+			c = (i * 7919) % m.Cols // a frozen cell of row i/6
+		}
+		u.Add(i/6, c, float64(i%11-5)/4)
+	}
+	if st := u.Stats(); st.FrozenLen == 0 || st.ActiveLen < 7*exec.MinGrain {
+		t.Fatalf("overlay frozen=%d active=%d, want frozen entries and seven lanes' active work", st.FrozenLen, st.ActiveLen)
 	}
 	return u
 }

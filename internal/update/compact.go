@@ -181,17 +181,14 @@ func (u *Updatable) compactOnce(ctx context.Context) error {
 		log.Val = append(log.Val, vw.val...)
 	}
 	log.SortStable()
-	o, changed := sumCells(s.baseCSR, log)
+	overlay, changed := sumCells(s.baseCSR, log, len(u.shards))
 	frozen := &snapshot{
 		epoch:   s.epoch + 1,
 		base:    s.base,
 		baseCSR: s.baseCSR,
+		frozen:  overlay,
 		log:     log,
 		floor:   u.alloc.Load(),
-	}
-	if o.NNZ() > 0 {
-		frozen.frozen = o
-		frozen.fdelta = formats.NewDeltaCOO(o)
 	}
 	// Each shard's net keeps its cells' values across the freeze: they are
 	// what the rebuild merges to, so At and the writes that resolve
@@ -236,12 +233,16 @@ func (u *Updatable) compactOnce(ctx context.Context) error {
 }
 
 // sumCells returns the sorted log summed per cell, less the cells that
-// sum to zero (they add nothing to a product): the readers' frozen
-// overlay. changed reports whether any cell's entries, added onto the
-// base one after another, move it; when none does, the base is already
-// exact and the rebuild is skipped.
-func sumCells(base *matrix.CSR, log *matrix.COO) (o *matrix.COO, changed bool) {
-	o = matrix.NewCOO(log.Rows, log.Cols, 0)
+// sum to zero (they add nothing to a product), split over shards log
+// shards by the rows' shard map: the readers' frozen overlay. changed
+// reports whether any cell's entries, added onto the base one after
+// another, move it; when none does, the base is already exact and the
+// rebuild is skipped.
+func sumCells(base *matrix.CSR, log *matrix.COO, shards int) (frozen []*shardView, changed bool) {
+	frozen = make([]*shardView, shards)
+	for i := range frozen {
+		frozen[i] = &shardView{}
+	}
 	for i := 0; i < log.NNZ(); {
 		r, c := log.RowIdx[i], log.ColIdx[i]
 		b := csrAt(base, r, c)
@@ -252,10 +253,11 @@ func sumCells(base *matrix.CSR, log *matrix.COO) (o *matrix.COO, changed bool) {
 		}
 		changed = changed || v != b
 		if sum != 0 {
-			o.Append(r, c, sum)
+			vw := frozen[int(r)%shards]
+			vw.row, vw.col, vw.val = append(vw.row, r), append(vw.col, c), append(vw.val, sum)
 		}
 	}
-	return o, changed
+	return frozen, changed
 }
 
 // rebuildBase builds the next epoch's base format for the merged matrix.
@@ -318,6 +320,7 @@ func (u *Updatable) Stats() Stats {
 		Epoch:         s.epoch,
 		BaseFormat:    s.base.Name(),
 		BaseNNZ:       s.base.NNZ(),
+		FrozenLen:     s.frozenLen(),
 		ActiveLen:     rp.active(),
 		Updates:       rp.v,
 		Compactions:   u.compactions.Load(),
@@ -326,9 +329,6 @@ func (u *Updatable) Stats() Stats {
 		CommitParks:   u.commitParks.Load(),
 		CompactFails:  u.compactFails.Load(),
 		RetryBackoff:  u.nextCompactNs.Load() > time.Now().UnixNano(),
-	}
-	if s.frozen != nil {
-		st.FrozenLen = s.frozen.NNZ()
 	}
 	return st
 }

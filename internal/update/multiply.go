@@ -11,7 +11,7 @@ import (
 // readPoint is one coherent read of an Updatable: a snapshot, the
 // visible watermark and the shard views that go with them, and, for a
 // multiply, the call's vectors. Each Updatable keeps one spare, and the
-// parallel active pass runs its pre-bound lane, so a steady-state
+// parallel overlay pass runs its pre-bound lane, so a steady-state
 // multiply allocates nothing; only a reader that overlaps another
 // allocates its own.
 type readPoint struct {
@@ -20,7 +20,7 @@ type readPoint struct {
 	views []*shardView
 	y, x  []float64
 	k     int
-	step  int // the active pass's lanes
+	step  int // the overlay pass's lanes
 	ctl   *exec.Ctl
 	lane  func(w int)
 }
@@ -35,7 +35,7 @@ func (u *Updatable) read() *readPoint {
 	rp := u.spare.Swap(nil)
 	if rp == nil {
 		rp = &readPoint{views: make([]*shardView, len(u.shards))}
-		rp.lane = rp.activeLane
+		rp.lane = rp.overlayLane
 	}
 	for {
 		rp.s, rp.v = u.snap.Load(), u.visible.Load()
@@ -56,11 +56,12 @@ func (u *Updatable) release(rp *readPoint) {
 }
 
 // viewRange returns the half-open index range of entries with
-// floor < seq <= v in the ascending sequence array.
+// floor < seq <= v in the ascending sequence array: empty when v is below
+// floor, as it is for a reader whose watermark predates the freeze.
 func viewRange(vw *shardView, floor, v uint64) (int, int) {
 	lo := sort.Search(len(vw.seq), func(i int) bool { return vw.seq[i] > floor })
 	hi := sort.Search(len(vw.seq), func(i int) bool { return vw.seq[i] > v })
-	return lo, hi
+	return lo, max(lo, hi)
 }
 
 // Name reports the current base wrapped in Updatable[...].
@@ -73,17 +74,22 @@ func (u *Updatable) Rows() int { return u.snap.Load().baseCSR.Rows }
 func (u *Updatable) Cols() int { return u.snap.Load().baseCSR.Cols }
 
 // NNZ returns the stored-entry count of the current epoch: base plus
-// overlay. Overlay cells that shadow base cells count twice until the
-// next compaction folds them, so this is an upper bound on the logical
-// nonzero count.
+// frozen plus active overlay. Overlay cells that shadow base cells count
+// twice until the next compaction folds them, so this is an upper bound on
+// the logical nonzero count.
 func (u *Updatable) NNZ() int64 {
 	rp := u.read()
 	defer u.release(rp)
-	n := rp.s.base.NNZ()
-	if rp.s.frozen != nil {
-		n += int64(rp.s.frozen.NNZ())
+	return rp.s.base.NNZ() + int64(rp.s.frozenLen()+rp.active())
+}
+
+// frozenLen counts the entries of s's frozen overlay.
+func (s *snapshot) frozenLen() int {
+	n := 0
+	for _, vw := range s.frozen {
+		n += len(vw.val)
 	}
-	return n + int64(rp.active())
+	return n
 }
 
 // active counts the committed active entries of rp.
@@ -96,16 +102,16 @@ func (rp *readPoint) active() int {
 	return n
 }
 
-// Bytes estimates resident bytes: base plus overlay arrays.
+// Bytes estimates resident bytes: base plus the frozen and active
+// overlays' arrays.
 func (u *Updatable) Bytes() int64 {
 	rp := u.read()
 	defer u.release(rp)
 	b := rp.s.base.Bytes()
-	if rp.s.fdelta != nil {
-		b += rp.s.fdelta.Bytes()
-	}
-	for _, vw := range rp.views {
-		b += int64(len(vw.seq))*8 + int64(len(vw.row))*4 + int64(len(vw.col))*4 + int64(len(vw.val))*8
+	for _, vws := range [][]*shardView{rp.s.frozen, rp.views} {
+		for _, vw := range vws {
+			b += int64(len(vw.seq))*8 + int64(len(vw.row))*4 + int64(len(vw.col))*4 + int64(len(vw.val))*8
+		}
 	}
 	return b
 }
@@ -114,10 +120,10 @@ func (u *Updatable) Bytes() int64 {
 // veneer, not a different execution shape.
 func (u *Updatable) Traits() formats.Traits { return u.snap.Load().base.Traits() }
 
-// Apply implements formats.Format: Y = A*X for k right-hand sides over the
-// fused base + frozen + active pass of one consistent read point. All
-// three run their own dispatches under ctx — a cancelled call stops at the
-// next chunk boundary (the next log shard, in the active pass), a lane
+// Apply implements formats.Format: Y = A*X for k right-hand sides over one
+// consistent read point, as the base's dispatch plus one overlay pass
+// (frozen, then active). Both run under ctx — a cancelled call stops at the
+// next chunk boundary (the next log shard, in the overlay pass), a lane
 // panic comes back as *exec.PanicError. SpMV, SpMVParallel and MultiplyMany
 // are the embedded formats.Delegates over this method.
 func (u *Updatable) Apply(ctx context.Context, y, x []float64, k, workers int) error {
@@ -126,30 +132,29 @@ func (u *Updatable) Apply(ctx context.Context, y, x []float64, k, workers int) e
 	if err := rp.s.base.Apply(ctx, y, x, k, workers); err != nil {
 		return err
 	}
-	if rp.s.fdelta != nil {
-		if err := rp.s.fdelta.Add(ctx, y, x, k, workers); err != nil {
-			return err
-		}
-	}
-	return rp.addActive(ctx, y, x, k, workers)
+	return rp.addOverlay(ctx, y, x, k, workers)
 }
 
-// addActive accumulates Y += active*X for the committed active entries of
-// rp. Entries below the snapshot floor are folded into the frozen overlay
-// already; entries above the visible watermark are not yet part of the
-// observed prefix. The entries scatter by log shard; shards own disjoint
-// row groups, so the parallel pass never writes one output row from two
-// goroutines.
-func (rp *readPoint) addActive(ctx context.Context, y, x []float64, k, workers int) error {
-	total := rp.active()
-	if total == 0 {
+// addOverlay accumulates Y += overlay*X for the frozen overlay and the
+// committed active entries of rp. Active entries below the snapshot floor
+// are in the frozen overlay already; entries above the visible watermark
+// are not yet part of the observed prefix. The entries scatter by log
+// shard; shards own disjoint row groups, so the parallel pass never writes
+// one output row from two goroutines, and each row adds base, frozen,
+// active in that order on any lane count. A lane cannot hand its shards
+// on, so one preempted lane stalls the call: the lanes are sized by the
+// active log alone, and the frozen overlay, which mostly lives while a
+// compaction keeps a CPU busy, rides on them.
+func (rp *readPoint) addOverlay(ctx context.Context, y, x []float64, k, workers int) error {
+	active := rp.active()
+	if active+rp.s.frozenLen() == 0 {
 		return nil
 	}
 	rp.y, rp.x, rp.k, rp.ctl = y, x, k, exec.NewCtl(ctx)
-	rp.step = min(exec.Workers(int64(total)*int64(k), workers), len(rp.views))
+	rp.step = min(exec.Workers(int64(active)*int64(k), workers), len(rp.views))
 	if rp.step <= 1 {
 		rp.step = 1
-		if rp.activeLane(0); rp.ctl.Cancelled() {
+		if rp.overlayLane(0); rp.ctl.Cancelled() {
 			return rp.ctl.Err()
 		}
 		return nil
@@ -159,16 +164,20 @@ func (rp *readPoint) addActive(ctx context.Context, y, x []float64, k, workers i
 	return g.Run(rp.step, rp.lane)
 }
 
-// activeLane is lane w's share of the active pass: every step-th shard.
-func (rp *readPoint) activeLane(w int) {
+// overlayLane is lane w's share of the overlay pass: every step-th log
+// shard, its frozen entries and then its committed active ones.
+func (rp *readPoint) overlayLane(w int) {
 	for i := w; i < len(rp.views) && !rp.ctl.Cancelled(); i += rp.step {
-		addView(rp.views[i], rp.s.floor, rp.v, rp.y, rp.x, rp.k)
+		if rp.s.frozen != nil {
+			addView(rp.s.frozen[i], 0, len(rp.s.frozen[i].val), rp.y, rp.x, rp.k)
+		}
+		lo, hi := viewRange(rp.views[i], rp.s.floor, rp.v)
+		addView(rp.views[i], lo, hi, rp.y, rp.x, rp.k)
 	}
 }
 
-// addView is addActive's pass over one log shard.
-func addView(vw *shardView, floor, v uint64, y, x []float64, k int) {
-	lo, hi := viewRange(vw, floor, v)
+// addView adds entries [lo, hi) of one shard's view onto y.
+func addView(vw *shardView, lo, hi int, y, x []float64, k int) {
 	if k == 1 {
 		for e := lo; e < hi; e++ {
 			y[vw.row[e]] += vw.val[e] * x[vw.col[e]]

@@ -1,7 +1,7 @@
 // Package update provides Updatable, a mutable sparse matrix for
 // dynamic-graph workloads: a read-optimized base (any built
-// formats.Format) paired with a concurrent delta overlay, multiplied
-// together in one fused pass.
+// formats.Format) paired with a concurrent delta overlay, multiplied as
+// the base's own dispatch plus one overlay pass.
 //
 // The design is epoch/RCU-style. Readers load one immutable snapshot
 // pointer — {base format, base CSR, frozen overlay, log floor} — plus the
@@ -31,8 +31,9 @@ import (
 
 // DefaultShards is the default delta-log shard count. Rows map to shards
 // by r mod shards, so writers on different row groups never contend and
-// the active entries of distinct shards touch disjoint output rows — the
-// property the parallel fused pass scatters by.
+// the overlay entries of distinct shards, frozen and active, touch
+// disjoint output rows — the property the parallel overlay pass scatters
+// by.
 const DefaultShards = 8
 
 // Options configures an Updatable.
@@ -78,7 +79,7 @@ type cell struct{ r, c int32 }
 // sequence numbers. Appends extend the backing arrays in place past the
 // published length and then publish a longer view — indices below a
 // published length are never rewritten, so a reader holding any view sees
-// frozen data.
+// frozen data. A frozen overlay's shard is a view too, with seq nil.
 type shardView struct {
 	seq      []uint64
 	row, col []int32
@@ -104,12 +105,11 @@ type snapshot struct {
 	epoch   uint64
 	base    formats.Format
 	baseCSR *matrix.CSR
-	// frozen is an additive overlay (sorted, duplicate-free, nil when
-	// empty) holding every update with floor_prev < seq <= floor that has
-	// not yet been folded into baseCSR; fdelta wraps it for the fused
-	// kernels.
-	frozen *matrix.COO
-	fdelta *formats.DeltaCOO
+	// frozen is an additive overlay (sorted, duplicate-free, nil outside
+	// a freeze) holding every update with floor_prev < seq <= floor that
+	// has not yet been folded into baseCSR, split by log shard like the
+	// active log.
+	frozen []*shardView
 	// log is frozen's entries unsummed, sorted with each cell's in
 	// sequence order: what the rebuild merges, and a retry after a failed
 	// one merges again.
