@@ -31,7 +31,7 @@
 //     spawned goroutines, so the engine never deadlocks and never queues.
 //     A call wider than the pool spawns the lanes its workers cannot take.
 //   - Plan/PlanCache: a format computes its sched.Range partition once per
-//     PlanKey — the worker count a grant reports — and caches it, with the
+//     worker count — the width a grant reports — and caches it, with the
 //     dispatcher's lane frame, inside the format instance. Matrices are
 //     immutable after build, so plans never invalidate. Two calls in flight
 //     on one instance share the plan; the one that finds its lock taken

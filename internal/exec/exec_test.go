@@ -182,11 +182,11 @@ func TestSetMaxWorkersRestore(t *testing.T) {
 func TestPlanCacheBuildsOncePerKey(t *testing.T) {
 	c := NewPlanCache()
 	var builds int32
-	build := func(k PlanKey) *Plan {
+	build := func(workers int) *Plan {
 		atomic.AddInt32(&builds, 1)
-		return &Plan{Ranges: make([]sched.Range, k.Workers)}
+		return &Plan{Ranges: make([]sched.Range, workers)}
 	}
-	key := PlanKey{Workers: 4}
+	const key = 4
 	var wg sync.WaitGroup
 	plans := make([]*Plan, 16)
 	for g := range plans {
@@ -205,12 +205,12 @@ func TestPlanCacheBuildsOncePerKey(t *testing.T) {
 	if builds != 1 {
 		t.Fatalf("build ran %d times, want 1", builds)
 	}
-	c.Get(PlanKey{Workers: 8}, build)
+	c.Get(8, build)
 	if builds != 2 || c.Len() != 2 {
 		t.Fatalf("second worker count: builds=%d len=%d", builds, c.Len())
 	}
 	// A worker count seen before is served from the cache.
-	c.Get(PlanKey{Workers: 4}, build)
+	c.Get(4, build)
 	if builds != 2 || c.Len() != 2 {
 		t.Fatalf("repeated worker count: builds=%d len=%d, want 2 and 2", builds, c.Len())
 	}
@@ -218,8 +218,8 @@ func TestPlanCacheBuildsOncePerKey(t *testing.T) {
 
 func TestPlanCacheWarmGetZeroAllocs(t *testing.T) {
 	c := NewPlanCache()
-	build := func(PlanKey) *Plan { return &Plan{} }
-	key := PlanKey{Workers: 4}
+	build := func(int) *Plan { return &Plan{} }
+	const key = 4
 	c.Get(key, build)
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Get(key, build)

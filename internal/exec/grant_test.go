@@ -59,19 +59,19 @@ func TestGrantSingleRangeReleases(t *testing.T) {
 }
 
 // TestGrantSerialKey: a pooled and a spawn-fallback grant of one width
-// report the same key, so both run on one cached plan.
+// report the same width, so both run on one cached plan.
 func TestGrantSerialKey(t *testing.T) {
 	g := Grant{workers: 3}
-	if k := g.Key(); k != (PlanKey{Workers: 3}) {
-		t.Fatalf("fallback key = %+v", k)
+	if w := g.Width(); w != 3 {
+		t.Fatalf("fallback width = %d", w)
 	}
 	pooled := Acquire(3)
 	defer pooled.Release()
 	if pooled.pool == nil {
 		t.Fatal("grant on an idle engine holds no pool")
 	}
-	if pooled.Key() != g.Key() {
-		t.Fatalf("pooled key %+v differs from the fallback's %+v", pooled.Key(), g.Key())
+	if pooled.Width() != g.Width() {
+		t.Fatalf("pooled width %d differs from the fallback's %d", pooled.Width(), g.Width())
 	}
 }
 

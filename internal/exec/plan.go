@@ -6,14 +6,6 @@ import (
 	"repro/internal/sched"
 )
 
-// PlanKey identifies the dispatch shape a plan was built for — the value a
-// Grant reports before the kernel runs.
-type PlanKey struct {
-	// Workers is the worker count the partition splits across. It is
-	// the whole key: no format partitions by the RHS count.
-	Workers int
-}
-
 // Plan is the cached output of a format's inspector step for one worker
 // count: the partition, and the dispatcher's lane frame. Building a plan
 // costs one partition computation; executing it costs nothing.
@@ -46,47 +38,48 @@ func (p *Plan) TryLock() bool { return p.mu.TryLock() }
 // Unlock releases the frame lock.
 func (p *Plan) Unlock() { p.mu.Unlock() }
 
-// PlanCache memoizes Plans by PlanKey inside a format instance. It is
-// a single-pointer handle so formats can embed it by value; create it with
-// NewPlanCache in the format constructor. Copies of the handle share the
-// underlying store, which is what embedded-format copies made during
-// construction want; a constructor deriving from an already-used format
-// instance would need a fresh cache, since plans encode the partition
-// policy of the format that built them.
+// PlanCache memoizes Plans inside a format instance, keyed by the worker
+// count they split across (a Grant's Width; no format partitions by the
+// RHS count). It is a single-pointer handle so formats can embed it by
+// value; create it with NewPlanCache in the format constructor. Copies of
+// the handle share the underlying store, which is what embedded-format
+// copies made during construction want; a constructor deriving from an
+// already-used format instance would need a fresh cache, since plans
+// encode the partition policy of the format that built them.
 type PlanCache struct {
 	s *planStore
 }
 
 type planStore struct {
 	mu    sync.RWMutex
-	plans map[PlanKey]*Plan
+	plans map[int]*Plan
 }
 
 // NewPlanCache returns an empty cache.
 func NewPlanCache() PlanCache {
-	return PlanCache{s: &planStore{plans: make(map[PlanKey]*Plan)}}
+	return PlanCache{s: &planStore{plans: make(map[int]*Plan)}}
 }
 
-// Get returns the plan for the key, building and caching it on
+// Get returns the plan for workers lanes, building and caching it on
 // first use. The warm path is a read-locked map probe: no allocation, no
 // partition work.
-func (c PlanCache) Get(key PlanKey, build func(key PlanKey) *Plan) *Plan {
+func (c PlanCache) Get(workers int, build func(workers int) *Plan) *Plan {
 	c.s.mu.RLock()
-	pl := c.s.plans[key]
+	pl := c.s.plans[workers]
 	c.s.mu.RUnlock()
 	if pl != nil {
 		return pl
 	}
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
-	if pl = c.s.plans[key]; pl == nil {
-		pl = build(key)
-		c.s.plans[key] = pl
+	if pl = c.s.plans[workers]; pl == nil {
+		pl = build(workers)
+		c.s.plans[workers] = pl
 	}
 	return pl
 }
 
-// Len reports how many keys have cached plans.
+// Len reports how many worker counts have cached plans.
 func (c PlanCache) Len() int {
 	c.s.mu.RLock()
 	defer c.s.mu.RUnlock()

@@ -98,7 +98,7 @@ func chaosRound(t *testing.T, seed int64) {
 	const writers = 4
 	const rows = 128
 	u, err := update.New(matrix.Identity(rows), update.Options{
-		Format: "Naive-CSR", Shards: 4, MinCompact: 32, CompactRatio: 1e-9,
+		Format: "Naive-CSR", MinCompact: 32, CompactRatio: 1e-9,
 	})
 	if err != nil {
 		t.Fatal(err)

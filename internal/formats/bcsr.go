@@ -294,8 +294,8 @@ func (f *BCSR) units() int { return f.blockRows }
 func (f *BCSR) cum(i int) int64 { return int64(f.rowPtr[i])*4 + int64(i) }
 
 // plan balances blocks over whole block rows.
-func (f *BCSR) plan(key exec.PlanKey) *exec.Plan {
-	return &exec.Plan{Ranges: sched.NNZBalanced(f.rowPtr, key.Workers)}
+func (f *BCSR) plan(workers int) *exec.Plan {
+	return &exec.Plan{Ranges: sched.NNZBalanced(f.rowPtr, workers)}
 }
 
 func (f *BCSR) apply(y, x, _ []float64, k, lo, hi int) {

@@ -93,7 +93,7 @@ func (p *probe) ranges(workers int) []sched.Range {
 	if workers == 1 {
 		return []sched.Range{{RowHi: probeUnits}}
 	}
-	return p.plan(exec.PlanKey{Workers: workers}).Ranges
+	return p.plan(workers).Ranges
 }
 
 // chunk is how many units one claim of a workers-wide call at k covers:

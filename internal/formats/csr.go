@@ -118,12 +118,12 @@ func (f *CSR) units() int { return f.rows }
 func (f *CSR) cum(i int) int64 { return int64(f.rowPtr[i]) + int64(i) }
 
 // plan splits rows under the preset's policy.
-func (f *CSR) plan(key exec.PlanKey) *exec.Plan {
+func (f *CSR) plan(workers int) *exec.Plan {
 	policy := sched.RowBlocks
 	if f.balance {
 		policy = sched.NNZBalanced
 	}
-	return &exec.Plan{Ranges: policy(f.rowPtr, key.Workers)}
+	return &exec.Plan{Ranges: policy(f.rowPtr, workers)}
 }
 
 // Traits implements Format.

@@ -33,12 +33,12 @@ type kernel interface {
 	// never in inner loops.
 	cum(i int) int64
 	// plan is the partition policy: each lane's initial range for
-	// key.Workers lanes, whatever the RHS count. A range says where a lane
+	// workers lanes, whatever the RHS count. A range says where a lane
 	// starts claiming, not what it alone computes: a lane that drains its
-	// own takes chunks off the others'. Built once per key and cached by
-	// the driver; the driver's own (an even cut of the units) serves the
-	// formats that do not choose.
-	plan(key exec.PlanKey) *exec.Plan
+	// own takes chunks off the others'. Built once per worker count and
+	// cached by the driver; the driver's own (an even cut of the units)
+	// serves the formats that do not choose.
+	plan(workers int) *exec.Plan
 	// apply computes units [lo, hi) of the k-wide product: k == 1 is the
 	// single-vector loop, k > 1 the fused register tile. No other call
 	// writes what a unit writes, so any lane may run any chunk. Formats
@@ -166,15 +166,15 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 	}
 	// A format that splits rows needs its carry slots on the serial path
 	// too: it runs there as the one-lane plan.
-	key, parallel := exec.PlanKey{Workers: 1}, workers > 1
+	width, parallel := 1, workers > 1
 	var g exec.Grant
 	if parallel {
 		g = exec.AcquireCtl(workers, ctl)
 		defer g.Release() // no-op after Run; frees the pool if a plan build panics
-		key = g.Key()
+		width = g.Width()
 	}
-	pl := d.plans.Get(key, func(key exec.PlanKey) *exec.Plan {
-		pl := d.kern.plan(key)
+	pl := d.plans.Get(width, func(width int) *exec.Plan {
+		pl := d.kern.plan(width)
 		pl.Frame = newFrame(len(pl.Ranges))
 		return pl
 	})
@@ -233,8 +233,8 @@ func (d *driver) fold(y, c []float64, k int) {
 }
 
 // plan is the default partition policy: the units cut evenly.
-func (d *driver) plan(key exec.PlanKey) *exec.Plan {
-	return &exec.Plan{Ranges: sched.EvenRows(d.n, key.Workers)}
+func (d *driver) plan(workers int) *exec.Plan {
+	return &exec.Plan{Ranges: sched.EvenRows(d.n, workers)}
 }
 
 // frame carries one call's arguments to the lanes of its dispatch. Its

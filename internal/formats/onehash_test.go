@@ -19,8 +19,8 @@ import (
 )
 
 // TestOneHashPerFormat holds every registry format, and an Updatable whose
-// overlay pass — frozen entries, then active ones — runs on every lane,
-// to one answer per (matrix, x): the same vector in every column of a
+// overlay — frozen entries, then active ones — follows a base run on every
+// lane count, to one answer per (matrix, x): the same vector in every column of a
 // k-wide block, at k in {1, 2, 3, 5, 8, 9}, on 1, 2 and 7 lanes, under
 // every tier cap the host reaches and the calibrated "auto", must give
 // every column one y hash — no lane count, tier, calibration verdict or
@@ -106,8 +106,7 @@ func TestOneHashPerFormat(t *testing.T) {
 // frozenOverlay wraps m's Naive-CSR in an Updatable and leaves it a frozen
 // overlay of about 33 000 entries, six to a row, by a compaction whose
 // rebuild fails, and then an active log as large, every other entry on a
-// frozen cell: the active log sizes the overlay pass, and this one is
-// enough work for seven lanes.
+// frozen cell.
 func frozenOverlay(t *testing.T, m *matrix.CSR) *update.Updatable {
 	t.Helper()
 	b, _ := formats.Lookup("Naive-CSR")

@@ -211,8 +211,8 @@ func (f *SELLCS) units() int { return len(f.chunkLen) }
 // cum: the chunk pointer is the cumulative padded-slot measure.
 func (f *SELLCS) cum(i int) int64 { return f.chunkPtr[i] }
 
-func (f *SELLCS) plan(key exec.PlanKey) *exec.Plan {
-	return &exec.Plan{Ranges: sched.EvenRows(len(f.chunkLen), key.Workers)}
+func (f *SELLCS) plan(workers int) *exec.Plan {
+	return &exec.Plan{Ranges: sched.EvenRows(len(f.chunkLen), workers)}
 }
 
 // apply is the lane-sum chunk sweep at k = 1 and the fused SELL-C-sigma

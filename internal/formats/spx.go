@@ -216,8 +216,8 @@ func (f *SPX) cum(i int) int64 { return f.valPtr[i] + int64(i) }
 
 // plan balances nonzeros over whole rows, using the value offsets as the
 // balance measure.
-func (f *SPX) plan(key exec.PlanKey) *exec.Plan {
-	return &exec.Plan{Ranges: sched.NNZBalanced(f.nnzPtr, key.Workers)}
+func (f *SPX) plan(workers int) *exec.Plan {
+	return &exec.Plan{Ranges: sched.NNZBalanced(f.nnzPtr, workers)}
 }
 
 // apply is single-vector only: the compressed unit stream would have to be

@@ -181,7 +181,7 @@ func (u *Updatable) compactOnce(ctx context.Context) error {
 		log.Val = append(log.Val, vw.val...)
 	}
 	log.SortStable()
-	overlay, changed := sumCells(s.baseCSR, log, len(u.shards))
+	overlay, changed := sumCells(s.baseCSR, log)
 	frozen := &snapshot{
 		epoch:   s.epoch + 1,
 		base:    s.base,
@@ -203,7 +203,7 @@ func (u *Updatable) compactOnce(ctx context.Context) error {
 	if u.rebuildHook != nil {
 		u.rebuildHook()
 	}
-	next := &snapshot{epoch: frozen.epoch + 1, base: s.base, baseCSR: s.baseCSR, floor: frozen.floor}
+	next := &snapshot{epoch: frozen.epoch + 1, base: s.base, baseCSR: s.baseCSR, frozen: emptyView, floor: frozen.floor}
 	if changed {
 		merged := s.baseCSR.MergeCOO(log)
 		base, err := u.rebuildBase(ctx, merged, s.baseCSR.Fingerprint())
@@ -233,16 +233,12 @@ func (u *Updatable) compactOnce(ctx context.Context) error {
 }
 
 // sumCells returns the sorted log summed per cell, less the cells that
-// sum to zero (they add nothing to a product), split over shards log
-// shards by the rows' shard map: the readers' frozen overlay. changed
-// reports whether any cell's entries, added onto the base one after
-// another, move it; when none does, the base is already exact and the
-// rebuild is skipped.
-func sumCells(base *matrix.CSR, log *matrix.COO, shards int) (frozen []*shardView, changed bool) {
-	frozen = make([]*shardView, shards)
-	for i := range frozen {
-		frozen[i] = &shardView{}
-	}
+// sum to zero (they add nothing to a product): the readers' frozen
+// overlay, in row order. changed reports whether any cell's entries,
+// added onto the base one after another, move it; when none does, the
+// base is already exact and the rebuild is skipped.
+func sumCells(base *matrix.CSR, log *matrix.COO) (frozen *shardView, changed bool) {
+	frozen = &shardView{}
 	for i := 0; i < log.NNZ(); {
 		r, c := log.RowIdx[i], log.ColIdx[i]
 		b := csrAt(base, r, c)
@@ -253,8 +249,7 @@ func sumCells(base *matrix.CSR, log *matrix.COO, shards int) (frozen []*shardVie
 		}
 		changed = changed || v != b
 		if sum != 0 {
-			vw := frozen[int(r)%shards]
-			vw.row, vw.col, vw.val = append(vw.row, r), append(vw.col, c), append(vw.val, sum)
+			frozen.row, frozen.col, frozen.val = append(frozen.row, r), append(frozen.col, c), append(frozen.val, sum)
 		}
 	}
 	return frozen, changed
@@ -314,13 +309,12 @@ type Stats struct {
 // Stats returns current counters and sizes.
 func (u *Updatable) Stats() Stats {
 	rp := u.read()
-	defer u.release(rp)
 	s := rp.s
 	st := Stats{
 		Epoch:         s.epoch,
 		BaseFormat:    s.base.Name(),
 		BaseNNZ:       s.base.NNZ(),
-		FrozenLen:     s.frozenLen(),
+		FrozenLen:     len(s.frozen.val),
 		ActiveLen:     rp.active(),
 		Updates:       rp.v,
 		Compactions:   u.compactions.Load(),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/exec"
@@ -41,7 +40,7 @@ func TestUpdatableForwardsApply(t *testing.T) {
 				}
 				t.Fatalf("%s on %s: %v", b.Name, mname, err)
 			}
-			u, err := Wrap(f, m, Options{Format: b.Name, Shards: 4, NoAutoCompact: true})
+			u, err := Wrap(f, m, Options{Format: b.Name, NoAutoCompact: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,87 +110,61 @@ func TestUpdatableForwardsApply(t *testing.T) {
 	}
 }
 
-// activeOnly returns an Updatable whose parallel work is all in the active
-// log: a 3000-row diagonal base (under MinGrain, so its sweep is serial
-// and never reaches the pool) under 9000 distinct overlay cells, which at
-// four workers make a two-lane active pass. It raises the worker cap for
-// the test and arms the failpoint framework.
-func activeOnly(t *testing.T) (u *Updatable, x, want []float64) {
-	t.Helper()
-	prev := exec.SetMaxWorkers(4)
-	prevFP := failpoint.SetEnabled(true)
-	t.Cleanup(func() {
-		failpoint.Disable("exec.worker")
-		failpoint.SetEnabled(prevFP)
-		exec.SetMaxWorkers(prev)
-	})
-	const n = 3000
+// cancelAfterBase is a base format whose Apply runs the real base and
+// then cancels the call's context, as a cancel that lands between the
+// base's dispatch and the overlay would.
+type cancelAfterBase struct {
+	formats.Format
+	cancel context.CancelFunc
+}
+
+func (f cancelAfterBase) Apply(ctx context.Context, y, x []float64, k, workers int) error {
+	err := f.Format.Apply(ctx, y, x, k, workers)
+	f.cancel()
+	return err
+}
+
+// TestOverlayStopsOnCancel: a context cancelled once the base has run
+// makes Apply return context.Canceled without adding the overlay, frozen
+// or active, onto y.
+func TestOverlayStopsOnCancel(t *testing.T) {
+	const n = 300
 	m := matrix.Identity(n)
 	b, _ := formats.Lookup("Naive-CSR")
 	f, err := b.Build(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err = Wrap(f, m, Options{Format: "Naive-CSR", NoAutoCompact: true})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	u, err := Wrap(cancelAfterBase{f, cancel}, m, Options{Format: "Naive-CSR", NoAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x = matrix.RandomVector(n, 11)
-	want = append([]float64(nil), x...) // the identity's own product
-	for i := 0; i < 9000; i++ {
+	x := matrix.RandomVector(n, 11)
+	want := append([]float64(nil), x...) // the identity's own product
+	for i := 0; i < 3*n; i++ {
+		if i == n { // the first row of entries goes to the frozen overlay
+			prevFP := failpoint.SetEnabled(true)
+			if err := failpoint.Enable("update.rebuild", "error*1"); err != nil {
+				t.Fatal(err)
+			}
+			err := u.Compact()
+			failpoint.SetEnabled(prevFP)
+			if !errors.Is(err, failpoint.ErrInjected) {
+				t.Fatalf("Compact with a dying rebuild = %v, want the injected fault", err)
+			}
+		}
 		r, c := i%n, (i%n+1+i/n)%n // three distinct off-diagonal cells per row
 		u.Set(r, c, 0.5)
 		want[r] += 0.5 * x[c]
 	}
-	return u, x, want
-}
-
-// TestActivePassContainsLaneFault: a fault on a lane of the active-log pass
-// comes back from Apply as *exec.PanicError, never as a panic, and the next
-// Apply on the same engine is exact.
-func TestActivePassContainsLaneFault(t *testing.T) {
-	u, x, want := activeOnly(t)
-	y := make([]float64, len(want))
-	if err := failpoint.Enable("exec.worker", "panic*1"); err != nil {
-		t.Fatal(err)
+	if st := u.Stats(); st.FrozenLen == 0 || st.ActiveLen == 0 {
+		t.Fatalf("overlay frozen %d, active %d: want both live", st.FrozenLen, st.ActiveLen)
 	}
-	err := u.Apply(context.Background(), y, x, 1, 4)
-	var pe *exec.PanicError
-	if !errors.As(err, &pe) || !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("Apply with a faulting active lane = %v, want *exec.PanicError chaining the injected fault", err)
-	}
-	if err := u.Apply(context.Background(), y, x, 1, 4); err != nil {
-		t.Fatalf("post-fault Apply: %v", err)
-	}
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("post-fault y[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-}
-
-// TestActivePassStopsOnCancel: a context cancelled while a lane of the
-// active pass is held back returns context.Canceled, and that lane skips
-// its log shards instead of finishing a result nobody will read.
-func TestActivePassStopsOnCancel(t *testing.T) {
-	u, x, want := activeOnly(t)
-	y := make([]float64, len(want))
-	// The one pooled lane sleeps at the failpoint, past the gate; the
-	// context is cancelled as soon as the site has fired.
-	if err := failpoint.Enable("exec.worker", "sleep:200*1"); err != nil {
-		t.Fatal(err)
-	}
-	fired := failpoint.Fired("exec.worker")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		for failpoint.Fired("exec.worker") == fired && ctx.Err() == nil {
-			runtime.Gosched()
-		}
-		cancel()
-	}()
-	if err := u.Apply(ctx, y, x, 1, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Apply cancelled inside the active pass = %v, want context.Canceled", err)
+	y := make([]float64, n)
+	if err := u.Apply(ctx, y, x, 1, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Apply cancelled after the base = %v, want context.Canceled", err)
 	}
 	short := 0
 	for i := range y {
@@ -200,6 +173,6 @@ func TestActivePassStopsOnCancel(t *testing.T) {
 		}
 	}
 	if short == 0 {
-		t.Error("the held-back lane ran its log shards after the cancel")
+		t.Error("the overlay was added after the cancel")
 	}
 }

@@ -30,7 +30,7 @@ func TestManyWriterCommitContention(t *testing.T) {
 		iters = 80
 	}
 	m := matrix.Identity(writers)
-	u, err := New(m, Options{Format: "Naive-CSR", Shards: 8, NoAutoCompact: true})
+	u, err := New(m, Options{Format: "Naive-CSR", NoAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCommitParkAndWake(t *testing.T) {
 // folds everything.
 func TestRebuildFailureKeepsFrozenOverlayLive(t *testing.T) {
 	m := matrix.Identity(32)
-	u, err := New(m, Options{Format: "Naive-CSR", Shards: 4, NoAutoCompact: true})
+	u, err := New(m, Options{Format: "Naive-CSR", NoAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestCompactRetryBackoffThrottlesAutoCompaction(t *testing.T) {
 	m := matrix.Identity(16)
 	// Tiny threshold: every update crosses it, so each would try to
 	// auto-compact if not throttled.
-	u, err := New(m, Options{Format: "Naive-CSR", Shards: 2, MinCompact: 1, CompactRatio: 1e-9})
+	u, err := New(m, Options{Format: "Naive-CSR", MinCompact: 1, CompactRatio: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

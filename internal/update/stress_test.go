@@ -25,7 +25,7 @@ func TestLinearizablePrefixUnderLoad(t *testing.T) {
 	}
 	m := matrix.Identity(rows)
 	u, err := New(m, Options{
-		Format: "Naive-CSR", Shards: 8,
+		Format:     "Naive-CSR",
 		MinCompact: 64, CompactRatio: 1e-9, // compact aggressively under load
 	})
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package update provides Updatable, a mutable sparse matrix for
 // dynamic-graph workloads: a read-optimized base (any built
 // formats.Format) paired with a concurrent delta overlay, multiplied as
-// the base's own dispatch plus one overlay pass.
+// the base's own dispatch and then the overlay, added on the calling
+// goroutine.
 //
 // The design is epoch/RCU-style. Readers load one immutable snapshot
 // pointer — {base format, base CSR, frozen overlay, log floor} — plus the
@@ -29,12 +30,9 @@ import (
 	"repro/internal/selector"
 )
 
-// DefaultShards is the default delta-log shard count. Rows map to shards
-// by r mod shards, so writers on different row groups never contend and
-// the overlay entries of distinct shards, frozen and active, touch
-// disjoint output rows — the property the parallel overlay pass scatters
-// by.
-const DefaultShards = 8
+// shardCount is the delta-log shard count. Rows map to shards by
+// r mod shardCount, so writers on different row groups never contend.
+const shardCount = 8
 
 // Options configures an Updatable.
 type Options struct {
@@ -51,8 +49,6 @@ type Options struct {
 	// re-selection share its decisions and its k-NN vote. Nil selects
 	// statelessly.
 	Cache *cache.DecisionCache
-	// Shards is the delta-log shard count (0: DefaultShards).
-	Shards int
 	// MinCompact and CompactRatio override the default compaction trigger
 	// (CompactionThreshold) for this matrix; zero keeps the defaults. A
 	// background compaction starts when the overlay holds at least
@@ -79,7 +75,7 @@ type cell struct{ r, c int32 }
 // sequence numbers. Appends extend the backing arrays in place past the
 // published length and then publish a longer view — indices below a
 // published length are never rewritten, so a reader holding any view sees
-// frozen data. A frozen overlay's shard is a view too, with seq nil.
+// frozen data. The frozen overlay is a view too, with seq nil.
 type shardView struct {
 	seq      []uint64
 	row, col []int32
@@ -105,11 +101,10 @@ type snapshot struct {
 	epoch   uint64
 	base    formats.Format
 	baseCSR *matrix.CSR
-	// frozen is an additive overlay (sorted, duplicate-free, nil outside
-	// a freeze) holding every update with floor_prev < seq <= floor that
-	// has not yet been folded into baseCSR, split by log shard like the
-	// active log.
-	frozen []*shardView
+	// frozen is an additive overlay (row-sorted, duplicate-free,
+	// emptyView outside a freeze) holding every update with
+	// floor_prev < seq <= floor that has not yet been folded into baseCSR.
+	frozen *shardView
 	// log is frozen's entries unsummed, sorted with each cell's in
 	// sequence order: what the rebuild merges, and a retry after a failed
 	// one merges again.
@@ -125,7 +120,7 @@ type snapshot struct {
 type Updatable struct {
 	formats.Delegates
 	opts   Options
-	shards []logShard
+	shards [shardCount]logShard
 
 	// alloc tickets update sequence numbers; visible is the commit
 	// watermark: every update with seq <= visible is published and
@@ -134,8 +129,7 @@ type Updatable struct {
 	alloc   atomic.Uint64
 	visible atomic.Uint64
 
-	snap  atomic.Pointer[snapshot]
-	spare atomic.Pointer[readPoint]
+	snap atomic.Pointer[snapshot]
 
 	// Commit-wait parking. Writers commit in ticket order; a writer whose
 	// predecessor has not yet published spins briefly (the common case: the
@@ -202,18 +196,14 @@ func Wrap(f formats.Format, m *matrix.CSR, o Options) (*Updatable, error) {
 		return nil, fmt.Errorf("update: format %s is %dx%d, matrix is %dx%d",
 			f.Name(), f.Rows(), f.Cols(), m.Rows, m.Cols)
 	}
-	s := o.Shards
-	if s <= 0 {
-		s = DefaultShards
-	}
-	u := &Updatable{opts: o, shards: make([]logShard, s)}
+	u := &Updatable{opts: o}
 	u.Delegates = formats.DelegateTo(u)
 	u.commitCond = sync.NewCond(&u.commitMu)
 	for i := range u.shards {
 		u.shards[i].view.Store(emptyView)
 		u.shards[i].net = make(map[cell]float64)
 	}
-	u.snap.Store(&snapshot{base: f, baseCSR: m})
+	u.snap.Store(&snapshot{base: f, baseCSR: m, frozen: emptyView})
 	return u, nil
 }
 
@@ -347,7 +337,7 @@ func (u *Updatable) locate(r, c int) (cell, *logShard) {
 	if s := u.snap.Load(); r < 0 || r >= s.baseCSR.Rows || c < 0 || c >= s.baseCSR.Cols {
 		panic(fmt.Sprintf("update: entry (%d,%d) out of range %dx%d", r, c, s.baseCSR.Rows, s.baseCSR.Cols))
 	}
-	return cell{int32(r), int32(c)}, &u.shards[r%len(u.shards)]
+	return cell{int32(r), int32(c)}, &u.shards[r%shardCount]
 }
 
 // current returns cell key's value; the caller holds sh.mu.

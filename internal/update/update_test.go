@@ -123,7 +123,7 @@ func TestUpdatableMatchesDenseOracle(t *testing.T) {
 				}
 				t.Fatalf("%s on %s: %v", b.Name, mname, err)
 			}
-			u, err := Wrap(f, m, Options{Format: b.Name, Shards: 4, NoAutoCompact: true})
+			u, err := Wrap(f, m, Options{Format: b.Name, NoAutoCompact: true})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", b.Name, mname, err)
 			}
@@ -307,14 +307,38 @@ func TestCompactDropsDeletedCell(t *testing.T) {
 	}
 }
 
+// hold parks a multiply inside its base's Apply, holding its read point,
+// until the test lets it go.
+type hold struct{ parked, resume chan struct{} }
+
+type holdKey struct{}
+
+// heldBase is a base format whose Apply, under a context that carries a
+// *hold, signals parked once the base has run and waits for resume.
+type heldBase struct{ formats.Format }
+
+func (f heldBase) Apply(ctx context.Context, y, x []float64, k, workers int) error {
+	err := f.Format.Apply(ctx, y, x, k, workers)
+	if h, ok := ctx.Value(holdKey{}).(*hold); ok {
+		h.parked <- struct{}{}
+		<-h.resume
+	}
+	return err
+}
+
 // A steady-state multiply allocates nothing, with entries in the active
-// log and on one lane or two (the log is long enough for two lanes to
-// share its pass), and neither does NNZ, which every POST /cells answer
-// reads.
+// log, on one lane or two, and while another reader is mid-multiply
+// beside it (each reader's read point lives on its own stack); neither
+// does NNZ, which every POST /cells answer reads.
 func TestUpdatableApplyAllocs(t *testing.T) {
 	defer exec.SetMaxWorkers(exec.SetMaxWorkers(4))
 	m := matrix.Random(4000, 4000, 16.0/4000, 3)
-	u, err := New(m, Options{Format: "Naive-CSR", NoAutoCompact: true})
+	b, _ := formats.Lookup("Naive-CSR")
+	f, err := b.Build(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := Wrap(heldBase{f}, m, Options{Format: "Naive-CSR", NoAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,5 +359,44 @@ func TestUpdatableApplyAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, func() { u.NNZ() }); a != 0 {
 		t.Errorf("NNZ: %v allocs, want 0", a)
+	}
+
+	// Overlapping readers: a second goroutine multiplies in a loop, each
+	// multiply parked mid-call while one of the timed reader's runs, so
+	// every timed run overlaps a read in flight. Both run one lane (a
+	// parallel base dispatch that finds the pool busy spawns its lanes),
+	// and AllocsPerRun counts the whole process's allocations, the second
+	// reader's included; its context has no Done channel, as ctx has none,
+	// so the base allocates no cancellation control for either.
+	h := &hold{parked: make(chan struct{}), resume: make(chan struct{})}
+	held := context.WithValue(ctx, holdKey{}, h)
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() { // the second reader is parked waiting on resume
+		close(stop)
+		close(h.resume)
+		<-done
+	}()
+	go func() {
+		defer close(done)
+		y2 := make([]float64, 4000)
+		for {
+			u.Apply(held, y2, x, 1, 1)
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-h.parked
+	a := testing.AllocsPerRun(20, func() {
+		if err := u.Apply(ctx, y, x, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		h.resume <- struct{}{} // the second reader finishes and parks in its next multiply
+		<-h.parked
+	})
+	if a != 0 {
+		t.Errorf("overlapping readers: %v allocs per multiply, want 0", a)
 	}
 }
