@@ -12,8 +12,10 @@ import (
 // Ctl is the per-call execution control a cancellable dispatch carries: a
 // latched view of one context's cancellation, cheap enough for kernels to
 // poll at partition-chunk granularity. A nil *Ctl is valid everywhere and
-// means "not cancellable" — NewCtl returns nil for contexts that can never
-// be cancelled, and the one dispatch path pays a nil check for it.
+// means "not cancellable" — Reset returns nil for contexts that can never
+// be cancelled, and the one dispatch path pays a nil check for it. A Ctl
+// is a value its caller keeps for the call (a dispatch's lane frame, or
+// the stack of a serial call), so arming one allocates nothing.
 //
 // The latch matters for two reasons. First, cost: once cancellation is
 // observed, every later poll is one atomic load with no channel select.
@@ -25,14 +27,16 @@ type Ctl struct {
 	cancelled atomic.Bool
 }
 
-// NewCtl derives the control for one call from ctx. Contexts that cannot
-// be cancelled (nil, Background, TODO) yield nil: a nil check per lane and
-// per chunk, nothing else.
-func NewCtl(ctx context.Context) *Ctl {
+// Reset arms c for one call over ctx, clearing any earlier latch, and
+// returns it. Contexts that cannot be cancelled (nil, Background, TODO)
+// yield nil: a nil check per lane and per chunk, nothing else.
+func (c *Ctl) Reset(ctx context.Context) *Ctl {
 	if ctx == nil || ctx.Done() == nil {
 		return nil
 	}
-	return &Ctl{ctx: ctx}
+	c.ctx = ctx
+	c.cancelled.Store(false)
+	return c
 }
 
 // Cancelled reports (and latches) whether the call should stop. Safe on a

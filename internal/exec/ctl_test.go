@@ -10,23 +10,36 @@ import (
 	"repro/internal/failpoint"
 )
 
-func TestNewCtlNilForUncancellable(t *testing.T) {
-	if c := NewCtl(nil); c != nil {
-		t.Fatalf("NewCtl(nil) = %v, want nil", c)
+// TestResetNilForUncancellable: Reset yields nil for a context that can
+// never be cancelled, and arms a reused Ctl afresh — neither an earlier
+// call's latch nor its poison carries over.
+func TestResetNilForUncancellable(t *testing.T) {
+	var c Ctl
+	if p := c.Reset(nil); p != nil {
+		t.Fatalf("Reset(nil) = %v, want nil", p)
 	}
-	if c := NewCtl(context.Background()); c != nil {
-		t.Fatalf("NewCtl(Background) = %v, want nil", c)
+	if p := c.Reset(context.Background()); p != nil {
+		t.Fatalf("Reset(Background) = %v, want nil", p)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if p := c.Reset(dead); p != &c || !p.Cancelled() {
+		t.Fatal("Reset(cancelled) is not the Ctl itself, cancelled")
+	}
+	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if c := NewCtl(ctx); c == nil {
-		t.Fatal("NewCtl(cancellable) = nil")
+	if p := c.Reset(live); p.Cancelled() || p.Err() != nil {
+		t.Fatal("a Ctl reset over a live context still reports the last call's cancellation")
+	}
+	c.poison()
+	if c.Reset(live).Cancelled() {
+		t.Fatal("a Ctl reset over a live context still reports the last call's poison")
 	}
 }
 
 func TestCtlCancelledLatches(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	c := NewCtl(ctx)
+	c := new(Ctl).Reset(ctx)
 	if c.Cancelled() {
 		t.Fatal("fresh Ctl reports cancelled")
 	}
@@ -104,7 +117,7 @@ func TestRunCtxConvertsWorkerPanicToError(t *testing.T) {
 	defer SetMaxWorkers(restore)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	g := AcquireCtl(4, NewCtl(ctx))
+	g := AcquireCtl(4, new(Ctl).Reset(ctx))
 	err := g.Run(4, func(w int) {
 		if w == 2 {
 			panic("ctx kernel fault")
@@ -133,7 +146,7 @@ func TestRunCtxPoisonStopsSiblingLanes(t *testing.T) {
 	defer SetMaxWorkers(restore)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctl := NewCtl(ctx)
+	ctl := new(Ctl).Reset(ctx)
 	g := AcquireCtl(4, ctl)
 	err := g.Run(4, func(w int) {
 		if w == 0 {
@@ -148,7 +161,7 @@ func TestRunCtxPoisonStopsSiblingLanes(t *testing.T) {
 		t.Fatal("panicking lane did not poison the Ctl")
 	}
 	// Poison is per call: a fresh Ctl over the same (live) context is clean.
-	if NewCtl(ctx).Cancelled() {
+	if new(Ctl).Reset(ctx).Cancelled() {
 		t.Fatal("poison leaked into the context")
 	}
 }
@@ -159,7 +172,7 @@ func TestRunCtxPreCancelledSkipsLanes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	g := AcquireCtl(4, NewCtl(ctx))
+	g := AcquireCtl(4, new(Ctl).Reset(ctx))
 	err := g.Run(4, func(w int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on cancelled ctx = %v, want context.Canceled", err)
@@ -187,7 +200,7 @@ func TestRunCtxDeadlineReportsDeadlineExceeded(t *testing.T) {
 	defer SetMaxWorkers(restore)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	ctl := NewCtl(ctx)
+	ctl := new(Ctl).Reset(ctx)
 	g := AcquireCtl(4, ctl)
 	err := g.Run(4, func(w int) {
 		// Chunk-granularity polling, as a kernel would do it.

@@ -16,11 +16,6 @@ type Grant struct {
 	pool    *Pool // nil = spawn fallback
 }
 
-// Width returns the grant's worker count, which keys the plan cache. A
-// pooled and a spawned dispatch of one width share a plan; whichever finds
-// its lock taken runs on a private frame.
-func (g *Grant) Width() int { return g.workers }
-
 // grant claims p for a workers-wide dispatch without blocking, or returns
 // the no-pool grant when p is busy — another dispatch is in flight,
 // possibly from this very goroutine — or the dispatch is serial.

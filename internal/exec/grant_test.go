@@ -58,23 +58,6 @@ func TestGrantSingleRangeReleases(t *testing.T) {
 	g2.Run(2, func(int) {})
 }
 
-// TestGrantSerialKey: a pooled and a spawn-fallback grant of one width
-// report the same width, so both run on one cached plan.
-func TestGrantSerialKey(t *testing.T) {
-	g := Grant{workers: 3}
-	if w := g.Width(); w != 3 {
-		t.Fatalf("fallback width = %d", w)
-	}
-	pooled := Acquire(3)
-	defer pooled.Release()
-	if pooled.pool == nil {
-		t.Fatal("grant on an idle engine holds no pool")
-	}
-	if pooled.Width() != g.Width() {
-		t.Fatalf("pooled width %d differs from the fallback's %d", pooled.Width(), g.Width())
-	}
-}
-
 // TestEngineRunZeroAllocsWarm: acquiring the process-wide pool must not add
 // allocations to the steady-state dispatch path.
 func TestEngineRunZeroAllocsWarm(t *testing.T) {

@@ -63,7 +63,7 @@ func TestOneDispatchBody(t *testing.T) {
 					if !live {
 						return nil
 					}
-					return NewCtl(ctx)
+					return new(Ctl).Reset(ctx)
 				}
 				clean := func(when string) {
 					t.Helper()
@@ -97,9 +97,9 @@ func TestOneDispatchBody(t *testing.T) {
 						if !errors.As(err, &pe) || pe.Worker != lane || pe.Value != fmt.Sprint("fault on ", lane) || len(pe.Stack) == 0 {
 							t.Fatalf("GOMAXPROCS %d, fault on lane %d: Run = %v, want that lane's *PanicError", procs, lane, err)
 						}
-						if live && (!ctl.Cancelled() || NewCtl(ctx).Cancelled()) {
+						if live && (!ctl.Cancelled() || new(Ctl).Reset(ctx).Cancelled()) {
 							t.Fatalf("fault on lane %d: call poisoned %v, context cancelled %v; want true, false",
-								lane, ctl.Cancelled(), NewCtl(ctx).Cancelled())
+								lane, ctl.Cancelled(), new(Ctl).Reset(ctx).Cancelled())
 						}
 						clean(fmt.Sprintf("after a fault on lane %d", lane))
 					}
@@ -107,7 +107,7 @@ func TestOneDispatchBody(t *testing.T) {
 
 				if live {
 					var ran atomic.Int32
-					g := grantOver(pc.n, NewCtl(dead), pool)
+					g := grantOver(pc.n, new(Ctl).Reset(dead), pool)
 					if err := g.Run(pc.n, func(int) { ran.Add(1) }); !errors.Is(err, context.Canceled) || ran.Load() != 0 {
 						t.Fatalf("pre-cancelled: Run = %v with %d lanes run, want context.Canceled and none", err, ran.Load())
 					}
@@ -130,7 +130,7 @@ func TestWarmDispatchAllocs(t *testing.T) {
 			continue
 		}
 		pool := pc.pool(t)
-		for name, ctl := range map[string]*Ctl{"nil Ctl": nil, "live Ctl": NewCtl(ctx)} {
+		for name, ctl := range map[string]*Ctl{"nil Ctl": nil, "live Ctl": new(Ctl).Reset(ctx)} {
 			dispatch := func() {
 				g := grantOver(pc.n, ctl, pool)
 				g.Run(pc.n, f)

@@ -133,10 +133,6 @@ func (d *driver) Apply(ctx context.Context, y, x []float64, k, workers int) (err
 	if err := CheckArgs(d.kern, y, x, k); err != nil {
 		return err
 	}
-	ctl := exec.NewCtl(ctx)
-	if ctl.Cancelled() {
-		return ctl.Err()
-	}
 	defer func() {
 		// Parallel dispatches contain their own lanes; this traps a kernel
 		// fault on the serial path.
@@ -149,31 +145,28 @@ func (d *driver) Apply(ctx context.Context, y, x []float64, k, workers int) (err
 		}
 	}()
 	if k > 1 && !d.fused {
-		return d.byColumn(ctl, y, x, k, workers)
+		return d.byColumn(ctx, y, x, k, workers)
 	}
-	return d.sweep(ctl, y, x, k, workers)
+	return d.sweep(ctx, y, x, k, workers)
 }
 
-// sweep is the dispatch every kernel goes through.
-func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
+// sweep is the dispatch every kernel goes through. It arms the call's
+// cancellation control — on its stack for a serial call, in the plan's
+// lane frame otherwise — and returns ctx's error at once if it is done.
+func (d *driver) sweep(ctx context.Context, y, x []float64, k, workers int) error {
 	workers = min(exec.Workers(d.work*int64(k), workers), d.n)
 	if workers <= 1 && d.heads == nil {
-		d.claim([]cursor{{hi: d.n}}, 0, ctxGrain(k), ctl, y, x, nil, k) // a serial call is one lane, from unit 0
-		if ctl.Cancelled() {
-			return ctl.Err()
+		var c exec.Ctl
+		ctl := c.Reset(ctx)
+		if !ctl.Cancelled() {
+			d.claim([]cursor{{hi: d.n}}, 0, ctxGrain(k), ctl, y, x, nil, k) // a serial call is one lane, from unit 0
 		}
-		return nil
+		return ctl.Err()
 	}
 	// A format that splits rows needs its carry slots on the serial path
 	// too: it runs there as the one-lane plan.
-	width, parallel := 1, workers > 1
-	var g exec.Grant
-	if parallel {
-		g = exec.AcquireCtl(workers, ctl)
-		defer g.Release() // no-op after Run; frees the pool if a plan build panics
-		width = g.Width()
-	}
-	pl := d.plans.Get(width, func(width int) *exec.Plan {
+	parallel := workers > 1
+	pl := d.plans.Get(max(workers, 1), func(width int) *exec.Plan {
 		pl := d.kern.plan(width)
 		pl.Frame = newFrame(len(pl.Ranges))
 		return pl
@@ -189,11 +182,15 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 		fr = newFrame(len(pl.Ranges))
 	}
 	defer func() {
-		*fr = frame{lane: fr.lane, cur: fr.cur, c: fr.c} // a cached frame must not retain the caller's vectors
+		*fr = frame{lane: fr.lane, cur: fr.cur, c: fr.c} // a cached frame must not retain the caller's vectors or context
 		if !private {
 			pl.Unlock()
 		}
 	}()
+	ctl := fr.own.Reset(ctx)
+	if ctl.Cancelled() {
+		return ctl.Err()
+	}
 	fr.d, fr.ctl, fr.y, fr.x, fr.k = d, ctl, y, x, k
 	fr.grain = ctxGrain(k)
 	if parallel {
@@ -211,8 +208,11 @@ func (d *driver) sweep(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 		if ctl.Cancelled() {
 			return ctl.Err()
 		}
-	} else if err := g.Run(len(pl.Ranges), fr.lane); err != nil {
-		return err
+	} else {
+		g := exec.AcquireCtl(workers, ctl)
+		if err := g.Run(len(pl.Ranges), fr.lane); err != nil {
+			return err
+		}
 	}
 	d.fold(y, fr.c, k)
 	return nil
@@ -245,7 +245,8 @@ type frame struct {
 	cur   []cursor    // one per lane, reset from the plan's ranges per call
 	c     []float64   // the carry slots, k per unit, kept across calls
 	d     *driver
-	ctl   *exec.Ctl
+	ctl   *exec.Ctl // &own, or nil for a call that cannot be cancelled
+	own   exec.Ctl
 	y, x  []float64
 	k     int
 	grain int64 // what the lanes claim by
@@ -339,7 +340,7 @@ func (d *driver) claim(cur []cursor, w int, grain int64, ctl *exec.Ctl, y, x, sl
 // Y, so column t is bit for bit that vector's own product. It allocates
 // two dense temporaries per call — acceptable off the hot path, which is
 // why the hot formats supply fused kernels.
-func (d *driver) byColumn(ctl *exec.Ctl, y, x []float64, k, workers int) error {
+func (d *driver) byColumn(ctx context.Context, y, x []float64, k, workers int) error {
 	rows, cols := d.kern.Rows(), d.kern.Cols()
 	xj := make([]float64, cols)
 	yj := make([]float64, rows)
@@ -347,7 +348,7 @@ func (d *driver) byColumn(ctl *exec.Ctl, y, x []float64, k, workers int) error {
 		for c := 0; c < cols; c++ {
 			xj[c] = x[c*k+t]
 		}
-		if err := d.sweep(ctl, yj, xj, 1, workers); err != nil {
+		if err := d.sweep(ctx, yj, xj, 1, workers); err != nil {
 			return err
 		}
 		for r := 0; r < rows; r++ {

@@ -33,14 +33,14 @@ func CompactionThreshold() (min int, ratio float64) {
 	return defMinCompact, defCompactRatio
 }
 
-// overlayLen counts overlay entries: the frozen log (a failed rebuild's)
-// plus the active log above the snapshot floor.
-func (u *Updatable) overlayLen(s *snapshot) int {
-	n := int(u.alloc.Load() - s.floor)
-	if s.log != nil {
-		n += s.log.NNZ()
+// overlayLen counts rp's overlay entries: the frozen log (a failed
+// rebuild's) plus the active log above the snapshot floor.
+func (rp *readPoint) overlayLen() int {
+	lo, hi := rp.active()
+	if rp.s.log != nil {
+		return rp.s.log.NNZ() + hi - lo
 	}
-	return n
+	return hi - lo
 }
 
 // threshold resolves the effective trigger for this matrix.
@@ -63,8 +63,7 @@ func (u *Updatable) threshold(baseNNZ int64) int {
 // crossed the trigger, none is already pending, and the retry backoff
 // from a previous failure has elapsed.
 func (u *Updatable) maybeCompact() {
-	s := u.snap.Load()
-	if u.overlayLen(s) < u.threshold(s.base.NNZ()) {
+	if rp := u.read(); rp.overlayLen() < u.threshold(rp.s.base.NNZ()) {
 		return
 	}
 	if ns := u.nextCompactNs.Load(); ns != 0 && time.Now().UnixNano() < ns {
@@ -77,8 +76,7 @@ func (u *Updatable) maybeCompact() {
 		defer u.compactPending.Store(false)
 		u.compactMu.Lock()
 		defer u.compactMu.Unlock()
-		s := u.snap.Load()
-		if u.overlayLen(s) < u.threshold(s.base.NNZ()) {
+		if rp := u.read(); rp.overlayLen() < u.threshold(rp.s.base.NNZ()) {
 			return // a concurrent explicit Compact already folded it
 		}
 		// A failed rebuild keeps the frozen epoch — readers stay exact —
@@ -127,16 +125,16 @@ func (u *Updatable) CompactCtx(ctx context.Context) error {
 
 // compactOnce runs one freeze-then-rebuild cycle. Caller holds compactMu.
 //
-// Phase 1 (freeze) takes every shard lock — pausing writers for the gather,
+// Phase 1 (freeze) takes the update lock — pausing writers for the gather,
 // never readers — moves the whole active log into the frozen overlay, and
-// bumps the floor to the allocation cut. Holding all shard locks makes the
-// cut exact: no writer can be between ticket allocation and view publish,
-// so every sequence number at or below the cut is in some view.
+// bumps the floor to the last sequence number issued, which under the lock
+// is the last entry of the log.
 //
-// Phase 2 (rebuild) runs without any lock: merge the frozen log into a
+// Phase 2 (rebuild) runs without the lock: merge the frozen log into a
 // fresh CSR, re-select the base format (drift invalidation plus warm
-// journal reuse via selector.ReselectCtx), and publish the new epoch. Readers
-// that loaded the frozen snapshot concurrently revalidate and retry.
+// journal reuse via selector.ReselectCtx), and publish the new epoch.
+// Readers that loaded the frozen snapshot concurrently revalidate and
+// retry.
 func (u *Updatable) compactOnce(ctx context.Context) error {
 	start := time.Now()
 	// Freeze injection point: a fault here models a compactor dying before
@@ -148,38 +146,28 @@ func (u *Updatable) compactOnce(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for i := range u.shards {
-		u.shards[i].mu.Lock()
-	}
-	s := u.snap.Load()
-	n := 0
+	u.mu.Lock()
+	s, vw := u.snap.Load(), u.view.Load()
+	n := len(vw.seq)
 	if s.log != nil {
-		n = s.log.NNZ()
-	}
-	for i := range u.shards {
-		n += len(u.shards[i].view.Load().seq)
+		n += s.log.NNZ()
 	}
 	if n == 0 {
-		for i := range u.shards {
-			u.shards[i].mu.Unlock()
-		}
+		u.mu.Unlock()
 		return nil
 	}
 	// log holds every entry the base lacks, each cell's in sequence order:
-	// a failed rebuild's log first, then the active log, whose cells each
-	// live in one shard. The stable sort keeps that order within a cell.
+	// a failed rebuild's log first, then the active log. The stable sort
+	// keeps that order within a cell.
 	log := matrix.NewCOO(s.baseCSR.Rows, s.baseCSR.Cols, n)
 	if s.log != nil {
 		log.RowIdx = append(log.RowIdx, s.log.RowIdx...)
 		log.ColIdx = append(log.ColIdx, s.log.ColIdx...)
 		log.Val = append(log.Val, s.log.Val...)
 	}
-	for i := range u.shards {
-		vw := u.shards[i].view.Load()
-		log.RowIdx = append(log.RowIdx, vw.row...)
-		log.ColIdx = append(log.ColIdx, vw.col...)
-		log.Val = append(log.Val, vw.val...)
-	}
+	log.RowIdx = append(log.RowIdx, vw.row...)
+	log.ColIdx = append(log.ColIdx, vw.col...)
+	log.Val = append(log.Val, vw.val...)
 	log.SortStable()
 	overlay, changed := sumCells(s.baseCSR, log)
 	frozen := &snapshot{
@@ -188,16 +176,14 @@ func (u *Updatable) compactOnce(ctx context.Context) error {
 		baseCSR: s.baseCSR,
 		frozen:  overlay,
 		log:     log,
-		floor:   u.alloc.Load(),
+		floor:   u.seq,
 	}
-	// Each shard's net keeps its cells' values across the freeze: they are
-	// what the rebuild merges to, so At and the writes that resolve
-	// against it read the same value before, during and after.
+	// net keeps its cells' values across the freeze: they are what the
+	// rebuild merges to, so At and the writes that resolve against it read
+	// the same value before, during and after.
 	u.snap.Store(frozen)
-	for i := range u.shards {
-		u.shards[i].view.Store(emptyView)
-		u.shards[i].mu.Unlock()
-	}
+	u.view.Store(emptyView)
+	u.mu.Unlock()
 	u.lastFreezeNs.Store(time.Since(start).Nanoseconds())
 
 	if u.rebuildHook != nil {
@@ -216,18 +202,15 @@ func (u *Updatable) compactOnce(ctx context.Context) error {
 	u.snap.Store(next)
 	// The base now holds every frozen cell's value; net keeps only the
 	// cells the active log touches.
-	for i := range u.shards {
-		sh := &u.shards[i]
-		sh.mu.Lock()
-		vw := sh.view.Load()
-		keep := make(map[cell]float64, len(vw.seq))
-		for j := range vw.seq {
-			key := cell{vw.row[j], vw.col[j]}
-			keep[key] = sh.net[key]
-		}
-		sh.net = keep
-		sh.mu.Unlock()
+	u.mu.Lock()
+	vw = u.view.Load()
+	keep := make(map[cell]float64, len(vw.seq))
+	for j := range vw.seq {
+		key := cell{vw.row[j], vw.col[j]}
+		keep[key] = u.net[key]
 	}
+	u.net = keep
+	u.mu.Unlock()
 	u.lastCompactNs.Store(time.Since(start).Nanoseconds())
 	return nil
 }
@@ -237,8 +220,8 @@ func (u *Updatable) compactOnce(ctx context.Context) error {
 // overlay, in row order. changed reports whether any cell's entries,
 // added onto the base one after another, move it; when none does, the
 // base is already exact and the rebuild is skipped.
-func sumCells(base *matrix.CSR, log *matrix.COO) (frozen *shardView, changed bool) {
-	frozen = &shardView{}
+func sumCells(base *matrix.CSR, log *matrix.COO) (frozen *logView, changed bool) {
+	frozen = &logView{}
 	for i := 0; i < log.NNZ(); {
 		r, c := log.RowIdx[i], log.ColIdx[i]
 		b := csrAt(base, r, c)
@@ -301,7 +284,7 @@ type Stats struct {
 	Compactions   uint64 // completed freeze+rebuild cycles
 	LastFreezeNs  int64  // duration writers were paused by the last freeze
 	LastCompactNs int64  // full duration of the last compaction
-	CommitParks   uint64 // commits that parked waiting for a predecessor
+	CommitParks   uint64 // updates that found the update lock held
 	CompactFails  uint32 // consecutive failed rebuilds (0 when healthy)
 	RetryBackoff  bool   // a failed rebuild is currently delaying auto-compaction
 }
@@ -310,13 +293,14 @@ type Stats struct {
 func (u *Updatable) Stats() Stats {
 	rp := u.read()
 	s := rp.s
-	st := Stats{
+	lo, hi := rp.active()
+	return Stats{
 		Epoch:         s.epoch,
 		BaseFormat:    s.base.Name(),
 		BaseNNZ:       s.base.NNZ(),
 		FrozenLen:     len(s.frozen.val),
-		ActiveLen:     rp.active(),
-		Updates:       rp.v,
+		ActiveLen:     hi - lo,
+		Updates:       s.floor + uint64(hi-lo),
 		Compactions:   u.compactions.Load(),
 		LastFreezeNs:  u.lastFreezeNs.Load(),
 		LastCompactNs: u.lastCompactNs.Load(),
@@ -324,7 +308,6 @@ func (u *Updatable) Stats() Stats {
 		CompactFails:  u.compactFails.Load(),
 		RetryBackoff:  u.nextCompactNs.Load() > time.Now().UnixNano(),
 	}
-	return st
 }
 
 // Epoch returns the current snapshot epoch.

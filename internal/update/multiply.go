@@ -7,39 +7,34 @@ import (
 	"repro/internal/formats"
 )
 
-// readPoint is one coherent read of an Updatable: a snapshot, the
-// visible watermark and the shard views that go with them. It lives on
-// the reader's stack, so no read allocates.
+// readPoint is one coherent read of an Updatable: a snapshot and the
+// active log view that goes with it. It lives on the reader's stack, so no
+// read allocates.
 type readPoint struct {
-	s     *snapshot
-	v     uint64
-	views [shardCount]*shardView
+	s  *snapshot
+	vw *logView
 }
 
 // read loads a read point. The seqlock-style revalidation guards the one
 // hazard: a compactor publishing a new snapshot between our snapshot load
-// and our view loads would pair views trimmed for the new floor with the
+// and our view load would pair the log emptied for the new floor with the
 // old floor. Readers never take a lock; the retry only fires across a
 // concurrent snapshot publish, which is rare and cheap to replay.
 func (u *Updatable) read() (rp readPoint) {
 	for {
-		rp.s, rp.v = u.snap.Load(), u.visible.Load()
-		for i := range u.shards {
-			rp.views[i] = u.shards[i].view.Load()
-		}
+		rp.s, rp.vw = u.snap.Load(), u.view.Load()
 		if u.snap.Load() == rp.s {
 			return rp
 		}
 	}
 }
 
-// viewRange returns the half-open index range of entries with
-// floor < seq <= v in the ascending sequence array: empty when v is below
-// floor, as it is for a reader whose watermark predates the freeze.
-func viewRange(vw *shardView, floor, v uint64) (int, int) {
-	lo := sort.Search(len(vw.seq), func(i int) bool { return vw.seq[i] > floor })
-	hi := sort.Search(len(vw.seq), func(i int) bool { return vw.seq[i] > v })
-	return lo, max(lo, hi)
+// active returns the index range of rp's active entries, those above the
+// snapshot floor: none when the view was loaded just before a freeze
+// published the snapshot, since the frozen overlay holds them all.
+func (rp *readPoint) active() (int, int) {
+	seq := rp.vw.seq
+	return sort.Search(len(seq), func(i int) bool { return seq[i] > rp.s.floor }), len(seq)
 }
 
 // Name reports the current base wrapped in Updatable[...].
@@ -57,32 +52,19 @@ func (u *Updatable) Cols() int { return u.snap.Load().baseCSR.Cols }
 // the logical nonzero count.
 func (u *Updatable) NNZ() int64 {
 	rp := u.read()
-	return rp.s.base.NNZ() + int64(len(rp.s.frozen.val)+rp.active())
-}
-
-// active counts the committed active entries of rp.
-func (rp *readPoint) active() int {
-	n := 0
-	for _, vw := range rp.views {
-		lo, hi := viewRange(vw, rp.s.floor, rp.v)
-		n += hi - lo
-	}
-	return n
+	lo, hi := rp.active()
+	return rp.s.base.NNZ() + int64(len(rp.s.frozen.val)+hi-lo)
 }
 
 // Bytes estimates resident bytes: base plus the frozen and active
 // overlays' arrays.
 func (u *Updatable) Bytes() int64 {
 	rp := u.read()
-	b := rp.s.base.Bytes() + rp.s.frozen.bytes()
-	for _, vw := range rp.views {
-		b += vw.bytes()
-	}
-	return b
+	return rp.s.base.Bytes() + rp.s.frozen.bytes() + rp.vw.bytes()
 }
 
 // bytes is the size of vw's arrays.
-func (vw *shardView) bytes() int64 {
+func (vw *logView) bytes() int64 {
 	return int64(len(vw.seq))*8 + int64(len(vw.row))*4 + int64(len(vw.col))*4 + int64(len(vw.val))*8
 }
 
@@ -92,14 +74,13 @@ func (u *Updatable) Traits() formats.Traits { return u.snap.Load().base.Traits()
 
 // Apply implements formats.Format: Y = A*X for k right-hand sides over one
 // consistent read point, as the base's dispatch and then the overlay on
-// the calling goroutine: the frozen view, then each log shard's committed
-// active entries. Active entries below the snapshot floor are in the
-// frozen overlay already; entries above the visible watermark are not yet
-// part of the observed prefix. Each row adds base, frozen, active in that
-// order on any lane count. A cancelled call stops at the base's next chunk
-// boundary or before the next overlay part, and a base lane's panic comes
-// back as *exec.PanicError. SpMV, SpMVParallel and MultiplyMany are the
-// embedded formats.Delegates over this method.
+// the calling goroutine: the frozen view, then the active log's entries
+// above the snapshot floor (those at or below it are in the frozen overlay
+// already). Each row adds base, frozen, active in that order on any lane
+// count. A cancelled call stops at the base's next chunk boundary or
+// before the overlay, and a base lane's panic comes back as
+// *exec.PanicError. SpMV, SpMVParallel and MultiplyMany are the embedded
+// formats.Delegates over this method.
 func (u *Updatable) Apply(ctx context.Context, y, x []float64, k, workers int) error {
 	rp := u.read()
 	if err := rp.s.base.Apply(ctx, y, x, k, workers); err != nil {
@@ -109,18 +90,13 @@ func (u *Updatable) Apply(ctx context.Context, y, x []float64, k, workers int) e
 		return err
 	}
 	addView(rp.s.frozen, 0, len(rp.s.frozen.val), y, x, k)
-	for _, vw := range rp.views {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		lo, hi := viewRange(vw, rp.s.floor, rp.v)
-		addView(vw, lo, hi, y, x, k)
-	}
+	lo, hi := rp.active()
+	addView(rp.vw, lo, hi, y, x, k)
 	return nil
 }
 
 // addView adds entries [lo, hi) of one view onto y.
-func addView(vw *shardView, lo, hi int, y, x []float64, k int) {
+func addView(vw *logView, lo, hi int, y, x []float64, k int) {
 	if k == 1 {
 		for e := lo; e < hi; e++ {
 			y[vw.row[e]] += vw.val[e] * x[vw.col[e]]

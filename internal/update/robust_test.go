@@ -1,13 +1,15 @@
 package update
 
-// Robustness tests for the update layer: the parked commit wait under
-// many-writer contention, and compaction fault handling — a rebuild that
+// Robustness tests for the update layer: the update lock under
+// many-writer contention, a read point that pairs a frozen snapshot with
+// the log from before the freeze, and compaction fault handling — a rebuild that
 // dies after the freeze must leave the frozen overlay live (readers stay
 // exact), arm a retry backoff, and fold cleanly once the fault clears.
 // Run with -race.
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -18,11 +20,10 @@ import (
 )
 
 // TestManyWriterCommitContention drives far more concurrent writers than
-// cores through the ticket-ordered commit path, forcing the spin-then-park
-// wait to actually park, and validates that every update still commits in
-// a consistent total order: each writer owns one diagonal cell and adds 1
-// per iteration, so the final matrix is exact iff no commit was lost,
-// duplicated, or torn.
+// cores through the update lock, and validates that every update still
+// lands in a consistent total order: each writer owns one diagonal cell
+// and adds 1 per iteration, so the final matrix is exact iff no update was
+// lost, duplicated, or torn.
 func TestManyWriterCommitContention(t *testing.T) {
 	const writers = 64
 	iters := 400
@@ -47,21 +48,17 @@ func TestManyWriterCommitContention(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got, want := u.visible.Load(), u.alloc.Load(); got != want {
-		t.Fatalf("visible watermark %d != allocated %d after quiesce", got, want)
-	}
 	for w := 0; w < writers; w++ {
 		want := 1 + float64(iters) // identity diagonal + iters additions
 		if got := u.At(w, w); got != want {
 			t.Errorf("cell (%d,%d) = %v, want %v", w, w, got, want)
 		}
 	}
-	// With 64 writers racing a ticket chain, some commits must have waited
-	// past the spin budget; the counter proves the parked path executed
-	// (not just compiled). This is load-dependent in principle but
-	// deterministic in practice at 64x contention on any CI host.
+	// With 64 writers racing one lock, some updates must have found it
+	// held. This is load-dependent in principle but deterministic in
+	// practice at 64x contention on any CI host.
 	if u.Stats().CommitParks == 0 {
-		t.Log("warning: no commit ever parked; contention too low to exercise the parked path")
+		t.Log("warning: no update ever found the lock held; contention too low to exercise the wait")
 	}
 
 	// The matrix still multiplies exactly after the storm.
@@ -78,45 +75,92 @@ func TestManyWriterCommitContention(t *testing.T) {
 	}
 }
 
-// TestCommitParkAndWake pins the parked wait deterministically: a commit
-// whose predecessor has not published must exhaust its spin budget, park
-// on the condition variable, and wake exactly when the predecessor's
-// publish broadcasts — no lost wakeup, no busy loop.
-func TestCommitParkAndWake(t *testing.T) {
-	m := matrix.Identity(4)
-	u, err := New(m, Options{Format: "Naive-CSR", NoAutoCompact: true})
+// TestWriterWaitsForHeldLock pins the contended write deterministically:
+// an update that finds the lock held counts itself in CommitParks, waits,
+// and lands once the lock is released.
+func TestWriterWaitsForHeldLock(t *testing.T) {
+	u, err := New(matrix.Identity(4), Options{Format: "Naive-CSR", NoAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u.alloc.Store(2) // tickets 1 and 2 are allocated, neither published
-
+	u.mu.Lock()
 	done := make(chan struct{})
 	go func() {
-		u.commit(2) // predecessor 1 unpublished: must park
+		u.Set(1, 2, 3.5)
 		close(done)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for u.commitParks.Load() == 0 {
+	for u.Stats().CommitParks != 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("commit(2) never parked")
+			u.mu.Unlock()
+			t.Fatal("the writer never counted the held lock")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	select {
 	case <-done:
-		t.Fatal("commit(2) returned before its predecessor published")
+		t.Fatal("Set returned while the lock was held")
 	default:
 	}
-
-	u.commit(1) // publish the predecessor; must wake the parked commit
+	if got := u.Stats().Updates; got != 0 {
+		t.Fatalf("%d updates published while the lock was held, want 0", got)
+	}
+	u.mu.Unlock()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("parked commit(2) never woke after predecessor published (lost wakeup)")
+		t.Fatal("the writer never took the released lock")
 	}
-	if got := u.visible.Load(); got != 2 {
-		t.Fatalf("visible = %d after both commits, want 2", got)
+	if got := u.At(1, 2); got != 3.5 {
+		t.Fatalf("At(1, 2) = %v after the write, want 3.5", got)
 	}
+	if st := u.Stats(); st.Updates != 1 || st.ActiveLen != 1 || st.CommitParks != 1 {
+		t.Fatalf("Stats = %+v, want 1 update, 1 active entry, 1 park", st)
+	}
+}
+
+// TestFrozenSnapshotWithPreFreezeLog pairs the frozen snapshot with the
+// active log as it stood before the freeze emptied it — what a reader
+// sees when it loads the snapshot just after the compactor publishes it
+// and the log just before the compactor swaps it. Every entry of that log
+// is in the frozen overlay too, so NNZ, Stats and Apply must count each
+// entry exactly once.
+func TestFrozenSnapshotWithPreFreezeLog(t *testing.T) {
+	const n = 64
+	m := matrix.Random(n, n, 0.1, 5)
+	dense := denseOf(m)
+	u, err := New(m, Options{Format: "Naive-CSR", NoAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		r, c := rng.Intn(n), rng.Intn(n)
+		v := float64(1+rng.Intn(32)) / 8
+		u.Add(r, c, v)
+		dense[r][c] += v
+	}
+	pre := u.view.Load()
+	updates := u.Stats().Updates
+	u.rebuildHook = func() {
+		frozen := u.Stats()
+		u.view.Store(pre) // the log the reader loaded before the freeze swapped it
+		defer u.view.Store(emptyView)
+		if got, want := u.NNZ(), frozen.BaseNNZ+int64(frozen.FrozenLen); got != want {
+			t.Errorf("NNZ = %d, want base %d + frozen %d", got, frozen.BaseNNZ, frozen.FrozenLen)
+		}
+		if st := u.Stats(); st.ActiveLen != 0 || st.FrozenLen != frozen.FrozenLen || st.Updates != updates {
+			t.Errorf("Stats = %+v, want no active entries, %d frozen and %d updates", st, frozen.FrozenLen, updates)
+		}
+		checkAgainstDense(t, "frozen snapshot with the pre-freeze log", u, dense, []int{3})
+	}
+	if err := u.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if len(pre.seq) != 200 {
+		t.Fatalf("pre-freeze log held %d entries, want 200", len(pre.seq))
+	}
+	checkAgainstDense(t, "after Compact", u, dense, []int{3})
 }
 
 // TestRebuildFailureKeepsFrozenOverlayLive: a rebuild fault after the

@@ -6,20 +6,19 @@
 //
 // The design is epoch/RCU-style. Readers load one immutable snapshot
 // pointer — {base format, base CSR, frozen overlay, log floor} — plus the
-// published shard views of the active delta log, and compute base + frozen
-// + active without taking any lock. Writers append to a row-sharded log
-// under a short per-shard lock and commit in global sequence order, so
-// every multiply observes a prefix of the total update order (the
-// linearizable-snapshot contract the stress tests pin). When the overlay
-// crosses a size threshold, a background compactor folds it into a fresh
-// CSR, re-runs automatic format selection (structure drift can change the
-// winner; the decision journal makes warm re-decisions zero-probe), and
-// swaps the snapshot — in-flight multiplies finish on the old epoch.
+// published view of the active delta log, and compute base + frozen +
+// active without taking any lock. Writers append to the log under one
+// short lock that orders every update, so every multiply observes a
+// prefix of the total update order (the linearizable-snapshot contract
+// the stress tests pin). When the overlay crosses a size threshold, a
+// background compactor folds it into a fresh CSR, re-runs automatic
+// format selection (structure drift can change the winner; the decision
+// journal makes warm re-decisions zero-probe), and swaps the snapshot —
+// in-flight multiplies finish on the old epoch.
 package update
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,10 +28,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/selector"
 )
-
-// shardCount is the delta-log shard count. Rows map to shards by
-// r mod shardCount, so writers on different row groups never contend.
-const shardCount = 8
 
 // Options configures an Updatable.
 type Options struct {
@@ -67,34 +62,22 @@ func (o Options) autoOptions() selector.AutoOptions {
 	return selector.AutoOptions{K: o.K, Probe: o.Probe, Cache: o.Cache}
 }
 
-// cell addresses one matrix position in a shard's net-delta index.
+// cell addresses one matrix position in the net-delta index.
 type cell struct{ r, c int32 }
 
-// shardView is the published, effectively-immutable view of one shard's
-// active log: parallel arrays in append order with strictly ascending
+// logView is the published, effectively-immutable view of the active
+// delta log: parallel arrays in update order with strictly ascending
 // sequence numbers. Appends extend the backing arrays in place past the
 // published length and then publish a longer view — indices below a
 // published length are never rewritten, so a reader holding any view sees
 // frozen data. The frozen overlay is a view too, with seq nil.
-type shardView struct {
+type logView struct {
 	seq      []uint64
 	row, col []int32
 	val      []float64
 }
 
-var emptyView = &shardView{}
-
-// logShard is one stripe of the active delta log.
-type logShard struct {
-	mu   sync.Mutex
-	view atomic.Pointer[shardView]
-	// net holds the value of each cell this shard's entries not yet in
-	// the base touch: the base value with the entries added on in order,
-	// what the next rebuild merges it to. Set, Delete and At resolve
-	// against it. Guarded by mu; kept across the freeze and cut to the
-	// active log's cells when a rebuilt base publishes.
-	net map[cell]float64
-}
+var emptyView = &logView{}
 
 // snapshot is the immutable read surface of one epoch.
 type snapshot struct {
@@ -104,7 +87,7 @@ type snapshot struct {
 	// frozen is an additive overlay (row-sorted, duplicate-free,
 	// emptyView outside a freeze) holding every update with
 	// floor_prev < seq <= floor that has not yet been folded into baseCSR.
-	frozen *shardView
+	frozen *logView
 	// log is frozen's entries unsummed, sorted with each cell's in
 	// sequence order: what the rebuild merges, and a retry after a failed
 	// one merges again.
@@ -119,29 +102,24 @@ type snapshot struct {
 // compaction.
 type Updatable struct {
 	formats.Delegates
-	opts   Options
-	shards [shardCount]logShard
+	opts Options
 
-	// alloc tickets update sequence numbers; visible is the commit
-	// watermark: every update with seq <= visible is published and
-	// ordered. Readers bound their active-log scan by visible, so a
-	// multiply always observes a prefix of the global update order.
-	alloc   atomic.Uint64
-	visible atomic.Uint64
+	// mu orders every update. Under it a writer resolves its cell, takes
+	// the next sequence number and publishes the longer log view, so every
+	// published view is a prefix of the update order.
+	mu  sync.Mutex
+	seq uint64 // the last sequence number issued
+	// net holds the value of each cell the entries not yet in the base
+	// touch: the base value with the entries added on in order, what the
+	// next rebuild merges it to. Set, Delete and At resolve against it.
+	// Kept across the freeze and cut to the active log's cells when a
+	// rebuilt base publishes.
+	net  map[cell]float64
+	view atomic.Pointer[logView] // the active log
 
 	snap atomic.Pointer[snapshot]
 
-	// Commit-wait parking. Writers commit in ticket order; a writer whose
-	// predecessor has not yet published spins briefly (the common case: the
-	// predecessor is between its own publish steps) and then parks on
-	// commitCond instead of burning a core. commitWaiters is read by
-	// publishers outside commitMu to keep the no-waiter fast path
-	// lock-free; it is only ever written under commitMu, and the empty
-	// Lock/Unlock in finishCommit closes the check-then-Wait window.
-	commitMu      sync.Mutex
-	commitCond    *sync.Cond
-	commitWaiters atomic.Int32
-	commitParks   atomic.Uint64
+	commitParks atomic.Uint64 // updates that found mu held
 
 	compactMu      sync.Mutex // serializes compactions
 	compactPending atomic.Bool
@@ -198,11 +176,8 @@ func Wrap(f formats.Format, m *matrix.CSR, o Options) (*Updatable, error) {
 	}
 	u := &Updatable{opts: o}
 	u.Delegates = formats.DelegateTo(u)
-	u.commitCond = sync.NewCond(&u.commitMu)
-	for i := range u.shards {
-		u.shards[i].view.Store(emptyView)
-		u.shards[i].net = make(map[cell]float64)
-	}
+	u.net = make(map[cell]float64)
+	u.view.Store(emptyView)
 	u.snap.Store(&snapshot{base: f, baseCSR: m, frozen: emptyView})
 	return u, nil
 }
@@ -224,91 +199,40 @@ func (u *Updatable) Delete(r, c int) {
 	u.apply(r, c, func(cur float64) float64 { return -cur })
 }
 
-// apply resolves one update into an additive log entry and commits it.
-// Set and Delete need the cell's current value, which under the shard
-// lock is the shard's net index or, for a cell it does not hold, the
-// base's (a rebuild publishes its base before it cuts the index, so the
-// two cannot drift apart while we hold ours).
+// apply resolves one update into an additive log entry and publishes it.
+// Set and Delete need the cell's current value, which under mu is the net
+// index's or, for a cell it does not hold, the base's (a rebuild publishes
+// its base before it cuts the index, so the two cannot drift apart while
+// we hold mu).
 func (u *Updatable) apply(r, c int, dv func(cur float64) float64) {
-	key, sh := u.locate(r, c)
-	sh.mu.Lock()
-	cur := u.current(sh, key)
+	key := u.locate(r, c)
+	if !u.mu.TryLock() {
+		u.commitParks.Add(1)
+		u.mu.Lock()
+	}
+	cur := u.current(key)
 	d := dv(cur)
 	if d == 0 {
 		// No-op update: Set to the present value, Delete of an absent
 		// cell, Add of zero. Nothing to log.
-		sh.mu.Unlock()
+		u.mu.Unlock()
 		return
 	}
-	seq := u.alloc.Add(1)
-	old := sh.view.Load()
+	u.seq++
+	old := u.view.Load()
 	// Appends may extend the shared backing arrays in place (indices below
 	// every published length stay untouched) and publish the longer view;
 	// growth reallocates, which is what keeps appends amortized O(1).
-	nv := &shardView{
-		seq: append(old.seq, seq),
+	u.view.Store(&logView{
+		seq: append(old.seq, u.seq),
 		row: append(old.row, key.r),
 		col: append(old.col, key.c),
 		val: append(old.val, d),
-	}
-	sh.view.Store(nv)
-	sh.net[key] = cur + d
-	sh.mu.Unlock()
-	// Commit in ticket order: wait for every earlier update to become
-	// visible, then publish ours. The chain always advances — every
-	// allocated ticket is published before its holder reaches this point.
-	u.commit(seq)
+	})
+	u.net[key] = cur + d
+	u.mu.Unlock()
 	if !u.opts.NoAutoCompact {
 		u.maybeCompact()
-	}
-}
-
-// commitSpins is how many cooperative yields a committing writer spends
-// before parking. The predecessor is usually a handful of instructions
-// from its own publish, so a short spin wins; past it the writer is being
-// scheduled against many peers (or a descheduled predecessor) and burning
-// a core on Gosched only steals time from the writer everyone is waiting
-// on.
-const commitSpins = 128
-
-// commit publishes seq once every earlier ticket is visible: spin
-// briefly, then park on commitCond until the predecessor's publish wakes
-// the queue.
-func (u *Updatable) commit(seq uint64) {
-	for i := 0; i < commitSpins; i++ {
-		if u.visible.Load() == seq-1 {
-			u.finishCommit(seq)
-			return
-		}
-		runtime.Gosched()
-	}
-	u.commitParks.Add(1)
-	u.commitMu.Lock()
-	u.commitWaiters.Add(1)
-	for u.visible.Load() != seq-1 {
-		u.commitCond.Wait()
-	}
-	u.commitWaiters.Add(-1)
-	u.commitMu.Unlock()
-	u.finishCommit(seq)
-}
-
-// finishCommit publishes seq and wakes parked successors. The no-waiter
-// fast path is one atomic load. When a waiter exists, the empty
-// Lock/Unlock before Broadcast is what makes the wakeup reliable: a
-// parker holds commitMu from its predicate check until Wait releases it,
-// so by the time this publisher gets the lock the parker either saw the
-// new watermark (and never waited) or is already inside Wait, where the
-// Broadcast reaches it. Both loads are sequentially consistent, so a
-// publisher that misses a just-arrived waiter's increment implies that
-// waiter's later predicate load sees the new watermark.
-func (u *Updatable) finishCommit(seq uint64) {
-	u.visible.Store(seq)
-	if u.commitWaiters.Load() != 0 {
-		u.commitMu.Lock()
-		//lint:ignore SA2001 empty critical section orders publish vs. park
-		u.commitMu.Unlock()
-		u.commitCond.Broadcast()
 	}
 }
 
@@ -325,24 +249,24 @@ func csrAt(m *matrix.CSR, r, c int32) float64 {
 // At returns the current value of cell (r, c) as the next multiply would
 // observe it.
 func (u *Updatable) At(r, c int) float64 {
-	key, sh := u.locate(r, c)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return u.current(sh, key)
+	key := u.locate(r, c)
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.current(key)
 }
 
-// locate returns cell (r, c) and the shard that logs it, and panics when
-// the coordinates are out of range.
-func (u *Updatable) locate(r, c int) (cell, *logShard) {
+// locate returns cell (r, c), and panics when the coordinates are out of
+// range.
+func (u *Updatable) locate(r, c int) cell {
 	if s := u.snap.Load(); r < 0 || r >= s.baseCSR.Rows || c < 0 || c >= s.baseCSR.Cols {
 		panic(fmt.Sprintf("update: entry (%d,%d) out of range %dx%d", r, c, s.baseCSR.Rows, s.baseCSR.Cols))
 	}
-	return cell{int32(r), int32(c)}, &u.shards[r%shardCount]
+	return cell{int32(r), int32(c)}
 }
 
-// current returns cell key's value; the caller holds sh.mu.
-func (u *Updatable) current(sh *logShard, key cell) float64 {
-	if v, ok := sh.net[key]; ok {
+// current returns cell key's value; the caller holds mu.
+func (u *Updatable) current(key cell) float64 {
+	if v, ok := u.net[key]; ok {
 		return v
 	}
 	return csrAt(u.snap.Load().baseCSR, key.r, key.c)

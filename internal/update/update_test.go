@@ -327,9 +327,10 @@ func (f heldBase) Apply(ctx context.Context, y, x []float64, k, workers int) err
 }
 
 // A steady-state multiply allocates nothing, with entries in the active
-// log, on one lane or two, and while another reader is mid-multiply
-// beside it (each reader's read point lives on its own stack); neither
-// does NNZ, which every POST /cells answer reads.
+// log, on one lane or two, under a cancellable context or none, and while
+// another reader is mid-multiply beside it (each reader's read point lives
+// on its own stack); neither does NNZ, which every POST /cells answer
+// reads.
 func TestUpdatableApplyAllocs(t *testing.T) {
 	defer exec.SetMaxWorkers(exec.SetMaxWorkers(4))
 	m := matrix.Random(4000, 4000, 16.0/4000, 3)
@@ -347,14 +348,18 @@ func TestUpdatableApplyAllocs(t *testing.T) {
 	}
 	x, y := matrix.RandomVector(4000, 1), make([]float64, 4000)
 	ctx := context.Background()
-	for _, workers := range []int{1, 2} {
-		u.Apply(ctx, y, x, 1, workers) // warm the pools
-		if a := testing.AllocsPerRun(20, func() {
-			if err := u.Apply(ctx, y, x, 1, workers); err != nil {
-				t.Fatal(err)
+	cancellable, cancel := context.WithCancel(ctx)
+	defer cancel()
+	for name, c := range map[string]context.Context{"background": ctx, "cancellable": cancellable} {
+		for _, workers := range []int{1, 2} {
+			u.Apply(c, y, x, 1, workers) // warm the pools
+			if a := testing.AllocsPerRun(20, func() {
+				if err := u.Apply(c, y, x, 1, workers); err != nil {
+					t.Fatal(err)
+				}
+			}); a != 0 {
+				t.Errorf("%s context, %d workers: %v allocs per multiply, want 0", name, workers, a)
 			}
-		}); a != 0 {
-			t.Errorf("%d workers: %v allocs per multiply, want 0", workers, a)
 		}
 	}
 	if a := testing.AllocsPerRun(20, func() { u.NNZ() }); a != 0 {
@@ -366,8 +371,7 @@ func TestUpdatableApplyAllocs(t *testing.T) {
 	// every timed run overlaps a read in flight. Both run one lane (a
 	// parallel base dispatch that finds the pool busy spawns its lanes),
 	// and AllocsPerRun counts the whole process's allocations, the second
-	// reader's included; its context has no Done channel, as ctx has none,
-	// so the base allocates no cancellation control for either.
+	// reader's included.
 	h := &hold{parked: make(chan struct{}), resume: make(chan struct{})}
 	held := context.WithValue(ctx, holdKey{}, h)
 	stop, done := make(chan struct{}), make(chan struct{})

@@ -259,10 +259,11 @@ func UnsetCacheDir() { _ = session.Default().Close() }
 
 // NewUpdatable wraps a matrix in a concurrently updatable form: a
 // read-optimized base (chosen automatically, or pinned via
-// UpdateOptions.Format) plus a sharded delta log, multiplied as the base's
-// own dispatch and then the overlay, added on the calling goroutine.
-// Set/Add/Delete never block multiplies; every multiply
-// observes a consistent prefix of the update order. When the overlay
+// UpdateOptions.Format) plus a delta log, multiplied as the base's own
+// dispatch and then the overlay, added on the calling goroutine.
+// Set/Add/Delete take one short lock that orders them and never block
+// multiplies; every multiply observes a consistent prefix of the update
+// order. When the overlay
 // crosses the compaction threshold, a background compactor folds it into
 // a fresh matrix, re-runs format selection (the decision journal makes
 // warm re-decisions zero-probe), and swaps epochs without stalling
