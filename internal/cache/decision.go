@@ -19,7 +19,7 @@ import (
 // structure (matrix fingerprint), the device the ranking targeted and the
 // RHS-count regime (k = 1 and k = 8 rank formats differently). The
 // dispatch level is not part of the key — the journal scopes records to
-// the level they were measured under (see EffectiveLevel), and a process
+// the level they were measured under (simd.Level()), and a process
 // only ever loads one level's records — and neither is the machine's
 // parallelism, which the journal's host fingerprint pins.
 type DecisionKey struct {

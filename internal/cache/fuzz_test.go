@@ -6,13 +6,15 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"repro/internal/simd"
 )
 
 // FuzzStoreLoad feeds arbitrary bytes to Open as decisions.jsonl: the load
 // must never panic, and whatever the cache took from it must survive a
 // compaction and a reopen unchanged, in the same order.
 func FuzzStoreLoad(f *testing.F) {
-	lvl, host := EffectiveLevel(), HostFingerprint()
+	lvl, host := simd.Level(), HostFingerprint()
 	header := fmt.Sprintf(`{"v":%d,"kind":"header","schema":%d,"host":%q}`+"\n", SchemaVersion, SchemaVersion, host)
 	dec := func(fp int, rest string) string {
 		return fmt.Sprintf(`{"v":%d,"kind":"decision","lvl":%q,"fp":%d,"device":"host","k":8,"shards":1,"format":"BCSR"%s}`+"\n", SchemaVersion, lvl, fp, rest)

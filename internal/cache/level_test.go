@@ -19,8 +19,8 @@ import (
 // dispatch level they were measured under, surviving other levels'
 // compactions.
 func TestJournalSurvivesLevelCap(t *testing.T) {
-	if !simd.Available() {
-		t.Skip("no accelerated kernels on this host")
+	if simd.DetectedLevel() == "scalar" {
+		t.Skip("no accelerated kernels on this CPU")
 	}
 	dir := t.TempDir()
 	prev := simd.SetLevel("avx2")
@@ -81,7 +81,7 @@ func TestJournalSurvivesLevelCap(t *testing.T) {
 func TestTuneJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, journalName)
-	lvl := EffectiveLevel()
+	lvl := simd.Level()
 	lines := []string{
 		fmt.Sprintf(`{"v":2,"kind":"header","schema":2,"host":%q}`, HostFingerprint()),
 		fmt.Sprintf(`{"v":2,"kind":"decision","lvl":%q,"fp":7,"device":"host","k":8,"format":"BCSR","probed":true,"tuned":"bcsr.block=4x4 spmm.tile=8","fv":{"Rows":9,"Cols":9,"NNZ":27,"AvgNNZPerRow":3}}`, lvl),

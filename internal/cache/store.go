@@ -95,24 +95,11 @@ func Dir() (string, error) {
 // AVX-512 box is still the same machine, and its journal must not be
 // invalidated wholesale when the next run lifts the cap. The cap's effect
 // travels per record instead — every decision line carries the dispatch
-// level it was measured under (see EffectiveLevel), and load filters
+// level it was measured under (simd.Level()), and load filters
 // records from other levels without discarding them.
 func HostFingerprint() string {
 	return fmt.Sprintf("%s/%s/cpu%d/p%d/%s", runtime.GOOS, runtime.GOARCH,
 		runtime.NumCPU(), runtime.GOMAXPROCS(0), simd.DetectedLevel())
-}
-
-// EffectiveLevel is the dispatch level measurements in this process are
-// evidence for: "scalar" when acceleration is off (a scalar cap),
-// otherwise the dispatched tier. Probe outcomes measured
-// with AVX2 kernels are not evidence for a scalar-forced process, whose
-// format ranking can differ — so records from other levels are skipped on
-// load (but survive compaction for the run that can use them).
-func EffectiveLevel() string {
-	if !simd.Enabled() {
-		return "scalar"
-	}
-	return simd.Level()
 }
 
 // record is one JSONL journal line. Kind selects which fields are live:
@@ -219,8 +206,9 @@ type Store struct {
 	pending []record
 
 	// lvl is the dispatch level this store's records are evidence for,
-	// captured at Open (see EffectiveLevel); foreign holds raw lines from
-	// other levels, skipped on load but rewritten by compaction.
+	// simd.Level() at Open (a ranking probed at one tier is not evidence
+	// at another); foreign holds raw lines from other levels, skipped on
+	// load but rewritten by compaction.
 	lvl     string
 	foreign [][]byte
 
@@ -273,7 +261,7 @@ func (s *Store) Degraded() (bool, string) {
 // persistence.
 func Open(dir string) *Store {
 	path := filepath.Join(dir, journalName)
-	s := &Store{path: path, lvl: EffectiveLevel()}
+	s := &Store{path: path, lvl: simd.Level()}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		s.degradeLocked("create dir", err)
 		return s

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/simd"
 )
 
 // attached opens the journal in dir behind a fresh decision cache — what a
@@ -88,7 +89,7 @@ func TestStoreCorruptionTolerance(t *testing.T) {
 	// torn (truncated mid-JSON, no newline) tail.
 	fmt.Fprintf(f, "\x00\x7f\xffnot json at all\n")
 	fmt.Fprintf(f, `{"v":99,"kind":"decision","fp":3,"device":"host","k":1,"shards":1,"format":"Ghost"}`+"\n")
-	fmt.Fprintf(f, `{"v":%d,"kind":"decision","lvl":%q,"fp":4,"device":"host","k":1,"shards":1,"format":"COO"}`+"\n", SchemaVersion, EffectiveLevel())
+	fmt.Fprintf(f, `{"v":%d,"kind":"decision","lvl":%q,"fp":4,"device":"host","k":1,"shards":1,"format":"COO"}`+"\n", SchemaVersion, simd.Level())
 	fmt.Fprintf(f, `{"v":%d,"kind":"decision","fp":5,"device":"ho`, SchemaVersion)
 	f.Close()
 
@@ -162,7 +163,7 @@ func TestStoreHostInvalidation(t *testing.T) {
 func TestStoreDiscardsSchema1(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, journalName)
-	lvl := EffectiveLevel()
+	lvl := simd.Level()
 	lines := []string{
 		fmt.Sprintf(`{"v":1,"kind":"header","schema":1,"host":%q}`, HostFingerprint()),
 		fmt.Sprintf(`{"v":1,"kind":"decision","lvl":%q,"fp":1,"device":"host","k":1,"shards":1,"format":"CSR5"}`, lvl),
@@ -196,7 +197,7 @@ func TestStoreDiscardsSchema1(t *testing.T) {
 func TestStoreLoadsShardKeyedLines(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, journalName)
-	lvl := EffectiveLevel()
+	lvl := simd.Level()
 	lines := []string{
 		fmt.Sprintf(`{"v":2,"kind":"header","schema":2,"host":%q}`, HostFingerprint()),
 		fmt.Sprintf(`{"v":2,"kind":"decision","lvl":%q,"fp":7,"device":"host","k":8,"shards":1,"format":"ELL"}`, lvl),

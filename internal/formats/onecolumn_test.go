@@ -15,11 +15,14 @@ import (
 // block that happens to be one column wide is the single-vector product —
 // MultiplyMany(y, x, 1) is bit-identical to SpMVParallel on the same lane
 // budget — for every registry format, bare, behind Auto and behind an
-// Updatable with a live overlay, on both dispatch modes — Vec-CSR and MKL-IE
-// included, whose k = 1 rounding is the vectorized loop's at either call.
+// Updatable with a live overlay, built at the boot cap and run at scalar
+// and at it — Vec-CSR and MKL-IE included, whose k = 1 rounding is the
+// vectorized loop's at either call.
 func TestOneColumnBlockIsSpMV(t *testing.T) {
 	defer exec.SetMaxWorkers(exec.SetMaxWorkers(4))
-	defer simd.SetEnabled(simd.SetEnabled(true))
+	boot := simd.SetLevel("scalar")
+	defer simd.SetLevel(boot)
+	simd.SetLevel(boot) // each pass below ends at it, where the next builds
 
 	mats := formats.SIMDEquivMatrices(t)
 	mats["tridiagonal"] = matrix.Tridiagonal(3000, 2, -1) // the one DIA accepts
@@ -40,15 +43,15 @@ func TestOneColumnBlockIsSpMV(t *testing.T) {
 				u.Set((i*131)%m.Rows, (i*71)%m.Cols, float64(i)-19.5)
 			}
 			for _, f := range []formats.Format{bare, formats.NewAuto(bare, formats.AutoChoice{}), u} {
-				for _, on := range []bool{true, false} {
-					simd.SetEnabled(on)
+				for _, lvl := range []string{"scalar", boot} {
+					simd.SetLevel(lvl)
 					got, want := nanFilled(m.Rows), nanFilled(m.Rows)
 					f.MultiplyMany(got, x, 1)
 					f.SpMVParallel(x, want, exec.MaxWorkers())
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("%s/%s simd=%v: MultiplyMany(k=1) row %d = %v, SpMVParallel's %v",
-								mname, f.Name(), on, i, got[i], want[i])
+							t.Fatalf("%s/%s cap %s: MultiplyMany(k=1) row %d = %v, SpMVParallel's %v",
+								mname, f.Name(), lvl, i, got[i], want[i])
 						}
 					}
 				}

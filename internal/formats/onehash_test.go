@@ -22,13 +22,13 @@ import (
 // overlay — frozen entries, then active ones — follows a base run on every
 // lane count, to one answer per (matrix, x): the same vector in every column of a
 // k-wide block, at k in {1, 2, 3, 5, 8, 9}, on 1, 2 and 7 lanes, under
-// every tier cap the host reaches and the calibrated "auto", must give
-// every column one y hash — no lane count, tier, calibration verdict or
-// batch width moves a bit. The rows of 30 entries are cut by COO's
-// segments, HYB's spill, Merge-CSR's diagonals and CSR5's tile groups,
-// and cluster enough that most 2x2 BCSR blocks hold both products of a
-// row. The first product of each subject is also held to the CSR
-// reference's forward bound. -short (the race run) keeps k in {1, 3, 9}.
+// every tier cap the host reaches and "auto", must give every column one
+// y hash — no lane count, tier or batch width moves a bit. The rows of 30
+// entries are cut by COO's segments, HYB's spill, Merge-CSR's diagonals
+// and CSR5's tile groups, and cluster enough that most 2x2 BCSR blocks
+// hold both products of a row. The first product of each subject is also
+// held to the CSR reference's forward bound. -short (the race run) keeps
+// k in {1, 3, 9}.
 func TestOneHashPerFormat(t *testing.T) {
 	defer simd.SetLevel(simd.SetLevel("scalar"))
 	defer exec.SetMaxWorkers(exec.SetMaxWorkers(7))

@@ -12,8 +12,7 @@ import (
 // the sequential reference within the dot product's forward bound — the
 // dispatched SIMD path is held to the Go kernel bit for bit elsewhere.
 func TestTuningWideRowMin(t *testing.T) {
-	prev := simd.SetEnabled(false)
-	defer simd.SetEnabled(prev)
+	defer simd.SetLevel(simd.SetLevel("scalar"))
 
 	sizes := make([]int, 60)
 	for i := range sizes {

@@ -5,8 +5,7 @@
 // each candidate's warm-up, every timed round visits every candidate once,
 // so a spell costs all of them a round and the minimum of each survives.
 //
-// The package imports only the standard library, so the dispatch layer's
-// install-time calibration can use it too.
+// The package imports only the standard library.
 package measure
 
 import (

@@ -13,6 +13,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/formats"
 	"repro/internal/matrix"
+	"repro/internal/simd"
 )
 
 // journaled opens the journal in dir behind a fresh decision cache — what
@@ -161,7 +162,7 @@ func TestStaleJournalFormatReselects(t *testing.T) {
 	m := genMatrix(t, 3000, 10, 5, 12)
 	journal := fmt.Sprintf("{\"v\":2,\"kind\":\"header\",\"schema\":2,\"host\":%q}\n"+
 		"{\"v\":2,\"kind\":\"decision\",\"lvl\":%q,\"fp\":%d,\"device\":\"host\",\"k\":1,\"format\":\"DIA\"}\n",
-		cache.HostFingerprint(), cache.EffectiveLevel(), m.Fingerprint())
+		cache.HostFingerprint(), simd.Level(), m.Fingerprint())
 	if err := os.WriteFile(filepath.Join(dir, "decisions.jsonl"), []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestTunedJournalLineBuildsDefault(t *testing.T) {
 	m := genMatrix(t, 3000, 10, 5, 14)
 	journal := fmt.Sprintf("{\"v\":2,\"kind\":\"header\",\"schema\":2,\"host\":%q}\n"+
 		"{\"v\":2,\"kind\":\"decision\",\"lvl\":%q,\"fp\":%d,\"device\":\"host\",\"k\":1,\"format\":\"BCSR\",\"probed\":true,\"tuned\":\"bcsr.block=4x4 spmm.tile=8\"}\n",
-		cache.HostFingerprint(), cache.EffectiveLevel(), m.Fingerprint())
+		cache.HostFingerprint(), simd.Level(), m.Fingerprint())
 	path := filepath.Join(dir, "decisions.jsonl")
 	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
 		t.Fatal(err)

@@ -105,9 +105,9 @@ func FuzzDecodeMultiplyRequest(f *testing.F) {
 		// No body holds more entries than bytes: the dimension stop stays out
 		// of the differential. The Go tier answers alike, error text included.
 		got, err := DecodeMultiplyRequest(nil, body, len(body))
-		prev := simd.SetEnabled(false)
+		prev := simd.SetLevel("scalar")
 		goGot, goErr := DecodeMultiplyRequest(nil, body, len(body))
-		simd.SetEnabled(prev)
+		simd.SetLevel(prev)
 		if fmt.Sprint(err) != fmt.Sprint(goErr) || !bitsEqual(got, goGot) {
 			t.Fatalf("%q: %v, %v at the active tier; %v, %v in Go", body, got, err, goGot, goErr)
 		}
@@ -514,9 +514,9 @@ func FuzzAppendMultiplyResponse(f *testing.F) {
 			finite = finite && !math.IsInf(y[i], 0) && !math.IsNaN(y[i])
 		}
 		got, err := AppendMultiplyResponse(nil, y, 3)
-		prev := simd.SetEnabled(false)
+		prev := simd.SetLevel("scalar")
 		goGot, goErr := AppendMultiplyResponse(nil, y, 3)
-		simd.SetEnabled(prev)
+		simd.SetLevel(prev)
 		if fmt.Sprint(err) != fmt.Sprint(goErr) || err == nil && !bytes.Equal(got, goGot) {
 			t.Fatalf("y = %v: %s, %v at the active tier; %s, %v in Go", y, got, err, goGot, goErr)
 		}

@@ -65,42 +65,23 @@ func detect() {
 }
 
 // install (re)builds the dispatch table under a cap ("auto", "scalar",
-// "avx2", "avx512"), clamped to the detected capability. The AVX-512 rung
-// is per-kernel: under "auto" each ZMM kernel must beat its AVX2
-// counterpart in the install-time calibration to be installed ("avx512"
-// skips calibration and forces the full tier — the operator pinned it).
-// Callers hold setMu (or run before init returns); the table must not be
-// swapped under in-flight kernels.
+// "avx2", "avx512"), clamped to the detected capability: each tier the cap
+// and the CPU allow overwrites the entries it has a rung for. SetLevel
+// calls it under setMu; the table must not be swapped under in-flight
+// kernels.
 func install(cap string) {
 	installScalar()
-	hasAccel = false
 	level, width = "scalar", 1
 	if !can.avx2 || tierRank(cap) < 1 {
 		return
 	}
 	installAVX2()
-	hasAccel = true
 	level, width = "avx2", 4
 	if !can.avx512 || tierRank(cap) < 2 {
 		return
 	}
-	forced := cap == "avx512"
-	any := false
-	for _, k := range avx512Kernels() {
-		if forced || calWinner(kernelNames[k.idx]) {
-			k.install()
-			kernelImpl[k.idx] = "avx512"
-			any = true
-		}
-	}
-	if any {
-		level, width = "avx512", 8
-	}
-	// The codec's kernels replace Go, not an AVX2 rung: they need no
-	// calibration, only the cap and the CPU.
-	if codecAVX512 = can.codec; can.codec {
-		kernelImpl[kScanPlain], kernelImpl[kFormat] = "avx512", "avx512"
-	}
+	installAVX512()
+	level, width = "avx512", 8
 }
 
 // installScalar resets every table entry to its portable reference.
@@ -139,27 +120,24 @@ func installAVX2() {
 	}
 }
 
-// avx512Candidate is one rung of the AVX-512 ladder: the kernel it
-// upgrades and how to point the table at the ZMM implementation.
-type avx512Candidate struct {
-	idx     int
-	install func()
-}
-
-// avx512Kernels lists the six kernels with native ZMM implementations; a
-// kernel's U16 twin rides on its calibration verdict.
-// LaneDot4 and the 4-wide tiles have none: their data simply is not 8
-// lanes wide, so they stay at AVX2 under every cap. Nor has bcsr.2x2: a
-// block row's two sums fill two lanes, and a ZMM rung that took four
-// blocks an iteration had to reassociate across them, so a BCSR y would
-// follow the calibration verdict.
-func avx512Kernels() []avx512Candidate {
-	return []avx512Candidate{
-		{kCSRRowRange, func() { csrRowRange, csrRowRangeU16 = csrRowRangeAVX512, csrRowRangeAVX512U16 }},
-		{kCSRTile, func() { csrTile, csrTileU16 = csrTileAVX512, csrTileAVX512U16 }},
-		{kAxpyGather, func() { axpyGather = axpyGatherAVX512 }},
-		{kLaneDot8, func() { laneDot8 = laneDot8AVX512 }},
-		{kTile8, func() { dotBcastTile8 = dotBcastTile8AVX512 }},
-		{kBcsrTile8, func() { bcsr2x2Tile8 = bcsr2x2Tile8AVX512 }},
+// installAVX512 points the six kernels with native ZMM implementations
+// (each CSR kernel with its U16 twin) at them, and the multiply codec at
+// its kernels where the CPU has their rung: those replace Go, not an AVX2
+// kernel. LaneDot4 and the 4-wide tiles have no ZMM rung: their data
+// simply is not 8 lanes wide, so they stay at AVX2 under every cap. Nor
+// has bcsr.2x2: a block row's two sums fill two lanes, and a ZMM rung that
+// took four blocks an iteration would reassociate across them.
+func installAVX512() {
+	csrRowRange, csrRowRangeU16 = csrRowRangeAVX512, csrRowRangeAVX512U16
+	csrTile, csrTileU16 = csrTileAVX512, csrTileAVX512U16
+	axpyGather = axpyGatherAVX512
+	laneDot8 = laneDot8AVX512
+	dotBcastTile8 = dotBcastTile8AVX512
+	bcsr2x2Tile8 = bcsr2x2Tile8AVX512
+	for _, i := range []int{kCSRRowRange, kCSRTile, kAxpyGather, kLaneDot8, kTile8, kBcsrTile8} {
+		kernelImpl[i] = "avx512"
+	}
+	if codecAVX512 = can.codec; can.codec {
+		kernelImpl[kScanPlain], kernelImpl[kFormat] = "avx512", "avx512"
 	}
 }

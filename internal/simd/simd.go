@@ -8,31 +8,26 @@
 //
 // At init the package probes the CPU (CPUID/XGETBV on amd64) and installs
 // the widest kernel implementation the hardware and OS support into a
-// function-pointer table, per kernel: scalar < avx2 < avx512. The AVX-512
-// tier is *calibrated* rather than assumed — 512-bit execution can
-// downclock some parts, so each ZMM kernel is micro-timed against its AVX2
-// counterpart at install and only replaces it when it actually wins
-// ("win-or-stay-at-AVX2"). The format packages consult Enabled() once per
-// kernel invocation and branch to either the dispatched kernels here or
-// their original scalar loops, so a disabled dispatch pays zero
-// indirection.
+// function-pointer table, per kernel: scalar < avx2 < avx512. The table is
+// a pure function of the CPU and the cap: every kernel with a rung at the
+// widest allowed tier runs it. The format packages consult Enabled() once
+// per kernel invocation and branch to either the dispatched kernels here
+// or their original scalar loops, so a scalar cap pays zero indirection.
 //
 // # Caps
 //
-// SPMV_SIMD_LEVEL caps the tier: "scalar", "avx2" or "avx512". "scalar"
-// forces the portable path, "avx2" stops the ladder below ZMM, and
-// "avx512" force-installs the full AVX-512 tier without calibration (the
-// operator asked for it; benches and equivalence tests use this to pin the
-// tier under measurement). Unset or unrecognized values mean "auto":
-// widest detected, calibrated. SetLevel is the programmatic twin and is
-// how the three-way bench switches tiers mid-process; it must not race
-// in-flight multiplies (quiesce kernels first — it swaps the table).
+// SPMV_SIMD_LEVEL caps the tier: "scalar", "avx2" or "avx512", in any
+// case. "scalar" forces the portable path and "avx2" stops the ladder
+// below ZMM. Unset or unrecognized values mean "auto", which installs the
+// same table as "avx512": the widest detected tier. SetLevel is the
+// programmatic twin, parses its token the same way, and is how the
+// three-way bench switches tiers mid-process; it must not race in-flight
+// multiplies (quiesce kernels first — it swaps the table).
 //
 // # Accumulation-order contract
 //
 // Every dispatched kernel is a bit-level drop-in for its scalar loop, at
-// every tier: which tier calibration installs decides the speed, never
-// the bits.
+// every tier: the tier decides the speed, never the bits.
 //
 //   - CSRRowRange ("csr.dot-gather" at k = 1, "csr.tile" at k > 1) runs
 //     one canonical row order at every tier and k, CSRRowRangeGo's: entry
@@ -82,12 +77,8 @@ import (
 // "avx512" (unset means auto).
 const EnvLevel = "SPMV_SIMD_LEVEL"
 
-// enabled is true only when accelerated kernels are installed and the cap
-// is above "scalar" (or a test switched them off with SetEnabled).
+// enabled publishes level != "scalar" for the kernels' per-call read.
 var enabled atomic.Bool
-
-// hasAccel reports whether accelerated kernels are currently installed.
-var hasAccel bool
 
 // level names the widest installed acceleration tier ("avx512", "avx2",
 // "scalar").
@@ -106,7 +97,7 @@ var detected = "scalar"
 var curCap = "auto"
 
 // features lists the detected CPU SIMD capabilities (detection result,
-// independent of what was installed or whether the switch is on).
+// independent of what was installed).
 var features []string
 
 // Kernel indices into kernelNames / kernelImpl. The three *8 entries are
@@ -176,94 +167,56 @@ var setMu sync.Mutex
 
 func init() {
 	detect() // arch-specific: fills features and detected
-	cap := envCap()
-	curCap = cap
-	install(cap) // arch-specific: builds the table under the cap
-	if hasAccel && cap != "scalar" {
-		enabled.Store(true)
-	}
+	SetLevel(os.Getenv(EnvLevel))
 }
 
-// envCap parses SPMV_SIMD_LEVEL ("auto" when unset or unrecognized).
-func envCap() string {
-	switch v := strings.ToLower(os.Getenv(EnvLevel)); v {
+// parseCap reads a cap token, in any case: "scalar", "avx2" or "avx512",
+// and "auto" for anything else.
+func parseCap(s string) string {
+	switch s = strings.ToLower(s); s {
 	case "scalar", "avx2", "avx512":
-		return v
+		return s
 	}
 	return "auto"
 }
 
-// Enabled reports whether the dispatched kernels are active. Format
-// kernels consult this once per invocation and fall back to their scalar
-// loops when false.
+// Enabled reports whether the dispatched kernels are active (the cap and
+// the CPU allow a tier above scalar). Format kernels consult this once per
+// invocation and fall back to their scalar loops when false.
 func Enabled() bool { return enabled.Load() }
 
-// SetEnabled routes callers to or away from the installed table without
-// swapping it, and returns the previous state. It is a test hook: the
-// equivalence tests flip one built instance between its dispatched and
-// scalar loops mid-test, which SetLevel (a table swap) is too heavy for.
-// Product code caps the tier with SetLevel("scalar"). Enabling is a no-op
-// on hardware without accelerated kernels.
-func SetEnabled(on bool) bool {
-	setMu.Lock()
-	defer setMu.Unlock()
-	prev := enabled.Load()
-	enabled.Store(on && hasAccel)
-	return prev
-}
-
 // SetLevel re-caps the dispatch tier at runtime: "scalar", "avx2",
-// "avx512" or "auto" (widest detected, calibrated — the boot default).
-// Caps above the detected capability clamp to it; "avx512" skips
-// calibration and force-installs every ZMM kernel the hardware supports.
-// It returns the previous cap token, so SetLevel(SetLevel("avx2"))
-// restores the prior table exactly. SetLevel swaps the dispatch table:
-// callers must quiesce in-flight kernels first (the bench and the
-// equivalence sweep switch tiers only between runs).
+// "avx512" or "auto" (the boot default), in any case; an unknown token
+// means "auto". Caps above the detected capability clamp to it, and
+// "auto" installs the widest detected tier, as "avx512" does. It returns
+// the previous cap token, so SetLevel(SetLevel("avx2")) restores the
+// prior table exactly. SetLevel swaps the dispatch table: callers must
+// quiesce in-flight kernels first (the bench and the equivalence sweep
+// switch tiers only between runs).
 func SetLevel(cap string) string {
-	switch cap {
-	case "auto", "scalar", "avx2", "avx512":
-	default:
-		cap = "auto"
-	}
 	setMu.Lock()
 	defer setMu.Unlock()
 	prev := curCap
-	curCap = cap
-	install(cap)
-	enabled.Store(hasAccel && cap != "scalar")
+	curCap = parseCap(cap)
+	install(curCap) // arch-specific: builds the table under the cap
+	enabled.Store(level != "scalar")
 	return prev
 }
 
-// Available reports whether accelerated kernels exist for this CPU under
-// the current cap, regardless of whether callers are routed to them.
-func Available() bool { return hasAccel }
-
-// Level names the active dispatch tier: the widest installed accelerator
-// level ("avx512", "avx2") while enabled, "scalar" otherwise.
-func Level() string {
-	if Enabled() {
-		return level
-	}
-	return "scalar"
-}
+// Level names the active dispatch tier: the widest installed level
+// ("avx512", "avx2" or "scalar").
+func Level() string { return level }
 
 // DetectedLevel names the widest tier the hardware and OS support,
-// independent of caps and switches. The journal host fingerprint keys off
+// independent of the cap. The journal host fingerprint keys off
 // this, not Level(): a capped process must still recognize journals
 // written by an uncapped one on the same machine.
 func DetectedLevel() string { return detected }
 
-// Width returns the SIMD width in float64 lanes of the active dispatch:
-// the widest installed tier's vector width while enabled, 1 otherwise.
-// Format defaults (e.g. the SELL-C-sigma chunk size) and the host device
-// model key off this.
-func Width() int {
-	if Enabled() {
-		return width
-	}
-	return 1
-}
+// Width returns the SIMD width in float64 lanes of the active dispatch (1
+// under a scalar cap). Format defaults (e.g. the SELL-C-sigma chunk size)
+// and the host device model key off this.
+func Width() int { return width }
 
 // Features returns the detected CPU SIMD feature names (e.g. "avx2",
 // "fma", "avx512f"), independent of the active level. Empty on
@@ -283,17 +236,12 @@ type KernelInfo struct {
 
 // Table returns the active dispatch table, one row per kernel, for CLI,
 // BENCH artifact and /v1/info reporting — the record that makes a
-// measurement attributable to the host ISA. With dispatch off
-// every entry reports "scalar" (that is what callers run).
+// measurement attributable to the host ISA. Under a scalar cap every
+// entry reports "scalar".
 func Table() []KernelInfo {
 	out := make([]KernelInfo, nKernels)
-	on := Enabled()
 	for i, n := range kernelNames {
-		impl := "scalar"
-		if on {
-			impl = kernelImpl[i]
-		}
-		out[i] = KernelInfo{Kernel: n, Impl: impl}
+		out[i] = KernelInfo{Kernel: n, Impl: kernelImpl[i]}
 	}
 	return out
 }
@@ -302,9 +250,7 @@ func Table() []KernelInfo {
 //
 // Each wrapper validates the degenerate cases the assembly does not
 // (empty inputs) and forwards to the installed implementation. The
-// pointers are installed before callers can observe Enabled()==true;
-// SetEnabled gates callers, not the table, so a mid-flight toggle never
-// races a nil pointer.
+// pointers are installed before callers can observe Enabled()==true.
 
 // The tile kernels take only pointers into long-lived format storage and
 // return their accumulator tiles BY VALUE ([4]/[8]float64). That shape is
@@ -329,7 +275,7 @@ const U16Slack = 4
 // at every tier (see the package contract). The row loop runs inside the
 // kernel: the gather kernel at k = 1, at k > 1 the register tile, 4
 // vectors per YMM pass or 8 per ZMM pass with the last k mod 4 (or 8)
-// under a lane mask. With dispatch off it is CSRRowRangeGo.
+// under a lane mask. Under a scalar cap it is CSRRowRangeGo.
 func CSRRowRange[I Index](rowPtr []int32, idx []I, val, x, y []float64, lo, hi, k int) {
 	if !Enabled() {
 		CSRRowRangeGo(rowPtr, idx, val, x, y, lo, hi, k)
@@ -461,9 +407,9 @@ func Bcsr2x2Tile8(val []float64, blkCol []int32, x []float64, n, k int) (lo, hi 
 var codecAVX512 bool
 
 // CodecAVX512 reports whether the multiply codec's AVX-512 tier (BW, VL,
-// DQ, IFMA and VBMI2) is installed and enabled; below it ScanPlain
-// decodes nothing and ShortestPlain and AppendPlain must not be called.
-func CodecAVX512() bool { return codecAVX512 && Enabled() }
+// DQ, IFMA and VBMI2) is installed; below it ScanPlain decodes nothing
+// and ShortestPlain and AppendPlain must not be called.
+func CodecAVX512() bool { return codecAVX512 }
 
 // ScanSlack is how many bytes ScanPlain leaves unread at the end of its
 // input: a literal that starts in them is the caller's.

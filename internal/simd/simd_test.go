@@ -3,6 +3,7 @@ package simd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -30,8 +31,8 @@ func randIdx(rng *rand.Rand, n, bound int) []int32 {
 // CSRRowRange at k = 1 — to the Go reference, bit for bit, across sizes
 // that hit every group and tail path of both tiers.
 func TestDotGatherMatchesScalar(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if Level() == "scalar" {
+		t.Skip("no accelerated kernels installed")
 	}
 	rng := rand.New(rand.NewSource(1))
 	x := randVec(rng, 999)
@@ -47,8 +48,8 @@ func TestDotGatherMatchesScalar(t *testing.T) {
 }
 
 func TestAxpyGatherBitIdentical(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if Level() == "scalar" {
+		t.Skip("no accelerated kernels installed")
 	}
 	rng := rand.New(rand.NewSource(2))
 	x := randVec(rng, 777)
@@ -70,8 +71,8 @@ func TestAxpyGatherBitIdentical(t *testing.T) {
 }
 
 func TestLaneDot4BitIdentical(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if Level() == "scalar" {
+		t.Skip("no accelerated kernels installed")
 	}
 	rng := rand.New(rand.NewSource(3))
 	x := randVec(rng, 555)
@@ -99,8 +100,8 @@ func TestLaneDot4BitIdentical(t *testing.T) {
 // block loop bit for bit on every tier the host reaches, the forced
 // AVX-512 cap included, which leaves bcsr.2x2 at AVX2.
 func TestBcsr2x2MatchesScalar(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if DetectedLevel() == "scalar" {
+		t.Skip("no accelerated kernels on this CPU")
 	}
 	defer SetLevel(SetLevel("avx2"))
 	rng := rand.New(rand.NewSource(4))
@@ -127,8 +128,8 @@ func TestBcsr2x2MatchesScalar(t *testing.T) {
 }
 
 func TestLaneDot8BitIdentical(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if Level() == "scalar" {
+		t.Skip("no accelerated kernels installed")
 	}
 	rng := rand.New(rand.NewSource(7))
 	x := randVec(rng, 555)
@@ -153,8 +154,8 @@ func TestLaneDot8BitIdentical(t *testing.T) {
 }
 
 func TestDotBcastTile8BitIdentical(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if Level() == "scalar" {
+		t.Skip("no accelerated kernels installed")
 	}
 	rng := rand.New(rand.NewSource(8))
 	const cols = 999
@@ -182,8 +183,8 @@ func TestDotBcastTile8BitIdentical(t *testing.T) {
 }
 
 func TestBcsr2x2Tile8BitIdentical(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if Level() == "scalar" {
+		t.Skip("no accelerated kernels installed")
 	}
 	rng := rand.New(rand.NewSource(9))
 	const blkCols = 150
@@ -205,8 +206,8 @@ func TestBcsr2x2Tile8BitIdentical(t *testing.T) {
 }
 
 func TestDotBcastTileBitIdentical(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if Level() == "scalar" {
+		t.Skip("no accelerated kernels installed")
 	}
 	rng := rand.New(rand.NewSource(5))
 	const cols = 999
@@ -235,8 +236,8 @@ func TestDotBcastTileBitIdentical(t *testing.T) {
 }
 
 func TestBcsr2x2TileBitIdentical(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if Level() == "scalar" {
+		t.Skip("no accelerated kernels installed")
 	}
 	rng := rand.New(rand.NewSource(6))
 	const blkCols = 150
@@ -257,51 +258,37 @@ func TestBcsr2x2TileBitIdentical(t *testing.T) {
 	}
 }
 
-func TestKillSwitch(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
-	}
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	if Enabled() {
-		t.Fatal("Enabled() true after SetEnabled(false)")
-	}
-	if Level() != "scalar" {
-		t.Fatalf("Level() = %q with dispatch off", Level())
-	}
-	if Width() != 1 {
-		t.Fatalf("Width() = %d with dispatch off", Width())
-	}
-	SetEnabled(true)
-	if !Enabled() || Level() == "scalar" || Width() < 2 {
-		t.Fatalf("re-enable failed: enabled=%v level=%q width=%d", Enabled(), Level(), Width())
-	}
-}
-
+// TestTableReportsTieredImpls holds Table to the installed tier — no
+// kernel above the active level, one at least at it — and to a pure
+// function of the CPU and the cap: "auto" installs what "avx512" does,
+// after an avx2 round trip too, and on an AVX-512 host that is the ZMM
+// rung of each of the six kernels that have one.
 func TestTableReportsTieredImpls(t *testing.T) {
 	tab := Table()
-	if len(tab) == 0 {
-		t.Fatal("empty dispatch table")
-	}
 	seenActive := false
-	for i, e := range tab {
+	for _, e := range tab {
 		if tierRank(e.Impl) > tierRank(Level()) {
 			t.Fatalf("kernel %s impl %q above active level %q", e.Kernel, e.Impl, Level())
 		}
-		if e.Impl == Level() {
-			seenActive = true
-		}
-		if Enabled() && e.Impl != kernelImpl[i] {
-			t.Fatalf("kernel %s: Table impl %q != installed %q", e.Kernel, e.Impl, kernelImpl[i])
-		}
+		seenActive = seenActive || e.Impl == Level()
 	}
 	if !seenActive {
 		t.Fatalf("no kernel dispatches at the active level %q", Level())
 	}
-	if !Enabled() {
-		for _, e := range tab {
-			if e.Impl != "scalar" {
-				t.Fatalf("dispatch off but kernel %s reports %q", e.Kernel, e.Impl)
+
+	defer SetLevel(SetLevel("avx512"))
+	forced := Table()
+	SetLevel("auto")
+	auto := Table()
+	SetLevel("avx2")
+	SetLevel("auto")
+	if again := Table(); !slices.Equal(auto, forced) || !slices.Equal(again, forced) {
+		t.Fatalf("auto %v, after an avx2 round trip %v, avx512 %v", auto, again, forced)
+	}
+	if DetectedLevel() == "avx512" {
+		for _, i := range []int{kCSRRowRange, kCSRTile, kAxpyGather, kLaneDot8, kTile8, kBcsrTile8} {
+			if auto[i].Impl != "avx512" {
+				t.Errorf("auto on an AVX-512 CPU: %s served by %q", auto[i].Kernel, auto[i].Impl)
 			}
 		}
 	}
@@ -312,8 +299,8 @@ func TestTableReportsTieredImpls(t *testing.T) {
 // 1..7) — the masked-tail contract — then restores the boot cap with the
 // returned token.
 func TestSetLevelSweep(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if DetectedLevel() == "scalar" {
+		t.Skip("no accelerated kernels on this CPU")
 	}
 	rng := rand.New(rand.NewSource(10))
 	x := randVec(rng, 700)
@@ -328,8 +315,8 @@ func TestSetLevelSweep(t *testing.T) {
 				t.Fatalf("cap %q above detected %q: installed %q", tier, DetectedLevel(), level)
 			}
 		} else if tier == "scalar" {
-			if Enabled() || Width() != 1 {
-				t.Fatalf("cap scalar: enabled=%v width=%d", Enabled(), Width())
+			if Enabled() || Level() != "scalar" || Width() != 1 {
+				t.Fatalf("cap scalar: enabled=%v level=%q width=%d", Enabled(), Level(), Width())
 			}
 		} else if level != tier || Level() != tier {
 			t.Fatalf("cap %q: installed %q active %q", tier, level, Level())
@@ -361,13 +348,24 @@ func TestSetLevelSweep(t *testing.T) {
 }
 
 // TestSetLevelRestoreToken verifies SetLevel(SetLevel(x)) round-trips the
-// cap, so tests and the bench can save/restore the boot configuration.
+// cap, so tests and the bench can save/restore the boot configuration, and
+// that SetLevel reads its token as SPMV_SIMD_LEVEL is read: in any case,
+// with an unknown token meaning "auto".
 func TestSetLevelRestoreToken(t *testing.T) {
-	if !Available() {
-		t.Skip("no accelerated kernels on this host")
+	if DetectedLevel() == "scalar" {
+		t.Skip("no accelerated kernels on this CPU")
 	}
 	origLevel, origWidth := Level(), Width()
-	tok := SetLevel("avx2")
+	tok := SetLevel("AVX2")
+	if Level() != "avx2" {
+		t.Errorf(`SetLevel("AVX2") installed %q, want avx2`, Level())
+	}
+	for _, c := range []struct{ tok, want string }{{"Scalar", "scalar"}, {"aVx512", "avx512"}, {"sse4", "auto"}, {"", "auto"}} {
+		SetLevel(c.tok)
+		if got := SetLevel("avx2"); got != c.want {
+			t.Errorf("SetLevel(%q) applied cap %q, want %q", c.tok, got, c.want)
+		}
+	}
 	SetLevel(tok)
 	if Level() != origLevel || Width() != origWidth {
 		t.Fatalf("restore: level %q width %d, want %q %d", Level(), Width(), origLevel, origWidth)

@@ -180,22 +180,24 @@ func MultiplyManyCtx(ctx context.Context, f Format, y, x []float64, k int) error
 }
 
 // SIMDInfo reports the active dispatch configuration: the instruction-set
-// level the kernels currently run at ("scalar", "avx2", "avx512"), the
-// vector width in float64 lanes, and the CPU feature set detected at
-// startup (which may exceed the active level — detection reports what
-// the host has, dispatch uses what the kernels support, and the
-// SPMV_SIMD_LEVEL environment variable or SetSIMDLevel can cap the tier
-// below the hardware's).
+// level the kernels currently run at ("scalar", "avx2", "avx512") — the
+// widest detected tier under the cap — the vector width in float64 lanes,
+// and the CPU feature set detected at startup (which may exceed the active
+// level: detection reports what the host has, dispatch uses what the
+// kernels support, and the SPMV_SIMD_LEVEL environment variable or
+// SetSIMDLevel can cap the tier below the hardware's).
 func SIMDInfo() (level string, width int, features []string) {
 	return simd.Level(), simd.Width(), simd.Features()
 }
 
 // SetSIMDLevel re-caps the dispatch tier at runtime: "scalar", "avx2",
-// "avx512" or "auto" (widest detected, calibrated — the boot default,
-// also reachable via the SPMV_SIMD_LEVEL environment variable). Caps
-// above the detected capability clamp to it. Returns the previous cap
-// token, so SetSIMDLevel(SetSIMDLevel("avx2")) restores the prior
-// dispatch exactly. Quiesce in-flight kernels before switching.
+// "avx512" or "auto" (the boot default, also reachable via the
+// SPMV_SIMD_LEVEL environment variable), read in any case as that
+// variable is; an unknown token means "auto". The dispatch is the widest
+// detected tier under the cap, so "auto" and "avx512" install the same
+// table. Returns the previous cap token, so
+// SetSIMDLevel(SetSIMDLevel("avx2")) restores the prior dispatch exactly.
+// Quiesce in-flight kernels before switching.
 func SetSIMDLevel(cap string) string { return simd.SetLevel(cap) }
 
 // SIMDDispatch reports the per-kernel dispatch table: which
