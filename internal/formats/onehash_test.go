@@ -22,8 +22,9 @@ import (
 // overlay — frozen entries, then active ones — follows a base run on every
 // lane count, to one answer per (matrix, x): the same vector in every column of a
 // k-wide block, at k in {1, 2, 3, 5, 8, 9}, on 1, 2 and 7 lanes, under
-// every tier cap the host reaches and "auto", must give every column one
-// y hash — no lane count, tier or batch width moves a bit. The rows of 30
+// every tier cap the host reaches, must give every column one y hash — no
+// lane count, tier or batch width moves a bit. ("auto" installs the
+// widest tier's table; TestTableReportsTieredImpls holds that.) The rows of 30
 // entries are cut by COO's segments, HYB's spill, Merge-CSR's diagonals
 // and CSR5's tile groups, and cluster enough that most 2x2 BCSR blocks
 // hold both products of a row. The first product of each subject is also
@@ -58,9 +59,9 @@ func TestOneHashPerFormat(t *testing.T) {
 	for _, f := range subjects {
 		var first string
 		for _, workers := range []int{1, 2, 7} {
-			for _, level := range []string{"scalar", "avx2", "avx512", "auto"} {
+			for _, level := range []string{"scalar", "avx2", "avx512"} {
 				simd.SetLevel(level)
-				if level != "auto" && simd.Level() != level {
+				if simd.Level() != level {
 					continue // tier not detected on this host
 				}
 				for _, k := range ks {

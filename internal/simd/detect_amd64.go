@@ -120,21 +120,20 @@ func installAVX2() {
 	}
 }
 
-// installAVX512 points the six kernels with native ZMM implementations
+// installAVX512 points the five kernels with native ZMM implementations
 // (each CSR kernel with its U16 twin) at them, and the multiply codec at
 // its kernels where the CPU has their rung: those replace Go, not an AVX2
-// kernel. LaneDot4 and the 4-wide tiles have no ZMM rung: their data
-// simply is not 8 lanes wide, so they stay at AVX2 under every cap. Nor
-// has bcsr.2x2: a block row's two sums fill two lanes, and a ZMM rung that
-// took four blocks an iteration would reassociate across them.
+// kernel. The others stay at AVX2 under every cap: LaneDot4 and the
+// 4-wide tiles, whose data is not 8 lanes wide; bcsr.2x2, whose ZMM rung
+// would reassociate across four blocks; ell.axpy-gather, whose ZMM gather
+// ran at 0.69-0.88x of AVX2's speed on long slabs.
 func installAVX512() {
 	csrRowRange, csrRowRangeU16 = csrRowRangeAVX512, csrRowRangeAVX512U16
 	csrTile, csrTileU16 = csrTileAVX512, csrTileAVX512U16
-	axpyGather = axpyGatherAVX512
 	laneDot8 = laneDot8AVX512
 	dotBcastTile8 = dotBcastTile8AVX512
 	bcsr2x2Tile8 = bcsr2x2Tile8AVX512
-	for _, i := range []int{kCSRRowRange, kCSRTile, kAxpyGather, kLaneDot8, kTile8, kBcsrTile8} {
+	for _, i := range []int{kCSRRowRange, kCSRTile, kLaneDot8, kTile8, kBcsrTile8} {
 		kernelImpl[i] = "avx512"
 	}
 	if codecAVX512 = can.codec; can.codec {

@@ -3,12 +3,12 @@ package simd
 // AVX-512F kernel entry points (kernels_avx512_amd64.s). All of them
 // trust their index arguments — see the package's index-trust contract.
 // Lane-unaligned tails are handled with opmask-predicated loads, gathers
-// and stores (no scalar remainder loop for the gather kernels).
-// Accumulation order: csrRowRange and csrTile run CSRRowRangeGo's eight
-// FMA partial sums; axpyGather, laneDot8 and the two 8-wide tiles preserve
-// the scalar order (separate VMULPD/VADDPD, independent lanes). Every one
-// is bit-identical to its AVX2 and scalar twins. bcsr.2x2 has no ZMM
-// rung: AVX2 serves it on every accelerated host.
+// and stores (no scalar remainder loop). Accumulation order: csrRowRange
+// and csrTile run CSRRowRangeGo's eight FMA partial sums; laneDot8 and
+// the two 8-wide tiles preserve the scalar order (separate VMULPD/VADDPD,
+// independent lanes). Every one is bit-identical to its AVX2 and scalar
+// twins. bcsr.2x2 and ell.axpy-gather have no ZMM rung: AVX2 serves them
+// on every accelerated host.
 
 //go:noescape
 func csrRowRangeAVX512(rowPtr, idx *int32, val, x, y *float64, lo, hi int)
@@ -21,9 +21,6 @@ func csrTileAVX512(rowPtr, idx *int32, val, x, y *float64, lo, hi, k int)
 
 //go:noescape
 func csrTileAVX512U16(rowPtr *int32, idx *uint16, val, x, y *float64, lo, hi, k int)
-
-//go:noescape
-func axpyGatherAVX512(y, val *float64, idx *int32, x *float64, n int)
 
 //go:noescape
 func laneDot8AVX512(val *float64, idx *int32, x *float64, stride, n int) (sums [8]float64)

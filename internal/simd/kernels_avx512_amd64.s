@@ -5,9 +5,10 @@
 // the AVX2 kernels in kernels_amd64.s.
 //
 // Conventions (on top of the AVX2 file's):
-//   - Gathers load x through sign-extended 32-bit column indices
-//     (VPMOVSXDQ + VGATHERQPD), or zero-extended 16-bit ones (VPMOVZXWQ)
-//     in the U16 twins, under an opmask rebuilt before EVERY
+//   - The CSR k = 1 kernel builds x by scalar loads (see its comment).
+//     The other gathers load x through sign-extended 32-bit column
+//     indices (VPMOVSXDQ + VGATHERQPD), or zero-extended 16-bit ones
+//     (VPMOVZXWQ) in the U16 twins, under an opmask rebuilt before EVERY
 //     gather — the instruction zeroes its mask as it completes.
 //   - Lane-unaligned tails use opmask predication: the tail mask is
 //     (1<<rem)-1, masked loads are zeroing (.Z) so dead lanes contribute
@@ -23,17 +24,67 @@
 // CSR rows [lo, hi) at k = 1 in the canonical order (CSRRowRangeGo's),
 // one call per claimed chunk. The row loop carries end from row to row.
 // Entry j of a row goes into lane j mod 8 of one ZMM accumulator, from
-// +0: whole 8-groups by gather and FMA, the last n mod 8 entries by one
-// masked step — opmask (1<<rem)-1, zeroing index and value loads, a
-// masked gather and a merge-masked FMA, so the dead lanes keep their sums
-// — and the lanes reduce as ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)). A row
-// of at most 8 entries (empty included) is the masked step alone.
+// +0, and the lanes reduce as ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)).
 //
-// CSR_ROW_RANGE_AVX512 is the body for both index widths: LOADX (LOADXZ
-// its zeroing form) widens eight indices to qwords and SCALE is the index
+// x is built by scalar loads, not gathered: an 8-group reads its indices
+// 64 bits at a time (XPAIR, XQUAD), loads its eight x entries by
+// VMOVSD/VMOVHPD into four XMM halves and joins them with VINSERTF128 and
+// VINSERTF64X4 (X8). On a Zen 5 core one ZMM VGATHERQPD costs more than
+// eight scalar loads, and a masked one as much as a full one. Each step
+// prefetches the val and idx streams CSR_PREFETCH entries ahead.
+//
+// The last n mod 8 entries of a row take one step under the opmask
+// (1<<rem)-1: a zeroing val load and a merge-masked FMA, so the dead
+// lanes keep their sums. While j+8 <= rowPtr[hi], the call's last entry,
+// the step builds x from the next eight indices as a group does: the dead
+// lanes' x belongs to later rows of the call and never enters a sum.
+// Nearer the end it gathers under the mask (zeroing index load), so the
+// kernel reads no index outside its call's rows. A row of at most 8
+// entries (empty included) is that step alone.
+//
+// CSR_ROW_RANGE_AVX512 is the body for both index widths: X8 builds Z1,
+// LOADXZ widens eight indices to qwords under K2 and SCALE is the index
 // size. The masked loads need no slack at either width: EVEX fault
 // suppression skips the dead elements.
-#define CSR_ROW_RANGE_AVX512(LOADX, LOADXZ, SCALE) \
+
+// CSR_PREFETCH is the prefetch distance in entries: 6 KB of val, 3 KB of
+// int32 or 1.5 KB of uint16 indices (docs/BENCHMARKS.md, "Scalar x loads
+// and a stream prefetch in the CSR row kernel").
+#define CSR_PREFETCH 768
+
+// XPAIR: x[idx[j+2h]], x[idx[j+2h+1]] into XR, from the int32 pair at
+// byte OFF = 8h.
+#define XPAIR(OFF, XR) \
+	MOVQ    OFF(DI)(AX*4), R14 \
+	MOVLQSX R14, CX \
+	SARQ    $32, R14 \
+	VMOVSD  (DX)(CX*8), XR \
+	VMOVHPD (DX)(R14*8), XR, XR
+
+// XQUAD: x[idx[j+4q..j+4q+3]] into XA (first two) and XB, from the uint16
+// quad at byte OFF = 8q.
+#define XQUAD(OFF, XA, XB) \
+	MOVQ    OFF(DI)(AX*2), R14 \
+	MOVWQZX R14, CX \
+	VMOVSD  (DX)(CX*8), XA \
+	SHRQ    $16, R14 \
+	MOVWQZX R14, CX \
+	VMOVHPD (DX)(CX*8), XA, XA \
+	SHRQ    $16, R14 \
+	MOVWQZX R14, CX \
+	VMOVSD  (DX)(CX*8), XB \
+	SHRQ    $16, R14 \
+	VMOVHPD (DX)(R14*8), XB, XB
+
+#define X8_JOIN \
+	VINSERTF128  $1, X2, Y1, Y1 \
+	VINSERTF128  $1, X4, Y3, Y3 \
+	VINSERTF64X4 $1, Y3, Z1, Z1
+
+#define X8_I32 XPAIR(0, X1); XPAIR(8, X2); XPAIR(16, X3); XPAIR(24, X4); X8_JOIN
+#define X8_U16 XQUAD(0, X1, X2); XQUAD(8, X3, X4); X8_JOIN
+
+#define CSR_ROW_RANGE_AVX512(X8, LOADXZ, SCALE) \
 	MOVQ rowPtr+0(FP), R8 \
 	MOVQ idx+8(FP), DI \
 	MOVQ val+16(FP), SI \
@@ -43,39 +94,48 @@
 	MOVQ hi+48(FP), R11 \
 	CMPQ R10, R11 \
 	JGE  done \
+	MOVLQSX (R8)(R11*4), R13       /* rowPtr[hi]: the call's last entry */ \
 	MOVLQSX (R8)(R10*4), R12       /* end = rowPtr[lo] */ \
 row: \
 	MOVQ    R12, AX                /* j = start */ \
 	MOVLQSX 4(R8)(R10*4), R12      /* end = rowPtr[i+1] */ \
-	MOVQ    R12, CX \
-	SUBQ    AX, CX                 /* n */ \
 	VXORPD  Z0, Z0, Z0             /* p0..p7 */ \
-	MOVQ    CX, BX \
+	MOVQ    R12, BX \
+	SUBQ    AX, BX \
 	ANDQ    $-8, BX                /* n &^ 7 */ \
 	JZ      tail \
 	ADDQ    AX, BX                 /* where the 8-groups end */ \
 loop8: \
-	LOADX      (DI)(AX*SCALE), Z2  /* idx[j..j+7] -> int64 */ \
-	KXNORW     K1, K1, K1          /* gather mask (all ones) */ \
-	VXORPD     Z5, Z5, Z5 \
-	VGATHERQPD (DX)(Z2*8), K1, Z5  /* x[idx[j..j+7]] */ \
-	VFMADD231PD (SI)(AX*8), Z5, Z0 /* p += val * x */ \
+	PREFETCHT0 (CSR_PREFETCH*8)(SI)(AX*8) \
+	PREFETCHT0 (CSR_PREFETCH*SCALE)(DI)(AX*SCALE) \
+	X8                             /* x[idx[j..j+7]] */ \
+	VFMADD231PD (SI)(AX*8), Z1, Z0 /* p += val * x */ \
 	ADDQ $8, AX \
 	CMPQ AX, BX \
 	JLT  loop8 \
 tail: \
-	ANDL $7, CX                    /* rem = n & 7 */ \
+	MOVQ R12, CX \
+	SUBQ AX, CX                    /* rem = n & 7 */ \
 	JZ   reduce \
 	MOVL $1, BX \
 	SHLL CX, BX \
 	DECL BX                        /* (1<<rem)-1 */ \
 	KMOVW BX, K2 \
+	LEAQ 8(AX), BX \
+	CMPQ BX, R13 \
+	JGT  gather                    /* under 8 entries left in the call */ \
+	PREFETCHT0 (CSR_PREFETCH*8)(SI)(AX*8) \
+	PREFETCHT0 (CSR_PREFETCH*SCALE)(DI)(AX*SCALE) \
+	X8                             /* the dead lanes read later rows */ \
+	JMP  fma \
+gather: \
 	LOADXZ (DI)(AX*SCALE), K2, Z2  /* masked idx load (fault-suppressed) */ \
 	KMOVW K2, K3                   /* gather clobbers its mask */ \
-	VXORPD     Z5, Z5, Z5 \
-	VGATHERQPD (DX)(Z2*8), K3, Z5 \
+	VXORPD     Z1, Z1, Z1 \
+	VGATHERQPD (DX)(Z2*8), K3, Z1 \
+fma: \
 	VMOVUPD.Z  (SI)(AX*8), K2, Z6 \
-	VFMADD231PD Z5, Z6, K2, Z0     /* live lanes only */ \
+	VFMADD231PD Z1, Z6, K2, Z0     /* live lanes only */ \
 reduce: \
 	VEXTRACTF64X4 $1, Z0, Y1 \
 	VADDPD        Y1, Y0, Y0       /* [p0+p4, p1+p5, p2+p6, p3+p7] */ \
@@ -213,10 +273,10 @@ done: \
 	RET
 
 TEXT ·csrRowRangeAVX512(SB), NOSPLIT, $0-56
-	CSR_ROW_RANGE_AVX512(VPMOVSXDQ, VPMOVSXDQ.Z, 4)
+	CSR_ROW_RANGE_AVX512(X8_I32, VPMOVSXDQ.Z, 4)
 
 TEXT ·csrRowRangeAVX512U16(SB), NOSPLIT, $0-56
-	CSR_ROW_RANGE_AVX512(VPMOVZXWQ, VPMOVZXWQ.Z, 2)
+	CSR_ROW_RANGE_AVX512(X8_U16, VPMOVZXWQ.Z, 2)
 
 TEXT ·csrTileAVX512(SB), NOSPLIT, $0-64
 	CSR_TILE_AVX512(MOVLQSX, 4)
@@ -258,55 +318,6 @@ loop:
 done:
 	LEAQ    dst+48(FP), R8
 	VMOVUPD Z0, (R8)
-	VZEROUPPER
-	RET
-
-// func axpyGatherAVX512(y, val *float64, idx *int32, x *float64, n int)
-//
-// ELL slab column sweep: y[j] += val[j] * x[idx[j]]. One mul-then-add per
-// element in element order, masked tail — bit-identical to the scalar
-// sweep.
-TEXT ·axpyGatherAVX512(SB), NOSPLIT, $0-40
-	MOVQ y+0(FP), R8
-	MOVQ val+8(FP), SI
-	MOVQ idx+16(FP), DI
-	MOVQ x+24(FP), DX
-	MOVQ n+32(FP), CX
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-8, BX
-	JZ   tail
-
-loop8:
-	VPMOVSXDQ  (DI)(AX*4), Z2
-	KXNORW     K1, K1, K1
-	VXORPD     Z5, Z5, Z5
-	VGATHERQPD (DX)(Z2*8), K1, Z5
-	VMULPD     (SI)(AX*8), Z5, Z5  // val * x
-	VADDPD     (R8)(AX*8), Z5, Z5  // + y
-	VMOVUPD    Z5, (R8)(AX*8)
-	ADDQ $8, AX
-	CMPQ AX, BX
-	JLT  loop8
-
-tail:
-	SUBQ AX, CX                    // rem (0..7)
-	JZ   done
-	MOVL $1, R10
-	SHLL CX, R10
-	DECL R10
-	KMOVW R10, K2
-	VPMOVSXDQ.Z (DI)(AX*4), K2, Z2
-	KMOVW K2, K3
-	VXORPD     Z5, Z5, Z5
-	VGATHERQPD (DX)(Z2*8), K3, Z5
-	VMOVUPD.Z  (SI)(AX*8), K2, Z6
-	VMULPD     Z5, Z6, Z5          // val * x
-	VMOVUPD.Z  (R8)(AX*8), K2, Z7
-	VADDPD     Z7, Z5, Z5
-	VMOVUPD    Z5, K2, (R8)(AX*8)  // masked store: live lanes only
-
-done:
 	VZEROUPPER
 	RET
 

@@ -56,10 +56,12 @@
 //
 // # Index trust
 //
-// The kernels gather x through 32-bit (or, see Index, 16-bit) column
+// The kernels load x through 32-bit (or, see Index, 16-bit) column
 // indices with no bounds checks (that is much of the speedup). Callers
 // must guarantee indices are in [0, len(x)); every format in
 // internal/formats does so by construction from a validated CSR matrix.
+// A kernel reads the indices of its call's entries only; the AVX-512 k = 1
+// kernel may load x at a later row's index into a masked-off lane.
 package simd
 
 import (
@@ -273,7 +275,7 @@ const U16Slack = 4
 // y[i*k+t] over the entries j in [rowPtr[i], rowPtr[i+1]) of
 // val[j] * x[idx[j]*k+t], in CSRRowRangeGo's order and bit for bit with it
 // at every tier (see the package contract). The row loop runs inside the
-// kernel: the gather kernel at k = 1, at k > 1 the register tile, 4
+// kernel: the row kernel at k = 1, at k > 1 the register tile, 4
 // vectors per YMM pass or 8 per ZMM pass with the last k mod 4 (or 8)
 // under a lane mask. Under a scalar cap it is CSRRowRangeGo.
 func CSRRowRange[I Index](rowPtr []int32, idx []I, val, x, y []float64, lo, hi, k int) {
