@@ -228,7 +228,7 @@ func ExampleMultiplyCtx() {
 	// engine still serves: true
 }
 
-// ExampleFormats lists the first of the registry's twelve storage
+// ExampleFormats lists the first of the registry's eleven storage
 // formats, state-of-practice first.
 func ExampleFormats() {
 	for _, b := range spmv.Formats()[:4] {
@@ -240,7 +240,7 @@ func ExampleFormats() {
 	// Naive-CSR
 	// Vec-CSR
 	// Bal-CSR
-	// ... 12 formats total
+	// ... 11 formats total
 }
 
 // ExampleSetCacheDir turns on the persistence layer: auto-format
@@ -368,7 +368,6 @@ func Example_quickstart() {
 	// Vec-CSR    0.97 MiB stored, matches CSR within 1e-12: true
 	// Bal-CSR    0.97 MiB stored, matches CSR within 1e-12: true
 	// MKL-IE     0.97 MiB stored, matches CSR within 1e-12: true
-	// ELL        12.78 MiB stored, matches CSR within 1e-12: true
 	// HYB        1.94 MiB stored, matches CSR within 1e-12: true
 	// CSR5       1.24 MiB stored, matches CSR within 1e-12: true
 	// Merge-CSR  0.97 MiB stored, matches CSR within 1e-12: true
@@ -399,7 +398,7 @@ func Example_cgsolver() {
 	b := make([]float64, a.Rows) // right-hand side of the solution x* = 1
 	a.SpMV(ones, b)
 
-	for _, name := range []string{"Naive-CSR", "Vec-CSR", "CSR5", "Merge-CSR", "SELL-C-s", "SparseX", "ELL"} {
+	for _, name := range []string{"Naive-CSR", "Vec-CSR", "CSR5", "Merge-CSR", "SELL-C-s", "SparseX", "HYB"} {
 		fb, _ := spmv.FormatByName(name)
 		f, err := fb.Build(a)
 		if err != nil {
@@ -416,7 +415,7 @@ func Example_cgsolver() {
 	// Merge-CSR  102 iterations, ||x-1||_inf < 1e-8: true
 	// SELL-C-s   102 iterations, ||x-1||_inf < 1e-8: true
 	// SparseX    102 iterations, ||x-1||_inf < 1e-8: true
-	// ELL        102 iterations, ||x-1||_inf < 1e-8: true
+	// HYB        102 iterations, ||x-1||_inf < 1e-8: true
 }
 
 // solveCG runs conjugate gradients with f as the operator.

@@ -13,12 +13,13 @@ import (
 // hostGateMB is the largest requested footprint the host testbed
 // generates. A point above it is infeasible and never generated, the way
 // the FPGA's capacity failures show in Fig 1; no point is rescaled to fit.
-// ELL's 2.5x slab of short rows sets it: with every format run in one
-// process, a 223 MB point peaked at 1.5 GB of resident memory (measured
-// while HYB still staged a COO spill of twice the CSR bytes), under a
-// fifth of an 8 GB machine, and Table I's middle-class ceiling (512 MB)
-// would double that. It bounds a point, not a run over many points
-// (docs/BENCHMARKS.md).
+// With every format run in one process, a 223 MB point peaked at 1.5 GB
+// of resident memory (measured while ELL was a format and HYB staged a COO
+// spill), under a fifth of an 8 GB machine, and Table I's middle-class
+// ceiling (512 MB) would double that. It bounds a point, not a run: one
+// process of -dataset medium -sample 40 -devices host fig3 peaks at
+// 1.59 GB VmHWM (2.76 GB while ELL's padded slab of short rows was a
+// format; 2-vCPU, 8 GB guest; docs/BENCHMARKS.md).
 const hostGateMB = 256
 
 // testbed is a device a figure runs on: its Spec (name, formats, roof and

@@ -98,7 +98,7 @@ const fallbackMultiEff = 0.92
 // and modeled rate — grows with k until the X/Y block traffic dominates. Formats on the
 // by-column fallback execute k sequential single-vector passes and keep
 // their k = 1 rate minus the block copy overhead. This asymmetry is what
-// flips the win-rate ordering between regimes (e.g. ELL's padding skip
+// flips the win-rate ordering between regimes (e.g. HYB's padding skip
 // promotes it under SpMM; CSR5 falls behind its k = 1 rank).
 func (s Spec) EstimateMulti(fv core.FeatureVector, formatName string, k int) Result {
 	return s.estimateMulti(fv, formatName, k, true)
@@ -115,9 +115,6 @@ func (s Spec) RankMulti(fv core.FeatureVector, formatName string, k int) Result 
 
 func (s Spec) estimateMulti(fv core.FeatureVector, formatName string, k int, noise bool) Result {
 	k = max(k, 1)
-	if !formats.EstimateFeasible(formatName, fv) {
-		return Result{Feasible: false, Reason: formatName + ": structure-hostile build rejected"}
-	}
 	tr, fused := formats.MultiTraits(formatName, fv, k)
 	if k > 1 && !fused {
 		r := s.estimateWithTraitsK(fv, tr, 1)
@@ -212,9 +209,9 @@ const rowOverheadColumnMajor = 0.25
 // ilpEfficiency models the low-ILP bottleneck: short rows spend cycles on
 // loop control instead of FMAs. Fused k-wide kernels amortize loop control
 // over a register tile of up to 4 vectors, so their effective per-flop
-// overhead shrinks with min(k, 4); column-major slab sweeps (ELL-family
-// k = 1 kernels) sidestep per-row loop control entirely, which is why ELL
-// and HYB dominate short-row matrices despite identical traffic.
+// overhead shrinks with min(k, 4); column-major slab sweeps (HYB's k = 1
+// kernel, the FPGA's VSL streams) sidestep per-row loop control entirely,
+// which is why HYB dominates short-row matrices despite identical traffic.
 func ilpEfficiency(fv core.FeatureVector, tr formats.Traits, k int) float64 {
 	overhead := rowOverheadScalar
 	if tr.Class.Vectorized() {

@@ -270,19 +270,6 @@ func TestCPUCompetitiveAtMediumSizes(t *testing.T) {
 }
 
 func TestBestFormatSkipsInfeasible(t *testing.T) {
-	// A device offering ELL and Merge-CSR must fall back to Merge-CSR when
-	// extreme skew makes ELL unbuildable.
-	s, _ := ByName("AMD-EPYC-24")
-	s.Formats = []string{"ELL", "Merge-CSR"}
-	fv := fvAt(512, 10, 10000)
-	fv.Rows, fv.Cols = 1<<24, 1<<24 // keep the nominal skew feasible shape-wise
-	name, r, ok := s.BestFormat(fv)
-	if !ok {
-		t.Fatal("no feasible format found")
-	}
-	if name != "Merge-CSR" || !r.Feasible {
-		t.Errorf("best = %q, want Merge-CSR fallback", name)
-	}
 	// The FPGA with only VSL has no fallback at all for oversized matrices.
 	fpga, _ := ByName("Alveo-U280")
 	if _, _, ok := fpga.BestFormat(fvAt(6144, 5, 0)); ok {

@@ -7,7 +7,7 @@ package formats
 // name, the device model (FusedMulti) before any instance exists.
 var fusedMulti = map[string]bool{
 	"Naive-CSR": true, "Vec-CSR": true, "Bal-CSR": true, "MKL-IE": true,
-	"ELL": true, "HYB": true, "SELL-C-s": true, "BCSR": true, "COO": true,
+	"HYB": true, "SELL-C-s": true, "BCSR": true, "COO": true,
 }
 
 // FusedMulti reports whether the named format multiplies a k-wide block of

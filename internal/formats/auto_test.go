@@ -31,7 +31,7 @@ func TestAutoWrapperEquivalence(t *testing.T) {
 	for _, b := range Registry() {
 		inner, err := b.Build(m)
 		if err != nil {
-			continue // e.g. ELL refuses a slab past MaxELLPaddedEntries
+			continue // e.g. SELL-C-s refuses a slab past MaxPaddedEntries
 		}
 		direct, err := b.Build(m)
 		if err != nil {
@@ -81,12 +81,12 @@ func TestAutoWrapperEquivalence(t *testing.T) {
 
 // TestMultiTraitsContract pins the k-aware trait presentation: identical to
 // EstimateTraits at k = 1 and for every format without slab striding; the
-// fused slab formats (ELL, SELL-C-s, HYB) diverge at k > 1 per the
+// fused slab formats (SELL-C-s, HYB) diverge at k > 1 per the
 // padding-skip and line-waste model in multitraits.go.
 func TestMultiTraitsContract(t *testing.T) {
 	m := autoTestMatrix(t)
 	fv := core.Extract(m)
-	slab := map[string]bool{"ELL": true, "SELL-C-s": true, "HYB": true}
+	slab := map[string]bool{"SELL-C-s": true, "HYB": true}
 	for _, b := range Registry() {
 		for _, k := range []int{1, 8} {
 			tr, fused := MultiTraits(b.Name, fv, k)
@@ -100,14 +100,12 @@ func TestMultiTraitsContract(t *testing.T) {
 			}
 		}
 	}
-	// Padding skip: the fused ELL and HYB kernels never touch tail padding.
-	for _, name := range []string{"ELL", "HYB"} {
-		tr, _ := MultiTraits(name, fv, 8)
-		if tr.PaddingRatio != 0 {
-			t.Errorf("%s k=8: padding %g, want 0 (rowLen table skips it)", name, tr.PaddingRatio)
-		}
-		if tr.MetaBytesPerNNZ <= 0 {
-			t.Errorf("%s k=8: non-positive meta %g", name, tr.MetaBytesPerNNZ)
-		}
+	// Padding skip: the fused HYB kernel never touches tail padding.
+	tr, _ := MultiTraits("HYB", fv, 8)
+	if tr.PaddingRatio != 0 {
+		t.Errorf("HYB k=8: padding %g, want 0 (rowLen table skips it)", tr.PaddingRatio)
+	}
+	if tr.MetaBytesPerNNZ <= 0 {
+		t.Errorf("HYB k=8: non-positive meta %g", tr.MetaBytesPerNNZ)
 	}
 }

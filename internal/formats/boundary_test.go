@@ -173,7 +173,7 @@ func TestHYBAllSpillAndNoSpill(t *testing.T) {
 	x := matrix.RandomVector(60, 47)
 	want := make([]float64, 60)
 	m.SpMV(x, want)
-	// Threshold larger than every row: pure ELL, empty spill.
+	// Threshold larger than every row: all slab, empty spill.
 	fAll, err := newHYBThreshold(m, m.MaxRowNNZ())
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestQuickBytesTraitsConsistency(t *testing.T) {
 			}
 			meta := fm.Traits().MetaBytesPerNNZ
 			implied := float64(fm.NNZ())*(8+meta) - float64(fm.Bytes())
-			// ELL-family estimates fold padding into meta; allow 15%.
+			// Padded-slab traits fold padding into meta; allow 15%.
 			if math.Abs(implied) > 0.15*float64(fm.Bytes())+64 {
 				return false
 			}

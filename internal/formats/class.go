@@ -19,7 +19,7 @@ const (
 	ClassRowSum                // mergeUnit: one dependent FP add per nonzero
 	ClassDotGo                 // simd.CSRRowRangeGo: the canonical CSR order in Go, eight math.FMA chains
 	ClassDotGather             // simd.CSRRowRange: that order dispatched (the Go one on the scalar tier)
-	ClassSweep                 // ELL.rowRange (HYB; the FPGA's VSL streams, priced only): an axpy per slab column
+	ClassSweep                 // HYB.sweep (the FPGA's VSL streams, priced only): an axpy per slab column
 	ClassLanes                 // SELLCS.chunkRange: C independent lane sums per chunk
 	ClassBlock                 // BCSR.blockRowColumn: dense blocks, no per-element index
 	ClassTile                  // CSR5's flag-segmented tile
@@ -29,8 +29,9 @@ const (
 
 // classRep is the registered format whose k = 1 kernel is each class's loop
 // and nothing else: MeasureClasses times it (Merge-CSR on one lane: its
-// diagonals in sequence, a carry slot per diagonal).
-var classRep = [NumClasses]string{"", "Merge-CSR", "Naive-CSR", "Vec-CSR", "ELL", "SELL-C-s", "BCSR", "CSR5", "COO"}
+// diagonals in sequence, a carry slot per diagonal; HYB on the fixture's
+// equal rows: its threshold is their length, so its spill is empty).
+var classRep = [NumClasses]string{"", "Merge-CSR", "Naive-CSR", "Vec-CSR", "HYB", "SELL-C-s", "BCSR", "CSR5", "COO"}
 
 // Vectorized reports whether the loop is laid out for SIMD (gathers,
 // column-major chunks, unrolled tiles).

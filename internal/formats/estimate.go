@@ -13,11 +13,9 @@ import (
 //
 // The estimates follow the structural arithmetic of each format:
 //
-//   - ELL pads every row to the maximum, so its padding ratio equals the
-//     skew coefficient ((max-avg)/avg) by definition.
 //   - HYB splits at the mean row length; under the generator's exponential
-//     skew profile with ratio R = 1+skew, the spilled (COO) fraction of
-//     nonzeros approaches 1 - (1+ln R)/R, and the ELL padding mirrors it.
+//     skew profile with ratio R = 1+skew, the spilled fraction of nonzeros
+//     approaches 1 - (1+ln R)/R, and the slab padding mirrors it.
 //   - SELL-C-sigma sorts rows within sigma-row windows, shrinking padding
 //     to the within-window length variation.
 //   - SparseX encodes horizontal runs: with neighbor probability
@@ -56,11 +54,6 @@ func EstimateTraits(name string, fv core.FeatureVector) Traits {
 			t.Balancing = NNZGranular
 		}
 		return t
-	case "ELL":
-		// Padded slots cost a full 12 bytes each: meta = 12*(1+pad) - 8.
-		pad := skew
-		return Traits{Balancing: RowGranular, PaddingRatio: pad,
-			MetaBytesPerNNZ: 4 + 12*pad, Class: ClassSweep, ColumnMajor: true}
 	case "HYB":
 		spill := hybSpillFraction(skew)
 		pad := spill + 0.12 // the distribution noise pads short rows too
@@ -139,15 +132,4 @@ func sellPadding(skew float64, rows int) float64 {
 		chunkShare = 1
 	}
 	return math.Min(skew, 0.02+skew*chunkShare)
-}
-
-// EstimateFeasible reports whether a format can be built at all for the
-// given features: ELL refuses structurally hostile matrices instead of
-// exploding. (BCSR's 2x2 blocks bound its fill at 4 and refuse nothing.)
-func EstimateFeasible(name string, fv core.FeatureVector) bool {
-	if name != "ELL" {
-		return true
-	}
-	padded := float64(fv.NNZ) * (1 + EstimateTraits(name, fv).PaddingRatio)
-	return padded <= MaxELLPaddedEntries
 }

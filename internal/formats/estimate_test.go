@@ -46,7 +46,7 @@ func TestEstimateTraitsAgainstBuilt(t *testing.T) {
 			// Padding ratio: exact-arithmetic formats within 15%+0.1; the
 			// heuristic estimates within a factor-of-3 band.
 			tight := map[string]bool{"COO": true, "Naive-CSR": true, "Vec-CSR": true,
-				"Bal-CSR": true, "MKL-IE": true, "ELL": true, "Merge-CSR": true, "CSR5": true}
+				"Bal-CSR": true, "MKL-IE": true, "Merge-CSR": true, "CSR5": true}
 			if tight[b.Name] {
 				if math.Abs(got.PaddingRatio-est.PaddingRatio) > 0.15*got.PaddingRatio+0.1 {
 					t.Errorf("grid %d %s: padding %g, estimate %g", gi, b.Name, got.PaddingRatio, est.PaddingRatio)
@@ -68,32 +68,18 @@ func TestEstimateTraitsAgainstBuilt(t *testing.T) {
 	}
 }
 
-func TestEstimateFeasible(t *testing.T) {
-	friendly := core.FeatureVector{NNZ: 1e6, Rows: 1e5, Cols: 1e5, AvgNNZPerRow: 10, SkewCoeff: 0, BWScaled: 0.0001, AvgNumNeigh: 1.9, CrossRowSim: 0.9}
-	hostileELL := core.FeatureVector{NNZ: 1e8, Rows: 1e7, Cols: 1e7, AvgNNZPerRow: 10, SkewCoeff: 10000}
-	if !EstimateFeasible("ELL", friendly) {
-		t.Error("ELL should be feasible for a balanced matrix")
-	}
-	if EstimateFeasible("ELL", hostileELL) {
-		t.Error("ELL should be infeasible under extreme skew at scale")
-	}
-	// CSR and 2x2 BCSR always build, and the names priced without a host
-	// kernel (the FPGA's VSL, DIA) stay feasible, so the testbeds that
-	// price them keep their predictions.
-	for _, name := range []string{"Naive-CSR", "BCSR", "VSL", "DIA"} {
-		if !EstimateFeasible(name, hostileELL) {
-			t.Errorf("%s should be feasible", name)
-		}
-	}
-}
-
 func TestEstimateSkewClampedByShape(t *testing.T) {
 	// A 1000-column matrix cannot hold a row longer than 1000, so the
-	// effective ELL padding clamps even if the nominal skew is 10000.
+	// effective skew clamps to cols/avg-1 = 99 even if the nominal skew is
+	// 10000: HYB's estimated spill and padding are those of skew 99.
 	fv := core.FeatureVector{Rows: 1000, Cols: 1000, NNZ: 10000, AvgNNZPerRow: 10, SkewCoeff: 10000}
-	tr := EstimateTraits("ELL", fv)
-	if tr.PaddingRatio > 99+1e-9 {
-		t.Errorf("padding %g should clamp to cols/avg-1 = 99", tr.PaddingRatio)
+	clamped := fv
+	clamped.SkewCoeff = 99
+	if tr, want := EstimateTraits("HYB", fv), EstimateTraits("HYB", clamped); tr != want {
+		t.Errorf("HYB at skew 10000 = %+v, want the skew-99 estimate %+v", tr, want)
+	}
+	if fv.Cols = 0; EstimateTraits("HYB", fv) == EstimateTraits("HYB", clamped) {
+		t.Error("without a column count the nominal skew should stand")
 	}
 }
 

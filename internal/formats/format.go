@@ -1,14 +1,15 @@
 // Package formats implements the sparse storage formats and SpMV kernels
 // evaluated by the paper that earn their place on the host: the
 // state-of-practice formats COO, CSR (naive, vectorized, balanced,
-// inspector-executor), ELL and HYB, the research formats CSR5, Merge-CSR,
+// inspector-executor) and HYB, the research formats CSR5, Merge-CSR,
 // SELL-C-sigma and a SparseX-like compressed format, plus BCSR as an
 // extension. Every format builds from a CSR matrix and provides serial and
 // parallel double-precision SpMV kernels producing the same result as the
 // CSR reference (up to floating-point reassociation). A format the paper
 // runs only on another device (VSL on the FPGA) or that loses everywhere
 // on the host (DIA) keeps a trait estimate for the device models and no
-// kernel.
+// kernel. ELL, which no testbed runs and which won no host measurement,
+// has neither: HYB's padded slab is the host's one slab sweep.
 //
 // Each format also reports Traits — padding ratio, metadata volume, work
 // distribution discipline — which ground the analytical device models in
@@ -98,7 +99,7 @@ type Traits struct {
 	// Balancing is the work-distribution discipline of the parallel kernel.
 	Balancing Balancing
 	// PaddingRatio is (stored entries - nnz) / nnz; zero for unpadded
-	// formats, skew-sized for ELL-family formats.
+	// formats, skew-sized for padded-slab formats.
 	PaddingRatio float64
 	// MetaBytesPerNNZ is the metadata traffic per stored nonzero (indices,
 	// pointers, descriptors), excluding the 8-byte value itself.
@@ -108,7 +109,7 @@ type Traits struct {
 	// (KernelClass.Vectorized).
 	Class KernelClass
 	// ColumnMajor reports a slab layout whose single-vector kernel walks
-	// rows in the INNER loop (ELL/HYB column sweeps, VSL column streams):
+	// rows in the INNER loop (HYB's column sweep, VSL column streams):
 	// per-row loop control amortizes over the whole slab column, so the
 	// short-row ILP penalty of row-major kernels does not apply at k = 1.
 	ColumnMajor bool
@@ -143,7 +144,6 @@ var registry = []Builder{
 	csrBuilder("Vec-CSR"),
 	csrBuilder("Bal-CSR"),
 	csrBuilder("MKL-IE"),
-	{"ELL", func(m *matrix.CSR) (Format, error) { return asFormat(newELL(m)) }},
 	{"HYB", func(m *matrix.CSR) (Format, error) { return asFormat(newHYB(m)) }},
 	{"CSR5", func(m *matrix.CSR) (Format, error) { return asFormat(NewCSR5(m)) }},
 	{"Merge-CSR", func(m *matrix.CSR) (Format, error) { return newMergeCSR(m), nil }},

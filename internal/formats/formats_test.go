@@ -106,43 +106,6 @@ func TestBytesPositiveAndOrdered(t *testing.T) {
 	}
 }
 
-func TestELLPaddingAndRejection(t *testing.T) {
-	// Balanced matrix: no padding beyond the max row.
-	m := matrix.RandomRowSizes(50, 100, uniformSizes(50, 4), 10)
-	f, err := newELL(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Width() != 4 {
-		t.Errorf("ELL width = %d, want 4", f.Width())
-	}
-	if tr := f.Traits(); tr.PaddingRatio != 0 {
-		t.Errorf("balanced ELL padding = %g, want 0", tr.PaddingRatio)
-	}
-
-	// Skewed matrix: padding ratio equals skew.
-	sk := matrix.RandomRowSizes(64, 1000, skewedSizes(64, 640), 11)
-	fs, err := newELL(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nnz := float64(sk.NNZ())
-	wantPad := (float64(64*640) - nnz) / nnz
-	if tr := fs.Traits(); math.Abs(tr.PaddingRatio-wantPad) > 1e-9 {
-		t.Errorf("skewed ELL padding = %g, want %g", tr.PaddingRatio, wantPad)
-	}
-
-	// Pathological matrix: must refuse to build.
-	huge := matrix.NewCOO(1<<20, 1<<20, 2)
-	huge.Append(0, 0, 1)
-	for c := int32(0); c < 1000; c++ {
-		huge.Append(5, c, 1)
-	}
-	if _, err := newELL(huge.ToCSR()); !errors.Is(err, ErrBuild) {
-		t.Errorf("ELL accepted a pathological matrix: %v", err)
-	}
-}
-
 func TestHYBSplit(t *testing.T) {
 	// Rows of size 2 with one size-20 row, threshold defaults near avg=2.
 	sizes := uniformSizes(50, 2)
@@ -240,6 +203,15 @@ func TestSELLCSRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := newSELLCS(m, 4, 0); err == nil {
 		t.Error("sigma 0 accepted")
+	}
+	// One chunk of 2^20 lanes over a 257-entry row pads past
+	// MaxPaddedEntries: refused before the slab is allocated.
+	wide := matrix.NewCOO(2, 300, 257)
+	for c := int32(0); c < 257; c++ {
+		wide.Append(0, c, 1)
+	}
+	if _, err := newSELLCS(wide.ToCSR(), 1<<20, 1); !errors.Is(err, ErrBuild) {
+		t.Errorf("SELL-C-s accepted %d padded entries: %v", 257<<20, err)
 	}
 }
 

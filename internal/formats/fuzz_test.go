@@ -53,7 +53,7 @@ func fuzzEntries(rows, cols byte, entries ...[4]byte) []byte {
 // (fuzzLanes) is bit-equal to its own on one lane, and the four CSR
 // presets are bit-equal to Naive-CSR. The CSR family also builds every input as its widened twin
 // (Cols past narrowMaxCols, x padded with zeros), so its int32 path is
-// fuzzed beside its uint16 one. Values and x stay finite: whether ELL's
+// fuzzed beside its uint16 one. Values and x stay finite: whether HYB's
 // padding slots (column 0, value 0) may turn an infinite or NaN x[0] into a
 // NaN where CSR is finite is a contract not yet decided, so non-finite
 // inputs stay out until it is.

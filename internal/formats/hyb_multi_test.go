@@ -51,7 +51,7 @@ func byColumn(t *testing.T, f *HYB, y, x []float64, k int) {
 
 // TestHYBMultiplyManyMatchesFallback is the bit-equivalence property test
 // for the fused HYB kernel: across matrices and k regimes, the fused
-// two-phase (ELL slab + k-wide spill carries) kernel must produce exactly
+// two-phase (slab + k-wide spill carries) kernel must produce exactly
 // the by-column fallback's bits — the spill's segments and carry fold are
 // the same at every k, so not even rounding may differ.
 func TestHYBMultiplyManyMatchesFallback(t *testing.T) {
@@ -81,7 +81,7 @@ func TestHYBMultiplyManyMatchesFallback(t *testing.T) {
 }
 
 // TestHYBMultiplyManySpillEdges pins the spill-add edge cases: no spill at
-// all (every row fits the ELL width) and a spill run crossing many worker
+// all (every row fits the slab width) and a spill run crossing many worker
 // chunk boundaries (one giant row).
 func TestHYBMultiplyManySpillEdges(t *testing.T) {
 	// Uniform rows: threshold = mean = exact length, zero spill.

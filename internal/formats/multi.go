@@ -6,8 +6,8 @@ package formats
 // the fused kernels stream the matrix once per register tile of vectors,
 // reusing every loaded (value, column) pair k times the same way wide-SIMD
 // formats reuse row structure (Kreutzer et al., SELL-C-sigma). The CSR
-// family's tile is simd.CSRRowRange's; the ladder below is the one of ELL,
-// HYB and SELL-C-sigma.
+// family's tile is simd.CSRRowRange's; the ladder below is the one of HYB
+// and SELL-C-sigma.
 //
 // Layout: X and Y are row-major blocks, k values per matrix column/row.
 // X[c*k+t] is vector t's entry for matrix column c, so one nonzero's k
@@ -23,7 +23,7 @@ package formats
 // a vector's answer depends neither on what it was batched with nor on
 // how many lanes computed it. The fused kernels keep their k = 1 order in
 // every tile lane (the CSR presets simd.CSRRowRangeGo's canonical order at
-// every k, tier and worker count; ELL, HYB, SELL-C-sigma and COO
+// every k, tier and worker count; HYB, SELL-C-sigma and COO
 // sequential sums in entry order; BCSR d += (v0*x0 + v1*x1) per 2x2
 // block), and the formats without one run by column. The formats that
 // split rows (COO, Merge-CSR, CSR5) cut
@@ -63,7 +63,7 @@ const multiTile8 = 8
 const simdMinN = 8
 
 // ladder is the fused row kernel of the formats that store a row as a
-// strided (value, column) stream — ELL and HYB's ELL part (stride rows) and
+// strided (value, column) stream — HYB's slab (stride rows) and
 // SELL-C-sigma (stride C) — holding what the rows of one range call share:
 // the format's arrays, the k-wide blocks, and the two switches resolved
 // once (are the dispatched micro-kernels live, and do they offer the

@@ -152,7 +152,7 @@ func TestQuickMultiplyMany(t *testing.T) {
 		k := int(kRaw%9) + 1
 		m := matrix.Random(rows, rows+3, 0.1, int64(seed))
 		x := matrix.RandomVector(m.Cols*k, int64(seed)+2)
-		for _, name := range []string{"COO", "Naive-CSR", "Bal-CSR", "ELL", "SELL-C-s", "BCSR", "Merge-CSR"} {
+		for _, name := range []string{"COO", "Naive-CSR", "Bal-CSR", "HYB", "SELL-C-s", "BCSR", "Merge-CSR"} {
 			b, _ := Lookup(name)
 			f, err := b.Build(m)
 			if err != nil {
@@ -194,7 +194,7 @@ func TestMultiplyManyShapePanics(t *testing.T) {
 // TestBcastRowMatchesSequentialSum holds the one fused row ladder to its
 // definition, bit for bit: each element is the sequential mul-then-add sum
 // over the row's strided entries, whichever rung a tile lands on — every
-// stride a caller passes (1: contiguous; 3: a SELL chunk; 70: an ELL slab of 70
+// stride a caller passes (1: contiguous; 3: a SELL chunk; 70: a HYB slab of 70
 // rows), row lengths on both sides of simdMinN and of the kernels' unroll,
 // every tile-plus-tail split of k, wide and narrow, dispatched and not, on
 // every tier the host reaches. The row starts at offset 2 and val and col

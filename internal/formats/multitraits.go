@@ -4,25 +4,23 @@ package formats
 // SpMM pass, which differs from the k = 1 view in two opposing ways the
 // old model collapsed into "same traits":
 //
-//   - Padding skip. The fused ELL kernel walks rows through the rowLen
-//     table and the fused HYB kernel inherits it, so tail padding — the
-//     bulk of a skewed slab, which the single-vector kernel streams on
-//     every call — is never touched at all.
+//   - Padding skip. The fused HYB kernel walks its slab's rows through the
+//     rowLen table, so tail padding — which the single-vector kernel
+//     streams on every call — is never touched at all.
 //   - Column-stride line waste. The slab layouts are column-major (stride
-//     = rows for ELL, = C for SELL chunks), so a fused row-major walk uses
-//     one entry per loaded value line and relies on nearby rows (ELL) or
-//     the other lanes and register tiles (SELL) re-hitting the line while
+//     = rows for HYB's slab, = C for SELL chunks), so a fused row-major walk
+//     uses one entry per loaded value line and relies on nearby rows (HYB)
+//     or the other lanes and register tiles (SELL) re-hitting the line while
 //     it is still cached. While the reuse window fits in cache the walk is
 //     free; once the window spills — wide rows, giant skew-sorted chunks —
 //     every reuse becomes its own memory transaction and the effective
 //     stream inflates toward the line/entry ratio.
 //
 // Modeling both closes most of the model-only selection gap at k = 8: the
-// old presentation over-penalized fused ELL on skewed-but-feasible
-// matrices (charging padding the kernel skips) and over-promoted it on
-// wide balanced rows (ignoring the spilled reuse window), and let SELL-C-s
-// keep its compact k = 1 traits even when one giant chunk blows the slab
-// far past any cache.
+// old presentation charged the fused slab walks padding they skip, ignored
+// their spilled reuse window on wide rows, and let SELL-C-s keep its
+// compact k = 1 traits even when one giant chunk blows the slab far past
+// any cache.
 
 import (
 	"math"
@@ -104,7 +102,7 @@ func xWindowBytes(k int) float64 {
 // MultiTraits returns the traits the named format presents to a k-wide
 // SpMM pass, plus whether that pass is fused. For k <= 1, and for every
 // format without slab striding, the traits equal EstimateTraits; the fused
-// slab formats (ELL, SELL-C-s, HYB's ELL part) get the padding-skip and
+// slab formats (SELL-C-s, HYB's slab) get the padding-skip and
 // line-waste corrections described above. The fused/fallback asymmetry in
 // the second return value is what device.Spec.EstimateMulti turns into the
 // k-regime ranking flip: fused formats amortize the matrix stream over k
@@ -116,44 +114,12 @@ func MultiTraits(name string, fv core.FeatureVector, k int) (Traits, bool) {
 		return tr, fused
 	}
 	switch name {
-	case "ELL":
-		tr = ellMultiTraits(fv, k, tr)
 	case "SELL-C-s":
 		tr = sellMultiTraits(fv, k, tr)
 	case "HYB":
 		tr = hybMultiTraits(fv, k, tr)
 	}
 	return tr, fused
-}
-
-// ellMultiTraits models the fused ELL kernel: the rowLen table means only
-// the nnz stored entries are ever touched (PaddingRatio drops to zero),
-// but the row-major walk over the column-major slab strides by `rows`, so
-// one value line serves 8 consecutive rows only while (a) a window of
-// 8 rows x (slab + x-block) traffic stays cached and (b) the neighboring
-// rows actually reach that slab column. Under skew the second condition is
-// what bites: every nonzero sitting beyond the typical row length lives in
-// slab columns its neighbors never touch, so its lines carry one useful
-// entry each — the skipped padding comes back as dead line slack. That
-// exclusive share is exactly the mass above the mean row length, i.e. the
-// HYB spill fraction.
-func ellMultiTraits(fv core.FeatureVector, k int, base Traits) Traits {
-	avg, skew := clampedRowShape(fv)
-	shared := lineWaste(multiValLineEntries * avg * (12 + xWindowBytes(k)))
-	ex := hybSpillFraction(skew) // nnz share in columns only long rows reach
-	waste := (1-ex)*shared + ex*multiValLineEntries
-	// Touched stream: 12 bytes per stored nonzero inflated by the line
-	// waste, plus the per-row length table. The fused kernel walks rows in
-	// the OUTER loop (unlike the k = 1 column sweep), so ColumnMajor's
-	// row-overhead exemption does not carry over.
-	meta := 12*waste - 8 + 4/avg
-	return Traits{
-		Balancing:       base.Balancing,
-		PaddingRatio:    0,
-		MetaBytesPerNNZ: meta,
-		Class:           base.Class,
-		Preprocessed:    base.Preprocessed,
-	}
 }
 
 // sellMultiTraits models the fused SELL-C-sigma kernel: lanes re-walk
@@ -176,24 +142,24 @@ func sellMultiTraits(fv core.FeatureVector, k int, base Traits) Traits {
 	return tr
 }
 
-// hybMultiTraits models the fused HYB kernel: the ELL part is width-capped
-// at the mean row length (so its reuse window is avg-sized with no heavy
-// tail — spill absorbed the skew) and skips its padding via the rowLen
-// table; the COO spill part streams contiguously with no stride waste.
-// Only the ELL-resident share of the stream pays the line waste.
+// hybMultiTraits models the fused HYB kernel: the slab is width-capped at
+// the mean row length (so its reuse window is avg-sized with no heavy tail
+// — spill absorbed the skew) and skips its padding via the rowLen table;
+// the spill streams contiguously with no stride waste. Only the
+// slab-resident share of the stream pays the line waste.
 func hybMultiTraits(fv core.FeatureVector, k int, base Traits) Traits {
 	avg, skew := clampedRowShape(fv)
 	spill := hybSpillFraction(skew)
 	waste := lineWaste(multiValLineEntries * avg * (12 + xWindowBytes(k)))
-	ellShare := 1 - spill
-	// ELL-part entries: 12 bytes inflated by waste, padding skipped; spill
+	slabShare := 1 - spill
+	// Slab entries: 12 bytes inflated by waste, padding skipped; spill
 	// entries keep their 16-byte COO cost; the split row-length table and
 	// the spill phase's k-wide y reload (the second pass reads and rewrites
-	// Y on top of the ELL result) ride on top.
-	meta := ellShare*12*waste + spill*16 - 8 + 4/avg + 16/avg
+	// Y on top of the slab result) ride on top.
+	meta := slabShare*12*waste + spill*16 - 8 + 4/avg + 16/avg
 	tr := base
 	tr.PaddingRatio = 0
 	tr.MetaBytesPerNNZ = meta
-	tr.ColumnMajor = false // the fused ELL-part walk is row-major
+	tr.ColumnMajor = false // the fused slab walk is row-major
 	return tr
 }

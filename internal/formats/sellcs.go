@@ -90,8 +90,8 @@ func newSELLCS(m *matrix.CSR, c, sigma int) (*SELLCS, error) {
 		total += int64(maxLen) * int64(c)
 	}
 	f.chunkPtr[nChunks] = total
-	if total > MaxELLPaddedEntries {
-		return nil, fmt.Errorf("%w SELL-C-s: %d padded entries (max %d)", ErrBuild, total, int64(MaxELLPaddedEntries))
+	if total > MaxPaddedEntries {
+		return nil, fmt.Errorf("%w SELL-C-s: %d padded entries (max %d)", ErrBuild, total, int64(MaxPaddedEntries))
 	}
 
 	f.colIdx = make([]int32, total)

@@ -14,7 +14,7 @@ import (
 // kernel path changes, never the layout), BIT FOR BIT. The
 // accumulation-order contract (internal/simd) makes every dispatched
 // kernel a drop-in for its scalar loop: the CSR presets run
-// simd.CSRRowRangeGo's canonical order at every tier, the ELL, SELL-C-s,
+// simd.CSRRowRangeGo's canonical order at every tier, the HYB, SELL-C-s,
 // BCSR and fused multi kernels their scalar loops' order per output
 // element.
 

@@ -51,10 +51,10 @@ func RowBlocks(rowPtr []int32, p int) []Range {
 	return out
 }
 
-// EvenRows splits rows into p contiguous blocks of near-equal row count
-// without consulting a row-pointer array, for formats whose per-row work is
-// uniform by construction (ELL, DIA). The NNZ fields count rows, so
-// Imbalance still reflects the distribution.
+// EvenRows splits rows (or any units) into p contiguous blocks of
+// near-equal count without consulting a row-pointer array: where lanes
+// start claiming when the work per unit is not known up front. The NNZ
+// fields count units, so Imbalance still reflects the distribution.
 func EvenRows(rows, p int) []Range {
 	if p < 1 {
 		p = 1

@@ -88,9 +88,9 @@ func TestLiveMatchesReopened(t *testing.T) {
 		for i := 0; i < 3*256; i++ {
 			c.Put(key(uint64(100+i), 1), sample(30000+i, "COO"))
 		}
-		c.Put(key(3, 8), sample(20002, "ELL"))
-		if got := agree(t, s, dir, 8, near(20000)); got != "ELL" {
-			t.Errorf("pick %q, want the fresh ELL over the aged COO majority", got)
+		c.Put(key(3, 8), sample(20002, "HYB"))
+		if got := agree(t, s, dir, 8, near(20000)); got != "HYB" {
+			t.Errorf("pick %q, want the fresh HYB over the aged COO majority", got)
 		}
 	})
 	t.Run("nocache", func(t *testing.T) {
@@ -110,7 +110,7 @@ func TestLiveMatchesReopened(t *testing.T) {
 		// A journal another session wrote.
 		prior := open(t, dir)
 		prior.Cache().Put(key(1, 8), sample(20000, "COO"))
-		prior.Cache().Put(key(2, 8), sample(20001, "ELL"))
+		prior.Cache().Put(key(2, 8), sample(20001, "BCSR"))
 		prior.Cache().Put(key(3, 1), cache.Decision{Format: "CSR5"})
 		prior.Close()
 		// Decisions made in memory first: a new one, one the journal holds

@@ -14,15 +14,15 @@ func TestWeightedVote(t *testing.T) {
 	n := TrainSamples([]Sample{
 		{FV: fv, Best: "COO", Weight: 0.2},
 		{FV: fv, Best: "COO", Weight: 0.2},
-		{FV: fv, Best: "ELL", Weight: 1},
+		{FV: fv, Best: "HYB", Weight: 1},
 	}, 3)
-	if name, ok := n.Predict(fv); !ok || name != "ELL" {
-		t.Fatalf("weighted vote = %q,%v; want the full-weight ELL to beat two 0.2 COO votes", name, ok)
+	if name, ok := n.Predict(fv); !ok || name != "HYB" {
+		t.Fatalf("weighted vote = %q,%v; want the full-weight HYB to beat two 0.2 COO votes", name, ok)
 	}
 	n = TrainSamples([]Sample{
 		{FV: fv, Best: "COO"},
 		{FV: fv, Best: "COO"},
-		{FV: fv, Best: "ELL"},
+		{FV: fv, Best: "HYB"},
 	}, 3)
 	if name, ok := n.Predict(fv); !ok || name != "COO" {
 		t.Fatalf("unweighted vote = %q,%v; want the 2-1 COO majority", name, ok)
@@ -31,7 +31,7 @@ func TestWeightedVote(t *testing.T) {
 
 // TestVoteAgesExperience: the vote weighs each sample by its age, so a
 // stale measured majority cannot outvote fresh evidence. The regime of
-// interest holds two old "COO" wins and one fresh "ELL" win on
+// interest holds two old "COO" wins and one fresh "HYB" win on
 // near-identical matrices; with three half-lives (3 × 256) of other
 // regimes' samples (and any number of sample-less decisions, which do not
 // age anything) between them, the fresh sample must win the vote it would
@@ -55,7 +55,7 @@ func TestVoteAgesExperience(t *testing.T) {
 		put("aging-filler", 1, sample(30000+i, "COO"))
 		put("host", 8, cache.Decision{Format: "COO"}) // model-only: no sample, no aging
 	}
-	put("host", 8, sample(20002, "ELL"))
+	put("host", 8, sample(20002, "HYB"))
 	st.Close()
 
 	re, _ := journaled(t, dir)
@@ -63,8 +63,8 @@ func TestVoteAgesExperience(t *testing.T) {
 		if votes, _ := c.Samples("host", 8); len(votes) != 3 {
 			t.Fatalf("%s: host/k=8 votes with %d samples, want 3", name, len(votes))
 		}
-		if got, ok := vote(c, "host", 8, sample(20000, "").FV); !ok || got != "ELL" {
-			t.Errorf("%s: aged pick = %q,%v; want fresh ELL to outvote the stale COO majority", name, got, ok)
+		if got, ok := vote(c, "host", 8, sample(20000, "").FV); !ok || got != "HYB" {
+			t.Errorf("%s: aged pick = %q,%v; want fresh HYB to outvote the stale COO majority", name, got, ok)
 		}
 	}
 

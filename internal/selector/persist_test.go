@@ -154,37 +154,41 @@ func TestOneDecisionOneSample(t *testing.T) {
 }
 
 // TestStaleJournalFormatReselects: a journal written by a build that had a
-// format this one lacks (DIA lost its kernel) cannot serve that decision;
-// the build selects afresh and its decision is the only one left for the
-// key once the journal is compacted.
+// format this one lacks (DIA and ELL lost their kernels) cannot serve that
+// decision; the build selects afresh and its decision is the only one left
+// for the key once the journal is compacted.
 func TestStaleJournalFormatReselects(t *testing.T) {
-	dir := t.TempDir()
 	m := genMatrix(t, 3000, 10, 5, 12)
-	journal := fmt.Sprintf("{\"v\":2,\"kind\":\"header\",\"schema\":2,\"host\":%q}\n"+
-		"{\"v\":2,\"kind\":\"decision\",\"lvl\":%q,\"fp\":%d,\"device\":\"host\",\"k\":1,\"format\":\"DIA\"}\n",
-		cache.HostFingerprint(), simd.Level(), m.Fingerprint())
-	if err := os.WriteFile(filepath.Join(dir, "decisions.jsonl"), []byte(journal), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dc, st := journaled(t, dir)
-	if n := st.Stats().Decisions; n != 1 {
-		t.Fatalf("loaded %d decisions, want the stale one", n)
-	}
-	a, err := BuildAuto(m, AutoOptions{Cache: dc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := formats.Lookup(a.Chosen()); !ok || a.Choice().Cached {
-		t.Errorf("chose %q, cached %v: want a fresh pick with a kernel", a.Chosen(), a.Choice().Cached)
-	}
-	if err := dc.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	re, _ := journaled(t, dir)
-	keys, decs := re.Decisions()
-	if len(keys) != 1 || keys[0].Fingerprint != m.Fingerprint() || decs[0].Format != a.Chosen() {
-		t.Errorf("compacted journal holds %+v %+v, want only the new %q decision", keys, decs, a.Chosen())
+	for _, stale := range []string{"DIA", "ELL"} {
+		t.Run(stale, func(t *testing.T) {
+			dir := t.TempDir()
+			journal := fmt.Sprintf("{\"v\":2,\"kind\":\"header\",\"schema\":2,\"host\":%q}\n"+
+				"{\"v\":2,\"kind\":\"decision\",\"lvl\":%q,\"fp\":%d,\"device\":\"host\",\"k\":1,\"format\":%q}\n",
+				cache.HostFingerprint(), simd.Level(), m.Fingerprint(), stale)
+			if err := os.WriteFile(filepath.Join(dir, "decisions.jsonl"), []byte(journal), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			dc, st := journaled(t, dir)
+			if n := st.Stats().Decisions; n != 1 {
+				t.Fatalf("loaded %d decisions, want the stale one", n)
+			}
+			a, err := BuildAuto(m, AutoOptions{Cache: dc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := formats.Lookup(a.Chosen()); !ok || a.Choice().Cached {
+				t.Errorf("chose %q, cached %v: want a fresh pick with a kernel", a.Chosen(), a.Choice().Cached)
+			}
+			if err := dc.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			re, _ := journaled(t, dir)
+			keys, decs := re.Decisions()
+			if len(keys) != 1 || keys[0].Fingerprint != m.Fingerprint() || decs[0].Format != a.Chosen() {
+				t.Errorf("compacted journal holds %+v %+v, want only the new %q decision", keys, decs, a.Chosen())
+			}
+		})
 	}
 }
 
@@ -236,29 +240,32 @@ func TestTunedJournalLineBuildsDefault(t *testing.T) {
 }
 
 // TestLearnedPickMustBeOffered: a k-NN sample naming a format the device
-// does not offer (DIA, journaled when it still had a kernel) does not steer
-// the shortlist: promoting it would put an unbuildable name first.
+// does not offer (DIA or ELL, journaled when it still had a kernel) does
+// not steer the shortlist: promoting it would put an unbuildable name
+// first.
 func TestLearnedPickMustBeOffered(t *testing.T) {
 	defer func(prev func() device.Spec) { hostSpec = prev }(hostSpec)
 	hostSpec = fixtureHost
 	m := genMatrix(t, 3000, 10, 5, 13)
-	dc := cache.NewDecisionCache()
 	// A sample of m's own features under another fingerprint: m's build
 	// misses the cache, but the vote reads it.
 	other := cache.DecisionKey{Fingerprint: 1, Device: "host", K: 1}
-	dc.Put(other, cache.Decision{Format: "DIA", Probed: true, FV: core.Extract(m)})
-	a, err := BuildAuto(m, AutoOptions{Cache: dc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := a.Choice()
-	if c.Voted || slices.Contains(c.Shortlist, "DIA") {
-		t.Errorf("voted %v, shortlist %v: a format without a kernel steered the choice", c.Voted, c.Shortlist)
+	for _, stale := range []string{"DIA", "ELL"} {
+		dc := cache.NewDecisionCache()
+		dc.Put(other, cache.Decision{Format: stale, Probed: true, FV: core.Extract(m)})
+		a, err := BuildAuto(m, AutoOptions{Cache: dc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := a.Choice(); c.Voted || slices.Contains(c.Shortlist, stale) {
+			t.Errorf("%s: voted %v, shortlist %v: a format without a kernel steered the choice", stale, c.Voted, c.Shortlist)
+		}
 	}
 	// An offered format still steers.
-	dc.InvalidateFingerprint(m.Fingerprint())
+	dc := cache.NewDecisionCache()
 	dc.Put(other, cache.Decision{Format: "CSR5", Probed: true, FV: core.Extract(m)})
-	if a, err = BuildAuto(m, AutoOptions{Cache: dc}); err != nil {
+	a, err := BuildAuto(m, AutoOptions{Cache: dc})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c := a.Choice(); !c.Voted || c.Shortlist[0] != "CSR5" {

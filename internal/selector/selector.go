@@ -44,7 +44,7 @@ func rulesOrder(fv core.FeatureVector) []string {
 		// amortize row overheads best.
 		return []string{"Merge-CSR", "MKL-IE", "Bal-CSR", "CSR5", "Naive-CSR", "COO", "VSL"}
 	case fv.SkewCoeff <= 100 && fv.AvgNNZPerRow >= 50:
-		// Long balanced rows: vectorized/ELL-style formats shine.
+		// Long balanced rows: vectorized and padded-slab formats shine.
 		return []string{"SELL-C-s", "Vec-CSR", "MKL-IE", "HYB", "Bal-CSR", "VSL"}
 	default:
 		return []string{"MKL-IE", "Bal-CSR", "CSR5", "Merge-CSR", "Naive-CSR", "VSL"}
@@ -71,7 +71,7 @@ func Rules(spec device.Spec, fv core.FeatureVector) string { return RulesK(spec,
 // preferred within each family — a fused format's rate grows with k while
 // a by-column-fallback format keeps its single-vector rate, so under SpMM
 // the fused runner-up usually beats the fallback front-runner (the
-// win-rate flip PR 3 measured for ELL and Merge-CSR).
+// win-rate flip measured for the fused slab formats and Merge-CSR).
 func RulesK(spec device.Spec, fv core.FeatureVector, k int) string {
 	order := rulesOrder(fv)
 	if k > 1 {

@@ -1,5 +1,5 @@
 // Package simd provides vectorized micro-kernels for the hottest SpMV
-// inner loops — the CSR row-range product, the ELL/SELL-C-sigma slab sweeps,
+// inner loops — the CSR row-range product, the HYB/SELL-C-sigma slab sweeps,
 // the BCSR 2x2 tile, and the k-wide broadcast tiles of the fused SpMM
 // kernels — with runtime CPU-feature detection and per-kernel
 // function-pointer dispatch across a ladder of tiers.
@@ -38,7 +38,7 @@
 //     a product of exactly -0 adds as +0, as in 0 + a*b; a masked step
 //     writes its live lanes only, so a dead lane's 0*0 never turns a sum
 //     of -0 (an underflowed negative product) into +0.
-//   - AxpyGather (ELL column sweep): each y[j] receives exactly one
+//   - AxpyGather (HYB column sweep): each y[j] receives exactly one
 //     mul-then-add per slab column, in the same column order.
 //   - LaneDot4 / LaneDot8 (SELL-C-sigma slab): each lane's sum accumulates
 //     sequentially in ascending column order (lanes are independent SIMD
@@ -46,7 +46,7 @@
 //   - Bcsr2x2 / Bcsr2x2Tile / Bcsr2x2Tile8: per block (and lane) the
 //     scalar kernel computes d += (v0*x0 + v1*x1); the vector kernels
 //     reproduce exactly that pairing. Bcsr2x2 has no AVX-512 rung.
-//   - DotBcastTile / DotBcastTile8 (the fused SpMM tiles of ELL, HYB and
+//   - DotBcastTile / DotBcastTile8 (the fused SpMM tiles of HYB and
 //     SELL-C-sigma): each vector lane is an independent sequential sum in
 //     entry order.
 //

@@ -81,8 +81,11 @@ func TestEndToEndPipeline(t *testing.T) {
 }
 
 func TestFacadeLookups(t *testing.T) {
-	if len(spmv.Formats()) != 12 {
-		t.Errorf("formats = %d, want 12", len(spmv.Formats()))
+	if len(spmv.Formats()) != 11 {
+		t.Errorf("formats = %d, want 11", len(spmv.Formats()))
+	}
+	if _, ok := spmv.FormatByName("ELL"); ok {
+		t.Error("ELL is back in the facade: HYB's slab is the one padded-slab kernel")
 	}
 	if len(spmv.Devices()) != 9 {
 		t.Errorf("devices = %d, want 9", len(spmv.Devices()))
