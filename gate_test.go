@@ -244,11 +244,13 @@ func TestParallelNotSlowerThanSerialGate(t *testing.T) {
 // the trajectory benchmark's lib-stream matrix (420000^2 x 20 nnz/row,
 // skew 4: row length decays from 78 in the first decile to 2.6 in the
 // last) a closed loop of spmv.Multiply at two workers must run at least
-// 1.5x faster than at one. MKL-IE starts its lanes with equal nonzeros,
-// which are not equal times — a row costs sixteen nonzeros' worth — and
-// Naive-CSR with equal rows, nine tenths of the nonzeros on lane 0; lanes
-// that own their ranges read 1.05-1.41x here, lanes that claim chunks off
-// each other 1.8-2.0x.
+// 1.5x faster than at one. Both formats start their lanes at the driver's
+// equal cut of cum, which prices a row as one nonzero while a row costs
+// about sixteen nonzeros' worth, so equal cum is not equal time and the
+// gate still measures what claiming rescues: lanes that owned their
+// ranges read 1.05-1.41x here (MKL-IE from equal nonzeros, Naive-CSR from
+// equal rows, nine tenths of the nonzeros on lane 0), lanes that claim
+// chunks off each other 1.8-2.0x.
 func TestSkewedLanesScaleGate(t *testing.T) {
 	needTwoCPUs(t)
 	m, err := spmv.Generate(spmv.GeneratorParams{

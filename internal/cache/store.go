@@ -90,7 +90,10 @@ func Dir() (string, error) {
 // belong to — including the usable parallelism (GOMAXPROCS), because the
 // host device model and every micro-probe run at that width: a decision
 // probed under 2 workers is not evidence about a 32-worker process even
-// on the same chip. The SIMD component is the *detected* hardware tier,
+// on the same chip. The last component names the CPU (simd.CPU: vendor,
+// family, model, stepping), since the best format changes from one CPU to
+// another at equal core count and SIMD tier. The SIMD component is the
+// *detected* hardware tier,
 // not the dispatched one: a run capped with SPMV_SIMD_LEVEL=avx2 on an
 // AVX-512 box is still the same machine, and its journal must not be
 // invalidated wholesale when the next run lifts the cap. The cap's effect
@@ -98,8 +101,8 @@ func Dir() (string, error) {
 // level it was measured under (simd.Level()), and load filters
 // records from other levels without discarding them.
 func HostFingerprint() string {
-	return fmt.Sprintf("%s/%s/cpu%d/p%d/%s", runtime.GOOS, runtime.GOARCH,
-		runtime.NumCPU(), runtime.GOMAXPROCS(0), simd.DetectedLevel())
+	return fmt.Sprintf("%s/%s/cpu%d/p%d/%s/%s", runtime.GOOS, runtime.GOARCH,
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), simd.DetectedLevel(), simd.CPU())
 }
 
 // record is one JSONL journal line. Kind selects which fields are live:

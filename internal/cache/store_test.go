@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -154,6 +155,43 @@ func TestStoreHostInvalidation(t *testing.T) {
 	re, _ := attached(t, dir)
 	if keys, _ := re.Decisions(); len(keys) != 1 {
 		t.Fatalf("post-invalidation append lost: %+v", keys)
+	}
+}
+
+// TestStoreDiscardsOtherCPU: the host fingerprint ends in the CPU
+// component (simd.CPU, set on amd64), and a journal whose header differs
+// from this host's only there was written on another
+// processor, whatever its core count and SIMD tier: it is invalidated on
+// open and none of its decisions load. The same lines under this host's
+// header load, so the forged component is what sets them aside.
+func TestStoreDiscardsOtherCPU(t *testing.T) {
+	host := HostFingerprint()
+	if !strings.HasSuffix(host, "/"+simd.CPU()) || (runtime.GOARCH == "amd64" && simd.CPU() == "") {
+		t.Fatalf("host fingerprint %q does not end in the CPU component %q", host, simd.CPU())
+	}
+	other := "AuthenticAMD-26.2.0"
+	if simd.CPU() == other {
+		other = "GenuineIntel-6.207.2"
+	}
+	forged := strings.TrimSuffix(host, simd.CPU()) + other
+	for _, tc := range []struct {
+		header string
+		load   bool
+	}{{host, true}, {forged, false}} {
+		dir := t.TempDir()
+		lines := []string{
+			fmt.Sprintf(`{"v":2,"kind":"header","schema":2,"host":%q}`, tc.header),
+			fmt.Sprintf(`{"v":2,"kind":"decision","lvl":%q,"fp":5,"device":"host","k":1,"format":"MKL-IE","probed":true}`, simd.Level()),
+		}
+		if err := os.WriteFile(filepath.Join(dir, journalName), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, st := attached(t, dir)
+		keys, _ := c.Decisions()
+		if got := st.Stats().Invalidated; got == tc.load || (len(keys) == 1) != tc.load {
+			t.Errorf("header %q: invalidated %v with %d decisions loaded, want loaded %v", tc.header, got, len(keys), tc.load)
+		}
+		st.Close()
 	}
 }
 

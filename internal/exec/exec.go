@@ -1,18 +1,16 @@
 // Package exec is the persistent SpMV execution engine: one worker pool
-// that format kernels dispatch onto, plus inspector-style execution plans
-// that cache each format's partition (and the dispatcher's lane frame)
-// keyed by worker count.
+// that format kernels dispatch onto.
 //
 // The seed implementation paid a goroutine-spawn + sync.WaitGroup round
-// trip and recomputed its sched partition on every SpMV call. For the
-// iterative workloads this repository targets (CG solves, benchmark loops,
-// persistent serving), that per-call overhead dwarfs the kernel itself on
-// small and medium matrices. The engine follows the inspector-executor
-// discipline of MKL-IE, SELL-C-sigma and merge-based SpMV: analyze once,
-// execute many times.
+// trip on every SpMV call. For the iterative workloads this repository
+// targets (CG solves, benchmark loops, persistent serving), that per-call
+// overhead dwarfs the kernel itself on small and medium matrices. Where a
+// call's lanes start and which chunks they claim belongs to the formats
+// driver, which keeps its lane frame per format instance; the engine only
+// runs lanes.
 //
-// Four mechanisms deliver steady-state calls with zero scheduling work and
-// no allocation:
+// Three mechanisms deliver steady-state calls with zero scheduling work
+// and no allocation:
 //
 //   - Pool: worker goroutines are reused across calls and take their lanes
 //     from per-worker atomic slots. A worker that has just finished a lane
@@ -30,12 +28,6 @@
 //     idle; a call that finds it busy runs every lane but its own on
 //     spawned goroutines, so the engine never deadlocks and never queues.
 //     A call wider than the pool spawns the lanes its workers cannot take.
-//   - Plan/PlanCache: a format computes its sched.Range partition once per
-//     worker count — the width a grant reports — and caches it, with the
-//     dispatcher's lane frame, inside the format instance. Matrices are
-//     immutable after build, so plans never invalidate. Two calls in flight
-//     on one instance share the plan; the one that finds its lock taken
-//     runs on a private frame.
 //   - Workers: a serial fast-path cutoff. Parallelism below MinGrain work
 //     items per worker costs more in handoff latency than it saves, and
 //     worker counts beyond the machine's parallelism only add overhead, so

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/sched"
 )
 
 func TestPoolRunsEveryShardOnce(t *testing.T) {
@@ -176,56 +174,6 @@ func TestSetMaxWorkersRestore(t *testing.T) {
 	SetMaxWorkers(prev)
 	if MaxWorkers() != runtime.GOMAXPROCS(0) && prev == 0 {
 		t.Fatalf("restore failed")
-	}
-}
-
-func TestPlanCacheBuildsOncePerKey(t *testing.T) {
-	c := NewPlanCache()
-	var builds int32
-	build := func(workers int) *Plan {
-		atomic.AddInt32(&builds, 1)
-		return &Plan{Ranges: make([]sched.Range, workers)}
-	}
-	const key = 4
-	var wg sync.WaitGroup
-	plans := make([]*Plan, 16)
-	for g := range plans {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			plans[g] = c.Get(key, build)
-		}(g)
-	}
-	wg.Wait()
-	for _, pl := range plans[1:] {
-		if pl != plans[0] {
-			t.Fatal("concurrent Get returned different plans")
-		}
-	}
-	if builds != 1 {
-		t.Fatalf("build ran %d times, want 1", builds)
-	}
-	c.Get(8, build)
-	if builds != 2 || c.Len() != 2 {
-		t.Fatalf("second worker count: builds=%d len=%d", builds, c.Len())
-	}
-	// A worker count seen before is served from the cache.
-	c.Get(4, build)
-	if builds != 2 || c.Len() != 2 {
-		t.Fatalf("repeated worker count: builds=%d len=%d, want 2 and 2", builds, c.Len())
-	}
-}
-
-func TestPlanCacheWarmGetZeroAllocs(t *testing.T) {
-	c := NewPlanCache()
-	build := func(int) *Plan { return &Plan{} }
-	const key = 4
-	c.Get(key, build)
-	allocs := testing.AllocsPerRun(100, func() {
-		c.Get(key, build)
-	})
-	if allocs > 0 {
-		t.Errorf("warm Get allocates %v times per call, want 0", allocs)
 	}
 }
 

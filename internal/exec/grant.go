@@ -107,8 +107,8 @@ func (s *spill) run(c call, w int) {
 }
 
 // Release frees a grant's pool without running work. It is a no-op after
-// Run; kernels defer it so a panic between Acquire and Run (a failing plan
-// builder, a shape check in a nested call) can never leave the pool locked
+// Run; kernels defer it so a panic between Acquire and Run (a shape check
+// in a nested call) can never leave the pool locked
 // for the life of the process.
 func (g *Grant) Release() {
 	if g.pool != nil {

@@ -1,9 +1,7 @@
 package formats
 
 import (
-	"repro/internal/exec"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/simd"
 )
 
@@ -292,11 +290,6 @@ func (f *BCSR) units() int { return f.blockRows }
 
 // cum: stored block values plus a block-row visit each.
 func (f *BCSR) cum(i int) int64 { return int64(f.rowPtr[i])*4 + int64(i) }
-
-// plan balances blocks over whole block rows.
-func (f *BCSR) plan(workers int) *exec.Plan {
-	return &exec.Plan{Ranges: sched.NNZBalanced(f.rowPtr, workers)}
-}
 
 func (f *BCSR) apply(y, x, _ []float64, k, lo, hi int) {
 	if k == 1 {

@@ -3,6 +3,7 @@ package formats
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -30,16 +31,18 @@ const (
 	subGrainCost = cancelGrain / 2 / probeUnits
 )
 
-// probe is a range kernel over probeUnits units of equal cost, one output
-// row each. It counts the apply calls that covered each unit and runs the
-// test's hook inside every call.
+// probe is a range kernel over probeUnits units, one output row each, of
+// equal cost but for an optional spike on one unit. It counts the apply
+// calls that covered each unit and runs the test's hook inside every call.
 type probe struct {
 	driver
-	cost  int64 // cum units per unit
-	seen  [probeUnits]atomic.Int32
-	calls atomic.Int32
-	done  atomic.Int32     // units whose apply has returned
-	hook  func(lo, hi int) // set between calls only
+	cost    int64 // cum units per unit
+	spikeAt int   // the unit that costs spike more
+	spike   int64
+	seen    [probeUnits]atomic.Int32
+	calls   atomic.Int32
+	done    atomic.Int32     // units whose apply has returned
+	hook    func(lo, hi int) // set between calls only
 }
 
 // The probe's apply ignores k — one call per chunk at any k — so it is
@@ -48,20 +51,27 @@ func init() { fusedMulti["probe"] = true }
 
 func newProbe() *probe { return newProbeOf(probeCost) }
 
-func newProbeOf(cost int64) *probe {
-	p := &probe{cost: cost}
+func newProbeOf(cost int64) *probe { return newSpikedProbe(cost, 0, 0) }
+
+func newSpikedProbe(cost int64, at int, spike int64) *probe {
+	p := &probe{cost: cost, spikeAt: at, spike: spike}
 	p.bind(p)
 	return p
 }
 
-func (p *probe) Name() string    { return "probe" }
-func (p *probe) Rows() int       { return probeUnits }
-func (p *probe) Cols() int       { return 1 }
-func (p *probe) NNZ() int64      { return probeUnits }
-func (p *probe) Bytes() int64    { return 0 }
-func (p *probe) Traits() Traits  { return Traits{} }
-func (p *probe) units() int      { return probeUnits }
-func (p *probe) cum(i int) int64 { return int64(i) * p.cost }
+func (p *probe) Name() string   { return "probe" }
+func (p *probe) Rows() int      { return probeUnits }
+func (p *probe) Cols() int      { return 1 }
+func (p *probe) NNZ() int64     { return probeUnits }
+func (p *probe) Bytes() int64   { return 0 }
+func (p *probe) Traits() Traits { return Traits{} }
+func (p *probe) units() int     { return probeUnits }
+func (p *probe) cum(i int) int64 {
+	if i > p.spikeAt {
+		return int64(i)*p.cost + p.spike
+	}
+	return int64(i) * p.cost
+}
 
 func (p *probe) apply(y, x, _ []float64, k, lo, hi int) {
 	p.calls.Add(1)
@@ -87,34 +97,40 @@ func (p *probe) reset(hook func(lo, hi int)) {
 	p.hook = hook
 }
 
-// ranges is the initial assignment of a workers-wide dispatch;
-// a serial call is one lane over everything.
+// ranges is the driver's cut for a workers-wide dispatch: where each lane
+// starts claiming, and where the next one does.
 func (p *probe) ranges(workers int) []sched.Range {
-	if workers == 1 {
-		return []sched.Range{{RowHi: probeUnits}}
+	fr := newFrame(&p.driver)
+	p.cut(fr, workers)
+	out := make([]sched.Range, workers)
+	for w := range fr.cur {
+		out[w] = sched.Range{RowLo: fr.cur[w].lo, RowHi: fr.cur[w].hi}
 	}
-	return p.plan(workers).Ranges
-}
-
-// chunk is how many units one claim of a workers-wide call at k covers:
-// ctxGrain(k) for a serial call, the call-scaled grain for a parallel one.
-func (p *probe) chunk(k, workers int) int {
-	g := ctxGrain(k)
-	if workers > 1 {
-		g = p.grain(k, len(p.ranges(workers)))
-	}
-	return int((g + p.cost - 1) / p.cost)
+	return out
 }
 
 // checkOnce fails unless the last call, workers wide, covered every unit in
 // exactly one apply, wrote every y slot, and cut each range into chunks of
-// the call's grain at k.
+// the call's grain at k: each chunk ends at the first unit boundary whose
+// cum reaches the grain past its start, or at its range's end.
 func (p *probe) checkOnce(t *testing.T, label string, y, x []float64, k, workers int) {
 	t.Helper()
-	chunk := p.chunk(k, workers)
+	g := ctxGrain(k)
+	if workers > 1 {
+		g = p.grain(k, workers)
+	}
 	want := 0
 	for _, r := range p.ranges(workers) {
-		want += (r.Rows() + chunk - 1) / chunk
+		for lo := r.RowLo; lo < r.RowHi; want++ {
+			end := lo + 1
+			if p.cum(r.RowHi)-p.cum(lo) <= g {
+				end = r.RowHi
+			}
+			for end < r.RowHi && p.cum(end)-p.cum(lo) < g {
+				end++
+			}
+			lo = end
+		}
 	}
 	for u := range p.seen {
 		if n := p.seen[u].Load(); n != 1 {
@@ -175,6 +191,58 @@ func TestClaimLoopFinishesAStalledLanesRange(t *testing.T) {
 			}
 			p.checkOnce(t, "stalled lane", y, x, k, workers)
 		}
+	}
+}
+
+// TestEqualWorkCut pins where lanes start: lane w at the first unit whose
+// cum reaches w·work/lanes. On the uniform probe that rounds each share up
+// to a unit boundary. With unit 100 costing twice all the others together —
+// more than a lane's share — lane 1's share ends inside it at four lanes,
+// so lane 1 starts where lane 2 does, with an empty range. With the spike
+// on the last unit, lane 1 of two starts at the end and has nothing of its
+// own. Whichever lane enters the first chunk is held there until every
+// other unit is done, so the call returns only because the other lanes,
+// the empty one included, took chunks off the ranges that have them; every
+// unit is applied exactly once.
+func TestEqualWorkCut(t *testing.T) {
+	defer exec.SetMaxWorkers(exec.SetMaxWorkers(4))
+	const spike = 2 * probeUnits * probeCost
+	for _, tc := range []struct {
+		at      int
+		spike   int64
+		workers int
+		starts  []int
+	}{
+		{0, 0, 3, []int{0, 683, 1366}},                   // 2048/3 and 4096/3 rounded up
+		{100, spike, 4, []int{0, 101, 101, 512}},         // unit 101 begins at 4197 units of work, unit 512 at 4608
+		{probeUnits - 1, spike, 2, []int{0, probeUnits}}, // the last unit holds two thirds of the work
+	} {
+		label := fmt.Sprintf("spike %d at unit %d, %d lanes", tc.spike, tc.at, tc.workers)
+		p := newSpikedProbe(probeCost, tc.at, tc.spike)
+		for w, r := range p.ranges(tc.workers) {
+			hi := probeUnits
+			if w+1 < tc.workers {
+				hi = tc.starts[w+1]
+			}
+			if r.RowLo != tc.starts[w] || r.RowHi != hi {
+				t.Fatalf("%s: lane %d has [%d, %d), want [%d, %d)", label, w, r.RowLo, r.RowHi, tc.starts[w], hi)
+			}
+		}
+		var held, timedOut atomic.Bool
+		p.reset(func(lo, hi int) {
+			if held.CompareAndSwap(false, true) && !await(func() bool { return int(p.done.Load()) == probeUnits-(hi-lo) }) {
+				timedOut.Store(true)
+			}
+		})
+		x := []float64{3}
+		y := nanFilled(probeUnits)
+		if err := p.Apply(context.Background(), y, x, 1, tc.workers); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if timedOut.Load() {
+			t.Fatalf("%s: nobody finished the held lane's range", label)
+		}
+		p.checkOnce(t, label, y, x, 1, tc.workers)
 	}
 }
 

@@ -1,18 +1,18 @@
 package formats
 
 import (
-	"repro/internal/exec"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/simd"
 )
 
 // CSR is the compressed-sparse-row format with one kernel: every row in
 // simd.CSRRowRangeGo's canonical order at every SIMD tier and every k, so
 // a (matrix, x) gets one y whatever preset, tier, worker count or batch
-// width computes it. The paper's four CSR formats are presets of it that
-// set two switches: the partition policy and whether rows run the
-// dispatched kernel (simd.CSRRowRange) or its Go reference.
+// width computes it. The paper's four CSR formats are presets of it, and
+// one switch tells them apart at run time: whether rows run the dispatched
+// kernel (simd.CSRRowRange) or its Go reference. Their partition
+// discipline is a trait the device models price; on the host every
+// preset's lanes start at the driver's equal-work cut.
 //
 //	Naive-CSR  Go kernel          row blocks
 //	Bal-CSR    Go kernel          nonzero-balanced
@@ -21,7 +21,8 @@ import (
 //	                              inspection finds the row lengths skewed
 //
 // MKL-IE stands for the vendors' inspector-executor CSR (Intel MKL,
-// AOCL-Sparse, ARMPL), whose build step commits to an execution strategy.
+// AOCL-Sparse, ARMPL), whose build step commits to an execution strategy;
+// here the inspection sets a trait only.
 //
 // On at most narrowMaxCols columns the family stores 2-byte column indices
 // (12 -> 10 bytes per nonzero) read by the same kernels in the same order,
@@ -35,7 +36,7 @@ type CSR struct {
 	colIdx     []int32  // nil when col16 holds the indices
 	col16      []uint16 // with simd.U16Slack zeroed entries past the last
 	val        []float64
-	balance    bool // nonzero-balanced partitions (sched.NNZBalanced)
+	balance    bool // Traits.Balancing is NNZGranular
 	dispatch   bool // rows run simd.CSRRowRange, not simd.CSRRowRangeGo
 	inspected  bool // MKL-IE: balance chosen by inspecting the rows (Traits.Preprocessed)
 }
@@ -116,15 +117,6 @@ func (f *CSR) units() int { return f.rows }
 
 // cum is the CSR cumulative work measure: nonzeros plus a row visit each.
 func (f *CSR) cum(i int) int64 { return int64(f.rowPtr[i]) + int64(i) }
-
-// plan splits rows under the preset's policy.
-func (f *CSR) plan(workers int) *exec.Plan {
-	policy := sched.RowBlocks
-	if f.balance {
-		policy = sched.NNZBalanced
-	}
-	return &exec.Plan{Ranges: policy(f.rowPtr, workers)}
-}
 
 // Traits implements Format.
 func (f *CSR) Traits() Traits {

@@ -253,8 +253,8 @@ func TestCtxWorkerPanicBecomesError(t *testing.T) {
 }
 
 // TestMergeCSRPlansDoNotCollide alternates single-vector and k = 8 calls
-// on one eight-lane Merge-CSR instance: both run the plan and carry slots
-// cached for that placement (the k = 8 call as eight by-column
+// on one eight-lane Merge-CSR instance: both run on the lane frame and carry
+// slots held for that width (the k = 8 call as eight by-column
 // dispatches), and each must give the CSR reference.
 func TestMergeCSRPlansDoNotCollide(t *testing.T) {
 	prev := exec.SetMaxWorkers(8)

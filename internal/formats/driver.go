@@ -4,21 +4,21 @@ import (
 	"context"
 	"runtime/debug"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/exec"
-	"repro/internal/sched"
 )
 
 // The kernel contract. The paper holds the harness constant and varies
 // only the storage format; this file is that harness. A format supplies a
-// kernel — what it computes over a range of its own units, how much work
-// those units are, and where each lane starts — and embeds a driver, which
-// owns everything else: argument checking, the work·k serial cutoff, engine
-// acquisition and release, the per-instance plan cache, the claim loop that
-// hands out chunks (the unit of cancellation and of load balance alike), the
-// carry fold of the formats that cut rows, and panic containment. No format
-// dispatches on its own.
+// kernel — what it computes over a range of its own units and how much work
+// those units are — and embeds a driver, which owns everything else:
+// argument checking, the work·k serial cutoff, engine acquisition and
+// release, where each lane starts (one equal-work cut of cum), the claim
+// loop that hands out chunks (the unit of cancellation and of load balance
+// alike), the carry fold of the formats that cut rows, and panic
+// containment. No format dispatches or partitions on its own.
 
 // kernel is what every storage format supplies to its driver.
 type kernel interface {
@@ -28,17 +28,12 @@ type kernel interface {
 	// splits rows (carryUnit).
 	units() int
 	// cum is a monotone cumulative work measure over units: cum(units())
-	// is the work the serial cutoff sees (times k), and differences size
-	// the chunks lanes claim. It is evaluated at chunk boundaries only,
-	// never in inner loops.
+	// is the work the serial cutoff sees (times k), lane w of a
+	// workers-wide call starts at the first unit whose cum reaches
+	// w·cum(units())/workers, and differences size the chunks lanes claim.
+	// It is evaluated at cut and chunk boundaries only, never in inner
+	// loops.
 	cum(i int) int64
-	// plan is the partition policy: each lane's initial range for
-	// workers lanes, whatever the RHS count. A range says where a lane
-	// starts claiming, not what it alone computes: a lane that drains its
-	// own takes chunks off the others'. Built once per worker count and
-	// cached by the driver; the driver's own (an even cut of the units)
-	// serves the formats that do not choose.
-	plan(workers int) *exec.Plan
 	// apply computes units [lo, hi) of the k-wide product: k == 1 is the
 	// single-vector loop, k > 1 the fused register tile. No other call
 	// writes what a unit writes, so any lane may run any chunk. Formats
@@ -104,10 +99,10 @@ type driver struct {
 	// unit: the row its first item belongs to when that row began in an
 	// earlier unit, else -1. nil for every other format.
 	heads []int32
-	n     int   // kern.units()
-	work  int64 // kern.cum(n)
-	fused bool  // apply handles k > 1
-	plans exec.PlanCache
+	n     int    // kern.units()
+	work  int64  // kern.cum(n)
+	fused bool   // apply handles k > 1
+	fr    *frame // the held frame, cut for the width of its last call
 }
 
 // bind attaches the driver to the fully assembled format value. Formats
@@ -120,7 +115,7 @@ func (d *driver) bind(k kernel) {
 	d.n = k.units()
 	d.work = k.cum(d.n)
 	d.fused = fusedMulti[k.Name()]
-	d.plans = exec.NewPlanCache()
+	d.fr = newFrame(d)
 }
 
 // Apply implements Format: the one entry point. It checks the arguments
@@ -151,8 +146,8 @@ func (d *driver) Apply(ctx context.Context, y, x []float64, k, workers int) (err
 }
 
 // sweep is the dispatch every kernel goes through. It arms the call's
-// cancellation control — on its stack for a serial call, in the plan's
-// lane frame otherwise — and returns ctx's error at once if it is done.
+// cancellation control — on its stack for a serial call, in the lane frame
+// otherwise — and returns ctx's error at once if it is done.
 func (d *driver) sweep(ctx context.Context, y, x []float64, k, workers int) error {
 	workers = min(exec.Workers(d.work*int64(k), workers), d.n)
 	if workers <= 1 && d.heads == nil {
@@ -164,58 +159,74 @@ func (d *driver) sweep(ctx context.Context, y, x []float64, k, workers int) erro
 		return ctl.Err()
 	}
 	// A format that splits rows needs its carry slots on the serial path
-	// too: it runs there as the one-lane plan.
-	parallel := workers > 1
-	pl := d.plans.Get(max(workers, 1), func(width int) *exec.Plan {
-		pl := d.kern.plan(width)
-		pl.Frame = newFrame(len(pl.Ranges))
-		return pl
-	})
-	// The plan's lane frame and its carry slots are shared by every call
-	// of this width. Another call mid-flight — the pooled one when this one
-	// spawns, or the other way round — keeps the lock; this one then takes
-	// a private frame, so concurrent invocations stay fully parallel and
-	// only pay the allocation under real contention.
-	fr := pl.Frame.(*frame)
-	private := !pl.TryLock()
-	if private {
-		fr = newFrame(len(pl.Ranges))
+	// too: it runs there as a one-lane call.
+	lanes := max(workers, 1)
+	// The held frame, its cut and its carry slots serve every call that
+	// finds it free. Another call mid-flight — the pooled one when this one
+	// spawns, or the other way round — keeps it; this one then takes a
+	// private frame, so concurrent invocations stay fully parallel and only
+	// pay the allocation under real contention.
+	fr := d.fr
+	if !fr.mu.TryLock() {
+		fr = newFrame(d)
+	} else {
+		defer fr.mu.Unlock()
 	}
-	defer func() {
-		*fr = frame{lane: fr.lane, cur: fr.cur, c: fr.c} // a cached frame must not retain the caller's vectors or context
-		if !private {
-			pl.Unlock()
-		}
-	}()
+	defer fr.release()
 	ctl := fr.own.Reset(ctx)
 	if ctl.Cancelled() {
 		return ctl.Err()
 	}
-	fr.d, fr.ctl, fr.y, fr.x, fr.k = d, ctl, y, x, k
+	if len(fr.cur) != lanes {
+		d.cut(fr, lanes)
+	}
+	fr.ctl, fr.y, fr.x, fr.k = ctl, y, x, k
 	fr.grain = ctxGrain(k)
-	if parallel {
-		fr.grain = d.grain(k, len(pl.Ranges))
+	if lanes > 1 {
+		fr.grain = d.grain(k, lanes)
 	}
 	if n := len(d.heads) * k; len(fr.c) < n {
-		fr.c = make([]float64, n) // grows to the widest k this plan has served
+		fr.c = make([]float64, n) // grows to the widest k this frame has served
 	}
-	for w, r := range pl.Ranges {
-		fr.cur[w].next.Store(int64(r.RowLo))
-		fr.cur[w].hi = r.RowHi
+	for w := range fr.cur {
+		fr.cur[w].next.Store(int64(fr.cur[w].lo))
 	}
-	if !parallel {
+	if lanes == 1 {
 		fr.run(0)
 		if ctl.Cancelled() {
 			return ctl.Err()
 		}
 	} else {
-		g := exec.AcquireCtl(workers, ctl)
-		if err := g.Run(len(pl.Ranges), fr.lane); err != nil {
+		g := exec.AcquireCtl(lanes, ctl)
+		if err := g.Run(lanes, fr.lane); err != nil {
 			return err
 		}
 	}
 	d.fold(y, fr.c, k)
 	return nil
+}
+
+// cut gives fr one cursor per lane and sets where each starts: lane w at
+// the first unit whose cum reaches w·work/lanes, running to the next
+// lane's start. A unit heavier than a lane's share leaves the next lane
+// an empty range; that lane only takes chunks off the others'. Units are
+// the format's, so a lane's start never decides a sum, only who computes
+// it.
+func (d *driver) cut(fr *frame, lanes int) {
+	if cap(fr.cur) < lanes {
+		fr.cur = make([]cursor, lanes)
+	}
+	fr.cur = fr.cur[:lanes]
+	lo := 0
+	for w := range fr.cur {
+		hi := d.n
+		if w+1 < lanes {
+			share := d.work * int64(w+1) // over lanes
+			hi = lo + sort.Search(d.n-lo, func(i int) bool { return d.kern.cum(lo+i)*int64(lanes) >= share })
+		}
+		fr.cur[w].lo, fr.cur[w].hi = lo, hi
+		lo = hi
+	}
 }
 
 // fold adds every unit's carry slot onto its head row, serially in unit
@@ -232,17 +243,14 @@ func (d *driver) fold(y, c []float64, k int) {
 	}
 }
 
-// plan is the default partition policy: the units cut evenly.
-func (d *driver) plan(workers int) *exec.Plan {
-	return &exec.Plan{Ranges: sched.EvenRows(d.n, workers)}
-}
-
 // frame carries one call's arguments to the lanes of its dispatch. Its
-// lane function is bound and its cursors are allocated once, when the
-// frame is made, so a dispatch on a cached plan allocates nothing.
+// lane function is bound once, when the frame is made, and its cursors and
+// carry slots are kept across calls, so a dispatch on the held frame
+// allocates nothing.
 type frame struct {
+	mu    sync.Mutex  // held by the call using the driver's frame
 	lane  func(w int) // fr.run, bound
-	cur   []cursor    // one per lane, reset from the plan's ranges per call
+	cur   []cursor    // one per lane, cut for the last width; next resets per call
 	c     []float64   // the carry slots, k per unit, kept across calls
 	d     *driver
 	ctl   *exec.Ctl // &own, or nil for a call that cannot be cancelled
@@ -252,19 +260,25 @@ type frame struct {
 	grain int64 // what the lanes claim by
 }
 
-func newFrame(lanes int) *frame {
-	fr := &frame{cur: make([]cursor, lanes)}
+func newFrame(d *driver) *frame {
+	fr := &frame{d: d}
 	fr.lane = fr.run
 	return fr
 }
 
-// cursor is the claim point of one lane's range: units [next, hi) are not
-// yet claimed. Padded to a cache line, so lanes working their own ranges
-// do not share one.
+// release drops the call's arguments: a held frame must not retain the
+// caller's vectors or context.
+func (fr *frame) release() {
+	fr.ctl, fr.own, fr.y, fr.x = nil, exec.Ctl{}, nil, nil
+}
+
+// cursor is the claim point of one lane's range [lo, hi): units [next,
+// hi) are not yet claimed. Padded to a cache line, so lanes working their
+// own ranges do not share one.
 type cursor struct {
-	next atomic.Int64
-	hi   int
-	_    [48]byte
+	next   atomic.Int64
+	lo, hi int
+	_      [40]byte
 }
 
 // run is lane w of the call in the frame.
@@ -286,7 +300,7 @@ const cancelGrain = 1 << 18
 
 // chunksPerLane is the fewest chunks a parallel call's lanes are cut into,
 // however small the call, since a one-chunk range cannot be shared: on an
-// 8 000-row skewed matrix MKL-IE's nonzero-balanced halves take 21–26 and
+// 8 000-row skewed matrix two halves of equal nonzeros took 21–26 and
 // 43–51 µs. 4, 8 and 16 were measured (docs/BENCHMARKS.md).
 const chunksPerLane = 8
 

@@ -72,7 +72,7 @@ func BenchmarkEngineTier(b *testing.B) {
 				if err != nil {
 					b.Skipf("build refused: %v", err)
 				}
-				f.SpMVParallel(x, y, workers) // warm up plans and pool
+				f.SpMVParallel(x, y, workers) // warm up the lane frame and pool
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -120,7 +120,7 @@ func BenchmarkSkewedApply(b *testing.B) {
 			y := make([]float64, m.Rows*k)
 			for _, workers := range []int{1, 2} {
 				b.Run(fmt.Sprintf("%s/k%d/w%d", name, k, workers), func(b *testing.B) {
-					// Warm the plan, and the pool for long enough that its
+					// Warm the lane frame, and the pool for long enough that its
 					// workers have settled on their own CPUs and poll.
 					for warm := time.Now(); time.Since(warm) < 50*time.Millisecond; {
 						if err := f.Apply(ctx, y, x, k, workers); err != nil {

@@ -50,7 +50,7 @@ func TestEngineSerialParallelEquivalence(t *testing.T) {
 				for i := range got {
 					got[i] = math.NaN() // every row must be written
 				}
-				// Twice: the second call runs on the cached plan.
+				// Twice: the second call runs on the held frame.
 				f.SpMVParallel(x, got, workers)
 				f.SpMVParallel(x, got, workers)
 				if d := maxAbsDiff(got, want); d > 1e-8 || anyNaN(got) {
@@ -63,10 +63,10 @@ func TestEngineSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestSpMVParallelAllocs is the steady-state acceptance gate: after the
-// first call warms the plan cache and the pool, a parallel or serial SpMV
+// first call warms the lane frame and the pool, a parallel or serial SpMV
 // performs no partition recomputation, no goroutine spawns and no
 // allocation (the lanes read their arguments, carry slots and cancellation
-// control from the plan's reusable frame), under a cancellable context
+// control from the driver's held frame), under a cancellable context
 // too.
 func TestSpMVParallelAllocs(t *testing.T) {
 	prev := exec.SetMaxWorkers(4)
@@ -92,7 +92,7 @@ func TestSpMVParallelAllocs(t *testing.T) {
 			}
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		f.SpMVParallel(x, y, 4) // warm plan cache and pool
+		f.SpMVParallel(x, y, 4) // warm the lane frame and the pool
 		f.SpMVParallel(x, y, 4)
 		allocs := testing.AllocsPerRun(10, func() {
 			f.SpMVParallel(x, y, 4)
@@ -105,7 +105,7 @@ func TestSpMVParallelAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs per steady-state SpMV, want 0", b.Name, allocs)
 		}
 		// A cancellable context costs nothing either: the call's Ctl lives
-		// in the plan's lane frame, or on the stack of a serial call.
+		// in the held lane frame, or on the stack of a serial call.
 		for _, workers := range []int{1, 4} {
 			allocs = testing.AllocsPerRun(10, func() {
 				if err := f.Apply(ctx, y, x, 1, workers); err != nil {
@@ -154,7 +154,7 @@ func TestParallelApplyAllocsOnTwoCPUs(t *testing.T) {
 		const runs = 200
 		var before, after runtime.MemStats
 		for i := 0; i < 4; i++ {
-			f.SpMVParallel(x, y, 2) // warm the plan cache and the pool
+			f.SpMVParallel(x, y, 2) // warm the lane frame and the pool
 		}
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
@@ -171,7 +171,7 @@ func TestParallelApplyAllocsOnTwoCPUs(t *testing.T) {
 
 // TestConcurrentSameInstanceCalls drives the contention path: several
 // goroutines issue SpMVParallel on one format instance with distinct output
-// vectors. Calls that lose the plan's TryLock must fall back to a private
+// vectors. Calls that lose the held frame's TryLock must fall back to a private
 // frame and still produce the serial result; with -race this also proves
 // the cached frame and its carry slots are never shared across in-flight
 // calls.
@@ -220,29 +220,42 @@ func TestConcurrentSameInstanceCalls(t *testing.T) {
 	}
 }
 
-// TestPlanCachePopulatesPerWorkerCount checks plans are keyed by worker
-// count and reused, via the exported cache length of a representative
-// format.
-func TestPlanCachePopulatesPerWorkerCount(t *testing.T) {
-	prev := exec.SetMaxWorkers(8)
-	defer exec.SetMaxWorkers(prev)
+// TestAlternatingWidthsAllocateNothing: the driver holds one lane frame,
+// cut for the width of its last call. A warm Apply that alternates between
+// two and four lanes recuts it on every call, into the cursors it keeps,
+// and allocates nothing, under a cancellable context too.
+func TestAlternatingWidthsAllocateNothing(t *testing.T) {
+	defer exec.SetMaxWorkers(exec.SetMaxWorkers(4))
+	exec.Prestart()
 
-	m := matrix.Tridiagonal(30000, 2, -1)
-	f := newPreset("Naive-CSR", m)
-	x := matrix.RandomVector(m.Cols, 3)
+	m, err := gen.Generate(gen.Params{
+		Rows: 20000, Cols: 20000, AvgNNZPerRow: 10, StdNNZPerRow: 3,
+		SkewCoeff: 10, BWScaled: 0.3, CrossRowSim: 0.4, AvgNumNeigh: 0.8, Seed: 23,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := matrix.RandomVector(m.Cols, 7)
 	y := make([]float64, m.Rows)
-	for i := 0; i < 3; i++ {
-		f.SpMVParallel(x, y, 3)
-	}
-	if n := f.plans.Len(); n != 1 {
-		t.Errorf("after repeated 3-worker calls: %d plans cached, want 1", n)
-	}
-	f.SpMVParallel(x, y, 5)
-	if n := f.plans.Len(); n != 2 {
-		t.Errorf("after a 5-worker call: %d plans cached, want 2", n)
-	}
-	f.SpMVParallel(x, y, 1) // serial fast path must not touch the cache
-	if n := f.plans.Len(); n != 2 {
-		t.Errorf("after a serial call: %d plans cached, want 2", n)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, b := range Registry() {
+		f, err := b.Build(m)
+		if errors.Is(err, ErrBuild) {
+			continue
+		} else if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		alternate := func() {
+			for _, workers := range []int{2, 4} {
+				if err := f.Apply(ctx, y, x, 1, workers); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		alternate() // the frame's cursors grow to four lanes once
+		if allocs := testing.AllocsPerRun(10, alternate); allocs > 0 {
+			t.Errorf("%s: %v allocs per warm 2-then-4-lane pair of Applies, want 0", b.Name, allocs)
+		}
 	}
 }

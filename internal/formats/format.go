@@ -70,7 +70,10 @@ type Format interface {
 	Traits() Traits
 }
 
-// Balancing classifies a format's work-distribution discipline.
+// Balancing classifies a format's work-distribution discipline: the
+// paper's, which the device models price. It does not switch execution:
+// on the host every format's lanes start at the driver's equal-work cut
+// and claim chunks off each other.
 type Balancing int
 
 // Work-distribution disciplines, coarsest to finest.
@@ -96,7 +99,8 @@ func (b Balancing) String() string {
 // Traits summarizes the structural cost profile of a built format instance.
 // The analytical device model consumes these.
 type Traits struct {
-	// Balancing is the work-distribution discipline of the parallel kernel.
+	// Balancing is the paper's work-distribution discipline for the
+	// format, priced by the device models (see Balancing).
 	Balancing Balancing
 	// PaddingRatio is (stored entries - nnz) / nnz; zero for unpadded
 	// formats, skew-sized for padded-slab formats.

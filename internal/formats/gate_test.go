@@ -22,7 +22,7 @@ import (
 // dispatch table, at k = 1 (gather kernels) and k = 8 (fused
 // broadcast-tile kernels), on the medium and large tiers, the geomean of
 // avx2 time / avx512 time must be at least 1.00. Both tiers run the same
-// built format, warmed plans and worker budget; only the dispatch table
+// built format, warmed lane frame and worker budget; only the dispatch table
 // swaps between runs.
 func TestAVX512NotSlowerThanAVX2Gate(t *testing.T) {
 	if simd.DetectedLevel() != "avx512" {

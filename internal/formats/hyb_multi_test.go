@@ -158,7 +158,7 @@ func TestHYBMultiplyManySpillEdges(t *testing.T) {
 }
 
 // TestHYBMultiplyManyConcurrent drives the fused kernel from concurrent
-// goroutines so the plan-cache TryLock fallback path runs under -race.
+// goroutines so the held frame's TryLock fallback path runs under -race.
 func TestHYBMultiplyManyConcurrent(t *testing.T) {
 	m, err := gen.Generate(gen.Params{
 		Rows: 8000, Cols: 8000, AvgNNZPerRow: 10, StdNNZPerRow: 4,

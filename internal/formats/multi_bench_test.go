@@ -48,7 +48,7 @@ func benchmarkMulti(b *testing.B, m *matrix.CSR, matName string) {
 			if err != nil {
 				b.Skipf("build refused: %v", err)
 			}
-			f.MultiplyMany(y, x, k) // warm up plans and pool
+			f.MultiplyMany(y, x, k) // warm up the lane frame and pool
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

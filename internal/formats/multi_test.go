@@ -46,7 +46,7 @@ func TestMultiplyManyEquivalence(t *testing.T) {
 				for i := range got {
 					got[i] = math.NaN() // every slot must be written
 				}
-				// Twice: the second call runs on the cached plan.
+				// Twice: the second call runs on the held frame.
 				f.MultiplyMany(got, x, k)
 				f.MultiplyMany(got, x, k)
 				if d := maxAbsDiff(got, want); d > 1e-8 || anyNaN(got) {
@@ -96,7 +96,7 @@ func TestMultiplyManyShardedEquivalence(t *testing.T) {
 // TestMultiplyManyConcurrentCallers drives the contention path through the
 // engine: several goroutines issue MultiplyMany on one format
 // instance with distinct outputs and distinct k. Calls that lose the
-// plan's TryLock must fall back to a private frame (with k-wide carry
+// held frame's TryLock must fall back to a private frame (with k-wide carry
 // slots) and still be correct; with -race this also proves the cached
 // carry slots are never shared across in-flight calls.
 func TestMultiplyManyConcurrentCallers(t *testing.T) {
@@ -116,7 +116,7 @@ func TestMultiplyManyConcurrentCallers(t *testing.T) {
 		var wg sync.WaitGroup
 		errs := make(chan string, 8)
 		for gi := 0; gi < 8; gi++ {
-			k := []int{3, 8}[gi%2] // distinct widths contend on one plan's frame
+			k := []int{3, 8}[gi%2] // distinct widths contend for one held frame
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()

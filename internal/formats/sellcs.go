@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/exec"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/simd"
 )
 
@@ -210,10 +208,6 @@ func (f *SELLCS) units() int { return len(f.chunkLen) }
 
 // cum: the chunk pointer is the cumulative padded-slot measure.
 func (f *SELLCS) cum(i int) int64 { return f.chunkPtr[i] }
-
-func (f *SELLCS) plan(workers int) *exec.Plan {
-	return &exec.Plan{Ranges: sched.EvenRows(len(f.chunkLen), workers)}
-}
 
 // apply is the lane-sum chunk sweep at k = 1 and the fused SELL-C-sigma
 // kernel at k > 1: within a chunk the lanes run lane-major, each one

@@ -38,7 +38,7 @@ func TestEngineShardedEquivalence(t *testing.T) {
 			for i := range got {
 				got[i] = math.NaN() // every row must be written
 			}
-			// Twice: the second call runs on the cached plan.
+			// Twice: the second call runs on the held frame.
 			f.SpMVParallel(x, got, 32)
 			f.SpMVParallel(x, got, 32)
 			if d := maxAbsDiff(got, want); d > 1e-8 || anyNaN(got) {
@@ -51,8 +51,8 @@ func TestEngineShardedEquivalence(t *testing.T) {
 
 // TestConcurrentCallersRouteToDistinctShards is the serving-path property:
 // two SpMV calls in flight on one format instance at once — one holding the
-// pool, one finding it busy and spawning — share one cached plan, so the
-// second runs on a private lane frame, and both come out bit-identical to
+// pool, one finding it busy and spawning — share one held lane frame, so
+// the second runs on a private one, and both come out bit-identical to
 // the serial product. The pooled call is held inside a lane by the
 // exec.worker failpoint until the spawned one has finished; under -race
 // this proves the two never share a frame.
@@ -75,7 +75,7 @@ func TestConcurrentCallersRouteToDistinctShards(t *testing.T) {
 	want := make([]float64, m.Rows)
 	f.SpMV(x, want)
 	pooled, spawned := nanFilled(m.Rows), nanFilled(m.Rows)
-	f.SpMVParallel(x, pooled, 4) // warm the plan: both calls below share it
+	f.SpMVParallel(x, pooled, 4) // warm the frame: both calls below contend for it
 
 	// The sleep only has to outlast the spawned call's start; its end is
 	// awaited, not timed.
@@ -108,8 +108,8 @@ func TestConcurrentCallersRouteToDistinctShards(t *testing.T) {
 }
 
 // TestShardedSteadyStateAllocs: the steady single-caller state stays at the
-// engine's alloc budget of zero for every format — the pool, the cached
-// plan and its lane frame are all reused.
+// engine's alloc budget of zero for every format — the pool and the held
+// lane frame are reused.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	prev := exec.SetMaxWorkers(4)
 	defer exec.SetMaxWorkers(prev)

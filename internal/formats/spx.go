@@ -1,9 +1,7 @@
 package formats
 
 import (
-	"repro/internal/exec"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 )
 
 // SPX is a SparseX-like compressed format (Elafrou et al., TOMS 2018): the
@@ -28,7 +26,6 @@ type SPX struct {
 	stream     []byte  // encoded unit stream
 	val        []float64
 	valPtr     []int64 // value offset per row
-	nnzPtr     []int32 // value offsets as int32 for the partitioner
 	bytesTotal int64
 }
 
@@ -122,10 +119,6 @@ func NewSPX(m *matrix.CSR) *SPX {
 	f.rowPtr[m.Rows] = int32(len(stream))
 	f.valPtr[m.Rows] = int64(m.NNZ())
 	f.stream = stream
-	f.nnzPtr = make([]int32, len(f.valPtr))
-	for i, v := range f.valPtr {
-		f.nnzPtr[i] = int32(v)
-	}
 	f.bytesTotal = int64(len(stream)) + int64(len(f.val))*8 +
 		int64(len(f.rowPtr))*4 + int64(len(f.valPtr))*8
 	f.bind(f)
@@ -213,12 +206,6 @@ func (f *SPX) units() int { return f.rows }
 
 // cum: stored values plus a row visit each.
 func (f *SPX) cum(i int) int64 { return f.valPtr[i] + int64(i) }
-
-// plan balances nonzeros over whole rows, using the value offsets as the
-// balance measure.
-func (f *SPX) plan(workers int) *exec.Plan {
-	return &exec.Plan{Ranges: sched.NNZBalanced(f.nnzPtr, workers)}
-}
 
 // apply is single-vector only: the compressed unit stream would have to be
 // re-decoded per register tile, which costs more than the fused reuse

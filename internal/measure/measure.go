@@ -25,7 +25,7 @@ type Result struct {
 
 // Compare times the candidates against each other. Warm-up: each candidate
 // in turn doubles its call count, from one, until one round of calls spans
-// minTime (plans, pages, caches and clocks settle on the way). Then rounds
+// minTime (lane frames, pages, caches and clocks settle on the way). Then rounds
 // timed rounds run round-robin across the candidates, each candidate
 // making its warmed-up number of calls per round. A candidate that takes
 // over from another leads its round with one untimed call: the other's

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// Property tests for the three partitioners: over a grid of adversarial
-// row-length distributions and worker counts, every policy must (a) tile
-// the row space contiguously, (b) keep bounds monotone and consistent with
-// the row-pointer array, (c) conserve the nonzero count, and (d) never
-// dispatch an empty range when there is work to split.
+// Property tests for the merge path: over a grid of adversarial row-length
+// distributions and diagonal counts, it must (a) tile the (rows + nnz)
+// space contiguously, (b) keep bounds monotone, (c) conserve the work, and
+// (d) never produce a zero-work range when there is work to split.
 
 // rowPtrFrom builds a CSR row-pointer array from row lengths.
 func rowPtrFrom(lens []int) []int32 {
@@ -79,86 +78,6 @@ func propertyShapes() map[string][]int {
 }
 
 var propertyWorkerCounts = []int{1, 2, 3, 7, 8, 64, 1000}
-
-// checkRowGranular verifies the shared contract of RowBlocks and
-// NNZBalanced: contiguous full-row coverage, monotone bounds, row-pointer
-// consistency, and NNZ conservation.
-func checkRowGranular(t *testing.T, policy, shape string, ptr []int32, p int, ranges []Range) {
-	t.Helper()
-	rows := len(ptr) - 1
-	if len(ranges) == 0 {
-		t.Fatalf("%s/%s p=%d: no ranges", policy, shape, p)
-	}
-	if len(ranges) > max(p, 1) {
-		t.Errorf("%s/%s p=%d: %d ranges exceed worker count", policy, shape, p, len(ranges))
-	}
-	if ranges[0].RowLo != 0 {
-		t.Errorf("%s/%s p=%d: first range starts at row %d", policy, shape, p, ranges[0].RowLo)
-	}
-	if last := ranges[len(ranges)-1]; last.RowHi != rows {
-		t.Errorf("%s/%s p=%d: last range ends at row %d, want %d", policy, shape, p, last.RowHi, rows)
-	}
-	var nnzSum int64
-	for i, r := range ranges {
-		if r.RowLo > r.RowHi {
-			t.Errorf("%s/%s p=%d: range %d bounds inverted: %+v", policy, shape, p, i, r)
-		}
-		if i > 0 && ranges[i-1].RowHi != r.RowLo {
-			t.Errorf("%s/%s p=%d: gap between range %d and %d", policy, shape, p, i-1, i)
-		}
-		if r.NNZLo != int64(ptr[r.RowLo]) || r.NNZHi != int64(ptr[r.RowHi]) {
-			t.Errorf("%s/%s p=%d: range %d nnz bounds inconsistent with rowPtr: %+v", policy, shape, p, i, r)
-		}
-		if rows > 0 && p > 0 && r.Rows() == 0 && len(ranges) > 1 {
-			t.Errorf("%s/%s p=%d: empty range %d dispatched: %+v", policy, shape, p, i, r)
-		}
-		nnzSum += r.NNZ()
-	}
-	if total := int64(ptr[rows]); nnzSum != total {
-		t.Errorf("%s/%s p=%d: nnz not conserved: ranges hold %d, matrix has %d", policy, shape, p, nnzSum, total)
-	}
-}
-
-func TestRowBlocksProperties(t *testing.T) {
-	for shape, lens := range propertyShapes() {
-		ptr := rowPtrFrom(lens)
-		for _, p := range propertyWorkerCounts {
-			checkRowGranular(t, "RowBlocks", shape, ptr, p, RowBlocks(ptr, p))
-		}
-	}
-}
-
-func TestNNZBalancedProperties(t *testing.T) {
-	for shape, lens := range propertyShapes() {
-		ptr := rowPtrFrom(lens)
-		for _, p := range propertyWorkerCounts {
-			checkRowGranular(t, "NNZBalanced", shape, ptr, p, NNZBalanced(ptr, p))
-		}
-	}
-}
-
-func TestEvenRowsProperties(t *testing.T) {
-	for _, rows := range []int{0, 1, 2, 5, 63, 64, 1000} {
-		for _, p := range propertyWorkerCounts {
-			ranges := EvenRows(rows, p)
-			if len(ranges) == 0 {
-				t.Fatalf("rows=%d p=%d: no ranges", rows, p)
-			}
-			if ranges[0].RowLo != 0 || ranges[len(ranges)-1].RowHi != rows {
-				t.Errorf("rows=%d p=%d: span [%d,%d), want [0,%d)", rows, p,
-					ranges[0].RowLo, ranges[len(ranges)-1].RowHi, rows)
-			}
-			for i, r := range ranges {
-				if i > 0 && ranges[i-1].RowHi != r.RowLo {
-					t.Errorf("rows=%d p=%d: gap at range %d", rows, p, i)
-				}
-				if rows > 0 && r.Rows() == 0 {
-					t.Errorf("rows=%d p=%d: empty range %d", rows, p, i)
-				}
-			}
-		}
-	}
-}
 
 // TestMergePathProperties verifies the item-granular contract: contiguity
 // in both coordinates, monotone growth, full coverage of the combined

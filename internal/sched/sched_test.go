@@ -40,20 +40,6 @@ func skewedRowPtr(rows, hugeLen int) []int32 {
 	return ptr
 }
 
-func TestRowBlocksCoverage(t *testing.T) {
-	m := matrix.Random(101, 50, 0.2, 1)
-	for _, p := range []int{1, 2, 3, 7, 16, 101, 500} {
-		checkCoverage(t, RowBlocks(m.RowPtr, p), m.RowPtr)
-	}
-}
-
-func TestNNZBalancedCoverage(t *testing.T) {
-	m := matrix.Random(101, 50, 0.2, 2)
-	for _, p := range []int{1, 2, 3, 7, 16, 200} {
-		checkCoverage(t, NNZBalanced(m.RowPtr, p), m.RowPtr)
-	}
-}
-
 func TestMergePathCoverage(t *testing.T) {
 	m := matrix.Random(101, 50, 0.2, 3)
 	for _, p := range []int{1, 2, 3, 7, 16, 200} {
@@ -61,64 +47,11 @@ func TestMergePathCoverage(t *testing.T) {
 	}
 }
 
-func TestRowBlocksImbalanceOnSkew(t *testing.T) {
-	ptr := skewedRowPtr(64, 10000)
-	rb := Imbalance(RowBlocks(ptr, 8))
-	if rb < 4 {
-		t.Errorf("row blocks on skewed matrix: imbalance %g, want >= 4", rb)
-	}
-}
-
-func TestNNZBalancedBeatsRowBlocksOnSkew(t *testing.T) {
-	// Moderate skew, no single row dominates: nnz balancing must win.
-	rows := 1024
-	ptr := make([]int32, rows+1)
-	for i := 0; i < rows; i++ {
-		n := 1
-		if i < 64 {
-			n = 100
-		}
-		ptr[i+1] = ptr[i] + int32(n)
-	}
-	rb := Imbalance(RowBlocks(ptr, 8))
-	nb := Imbalance(NNZBalanced(ptr, 8))
-	mp := Imbalance(MergePath(ptr, 8))
-	if nb >= rb {
-		t.Errorf("nnz-balanced imbalance %g not better than row blocks %g", nb, rb)
-	}
-	// The work metric counts one item per row, which nnz balancing does not
-	// optimize; it stays within 2x while row blocks exceed it.
-	if nb > 2 {
-		t.Errorf("nnz-balanced imbalance %g, want <= 2", nb)
-	}
-	if mp > 1.05 {
-		t.Errorf("merge path imbalance %g, want ~1 (it splits rows+nnz exactly)", mp)
-	}
-}
-
 func TestMergePathHandlesGiantRow(t *testing.T) {
-	// One row holds nearly all nonzeros: row-granular policies can't split
-	// it, merge path can.
+	// One row holds nearly all nonzeros: whole rows cannot split it, the
+	// merge path can.
 	ptr := skewedRowPtr(64, 100000)
-	ranges := NNZBalanced(ptr, 8)
 	mp := Imbalance(MergePath(ptr, 8))
-	// Row granularity cannot split the giant row: one worker carries almost
-	// everything, so the effective speedup over the requested 8 workers is
-	// poor even though the degenerate empty ranges are collapsed.
-	var total, max int64
-	for _, r := range ranges {
-		if r.Rows() == 0 {
-			t.Errorf("empty range %+v dispatched", r)
-		}
-		work := r.NNZ() + int64(r.Rows())
-		total += work
-		if work > max {
-			max = work
-		}
-	}
-	if eff := float64(max) * 8 / float64(total); eff < 6 {
-		t.Errorf("nnz-balanced should be imbalanced on a giant row, got effective imbalance %g", eff)
-	}
 	if mp > 1.1 {
 		t.Errorf("merge path imbalance %g, want ~1", mp)
 	}
@@ -155,15 +88,13 @@ func TestMergePathMonotone(t *testing.T) {
 
 func TestEmptyMatrixPartitions(t *testing.T) {
 	ptr := []int32{0}
-	for _, f := range []func([]int32, int) []Range{RowBlocks, NNZBalanced, MergePath} {
-		ranges := f(ptr, 4)
-		if len(ranges) == 0 {
-			t.Fatal("no ranges for empty matrix")
-		}
-		for _, r := range ranges {
-			if r.Rows() != 0 || r.NNZ() != 0 {
-				t.Errorf("empty matrix produced nonempty range %+v", r)
-			}
+	ranges := MergePath(ptr, 4)
+	if len(ranges) == 0 {
+		t.Fatal("no ranges for empty matrix")
+	}
+	for _, r := range ranges {
+		if r.Rows() != 0 || r.NNZ() != 0 {
+			t.Errorf("empty matrix produced nonempty range %+v", r)
 		}
 	}
 }
@@ -177,26 +108,24 @@ func TestImbalanceDegenerate(t *testing.T) {
 	}
 }
 
-// Property: all three policies yield valid coverage on arbitrary matrices
-// and worker counts.
+// Property: the merge path yields valid coverage on arbitrary matrices and
+// diagonal counts.
 func TestQuickPartitionCoverage(t *testing.T) {
 	f := func(seed uint32, rowsRaw, pRaw uint8) bool {
 		rows := int(rowsRaw%120) + 1
 		p := int(pRaw%32) + 1
 		m := matrix.Random(rows, rows, 0.15, int64(seed))
-		for _, policy := range []func([]int32, int) []Range{RowBlocks, NNZBalanced, MergePath} {
-			ranges := policy(m.RowPtr, p)
-			if ranges[0].RowLo != 0 || ranges[0].NNZLo != 0 {
+		ranges := MergePath(m.RowPtr, p)
+		if ranges[0].RowLo != 0 || ranges[0].NNZLo != 0 {
+			return false
+		}
+		last := ranges[len(ranges)-1]
+		if last.RowHi != rows || last.NNZHi != int64(m.NNZ()) {
+			return false
+		}
+		for i := 1; i < len(ranges); i++ {
+			if ranges[i].RowLo != ranges[i-1].RowHi || ranges[i].NNZLo != ranges[i-1].NNZHi {
 				return false
-			}
-			last := ranges[len(ranges)-1]
-			if last.RowHi != rows || last.NNZHi != int64(m.NNZ()) {
-				return false
-			}
-			for i := 1; i < len(ranges); i++ {
-				if ranges[i].RowLo != ranges[i-1].RowHi || ranges[i].NNZLo != ranges[i-1].NNZHi {
-					return false
-				}
 			}
 		}
 		return true
@@ -208,8 +137,7 @@ func TestQuickPartitionCoverage(t *testing.T) {
 
 // Imbalance returns max worker work divided by mean worker work, where work
 // is the nonzero count (plus one per row to account for loop overhead).
-// 1.0 is perfect balance; the paper's skewed matrices drive this up for
-// row-granular policies.
+// 1.0 is perfect balance.
 func Imbalance(ranges []Range) float64 {
 	if len(ranges) == 0 {
 		return 1

@@ -94,12 +94,13 @@ func gateMeanRetained(t *testing.T, mats []*matrix.CSR, k int) float64 {
 		if !ok || pickNs <= 0 {
 			t.Fatalf("k=%d: pick %q not measurable", k, a.Chosen())
 		}
-		best := math.Inf(1)
-		for _, ns := range perf {
+		best, bestName := math.Inf(1), ""
+		for name, ns := range perf {
 			if ns < best {
-				best = ns
+				best, bestName = ns, name
 			}
 		}
+		t.Logf("k=%d, %d rows, %d nnz: pick %s, oracle best %s, retained %.3f", k, m.Rows, m.NNZ(), a.Chosen(), bestName, best/pickNs)
 		sum += best / pickNs
 		n++
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // closedLoopRPS runs n closed-loop clients, each with its own vector,
-// against co for 300 ms after one warm round (pools and plans hot) and
+// against co for 300 ms after one warm round (pools and lane frames hot) and
 // returns completed requests per second and the mean batch they rode in.
 func closedLoopRPS(co *Coalescer, cols, n int, seed int64) (rps, meanBatch float64) {
 	xs := make([][]float64, n)

@@ -1,5 +1,7 @@
 package simd
 
+import "fmt"
+
 // Runtime CPU-feature detection via CPUID/XGETBV. golang.org/x/sys/cpu
 // would do the same probing, but the repo carries no dependencies; the two
 // instructions below are all the surface we need.
@@ -12,11 +14,27 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 func detect() {
-	maxID, _, _, _ := cpuid(0, 0)
+	maxID, ebx0, ecx0, edx0 := cpuid(0, 0)
+	vendor := string([]byte{
+		byte(ebx0), byte(ebx0 >> 8), byte(ebx0 >> 16), byte(ebx0 >> 24),
+		byte(edx0), byte(edx0 >> 8), byte(edx0 >> 16), byte(edx0 >> 24),
+		byte(ecx0), byte(ecx0 >> 8), byte(ecx0 >> 16), byte(ecx0 >> 24),
+	})
 	if maxID < 1 {
+		cpu = vendor
 		return
 	}
-	_, _, ecx1, _ := cpuid(1, 0)
+	sig, _, ecx1, _ := cpuid(1, 0)
+	// Leaf 1 EAX: the extended family adds on at base family 15, the
+	// extended model prefixes the model from family 6 on.
+	family, model := sig>>8&0xf, sig>>4&0xf
+	if family == 0xf {
+		family += sig >> 20 & 0xff
+	}
+	if family >= 6 {
+		model |= sig >> 16 & 0xf << 4
+	}
+	cpu = fmt.Sprintf("%s-%d.%d.%d", vendor, family, model, sig&0xf)
 	const (
 		bitFMA     = 1 << 12
 		bitOSXSAVE = 1 << 27

@@ -94,6 +94,10 @@ var width = 1
 // of any cap ("scalar" off amd64).
 var detected = "scalar"
 
+// cpu is the CPUID vendor with the display family, model and stepping,
+// "GenuineIntel-6.207.2" say ("" off amd64).
+var cpu string
+
 // curCap is the cap currently applied to the table: "auto", "scalar",
 // "avx2" or "avx512" (SetLevel's restore token).
 var curCap = "auto"
@@ -168,7 +172,7 @@ func tierRank(t string) int {
 var setMu sync.Mutex
 
 func init() {
-	detect() // arch-specific: fills features and detected
+	detect() // arch-specific: fills features, detected and cpu
 	SetLevel(os.Getenv(EnvLevel))
 }
 
@@ -214,6 +218,12 @@ func Level() string { return level }
 // this, not Level(): a capped process must still recognize journals
 // written by an uncapped one on the same machine.
 func DetectedLevel() string { return detected }
+
+// CPU names the processor by its CPUID vendor, family, model and
+// stepping, "GenuineIntel-6.207.2" say; empty off amd64. Two guests with
+// the same core count and SIMD tier still differ here, which is what the
+// journal host fingerprint needs of it.
+func CPU() string { return cpu }
 
 // Width returns the SIMD width in float64 lanes of the active dispatch (1
 // under a scalar cap). Format defaults (e.g. the SELL-C-sigma chunk size)
