@@ -220,6 +220,52 @@ func TestConcurrentSameInstanceCalls(t *testing.T) {
 	}
 }
 
+// TestHeldFrameFollowsCallWidth: the driver's held frame keeps the cut of
+// its last parallel call. Repeated calls at one width reuse its cursors; a
+// call at another width recuts it; a serial call leaves it alone. Every cut
+// tiles the units in order, lane starts at nondecreasing cum.
+func TestHeldFrameFollowsCallWidth(t *testing.T) {
+	defer exec.SetMaxWorkers(exec.SetMaxWorkers(8))
+
+	m := matrix.Tridiagonal(30000, 2, -1)
+	f := newPreset("Naive-CSR", m)
+	x := matrix.RandomVector(m.Cols, 3)
+	y := make([]float64, m.Rows)
+	tiles := func(when string, lanes int) {
+		t.Helper()
+		cur := f.fr.cur
+		if len(cur) != lanes {
+			t.Fatalf("%s: held frame cut for %d lanes, want %d", when, len(cur), lanes)
+		}
+		lo := 0
+		for w := range cur {
+			c := &cur[w]
+			if c.lo != lo || c.hi < c.lo {
+				t.Fatalf("%s: lane %d spans [%d,%d), want it to start at %d", when, w, c.lo, c.hi, lo)
+			}
+			lo = c.hi
+		}
+		if lo != f.n {
+			t.Fatalf("%s: the cut ends at unit %d, want %d", when, lo, f.n)
+		}
+	}
+
+	f.SpMVParallel(x, y, 3)
+	tiles("after a 3-worker call", 3)
+	first := &f.fr.cur[0]
+	for i := 0; i < 2; i++ {
+		f.SpMVParallel(x, y, 3)
+	}
+	tiles("after repeated 3-worker calls", 3)
+	if &f.fr.cur[0] != first {
+		t.Error("repeated 3-worker calls replaced the held frame's cursors")
+	}
+	f.SpMVParallel(x, y, 5)
+	tiles("after a 5-worker call", 5)
+	f.SpMVParallel(x, y, 1) // the serial path runs one lane off the frame
+	tiles("after a serial call", 5)
+}
+
 // TestAlternatingWidthsAllocateNothing: the driver holds one lane frame,
 // cut for the width of its last call. A warm Apply that alternates between
 // two and four lanes recuts it on every call, into the cursors it keeps,
