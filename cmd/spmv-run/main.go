@@ -165,7 +165,7 @@ func main() {
 	if *format != "" {
 		b, ok := formats.Lookup(*format)
 		if !ok {
-			fatalf("unknown format %q", *format)
+			fatalf("unknown format %q (known: auto, %s)", *format, strings.Join(device.HostSpec().Formats, ", "))
 		}
 		run(b)
 		return

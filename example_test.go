@@ -228,7 +228,7 @@ func ExampleMultiplyCtx() {
 	// engine still serves: true
 }
 
-// ExampleFormats lists the first of the registry's eleven storage
+// ExampleFormats lists the first of the registry's nine storage
 // formats, state-of-practice first.
 func ExampleFormats() {
 	for _, b := range spmv.Formats()[:4] {
@@ -238,9 +238,9 @@ func ExampleFormats() {
 	// Output:
 	// COO
 	// Naive-CSR
-	// Vec-CSR
-	// Bal-CSR
-	// ... 11 formats total
+	// MKL-IE
+	// HYB
+	// ... 9 formats total
 }
 
 // ExampleSetCacheDir turns on the persistence layer: auto-format
@@ -365,8 +365,6 @@ func Example_quickstart() {
 	// features: avg=20.0 skew=10.2 sim=0.56 neigh=1.17
 	// COO        1.53 MiB stored, matches CSR within 1e-12: true
 	// Naive-CSR  0.97 MiB stored, matches CSR within 1e-12: true
-	// Vec-CSR    0.97 MiB stored, matches CSR within 1e-12: true
-	// Bal-CSR    0.97 MiB stored, matches CSR within 1e-12: true
 	// MKL-IE     0.97 MiB stored, matches CSR within 1e-12: true
 	// HYB        1.94 MiB stored, matches CSR within 1e-12: true
 	// CSR5       1.24 MiB stored, matches CSR within 1e-12: true
@@ -398,7 +396,7 @@ func Example_cgsolver() {
 	b := make([]float64, a.Rows) // right-hand side of the solution x* = 1
 	a.SpMV(ones, b)
 
-	for _, name := range []string{"Naive-CSR", "Vec-CSR", "CSR5", "Merge-CSR", "SELL-C-s", "SparseX", "HYB"} {
+	for _, name := range []string{"Naive-CSR", "MKL-IE", "CSR5", "Merge-CSR", "SELL-C-s", "SparseX", "HYB"} {
 		fb, _ := spmv.FormatByName(name)
 		f, err := fb.Build(a)
 		if err != nil {
@@ -410,7 +408,7 @@ func Example_cgsolver() {
 	}
 	// Output:
 	// Naive-CSR  102 iterations, ||x-1||_inf < 1e-8: true
-	// Vec-CSR    102 iterations, ||x-1||_inf < 1e-8: true
+	// MKL-IE     102 iterations, ||x-1||_inf < 1e-8: true
 	// CSR5       102 iterations, ||x-1||_inf < 1e-8: true
 	// Merge-CSR  102 iterations, ||x-1||_inf < 1e-8: true
 	// SELL-C-s   102 iterations, ||x-1||_inf < 1e-8: true

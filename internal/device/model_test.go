@@ -36,6 +36,11 @@ func TestTestbedsComplete(t *testing.T) {
 	if len(specs) != 9 {
 		t.Fatalf("testbeds = %d, want 9 (Table II)", len(specs))
 	}
+	// A name the host builds no kernel for (VSL, Vec-CSR, Bal-CSR) is priced
+	// by its own trait estimate; a misspelt one would get the neutral
+	// estimate every unknown name gets.
+	fv := fvAt(16, 20, 2)
+	neutral := formats.EstimateTraits("", fv)
 	classes := map[Class]int{}
 	for _, s := range specs {
 		classes[s.Class]++
@@ -46,10 +51,8 @@ func TestTestbedsComplete(t *testing.T) {
 			t.Errorf("%s: no formats", s.Name)
 		}
 		for _, f := range s.Formats {
-			// The FPGA's VSL is priced by its trait estimate alone: the
-			// host builds no kernel for it.
-			if _, ok := formats.Lookup(f); !ok && !(s.Class == FPGA && f == "VSL") {
-				t.Errorf("%s: format %q not in registry", s.Name, f)
+			if _, ok := formats.Lookup(f); !ok && formats.EstimateTraits(f, fv) == neutral {
+				t.Errorf("%s: format %q neither builds on the host nor has a trait estimate", s.Name, f)
 			}
 		}
 	}

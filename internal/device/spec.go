@@ -104,11 +104,11 @@ func (s Spec) PeakGFLOPS() float64 {
 }
 
 // Testbeds returns the nine Table II machines. Vendor-library entries map
-// onto this repository's format implementations: MKL-IE stands for every
+// onto this repository's format names: MKL-IE stands for every
 // inspector-executor vendor CSR (Intel MKL, AOCL-Sparse, ARMPL), Bal-CSR
 // for cuSPARSE's load-balanced CSR path, and VSL for the Vitis Sparse
-// Library accelerator (priced by its trait estimate: the host builds no
-// VSL kernel).
+// Library accelerator. VSL, Vec-CSR and Bal-CSR are priced by their trait
+// estimates: the host builds no kernel of their own.
 func Testbeds() []Spec {
 	specs := []Spec{
 		{

@@ -10,8 +10,8 @@ import (
 	"repro/internal/simd"
 )
 
-// csrPresets are the four formats that are one CSR kernel.
-var csrPresets = []string{"Naive-CSR", "Vec-CSR", "Bal-CSR", "MKL-IE"}
+// csrPresets are the two formats that are one CSR kernel.
+var csrPresets = []string{"Naive-CSR", "MKL-IE"}
 
 // canonicalTestMatrix has 1<<16 columns (an entry in the last one) and
 // rows of every length class the CSR kernels branch on — empty and
@@ -55,7 +55,7 @@ func columnWise(m *matrix.CSR, x []float64, k int) []float64 {
 	return want
 }
 
-// TestCSRPresetsBitIdentical holds the four CSR presets to one answer per
+// TestCSRPresetsBitIdentical holds the two CSR presets to one answer per
 // (matrix, x): on every tier the host reaches (switched with SetLevel),
 // at k in {1, 2, 3, 4, 5, 8, 9, 17}, on 1, 2 and 7 lanes, over uint16
 // indices and their widened int32 twin, every element of every preset's

@@ -31,7 +31,7 @@ const (
 // and nothing else: MeasureClasses times it (Merge-CSR on one lane: its
 // diagonals in sequence, a carry slot per diagonal; HYB on the fixture's
 // equal rows: its threshold is their length, so its spill is empty).
-var classRep = [NumClasses]string{"", "Merge-CSR", "Naive-CSR", "Vec-CSR", "HYB", "SELL-C-s", "BCSR", "CSR5", "COO"}
+var classRep = [NumClasses]string{"", "Merge-CSR", "Naive-CSR", "MKL-IE", "HYB", "SELL-C-s", "BCSR", "CSR5", "COO"}
 
 // Vectorized reports whether the loop is laid out for SIMD (gathers,
 // column-major chunks, unrolled tiles).

@@ -8,21 +8,21 @@ import (
 // CSR is the compressed-sparse-row format with one kernel: every row in
 // simd.CSRRowRangeGo's canonical order at every SIMD tier and every k, so
 // a (matrix, x) gets one y whatever preset, tier, worker count or batch
-// width computes it. The paper's four CSR formats are presets of it, and
-// one switch tells them apart at run time: whether rows run the dispatched
-// kernel (simd.CSRRowRange) or its Go reference. Their partition
-// discipline is a trait the device models price; on the host every
-// preset's lanes start at the driver's equal-work cut.
+// width computes it. The host builds two presets of it, told apart by one
+// switch: whether rows run the dispatched kernel (simd.CSRRowRange) or its
+// Go reference. Their partition discipline is a trait the device models
+// price; on the host every preset's lanes start at the driver's equal-work
+// cut.
 //
 //	Naive-CSR  Go kernel          row blocks
-//	Bal-CSR    Go kernel          nonzero-balanced
-//	Vec-CSR    dispatched kernel  row blocks
 //	MKL-IE     dispatched kernel  nonzero-balanced when the build-time
 //	                              inspection finds the row lengths skewed
 //
 // MKL-IE stands for the vendors' inspector-executor CSR (Intel MKL,
 // AOCL-Sparse, ARMPL), whose build step commits to an execution strategy;
-// here the inspection sets a trait only.
+// here the inspection sets a trait only. The paper's other two CSR
+// formats would run these kernels from the same start (Vec-CSR MKL-IE's,
+// Bal-CSR Naive-CSR's), so they are model-only names (EstimateTraits).
 //
 // On at most narrowMaxCols columns the family stores 2-byte column indices
 // (12 -> 10 bytes per nonzero) read by the same kernels in the same order,
@@ -37,8 +37,7 @@ type CSR struct {
 	col16      []uint16 // with simd.U16Slack zeroed entries past the last
 	val        []float64
 	balance    bool // Traits.Balancing is NNZGranular
-	dispatch   bool // rows run simd.CSRRowRange, not simd.CSRRowRangeGo
-	inspected  bool // MKL-IE: balance chosen by inspecting the rows (Traits.Preprocessed)
+	dispatch   bool // MKL-IE: rows run simd.CSRRowRange, and an inspection sets balance (Traits.Preprocessed)
 }
 
 // narrowMaxCols is the widest matrix whose column indices fit uint16.
@@ -76,18 +75,12 @@ func narrowIdx(src []int32) []uint16 {
 	return dst
 }
 
-// newPreset builds the named CSR preset: "Naive-CSR", "Bal-CSR",
-// "Vec-CSR" or "MKL-IE".
+// newPreset builds the named CSR preset: "Naive-CSR" or "MKL-IE".
 func newPreset(name string, m *matrix.CSR) *CSR {
 	c := csrOf(m)
 	c.name = name
-	switch name {
-	case "Bal-CSR":
-		c.balance = true
-	case "Vec-CSR":
+	if name == "MKL-IE" {
 		c.dispatch = true
-	case "MKL-IE":
-		c.dispatch, c.inspected = true, true
 		if avg := m.AvgRowNNZ(); avg > 0 {
 			c.balance = (float64(m.MaxRowNNZ())-avg)/avg > balMinSkew
 		}
@@ -121,7 +114,7 @@ func (f *CSR) cum(i int) int64 { return int64(f.rowPtr[i]) + int64(i) }
 // Traits implements Format.
 func (f *CSR) Traits() Traits {
 	meta := float64(f.Bytes()-8*f.NNZ()) / float64(max(f.NNZ(), 1))
-	t := Traits{Balancing: RowGranular, MetaBytesPerNNZ: meta, Class: ClassDotGo, Preprocessed: f.inspected}
+	t := Traits{Balancing: RowGranular, MetaBytesPerNNZ: meta, Class: ClassDotGo, Preprocessed: f.dispatch}
 	if f.balance {
 		t.Balancing = NNZGranular
 	}

@@ -45,8 +45,8 @@ func TestEstimateTraitsAgainstBuilt(t *testing.T) {
 			}
 			// Padding ratio: exact-arithmetic formats within 15%+0.1; the
 			// heuristic estimates within a factor-of-3 band.
-			tight := map[string]bool{"COO": true, "Naive-CSR": true, "Vec-CSR": true,
-				"Bal-CSR": true, "MKL-IE": true, "Merge-CSR": true, "CSR5": true}
+			tight := map[string]bool{"COO": true, "Naive-CSR": true, "MKL-IE": true,
+				"Merge-CSR": true, "CSR5": true}
 			if tight[b.Name] {
 				if math.Abs(got.PaddingRatio-est.PaddingRatio) > 0.15*got.PaddingRatio+0.1 {
 					t.Errorf("grid %d %s: padding %g, estimate %g", gi, b.Name, got.PaddingRatio, est.PaddingRatio)

@@ -1,14 +1,15 @@
 // Package formats implements the sparse storage formats and SpMV kernels
 // evaluated by the paper that earn their place on the host: the
-// state-of-practice formats COO, CSR (naive, vectorized, balanced,
-// inspector-executor) and HYB, the research formats CSR5, Merge-CSR,
-// SELL-C-sigma and a SparseX-like compressed format, plus BCSR as an
-// extension. Every format builds from a CSR matrix and provides serial and
-// parallel double-precision SpMV kernels producing the same result as the
-// CSR reference (up to floating-point reassociation). A format the paper
-// runs only on another device (VSL on the FPGA) or that loses everywhere
-// on the host (DIA) keeps a trait estimate for the device models and no
-// kernel. ELL, which no testbed runs and which won no host measurement,
+// state-of-practice formats COO, CSR (naive and inspector-executor) and
+// HYB, the research formats CSR5, Merge-CSR, SELL-C-sigma and a
+// SparseX-like compressed format, plus BCSR as an extension. Every format
+// builds from a CSR matrix and provides serial and parallel
+// double-precision SpMV kernels producing the same result as the CSR
+// reference (up to floating-point reassociation). A format the paper runs
+// only on another device (VSL on the FPGA), that loses everywhere on the
+// host (DIA) or runs another host format's kernel (Vec-CSR runs MKL-IE's,
+// Bal-CSR Naive-CSR's) keeps a trait estimate for the device models and
+// no kernel. ELL, which no testbed runs and which won no host measurement,
 // has neither: HYB's padded slab is the host's one slab sweep.
 //
 // Each format also reports Traits — padding ratio, metadata volume, work
@@ -145,8 +146,6 @@ func Registry() []Builder { return append([]Builder(nil), registry...) }
 var registry = []Builder{
 	{"COO", func(m *matrix.CSR) (Format, error) { return NewCOO(m), nil }},
 	csrBuilder("Naive-CSR"),
-	csrBuilder("Vec-CSR"),
-	csrBuilder("Bal-CSR"),
 	csrBuilder("MKL-IE"),
 	{"HYB", func(m *matrix.CSR) (Format, error) { return asFormat(newHYB(m)) }},
 	{"CSR5", func(m *matrix.CSR) (Format, error) { return asFormat(NewCSR5(m)) }},
@@ -173,7 +172,7 @@ func asFormat[F Format](f F, err error) (Format, error) {
 }
 
 // Lookup returns the builder with the given name, or false — also for the
-// names EstimateTraits prices without a kernel (VSL, DIA).
+// names EstimateTraits prices without a kernel (VSL, DIA, Vec-CSR, Bal-CSR).
 func Lookup(name string) (Builder, bool) {
 	for _, b := range registry {
 		if b.Name == name {

@@ -18,7 +18,7 @@ import (
 )
 
 // TestAVX512NotSlowerThanAVX2Gate holds the widest dispatch tier to the
-// one below it: over the four formats whose hot loops run through the
+// one below it: over the three formats whose hot loops run through the
 // dispatch table, at k = 1 (gather kernels) and k = 8 (fused
 // broadcast-tile kernels), on the medium and large tiers, the geomean of
 // avx2 time / avx512 time must be at least 1.00. Both tiers run the same
@@ -38,7 +38,7 @@ func TestAVX512NotSlowerThanAVX2Gate(t *testing.T) {
 		m := testutil.GateTier(t, tier)
 		x1, y1 := matrix.RandomVector(m.Cols, 6), make([]float64, m.Rows)
 		xk, yk := matrix.RandomVector(m.Cols*k, 7), make([]float64, m.Rows*k)
-		for _, name := range []string{"Vec-CSR", "MKL-IE", "SELL-C-s", "BCSR"} {
+		for _, name := range []string{"MKL-IE", "SELL-C-s", "BCSR"} {
 			// Build under the widest dispatch so structure follows the live
 			// vector width (SELL-C-s chunks to 8 lanes under AVX-512).
 			simd.SetLevel("avx512")

@@ -18,7 +18,7 @@ import (
 const benchRHS = 8
 
 // multiBenchFormats are the fused hot-path formats.
-var multiBenchFormats = []string{"Naive-CSR", "Vec-CSR", "HYB", "SELL-C-s", "BCSR", "COO"}
+var multiBenchFormats = []string{"Naive-CSR", "MKL-IE", "HYB", "SELL-C-s", "BCSR", "COO"}
 
 func benchmarkMulti(b *testing.B, m *matrix.CSR, matName string) {
 	b.Helper()

@@ -152,7 +152,7 @@ func TestQuickMultiplyMany(t *testing.T) {
 		k := int(kRaw%9) + 1
 		m := matrix.Random(rows, rows+3, 0.1, int64(seed))
 		x := matrix.RandomVector(m.Cols*k, int64(seed)+2)
-		for _, name := range []string{"COO", "Naive-CSR", "Bal-CSR", "HYB", "SELL-C-s", "BCSR", "Merge-CSR"} {
+		for _, name := range []string{"COO", "Naive-CSR", "MKL-IE", "HYB", "SELL-C-s", "BCSR", "Merge-CSR"} {
 			b, _ := Lookup(name)
 			f, err := b.Build(m)
 			if err != nil {

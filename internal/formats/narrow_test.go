@@ -11,7 +11,7 @@ import (
 )
 
 // csrFamily names the formats that narrow their column indices.
-var csrFamily = []string{"Naive-CSR", "Vec-CSR", "Bal-CSR", "MKL-IE", "Merge-CSR"}
+var csrFamily = []string{"Naive-CSR", "MKL-IE", "Merge-CSR"}
 
 // widened is m's twin on the int32 path: the same entries, with Cols
 // raised past narrowMaxCols. It multiplies m's x padded with zeros

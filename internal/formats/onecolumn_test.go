@@ -16,8 +16,8 @@ import (
 // MultiplyMany(y, x, 1) is bit-identical to SpMVParallel on the same lane
 // budget — for every registry format, bare, behind Auto and behind an
 // Updatable with a live overlay, built at the boot cap and run at scalar
-// and at it — Vec-CSR and MKL-IE included, whose k = 1 rounding is the
-// vectorized loop's at either call.
+// and at it — MKL-IE included, whose k = 1 rounding is the vectorized
+// loop's at either call.
 func TestOneColumnBlockIsSpMV(t *testing.T) {
 	defer exec.SetMaxWorkers(exec.SetMaxWorkers(4))
 	boot := simd.SetLevel("scalar")

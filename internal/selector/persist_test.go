@@ -154,12 +154,13 @@ func TestOneDecisionOneSample(t *testing.T) {
 }
 
 // TestStaleJournalFormatReselects: a journal written by a build that had a
-// format this one lacks (DIA and ELL lost their kernels) cannot serve that
-// decision; the build selects afresh and its decision is the only one left
-// for the key once the journal is compacted.
+// format this one lacks (DIA and ELL lost their kernels, Vec-CSR and
+// Bal-CSR their registry entries) cannot serve that decision; the build
+// selects afresh and its decision is the only one left for the key once
+// the journal is compacted.
 func TestStaleJournalFormatReselects(t *testing.T) {
 	m := genMatrix(t, 3000, 10, 5, 12)
-	for _, stale := range []string{"DIA", "ELL"} {
+	for _, stale := range []string{"DIA", "ELL", "Vec-CSR", "Bal-CSR"} {
 		t.Run(stale, func(t *testing.T) {
 			dir := t.TempDir()
 			journal := fmt.Sprintf("{\"v\":2,\"kind\":\"header\",\"schema\":2,\"host\":%q}\n"+
@@ -240,9 +241,9 @@ func TestTunedJournalLineBuildsDefault(t *testing.T) {
 }
 
 // TestLearnedPickMustBeOffered: a k-NN sample naming a format the device
-// does not offer (DIA or ELL, journaled when it still had a kernel) does
-// not steer the shortlist: promoting it would put an unbuildable name
-// first.
+// does not offer (DIA, ELL, Vec-CSR or Bal-CSR, journaled when it was
+// still registered) does not steer the shortlist: promoting it would put
+// an unbuildable name first.
 func TestLearnedPickMustBeOffered(t *testing.T) {
 	defer func(prev func() device.Spec) { hostSpec = prev }(hostSpec)
 	hostSpec = fixtureHost
@@ -250,7 +251,7 @@ func TestLearnedPickMustBeOffered(t *testing.T) {
 	// A sample of m's own features under another fingerprint: m's build
 	// misses the cache, but the vote reads it.
 	other := cache.DecisionKey{Fingerprint: 1, Device: "host", K: 1}
-	for _, stale := range []string{"DIA", "ELL"} {
+	for _, stale := range []string{"DIA", "ELL", "Vec-CSR", "Bal-CSR"} {
 		dc := cache.NewDecisionCache()
 		dc.Put(other, cache.Decision{Format: stale, Probed: true, FV: core.Extract(m)})
 		a, err := BuildAuto(m, AutoOptions{Cache: dc})

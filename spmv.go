@@ -8,7 +8,7 @@
 //   - sparse matrices (CSR/COO, MatrixMarket I/O) and the five-feature
 //     extraction of Section III-A;
 //   - the artificial matrix generator of Section III-B;
-//   - eleven storage formats with serial and parallel SpMV kernels,
+//   - nine storage formats with serial and parallel SpMV kernels,
 //     dispatched on an execution engine with one lazily started worker
 //     pool, the caller as lane 0, and spawned lanes for a call that finds
 //     it busy (see internal/exec);
